@@ -34,8 +34,12 @@ class Principal:
     name: str
     domain: str
 
+    def __post_init__(self) -> None:
+        # formatted once: every access check asks for it several times
+        object.__setattr__(self, "_text", f"{self.name}@{self.domain}")
+
     def __str__(self) -> str:
-        return f"{self.name}@{self.domain}"
+        return self._text
 
     @classmethod
     def parse(cls, text: str) -> "Principal":
@@ -49,6 +53,7 @@ class Principal:
 
 # Reserved principal representing unauthenticated access.
 PUBLIC = Principal(name="public", domain="world")
+PUBLIC_KEY = str(PUBLIC)
 
 
 def _digest(password: str, salt: str) -> str:
@@ -106,9 +111,10 @@ class UserRegistry:
         self._record(principal).role = role
 
     def role_of(self, principal: str | Principal) -> str:
-        if str(principal) == str(PUBLIC):
+        key = str(principal)
+        if key == PUBLIC_KEY:
             return "public"
-        return self._record(principal).role
+        return self._record(key).role
 
     def exists(self, principal: str | Principal) -> bool:
         return str(principal) in self._users

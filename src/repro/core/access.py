@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.auth.users import PUBLIC, Principal, UserRegistry
+from repro.auth.users import PUBLIC_KEY, Principal, UserRegistry
 from repro.errors import AccessDenied, NoSuchCollection
 from repro.mcat.catalog import Mcat
 from repro.mcat.schema import PERMISSIONS
@@ -58,11 +58,12 @@ class AccessController:
 
     def _principal_keys(self, principal: Principal) -> List[str]:
         """All ACL principal strings that cover ``principal``."""
-        keys = ["*", str(PUBLIC)]
-        if str(principal) != str(PUBLIC):
-            keys.append(str(principal))
-            if self.users.exists(principal):
-                keys.extend(f"group:{g}" for g in self.users.groups_of(principal))
+        who = str(principal)
+        keys = ["*", PUBLIC_KEY]
+        if who != PUBLIC_KEY:
+            keys.append(who)
+            if self.users.exists(who):
+                keys.extend(f"group:{g}" for g in self.users.groups_of(who))
         return keys
 
     def _grant_level(self, target_kind: str, target_id: int,
@@ -80,10 +81,11 @@ class AccessController:
                              obj: Dict[str, object]) -> Optional[str]:
         """Highest permission ``principal`` holds on object row ``obj``."""
         self.checks += 1
-        if self.users.exists(principal) and \
-                self.users.role_of(principal) == "sysadmin":
+        who = str(principal)
+        if self.users.exists(who) and \
+                self.users.role_of(who) == "sysadmin":
             return "own"
-        if obj["owner"] == str(principal):
+        if obj["owner"] == who:
             return "own"
         keys = self._principal_keys(principal)
         best = self._grant_level("object", int(obj["oid"]), keys)
@@ -97,14 +99,15 @@ class AccessController:
     def permission_on_collection(self, principal: Principal,
                                  coll_path: str) -> Optional[str]:
         self.checks += 1
-        if self.users.exists(principal) and \
-                self.users.role_of(principal) == "sysadmin":
+        who = str(principal)
+        if self.users.exists(who) and \
+                self.users.role_of(who) == "sysadmin":
             return "own"
         try:
             coll = self.mcat.get_collection(coll_path)
         except NoSuchCollection:
             return None
-        if coll["owner"] == str(principal):
+        if coll["owner"] == who:
             return "own"
         keys = self._principal_keys(principal)
         return self._collection_chain_level(coll_path, keys)

@@ -32,6 +32,7 @@ from repro.errors import InvalidTicket, NoSuchServer, SrbError
 from repro.mcat.catalog import Mcat
 from repro.mcat.shard import ShardedMcat
 from repro.mcat.extraction import ExtractionRegistry
+from repro.net import wire
 from repro.net.rpc import ServiceRegistry
 from repro.net.simnet import DataChannel, LinkSpec, Network, WAN
 from repro.policy import PlacementEngine
@@ -42,6 +43,7 @@ from repro.storage.memfs import MemFsDriver
 from repro.storage.resource import PhysicalResource, ResourceRegistry
 from repro.storage.web import WebSpace
 from repro.util.clock import SimClock
+from repro.util import paths
 from repro.util.ids import IdFactory
 
 
@@ -127,6 +129,11 @@ class Federation:
                  mcat_staleness: int = 0,
                  direct_io: bool = False):
         self.zone = zone
+        # The path and wire-size memos are process-wide.  A grid starts
+        # with them empty, so that what it costs to run (gridbench's
+        # py_calls_per_op) does not depend on what the process ran before.
+        paths.split.cache_clear()
+        wire.clear_size_memo()
         # zones being federated cross-zone share one network (and so one
         # clock); standalone zones build their own
         if network is not None:

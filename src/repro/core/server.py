@@ -72,11 +72,29 @@ def _facade_method(server: "SrbServer", reg: RegisteredOp) -> Callable:
             "ticket", inspect.Parameter.POSITIONAL_OR_KEYWORD,
             annotation=Ticket)] + params
     sig = inspect.Signature(params)
+    # Bound once here, not per call: every parameter in signature order
+    # with its default (None stands in for a required one, which the
+    # caller must then supply), and the names a call may not omit.
+    keyword_ok = all(p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)
+                     for p in params)
+    template = {p.name: None if p.default is p.empty else p.default
+                for p in params}
+    known = frozenset(template)
+    required = {p.name for p in params if p.default is p.empty}
 
     def facade(*args: Any, **kwargs: Any) -> Any:
-        bound = sig.bind(*args, **kwargs)
-        bound.apply_defaults()
-        call_kwargs = dict(bound.arguments)
+        names = kwargs.keys()
+        if keyword_ok and not args and required <= names \
+                and names <= known:
+            # the all-keyword call rpc makes: defaults, then the arguments
+            call_kwargs = dict(template)
+            call_kwargs.update(kwargs)
+        else:
+            # positional, unknown or missing arguments: let inspect bind
+            # them, or raise its usual TypeError
+            bound = sig.bind(*args, **kwargs)
+            bound.apply_defaults()
+            call_kwargs = dict(bound.arguments)
         ticket = call_kwargs.pop("ticket", None)
         return server.dispatch.call(spec.name, ticket, call_kwargs)
 

@@ -24,7 +24,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import DatabaseError
 from repro.db import sql as S
-from repro.db.table import Column, Table
+from repro.db.table import Column, ScanCounter, Table
 from repro.util.clock import SimClock
 
 
@@ -63,6 +63,9 @@ class Database:
         self.clock = clock
         self._tables: Dict[str, Table] = {}
         self._observer = None
+        # rows examined across all tables: every table created here counts
+        # into it beside its own rows_scanned
+        self.scan_counter = ScanCounter()
         self.queries_executed = 0
 
     # -- DDL -----------------------------------------------------------------
@@ -75,6 +78,7 @@ class Database:
             raise DatabaseError(f"bad table name {name!r}")
         table = Table(name, columns, primary_key=primary_key)
         table.observer = self._observer
+        table.scan_counter = self.scan_counter
         self._tables[name] = table
         return table
 
@@ -88,7 +92,10 @@ class Database:
     def drop_table(self, name: str) -> None:
         if name not in self._tables:
             raise DatabaseError(f"no table {name!r}")
-        del self._tables[name]
+        # the dropped table takes its share of the count with it
+        table = self._tables.pop(name)
+        self.scan_counter.total -= table.rows_scanned
+        table.scan_counter = ScanCounter(table.rows_scanned)
 
     def table(self, name: str) -> Table:
         try:
@@ -202,7 +209,7 @@ class Database:
         return ResultSet(columns=columns, rows=rows), next_cursor
 
     def _total_scanned(self) -> int:
-        return sum(t.rows_scanned for t in self._tables.values())
+        return self.scan_counter.total
 
     def _run_query(self, query: S.Query, params: List[Any]) -> ResultSet:
         if isinstance(query, S.UnionQuery):

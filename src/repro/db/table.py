@@ -70,6 +70,20 @@ class Column:
         return value
 
 
+class ScanCounter:
+    """Rows examined, summed over every table that shares the counter.
+
+    A :class:`Table` on its own counts into a private one; a
+    :class:`~repro.db.engine.Database` hands all its tables the same one,
+    so the cost model reads one number instead of summing the tables.
+    """
+
+    __slots__ = ("total",)
+
+    def __init__(self, total: int = 0):
+        self.total = total
+
+
 class Table:
     """A heap of typed rows with optional secondary indexes.
 
@@ -92,8 +106,10 @@ class Table:
         self._live = 0
         self._hash_indexes: Dict[str, HashIndex] = {}
         self._sorted_indexes: Dict[str, SortedIndex] = {}
-        # Scan accounting for the query-cost model (rows touched).
+        # Scan accounting for the query-cost model (rows touched): this
+        # table's own count, and the counter shared with its database.
         self.rows_scanned = 0
+        self.scan_counter = ScanCounter()
         # Mutation observer: callable(table_name, kind, rid, values) fired
         # after each successful insert/update/delete.  See module docstring.
         self.observer = None
@@ -236,13 +252,16 @@ class Table:
         for rid, row in enumerate(self._rows):
             if row is not None:
                 self.rows_scanned += 1
+                self.scan_counter.total += 1
                 yield rid
 
     def lookup_eq(self, column: str, value: Any) -> List[int]:
         """Row ids where ``column == value``, via index if available."""
         if column in self._hash_indexes:
             rids = self._hash_indexes[column].get(value)
-            self.rows_scanned += len(rids)
+            n = len(rids)
+            self.rows_scanned += n
+            self.scan_counter.total += n
             return list(rids)
         off = self._offset[column]
         out = []
@@ -265,7 +284,9 @@ class Table:
         if column in self._sorted_indexes:
             rids = self._sorted_indexes[column].range(lo, hi, lo_incl,
                                                       hi_incl, limit=limit)
-            self.rows_scanned += len(rids)
+            n = len(rids)
+            self.rows_scanned += n
+            self.scan_counter.total += n
             return rids
         off = self._offset[column]
         out = []

@@ -18,7 +18,6 @@ latencies (and dominates them in the E4 scaling experiment).
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.db import Database
@@ -81,6 +80,32 @@ def _num(value: Optional[str]) -> Optional[float]:
         return None
 
 
+class _Charge:
+    """One catalog op: on exit (error or not) charges the fixed overhead
+    plus the rows the block touched to the clock, ``busy_s`` and metrics."""
+
+    __slots__ = ("mcat", "before")
+
+    def __init__(self, mcat: "Mcat"):
+        self.mcat = mcat
+        self.before = mcat.db.scan_counter.total
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        mcat = self.mcat
+        touched = mcat.db.scan_counter.total - self.before
+        cost = mcat.QUERY_OVERHEAD_S + touched * mcat.ROW_COST_S
+        mcat.busy_s += cost
+        mcat.obs.metrics.inc("mcat.ops")
+        if touched:
+            mcat.obs.metrics.inc("mcat.rows_scanned", touched)
+            mcat.obs.tracer.add("catalog_rows", touched)
+        if mcat.clock is not None:
+            mcat.clock.advance(cost)
+
+
 class Mcat:
     """Metadata catalog for one zone."""
 
@@ -102,9 +127,6 @@ class Mcat:
         # regardless of how many internal table calls it makes.
         self.db = Database(name=f"mcat-{zone}")
         build_schema(self.db)
-        # table handles cached once: the MCAT schema is fixed after build,
-        # and _rows_scanned runs on every catalog op (profiled hot path)
-        self._tables = [self.db.table(n) for n in self.db.tables()]
         self.schemas = SchemaRegistry()
         # path -> row-id cache for collection resolution.  Row ids are
         # stable (tombstone deletes), so an entry stays valid until the
@@ -125,23 +147,11 @@ class Mcat:
     # ------------------------------------------------------------------
 
     def _rows_scanned(self) -> int:
-        return sum(t.rows_scanned for t in self._tables)
+        return self.db.scan_counter.total
 
-    @contextmanager
-    def _charged(self):
-        before = self._rows_scanned()
-        try:
-            yield
-        finally:
-            touched = self._rows_scanned() - before
-            cost = self.QUERY_OVERHEAD_S + touched * self.ROW_COST_S
-            self.busy_s += cost
-            self.obs.metrics.inc("mcat.ops")
-            if touched:
-                self.obs.metrics.inc("mcat.rows_scanned", touched)
-                self.obs.tracer.add("catalog_rows", touched)
-            if self.clock is not None:
-                self.clock.advance(cost)
+    def _charged(self) -> "_Charge":
+        """``with self._charged():`` makes the block one charged catalog op."""
+        return _Charge(self)
 
     # ------------------------------------------------------------------
     # collections

@@ -10,7 +10,8 @@ naming none, and that file contents dominate control traffic.
 
 from __future__ import annotations
 
-from typing import Any
+from itertools import chain
+from typing import Any, Dict, Tuple
 
 # fixed per-value envelope overhead (type tag + length prefix)
 _ENVELOPE = 4
@@ -68,8 +69,47 @@ class Redirect:
         return len(self.payload)
 
 
+# The type table: the single definition of what a value costs on the
+# wire.  Exact types are sized here without a call per leaf; subclasses
+# and the rare payload types go through _sizeof_other.
+_FIXED_SIZE = {type(None): _ENVELOPE, bool: _ENVELOPE,
+               int: _ENVELOPE + 8, float: _ENVELOPE + 8}
+_LEAF_TYPES = frozenset(_FIXED_SIZE) | {str, bytes}
+
+
 def sizeof(value: Any) -> int:
     """Approximate serialized size of ``value`` in bytes."""
+    t = type(value)
+    if t is dict:
+        items = chain.from_iterable(value.items())
+    elif t is list or t is tuple:
+        items = value
+    elif t is str:
+        return _ENVELOPE + (len(value) if value.isascii()
+                            else len(value.encode("utf-8")))
+    elif t in _FIXED_SIZE:
+        return _FIXED_SIZE[t]
+    elif t is bytes:
+        return _ENVELOPE + len(value)
+    else:
+        return _sizeof_other(value)
+    total = _ENVELOPE
+    for item in items:
+        t = type(item)
+        if t is str:
+            total += _ENVELOPE + (len(item) if item.isascii()
+                                  else len(item.encode("utf-8")))
+        elif t in _FIXED_SIZE:
+            total += _FIXED_SIZE[t]
+        elif t is bytes:
+            total += _ENVELOPE + len(item)
+        else:
+            total += sizeof(item)
+    return total
+
+
+def _sizeof_other(value: Any) -> int:
+    """Everything the exact-type table does not name."""
     if isinstance(value, DeferredPayload):
         return _ENVELOPE + _CLAIM_TOKEN
     if isinstance(value, Redirect):
@@ -78,11 +118,7 @@ def sizeof(value: Any) -> int:
                           for ch in value.channels)
         return _ENVELOPE + max(0, sizeof(value.payload) - deferred) \
             + descriptors
-    if value is None or isinstance(value, bool):
-        return _ENVELOPE
-    if isinstance(value, int):
-        return _ENVELOPE + 8
-    if isinstance(value, float):
+    if isinstance(value, (int, float)):     # IntEnum and the like
         return _ENVELOPE + 8
     if isinstance(value, (bytes, bytearray, memoryview)):
         return _ENVELOPE + len(value)
@@ -94,9 +130,37 @@ def sizeof(value: Any) -> int:
         return _ENVELOPE + sum(sizeof(k) + sizeof(v) for k, v in value.items())
     # dataclass-ish objects serialize their __dict__
     if hasattr(value, "__dict__"):
+        params = getattr(type(value), "__dataclass_params__", None)
+        if params is not None and params.frozen:
+            return _sizeof_frozen(value)
         return _ENVELOPE + sizeof(vars(value))
     # fall back to repr length for exotic types
     return _ENVELOPE + len(repr(value))
+
+
+# Sizes of frozen dataclass instances whose fields are all immutable
+# leaves (a Ticket rides in every authenticated request).  Keyed by
+# identity; the entry holds the instance, so its id cannot be reused.
+_FROZEN_MEMO_CAP = 1024
+_frozen_sizes: Dict[int, Tuple[Any, int]] = {}
+
+
+def _sizeof_frozen(value: Any) -> int:
+    entry = _frozen_sizes.get(id(value))
+    if entry is not None:
+        return entry[1]
+    fields = vars(value)
+    size = _ENVELOPE + sizeof(fields)
+    if all(type(v) in _LEAF_TYPES for v in fields.values()):
+        if len(_frozen_sizes) >= _FROZEN_MEMO_CAP:
+            _frozen_sizes.clear()
+        _frozen_sizes[id(value)] = (value, size)
+    return size
+
+
+def clear_size_memo() -> None:
+    """Forget every remembered size (a new federation starts from none)."""
+    _frozen_sizes.clear()
 
 
 def message_size(payload: Any) -> int:

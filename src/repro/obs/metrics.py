@@ -14,6 +14,7 @@ are small and bounded by topology (hosts, resources, services, methods).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -23,8 +24,8 @@ LabelKey = Tuple[Tuple[str, str], ...]
 DEFAULT_BUCKETS = (0.0001, 0.001, 0.01, 0.1, 1.0, 10.0, 100.0, float("inf"))
 
 
-def _key(labels: Dict[str, object]) -> LabelKey:
-    return tuple(sorted((k, str(v)) for k, v in labels.items()))
+#: label-key memo entries kept per registry before it starts over
+_KEY_MEMO_CAP = 4096
 
 
 def _label_str(key: LabelKey) -> str:
@@ -49,12 +50,16 @@ class Histogram:
     def observe(self, value: float) -> None:
         self.count += 1
         self.sum += value
-        self.min = min(self.min, value)
-        self.max = max(self.max, value)
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                self.bucket_counts[i] += 1
-                break
+        if value < self.min:
+            self.min = value
+        if value > self.max:
+            self.max = value
+        buckets = self.buckets
+        i = bisect_left(buckets, value)
+        # first bound with value <= bound; NaN and anything past a finite
+        # last bound fall in no bucket
+        if i < len(buckets) and value <= buckets[i]:
+            self.bucket_counts[i] += 1
 
     @property
     def mean(self) -> float:
@@ -67,18 +72,42 @@ class MetricsRegistry:
     def __init__(self):
         self._counters: Dict[str, Dict[LabelKey, float]] = {}
         self._histograms: Dict[str, Dict[LabelKey, Histogram]] = {}
+        # raw tuple(labels.items()) -> sorted, stringified key
+        self._keys: Dict[tuple, LabelKey] = {}
+
+    def _key(self, labels: Dict[str, object]) -> LabelKey:
+        # Only all-str label sets are memoised: 1, True, 1.0 and str-like
+        # enums compare equal to each other (or to a str) yet render
+        # differently, so they are stringified every time.
+        for value in labels.values():
+            if type(value) is not str:
+                return tuple(sorted((k, str(v)) for k, v in labels.items()))
+        raw = tuple(labels.items())
+        try:
+            return self._keys[raw]
+        except KeyError:
+            if len(self._keys) >= _KEY_MEMO_CAP:
+                self._keys.clear()
+            key = self._keys[raw] = tuple(sorted(raw))
+            return key
 
     # -- counters -----------------------------------------------------------
 
     def inc(self, name: str, value: float = 1, **labels: object) -> None:
         """Increment counter ``name`` for one label combination."""
-        series = self._counters.setdefault(name, {})
-        key = _key(labels)
-        series[key] = series.get(key, 0) + value
+        try:
+            series = self._counters[name]
+        except KeyError:
+            series = self._counters[name] = {}
+        key = self._key(labels) if labels else ()
+        try:
+            series[key] += value
+        except KeyError:
+            series[key] = 0 + value     # counters are numbers: True is 1
 
     def get(self, name: str, **labels: object) -> float:
         """Value of one labeled series (0 if never incremented)."""
-        return self._counters.get(name, {}).get(_key(labels), 0)
+        return self._counters.get(name, {}).get(self._key(labels), 0)
 
     def total(self, name: str) -> float:
         """Sum of a counter across every label combination."""
@@ -96,15 +125,19 @@ class MetricsRegistry:
 
     def observe(self, name: str, value: float, **labels: object) -> None:
         """Record one virtual-time observation into histogram ``name``."""
-        series = self._histograms.setdefault(name, {})
-        key = _key(labels)
-        hist = series.get(key)
-        if hist is None:
+        try:
+            series = self._histograms[name]
+        except KeyError:
+            series = self._histograms[name] = {}
+        key = self._key(labels) if labels else ()
+        try:
+            hist = series[key]
+        except KeyError:
             hist = series[key] = Histogram()
         hist.observe(value)
 
     def histogram(self, name: str, **labels: object) -> Optional[Histogram]:
-        return self._histograms.get(name, {}).get(_key(labels))
+        return self._histograms.get(name, {}).get(self._key(labels))
 
     def histogram_names(self) -> List[str]:
         return sorted(self._histograms)
@@ -158,3 +191,4 @@ class MetricsRegistry:
     def clear(self) -> None:
         self._counters.clear()
         self._histograms.clear()
+        self._keys.clear()

@@ -109,6 +109,10 @@ class _SpanContext:
         return None
 
 
+#: what Tracer.span hands out outside a trace: one shared, stateless no-op
+_NO_SPAN = _SpanContext(None, None)
+
+
 class Tracer:
     """Span factory bound to one virtual clock.
 
@@ -167,7 +171,7 @@ class Tracer:
     def span(self, name: str, **attrs: Any) -> _SpanContext:
         """Instrumentation hook: a child span while tracing, else no-op."""
         if not self._stack:
-            return _SpanContext(self, None)
+            return _NO_SPAN
         return _SpanContext(self, self._open(name, attrs))
 
     def add(self, key: str, value: float = 1) -> None:

@@ -13,11 +13,16 @@ is the inverse of joining, and ancestors are exactly the strict prefixes.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, List, Tuple
 
 from repro.errors import InvalidPath
 
 SEP = "/"
+
+#: distinct paths whose components are remembered (one op names the same
+#: path several times; see EXPERIMENTS.md for the measured hit share)
+SPLIT_CACHE_SIZE = 2048
 
 
 def validate_component(name: str) -> str:
@@ -33,12 +38,10 @@ def validate_component(name: str) -> str:
     return name
 
 
-def split(path: str) -> Tuple[str, ...]:
-    """Split an absolute logical path into validated components.
-
-    ``split("/zone/home/x")`` -> ``("zone", "home", "x")``.
-    ``split("/")`` -> ``()``.
-    """
+@lru_cache(maxsize=SPLIT_CACHE_SIZE)
+def _split(path: str) -> Tuple[str, ...]:
+    # str -> tuple is pure, so remembering it is safe; a path that raises
+    # is not remembered and raises again on every call
     if not isinstance(path, str):
         raise InvalidPath(f"path must be str, got {type(path).__name__}")
     if not path.startswith(SEP):
@@ -46,7 +49,31 @@ def split(path: str) -> Tuple[str, ...]:
     if path == SEP:
         return ()
     raw = path[1:].split(SEP)
-    return tuple(validate_component(c) for c in raw)
+    for component in raw:
+        validate_component(component)
+    return tuple(raw)
+
+
+def split(path: str) -> Tuple[str, ...]:
+    """Split an absolute logical path into validated components.
+
+    ``split("/zone/home/x")`` -> ``("zone", "home", "x")``.
+    ``split("/")`` -> ``()``.
+    """
+    try:
+        return _split(path)
+    except TypeError:
+        # unhashable, so not a str: let the uncached body say so
+        return _split.__wrapped__(path)
+
+
+split.cache_info = _split.cache_info
+split.cache_clear = _split.cache_clear
+
+
+def _assemble(components: Tuple[str, ...]) -> str:
+    """Path of already-validated components (what :func:`split` returned)."""
+    return SEP + SEP.join(components) if components else SEP
 
 
 def join(*parts: str) -> str:
@@ -63,7 +90,7 @@ def join(*parts: str) -> str:
             for piece in part.split(SEP):
                 if piece:
                     components.append(validate_component(piece))
-    return from_components(components)
+    return _assemble(components)
 
 
 def from_components(components: Iterable[str]) -> str:
@@ -71,12 +98,12 @@ def from_components(components: Iterable[str]) -> str:
     comps = list(components)
     for c in comps:
         validate_component(c)
-    return SEP + SEP.join(comps) if comps else SEP
+    return _assemble(comps)
 
 
 def normalize(path: str) -> str:
     """Canonical form of a path (validates along the way)."""
-    return from_components(split(path))
+    return _assemble(split(path))
 
 
 def dirname(path: str) -> str:
@@ -84,7 +111,7 @@ def dirname(path: str) -> str:
     comps = split(path)
     if not comps:
         raise InvalidPath("root path has no parent")
-    return from_components(comps[:-1])
+    return _assemble(comps[:-1])
 
 
 def basename(path: str) -> str:
@@ -109,13 +136,13 @@ def ancestors(path: str) -> List[str]:
     ``ancestors("/z/a/b")`` -> ``["/", "/z", "/z/a"]``.
     """
     comps = split(path)
-    return [from_components(comps[:i]) for i in range(len(comps))]
+    return [_assemble(comps[:i]) for i in range(len(comps))]
 
 
 def is_ancestor(maybe_ancestor: str, path: str) -> bool:
     """True iff ``maybe_ancestor`` is a strict ancestor of ``path``."""
-    a = split(normalize(maybe_ancestor))
-    b = split(normalize(path))
+    a = split(maybe_ancestor)
+    b = split(path)
     return len(a) < len(b) and b[: len(a)] == a
 
 
@@ -130,8 +157,8 @@ def relocate(path: str, old_prefix: str, new_prefix: str) -> str:
     Used by collection move/copy: every descendant's logical path shifts
     under the destination collection.
     """
-    old = split(normalize(old_prefix))
-    comps = split(normalize(path))
+    old = split(old_prefix)
+    comps = split(path)
     if comps[: len(old)] != old:
         raise InvalidPath(f"{path!r} is not under {old_prefix!r}")
-    return from_components(split(normalize(new_prefix)) + comps[len(old):])
+    return _assemble(split(new_prefix) + comps[len(old):])

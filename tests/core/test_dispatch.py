@@ -96,6 +96,83 @@ class TestRegistryInvariants:
             assert name in text
 
 
+class TestFacadeBinding:
+    """The façade binds an all-keyword call without ``inspect``; whatever
+    it hands the dispatcher must be what ``Signature.bind`` would have."""
+
+    @staticmethod
+    def bind_model(sig, args, kwargs):
+        # the former façade body, kept as the oracle
+        bound = sig.bind(*args, **kwargs)
+        bound.apply_defaults()
+        call_kwargs = dict(bound.arguments)
+        ticket = call_kwargs.pop("ticket", None)
+        return ticket, list(call_kwargs.items())
+
+    @staticmethod
+    def outcome(fn, *args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except TypeError as exc:
+            return ("TypeError", str(exc))
+
+    def calls_for(self, sig):
+        """(args, kwargs) shapes to try against one op's signature."""
+        params = list(sig.parameters.values())
+        required = [p.name for p in params if p.default is p.empty]
+        optional = [p.name for p in params if p.default is not p.empty]
+        value = {p.name: f"<{p.name}>" for p in params}
+        need = {n: value[n] for n in required}
+        everything = {p.name: value[p.name] for p in params}
+        yield (), need                                  # all keyword
+        yield (), dict(reversed(list(everything.items())))  # any order
+        for name in optional:
+            yield (), {**need, name: value[name]}
+        yield tuple(value[p.name] for p in params), {}  # all positional
+        yield tuple(need.values()), {}
+        if required:                                    # mixed
+            yield (need[required[0]],), {n: need[n] for n in required[1:]}
+            yield (), {n: need[n] for n in required[1:]}     # one missing
+            yield (need[required[0]],), need            # given twice
+        yield (), {**need, "no_such_argument": 1}       # unknown keyword
+        yield tuple(everything.values()) + ("extra",), {}    # one too many
+        yield (), {}
+
+    def test_every_op_binds_like_inspect(self, fed, monkeypatch):
+        srv = fed.server("srb1")
+        seen = []
+        monkeypatch.setattr(
+            srv.dispatch, "call",
+            lambda name, ticket, kwargs: seen.append(
+                (name, ticket, list(kwargs.items()))))
+        tried = 0
+        for op in srv.dispatch.names():
+            facade = getattr(srv, op)
+            sig = inspect.signature(facade)
+            for args, kwargs in self.calls_for(sig):
+                del seen[:]
+                expected = self.outcome(self.bind_model, sig, args, kwargs)
+                got = self.outcome(facade, *args, **kwargs)
+                if expected[0] == "TypeError":
+                    assert got == expected, (op, args, kwargs)
+                    assert not seen
+                else:
+                    assert seen == [(op,) + expected], (op, args, kwargs)
+                tried += 1
+        assert tried > 10 * len(srv.dispatch.names())
+
+    def test_defaults_are_not_shared_between_calls(self, fed, monkeypatch):
+        srv = fed.server("srb1")
+        seen = []
+        monkeypatch.setattr(srv.dispatch, "call",
+                            lambda name, ticket, kwargs: seen.append(kwargs))
+        srv.stat(ticket="t", path="/a")
+        seen[0]["path"] = "/scribbled"
+        seen[0]["scribble"] = True
+        srv.stat(ticket="t", path="/b")
+        assert seen[1] == {"path": "/b"}
+
+
 def test_lint_dispatch_is_clean():
     """The contract linter CI runs must pass on the tree as committed."""
     root = pathlib.Path(__file__).resolve().parents[2]

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.db import Column, Database
+from repro.util.clock import SimClock
 
 COLUMNS = ("id", "grp", "score", "name")
 
@@ -40,6 +41,12 @@ clause_strategy = st.lists(
     min_size=1, max_size=3)
 
 
+def scan_conserved(db: Database) -> bool:
+    """The database's one scan counter is the sum of its tables' own."""
+    return db._total_scanned() == sum(db.table(n).rows_scanned
+                                      for n in db.tables())
+
+
 def build_db(rows: List[dict], index_on: Optional[str]) -> Database:
     db = Database()
     t = db.create_table("t", [
@@ -52,6 +59,7 @@ def build_db(rows: List[dict], index_on: Optional[str]) -> Database:
         t.create_index(index_on, sorted_index=True)
     for i, row in enumerate(rows):
         t.insert({"id": i, **row})
+        assert scan_conserved(db)
     return db
 
 
@@ -136,6 +144,7 @@ class TestDifferential:
         expected = sorted(i for i, row in enumerate(rows)
                           if naive_where(row, clause))
         assert got == expected, f"query: {sql}"
+        assert scan_conserved(db)
 
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -144,8 +153,10 @@ class TestDifferential:
         sql = f"SELECT id FROM t WHERE {clause_to_sql(clause)}"
         plain = sorted(build_db(rows, None).execute(sql).rows)
         for index_on in ("grp", "score", "name"):
-            indexed = sorted(build_db(rows, index_on).execute(sql).rows)
+            db = build_db(rows, index_on)
+            indexed = sorted(db.execute(sql).rows)
             assert indexed == plain
+            assert scan_conserved(db)
 
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -162,3 +173,46 @@ class TestDifferential:
         assert sum_grp == (sum(grps) if grps else None)
         assert min_s == (min(scores) if scores else None)
         assert max_s == (max(scores) if scores else None)
+        assert scan_conserved(db)
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(rows_strategy, st.integers(0, 3), st.integers(1, 4))
+    def test_scan_counter_is_conserved_across_tables(self, rows, grp, page):
+        """Two tables, every kind of read, an abandoned scan and a drop:
+        the database's counter stays the sum of the tables' own, and the
+        query cost is charged from it."""
+        clock = SimClock()
+        db = Database(clock=clock)
+        for name in ("t", "u"):
+            t = db.create_table(name, [Column("id", "INT", nullable=False),
+                                       Column("grp", "INT")],
+                                primary_key="id")
+            t.create_index("id", sorted_index=True)
+            for i, row in enumerate(rows):
+                t.insert({"id": i, "grp": row["grp"]})
+        t, u = db.table("t"), db.table("u")
+        steps = [
+            lambda: t.lookup_eq("id", 0),
+            lambda: u.lookup_eq("grp", grp),            # unindexed: scans
+            lambda: t.lookup_range("id", lo=0, limit=page),
+            lambda: u.lookup_range("grp", lo=grp),      # unindexed: scans
+            lambda: next(iter(t.scan()), None),         # abandoned early
+            lambda: u.all_rows(),
+            lambda: db.execute("SELECT id FROM t WHERE grp = ?", [grp]),
+            lambda: db.execute_page("SELECT id FROM u ORDER BY id",
+                                    limit=page),
+        ]
+        for step in steps:
+            before, t0 = db._total_scanned(), clock.now
+            step()
+            assert scan_conserved(db)
+            if clock.now != t0:     # a charged query: cost read off the counter
+                touched = db._total_scanned() - before
+                assert clock.now - t0 == pytest.approx(
+                    db.QUERY_OVERHEAD_S + touched * db.ROW_SCAN_COST_S)
+        kept = t.rows_scanned
+        db.drop_table("u")
+        assert scan_conserved(db) and db._total_scanned() == kept
+        u.lookup_eq("id", 0)        # a dropped table counts on its own
+        assert db._total_scanned() == kept

@@ -408,3 +408,68 @@ class TestLockRouting:
             pytest.skip("all seed projects landed on one shard")
         held = locks.locks_on(src_obj["oid"])
         assert len(held) == 1 and held[0]["lock_type"] == "exclusive"
+
+
+class TestScanCounterConservation:
+    """Each catalog's database keeps one scan counter; the cost model reads
+    it instead of summing twelve tables.  It must stay that sum, on every
+    primary and replica, whatever the sharded catalog does."""
+
+    @staticmethod
+    def table_sum(catalog):
+        return sum(catalog.db.table(n).rows_scanned
+                   for n in catalog.db.tables())
+
+    def check(self, m):
+        for shard in m.shards:
+            for catalog in [shard.primary] + [r.catalog
+                                              for r in shard.replicas]:
+                assert catalog._rows_scanned() == self.table_sum(catalog)
+        assert m._rows_scanned() == sum(self.table_sum(s.primary)
+                                        for s in m.shards)
+
+    def test_conserved_through_every_kind_of_sharded_op(self):
+        clock = SimClock()
+        m = make_sharded(shards=4, replicas=1, clock=clock)
+        self.check(m)
+        seed(m)
+        self.check(m)
+        names = ("alpha", "beta", "gamma", "delta")
+        src, dst = TestCrossShardMoves().find_cross_pair(m, names)
+        oid = m.get_object(f"/{ZONE}/{src}/raw/f0")["oid"]
+        steps = [
+            lambda: m.get_object(f"/{ZONE}/{dst}/raw/f1"),
+            lambda: m.objects_in_collection(f"/{ZONE}", recursive=True),
+            lambda: search(m, f"/{ZONE}", [Condition("proj", "=", src)],
+                           strategy="scan"),
+            lambda: search(m, f"/{ZONE}", [Condition("proj", "=", src)],
+                           strategy="index"),
+            lambda: m.get_metadata("object", oid),
+            lambda: m.move_object(oid, f"/{ZONE}/{dst}/raw/moved"),
+            lambda: m.rename_subtree(f"/{ZONE}/{src}",
+                                     f"/{ZONE}/{dst}/archive"),
+            lambda: m.partition_replica(0, 0),
+            lambda: m.create_object(f"/{ZONE}/{dst}/raw/late", "data",
+                                    OWNER, now=9.0),
+            lambda: m.heal_replica(0, 0),
+            lambda: m.anti_entropy(),
+            lambda: m.compact_log(),
+            lambda: m.total_objects(),
+        ]
+        for step in steps:
+            before, t0, busy0 = m._rows_scanned(), clock.now, \
+                sum(s.primary.busy_s for s in m.shards)
+            step()
+            self.check(m)
+            assert m._rows_scanned() >= before
+            # whatever the primaries charged went onto the clock
+            busy = sum(s.primary.busy_s for s in m.shards) - busy0
+            assert clock.now - t0 >= busy - 1e-12
+
+    def test_failed_op_still_charges_what_it_touched(self):
+        m = seed(make_sharded(shards=2))
+        before_ops = m.obs.metrics.total("mcat.ops")
+        with pytest.raises(NoSuchObject):
+            m.get_object(f"/{ZONE}/alpha/raw/none")
+        assert m.obs.metrics.total("mcat.ops") == before_ops + 1
+        self.check(m)
