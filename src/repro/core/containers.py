@@ -135,45 +135,27 @@ class ContainerManager:
                     server_host: Optional[str] = None) -> bytes:
         """Read a member's bytes via any available container replica.
 
-        Tries the cache copy first, failing over to archive copies; a
-        ranged read touches only the member's slice (tape staging of the
-        whole container happens inside the archive driver, where the cost
-        model amortizes it across subsequent members).
+        :meth:`read_member_deferred` plus the pass-through leg: the
+        bytes are charged once from the replica's host to
+        ``server_host`` (nothing when they are already there).
         """
-        coid = member_replica["container_oid"]
-        if coid is None:
-            raise ContainerError("replica is not container-resident")
-        offset = int(member_replica["offset"])
-        length = int(member_replica["size"])
-        last_error: Optional[Exception] = None
-        for crep in self._ordered_replicas(int(coid),
-                                           from_host=server_host):
-            if crep["is_dirty"]:
-                continue                      # stale copy: do not serve
-            res = self.resources.physical(crep["resource"])
-            if not self.resources.available(res.name):
-                last_error = ResourceUnavailable(f"{res.name} down")
-                continue
-            try:
-                data = res.driver.read(crep["physical_path"], offset, length)
-            except HostUnreachable as exc:    # pragma: no cover - defensive
-                last_error = exc
-                continue
-            if server_host is not None and server_host != res.host:
-                self.network.transfer(res.host, server_host, len(data))
-            return data
-        raise ResourceUnavailable(
-            f"no clean, reachable replica of container {coid}"
-            + (f" ({last_error})" if last_error else ""))
+        data, res = self.read_member_deferred(member_replica,
+                                              from_host=server_host)
+        if server_host is not None and server_host != res.host:
+            self.network.transfer(res.host, server_host, len(data))
+        return data
 
     def read_member_deferred(self, member_replica: Dict[str, Any],
                              from_host: Optional[str] = None):
         """Read a member's bytes without charging the wire.
 
-        Direct-I/O variant of :meth:`read_member`: returns ``(data,
-        resource)`` so the caller can move the bytes once, on the real
-        source→sink path, via a brokered channel.  ``from_host`` is the
-        eventual *sink*, used to order the container replicas.
+        Tries the cache copy first, failing over to archive copies; a
+        ranged read touches only the member's slice (tape staging of the
+        whole container happens inside the archive driver, where the cost
+        model amortizes it across subsequent members).  Returns ``(data,
+        resource)`` so a direct-I/O caller can move the bytes once, on
+        the real source→sink path, via a brokered channel.  ``from_host``
+        is the eventual *sink*, used to order the container replicas.
         """
         coid = member_replica["container_oid"]
         if coid is None:

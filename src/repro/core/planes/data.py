@@ -28,7 +28,7 @@ from repro.auth.users import Principal
 from repro.core.dispatch import OpContext, rpc_op
 from repro.core.planes.base import PlaneService, _CONTROL_MSG, \
     content_checksum
-from repro.net.simnet import TransferGroup
+from repro.net.simnet import TransferGroup, run_channel_group
 from repro.errors import (
     ContainerError,
     HostUnreachable,
@@ -173,30 +173,18 @@ class DataService(PlaneService):
                         self.resources.physical(outcome.key))
                     raise outcome.error
         else:
-            channels = {}
-            try:
-                for res in res_list:
-                    if res.host == src:
-                        continue
-                    ch = self.federation.channels.open(
-                        src, res.host, len(data), phys,
-                        streams=self.federation.data_streams,
-                        label="ingest-fanout")
-                    ch.open()
-                    channels[res.name] = ch
-            except SrbError:
-                for ch in channels.values():
-                    ch.settle()
-                raise
-            group = TransferGroup(self.network, label="ingest-fanout")
-            for name, ch in channels.items():
-                ch.add_to(group, key=name)
+            remote = [res for res in res_list if res.host != src]
+            outcomes = run_channel_group(
+                self.network,
+                (self.federation.channels.open(
+                    src, res.host, len(data), phys,
+                    streams=self.federation.data_streams,
+                    label="ingest-fanout") for res in remote),
+                "ingest-fanout")
             first_error = None
-            for outcome in group.run():
-                channels[outcome.key].finish(outcome)
+            for res, outcome in zip(remote, outcomes):
                 if not outcome.ok:
-                    self._invalidate_session(
-                        self.resources.physical(outcome.key))
+                    self._invalidate_session(res)
                     if first_error is None:
                         first_error = outcome.error
             if first_error is not None:

@@ -36,7 +36,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, \
     Sequence, Tuple
 
 from repro.errors import HostUnreachable, RpcError, ServerBusy, SrbError
-from repro.net.simnet import Network, TransferGroup
+from repro.net.simnet import Network, run_channel_group
 from repro.net.wire import Redirect, message_size
 
 
@@ -77,6 +77,7 @@ class RequestTiming:
     shed: bool = False                   #: admission control refused it
     retry_after: Optional[float] = None  #: hint carried by ServerBusy
     error: Optional[str] = None          #: error type name, if it failed
+    response_bytes: int = 0              #: reply bytes that reached the client
 
     @property
     def ok(self) -> bool:
@@ -176,50 +177,6 @@ class ServiceRegistry:
         finally:
             self._open_arrival = prev
 
-    def _finish(self, arrival: float, wait: float, latency: float,
-                shed: bool = False, retry_after: Optional[float] = None,
-                error: Optional[str] = None) -> None:
-        self.last_timing = RequestTiming(
-            arrival=arrival, wait=wait, latency=latency, shed=shed,
-            retry_after=retry_after, error=error)
-
-    def _admit(self, dst: str, service: str, method: str, arrival: float,
-               advance_clock: bool):
-        """Contend for ``dst``'s worker pool (no-op without a station).
-
-        Returns ``(station, admission)``; raises
-        :class:`~repro.errors.ServerBusy` (after counting the shed in
-        ``srb.admission.*``) when the bounded queue is full.  An admitted
-        request records its queue wait and depth in ``srb.queue.*`` and,
-        when it actually waited, emits a queue-wait span — under a
-        closed loop the caller genuinely waits, so the clock advances.
-        """
-        station = self.network.host(dst).station
-        if station is None:
-            return None, None
-        obs = self.network.obs
-        try:
-            admission = station.admit(arrival)
-        except ServerBusy as exc:
-            obs.metrics.inc("srb.admission.shed", host=dst, service=service,
-                            method=method)
-            obs.metrics.observe("srb.admission.retry_after_s",
-                                exc.retry_after, host=dst)
-            raise
-        obs.metrics.inc("srb.admission.admitted", host=dst, service=service,
-                        method=method)
-        obs.metrics.observe("srb.queue.wait_s", admission.wait,
-                            host=dst, service=service)
-        obs.metrics.observe("srb.queue.depth", admission.depth, host=dst)
-        if admission.wait > 0:
-            with obs.tracer.span("srb.queue.wait", host=dst,
-                                 service=service, method=method,
-                                 wait_s=admission.wait,
-                                 depth=admission.depth):
-                if advance_clock:
-                    self.network.clock.advance(admission.wait)
-        return station, admission
-
     # -- registration --------------------------------------------------------
 
     def register(self, host: str, service: str, handler: Any) -> None:
@@ -240,52 +197,55 @@ class ServiceRegistry:
 
     # -- invocation ------------------------------------------------------------
 
-    def _error_reply(self, src: str, dst: str, service: str, method: str,
-                     t0: float, extra: float, err_name: str,
-                     err_bytes: int) -> float:
-        """Charge + account the small error reply of a failed call.
+    def _fail(self, service: str, method: str, error: str, issued: float,
+              wait: float, latency: float,
+              retry_after: Optional[float] = None) -> None:
+        """Count one whole-call failure — the only place that does.
 
         Failed calls must not be invisible in the latency histograms:
-        the error reply's bytes and the call's latency are emitted on
-        the same ``rpc.response_bytes``/``rpc.call_s`` metrics as a
-        success, with an ``error=`` label (they used to update only the
-        plain counters, so error latencies vanished from E15's curves).
-        Returns the call's latency including ``extra`` un-clocked wait.
+        the call's latency lands on the same ``rpc.call_s`` metric as a
+        success, with an ``error=`` label, and in :attr:`last_timing`.
+        A ``retry_after`` hint marks the call as shed by admission.
         """
-        obs = self.network.obs
+        metrics = self.network.obs.metrics
         self.stats.failures += 1
-        obs.metrics.inc("rpc.failures", service=service, method=method,
-                        error=err_name)
-        self.network.transfer(dst, src, err_bytes)
-        self.stats.response_bytes += err_bytes
-        obs.metrics.inc("rpc.response_bytes", err_bytes, service=service,
-                        method=method, error=err_name)
-        latency = self.network.clock.now - t0 + extra
-        obs.metrics.observe("rpc.call_s", latency, service=service,
-                            method=method, error=err_name)
-        return latency
+        metrics.inc("rpc.failures", service=service, method=method,
+                    error=error)
+        metrics.observe("rpc.call_s", latency, service=service,
+                        method=method, error=error)
+        self.last_timing = RequestTiming(
+            arrival=issued, wait=wait, latency=latency,
+            shed=retry_after is not None, retry_after=retry_after,
+            error=error)
 
-    def call(self, src: str, dst: str, service: str, method: str,
-             /, **kwargs: Any) -> Any:
-        """Invoke ``method`` of ``service`` on host ``dst`` from host ``src``.
+    def _exchange(self, src: str, dst: str, service: str, method: str,
+                  span_name: str, span_attrs: Dict[str, Any],
+                  request: Any, serve: Callable, kwargs: Dict[str, Any],
+                  settle: Callable[[str, Any], Any],
+                  marshal: Optional[Callable[[Any], Any]] = None) -> Any:
+        """One request/reply message pair — the envelope of every call mode.
 
-        Charges request and response transfers on the shared clock.  The
-        response size is measured from the actual return value, so calls
-        returning file contents cost bandwidth proportional to the data.
-        When the destination host has a worker-pool station the call
-        additionally pays (or is shed by) that host's queue.
+        The single place an RPC is charged and recorded: size the
+        ``request`` and send it, contend for ``dst``'s worker pool, run
+        ``serve(**kwargs)`` there, send the reply (the result as
+        ``marshal`` puts it on the wire, or a small error marker), then
+        ``settle(src, result)`` at the caller (redirect second legs).
+
+        A reply that carries an error — a busy reply from admission
+        control, or the marshalled exception of the handler — is a reply
+        like any other: its bytes and the call's latency are accounted,
+        labelled ``error=``, and the exception surfaces at the caller.
+        A reply that never arrives (partition opened mid-call) makes the
+        call ``unreachable`` whatever it carried.
         """
-        handler = self.lookup(dst, service)
-        fn = _resolve_method(handler, service, method)
-
-        obs = self.network.obs
-        clock = self.network.clock
-        req_bytes = message_size({"method": method, "kwargs": kwargs})
+        network = self.network
+        obs = network.obs
+        clock = network.clock
+        req_bytes = message_size(request)
         open_arrival = self._open_arrival
         self._open_arrival = None       # nested calls run closed-loop
-        self.last_timing = None
-        with obs.tracer.span("rpc.call", src=src, dst=dst, service=service,
-                             method=method) as sp:
+        with obs.tracer.span(span_name, src=src, dst=dst, service=service,
+                             **span_attrs) as sp:
             t0 = clock.now
             issued = open_arrival if open_arrival is not None else t0
             # the attempt counts even if the request never arrives: an
@@ -297,50 +257,53 @@ class ServiceRegistry:
                             service=service, method=method)
             if sp is not None:
                 sp.incr("request_bytes", req_bytes)
+            wait = extra = 0.0
+            error = error_name = retry_after = None
             try:
-                self.network.transfer(src, dst, req_bytes)
-            except HostUnreachable:
-                self.stats.failures += 1
-                obs.metrics.inc("rpc.failures", service=service,
-                                method=method, error="unreachable")
-                obs.metrics.observe("rpc.call_s", clock.now - t0,
-                                    service=service, method=method,
-                                    error="unreachable")
-                self._finish(issued, 0.0, clock.now - t0,
-                             error="unreachable")
-                raise
-
-            # worker-pool admission on the destination host
-            arrival = issued + (clock.now - t0)
-            try:
-                station, admission = self._admit(
+                network.transfer(src, dst, req_bytes)
+                # worker-pool admission on the destination host; one
+                # message pair occupies one worker, however many items
+                arrival = issued + (clock.now - t0)
+                station, admission = network.admit_request(
                     dst, service, method, arrival,
                     advance_clock=open_arrival is None)
+            except HostUnreachable:
+                self._fail(service, method, "unreachable", issued, 0.0,
+                           clock.now - t0)
+                raise
             except ServerBusy as exc:
                 # fast-fail: the server answers with a tiny busy reply
                 # carrying the retry-after hint instead of queueing
-                busy_bytes = message_size(
-                    {"error": True, "retry_after": exc.retry_after})
+                error, error_name = exc, "ServerBusy"
+                retry_after = exc.retry_after
+                reply = {"error": True, "retry_after": retry_after}
                 if sp is not None:
                     sp.error = str(exc)
-                latency = self._error_reply(src, dst, service, method,
-                                            t0, 0.0, "ServerBusy",
-                                            busy_bytes)
-                self._finish(issued, 0.0, latency, shed=True,
-                             retry_after=exc.retry_after,
-                             error="ServerBusy")
-                raise
-            wait = admission.wait if admission is not None else 0.0
-            # under an open loop the wait overlapped other requests'
-            # work: it is part of this request's latency, not clock time
-            extra = wait if open_arrival is not None else 0.0
-
-            t_svc = clock.now
-            caller_prev = self._caller_host
-            self._caller_host = src
-            try:
+            else:
+                if admission is not None:
+                    wait = admission.wait
+                    # under an open loop the wait overlapped other
+                    # requests' work: it is part of this request's
+                    # latency, not clock time
+                    if open_arrival is not None:
+                        extra = wait
+                t_svc = clock.now
+                caller_prev = self._caller_host
+                self._caller_host = src
                 try:
-                    result = fn(**kwargs)
+                    result = serve(**kwargs)
+                except SrbError as exc:
+                    # error response: small fixed-size message
+                    error, error_name = exc, type(exc).__name__
+                    reply = {"error": True}
+                except Exception as exc:  # non-SRB bug: wrap, don't leak
+                    error = RpcError(
+                        f"remote {service}.{method} failed: {exc!r}")
+                    error.__cause__ = exc
+                    error_name = type(exc).__name__
+                    reply = {"error": True}
+                else:
+                    reply = result if marshal is None else marshal(result)
                 finally:
                     self._caller_host = caller_prev
                     # the worker was occupied for the service time
@@ -348,68 +311,72 @@ class ServiceRegistry:
                     if admission is not None:
                         station.complete(
                             admission, admission.start + (clock.now - t_svc))
-            except SrbError as exc:
-                # error response: small fixed-size message to the caller
-                err_name = type(exc).__name__
-                latency = self._error_reply(src, dst, service, method, t0,
-                                            extra, err_name,
-                                            message_size({"error": True}))
-                self._finish(issued, wait, latency, error=err_name)
-                raise
-            except Exception as exc:  # non-SRB bug: wrap, don't leak
-                err_name = type(exc).__name__
-                latency = self._error_reply(src, dst, service, method, t0,
-                                            extra, err_name,
-                                            message_size({"error": True}))
-                self._finish(issued, wait, latency, error=err_name)
-                raise RpcError(
-                    f"remote {service}.{method} failed: {exc!r}") from exc
 
-            resp_bytes = message_size(result)
+            resp_bytes = message_size(reply)
             try:
-                self.network.transfer(dst, src, resp_bytes)
+                network.transfer(dst, src, resp_bytes)
             except HostUnreachable:
-                # the handler ran but its response never made it back
+                # the server answered but its reply never made it back
                 # (partition opened mid-call): that is a failed call and
                 # must be counted, not escape silently
-                self.stats.failures += 1
-                obs.metrics.inc("rpc.failures", service=service,
-                                method=method, error="unreachable")
-                obs.metrics.observe("rpc.call_s", clock.now - t0 + extra,
-                                    service=service, method=method,
-                                    error="unreachable")
-                self._finish(issued, wait, clock.now - t0 + extra,
-                             error="unreachable")
+                self._fail(service, method, "unreachable", issued, wait,
+                           clock.now - t0 + extra)
                 raise
             self.stats.response_bytes += resp_bytes
+            if error is not None:
+                obs.metrics.inc("rpc.response_bytes", resp_bytes,
+                                service=service, method=method,
+                                error=error_name)
+                self._fail(service, method, error_name, issued, wait,
+                           clock.now - t0 + extra, retry_after)
+                raise error
             obs.metrics.inc("rpc.response_bytes", resp_bytes,
                             service=service, method=method)
-            if isinstance(result, Redirect):
-                # the reply carried signed descriptors, not the bytes:
-                # execute the second leg(s) on the real src→sink paths
-                # before handing the payload to the caller — its cost is
-                # part of this call's client-perceived latency
-                try:
-                    result = self._run_redirect(src, result)
-                except SrbError as exc:
-                    err_name = type(exc).__name__
-                    if sp is not None:
-                        sp.error = str(exc)
-                    self.stats.failures += 1
-                    obs.metrics.inc("rpc.failures", service=service,
-                                    method=method, error=err_name)
-                    obs.metrics.observe("rpc.call_s",
-                                        clock.now - t0 + extra,
-                                        service=service, method=method,
-                                        error=err_name)
-                    self._finish(issued, wait, clock.now - t0 + extra,
-                                 error=err_name)
-                    raise
-            obs.metrics.observe("rpc.call_s", clock.now - t0 + extra,
-                                service=service, method=method)
+            try:
+                # a reply may carry signed descriptors, not the bytes:
+                # the second leg(s) run on the real src→sink paths
+                # before the payload is handed over — their cost is part
+                # of this call's client-perceived latency
+                result = settle(src, result)
+            except SrbError as exc:
+                if sp is not None:
+                    sp.error = str(exc)
+                self._fail(service, method, type(exc).__name__, issued,
+                           wait, clock.now - t0 + extra)
+                raise
+            latency = clock.now - t0 + extra
+            obs.metrics.observe("rpc.call_s", latency, service=service,
+                                method=method)
             if sp is not None:
                 sp.incr("response_bytes", resp_bytes)
-            self._finish(issued, wait, clock.now - t0 + extra)
+            self.last_timing = RequestTiming(
+                arrival=issued, wait=wait, latency=latency,
+                response_bytes=resp_bytes)
+        return result
+
+    def call(self, src: str, dst: str, service: str, method: str,
+             /, **kwargs: Any) -> Any:
+        """Invoke ``method`` of ``service`` on host ``dst`` from host ``src``.
+
+        Charges request and response transfers on the shared clock.  The
+        response size is measured from the actual return value, so calls
+        returning file contents cost bandwidth proportional to the data.
+        When the destination host has a worker-pool station the call
+        additionally pays (or is shed by) that host's queue.
+        """
+        # cleared before resolving: a call that never reaches the wire
+        # must not keep the previous call's timing
+        self.last_timing = None
+        fn = _resolve_method(self.lookup(dst, service), service, method)
+        return self._exchange(
+            src, dst, service, method, "rpc.call", {"method": method},
+            {"method": method, "kwargs": kwargs}, fn, kwargs,
+            self._settle)
+
+    def _settle(self, sink: str, result: Any) -> Any:
+        """Caller side of a unary reply: run a redirect's second leg(s)."""
+        if isinstance(result, Redirect):
+            return self._run_redirect(sink, result)
         return result
 
     def _run_redirect(self, sink: str, redirect: Redirect) -> Any:
@@ -432,25 +399,12 @@ class ServiceRegistry:
                 for ch in channels:
                     ch.open()
                     ch.transfer()
-            elif channels:
-                group = TransferGroup(self.network,
-                                      label=f"direct-{redirect.label}")
-                opened = []
-                try:
-                    for ch in channels:
-                        ch.open()
-                        opened.append(ch)
-                        ch.add_to(group, key=ch)
-                except Exception:
-                    for ch in opened:
-                        ch.settle()
-                    raise
-                outcomes = group.run()
-                failed = []
-                for ch, outcome in zip(channels, outcomes):
-                    ch.finish(outcome)
-                    if not outcome.ok:
-                        failed.append((ch, outcome))
+            else:
+                outcomes = run_channel_group(
+                    self.network, channels, f"direct-{redirect.label}")
+                failed = [(ch, outcome)
+                          for ch, outcome in zip(channels, outcomes)
+                          if not outcome.ok]
                 if failed:
                     healthy = [o for o in outcomes if o.ok]
                     if redirect.retry and healthy:
@@ -507,7 +461,7 @@ class ServiceRegistry:
             obs.metrics.inc("rpc.stream.chunks", service=service,
                             method=method)
             obs.metrics.observe("rpc.stream.chunk_bytes",
-                                message_size(reply),
+                                self.last_timing.response_bytes,
                                 service=service, method=method)
             if isinstance(reply, dict):
                 next_cursor = reply.get("next_cursor")
@@ -537,139 +491,53 @@ class ServiceRegistry:
         the destination's admission control shedding the batch with
         :class:`~repro.errors.ServerBusy`.
         """
-        handler = self.lookup(dst, service)
-        obs = self.network.obs
-        clock = self.network.clock
-        req_bytes = message_size(
-            {"batch": [{"method": m, "kwargs": kw} for m, kw in items]})
-        open_arrival = self._open_arrival
-        self._open_arrival = None       # nested calls run closed-loop
         self.last_timing = None
-        with obs.tracer.span("rpc.call_batch", src=src, dst=dst,
-                             service=service, items=len(items)) as sp:
-            t0 = clock.now
-            issued = open_arrival if open_arrival is not None else t0
-            # one pipelined request/response pair = one call in the stats
-            self.stats.calls += 1
-            self.stats.request_bytes += req_bytes
-            obs.metrics.inc("rpc.calls", service=service, method="<batch>")
-            obs.metrics.inc("rpc.batch_calls", service=service)
-            obs.metrics.inc("rpc.batch_items", len(items), service=service)
-            obs.metrics.inc("rpc.request_bytes", req_bytes,
-                            service=service, method="<batch>")
-            if sp is not None:
-                sp.incr("request_bytes", req_bytes)
-            try:
-                self.network.transfer(src, dst, req_bytes)
-            except HostUnreachable:
-                self.stats.failures += 1
-                obs.metrics.inc("rpc.failures", service=service,
-                                method="<batch>", error="unreachable")
-                obs.metrics.observe("rpc.call_s", clock.now - t0,
-                                    service=service, method="<batch>",
-                                    error="unreachable")
-                self._finish(issued, 0.0, clock.now - t0,
-                             error="unreachable")
-                raise
+        handler = self.lookup(dst, service)
+        metrics = self.network.obs.metrics
 
-            # the whole batch occupies one worker: admission is per
-            # message pair, exactly like the byte/latency amortization
-            arrival = issued + (clock.now - t0)
-            try:
-                station, admission = self._admit(
-                    dst, service, "<batch>", arrival,
-                    advance_clock=open_arrival is None)
-            except ServerBusy as exc:
-                busy_bytes = message_size(
-                    {"error": True, "retry_after": exc.retry_after})
-                if sp is not None:
-                    sp.error = str(exc)
-                latency = self._error_reply(src, dst, service, "<batch>",
-                                            t0, 0.0, "ServerBusy",
-                                            busy_bytes)
-                self._finish(issued, 0.0, latency, shed=True,
-                             retry_after=exc.retry_after,
-                             error="ServerBusy")
-                raise
-            wait = admission.wait if admission is not None else 0.0
-            extra = wait if open_arrival is not None else 0.0
+        def failed(method: str, error: Exception,
+                   cause: Exception) -> BatchItemResult:
+            self.stats.failures += 1
+            metrics.inc("rpc.failures", service=service, method=method,
+                        error=type(cause).__name__)
+            return BatchItemResult(ok=False, error=error)
 
-            t_svc = clock.now
-            results: List[BatchItemResult] = []
-            caller_prev = self._caller_host
-            self._caller_host = src
-            try:
-                for method, kwargs in items:
-                    try:
-                        fn = _resolve_method(handler, service, method)
-                    except RpcError as exc:
-                        results.append(BatchItemResult(ok=False, error=exc))
-                        self.stats.failures += 1
-                        obs.metrics.inc("rpc.failures", service=service,
-                                        method=method, error="RpcError")
-                        continue
-                    try:
-                        results.append(
-                            BatchItemResult(ok=True, value=fn(**kwargs)))
-                    except SrbError as exc:
-                        results.append(BatchItemResult(ok=False, error=exc))
-                        self.stats.failures += 1
-                        obs.metrics.inc("rpc.failures", service=service,
-                                        method=method,
-                                        error=type(exc).__name__)
-                    except Exception as exc:  # non-SRB bug: wrap, don't leak
-                        wrapped = RpcError(
-                            f"remote {service}.{method} failed: {exc!r}")
-                        wrapped.__cause__ = exc
-                        results.append(BatchItemResult(ok=False,
-                                                       error=wrapped))
-                        self.stats.failures += 1
-                        obs.metrics.inc("rpc.failures", service=service,
-                                        method=method,
-                                        error=type(exc).__name__)
-            finally:
-                self._caller_host = caller_prev
+        def serve() -> List[BatchItemResult]:
+            results = []
+            for method, kwargs in items:
+                try:
+                    fn = _resolve_method(handler, service, method)
+                    results.append(
+                        BatchItemResult(ok=True, value=fn(**kwargs)))
+                except SrbError as exc:
+                    results.append(failed(method, exc, exc))
+                except Exception as exc:  # non-SRB bug: wrap, don't leak
+                    wrapped = RpcError(
+                        f"remote {service}.{method} failed: {exc!r}")
+                    wrapped.__cause__ = exc
+                    results.append(failed(method, wrapped, exc))
+            return results
 
-            if admission is not None:
-                station.complete(admission,
-                                 admission.start + (clock.now - t_svc))
+        def marshal(results: List[BatchItemResult]) -> List[Any]:
+            return [r.value if r.ok else {"error": True} for r in results]
 
-            resp_bytes = message_size(
-                [r.value if r.ok else {"error": True} for r in results])
-            try:
-                self.network.transfer(dst, src, resp_bytes)
-            except HostUnreachable:
-                # response leg died mid-call (partition opened by an
-                # item): the batch failed and must be counted as such
-                self.stats.failures += 1
-                obs.metrics.inc("rpc.failures", service=service,
-                                method="<batch>", error="unreachable")
-                obs.metrics.observe("rpc.call_s", clock.now - t0 + extra,
-                                    service=service, method="<batch>",
-                                    error="unreachable")
-                self._finish(issued, wait, clock.now - t0 + extra,
-                             error="unreachable")
-                raise
-            self.stats.response_bytes += resp_bytes
-            obs.metrics.inc("rpc.response_bytes", resp_bytes,
-                            service=service, method="<batch>")
-            for r in results:
+        def settle(sink: str, results: List[BatchItemResult]
+                   ) -> List[BatchItemResult]:
+            # second leg per item; a dead channel fails only its own
+            # item, matching the batch's per-item marshalling
+            for i, r in enumerate(results):
                 if r.ok and isinstance(r.value, Redirect):
-                    # second leg per item; a dead channel fails only its
-                    # own item, matching the batch's per-item marshalling
                     try:
-                        r.value = self._run_redirect(src, r.value)
+                        r.value = self._run_redirect(sink, r.value)
                     except SrbError as exc:
-                        r.ok = False
-                        r.value = None
-                        r.error = exc
-                        self.stats.failures += 1
-                        obs.metrics.inc("rpc.failures", service=service,
-                                        method="<batch>",
-                                        error=type(exc).__name__)
-            obs.metrics.observe("rpc.call_s", clock.now - t0 + extra,
-                                service=service, method="<batch>")
-            if sp is not None:
-                sp.incr("response_bytes", resp_bytes)
-            self._finish(issued, wait, clock.now - t0 + extra)
-        return results
+                        results[i] = failed("<batch>", exc, exc)
+            return results
+
+        # one pipelined request/response pair = one call in the stats
+        metrics.inc("rpc.batch_calls", service=service)
+        metrics.inc("rpc.batch_items", len(items), service=service)
+        return self._exchange(
+            src, dst, service, "<batch>",
+            "rpc.call_batch", {"items": len(items)},
+            {"batch": [{"method": m, "kwargs": kw} for m, kw in items]},
+            serve, {}, settle, marshal)

@@ -30,13 +30,17 @@ completion time of the slowest member), not the sum, to the global
 clock.  It is the primitive behind the overlapped data plane (experiment
 E14): logical-resource ingest fan-out, parallel replica refresh and
 striped multi-replica reads all ride on it.
+
+All three place the same wire leg (``Network._leg``): the one definition
+of what a message costs and of how it is counted, metered and traced.
+The modes differ only in *when* the leg happens and who moves the clock.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import HostUnreachable, NetworkError, ServerBusy
 from repro.obs import Observability
@@ -278,6 +282,47 @@ class Network:
     def station(self, name: str) -> Optional[ServiceStation]:
         return self.host(name).station
 
+    def admit_request(self, host: str, service: str, method: str,
+                      arrival: float, advance_clock: bool = True
+                      ) -> Tuple[Optional[ServiceStation],
+                                 Optional[Admission]]:
+        """Contend for ``host``'s worker pool (no-op without a station).
+
+        The one place a request — an RPC message pair or a data
+        channel's transfer — enters a :class:`ServiceStation`.  Returns
+        ``(station, admission)``; raises :class:`~repro.errors.
+        ServerBusy` (after counting the shed in ``srb.admission.*``)
+        when the bounded queue is full.  An admitted request records its
+        queue wait and depth in ``srb.queue.*`` and, when it actually
+        waited, emits a queue-wait span — under a closed loop the caller
+        genuinely waits, so the clock advances (``advance_clock``).
+        """
+        station = self.host(host).station
+        if station is None:
+            return None, None
+        metrics = self.obs.metrics
+        try:
+            admission = station.admit(arrival)
+        except ServerBusy as exc:
+            metrics.inc("srb.admission.shed", host=host, service=service,
+                        method=method)
+            metrics.observe("srb.admission.retry_after_s", exc.retry_after,
+                            host=host)
+            raise
+        metrics.inc("srb.admission.admitted", host=host, service=service,
+                    method=method)
+        metrics.observe("srb.queue.wait_s", admission.wait,
+                        host=host, service=service)
+        metrics.observe("srb.queue.depth", admission.depth, host=host)
+        if admission.wait > 0:
+            with self.obs.tracer.span("srb.queue.wait", host=host,
+                                      service=service, method=method,
+                                      wait_s=admission.wait,
+                                      depth=admission.depth):
+                if advance_clock:
+                    self.clock.advance(admission.wait)
+        return station, admission
+
     # -- failure injection ---------------------------------------------------
 
     def set_down(self, name: str) -> None:
@@ -364,6 +409,55 @@ class Network:
             observer.observe_transfer(src, dst, nbytes, cost,
                                       self.clock.now)
 
+    def _leg(self, src: str, dst: str, nbytes: int, streams: int = 1,
+             start: Optional[float] = None, mode: Optional[str] = None
+             ) -> Tuple[float, Optional[HostUnreachable]]:
+        """One message on the wire: what it costs and how it is recorded.
+
+        The single definition under every transfer mode.  A delivered
+        message costs :meth:`LinkSpec.cost`; an unreachable pair costs a
+        timeout of one RTT and still counts as a message the caller put
+        on the wire, so E2's failover overhead is visible in the stats
+        that are supposed to explain it.  Either way the leg emits one
+        ``net.transfer`` span and passes through ``_count_success`` or
+        ``_count_failure`` — nothing else in ``repro.net`` does either.
+
+        With ``start=None`` the leg is *blocking*: the caller waits, so
+        the clock advances by the cost.  Otherwise it is bookkeeping at
+        virtual time ``start`` under ``mode`` (``"queued"`` or
+        ``"grouped"``, the span's flag): the caller owns the clock and
+        the ``busy_until`` floors.  Returns ``(cost, error)``; the error
+        is handed back, not raised, so a group can marshal it per member.
+        """
+        spec = self.link(src, dst)
+        attrs = {"src": src, "dst": dst, "bytes": nbytes}
+        try:
+            self.check_reachable(src, dst)
+        except HostUnreachable as exc:
+            error, cost = exc, 2 * spec.latency_s
+            if mode == "queued":
+                # nothing queues behind a dead pair: the caller waits
+                # out the timeout now, exactly like a blocking transfer
+                start = mode = None
+        else:
+            error, cost = None, spec.cost(nbytes, streams=streams)
+            attrs["streams"] = streams
+        if mode is not None:
+            attrs[mode] = True
+            if error is None:
+                attrs["start"] = start
+                attrs["done"] = start + cost
+        with self.obs.tracer.span("net.transfer", **attrs) as sp:
+            if error is not None and sp is not None:
+                sp.error = str(error)
+            if start is None:
+                self.clock.advance(cost)
+        if error is None:
+            self._count_success(src, dst, nbytes, cost)
+        else:
+            self._count_failure(src, dst)
+        return cost, error
+
     def transfer(self, src: str, dst: str, nbytes: int = 0,
                  streams: int = 1) -> float:
         """Move one message of ``nbytes`` from ``src`` to ``dst``.
@@ -372,30 +466,13 @@ class Network:
         seconds.  ``streams`` > 1 models the SRB's parallel data transfer:
         on window-limited links (``per_stream_bps`` set) k streams reach
         ``min(capacity, k x per-stream)``.  Raises
-        :class:`HostUnreachable` on failure — after charging one latency
+        :class:`HostUnreachable` on failure — after charging one RTT
         for the timeout, which is what makes replica failover measurably
         non-free in experiment E2.
         """
-        spec = self.link(src, dst)
-        try:
-            self.check_reachable(src, dst)
-        except HostUnreachable as exc:
-            # A failed attempt still costs a timeout (we charge one RTT) —
-            # and it *is* a message the caller put on the wire, so it
-            # counts: E2's failover overhead must be visible in the stats
-            # that are supposed to explain it.
-            with self.obs.tracer.span("net.transfer", src=src, dst=dst,
-                                      bytes=nbytes) as sp:
-                if sp is not None:
-                    sp.error = str(exc)
-                self.clock.advance(2 * spec.latency_s)
-            self._count_failure(src, dst)
-            raise
-        cost = spec.cost(nbytes, streams=streams)
-        with self.obs.tracer.span("net.transfer", src=src, dst=dst,
-                                  bytes=nbytes, streams=streams):
-            self.clock.advance(cost)
-        self._count_success(src, dst, nbytes, cost)
+        cost, error = self._leg(src, dst, nbytes, streams)
+        if error is not None:
+            raise error
         return cost
 
     def schedule_transfer(self, src: str, dst: str, nbytes: int,
@@ -410,50 +487,21 @@ class Network:
         models parallel connections exactly as in :meth:`transfer`, so
         queued-mode benchmarks (E12) can use parallel I/O too.
 
-        Failure accounting matches :meth:`transfer`: an unreachable
-        destination charges one timeout RTT on the global clock (the
-        caller *did* wait to find out) and counts as a failed message.
-        The success path emits the same ``net.transfer`` span (with
+        An unreachable destination is not queued: it charges one timeout
+        RTT on the global clock (the caller *did* wait to find out),
+        counts as a failed message and raises, as in :meth:`transfer`.
+        A delivered one emits the same ``net.transfer`` span (with
         ``queued=True``) and ``net.transfer_s`` observation a blocking
         transfer does, so queued traffic is visible to tracing.
         """
-        spec = self.link(src, dst)
-        try:
-            self.check_reachable(src, dst)
-        except HostUnreachable as exc:
-            with self.obs.tracer.span("net.transfer", src=src, dst=dst,
-                                      bytes=nbytes) as sp:
-                if sp is not None:
-                    sp.error = str(exc)
-                self.clock.advance(2 * spec.latency_s)
-            self._count_failure(src, dst)
-            raise
         s, d = self.host(src), self.host(dst)
         start = max(self.clock.now, s.busy_until, d.busy_until,
                     not_before if not_before is not None else 0.0)
-        cost = spec.cost(nbytes, streams=streams)
-        done = start + cost
-        with self.obs.tracer.span("net.transfer", src=src, dst=dst,
-                                  bytes=nbytes, streams=streams,
-                                  queued=True, start=start, done=done):
-            pass    # queued: completion is bookkeeping, not clock time
-        s.busy_until = done
-        d.busy_until = done
-        self._count_success(src, dst, nbytes, cost)
-        return done
-
-    def parallel_transfers(self, members, label: str = "parallel"
-                           ) -> List["TransferOutcome"]:
-        """Run a set of transfers concurrently; charge the makespan.
-
-        ``members`` is an iterable of ``(src, dst, nbytes)`` or
-        ``(src, dst, nbytes, streams)`` tuples.  Convenience wrapper over
-        :class:`TransferGroup` for callers without per-member keys.
-        """
-        group = TransferGroup(self, label=label)
-        for member in members:
-            group.add(*member)
-        return group.run()
+        cost, error = self._leg(src, dst, nbytes, streams, start, "queued")
+        if error is not None:
+            raise error
+        s.busy_until = d.busy_until = start + cost
+        return start + cost
 
     def reset_queues(self) -> None:
         """Clear ``busy_until`` and station bookkeeping between trials."""
@@ -557,50 +605,26 @@ class TransferGroup:
         with net.obs.tracer.span("net.parallel.group", label=self.label,
                                  members=len(self._members)) as gsp:
             for m in self._members:
-                spec = net.link(m.src, m.dst)
                 path = (m.src, m.dst)
                 start = max(t0,
                             net.host(m.src).busy_until,
                             net.host(m.dst).busy_until,
                             path_busy.get(path, 0.0))
-                try:
-                    net.check_reachable(m.src, m.dst)
-                except HostUnreachable as exc:
-                    # the timeout overlaps with the siblings' work: it
-                    # extends the makespan, it does not precede them
-                    done = start + 2 * spec.latency_s
-                    # ... but a real select loop holds the socket for the
-                    # whole timeout: the failed attempt occupies its path
-                    # and endpoints until it expires, so a later member
-                    # sharing them starts after it, not as if it were free
-                    path_busy[path] = max(path_busy.get(path, 0.0), done)
-                    for endpoint in (m.src, m.dst):
-                        host_done[endpoint] = max(
-                            host_done.get(endpoint, 0.0), done)
-                    with net.obs.tracer.span(
-                            "net.transfer", src=m.src, dst=m.dst,
-                            bytes=m.nbytes, grouped=True) as sp:
-                        if sp is not None:
-                            sp.error = str(exc)
-                    net._count_failure(m.src, m.dst)
-                    outcomes.append(TransferOutcome(
-                        m.src, m.dst, m.nbytes, start, done,
-                        2 * spec.latency_s, key=m.key, error=exc))
-                    continue
-                cost = spec.cost(m.nbytes, streams=m.streams)
+                cost, error = net._leg(m.src, m.dst, m.nbytes, m.streams,
+                                       start, "grouped")
+                # a failed member's timeout overlaps its siblings' work
+                # (it extends the makespan, it does not precede them),
+                # but a real select loop holds the socket until it
+                # expires: delivered or not, the member occupies its
+                # path and endpoints until ``done``
                 done = start + cost
                 path_busy[path] = done
-                for endpoint in (m.src, m.dst):
+                for endpoint in path:
                     host_done[endpoint] = max(host_done.get(endpoint, 0.0),
                                               done)
-                with net.obs.tracer.span("net.transfer", src=m.src,
-                                         dst=m.dst, bytes=m.nbytes,
-                                         streams=m.streams, grouped=True,
-                                         start=start, done=done):
-                    pass
-                net._count_success(m.src, m.dst, m.nbytes, cost)
                 outcomes.append(TransferOutcome(
-                    m.src, m.dst, m.nbytes, start, done, cost, key=m.key))
+                    m.src, m.dst, m.nbytes, start, done, cost, key=m.key,
+                    error=error))
             makespan_end = max(o.done for o in outcomes)
             makespan = makespan_end - t0
             if makespan > 0:
@@ -612,7 +636,6 @@ class TransferGroup:
                 gsp.incr("members", len(outcomes))
                 gsp.incr("failures",
                          sum(1 for o in outcomes if not o.ok))
-                gsp.incr("bytes", sum(o.nbytes for o in outcomes if o.ok))
         serial_s = sum(o.cost for o in outcomes)
         metrics = net.obs.metrics
         metrics.inc("net.parallel.groups", label=self.label)
@@ -686,14 +709,9 @@ class DataChannel:
             # the sink presents the descriptor to the source endpoint:
             # one control message on the channel's own path
             net.transfer(self.dst, self.src, self.HANDSHAKE_BYTES)
-        station = net.host(self.src).station
-        if station is not None:
-            admission = station.admit(net.clock.now)  # may raise ServerBusy
-            if admission.wait > 0:
-                with net.obs.tracer.span("srb.queue.wait", host=self.src,
-                                         wait=admission.wait):
-                    net.clock.advance(admission.wait)
-            self._admission = admission
+        # the source endpoint's worker pool; ServerBusy propagates
+        _station, self._admission = net.admit_request(
+            self.src, "channel", self.label, net.clock.now)
 
     def settle(self, done: Optional[float] = None) -> None:
         """Return the source endpoint's worker slot (if one was held)."""
@@ -709,17 +727,19 @@ class DataChannel:
         """Move the bytes now (blocking); returns elapsed virtual seconds."""
         if not self._opened:
             raise NetworkError("DataChannel.transfer before open()")
-        net = self.network
         try:
-            cost = net.transfer(self.src, self.dst, self.nbytes,
-                                streams=self.streams)
+            cost = self.network.transfer(self.src, self.dst, self.nbytes,
+                                         streams=self.streams)
         finally:
             self.settle()
-        net.obs.metrics.inc("net.direct.bytes", self.nbytes,
-                            label=self.label)
-        net.obs.metrics.observe("net.direct.transfer_s", cost,
-                                label=self.label)
+        self._delivered(cost)
         return cost
+
+    def _delivered(self, cost: float) -> None:
+        """``net.direct.*`` accounting for the payload having arrived."""
+        metrics = self.network.obs.metrics
+        metrics.inc("net.direct.bytes", self.nbytes, label=self.label)
+        metrics.observe("net.direct.transfer_s", cost, label=self.label)
 
     def add_to(self, group: TransferGroup, key: Any = None) -> None:
         """Enlist the (already opened) channel as a group member."""
@@ -732,7 +752,34 @@ class DataChannel:
         """Account a grouped member's outcome (settle + direct metrics)."""
         self.settle(outcome.done)
         if outcome.ok:
-            metrics = self.network.obs.metrics
-            metrics.inc("net.direct.bytes", self.nbytes, label=self.label)
-            metrics.observe("net.direct.transfer_s", outcome.cost,
-                            label=self.label)
+            self._delivered(outcome.cost)
+
+
+def run_channel_group(network: Network, channels: Iterable[DataChannel],
+                      label: str) -> List[TransferOutcome]:
+    """Open, run and settle a set of channels as one :class:`TransferGroup`.
+
+    Each channel is opened and enlisted in turn (``channels`` may be
+    lazy: a channel built just before its ``open()`` gets its descriptor
+    issued then, not up front); if one cannot be opened, the worker
+    slots the earlier ones hold are returned and the failure re-raised
+    before a byte moves.  Otherwise the group charges its makespan and
+    every channel is finished with its own outcome.  Returns the
+    outcomes in channel order — what a *failed member* means (retry from
+    a healthy source, abort the ingest) stays the caller's policy.
+    """
+    group = TransferGroup(network, label=label)
+    opened: List[DataChannel] = []
+    try:
+        for ch in channels:
+            ch.open()
+            opened.append(ch)
+            ch.add_to(group)
+    except Exception:
+        for ch in opened:
+            ch.settle()
+        raise
+    outcomes = group.run()
+    for ch, outcome in zip(opened, outcomes):
+        ch.finish(outcome)
+    return outcomes

@@ -158,3 +158,58 @@ class TestCrossZoneForwardShed:
         # failure like any other op error
         assert m.get("srb.errors", server="a-srb", op="get",
                      error="ServerBusy") == 1
+
+
+class TestChannelAdmissionIsCounted:
+    """A direct data channel is admitted at its *source* host's station
+    through the same helper as an RPC, so the federation's admission
+    stats see it (they used to count RPCs only)."""
+
+    PATH = "/demozone/bench/remote.dat"
+
+    @pytest.fixture
+    def far(self):
+        # a second server's host carries the resource: a redirected get
+        # opens its channel at a host that runs a station
+        fed = Federation(zone="demozone", direct_io=True, workers=1,
+                         queue_depth=0)
+        for h in ("hc", "hs", "hr"):
+            fed.add_host(h)
+        fed.add_server("s0", "hs", mcat=True)
+        fed.add_server("s1", "hr")
+        fed.add_fs_resource("fs1", "hr")
+        fed.default_resource = "fs1"
+        fed.bootstrap_admin()
+        client = SrbClient(fed, "hc", "s0", "srbadmin@sdsc", "hunter2")
+        client.login()
+        client.mkcoll(COLL)
+        client.ingest(self.PATH, b"x" * 5000)
+        return fed, client
+
+    @staticmethod
+    def station_totals(fed):
+        stations = [h.station for h in fed.network.hosts() if h.station]
+        return (sum(st.admitted for st in stations),
+                sum(st.shed for st in stations))
+
+    def test_stats_agree_with_the_stations(self, far):
+        fed, client = far
+        assert client.get(self.PATH) == b"x" * 5000
+        m = fed.obs.metrics
+        assert m.get("srb.admission.admitted", host="hr",
+                     service="channel", method="get") == 1
+        admitted, shed = self.station_totals(fed)
+        assert (fed.stats()["requests_admitted"], shed) == (admitted, 0)
+
+    def test_channel_shed_reaches_requests_shed(self, far):
+        fed, client = far
+        st = fed.network.station("hr")
+        st.complete(st.admit(fed.clock.now), fed.clock.now + 100.0)
+        with pytest.raises(ServerBusy):
+            client.get(self.PATH)
+        assert st.shed == 1
+        stats = fed.stats()
+        assert stats["requests_shed"] == 1
+        assert stats["requests_admitted"] == self.station_totals(fed)[0] - 1
+        assert fed.obs.metrics.get("srb.admission.shed", host="hr",
+                                   service="channel", method="get") == 1

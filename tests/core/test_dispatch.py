@@ -19,6 +19,7 @@ import pytest
 
 from repro.core.dispatch import Dispatcher, rpc_op
 from repro.errors import AccessDenied, RpcError, SrbError
+from tests.op_calls import op_calls, prepare
 
 #: The six ops that take no subject path and therefore never zone-check.
 UNSCOPED_OPS = {"auth_challenge", "auth_login", "bulk_ingest", "bulk_get",
@@ -198,129 +199,29 @@ class TestRpcSurface:
 class TestOpsCounterRegression:
     """Satellite: every registered RPC increments ``srb.ops`` exactly
     once per call — including failing calls (the span stage runs before
-    the handler) — and the call map below must cover the whole registry,
-    so adding an op without extending it fails loudly."""
+    the handler) — and the shared call map (``tests/op_calls.py``) must
+    cover the whole registry, so adding an op without extending it fails
+    loudly."""
 
     def test_every_op_increments_srb_ops_exactly_once(self, grid):
         fed = grid.fed
         srv = fed.server("srb1")
-        T = grid.admin.ticket
-        C = "/demozone/home/opscheck"
-        F = C + "/f.txt"
-        st = {}
+        ticket = grid.admin.ticket
+        calls = op_calls(ticket, prepare(srv, ticket))
 
-        # --- setup: the fixtures each measured call operates on -------
-        srv.mkcoll(T, C)
-        srv.ingest(T, F, b"content-1")
-        srv.mkcoll(T, C + "/doomed")          # rmcoll target
-        srv.mkcoll(T, C + "/mig")             # migrate_collection target
-        srv.ingest(T, C + "/mv.txt", b"m")    # move target
-        srv.ingest(T, C + "/del.txt", b"d")   # delete target
-        srv.ingest(T, C + "/lk.txt", b"l")    # lock/unlock target
-        srv.ingest(T, C + "/co.txt", b"c")    # checkout/checkin target
-        srv.ingest(T, C + "/rep.txt", b"r")   # replica-plane target
-        srv.ingest(T, C + "/pm.txt", b"p")    # physical_move target
-        st["mid"] = srv.add_metadata(T, F, "subject", "ops")
-
-        def expect_error(fn):
-            def run():
-                with pytest.raises(SrbError):
-                    fn()
-            return run
-
-        calls = [
-            ("auth_challenge",
-             lambda: srv.auth_challenge("srbadmin@sdsc")),
-            ("auth_login", expect_error(
-                lambda: srv.auth_login("srbadmin@sdsc", "nonce", "bad"))),
-            ("mkcoll", lambda: srv.mkcoll(T, C + "/sub")),
-            ("rmcoll", lambda: srv.rmcoll(T, C + "/doomed")),
-            ("list_collection", lambda: srv.list_collection(T, C)),
-            ("list_collection_page",
-             lambda: srv.list_collection_page(T, C, limit=5)),
-            ("stat", lambda: srv.stat(T, F)),
-            ("move", lambda: srv.move(T, C + "/mv.txt", C + "/mv2.txt")),
-            ("link", lambda: srv.link(T, F, C + "/lnk")),
-            ("ingest", lambda: srv.ingest(T, C + "/new.txt", b"n")),
-            ("bulk_ingest", lambda: srv.bulk_ingest(
-                T, [{"path": C + "/b1.txt", "data": b"b"}])),
-            ("bulk_get", lambda: srv.bulk_get(T, [F])),
-            ("bulk_query_metadata",
-             lambda: srv.bulk_query_metadata(T, [F])),
-            ("register_file", lambda: srv.register_file(
-                T, C + "/reg.txt", "unix-sdsc", "/outside/reg.txt")),
-            ("register_directory", lambda: srv.register_directory(
-                T, C + "/regdir", "unix-sdsc", "/outside/dir")),
-            ("register_sql", expect_error(lambda: srv.register_sql(
-                T, C + "/q.sql", "unix-sdsc", "SELECT 1"))),
-            ("register_url", lambda: srv.register_url(
-                T, C + "/u.url", "http://example.org/u")),
-            ("register_method", lambda: srv.register_method(
-                T, C + "/m.cmd", "srb1", "srbps", proxy_function=True)),
-            ("get", lambda: srv.get(T, F)),
-            ("put", lambda: srv.put(T, F, b"content-2")),
-            ("delete", lambda: srv.delete(T, C + "/del.txt")),
-            ("copy", lambda: srv.copy(T, F, C + "/copy.txt")),
-            ("lock", lambda: srv.lock(T, C + "/lk.txt")),
-            ("unlock", lambda: srv.unlock(T, C + "/lk.txt")),
-            ("pin", lambda: srv.pin(T, F, "unix-sdsc")),
-            ("unpin", lambda: srv.unpin(T, F, "unix-sdsc")),
-            ("checkout", lambda: srv.checkout(T, C + "/co.txt")),
-            ("checkin", lambda: srv.checkin(T, C + "/co.txt")),
-            ("versions", lambda: srv.versions(T, C + "/co.txt")),
-            ("get_version", lambda: srv.get_version(T, C + "/co.txt", 1)),
-            ("create_container",
-             lambda: srv.create_container(T, C + "/cont", "logrsrc1")),
-            ("compact_container",
-             lambda: srv.compact_container(T, C + "/cont")),
-            ("container_garbage",
-             lambda: srv.container_garbage(T, C + "/cont")),
-            ("sync_container", lambda: srv.sync_container(T, C + "/cont")),
-            ("replicate",
-             lambda: srv.replicate(T, C + "/rep.txt", "unix-caltech")),
-            ("register_replica", lambda: srv.register_replica(
-                T, C + "/reg.txt", "/outside/reg-alt.txt")),
-            ("ingest_replica", lambda: srv.ingest_replica(
-                T, C + "/rep.txt", b"alt", "unix-caltech")),
-            ("synchronize", lambda: srv.synchronize(T, C + "/rep.txt")),
-            ("physical_move",
-             lambda: srv.physical_move(T, C + "/pm.txt", "unix-caltech")),
-            ("migrate_collection",
-             lambda: srv.migrate_collection(T, C + "/mig", "unix-caltech")),
-            ("verify_checksums", lambda: srv.verify_checksums(T, F)),
-            ("add_metadata",
-             lambda: srv.add_metadata(T, F, "color", "blue")),
-            ("get_metadata", lambda: srv.get_metadata(T, F)),
-            ("update_metadata",
-             lambda: srv.update_metadata(T, F, st["mid"], "ops2")),
-            ("delete_metadata",
-             lambda: srv.delete_metadata(T, F, st["mid"])),
-            ("copy_metadata",
-             lambda: srv.copy_metadata(T, F, C + "/copy.txt")),
-            ("extract_metadata", expect_error(
-                lambda: srv.extract_metadata(T, F, "no-such-method"))),
-            ("define_structural",
-             lambda: srv.define_structural(T, C, "series")),
-            ("structural_metadata", lambda: srv.structural_metadata(T, C)),
-            ("add_annotation",
-             lambda: srv.add_annotation(T, F, "comment", "checked")),
-            ("annotations", lambda: srv.annotations(T, F)),
-            ("query", lambda: srv.query(T, C, [])),
-            ("query_page", lambda: srv.query_page(T, C, [], limit=5)),
-            ("queryable_attrs", lambda: srv.queryable_attrs(T, C)),
-            ("grant", lambda: srv.grant(T, F, "sekar@sdsc", "read")),
-            ("revoke", lambda: srv.revoke(T, F, "sekar@sdsc")),
-            ("audit_log", lambda: srv.audit_log(T)),
-        ]
-
-        # the map must cover the registry: a new op without a row here
+        # the map must cover the registry: a new op without a row there
         # is a test failure, not silent shrinkage
-        assert {name for name, _fn in calls} == set(srv.dispatch.names())
+        assert {name for name, _kw, _raises in calls} == \
+            set(srv.dispatch.names())
 
         m = fed.obs.metrics
-        for name, fn in calls:
+        for name, kwargs, raises in calls:
             before = m.snapshot()
-            fn()
+            if raises:
+                with pytest.raises(SrbError):
+                    getattr(srv, name)(**kwargs)
+            else:
+                getattr(srv, name)(**kwargs)
             delta = m.delta(before)
             spec = srv.dispatch.get(name).spec
             assert m.sum_matching(delta, "srb.ops") == 1, \

@@ -1,0 +1,143 @@
+"""Charge conservation over the whole op registry.
+
+Every number this repo publishes is a sum of charged wire events, and
+each event is recorded four ways: the ``Network``/``RpcStats`` plain
+counters, the labelled ``net.*``/``rpc.*`` metrics, the span tree, and
+the placement engine's ``PathStats`` history.  For every registered op,
+issued as a remote client would (``fed.rpc.call`` from the laptop), the
+four must tell the same story — a leg charged beside the funnel is a
+leg some reader never sees.
+
+Four passes: the default pass-through grid, the direct/overlapped data
+plane (``direct_io=True, parallel_fanout=True``), and each again with
+the ``caltech`` host down so the failure funnels are walked too.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.core import Federation, SrbClient
+from repro.errors import SrbError
+from repro.net.simnet import LAN, TRANSCON
+from repro.storage.archive import TapeCost
+from tests.op_calls import COLL, op_calls, prepare
+
+#: Beyond the registry map: the two calls whose data legs run as one
+#: ``TransferGroup`` on the overlapped plane (logical-resource fan-out,
+#: striped read), so the grouped mode of the wire leg is walked too.
+GROUPED_CALLS = [
+    ("ingest", dict(path=COLL + "/fan.dat", data=b"z" * 5000,
+                    resource="logrsrc1"), False),
+    ("get", dict(path=COLL + "/fan.dat", stripes=2), False),
+]
+
+
+def build_fed(**knobs):
+    """The standard grid's topology (``repro.workload.standard_grid``)
+    with the federation knobs exposed."""
+    fed = Federation(zone="demozone", **knobs)
+    fed.add_host("sdsc", site="sdsc")
+    fed.add_host("caltech", site="caltech")
+    fed.add_host("laptop", site="home")
+    fed.network.set_link("sdsc", "sdsc", LAN)
+    fed.network.set_link("sdsc", "caltech", TRANSCON)
+    fed.add_server("srb1", "sdsc", mcat=True)
+    fed.add_server("srb2", "caltech")
+    fed.add_fs_resource("unix-sdsc", "sdsc", is_cache=True)
+    fed.add_fs_resource("unix-caltech", "caltech")
+    fed.add_archive_resource("hpss-caltech", "caltech", tape=TapeCost())
+    fed.add_database_resource("dlib1", "sdsc")
+    fed.add_logical_resource("logrsrc1", ["unix-sdsc", "hpss-caltech"])
+    fed.default_resource = "unix-sdsc"
+    fed.bootstrap_admin()
+    admin = SrbClient(fed, "sdsc", "srb1", "srbadmin@sdsc", "hunter2")
+    admin.login()
+    admin.mkcoll("/demozone/home")
+    fed.add_user("sekar@sdsc", "secret", role="curator")
+    return fed, admin
+
+
+def path_stats(fed):
+    report = fed.placement.stats.report()
+    return {key: sum(r[key] for r in report)
+            for key in ("transfers", "bytes", "failures")}
+
+
+def ledger(fed):
+    """Every plain counter the equalities below are stated over."""
+    net = fed.network
+    return {"messages": net.messages_sent, "bytes": net.bytes_sent,
+            "failed": net.failed_attempts, "paths": path_stats(fed),
+            "rpc": fed.rpc.stats.snapshot(),
+            "call_s": sum(h.count for h in fed.obs.metrics
+                          .histogram_series("rpc.call_s").values())}
+
+
+@pytest.mark.parametrize("caltech_down", [False, True],
+                         ids=["healthy", "caltech-down"])
+@pytest.mark.parametrize("knobs", [
+    {}, {"direct_io": True, "parallel_fanout": True}],
+    ids=["default", "direct-overlapped"])
+def test_every_op_conserves_its_charges(knobs, caltech_down):
+    fed, admin = build_fed(**knobs)
+    srv = fed.server("srb1")
+    calls = op_calls(admin.ticket, prepare(srv, admin.ticket))
+    assert {name for name, _kw, _raises in calls} == set(srv.dispatch.names())
+    calls += [(name, dict(kwargs, ticket=admin.ticket), raises)
+              for name, kwargs, raises in GROUPED_CALLS]
+    if caltech_down:
+        fed.network.set_down("caltech")
+
+    m = fed.obs.metrics
+    failed_legs = 0
+    for name, kwargs, _raises in calls:
+        before, before_m = ledger(fed), m.snapshot()
+        with fed.obs.tracer.trace("conservation", op=name) as root:
+            try:
+                fed.rpc.call("laptop", "sdsc", "srb:srb1", name, **kwargs)
+            except SrbError:
+                pass        # outcomes differ per pass; the charges must not
+        after, delta = ledger(fed), m.delta(before_m)
+
+        def moved(key):
+            return after[key] - before[key]
+
+        def metric(metric_name):
+            return m.sum_matching(delta, metric_name)
+
+        legs = root.find("net.transfer")
+        delivered = [s for s in legs if s.error is None]
+
+        # messages: counter == metric == span counters == span count
+        assert moved("messages") == metric("net.messages") \
+            == root.total("messages") == len(legs) > 0, name
+        # bytes: ... == the delivered legs' sizes == what PathStats learnt
+        assert moved("bytes") == metric("net.bytes") \
+            == root.total("bytes") \
+            == sum(s.attrs["bytes"] for s in delivered) \
+            == after["paths"]["bytes"] - before["paths"]["bytes"], name
+        assert len(delivered) == (after["paths"]["transfers"]
+                                  - before["paths"]["transfers"]), name
+        # timed-out attempts
+        assert moved("failed") == metric("net.failed_attempts") \
+            == root.total("failed_attempts") == len(legs) - len(delivered) \
+            == after["paths"]["failures"] - before["paths"]["failures"], name
+        failed_legs += moved("failed")
+
+        # message pairs: RpcStats == rpc.* metrics == spans, one latency
+        # observation per call
+        rpc = {k: after["rpc"][k] - before["rpc"][k] for k in after["rpc"]}
+        assert rpc == {"calls": metric("rpc.calls"),
+                       "request_bytes": metric("rpc.request_bytes"),
+                       "response_bytes": metric("rpc.response_bytes"),
+                       "failures": metric("rpc.failures")}, name
+        assert rpc["calls"] == len(root.find("rpc.call")) \
+            + len(root.find("rpc.call_batch")) == moved("call_s") >= 1, name
+
+    # the down passes really walked the failure funnel, the healthy
+    # overlapped pass the grouped and the channel legs
+    assert (failed_legs > 0) == caltech_down
+    if knobs and not caltech_down:
+        assert m.total("net.parallel.groups") >= 2
+        assert m.total("net.direct.channels") > 0

@@ -1,0 +1,192 @@
+"""The charging funnel stays single.
+
+Two guards on ``repro.net``'s "one place a cost is charged and
+recorded" (DESIGN.md, "Cost model and per-call bookkeeping"):
+
+* a property — the three transfer modes are one wire leg seen three
+  ways, so a blocking ``transfer``, a ``schedule_transfer`` on an idle
+  network and a ``TransferGroup`` of one must agree on what the message
+  cost and on every record of it;
+* an AST guard — the span literal, the counting funnels, station
+  admission and the whole-call failure accounting each sit in one
+  function, so a second copy cannot grow back unnoticed.
+"""
+
+import ast
+import pathlib
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.errors import HostUnreachable
+from repro.net.simnet import LinkSpec, Network, TransferGroup
+from repro.policy.stats import PathStats
+
+MODE_ATTRS = {"queued", "grouped", "start", "done"}
+
+links = st.builds(
+    LinkSpec,
+    latency_s=st.floats(min_value=0.0001, max_value=0.5),
+    bandwidth_bps=st.floats(min_value=1e4, max_value=1e9),
+    per_stream_bps=st.one_of(st.none(),
+                             st.floats(min_value=1e3, max_value=1e8)))
+
+
+def send(mode: str, link: LinkSpec, nbytes: int, streams: int, fault: str):
+    """One message a→b in ``mode`` on a fresh network; every record of it."""
+    net = Network()
+    net.add_host("a")
+    net.add_host("b")
+    net.set_link("a", "b", link)
+    paths = PathStats()
+    net.add_transfer_observer(paths)
+    if fault == "partition":
+        net.partition("a", "b")
+    elif fault:
+        net.set_down(fault)
+    t0 = net.clock.now
+    error = None
+    with net.obs.tracer.trace("send") as root:
+        try:
+            if mode == "blocking":
+                cost = net.transfer("a", "b", nbytes, streams=streams)
+            elif mode == "queued":
+                cost = net.schedule_transfer("a", "b", nbytes,
+                                             streams=streams) - t0
+            else:
+                group = TransferGroup(net)
+                group.add("a", "b", nbytes, streams=streams)
+                (outcome,) = group.run()
+                cost, error = outcome.cost, outcome.error
+        except HostUnreachable as exc:
+            cost, error = None, exc
+    (span,) = root.find("net.transfer")
+    (record,) = paths.report()
+    return {
+        "cost": cost,
+        "error": None if error is None else str(error),
+        "elapsed": net.clock.now - t0,
+        "counters": (net.messages_sent, net.bytes_sent, net.failed_attempts),
+        "metrics": {k: v for k, v in net.obs.metrics.snapshot().items()
+                    if k.startswith("net.")
+                    and not k.startswith("net.parallel.")},
+        "paths": record,
+        "span": ({k: v for k, v in span.attrs.items()
+                  if k not in MODE_ATTRS}, span.error),
+        "flags": {k for k in span.attrs if k in MODE_ATTRS},
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(link=links,
+       nbytes=st.integers(min_value=0, max_value=50_000_000),
+       streams=st.integers(min_value=1, max_value=8),
+       fault=st.sampled_from(["", "a", "b", "partition"]))
+def test_three_modes_are_one_wire_leg(link, nbytes, streams, fault):
+    blocking, queued, grouped = (
+        send(mode, link, nbytes, streams, fault)
+        for mode in ("blocking", "queued", "grouped"))
+    if fault:
+        # the raising modes hand back no cost; the group marshals it
+        assert blocking["error"] == queued["error"] == grouped["error"] \
+            is not None
+        assert grouped["cost"] == 2 * link.latency_s
+        assert blocking["counters"] == (1, 0, 1)
+        # nothing queues behind a dead pair: the caller waits it out
+        assert blocking["elapsed"] == queued["elapsed"] \
+            == grouped["elapsed"] == grouped["cost"]
+        assert (blocking["flags"], queued["flags"], grouped["flags"]) == \
+            (set(), set(), {"grouped"})
+    else:
+        assert blocking["error"] is None
+        assert blocking["cost"] == grouped["cost"] \
+            == pytest.approx(queued["cost"]) == link.cost(nbytes, streams)
+        assert blocking["counters"] == (1, nbytes, 0)
+        assert blocking["elapsed"] == grouped["elapsed"] == blocking["cost"]
+        assert queued["elapsed"] == 0.0     # completion is bookkeeping
+        assert (blocking["flags"], queued["flags"], grouped["flags"]) == \
+            (set(), {"queued", "start", "done"},
+             {"grouped", "start", "done"})
+    for key in ("error", "counters", "metrics", "paths", "span"):
+        assert blocking[key] == queued[key] == grouped[key], key
+
+
+# -- the AST guard ---------------------------------------------------------
+
+NET_DIR = pathlib.Path(__file__).resolve().parents[2] / "src/repro/net"
+
+
+def sites(predicate, files=None):
+    """``file:Class.function`` of every AST node ``predicate`` accepts
+    (over every module of ``repro.net`` unless ``files`` narrows it)."""
+    if files is None:
+        files = sorted(p.name for p in NET_DIR.glob("*.py"))
+    found = []
+
+    def visit(node, scope, filename):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = scope + [node.name]
+        if predicate(node):
+            found.append(f"{filename}:{'.'.join(scope)}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope, filename)
+
+    for filename in files:
+        visit(ast.parse((NET_DIR / filename).read_text()), [], filename)
+    return found
+
+
+def literal(text):
+    return lambda n: isinstance(n, ast.Constant) and n.value == text
+
+
+def method_call(*names):
+    return lambda n: (isinstance(n, ast.Call)
+                      and isinstance(n.func, ast.Attribute)
+                      and n.func.attr in names)
+
+
+class TestOneFunnel:
+    def test_one_function_charges_and_records_a_wire_leg(self):
+        assert sites(literal("net.transfer")) == ["simnet.py:Network._leg"]
+        assert sorted(sites(method_call("_count_success",
+                                        "_count_failure"))) == \
+            ["simnet.py:Network._leg"] * 2
+
+    def test_one_function_enters_a_station(self):
+        outside = [s for s in sites(method_call("admit"))
+                   if ":ServiceStation." not in s]
+        assert outside == ["simnet.py:Network.admit_request"]
+
+    def test_one_function_counts_a_whole_call_failure(self):
+        def failure_count(n):
+            return (isinstance(n, ast.AugAssign)
+                    and isinstance(n.target, ast.Attribute)
+                    and n.target.attr == "failures")
+
+        # the second site of each is the per-item / the success twin
+        assert sorted(sites(failure_count)) == [
+            "rpc.py:ServiceRegistry._fail",
+            "rpc.py:ServiceRegistry.call_batch.failed"]
+        assert sorted(sites(literal("rpc.call_s"))) == [
+            "rpc.py:ServiceRegistry._exchange",
+            "rpc.py:ServiceRegistry._fail"]
+        assert sorted(sites(lambda n: isinstance(n, ast.Call)
+                            and isinstance(n.func, ast.Name)
+                            and n.func.id == "RequestTiming")) == [
+            "rpc.py:ServiceRegistry._exchange",
+            "rpc.py:ServiceRegistry._fail"]
+
+    def test_rpc_sends_its_legs_from_fixed_lines(self):
+        # request leg, reply leg (result or error marker), and the
+        # redirect re-pull; four would allow a separate error reply
+        def network_transfer(n):
+            if not method_call("transfer")(n):
+                return False
+            receiver = n.func.value     # ``network`` or ``self.network``
+            return getattr(receiver, "attr",
+                           getattr(receiver, "id", None)) == "network"
+
+        legs = sites(network_transfer, files=("rpc.py",))
+        assert sorted(legs) == ["rpc.py:ServiceRegistry._exchange"] * 2 \
+            + ["rpc.py:ServiceRegistry._run_redirect"]

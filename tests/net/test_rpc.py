@@ -232,6 +232,27 @@ class NetAwareService:
         return "you will never see this"
 
 
+    def partition_then_fail(self):
+        # the handler fails *and* its error reply cannot be delivered
+        self.net.partition("client", "server")
+        raise NoSuchObject("and you will never hear about it")
+
+
+class CutAfterRequest:
+    """Transfer observer that partitions the pair as soon as the request
+    leg lands: whatever the server replies can no longer be delivered."""
+
+    def __init__(self, net):
+        self.net = net
+
+    def observe_transfer(self, src, dst, nbytes, cost, now):
+        if (src, dst) == ("client", "server"):
+            self.net.partition("client", "server")
+
+    def observe_failure(self, src, dst, now):
+        pass
+
+
 class SlowService:
     """Service with a genuine (clock-advancing) service time, so its
     worker stays busy long enough for admission tests to contend."""
@@ -317,6 +338,56 @@ class TestErrorPathAccounting:
         m = net.obs.metrics
         assert m.get("rpc.failures", service="evil",
                      method="<batch>", error="unreachable") == 1
+
+    @staticmethod
+    def assert_counted_once_as_unreachable(net, rpc, service, method):
+        m = net.obs.metrics
+        assert rpc.stats.failures == 1
+        assert m.total("rpc.failures") == 1
+        assert m.get("rpc.failures", service=service, method=method,
+                     error="unreachable") == 1
+        assert [h.count for h in
+                m.histogram_series("rpc.call_s").values()] == [1]
+        hist = m.histogram("rpc.call_s", service=service, method=method,
+                           error="unreachable")
+        assert hist is not None and hist.count == 1
+        timing = rpc.last_timing
+        assert timing is not None and timing.error == "unreachable"
+        assert not timing.shed
+        assert timing.latency == pytest.approx(hist.sum) and hist.sum > 0
+        # no reply arrived, so no reply bytes are claimed
+        assert rpc.stats.response_bytes == 0
+        assert m.total("rpc.response_bytes") == 0
+
+    def test_lost_error_reply_counted_once_as_unreachable(self, setup):
+        """Regression: a handler error whose error reply could not be
+        delivered was labelled with the handler's error, had no
+        ``rpc.call_s`` observation and left ``last_timing`` unset."""
+        net, rpc = setup
+        rpc.register("server", "evil", NetAwareService(net))
+        from repro.errors import HostUnreachable
+        with pytest.raises(HostUnreachable):
+            rpc.call("client", "server", "evil", "partition_then_fail")
+        self.assert_counted_once_as_unreachable(
+            net, rpc, "evil", "partition_then_fail")
+
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_lost_busy_reply_counted_once_as_unreachable(self, setup, batch):
+        """Same hole on the shed path, for ``call`` and ``call_batch``."""
+        net, rpc = setup
+        st = net.install_station("server", workers=1, queue_depth=0)
+        st.complete(st.admit(net.clock.now), 5.0)   # worker busy until 5
+        net.add_transfer_observer(CutAfterRequest(net))
+        from repro.errors import HostUnreachable
+        with pytest.raises(HostUnreachable):
+            if batch:
+                rpc.call_batch("client", "server", "svc",
+                               [("echo", {"text": "x"})])
+            else:
+                rpc.call("client", "server", "svc", "echo", text="x")
+        assert st.shed == 1
+        self.assert_counted_once_as_unreachable(
+            net, rpc, "svc", "<batch>" if batch else "echo")
 
     def test_batch_item_error_visible_in_metrics(self, setup):
         net, rpc = setup

@@ -256,6 +256,14 @@ class TestTransferGroup:
             n.add_host(f"dst{i}")
         return n
 
+    @staticmethod
+    def run_group(net, members, label="parallel"):
+        from repro.net.simnet import TransferGroup
+        group = TransferGroup(net, label=label)
+        for member in members:
+            group.add(*member)
+        return group.run()
+
     def test_empty_group_is_free(self, fan_net):
         from repro.net.simnet import TransferGroup
         t0 = fan_net.clock.now
@@ -265,8 +273,8 @@ class TestTransferGroup:
     def test_fanout_charges_makespan_not_sum(self, fan_net):
         one = WAN.cost(1_000_000)
         t0 = fan_net.clock.now
-        outcomes = fan_net.parallel_transfers(
-            [("src", f"dst{i}", 1_000_000) for i in range(4)])
+        outcomes = self.run_group(
+            fan_net, [("src", f"dst{i}", 1_000_000) for i in range(4)])
         assert all(o.ok for o in outcomes)
         elapsed = fan_net.clock.now - t0
         assert elapsed == pytest.approx(one)          # max, not 4x
@@ -276,8 +284,8 @@ class TestTransferGroup:
     def test_same_path_members_serialize(self, fan_net):
         one = WAN.cost(1_000_000)
         t0 = fan_net.clock.now
-        fan_net.parallel_transfers(
-            [("src", "dst0", 1_000_000), ("src", "dst0", 1_000_000)])
+        self.run_group(
+            fan_net, [("src", "dst0", 1_000_000), ("src", "dst0", 1_000_000)])
         assert fan_net.clock.now - t0 == pytest.approx(2 * one)
 
     def test_failed_member_does_not_poison_siblings(self, fan_net):
@@ -296,12 +304,12 @@ class TestTransferGroup:
 
     def test_group_respects_prior_busy_until(self, fan_net):
         fan_net.host("src").busy_until = 5.0
-        outcomes = fan_net.parallel_transfers([("src", "dst0", 0)])
+        outcomes = self.run_group(fan_net, [("src", "dst0", 0)])
         assert outcomes[0].start == pytest.approx(5.0)
 
     def test_group_updates_busy_until(self, fan_net):
-        outcomes = fan_net.parallel_transfers(
-            [("src", "dst0", 1_000_000), ("src", "dst1", 2_000_000)])
+        outcomes = self.run_group(
+            fan_net, [("src", "dst0", 1_000_000), ("src", "dst1", 2_000_000)])
         assert fan_net.host("src").busy_until == \
             pytest.approx(max(o.done for o in outcomes))
         assert fan_net.host("dst0").busy_until == \
@@ -309,8 +317,8 @@ class TestTransferGroup:
 
     def test_group_emits_span_and_metrics(self, fan_net):
         with fan_net.obs.tracer.trace("test") as root:
-            fan_net.parallel_transfers(
-                [("src", "dst0", 1000), ("src", "dst1", 1000)],
+            self.run_group(
+                fan_net, [("src", "dst0", 1000), ("src", "dst1", 1000)],
                 label="unit")
         gspans = root.find("net.parallel.group")
         assert len(gspans) == 1

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.errors import NetworkError, ServerBusy
-from repro.net.simnet import Network, ServiceStation
+from repro.errors import HostUnreachable, NetworkError, ServerBusy
+from repro.net.simnet import DataChannel, Network, ServiceStation, \
+    TransferGroup
 
 
 class TestServiceStation:
@@ -127,3 +128,89 @@ class TestNetworkStations:
         st.complete(st.admit(0.0), 99.0)
         net.reset_queues()
         assert st.admit(0.0).wait == 0.0
+
+
+class TestChannelAdmission:
+    """A data channel contends for its *source* host's worker pool
+    through ``Network.admit_request`` — the same door an RPC uses."""
+
+    @pytest.fixture
+    def net(self):
+        n = Network()
+        n.add_host("src")
+        n.add_host("sink")
+        return n
+
+    @staticmethod
+    def holds_slot(st, at):
+        # with the only worker checked out a probe is modelled as
+        # re-entrant (holds nothing); with it back, the probe takes it
+        probe = st.admit(at)
+        st.complete(probe, at)
+        return not probe.held
+
+    def test_admitted_and_counted(self, net):
+        st = net.install_station("src", workers=1)
+        DataChannel(net, "src", "sink", 1000, label="get").open()
+        assert st.admitted == 1
+        m = net.obs.metrics
+        assert m.get("srb.admission.admitted", host="src",
+                     service="channel", method="get") == 1
+        assert m.histogram("srb.queue.wait_s", host="src",
+                           service="channel").count == 1
+        assert m.histogram("srb.queue.depth", host="src").count == 1
+
+    def test_queued_wait_advances_clock_and_emits_span(self, net):
+        st = net.install_station("src", workers=1)
+        st.complete(st.admit(0.0), 5.0)          # worker busy until 5
+        with net.obs.tracer.trace("test") as root:
+            DataChannel(net, "src", "sink", 1000, label="get").open()
+        assert net.clock.now == pytest.approx(5.0)
+        (span,) = root.find("srb.queue.wait")
+        assert span.attrs["host"] == "src"
+        assert span.attrs["service"] == "channel"
+        assert span.attrs["wait_s"] == pytest.approx(
+            5.0 - net.default_link.cost(DataChannel.HANDSHAKE_BYTES))
+        assert span.duration == pytest.approx(span.attrs["wait_s"])
+
+    def test_zero_depth_sheds_and_is_counted(self, net):
+        st = net.install_station("src", workers=1, queue_depth=0)
+        st.complete(st.admit(0.0), 5.0)
+        with pytest.raises(ServerBusy) as exc:
+            DataChannel(net, "src", "sink", 1000, label="get").open()
+        assert exc.value.retry_after > 0
+        assert st.shed == 1
+        m = net.obs.metrics
+        assert m.get("srb.admission.shed", host="src", service="channel",
+                     method="get") == 1
+        assert m.total("srb.admission.admitted") == 0
+
+    def test_slot_returns_on_settle(self, net):
+        st = net.install_station("src", workers=1)
+        ch = DataChannel(net, "src", "sink", 1000)
+        ch.open()
+        assert self.holds_slot(st, net.clock.now)
+        ch.settle()
+        assert not self.holds_slot(st, net.clock.now)
+
+    def test_slot_returns_on_failed_transfer(self, net):
+        st = net.install_station("src", workers=1)
+        ch = DataChannel(net, "src", "sink", 1000)
+        ch.open()
+        net.partition("src", "sink")
+        with pytest.raises(HostUnreachable):
+            ch.transfer()
+        assert not self.holds_slot(st, net.clock.now)
+
+    def test_slot_returns_on_grouped_finish(self, net):
+        st = net.install_station("src", workers=1)
+        ch = DataChannel(net, "src", "sink", 1_000_000)
+        ch.open()
+        group = TransferGroup(net)
+        ch.add_to(group)
+        (outcome,) = group.run()
+        assert self.holds_slot(st, outcome.start)
+        ch.finish(outcome)
+        # the worker was busy for the member's own span of the group
+        assert st.admit(outcome.start).wait == pytest.approx(
+            outcome.done - outcome.start)

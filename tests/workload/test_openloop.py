@@ -190,3 +190,20 @@ class TestRunOpenLoop:
         assert rep.issued == 3
         assert rep.error_count == 3
         assert len(rep.completed) == 0
+
+    def test_unresolvable_call_does_not_replay_previous_outcome(self, grid):
+        """Regression: a call failing resolution (no such method) left
+        ``last_timing`` holding the *previous* call's timing, so the
+        report recorded that request's arrival and latency a second
+        time as the bad request's outcome."""
+        net, rpc = grid
+        methods = ["work", "missing_method", "work"]
+        rep = run_open_loop(rpc, [1.0, 2.0, 3.0],
+                            lambda i: rpc.call("client", "server", "svc",
+                                               methods[i], text="x"))
+        good, bad, after = rep.outcomes
+        assert [o.arrival for o in rep.outcomes] == [1.0, 2.0, 3.0]
+        assert good.ok and after.ok
+        # it never reached the wire: an error, and no latency to report
+        assert bad.error == "RpcError" and bad.latency is None
+        assert len(rep.latencies()) == 2

@@ -65,6 +65,10 @@ Run from the repository root::
 
 Exits non-zero, listing violations, if either rule is broken.  Wired
 into CI next to the test suite.
+
+The three allowlists (rules 4-6) are frozen: an entry that no longer
+suppresses anything is itself a violation, so "may only shrink" is
+enforced here rather than promised in a comment.
 """
 
 from __future__ import annotations
@@ -102,7 +106,7 @@ UNBOUNDED_ENUMERATORS = {
 #: Read ops grandfathered in before the streaming query plane existed.
 #: Frozen: entries may be removed as ops grow paged variants, never
 #: added — new query surface must be cursor-paged from day one.
-UNBOUNDED_LEGACY_OPS = {"list_collection", "audit_log", "queryable_attrs"}
+UNBOUNDED_LEGACY_OPS = {"list_collection", "audit_log"}
 
 
 def check_public_methods_declared() -> List[str]:
@@ -169,6 +173,13 @@ def check_mcat_via_property() -> List[str]:
     return errors
 
 
+def _stale(name: str, allowlist: set, used: set) -> List[str]:
+    """A frozen allowlist entry that suppressed nothing must be deleted."""
+    return [f"tools/lint_dispatch.py: {name} entry {entry!r} suppresses "
+            f"nothing — delete it (the allowlist may only shrink)"
+            for entry in sorted(allowlist - used, key=repr)]
+
+
 def _rpc_op_decoration(node: ast.FunctionDef):
     """The ``(op_name, is_write)`` of an ``@rpc_op`` decorator, if any."""
     for dec in node.decorator_list:
@@ -190,6 +201,7 @@ def _rpc_op_decoration(node: ast.FunctionDef):
 def check_query_ops_paged() -> List[str]:
     """Rule 4: read handlers over unbounded enumerators must page."""
     errors = []
+    used = set()
     for path in sorted(PLANES_DIR.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in ast.walk(tree):
@@ -199,7 +211,7 @@ def check_query_ops_paged() -> List[str]:
             if decoration is None:
                 continue
             op_name, is_write = decoration
-            if is_write or op_name in UNBOUNDED_LEGACY_OPS:
+            if is_write:
                 continue
             unbounded = sorted({
                 call.func.attr for call in ast.walk(node)
@@ -209,23 +221,26 @@ def check_query_ops_paged() -> List[str]:
             if not unbounded:
                 continue
             params = {a.arg for a in node.args.args + node.args.kwonlyargs}
-            if not {"limit", "cursor"} <= params:
+            if {"limit", "cursor"} <= params:
+                continue
+            if op_name in UNBOUNDED_LEGACY_OPS:
+                used.add(op_name)
+            else:
                 errors.append(
                     f"{path.relative_to(ROOT)}:{node.lineno}: read op "
                     f"{op_name!r} materializes {', '.join(unbounded)}() "
                     f"without limit/cursor parameters — page it through "
                     f"the streaming query plane (or shrink, never grow, "
                     f"the legacy allowlist)")
-    return errors
+    return errors + _stale("UNBOUNDED_LEGACY_OPS", UNBOUNDED_LEGACY_OPS, used)
 
 
 #: Legacy facade files allowed to touch the pre-engine selection
-#: surface: the facade itself, its package re-export, and the
-#: federation module that wires the engine + compat adapter.  Frozen:
-#: entries may be removed as facades retire, never added.
+#: surface: the facade itself and the federation module that wires the
+#: engine + compat adapter.  Frozen: entries may be removed as facades
+#: retire, never added.
 PLACEMENT_SEAM_ALLOWLIST = {
     "src/repro/core/replication.py",
-    "src/repro/core/__init__.py",
     "src/repro/core/federation.py",
     # canonical catalog row order, not a placement choice
     "src/repro/mcat/catalog.py",
@@ -238,23 +253,24 @@ PLACEMENT_SEAM_NAMES = {"ReplicaSelector", "pick_clean_available"}
 def check_placement_seam() -> List[str]:
     """Rule 5: replica choice outside ``repro.policy`` is banned."""
     errors = []
+    used = set()
     src_repro = ROOT / "src" / "repro"
     for path in sorted(src_repro.rglob("*.py")):
         rel = path.relative_to(ROOT).as_posix()
-        if rel.startswith("src/repro/policy/") \
-                or rel in PLACEMENT_SEAM_ALLOWLIST:
+        if rel.startswith("src/repro/policy/"):
             continue
+        found = []
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) \
                     and node.id in PLACEMENT_SEAM_NAMES:
-                errors.append(
+                found.append(
                     f"{rel}:{node.lineno}: {node.id} outside "
                     f"repro.policy — route the choice through the "
                     f"federation's PlacementEngine")
             elif isinstance(node, ast.Attribute) \
                     and node.attr == "selector":
-                errors.append(
+                found.append(
                     f"{rel}:{node.lineno}: .selector attribute access "
                     f"— the adapter exists for external callers only; "
                     f"internal code uses the PlacementEngine")
@@ -264,11 +280,16 @@ def check_placement_seam() -> List[str]:
                   and any(isinstance(sub, ast.Constant)
                           and sub.value == "replica_num"
                           for sub in ast.walk(node))):
-                errors.append(
+                found.append(
                     f"{rel}:{node.lineno}: ad-hoc sorted(...) by "
                     f"'replica_num' — replica ordering belongs to "
                     f"repro.policy")
-    return errors
+        if rel not in PLACEMENT_SEAM_ALLOWLIST:
+            errors += found
+        elif found:
+            used.add(rel)
+    return errors + _stale("PLACEMENT_SEAM_ALLOWLIST",
+                           PLACEMENT_SEAM_ALLOWLIST, used)
 
 
 #: ``(file, enclosing function)`` pairs sanctioned to call
@@ -290,6 +311,7 @@ RAW_TRANSFER_ALLOWLIST = {
 def check_raw_transfers() -> List[str]:
     """Rule 6: ``network.transfer`` in plane code outside the helpers."""
     errors = []
+    used = set()
     for path in sorted(PLANES_DIR.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         # map every line to its innermost enclosing function
@@ -309,13 +331,15 @@ def check_raw_transfers() -> List[str]:
                 continue
             func = enclosing.get(node.lineno, (0, "<module>"))[1]
             if (path.name, func) in RAW_TRANSFER_ALLOWLIST:
+                used.add((path.name, func))
                 continue
             errors.append(
                 f"{path.relative_to(ROOT)}:{node.lineno}: raw "
                 f"network.transfer() in {func}() — move the leg behind "
                 f"the channel helpers (_channel_push/_channel_copy/"
                 f"_redirect_reply) so direct_io can redirect it")
-    return errors
+    return errors + _stale("RAW_TRANSFER_ALLOWLIST", RAW_TRANSFER_ALLOWLIST,
+                           used)
 
 
 def main() -> int:
