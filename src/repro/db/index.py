@@ -18,25 +18,32 @@ checks stay cheap.
 from __future__ import annotations
 
 import bisect
-from collections import defaultdict
 from typing import Any, Dict, List, Optional, Set
 
 from repro.errors import DatabaseError
 
 
 class HashIndex:
-    """Equality index: value -> row-id set."""
+    """Equality index: value -> row-id set.
+
+    No bucket is ever empty (``remove`` deletes the last rid's bucket), so
+    ``value in _map`` means "some row has it" — :class:`~repro.db.table.Table`
+    relies on that when it maintains ``_map`` through its row plan.
+    """
 
     def __init__(self, unique: bool = False):
         self.unique = unique
-        self._map: Dict[Any, Set[int]] = defaultdict(set)
+        self._map: Dict[Any, Set[int]] = {}
 
     def add(self, value: Any, rid: int) -> None:
         value = _hashable(value)
-        bucket = self._map[value]
-        if self.unique and bucket:
+        bucket = self._map.get(value)
+        if bucket is None:
+            self._map[value] = {rid}
+        elif self.unique:
             raise DatabaseError(f"unique index violation for value {value!r}")
-        bucket.add(rid)
+        else:
+            bucket.add(rid)
 
     def remove(self, value: Any, rid: int) -> None:
         value = _hashable(value)
@@ -47,58 +54,38 @@ class HashIndex:
                 del self._map[value]
 
     def get(self, value: Any) -> Set[int]:
-        return set(self._map.get(_hashable(value), ()))
+        """A copy of the rid set stored under ``value`` (empty if none)."""
+        try:
+            return set(self._map[value]) if value in self._map else set()
+        except TypeError:      # unhashable: a bytearray is stored as bytes
+            return set(self._map.get(_hashable(value), ()))
 
     def __len__(self) -> int:
         return sum(len(b) for b in self._map.values())
 
 
-class _NullFirst:
-    """Sort key wrapper placing NULL below every value and keeping
-    heterogeneous values comparable (typename breaks ties across types)."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: Any):
-        self.value = value
-
-    def _key(self):
-        if self.value is None:
-            return (0, "", None)
-        return (1, type(self.value).__name__, self.value)
-
-    def __lt__(self, other: "_NullFirst") -> bool:
-        a, b = self._key(), other._key()
-        if a[:2] != b[:2]:
-            return a[:2] < b[:2]
-        return a[2] < b[2]
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _NullFirst) and self.value == other.value
-
-
 class SortedIndex:
     """Range index over comparable values.
 
-    Stores parallel sorted lists of keys and row ids; ``bisect`` gives the
-    slice bounds for a range predicate.
+    Keeps one sorted list of ``((1, typename), value, rid)`` entries;
+    ``bisect`` gives the slice bounds for a range predicate.  The type
+    name leads so that values of different types never meet in a
+    comparison (each type sorts as its own run).
+    :class:`~repro.db.table.Table` inserts such entries into ``_keys``
+    itself, through its row plan; :meth:`_entry` is their one definition.
     """
 
     def __init__(self):
-        self._keys: List[tuple] = []   # (sortkey, rid)
-        self._len = 0
+        self._keys: List[tuple] = []
 
     @staticmethod
     def _entry(value: Any, rid: int) -> tuple:
-        nf = _NullFirst(value)
-        return (nf._key()[:2], nf._key()[2] if value is not None else 0, rid)
+        return ((1, type(value).__name__), value, rid)
 
     def add(self, value: Any, rid: int) -> None:
         if value is None:
             return  # NULL never participates in range scans
-        entry = self._entry(value, rid)
-        bisect.insort(self._keys, entry)
-        self._len += 1
+        bisect.insort(self._keys, self._entry(value, rid))
 
     def remove(self, value: Any, rid: int) -> None:
         if value is None:
@@ -107,7 +94,6 @@ class SortedIndex:
         pos = bisect.bisect_left(self._keys, entry)
         if pos < len(self._keys) and self._keys[pos] == entry:
             self._keys.pop(pos)
-            self._len -= 1
 
     def range(self, lo: Any = None, hi: Any = None,
               lo_incl: bool = True, hi_incl: bool = True,
@@ -135,7 +121,7 @@ class SortedIndex:
         return [rid for *_k, rid in self._keys[start:stop]]
 
     def __len__(self) -> int:
-        return self._len
+        return len(self._keys)
 
 
 def _hashable(value: Any) -> Any:

@@ -19,15 +19,23 @@ This is the physical replication hook the sharded MCAT builds its write
 log on: because row ids are positional and tombstoned, replaying the
 observed mutations in order onto an empty table reproduces the source
 table byte for byte, row ids included.
+
+``insert`` is the catalog's hot path, so a table keeps a *row plan* — its
+columns and indexes flattened into tuples (:meth:`Table._replan`) — and
+runs inserts off it: a value of the column's exact Python type is stored
+as is, an index entry is one ``set.add`` or one ``insort``.  Every other
+value goes through :meth:`Column.check`, which stays the one definition
+of what a column accepts.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import DatabaseError
-from repro.db.index import HashIndex, SortedIndex
+from repro.db.index import HashIndex, SortedIndex, _hashable
 
 # Supported column types and their Python representations.
 _TYPES: Dict[str, tuple] = {
@@ -37,6 +45,11 @@ _TYPES: Dict[str, tuple] = {
     "BLOB": (bytes, bytearray),
     "BOOL": (bool,),
 }
+
+# The one class per column type whose instances Column.check returns
+# unchanged; the row plan stores those without calling it.
+_EXACT: Dict[str, type] = {"INT": int, "FLOAT": float, "TEXT": str,
+                           "BLOB": bytes, "BOOL": bool}
 
 
 @dataclass(frozen=True)
@@ -100,7 +113,11 @@ class Table:
             raise DatabaseError(f"duplicate column names in {name!r}")
         self.name = name
         self.columns: Tuple[Column, ...] = tuple(columns)
-        self._offset: Dict[str, int] = {c.name: i for i, c in enumerate(columns)}
+        self._names: Tuple[str, ...] = tuple(names)
+        self._offset: Dict[str, int] = {n: i for i, n in enumerate(names)}
+        # read on every insert, so kept rather than derived each time
+        self._known = self._offset.keys()
+        self._width = len(names)
         self.primary_key = primary_key
         self._rows: List[Optional[list]] = []
         self._live = 0
@@ -116,12 +133,41 @@ class Table:
         if primary_key is not None:
             if primary_key not in self._offset:
                 raise DatabaseError(f"primary key {primary_key!r} not a column")
-            self.create_index(primary_key, unique=True)
+            self._hash_indexes[primary_key] = HashIndex(unique=True)
+        # The column half of the row plan: (offset, name, exact type,
+        # nullable, check) per column.  The index half is _replan's.
+        self._column_plan = tuple(
+            (i, c.name, _EXACT[c.type], c.nullable, c.check)
+            for i, c in enumerate(self.columns))
+        self._replan()
+
+    def _replan(self) -> None:
+        """Flatten the current indexes into the tuples ``insert`` runs off.
+
+        Must follow every change to the *set of index objects*:
+        construction, ``create_index``, ``drop_index`` and ``restore_rows``
+        (which rebuilds each index).  Entries hold the index's own dict or
+        key list, so upkeep through the plan and through the index's
+        methods (``update_row``, ``delete_row``) see one structure.
+        """
+        # (offset, value -> rid-set dict, bytearray values possible?)
+        hashed = [(idx.unique, (self._offset[n], idx._map,
+                                self._col(n).type == "BLOB"))
+                  for n, idx in self._hash_indexes.items()]
+        self._hash_plan = tuple(entry for _unique, entry in hashed)
+        self._unique_plan = tuple(entry for unique, entry in hashed if unique)
+        # (offset, sorted key list, exact type, the sort tag of that type)
+        ranged = []
+        for n, sidx in self._sorted_indexes.items():
+            exact = _EXACT[self._col(n).type]
+            ranged.append((self._offset[n], sidx._keys, exact,
+                           (1, exact.__name__)))
+        self._sorted_plan = tuple(ranged)
 
     # -- schema helpers -------------------------------------------------------
 
     def column_names(self) -> List[str]:
-        return [c.name for c in self.columns]
+        return list(self._names)
 
     def has_column(self, name: str) -> bool:
         return name in self._offset
@@ -137,6 +183,14 @@ class Table:
 
     # -- indexing ----------------------------------------------------------
 
+    def _backfill(self, index, column: str):
+        """Feed every live row's ``column`` value to a fresh index."""
+        off = self._offset[column]
+        for rid, row in enumerate(self._rows):
+            if row is not None:
+                index.add(row[off], rid)
+        return index
+
     def create_index(self, column: str, unique: bool = False,
                      sorted_index: bool = False) -> None:
         """Create a secondary index on ``column``.
@@ -146,25 +200,19 @@ class Table:
         """
         self._col(column)
         if column not in self._hash_indexes:
-            idx = HashIndex(unique=unique)
-            off = self._offset[column]
-            for rid, row in enumerate(self._rows):
-                if row is not None:
-                    idx.add(row[off], rid)
-            self._hash_indexes[column] = idx
+            self._hash_indexes[column] = self._backfill(
+                HashIndex(unique=unique), column)
         if sorted_index and column not in self._sorted_indexes:
-            sidx = SortedIndex()
-            off = self._offset[column]
-            for rid, row in enumerate(self._rows):
-                if row is not None:
-                    sidx.add(row[off], rid)
-            self._sorted_indexes[column] = sidx
+            self._sorted_indexes[column] = self._backfill(
+                SortedIndex(), column)
+        self._replan()
 
     def drop_index(self, column: str) -> None:
         if self.primary_key == column:
             raise DatabaseError("cannot drop primary-key index")
         self._hash_indexes.pop(column, None)
         self._sorted_indexes.pop(column, None)
+        self._replan()
 
     def indexed_columns(self) -> List[str]:
         return sorted(set(self._hash_indexes) | set(self._sorted_indexes))
@@ -172,58 +220,85 @@ class Table:
     # -- mutation -----------------------------------------------------------
 
     def insert(self, values: Dict[str, Any]) -> int:
-        """Insert one row given a column->value mapping; returns the row id."""
-        unknown = set(values) - set(self._offset)
-        if unknown:
+        """Insert one row given a column->value mapping; returns the row id.
+
+        Nothing is touched — heap, index or observer — unless the whole
+        row is acceptable: column types, NOT NULL, the primary key and
+        every unique index are checked first.
+        """
+        if not values.keys() <= self._known:
+            unknown = set(values) - set(self._offset)
             raise DatabaseError(f"unknown columns {sorted(unknown)} for {self.name!r}")
-        row = [None] * len(self.columns)
-        for col in self.columns:
-            row[self._offset[col.name]] = col.check(values.get(col.name))
-        if self.primary_key is not None:
-            pk = row[self._offset[self.primary_key]]
-            if pk is None:
-                raise DatabaseError(f"primary key {self.primary_key!r} may not be NULL")
-            if self._hash_indexes[self.primary_key].get(pk):
-                raise DatabaseError(
-                    f"duplicate primary key {pk!r} in table {self.name!r}"
-                )
+        row = [None] * self._width
+        for off, name, exact, nullable, check in self._column_plan:
+            if name in values:
+                value = values[name]
+                if type(value) is exact:
+                    row[off] = value
+                elif value is not None or not nullable:
+                    row[off] = check(value)
+            elif not nullable:
+                check(None)
+        pk = self.primary_key
+        if pk is not None and row[self._offset[pk]] is None:
+            raise DatabaseError(f"primary key {pk!r} may not be NULL")
+        for off, hmap, blob in self._unique_plan:
+            key = _hashable(row[off]) if blob else row[off]
+            if key in hmap:
+                if self._names[off] == pk:
+                    raise DatabaseError(
+                        f"duplicate primary key {row[off]!r} in table {self.name!r}"
+                    )
+                raise DatabaseError(f"unique index violation for value {key!r}")
         rid = len(self._rows)
         self._rows.append(row)
         self._live += 1
-        for cname, idx in self._hash_indexes.items():
-            idx.add(row[self._offset[cname]], rid)
-        for cname, sidx in self._sorted_indexes.items():
-            sidx.add(row[self._offset[cname]], rid)
+        for off, hmap, blob in self._hash_plan:
+            key = _hashable(row[off]) if blob else row[off]
+            if key in hmap:
+                hmap[key].add(rid)
+            else:
+                hmap[key] = {rid}
+        for off, keys, exact, tag in self._sorted_plan:
+            value = row[off]
+            if value is not None:      # NULL never participates in range scans
+                insort(keys, (tag, value, rid) if type(value) is exact
+                       else SortedIndex._entry(value, rid))
         if self.observer is not None:
-            self.observer(self.name, "insert", rid,
-                          {c.name: row[i] for i, c in enumerate(self.columns)})
+            self.observer(self.name, "insert", rid, dict(zip(self._names, row)))
         return rid
 
     def update_row(self, rid: int, changes: Dict[str, Any]) -> None:
+        """Change columns of one live row: validate all, then apply all.
+
+        A bad value or a key collision in any column raises before the
+        row, an index or the observer has seen any of the changes.
+        """
         row = self._get_live(rid)
         applied: Dict[str, Any] = {}
         for cname, value in changes.items():
-            col = self._col(cname)
-            off = self._offset[cname]
-            old = row[off]
-            new = col.check(value)
-            if cname == self.primary_key and new != old:
-                if self._hash_indexes[cname].get(new):
+            new = self._col(cname).check(value)
+            idx = self._hash_indexes.get(cname)
+            if idx is not None and idx.unique and idx.get(new) - {rid}:
+                if cname == self.primary_key:
                     raise DatabaseError(f"duplicate primary key {new!r}")
-            row[off] = new
+                raise DatabaseError(
+                    f"unique index violation for value {_hashable(new)!r}")
+            applied[cname] = new
+        for cname, new in applied.items():
+            off = self._offset[cname]
+            old, row[off] = row[off], new
             if cname in self._hash_indexes:
                 self._hash_indexes[cname].remove(old, rid)
                 self._hash_indexes[cname].add(new, rid)
             if cname in self._sorted_indexes:
                 self._sorted_indexes[cname].remove(old, rid)
                 self._sorted_indexes[cname].add(new, rid)
-            applied[cname] = new
         if self.observer is not None:
             self.observer(self.name, "update", rid, applied)
 
     def delete_row(self, rid: int) -> None:
         row = self._get_live(rid)
-        values = {c.name: row[i] for i, c in enumerate(self.columns)}
         for cname, idx in self._hash_indexes.items():
             idx.remove(row[self._offset[cname]], rid)
         for cname, sidx in self._sorted_indexes.items():
@@ -231,7 +306,7 @@ class Table:
         self._rows[rid] = None
         self._live -= 1
         if self.observer is not None:
-            self.observer(self.name, "delete", rid, values)
+            self.observer(self.name, "delete", rid, dict(zip(self._names, row)))
 
     def _get_live(self, rid: int) -> list:
         if not (0 <= rid < len(self._rows)) or self._rows[rid] is None:
@@ -241,11 +316,22 @@ class Table:
     # -- access ------------------------------------------------------------
 
     def row_dict(self, rid: int) -> Dict[str, Any]:
-        row = self._get_live(rid)
-        return {c.name: row[i] for i, c in enumerate(self.columns)}
+        try:
+            row = self._rows[rid] if rid >= 0 else None
+        except IndexError:
+            row = None
+        if row is None:
+            raise DatabaseError(f"no row {rid} in table {self.name!r}")
+        return dict(zip(self._names, row))
 
     def value(self, rid: int, column: str) -> Any:
-        return self._get_live(rid)[self._offset[column]]
+        try:
+            row = self._rows[rid] if rid >= 0 else None
+        except IndexError:
+            row = None
+        if row is None:
+            raise DatabaseError(f"no row {rid} in table {self.name!r}")
+        return row[self._offset[column]]
 
     def scan(self) -> Iterator[int]:
         """Iterate row ids of all live rows (charges scan accounting)."""
@@ -258,11 +344,11 @@ class Table:
     def lookup_eq(self, column: str, value: Any) -> List[int]:
         """Row ids where ``column == value``, via index if available."""
         if column in self._hash_indexes:
-            rids = self._hash_indexes[column].get(value)
+            rids = list(self._hash_indexes[column].get(value))
             n = len(rids)
             self.rows_scanned += n
             self.scan_counter.total += n
-            return list(rids)
+            return rids
         off = self._offset[column]
         out = []
         for rid in self.scan():
@@ -340,18 +426,9 @@ class Table:
         """
         self._rows = [None if row is None else list(row) for row in rows]
         self._live = sum(1 for row in self._rows if row is not None)
-        for cname in list(self._hash_indexes):
-            unique = self._hash_indexes[cname].unique
-            idx = HashIndex(unique=unique)
-            off = self._offset[cname]
-            for rid, row in enumerate(self._rows):
-                if row is not None:
-                    idx.add(row[off], rid)
-            self._hash_indexes[cname] = idx
-        for cname in list(self._sorted_indexes):
-            sidx = SortedIndex()
-            off = self._offset[cname]
-            for rid, row in enumerate(self._rows):
-                if row is not None:
-                    sidx.add(row[off], rid)
-            self._sorted_indexes[cname] = sidx
+        for cname, idx in self._hash_indexes.items():
+            self._hash_indexes[cname] = self._backfill(
+                HashIndex(unique=idx.unique), cname)
+        for cname in self._sorted_indexes:
+            self._sorted_indexes[cname] = self._backfill(SortedIndex(), cname)
+        self._replan()

@@ -39,6 +39,22 @@ class TestHashIndex:
         idx.add(bytearray(b"ab"), 1)
         assert idx.get(b"ab") == {1}
 
+    def test_bytearray_probe_finds_bytes_key(self):
+        idx = HashIndex()
+        idx.add(b"ab", 1)
+        assert idx.get(bytearray(b"ab")) == {1}
+        assert idx.get(bytearray(b"zz")) == set()
+
+    def test_unhashable_probe_still_raises(self):
+        with pytest.raises(TypeError):
+            HashIndex().get(["not", "hashable"])
+
+    def test_get_returns_a_copy(self):
+        idx = HashIndex()
+        idx.add("x", 1)
+        idx.get("x").add(2)
+        assert idx.get("x") == {1}
+
     def test_len(self):
         idx = HashIndex()
         idx.add("x", 1); idx.add("y", 2)
@@ -76,6 +92,12 @@ class TestSortedIndex:
         idx.add(5, 1); idx.add(5, 2)
         idx.remove(5, 1)
         assert idx.range(5, 5) == [2]
+
+    def test_len_follows_add_and_remove(self):
+        idx = SortedIndex()
+        idx.add(5, 1); idx.add(6, 2); idx.add(None, 3)
+        idx.remove(5, 1); idx.remove(7, 9)
+        assert len(idx) == 1
 
     def test_nulls_ignored(self):
         idx = SortedIndex()
