@@ -8,9 +8,15 @@ Paper claim (Section 3, advantage 4):
 
 Reproduced series: read latency with (a) all replicas healthy, (b) the
 primary's host down, (c) two of three hosts down, and (d) the error when
-everything is down.  Expected shape: every failure adds roughly one
+everything is down.  Expected shape: every failure adds one
 failed-attempt timeout (2 x link latency) and reads keep succeeding
 until no replica is reachable.
+
+The healthy read rides the session the server already holds to the
+primary's storage system, and a host going down ends every session
+(the topology epoch moves).  So the failover delta is one timeout *plus*
+the open probe of the replica the read is redirected to — a cold touch
+the healthy read did not have to pay.
 """
 
 import pytest
@@ -92,11 +98,12 @@ def test_e2_failover_latency(benchmark):
     assert (exhausted.metric("net.failed_attempts")
             > failover1.metric("net.failed_attempts"))
 
-    # shape: one failed attempt costs about one timeout (2 x latency) more
+    # shape: one failed attempt costs one timeout (2 x latency) more,
+    # and the redirected read opens a session to the next replica
     timeout = 2 * WAN.latency_s
     assert failover1.virtual_s > healthy2.virtual_s
     assert (failover1.virtual_s - healthy2.virtual_s
-            == pytest.approx(timeout, rel=0.5))
+            == pytest.approx(timeout + WAN.cost(64), rel=0.05))
 
     fed3, client3 = build()
     benchmark.pedantic(lambda: client3.get(PATH), rounds=3, iterations=1)

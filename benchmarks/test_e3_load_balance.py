@@ -18,8 +18,8 @@ nearest) at R=4 — "primary" funnels everything to one host and loses.
 import pytest
 
 from repro.bench import ResultTable, assert_monotone
-from repro.core.replication import ReplicaSelector
 from repro.net.simnet import WAN, Network
+from repro.policy import PlacementEngine
 
 OBJECT_BYTES = 10_000_000
 READERS = 16
@@ -90,10 +90,11 @@ def test_e3_policy_ablation(benchmark):
                                               MemFsDriver()))
             replicas.append({"replica_num": i + 1, "resource": f"res{i}",
                              "is_dirty": False, "container_oid": None})
-        selector = ReplicaSelector(reg, net, policy=policy)
+        engine = PlacementEngine(reg, net, policy=policy)
         assignment = []
         for i in range(READERS):
-            chosen = selector.order(replicas, from_host=f"reader{i}")[0]
+            chosen = engine.order_replicas(replicas,
+                                           from_host=f"reader{i}")[0]
             store = reg.physical(chosen["resource"]).host
             assignment.append((f"reader{i}", store))
         span = makespan_for(net, assignment)

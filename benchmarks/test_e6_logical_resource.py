@@ -6,15 +6,20 @@ Paper claim (Section 5):
    copies will be shown as two replicas of the same SRB object."
 
 Reproduced series: ingest cost into a logical resource of k = 1..4
-physical members (on distinct hosts), for a 1 MB file.  Expected shape:
-latency grows ~linearly in k (synchronous fan-out), and the catalog
-shows exactly k clean replicas.
+physical members (on distinct hosts), for a 1 MB file.  The ingest is
+synchronous — it returns when every member holds the file — but the
+member pushes leave the server together, so the wire cost is the
+slowest member's, not one per member.  Expected shape: the first remote
+member costs one whole push; each further one adds only its session
+probe and one more file's disk and catalog work; the catalog shows
+exactly k clean replicas.
 """
 
 import pytest
 
 from repro.bench import ResultTable, assert_monotone
 from repro.core import SrbClient
+from repro.net.simnet import WAN
 
 from helpers import admin_client, flat_fed, record_table
 
@@ -44,10 +49,15 @@ def test_e6_synchronous_fanout(benchmark):
     record_table(benchmark, table)
 
     assert_monotone(costs, increasing=True)
-    # linear fan-out: per-member marginal cost roughly constant
-    marginal1 = costs[1] - costs[0]
-    marginal3 = costs[3] - costs[2]
-    assert marginal3 == pytest.approx(marginal1, rel=0.5)
+    # fs0 is on the server's host; the first remote member pays a push
+    first_remote = costs[1] - costs[0]
+    assert first_remote >= WAN.cost(SIZE)
+    # overlapped fan-out: the members after it ride the same makespan,
+    # each adding its open probe and little else
+    for k in (2, 3):
+        marginal = costs[k] - costs[k - 1]
+        assert marginal == pytest.approx(WAN.cost(64), rel=0.25)
+        assert marginal < 0.2 * first_remote
 
     fed = flat_fed(n_hosts=2)
     client = admin_client(fed)

@@ -152,8 +152,7 @@ def scenario_e3_policies(**fed_kwargs):
     state shows up as a virtual-time / message-count drift."""
     out = {}
     for policy in ("primary", "round-robin", "random", "nearest"):
-        fed = flat_fed(n_hosts=4, selection_policy=policy,
-                       **fed_kwargs)
+        fed = flat_fed(n_hosts=4, placement=policy, **fed_kwargs)
         client = admin_client(fed)
         client.ingest(PATH, b"balanced" * 2000, resource="fs1")
         for res in ("fs2", "fs3"):
@@ -168,7 +167,7 @@ def scenario_e3_policies(**fed_kwargs):
 
 def scenario_e14_striped(**fed_kwargs):
     """E14's core striped-read series: fan-out ingest + k-striped gets."""
-    fed = flat_fed(n_hosts=5, parallel_fanout=True, **fed_kwargs)
+    fed = flat_fed(n_hosts=5, **fed_kwargs)
     client = admin_client(fed)
     fed.add_logical_resource("all", [f"fs{i}" for i in range(1, 5)])
     t0 = fed.clock.now

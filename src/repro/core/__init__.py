@@ -9,19 +9,13 @@ from repro.core.locking import (
     DEFAULT_PIN_LIFETIME_S,
     LockManager,
 )
-from repro.core.replication import (
-    SELECTION_POLICIES,
-    ReplicaSelector,
-    pick_clean_available,
-    synchronize,
-)
+from repro.core.replication import synchronize
 from repro.core.server import SrbServer
 
 __all__ = [
     "Federation", "SrbServer", "SrbClient",
     "AccessController", "satisfies",
     "ContainerManager", "LockManager",
-    "ReplicaSelector", "pick_clean_available", "synchronize",
-    "SELECTION_POLICIES",
+    "synchronize",
     "DEFAULT_LOCK_LIFETIME_S", "DEFAULT_PIN_LIFETIME_S",
 ]

@@ -1,7 +1,7 @@
 """Federation wiring: one zone of SRB servers over the simulated grid.
 
 A :class:`Federation` owns every shared component — network, clock, MCAT,
-user registry, ticket authority, resource registry, replica selector,
+user registry, ticket authority, resource registry, placement engine,
 container and lock managers, the external web space and the extraction
 registry — and the set of :class:`SrbServer` instances.  It is the
 "deployment descriptor" a test or benchmark builds its grid from::
@@ -113,15 +113,10 @@ class Federation:
 
     def __init__(self, zone: str = "demozone",
                  default_link: LinkSpec = WAN,
-                 selection_policy: str = "primary",
-                 placement: Optional[str] = None,
+                 placement: str = "primary",
                  sso_enabled: bool = True,
-                 audit_enabled: bool = True,
-                 charge_storage_time: bool = True,
                  network: Optional[Network] = None,
                  data_streams: int = 1,
-                 parallel_fanout: bool = False,
-                 session_cache: bool = False,
                  workers: Optional[int] = None,
                  queue_depth: Optional[int] = None,
                  mcat_shards: Optional[int] = None,
@@ -178,17 +173,11 @@ class Federation:
         self.locks = LockManager(self.mcat, self.clock)
         # the placement engine (repro.policy): one pluggable seam for
         # every replica/resource choice.  ``placement`` accepts the four
-        # historical static policies plus "observed" (rank by measured
-        # path history — E18); ``selection_policy`` is the pre-engine
-        # spelling and keeps working for the static four.  The engine's
-        # PathStats observer watches the wire from day one, cost-free,
-        # whatever the policy.
-        self.placement = PlacementEngine(
-            self.resources, self.network,
-            policy=placement if placement is not None else selection_policy)
-        # legacy spelling: fed.selector.policy / fed.selector.order()
-        # answer from the engine (one copy of policy state)
-        self.selector = self.placement.legacy_selector
+        # static policies plus "observed" (rank by measured path history
+        # — E18).  The engine's PathStats observer watches the wire from
+        # day one, cost-free, whatever the policy.
+        self.placement = PlacementEngine(self.resources, self.network,
+                                         policy=placement)
         # direct data channels (E19).  Default off: every payload byte
         # keeps the historical pass-through route (resource → server →
         # client), byte-identical with the parity recordings.  With
@@ -206,23 +195,10 @@ class Federation:
         self.extractors = ExtractionRegistry()
         self.servers: Dict[str, SrbServer] = {}
         self.sso_enabled = sso_enabled
-        self.audit_enabled = audit_enabled
-        self.charge_storage_time = charge_storage_time
         self.default_resource: Optional[str] = None
         # parallel data-transfer streams used on the server<->resource
         # data plane (SRB 2.x parallel I/O; control traffic stays single)
         self.data_streams = max(1, int(data_streams))
-        # overlapped data plane (E14).  Both default off: the parity
-        # recordings and the E1-E13 shape assertions were made on the
-        # serial, per-op-session cost model.
-        #   parallel_fanout: logical-resource ingest, replica refresh and
-        #   bulk/striped reads schedule their member transfers as one
-        #   TransferGroup and charge the makespan instead of the sum;
-        #   session_cache: servers keep resource sessions alive across
-        #   operations instead of re-paying the open probe (and, without
-        #   SSO, the challenge-response) on every touch.
-        self.parallel_fanout = bool(parallel_fanout)
-        self.session_cache = bool(session_cache)
         # open-loop load plane (E15).  workers=None (default) keeps the
         # historical contention-free server: requests never queue and
         # are never shed, so every serial-mode recording is untouched.
@@ -285,14 +261,11 @@ class Federation:
     # resources
     # ------------------------------------------------------------------
 
-    def _clock_for_drivers(self) -> Optional[SimClock]:
-        return self.clock if self.charge_storage_time else None
-
     def add_fs_resource(self, name: str, host: str,
                         cost: DeviceCost = DISK_COST,
                         capacity_bytes: Optional[int] = None,
                         is_cache: bool = False) -> PhysicalResource:
-        driver = MemFsDriver(clock=self._clock_for_drivers(), cost=cost,
+        driver = MemFsDriver(clock=self.clock, cost=cost,
                              capacity_bytes=capacity_bytes)
         driver.attach_obs(self.obs, name)
         return self.resources.add_physical(PhysicalResource(
@@ -303,7 +276,7 @@ class Federation:
                              tape: TapeCost = TapeCost(),
                              cache_capacity_bytes: Optional[int] = None
                              ) -> PhysicalResource:
-        driver = ArchiveDriver(clock=self._clock_for_drivers(), tape=tape,
+        driver = ArchiveDriver(clock=self.clock, tape=tape,
                                cache_capacity_bytes=cache_capacity_bytes)
         driver.attach_obs(self.obs, name)
         return self.resources.add_physical(PhysicalResource(
@@ -311,8 +284,7 @@ class Federation:
             zone=self.zone))
 
     def add_database_resource(self, name: str, host: str) -> PhysicalResource:
-        driver = DatabaseResourceDriver(clock=self._clock_for_drivers(),
-                                        name=name)
+        driver = DatabaseResourceDriver(clock=self.clock, name=name)
         driver.attach_obs(self.obs, name)
         return self.resources.add_physical(PhysicalResource(
             name=name, host=host, driver=driver, rtype="database",
@@ -425,8 +397,9 @@ class Federation:
         return purged
 
     def reset_sessions(self) -> int:
-        """Flush every server's cached resource sessions (admin knob);
-        returns the total number of sessions dropped."""
+        """Flush every server's kept-alive resource sessions, so the next
+        touch of each resource is cold again; returns how many were
+        dropped."""
         return sum(s.reset_sessions() for s in self.servers.values())
 
     def stats(self) -> Dict[str, object]:
@@ -443,8 +416,6 @@ class Federation:
             "catalog_replicas": self.mcat.total_replicas(),
             "acl_checks": self.access.checks,
             "acl_denials": self.access.denials,
-            "parallel_fanout": self.parallel_fanout,
-            "session_cache": self.session_cache,
             "workers": self.workers,
             "queue_depth": self.queue_depth,
             "requests_admitted": int(metrics.total("srb.admission.admitted")),

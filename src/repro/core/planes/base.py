@@ -38,6 +38,9 @@ def content_checksum(data: bytes) -> str:
 _CONTROL_MSG = 256      # bytes of a control message between servers
 _OPEN_MSG = 64          # tiny "open" probe sent to a resource host
 _AUTH_MSG = 200         # challenge/response message size
+# what opening a session puts on the wire, in order, server first
+_SESSION_MSGS = (_OPEN_MSG,)
+_NO_SSO_SESSION_MSGS = (_AUTH_MSG,) * 4 + _SESSION_MSGS
 
 
 class PlaneService:
@@ -108,55 +111,61 @@ class PlaneService:
     # storage data-path plumbing
     # ------------------------------------------------------------------
 
+    def _session_owed(self, res: PhysicalResource) -> Tuple[int, ...]:
+        """Sizes of the messages this server still owes to touch ``res``.
+
+        Empty while the server holds a session opened under the current
+        topology epoch.  Otherwise: with SSO the server presents (and
+        the resource locally validates) the zone ticket — just the tiny
+        open probe; without SSO it first runs a full challenge–response
+        against the resource's own security domain, two extra round
+        trips (experiment E7).  This is the one definition of what
+        touching a resource costs: :meth:`_resource_session` sends these
+        messages, and the placement engine prices them when it picks a
+        stripe count.
+        """
+        fed = self.federation
+        if self.server._session_cache.get(res.name) \
+                == fed.network.topology_epoch:
+            return ()
+        return _SESSION_MSGS if fed.sso_enabled else _NO_SSO_SESSION_MSGS
+
     def _resource_session(self, res: PhysicalResource) -> None:
         """Open (or reuse) a session to a storage resource's host.
 
-        With SSO the server presents (and the resource locally validates)
-        the zone ticket — just the tiny open probe.  Without SSO the
-        server must run a full challenge–response against the resource's
-        own security domain: two extra round trips (experiment E7).
-
-        With ``Federation(session_cache=True)`` the server keeps the
-        session alive across operations: a repeat touch of the same
-        resource pays *nothing* on the wire (metric
-        ``srb.session_cache{result=hit}``).  Cached sessions are keyed on
-        the network's topology epoch, so any ``set_down``/``set_up``/
+        The server keeps its sessions alive across operations: a repeat
+        touch of the same resource pays *nothing* on the wire (metric
+        ``srb.session_cache{result=hit}``).  Sessions are keyed on the
+        network's topology epoch, so any ``set_down``/``set_up``/
         ``partition``/``heal`` invalidates every one of them — E2's
-        failover still pays its charged timeout, and E7's handshake
-        ablation is measured on cold sessions.  A session that errors
+        failover still pays its charged timeout.  A session that errors
         (:class:`HostUnreachable`/:class:`ResourceUnavailable` on the
         data path) is dropped via :meth:`_invalidate_session`;
-        ``SrbServer.reset_sessions`` is the explicit flush.
+        ``reset_sessions`` is the explicit flush, and how a test or
+        benchmark measures a cold touch.
         """
-        fed = self.federation
-        if fed.session_cache:
-            cache = self.server._session_cache
-            epoch = self.network.topology_epoch
-            if cache.get(res.name) == epoch:
-                self.obs.metrics.inc("srb.session_cache", result="hit",
-                                     server=self.server.name,
-                                     resource=res.name)
-                self.obs.tracer.add("session_cache_hits", 1)
-                return
-            self.obs.metrics.inc("srb.session_cache", result="miss",
-                                 server=self.server.name,
-                                 resource=res.name)
+        owed = self._session_owed(res)
+        obs = self.obs
+        if not owed:
+            obs.metrics.inc("srb.session_cache", result="hit",
+                            server=self.server.name, resource=res.name)
+            obs.tracer.add("session_cache_hits", 1)
+            return
+        obs.metrics.inc("srb.session_cache", result="miss",
+                        server=self.server.name, resource=res.name)
+        src, dst = self.host, res.host
         try:
-            if not fed.sso_enabled:
-                self.network.transfer(self.host, res.host, _AUTH_MSG)
-                self.network.transfer(res.host, self.host, _AUTH_MSG)
-                self.network.transfer(self.host, res.host, _AUTH_MSG)
-                self.network.transfer(res.host, self.host, _AUTH_MSG)
-            self.network.transfer(self.host, res.host, _OPEN_MSG)
+            # server and resource take turns, the server first and last
+            for nbytes in owed:
+                self.network.transfer(src, dst, nbytes)
+                src, dst = dst, src
         except HostUnreachable:
             self._invalidate_session(res)
             raise
-        if fed.session_cache:
-            self.server._session_cache[res.name] = \
-                self.network.topology_epoch
+        self.server._session_cache[res.name] = self.network.topology_epoch
 
     def _invalidate_session(self, res: PhysicalResource) -> None:
-        """Drop this server's cached session to ``res`` (if any)."""
+        """Drop this server's session to ``res`` (if any)."""
         self.server._session_cache.pop(res.name, None)
 
     def _pull_from_resource(self, res: PhysicalResource, nbytes: int) -> None:

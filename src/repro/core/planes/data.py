@@ -105,21 +105,7 @@ class DataService(PlaneService):
                     size_hint=len(data))
                 phys = f"/srb/{coll.strip('/').replace('/', '_')}/" \
                        f"{oid}-{paths.basename(path)}"
-                if self.federation.parallel_fanout and len(res_list) > 1:
-                    self._ingest_fanout(ctx, oid, phys, data, res_list,
-                                        created)
-                else:
-                    for res in res_list:
-                        if not self.resources.available(res.name):
-                            raise ResourceUnavailable(
-                                f"resource {res.name!r} is down")
-                        self._resource_session(res)
-                        self._channel_push(ctx, res, len(data), phys,
-                                           "ingest")
-                        res.driver.create(phys, data)
-                        created.append((res, phys))
-                        self.mcat.add_replica(oid, res.name, phys,
-                                              len(data), now=self.now)
+                self._ingest_fanout(ctx, oid, phys, data, res_list, created)
         except SrbError:
             # no half-ingested objects — and no orphaned physical
             # bytes: files already written on earlier members of a
@@ -143,14 +129,15 @@ class DataService(PlaneService):
                        data: bytes,
                        res_list: Sequence[PhysicalResource],
                        created: List[Tuple[PhysicalResource, str]]) -> None:
-        """Write all members of a logical resource concurrently.
+        """Write the object onto every resource in ``res_list``.
 
-        The member pushes run as one :class:`TransferGroup`: the ingest
+        One physical resource or all members of a logical one: the
+        remote pushes run as one :class:`TransferGroup`, so the ingest
         charges the slowest member's cost (makespan), not the serial
-        sum — sequential ≈ Σ costs → parallel ≈ max.  Any member failure
-        aborts the ingest before a single byte lands on a driver, so the
-        caller's rollback has only catalog rows to undo.  With a
-        deferred payload (direct_io) the fan-out legs run as channels
+        sum — and nothing at all when every member is local.  Any member
+        failure aborts the ingest before a single byte lands on a
+        driver, so the caller's rollback has only catalog rows to undo.
+        With a deferred payload (direct_io) the legs run as channels
         from the payload's source host instead of from this server.
         """
         for res in res_list:
@@ -160,35 +147,29 @@ class DataService(PlaneService):
         for res in res_list:
             self._resource_session(res)
         src = self._payload_source(ctx)
+        streams = self.federation.data_streams
         if src is None:
+            remote = [res for res in res_list if res.host != self.host]
             group = TransferGroup(self.network, label="ingest-fanout")
-            for res in res_list:
-                if res.host != self.host:
-                    group.add(self.host, res.host, len(data),
-                              streams=self.federation.data_streams,
-                              key=res.name)
-            for outcome in group.run():
-                if not outcome.ok:
-                    self._invalidate_session(
-                        self.resources.physical(outcome.key))
-                    raise outcome.error
+            for res in remote:
+                group.add(self.host, res.host, len(data), streams=streams)
+            outcomes = group.run()
         else:
             remote = [res for res in res_list if res.host != src]
             outcomes = run_channel_group(
                 self.network,
                 (self.federation.channels.open(
-                    src, res.host, len(data), phys,
-                    streams=self.federation.data_streams,
+                    src, res.host, len(data), phys, streams=streams,
                     label="ingest-fanout") for res in remote),
                 "ingest-fanout")
-            first_error = None
-            for res, outcome in zip(remote, outcomes):
-                if not outcome.ok:
-                    self._invalidate_session(res)
-                    if first_error is None:
-                        first_error = outcome.error
-            if first_error is not None:
-                raise first_error
+        first_error = None
+        for res, outcome in zip(remote, outcomes):
+            if not outcome.ok:
+                self._invalidate_session(res)
+                if first_error is None:
+                    first_error = outcome.error
+        if first_error is not None:
+            raise first_error
         for res in res_list:
             res.driver.create(phys, data)
             created.append((res, phys))
@@ -411,15 +392,14 @@ class DataService(PlaneService):
             prefetched = self._prefetch_container(int(cont["oid"]))
         results: List[Dict[str, Any]] = []
         total = 0
-        # with parallel_fanout, the per-item wire pulls are deferred and
-        # batched into one TransferGroup below: pulls landing on
-        # distinct storage hosts overlap, so the batch charges the
-        # slowest host's share instead of the serial sum.  Under
-        # direct_io the owed pulls become channels replica→caller and
-        # the whole reply is a Redirect (a channel failure then fails
-        # the call rather than the single item — the caller retries).
+        # the per-item wire pulls are deferred and batched into one
+        # TransferGroup below: pulls landing on distinct storage hosts
+        # overlap, so the batch charges the slowest host's share instead
+        # of the serial sum.  Under direct_io the owed pulls become
+        # channels replica→caller and the whole reply is a Redirect (a
+        # channel failure then fails the call rather than the single
+        # item — the caller retries).
         sink = self._redirect_sink(ctx)
-        overlap = self.federation.parallel_fanout
         owed: Dict[int, PhysicalResource] = {}
         for raw in targets:
             try:
@@ -437,12 +417,9 @@ class DataService(PlaneService):
                 if prefetched is not None:
                     data = prefetched.get(int(obj["oid"]))
                 if data is None:
-                    if sink is not None or overlap:
-                        data, res = self._read_replica(obj, None, sink=sink)
-                        if res is not None:
-                            owed[len(results)] = res
-                    else:
-                        data = self._get_bytes(obj, None)
+                    data, res = self._read_replica(obj, None, sink=sink)
+                    if res is not None:
+                        owed[len(results)] = res
                 total += len(data)
                 results.append({"path": path, "data": data})
             except SrbError as exc:
@@ -454,8 +431,7 @@ class DataService(PlaneService):
                       results[idx]["path"])
                      for idx, res in owed.items()]
             reply = self._redirect_reply(results, parts, sink,
-                                         label="bulk-get",
-                                         parallel=overlap)
+                                         label="bulk-get", parallel=True)
         elif owed:
             group = TransferGroup(self.network, label="bulk-get")
             for idx, res in owed.items():
@@ -853,7 +829,9 @@ class DataService(PlaneService):
         candidates = [res for _rep, res in
                       self._striped_candidates(obj, origin=origin)]
         return self.federation.placement.choose_stripes(
-            candidates, int(obj.get("size") or 0), from_host=origin)
+            candidates, int(obj.get("size") or 0),
+            owed=[self._session_owed(res) for res in candidates],
+            from_host=origin)
 
     def _get_bytes_striped(self, obj: Dict[str, Any],
                            stripes: int,

@@ -130,7 +130,6 @@ class ReplicaService(PlaneService):
         self.access.require_object(ctx.principal, obj, "write")
         count = synchronize(self.mcat, self.resources, self.network,
                             int(obj["oid"]),
-                            parallel=self.federation.parallel_fanout,
                             streams=self.federation.data_streams,
                             placement=self.federation.placement,
                             channels=self.federation.channels

@@ -1,27 +1,13 @@
-"""Replica management: selection policies, failover, synchronization.
+"""Replica management: synchronization.
 
-The paper's replication claims this module carries:
-
-* "data may be replicated in different storage systems on different
-  hosts under control of different SRB servers to provide load
-  balancing" (selection policies; experiment E3);
-* "Fault tolerance — data can be accessed by the global persistent
-  identifier, with the system automatically redirecting access to a
-  replica on a separate storage system when the first storage system is
-  unavailable" (ordered failover; experiment E2);
-* "the consistency of the replicas should be maintained with very little
-  effort on the part of the users" (write-one/mark-dirty plus
-  :func:`synchronize`).
-
-The choice logic itself now lives in :mod:`repro.policy` — one
-pluggable :class:`~repro.policy.engine.PlacementEngine` per federation
-answers every ordering question (see DESIGN.md, "Placement policy
-engine").  What remains here is the **legacy facade**:
-:class:`ReplicaSelector` and :func:`pick_clean_available` keep their
-historical signatures for direct users (tests, the E3 policy ablation)
-by delegating to the policy classes, and :func:`synchronize` is the
-replica-refresh algorithm, its source choice deferred to the engine
-when one is passed.
+The paper's replication claim this module carries: "the consistency of
+the replicas should be maintained with very little effort on the part
+of the users" (write-one/mark-dirty plus :func:`synchronize`, the
+replica-refresh algorithm).  Which replica to read, fail over to or
+refresh from is decided in :mod:`repro.policy` — one pluggable
+:class:`~repro.policy.engine.PlacementEngine` per federation carries the
+load-balancing (E3) and fault-tolerance (E2) claims; see DESIGN.md,
+"Placement policy engine".
 """
 
 from __future__ import annotations
@@ -31,95 +17,32 @@ from typing import Any, Dict, List, Optional
 from repro.errors import ReplicaUnavailable, ReplicationError, SrbError
 from repro.mcat.catalog import Mcat
 from repro.net.simnet import Network, TransferGroup
-from repro.policy import PlacementContext, PlacementEngine, make_policy
+from repro.policy import PlacementEngine
 from repro.storage.resource import ResourceRegistry
 
-SELECTION_POLICIES = ("primary", "round-robin", "random", "nearest")
-
-
-class ReplicaSelector:
-    """Orders an object's replicas for a read attempt (legacy facade).
-
-    Policies:
-
-    ``primary``      lowest replica number first (the paper's default:
-                     "the user can ask for a particular copy or let SRB
-                     choose its own access");
-    ``round-robin``  rotate the starting replica per call — spreads load
-                     across copies;
-    ``random``       deterministic LCG shuffle — statistically spreads
-                     load without shared state;
-    ``nearest``      ascending link latency from the reading host,
-                     ties broken by replica number.
-
-    Each instance owns its policy state (rotation counter, LCG), so a
-    standalone selector orders exactly as it always did; federations no
-    longer build one — ``fed.selector`` answers from the
-    :class:`~repro.policy.engine.PlacementEngine` instead.
-    """
-
-    def __init__(self, resources: ResourceRegistry, network: Network,
-                 policy: str = "primary"):
-        if policy not in SELECTION_POLICIES:
-            raise ReplicationError(
-                f"unknown selection policy {policy!r}; "
-                f"choose from {SELECTION_POLICIES}")
-        self.resources = resources
-        self.network = network
-        self.policy = policy
-        self._impl = make_policy(policy)
-
-    def order(self, replicas: List[Dict[str, Any]],
-              from_host: Optional[str] = None) -> List[Dict[str, Any]]:
-        """Replicas in preferred access order (does not drop any: later
-        entries are the failover chain)."""
-        reps = sorted(replicas, key=lambda r: r["replica_num"])
-        if not reps:
-            return []
-        ctx = PlacementContext(resources=self.resources,
-                               network=self.network, from_host=from_host)
-        return self._impl.order(reps, ctx)
-
-
-def pick_clean_available(selector: ReplicaSelector,
-                         resources: ResourceRegistry,
+def pick_clean_available(placement: PlacementEngine,
                          replicas: List[Dict[str, Any]],
-                         from_host: Optional[str] = None,
-                         allow_dirty: bool = False) -> List[Dict[str, Any]]:
-    """The failover chain: ordered replicas that are clean and whose
-    resource is reachable right now.  Raises if the chain is empty.
-
-    Legacy facade over
-    :meth:`~repro.policy.engine.PlacementEngine.failover_chain`; kept
-    for callers that hold a standalone :class:`ReplicaSelector`.
-    """
-    chain = []
-    for rep in selector.order(replicas, from_host=from_host):
-        if rep["is_dirty"] and not allow_dirty:
-            continue
-        if not resources.available(rep["resource"]):
-            continue
-        chain.append(rep)
-    if not chain:
-        raise ReplicaUnavailable(
-            "no clean replica on an available resource "
-            f"(of {len(replicas)} replicas)")
-    return chain
+                         **kwargs: Any) -> List[Dict[str, Any]]:
+    """:meth:`PlacementEngine.failover_chain`, under the name
+    ``gridbench/tracing.LAYER_ENTRYPOINTS`` wraps and refuses to run
+    without.  Nothing in this package calls it; delete it when
+    ``gridbench/`` can next be edited."""
+    return placement.failover_chain(replicas, **kwargs)
 
 
 def synchronize(mcat: Mcat, resources: ResourceRegistry, network: Network,
-                oid: int, parallel: bool = False, streams: int = 1,
+                oid: int, streams: int = 1,
                 placement: Optional[PlacementEngine] = None,
                 channels: Optional[Any] = None) -> int:
     """Refresh every dirty replica of ``oid`` from a clean one.
 
     Bytes move clean-resource-host -> dirty-resource-host; returns the
-    number of replicas refreshed.  With ``parallel=True`` the refresh
-    pushes run as one :class:`~repro.net.simnet.TransferGroup`: the
-    clean source fans out to every dirty host concurrently, charging
-    the slowest member (makespan) instead of the serial sum.  A member
-    whose host fails mid-group is skipped — it stays dirty and does not
-    poison its siblings' refresh.
+    number of replicas refreshed.  The refresh pushes run as one
+    :class:`~repro.net.simnet.TransferGroup`: the clean source fans out
+    to every dirty host concurrently, charging the slowest member
+    (makespan) instead of the serial sum.  A member that cannot be
+    reached — one dirty copy or one of many — is skipped: it stays
+    dirty and does not poison its siblings' refresh.
 
     ``placement`` (the federation's engine) chooses which clean replica
     sources the refresh: under a static policy the preference is the
@@ -159,49 +82,38 @@ def synchronize(mcat: Mcat, resources: ResourceRegistry, network: Network,
     targets = [rep for rep in dirty
                if resources.available(rep["resource"])]
     skipped: set = set()
-    if parallel and len(targets) > 1:
-        group = TransferGroup(network, label="synchronize")
-        opened: Dict[Any, Any] = {}
-        for rep in targets:
-            dst_res = resources.physical(rep["resource"])
-            if src_res.host == dst_res.host:
+    group = TransferGroup(network, label="synchronize")
+    opened: Dict[Any, Any] = {}
+    for rep in targets:
+        dst_res = resources.physical(rep["resource"])
+        if src_res.host == dst_res.host:
+            continue
+        if channels is not None:
+            ch = channels.open(src_res.host, dst_res.host, len(data),
+                               rep["physical_path"], streams=streams,
+                               label="synchronize")
+            try:
+                ch.open()
+            except SrbError:
+                # an unopenable channel behaves like a failed member
+                skipped.add(rep["replica_num"])
                 continue
-            if channels is not None:
-                ch = channels.open(src_res.host, dst_res.host, len(data),
-                                   rep["physical_path"], streams=streams,
-                                   label="synchronize")
-                try:
-                    ch.open()
-                except SrbError:
-                    # an unopenable channel behaves like a failed member:
-                    # the replica stays dirty, its siblings still refresh
-                    skipped.add(rep["replica_num"])
-                    continue
-                opened[rep["replica_num"]] = ch
-                ch.add_to(group, key=rep["replica_num"])
-            else:
-                group.add(src_res.host, dst_res.host, len(data),
-                          streams=streams, key=rep["replica_num"])
-        for outcome in group.run():
-            if outcome.key in opened:
-                opened[outcome.key].finish(outcome)
-            if not outcome.ok:
-                skipped.add(outcome.key)
+            opened[rep["replica_num"]] = ch
+            ch.add_to(group, key=rep["replica_num"])
+        else:
+            group.add(src_res.host, dst_res.host, len(data),
+                      streams=streams, key=rep["replica_num"])
+    for outcome in group.run():
+        if outcome.key in opened:
+            opened[outcome.key].finish(outcome)
+        if not outcome.ok:
+            skipped.add(outcome.key)
 
     refreshed = 0
     for rep in targets:
         if rep["replica_num"] in skipped:
             continue
         dst_res = resources.physical(rep["resource"])
-        if not parallel or len(targets) <= 1:
-            if src_res.host != dst_res.host:
-                if channels is not None:
-                    channels.run(src_res.host, dst_res.host, len(data),
-                                 rep["physical_path"], streams=streams,
-                                 label="synchronize")
-                else:
-                    network.transfer(src_res.host, dst_res.host, len(data),
-                                     streams=streams)
         if dst_res.driver.exists(rep["physical_path"]):
             dst_res.driver.delete(rep["physical_path"])
         dst_res.driver.create(rep["physical_path"], data)

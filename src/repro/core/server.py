@@ -116,8 +116,8 @@ class SrbServer:
         self.is_mcat_server = is_mcat_server
         self.ops_served = 0
         # live server<->resource sessions: resource name -> the network
-        # topology epoch the session was opened under (planes/base.py
-        # consults it when Federation(session_cache=True))
+        # topology epoch the session was opened under (read and written
+        # by planes/base.py)
         self._session_cache: Dict[str, int] = {}
 
         self.auth = AuthService(self)
@@ -142,10 +142,9 @@ class SrbServer:
         return None
 
     def reset_sessions(self) -> int:
-        """Explicitly drop every cached resource session (admin knob);
-        returns how many sessions were flushed.  The next touch of each
-        resource pays the full open probe (and, without SSO, the
-        challenge–response) again."""
+        """Drop every kept-alive resource session; returns how many were
+        flushed.  The next touch of each resource pays the full open
+        probe (and, without SSO, the challenge–response) again."""
         count = len(self._session_cache)
         self._session_cache.clear()
         return count
@@ -275,6 +274,5 @@ class SrbServer:
 
     def _audit(self, principal: Principal, action: str, target: str,
                detail: Optional[str] = None, ok: bool = True) -> None:
-        if self.federation.audit_enabled:
-            self.mcat.record_audit(self.now, str(principal), action, target,
-                                   detail=detail, ok=ok)
+        self.mcat.record_audit(self.now, str(principal), action, target,
+                               detail=detail, ok=ok)

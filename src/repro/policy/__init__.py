@@ -11,7 +11,7 @@
   container manager and synchronize path consults.
 """
 
-from repro.policy.engine import PROBE_BYTES, PlacementEngine
+from repro.policy.engine import PlacementEngine
 from repro.policy.policies import (
     PLACEMENT_POLICIES,
     QUARANTINE_SCORE,
@@ -28,7 +28,6 @@ from repro.policy.stats import RATE_SAMPLE_MIN_BYTES, Ewma, PathRecord, \
     PathStats
 
 __all__ = [
-    "PROBE_BYTES",
     "PlacementEngine",
     "PLACEMENT_POLICIES",
     "QUARANTINE_SCORE",

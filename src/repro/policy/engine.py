@@ -1,12 +1,11 @@
 """The placement engine: every placement decision behind one seam.
 
-Before this module, replica/resource choice was static policy scattered
-across four layers — ``ReplicaSelector`` for read ordering,
-``pick_clean_available`` for the failover chain, the container
-manager's cache-first sort, and caller-picked ``get(stripes=k)``.  A
-:class:`PlacementEngine` lives on the federation
-(``Federation(placement=...)``) and answers all of them, consulting one
-pluggable :class:`~repro.policy.policies.PlacementPolicy` plus the
+A :class:`PlacementEngine` lives on the federation
+(``Federation(placement=...)``) and answers every replica/resource
+choice — read ordering, the failover chain, write destinations, the
+synchronize source, the container manager's cache-first sort and the
+stripe count of ``get(stripes="auto")`` — consulting one pluggable
+:class:`~repro.policy.policies.PlacementPolicy` plus the
 federation-wide :class:`~repro.policy.stats.PathStats` history.
 
 The engine registers its ``PathStats`` as a transfer observer on the
@@ -17,52 +16,27 @@ MySRB ``/status``) before switching to ``placement="observed"``.
 Auto-tuned striping: ``choose_stripes`` picks the stripe count for a
 ``get(stripes="auto")`` read by minimizing the predicted cost model
 
-    est(k) = sum(probe_i, i<k)  +  max_i<k( predict(path_i, ceil(size/k)) )
+    est(k) = sum(owed_i, i<k)  +  max_i<k( predict(path_i, ceil(size/k)) )
 
-— k session-open probes paid serially, then the striped
-:class:`~repro.net.simnet.TransferGroup` charging its slowest member
-(makespan).  More stripes shrink the chunk each path carries but add a
-probe and recruit ever-slower paths; the argmin is the measured knee
-E14 found by hand sweep.
+— the session-open messages the first k candidates still owe, paid
+serially, then the striped :class:`~repro.net.simnet.TransferGroup`
+charging its slowest member (makespan).  More stripes shrink the chunk
+each path carries but may add a probe and recruit ever-slower paths;
+the argmin is the measured knee E14 found by hand sweep.  What a
+session costs, and whether a candidate still owes one, is the data
+plane's knowledge (``PlaneService._session_owed``): the caller passes
+it in, the engine only prices it.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.errors import ReplicaUnavailable, ReplicationError
+from repro.errors import ReplicaUnavailable
 from repro.net.simnet import Network
-from repro.policy.policies import (
-    PLACEMENT_POLICIES,
-    PlacementContext,
-    make_policy,
-)
+from repro.policy.policies import PlacementContext, make_policy
 from repro.policy.stats import PathStats
 from repro.storage.resource import PhysicalResource, ResourceRegistry
-
-#: Bytes of the session-open probe a server pays per striped path
-#: (mirrors the data plane's resource-session open message).
-PROBE_BYTES = 64
-
-
-class _LegacySelector:
-    """``federation.selector`` compatibility facade.
-
-    Pre-engine code (and tests) read ``fed.selector.policy`` and called
-    ``fed.selector.order(...)``; both now answer from the engine so
-    there is exactly one copy of the policy state per federation.
-    """
-
-    def __init__(self, engine: "PlacementEngine"):
-        self._engine = engine
-
-    @property
-    def policy(self) -> str:
-        return self._engine.policy_name
-
-    def order(self, replicas: List[Dict[str, Any]],
-              from_host: Optional[str] = None) -> List[Dict[str, Any]]:
-        return self._engine.order_replicas(replicas, from_host=from_host)
 
 
 class PlacementEngine:
@@ -71,18 +45,13 @@ class PlacementEngine:
     def __init__(self, resources: ResourceRegistry, network: Network,
                  policy: str = "primary",
                  stats: Optional[PathStats] = None):
-        if policy not in PLACEMENT_POLICIES:
-            raise ReplicationError(
-                f"unknown placement policy {policy!r}; "
-                f"choose from {PLACEMENT_POLICIES}")
+        self.policy = make_policy(policy)    # raises on an unknown name
         self.resources = resources
         self.network = network
         self.obs = network.obs
         self.clock = network.clock
         self.stats = stats if stats is not None else PathStats()
         network.add_transfer_observer(self.stats)
-        self.policy = make_policy(policy)
-        self.legacy_selector = _LegacySelector(self)
 
     @property
     def policy_name(self) -> str:
@@ -183,20 +152,23 @@ class PlacementEngine:
     # -- striping -------------------------------------------------------
 
     def choose_stripes(self, candidates: Sequence[PhysicalResource],
-                       size: int,
+                       size: int, owed: Sequence[Sequence[int]],
                        from_host: Optional[str] = None) -> int:
         """Stripe count for a ``get(stripes="auto")`` read.
 
         ``candidates`` are the usable striped sources — clean replicas
-        on distinct remote hosts, in policy-preferred order.  Minimizes
-        the probes + makespan model (module docstring) over k; ties go
-        to fewer stripes.
+        on distinct remote hosts, in policy-preferred order; ``owed[i]``
+        holds the sizes of the session-open messages candidate i still
+        owes (empty while the server holds a live session to it).
+        Minimizes the probes + makespan model (module docstring) over k;
+        ties go to fewer stripes.
         """
         if size <= 0 or len(candidates) < 2:
             return 1
         ctx = self._ctx(from_host)
-        probes = [ctx.predict_s(from_host, res.host, PROBE_BYTES)
-                  for res in candidates]
+        probes = [sum(ctx.predict_s(from_host, res.host, nbytes)
+                      for nbytes in msgs)
+                  for res, msgs in zip(candidates, owed)]
         pulls = [lambda nbytes, res=res: (
                      ctx.predict_s(res.host, from_host, nbytes)
                      * (1.0 + ctx.failure_score(res.host, from_host)))

@@ -4,9 +4,8 @@ One :class:`PlacementPolicy` instance lives inside a federation's
 :class:`~repro.policy.engine.PlacementEngine` and makes every placement
 decision — read-replica ordering, ingest/replicate destination
 ordering, synchronize source preference — through a uniform interface.
-The four static policies reproduce the historical
-``ReplicaSelector`` semantics bit-for-bit (the refactor-parity
-recordings pin this); ``observed`` ranks by
+The four static policies keep their pre-engine orderings bit-for-bit
+(the refactor-parity recordings pin this); ``observed`` ranks by
 :class:`~repro.policy.stats.PathStats` predictions.
 
 The paper: "the user can ask for a particular copy or let SRB choose
@@ -43,14 +42,13 @@ class PlacementContext:
     ``from_host`` is the host doing the transfer (the SRB server
     handling the op); ``size_hint`` the bytes about to move (policies
     fall back to each replica row's recorded size when absent);
-    ``stats`` the federation's :class:`PathStats` (``None`` for the
-    legacy standalone ``ReplicaSelector`` facade); ``now`` the virtual
+    ``stats`` the federation's :class:`PathStats`; ``now`` the virtual
     time, for failure-score decay.
     """
 
     resources: ResourceRegistry
     network: Network
-    stats: Optional[PathStats] = None
+    stats: PathStats
     from_host: Optional[str] = None
     size_hint: Optional[int] = None
     now: float = 0.0
@@ -69,13 +67,11 @@ class PlacementContext:
         """
         if src == dst:
             return 0.0
-        if self.stats is None:
-            return self.network.default_link.cost(nbytes)
         return self.stats.predict_s(src, dst, nbytes,
                                     fallback=self.network.default_link)
 
     def failure_score(self, src: str, dst: str) -> float:
-        if src == dst or self.stats is None:
+        if src == dst:
             return 0.0
         return self.stats.failure_score(src, dst, self.now)
 
@@ -273,6 +269,6 @@ def make_policy(name: str) -> PlacementPolicy:
         cls = _POLICY_CLASSES[name]
     except KeyError:
         raise ReplicationError(
-            f"unknown selection policy {name!r}; "
+            f"unknown placement policy {name!r}; "
             f"choose from {PLACEMENT_POLICIES}") from None
     return cls()

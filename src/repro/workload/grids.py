@@ -28,15 +28,13 @@ class StandardGrid:
     home: str             # the curator's writable home collection
 
 
-def standard_grid(selection_policy: str = "primary",
+def standard_grid(placement: str = "primary",
                   sso_enabled: bool = True,
-                  audit_enabled: bool = True,
                   tape: Optional[TapeCost] = None,
                   default_link: LinkSpec = WAN) -> StandardGrid:
     """The paper's example deployment, ready to use."""
-    fed = Federation(zone="demozone", selection_policy=selection_policy,
-                     sso_enabled=sso_enabled, audit_enabled=audit_enabled,
-                     default_link=default_link)
+    fed = Federation(zone="demozone", placement=placement,
+                     sso_enabled=sso_enabled, default_link=default_link)
     fed.add_host("sdsc", site="sdsc")
     fed.add_host("caltech", site="caltech")
     fed.add_host("laptop", site="home")

@@ -132,6 +132,9 @@ class TestBulkIngest:
     def test_control_plane_messages_constant_in_n(self, tiny_fed,
                                                   tiny_admin, home):
         net = tiny_fed.network
+        # measured on a warm session: the first touch of the resource
+        # pays one open probe whatever the batch size
+        tiny_admin.ingest(f"{home}/warm.dat", b"x")
 
         before = net.messages_sent
         tiny_admin.bulk_ingest([{"path": f"{home}/s{i}.dat", "data": b"x"}

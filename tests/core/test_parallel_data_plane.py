@@ -1,26 +1,34 @@
-"""The overlapped data plane (Federation(parallel_fanout=True)).
+"""The overlapped data plane: the only data plane there is.
 
-Logical-resource ingest fan-out, parallel replica refresh, bulk-get
-overlap and striped reads all ride on
-:class:`repro.net.simnet.TransferGroup`; these tests check both the
-correctness (same bytes, same catalog state as the serial plane) and the
-cost shape (makespan, not sum).  The rollback tests cover the satellite
-bugfix: cleanup of half-written logical-resource members is charged on
-the wire.
+Logical-resource ingest fan-out, replica refresh, bulk-get pulls and
+striped reads all ride on :class:`repro.net.simnet.TransferGroup`; these
+tests check correctness (bytes, catalog state) and the cost shape
+against the link model itself: a group is charged the **max** of its
+members' :meth:`LinkSpec.cost`, not the sum.  The member hosts sit
+behind links of different speeds so that max, sum and any single member
+are three different numbers.  The rollback tests cover cleanup of
+half-written logical-resource members being charged on the wire.
 """
 
 import pytest
 
 from repro.core import Federation, SrbClient
-from repro.errors import ResourceUnavailable
+from repro.errors import ResourceUnavailable, StorageError
+from repro.net.simnet import TRANSCON, WAN
 
 PAYLOAD = bytes(range(256)) * 4096          # 1 MiB
 
+# the uneven grid: h1 (the server) reaches h3 across the continent,
+# h2 over the default WAN link
+UNEVEN = {"h3": TRANSCON}
 
-def build_fed(n_hosts=3, **knobs):
+
+def build_fed(n_hosts=3, links=None, **knobs):
     fed = Federation(zone="z", **knobs)
     for i in range(1, n_hosts + 1):
         fed.add_host(f"h{i}")
+        if links and f"h{i}" in links:
+            fed.network.set_link("h1", f"h{i}", links[f"h{i}"])
     fed.add_server("s1", "h1", mcat=True)
     for i in range(1, n_hosts + 1):
         fed.add_fs_resource(f"r{i}", f"h{i}")
@@ -40,32 +48,77 @@ def timed(fed, fn):
     return result, fed.clock.now - t0
 
 
+def traced(fed, fn):
+    """Run ``fn`` under a trace; returns ``(result, root span)``."""
+    with fed.obs.tracer.trace("test") as root:
+        result = fn()
+    return result, root
+
+
+def member_costs(nbytes, hosts=("h2", "h3")):
+    """What the link model charges each member on the uneven grid."""
+    return [UNEVEN.get(h, WAN).cost(nbytes) for h in hosts]
+
+
+def the_group(root, label):
+    (group,) = [g for g in root.find("net.parallel.group")
+                if g.attrs["label"] == label]
+    return group
+
+
 class TestIngestFanout:
     def test_same_catalog_and_bytes_as_serial(self):
-        par_fed, par_client = build_fed(parallel_fanout=True)
-        ser_fed, ser_client = build_fed(parallel_fanout=False)
-        for client in (par_client, ser_client):
-            client.ingest("/z/w/f.dat", PAYLOAD, resource="all")
-        for fed, client in ((par_fed, par_client), (ser_fed, ser_client)):
-            obj = fed.mcat.get_object("/z/w/f.dat")
-            assert len(fed.mcat.replicas(int(obj["oid"]))) == 3
-            assert client.get("/z/w/f.dat") == PAYLOAD
+        """A fan-out ingest leaves what member-by-member writes would:
+        one replica row and one byte-identical file per member."""
+        fed, client = build_fed()
+        client.ingest("/z/w/f.dat", PAYLOAD, resource="all")
+        obj = fed.mcat.get_object("/z/w/f.dat")
+        replicas = fed.mcat.replicas(int(obj["oid"]))
+        assert [r["resource"] for r in replicas] == ["r1", "r2", "r3"]
+        for rep in replicas:
+            driver = fed.resources.physical(rep["resource"]).driver
+            assert driver.read(rep["physical_path"]) == PAYLOAD
+            assert not rep["is_dirty"]
+        assert client.get("/z/w/f.dat") == PAYLOAD
 
     def test_fanout_charges_makespan_not_sum(self):
-        par_fed, par_client = build_fed(parallel_fanout=True)
-        ser_fed, ser_client = build_fed(parallel_fanout=False)
-        _, par_t = timed(par_fed, lambda: par_client.ingest(
+        fed, client = build_fed(links=UNEVEN)
+        _, root = traced(fed, lambda: client.ingest(
             "/z/w/f.dat", PAYLOAD, resource="all"))
-        _, ser_t = timed(ser_fed, lambda: ser_client.ingest(
-            "/z/w/f.dat", PAYLOAD, resource="all"))
-        # two remote members overlap: roughly one member push saved
-        wire_one = par_fed.network.link("h1", "h2").cost(len(PAYLOAD))
-        assert ser_t - par_t == pytest.approx(wire_one, rel=0.05)
-        assert par_fed.obs.metrics.get("net.parallel.groups",
-                                       label="ingest-fanout") == 1
+        costs = member_costs(len(PAYLOAD))
+        group = the_group(root, "ingest-fanout")
+        # two remote members overlap: the slow one is the whole charge
+        assert group.duration == pytest.approx(max(costs))
+        assert group.duration < 0.9 * sum(costs)
+        assert [t.attrs["done"] - t.attrs["start"]
+                for t in group.find("net.transfer")] == pytest.approx(costs)
+        assert fed.obs.metrics.get("net.parallel.groups",
+                                   label="ingest-fanout") == 1
+        # and the op as a whole paid the group once, not per member:
+        # beyond a local-only ingest it owes the two cold probes, the
+        # makespan and two more files' worth of disk and catalog work
+        _, local_t = timed(fed, lambda: client.ingest(
+            "/z/w/local.dat", PAYLOAD, resource="r1"))
+        extra = root.duration - local_t - sum(member_costs(64))
+        assert max(costs) <= extra < max(costs) + 0.1 * min(costs)
+
+    def test_single_member_costs_its_link(self):
+        """One remote resource is a group of one: exactly the link cost
+        a plain transfer would charge."""
+        fed, client = build_fed(links=UNEVEN)
+        _, root = traced(fed, lambda: client.ingest(
+            "/z/w/one.dat", PAYLOAD, resource="r3"))
+        group = the_group(root, "ingest-fanout")
+        assert group.duration == pytest.approx(
+            TRANSCON.cost(len(PAYLOAD)))
+
+    def test_local_only_ingest_opens_no_group(self):
+        fed, client = build_fed()
+        client.ingest("/z/w/local.dat", PAYLOAD, resource="r1")
+        assert fed.obs.metrics.total("net.parallel.groups") == 0
 
     def test_down_member_fails_whole_ingest_cleanly(self):
-        fed, client = build_fed(parallel_fanout=True)
+        fed, client = build_fed()
         fed.network.set_down("h3")
         with pytest.raises(ResourceUnavailable):
             client.ingest("/z/w/f.dat", PAYLOAD, resource="all")
@@ -89,17 +142,23 @@ class TestRollbackCharged:
             assert not res.driver.exists("/half")
 
     def test_failed_serial_ingest_charges_remote_cleanup(self):
-        """End to end: member 3 down -> members 1 and 2 are rolled back,
-        and member 2's remote delete appears in net.messages."""
-        fed, client = build_fed(parallel_fanout=False)
-        fed.network.set_down("h3")
+        """End to end: the bytes reach every member, then member 3's
+        storage system refuses the file -> members 1 and 2, written
+        before it, are rolled back, and member 2's remote delete
+        appears in net.messages."""
+        fed, client = build_fed()
+
+        def refuse(path, data):
+            raise StorageError("r3: disk full")
+        fed.resources.physical("r3").driver.create = refuse
         m = fed.obs.metrics
         before = m.get("net.messages", src="h1", dst="h2")
-        with pytest.raises(ResourceUnavailable):
+        with pytest.raises(StorageError):
             client.ingest("/z/w/f.dat", PAYLOAD, resource="all")
         after = m.get("net.messages", src="h1", dst="h2")
         # session open + push + rollback delete = 3 messages to h2
         assert after - before == 3
+        assert fed.mcat.find_object("/z/w/f.dat") is None
         for name in ("r1", "r2"):
             driver = fed.resources.physical(name).driver
             assert not any("f.dat" in p for p in driver.list_dir("/"))
@@ -117,36 +176,54 @@ class TestRollbackCharged:
 
 
 class TestParallelSynchronize:
-    def _make_dirty(self, client):
-        client.ingest("/z/w/f.dat", PAYLOAD, resource="all")
+    def _make_dirty(self, client, resource="all"):
+        client.ingest("/z/w/f.dat", PAYLOAD, resource=resource)
         client.put("/z/w/f.dat", PAYLOAD[::-1])
 
     def test_refresh_correct_and_overlapped(self):
-        par_fed, par_client = build_fed(parallel_fanout=True)
-        ser_fed, ser_client = build_fed(parallel_fanout=False)
-        self._make_dirty(par_client)
-        self._make_dirty(ser_client)
-        (par_n, par_t) = timed(par_fed,
-                               lambda: par_client.synchronize("/z/w/f.dat"))
-        (ser_n, ser_t) = timed(ser_fed,
-                               lambda: ser_client.synchronize("/z/w/f.dat"))
-        assert par_n == ser_n == 2
-        assert par_t < ser_t
-        for fed in (par_fed, ser_fed):
-            obj = fed.mcat.get_object("/z/w/f.dat")
-            assert all(not r["is_dirty"]
-                       for r in fed.mcat.replicas(int(obj["oid"])))
-        assert par_fed.obs.metrics.get("net.parallel.groups",
-                                       label="synchronize") == 1
+        fed, client = build_fed(links=UNEVEN)
+        self._make_dirty(client)
+        n, root = traced(fed, lambda: client.synchronize("/z/w/f.dat"))
+        assert n == 2
+        costs = member_costs(len(PAYLOAD))
+        group = the_group(root, "synchronize")
+        assert group.duration == pytest.approx(max(costs))
+        assert group.duration < 0.9 * sum(costs)
+        obj = fed.mcat.get_object("/z/w/f.dat")
+        for rep in fed.mcat.replicas(int(obj["oid"])):
+            assert not rep["is_dirty"]
+            driver = fed.resources.physical(rep["resource"]).driver
+            assert driver.read(rep["physical_path"]) == PAYLOAD[::-1]
+        assert fed.obs.metrics.get("net.parallel.groups",
+                                   label="synchronize") == 1
 
     def test_single_dirty_member_stays_serial(self):
-        fed, client = build_fed(n_hosts=2, parallel_fanout=True)
+        """One dirty member is a group of one: it charges exactly what
+        the serial push charged, that member's link cost."""
+        fed, client = build_fed(n_hosts=2)
         fed.add_logical_resource("pair", ["r1", "r2"])
-        client.ingest("/z/w/g.dat", PAYLOAD, resource="pair")
-        client.put("/z/w/g.dat", PAYLOAD[::-1])
-        assert client.synchronize("/z/w/g.dat") == 1
-        assert fed.obs.metrics.get("net.parallel.groups",
-                                   label="synchronize") == 0
+        self._make_dirty(client, resource="pair")
+        n, root = traced(fed, lambda: client.synchronize("/z/w/f.dat"))
+        assert n == 1
+        group = the_group(root, "synchronize")
+        assert group.attrs["members"] == 1
+        assert group.duration == pytest.approx(WAN.cost(len(PAYLOAD)))
+
+
+    @pytest.mark.parametrize("direct_io", [False, True])
+    def test_partitioned_member_is_skipped_not_raised(self, direct_io):
+        """Through the client, raw legs or channels alike: the copy the
+        source cannot reach stays dirty, its sibling refreshes."""
+        fed, client = build_fed(direct_io=direct_io)
+        self._make_dirty(client)
+        fed.network.partition("h1", "h3")
+        assert client.synchronize("/z/w/f.dat") == 1
+        obj = fed.mcat.get_object("/z/w/f.dat")
+        dirty = {r["resource"]: r["is_dirty"]
+                 for r in fed.mcat.replicas(int(obj["oid"]))}
+        assert dirty == {"r1": False, "r2": False, "r3": True}
+        fed.network.heal("h1", "h3")
+        assert client.synchronize("/z/w/f.dat") == 1
 
 
 class TestBulkGetOverlap:
@@ -157,26 +234,27 @@ class TestBulkGetOverlap:
         return fed, client
 
     def test_results_identical_to_serial(self):
-        par_fed, par_client = self._setup(parallel_fanout=True)
-        ser_fed, ser_client = self._setup(parallel_fanout=False)
-        par = par_client.bulk_get(["/z/w/a.dat", "/z/w/b.dat"])
-        ser = ser_client.bulk_get(["/z/w/a.dat", "/z/w/b.dat"])
-        assert par == ser
-        assert all(r["data"] == PAYLOAD for r in par)
+        """The batch returns what one get per item returns."""
+        fed, client = self._setup()
+        targets = ["/z/w/a.dat", "/z/w/b.dat"]
+        assert client.bulk_get(targets) == [
+            {"path": path, "data": client.get(path)} for path in targets]
+        assert all(r["data"] == PAYLOAD
+                   for r in client.bulk_get(targets))
 
     def test_distinct_hosts_overlap(self):
-        par_fed, par_client = self._setup(parallel_fanout=True)
-        ser_fed, ser_client = self._setup(parallel_fanout=False)
-        _, par_t = timed(par_fed, lambda: par_client.bulk_get(
+        fed, client = self._setup(links=UNEVEN)
+        _, root = traced(fed, lambda: client.bulk_get(
             ["/z/w/a.dat", "/z/w/b.dat"]))
-        _, ser_t = timed(ser_fed, lambda: ser_client.bulk_get(
-            ["/z/w/a.dat", "/z/w/b.dat"]))
-        assert par_t < ser_t
-        assert par_fed.obs.metrics.get("net.parallel.groups",
-                                       label="bulk-get") == 1
+        costs = member_costs(len(PAYLOAD))
+        group = the_group(root, "bulk-get")
+        assert group.duration == pytest.approx(max(costs))
+        assert group.duration < 0.9 * sum(costs)
+        assert fed.obs.metrics.get("net.parallel.groups",
+                                   label="bulk-get") == 1
 
     def test_down_host_yields_per_item_error(self):
-        fed, client = self._setup(parallel_fanout=True)
+        fed, client = self._setup()
         fed.network.set_down("h3")
         results = client.bulk_get(["/z/w/a.dat", "/z/w/b.dat"])
         assert results[0]["data"] == PAYLOAD

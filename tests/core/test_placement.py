@@ -48,13 +48,6 @@ class TestFederationWiring:
     def test_default_placement_is_primary(self):
         fed, _ = build_fed()
         assert fed.placement.policy_name == "primary"
-        # legacy surface still answers
-        assert fed.selector.policy == "primary"
-
-    def test_selection_policy_still_routes_to_the_engine(self):
-        fed, _ = build_fed(selection_policy="nearest")
-        assert fed.placement.policy_name == "nearest"
-        assert fed.selector.policy == "nearest"
 
     def test_placement_knob_wins(self):
         fed, _ = build_fed(placement="observed")
@@ -128,7 +121,7 @@ class TestObservedSteering:
 
 class TestAutoStripes:
     def test_auto_get_returns_the_bytes_and_records_the_pick(self):
-        fed, client = build_fed(n_hosts=4, parallel_fanout=True)
+        fed, client = build_fed(n_hosts=4)
         # all replicas remote from the server host, so the model runs
         client.ingest("/z/w/f.dat", PAYLOAD, resource="r2")
         for r in ("r3", "r4"):
@@ -138,7 +131,7 @@ class TestAutoStripes:
         assert fed.obs.metrics.total("policy.auto_stripes") == 1
 
     def test_auto_short_circuits_on_a_local_replica(self):
-        fed, client = build_fed(parallel_fanout=True)
+        fed, client = build_fed()
         replicate_everywhere(client, "/z/w/f.dat")
         client.get("/z/w/f.dat")            # warm session caches
         # replica 1 lives on the server host: a free local read beats
@@ -157,7 +150,7 @@ class TestAutoStripes:
         assert fed.obs.metrics.total("policy.auto_stripes") == 0
 
     def test_auto_beats_the_serial_pull_on_remote_replicas(self):
-        fed, client = build_fed(n_hosts=4, parallel_fanout=True)
+        fed, client = build_fed(n_hosts=4)
         client.ingest("/z/w/f.dat", PAYLOAD, resource="r2")
         for r in ("r3", "r4"):
             client.replicate("/z/w/f.dat", r)

@@ -2,14 +2,11 @@
 
 import pytest
 
-from repro.core.replication import (
-    ReplicaSelector,
-    pick_clean_available,
-    synchronize,
-)
+from repro.core.replication import synchronize
 from repro.errors import ReplicaUnavailable, ReplicationError
 from repro.mcat import Mcat
 from repro.net.simnet import LAN, WAN, Network
+from repro.policy import PlacementEngine
 from repro.storage.memfs import MemFsDriver
 from repro.storage.resource import PhysicalResource, ResourceRegistry
 
@@ -40,28 +37,28 @@ class TestSelectorPolicies:
     def test_unknown_policy_rejected(self, env):
         net, reg = env
         with pytest.raises(ReplicationError):
-            ReplicaSelector(reg, net, policy="quantum")
+            PlacementEngine(reg, net, policy="quantum")
 
     def test_primary_order(self, env):
         net, reg = env
-        sel = ReplicaSelector(reg, net, policy="primary")
-        order = sel.order(fake_replicas())
+        sel = PlacementEngine(reg, net, policy="primary")
+        order = sel.order_replicas(fake_replicas())
         assert [r["replica_num"] for r in order] == [1, 2]
 
     def test_round_robin_rotates(self, env):
         net, reg = env
-        sel = ReplicaSelector(reg, net, policy="round-robin")
-        first = [r["replica_num"] for r in sel.order(fake_replicas())]
-        second = [r["replica_num"] for r in sel.order(fake_replicas())]
+        sel = PlacementEngine(reg, net, policy="round-robin")
+        first = [r["replica_num"] for r in sel.order_replicas(fake_replicas())]
+        second = [r["replica_num"] for r in sel.order_replicas(fake_replicas())]
         assert first != second
         assert sorted(first) == sorted(second) == [1, 2]
 
     def test_random_deterministic_and_complete(self, env):
         net, reg = env
-        sel = ReplicaSelector(reg, net, policy="random")
+        sel = PlacementEngine(reg, net, policy="random")
         seen = set()
         for _ in range(20):
-            order = [r["replica_num"] for r in sel.order(fake_replicas())]
+            order = [r["replica_num"] for r in sel.order_replicas(fake_replicas())]
             assert sorted(order) == [1, 2]
             seen.add(tuple(order))
         assert len(seen) == 2              # both rotations appear
@@ -71,65 +68,65 @@ class TestSelectorPolicies:
         rotation, which reaches only n of the n! orderings — with three
         replicas, numbers adjacent in one chain stayed adjacent in all."""
         net, reg = env
-        sel = ReplicaSelector(reg, net, policy="random")
+        sel = PlacementEngine(reg, net, policy="random")
         reps = [{"replica_num": i, "resource": "res-near",
                  "is_dirty": False, "container_oid": None,
                  "physical_path": f"/p{i}"} for i in (1, 2, 3)]
         seen = set()
         for _ in range(200):
-            seen.add(tuple(r["replica_num"] for r in sel.order(reps)))
+            seen.add(tuple(r["replica_num"] for r in sel.order_replicas(reps)))
         assert len(seen) == 6              # all 3! permutations appear
 
     def test_nearest_prefers_low_latency(self, env):
         net, reg = env
-        sel = ReplicaSelector(reg, net, policy="nearest")
-        order = sel.order(list(reversed(fake_replicas())),
+        sel = PlacementEngine(reg, net, policy="nearest")
+        order = sel.order_replicas(list(reversed(fake_replicas())),
                           from_host="client")
         assert order[0]["resource"] == "res-near"
 
     def test_nearest_without_host_falls_back(self, env):
         net, reg = env
-        sel = ReplicaSelector(reg, net, policy="nearest")
-        order = sel.order(fake_replicas())
+        sel = PlacementEngine(reg, net, policy="nearest")
+        order = sel.order_replicas(fake_replicas())
         assert [r["replica_num"] for r in order] == [1, 2]
 
     def test_empty_list(self, env):
         net, reg = env
-        sel = ReplicaSelector(reg, net)
-        assert sel.order([]) == []
+        sel = PlacementEngine(reg, net)
+        assert sel.order_replicas([]) == []
 
 
 class TestFailoverChain:
     def test_skips_dirty(self, env):
         net, reg = env
-        sel = ReplicaSelector(reg, net)
+        sel = PlacementEngine(reg, net)
         reps = fake_replicas()
         reps[0]["is_dirty"] = True
-        chain = pick_clean_available(sel, reg, reps)
+        chain = sel.failover_chain(reps)
         assert [r["replica_num"] for r in chain] == [2]
 
     def test_skips_down_resources(self, env):
         net, reg = env
-        sel = ReplicaSelector(reg, net)
+        sel = PlacementEngine(reg, net)
         net.set_down("near")
-        chain = pick_clean_available(sel, reg, fake_replicas())
+        chain = sel.failover_chain(fake_replicas())
         assert [r["replica_num"] for r in chain] == [2]
 
     def test_raises_when_nothing_left(self, env):
         net, reg = env
-        sel = ReplicaSelector(reg, net)
+        sel = PlacementEngine(reg, net)
         net.set_down("near")
         net.set_down("far")
         with pytest.raises(ReplicaUnavailable):
-            pick_clean_available(sel, reg, fake_replicas())
+            sel.failover_chain(fake_replicas())
 
     def test_allow_dirty_flag(self, env):
         net, reg = env
-        sel = ReplicaSelector(reg, net)
+        sel = PlacementEngine(reg, net)
         reps = fake_replicas()
         for r in reps:
             r["is_dirty"] = True
-        chain = pick_clean_available(sel, reg, reps, allow_dirty=True)
+        chain = sel.failover_chain(reps, allow_dirty=True)
         assert len(chain) == 2
 
 
@@ -179,3 +176,37 @@ class TestSynchronize:
         net, reg, mcat, oid = sync_env
         net.set_down("far")
         assert synchronize(mcat, reg, net, oid) == 0
+
+    @pytest.mark.parametrize("n_dirty", [1, 2])
+    def test_partitioned_target_skipped_whatever_the_dirty_count(
+            self, sync_env, n_dirty):
+        """Regression: one fault had two outcomes.  With the source cut
+        off from a dirty replica's host, a lone dirty target made the
+        whole op raise ``HostUnreachable`` while one of two was skipped
+        — and, refreshed serially, an unreachable first target also
+        aborted the refresh of its reachable siblings.  One rule: the
+        member that cannot be reached is skipped and stays dirty, the
+        others refresh, the return value is the number refreshed."""
+        net, reg, mcat, oid = sync_env
+        if n_dirty == 2:
+            # a second dirty copy, numbered after the unreachable one
+            reg.add_physical(PhysicalResource("res-client", "client",
+                                              MemFsDriver()))
+            reg.physical("res-client").driver.create("/p3", b"stale")
+            mcat.add_replica(oid, "res-client", "/p3", 5, now=0.0)
+            mcat.mark_siblings_dirty(oid, 1)
+        net.partition("near", "far")
+        failed = net.failed_attempts
+        assert synchronize(mcat, reg, net, oid) == n_dirty - 1
+        assert net.failed_attempts == failed + 1     # the timeout is paid
+        by_num = {r["replica_num"]: r for r in mcat.replicas(oid)}
+        assert by_num[2]["is_dirty"]
+        assert reg.physical("res-far").driver.read("/p2") == b"stale"
+        if n_dirty == 2:
+            assert not by_num[3]["is_dirty"]
+            assert reg.physical("res-client").driver.read("/p3") \
+                == b"fresh data"
+        # healed, the skipped copy refreshes on the next call
+        net.heal("near", "far")
+        assert synchronize(mcat, reg, net, oid) == 1
+        assert reg.physical("res-far").driver.read("/p2") == b"fresh data"

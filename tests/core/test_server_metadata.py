@@ -175,12 +175,6 @@ class TestAudit:
         assert all(e["principal"] == "sekar@sdsc" for e in log)
         assert len(log) >= 1
 
-    def test_disabled_audit_records_nothing(self, tiny_fed, tiny_admin):
-        tiny_fed.audit_enabled = False
-        before = len(tiny_fed.mcat.audit_query())
-        tiny_admin.mkcoll("/demozone/q")
-        assert len(tiny_fed.mcat.audit_query()) == before
-
 
 class TestAclAdministration:
     def test_grant_revoke_cycle(self, grid, guest):

@@ -16,28 +16,42 @@ class TestSso:
         assert g.curator.get(f"{g.home}/c") == b"x"
 
     def test_per_resource_auth_costs_messages(self):
+        """Without SSO the server runs the challenge-response against a
+        resource's own security domain: 4 extra messages on its *first*
+        touch of that resource per topology epoch, none on a repeat."""
         g_sso = standard_grid(sso_enabled=True)
         g_leg = standard_grid(sso_enabled=False)
+
+        def extra_messages(op):
+            deltas = []
+            for g in (g_sso, g_leg):
+                before = g.fed.network.messages_sent
+                op(g)
+                deltas.append(g.fed.network.messages_sent - before)
+            return deltas[1] - deltas[0]
+
+        assert extra_messages(lambda g: g.curator.ingest(
+            f"{g.home}/f", b"x", resource="unix-caltech")) == 4
+        assert extra_messages(lambda g: g.curator.get(f"{g.home}/f")) == 0
+        # another resource is another security domain
+        assert extra_messages(lambda g: g.curator.ingest(
+            f"{g.home}/h", b"x", resource="hpss-caltech")) == 4
+        # a topology change ends the epoch: the next touch is a first one
         for g in (g_sso, g_leg):
-            g.curator.ingest(f"{g.home}/f", b"x", resource="unix-caltech")
-        m_sso = g_sso.fed.network.messages_sent
-        m_leg = g_leg.fed.network.messages_sent
-        for g in (g_sso, g_leg):
-            g.curator.get(f"{g.home}/f")
-        # the legacy grid spends 4 extra auth messages on the read
-        sso_delta = g_sso.fed.network.messages_sent - m_sso
-        leg_delta = g_leg.fed.network.messages_sent - m_leg
-        assert leg_delta == sso_delta + 4
+            g.fed.network.heal("sdsc", "caltech")
+        assert extra_messages(lambda g: g.curator.get(f"{g.home}/f")) == 4
+        assert extra_messages(lambda g: g.curator.get(f"{g.home}/f")) == 0
 
     def test_per_resource_auth_costs_time(self):
         g_sso = standard_grid(sso_enabled=True)
         g_leg = standard_grid(sso_enabled=False)
         for g in (g_sso, g_leg):
             g.curator.ingest(f"{g.home}/f", b"x", resource="unix-caltech")
+            g.fed.reset_sessions()          # measure a cold touch
         t_sso = g_sso.fed.clock.now
         t_leg = g_leg.fed.clock.now
-        g_sso.curator.get(f"{g.home}/f".format(g=g_sso))
-        g_leg.curator.get(f"{g.home}/f".format(g=g_leg))
+        g_sso.curator.get(f"{g_sso.home}/f")
+        g_leg.curator.get(f"{g_leg.home}/f")
         assert (g_leg.fed.clock.now - t_leg) > (g_sso.fed.clock.now - t_sso)
 
     def test_login_is_two_round_trips(self):

@@ -8,9 +8,9 @@ issued as a remote client would (``fed.rpc.call`` from the laptop), the
 four must tell the same story — a leg charged beside the funnel is a
 leg some reader never sees.
 
-Four passes: the default pass-through grid, the direct/overlapped data
-plane (``direct_io=True, parallel_fanout=True``), and each again with
-the ``caltech`` host down so the failure funnels are walked too.
+Four passes: the default pass-through grid, the same overlapped plane
+with direct data channels (``direct_io=True``), and each again with the
+``caltech`` host down so the failure funnels are walked too.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from repro.net.simnet import LAN, TRANSCON
 from repro.storage.archive import TapeCost
 from tests.op_calls import COLL, op_calls, prepare
 
-#: Beyond the registry map: the two calls whose data legs run as one
-#: ``TransferGroup`` on the overlapped plane (logical-resource fan-out,
+#: Beyond the registry map: two calls whose data legs run as a
+#: ``TransferGroup`` of several members (logical-resource fan-out,
 #: striped read), so the grouped mode of the wire leg is walked too.
 GROUPED_CALLS = [
     ("ingest", dict(path=COLL + "/fan.dat", data=b"z" * 5000,
@@ -77,7 +77,7 @@ def ledger(fed):
 @pytest.mark.parametrize("caltech_down", [False, True],
                          ids=["healthy", "caltech-down"])
 @pytest.mark.parametrize("knobs", [
-    {}, {"direct_io": True, "parallel_fanout": True}],
+    {}, {"direct_io": True}],
     ids=["default", "direct-overlapped"])
 def test_every_op_conserves_its_charges(knobs, caltech_down):
     fed, admin = build_fed(**knobs)

@@ -5,10 +5,14 @@ section per experiment; these tests keep the promises honest as the
 benchmark suite grows.
 """
 
+import ast
+import inspect
 import os
 import re
 
 import pytest
+
+from repro.core import Federation
 
 REPO = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
@@ -72,6 +76,35 @@ class TestReadme:
         assert "pip install -e ." in text
         assert "pytest tests/" in text
         assert "pytest benchmarks/ --benchmark-only" in text
+
+
+class TestReadmeKnobTable:
+    """README's "Performance knobs" table is the constructor's
+    behaviour parameters, no more and no fewer, with their defaults."""
+
+    #: what the grid *is* (its name, its wires), not how it behaves
+    DEPLOYMENT = {"self", "zone", "default_link", "network"}
+
+    def section(self) -> str:
+        return read("README.md").split("### Performance knobs")[1] \
+            .split("\n## ")[0]
+
+    def test_rows_are_the_behaviour_parameters_with_their_defaults(self):
+        rows = re.findall(r"^\| `Federation\((\w+)=[^`]*`\s*\| `([^`]*)` \|",
+                          self.section(), flags=re.MULTILINE)
+        documented = {name: ast.literal_eval(default)
+                      for name, default in rows}
+        assert len(documented) == len(rows), "a knob is listed twice"
+        signature = inspect.signature(Federation.__init__)
+        actual = {name: param.default
+                  for name, param in signature.parameters.items()
+                  if name not in self.DEPLOYMENT}
+        assert documented == actual
+
+    def test_opening_does_not_promise_opt_in_serial_behaviour(self):
+        opening = self.section().split("|")[0].lower()
+        assert "opt-in" not in opening
+        assert "serial" not in opening
 
 
 class TestExamplesRunnable:

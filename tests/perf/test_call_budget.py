@@ -7,12 +7,18 @@ gates that cost as ``py_calls_per_op``; this guard catches a per-call
 regression in tier-1, in well under a second, without running it.
 
 Each budget is about 15 % above the count measured on CPython 3.11 when
-it was pinned (592, 449, 367 and 358; the commit before made 777, 502,
-379 and 464).  The fifth is the catalog's insert path on its own: calls
-per catalog row of one 100-object ``bulk_ingest`` (44.9; the commit
-before made 108.0), so a regression in ``Table.insert`` or in index
-upkeep fails here.  The counts do not depend on the hash seed.  A change
-that needs more should show in EXPERIMENTS.md what the calls buy.
+it was pinned (563, 417, 367 and 358; the commit before made 592, 449,
+367 and 358 — ingest and get no longer send an open probe to a resource
+the server already holds a session to).  ``ingest logical`` is the same
+ingest onto the two-member logical resource ``logrsrc1`` (one local
+member, one remote: 762 calls; the commit before made 772 in its
+serial loop), which pins the one write loop every ingest goes through — availability, sessions, the
+remote pushes as one group, create, replica row.  ``bulk_ingest row``
+is the catalog's insert path on its own: calls per catalog row of one
+100-object ``bulk_ingest`` (44.9), so a regression in ``Table.insert``
+or in index upkeep fails here.  The counts do not depend on the hash
+seed.  A change that needs more should show in EXPERIMENTS.md what the
+calls buy.
 """
 
 import cProfile
@@ -24,8 +30,8 @@ from repro.workload import standard_grid
 PAYLOAD = b"\x5a" * 4096
 
 #: op -> most Python-level calls (functions and builtins) one call may make
-BUDGET = {"ingest": 680, "get": 515, "stat": 420, "add_metadata": 410,
-          "bulk_ingest row": 52}
+BUDGET = {"ingest": 645, "get": 480, "stat": 420, "add_metadata": 410,
+          "ingest logical": 875, "bulk_ingest row": 52}
 
 
 def calls_made_by(op) -> int:
@@ -45,6 +51,8 @@ def measured():
     def ops(path):
         return {
             "ingest": lambda: client.ingest(path, PAYLOAD),
+            "ingest logical": lambda: client.ingest(
+                path + ".2", PAYLOAD, resource="logrsrc1"),
             "get": lambda: client.get(path),
             "stat": lambda: client.stat(path),
             "add_metadata": lambda: client.add_metadata(path, "band", "J"),

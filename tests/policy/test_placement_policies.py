@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.replication import ReplicaSelector
 from repro.errors import ReplicaUnavailable, ReplicationError
 from repro.net.simnet import LAN, WAN, LinkSpec, Network
 from repro.policy import (
@@ -65,33 +64,31 @@ class TestEngineBasics:
         with pytest.raises(ReplicaUnavailable):
             engine.failover_chain(reps, from_host="client")
 
-    def test_legacy_selector_facade_answers_from_engine(self):
-        net, reg = build_grid()
-        engine = PlacementEngine(reg, net, policy="round-robin")
-        sel = engine.legacy_selector
-        assert sel.policy == "round-robin"
-        first = sel.order(replicas())
-        second = engine.order_replicas(replicas())
-        # one shared rotation counter: facade call advanced it
-        assert first[0]["replica_num"] == 1
-        assert second[0]["replica_num"] == 2
-
 
 class TestStaticPoliciesMatchLegacySelector:
-    """The engine's static policies are the historical ``ReplicaSelector``
-    semantics, state machines included."""
+    """The engine's static policies keep the pre-engine selector's
+    semantics, state machines included: the sequences below were
+    recorded from that selector on this grid before it was deleted (the
+    parity recordings depend on the same orders through real gets)."""
+
+    RECORDED = {
+        "primary": [[1, 2, 3]] * 7,
+        "round-robin": [[1, 2, 3], [2, 3, 1], [3, 1, 2], [1, 2, 3],
+                        [2, 3, 1], [3, 1, 2], [1, 2, 3]],
+        "random": [[3, 2, 1], [1, 3, 2], [1, 3, 2], [1, 3, 2], [1, 2, 3],
+                   [2, 1, 3], [3, 1, 2]],
+        "nearest": [[2, 1, 3]] * 7,
+    }
 
     @pytest.mark.parametrize("policy",
                              ("primary", "round-robin", "random", "nearest"))
     def test_order_sequences_identical(self, policy):
         net, reg = build_grid(links={1: WAN, 2: LAN, 3: WAN})
         engine = PlacementEngine(reg, net, policy=policy)
-        selector = ReplicaSelector(reg, net, policy=policy)
-        for _ in range(7):
-            got = engine.order_replicas(replicas(), from_host="client")
-            want = selector.order(replicas(), from_host="client")
-            assert [r["replica_num"] for r in got] \
-                == [r["replica_num"] for r in want]
+        got = [[r["replica_num"] for r in
+                engine.order_replicas(replicas(), from_host="client")]
+               for _ in range(7)]
+        assert got == self.RECORDED[policy]
 
 
 class TestNearestTieBreak:
@@ -224,6 +221,9 @@ class TestContainerOrdering:
         assert [r["replica_num"] for r in ordered] == [2, 1, 3]
 
 
+COLD = (64,)      # one open probe owed: what a cold SSO session costs
+
+
 class TestChooseStripes:
     def _engine(self, n=8):
         net, reg = build_grid(n=n)
@@ -232,21 +232,36 @@ class TestChooseStripes:
     def test_single_candidate_never_stripes(self):
         engine, reg = self._engine()
         assert engine.choose_stripes([reg.physical("res1")], 10_000_000,
-                                     from_host="client") == 1
+                                     owed=[COLD], from_host="client") == 1
 
     def test_small_object_reads_whole(self):
         engine, reg = self._engine()
         cands = [reg.physical(f"res{i}") for i in range(1, 5)]
         # probes dominate: one WAN latency beats extra session opens
-        assert engine.choose_stripes(cands, 1000,
+        assert engine.choose_stripes(cands, 1000, owed=[COLD] * 4,
                                      from_host="client") == 1
 
     def test_large_object_recruits_multiple_paths(self):
         engine, reg = self._engine()
         cands = [reg.physical(f"res{i}") for i in range(1, 9)]
-        k = engine.choose_stripes(cands, 8 * 1024 * 1024,
+        k = engine.choose_stripes(cands, 8 * 1024 * 1024, owed=[COLD] * 8,
                                   from_host="client")
         assert k > 1
+
+    def test_candidates_that_owe_nothing_add_no_probe_term(self):
+        engine, reg = self._engine()
+        cands = [reg.physical(f"res{i}") for i in range(1, 9)]
+        size = 8 * 1024 * 1024
+        cold = engine.choose_stripes(cands, size, owed=[COLD] * 8,
+                                     from_host="client")
+        warm = engine.choose_stripes(cands, size, owed=[()] * 8,
+                                     from_host="client")
+        assert 1 < cold < warm == 8
+        # without SSO a cold session costs the handshake too
+        no_sso = engine.choose_stripes(
+            cands, size, owed=[(200, 200, 200, 200, 64)] * 8,
+            from_host="client")
+        assert no_sso < cold
 
     def test_slow_measured_path_not_recruited(self):
         engine, reg = self._engine(n=3)
@@ -257,5 +272,74 @@ class TestChooseStripes:
             engine.stats.observe_transfer("h3", "client", nbytes,
                                           nbytes / 1e4, now=0.0)
         cands = [reg.physical(f"res{i}") for i in (1, 2, 3)]
-        assert engine.choose_stripes(cands, nbytes,
+        assert engine.choose_stripes(cands, nbytes, owed=[COLD] * 3,
                                      from_host="client") == 2
+
+
+class TestAutoStripesFollowSessionState:
+    """Regression: the engine kept its own copy of the open-probe size
+    and charged one probe per candidate whether or not the server
+    already held that session.  With sessions kept alive that
+    over-counts, and ``get(stripes="auto")`` picked too few stripes.
+    The data plane now says what each candidate still owes."""
+
+    N = 8
+    PAYLOAD = b"s" * 8_000_000
+    PATH = "/z/w/big.dat"
+
+    def _grid(self):
+        from repro.core import Federation, SrbClient
+        fed = Federation(zone="z")
+        for i in range(self.N + 1):
+            fed.add_host(f"h{i}")
+        fed.add_server("s0", "h0", mcat=True)
+        for i in range(1, self.N + 1):
+            fed.add_fs_resource(f"r{i}", f"h{i}")
+        fed.bootstrap_admin()
+        client = SrbClient(fed, "h0", "s0", "srbadmin@sdsc", "hunter2")
+        client.login()
+        client.mkcoll("/z/w")
+        client.ingest(self.PATH, self.PAYLOAD, resource="r1")
+        for i in range(2, self.N + 1):
+            client.replicate(self.PATH, f"r{i}")     # leaves r{i} warm
+        return fed, client
+
+    def _read(self, fed, client, stripes, cold):
+        if cold:
+            fed.reset_sessions()
+        t0 = fed.clock.now
+        assert client.get(self.PATH, stripes=stripes) == self.PAYLOAD
+        return fed.clock.now - t0
+
+    def _auto(self, fed, client, cold):
+        """``(seconds, k picked)`` of one stripes="auto" read."""
+        before = dict(fed.obs.metrics.series("policy.auto_stripes"))
+        seconds = self._read(fed, client, "auto", cold)
+        (picked,) = [key for key, n in
+                     fed.obs.metrics.series("policy.auto_stripes").items()
+                     if n != before.get(key, 0)]
+        return seconds, int(picked.split("k=")[1].rstrip("}"))
+
+    @pytest.mark.parametrize("cold", [False, True], ids=["warm", "cold"])
+    def test_auto_lands_on_the_hand_swept_knee(self, cold):
+        fed, client = self._grid()
+        hand = {k: self._read(fed, client, k, cold)
+                for k in range(2, self.N + 1)}
+        seconds, picked = self._auto(fed, client, cold)
+        assert seconds <= min(hand.values()) * 1.10
+        if not cold:
+            # no probe term: more paths only ever shrink the chunk
+            assert picked == self.N == min(hand, key=hand.get)
+
+    def test_reset_sessions_brings_the_probe_term_back(self):
+        fed, client = self._grid()
+        _, warm_pick = self._auto(fed, client, cold=False)
+        cold_s, cold_pick = self._auto(fed, client, cold=True)
+        assert warm_pick == self.N
+        assert 1 < cold_pick < warm_pick
+        # the cold read re-opened the sessions of the stripes it used:
+        # the same read again owes nothing for them
+        again_s, again_pick = self._auto(fed, client, cold=False)
+        assert again_pick >= cold_pick
+        assert cold_s - again_s == pytest.approx(
+            cold_pick * fed.network.default_link.cost(64), rel=0.05)

@@ -99,5 +99,5 @@ class TestStandardGrid:
         assert sum(1 for n in names if n.endswith(".hdr")) == 2
 
     def test_selection_policy_plumbed(self):
-        g = standard_grid(selection_policy="round-robin")
-        assert g.fed.selector.policy == "round-robin"
+        g = standard_grid(placement="round-robin")
+        assert g.fed.placement.policy_name == "round-robin"

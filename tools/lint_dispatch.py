@@ -38,13 +38,11 @@ server architecture" and "Placement policy engine"):
 
 5. **Replica choice goes through the placement engine.**  Ordering or
    filtering replicas is ``repro.policy``'s job; code elsewhere in
-   ``src/repro`` that instantiates the legacy ``ReplicaSelector``, calls
-   ``pick_clean_available`` directly, reaches for a federation's raw
-   ``.selector`` attribute, or hand-sorts rows by ``"replica_num"``
-   re-opens the seam the engine closed — such code would not see the
-   observed-stats policy, quarantine or auto-striping.  The legacy
-   facade files that *define* the compatibility surface are allowlisted;
-   the allowlist is frozen and must only ever shrink.
+   ``src/repro`` that hand-sorts rows by ``"replica_num"`` re-opens the
+   seam the engine closed — such code would not see the observed-stats
+   policy, quarantine or auto-striping.  The one allowlisted file sorts
+   catalog rows into their canonical order, which is not a choice; the
+   allowlist is frozen and must only ever shrink.
 
 6. **Byte movement in plane code goes through the channel helpers.**
    A handler calling ``self.network.transfer(...)`` directly bypasses
@@ -235,19 +233,12 @@ def check_query_ops_paged() -> List[str]:
     return errors + _stale("UNBOUNDED_LEGACY_OPS", UNBOUNDED_LEGACY_OPS, used)
 
 
-#: Legacy facade files allowed to touch the pre-engine selection
-#: surface: the facade itself and the federation module that wires the
-#: engine + compat adapter.  Frozen: entries may be removed as facades
-#: retire, never added.
+#: Files outside ``repro.policy`` allowed to sort by replica number.
+#: Frozen: entries may be removed, never added.
 PLACEMENT_SEAM_ALLOWLIST = {
-    "src/repro/core/replication.py",
-    "src/repro/core/federation.py",
     # canonical catalog row order, not a placement choice
     "src/repro/mcat/catalog.py",
 }
-
-#: Names whose appearance outside repro.policy marks an ad-hoc chooser.
-PLACEMENT_SEAM_NAMES = {"ReplicaSelector", "pick_clean_available"}
 
 
 def check_placement_seam() -> List[str]:
@@ -262,24 +253,12 @@ def check_placement_seam() -> List[str]:
         found = []
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name) \
-                    and node.id in PLACEMENT_SEAM_NAMES:
-                found.append(
-                    f"{rel}:{node.lineno}: {node.id} outside "
-                    f"repro.policy — route the choice through the "
-                    f"federation's PlacementEngine")
-            elif isinstance(node, ast.Attribute) \
-                    and node.attr == "selector":
-                found.append(
-                    f"{rel}:{node.lineno}: .selector attribute access "
-                    f"— the adapter exists for external callers only; "
-                    f"internal code uses the PlacementEngine")
-            elif (isinstance(node, ast.Call)
-                  and isinstance(node.func, ast.Name)
-                  and node.func.id == "sorted"
-                  and any(isinstance(sub, ast.Constant)
-                          and sub.value == "replica_num"
-                          for sub in ast.walk(node))):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "sorted"
+                    and any(isinstance(sub, ast.Constant)
+                            and sub.value == "replica_num"
+                            for sub in ast.walk(node))):
                 found.append(
                     f"{rel}:{node.lineno}: ad-hoc sorted(...) by "
                     f"'replica_num' — replica ordering belongs to "
