@@ -212,26 +212,25 @@ class MetadataService(PlaneService):
               include_system: bool = False,
               limit: Optional[int] = None,
               strategy: str = "auto") -> QueryResult:
-        """Attribute search under ``scope``; results are filtered to
-        objects the caller may read."""
+        """Attribute search under ``scope``; only objects the caller may
+        read are returned, and only those count toward ``limit``."""
         principal = ctx.principal
         self.access.require_collection(principal, scope, "read")
         result = search(self.mcat, scope, conditions,
                         include_annotations=include_annotations,
                         include_system=include_system, limit=limit,
-                        strategy=strategy)
-        visible_rows = []
-        for row in result.rows:
-            obj = self.mcat.find_object(str(row[0]))
-            if obj is not None and self.access.can_object(principal, obj,
-                                                          "read"):
-                visible_rows.append(row)
-        result.rows = visible_rows
+                        strategy=strategy,
+                        visible=self._readable_by(principal))
         ctx.audit(detail=f"{len(conditions)} conds, "
-                         f"{len(visible_rows)} hits")
+                         f"{len(result.rows)} hits")
         if ctx.span is not None:
-            ctx.span.incr("rows", len(visible_rows))
+            ctx.span.incr("rows", len(result.rows))
         return result
+
+    def _readable_by(self, principal):
+        """The ACL filter the query engine applies to the object rows it
+        holds: rows in, one may-read verdict per row out."""
+        return lambda objs: self.access.can_objects(principal, objs, "read")
 
     @rpc_op("query_page", scope_arg="scope", forwardable=True,
             audit="query", span_args=("scope",))
@@ -245,28 +244,22 @@ class MetadataService(PlaneService):
 
         Returns ``{"columns", "rows", "next_cursor"}``; feed
         ``next_cursor`` back (or stream via ``SrbClient.iter_query``)
-        for the rest.  ACL filtering applies within the page, so a page
-        may carry fewer than ``limit`` visible rows while the cursor
-        still advances past everything scanned — no visible row is ever
-        skipped or duplicated.
+        for the rest.  Only objects the caller may read are returned and
+        a page closes at ``limit`` of them; the cursor is the last row
+        delivered, so no visible row is ever skipped or duplicated.
         """
         principal = ctx.principal
         self.access.require_collection(principal, scope, "read")
         page = search_page(self.mcat, scope, conditions,
                            include_annotations=include_annotations,
                            include_system=include_system,
-                           limit=limit, cursor=cursor)
-        visible_rows = []
-        for row in page.rows:
-            obj = self.mcat.find_object(str(row[0]))
-            if obj is not None and self.access.can_object(principal, obj,
-                                                          "read"):
-                visible_rows.append(row)
+                           limit=limit, cursor=cursor,
+                           visible=self._readable_by(principal))
         ctx.audit(detail=f"{len(conditions)} conds, "
-                         f"{len(visible_rows)} hits (page)")
+                         f"{len(page.rows)} hits (page)")
         if ctx.span is not None:
-            ctx.span.incr("rows", len(visible_rows))
-        return {"columns": page.columns, "rows": visible_rows,
+            ctx.span.incr("rows", len(page.rows))
+        return {"columns": page.columns, "rows": page.rows,
                 "next_cursor": page.next_cursor}
 
     @rpc_op("queryable_attrs", scope_arg="scope", forwardable=True)

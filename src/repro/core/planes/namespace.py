@@ -6,7 +6,8 @@ and uniformly refuse foreign-zone paths at the zone stage."""
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from itertools import compress
+from typing import Any, Dict, List, Optional
 
 from repro.auth.users import Principal
 from repro.core.dispatch import OpContext, rpc_op
@@ -57,13 +58,19 @@ class NamespaceService(PlaneService):
             raise NoSuchCollection(f"no collection {path!r}")
         self.access.require_collection(principal, path, "read")
         colls = [c["path"] for c in self.mcat.child_collections(path)]
-        objs = []
-        for obj in self.mcat.objects_in_collection(path):
-            if self.access.can_object(principal, obj, "read"):
-                objs.append({k: obj[k] for k in
-                             ("path", "name", "kind", "data_type", "owner",
-                              "size", "version", "modified_at")})
-        return {"collections": colls, "objects": objs}
+        return {"collections": colls,
+                "objects": self._listed(
+                    principal, self.mcat.objects_in_collection(path))}
+
+    def _listed(self, principal: Principal,
+                rows: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
+        """The listing entries of the object ``rows`` that ``principal``
+        may read."""
+        readable = self.access.can_objects(principal, rows, "read")
+        return [{k: obj[k] for k in
+                 ("path", "name", "kind", "data_type", "owner", "size",
+                  "version", "modified_at")}
+                for obj in compress(rows, readable)]
 
     @rpc_op("list_collection_page", scope_arg="path", forwardable=True)
     def list_collection_page(self, ctx: OpContext, path: str,
@@ -114,14 +121,9 @@ class NamespaceService(PlaneService):
 
         rows, nc = self.mcat.objects_in_collection_page(
             path, cursor=obj_cursor, limit=room, recursive=False)
-        objs = []
-        for obj in rows:
-            if self.access.can_object(principal, obj, "read"):
-                objs.append({k: obj[k] for k in
-                             ("path", "name", "kind", "data_type", "owner",
-                              "size", "version", "modified_at")})
         next_cursor = ("o:" + nc) if nc is not None else None
-        return {"collections": colls, "objects": objs,
+        return {"collections": colls,
+                "objects": self._listed(principal, rows),
                 "next_cursor": next_cursor}
 
     def _list_shadow(self, principal: Principal, shadow: Dict[str, Any],

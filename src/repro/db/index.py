@@ -12,13 +12,21 @@ Two flavours, matching what the MCAT query planner needs:
 
 NULLs are never indexed for ranges (SQL semantics: comparisons with NULL
 are unknown), but hash indexes do store them so ``IS NULL``-style equality
-checks stay cheap.
+checks stay cheap.  NaN is kept out of sorted indexes for the same reason
+and a harder one: it compares false with everything, itself included, so
+one NaN entry would break the order ``bisect`` relies on.
+
+:class:`PairIndex`
+    a sorted index over a *pair* of columns, e.g. ``(attr, value_num)``:
+    entries sort by the first column, then the second, so one attribute's
+    values are one contiguous, ordered run — the run starts at the
+    one-member bound ``(attr,)``, which sorts before every ``(attr, x)``.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.errors import DatabaseError
 
@@ -72,7 +80,8 @@ class SortedIndex:
     name leads so that values of different types never meet in a
     comparison (each type sorts as its own run).
     :class:`~repro.db.table.Table` inserts such entries into ``_keys``
-    itself, through its row plan; :meth:`_entry` is their one definition.
+    itself, through its row plan; :meth:`_entry` is their one definition
+    and :func:`sortable` the one rule for what gets one.
     """
 
     def __init__(self):
@@ -83,17 +92,42 @@ class SortedIndex:
         return ((1, type(value).__name__), value, rid)
 
     def add(self, value: Any, rid: int) -> None:
-        if value is None:
-            return  # NULL never participates in range scans
-        bisect.insort(self._keys, self._entry(value, rid))
+        if sortable(value):
+            bisect.insort(self._keys, self._entry(value, rid))
 
     def remove(self, value: Any, rid: int) -> None:
-        if value is None:
+        if not sortable(value):
             return
         entry = self._entry(value, rid)
         pos = bisect.bisect_left(self._keys, entry)
         if pos < len(self._keys) and self._keys[pos] == entry:
             self._keys.pop(pos)
+
+    def _floor(self, value: Any) -> tuple:
+        """A key that sorts just before every entry of ``value``."""
+        return self._entry(value, -1)
+
+    def _ceiling(self, value: Any) -> tuple:
+        """A key that sorts just after every entry of ``value``."""
+        return self._entry(value, 2**62)
+
+    def _bounds(self, lo: Any, hi: Any, lo_incl: bool,
+                hi_incl: bool) -> Tuple[int, int]:
+        """Positions in ``_keys`` of the first entry inside [lo, hi] and
+        of the first one past it."""
+        if lo is None:
+            start = 0
+        elif lo_incl:
+            start = bisect.bisect_left(self._keys, self._floor(lo))
+        else:
+            start = bisect.bisect_right(self._keys, self._ceiling(lo))
+        if hi is None:
+            stop = len(self._keys)
+        elif hi_incl:
+            stop = bisect.bisect_right(self._keys, self._ceiling(hi))
+        else:
+            stop = bisect.bisect_left(self._keys, self._floor(hi))
+        return start, max(start, stop)
 
     def range(self, lo: Any = None, hi: Any = None,
               lo_incl: bool = True, hi_incl: bool = True,
@@ -104,24 +138,58 @@ class SortedIndex:
         order — the keyset-pagination primitive: a page touches only the
         entries it returns, not the whole qualifying range.
         """
-        if lo is not None:
-            lo_entry = self._entry(lo, -1 if lo_incl else 2**62)
-            start = (bisect.bisect_left if lo_incl else bisect.bisect_right)(
-                self._keys, lo_entry)
-        else:
-            start = 0
-        if hi is not None:
-            hi_entry = self._entry(hi, 2**62 if hi_incl else -1)
-            stop = (bisect.bisect_right if hi_incl else bisect.bisect_left)(
-                self._keys, hi_entry)
-        else:
-            stop = len(self._keys)
+        start, stop = self._bounds(lo, hi, lo_incl, hi_incl)
         if limit is not None:
             stop = min(stop, start + max(0, int(limit)))
-        return [rid for *_k, rid in self._keys[start:stop]]
+        return [entry[-1] for entry in self._keys[start:stop]]
+
+    def count(self, lo: Any = None, hi: Any = None,
+              lo_incl: bool = True, hi_incl: bool = True) -> int:
+        """How many entries :meth:`range` would return: two bisects, no
+        entry read — what a planner may ask before it decides to probe."""
+        start, stop = self._bounds(lo, hi, lo_incl, hi_incl)
+        return stop - start
 
     def __len__(self) -> int:
         return len(self._keys)
+
+
+class PairIndex(SortedIndex):
+    """Range index over the values of two columns, as a pair.
+
+    Entries are flat ``(first, second, rid)`` tuples — no type tag: both
+    members come out of typed columns, so each compares with its like.
+    Values and bounds are tuples.  A bound may be the one-member prefix
+    ``(first,)``, which sorts before every ``(first, x)``, but only where
+    "before" is what is asked of it: an inclusive ``lo`` or an exclusive
+    ``hi`` (for "up to the end of ``first``'s run", an exclusive ``hi``
+    of the next possible ``first`` does it).
+    """
+
+    @staticmethod
+    def _entry(value: tuple, rid: int) -> tuple:
+        return value + (rid,)
+
+    def _floor(self, value: tuple) -> tuple:
+        return value        # a prefix sorts before whatever extends it
+
+    def _ceiling(self, value: tuple) -> tuple:
+        if len(value) != 2:
+            raise DatabaseError(
+                f"a one-member bound {value!r} can only open a range "
+                "(inclusive lo, exclusive hi)")
+        return value + (2**62,)
+
+
+def sortable(value: Any) -> bool:
+    """Does ``value`` get an entry in a sorted index?  Not NULL, not NaN,
+    and not a tuple (a several-column key) with either among its members."""
+    if type(value) is tuple:
+        for member in value:
+            if member is None or member != member:
+                return False
+        return True
+    return value is not None and value == value
 
 
 def _hashable(value: Any) -> Any:

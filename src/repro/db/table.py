@@ -26,16 +26,25 @@ runs inserts off it: a value of the column's exact Python type is stored
 as is, an index entry is one ``set.add`` or one ``insort``.  Every other
 value goes through :meth:`Column.check`, which stays the one definition
 of what a column accepts.
+
+A sorted index may cover a *pair* of columns
+(:meth:`Table.create_sorted_index`): its key is the tuple of the two
+values, it is named by the tuple of the two column names wherever a
+single-column index is named by its column (``lookup_range``,
+``count_range``, ``drop_index``), and a row with a NULL or NaN in either
+column has no entry in it.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import DatabaseError
-from repro.db.index import HashIndex, SortedIndex, _hashable
+from repro.db.index import HashIndex, PairIndex, SortedIndex, _hashable, \
+    sortable
 
 # Supported column types and their Python representations.
 _TYPES: Dict[str, tuple] = {
@@ -50,6 +59,10 @@ _TYPES: Dict[str, tuple] = {
 # unchanged; the row plan stores those without calling it.
 _EXACT: Dict[str, type] = {"INT": int, "FLOAT": float, "TEXT": str,
                            "BLOB": bytes, "BOOL": bool}
+
+# What names an index: a column, or the pair of columns of a sorted index
+# over both.
+IndexKey = Union[str, Tuple[str, str]]
 
 
 @dataclass(frozen=True)
@@ -118,11 +131,13 @@ class Table:
         # read on every insert, so kept rather than derived each time
         self._known = self._offset.keys()
         self._width = len(names)
+        # iter_values' readers, one per tuple of columns ever asked for
+        self._pickers: Dict[Tuple[str, ...], itemgetter] = {}
         self.primary_key = primary_key
         self._rows: List[Optional[list]] = []
         self._live = 0
         self._hash_indexes: Dict[str, HashIndex] = {}
-        self._sorted_indexes: Dict[str, SortedIndex] = {}
+        self._sorted_indexes: Dict[IndexKey, SortedIndex] = {}
         # Scan accounting for the query-cost model (rows touched): this
         # table's own count, and the counter shared with its database.
         self.rows_scanned = 0
@@ -156,13 +171,20 @@ class Table:
                   for n, idx in self._hash_indexes.items()]
         self._hash_plan = tuple(entry for _unique, entry in hashed)
         self._unique_plan = tuple(entry for unique, entry in hashed if unique)
-        # (offset, sorted key list, exact type, the sort tag of that type)
+        # (offset, sorted key list, exact type, the sort tag of that type),
+        # and for an index over a pair (both offsets, sorted key list)
         ranged = []
+        self._pair_indexes = tuple(
+            (n, sidx, self._offset[n[0]], self._offset[n[1]])
+            for n, sidx in self._sorted_indexes.items() if type(n) is tuple)
         for n, sidx in self._sorted_indexes.items():
-            exact = _EXACT[self._col(n).type]
-            ranged.append((self._offset[n], sidx._keys, exact,
-                           (1, exact.__name__)))
+            if type(n) is str:
+                exact = _EXACT[self._col(n).type]
+                ranged.append((self._offset[n], sidx._keys, exact,
+                               (1, exact.__name__)))
         self._sorted_plan = tuple(ranged)
+        self._pair_plan = tuple((off, off2, sidx._keys) for _key, sidx, off,
+                                off2 in self._pair_indexes)
 
     # -- schema helpers -------------------------------------------------------
 
@@ -183,12 +205,17 @@ class Table:
 
     # -- indexing ----------------------------------------------------------
 
-    def _backfill(self, index, column: str):
-        """Feed every live row's ``column`` value to a fresh index."""
-        off = self._offset[column]
+    def _indexed_value(self, row: list, key: IndexKey) -> Any:
+        """What an index named ``key`` files ``row`` under."""
+        if type(key) is tuple:
+            return row[self._offset[key[0]]], row[self._offset[key[1]]]
+        return row[self._offset[key]]
+
+    def _backfill(self, index, key: IndexKey):
+        """Feed every live row's ``key`` value to a fresh index."""
         for rid, row in enumerate(self._rows):
             if row is not None:
-                index.add(row[off], rid)
+                index.add(self._indexed_value(row, key), rid)
         return index
 
     def create_index(self, column: str, unique: bool = False,
@@ -207,15 +234,27 @@ class Table:
                 SortedIndex(), column)
         self._replan()
 
-    def drop_index(self, column: str) -> None:
+    def create_sorted_index(self, first: str, second: str) -> None:
+        """Create a sorted index over the pair ``(first, second)`` — no
+        hash index with it.  Rows sort by ``first``, then ``second``, so
+        ``lookup_range((first, second), lo=(a,), hi=(a, x))`` is "``first``
+        is ``a`` and ``second`` is at most ``x``" in one probe."""
+        key = (self._col(first).name, self._col(second).name)
+        if key not in self._sorted_indexes:
+            self._sorted_indexes[key] = self._backfill(PairIndex(), key)
+        self._replan()
+
+    def drop_index(self, column: IndexKey) -> None:
         if self.primary_key == column:
             raise DatabaseError("cannot drop primary-key index")
         self._hash_indexes.pop(column, None)
         self._sorted_indexes.pop(column, None)
         self._replan()
 
-    def indexed_columns(self) -> List[str]:
-        return sorted(set(self._hash_indexes) | set(self._sorted_indexes))
+    def indexed_columns(self) -> List[IndexKey]:
+        """Every column, and every pair of columns, that has an index."""
+        return sorted(set(self._hash_indexes) | set(self._sorted_indexes),
+                      key=str)
 
     # -- mutation -----------------------------------------------------------
 
@@ -261,9 +300,15 @@ class Table:
                 hmap[key] = {rid}
         for off, keys, exact, tag in self._sorted_plan:
             value = row[off]
-            if value is not None:      # NULL never participates in range scans
+            # NULL and NaN never participate in range scans (index.sortable)
+            if value is not None and value == value:
                 insort(keys, (tag, value, rid) if type(value) is exact
                        else SortedIndex._entry(value, rid))
+        for off, off2, keys in self._pair_plan:
+            value, value2 = row[off], row[off2]
+            if value is not None and value2 is not None \
+                    and value == value and value2 == value2:
+                insort(keys, (value, value2, rid))
         if self.observer is not None:
             self.observer(self.name, "insert", rid, dict(zip(self._names, row)))
         return rid
@@ -285,6 +330,11 @@ class Table:
                 raise DatabaseError(
                     f"unique index violation for value {_hashable(new)!r}")
             applied[cname] = new
+        # an index over a pair moves the row if either column changed
+        moved = [(sidx, off, off2, (row[off], row[off2]))
+                 for key, sidx, off, off2 in self._pair_indexes
+                 if not applied.keys().isdisjoint(key)] \
+            if self._pair_indexes else ()
         for cname, new in applied.items():
             off = self._offset[cname]
             old, row[off] = row[off], new
@@ -294,6 +344,9 @@ class Table:
             if cname in self._sorted_indexes:
                 self._sorted_indexes[cname].remove(old, rid)
                 self._sorted_indexes[cname].add(new, rid)
+        for sidx, off, off2, old in moved:
+            sidx.remove(old, rid)
+            sidx.add((row[off], row[off2]), rid)
         if self.observer is not None:
             self.observer(self.name, "update", rid, applied)
 
@@ -301,8 +354,11 @@ class Table:
         row = self._get_live(rid)
         for cname, idx in self._hash_indexes.items():
             idx.remove(row[self._offset[cname]], rid)
-        for cname, sidx in self._sorted_indexes.items():
-            sidx.remove(row[self._offset[cname]], rid)
+        for key, sidx in self._sorted_indexes.items():
+            if type(key) is str:
+                sidx.remove(row[self._offset[key]], rid)
+        for _key, sidx, off, off2 in self._pair_indexes:
+            sidx.remove((row[off], row[off2]), rid)
         self._rows[rid] = None
         self._live -= 1
         if self.observer is not None:
@@ -356,7 +412,7 @@ class Table:
                 out.append(rid)
         return out
 
-    def lookup_range(self, column: str, lo: Any = None, hi: Any = None,
+    def lookup_range(self, column: IndexKey, lo: Any = None, hi: Any = None,
                      lo_incl: bool = True, hi_incl: bool = True,
                      limit: Optional[int] = None) -> List[int]:
         """Row ids where ``lo <(=) column <(=) hi``, via sorted index if any.
@@ -365,7 +421,8 @@ class Table:
         charged to scan accounting (keyset pages stay O(page), not
         O(range)); results come back in value order.  Without an index the
         fallback scan charges every row it examines, limit or not, and
-        returns ids in heap order.
+        returns ids in heap order.  ``column`` may name a pair of columns
+        (bounds are then tuples, compared member by member).
         """
         if column in self._sorted_indexes:
             rids = self._sorted_indexes[column].range(lo, hi, lo_incl,
@@ -374,11 +431,10 @@ class Table:
             self.rows_scanned += n
             self.scan_counter.total += n
             return rids
-        off = self._offset[column]
         out = []
         for rid in self.scan():
-            v = self._rows[rid][off]
-            if v is None:
+            v = self._indexed_value(self._rows[rid], column)
+            if not sortable(v):
                 continue
             if lo is not None and (v < lo or (v == lo and not lo_incl)):
                 continue
@@ -388,6 +444,37 @@ class Table:
             if limit is not None and len(out) >= limit:
                 break
         return out
+
+    def count_range(self, column: IndexKey, lo: Any = None, hi: Any = None,
+                    lo_incl: bool = True, hi_incl: bool = True) -> int:
+        """How many rows :meth:`lookup_range` would return.  A sorted index
+        answers from two bisects and charges nothing — no row is read;
+        without one the rows have to be scanned, and are charged."""
+        if column in self._sorted_indexes:
+            return self._sorted_indexes[column].count(lo, hi, lo_incl,
+                                                      hi_incl)
+        return len(self.lookup_range(column, lo, hi, lo_incl, hi_incl))
+
+    def distinct(self, column: str) -> List[Any]:
+        """The distinct values of ``column``: the keys of its hash index
+        (uncharged, no row is read), else a charged scan."""
+        if column in self._hash_indexes:
+            return list(self._hash_indexes[column]._map)
+        off = self._offset[column]
+        return list({_hashable(self._rows[rid][off]): None
+                     for rid in self.scan()})
+
+    def iter_values(self, rids: Sequence[int],
+                    columns: Tuple[str, ...]) -> Iterator[tuple]:
+        """``columns`` (two or more) of each live row in ``rids``, as
+        tuples, read lazily — a whole probe's rows in one call, and a
+        caller that stops early reads no further.  Charges nothing: the
+        lookup that produced ``rids`` already did."""
+        pick = self._pickers.get(columns)
+        if pick is None:
+            pick = self._pickers[columns] = itemgetter(
+                *[self._offset[c] for c in columns])
+        return map(pick, map(self._rows.__getitem__, rids))
 
     def all_rows(self) -> List[Dict[str, Any]]:
         return [self.row_dict(rid) for rid in self.scan()]
@@ -429,6 +516,6 @@ class Table:
         for cname, idx in self._hash_indexes.items():
             self._hash_indexes[cname] = self._backfill(
                 HashIndex(unique=idx.unique), cname)
-        for cname in self._sorted_indexes:
-            self._sorted_indexes[cname] = self._backfill(SortedIndex(), cname)
+        for key, sidx in self._sorted_indexes.items():
+            self._sorted_indexes[key] = self._backfill(type(sidx)(), key)
         self._replan()

@@ -18,6 +18,7 @@ latencies (and dominates them in the E4 scaling experiment).
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.db import Database
@@ -68,6 +69,16 @@ def apply_structural(reqs: Sequence[Dict[str, Any]],
     if missing:
         raise MandatoryMetadataMissing(missing)
     return effective
+
+
+def subtree_path_range(coll: str,
+                       cursor: Optional[str] = None) -> Tuple[str, str]:
+    """The objects under ``coll``, at any depth, as an open range of the
+    sorted ``objects.path`` index: exactly the paths between ``coll + "/"``
+    and ``coll + "0"`` ("0" is the character after "/").  A keyset
+    ``cursor`` (the last path already delivered) replaces the lower end."""
+    prefix = coll.rstrip("/") + "/"
+    return (cursor if cursor is not None else prefix), prefix[:-1] + "0"
 
 
 def _num(value: Optional[str]) -> Optional[float]:
@@ -422,11 +433,11 @@ class Mcat:
             if not recursive:
                 rows = [t.row_dict(r) for r in t.lookup_eq("coll", coll)]
             else:
-                rows = []
-                for rid in t.scan():
-                    row = t.row_dict(rid)
-                    if row["coll"] == coll or paths.is_ancestor(coll, row["coll"]):
-                        rows.append(row)
+                # stored paths are normalized: below coll is a prefix test
+                below = coll.rstrip("/") + "/"
+                rows = [row for row in map(t.row_dict, t.scan())
+                        if row["coll"] == coll
+                        or row["coll"].startswith(below)]
             return sorted(rows, key=lambda r: r["path"])
 
     def objects_in_collection_page(self, coll: str,
@@ -438,12 +449,12 @@ class Mcat:
         """One path-ordered page of a collection's contents.
 
         Keyset pagination over the sorted ``objects.path`` index: the
-        subtree of ``coll`` is exactly the lexicographic path range
-        ``(coll + "/", coll + "0")`` ("0" is the character after "/"),
-        and a page seeks strictly past ``cursor`` (the last path the
-        previous page delivered) — so each page is one charged catalog
-        op touching O(page) rows, where the materializing
-        :meth:`objects_in_collection` charges the whole subtree at once.
+        subtree of ``coll`` is one lexicographic path range
+        (:func:`subtree_path_range`), and a page seeks strictly past
+        ``cursor`` (the last path the previous page delivered) — so each
+        page is one charged catalog op touching O(page) rows, where the
+        materializing :meth:`objects_in_collection` charges the whole
+        subtree at once.
 
         With ``recursive=False`` only direct children are delivered;
         rows of nested sub-collections inside the scanned range are
@@ -454,9 +465,7 @@ class Mcat:
         with self._charged():
             coll = paths.normalize(coll)
             t = self.db.table("objects")
-            prefix = coll.rstrip("/") + "/"
-            hi = prefix[:-1] + "0"
-            lo = cursor if cursor is not None else prefix
+            lo, hi = subtree_path_range(coll, cursor)
             page_limit = max(1, int(limit))
             out: List[Dict[str, Any]] = []
             next_cursor: Optional[str] = None
@@ -702,18 +711,23 @@ class Mcat:
             return [self._insert_metadata_row(by=by, now=now, **spec)
                     for spec in full]
 
+    def _target_rows(self, table: str, order_by: str, target_kind: str,
+                     target_id: int) -> List[Dict[str, Any]]:
+        """Rows of a ``(target_kind, target_id)``-keyed table attached to
+        one target, in minting order."""
+        t = self.db.table(table)
+        rows = [row for row in map(t.row_dict,
+                                   t.lookup_eq("target_id", target_id))
+                if row["target_kind"] == target_kind]
+        rows.sort(key=itemgetter(order_by))
+        return rows
+
     def _metadata_rows(self, target_kind: str, target_id: int,
                        meta_class: Optional[str]) -> List[Dict[str, Any]]:
-        t = self.db.table("metadata")
-        rows = []
-        for rid in t.lookup_eq("target_id", target_id):
-            row = t.row_dict(rid)
-            if row["target_kind"] != target_kind:
-                continue
-            if meta_class is not None and row["meta_class"] != meta_class:
-                continue
-            rows.append(row)
-        return sorted(rows, key=lambda r: r["mid"])
+        rows = self._target_rows("metadata", "mid", target_kind, target_id)
+        if meta_class is not None:
+            rows = [r for r in rows if r["meta_class"] == meta_class]
+        return rows
 
     def get_metadata(self, target_kind: str, target_id: int,
                      meta_class: Optional[str] = None) -> List[Dict[str, Any]]:
@@ -728,6 +742,27 @@ class Mcat:
         with self._charged():
             return [self._metadata_rows(kind, tid, meta_class)
                     for kind, tid in targets]
+
+    def metadata_values_bulk(self, targets: Sequence[Any], attrs
+                             ) -> List[Dict[str, List[Tuple[Any, Any]]]]:
+        """What a query looks at of N targets' metadata, under one charged
+        block: per target ``{attr: [(value, value_num), ...]}`` for the
+        attributes in ``attrs`` only, an attribute's values in minting
+        order.  Reads five columns of each triple where
+        :meth:`get_metadata_bulk` builds every row whole."""
+        with self._charged():
+            t = self.db.table("metadata")
+            out = []
+            for target_kind, target_id in targets:
+                vals: Dict[str, List[Tuple[Any, Any]]] = {}
+                for _mid, kind, attr, value, num in sorted(t.iter_values(
+                        t.lookup_eq("target_id", target_id),
+                        ("mid", "target_kind", "attr", "value",
+                         "value_num"))):
+                    if kind == target_kind and attr in attrs:
+                        vals.setdefault(attr, []).append((value, num))
+                out.append(vals)
+            return out
 
     def update_metadata(self, mid: int, value: Optional[str],
                         units: Optional[str] = None) -> None:
@@ -834,10 +869,16 @@ class Mcat:
     def annotations_for(self, target_kind: str,
                         target_id: int) -> List[Dict[str, Any]]:
         with self._charged():
-            t = self.db.table("annotations")
-            rows = [t.row_dict(r) for r in t.lookup_eq("target_id", target_id)
-                    if t.row_dict(r)["target_kind"] == target_kind]
-            return sorted(rows, key=lambda r: r["aid"])
+            return self._target_rows("annotations", "aid", target_kind,
+                                     target_id)
+
+    def annotations_for_bulk(self, targets: Sequence[Any]
+                             ) -> List[List[Dict[str, Any]]]:
+        """:meth:`annotations_for` of N ``(target_kind, target_id)`` pairs
+        under one charged block."""
+        with self._charged():
+            return [self._target_rows("annotations", "aid", kind, tid)
+                    for kind, tid in targets]
 
     def delete_annotation(self, aid: int) -> None:
         with self._charged():
@@ -878,9 +919,16 @@ class Mcat:
 
     def grants_for(self, target_kind: str, target_id: int) -> List[Dict[str, Any]]:
         with self._charged():
-            t = self.db.table("acls")
-            return [t.row_dict(r) for r in t.lookup_eq("target_id", target_id)
-                    if t.row_dict(r)["target_kind"] == target_kind]
+            return self._target_rows("acls", "aclid", target_kind,
+                                     target_id)
+
+    def grants_for_bulk(self, targets: Sequence[Any]
+                        ) -> List[List[Dict[str, Any]]]:
+        """:meth:`grants_for` of N ``(target_kind, target_id)`` pairs under
+        one charged block — a listing's or a query result's ACL rows."""
+        with self._charged():
+            return [self._target_rows("acls", "aclid", kind, tid)
+                    for kind, tid in targets]
 
     # ------------------------------------------------------------------
     # audit

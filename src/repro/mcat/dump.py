@@ -11,6 +11,12 @@ where the original left off.
 The dump format is deliberately boring: one JSON object with a format
 version, the zone name, the id-counter state, and a rows-per-table map.
 Boring formats are what survive decades.
+
+Indexes are not part of a dump: :func:`import_catalog` inserts the rows
+into a freshly built schema, which maintains its own — on ``metadata``
+the ``target_id`` and ``attr`` hash indexes and the sorted
+``(attr, value_num)`` / ``(attr, value)`` pair indexes the query planner
+probes — so a restored catalog answers queries from the same plans.
 """
 
 from __future__ import annotations

@@ -12,16 +12,29 @@ query "is taken as a conjunctive query ... an AND of all the conditions".
 row per matching object with its logical path and the requested display
 attributes.  Annotations and selected system metadata can optionally be
 queried too, as the paper allows.
+
+The query is answered a set at a time (DESIGN.md, "Query planning"):
+each condition is compiled once; where the sorted ``(attr, value_num)`` /
+``(attr, value)`` indexes can answer it, it is one range probe whose size
+is known before any row is read; the smallest condition drives, object
+rows, metadata, annotations and the caller's visibility filter are read
+per batch of candidates, and no step costs a charged catalog op per row.
+:func:`_comparator` — evaluated row by row by ``strategy="scan"`` — stays
+the one definition of what a condition means.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from itertools import repeat
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, \
+    Set, Tuple
 
 from repro.db.sql import like_to_regex
 from repro.errors import QueryError
-from repro.mcat.catalog import Mcat
+from repro.mcat.catalog import Mcat, subtree_path_range
+from repro.mcat.schema import NUM_INDEX, TEXT_INDEX
 from repro.util import paths
 
 OPERATORS = ("=", "<>", ">", "<", ">=", "<=", "like", "not like")
@@ -85,42 +98,56 @@ class QueryPage:
         return len(self.rows)
 
 
-def _match(op: str, stored_value: Optional[str], stored_num: Optional[float],
-           wanted: Optional[str]) -> bool:
-    """Evaluate one comparison against a stored metadata triple.
+_COMPARE = {"=": operator.eq, "<>": operator.ne, ">": operator.gt,
+            "<": operator.lt, ">=": operator.ge, "<=": operator.le}
+
+#: a stored metadata value as the query sees it: ``(value, value_num)``
+Stored = Tuple[Optional[str], Optional[float]]
+#: the caller's ACL filter: object rows in, one verdict per row out
+Visible = Callable[[List[Dict[str, Any]]], Sequence[bool]]
+
+
+def _number(text: str) -> Optional[float]:
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def _comparator(op: str, wanted: str) -> Callable[..., bool]:
+    """One condition compiled into a test over a stored ``(value,
+    value_num)``.
 
     Numeric comparison applies when both sides parse as numbers; otherwise
     lexicographic on the text form, matching how MCAT-on-Oracle behaves
-    with a VARCHAR value column plus a numeric mirror.
+    with a VARCHAR value column plus a numeric mirror.  So a numeric
+    ``wanted`` compares numerically against the rows that have a
+    ``value_num`` and textually against the rest, and a ``wanted`` that is
+    not a number compares every row textually.  A NULL value matches
+    nothing.
     """
+    if op in ("like", "not like"):
+        match = like_to_regex(wanted).match
+        if op == "like":
+            return lambda value, num: \
+                value is not None and match(value) is not None
+        return lambda value, num: value is not None and match(value) is None
+    if op not in _COMPARE:
+        raise QueryError(f"unknown operator {op!r}")
+    compare = _COMPARE[op]
+    wanted_num = _number(wanted)
+    if wanted_num is None:
+        return lambda value, num: value is not None and compare(value, wanted)
+    return lambda value, num: value is not None and (
+        compare(value, wanted) if num is None else compare(num, wanted_num))
+
+
+def _match(op: str, stored_value: Optional[str], stored_num: Optional[float],
+           wanted: Optional[str]) -> bool:
+    """Evaluate one comparison against a stored metadata triple."""
     if stored_value is None or wanted is None:
         return False
-    if op in ("like", "not like"):
-        hit = bool(like_to_regex(wanted).match(stored_value))
-        return hit if op == "like" else not hit
-    try:
-        wanted_num: Optional[float] = float(wanted)
-    except ValueError:
-        wanted_num = None
-    a: Any
-    b: Any
-    if stored_num is not None and wanted_num is not None:
-        a, b = stored_num, wanted_num
-    else:
-        a, b = stored_value, wanted
-    if op == "=":
-        return a == b
-    if op == "<>":
-        return a != b
-    if op == ">":
-        return a > b
-    if op == "<":
-        return a < b
-    if op == ">=":
-        return a >= b
-    if op == "<=":
-        return a <= b
-    raise QueryError(f"unknown operator {op!r}")
+    return _comparator(op, wanted)(stored_value, stored_num)
 
 
 def queryable_attributes(mcat: Mcat, scope: str,
@@ -132,154 +159,270 @@ def queryable_attributes(mcat: Mcat, scope: str,
     router = getattr(mcat, "route_queryable_attributes", None)
     if router is not None:
         return router(scope, include_system=include_system)
-    names: Set[str] = set()
-    objs = {row["oid"] for row in mcat.objects_in_collection(scope, recursive=True)}
-    colls = {row["cid"]: row["path"] for row in mcat.subtree_collections(scope)}
+    in_scope = {("object", row["oid"]) for row in
+                mcat.objects_in_collection(scope, recursive=True)}
+    colls = mcat.subtree_collections(scope)
+    in_scope.update(("collection", row["cid"]) for row in colls)
+    # one attribute at a time off the attr index, done with it at the
+    # first triple that hangs off something in scope
     md = mcat.db.table("metadata")
-    for rid in md.scan():
-        row = md.row_dict(rid)
-        if row["target_kind"] == "object" and row["target_id"] in objs:
-            names.add(row["attr"])
-        elif row["target_kind"] == "collection" and row["target_id"] in colls:
-            names.add(row["attr"])
+    names = {attr for attr in md.distinct("attr")
+             if not in_scope.isdisjoint(md.iter_values(
+                 md.lookup_eq("attr", attr), ("target_kind", "target_id")))}
+    coll_paths = {row["path"] for row in colls}
     st = mcat.db.table("structural_meta")
-    for rid in st.scan():
-        row = st.row_dict(rid)
-        if row["coll_path"] in colls.values():
-            names.add(row["attr"])
+    names.update(attr for coll_path, attr in st.iter_values(
+        list(st.scan()), ("coll_path", "attr")) if coll_path in coll_paths)
     out = sorted(names)
     if include_system:
         out.extend(SYSTEM_ATTRS)
     return out
 
 
-def _index_candidates(mcat: Mcat,
-                      conditions: Sequence[Condition]) -> Optional[set]:
-    """Candidate object ids from the metadata attribute indexes.
+# -- the index plan: conditions as probes of the sorted attribute indexes ------
 
-    This is the plan a production MCAT uses: drive each condition from
-    the ``metadata.attr`` index (touching only rows that *carry* the
-    attribute), evaluate the comparison on those rows, and intersect the
-    per-condition target sets.  Returns None when no condition can be
-    index-driven (caller falls back to the scope scan).
 
-    Only usable when every condition targets plain object metadata —
-    ``SYS:``/``ANN:`` pseudo-attributes live outside the metadata table.
-    """
+def _attr_run(attr: str) -> Tuple[tuple, tuple, bool, bool]:
+    """Range bounds holding every entry of ``attr`` in a sorted
+    ``(attr, x)`` index: from the one-member ``(attr,)``, which sorts
+    before every ``(attr, x)``, up to the least string after ``attr``."""
+    return (attr,), (attr + "\0",), True, False
+
+
+class _Probe:
+    """One condition as the attribute indexes see it: how many metadata
+    rows answering it will touch (:attr:`count`, known before a row is
+    read), and :meth:`targets`, the objects that satisfy it."""
+
+    __slots__ = ("cond", "span", "count")
+
+    def __init__(self, md, cond: Condition):
+        self.cond = cond
+        self.span = self._span(md, cond)
+        self.count = md.count_range(
+            *(self.span or (TEXT_INDEX,) + _attr_run(cond.attr)))
+
+    @staticmethod
+    def _span(md, cond: Condition) -> Optional[tuple]:
+        """``lookup_range`` arguments selecting exactly the rows that
+        satisfy ``cond``, or None when only the row-by-row test can tell
+        (``<>``, the LIKEs, and a numeric comparison on an attribute that
+        also holds values that are not numbers)."""
+        op, attr = cond.op, cond.attr
+        if op not in ("=", "<", "<=", ">", ">="):
+            return None
+        run = _attr_run(attr)
+        first, past = run[:2]
+        wanted = _number(cond.value)
+        if wanted is None:
+            index, point = TEXT_INDEX, (attr, cond.value)
+        elif wanted != wanted or (md.count_range(NUM_INDEX, *run)
+                                  != md.count_range(TEXT_INDEX, *run)):
+            return None
+        else:
+            index, point = NUM_INDEX, (attr, wanted)
+        if op == "=":
+            return index, point, point, True, True
+        if op in ("<", "<="):
+            return index, first, point, True, op == "<="
+        return index, point, past, op == ">=", False
+
+    def targets(self, md) -> Set[int]:
+        if self.span is not None:
+            return {tid for kind, tid in md.iter_values(
+                        md.lookup_range(*self.span),
+                        ("target_kind", "target_id"))
+                    if kind == "object"}
+        test = _comparator(self.cond.op, self.cond.value)
+        return {tid for kind, tid, value, num in md.iter_values(
+                    md.lookup_eq("attr", self.cond.attr),
+                    ("target_kind", "target_id", "value", "value_num"))
+                if kind == "object" and test(value, num)}
+
+
+def _probes(mcat: Mcat,
+            conditions: Sequence[Condition]) -> Optional[List[_Probe]]:
+    """The conditions as index probes, smallest first; None when the
+    index plan does not apply: no condition to drive it, a ``SYS:``/
+    ``ANN:`` pseudo-attribute (those live outside the metadata table), or
+    the attribute indexes dropped."""
     if not conditions:
         return None
     if any(c.attr.startswith(("SYS:", "ANN:")) for c in conditions):
         return None
     md = mcat.db.table("metadata")
-    if "attr" not in md.indexed_columns():
+    if not {"attr", NUM_INDEX, TEXT_INDEX} <= set(md.indexed_columns()):
         return None
-    result: Optional[set] = None
-    for cond in conditions:
-        targets = set()
-        for rid in md.lookup_eq("attr", cond.attr):
-            if md.value(rid, "target_kind") != "object":
-                continue
-            if _match(cond.op, md.value(rid, "value"),
-                      md.value(rid, "value_num"), cond.value):
-                targets.add(md.value(rid, "target_id"))
-        result = targets if result is None else (result & targets)
-        if not result:
-            return set()
-    return result
+    return sorted((_Probe(md, c) for c in conditions),
+                  key=operator.attrgetter("count"))
 
 
-def search(mcat: Mcat, scope: str,
-           conditions: Sequence[Condition | DisplayOnly],
-           include_annotations: bool = False,
-           include_system: bool = False,
-           limit: Optional[int] = None,
-           strategy: str = "auto") -> QueryResult:
-    """Run a conjunctive attribute query under collection ``scope``.
+def _rows_per_object(mcat: Mcat) -> float:
+    """Metadata rows read, on average, to fetch one object's metadata."""
+    return len(mcat.db.table("metadata")) / max(
+        1, len(mcat.db.table("objects")))
 
-    Returns one row per matching object: ``path`` first, then a column per
-    displayed attribute (multi-valued attributes join with '; ').
 
-    ``strategy`` selects the access plan:
+def _candidates(mcat: Mcat, probes: List[_Probe], scope: str,
+                cursor: Optional[str] = None
+                ) -> Tuple[List[Dict[str, Any]], List[Condition]]:
+    """Run the index plan: ``(object rows, conditions left to verify)``.
 
-    * ``"scan"``   — enumerate every object under ``scope`` and test each
-      (always correct; cost ~ objects in scope);
-    * ``"index"``  — drive candidates from the metadata attribute indexes
-      and verify scope membership per hit (cost ~ rows carrying the
-      queried attributes); falls back to scan when not applicable;
-    * ``"auto"``   — index when possible, else scan.  Results are
-      identical across strategies (asserted in tests and in E4).
+    The rows are the objects under ``scope`` (past ``cursor``), in path
+    order, that satisfy every probed condition.  Probing goes smallest
+    first and stops as soon as the next probe would touch more rows than
+    fetching the survivors does; the conditions not probed are returned
+    for the caller to verify from the survivors' metadata, which it
+    fetches anyway.  Two charged catalog ops, however many rows.
     """
-    if strategy not in ("auto", "scan", "index"):
-        raise QueryError(f"unknown strategy {strategy!r}")
-    scope = paths.normalize(scope)
-    # A sharded catalog routes the query to the owning shard (or fans it
-    # out) itself; each shard's catalog re-enters this function directly.
-    router = getattr(mcat, "route_search", None)
-    if router is not None:
-        return router(scope, conditions,
-                      include_annotations=include_annotations,
-                      include_system=include_system,
-                      limit=limit, strategy=strategy)
-    rows_before = mcat._rows_scanned()
-    real_conditions, display_attrs = _condition_plan(conditions)
-
-    candidate_ids: Optional[set] = None
-    if strategy in ("auto", "index"):
-        candidate_ids = _index_candidates(mcat, real_conditions)
-    if candidate_ids is not None:
-        # one charged block for the whole candidate list, not one per id
-        fetched = mcat.get_objects_by_ids(
-            [int(oid) for oid in sorted(candidate_ids)])
-        candidates = [obj for obj in fetched
-                      if obj["coll"] == scope
-                      or paths.is_ancestor(scope, obj["coll"])]
-        candidates.sort(key=lambda o: o["path"])
-        # and one more for every candidate's metadata (the per-candidate
-        # get_metadata calls used to dominate the index plan's cost)
-        md_bulk = mcat.get_metadata_bulk(
-            [("object", o["oid"]) for o in candidates])
-        prefetched: Optional[Dict[int, Any]] = {
-            o["oid"]: rows for o, rows in zip(candidates, md_bulk)}
-    else:
-        candidates = mcat.objects_in_collection(scope, recursive=True)
-        prefetched = None
-
-    matched: List[Dict[str, Any]] = []
-    attr_cache: Dict[int, Dict[str, List[Tuple[Optional[str], Optional[float]]]]] = {}
-    for obj in candidates:
-        oid = obj["oid"]
-        values = _attribute_values(
-            mcat, obj, include_annotations, include_system,
-            md_rows=None if prefetched is None else prefetched[oid])
-        attr_cache[oid] = values
-        ok = True
-        for cond in real_conditions:
-            stored = values.get(cond.attr, [])
-            if not any(_match(cond.op, v, n, cond.value) for v, n in stored):
-                ok = False
+    md = mcat.db.table("metadata")
+    per_survivor = 1 + _rows_per_object(mcat)
+    with mcat._charged():
+        ids = probes[0].targets(md)
+        probed = 1
+        for probe in probes[1:]:
+            if len(ids) * per_survivor <= probe.count:
                 break
-        if ok:
-            matched.append(obj)
-            if limit is not None and len(matched) >= limit:
-                break
+            ids &= probe.targets(md)
+            probed += 1
+    # under scope and past the cursor is one range of paths, the one a
+    # walk of the path index would seek
+    after, before = subtree_path_range(scope, cursor)
+    rows = [obj for obj in mcat.get_objects_by_ids(sorted(ids))
+            if after < obj["path"] < before]
+    rows.sort(key=operator.itemgetter("path"))
+    return rows, [probe.cond for probe in probes[probed:]]
 
-    columns = ["path"] + display_attrs
-    rows = []
-    for obj in matched:
-        values = attr_cache[obj["oid"]]
-        row: List[Any] = [obj["path"]]
-        for attr in display_attrs:
-            stored = values.get(attr, [])
-            row.append("; ".join(v for v, _n in stored if v is not None) or None)
-        rows.append(tuple(row))
-    plan = "index" if candidate_ids is not None else "scan"
-    mcat.obs.metrics.inc("mcat.queries", strategy=strategy, plan=plan)
-    mcat.obs.metrics.inc("mcat.query_rows_scanned",
-                         mcat._rows_scanned() - rows_before,
-                         strategy=strategy, plan=plan)
-    mcat.obs.metrics.inc("mcat.query_rows_matched", len(matched),
-                         strategy=strategy, plan=plan)
-    return QueryResult(columns=columns, rows=rows)
+
+def _index_page_is_cheaper(mcat: Mcat, probes: List[_Probe], scope: str,
+                           cursor: Optional[str], limit: int) -> bool:
+    """Should a page come off the index plan or off a walk of the scope?
+    Decided in catalog rows touched, from counts that cost two bisects.
+
+    Walking from the cursor, ``limit`` matches are at best as dense as
+    the smallest condition's rows among the objects still ahead, and
+    every object passed costs its row and its metadata.  The index plan
+    reads the smallest condition's rows and an object row for each, and
+    metadata only for the page.
+    """
+    ahead = mcat.db.table("objects").count_range(
+        "path", *subtree_path_range(scope, cursor),
+        lo_incl=False, hi_incl=False)
+    smallest = probes[0].count
+    per_object = _rows_per_object(mcat)
+    walked = min(ahead, limit * max(1.0, ahead / max(1, smallest)))
+    return (2 * smallest + min(smallest, limit) * per_object
+            < walked * (1 + per_object))
+
+
+# -- gathering: batches of candidate rows in, result rows out ------------------
+
+
+def _chunks(rows: List[Dict[str, Any]], size: Optional[int]
+            ) -> Iterator[Tuple[List[Dict[str, Any]], bool]]:
+    """``rows`` as ``(batch, more rows follow)`` pairs of ``size`` rows."""
+    step = max(1, len(rows) if size is None else size)
+    for start in range(0, len(rows), step):
+        yield rows[start:start + step], start + step < len(rows)
+
+
+def _walk(mcat: Mcat, scope: str, cursor: Optional[str], size: int
+          ) -> Iterator[Tuple[List[Dict[str, Any]], bool]]:
+    """The objects under ``scope`` past ``cursor`` as ``(batch, more rows
+    follow)`` pairs, each one charged keyset page of the path index."""
+    while True:
+        batch, cursor = mcat.objects_in_collection_page(
+            scope, cursor=cursor, limit=size)
+        yield batch, cursor is not None
+        if cursor is None:
+            return
+
+
+def _gather(mcat: Mcat, batches, conditions: Sequence[Condition],
+            display_attrs: List[str], include_annotations: bool,
+            include_system: bool, visible: Optional[Visible],
+            limit: Optional[int]
+            ) -> Tuple[List[Tuple[Any, ...]], int, Optional[str]]:
+    """Result rows for the first ``limit`` visible matches in ``batches``.
+
+    ``batches`` yields path-ordered object rows as ``(batch, more rows
+    follow)``.  Per batch: one bulk read of what the query needs of its
+    objects, ``conditions`` tested row by row, one call of ``visible``
+    for the rows that passed.  Returns ``(rows, matched, next_cursor)``:
+    ``matched`` counts rows that satisfied the conditions up to the last
+    one delivered, visible or not; ``next_cursor`` is that row's path if
+    ``limit`` was reached with rows still unexamined, else None.
+    """
+    tests = [(c.attr, _comparator(c.op, c.value)) for c in conditions]
+    attrs = set(display_attrs).union(c.attr for c in conditions)
+    rows: List[Tuple[Any, ...]] = []
+    matched = 0
+    for batch, more in batches:
+        if not batch:
+            continue
+        values = _attribute_values(mcat, batch, attrs, include_annotations,
+                                   include_system)
+        hits = [(obj, vals) for obj, vals in zip(batch, values)
+                if _satisfies(vals, tests)] if tests \
+            else list(zip(batch, values))
+        verdicts = repeat(True) if visible is None or not hits \
+            else visible([obj for obj, _vals in hits])
+        for (obj, vals), ok in zip(hits, verdicts):
+            matched += 1
+            if not ok:
+                continue
+            row: List[Any] = [obj["path"]]
+            for attr in display_attrs:
+                row.append("; ".join([v for v, _n in vals.get(attr, ())
+                                      if v is not None]) or None)
+            rows.append(tuple(row))
+            if limit is not None and len(rows) >= limit:
+                unexamined = more or obj is not batch[-1]
+                return rows, matched, obj["path"] if unexamined else None
+    return rows, matched, None
+
+
+def _satisfies(vals: Dict[str, List[Stored]], tests) -> bool:
+    """Conjunctive, and existential per condition: each condition needs
+    *some* stored value of its attribute to pass — not the same one."""
+    for attr, test in tests:
+        for value, num in vals.get(attr, ()):
+            if test(value, num):
+                break
+        else:
+            return False
+    return True
+
+
+def _attribute_values(mcat: Mcat, batch: List[Dict[str, Any]],
+                      attrs: Set[str], include_annotations: bool,
+                      include_system: bool) -> List[Dict[str, List[Stored]]]:
+    """attr -> [(value, value_num), ...] for each object of ``batch``.
+
+    Of an object's metadata only the attributes in ``attrs`` (those the
+    query tests or displays) are kept.  Metadata and annotations are each
+    one charged bulk read for the whole batch, and not read at all when
+    the query does not look at them.
+    """
+    targets = [("object", obj["oid"]) for obj in batch]
+    out = mcat.metadata_values_bulk(targets, attrs) if attrs \
+        else [{} for _obj in batch]
+    if include_annotations:
+        for vals, anns in zip(out, mcat.annotations_for_bulk(targets)):
+            for ann in anns:
+                vals.setdefault("ANN:" + ann["ann_type"], []).append(
+                    (ann["text"], None))
+    if include_system:
+        for vals, obj in zip(out, batch):
+            vals.setdefault("SYS:owner", []).append((obj["owner"], None))
+            if obj["data_type"] is not None:
+                vals.setdefault("SYS:data_type", []).append(
+                    (obj["data_type"], None))
+            vals.setdefault("SYS:kind", []).append((obj["kind"], None))
+            if obj["size"] is not None:
+                vals.setdefault("SYS:size", []).append(
+                    (str(obj["size"]), float(obj["size"])))
+    return out
 
 
 def _condition_plan(conditions: Sequence[Condition | DisplayOnly]
@@ -298,24 +441,92 @@ def _condition_plan(conditions: Sequence[Condition | DisplayOnly]
     return real_conditions, display_attrs
 
 
+def _count_query(mcat: Mcat, strategy: str, plan: str, rows_before: int,
+                 matched: int) -> None:
+    metrics = mcat.obs.metrics
+    metrics.inc("mcat.queries", strategy=strategy, plan=plan)
+    metrics.inc("mcat.query_rows_scanned", mcat._rows_scanned() - rows_before,
+                strategy=strategy, plan=plan)
+    metrics.inc("mcat.query_rows_matched", matched,
+                strategy=strategy, plan=plan)
+
+
+def search(mcat: Mcat, scope: str,
+           conditions: Sequence[Condition | DisplayOnly],
+           include_annotations: bool = False,
+           include_system: bool = False,
+           limit: Optional[int] = None,
+           strategy: str = "auto",
+           visible: Optional[Visible] = None) -> QueryResult:
+    """Run a conjunctive attribute query under collection ``scope``.
+
+    Returns one row per matching object: ``path`` first, then a column per
+    displayed attribute (multi-valued attributes join with '; ').
+    ``visible`` is the caller's ACL filter — object rows in, a verdict
+    per row out — applied to the matches a batch at a time; only rows it
+    passes are returned or count toward ``limit``.
+
+    ``strategy`` selects the access plan:
+
+    * ``"scan"``   — enumerate every object under ``scope`` and test each
+      (always correct; cost ~ objects in scope);
+    * ``"index"``  — answer the conditions from the metadata attribute
+      indexes, smallest first, and verify scope membership per hit (cost
+      ~ rows of the most selective conditions); falls back to scan when
+      not applicable;
+    * ``"auto"``   — index when possible, else scan.  Results are
+      identical across strategies (asserted in tests and in E4).
+    """
+    if strategy not in ("auto", "scan", "index"):
+        raise QueryError(f"unknown strategy {strategy!r}")
+    scope = paths.normalize(scope)
+    # A sharded catalog routes the query to the owning shard (or fans it
+    # out) itself; each shard's catalog re-enters this function directly.
+    router = getattr(mcat, "route_search", None)
+    if router is not None:
+        return router(scope, conditions,
+                      include_annotations=include_annotations,
+                      include_system=include_system,
+                      limit=limit, strategy=strategy, visible=visible)
+    rows_before = mcat._rows_scanned()
+    real_conditions, display_attrs = _condition_plan(conditions)
+    probes = _probes(mcat, real_conditions) \
+        if strategy in ("auto", "index") else None
+    if probes is not None:
+        plan = "index"
+        candidates, unverified = _candidates(mcat, probes, scope)
+    else:
+        plan = "scan"
+        candidates = mcat.objects_in_collection(scope, recursive=True)
+        unverified = real_conditions
+    rows, matched, _cursor = _gather(
+        mcat, _chunks(candidates, limit), unverified, display_attrs,
+        include_annotations, include_system, visible, limit)
+    _count_query(mcat, strategy, plan, rows_before, matched)
+    return QueryResult(columns=["path"] + display_attrs, rows=rows)
+
+
 def search_page(mcat: Mcat, scope: str,
                 conditions: Sequence[Condition | DisplayOnly],
                 include_annotations: bool = False,
                 include_system: bool = False,
                 limit: int = 100,
-                cursor: Optional[str] = None) -> QueryPage:
+                cursor: Optional[str] = None,
+                visible: Optional[Visible] = None) -> QueryPage:
     """One keyset page of :func:`search`, charged per page.
 
-    Same conjunctive semantics and row shape as :func:`search`, but the
-    catalog is touched O(page) at a time: candidates stream from the
-    sorted ``objects.path`` index strictly after ``cursor`` (paths are
-    the stable ordering key — identical to the materializing scan plan's
-    order), conditions are evaluated per candidate, and the page closes
-    at ``limit`` matches.  A selective filter may examine more than
-    ``limit`` candidates to fill a page; an exhausted scan returns
-    ``next_cursor=None``.  Sharded catalogs hook ``route_search_page``
-    to fan the page out across shards and merge (see
-    :meth:`repro.mcat.shard.ShardedMcat.route_search_page`).
+    Same conjunctive semantics, row shape and ``visible`` filter as
+    :func:`search`, but the catalog is touched O(page) at a time and the
+    page closes at ``limit`` visible matches.  Paths are the stable
+    ordering key (identical to the materializing plans' order) and the
+    cursor is the last path delivered.  Two plans, chosen per page by
+    :func:`_index_page_is_cheaper`: *walk* the sorted ``objects.path``
+    index strictly after ``cursor`` in batches of ``limit`` and test each
+    object (a selective filter may examine many batches to fill a page),
+    or take the index plan's candidates past the cursor.  An exhausted
+    scan returns ``next_cursor=None``.  Sharded catalogs hook
+    ``route_search_page`` to fan the page out across shards and merge
+    (see :meth:`repro.mcat.shard.ShardedMcat.route_search_page`).
     """
     scope = paths.normalize(scope)
     router = getattr(mcat, "route_search_page", None)
@@ -323,82 +534,23 @@ def search_page(mcat: Mcat, scope: str,
         return router(scope, conditions,
                       include_annotations=include_annotations,
                       include_system=include_system,
-                      limit=limit, cursor=cursor)
+                      limit=limit, cursor=cursor, visible=visible)
     rows_before = mcat._rows_scanned()
     real_conditions, display_attrs = _condition_plan(conditions)
     page_limit = max(1, int(limit))
-    matched: List[Dict[str, Any]] = []
-    attr_cache: Dict[int, Dict[str, List[Tuple[Optional[str],
-                                               Optional[float]]]]] = {}
-    next_cursor: Optional[str] = None
-    scan_cursor = cursor
-    while True:
-        batch, scan_cursor = mcat.objects_in_collection_page(
-            scope, cursor=scan_cursor, limit=page_limit)
-        filled = False
-        for i, obj in enumerate(batch):
-            values = _attribute_values(mcat, obj, include_annotations,
-                                       include_system)
-            ok = True
-            for cond in real_conditions:
-                stored = values.get(cond.attr, [])
-                if not any(_match(cond.op, v, n, cond.value)
-                           for v, n in stored):
-                    ok = False
-                    break
-            if ok:
-                matched.append(obj)
-                attr_cache[obj["oid"]] = values
-                if len(matched) == page_limit:
-                    remaining = scan_cursor is not None or i < len(batch) - 1
-                    next_cursor = str(obj["path"]) if remaining else None
-                    filled = True
-                    break
-        if filled or scan_cursor is None:
-            break
-    columns = ["path"] + display_attrs
-    rows = []
-    for obj in matched:
-        values = attr_cache[obj["oid"]]
-        row: List[Any] = [obj["path"]]
-        for attr in display_attrs:
-            stored = values.get(attr, [])
-            row.append("; ".join(v for v, _n in stored if v is not None)
-                       or None)
-        rows.append(tuple(row))
-    mcat.obs.metrics.inc("mcat.queries", strategy="page", plan="scan")
-    mcat.obs.metrics.inc("mcat.query_rows_scanned",
-                         mcat._rows_scanned() - rows_before,
-                         strategy="page", plan="scan")
-    mcat.obs.metrics.inc("mcat.query_rows_matched", len(matched),
-                         strategy="page", plan="scan")
-    return QueryPage(columns=columns, rows=rows, next_cursor=next_cursor)
-
-
-def _attribute_values(mcat: Mcat, obj: Dict[str, Any],
-                      include_annotations: bool, include_system: bool,
-                      md_rows: Optional[List[Dict[str, Any]]] = None):
-    """attr -> [(value, value_num), ...] for one object.
-
-    ``md_rows`` carries metadata prefetched in bulk (the index plan pays
-    one charged block for the whole candidate list); when absent the
-    rows are fetched here, one charged call per object (the scan plan
-    already enumerated the objects, so its cost profile is unchanged).
-    """
-    out: Dict[str, List[Tuple[Optional[str], Optional[float]]]] = {}
-    if md_rows is None:
-        md_rows = mcat.get_metadata("object", obj["oid"])
-    for row in md_rows:
-        out.setdefault(row["attr"], []).append((row["value"], row["value_num"]))
-    if include_annotations:
-        for ann in mcat.annotations_for("object", obj["oid"]):
-            out.setdefault("ANN:" + ann["ann_type"], []).append((ann["text"], None))
-    if include_system:
-        out.setdefault("SYS:owner", []).append((obj["owner"], None))
-        if obj["data_type"] is not None:
-            out.setdefault("SYS:data_type", []).append((obj["data_type"], None))
-        out.setdefault("SYS:kind", []).append((obj["kind"], None))
-        if obj["size"] is not None:
-            out.setdefault("SYS:size", []).append(
-                (str(obj["size"]), float(obj["size"])))
-    return out
+    probes = _probes(mcat, real_conditions)
+    if probes is not None and _index_page_is_cheaper(
+            mcat, probes, scope, cursor, page_limit):
+        plan = "index"
+        candidates, unverified = _candidates(mcat, probes, scope, cursor)
+        batches = _chunks(candidates, page_limit)
+    else:
+        plan = "scan"
+        batches = _walk(mcat, scope, cursor, page_limit)
+        unverified = real_conditions
+    rows, matched, next_cursor = _gather(
+        mcat, batches, unverified, display_attrs, include_annotations,
+        include_system, visible, page_limit)
+    _count_query(mcat, "page", plan, rows_before, matched)
+    return QueryPage(columns=["path"] + display_attrs, rows=rows,
+                     next_cursor=next_cursor)

@@ -6,6 +6,15 @@ production MCAT must have (path lookups, attribute-name lookups) — the
 E4 benchmark's "no index" ablation drops the attribute indexes to show
 why they matter at millions of datasets.
 
+The attribute indexes on ``metadata`` are the ones the query planner
+(:mod:`repro.mcat.query`) probes: a hash index on ``target_id`` (one
+object's triples), a hash index on ``attr`` (every triple of one
+attribute, and the distinct attribute names), and two sorted indexes
+over a pair of columns, :data:`NUM_INDEX` ``(attr, value_num)`` and
+:data:`TEXT_INDEX` ``(attr, value)``, in which one attribute's values are
+one ordered run — so ``JMAG < 6`` is one range probe, and how many rows
+it would return is two bisects.
+
 Object kinds (``objects.kind``) cover everything MySRB can put in a
 collection:
 
@@ -31,6 +40,11 @@ OBJECT_KINDS = ("data", "registered", "shadow-dir", "sql", "url",
 #: any user with read permission add annotations, and MySRB's role matrix
 #: distinguishes annotators from contributors.
 PERMISSIONS = ("read", "annotate", "write", "own")
+
+#: the two sorted pair indexes on ``metadata``: an attribute's numeric
+#: values in numeric order, and all its values in text order
+NUM_INDEX = ("attr", "value_num")
+TEXT_INDEX = ("attr", "value")
 
 
 def build_schema(db: Database) -> None:
@@ -102,9 +116,7 @@ def build_schema(db: Database) -> None:
         Column("created_by", "TEXT", nullable=False),
         Column("created_at", "FLOAT", nullable=False),
     ], primary_key="mid")
-    metadata.create_index("target_id")
-    metadata.create_index("attr", sorted_index=True)
-    metadata.create_index("value", sorted_index=True)
+    _create_attribute_indexes(metadata)
 
     structural = db.create_table("structural_meta", [
         Column("smid", "INT", nullable=False),
@@ -182,17 +194,21 @@ def build_schema(db: Database) -> None:
     versions.create_index("oid")
 
 
+def _create_attribute_indexes(metadata) -> None:
+    metadata.create_index("target_id")
+    metadata.create_index("attr")
+    metadata.create_sorted_index(*NUM_INDEX)
+    metadata.create_sorted_index(*TEXT_INDEX)
+
+
 def drop_attribute_indexes(db: Database) -> None:
-    """E4 ablation: force attribute queries onto full scans."""
+    """E4 ablation: force attribute queries onto full scans (drops
+    ``target_id``, ``attr`` and both pair indexes)."""
     md = db.table("metadata")
-    md.drop_index("attr")
-    md.drop_index("value")
-    md.drop_index("target_id")
+    for key in ("target_id", "attr", NUM_INDEX, TEXT_INDEX):
+        md.drop_index(key)
 
 
 def restore_attribute_indexes(db: Database) -> None:
     """Rebuild the attribute indexes dropped for the E4 ablation."""
-    md = db.table("metadata")
-    md.create_index("target_id")
-    md.create_index("attr", sorted_index=True)
-    md.create_index("value", sorted_index=True)
+    _create_attribute_indexes(db.table("metadata"))

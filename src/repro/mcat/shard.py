@@ -835,20 +835,32 @@ class ShardedMcat:
             self._shard_of_target(target_kind, target_id)).get_metadata(
                 target_kind, target_id, meta_class)
 
-    def get_metadata_bulk(self, targets: Sequence[Any],
-                          meta_class: Optional[str] = None
-                          ) -> List[List[Dict[str, Any]]]:
-        results: List[List[Dict[str, Any]]] = [[] for _ in targets]
+    def _bulk_by_target(self, targets: Sequence[Any], catalog_of,
+                        method: str, *args: Any) -> List[Any]:
+        """A ``<method>(targets, *args)`` bulk read as one call per owning
+        shard (on the catalog ``catalog_of(k)`` picks); the results keep
+        the caller's target order."""
+        results: List[Any] = [None] * len(targets)
         groups: Dict[int, List[int]] = {}
         for i, (kind, tid) in enumerate(targets):
             groups.setdefault(self._shard_of_target(kind, tid), []).append(i)
         for k, indexes in sorted(groups.items()):
             batch = [targets[i] for i in indexes]
             for i, rows in zip(indexes,
-                               self._read(k).get_metadata_bulk(
-                                   batch, meta_class)):
+                               getattr(catalog_of(k), method)(batch, *args)):
                 results[i] = rows
         return results
+
+    def get_metadata_bulk(self, targets: Sequence[Any],
+                          meta_class: Optional[str] = None
+                          ) -> List[List[Dict[str, Any]]]:
+        return self._bulk_by_target(targets, self._read,
+                                    "get_metadata_bulk", meta_class)
+
+    def metadata_values_bulk(self, targets: Sequence[Any], attrs
+                             ) -> List[Dict[str, List[Tuple[Any, Any]]]]:
+        return self._bulk_by_target(targets, self._read,
+                                    "metadata_values_bulk", attrs)
 
     def update_metadata(self, mid: int, value: Optional[str],
                         units: Optional[str] = None) -> None:
@@ -920,6 +932,11 @@ class ShardedMcat:
             self._shard_of_target(target_kind, target_id)).annotations_for(
                 target_kind, target_id)
 
+    def annotations_for_bulk(self, targets: Sequence[Any]
+                             ) -> List[List[Dict[str, Any]]]:
+        return self._bulk_by_target(targets, self._read,
+                                    "annotations_for_bulk")
+
     def delete_annotation(self, aid: int) -> None:
         self._primary(self._shard_of_id("aid", aid)).delete_annotation(aid)
 
@@ -945,6 +962,12 @@ class ShardedMcat:
             self._shard_of_target(target_kind, target_id)).grants_for(
                 target_kind, target_id)
 
+    def grants_for_bulk(self, targets: Sequence[Any]
+                        ) -> List[List[Dict[str, Any]]]:
+        # from the primaries, for the reason grants_for gives
+        return self._bulk_by_target(targets, self._primary,
+                                    "grants_for_bulk")
+
     # ------------------------------------------------------------------
     # audit (pinned to shard 0: one zone-wide trail, as unsharded)
     # ------------------------------------------------------------------
@@ -966,20 +989,20 @@ class ShardedMcat:
                      include_annotations: bool = False,
                      include_system: bool = False,
                      limit: Optional[int] = None,
-                     strategy: str = "auto"):
+                     strategy: str = "auto", visible=None):
         from repro.mcat import query as q
         if not self._spans_shards(paths.normalize(scope)):
             k = self.shard_of_path(scope)
             return q.search(self._read(k), scope, conditions,
                             include_annotations=include_annotations,
                             include_system=include_system,
-                            limit=limit, strategy=strategy)
+                            limit=limit, strategy=strategy, visible=visible)
         merged = None
         for k in self._fanout("search"):
             res = q.search(self._read(k), scope, conditions,
                            include_annotations=include_annotations,
                            include_system=include_system,
-                           limit=limit, strategy=strategy)
+                           limit=limit, strategy=strategy, visible=visible)
             if merged is None:
                 merged = res
             else:
@@ -993,13 +1016,13 @@ class ShardedMcat:
                           include_annotations: bool = False,
                           include_system: bool = False,
                           limit: int = 100,
-                          cursor: Optional[str] = None):
+                          cursor: Optional[str] = None, visible=None):
         """Fan-out+merge keyset page across shards.
 
         One global cursor composes across shards because every shard
         orders by the same key (the path): each shard serves its first
-        ``limit`` matches strictly after ``cursor``, the merged stream
-        is path-sorted, and the global first ``limit`` rows are
+        ``limit`` visible matches strictly after ``cursor``, the merged
+        stream is path-sorted, and the global first ``limit`` rows are
         necessarily inside that union (a global top-``limit`` row is a
         top-``limit`` row of its own shard).  ``next_cursor`` is the
         last delivered path; the next page re-seeks every shard from
@@ -1011,12 +1034,13 @@ class ShardedMcat:
             return q.search_page(self._read(k), scope, conditions,
                                  include_annotations=include_annotations,
                                  include_system=include_system,
-                                 limit=limit, cursor=cursor)
+                                 limit=limit, cursor=cursor, visible=visible)
         page_limit = max(1, int(limit))
         pages = [q.search_page(self._read(k), scope, conditions,
                                include_annotations=include_annotations,
                                include_system=include_system,
-                               limit=page_limit, cursor=cursor)
+                               limit=page_limit, cursor=cursor,
+                               visible=visible)
                  for k in self._fanout("search_page")]
         merged_rows: List[tuple] = []
         for page in pages:

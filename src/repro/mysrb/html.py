@@ -16,6 +16,15 @@ from __future__ import annotations
 from html import escape
 from typing import Dict, Iterable, Optional, Sequence
 
+# urllib.parse.quote(safe="") as one translate table: every byte of the
+# UTF-8 form that is not an RFC 3986 unreserved character becomes %XX.
+# (The same trick is a loss for e(): html.escape's five str.replace passes
+# over a short cell take a fifth of the time one str.translate does.)
+_UNRESERVED = frozenset(b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
+                        b"0123456789_.-~")
+_URL_ESCAPES = {byte: chr(byte) if byte in _UNRESERVED else f"%{byte:02X}"
+                for byte in range(256)}
+
 
 def e(value: object) -> str:
     """Escape any value for HTML text/attribute context."""
@@ -76,8 +85,8 @@ def nav_bar(session_user: Optional[str], current: str) -> str:
 
 def url_quote(text: str) -> str:
     """Percent-encode a value for use inside a URL query string."""
-    from urllib.parse import quote
-    return quote(text, safe="")
+    # one character per UTF-8 byte, so that one table covers every input
+    return text.encode("utf-8").decode("latin-1").translate(_URL_ESCAPES)
 
 
 def table(headers: Sequence[str], rows: Iterable[Sequence[object]],

@@ -2,6 +2,7 @@
 roles, public access)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.auth.users import PUBLIC, Principal, UserRegistry
 from repro.core.access import AccessController, satisfies
@@ -178,6 +179,84 @@ class TestPublicAndRoles:
     def test_can_helpers(self, env):
         mcat, users, ac, oid = env
         obj = mcat.get_object_by_id(oid)
-        assert ac.can_object(SEKAR, obj, "own")
-        assert not ac.can_object(MOORE, obj, "read")
+        assert ac.can_objects(SEKAR, [obj], "own") == [True]
+        assert ac.can_objects(MOORE, [obj], "read") == [False]
         assert ac.can_collection(SEKAR, "/demozone/cultures", "write")
+
+
+class TestBatchDecision:
+    """``can_objects`` decides a listing at once; what it decides is what
+    ``permission_on_object`` says row by row, and what it asks the catalog
+    does not grow with the rows."""
+
+    COLLS = ["/demozone/cultures", "/demozone/cultures/avian",
+             "/demozone/open"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_same_verdicts_as_row_by_row(self, data):
+        draw = data.draw
+        mcat, users = Mcat(), UserRegistry()
+        for p in ("sekar@sdsc", "moore@sdsc", "mwan@sdsc"):
+            users.add_user(p, "pw")
+        users.add_user("root@sdsc", "pw", role="sysadmin")
+        users.create_group("curators")
+        users.add_to_group("curators", "mwan@sdsc")
+        ac = AccessController(mcat, users)
+        principals = ["moore@sdsc", "mwan@sdsc", "group:curators", "*",
+                      "public@srb"]
+        cids = {c: mcat.create_collection(c, str(SEKAR), now=0.0)
+                for c in self.COLLS}
+        objs = []
+        for i in range(draw(st.integers(1, 8))):
+            owner = draw(st.sampled_from(["sekar@sdsc", "moore@sdsc"]))
+            oid = mcat.create_object(
+                f"{draw(st.sampled_from(self.COLLS))}/o{i}", "data", owner,
+                now=0.0)
+            objs.append(mcat.get_object_by_id(oid))
+        for _ in range(draw(st.integers(0, 6))):
+            kind = draw(st.sampled_from(["object", "collection"]))
+            target = draw(st.sampled_from(objs))["oid"] if kind == "object" \
+                else cids[draw(st.sampled_from(self.COLLS))]
+            mcat.grant(kind, target, draw(st.sampled_from(principals)),
+                       draw(st.sampled_from(["read", "annotate", "write",
+                                             "own"])))
+        who = Principal.parse(draw(st.sampled_from(
+            ["sekar@sdsc", "moore@sdsc", "mwan@sdsc", "root@sdsc",
+             "ghost@nowhere"])))
+        wanted = draw(st.sampled_from(["read", "annotate", "write", "own"]))
+        row_by_row = []
+        for obj in objs:
+            held = ac.permission_on_object(who, obj)
+            row_by_row.append(held is not None and satisfies(held, wanted))
+        checks = ac.checks
+        assert ac.can_objects(who, objs, wanted) == row_by_row
+        assert ac.checks - checks == len(objs)
+        assert ac.can_objects(who, [], wanted) == []
+
+    def test_catalog_ops_do_not_grow_with_the_rows(self, env):
+        mcat, users, ac, _oid = env
+        mcat.grant("collection",
+                   mcat.get_collection("/demozone/cultures")["cid"],
+                   str(MOORE), "read")
+
+        def ops_for(n):
+            rows = [mcat.get_object_by_id(mcat.create_object(
+                f"/demozone/cultures/avian/b{n}-{i}", "data", str(SEKAR),
+                now=0.0)) for i in range(n)]
+            out = {}
+            for who, wanted in ((SEKAR, "own"), (MOORE, "read"),
+                                (MOORE, "write"), (WAN, "read")):
+                before = mcat.obs.metrics.total("mcat.ops")
+                ac.can_objects(who, rows, wanted)
+                out[str(who), wanted] = \
+                    mcat.obs.metrics.total("mcat.ops") - before
+            return out
+
+        few, many = ops_for(3), ops_for(300)
+        assert few == many
+        # the owner costs the catalog nothing; an inherited grant costs the
+        # chain of four collections (a row and its grants each); whoever
+        # that does not settle costs one more op for every row's own grants
+        assert few == {(str(SEKAR), "own"): 0, (str(MOORE), "read"): 8,
+                       (str(MOORE), "write"): 9, (str(WAN), "read"): 9}

@@ -148,6 +148,58 @@ class TestQuery:
         r = guest.query(data, [Condition("species", "=", "ibis")])
         assert len(r.rows) >= 1   # visible subset, no AccessDenied leak
 
+    @pytest.fixture
+    def guestbook(self, grid, guest):
+        """A collection the guest owns holding four of the curator's
+        birds, of which the guest may read only the last two: owning a
+        collection opens it as a query scope, not the objects in it."""
+        coll = f"{grid.home}/guestbook"
+        grid.fed.mcat.create_collection(coll, "guest@sdsc", now=0.0)
+        guest.grant(coll, "sekar@sdsc", "write")
+        for i in range(4):
+            grid.curator.ingest(f"{coll}/bird{i}.jpg", b"img")
+            grid.curator.add_metadata(f"{coll}/bird{i}.jpg", "species",
+                                      "ibis")
+        for i in (2, 3):
+            grid.curator.grant(f"{coll}/bird{i}.jpg", "guest@sdsc", "read")
+        return coll
+
+    def test_limit_counts_only_rows_the_caller_may_read(self, guest,
+                                                        guestbook):
+        # on the parent the ACL filter ran after the limit: the first two
+        # matches filled it, were then dropped, and the guest got nothing
+        conds = [Condition("species", "=", "ibis")]
+        for strategy in ("auto", "scan", "index"):
+            r = guest.query(guestbook, conds, limit=2, strategy=strategy)
+            assert [row[0] for row in r.rows] == [
+                f"{guestbook}/bird2.jpg", f"{guestbook}/bird3.jpg"]
+        r = guest.query(guestbook, conds, limit=1)
+        assert [row[0] for row in r.rows] == [f"{guestbook}/bird2.jpg"]
+
+    def test_a_page_closes_at_limit_readable_rows(self, guest, guestbook):
+        conds = [Condition("species", "=", "ibis")]
+        page = guest.query_page(guestbook, conds, limit=1)
+        assert [row[0] for row in page["rows"]] == [
+            f"{guestbook}/bird2.jpg"]
+        assert page["next_cursor"] == f"{guestbook}/bird2.jpg"
+        page = guest.query_page(guestbook, conds, limit=1,
+                                cursor=page["next_cursor"])
+        assert [row[0] for row in page["rows"]] == [
+            f"{guestbook}/bird3.jpg"]
+        assert page["next_cursor"] is None
+        assert [row[0] for row in guest.iter_query(guestbook, conds,
+                                                   page_size=1)] == [
+            f"{guestbook}/bird2.jpg", f"{guestbook}/bird3.jpg"]
+
+    def test_acl_counters_count_one_per_row_decided(self, grid, guest,
+                                                    guestbook):
+        access = grid.fed.access
+        checks, denials = access.checks, access.denials
+        guest.query(guestbook, [Condition("species", "=", "ibis")])
+        # the scope, then the four matches; a filtered row is no denial
+        assert access.checks - checks == 1 + 4
+        assert access.denials == denials
+
     def test_queryable_attrs_via_server(self, curator, data):
         names = curator.queryable_attrs(data)
         assert {"species", "wingspan"} <= set(names)

@@ -706,3 +706,188 @@ class TestRowPlanMatchesOracle:
             assert (table.rows_scanned, table.scan_counter.total) == \
                 (oracle.rows_scanned, oracle.scan_counter.total)
             assert typed(logs[0]) == typed(logs[1])
+
+
+# -- sorted indexes over a pair of columns -------------------------------------
+#
+# The oracle is the definition: after any sequence of mutations a pair
+# index holds exactly what one built from scratch over the live rows
+# holds, and a range probe returns what reading every row returns.
+
+NAN = float("nan")
+PAIR_COLUMNS = [Column("k", "TEXT"), Column("n", "FLOAT"), Column("t", "TEXT")]
+PAIR_KEYS = [("k", "n"), ("k", "t")]
+PAIR_VALUES = {
+    "k": st.one_of(st.none(), st.sampled_from(["a", "b", "b\0", "c"]),
+                   st.builds(Text, st.just("a"))),
+    "n": st.one_of(st.none(), st.integers(-1, 2), st.sampled_from(
+        [-1.5, -0.0, 0.0, 1.0, 2.5, float("inf"), float("-inf"), NAN])),
+    "t": st.one_of(st.none(), st.sampled_from(["", "a", "b", "é"])),
+}
+
+
+def rebuilt_keys(t: Table, key):
+    """The entries a pair index over ``key`` has to hold, in order."""
+    offs = [t._offset[c] for c in key]
+    entries = []
+    for rid, row in enumerate(t._rows):
+        if row is None:
+            continue
+        pair = tuple(row[o] for o in offs)
+        if all(v is not None and v == v for v in pair):
+            entries.append(pair + (rid,))
+    return sorted(entries)
+
+
+def brute_range(t: Table, key, lo, hi, lo_incl, hi_incl):
+    """Rids a probe of [lo, hi] has to return, from the rebuilt entries
+    alone: a bound compares with an entry's pair, or with its first
+    member only when the bound is a one-member prefix."""
+    out = []
+    for entry in rebuilt_keys(t, key):
+        pair, rid = entry[:2], entry[2]
+        if lo is not None:
+            head = pair[:len(lo)]
+            if head < lo or (head == lo and len(lo) == 2 and not lo_incl):
+                continue
+        if hi is not None:
+            head = pair[:len(hi)]
+            if head > hi or (head == hi and (len(hi) == 1 or not hi_incl)):
+                continue
+        out.append(rid)
+    return out
+
+
+class TestPairIndexMatchesARebuiltOne:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_any_sequence_of_mutations(self, data):
+        draw = data.draw
+        log = []
+        source_db, twin_db = Database("source"), Database("twin")
+        source = source_db.create_table("t", PAIR_COLUMNS)
+        twin = twin_db.create_table("t", PAIR_COLUMNS)
+        source_db.watch(lambda _table, *entry: log.append(entry))
+        if draw(st.booleans()):               # indexes before any row ...
+            for t in (source, twin):
+                for key in PAIR_KEYS:
+                    t.create_sorted_index(*key)
+        steps = draw(st.lists(st.sampled_from(
+            ["insert"] * 5 + ["update"] * 3 + ["delete", "restore", "drop",
+                                               "create"]), max_size=30))
+        for step in steps + ["create"]:       # ... or backfilled later
+            live = [rid for rid, row in enumerate(source._rows)
+                    if row is not None]
+            if step == "insert":
+                source.insert({c: draw(PAIR_VALUES[c])
+                               for c in draw(st.sets(st.sampled_from("knt")))})
+            elif step == "update" and live:
+                source.update_row(
+                    draw(st.sampled_from(live)),
+                    {c: draw(PAIR_VALUES[c]) for c in draw(
+                        st.sets(st.sampled_from("knt"), min_size=1))})
+            elif step == "delete" and live:
+                source.delete_row(draw(st.sampled_from(live)))
+            elif step == "restore":
+                source.restore_rows(source.snapshot_rows())
+            elif step == "drop":
+                key = draw(st.sampled_from(PAIR_KEYS))
+                for t in (source, twin):
+                    t.drop_index(key)
+            elif step == "create":
+                for t in (source, twin):
+                    for key in PAIR_KEYS:
+                        t.create_sorted_index(*key)
+            while log:
+                twin.apply_entry(*log.pop(0))
+            for key, sidx in source._sorted_indexes.items():
+                want = rebuilt_keys(source, key)
+                assert typed(sidx._keys) == typed(want)
+                assert typed(twin._sorted_indexes[key]._keys) == typed(want)
+        for key in PAIR_KEYS * 3:
+            self.probe(source, key, draw)
+
+    def probe(self, t, key, draw):
+        second = PAIR_VALUES[key[1]].filter(
+            lambda v: v is not None and v == v)
+        first = st.sampled_from(["a", "b", "b\0", "c", "d"])
+        bound = st.one_of(st.none(), st.tuples(first),
+                          st.tuples(first, second))
+        stored = [entry[:2] for entry in rebuilt_keys(t, key)]
+        if stored:                      # a bound that is some row's pair
+            bound = st.one_of(bound, st.sampled_from(stored))
+        lo, hi = draw(bound), draw(bound)
+        # a one-member bound opens a range; it cannot close one
+        lo_incl = True if lo is not None and len(lo) == 1 \
+            else draw(st.booleans())
+        hi_incl = False if hi is not None and len(hi) == 1 \
+            else draw(st.booleans())
+        want = brute_range(t, key, lo, hi, lo_incl, hi_incl)
+        scanned = t.rows_scanned
+        assert t.count_range(key, lo, hi, lo_incl, hi_incl) == len(want)
+        assert t.rows_scanned == scanned          # a count reads no row
+        assert t.lookup_range(key, lo, hi, lo_incl, hi_incl) == want
+        assert t.rows_scanned == scanned + len(want)
+        limit = draw(st.integers(0, 3))
+        assert t.lookup_range(key, lo, hi, lo_incl, hi_incl,
+                              limit=limit) == want[:limit]
+        # with the index dropped the same probe reads every row instead
+        t.drop_index(key)
+        assert sorted(t.lookup_range(key, lo, hi, lo_incl, hi_incl)) == \
+            sorted(want)
+        assert t.count_range(key, lo, hi, lo_incl, hi_incl) == len(want)
+        t.create_sorted_index(*key)
+
+    def test_a_prefix_bound_cannot_close_a_range(self):
+        t = Table("t", PAIR_COLUMNS)
+        t.create_sorted_index("k", "n")
+        t.insert({"k": "a", "n": 1.0})
+        with pytest.raises(DatabaseError, match="one-member bound"):
+            t.lookup_range(("k", "n"), hi=("a",))
+        with pytest.raises(DatabaseError, match="one-member bound"):
+            t.count_range(("k", "n"), lo=("a",), lo_incl=False)
+        assert t.lookup_range(("k", "n"), lo=("a",), hi=("a\0",),
+                              hi_incl=False) == [0]
+
+    def test_named_beside_the_single_column_indexes(self):
+        t = Table("t", PAIR_COLUMNS)
+        t.create_index("k")
+        t.create_sorted_index("k", "n")
+        assert t.indexed_columns() == [("k", "n"), "k"]
+        with pytest.raises(DatabaseError, match="no column"):
+            t.create_sorted_index("k", "nope")
+        t.drop_index(("k", "n"))
+        assert t.indexed_columns() == ["k"]
+
+    def test_nan_stays_out_of_a_single_column_index_too(self):
+        t = Table("t", [Column("n", "FLOAT")])
+        t.create_index("n", sorted_index=True)
+        for value in (2.0, NAN, 1.0):
+            t.insert({"n": value})
+        assert t.lookup_range("n") == [2, 0]
+        t.update_row(0, {"n": NAN})
+        assert t.lookup_range("n") == [2]
+        t.drop_index("n")
+        assert t.lookup_range("n", lo=0.0) == [2]
+
+
+class TestColumnReads:
+    def test_iter_values_reads_the_named_columns_lazily(self):
+        t = make_users()
+        for i, name in enumerate(["ann", "bob", "cy"]):
+            t.insert({"id": i, "name": name, "age": 30 + i})
+        scanned = t.rows_scanned
+        rows = t.iter_values([2, 0], ("name", "id"))
+        assert next(rows) == ("cy", 2)
+        assert list(rows) == [("ann", 0)]
+        assert t.rows_scanned == scanned
+
+    def test_distinct_off_the_hash_index_or_a_scan(self):
+        t = make_users()
+        for i, name in enumerate(["ann", "bob", "ann", None]):
+            t.insert({"id": i, "name": name})
+        assert t.distinct("name") == ["ann", "bob", None]    # unindexed
+        assert t.rows_scanned == 4
+        t.create_index("name")
+        assert sorted(t.distinct("name"), key=str) == [None, "ann", "bob"]
+        assert t.rows_scanned == 4                           # no row read

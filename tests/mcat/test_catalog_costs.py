@@ -118,3 +118,86 @@ class TestIndexPlanBatchFetch:
         scan = search(m, f"/{ZONE}/c", [Condition("flag", "=", "yes")],
                       strategy="scan")
         assert sorted(idx.rows) == sorted(scan.rows)
+
+
+class TestNoCatalogOpPerResultRow:
+    """The N+1 rail, one level up from :class:`TestIndexPlanBatchFetch`:
+    through ``fed.rpc.call``, the number of charged catalog ops a
+    ``query``, ``query_page`` or ``ls_page`` makes is the same for 10 and
+    for 1,000 result rows — for the owner, whom ownership decides, and
+    for a reader whose only right is a grant inherited from the parent
+    collection — on a plain and on a four-way sharded catalog.
+
+    (On the parent commit the owner paid one ``find_object`` per result
+    row, and per scanned object one ``get_metadata``; the reader paid a
+    ``find_object``, a ``grants_for`` and a collection-chain walk per
+    row.)
+    """
+
+    COLL = f"/{ZONE}/home/rail"
+
+    def grid(self, rows, shards):
+        from repro.core import Federation, SrbClient
+        fed = Federation(zone=ZONE, mcat_shards=shards)
+        fed.add_host("sdsc")
+        fed.add_server("srb1", "sdsc", mcat=True)
+        fed.add_fs_resource("unix-sdsc", "sdsc")
+        fed.default_resource = "unix-sdsc"
+        fed.bootstrap_admin()
+        fed.add_user(OWNER, "pw")
+        fed.add_user("reader@sdsc", "pw")
+        m = fed.mcat
+        m.create_collection(f"/{ZONE}/home", OWNER, now=0.0)
+        cid = m.create_collection(self.COLL, OWNER, now=0.0)
+        m.grant("collection", cid, "reader@sdsc", "read")
+        oids = m.create_objects(
+            [{"path": f"{self.COLL}/f{i:04d}", "kind": "data"}
+             for i in range(rows)], OWNER, now=0.0)
+        m.add_metadata_bulk(
+            [{"target_kind": "object", "target_id": oid, "attr": attr,
+              "value": value}
+             for oid in oids for attr, value in (("flag", "yes"),
+                                                 ("size", "7"))],
+            by=OWNER, now=0.0)
+        clients = {}
+        for who in (OWNER, "reader@sdsc"):
+            clients[who] = SrbClient(fed, "sdsc", "srb1", who, "pw")
+            clients[who].login()
+        return fed, clients
+
+    def ops_of(self, fed, call):
+        before = fed.obs.metrics.total("mcat.ops")
+        out = call()
+        return fed.obs.metrics.total("mcat.ops") - before, out
+
+    @pytest.mark.parametrize("shards", [None, 4])
+    @pytest.mark.parametrize("who", [OWNER, "reader@sdsc"])
+    def test_ops_do_not_grow_with_the_rows(self, who, shards):
+        conditions = [Condition("flag", "=", "yes"),
+                      Condition("size", "<", "9")]
+        counted = {}
+        for rows in (10, 1000):
+            fed, clients = self.grid(rows, shards)
+            client = clients[who]
+            calls = {
+                "query": lambda: client.query(self.COLL, conditions).rows,
+                "query scan": lambda: client.query(
+                    self.COLL, conditions, strategy="scan").rows,
+                "query_page": lambda: client.query_page(
+                    self.COLL, conditions, limit=rows)["rows"],
+                "ls_page": lambda: client.ls_page(
+                    self.COLL, limit=rows)["objects"],
+            }
+            for name, call in calls.items():
+                ops, out = self.ops_of(fed, call)
+                assert len(out) == rows, name
+                counted.setdefault(name, []).append(ops)
+        for name, (few, many) in counted.items():
+            assert few == many, (
+                f"{name} as {who}: {few} catalog ops for 10 rows, "
+                f"{many} for 1,000")
+        # and few they are: the scope's ACL (2 ops), the probes, the
+        # object rows, their metadata, the audit row; the reader's grants
+        # are looked up along the four-deep collection chain (8 ops) for
+        # the scope and once more for the one collection the rows are in
+        assert counted["query"][0] == (6 if who == OWNER else 22)

@@ -155,3 +155,141 @@ class TestQueryableAttributes:
     def test_system_names_appended(self, mcat):
         names = queryable_attributes(mcat, "/demozone", include_system=True)
         assert "SYS:owner" in names
+
+
+# -- queryable_attributes as it stood when it read the whole zone --------------
+#
+# Verbatim from the parent commit but for the sharded router hook (a
+# sharded catalog is compared with the plain one holding the same rows):
+# one ``row_dict`` per metadata row of the zone, one list walk per
+# structural row.  Kept as the oracle for the index-driven version.
+
+import cProfile
+
+from hypothesis import given, settings, strategies as st
+
+from repro.mcat import ShardedMcat
+from repro.mcat.query import SYSTEM_ATTRS
+from repro.mcat.schema import drop_attribute_indexes, \
+    restore_attribute_indexes
+from repro.util import paths
+
+
+def oracle_queryable_attributes(mcat, scope, include_system=False):
+    scope = paths.normalize(scope)
+    names = set()
+    objs = {row["oid"] for row in mcat.objects_in_collection(scope, recursive=True)}
+    colls = {row["cid"]: row["path"] for row in mcat.subtree_collections(scope)}
+    md = mcat.db.table("metadata")
+    for rid in md.scan():
+        row = md.row_dict(rid)
+        if row["target_kind"] == "object" and row["target_id"] in objs:
+            names.add(row["attr"])
+        elif row["target_kind"] == "collection" and row["target_id"] in colls:
+            names.add(row["attr"])
+    st = mcat.db.table("structural_meta")
+    for rid in st.scan():
+        row = st.row_dict(rid)
+        if row["coll_path"] in colls.values():
+            names.add(row["attr"])
+    out = sorted(names)
+    if include_system:
+        out.extend(SYSTEM_ATTRS)
+    return out
+
+
+TREE = ["/demozone/a", "/demozone/a/x", "/demozone/a/x/y", "/demozone/ab",
+        "/demozone/b"]
+NAMES = ["RA", "DEC", "species", "epoch", "units"]
+
+
+class TestQueryableAttributesOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_index_driven_names_equal_the_full_scan(self, data):
+        draw = data.draw
+        cats = [Mcat(), ShardedMcat(shards=4)]
+        cids = {}
+        for coll in TREE:           # the two catalogs number collections
+            cids[coll] = [m.create_collection(coll, OWNER, now=0.0)
+                          for m in cats]         # each in its own way
+        oids, mids = [], []
+        indexed = True
+        steps = draw(st.lists(st.sampled_from(
+            ["object"] * 3 + ["triple"] * 5 + ["collection triple",
+                                               "structural", "delete",
+                                               "unlink", "indexes"]),
+            min_size=3, max_size=25))
+        for i, step in enumerate(steps):
+            if step == "object":
+                path = f"{draw(st.sampled_from(TREE))}/o{i}"
+                (oid,) = {m.create_object(path, "data", OWNER, now=0.0)
+                          for m in cats}
+                oids.append(oid)
+            elif step == "triple" and oids:
+                target = draw(st.sampled_from(oids))
+                attr = draw(st.sampled_from(NAMES))
+                (mid,) = {m.add_metadata("object", target, attr, "v",
+                                         by=OWNER, now=0.0) for m in cats}
+                mids.append(mid)
+            elif step == "collection triple":
+                targets = cids[draw(st.sampled_from(TREE))]
+                attr = draw(st.sampled_from(NAMES))
+                (mid,) = {m.add_metadata("collection", cid, attr, None,
+                                         by=OWNER, now=0.0)
+                          for m, cid in zip(cats, targets)}
+                mids.append(mid)
+            elif step == "structural":
+                coll = draw(st.sampled_from(TREE))
+                attr = draw(st.sampled_from(NAMES + ["curated"]))
+                for m in cats:
+                    m.define_structural(coll, attr)
+            elif step == "delete" and mids:
+                mid = mids.pop(draw(st.integers(0, len(mids) - 1)))
+                for m in cats:
+                    m.delete_metadata(mid)
+            elif step == "unlink" and oids:
+                oid = oids.pop(draw(st.integers(0, len(oids) - 1)))
+                gone = {r["mid"] for r in cats[0].get_metadata("object", oid)}
+                mids = [mid for mid in mids if mid not in gone]
+                for m in cats:
+                    m.delete_object(oid)
+            elif step == "indexes":
+                plain, sharded = cats
+                for db in [plain.db] + [s.primary.db for s in sharded.shards]:
+                    (drop_attribute_indexes if indexed
+                     else restore_attribute_indexes)(db)
+                indexed = not indexed
+            scope = draw(st.sampled_from(["/", "/demozone"] + TREE))
+            system = draw(st.booleans())
+            want = oracle_queryable_attributes(cats[0], scope, system)
+            for m in cats:
+                assert queryable_attributes(m, scope, system) == want
+
+    def test_no_work_per_metadata_row_of_the_zone(self):
+        """The names in a two-object scope, next to 300 objects carrying
+        6,000 triples: fewer Python-level calls than the zone has
+        metadata rows (the full scan made two per row before anything
+        else), and the same answer."""
+        m = Mcat()
+        m.create_collection("/demozone/small", OWNER, now=0.0)
+        m.create_collection("/demozone/wide", OWNER, now=0.0)
+        for name in ("p", "q"):
+            oid = m.create_object(f"/demozone/small/{name}", "data", OWNER,
+                                  now=0.0)
+            m.add_metadata("object", oid, "a00", "v", by=OWNER, now=0.0)
+            m.add_metadata("object", oid, "only-here", "v", by=OWNER, now=0.0)
+        for i in range(300):
+            oid = m.create_object(f"/demozone/wide/o{i}", "data", OWNER,
+                                  now=0.0)
+            m.add_metadata_bulk(
+                [{"target_kind": "object", "target_id": oid,
+                  "attr": f"a{j:02d}", "value": "v"} for j in range(20)],
+                by=OWNER, now=0.0)
+        profiler = cProfile.Profile()
+        profiler.enable()
+        names = queryable_attributes(m, "/demozone/small")
+        profiler.disable()
+        assert names == ["a00", "only-here"]
+        calls = sum(entry.callcount for entry in profiler.getstats())
+        assert calls < len(m.db.table("metadata")) == 6004

@@ -6,6 +6,8 @@ import re
 
 import pytest
 
+from repro.core import SrbClient
+from repro.mcat import Condition
 from repro.mysrb import Browser, MySrbApp, views
 from repro.mysrb.views import PAGE_BOUND
 from repro.workload import standard_grid
@@ -100,6 +102,30 @@ class TestViewClamp:
                                    page_size=7)
         assert len(set(re.findall(r"d\d{4}\.dat", html))) == 7
         assert next_link(html) is not None
+
+    def test_a_page_is_never_empty_above_a_next_link(self, web):
+        """The first matches are not the reader's to see: the page fills
+        with the ones that are, where it used to render "0 matching SRB
+        objects on this page" over a *next page* link."""
+        grid, app, browser = web
+        grid.fed.add_user("guest@sdsc", "pw")
+        guest = SrbClient(grid.fed, "laptop", "srb1", "guest@sdsc", "pw")
+        guest.login()
+        coll = f"{grid.home}/guestbook"
+        grid.fed.mcat.create_collection(coll, "guest@sdsc", now=0.0)
+        guest.grant(coll, "sekar@sdsc", "write")
+        for i in range(5):
+            grid.curator.ingest(f"{coll}/g{i:04d}.dat", b"x",
+                                metadata={"pick": "yes"})
+        for i in (3, 4):
+            grid.curator.grant(f"{coll}/g{i:04d}.dat", "guest@sdsc", "read")
+        html = views.query_results(guest, coll,
+                                   [Condition("pick", "=", "yes")],
+                                   False, False, page_size=2)
+        assert set(re.findall(r"g\d{4}\.dat", html)) == {"g0003.dat",
+                                                         "g0004.dat"}
+        assert "2 matching SRB objects." in html
+        assert next_link(html) is None
 
     def test_browse_view_honors_page_size(self, web):
         grid, app, browser = web

@@ -16,22 +16,34 @@ serial loop), which pins the one write loop every ingest goes through — availa
 remote pushes as one group, create, replica row.  ``bulk_ingest row``
 is the catalog's insert path on its own: calls per catalog row of one
 100-object ``bulk_ingest`` (44.9), so a regression in ``Table.insert``
-or in index upkeep fails here.  The counts do not depend on the hash
-seed.  A change that needs more should show in EXPERIMENTS.md what the
-calls buy.
+or in index upkeep fails here.  The three ``query`` budgets are the
+catalog's read path over the 200 five-attribute objects those two
+``bulk_ingest`` calls left: ``query selective`` is one conjunctive query
+returning 26 rows, driven by its 28-row ``FIELD = 3`` condition (1,637
+calls; the commit before, which tested every row carrying either
+attribute and re-fetched every hit by path for the ACL, made 5,156);
+``query broad row`` is calls per result row of a one-condition query
+returning all 200 (26.8; before, 96.4) and ``query_page row`` the same
+for a first page of 50 off the path walk (41.7; before, 155.8) — a
+charged catalog op or a Python-level re-parse per row shows in either.
+The counts do not depend on the hash seed.  A change that needs more
+should show in EXPERIMENTS.md what the calls buy.
 """
 
 import cProfile
 
 import pytest
 
+from repro.mcat import Condition
 from repro.workload import standard_grid
 
 PAYLOAD = b"\x5a" * 4096
 
 #: op -> most Python-level calls (functions and builtins) one call may make
 BUDGET = {"ingest": 645, "get": 480, "stat": 420, "add_metadata": 410,
-          "ingest logical": 875, "bulk_ingest row": 52}
+          "ingest logical": 875, "bulk_ingest row": 52,
+          "query selective": 1880, "query broad row": 31,
+          "query_page row": 48}
 
 
 def calls_made_by(op) -> int:
@@ -82,6 +94,26 @@ def measured():
     rows = sum(len(db.table(t)) for t in db.tables()) - rows_before
     assert rows == 701
     counts["bulk_ingest row"] = calls / rows
+
+    # the query path over those 200 objects (plus the five above, which
+    # carry none of these attributes): a selective conjunction as one
+    # number, a broad query and a first page per result row
+    def calls_and_rows(query):
+        out = []
+        return calls_made_by(lambda: out.extend(query())), len(out)
+
+    calls, rows = calls_and_rows(lambda: client.query(home, [
+        Condition("RA", ">=", "10"), Condition("FIELD", "=", "3")]).rows)
+    assert rows == 26
+    counts["query selective"] = calls
+    calls, rows = calls_and_rows(lambda: client.query(home, [
+        Condition("RA", ">=", "0")]).rows)
+    assert rows == 200
+    counts["query broad row"] = calls / rows
+    calls, rows = calls_and_rows(lambda: client.query_page(home, [
+        Condition("RA", ">=", "50")], limit=50)["rows"])
+    assert rows == 50
+    counts["query_page row"] = calls / rows
     return counts
 
 

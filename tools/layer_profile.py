@@ -9,8 +9,16 @@ file, so it is charged to the layer of the function that called it, from
 cProfile's sub-call entries.  The total equals gridbench's
 ``py_calls_per_op`` for the same workload and seed.
 
+``--by-call`` takes the same pass apart by kind of client call instead:
+rows delivered, Python-level calls, virtual seconds, charged catalog ops
+(``mcat.ops``), catalog rows those ops touched, and which catalog methods
+were charged at least once per delivered row — the N+1 pattern, a
+catalog round trip per hit.  It exits 1 if there is such a method, which
+is how CI uses it (on ``catalog_query``, whose items are result rows; on
+a workload that credits one item per page the flag means nothing).
+
 Usage: python3 tools/layer_profile.py --workload catalog_load
-           [--seed N] [--smoke] [--top N] [--json]
+           [--seed N] [--smoke] [--top N] [--json] [--by-call]
 """
 
 from __future__ import annotations
@@ -52,15 +60,22 @@ def label_of(code) -> str:
     return f"{name}:{code.co_firstlineno}({code.co_name})"
 
 
-def profile(workload: str, seed: int, scale: float):
-    """``(cProfile stats, client calls)`` of the workload's profiled pass,
-    entered from the same state gridbench enters it from."""
+def warmed_phase(workload: str, seed: int, scale: float):
+    """The workload in the state gridbench enters its profiled pass from."""
     from gridbench import runner
     phase = runner.Phase(workload, seed, scale)
     phase.setup()
     phase.untimed_pass(runner.WARMUP_PASS, 1)
     if phase.workload.fresh_per_pass:
         phase.setup()
+    return phase
+
+
+def profile(workload: str, seed: int, scale: float):
+    """``(cProfile stats, client calls)`` of the workload's profiled pass,
+    entered from the same state gridbench enters it from."""
+    from gridbench import runner
+    phase = warmed_phase(workload, seed, scale)
     profiler = cProfile.Profile()
     meter = phase.untimed_pass(runner.PROFILED_PASS, phase.sampled_rounds,
                                profiler)
@@ -88,6 +103,90 @@ def fold(stats, ops: int):
     return functions, layers
 
 
+#: a kind of call must deliver this many rows before "charged once per
+#: row" says anything (two ops for a one-row answer is not a pattern)
+PER_ROW_FLOOR = 10
+
+
+def by_call(workload: str, seed: int, scale: float):
+    """The profiled pass again, one profiler per client call: per kind of
+    call, what it delivered and what it cost the catalog.
+
+    Which catalog method a charged op belongs to is read off the profile
+    itself — ``Mcat._charged`` is called once per charged op, and cProfile
+    records who called it — so the pass runs unpatched and its call
+    counts add up to the same total as ``profile``'s.
+    """
+    from gridbench import runner
+    from gridbench.measure import Meter
+    phase = warmed_phase(workload, seed, scale)
+    fed = phase.workload.grid.fed
+    meter = Meter()
+    meter.attach(fed)
+    kinds = {}
+    last = None                  # the row of the call being credited
+    plain_call, plain_done = meter.call, meter.done
+
+    def total(name):
+        return fed.obs.metrics.total(name)
+
+    def call(kind, fn, *args, **kwargs):
+        nonlocal last
+        last = row = kinds.setdefault(kind, {
+            "calls": 0, "rows_out": 0, "py_calls": 0, "virt_s": 0.0,
+            "mcat_ops": 0, "rows_scanned": 0, "charged": Counter()})
+        meter.profiler = cProfile.Profile()
+        ops, scanned = total("mcat.ops"), total("mcat.rows_scanned")
+        result = plain_call(kind, fn, *args, **kwargs)
+        row["calls"] += 1
+        row["virt_s"] += meter.virt[-1]
+        row["mcat_ops"] += int(total("mcat.ops") - ops)
+        row["rows_scanned"] += int(total("mcat.rows_scanned") - scanned)
+        for entry in meter.profiler.getstats():
+            row["py_calls"] += entry.callcount
+            for sub in entry.calls or ():
+                if getattr(sub.code, "co_name", "") == "_charged":
+                    row["charged"][entry.code.co_name] += sub.callcount
+        return result
+
+    def done(items=1, nbytes=0):
+        last["rows_out"] += items
+        plain_done(items, nbytes)
+
+    meter.call, meter.done = call, done
+    for round_no in range(phase.sampled_rounds):
+        phase.workload.round(meter, runner.PROFILED_PASS, round_no)
+    if meter.failed:
+        raise SystemExit(f"layer_profile: {meter.failed} failed ops: "
+                         f"{meter.errors}")
+    for row in kinds.values():
+        row["per_row"] = {
+            method: count for method, count in row["charged"].items()
+            if row["rows_out"] >= PER_ROW_FLOOR and count >= row["rows_out"]}
+        row["charged"] = dict(row["charged"].most_common())
+    return kinds
+
+
+def print_by_call(workload: str, seed: int, kinds) -> None:
+    sums = {key: sum(row[key] for row in kinds.values())
+            for key in ("calls", "rows_out", "py_calls", "virt_s", "mcat_ops",
+                        "rows_scanned")}
+    print(f"{workload} seed {seed}: {sums['calls']} client calls, "
+          f"{sums['py_calls'] / sums['calls']:,.1f} Python-level calls and "
+          f"{sums['virt_s'] / sums['calls']:.4f} virtual s per call\n")
+    print(f"{'client call':<16}{'rows out':>9}{'Python calls':>14}"
+          f"{'virtual s':>11}{'mcat.ops':>10}{'rows scanned':>14}"
+          "  charged once per row or more")
+    for kind, row in list(kinds.items()) + [("total", dict(sums,
+                                                          per_row={}))]:
+        label = kind if kind == "total" else f"{kind} x{row['calls']}"
+        flagged = ", ".join(f"{count} {method}" for method, count
+                            in row["per_row"].items()) or "-"
+        print(f"{label:<16}{row['rows_out']:>9,}{row['py_calls']:>14,}"
+              f"{row['virt_s']:>11.4f}{row['mcat_ops']:>10,}"
+              f"{row['rows_scanned']:>14,}  {flagged}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True)
@@ -97,6 +196,9 @@ def main(argv=None) -> int:
     parser.add_argument("--top", type=int, default=25,
                         help="functions to print (default 25)")
     parser.add_argument("--json", action="store_true")
+    parser.add_argument("--by-call", action="store_true",
+                        help="per kind of client call: rows, calls, virtual "
+                        "s, catalog ops; exit 1 on a per-row catalog op")
     args = parser.parse_args(argv)
     if os.environ.get("PYTHONHASHSEED") != "0":    # as gridbench pins it
         os.environ["PYTHONHASHSEED"] = "0"
@@ -104,8 +206,16 @@ def main(argv=None) -> int:
     sys.path.insert(0, ROOT)
     import gridbench
     gridbench.use_repo_sources()
-    stats, ops = profile(args.workload, args.seed,
-                         0.05 if args.smoke else 1.0)
+    scale = 0.05 if args.smoke else 1.0
+    if args.by_call:
+        kinds = by_call(args.workload, args.seed, scale)
+        if args.json:
+            print(json.dumps({"workload": args.workload, "seed": args.seed,
+                              "by_call": kinds}, indent=1))
+        else:
+            print_by_call(args.workload, args.seed, kinds)
+        return 1 if any(row["per_row"] for row in kinds.values()) else 0
+    stats, ops = profile(args.workload, args.seed, scale)
     functions, layers = fold(stats, ops)
     report = {"workload": args.workload, "seed": args.seed, "ops": ops,
               "py_calls_per_op": sum(functions.values()),
