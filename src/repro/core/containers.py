@@ -25,7 +25,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.errors import ContainerError, HostUnreachable, ResourceUnavailable
 from repro.mcat.catalog import Mcat
-from repro.net.simnet import Network
+from repro.net.simnet import raise_failed
 from repro.policy import PlacementEngine
 from repro.storage.resource import ResourceRegistry
 
@@ -34,31 +34,16 @@ class ContainerManager:
     """Creates containers, appends members, reads members, synchronizes."""
 
     def __init__(self, mcat: Mcat, resources: ResourceRegistry,
-                 network: Network,
-                 placement: Optional[PlacementEngine] = None,
-                 channels=None):
+                 placement: PlacementEngine, channels):
         self.mcat = mcat
         self.resources = resources
-        self.network = network
         # container replica ordering goes through the placement engine
         # (cache-tier-first always; within a tier the policy may rank by
-        # measured path cost).  Standalone managers build a default one.
-        self.placement = placement if placement is not None \
-            else PlacementEngine(resources, network)
-        # the federation's ChannelBroker (direct_io): container byte
-        # movement rides brokered channels when enabled, the historical
-        # raw transfer otherwise.  None = standalone manager, raw.
+        # measured path cost)
+        self.placement = placement
+        # the federation's ChannelBroker: container bytes move through
+        # its leg runner like every other payload byte
         self.channels = channels
-
-    def _move(self, src: str, dst: str, nbytes: int, path_key: str,
-              label: str) -> None:
-        """Charge one container byte movement src→dst (0 if colocated)."""
-        if src == dst:
-            return
-        if self.channels is not None and self.channels.enabled:
-            self.channels.run(src, dst, nbytes, path_key, label=label)
-        else:
-            self.network.transfer(src, dst, nbytes)
 
     # -- creation -------------------------------------------------------------
 
@@ -103,6 +88,31 @@ class ContainerManager:
 
     # -- membership ------------------------------------------------------------
 
+    def _append_to_primary(self, coid: int, data: bytes, now: float,
+                           server_host: Optional[str], label: str):
+        """Land ``data`` at the end of the container's primary copy.
+
+        The bytes move ``server_host`` → primary first (when a host is
+        given); the other container replicas become dirty.  Returns
+        ``(resource, primary replica row, offset of the new slice)``.
+        """
+        primary = self.primary_replica(coid)
+        res = self.resources.physical(primary["resource"])
+        if not self.resources.available(res.name):
+            raise ResourceUnavailable(
+                f"container primary resource {res.name!r} is down")
+        if server_host is not None:
+            raise_failed(self.channels.run_legs(
+                [(server_host, res.host, len(data),
+                  primary["physical_path"])], label))
+        offset = res.driver.size(primary["physical_path"])
+        res.driver.append(primary["physical_path"], data)
+        self.mcat.update_replica(coid, primary["replica_num"],
+                                 size=offset + len(data))
+        self.mcat.mark_siblings_dirty(coid, primary["replica_num"])
+        self.mcat.update_object(coid, size=offset + len(data), modified_at=now)
+        return res, primary, offset
+
     def append_member(self, container: Dict[str, Any], member_oid: int,
                       data: bytes, now: float,
                       server_host: Optional[str] = None) -> Dict[str, Any]:
@@ -112,38 +122,16 @@ class ContainerManager:
         bulk pass).  Returns the member's new replica row.
         """
         coid = int(container["oid"])
-        primary = self.primary_replica(coid)
-        res = self.resources.physical(primary["resource"])
-        if not self.resources.available(res.name):
-            raise ResourceUnavailable(
-                f"container primary resource {res.name!r} is down")
-        if server_host is not None:
-            self._move(server_host, res.host, len(data),
-                       primary["physical_path"], "container-append")
-        offset = res.driver.size(primary["physical_path"])
-        res.driver.append(primary["physical_path"], data)
-        self.mcat.update_replica(coid, primary["replica_num"],
-                                 size=offset + len(data))
-        self.mcat.mark_siblings_dirty(coid, primary["replica_num"])
-        self.mcat.update_object(coid, size=offset + len(data), modified_at=now)
+        res, primary, offset = self._append_to_primary(
+            coid, data, now, server_host, "container-append")
         replica_num = self.mcat.add_replica(
             member_oid, res.name, primary["physical_path"], len(data),
             now=now, container_oid=coid, offset=offset)
         return self.mcat.get_replica(member_oid, replica_num)
 
-    def read_member(self, member_replica: Dict[str, Any],
-                    server_host: Optional[str] = None) -> bytes:
-        """Read a member's bytes via any available container replica.
-
-        :meth:`read_member_deferred` plus the pass-through leg: the
-        bytes are charged once from the replica's host to
-        ``server_host`` (nothing when they are already there).
-        """
-        data, res = self.read_member_deferred(member_replica,
-                                              from_host=server_host)
-        if server_host is not None and server_host != res.host:
-            self.network.transfer(res.host, server_host, len(data))
-        return data
+    def read_member(self, member_replica: Dict[str, Any]) -> bytes:
+        """A member's bytes, off any available container replica."""
+        return self.read_member_deferred(member_replica)[0]
 
     def read_member_deferred(self, member_replica: Dict[str, Any],
                              from_host: Optional[str] = None):
@@ -153,9 +141,9 @@ class ContainerManager:
         ranged read touches only the member's slice (tape staging of the
         whole container happens inside the archive driver, where the cost
         model amortizes it across subsequent members).  Returns ``(data,
-        resource)`` so a direct-I/O caller can move the bytes once, on
-        the real source→sink path, via a brokered channel.  ``from_host``
-        is the eventual *sink*, used to order the container replicas.
+        resource)``: the caller delivers the bytes from the resource's
+        host to whoever reads them.  ``from_host`` is that reader's
+        host, used to order the container replicas.
         """
         coid = member_replica["container_oid"]
         if coid is None:
@@ -200,22 +188,8 @@ class ContainerManager:
         coid = member_replica["container_oid"]
         if coid is None:
             raise ContainerError("replica is not container-resident")
-        coid = int(coid)
-        primary = self.primary_replica(coid)
-        res = self.resources.physical(primary["resource"])
-        if not self.resources.available(res.name):
-            raise ResourceUnavailable(
-                f"container primary resource {res.name!r} is down")
-        if server_host is not None:
-            self._move(server_host, res.host, len(data),
-                       primary["physical_path"], "container-replace")
-        offset = res.driver.size(primary["physical_path"])
-        res.driver.append(primary["physical_path"], data)
-        self.mcat.update_replica(coid, primary["replica_num"],
-                                 size=offset + len(data))
-        self.mcat.mark_siblings_dirty(coid, primary["replica_num"])
-        self.mcat.update_object(coid, size=offset + len(data),
-                                modified_at=now)
+        res, primary, offset = self._append_to_primary(
+            int(coid), data, now, server_host, "container-replace")
         self.mcat.update_replica(int(member_replica["oid"]),
                                  int(member_replica["replica_num"]),
                                  offset=offset, size=len(data),
@@ -272,9 +246,10 @@ class ContainerManager:
              server_host: Optional[str] = None) -> int:
         """Copy the fresh container bytes onto every dirty replica.
 
-        One bulk transfer per dirty replica — this is the "semantics
-        associated with the logical resource specification of the
-        container" the paper describes.  Returns replicas refreshed.
+        One bulk transfer per dirty replica, overlapped — this is the
+        "semantics associated with the logical resource specification of
+        the container" the paper describes.  Nothing is written unless
+        every transfer arrives.  Returns replicas refreshed.
         """
         container = self.get_container(container_path)
         coid = int(container["oid"])
@@ -285,20 +260,19 @@ class ContainerManager:
         source = fresh[0]
         src_res = self.resources.physical(source["resource"])
         data = src_res.driver.read_all(source["physical_path"])
-        refreshed = 0
-        for rep in replicas:
-            if not rep["is_dirty"]:
-                continue
-            dst_res = self.resources.physical(rep["resource"])
+        dirty = [(rep, self.resources.physical(rep["resource"]))
+                 for rep in replicas if rep["is_dirty"]]
+        for _rep, dst_res in dirty:
             if not self.resources.available(dst_res.name):
                 raise ResourceUnavailable(
                     f"cannot sync container to {dst_res.name!r}: down")
-            self._move(src_res.host, dst_res.host, len(data),
-                       rep["physical_path"], "container-sync")
+        raise_failed(self.channels.run_legs(
+            [(src_res.host, dst_res.host, len(data), rep["physical_path"])
+             for rep, dst_res in dirty], "container-sync"))
+        for rep, dst_res in dirty:
             if dst_res.driver.exists(rep["physical_path"]):
                 dst_res.driver.delete(rep["physical_path"])
             dst_res.driver.create(rep["physical_path"], data)
             self.mcat.update_replica(coid, rep["replica_num"],
                                      is_dirty=False, size=len(data))
-            refreshed += 1
-        return refreshed
+        return len(dirty)

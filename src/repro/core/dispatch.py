@@ -162,7 +162,7 @@ class OpContext:
     """Per-call state threaded through the pipeline into the handler."""
 
     __slots__ = ("server", "spec", "ticket", "kwargs", "principal", "span",
-                 "caller_host", "payload_src",
+                 "caller_host", "payload_host",
                  "_audit_action", "_audit_target", "_audit_detail",
                  "_audit_suppressed")
 
@@ -175,13 +175,13 @@ class OpContext:
         # op was invoked in-process, e.g. a facade method calling back)
         self.caller_host: Optional[str] = \
             server.federation.rpc.caller_host
-        # direct-I/O write path: the client announced its payload with a
-        # DeferredPayload claim instead of shipping the bytes in the
-        # request.  Unwrap so handlers see plain bytes; payload_src then
-        # names the host the bytes still live on (the channel's source).
+        # where a write op's payload bytes are: on this server (they
+        # rode the request), or still on the caller's host when the
+        # client announced them with a DeferredPayload claim instead.
+        # Unwrapped either way, so handlers see plain bytes.
         kwargs, deferred = _unwrap_deferred(kwargs)
-        self.payload_src: Optional[str] = \
-            self.caller_host if deferred else None
+        self.payload_host: str = \
+            self.caller_host if deferred else server.host
         self.kwargs = kwargs
         self.principal: Optional[Principal] = None
         self.span = None

@@ -20,7 +20,7 @@ matching the paper's running example.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.auth.tickets import ChannelTicket, Ticket, TicketAuthority
 from repro.auth.users import Principal, UserRegistry
@@ -34,7 +34,9 @@ from repro.mcat.shard import ShardedMcat
 from repro.mcat.extraction import ExtractionRegistry
 from repro.net import wire
 from repro.net.rpc import ServiceRegistry
-from repro.net.simnet import DataChannel, LinkSpec, Network, WAN
+from repro.net.simnet import (
+    DataChannel, LinkSpec, Network, TransferGroup, TransferOutcome, WAN,
+    blocking_outcome, run_channel_group)
 from repro.policy import PlacementEngine
 from repro.storage.archive import ArchiveDriver, TapeCost
 from repro.storage.base import DeviceCost, DISK_COST
@@ -48,35 +50,38 @@ from repro.util.ids import IdFactory
 
 
 class ChannelBroker:
-    """Issues and redeems direct data channels for one federation zone.
+    """Moves payload bytes for one federation zone, and brokers the
+    direct data channels some of them ride.
 
-    The server side of ``Federation(direct_io=True)``: a byte-bearing op
-    asks the broker for a :class:`~repro.net.simnet.DataChannel` carrying
-    a signed one-shot :class:`~repro.auth.tickets.ChannelTicket` (the
-    paper's ticket third-leg applied to data movement), and the RPC layer
-    executes the transfer on the actual src→sink path.  Redemption
-    enforces one-shot use, virtual-clock expiry and the topology epoch;
-    every rejection is counted under ``srb.redirect.denied`` labelled
-    with its reason.
+    Every payload byte a server moves goes through :meth:`run_legs`;
+    whether a leg is a raw transfer or a ticketed
+    :class:`~repro.net.simnet.DataChannel` is decided here and nowhere
+    else.  Under ``Federation(direct_io=True)`` a byte-bearing op gets
+    its channels from :meth:`open`, each carrying a signed one-shot
+    :class:`~repro.auth.tickets.ChannelTicket` (the paper's ticket
+    third-leg applied to data movement).  Redemption enforces one-shot
+    use, virtual-clock expiry and the topology epoch; every rejection is
+    counted under ``srb.redirect.denied`` labelled with its reason.
     """
 
-    def __init__(self, authority: TicketAuthority, network: Network,
-                 enabled: bool = False):
+    def __init__(self, authority: Optional[TicketAuthority],
+                 network: Network, enabled: bool = False, streams: int = 1):
         self.authority = authority
         self.network = network
         self.enabled = bool(enabled)
-        self.opened = 0
+        #: parallel streams every data leg opens (``data_streams``)
+        self.streams = streams
         self.denied = 0
 
     def open(self, src: str, dst: str, nbytes: int, path_key: str = "",
-             streams: int = 1, label: str = "direct") -> DataChannel:
+             label: str = "direct") -> DataChannel:
         """Build an (unopened) channel with a freshly signed descriptor."""
         ticket = self.authority.issue_channel(
             src, dst, nbytes, path_key,
             epoch=self.network.topology_epoch)
-        self.opened += 1
-        return DataChannel(self.network, src, dst, nbytes, streams=streams,
-                           label=label, ticket=ticket, redeem=self.redeem)
+        return DataChannel(self.network, src, dst, nbytes,
+                           streams=self.streams, label=label, ticket=ticket,
+                           redeem=self.redeem)
 
     def redeem(self, ticket: ChannelTicket) -> None:
         """Validate + consume a descriptor; counts denials by reason."""
@@ -90,22 +95,63 @@ class ChannelBroker:
                 reason=getattr(exc, "reason", "invalid"))
             raise
 
-    def run(self, src: str, dst: str, nbytes: int, path_key: str = "",
-            streams: int = 1, label: str = "direct") -> float:
-        """Open + transfer a server-driven channel now (push/copy legs).
+    def run_legs(self, legs: Sequence[Tuple[str, str, int, str]],
+                 label: str) -> List[TransferOutcome]:
+        """Move payload bytes: the one leg runner.
 
-        Returns the elapsed virtual seconds (0.0 when src == dst — the
-        bytes never leave the host, so there is nothing to charge).
+        ``legs`` says what must move, each ``(src_host, dst_host,
+        nbytes, path_key)``; the route is this method's business.  A
+        leg whose ends share a host moves nothing and is charged
+        nothing.  The rest run as one overlapped set — raw transfers,
+        or, with direct I/O on, ticketed channels (``path_key`` is
+        bound into the ticket) — and the result is one
+        :class:`~repro.net.simnet.TransferOutcome` per leg, in order.
+        Nothing is raised for a leg that fails: abort, skip and stay
+        dirty, fail one item, re-pull from a healthy source — what a
+        failed member means is the caller's policy
+        (:func:`~repro.net.simnet.raise_failed` is the plainest one).
+
+        Two rules hold for every caller:
+
+        (a) *A one-leg plan is a blocking transfer.*  A parallel group
+            of one overlaps nothing, so a lone leg is
+            :meth:`Network.transfer` (or a channel's ``open`` +
+            ``transfer``): the same virtual seconds, bytes and
+            ``net.transfer`` span, and no ``net.parallel.*`` record.
+            Two or more legs share one
+            :class:`~repro.net.simnet.TransferGroup` and are charged
+            its makespan.
+        (b) *A channel that cannot be opened is a failed member*, not
+            an exception: its outcome carries the error, and its
+            siblings still run and settle.
         """
-        if src == dst:
-            return 0.0
-        with self.network.obs.tracer.span("srb.redirect", sink=dst,
-                                          legs=1, bytes=nbytes,
-                                          label=label):
-            channel = self.open(src, dst, nbytes, path_key,
-                                streams=streams, label=label)
-            channel.open()
-            return channel.transfer()
+        net = self.network
+        wire = [leg for leg in legs if leg[0] != leg[1]]
+        if not wire:
+            ran = []
+        elif self.enabled:
+            with net.obs.tracer.span(
+                    "srb.redirect", legs=len(wire), label=label,
+                    bytes=sum(nbytes for _s, _d, nbytes, _k in wire)):
+                ran = run_channel_group(
+                    net, [self.open(*leg, label=label) for leg in wire],
+                    label)
+        elif len(wire) > 1:
+            group = TransferGroup(net, label=label)
+            for src, dst, nbytes, _key in wire:
+                group.add(src, dst, nbytes, streams=self.streams)
+            ran = group.run()
+        else:
+            ((src, dst, nbytes, _key),) = wire
+            ran = [blocking_outcome(
+                net, src, dst, nbytes, self.streams,
+                lambda: net.transfer(src, dst, nbytes, streams=self.streams))]
+        if len(ran) == len(legs):
+            return ran
+        moved, now = iter(ran), net.clock.now
+        return [next(moved) if src != dst
+                else TransferOutcome(src, dst, nbytes, now, now, 0.0)
+                for src, dst, nbytes, _key in legs]
 
 
 class Federation:
@@ -185,20 +231,19 @@ class Federation:
         # channel descriptor and the bytes are charged once, on the
         # actual source→sink path.
         self.direct_io = bool(direct_io)
+        # parallel data-transfer streams every payload leg opens (SRB
+        # 2.x parallel I/O; control traffic stays single)
+        self.data_streams = max(1, int(data_streams))
         self.channels = ChannelBroker(self.authority, self.network,
-                                      enabled=self.direct_io)
+                                      enabled=direct_io,
+                                      streams=self.data_streams)
         self.containers = ContainerManager(self.mcat, self.resources,
-                                           self.network,
-                                           placement=self.placement,
-                                           channels=self.channels)
+                                           self.placement, self.channels)
         self.web = WebSpace(self.network)
         self.extractors = ExtractionRegistry()
         self.servers: Dict[str, SrbServer] = {}
         self.sso_enabled = sso_enabled
         self.default_resource: Optional[str] = None
-        # parallel data-transfer streams used on the server<->resource
-        # data plane (SRB 2.x parallel I/O; control traffic stays single)
-        self.data_streams = max(1, int(data_streams))
         # open-loop load plane (E15).  workers=None (default) keeps the
         # historical contention-free server: requests never queue and
         # are never shed, so every serial-mode recording is untouched.

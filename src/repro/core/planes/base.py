@@ -5,8 +5,9 @@ data, replica, metadata, auth); the :class:`~repro.core.dispatch.Dispatcher`
 routes every RPC into exactly one of them after the middleware pipeline
 has handled auth / spans / zone forwarding / audit.  The base class
 provides the accessors into federation-shared state and the storage
-plumbing several planes need (resource sessions, data pulls/pushes,
-shadow-directory and catalog-target resolution).
+plumbing several planes need (resource sessions, the write loop and the
+read delivery over the federation's leg runner, shadow-directory and
+catalog-target resolution).
 
 Handlers on a plane never open sessions to *policy* plumbing — no
 ``_auth``/``_audit``/``_mcat_hop``/``_forward`` calls appear in plane
@@ -17,15 +18,19 @@ stages.  What lives here is *data-path* plumbing only.
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, \
+    Tuple
 
 from repro.auth.tickets import TicketAuthority
 from repro.auth.users import UserRegistry
 from repro.core.access import AccessController
 from repro.core.containers import ContainerManager
 from repro.core.locking import LockManager
-from repro.errors import HostUnreachable, NoSuchObject
+from repro.errors import HostUnreachable, NoSuchObject, \
+    ResourceUnavailable, SrbError
 from repro.mcat.catalog import Mcat
+from repro.net.simnet import TransferOutcome, raise_failed, repull_failed
+from repro.net.wire import Redirect
 from repro.storage.resource import PhysicalResource, ResourceRegistry
 from repro.util import paths
 
@@ -168,90 +173,181 @@ class PlaneService:
         """Drop this server's session to ``res`` (if any)."""
         self.server._session_cache.pop(res.name, None)
 
-    def _pull_from_resource(self, res: PhysicalResource, nbytes: int) -> None:
-        if res.host != self.host:
-            self.network.transfer(res.host, self.host, nbytes,
-                                  streams=self.federation.data_streams)
-
-    def _push_to_resource(self, res: PhysicalResource, nbytes: int) -> None:
-        if res.host != self.host:
-            self.network.transfer(self.host, res.host, nbytes,
-                                  streams=self.federation.data_streams)
-
     # ------------------------------------------------------------------
-    # direct data channels (Federation(direct_io=True))
+    # payload movement: one leg runner, one write loop, one read delivery
     # ------------------------------------------------------------------
     #
-    # These helpers are the ONLY sanctioned byte movers in plane code
-    # (tools/lint_dispatch.py rule 6): each one either routes through
-    # the federation's ChannelBroker — charging the bytes once, on the
-    # actual source→sink path — or falls back to the exact historical
-    # pass-through transfer, byte-identical with direct_io off.
+    # Plane code says *what* must move; how it moves is decided by the
+    # federation's leg runner (ChannelBroker.run_legs) alone.  No
+    # handler charges a payload byte itself (tools/lint_dispatch.py
+    # rule 6).
 
-    def _redirect_sink(self, ctx) -> Optional[str]:
-        """The caller host a read op should redirect bytes to, if any.
+    def _run_legs(self, legs: Sequence[Tuple[str, str, int, str]],
+                  resources: Sequence[PhysicalResource],
+                  label: str) -> List[TransferOutcome]:
+        """Run ``legs`` (one per entry of ``resources``, the storage end
+        of each) through the leg runner; a resource whose leg failed
+        loses its session.  Returns the outcomes, judged by the caller."""
+        outcomes = self.federation.channels.run_legs(legs, label)
+        for res, outcome in zip(resources, outcomes):
+            if outcome.error is not None:
+                self._invalidate_session(res)
+        return outcomes
 
-        ``None`` means pass-through: direct I/O is off, the op was
-        invoked in-process (no RPC caller), or the caller is colocated
-        with this server so there is no second crossing to save.
+    def _push(self, src_host: str, res_list: Sequence[PhysicalResource],
+              nbytes: int, path_key: str, label: str) -> None:
+        """First half of the write loop: get ``nbytes`` from ``src_host``
+        to every resource of ``res_list``.
+
+        Availability of every member, then a session to each, then one
+        overlapped leg per member.  An unavailable member, a session
+        that will not open or a leg that fails raises here — before a
+        byte is on any driver or a row in the catalog, so a write onto a
+        logical resource happens on every member or on none.
+        """
+        for res in res_list:
+            if not self.resources.available(res.name):
+                raise ResourceUnavailable(
+                    f"resource {res.name!r} is down")
+        for res in res_list:
+            self._resource_session(res)
+        raise_failed(self._run_legs(
+            [(src_host, res.host, nbytes, path_key) for res in res_list],
+            res_list, label))
+
+    def _land(self, res_list: Sequence[PhysicalResource],
+              files: Sequence[Tuple[str, bytes]], replace: bool = False,
+              on_refused: Optional[Callable[[int, SrbError], None]] = None
+              ) -> Set[int]:
+        """Second half of the write loop: create every ``(physical path,
+        data)`` of ``files`` on every resource of ``res_list``.
+
+        A file a storage system refuses is removed from the members
+        already written (:meth:`_rollback_created`) and the error
+        raised — or, for a batch, handed to ``on_refused(index, error)``
+        while the other files proceed; returns the indices refused.
+        ``replace`` overwrites a file already there.
+        """
+        refused: Set[int] = set()
+        for k, res in enumerate(res_list):
+            driver = res.driver
+            for i, (phys, data) in enumerate(files):
+                if i in refused:
+                    continue
+                try:
+                    if replace and driver.exists(phys):
+                        driver.delete(phys)
+                    driver.create(phys, data)
+                except SrbError as exc:
+                    self._rollback_created(
+                        [(done, phys) for done in res_list[:k]])
+                    if on_refused is None:
+                        raise
+                    refused.add(i)
+                    on_refused(i, exc)
+        return refused
+
+    def _store(self, src_host: str, res_list: Sequence[PhysicalResource],
+               phys: str, data: bytes, label: str,
+               replace: bool = False) -> None:
+        """The write loop for one file: :meth:`_push` its bytes to every
+        resource, then :meth:`_land` it there.  The replica rows are the
+        caller's, written once this returns."""
+        self._push(src_host, res_list, len(data), phys, label)
+        self._land(res_list, [(phys, data)], replace)
+
+    def _store_replicas(self, src_host: str,
+                        res_list: Sequence[PhysicalResource], oid: int,
+                        phys: str, data: bytes, label: str) -> int:
+        """:meth:`_store` one file as *new* replicas of ``oid``: one row
+        per resource, added only when the file is on every one of them.
+        Returns the last replica number."""
+        self._store(src_host, res_list, phys, data, label)
+        num = -1
+        for res in res_list:
+            num = self.mcat.add_replica(oid, res.name, phys, len(data),
+                                        now=self.now)
+        return num
+
+    def _rollback_created(self, created: Sequence[
+            Tuple[PhysicalResource, str]]) -> None:
+        """Remove half-written files after a failed write.
+
+        Cleanup is not free on the wire: deleting a file on a *remote*
+        member costs one control message (counted in ``net.messages``).
+        A member that became unreachable keeps its orphaned bytes — the
+        failed delete attempt is charged like any timed-out message.
+        """
+        for res, phys in created:
+            if res.host != self.host:
+                try:
+                    self.network.transfer(self.host, res.host,
+                                          _CONTROL_MSG)
+                except HostUnreachable:
+                    self._invalidate_session(res)
+                    continue
+            if res.driver.exists(phys):
+                res.driver.delete(phys)
+
+    def _redirect_sink(self, ctx) -> str:
+        """The host a read op's bytes are bound for.
+
+        The caller's host, when direct I/O is on and the caller is
+        remote: the op redirects its bytes there.  Otherwise this
+        server's: direct I/O is off, the op was invoked in-process (no
+        RPC caller), or the caller is colocated with this server so
+        there is no second crossing to save.
         """
         if not self.federation.direct_io:
-            return None
-        sink = ctx.caller_host
-        if sink is None or sink == self.host:
-            return None
-        return sink
+            return self.host
+        return ctx.caller_host or self.host
 
-    def _payload_source(self, ctx) -> Optional[str]:
-        """The host a write op's payload bytes still live on, if any.
+    def _redirect_reply(self, payload, owed, sink: str, label: str,
+                        retry: bool) -> Redirect:
+        """A :class:`~repro.net.wire.Redirect` whose channels, one per
+        ``(resource, nbytes, path_key)`` of ``owed``, the caller's RPC
+        layer runs resource→``sink``."""
+        channels = self.federation.channels
+        return Redirect(payload,
+                        [channels.open(res.host, sink, nbytes, path_key,
+                                       label)
+                         for res, nbytes, path_key in owed],
+                        retry=retry, label=label)
 
-        Non-``None`` only when the client deferred the payload
-        (direct_io): the bytes then move ``payload_src → resource``
-        instead of riding the request and being pushed server→resource.
+    def _deliver(self, payload: Any,
+                 owed: Sequence[Tuple[PhysicalResource, int, str]],
+                 sink: str, label: str, retry: bool = False,
+                 on_failed: Optional[
+                     Callable[[int, TransferOutcome], None]] = None) -> Any:
+        """The read delivery: get the parts of ``payload`` still owed on
+        the wire to whoever reads them, and return the reply.
+
+        ``owed`` lists them as ``(resource, nbytes, path_key)``.  When
+        the ``sink`` (:meth:`_redirect_sink`) is another host nothing
+        moves here: the reply is a redirect and the caller's RPC layer
+        pulls the parts resource→sink, applying ``retry`` there.
+        Otherwise they are pulled to this server through the leg
+        runner, and a part that does not arrive is re-pulled from a
+        source that answered (``retry``: striped reads), handed to
+        ``on_failed(index, outcome)`` (batches), or raised.
         """
-        return ctx.payload_src
-
-    def _channel_push(self, ctx, res: PhysicalResource, nbytes: int,
-                      path_key: str = "", label: str = "ingest") -> None:
-        """Move a write payload onto ``res`` (channel or pass-through)."""
-        src = self._payload_source(ctx)
-        if src is None:
-            self._push_to_resource(res, nbytes)
-        elif src != res.host:
-            self.federation.channels.run(
-                src, res.host, nbytes, path_key,
-                streams=self.federation.data_streams, label=label)
-
-    def _channel_copy(self, src_host: str, res: PhysicalResource,
-                      nbytes: int, path_key: str = "",
-                      label: str = "copy") -> None:
-        """Move bytes ``src_host → res`` (resource→resource legs)."""
-        if src_host == res.host:
-            return
-        if self.federation.direct_io:
-            self.federation.channels.run(
-                src_host, res.host, nbytes, path_key,
-                streams=self.federation.data_streams, label=label)
+        if not owed:
+            return payload
+        if sink != self.host:
+            return self._redirect_reply(payload, owed, sink, label, retry)
+        outcomes = self._run_legs(
+            [(res.host, self.host, nbytes, path_key)
+             for res, nbytes, path_key in owed],
+            [res for res, _nbytes, _path_key in owed], label)
+        if on_failed is not None:
+            for k, outcome in enumerate(outcomes):
+                if outcome.error is not None:
+                    on_failed(k, outcome)
+        elif retry:
+            repull_failed(self.network, outcomes)
         else:
-            self.network.transfer(src_host, res.host, nbytes,
-                                  streams=self.federation.data_streams)
-
-    def _redirect_reply(self, payload, parts, sink: str,
-                        label: str = "get", retry: bool = False,
-                        parallel: bool = False):
-        """Build a :class:`~repro.net.wire.Redirect` reply.
-
-        ``parts`` is a list of ``(src_host, nbytes, path_key)`` legs the
-        caller's RPC layer will execute as channels toward ``sink``.
-        """
-        from repro.net.wire import Redirect
-        streams = self.federation.data_streams
-        channels = [
-            self.federation.channels.open(src, sink, nbytes, path_key,
-                                          streams=streams, label=label)
-            for src, nbytes, path_key in parts]
-        return Redirect(payload, channels, parallel=parallel, retry=retry,
-                        label=label)
+            raise_failed(outcomes)
+        return payload
 
     # ------------------------------------------------------------------
     # catalog resolution shared across planes

@@ -14,11 +14,11 @@ storage access — it resolves the catalog, checks ACLs, opens the
 control session to the resource — but replies with a signed one-shot
 channel descriptor instead of the payload, and the bytes are charged
 once on the actual source→sink path (resource→client for reads,
-client→resource for writes, resource→resource for copies).  Every
-byte-bearing op falls back to pass-through when direct I/O is off, the
-op was invoked in-process, or the caller is colocated with this server;
-the channel helpers on :class:`~repro.core.planes.base.PlaneService`
-are the only sanctioned byte movers (lint rule 6)."""
+client→resource for writes, resource→resource for copies).  Handlers do
+not choose between them: they say what must move and hand it to the
+write loop (``_store``) or the read delivery (``_deliver``) of
+:class:`~repro.core.planes.base.PlaneService`, and the federation's leg
+runner picks the route (lint rule 6)."""
 
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ from repro.auth.users import Principal
 from repro.core.dispatch import OpContext, rpc_op
 from repro.core.planes.base import PlaneService, _CONTROL_MSG, \
     content_checksum
-from repro.net.simnet import TransferGroup, run_channel_group
+from repro.net.simnet import TransferOutcome
 from repro.errors import (
     ContainerError,
     HostUnreachable,
@@ -87,14 +87,13 @@ class DataService(PlaneService):
             data_type=data_type, size=len(data),
             checksum=content_checksum(data))
 
-        created: List[Tuple[PhysicalResource, str]] = []
         try:
             if container is not None:
                 cont = self.containers.get_container(container)
                 self.access.require_object(principal, cont, "write")
                 self.containers.append_member(
                     cont, oid, data, now=self.now,
-                    server_host=self._payload_source(ctx) or self.host)
+                    server_host=ctx.payload_host)
             else:
                 resource = resource or self.federation.default_resource
                 if resource is None:
@@ -105,12 +104,10 @@ class DataService(PlaneService):
                     size_hint=len(data))
                 phys = f"/srb/{coll.strip('/').replace('/', '_')}/" \
                        f"{oid}-{paths.basename(path)}"
-                self._ingest_fanout(ctx, oid, phys, data, res_list, created)
+                self._store_replicas(ctx.payload_host, res_list, oid, phys,
+                                     data, "ingest-fanout")
         except SrbError:
-            # no half-ingested objects — and no orphaned physical
-            # bytes: files already written on earlier members of a
-            # logical resource are removed too
-            self._rollback_created(created)
+            # no half-ingested objects: the write loop left no file
             self.mcat.delete_object(oid)
             raise
 
@@ -124,77 +121,6 @@ class DataService(PlaneService):
         if ctx.span is not None:
             ctx.span.incr("payload_bytes", len(data))
         return oid
-
-    def _ingest_fanout(self, ctx: OpContext, oid: int, phys: str,
-                       data: bytes,
-                       res_list: Sequence[PhysicalResource],
-                       created: List[Tuple[PhysicalResource, str]]) -> None:
-        """Write the object onto every resource in ``res_list``.
-
-        One physical resource or all members of a logical one: the
-        remote pushes run as one :class:`TransferGroup`, so the ingest
-        charges the slowest member's cost (makespan), not the serial
-        sum — and nothing at all when every member is local.  Any member
-        failure aborts the ingest before a single byte lands on a
-        driver, so the caller's rollback has only catalog rows to undo.
-        With a deferred payload (direct_io) the legs run as channels
-        from the payload's source host instead of from this server.
-        """
-        for res in res_list:
-            if not self.resources.available(res.name):
-                raise ResourceUnavailable(
-                    f"resource {res.name!r} is down")
-        for res in res_list:
-            self._resource_session(res)
-        src = self._payload_source(ctx)
-        streams = self.federation.data_streams
-        if src is None:
-            remote = [res for res in res_list if res.host != self.host]
-            group = TransferGroup(self.network, label="ingest-fanout")
-            for res in remote:
-                group.add(self.host, res.host, len(data), streams=streams)
-            outcomes = group.run()
-        else:
-            remote = [res for res in res_list if res.host != src]
-            outcomes = run_channel_group(
-                self.network,
-                (self.federation.channels.open(
-                    src, res.host, len(data), phys, streams=streams,
-                    label="ingest-fanout") for res in remote),
-                "ingest-fanout")
-        first_error = None
-        for res, outcome in zip(remote, outcomes):
-            if not outcome.ok:
-                self._invalidate_session(res)
-                if first_error is None:
-                    first_error = outcome.error
-        if first_error is not None:
-            raise first_error
-        for res in res_list:
-            res.driver.create(phys, data)
-            created.append((res, phys))
-            self.mcat.add_replica(oid, res.name, phys, len(data),
-                                  now=self.now)
-
-    def _rollback_created(self, created: Sequence[
-            Tuple[PhysicalResource, str]]) -> None:
-        """Remove half-written files after a failed ingest.
-
-        Cleanup is not free on the wire: deleting a file on a *remote*
-        member costs one control message (counted in ``net.messages``).
-        A member that became unreachable keeps its orphaned bytes — the
-        failed delete attempt is charged like any timed-out message.
-        """
-        for res, phys in created:
-            if res.host != self.host:
-                try:
-                    self.network.transfer(self.host, res.host,
-                                          _CONTROL_MSG)
-                except HostUnreachable:
-                    self._invalidate_session(res)
-                    continue
-            if res.driver.exists(phys):
-                res.driver.delete(phys)
 
     # ------------------------------------------------------------------
     # bulk operations (the Sbload-style amortized data plane)
@@ -214,12 +140,15 @@ class DataService(PlaneService):
         metadata triples — instead of per-file round trips and per-row
         ``QUERY_OVERHEAD_S``.  Returns a list aligned with ``items``:
         ``{"path", "oid"}`` on success or ``{"path", "error",
-        "error_type"}`` for items that failed (other items proceed, and
-        a failed item's partial physical writes are rolled back).
+        "error_type"}`` for items that failed.
 
-        A bad *target* (unknown resource/container, resource down, no
-        write access on the container) fails the whole batch before any
-        catalog write, since no item could succeed.
+        A bad *item* fails alone: one the namespace, the ACLs or the
+        catalog reject never touches storage, and one a storage system
+        refuses is removed from the members already written.  A bad
+        *target* (unknown resource/container, a member down or
+        unreachable, no write access on the container) fails the whole
+        batch before any catalog write, with nothing to undo, since no
+        item could succeed.
         """
         from repro.mcat.catalog import apply_structural
         principal = ctx.principal
@@ -262,8 +191,9 @@ class DataService(PlaneService):
             except SrbError as exc:
                 fail(i, raw_path, exc)
 
-        # target resolution happens before any catalog write, so a
-        # misconfigured target fails the batch with nothing to undo
+        # the target is resolved — and, for a resource, the batch's
+        # bytes pushed to every member — before any catalog write, so an
+        # unusable target fails the batch with nothing to undo
         res_list: List[PhysicalResource] = []
         cont_path: Optional[str] = None
         if container is not None:
@@ -276,10 +206,10 @@ class DataService(PlaneService):
                 raise NoSuchResource("no resource given and no default")
             res_list = self.federation.placement.order_resources(
                 self.resources.resolve(resource), from_host=self.host)
-            for res in res_list:
-                if not self.resources.available(res.name):
-                    raise ResourceUnavailable(
-                        f"resource {res.name!r} is down")
+            if prepared:
+                self._push(ctx.payload_host, res_list,
+                           sum(len(p[2]) for p in prepared), "",
+                           "bulk-ingest")
 
         # phase 2: one bulk catalog write registers every object row
         specs = [{"path": p, "kind": "data", "data_type": dt,
@@ -294,8 +224,7 @@ class DataService(PlaneService):
             else:
                 alive.append([i, path, data, md, oid])
 
-        # phase 3: the data leg
-        total_bytes = 0
+        # phase 3: the bytes land
         if container is not None:
             survivors = []
             for entry in alive:
@@ -304,53 +233,35 @@ class DataService(PlaneService):
                     cont = self.containers.get_container(cont_path)
                     self.containers.append_member(
                         cont, oid, data, now=self.now,
-                        server_host=self._payload_source(ctx) or self.host)
+                        server_host=ctx.payload_host)
                 except SrbError as exc:
                     self.mcat.delete_object(oid)
                     fail(i, path, exc)
                     continue
-                total_bytes += len(data)
                 survivors.append(entry)
             alive = survivors
         else:
-            written: Dict[int, List[Tuple[PhysicalResource, str]]] = \
-                {e[0]: [] for e in alive}
-            for res in res_list:
-                if not alive:
-                    break
-                # one session + one pipelined push per resource for
-                # the whole batch, streams=k as on single transfers
-                self._resource_session(res)
-                self._channel_push(ctx, res,
-                                   sum(len(e[2]) for e in alive),
-                                   "", "bulk-ingest")
-                survivors = []
-                for entry in alive:
-                    i, path, data, _md, oid = entry
-                    coll = paths.dirname(path)
-                    phys = (f"/srb/{coll.strip('/').replace('/', '_')}/"
-                            f"{oid}-{paths.basename(path)}")
-                    try:
-                        res.driver.create(phys, data)
-                    except SrbError as exc:
-                        for w_res, w_phys in written[i]:
-                            if w_res.driver.exists(w_phys):
-                                w_res.driver.delete(w_phys)
-                        self.mcat.delete_object(oid)
-                        fail(i, path, exc)
-                        continue
-                    written[i].append((res, phys))
-                    survivors.append(entry)
-                alive = survivors
-            replica_specs = []
-            for i, path, data, _md, oid in alive:
-                total_bytes += len(data)
-                for w_res, w_phys in written[i]:
-                    replica_specs.append(
-                        {"oid": oid, "resource": w_res.name,
-                         "physical_path": w_phys, "size": len(data)})
+            files = []
+            for _i, path, data, _md, oid in alive:
+                coll = paths.dirname(path)
+                files.append((f"/srb/{coll.strip('/').replace('/', '_')}/"
+                              f"{oid}-{paths.basename(path)}", data))
+
+            def refuse(k: int, exc: SrbError) -> None:
+                i, path, _data, _md, oid = alive[k]
+                self.mcat.delete_object(oid)
+                fail(i, path, exc)
+
+            refused = self._land(res_list, files, on_refused=refuse)
+            replica_specs = [
+                {"oid": alive[k][4], "resource": res.name,
+                 "physical_path": phys, "size": len(data)}
+                for k, (phys, data) in enumerate(files) if k not in refused
+                for res in res_list]
             if replica_specs:
                 self.mcat.add_replicas(replica_specs, now=self.now)
+            alive = [e for k, e in enumerate(alive) if k not in refused]
+        total_bytes = sum(len(e[2]) for e in alive)
 
         # phase 4: one bulk catalog write attaches every triple
         md_specs = [{"target_kind": "object", "target_id": oid,
@@ -392,15 +303,13 @@ class DataService(PlaneService):
             prefetched = self._prefetch_container(int(cont["oid"]))
         results: List[Dict[str, Any]] = []
         total = 0
-        # the per-item wire pulls are deferred and batched into one
-        # TransferGroup below: pulls landing on distinct storage hosts
-        # overlap, so the batch charges the slowest host's share instead
-        # of the serial sum.  Under direct_io the owed pulls become
-        # channels replica→caller and the whole reply is a Redirect (a
-        # channel failure then fails the call rather than the single
-        # item — the caller retries).
+        # the per-item wire pulls are deferred and delivered together:
+        # pulls landing on distinct storage hosts overlap, so the batch
+        # charges the slowest host's share instead of the serial sum.
+        # Redirected (direct_io), a pull that fails at the caller fails
+        # the call rather than its item — the caller retries.
         sink = self._redirect_sink(ctx)
-        owed: Dict[int, PhysicalResource] = {}
+        owed: List[Tuple[int, PhysicalResource]] = []
         for raw in targets:
             try:
                 path = paths.normalize(str(raw))
@@ -417,36 +326,28 @@ class DataService(PlaneService):
                 if prefetched is not None:
                     data = prefetched.get(int(obj["oid"]))
                 if data is None:
-                    data, res = self._read_replica(obj, None, sink=sink)
+                    data, res = self._read_replica(obj, None, sink)
                     if res is not None:
-                        owed[len(results)] = res
+                        owed.append((len(results), res))
                 total += len(data)
                 results.append({"path": path, "data": data})
             except SrbError as exc:
                 results.append({"path": str(raw), "error": str(exc),
                                 "error_type": type(exc).__name__})
-        reply: Any = results
-        if owed and sink is not None:
-            parts = [(res.host, len(results[idx]["data"]),
-                      results[idx]["path"])
-                     for idx, res in owed.items()]
-            reply = self._redirect_reply(results, parts, sink,
-                                         label="bulk-get", parallel=True)
-        elif owed:
-            group = TransferGroup(self.network, label="bulk-get")
-            for idx, res in owed.items():
-                group.add(res.host, self.host,
-                          len(results[idx]["data"]),
-                          streams=self.federation.data_streams, key=idx)
-            for outcome in group.run():
-                if not outcome.ok:
-                    idx = outcome.key
-                    self._invalidate_session(owed[idx])
-                    total -= len(results[idx]["data"])
-                    results[idx] = {
-                        "path": results[idx]["path"],
-                        "error": str(outcome.error),
-                        "error_type": type(outcome.error).__name__}
+
+        def failed(k: int, outcome: TransferOutcome) -> None:
+            nonlocal total
+            idx = owed[k][0]
+            total -= len(results[idx]["data"])
+            results[idx] = {
+                "path": results[idx]["path"], "error": str(outcome.error),
+                "error_type": type(outcome.error).__name__}
+
+        reply = self._deliver(
+            results,
+            [(res, len(results[idx]["data"]), results[idx]["path"])
+             for idx, res in owed],
+            sink, "bulk-get", on_failed=failed)
         ctx.audit(target=f"{len(targets)} items", detail=f"{total}B")
         if ctx.span is not None:
             ctx.span.incr("payload_bytes", total)
@@ -469,7 +370,8 @@ class DataService(PlaneService):
             except (HostUnreachable, ResourceUnavailable):
                 self._invalidate_session(res)
                 continue
-            self._pull_from_resource(res, len(blob))
+            self._deliver(blob, [(res, len(blob), rep["physical_path"])],
+                          self.host, "container-prefetch")
             return {int(m["oid"]): blob[int(m["offset"]):
                                         int(m["offset"]) + int(m["size"])]
                     for m in members}
@@ -680,12 +582,12 @@ class DataService(PlaneService):
             sink = self._redirect_sink(ctx)
             data = None
             if stripes == "auto" and replica_num is None:
-                stripes = self._auto_stripe_count(obj, sink=sink)
+                stripes = self._auto_stripe_count(obj, sink)
             if stripes is not None and not isinstance(stripes, str) \
                     and stripes > 1 and replica_num is None:
-                data = self._get_bytes_striped(obj, stripes, sink=sink)
+                data = self._get_bytes_striped(obj, stripes, sink)
             if data is None:
-                data = self._get_bytes(obj, replica_num, sink=sink)
+                data = self._get_bytes(obj, replica_num, sink)
         elif kind == "sql":
             data = self._get_sql(obj, replica_num, sql_remainder)
         elif kind == "url":
@@ -704,38 +606,27 @@ class DataService(PlaneService):
         return data
 
     def _get_bytes(self, obj: Dict[str, Any],
-                   replica_num: Optional[int],
-                   sink: Optional[str] = None) -> Any:
-        """Plain (non-striped) read.  Without a ``sink`` this charges the
-        resource→server pull and returns bytes; with one it returns a
-        :class:`~repro.net.wire.Redirect` whose single channel moves the
-        bytes resource→sink instead."""
-        data, res = self._read_replica(obj, replica_num, sink=sink)
+                   replica_num: Optional[int], sink: str) -> Any:
+        """Plain (non-striped) read: the first readable replica's bytes,
+        delivered (:meth:`_deliver`) to ``sink`` — this server or,
+        redirected, the caller."""
+        data, res = self._read_replica(obj, replica_num, sink)
         if res is None:
             return data
-        if sink is not None:
-            return self._redirect_reply(
-                data, [(res.host, len(data), str(obj["path"]))], sink,
-                label="get")
-        self._pull_from_resource(res, len(data))
-        return data
+        return self._deliver(data, [(res, len(data), str(obj["path"]))],
+                             sink, "get")
 
     def _read_replica(self, obj: Dict[str, Any],
-                      replica_num: Optional[int],
-                      sink: Optional[str] = None
+                      replica_num: Optional[int], sink: str
                       ) -> Tuple[bytes, Optional[PhysicalResource]]:
         """Chain-walk to the first readable replica; defer the wire pull.
 
         Returns ``(data, resource)`` where ``resource`` is the remote
         resource whose pull the *caller* still owes on the network (so
-        ``bulk_get`` can batch many pulls into one
-        :class:`TransferGroup`), or ``None`` when the bytes are already
-        fully paid for (local replica, or a container member — its read
-        charges its own transfers).  With ``sink`` set (direct_io) the
-        chain is ordered by the *sink* host, "local" means colocated
-        with the sink, and container members defer their wire leg too
-        (:meth:`ContainerManager.read_member_deferred`)."""
-        origin = sink if sink is not None else self.host
+        ``bulk_get`` can deliver many pulls as one overlapped set), or
+        ``None`` when the bytes are already on ``sink``, the host they
+        are read on (:meth:`_redirect_sink`), which also orders the
+        chain."""
         oid = int(obj["oid"])
         replicas = self.mcat.replicas(oid)
         if replica_num is not None:
@@ -745,7 +636,7 @@ class DataService(PlaneService):
                     f"{obj['path']} has no replica {replica_num}")
         else:
             chain = self.federation.placement.order_replicas(
-                replicas, from_host=origin)
+                replicas, from_host=sink)
             chain = [r for r in chain if not r["is_dirty"]]
             if not chain:
                 raise ReplicaUnavailable(
@@ -754,15 +645,12 @@ class DataService(PlaneService):
         for rep in chain:
             if rep["container_oid"] is not None:
                 try:
-                    if sink is None:
-                        return self.containers.read_member(
-                            rep, server_host=self.host), None
                     data, res = self.containers.read_member_deferred(
                         rep, from_host=sink)
-                    return data, (res if res.host != origin else None)
                 except (ResourceUnavailable, HostUnreachable) as exc:
                     last = exc
                     continue
+                return data, (res if res.host != sink else None)
             res = self.resources.physical(rep["resource"])
             try:
                 # the open probe discovers a dead storage system the
@@ -773,32 +661,29 @@ class DataService(PlaneService):
                 self._invalidate_session(res)
                 last = exc
                 continue
-            return data, (res if res.host != origin else None)
+            return data, (res if res.host != sink else None)
         raise ReplicaUnavailable(
             f"all replicas of {obj['path']!r} unavailable ({last})")
 
-    def _striped_candidates(self, obj: Dict[str, Any],
-                            cap: Optional[int] = None,
-                            origin: Optional[str] = None
+    def _striped_candidates(self, obj: Dict[str, Any], sink: str,
+                            cap: Optional[int] = None
                             ) -> List[Tuple[Dict[str, Any],
                                             PhysicalResource]]:
         """Usable striped-read sources for ``obj``: clean, non-container
-        replicas on distinct reachable hosts other than ``origin`` (the
-        stripe sink — this server, or the redirect sink under
+        replicas on distinct reachable hosts other than ``sink`` (where
+        the stripes are read — this server, or the redirect sink under
         direct_io), in the placement engine's preferred order, capped
         at ``cap`` entries."""
-        if origin is None:
-            origin = self.host
         oid = int(obj["oid"])
         chain = self.federation.placement.order_replicas(
-            self.mcat.replicas(oid), from_host=origin)
+            self.mcat.replicas(oid), from_host=sink)
         usable: List[Tuple[Dict[str, Any], PhysicalResource]] = []
         seen_hosts = set()
         for rep in chain:
             if rep["is_dirty"] or rep["container_oid"] is not None:
                 continue
             res = self.resources.physical(rep["resource"])
-            if res.host == origin or res.host in seen_hosts:
+            if res.host == sink or res.host in seen_hosts:
                 continue
             if not self.resources.available(res.name):
                 continue
@@ -808,8 +693,7 @@ class DataService(PlaneService):
                 break
         return usable
 
-    def _auto_stripe_count(self, obj: Dict[str, Any],
-                           sink: Optional[str] = None) -> int:
+    def _auto_stripe_count(self, obj: Dict[str, Any], sink: str) -> int:
         """Pick the stripe count for a ``get(stripes="auto")`` read.
 
         A clean replica on the stripe sink's host (this server, or the
@@ -819,32 +703,30 @@ class DataService(PlaneService):
         measured path bandwidths (E18 checks the pick lands within 10%
         of E14's hand-swept knee).
         """
-        origin = sink if sink is not None else self.host
         for rep in self.mcat.replicas(int(obj["oid"])):
             if rep["is_dirty"] or rep["container_oid"] is not None:
                 continue
             res = self.resources.physical(rep["resource"])
-            if res.host == origin and self.resources.available(res.name):
+            if res.host == sink and self.resources.available(res.name):
                 return 1
         candidates = [res for _rep, res in
-                      self._striped_candidates(obj, origin=origin)]
+                      self._striped_candidates(obj, sink)]
         return self.federation.placement.choose_stripes(
             candidates, int(obj.get("size") or 0),
             owed=[self._session_owed(res) for res in candidates],
-            from_host=origin)
+            from_host=sink)
 
-    def _get_bytes_striped(self, obj: Dict[str, Any],
-                           stripes: int,
-                           sink: Optional[str] = None) -> Optional[Any]:
+    def _get_bytes_striped(self, obj: Dict[str, Any], stripes: int,
+                           sink: str) -> Optional[Any]:
         """Read one object as ``stripes`` chunks from distinct replicas.
 
         SRB's parallel I/O for large objects: when an object has clean
         replicas on several storage hosts, the server pulls disjoint
         byte ranges from up to ``stripes`` of them concurrently — one
-        :class:`TransferGroup`, so the read charges the slowest chunk
+        overlapped delivery, so the read charges the slowest chunk
         instead of the whole object over one path.  The payoff scales
-        until the per-stream/path knee (experiment E14).  With ``sink``
-        set (direct_io) the chunks are not pulled here at all: the
+        until the per-stream/path knee (experiment E14).  With a remote
+        ``sink`` (direct_io) the chunks are not pulled here at all: the
         reply is a :class:`~repro.net.wire.Redirect` whose channels the
         caller runs replica→sink, one parallel group on *its* side.
 
@@ -854,7 +736,7 @@ class DataService(PlaneService):
         is re-pulled from the first healthy replica; if *every* replica
         fails the usual :class:`ReplicaUnavailable` is raised.
         """
-        usable = self._striped_candidates(obj, cap=stripes, origin=sink)
+        usable = self._striped_candidates(obj, sink, cap=stripes)
         if len(usable) < 2:
             return None
 
@@ -876,38 +758,19 @@ class DataService(PlaneService):
             return data
         k = len(usable)
         chunk = -(-len(data) // k)      # ceil division
-        bounds = [(i * chunk, min((i + 1) * chunk, len(data)))
-                  for i in range(k)]
-        if sink is not None:
-            self.obs.metrics.inc("srb.striped_reads", stripes=str(k))
-            return self._redirect_reply(
+        try:
+            reply = self._deliver(
                 data,
-                [(res.host, hi - lo, rep["physical_path"])
-                 for (lo, hi), (rep, res) in zip(bounds, usable)],
-                sink, label="striped-get", retry=True, parallel=True)
-        group = TransferGroup(self.network, label="striped-get")
-        for (lo, hi), (_rep, res) in zip(bounds, usable):
-            group.add(res.host, self.host, hi - lo,
-                      streams=self.federation.data_streams, key=res.name)
-        outcomes = group.run()
-        failed = [o for o in outcomes if not o.ok]
-        for o in failed:
-            self._invalidate_session(self.resources.physical(o.key))
-        if failed:
-            # failed stripes are re-pulled from the first replica whose
-            # own stripe answered; if none did, the object really is
-            # unreachable on every striped path
-            healthy = [o for o in outcomes if o.ok]
-            if not healthy:
-                raise ReplicaUnavailable(
-                    f"all striped replicas of {obj['path']!r} "
-                    f"unavailable ({failed[0].error})")
-            src = self.resources.physical(healthy[0].key)
-            self.network.transfer(src.host, self.host,
-                                  sum(o.nbytes for o in failed),
-                                  streams=self.federation.data_streams)
+                [(res, min((i + 1) * chunk, len(data)) - i * chunk,
+                  rep["physical_path"])
+                 for i, (rep, res) in enumerate(usable)],
+                sink, "striped-get", retry=True)
+        except HostUnreachable as exc:
+            raise ReplicaUnavailable(
+                f"all striped replicas of {obj['path']!r} "
+                f"unavailable ({exc})") from None
         self.obs.metrics.inc("srb.striped_reads", stripes=str(k))
-        return data
+        return reply
 
     def _get_sql(self, obj: Dict[str, Any], replica_num: Optional[int],
                  sql_remainder: Optional[str]) -> bytes:
@@ -932,8 +795,10 @@ class DataService(PlaneService):
         res = self.resources.physical(str(resource))
         self._resource_session(res)
         result = res.driver.execute_sql(sql)
-        self._pull_from_resource(
-            res, sum(len(str(v)) for row in result.rows for v in row))
+        self._deliver(
+            result,
+            [(res, sum(len(str(v)) for row in result.rows for v in row),
+              str(obj["path"]))], self.host, "get-sql")
         template_name = str(obj["template"] or "HTMLREL")
         sheet = self._load_stylesheet(template_name)
         return sheet.render(result.columns, result.rows).encode()
@@ -947,7 +812,7 @@ class DataService(PlaneService):
             if sheet_obj is None:
                 raise NoSuchObject(
                     f"style-sheet {template_name!r} not in SRB")
-            source = self._get_bytes(sheet_obj, None).decode()
+            source = self._get_bytes(sheet_obj, None, self.host).decode()
             return StyleSheet(source)
         return builtin(template_name)
 
@@ -979,8 +844,8 @@ class DataService(PlaneService):
         res = self.resources.physical(str(shadow["resource_hint"]))
         self._resource_session(res)
         data = res.driver.read(self._shadow_physical(shadow, path))
-        self._pull_from_resource(res, len(data))
-        return data
+        return self._deliver(data, [(res, len(data), path)], self.host,
+                             "get-shadow")
 
     # ------------------------------------------------------------------
     # writes / updates
@@ -1009,16 +874,11 @@ class DataService(PlaneService):
             # accessing and updating files": append the new bytes and
             # repoint the member (compact_container reclaims the garbage)
             self.containers.replace_member(
-                rep, data, now=self.now,
-                server_host=self._payload_source(ctx) or self.host)
+                rep, data, now=self.now, server_host=ctx.payload_host)
         else:
-            res = self.resources.physical(rep["resource"])
-            self._resource_session(res)
-            self._channel_push(ctx, res, len(data),
-                               rep["physical_path"], "put")
-            if res.driver.exists(rep["physical_path"]):
-                res.driver.delete(rep["physical_path"])
-            res.driver.create(rep["physical_path"], data)
+            self._store(ctx.payload_host,
+                        [self.resources.physical(rep["resource"])],
+                        rep["physical_path"], data, "put", replace=True)
             self.mcat.update_replica(oid, rep["replica_num"], size=len(data),
                                      is_dirty=False)
             self.mcat.mark_siblings_dirty(oid, rep["replica_num"])
@@ -1107,29 +967,26 @@ class DataService(PlaneService):
                 "objects")
         self.access.require_object(principal, obj, "read")
         self.access.require_collection(principal, paths.dirname(dst), "write")
-        if self.federation.direct_io:
-            # resource→resource: read the bytes catalog-side, move them
-            # once per destination straight from the source replica
-            data, src_res = self._read_replica(obj, None)
-            src_host = src_res.host if src_res is not None else self.host
-        else:
-            data = self._get_bytes(obj, None)
-            src_host = self.host
+        # resource→resource, as a replicate: the bytes move once per
+        # destination, straight from the source replica's host
+        data, src_res = self._read_replica(obj, None, self.host)
         resource = resource or str(
             self.mcat.replicas(int(obj["oid"]))[0]["resource"])
         new_oid = self.mcat.create_object(
             dst, kind="data", owner=str(principal), now=self.now,
             data_type=obj["data_type"], size=len(data),
             checksum=content_checksum(data))
-        for res in self.federation.placement.order_resources(
-                self.resources.resolve(resource), from_host=self.host,
-                size_hint=len(data)):
-            phys = f"/srb/copies/{new_oid}-{paths.basename(dst)}"
-            self._resource_session(res)
-            self._channel_copy(src_host, res, len(data), phys, "copy")
-            res.driver.create(phys, data)
-            self.mcat.add_replica(new_oid, res.name, phys, len(data),
-                                  now=self.now)
+        try:
+            self._store_replicas(
+                src_res.host if src_res is not None else self.host,
+                self.federation.placement.order_resources(
+                    self.resources.resolve(resource), from_host=self.host,
+                    size_hint=len(data)),
+                new_oid, f"/srb/copies/{new_oid}-{paths.basename(dst)}",
+                data, "copy")
+        except SrbError:
+            self.mcat.delete_object(new_oid)     # no half-made copies
+            raise
         return new_oid
 
     def _copy_collection(self, ticket, principal: Principal,
@@ -1264,8 +1121,9 @@ class DataService(PlaneService):
                 res = self.resources.physical(v["resource"])
                 self._resource_session(res)
                 data = res.driver.read(v["physical_path"])
-                self._pull_from_resource(res, len(data))
-                return data
+                return self._deliver(
+                    data, [(res, len(data), v["physical_path"])],
+                    self.host, "get-version")
         raise NoSuchReplica(f"{path!r} has no version {version_num}")
 
     # ------------------------------------------------------------------

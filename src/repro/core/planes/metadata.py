@@ -138,9 +138,9 @@ class MetadataService(PlaneService):
                     "pass sidecar=")
             side_obj = self.mcat.get_object(paths.normalize(sidecar))
             self.access.require_object(principal, side_obj, "read")
-            content = self.server.data._get_bytes(side_obj, None)
+            content = self.server.data._get_bytes(side_obj, None, self.host)
         else:
-            content = self.server.data._get_bytes(obj, None)
+            content = self.server.data._get_bytes(obj, None, self.host)
         triples = m.program.run(content)
         for t in triples:
             self.mcat.add_metadata("object", int(obj["oid"]), t.attr, t.value,

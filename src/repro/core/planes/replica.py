@@ -13,12 +13,7 @@ from typing import Dict, Optional
 from repro.core.dispatch import OpContext, rpc_op
 from repro.core.planes.base import PlaneService, content_checksum
 from repro.core.replication import synchronize
-from repro.errors import (
-    HostUnreachable,
-    ResourceUnavailable,
-    SrbError,
-    UnsupportedOperation,
-)
+from repro.errors import SrbError, UnsupportedOperation
 from repro.util import paths
 
 
@@ -60,21 +55,10 @@ class ReplicaService(PlaneService):
             size_hint=int(src.get("size") or 0))
         self._resource_session(src_res)
         data = src_res.driver.read(src["physical_path"])
-        new_num = -1
-        for dst_res in dst_resources:
-            if not self.resources.available(dst_res.name):
-                raise ResourceUnavailable(
-                    f"resource {dst_res.name!r} down")
-            phys = f"/srb/replicas/{oid}" \
-                   f"-r{len(self.mcat.replicas(oid)) + 1}" \
-                   f"-{paths.basename(str(obj['path']))}"
-            self._channel_copy(src_res.host, dst_res, len(data), phys,
-                               "replicate")
-            self._resource_session(dst_res)
-            dst_res.driver.create(phys, data)
-            new_num = self.mcat.add_replica(oid, dst_res.name, phys,
-                                            len(data), now=self.now)
-        return new_num
+        return self._store_replicas(
+            src_res.host, dst_resources, oid,
+            f"/srb/replicas/{oid}-r{len(self.mcat.replicas(oid)) + 1}"
+            f"-{paths.basename(str(obj['path']))}", data, "replicate")
 
     @rpc_op("register_replica", scope_arg="path", write=True,
             audit="register-replica")
@@ -111,29 +95,19 @@ class ReplicaService(PlaneService):
         res_list = self.federation.placement.order_resources(
             self.resources.resolve(resource), from_host=self.host,
             size_hint=len(data))
-        num = -1
-        for res in res_list:
-            phys = f"/srb/ingested-replicas/{oid}-" \
-                   f"{len(self.mcat.replicas(oid)) + 1}"
-            self._resource_session(res)
-            self._channel_push(ctx, res, len(data), phys,
-                               "ingest-replica")
-            res.driver.create(phys, data)
-            num = self.mcat.add_replica(oid, res.name, phys, len(data),
-                                        now=self.now)
-        return num
+        return self._store_replicas(
+            ctx.payload_host, res_list, oid,
+            f"/srb/ingested-replicas/{oid}-"
+            f"{len(self.mcat.replicas(oid)) + 1}", data, "ingest-replica")
 
     @rpc_op("synchronize", scope_arg="path", write=True, audit="synchronize")
     def synchronize(self, ctx: OpContext, path: str) -> int:
         """Refresh dirty replicas from a clean one."""
         obj = self.mcat.get_object(paths.normalize(path))
         self.access.require_object(ctx.principal, obj, "write")
-        count = synchronize(self.mcat, self.resources, self.network,
-                            int(obj["oid"]),
-                            streams=self.federation.data_streams,
-                            placement=self.federation.placement,
-                            channels=self.federation.channels
-                            if self.federation.direct_io else None)
+        count = synchronize(self.mcat, self.resources,
+                            self.federation.channels, int(obj["oid"]),
+                            placement=self.federation.placement)
         ctx.audit(detail=str(count))
         return count
 
@@ -169,9 +143,7 @@ class ReplicaService(PlaneService):
         self._resource_session(src_res)
         data = src_res.driver.read(src["physical_path"])
         phys = f"/srb/moved/{oid}-{paths.basename(str(obj['path']))}"
-        self._channel_copy(src_res.host, dst_res, len(data), phys, "move")
-        self._resource_session(dst_res)
-        dst_res.driver.create(phys, data)
+        self._store(src_res.host, dst_list, phys, data, "move")
         src_res.driver.delete(src["physical_path"])
         self.mcat.update_replica(oid, src["replica_num"], resource=dst_res.name,
                                  physical_path=phys, size=len(data))
@@ -228,12 +200,12 @@ class ReplicaService(PlaneService):
             try:
                 self._resource_session(res)
                 data = res.driver.read(rep["physical_path"])
-            except (HostUnreachable, ResourceUnavailable,
-                    SrbError):
+            except SrbError:
                 self._invalidate_session(res)
                 report[num] = "unavailable"
                 continue
-            self._pull_from_resource(res, len(data))
+            self._deliver(data, [(res, len(data), rep["physical_path"])],
+                          self.host, "verify")
             report[num] = "ok" if content_checksum(data) == expected \
                 else "mismatch"
         ctx.audit(detail=",".join(f"{k}:{v}" for k, v in report.items()))

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from repro.errors import ReplicaUnavailable, ReplicationError, SrbError
+from repro.errors import ReplicaUnavailable, ReplicationError
 from repro.mcat.catalog import Mcat
-from repro.net.simnet import Network, TransferGroup
 from repro.policy import PlacementEngine
 from repro.storage.resource import ResourceRegistry
 
@@ -30,30 +29,22 @@ def pick_clean_available(placement: PlacementEngine,
     return placement.failover_chain(replicas, **kwargs)
 
 
-def synchronize(mcat: Mcat, resources: ResourceRegistry, network: Network,
-                oid: int, streams: int = 1,
-                placement: Optional[PlacementEngine] = None,
-                channels: Optional[Any] = None) -> int:
+def synchronize(mcat: Mcat, resources: ResourceRegistry, channels: Any,
+                oid: int, placement: Optional[PlacementEngine] = None) -> int:
     """Refresh every dirty replica of ``oid`` from a clean one.
 
-    Bytes move clean-resource-host -> dirty-resource-host; returns the
-    number of replicas refreshed.  The refresh pushes run as one
-    :class:`~repro.net.simnet.TransferGroup`: the clean source fans out
-    to every dirty host concurrently, charging the slowest member
-    (makespan) instead of the serial sum.  A member that cannot be
-    reached — one dirty copy or one of many — is skipped: it stays
-    dirty and does not poison its siblings' refresh.
+    Bytes move clean-resource-host -> dirty-resource-host through
+    ``channels`` (the federation's
+    :class:`~repro.core.federation.ChannelBroker`, whose leg runner
+    overlaps the pushes and decides whether they are raw transfers or
+    ticketed channels); returns the number of replicas refreshed.  A
+    member that cannot be reached — one dirty copy or one of many — is
+    skipped: it stays dirty and does not poison its siblings' refresh.
 
     ``placement`` (the federation's engine) chooses which clean replica
     sources the refresh: under a static policy the preference is the
     historical catalog order, under ``observed`` it is the replica with
     the smallest predicted total push time to the dirty hosts.
-
-    ``channels`` (a :class:`~repro.core.federation.ChannelBroker`, under
-    ``Federation(direct_io=True)``) routes every refresh leg through a
-    ticketed one-shot channel — same source→sink paths, but metered and
-    admission-controlled like any other direct transfer.  ``None`` keeps
-    the historical raw transfers, byte for byte.
     """
     replicas = mcat.replicas(oid)
     clean = [r for r in replicas if not r["is_dirty"]
@@ -79,41 +70,15 @@ def synchronize(mcat: Mcat, resources: ResourceRegistry, network: Network,
     src_res = resources.physical(source["resource"])
     data = src_res.driver.read_all(source["physical_path"])
 
-    targets = [rep for rep in dirty
+    targets = [(rep, resources.physical(rep["resource"])) for rep in dirty
                if resources.available(rep["resource"])]
-    skipped: set = set()
-    group = TransferGroup(network, label="synchronize")
-    opened: Dict[Any, Any] = {}
-    for rep in targets:
-        dst_res = resources.physical(rep["resource"])
-        if src_res.host == dst_res.host:
-            continue
-        if channels is not None:
-            ch = channels.open(src_res.host, dst_res.host, len(data),
-                               rep["physical_path"], streams=streams,
-                               label="synchronize")
-            try:
-                ch.open()
-            except SrbError:
-                # an unopenable channel behaves like a failed member
-                skipped.add(rep["replica_num"])
-                continue
-            opened[rep["replica_num"]] = ch
-            ch.add_to(group, key=rep["replica_num"])
-        else:
-            group.add(src_res.host, dst_res.host, len(data),
-                      streams=streams, key=rep["replica_num"])
-    for outcome in group.run():
-        if outcome.key in opened:
-            opened[outcome.key].finish(outcome)
-        if not outcome.ok:
-            skipped.add(outcome.key)
-
+    outcomes = channels.run_legs(
+        [(src_res.host, dst_res.host, len(data), rep["physical_path"])
+         for rep, dst_res in targets], "synchronize")
     refreshed = 0
-    for rep in targets:
-        if rep["replica_num"] in skipped:
+    for (rep, dst_res), outcome in zip(targets, outcomes):
+        if not outcome.ok:
             continue
-        dst_res = resources.physical(rep["resource"])
         if dst_res.driver.exists(rep["physical_path"]):
             dst_res.driver.delete(rep["physical_path"])
         dst_res.driver.create(rep["physical_path"], data)

@@ -36,7 +36,8 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, \
     Sequence, Tuple
 
 from repro.errors import HostUnreachable, RpcError, ServerBusy, SrbError
-from repro.net.simnet import Network, run_channel_group
+from repro.net.simnet import Network, raise_failed, repull_failed, \
+    run_channel_group
 from repro.net.wire import Redirect, message_size
 
 
@@ -382,42 +383,25 @@ class ServiceRegistry:
     def _run_redirect(self, sink: str, redirect: Redirect) -> Any:
         """Execute a redirect reply's second leg(s) at the caller.
 
-        Single-leg (and serial multi-leg) redirects transfer blocking;
-        a ``parallel`` redirect composes its legs into a
-        :class:`TransferGroup` so striped/fan-out transfers charge the
-        makespan.  With ``retry=True`` (striped reads) a failed grouped
-        leg's bytes are re-pulled from the first healthy leg's source;
-        otherwise the first failure raises.  Returns the payload.
+        The legs run as :func:`~repro.net.simnet.run_channel_group` runs
+        any channels — one blocking, several overlapped.  With ``retry``
+        (striped reads) a failed leg's bytes are re-pulled from a source
+        that answered; otherwise the first failure raises.  Returns the
+        payload.
         """
-        obs = self.network.obs
         channels = redirect.channels
-        with obs.tracer.span("srb.redirect", sink=sink,
-                             legs=len(channels),
-                             bytes=sum(ch.nbytes for ch in channels),
-                             label=redirect.label) as sp:
-            if not redirect.parallel or len(channels) <= 1:
-                for ch in channels:
-                    ch.open()
-                    ch.transfer()
+        with self.network.obs.tracer.span(
+                "srb.redirect", sink=sink, legs=len(channels),
+                bytes=sum(ch.nbytes for ch in channels),
+                label=redirect.label) as sp:
+            outcomes = run_channel_group(self.network, channels,
+                                         f"direct-{redirect.label}")
+            if redirect.retry:
+                retried = repull_failed(self.network, outcomes)
+                if retried and sp is not None:
+                    sp.incr("retried", retried)
             else:
-                outcomes = run_channel_group(
-                    self.network, channels, f"direct-{redirect.label}")
-                failed = [(ch, outcome)
-                          for ch, outcome in zip(channels, outcomes)
-                          if not outcome.ok]
-                if failed:
-                    healthy = [o for o in outcomes if o.ok]
-                    if redirect.retry and healthy:
-                        # re-pull the failed legs' bytes from a source
-                        # that answered (mirrors striped-read repair)
-                        for ch, _outcome in failed:
-                            self.network.transfer(healthy[0].src, sink,
-                                                  ch.nbytes,
-                                                  streams=ch.streams)
-                        if sp is not None:
-                            sp.incr("retried", len(failed))
-                    else:
-                        raise failed[0][1].error
+                raise_failed(outcomes)
         return redirect.payload
 
     def call_stream(self, src: str, dst: str, service: str, method: str,

@@ -40,9 +40,11 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, \
+    Tuple
 
-from repro.errors import HostUnreachable, NetworkError, ServerBusy
+from repro.errors import HostUnreachable, NetworkError, ServerBusy, \
+    SrbError
 from repro.obs import Observability
 from repro.util.clock import SimClock
 
@@ -515,11 +517,12 @@ class Network:
 class TransferOutcome:
     """Result of one member of a :class:`TransferGroup`.
 
-    ``error`` carries the member's :class:`HostUnreachable` instead of
-    raising it — a downed member must not poison its siblings, so the
-    group marshals failures per member and lets the caller decide.
-    ``start``/``done`` are virtual timestamps; for a failed member
-    ``done - start`` is the charged timeout.
+    ``error`` carries the member's failure (:class:`HostUnreachable`,
+    or what kept a channel from opening) instead of raising it — a
+    downed member must not poison its siblings, so failures are
+    marshalled per member and the caller decides.  ``start``/``done``
+    are virtual timestamps; for a failed member ``done - start`` is the
+    charged timeout.
     """
 
     src: str
@@ -529,7 +532,8 @@ class TransferOutcome:
     done: float
     cost: float
     key: Any = None
-    error: Optional[HostUnreachable] = None
+    error: Optional[SrbError] = None
+    streams: int = 1
 
     @property
     def ok(self) -> bool:
@@ -623,8 +627,8 @@ class TransferGroup:
                     host_done[endpoint] = max(host_done.get(endpoint, 0.0),
                                               done)
                 outcomes.append(TransferOutcome(
-                    m.src, m.dst, m.nbytes, start, done, cost, key=m.key,
-                    error=error))
+                    m.src, m.dst, m.nbytes, start, done, cost, m.key,
+                    error, m.streams))
             makespan_end = max(o.done for o in outcomes)
             makespan = makespan_end - t0
             if makespan > 0:
@@ -741,12 +745,12 @@ class DataChannel:
         metrics.inc("net.direct.bytes", self.nbytes, label=self.label)
         metrics.observe("net.direct.transfer_s", cost, label=self.label)
 
-    def add_to(self, group: TransferGroup, key: Any = None) -> None:
+    def add_to(self, group: TransferGroup) -> None:
         """Enlist the (already opened) channel as a group member."""
         if not self._opened:
             raise NetworkError("DataChannel.add_to before open()")
         group.add(self.src, self.dst, self.nbytes, streams=self.streams,
-                  key=key if key is not None else self)
+                  key=self)
 
     def finish(self, outcome: TransferOutcome) -> None:
         """Account a grouped member's outcome (settle + direct metrics)."""
@@ -755,31 +759,80 @@ class DataChannel:
             self._delivered(outcome.cost)
 
 
-def run_channel_group(network: Network, channels: Iterable[DataChannel],
-                      label: str) -> List[TransferOutcome]:
-    """Open, run and settle a set of channels as one :class:`TransferGroup`.
+def blocking_outcome(network: Network, src: str, dst: str, nbytes: int,
+                     streams: int, send: Callable[[], Any]
+                     ) -> TransferOutcome:
+    """Run one blocking move and hand its fate back as an outcome.
 
-    Each channel is opened and enlisted in turn (``channels`` may be
-    lazy: a channel built just before its ``open()`` gets its descriptor
-    issued then, not up front); if one cannot be opened, the worker
-    slots the earlier ones hold are returned and the failure re-raised
-    before a byte moves.  Otherwise the group charges its makespan and
-    every channel is finished with its own outcome.  Returns the
-    outcomes in channel order — what a *failed member* means (retry from
-    a healthy source, abort the ingest) stays the caller's policy.
-    """
-    group = TransferGroup(network, label=label)
-    opened: List[DataChannel] = []
+    ``send`` is the blocking call (``Network.transfer``, or a channel's
+    ``open`` / ``transfer``); what it raises becomes the outcome's
+    ``error`` and the virtual time it took the ``cost``, so a lone leg
+    is marshalled exactly like a :class:`TransferGroup` member."""
+    start, error = network.clock.now, None
     try:
-        for ch in channels:
+        send()
+    except SrbError as exc:
+        error = exc
+    done = network.clock.now
+    return TransferOutcome(src, dst, nbytes, start, done, done - start,
+                           None, error, streams)
+
+
+def run_channel_group(network: Network, channels: Sequence[DataChannel],
+                      label: str) -> List[TransferOutcome]:
+    """Open, run and settle ``channels`` as one overlapped set.
+
+    Returns one outcome per channel, in order, under the two rules
+    every mover of payload bytes is held to (stated in full on
+    :meth:`repro.core.federation.ChannelBroker.run_legs`): a channel
+    that cannot be opened — descriptor refused, handshake undeliverable,
+    source's queue full — is a *failed member* whose siblings still run
+    and settle, and a lone channel transfers blocking, since a parallel
+    group of one overlaps nothing.  What a failed member means stays the
+    caller's policy.
+    """
+    if len(channels) == 1:
+        (ch,) = channels
+
+        def send() -> None:
             ch.open()
-            opened.append(ch)
-            ch.add_to(group)
-    except Exception:
-        for ch in opened:
-            ch.settle()
-        raise
-    outcomes = group.run()
-    for ch, outcome in zip(opened, outcomes):
+            ch.transfer()
+        return [blocking_outcome(network, ch.src, ch.dst, ch.nbytes,
+                                 ch.streams, send)]
+    # an opened channel's outcome is replaced by its transfer's below
+    outcomes = [blocking_outcome(network, ch.src, ch.dst, ch.nbytes,
+                                 ch.streams, ch.open) for ch in channels]
+    opened = [(i, ch) for i, ch in enumerate(channels) if outcomes[i].ok]
+    group = TransferGroup(network, label=label)
+    for _i, ch in opened:
+        ch.add_to(group)
+    for (i, ch), outcome in zip(opened, group.run()):
         ch.finish(outcome)
+        outcomes[i] = outcome
     return outcomes
+
+
+def raise_failed(outcomes: Sequence[TransferOutcome]) -> None:
+    """The abort policy: raise the first failed member's error."""
+    for outcome in outcomes:
+        if outcome.error is not None:
+            raise outcome.error
+
+
+def repull_failed(network: Network,
+                  outcomes: Sequence[TransferOutcome]) -> int:
+    """The healthy-source repair, for members whose every source holds
+    the same bytes (striped reads): each failed member's bytes are
+    pulled again, blocking, from the source of the first member that
+    answered.  Returns the number of members re-pulled; when none
+    answered there is nothing to repair from and the first failure is
+    raised.
+    """
+    failed = [o for o in outcomes if o.error is not None]
+    if failed:
+        healthy = next((o for o in outcomes if o.error is None), None)
+        if healthy is None:
+            raise failed[0].error
+        for o in failed:
+            network.transfer(healthy.src, o.dst, o.nbytes, streams=o.streams)
+    return len(failed)

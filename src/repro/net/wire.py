@@ -54,13 +54,12 @@ class Redirect:
     plus one signed descriptor per leg.
     """
 
-    __slots__ = ("payload", "channels", "parallel", "retry", "label")
+    __slots__ = ("payload", "channels", "retry", "label")
 
-    def __init__(self, payload: Any, channels, parallel: bool = False,
-                 retry: bool = False, label: str = "redirect"):
+    def __init__(self, payload: Any, channels, retry: bool = False,
+                 label: str = "redirect"):
         self.payload = payload
         self.channels = list(channels)
-        self.parallel = parallel
         self.retry = retry
         self.label = label
 

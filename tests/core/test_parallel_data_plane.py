@@ -13,7 +13,7 @@ half-written logical-resource members being charged on the wire.
 import pytest
 
 from repro.core import Federation, SrbClient
-from repro.errors import ResourceUnavailable, StorageError
+from repro.errors import HostUnreachable, ResourceUnavailable, StorageError
 from repro.net.simnet import TRANSCON, WAN
 
 PAYLOAD = bytes(range(256)) * 4096          # 1 MiB
@@ -103,14 +103,18 @@ class TestIngestFanout:
         assert max(costs) <= extra < max(costs) + 0.1 * min(costs)
 
     def test_single_member_costs_its_link(self):
-        """One remote resource is a group of one: exactly the link cost
-        a plain transfer would charge."""
+        """One remote resource is a one-leg plan (runner rule (a)): a
+        blocking transfer at exactly the link cost, and no parallel
+        group — a group of one overlaps nothing."""
         fed, client = build_fed(links=UNEVEN)
         _, root = traced(fed, lambda: client.ingest(
             "/z/w/one.dat", PAYLOAD, resource="r3"))
-        group = the_group(root, "ingest-fanout")
-        assert group.duration == pytest.approx(
-            TRANSCON.cost(len(PAYLOAD)))
+        (push,) = [t for t in root.find("net.transfer")
+                   if t.attrs["bytes"] == len(PAYLOAD)]
+        assert push.duration == pytest.approx(TRANSCON.cost(len(PAYLOAD)))
+        assert "grouped" not in push.attrs
+        assert not root.find("net.parallel.group")
+        assert fed.obs.metrics.total("net.parallel.groups") == 0
 
     def test_local_only_ingest_opens_no_group(self):
         fed, client = build_fed()
@@ -123,6 +127,55 @@ class TestIngestFanout:
         with pytest.raises(ResourceUnavailable):
             client.ingest("/z/w/f.dat", PAYLOAD, resource="all")
         assert fed.mcat.find_object("/z/w/f.dat") is None
+
+
+def footprint(fed):
+    """Every place a half-done write could leave something behind."""
+    return (fed.mcat.total_objects(), fed.mcat.total_replicas(),
+            {name: fed.resources.physical(name).driver.file_count()
+             for name in fed.resources.physical_names()})
+
+
+WRITERS = {
+    "copy": lambda c: c.copy("/z/w/src.dat", "/z/w/dup.dat",
+                             resource="pair"),
+    "replicate": lambda c: c.replicate("/z/w/src.dat", "pair"),
+    "ingest_replica": lambda c: c.ingest_replica("/z/w/src.dat", b"alt" * 99,
+                                                 "pair"),
+    "bulk_ingest": lambda c: c.bulk_ingest(
+        [{"path": "/z/w/b1.dat", "data": b"one"},
+         {"path": "/z/w/b2.dat", "data": b"two"}], resource="pair"),
+}
+
+
+@pytest.mark.parametrize("direct_io", [False, True],
+                         ids=["default", "direct_io"])
+@pytest.mark.parametrize("op", sorted(WRITERS))
+def test_write_onto_logical_resource_is_all_or_nothing(op, direct_io):
+    """Regression: only ``ingest`` went through the write loop.  With
+    one member of a logical resource partitioned away, ``copy`` left a
+    new object with one replica, ``replicate``/``ingest_replica`` an
+    extra replica row and file on the reachable member, ``bulk_ingest``
+    an object row with no replica and an orphaned file — each while
+    raising.  Now every writer lands on every member or leaves no
+    object row, replica row or physical file."""
+    fed, client = build_fed(direct_io=direct_io)
+    fed.add_logical_resource("pair", ["r2", "r3"])
+    client.ingest("/z/w/src.dat", PAYLOAD, resource="r1")
+    fed.network.partition("h1", "h3")
+    before = footprint(fed)
+    with pytest.raises(HostUnreachable):
+        WRITERS[op](client)
+    assert footprint(fed) == before
+    # healed, the same call lands on both members
+    fed.network.heal("h1", "h3")
+    WRITERS[op](client)
+    objects, replicas, files = footprint(fed)
+    assert {name: files[name] - before[2][name] for name in files} == \
+        {"r1": 0, "r2": 2 if op == "bulk_ingest" else 1,
+         "r3": 2 if op == "bulk_ingest" else 1}
+    assert replicas - before[1] == (4 if op == "bulk_ingest" else 2)
+    assert objects - before[0] == {"copy": 1, "bulk_ingest": 2}.get(op, 0)
 
 
 class TestRollbackCharged:
@@ -198,16 +251,17 @@ class TestParallelSynchronize:
                                    label="synchronize") == 1
 
     def test_single_dirty_member_stays_serial(self):
-        """One dirty member is a group of one: it charges exactly what
-        the serial push charged, that member's link cost."""
+        """One dirty member is a one-leg plan (runner rule (a)): a
+        blocking transfer at that member's link cost, no group."""
         fed, client = build_fed(n_hosts=2)
         fed.add_logical_resource("pair", ["r1", "r2"])
         self._make_dirty(client, resource="pair")
         n, root = traced(fed, lambda: client.synchronize("/z/w/f.dat"))
         assert n == 1
-        group = the_group(root, "synchronize")
-        assert group.attrs["members"] == 1
-        assert group.duration == pytest.approx(WAN.cost(len(PAYLOAD)))
+        (push,) = [t for t in root.find("net.transfer")
+                   if t.attrs["bytes"] == len(PAYLOAD)]
+        assert push.duration == pytest.approx(WAN.cost(len(PAYLOAD)))
+        assert not root.find("net.parallel.group")
 
 
     @pytest.mark.parametrize("direct_io", [False, True])

@@ -2,13 +2,20 @@
 
 import pytest
 
-from repro.core.replication import synchronize
+from repro.core import replication
+from repro.core.federation import ChannelBroker
 from repro.errors import ReplicaUnavailable, ReplicationError
 from repro.mcat import Mcat
 from repro.net.simnet import LAN, WAN, Network
 from repro.policy import PlacementEngine
 from repro.storage.memfs import MemFsDriver
 from repro.storage.resource import PhysicalResource, ResourceRegistry
+
+
+def synchronize(mcat, reg, net, oid):
+    """``replication.synchronize`` over a bare network: it moves bytes
+    through a leg runner, here a broker with direct I/O off."""
+    return replication.synchronize(mcat, reg, ChannelBroker(None, net), oid)
 
 
 @pytest.fixture

@@ -21,15 +21,34 @@ from repro.core import Federation, SrbClient
 from repro.errors import SrbError
 from repro.net.simnet import LAN, TRANSCON
 from repro.storage.archive import TapeCost
-from tests.op_calls import COLL, op_calls, prepare
+from tests.op_calls import COLL, FILE, op_calls, prepare
 
-#: Beyond the registry map: two calls whose data legs run as a
-#: ``TransferGroup`` of several members (logical-resource fan-out,
-#: striped read), so the grouped mode of the wire leg is walked too.
+#: Beyond the registry map: calls whose data legs run as a
+#: ``TransferGroup`` of several members — a striped read, and every
+#: writer that goes through the write loop, onto a logical resource with
+#: two members remote from the server — so the grouped mode of the wire
+#: leg is walked with and without channels; and a read of a copy that
+#: lives on ``caltech`` only, which walks the failure funnel when that
+#: host is down (a write there is refused before it costs anything).
+FAR_PAIR = "far-pair"
+FAR_FILE = COLL + "/far.dat"
 GROUPED_CALLS = [
     ("ingest", dict(path=COLL + "/fan.dat", data=b"z" * 5000,
                     resource="logrsrc1"), False),
     ("get", dict(path=COLL + "/fan.dat", stripes=2), False),
+    ("ingest", dict(path=COLL + "/fan2.dat", data=b"z" * 5000,
+                    resource=FAR_PAIR), False),
+    ("copy", dict(src=FILE, dst=COLL + "/fan-copy.dat", resource=FAR_PAIR),
+     False),
+    ("replicate", dict(path=FILE, resource=FAR_PAIR), False),
+    ("ingest_replica", dict(path=FILE, data=b"alt" * 500,
+                            resource=FAR_PAIR), False),
+    ("bulk_ingest", dict(items=[{"path": COLL + "/fan-b1.dat",
+                                 "data": b"b" * 500},
+                                {"path": COLL + "/fan-b2.dat",
+                                 "data": b"b" * 700}],
+                         resource=FAR_PAIR), False),
+    ("get", dict(path=FAR_FILE), False),
 ]
 
 
@@ -49,6 +68,7 @@ def build_fed(**knobs):
     fed.add_archive_resource("hpss-caltech", "caltech", tape=TapeCost())
     fed.add_database_resource("dlib1", "sdsc")
     fed.add_logical_resource("logrsrc1", ["unix-sdsc", "hpss-caltech"])
+    fed.add_logical_resource(FAR_PAIR, ["unix-caltech", "hpss-caltech"])
     fed.default_resource = "unix-sdsc"
     fed.bootstrap_admin()
     admin = SrbClient(fed, "sdsc", "srb1", "srbadmin@sdsc", "hunter2")
@@ -86,6 +106,7 @@ def test_every_op_conserves_its_charges(knobs, caltech_down):
     assert {name for name, _kw, _raises in calls} == set(srv.dispatch.names())
     calls += [(name, dict(kwargs, ticket=admin.ticket), raises)
               for name, kwargs, raises in GROUPED_CALLS]
+    srv.ingest(admin.ticket, FAR_FILE, b"f" * 300, resource="unix-caltech")
     if caltech_down:
         fed.network.set_down("caltech")
 
@@ -138,6 +159,9 @@ def test_every_op_conserves_its_charges(knobs, caltech_down):
     # the down passes really walked the failure funnel, the healthy
     # overlapped pass the grouped and the channel legs
     assert (failed_legs > 0) == caltech_down
-    if knobs and not caltech_down:
-        assert m.total("net.parallel.groups") >= 2
-        assert m.total("net.direct.channels") > 0
+    if not caltech_down:
+        # each write-loop call above pushed to both far members at once
+        for label in ("ingest-fanout", "copy", "replicate",
+                      "ingest-replica", "bulk-ingest"):
+            assert m.get("net.parallel.groups", label=label) == 1, label
+        assert (m.total("net.direct.channels") > 0) == bool(knobs)

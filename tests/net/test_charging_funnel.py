@@ -9,7 +9,9 @@ recorded" (DESIGN.md, "Cost model and per-call bookkeeping"):
   cost and on every record of it;
 * an AST guard — the span literal, the counting funnels, station
   admission and the whole-call failure accounting each sit in one
-  function, so a second copy cannot grow back unnoticed.
+  function, so a second copy cannot grow back unnoticed; and, one layer
+  up, the servers move payload bytes through one leg runner and read
+  the ``direct_io`` knob in three functions.
 """
 
 import ast
@@ -113,14 +115,16 @@ def test_three_modes_are_one_wire_leg(link, nbytes, streams, fault):
 
 # -- the AST guard ---------------------------------------------------------
 
-NET_DIR = pathlib.Path(__file__).resolve().parents[2] / "src/repro/net"
+SRC = pathlib.Path(__file__).resolve().parents[2] / "src/repro"
+NET_DIR = SRC / "net"
+CORE_DIR = SRC / "core"
 
 
-def sites(predicate, files=None):
+def sites(predicate, files=None, root=NET_DIR):
     """``file:Class.function`` of every AST node ``predicate`` accepts
-    (over every module of ``repro.net`` unless ``files`` narrows it)."""
+    (over every module under ``root`` unless ``files`` narrows it)."""
     if files is None:
-        files = sorted(p.name for p in NET_DIR.glob("*.py"))
+        files = sorted(str(p.relative_to(root)) for p in root.rglob("*.py"))
     found = []
 
     def visit(node, scope, filename):
@@ -132,7 +136,7 @@ def sites(predicate, files=None):
             visit(child, scope, filename)
 
     for filename in files:
-        visit(ast.parse((NET_DIR / filename).read_text()), [], filename)
+        visit(ast.parse((root / filename).read_text()), [], filename)
     return found
 
 
@@ -178,15 +182,67 @@ class TestOneFunnel:
             "rpc.py:ServiceRegistry._fail"]
 
     def test_rpc_sends_its_legs_from_fixed_lines(self):
-        # request leg, reply leg (result or error marker), and the
-        # redirect re-pull; four would allow a separate error reply
-        def network_transfer(n):
-            if not method_call("transfer")(n):
-                return False
-            receiver = n.func.value     # ``network`` or ``self.network``
-            return getattr(receiver, "attr",
-                           getattr(receiver, "id", None)) == "network"
-
+        # request leg and reply leg (result or error marker); three
+        # would allow a separate error reply.  A redirect's re-pull is
+        # the shared healthy-source repair, not rpc's own leg
         legs = sites(network_transfer, files=("rpc.py",))
-        assert sorted(legs) == ["rpc.py:ServiceRegistry._exchange"] * 2 \
-            + ["rpc.py:ServiceRegistry._run_redirect"]
+        assert sorted(legs) == ["rpc.py:ServiceRegistry._exchange"] * 2
+        assert sorted(sites(network_transfer, files=("simnet.py",))) == [
+            "simnet.py:DataChannel.open", "simnet.py:DataChannel.transfer",
+            "simnet.py:repull_failed"]
+
+
+def network_transfer(n):
+    """A ``<network>.transfer(...)`` call, however the network is held."""
+    if not method_call("transfer")(n):
+        return False
+    receiver = n.func.value     # ``net``, ``network`` or ``self.network``
+    return getattr(receiver, "attr",
+                   getattr(receiver, "id", None)) in ("network", "net")
+
+
+RUNNER = "federation.py:ChannelBroker.run_legs"
+
+
+class TestOneLegRunner:
+    """Under ``repro.core`` one function decides how payload bytes move."""
+
+    def test_payload_legs_are_charged_in_the_runner(self):
+        def core(predicate):
+            return sorted(sites(predicate, root=CORE_DIR))
+
+        assert core(lambda n: isinstance(n, ast.Call)
+                    and isinstance(n.func, ast.Name)
+                    and n.func.id == "TransferGroup") == [RUNNER]
+        assert core(method_call("add_to")) == []
+        assert core(lambda n: isinstance(n, ast.Call)
+                    and isinstance(n.func, ast.Name)
+                    and n.func.id == "run_channel_group") == [RUNNER]
+        # channels are issued by the runner, or handed to the caller's
+        # RPC layer in a redirect reply
+        assert core(lambda n: method_call("open")(n) and getattr(
+            n.func.value, "id", None) in ("self", "channels")) == [
+            RUNNER, "planes/base.py:PlaneService._redirect_reply"]
+        # beside the runner's, the only raw legs are control messages:
+        # the catalog hop's pair, and the three plane functions
+        # tools/lint_dispatch.py rule 6 allows
+        assert core(network_transfer) == sorted([
+            RUNNER,
+            "planes/base.py:PlaneService._resource_session",
+            "planes/base.py:PlaneService._rollback_created",
+            "planes/data.py:DataService._get_method",
+            "planes/data.py:DataService._get_method",
+            "server.py:SrbServer._mcat_hop",
+            "server.py:SrbServer._mcat_hop"])
+
+    def test_the_knob_is_read_in_three_functions(self):
+        def reads_knob(n):
+            return (isinstance(n, ast.Attribute)
+                    and isinstance(n.ctx, ast.Load)
+                    and n.attr in ("direct_io", "enabled"))
+
+        assert sorted(sites(reads_knob, root=CORE_DIR)) == [
+            "client.py:SrbClient._defer",
+            RUNNER,
+            "federation.py:Federation.stats",      # reports it, routes nothing
+            "planes/base.py:PlaneService._redirect_sink"]

@@ -44,18 +44,19 @@ server architecture" and "Placement policy engine"):
    catalog rows into their canonical order, which is not a choice; the
    allowlist is frozen and must only ever shrink.
 
-6. **Byte movement in plane code goes through the channel helpers.**
-   A handler calling ``self.network.transfer(...)`` directly bypasses
-   the direct-data-channel seam (DESIGN.md, "Direct data channels"):
-   under ``Federation(direct_io=True)`` its bytes would silently keep
+6. **Payload bytes in plane code move through the leg runner.**
+   A handler calling ``self.network.transfer(...)`` itself decides how
+   bytes reach storage — the one decision the server, as broker, makes
+   in one place (DESIGN.md, "Direct data channels"): under
+   ``Federation(direct_io=True)`` such bytes would silently keep
    funnelling through the server host, unmetered by ``net.direct.*``
-   and invisible to channel admission.  Data legs must use the
-   ``planes/base.py`` helpers (``_pull_from_resource``,
-   ``_push_to_resource``, ``_channel_push``, ``_channel_copy``,
-   ``_redirect_reply``) or a ``TransferGroup``/channel pairing.  The
-   frozen allowlist names the ``(file, function)`` pairs that *are*
-   the helpers plus grandfathered control/repair legs; it must only
-   ever shrink.
+   and invisible to channel admission, and they would overlap with
+   nothing.  Handlers describe legs and hand them to
+   ``ChannelBroker.run_legs`` (through the ``planes/base.py`` write
+   loop ``_store``/``_push`` and read delivery ``_deliver``).  The
+   frozen allowlist names the ``(file, function)`` pairs that send
+   *control* messages — never payload — straight onto the wire; it
+   must only ever shrink.
 
 Run from the repository root::
 
@@ -272,23 +273,17 @@ def check_placement_seam() -> List[str]:
 
 
 #: ``(file, enclosing function)`` pairs sanctioned to call
-#: ``network.transfer`` directly in plane code: the channel/storage
-#: helpers themselves, and grandfathered control or repair legs that
-#: predate the channel seam.  Frozen: entries may be removed as legs
-#: move behind the helpers, never added.
+#: ``network.transfer`` directly in plane code: control legs, not
+#: payload.  Frozen: entries may be removed, never added.
 RAW_TRANSFER_ALLOWLIST = {
     ("base.py", "_resource_session"),     # session control handshake
-    ("base.py", "_pull_from_resource"),   # the pass-through helper
-    ("base.py", "_push_to_resource"),     # the pass-through helper
-    ("base.py", "_channel_copy"),         # its own pass-through branch
-    ("data.py", "_rollback_created"),     # control msgs, not data bytes
-    ("data.py", "_get_bytes_striped"),    # failed-stripe repair re-pull
+    ("base.py", "_rollback_created"),     # control msgs, not data bytes
     ("data.py", "_get_method"),           # proxy command control legs
 }
 
 
 def check_raw_transfers() -> List[str]:
-    """Rule 6: ``network.transfer`` in plane code outside the helpers."""
+    """Rule 6: ``network.transfer`` in plane code outside the runner."""
     errors = []
     used = set()
     for path in sorted(PLANES_DIR.glob("*.py")):
@@ -314,9 +309,9 @@ def check_raw_transfers() -> List[str]:
                 continue
             errors.append(
                 f"{path.relative_to(ROOT)}:{node.lineno}: raw "
-                f"network.transfer() in {func}() — move the leg behind "
-                f"the channel helpers (_channel_push/_channel_copy/"
-                f"_redirect_reply) so direct_io can redirect it")
+                f"network.transfer() in {func}() — describe the leg and "
+                f"hand it to the leg runner (ChannelBroker.run_legs, via "
+                f"_store/_push/_deliver) so the broker picks its route")
     return errors + _stale("RAW_TRANSFER_ALLOWLIST", RAW_TRANSFER_ALLOWLIST,
                            used)
 
