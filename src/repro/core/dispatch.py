@@ -1,25 +1,25 @@
-"""Declarative RPC dispatch: an op registry plus a middleware pipeline.
+"""Declarative RPC dispatch: an op registry plus one compiled plan per op.
 
 The paper describes the SRB server as a *layered* system: one common
 request interface in front of distinct namespace, data-movement, replica
 and metadata functions.  Before this module existed, our server was a
 single class where every RPC handler hand-rolled the cross-cutting
 concerns — auth, tracing, audit, cross-zone forwarding, error accounting
-— and did so inconsistently.  Here those concerns become an ordered
-middleware pipeline that *every* server RPC runs through, and a handler
-is just a method on a plane service carrying a declaration::
+— and did so inconsistently.  Here those concerns are one ordered
+pipeline that *every* server RPC runs through, and a handler is just a
+method on a plane service carrying a declaration::
 
     @rpc_op("query", scope_arg="scope", forwardable=True, audit="query",
             span_args=("scope",))
     def query(self, ctx, scope, conditions, ...):
         ...only the query logic...
 
-Pipeline order (outermost first) — this is a *contract*; stages and
-tests depend on it:
+Pipeline order (outermost first) — this is a *contract*; tests depend
+on it:
 
 1. **error**    — label failures on the ``srb.errors`` metric, re-raise.
-2. **span**     — open the ``srb.<plane>.<op>`` span and increment the
-                  ``srb.ops`` counter (exactly once per op, every op).
+2. **span**     — increment the ``srb.ops`` counter (exactly once per
+                  op, every op) and open the ``srb.<plane>.<op>`` span.
 3. **auth**     — validate the caller's SSO ticket (skipped for the
                   login handshake itself).
 4. **zone**     — if the op's scope path lies in a federated peer zone:
@@ -32,9 +32,36 @@ tests depend on it:
                   record; on ``AccessDenied``/``AuthError`` from a
                   mutation, write it with ``ok=False`` instead.
 
+The pipeline is *compiled*, not interpreted.  :func:`_compile` turns a
+registered :class:`OpSpec` into one runner (its *op plan*, built once,
+by the op's first call on that server) that walks the six stages in
+that order in a single function, with everything the declaration fixes
+decided once: the span name, the bound ``srb.ops`` series and the audit
+fields are prebuilt, and a stage that can do nothing for this op is not
+in its plan —
+
+* the zone check, for an op with no ``scope_arg`` (and, for a scoped
+  one, while the federation has no peer zone to be foreign to);
+* the catalog round trip, on the server that holds an unsharded catalog
+  (the hop still counts the op as served);
+* the audit record, for an op that declares no ``audit=``
+  (:meth:`OpContext.audit` refuses to invent one at run time);
+* the op span, while no trace is recording (``Tracer.stack`` is empty;
+  the span would have been a no-op).
+
+None of these is observable: each dropped stage is one whose every
+effect — metric, span, audit row, charged message — was already nil for
+that op.  A ``DeferredPayload`` claim is unwrapped only in the slot the
+op declares (``payload_arg`` / ``payload_items`` — the two places
+``SrbClient._defer`` puts one).  Anywhere else it stays what it is, an
+object of the wrong type, and is refused by whatever refuses an ``int``
+there: the catalog's typed columns, path validation.
+
 Stages 1–3 are free on the virtual clock, so the refactor from inline
 preambles to this pipeline is behavior-preserving on the simulated
-clock (``benchmarks/test_refactor_parity.py`` holds it to that).
+clock (``benchmarks/test_refactor_parity.py`` holds it to that, and
+``tests/obs/test_obs_parity.py`` holds every metric and span to a
+recording made before the plans existed).
 
 Handlers receive an :class:`OpContext` as their second argument for the
 rare dynamic cases: refining the audit record (``ctx.audit(detail=...)``),
@@ -44,7 +71,7 @@ adding span counters (``ctx.span``), or per-item zone checks in bulk ops
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.auth.tickets import Ticket
@@ -54,33 +81,19 @@ from repro.errors import AccessDenied, AuthError, SrbError, \
 from repro.net.wire import DeferredPayload
 
 
-def _unwrap_deferred(value: Any) -> Tuple[Any, bool]:
-    """Strip :class:`DeferredPayload` wrappers from an op's kwargs.
-
-    Returns ``(unwrapped, found)``.  Wrappers appear at the top level
-    (``data=DeferredPayload(...)``) and inside the dict/list structures
-    bulk ops carry; anything else is returned untouched.
-    """
-    if isinstance(value, DeferredPayload):
-        return value.data, True
-    if isinstance(value, dict):
-        found = False
-        out = {}
-        for k, v in value.items():
-            out[k], hit = _unwrap_deferred(v)
-            found = found or hit
-        return (out if found else value), found
-    if isinstance(value, (list, tuple)):
-        items, hits = [], False
-        for v in value:
-            item, hit = _unwrap_deferred(v)
-            items.append(item)
-            hits = hits or hit
-        if not hits:
-            return value, False
-        return (type(value)(items) if isinstance(value, tuple)
-                else items), True
-    return value, False
+def _announced_items(items: Any) -> Tuple[Any, bool]:
+    """``(items, found)`` with every item's ``DeferredPayload`` ``"data"``
+    replaced by its bytes: the bulk payload slot.  The caller's list is
+    copied only when an item carried a claim."""
+    plain = None
+    if type(items) is list or type(items) is tuple:
+        for i, item in enumerate(items):
+            if type(item) is dict and "data" in item \
+                    and type(item["data"]) is DeferredPayload:
+                if plain is None:
+                    plain = list(items)
+                plain[i] = {**item, "data": item["data"].data}
+    return (items, False) if plain is None else (plain, True)
 
 
 @dataclass(frozen=True)
@@ -102,6 +115,8 @@ class OpSpec:
     detail: Optional[str] = None        #: static audit detail
     span_args: Tuple[str, ...] = ()     #: kwargs copied onto the op span
     span_items: Optional[str] = None    #: sequence kwarg -> span attr items=len(...)
+    payload_arg: Optional[str] = None   #: kwarg a client may announce (DeferredPayload)
+    payload_items: Optional[str] = None  #: sequence kwarg whose items' "data" it may
 
     @property
     def span_name(self) -> str:
@@ -125,7 +140,9 @@ def rpc_op(name: str, *,
            detail_arg: Optional[str] = None,
            detail: Optional[str] = None,
            span_args: Tuple[str, ...] = (),
-           span_items: Optional[str] = None) -> Callable:
+           span_items: Optional[str] = None,
+           payload_arg: Optional[str] = None,
+           payload_items: Optional[str] = None) -> Callable:
     """Declare a plane-service method as an RPC operation.
 
     The declaration is stored on the function; :class:`Dispatcher`
@@ -145,12 +162,16 @@ def rpc_op(name: str, *,
     if audit is None and (audit_arg or detail_arg or detail
                           or audit_denied is not None):
         raise ValueError(f"op {name!r}: audit refinements require audit=")
+    if payload_arg is not None and payload_items is not None:
+        raise ValueError(f"op {name!r}: payload_arg and payload_items are "
+                         "exclusive (an op has one payload slot)")
 
     decl = dict(name=name, auth=auth, mcat_hop=mcat_hop, scope_arg=scope_arg,
                 forwardable=forwardable, write=write, audit=audit,
                 audit_arg=audit_arg, audit_denied=audit_denied,
                 detail_arg=detail_arg, detail=detail,
-                span_args=tuple(span_args), span_items=span_items)
+                span_args=tuple(span_args), span_items=span_items,
+                payload_arg=payload_arg, payload_items=payload_items)
 
     def decorate(fn: Callable) -> Callable:
         fn.__rpc_op__ = decl
@@ -159,7 +180,7 @@ def rpc_op(name: str, *,
 
 
 class OpContext:
-    """Per-call state threaded through the pipeline into the handler."""
+    """Per-call state the op plan hands to the handler."""
 
     __slots__ = ("server", "spec", "ticket", "kwargs", "principal", "span",
                  "caller_host", "payload_host",
@@ -167,41 +188,37 @@ class OpContext:
                  "_audit_suppressed")
 
     def __init__(self, server: Any, spec: OpSpec, ticket: Optional[Ticket],
-                 kwargs: Dict[str, Any]):
+                 kwargs: Dict[str, Any], caller_host: Optional[str],
+                 payload_host: str):
         self.server = server
         self.spec = spec
         self.ticket = ticket
+        self.kwargs = kwargs
         # host of the RPC caller currently being served (None when the
         # op was invoked in-process, e.g. a facade method calling back)
-        self.caller_host: Optional[str] = \
-            server.federation.rpc.caller_host
+        self.caller_host = caller_host
         # where a write op's payload bytes are: on this server (they
         # rode the request), or still on the caller's host when the
         # client announced them with a DeferredPayload claim instead.
         # Unwrapped either way, so handlers see plain bytes.
-        kwargs, deferred = _unwrap_deferred(kwargs)
-        self.payload_host: str = \
-            self.caller_host if deferred else server.host
-        self.kwargs = kwargs
+        self.payload_host = payload_host
         self.principal: Optional[Principal] = None
         self.span = None
+        # what the handler refined; the declared defaults are filled in
+        # by the plan when (and only if) the record is written
         self._audit_action = spec.audit
-        arg = spec.audit_arg or spec.scope_arg
-        value = kwargs.get(arg) if arg else None
-        self._audit_target = str(value) if value is not None else None
-        if spec.detail is not None:
-            self._audit_detail: Optional[str] = spec.detail
-        elif spec.detail_arg is not None:
-            dv = kwargs.get(spec.detail_arg)
-            self._audit_detail = str(dv) if dv is not None else None
-        else:
-            self._audit_detail = None
+        self._audit_target: Optional[str] = None
+        self._audit_detail: Optional[str] = None
         self._audit_suppressed = False
 
     def audit(self, action: Optional[str] = None,
               target: Optional[str] = None,
               detail: Optional[str] = None) -> None:
         """Refine the declared audit record from inside a handler."""
+        if self.spec.audit is None:
+            # the op's plan has no audit stage to read the refinement
+            raise SrbError(f"op {self.spec.name!r} declares no audit= "
+                           "and cannot write an audit record")
         if action is not None:
             self._audit_action = action
         if target is not None:
@@ -215,116 +232,154 @@ class OpContext:
         self._audit_suppressed = True
 
     def require_local(self, path: str) -> None:
-        """Per-item zone check for bulk ops (the batch itself is unscoped)."""
-        self.server._require_local(path, self.spec.name)
+        """Per-item zone check for bulk ops (the batch itself is unscoped).
+        Like the plan's zone stage, nil while there is no peer zone."""
+        server = self.server
+        if server.federation.peers:
+            server._require_local(path, self.spec.name)
 
 
 # ---------------------------------------------------------------------------
-# pipeline stages, outermost first
+# the op plan: the six stages of one op, compiled into one function
 # ---------------------------------------------------------------------------
 
-def _stage_error(ctx: OpContext, nxt: Callable) -> Any:
-    try:
-        return nxt(ctx)
-    except Exception as exc:
-        ctx.server.obs.metrics.inc("srb.errors", server=ctx.server.name,
-                                   op=ctx.spec.name,
-                                   error=type(exc).__name__)
-        raise
+def _compile(server: Any, spec: OpSpec, service: Any,
+             fn: Callable) -> Callable[[Optional[Ticket], Dict[str, Any]],
+                                       Any]:
+    """Build ``run(ticket, kwargs)`` for one op on one server.
+
+    Everything the declaration or the server's place in the federation
+    fixes is resolved here, once; ``run`` keeps the documented order
+    error → span → auth → zone → hop → audit and leaves out the stages
+    that are nil for this op (module docstring).
+    """
+    fed = server.federation
+    rpc = fed.rpc
+    tracer = server.obs.tracer
+    metrics = server.obs.metrics
+    op, host, server_name = spec.name, server.host, server.name
+    ops = metrics.bind_counter("srb.ops", server=server_name,
+                               plane=spec.plane, op=op)
+    span_name, span_args, span_items = \
+        spec.span_name, spec.span_args, spec.span_items
+    payload_arg, payload_items = spec.payload_arg, spec.payload_items
+    needs_auth, scope_arg, forwardable = \
+        spec.auth, spec.scope_arg, spec.forwardable
+    # the hop is a charged round trip only off the catalog's server, or
+    # when the catalog is sharded (the route is metered per shard)
+    remote_catalog = spec.mcat_hop and (
+        not server.is_mcat_server or hasattr(fed.mcat, "shard_of_path"))
+    audited, audits_denied = spec.audit is not None, spec.audits_denied
+    audit_arg = spec.audit_arg or spec.scope_arg
+    detail_arg, static_detail = spec.detail_arg, spec.detail
+
+    errors = metrics.bind_family(("server", "op", "error"),
+                                 ("counter", "srb.errors"))
+
+    def run(ticket: Optional[Ticket], kwargs: Dict[str, Any]) -> Any:
+        caller_host = rpc.caller_host
+        payload_host = host
+        if payload_arg is not None:
+            data = kwargs.get(payload_arg)
+            if type(data) is DeferredPayload:
+                kwargs = {**kwargs, payload_arg: data.data}
+                payload_host = caller_host or host
+        elif payload_items is not None:
+            items, found = _announced_items(kwargs.get(payload_items))
+            if found:
+                kwargs = {**kwargs, payload_items: items}
+                payload_host = caller_host or host
+        ctx = OpContext(server, spec, ticket, kwargs, caller_host,
+                        payload_host)
+        span = None
+        try:                                            # 1. error
+            ops.inc()                                   # 2. span
+            if tracer.stack:
+                attrs = {"server": server_name}
+                for arg in span_args:
+                    attrs[arg] = kwargs.get(arg)
+                if span_items is not None:
+                    attrs["items"] = len(kwargs.get(span_items) or ())
+                span = ctx.span = tracer.open(span_name, attrs)
+            if needs_auth:                              # 3. auth
+                ctx.principal = server._auth(ticket)
+            scope = zone = None
+            if scope_arg is not None:                   # 4. zone
+                scope = kwargs.get(scope_arg)
+                if type(scope) is not str and not isinstance(scope, str):
+                    scope = None
+                elif fed.peers:
+                    zone = server._foreign_zone(scope)
+            if zone is not None:
+                if not forwardable:
+                    raise UnsupportedOperation(
+                        f"{op} in foreign zone {zone!r} requires "
+                        "connecting to a server of that zone (cross-zone "
+                        "forwarding is read-only)")
+                result = server._forward(zone, op, ticket, **kwargs)
+            else:
+                if remote_catalog:                      # 5. hop
+                    server._mcat_hop(scope)
+                else:
+                    server.ops_served += 1
+                if not audited:                         # 6. audit
+                    result = fn(service, ctx, **kwargs)
+                else:
+                    try:
+                        result = fn(service, ctx, **kwargs)
+                    except (AccessDenied, AuthError):
+                        # a denied mutation is itself an auditable event
+                        if audits_denied and ctx.principal is not None:
+                            target = ctx._audit_target
+                            if target is None:
+                                target = _declared(kwargs, audit_arg)
+                            server._audit(ctx.principal, ctx._audit_action,
+                                          target or "-", ok=False)
+                        raise
+                    if not ctx._audit_suppressed:
+                        target, detail = ctx._audit_target, ctx._audit_detail
+                        if target is None:
+                            target = _declared(kwargs, audit_arg)
+                        if detail is None:
+                            detail = static_detail if detail_arg is None \
+                                else _declared(kwargs, detail_arg)
+                        server._audit(
+                            ctx.principal if ctx.principal is not None
+                            else PUBLIC,
+                            ctx._audit_action, target or "-", detail=detail)
+        except BaseException as exc:
+            if span is not None:
+                tracer.close(span, exc)
+            if isinstance(exc, Exception):
+                errors[server_name, op, type(exc).__name__][0].inc()
+            raise
+        if span is not None:
+            tracer.close(span)
+        return result
+
+    return run
 
 
-def _stage_span(ctx: OpContext, nxt: Callable) -> Any:
-    server, spec = ctx.server, ctx.spec
-    server.obs.metrics.inc("srb.ops", server=server.name, plane=spec.plane,
-                           op=spec.name)
-    attrs = {a: ctx.kwargs.get(a) for a in spec.span_args}
-    if spec.span_items is not None:
-        attrs["items"] = len(ctx.kwargs.get(spec.span_items) or ())
-    with server.obs.tracer.span(spec.span_name, server=server.name,
-                                **attrs) as sp:
-        ctx.span = sp
-        return nxt(ctx)
-
-
-def _stage_auth(ctx: OpContext, nxt: Callable) -> Any:
-    if ctx.spec.auth:
-        ctx.principal = ctx.server._auth(ctx.ticket)
-    return nxt(ctx)
-
-
-def _stage_zone(ctx: OpContext, nxt: Callable) -> Any:
-    spec = ctx.spec
-    if spec.scope_arg is not None:
-        scope = ctx.kwargs.get(spec.scope_arg)
-        zone = ctx.server._foreign_zone(scope) \
-            if isinstance(scope, str) else None
-        if zone is not None:
-            if spec.forwardable:
-                return ctx.server._forward(zone, spec.name, ctx.ticket,
-                                           **ctx.kwargs)
-            raise UnsupportedOperation(
-                f"{spec.name} in foreign zone {zone!r} requires connecting "
-                "to a server of that zone (cross-zone forwarding is "
-                "read-only)")
-    return nxt(ctx)
-
-
-def _stage_hop(ctx: OpContext, nxt: Callable) -> Any:
-    if ctx.spec.mcat_hop:
-        scope = ctx.kwargs.get(ctx.spec.scope_arg) \
-            if ctx.spec.scope_arg else None
-        ctx.server._mcat_hop(scope if isinstance(scope, str) else None)
-    else:
-        ctx.server.ops_served += 1
-    return nxt(ctx)
-
-
-def _stage_audit(ctx: OpContext, nxt: Callable) -> Any:
-    spec = ctx.spec
-    try:
-        result = nxt(ctx)
-    except (AccessDenied, AuthError):
-        # a denied mutation is itself an auditable event
-        if spec.audit is not None and spec.audits_denied \
-                and ctx.principal is not None:
-            ctx.server._audit(ctx.principal, ctx._audit_action,
-                              ctx._audit_target or "-", ok=False)
-        raise
-    if ctx._audit_action is not None and not ctx._audit_suppressed:
-        ctx.server._audit(
-            ctx.principal if ctx.principal is not None else PUBLIC,
-            ctx._audit_action, ctx._audit_target or "-",
-            detail=ctx._audit_detail)
-    return result
-
-
-STAGES: Tuple[Callable, ...] = (_stage_error, _stage_span, _stage_auth,
-                                _stage_zone, _stage_hop, _stage_audit)
-
-
-def _compose(stages: Tuple[Callable, ...],
-             terminal: Callable) -> Callable:
-    chain = terminal
-    for stage in reversed(stages):
-        def wrapped(ctx, _stage=stage, _nxt=chain):
-            return _stage(ctx, _nxt)
-        chain = wrapped
-    return chain
+def _declared(kwargs: Dict[str, Any], arg: Optional[str]) -> Optional[str]:
+    """The audit field an op declares by naming a kwarg, as text."""
+    value = kwargs.get(arg) if arg else None
+    return str(value) if value is not None else None
 
 
 @dataclass
 class RegisteredOp:
-    """One op as the dispatcher runs it: spec + service + built pipeline."""
+    """One op as the dispatcher runs it: spec + service + compiled plan
+    (``run`` is filled in by the op's first call)."""
 
     spec: OpSpec
     service: Any
     impl: Callable
-    chain: Callable = field(repr=False, default=None)
+    run: Optional[Callable[[Optional[Ticket], Dict[str, Any]], Any]] = None
 
 
 class Dispatcher:
     """The server's op registry: collects ``@rpc_op`` declarations from
-    plane services and runs every call through the middleware pipeline."""
+    plane services and runs every call through that op's plan."""
 
     def __init__(self, server: Any):
         self.server = server
@@ -346,19 +401,21 @@ class Dispatcher:
                 raise SrbError(
                     f"duplicate rpc op {spec.name!r}: declared by both "
                     f"{other.plane}.{other.attr} and {plane}.{attr}")
-
-            def invoke(ctx, _service=service, _fn=fn):
-                return _fn(_service, ctx, **ctx.kwargs)
-            self._ops[spec.name] = RegisteredOp(
-                spec=spec, service=service, impl=fn,
-                chain=_compose(STAGES, invoke))
+            self._ops[spec.name] = RegisteredOp(spec=spec, service=service,
+                                                impl=fn)
 
     # -- dispatch -----------------------------------------------------------
 
     def call(self, name: str, ticket: Optional[Ticket],
              kwargs: Dict[str, Any]) -> Any:
         reg = self._ops[name]
-        return reg.chain(OpContext(self.server, reg.spec, ticket, kwargs))
+        run = reg.run
+        if run is None:
+            # compiled once, by the first call: building a grid does not
+            # pay for the plans of ops it never serves
+            run = reg.run = _compile(self.server, reg.spec, reg.service,
+                                     reg.impl)
+        return run(ticket, kwargs)
 
     # -- introspection ------------------------------------------------------
 

@@ -150,14 +150,14 @@ class PlaneService:
         benchmark measures a cold touch.
         """
         owed = self._session_owed(res)
-        obs = self.obs
+        server = self.server
         if not owed:
-            obs.metrics.inc("srb.session_cache", result="hit",
-                            server=self.server.name, resource=res.name)
-            obs.tracer.add("session_cache_hits", 1)
+            server.session_meters["hit", server.name, res.name][0].inc()
+            tracer = self.obs.tracer
+            if tracer.stack:
+                tracer.add("session_cache_hits", 1)
             return
-        obs.metrics.inc("srb.session_cache", result="miss",
-                        server=self.server.name, resource=res.name)
+        server.session_meters["miss", server.name, res.name][0].inc()
         src, dst = self.host, res.host
         try:
             # server and resource take turns, the server first and last

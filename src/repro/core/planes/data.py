@@ -59,7 +59,7 @@ class DataService(PlaneService):
     # ------------------------------------------------------------------
 
     @rpc_op("ingest", scope_arg="path", write=True, audit="ingest",
-            span_args=("path",))
+            span_args=("path",), payload_arg="data")
     def ingest(self, ctx: OpContext, path: str, data: bytes,
                resource: Optional[str] = None,
                container: Optional[str] = None,
@@ -126,7 +126,8 @@ class DataService(PlaneService):
     # bulk operations (the Sbload-style amortized data plane)
     # ------------------------------------------------------------------
 
-    @rpc_op("bulk_ingest", audit="bulk-ingest", span_items="items")
+    @rpc_op("bulk_ingest", audit="bulk-ingest", span_items="items",
+            payload_items="items")
     def bulk_ingest(self, ctx: OpContext,
                     items: Sequence[Dict[str, Any]],
                     resource: Optional[str] = None,
@@ -851,7 +852,8 @@ class DataService(PlaneService):
     # writes / updates
     # ------------------------------------------------------------------
 
-    @rpc_op("put", scope_arg="path", write=True, audit="put")
+    @rpc_op("put", scope_arg="path", write=True, audit="put",
+            payload_arg="data")
     def put(self, ctx: OpContext, path: str, data: bytes) -> None:
         """Overwrite (re-ingest/edit): metadata stays linked; the written
         replica becomes fresh, siblings become dirty."""

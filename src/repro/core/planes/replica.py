@@ -81,7 +81,7 @@ class ReplicaService(PlaneService):
             target, 0, now=self.now)
 
     @rpc_op("ingest_replica", scope_arg="path", write=True,
-            audit="ingest-replica")
+            audit="ingest-replica", payload_arg="data")
     def ingest_replica(self, ctx: OpContext, path: str, data: bytes,
                        resource: str) -> int:
         """Ingest different bytes as a replica of an existing object —

@@ -15,12 +15,12 @@ functions.  That is now literal structure:
 * :mod:`repro.core.planes` — ``auth``, ``namespace``, ``data``,
   ``replica`` and ``metadata`` services own the operation logic;
 * :mod:`repro.core.dispatch` — every RPC runs through one declarative
-  middleware pipeline (error accounting, op span/metrics, ticket auth,
-  cross-zone forwarding, MCAT hop, audit) driven by the ``@rpc_op``
+  pipeline (error accounting, op span/metrics, ticket auth, cross-zone
+  forwarding, MCAT hop, audit), compiled per op from the ``@rpc_op``
   declarations on the plane methods.
 
 ``SrbServer`` itself keeps only identity, counters, the plumbing the
-pipeline stages call (``_mcat_hop``/``_forward``/``_auth``/``_audit``)
+op plans call (``_mcat_hop``/``_forward``/``_auth``/``_audit``)
 and an auto-generated public method per registered op, so the external
 surface — ``server.get(ticket, path)``, RPC by method name, scommands —
 is unchanged.
@@ -119,6 +119,10 @@ class SrbServer:
         # topology epoch the session was opened under (read and written
         # by planes/base.py)
         self._session_cache: Dict[str, int] = {}
+        #: bound ``srb.session_cache`` series, by (result, server, resource)
+        self.session_meters = federation.obs.metrics.bind_family(
+            ("result", "server", "resource"),
+            ("counter", "srb.session_cache"))
 
         self.auth = AuthService(self)
         self.namespace = NamespaceService(self)
@@ -198,7 +202,7 @@ class SrbServer:
         return self.clock.now
 
     # ------------------------------------------------------------------
-    # plumbing the pipeline stages call
+    # plumbing the op plans call
     # ------------------------------------------------------------------
 
     def _mcat_hop(self, scope: Optional[str] = None) -> None:

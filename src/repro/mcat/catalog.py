@@ -109,10 +109,15 @@ class _Charge:
         touched = mcat.db.scan_counter.total - self.before
         cost = mcat.QUERY_OVERHEAD_S + touched * mcat.ROW_COST_S
         mcat.busy_s += cost
-        mcat.obs.metrics.inc("mcat.ops")
+        mcat._ops.inc()
         if touched:
-            mcat.obs.metrics.inc("mcat.rows_scanned", touched)
-            mcat.obs.tracer.add("catalog_rows", touched)
+            mcat._rows.inc(touched)
+        tracer = mcat.obs.tracer
+        if tracer.stack:
+            # what Span.breakdown files under "catalog"
+            tracer.add("catalog_s", cost)
+            if touched:
+                tracer.add("catalog_rows", touched)
         if mcat.clock is not None:
             mcat.clock.advance(cost)
 
@@ -133,6 +138,9 @@ class Mcat:
         # standalone catalogs (catalog-scale benchmarks) get their own
         # pipeline; federations pass the shared one in
         self.obs = obs if obs is not None else Observability(clock)
+        # the two series every charged op counts into (see _Charge)
+        self._ops = self.obs.metrics.bind_counter("mcat.ops")
+        self._rows = self.obs.metrics.bind_counter("mcat.rows_scanned")
         # The backing database is *not* clock-wired: MCAT charges its own
         # per-operation cost so that one logical catalog op = one charge,
         # regardless of how many internal table calls it makes.

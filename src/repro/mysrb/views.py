@@ -21,6 +21,7 @@ from repro.errors import SrbError
 from repro.mcat.dublin_core import DUBLIN_CORE_ELEMENTS
 from repro.mcat.query import Condition, DisplayOnly, OPERATORS
 from repro.mysrb import html as H
+from repro.obs.metrics import format_value
 from repro.util import paths
 
 _INLINEABLE_TYPES = ("ascii text", "html", "sql query", "url", "method",
@@ -526,7 +527,7 @@ def status_page(client: SrbClient) -> str:
     counter_rows = []
     for name in metrics.counter_names():
         for labels, value in metrics.series(name).items():
-            counter_rows.append((name + labels, f"{value:g}"))
+            counter_rows.append((name + labels, format_value(value)))
     # served-op totals per (server, plane), from the dispatch pipeline's
     # uniform srb.ops{server,plane,op} accounting
     plane_totals: dict = {}
@@ -535,7 +536,7 @@ def status_page(client: SrbClient) -> str:
                      for p in labels.strip("{}").split(",") if "=" in p)
         key = (parts.get("server", "?"), parts.get("plane", "?"))
         plane_totals[key] = plane_totals.get(key, 0) + value
-    plane_rows = [(srv, plane, f"{value:g}")
+    plane_rows = [(srv, plane, format_value(value))
                   for (srv, plane), value in sorted(plane_totals.items())]
     hist_rows = []
     for name in metrics.histogram_names():

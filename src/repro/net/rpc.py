@@ -145,16 +145,21 @@ class ServiceRegistry:
         self._open_arrival: Optional[float] = None
         #: timing of the most recent completed/shed call (RequestTiming)
         self.last_timing: Optional[RequestTiming] = None
-        # host of the client whose request is currently being invoked;
-        # handlers read it (via OpContext.caller_host) to know where a
-        # direct data channel's far end lives.  Saved/restored around
-        # each invocation so nested server→server RPCs see their own src.
-        self._caller_host: Optional[str] = None
-
-    @property
-    def caller_host(self) -> Optional[str]:
-        """Source host of the request currently being served, if any."""
-        return self._caller_host
+        #: source host of the request currently being served, if any;
+        #: handlers read it (via OpContext.caller_host) to know where a
+        #: direct data channel's far end lives.  Saved/restored around
+        #: each invocation so nested server→server RPCs see their own src.
+        self.caller_host: Optional[str] = None
+        # bound instruments: what every successful call of one
+        # service.method counts into, resolved on its first call
+        metrics = network.obs.metrics
+        self._meters = metrics.bind_family(
+            ("service", "method"),
+            ("counter", "rpc.calls"), ("counter", "rpc.request_bytes"),
+            ("counter", "rpc.response_bytes"), ("histogram", "rpc.call_s"))
+        self._batch_meters = metrics.bind_family(
+            ("service",),
+            ("counter", "rpc.batch_calls"), ("counter", "rpc.batch_items"))
 
     # -- open-loop load ------------------------------------------------------
 
@@ -200,15 +205,22 @@ class ServiceRegistry:
 
     def _fail(self, service: str, method: str, error: str, issued: float,
               wait: float, latency: float,
-              retry_after: Optional[float] = None) -> None:
+              retry_after: Optional[float] = None,
+              reply_bytes: Optional[int] = None) -> None:
         """Count one whole-call failure — the only place that does.
 
         Failed calls must not be invisible in the latency histograms:
         the call's latency lands on the same ``rpc.call_s`` metric as a
         success, with an ``error=`` label, and in :attr:`last_timing`.
-        A ``retry_after`` hint marks the call as shed by admission.
+        A ``retry_after`` hint marks the call as shed by admission;
+        ``reply_bytes`` is the error reply that did reach the caller.
+        Failures are the cold path: their ``error=``-labelled series
+        are resolved per call.
         """
         metrics = self.network.obs.metrics
+        if reply_bytes is not None:
+            metrics.inc("rpc.response_bytes", reply_bytes, service=service,
+                        method=method, error=error)
         self.stats.failures += 1
         metrics.inc("rpc.failures", service=service, method=method,
                     error=error)
@@ -240,22 +252,25 @@ class ServiceRegistry:
         call ``unreachable`` whatever it carried.
         """
         network = self.network
-        obs = network.obs
+        tracer = network.obs.tracer
         clock = network.clock
+        calls, request_bytes, response_bytes, call_s = \
+            self._meters[service, method]
         req_bytes = message_size(request)
         open_arrival = self._open_arrival
         self._open_arrival = None       # nested calls run closed-loop
-        with obs.tracer.span(span_name, src=src, dst=dst, service=service,
-                             **span_attrs) as sp:
+        sp = tracer.open(span_name, {"src": src, "dst": dst,
+                                     "service": service, **span_attrs}) \
+            if tracer.stack else None
+        try:
             t0 = clock.now
             issued = open_arrival if open_arrival is not None else t0
             # the attempt counts even if the request never arrives: an
             # unreachable-host RPC must be visible in the stats
             self.stats.calls += 1
             self.stats.request_bytes += req_bytes
-            obs.metrics.inc("rpc.calls", service=service, method=method)
-            obs.metrics.inc("rpc.request_bytes", req_bytes,
-                            service=service, method=method)
+            calls.inc()
+            request_bytes.inc(req_bytes)
             if sp is not None:
                 sp.incr("request_bytes", req_bytes)
             wait = extra = 0.0
@@ -289,8 +304,8 @@ class ServiceRegistry:
                     if open_arrival is not None:
                         extra = wait
                 t_svc = clock.now
-                caller_prev = self._caller_host
-                self._caller_host = src
+                caller_prev = self.caller_host
+                self.caller_host = src
                 try:
                     result = serve(**kwargs)
                 except SrbError as exc:
@@ -306,7 +321,7 @@ class ServiceRegistry:
                 else:
                     reply = result if marshal is None else marshal(result)
                 finally:
-                    self._caller_host = caller_prev
+                    self.caller_host = caller_prev
                     # the worker was occupied for the service time
                     # whether the handler succeeded or raised
                     if admission is not None:
@@ -325,14 +340,10 @@ class ServiceRegistry:
                 raise
             self.stats.response_bytes += resp_bytes
             if error is not None:
-                obs.metrics.inc("rpc.response_bytes", resp_bytes,
-                                service=service, method=method,
-                                error=error_name)
                 self._fail(service, method, error_name, issued, wait,
-                           clock.now - t0 + extra, retry_after)
+                           clock.now - t0 + extra, retry_after, resp_bytes)
                 raise error
-            obs.metrics.inc("rpc.response_bytes", resp_bytes,
-                            service=service, method=method)
+            response_bytes.inc(resp_bytes)
             try:
                 # a reply may carry signed descriptors, not the bytes:
                 # the second leg(s) run on the real src→sink paths
@@ -346,13 +357,18 @@ class ServiceRegistry:
                            wait, clock.now - t0 + extra)
                 raise
             latency = clock.now - t0 + extra
-            obs.metrics.observe("rpc.call_s", latency, service=service,
-                                method=method)
+            call_s.observe(latency)
             if sp is not None:
                 sp.incr("response_bytes", resp_bytes)
             self.last_timing = RequestTiming(
                 arrival=issued, wait=wait, latency=latency,
                 response_bytes=resp_bytes)
+        except BaseException as exc:
+            if sp is not None:
+                tracer.close(sp, exc)
+            raise
+        if sp is not None:
+            tracer.close(sp)
         return result
 
     def call(self, src: str, dst: str, service: str, method: str,
@@ -518,8 +534,9 @@ class ServiceRegistry:
             return results
 
         # one pipelined request/response pair = one call in the stats
-        metrics.inc("rpc.batch_calls", service=service)
-        metrics.inc("rpc.batch_items", len(items), service=service)
+        batch_calls, batch_items = self._batch_meters[service]
+        batch_calls.inc()
+        batch_items.inc(len(items))
         return self._exchange(
             src, dst, service, "<batch>",
             "rpc.call_batch", {"items": len(items)},

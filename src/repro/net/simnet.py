@@ -235,6 +235,37 @@ class Network:
         # emission — so that watching the wire never changes what the
         # simulation charges.
         self._transfer_observers: List["TransferObserver"] = []
+        # Bound instruments (repro.obs.metrics): the series each label
+        # combination counts into are resolved on its first message and
+        # held, so a per-message site pays one call per increment.
+        metrics = self.obs.metrics
+        self._link_meters = metrics.bind_family(
+            ("src", "dst"),
+            ("counter", "net.messages"), ("counter", "net.bytes"),
+            ("histogram", "net.transfer_s"),
+            ("counter", "net.failed_attempts"))
+        self._station_meters = metrics.bind_family(
+            ("host", "service", "method"),
+            ("counter", "srb.admission.shed"),
+            ("histogram", "srb.admission.retry_after_s", ("host",)),
+            ("counter", "srb.admission.admitted"),
+            ("histogram", "srb.queue.wait_s", ("host", "service")),
+            ("histogram", "srb.queue.depth", ("host",)))
+        #: ``net.parallel.*`` by group label: groups, members, failures,
+        #: makespan_s, saved_s
+        self.group_meters = metrics.bind_family(
+            ("label",),
+            ("counter", "net.parallel.groups"),
+            ("counter", "net.parallel.members"),
+            ("counter", "net.parallel.failures"),
+            ("histogram", "net.parallel.makespan_s"),
+            ("histogram", "net.parallel.saved_s"))
+        #: ``net.direct.*`` by channel label: channels, bytes, transfer_s
+        self.channel_meters = metrics.bind_family(
+            ("label",),
+            ("counter", "net.direct.channels"),
+            ("counter", "net.direct.bytes"),
+            ("histogram", "net.direct.transfer_s"))
 
     # -- topology ----------------------------------------------------------
 
@@ -302,20 +333,17 @@ class Network:
         station = self.host(host).station
         if station is None:
             return None, None
-        metrics = self.obs.metrics
+        shed, retry_after_s, admitted, wait_s, depth = \
+            self._station_meters[host, service, method]
         try:
             admission = station.admit(arrival)
         except ServerBusy as exc:
-            metrics.inc("srb.admission.shed", host=host, service=service,
-                        method=method)
-            metrics.observe("srb.admission.retry_after_s", exc.retry_after,
-                            host=host)
+            shed.inc()
+            retry_after_s.observe(exc.retry_after)
             raise
-        metrics.inc("srb.admission.admitted", host=host, service=service,
-                    method=method)
-        metrics.observe("srb.queue.wait_s", admission.wait,
-                        host=host, service=service)
-        metrics.observe("srb.queue.depth", admission.depth, host=host)
+        admitted.inc()
+        wait_s.observe(admission.wait)
+        depth.observe(admission.depth)
         if admission.wait > 0:
             with self.obs.tracer.span("srb.queue.wait", host=host,
                                       service=service, method=method,
@@ -390,10 +418,13 @@ class Network:
         """Counter/metric bookkeeping for one timed-out attempt."""
         self.messages_sent += 1
         self.failed_attempts += 1
-        self.obs.tracer.add("messages", 1)
-        self.obs.tracer.add("failed_attempts", 1)
-        self.obs.metrics.inc("net.messages", src=src, dst=dst)
-        self.obs.metrics.inc("net.failed_attempts", src=src, dst=dst)
+        tracer = self.obs.tracer
+        if tracer.stack:
+            tracer.add("messages", 1)
+            tracer.add("failed_attempts", 1)
+        messages, _bytes, _seconds, failed = self._link_meters[src, dst]
+        messages.inc()
+        failed.inc()
         for observer in self._transfer_observers:
             observer.observe_failure(src, dst, self.clock.now)
 
@@ -402,11 +433,14 @@ class Network:
         """Counter/metric bookkeeping for one delivered message."""
         self.messages_sent += 1
         self.bytes_sent += nbytes
-        self.obs.tracer.add("messages", 1)
-        self.obs.tracer.add("bytes", nbytes)
-        self.obs.metrics.inc("net.messages", src=src, dst=dst)
-        self.obs.metrics.inc("net.bytes", nbytes, src=src, dst=dst)
-        self.obs.metrics.observe("net.transfer_s", cost, src=src, dst=dst)
+        tracer = self.obs.tracer
+        if tracer.stack:
+            tracer.add("messages", 1)
+            tracer.add("bytes", nbytes)
+        messages, sent, seconds, _failed = self._link_meters[src, dst]
+        messages.inc()
+        sent.inc(nbytes)
+        seconds.observe(cost)
         for observer in self._transfer_observers:
             observer.observe_transfer(src, dst, nbytes, cost,
                                       self.clock.now)
@@ -432,7 +466,6 @@ class Network:
         is handed back, not raised, so a group can marshal it per member.
         """
         spec = self.link(src, dst)
-        attrs = {"src": src, "dst": dst, "bytes": nbytes}
         try:
             self.check_reachable(src, dst)
         except HostUnreachable as exc:
@@ -443,17 +476,23 @@ class Network:
                 start = mode = None
         else:
             error, cost = None, spec.cost(nbytes, streams=streams)
-            attrs["streams"] = streams
-        if mode is not None:
-            attrs[mode] = True
+        tracer = self.obs.tracer
+        if tracer.stack:
+            attrs = {"src": src, "dst": dst, "bytes": nbytes}
             if error is None:
-                attrs["start"] = start
-                attrs["done"] = start + cost
-        with self.obs.tracer.span("net.transfer", **attrs) as sp:
-            if error is not None and sp is not None:
-                sp.error = str(error)
-            if start is None:
-                self.clock.advance(cost)
+                attrs["streams"] = streams
+            if mode is not None:
+                attrs[mode] = True
+                if error is None:
+                    attrs["start"] = start
+                    attrs["done"] = start + cost
+            with tracer.span("net.transfer", **attrs) as sp:
+                if error is not None:
+                    sp.error = str(error)
+                if start is None:
+                    self.clock.advance(cost)
+        elif start is None:
+            self.clock.advance(cost)
         if error is None:
             self._count_success(src, dst, nbytes, cost)
         else:
@@ -641,16 +680,15 @@ class TransferGroup:
                 gsp.incr("failures",
                          sum(1 for o in outcomes if not o.ok))
         serial_s = sum(o.cost for o in outcomes)
-        metrics = net.obs.metrics
-        metrics.inc("net.parallel.groups", label=self.label)
-        metrics.inc("net.parallel.members", len(outcomes), label=self.label)
+        groups, members, failures, makespan_s, saved_s = \
+            net.group_meters[self.label]
+        groups.inc()
+        members.inc(len(outcomes))
         failed = sum(1 for o in outcomes if not o.ok)
         if failed:
-            metrics.inc("net.parallel.failures", failed, label=self.label)
-        metrics.observe("net.parallel.makespan_s", makespan,
-                        label=self.label)
-        metrics.observe("net.parallel.saved_s", max(0.0, serial_s - makespan),
-                        label=self.label)
+            failures.inc(failed)
+        makespan_s.observe(makespan)
+        saved_s.observe(max(0.0, serial_s - makespan))
         return outcomes
 
 
@@ -708,7 +746,7 @@ class DataChannel:
         if self._redeem is not None:
             self._redeem(self.ticket)     # InvalidTicket propagates
         net = self.network
-        net.obs.metrics.inc("net.direct.channels", label=self.label)
+        net.channel_meters[self.label][0].inc()
         if self.src != self.dst:
             # the sink presents the descriptor to the source endpoint:
             # one control message on the channel's own path
@@ -741,9 +779,9 @@ class DataChannel:
 
     def _delivered(self, cost: float) -> None:
         """``net.direct.*`` accounting for the payload having arrived."""
-        metrics = self.network.obs.metrics
-        metrics.inc("net.direct.bytes", self.nbytes, label=self.label)
-        metrics.observe("net.direct.transfer_s", cost, label=self.label)
+        _channels, moved, seconds = self.network.channel_meters[self.label]
+        moved.inc(self.nbytes)
+        seconds.observe(cost)
 
     def add_to(self, group: TransferGroup) -> None:
         """Enlist the (already opened) channel as a group member."""

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.metrics import Histogram, MetricsRegistry, format_value
 from repro.obs.trace import Span, Tracer
 from repro.util.clock import SimClock
 
@@ -37,4 +37,5 @@ class Observability:
         self.metrics = MetricsRegistry()
 
 
-__all__ = ["Observability", "Tracer", "Span", "MetricsRegistry", "Histogram"]
+__all__ = ["Observability", "Tracer", "Span", "MetricsRegistry", "Histogram",
+           "format_value"]

@@ -10,6 +10,16 @@ whole registry on its ``/status`` page; ``Sstat`` prints it.
 Naming convention: dotted metric names by layer (``net.messages``,
 ``rpc.calls``, ``storage.ops``, ``mcat.query_rows_scanned``); label sets
 are small and bounded by topology (hosts, resources, services, methods).
+
+Two ways in, one store.  ``inc(name, **labels)`` / ``observe`` resolve the
+series on every call — the cold-path API, for sites that emit once in a
+while.  A site that emits on every op resolves its series *once*:
+``bind_counter(name, **labels)`` / ``bind_histogram`` hand back a
+:class:`BoundCounter` / :class:`BoundHistogram` holding the series' dict
+and its label key, so an increment is one call and one dict update.
+Binding is not an observation (a series exists once something was
+counted into it), a handle outlives :meth:`MetricsRegistry.clear`, and a
+handle and ``inc`` with the same labels are the same series.
 """
 
 from __future__ import annotations
@@ -24,12 +34,19 @@ LabelKey = Tuple[Tuple[str, str], ...]
 DEFAULT_BUCKETS = (0.0001, 0.001, 0.01, 0.1, 1.0, 10.0, 100.0, float("inf"))
 
 
-#: label-key memo entries kept per registry before it starts over
-_KEY_MEMO_CAP = 4096
-
-
 def _label_str(key: LabelKey) -> str:
     return "{" + ",".join(f"{k}={v}" for k, v in key) + "}" if key else ""
+
+
+def format_value(value: float) -> str:
+    """A metric or span-counter value as operators read it: integers in
+    full (``net.bytes`` 6292135, not 6.29214e+06), anything else as the
+    shortest text that reads back to the same float."""
+    if not isinstance(value, float):
+        return str(value)
+    if value.is_integer() and abs(value) < 1e16:
+        return str(int(value))
+    return repr(value)
 
 
 @dataclass
@@ -66,30 +83,86 @@ class Histogram:
         return self.sum / self.count if self.count else 0.0
 
 
+class BoundCounter:
+    """One counter series, resolved once (see
+    :meth:`MetricsRegistry.bind_counter`)."""
+
+    __slots__ = ("_series", "_key")
+
+    def __init__(self, series: Dict[LabelKey, float], key: LabelKey):
+        self._series = series
+        self._key = key
+
+    def inc(self, value: float = 1) -> None:
+        try:
+            self._series[self._key] += value
+        except KeyError:
+            self._series[self._key] = 0 + value   # numbers: True is 1
+
+
+class BoundHistogram:
+    """One histogram series, resolved once (see
+    :meth:`MetricsRegistry.bind_histogram`)."""
+
+    __slots__ = ("_series", "_key")
+
+    def __init__(self, series: Dict[LabelKey, Histogram], key: LabelKey):
+        self._series = series
+        self._key = key
+
+    def observe(self, value: float) -> None:
+        try:
+            hist = self._series[self._key]
+        except KeyError:
+            hist = self._series[self._key] = Histogram()
+        hist.observe(value)
+
+
+class BoundFamily(dict):
+    """The handles a site needs, per label values, bound on first use
+    (see :meth:`MetricsRegistry.bind_family`).  A plain ``dict`` to its
+    reader: ``family[src, dst]`` is a subscript, and only a label
+    combination never seen before reaches :meth:`__missing__`."""
+
+    def __init__(self, registry: "MetricsRegistry", labels: Tuple[str, ...],
+                 instruments: Tuple[tuple, ...]):
+        super().__init__()
+        self._registry = registry
+        self._labels = labels
+        self._instruments = instruments
+
+    def __missing__(self, key):
+        values = key if len(self._labels) > 1 else (key,)
+        given = dict(zip(self._labels, values))
+        registry, handles = self._registry, []
+        for kind, name, *subset in self._instruments:
+            bind = registry.bind_counter if kind == "counter" \
+                else registry.bind_histogram
+            handles.append(bind(name, **{
+                k: given[k] for k in (subset[0] if subset else self._labels)}))
+        self[key] = bound = tuple(handles)
+        return bound
+
+
 class MetricsRegistry:
-    """Registry of named counters and histograms with labeled dimensions."""
+    """Registry of named counters and histograms with labeled dimensions.
+
+    A name's series dict is created by the first ``inc``/``observe`` *or*
+    bind and then lives as long as the registry (handles hold it), so
+    "has this been counted" is "is the dict non-empty", never "is the
+    name present".
+    """
 
     def __init__(self):
         self._counters: Dict[str, Dict[LabelKey, float]] = {}
         self._histograms: Dict[str, Dict[LabelKey, Histogram]] = {}
-        # raw tuple(labels.items()) -> sorted, stringified key
-        self._keys: Dict[tuple, LabelKey] = {}
 
-    def _key(self, labels: Dict[str, object]) -> LabelKey:
-        # Only all-str label sets are memoised: 1, True, 1.0 and str-like
-        # enums compare equal to each other (or to a str) yet render
-        # differently, so they are stringified every time.
-        for value in labels.values():
-            if type(value) is not str:
-                return tuple(sorted((k, str(v)) for k, v in labels.items()))
-        raw = tuple(labels.items())
-        try:
-            return self._keys[raw]
-        except KeyError:
-            if len(self._keys) >= _KEY_MEMO_CAP:
-                self._keys.clear()
-            key = self._keys[raw] = tuple(sorted(raw))
-            return key
+    @staticmethod
+    def _key(labels: Dict[str, object]) -> LabelKey:
+        """The series key of one label set: sorted, values as they
+        render — so ``1``, ``True``, ``1.0`` and a str-like enum, which
+        compare equal to each other (or to a str), stay apart."""
+        return tuple(sorted([(k, str(v)) for k, v in labels.items()]))
 
     # -- counters -----------------------------------------------------------
 
@@ -105,6 +178,21 @@ class MetricsRegistry:
         except KeyError:
             series[key] = 0 + value     # counters are numbers: True is 1
 
+    def bind_counter(self, name: str, **labels: object) -> BoundCounter:
+        """The handle of one labeled series of counter ``name``, for a
+        site that increments it on every op."""
+        return BoundCounter(self._counters.setdefault(name, {}),
+                            self._key(labels))
+
+    def bind_family(self, labels: Tuple[str, ...],
+                    *instruments: tuple) -> BoundFamily:
+        """Handles for a site whose series differ only in label values
+        (a network link, an RPC method): ``family[values]`` is the tuple
+        of handles, in the order given, for that combination of
+        ``labels``.  Each instrument is ``("counter" | "histogram",
+        name)``, plus the subset of ``labels`` it carries when not all."""
+        return BoundFamily(self, labels, instruments)
+
     def get(self, name: str, **labels: object) -> float:
         """Value of one labeled series (0 if never incremented)."""
         return self._counters.get(name, {}).get(self._key(labels), 0)
@@ -119,7 +207,7 @@ class MetricsRegistry:
                 for k, v in sorted(self._counters.get(name, {}).items())}
 
     def counter_names(self) -> List[str]:
-        return sorted(self._counters)
+        return sorted(n for n, series in self._counters.items() if series)
 
     # -- histograms ---------------------------------------------------------
 
@@ -136,11 +224,16 @@ class MetricsRegistry:
             hist = series[key] = Histogram()
         hist.observe(value)
 
+    def bind_histogram(self, name: str, **labels: object) -> BoundHistogram:
+        """The handle of one labeled series of histogram ``name``."""
+        return BoundHistogram(self._histograms.setdefault(name, {}),
+                              self._key(labels))
+
     def histogram(self, name: str, **labels: object) -> Optional[Histogram]:
         return self._histograms.get(name, {}).get(self._key(labels))
 
     def histogram_names(self) -> List[str]:
-        return sorted(self._histograms)
+        return sorted(n for n, series in self._histograms.items() if series)
 
     def histogram_series(self, name: str) -> Dict[str, Histogram]:
         """All labeled histograms of one name, keyed by rendered labels."""
@@ -185,10 +278,12 @@ class MetricsRegistry:
         for key, value in sorted(self.snapshot().items()):
             if wanted is not None and not key.startswith(wanted):
                 continue
-            lines.append(f"{key} {value:g}")
+            lines.append(f"{key} {format_value(value)}")
         return "\n".join(lines)
 
     def clear(self) -> None:
-        self._counters.clear()
-        self._histograms.clear()
-        self._keys.clear()
+        """Forget every observation; bound handles keep counting into
+        the emptied series."""
+        for series in (*self._counters.values(),
+                       *self._histograms.values()):
+            series.clear()

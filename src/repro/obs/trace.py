@@ -25,13 +25,27 @@ Recording is *demand-driven*: instrumentation points call
 :meth:`Tracer.span`, which records only while a root span opened with
 :meth:`Tracer.trace` is active.  Outside a trace every hook is a no-op,
 so steady-state memory cost is zero and benchmarks opt in per region.
+A site that runs on every op does not even make the call: it reads
+:attr:`Tracer.stack` (the open spans, empty when nothing is recording)
+and skips its ``span``/``add`` on that plain attribute read.
+
+:meth:`Span.breakdown` answers "where did the time go" for a finished
+tree — admission wait, WAN, storage, catalog, other — and ``Strace``
+prints it under the tree.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Iterator, List, Optional
 
+from repro.obs.metrics import format_value
 from repro.util.clock import SimClock
+
+#: :meth:`Span.breakdown` parts a span's own time is filed under, by the
+#: prefix of its name; ``catalog`` is taken out of whichever span the
+#: catalog op ran in, ``other`` is what remains of the root's duration
+_BREAKDOWN_PREFIXES = (("srb.queue.wait", "admission"), ("net.", "wan"),
+                       ("storage.", "storage"))
 
 
 class Span:
@@ -85,6 +99,34 @@ class Span:
         """Sum of a counter over this span and its whole subtree."""
         return sum(s.counters.get(key, 0) for s in self.walk())
 
+    def breakdown(self) -> Dict[str, float]:
+        """Where this tree's virtual time went: ``admission`` (queue wait
+        at a worker pool), ``wan`` (``net.*`` spans), ``storage``
+        (``storage.*`` spans), ``catalog`` (the ``catalog_s`` every
+        charged catalog op adds to the span it ran in) and ``other``.
+
+        Each span's *self* time is filed under its name's part, less the
+        catalog seconds spent inside it.  ``other`` is *defined* as what
+        remains of :attr:`duration` after the four named parts, added in
+        the order above — so no time is lost or counted twice, and the
+        statement is exact in float arithmetic rather than approximate
+        (summing ``other`` from the unfiled spans instead would differ
+        in the last digits by addition order).
+        """
+        parts = {"admission": 0.0, "wan": 0.0, "storage": 0.0,
+                 "catalog": 0.0}
+        for span in self.walk():
+            catalog = span.counters.get("catalog_s", 0.0)
+            parts["catalog"] += catalog
+            for prefix, part in _BREAKDOWN_PREFIXES:
+                if span.name.startswith(prefix):
+                    parts[part] += span.self_duration - catalog
+                    break
+        parts["other"] = self.duration - (
+            parts["admission"] + parts["wan"] + parts["storage"]
+            + parts["catalog"])
+        return parts
+
     def __repr__(self) -> str:
         return f"<Span {self.name} {self.duration:.4f}s>"
 
@@ -103,9 +145,7 @@ class _SpanContext:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         if self._span is not None:
-            if exc is not None and self._span.error is None:
-                self._span.error = f"{type(exc).__name__}: {exc}"
-            self._tracer._close(self._span)
+            self._tracer.close(self._span, exc)
         return None
 
 
@@ -127,7 +167,9 @@ class Tracer:
         self.keep = keep
         self.traces: List[Span] = []
         self.dropped = 0
-        self._stack: List[Span] = []
+        #: the open spans, innermost last; empty when nothing records.
+        #: Public so a hot site can test it before calling span()/add()
+        self.stack: List[Span] = []
 
     # -- plumbing -----------------------------------------------------------
 
@@ -137,23 +179,30 @@ class Tracer:
     @property
     def active(self) -> bool:
         """True while a root span is open (instrumentation records)."""
-        return bool(self._stack)
+        return bool(self.stack)
 
     @property
     def current(self) -> Optional[Span]:
         """Innermost open span, or None outside a trace."""
-        return self._stack[-1] if self._stack else None
+        return self.stack[-1] if self.stack else None
 
-    def _open(self, name: str, attrs: Dict[str, Any]) -> Span:
+    def open(self, name: str, attrs: Dict[str, Any]) -> Span:
+        """Open a span under the current one.  :meth:`trace` and
+        :meth:`span` wrap this in a ``with``; a site that must not pay
+        for a context manager when nothing records pairs it with
+        :meth:`close` itself, behind ``if tracer.stack``."""
         span = Span(name, attrs, self._now(), parent=self.current)
-        self._stack.append(span)
+        self.stack.append(span)
         return span
 
-    def _close(self, span: Span) -> None:
+    def close(self, span: Span, exc: Optional[BaseException] = None) -> None:
+        """Close ``span`` (as failed, if ``exc`` ended it)."""
+        if exc is not None and span.error is None:
+            span.error = f"{type(exc).__name__}: {exc}"
         span.t1 = self._now()
         # unwind to (and including) the span; tolerates missed closes
-        while self._stack:
-            top = self._stack.pop()
+        while self.stack:
+            top = self.stack.pop()
             if top is span:
                 break
         if span.parent is None:
@@ -166,23 +215,23 @@ class Tracer:
 
     def trace(self, name: str, **attrs: Any) -> _SpanContext:
         """Open a root span: recording is on until the block exits."""
-        return _SpanContext(self, self._open(name, attrs))
+        return _SpanContext(self, self.open(name, attrs))
 
     def span(self, name: str, **attrs: Any) -> _SpanContext:
         """Instrumentation hook: a child span while tracing, else no-op."""
-        if not self._stack:
+        if not self.stack:
             return _NO_SPAN
-        return _SpanContext(self, self._open(name, attrs))
+        return _SpanContext(self, self.open(name, attrs))
 
     def add(self, key: str, value: float = 1) -> None:
         """Add to the current span's counters (no-op outside a trace)."""
-        if self._stack:
-            self._stack[-1].incr(key, value)
+        if self.stack:
+            self.stack[-1].incr(key, value)
 
     def event(self, name: str, **attrs: Any) -> None:
         """A zero-duration child span (point event) under the current span."""
-        if self._stack:
-            Span(name, attrs, self._now(), parent=self._stack[-1])
+        if self.stack:
+            Span(name, attrs, self._now(), parent=self.stack[-1])
 
     def clear(self) -> None:
         self.traces.clear()
@@ -222,7 +271,7 @@ class Tracer:
 
         def fmt(span: Span, depth: int) -> None:
             attrs = " ".join(f"{k}={v}" for k, v in span.attrs.items())
-            counters = " ".join(f"{k}={v:g}" for k, v in
+            counters = " ".join(f"{k}={format_value(v)}" for k, v in
                                 sorted(span.counters.items()))
             line = "  " * depth + span.name
             if attrs:

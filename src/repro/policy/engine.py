@@ -52,6 +52,9 @@ class PlacementEngine:
         self.clock = network.clock
         self.stats = stats if stats is not None else PathStats()
         network.add_transfer_observer(self.stats)
+        # every read and every placement decides once: a bound series
+        self._decisions = self.obs.metrics.bind_family(
+            ("policy", "kind"), ("counter", "policy.decisions"))
 
     @property
     def policy_name(self) -> str:
@@ -65,8 +68,7 @@ class PlacementEngine:
                                 now=self.clock.now)
 
     def _count(self, kind: str) -> None:
-        self.obs.metrics.inc("policy.decisions", policy=self.policy_name,
-                             kind=kind)
+        self._decisions[self.policy.name, kind][0].inc()
 
     # -- read path ------------------------------------------------------
 

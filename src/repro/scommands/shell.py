@@ -466,7 +466,8 @@ class Shell:
                 for p in paths_seen)
         return summary + ("\n\n" + rendered if rendered else "")
 
-    @_usage("Strace <Scommand ...>   (run a command, print its span tree)")
+    @_usage("Strace <Scommand ...>   (run a command, print its span tree "
+            "and where the time went)")
     def cmd_Strace(self, args: List[str]) -> str:
         self._need(args, 1, "give the Scommand to trace")
         tracer = self.client.federation.obs.tracer
@@ -477,8 +478,12 @@ class Shell:
         with tracer.trace("scommand", line=line) as root:
             code, output = self.run(line)
         tree = tracer.render(root)
+        # (+ 0.0: a remainder of -1e-17 is 0.0000, not -0.0000)
+        where = "  ".join(f"{part} {round(seconds, 4) + 0.0:.4f}s"
+                          for part, seconds in root.breakdown().items())
         head = output if code == 0 else f"(exit {code}) {output}"
-        return (head + "\n\n" if head else "") + tree
+        return (head + "\n\n" if head else "") + tree \
+            + f"\ntime: {where}  of {root.duration:.4f}s"
 
     @_usage("Sdispatch [plane]   (connected server's op registry + policies)")
     def cmd_Sdispatch(self, args: List[str]) -> str:

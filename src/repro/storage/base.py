@@ -82,6 +82,14 @@ class StorageDriver(abc.ABC):
         self.obs = obs
         if label is not None:
             self.label = label
+        # the series this driver counts into on every access
+        metrics = obs.metrics
+        self._op_meters = metrics.bind_family(("driver", "op"),
+                                              ("counter", "storage.ops"))
+        self._bytes_read = metrics.bind_counter("storage.bytes_read",
+                                                driver=self.label)
+        self._bytes_written = metrics.bind_counter("storage.bytes_written",
+                                                   driver=self.label)
 
     # -- accounting helpers -------------------------------------------------
 
@@ -91,33 +99,33 @@ class StorageDriver(abc.ABC):
 
     def _count_op(self, op: str) -> None:
         if self.obs is not None:
-            self.obs.metrics.inc("storage.ops", driver=self.label, op=op)
+            self._op_meters[self.label, op][0].inc()
 
     def _charge_read(self, nbytes: int) -> None:
         self.ops += 1
         self.bytes_read += nbytes
         self._count_op("read")
         if self.obs is not None:
-            self.obs.metrics.inc("storage.bytes_read", nbytes,
-                                 driver=self.label)
-            with self.obs.tracer.span("storage.read", driver=self.label,
-                                      bytes=nbytes):
-                self._charge(self.cost.read_cost(nbytes))
-        else:
-            self._charge(self.cost.read_cost(nbytes))
+            self._bytes_read.inc(nbytes)
+            if self.obs.tracer.stack:
+                with self.obs.tracer.span("storage.read", driver=self.label,
+                                          bytes=nbytes):
+                    self._charge(self.cost.read_cost(nbytes))
+                return
+        self._charge(self.cost.read_cost(nbytes))
 
     def _charge_write(self, nbytes: int, op: str = "write") -> None:
         self.ops += 1
         self.bytes_written += nbytes
         self._count_op(op)
         if self.obs is not None:
-            self.obs.metrics.inc("storage.bytes_written", nbytes,
-                                 driver=self.label)
-            with self.obs.tracer.span(f"storage.{op}", driver=self.label,
-                                      bytes=nbytes):
-                self._charge(self.cost.write_cost(nbytes))
-        else:
-            self._charge(self.cost.write_cost(nbytes))
+            self._bytes_written.inc(nbytes)
+            if self.obs.tracer.stack:
+                with self.obs.tracer.span(f"storage.{op}",
+                                          driver=self.label, bytes=nbytes):
+                    self._charge(self.cost.write_cost(nbytes))
+                return
+        self._charge(self.cost.write_cost(nbytes))
 
     def _charge_op(self, op: str = "meta") -> None:
         self.ops += 1

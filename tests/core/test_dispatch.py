@@ -4,12 +4,16 @@ Covers the registry invariants (every op declared exactly once, bad
 declarations fail at import time), the uniform ``srb.ops`` accounting
 (every registered op increments the counter exactly once per call), the
 declarative audit coverage (every mutation audits; denied mutations
-audit ``ok=False``), and the narrowed RPC surface (only registered ops
-are remotely callable).
+audit ``ok=False``), the narrowed RPC surface (only registered ops
+are remotely callable), and the compiled op plan: the stage order is
+still error → span → auth → zone → hop → audit, a payload claim is
+unwrapped in the declared slot only, and ``payload_host`` says where
+the bytes are.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 import pathlib
 import subprocess
@@ -17,8 +21,14 @@ import sys
 
 import pytest
 
-from repro.core.dispatch import Dispatcher, rpc_op
-from repro.errors import AccessDenied, RpcError, SrbError
+from repro.core import Federation, SrbClient
+from repro.core.dispatch import Dispatcher, OpContext, rpc_op
+from repro.core.planes.base import PlaneService
+from repro.errors import AccessDenied, AuthError, DatabaseError, RpcError, \
+    SrbError, UnsupportedOperation
+from repro.net.simnet import Network
+from repro.net.wire import DeferredPayload
+from tests.integration.test_charge_conservation import build_fed
 from tests.op_calls import op_calls, prepare
 
 #: The six ops that take no subject path and therefore never zone-check.
@@ -38,6 +48,8 @@ class TestDeclarations:
             rpc_op("x", audit="a", detail="d", detail_arg="d2")
         with pytest.raises(ValueError, match="require audit="):
             rpc_op("x", detail_arg="d")
+        with pytest.raises(ValueError, match="one payload slot"):
+            rpc_op("x", payload_arg="data", payload_items="items")
 
     def test_duplicate_op_name_rejected(self):
         class Clashing:
@@ -278,3 +290,156 @@ class TestDeclarativeAudit:
         assert len(rows) == 1
         assert rows[0]["ok"] is True
         assert rows[0]["principal"] == "sekar@sdsc"
+
+
+class TestCompiledOrder:
+    """The plan keeps error → span → auth → zone → hop → audit: each
+    failure below is seen by every stage outside the one that raised it
+    and by none inside."""
+
+    @staticmethod
+    def counts(fed, srv, op):
+        m = fed.obs.metrics
+        return {"ops": m.get("srb.ops", server=srv.name, plane="data", op=op),
+                "errors": m.total("srb.errors"),
+                "served": srv.ops_served,
+                "audited": len(fed.mcat.audit_query(action=op))}
+
+    def test_denied_write_is_audited_counted_and_spanned(self, grid):
+        fed, srv = grid.fed, grid.fed.server("srb1")
+        grid.admin.mkcoll("/demozone/vault")
+        grid.admin.ingest("/demozone/vault/secret.txt", b"s")
+        before = self.counts(fed, srv, "delete")
+        with fed.obs.tracer.trace("denied") as root:
+            with pytest.raises(AccessDenied):
+                grid.curator.delete("/demozone/vault/secret.txt")
+        after = self.counts(fed, srv, "delete")
+        # the handler ran (hop counted it), audit saw the denial
+        # (ok=False), the span closed over it, error counted it last
+        assert {k: after[k] - before[k] for k in after} == \
+            {"ops": 1, "errors": 1, "served": 1, "audited": 1}
+        (row,) = fed.mcat.audit_query(action="delete")
+        assert row["ok"] is False and row["principal"] == "sekar@sdsc"
+        assert fed.obs.metrics.get("srb.errors", server="srb1", op="delete",
+                                   error="AccessDenied") == 1
+        (span,) = root.find("srb.data.delete")
+        assert span.error.startswith("AccessDenied")
+
+    def test_a_bad_ticket_stops_before_zone_hop_and_audit(self, grid):
+        fed, srv = grid.fed, grid.fed.server("srb1")
+        path = grid.home + "/a.txt"
+        grid.curator.ingest(path, b"x")
+        forged = dataclasses.replace(grid.curator.ticket, signature="forged")
+        before = self.counts(fed, srv, "delete")
+        with pytest.raises(AuthError):
+            srv.delete(forged, path)
+        after = self.counts(fed, srv, "delete")
+        assert {k: after[k] - before[k] for k in after} == \
+            {"ops": 1, "errors": 1, "served": 0, "audited": 0}
+
+    def test_a_foreign_write_stops_before_hop_and_audit(self):
+        net = Network()
+        a = Federation(zone="sdsc-zone", network=net)
+        b = Federation(zone="npaci-zone", network=net)
+        for fed, host, name in ((a, "a-host", "a-srb"), (b, "b-host", "b-srb")):
+            fed.add_host(host)
+            fed.add_server(name, host, mcat=True)
+            fed.add_fs_resource(name + "-disk", host)
+            fed.default_resource = name + "-disk"
+        a.bootstrap_admin()
+        b.bootstrap_admin("admin-b@npaci", "pw-b")
+        admin = SrbClient(a, "a-host", "a-srb", "srbadmin@sdsc", "hunter2")
+        admin.login()
+        srv = a.server("a-srb")
+        # no peer yet: the path is an ordinary local root, the zone stage
+        # has nothing to be foreign to
+        admin.mkcoll("/npaci-zone")
+        admin.ingest("/npaci-zone/local.txt", b"x")
+        a.federate_with(b)
+        before = self.counts(a, srv, "ingest")
+        with pytest.raises(UnsupportedOperation, match="read-only"):
+            admin.ingest("/npaci-zone/pub.txt", b"y")
+        after = self.counts(a, srv, "ingest")
+        assert {k: after[k] - before[k] for k in after} == \
+            {"ops": 1, "errors": 1, "served": 0, "audited": 0}
+
+    def test_an_op_without_audit_cannot_acquire_one(self, fed):
+        srv = fed.server("srb1")
+        spec = srv.dispatch.get("stat").spec
+        assert spec.audit is None
+        ctx = OpContext(srv, spec, None, {}, None, srv.host)
+        with pytest.raises(SrbError, match="declares no audit"):
+            ctx.audit(detail="x")
+
+
+class TestPayloadSlot:
+    """A ``DeferredPayload`` is unwrapped where the op declares it can
+    be — ``data``, ``items[*]["data"]``, the two places
+    ``SrbClient._defer`` puts one — and nowhere else."""
+
+    def test_declared_slots(self, fed):
+        srv = fed.server("srb1")
+        slots = {spec.name: (spec.payload_arg, spec.payload_items)
+                 for spec in srv.dispatch.specs()
+                 if spec.payload_arg or spec.payload_items}
+        assert slots == {"ingest": ("data", None), "put": ("data", None),
+                         "ingest_replica": ("data", None),
+                         "bulk_ingest": (None, "items")}
+
+    def test_claim_in_an_undeclared_slot_is_refused(self, grid):
+        path = grid.home + "/a.txt"
+        grid.curator.ingest(path, b"x")
+        srv = grid.fed.server("srb1")
+        rows = len(grid.fed.mcat.db.table("metadata"))
+        with pytest.raises(SrbError) as refused:
+            srv.add_metadata(grid.curator.ticket, path, "color",
+                             DeferredPayload(b"blue"))
+        assert isinstance(refused.value, DatabaseError)
+        assert grid.curator.get_metadata(path) == []
+        assert len(grid.fed.mcat.db.table("metadata")) == rows
+        # ... while the same claim in the declared slot is the payload
+        srv.put(grid.curator.ticket, path, DeferredPayload(b"announced"))
+        assert grid.curator.get(path) == b"announced"
+
+    def test_bulk_items_are_unwrapped_without_touching_the_callers(self, grid):
+        srv = grid.fed.server("srb1")
+        items = [{"path": grid.home + "/b1.txt", "data": DeferredPayload(b"1")},
+                 {"path": grid.home + "/b2.txt", "data": b"2"}]
+        out = srv.bulk_ingest(grid.curator.ticket, items)
+        assert all("oid" in r for r in out)
+        assert isinstance(items[0]["data"], DeferredPayload)
+        assert grid.curator.get(grid.home + "/b1.txt") == b"1"
+        assert grid.curator.get(grid.home + "/b2.txt") == b"2"
+
+    @pytest.mark.parametrize("knobs, where", [({}, "sdsc"),
+                                              ({"direct_io": True}, "laptop")],
+                             ids=["default", "direct_io"])
+    def test_payload_host(self, knobs, where, monkeypatch):
+        """``ctx.payload_host`` — what the write loop pushes from — is
+        the server when the bytes rode the request and the caller's host
+        when the client announced them."""
+        fed, _admin = build_fed(**knobs)
+        client = SrbClient(fed, "laptop", "srb1", "srbadmin@sdsc", "hunter2")
+        client.login()
+        pushed_from = []
+        push = PlaneService._push
+
+        def spy(self, src_host, *args, **kwargs):
+            pushed_from.append(src_host)
+            return push(self, src_host, *args, **kwargs)
+
+        monkeypatch.setattr(PlaneService, "_push", spy)
+        home = "/demozone/home"
+        calls = {
+            "ingest": lambda: client.ingest(home + "/p.dat", b"one"),
+            "put": lambda: client.put(home + "/p.dat", b"two"),
+            "ingest_replica": lambda: client.ingest_replica(
+                home + "/p.dat", b"alt", "unix-caltech"),
+            "bulk_ingest": lambda: client.bulk_ingest(
+                [{"path": home + "/q1.dat", "data": b"q"},
+                 {"path": home + "/q2.dat", "data": b"qq"}]),
+        }
+        for op, call in calls.items():
+            del pushed_from[:]
+            call()
+            assert pushed_from and set(pushed_from) == {where}, op

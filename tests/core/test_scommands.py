@@ -373,6 +373,28 @@ class TestObservability:
         assert "scommand line=Sls" in out
         assert "rpc.call" in out and "net.transfer" in out
 
+    def test_sstat_and_strace_keep_every_digit(self, shell, tmp_path):
+        # ``:g`` printed a 4 MiB leg as bytes=4.1943e+06 and net.bytes
+        # as 4.19e+06
+        grid, sh = shell
+        local = tmp_path / "four-mib.bin"
+        local.write_bytes(b"\0" * (4 * 1024 * 1024))
+        out = ok(sh, f"Strace Sput {local} {grid.home}/four-mib.bin")
+        assert "e+0" not in out
+        assert "payload_bytes=4194304" in out
+        sent = grid.fed.obs.metrics.get("net.bytes", src="laptop", dst="sdsc")
+        assert sent > 4 * 1024 * 1024
+        assert f"net.bytes{{dst=sdsc,src=laptop}} {sent}" in ok(sh, "Sstat net")
+
+    def test_strace_says_where_the_time_went(self, shell):
+        grid, sh = shell
+        out = ok(sh, f"Strace Sls {grid.home}")
+        last = out.splitlines()[-1]
+        assert last.startswith("time: admission 0.0000s  wan ")
+        for part in ("storage", "catalog", "other"):
+            assert f"  {part} " in last
+        assert last.endswith("s") and " of " in last
+
     def test_strace_reports_inner_failure(self, shell):
         grid, sh = shell
         out = ok(sh, "Strace Scat /demozone/nope.dat")

@@ -80,3 +80,81 @@ def _ancestors(span):
     while span.parent is not None:
         span = span.parent
         yield span
+
+
+class TestBreakdown:
+    """``Span.breakdown`` (what ``Strace`` prints under the tree) for
+    every registered op: the five parts are the root's virtual duration,
+    nothing lost and nothing counted twice."""
+
+    FILED = ("srb.queue.wait", "net.", "storage.")
+
+    @pytest.mark.parametrize("knobs", [{}, {"direct_io": True}],
+                             ids=["default", "direct_io"])
+    def test_parts_sum_to_the_root_duration_for_every_op(self, knobs):
+        from repro.errors import SrbError
+        from repro.mcat.catalog import Mcat
+        from tests.integration.test_charge_conservation import build_fed
+        from tests.op_calls import op_calls, prepare
+
+        fed, admin = build_fed(workers=1, **knobs)
+        srv = fed.server("srb1")
+        calls = op_calls(admin.ticket, prepare(srv, admin.ticket))
+        assert {name for name, _kw, _r in calls} == set(srv.dispatch.names())
+        m = fed.obs.metrics
+        seen = dict.fromkeys(("wan", "storage", "catalog", "other"), 0)
+        for name, kwargs, _raises in calls:
+            t0, before = fed.clock.now, m.snapshot()
+            with fed.obs.tracer.trace("explain", op=name) as root:
+                try:
+                    fed.rpc.call("laptop", "sdsc", "srb:srb1", name, **kwargs)
+                except SrbError:
+                    pass
+            delta = m.delta(before)
+            parts = root.breakdown()
+            assert list(parts) == ["admission", "wan", "storage", "catalog",
+                                   "other"], name
+            # exact, on the same float additions breakdown makes: the
+            # four filed parts plus the remainder are the duration
+            known = parts["admission"] + parts["wan"] + parts["storage"] \
+                + parts["catalog"]
+            assert parts["other"] == root.duration - known, name
+            assert root.duration == fed.clock.now - t0, name
+            assert all(v >= -1e-12 for v in parts.values()), (name, parts)
+            # the remainder really is the unfiled spans' own time
+            unfiled = sum(s.self_duration - s.counters.get("catalog_s", 0.0)
+                          for s in root.walk()
+                          if not s.name.startswith(self.FILED))
+            assert parts["other"] == pytest.approx(unfiled, abs=1e-9), name
+            # and catalog is what the charged catalog ops cost
+            assert parts["catalog"] == pytest.approx(
+                m.sum_matching(delta, "mcat.ops") * Mcat.QUERY_OVERHEAD_S
+                + m.sum_matching(delta, "mcat.rows_scanned")
+                * Mcat.ROW_COST_S, abs=1e-12), name
+            for part in seen:
+                seen[part] += parts[part] > 1e-9
+        # every part was exercised by some op (admission needs a queue:
+        # the closed-loop walk never waits, so it stays 0.0 throughout)
+        assert all(seen.values()), seen
+
+    def test_admission_wait_is_its_own_part(self):
+        from repro.core import Federation, SrbClient
+        fed = Federation(zone="demozone", workers=1)
+        fed.add_host("sdsc")
+        fed.add_host("laptop")
+        fed.add_server("srb1", "sdsc", mcat=True)
+        fed.add_fs_resource("unix-sdsc", "sdsc")
+        fed.default_resource = "unix-sdsc"
+        fed.bootstrap_admin()
+        client = SrbClient(fed, "laptop", "srb1", "srbadmin@sdsc", "hunter2")
+        client.login()
+        # hold the only worker until 5 virtual seconds from now
+        station = fed.network.station("sdsc")
+        station.complete(station.admit(fed.clock.now), fed.clock.now + 5.0)
+        with fed.obs.tracer.trace("explain") as root:
+            client.mkcoll("/demozone/waited")
+        parts = root.breakdown()
+        assert parts["admission"] == pytest.approx(5.0, abs=0.1)
+        known = parts["admission"] + parts["wan"] + parts["storage"] \
+            + parts["catalog"]
+        assert parts["other"] == root.duration - known

@@ -123,6 +123,16 @@ class TestStatusPage:
         assert "rpc.calls" in r.text         # counter series
         assert "rpc.call_s" in r.text        # histogram series
 
+    def test_status_keeps_every_digit_of_a_counter(self, web):
+        # ``:g`` showed net.bytes 1200563 as 1.20056e+06
+        grid, app, browser = web
+        grid.curator.ingest(f"{grid.home}/big.dat", b"x" * 1_200_000)
+        sent = grid.fed.obs.metrics.get("net.bytes", src="laptop", dst="sdsc")
+        assert sent > 1_200_000
+        r = browser.get("/status")
+        assert f">{sent}<" in r.text
+        assert "e+0" not in r.text
+
     def test_status_public_like_resources(self, web):
         grid, app, browser = web
         r = browser.get("/status")      # anonymous, same as /resources

@@ -9,9 +9,11 @@ recorded" (DESIGN.md, "Cost model and per-call bookkeeping"):
   cost and on every record of it;
 * an AST guard — the span literal, the counting funnels, station
   admission and the whole-call failure accounting each sit in one
-  function, so a second copy cannot grow back unnoticed; and, one layer
-  up, the servers move payload bytes through one leg runner and read
-  the ``direct_io`` knob in three functions.
+  function, so a second copy cannot grow back unnoticed; the per-message
+  sites count through bound instruments, so no by-name ``metrics.inc``
+  grows back on them either; and, one layer up, the servers move
+  payload bytes through one leg runner and read the ``direct_io`` knob
+  in three functions.
 """
 
 import ast
@@ -172,8 +174,10 @@ class TestOneFunnel:
         assert sorted(sites(failure_count)) == [
             "rpc.py:ServiceRegistry._fail",
             "rpc.py:ServiceRegistry.call_batch.failed"]
+        # a success observes through the handle bound in __init__; a
+        # failure resolves its error= series by name
         assert sorted(sites(literal("rpc.call_s"))) == [
-            "rpc.py:ServiceRegistry._exchange",
+            "rpc.py:ServiceRegistry.__init__",
             "rpc.py:ServiceRegistry._fail"]
         assert sorted(sites(lambda n: isinstance(n, ast.Call)
                             and isinstance(n.func, ast.Name)
@@ -190,6 +194,25 @@ class TestOneFunnel:
         assert sorted(sites(network_transfer, files=("simnet.py",))) == [
             "simnet.py:DataChannel.open", "simnet.py:DataChannel.transfer",
             "simnet.py:repull_failed"]
+
+
+    def test_hot_sites_count_through_bound_instruments(self):
+        """Where a message, a call, a catalog op or an op is counted,
+        the series was resolved once (``bind_counter`` / ``bind_family``):
+        no ``metrics.inc("name", ...)`` / ``observe`` by literal name is
+        left outside the failure and stream paths, which are cold."""
+        def by_name(n):
+            return (method_call("inc", "observe")(n) and n.args
+                    and isinstance(n.args[0], ast.Constant)
+                    and isinstance(n.args[0].value, str)
+                    and "." in n.args[0].value)
+
+        cold = {"rpc.py:ServiceRegistry._fail",
+                "rpc.py:ServiceRegistry.call_batch.failed",
+                "rpc.py:ServiceRegistry.call_stream"}
+        assert set(sites(by_name)) == cold
+        assert sites(by_name, files=("mcat/catalog.py", "core/dispatch.py"),
+                     root=SRC) == []
 
 
 def network_transfer(n):

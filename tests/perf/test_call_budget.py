@@ -7,25 +7,41 @@ gates that cost as ``py_calls_per_op``; this guard catches a per-call
 regression in tier-1, in well under a second, without running it.
 
 Each budget is about 15 % above the count measured on CPython 3.11 when
-it was pinned (563, 417, 367 and 358; the commit before made 592, 449,
-367 and 358 — ingest and get no longer send an open probe to a resource
-the server already holds a session to).  ``ingest logical`` is the same
-ingest onto the two-member logical resource ``logrsrc1`` (one local
-member, one remote: 762 calls; the commit before made 772 in its
-serial loop), which pins the one write loop every ingest goes through — availability, sessions, the
+it was pinned.  Last re-pinned when the dispatch pipeline became one
+compiled plan per op and the per-message metric sites took bound
+instruments (count before -> count now; budget before -> budget now):
+
+==================  ===============  =============
+op                  measured         budget
+==================  ===============  =============
+``ingest``          570 -> 449       645 -> 515
+``ingest logical``  716 -> 577       875 -> 665
+``get``             417 -> 298       480 -> 345
+``stat``            367 -> 277       420 -> 320
+``add_metadata``    356 -> 250       410 -> 290
+``bulk_ingest row`` 43.9 -> 36.1     52 -> 42
+``query selective`` 1,637 -> 1,552   1880 -> 1785
+``query broad row`` 26.8 -> 26.2     31 -> 30.5
+``query_page row``  41.7 -> 40.1     48 -> 46.5
+==================  ===============  =============
+
+``ingest logical`` is the same ingest onto the two-member logical
+resource ``logrsrc1`` (one local member, one remote), which pins the
+one write loop every ingest goes through — availability, sessions, the
 remote pushes as one group, create, replica row.  ``bulk_ingest row``
 is the catalog's insert path on its own: calls per catalog row of one
-100-object ``bulk_ingest`` (44.9), so a regression in ``Table.insert``
-or in index upkeep fails here.  The three ``query`` budgets are the
-catalog's read path over the 200 five-attribute objects those two
-``bulk_ingest`` calls left: ``query selective`` is one conjunctive query
-returning 26 rows, driven by its 28-row ``FIELD = 3`` condition (1,637
-calls; the commit before, which tested every row carrying either
-attribute and re-fetched every hit by path for the ACL, made 5,156);
-``query broad row`` is calls per result row of a one-condition query
-returning all 200 (26.8; before, 96.4) and ``query_page row`` the same
-for a first page of 50 off the path walk (41.7; before, 155.8) — a
-charged catalog op or a Python-level re-parse per row shows in either.
+100-object ``bulk_ingest``, so a regression in ``Table.insert`` or in
+index upkeep fails here — and so does a dispatcher that walks every
+dict of the batch looking for payload claims again (that walk was 7.8
+of the 43.9).  The three ``query`` budgets are the catalog's read path
+over the 200 five-attribute objects those two ``bulk_ingest`` calls
+left: ``query selective`` is one conjunctive query returning 26 rows,
+driven by its 28-row ``FIELD = 3`` condition; ``query broad row`` is
+calls per result row of a one-condition query returning all 200 and
+``query_page row`` the same for a first page of 50 off the path walk —
+a charged catalog op or a Python-level re-parse per row shows in
+either.
+
 The counts do not depend on the hash seed.  A change that needs more
 should show in EXPERIMENTS.md what the calls buy.
 """
@@ -40,10 +56,10 @@ from repro.workload import standard_grid
 PAYLOAD = b"\x5a" * 4096
 
 #: op -> most Python-level calls (functions and builtins) one call may make
-BUDGET = {"ingest": 645, "get": 480, "stat": 420, "add_metadata": 410,
-          "ingest logical": 875, "bulk_ingest row": 52,
-          "query selective": 1880, "query broad row": 31,
-          "query_page row": 48}
+BUDGET = {"ingest": 515, "get": 345, "stat": 320, "add_metadata": 290,
+          "ingest logical": 665, "bulk_ingest row": 42,
+          "query selective": 1785, "query broad row": 30.5,
+          "query_page row": 46.5}
 
 
 def calls_made_by(op) -> int:

@@ -17,8 +17,14 @@ catalog round trip per hit.  It exits 1 if there is such a method, which
 is how CI uses it (on ``catalog_query``, whose items are result rows; on
 a workload that credits one item per page the flag means nothing).
 
+``--callers NAME...`` answers "who calls ``inc``": calls per client call
+of every Python function with one of those names, by ``caller ->
+callee``, from the same profile (the rows of one callee add up to its
+line in the function table).
+
 Usage: python3 tools/layer_profile.py --workload catalog_load
            [--seed N] [--smoke] [--top N] [--json] [--by-call]
+           [--callers NAME...]
 """
 
 from __future__ import annotations
@@ -101,6 +107,20 @@ def fold(stats, ops: int):
                 layers[layer] += sub.callcount / ops
                 layers["unattributed"] -= sub.callcount / ops
     return functions, layers
+
+
+def callers(stats, ops: int, names):
+    """Calls per op of the functions called ``names``, keyed
+    ``(caller, callee)`` labels, from cProfile's sub-call entries."""
+    wanted = set(names)
+    edges = Counter()
+    for entry in stats:
+        for sub in entry.calls or ():
+            # Python-level callees only: a built-in has no co_name
+            if getattr(sub.code, "co_name", None) in wanted:
+                edges[label_of(entry.code), label_of(sub.code)] += \
+                    sub.callcount / ops
+    return edges
 
 
 #: a kind of call must deliver this many rows before "charged once per
@@ -199,6 +219,9 @@ def main(argv=None) -> int:
     parser.add_argument("--by-call", action="store_true",
                         help="per kind of client call: rows, calls, virtual "
                         "s, catalog ops; exit 1 on a per-row catalog op")
+    parser.add_argument("--callers", nargs="+", metavar="NAME",
+                        help="calls per op by caller -> callee for the "
+                        "functions with these names (e.g. inc observe)")
     args = parser.parse_args(argv)
     if os.environ.get("PYTHONHASHSEED") != "0":    # as gridbench pins it
         os.environ["PYTHONHASHSEED"] = "0"
@@ -216,6 +239,22 @@ def main(argv=None) -> int:
             print_by_call(args.workload, args.seed, kinds)
         return 1 if any(row["per_row"] for row in kinds.values()) else 0
     stats, ops = profile(args.workload, args.seed, scale)
+    if args.callers:
+        edges = callers(stats, ops, args.callers)
+        if args.json:
+            print(json.dumps({"workload": args.workload, "seed": args.seed,
+                              "ops": ops, "callers": [
+                                  {"caller": a, "callee": b, "calls": n}
+                                  for (a, b), n in edges.most_common()]},
+                             indent=1))
+            return 0
+        print(f"{args.workload} seed {args.seed}: {ops} client calls; "
+              f"calls per call into {', '.join(args.callers)}")
+        print(f"\n{'calls/op':>12}  caller -> callee")
+        for (caller, callee), calls in edges.most_common():
+            print(f"{calls:12,.2f}  {caller} -> {callee}")
+        print(f"{sum(edges.values()):12,.2f}  total")
+        return 0
     functions, layers = fold(stats, ops)
     report = {"workload": args.workload, "seed": args.seed, "ops": ops,
               "py_calls_per_op": sum(functions.values()),
