@@ -14,9 +14,10 @@ replicas per shard with write-log propagation:
   (b) read replicas take the entire read load off the primaries
       (offload fraction 1.0 in a read-only phase) while anti-entropy
       converges replication lag back to zero after writes;
-  (c) with the knobs off, ``Federation()`` builds the same plain
-      ``Mcat`` as before — and even ``mcat_shards=1`` costs *exactly*
-      zero extra virtual time on a serial workload, so every earlier
+  (c) there is one catalog class: ``Federation()`` and
+      ``Federation(mcat_shards=1)`` build the same thing, which costs
+      *exactly* what it always did on a serial workload — the same
+      virtual time and the same Python-level calls — so every earlier
       experiment's numbers stand.
 
 The busy-time accounting exists precisely for this experiment: the
@@ -24,6 +25,8 @@ shared virtual clock serialises all charges onto one timeline, so
 wall-clock-style throughput gains from parallel catalog servers are
 invisible on it; per-instance ``busy_s`` is the quantity that shards.
 """
+
+import cProfile
 
 import pytest
 
@@ -215,8 +218,9 @@ def test_e16_replicas_offload_reads(benchmark):
 
 
 def test_e16_knobs_off_parity(benchmark):
-    """(c) guardrail: a serial grid workload costs identical virtual
-    time with the sharding knobs off — and with ``mcat_shards=1``."""
+    """(c) guardrail: the default catalog and ``mcat_shards=1`` are the
+    same type, and a serial grid workload costs the same virtual time
+    *and* the same Python-level calls on both, exactly."""
 
     def grid(**knobs):
         fed = Federation(zone=ZONE, **knobs)
@@ -232,6 +236,8 @@ def test_e16_knobs_off_parity(benchmark):
 
     def workload(fed, client):
         t0 = fed.clock.now
+        profiler = cProfile.Profile()
+        profiler.enable()
         client.mkcoll(f"/{ZONE}/bench")
         for i in range(15):
             client.ingest(f"/{ZONE}/bench/o{i}", b"x" * 512)
@@ -239,18 +245,20 @@ def test_e16_knobs_off_parity(benchmark):
             client.get(f"/{ZONE}/bench/o{i}")
             client.get_metadata(f"/{ZONE}/bench/o{i}")
         client.ls(f"/{ZONE}/bench")
-        return fed.clock.now - t0
+        profiler.disable()
+        return fed.clock.now - t0, sum(
+            entry.callcount for entry in profiler.getstats())
 
     fed_plain, cl_plain = grid()
-    assert isinstance(fed_plain.mcat, Mcat)     # knobs off: plain catalog
-    plain = workload(fed_plain, cl_plain)
+    plain, plain_calls = workload(fed_plain, cl_plain)
 
     fed_one, cl_one = grid(mcat_shards=1)
-    assert isinstance(fed_one.mcat, ShardedMcat)
-    one = workload(fed_one, cl_one)
+    assert type(fed_one.mcat) is type(fed_plain.mcat) is ShardedMcat
+    one, one_calls = workload(fed_one, cl_one)
 
     overhead = one - plain
     assert overhead == 0.0              # exactly, not approximately
+    assert one_calls == plain_calls
     record_json("e16", {"knobs_off_overhead_s": overhead,
                         "serial_virtual_time_s": round(plain, 6)})
 

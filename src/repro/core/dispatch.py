@@ -42,7 +42,7 @@ in its plan —
 
 * the zone check, for an op with no ``scope_arg`` (and, for a scoped
   one, while the federation has no peer zone to be foreign to);
-* the catalog round trip, on the server that holds an unsharded catalog
+* the catalog round trip, on the server that holds a one-shard catalog
   (the hop still counts the op as served);
 * the audit record, for an op that declares no ``audit=``
   (:meth:`OpContext.audit` refuses to invent one at run time);
@@ -266,9 +266,10 @@ def _compile(server: Any, spec: OpSpec, service: Any,
     needs_auth, scope_arg, forwardable = \
         spec.auth, spec.scope_arg, spec.forwardable
     # the hop is a charged round trip only off the catalog's server, or
-    # when the catalog is sharded (the route is metered per shard)
+    # when the catalog has shards to choose from (the route is metered
+    # per shard)
     remote_catalog = spec.mcat_hop and (
-        not server.is_mcat_server or hasattr(fed.mcat, "shard_of_path"))
+        not server.is_mcat_server or len(fed.mcat.shards) > 1)
     audited, audits_denied = spec.audit is not None, spec.audits_denied
     audit_arg = spec.audit_arg or spec.scope_arg
     detail_arg, static_detail = spec.detail_arg, spec.detail

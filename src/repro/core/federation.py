@@ -29,7 +29,6 @@ from repro.core.containers import ContainerManager
 from repro.core.locking import LockManager
 from repro.core.server import SrbServer
 from repro.errors import InvalidTicket, NoSuchServer, SrbError
-from repro.mcat.catalog import Mcat
 from repro.mcat.shard import ShardedMcat
 from repro.mcat.extraction import ExtractionRegistry
 from repro.net import wire
@@ -165,8 +164,8 @@ class Federation:
                  data_streams: int = 1,
                  workers: Optional[int] = None,
                  queue_depth: Optional[int] = None,
-                 mcat_shards: Optional[int] = None,
-                 mcat_replicas: Optional[int] = None,
+                 mcat_shards: int = 1,
+                 mcat_replicas: int = 0,
                  mcat_staleness: int = 0,
                  direct_io: bool = False):
         self.zone = zone
@@ -190,11 +189,10 @@ class Federation:
         self.ids = IdFactory()
         self.rpc = ServiceRegistry(self.network)
         self.peers: Dict[str, "Federation"] = {}
-        # sharded MCAT (E16).  Both default off: with no knob set the
-        # federation gets the identical single Mcat it always had, so
-        # every serial-mode recording is untouched.
-        #   mcat_shards: partition the catalog by collection subtree
-        #   across K Mcat shards behind a ShardedMcat router;
+        # the catalog (E16): one class, whatever its shape.
+        #   mcat_shards: K Mcat partitions, split by collection subtree
+        #   (one partition and no replica is the paper's single MCAT,
+        #   at the cost of a bare Mcat);
         #   mcat_replicas: R read replicas per shard, converged by an
         #   async write log (+ anti-entropy repair after faults);
         #   mcat_staleness: max write-log entries a replica may lag and
@@ -202,15 +200,10 @@ class Federation:
         self.mcat_shards = mcat_shards
         self.mcat_replicas = mcat_replicas
         self.mcat_staleness = int(mcat_staleness)
-        if mcat_shards is None and mcat_replicas is None:
-            self.mcat = Mcat(zone=zone, clock=self.clock, ids=self.ids,
-                             obs=self.obs)
-        else:
-            self.mcat = ShardedMcat(zone=zone, clock=self.clock,
-                                    ids=self.ids, obs=self.obs,
-                                    shards=mcat_shards or 1,
-                                    replicas=mcat_replicas or 0,
-                                    staleness=self.mcat_staleness)
+        self.mcat = ShardedMcat(zone=zone, clock=self.clock, ids=self.ids,
+                                obs=self.obs, shards=mcat_shards,
+                                replicas=mcat_replicas,
+                                staleness=self.mcat_staleness)
         self.users = UserRegistry()
         self.authority = TicketAuthority(zone, zone_key=f"zone-key-{zone}",
                                          clock=self.clock)
@@ -473,8 +466,7 @@ class Federation:
             "mcat_replicas": self.mcat_replicas,
             "mcat_replica_reads": int(
                 metrics.total("mcat.shard.replica_reads")),
-            "mcat_replication_pending": self.mcat.replication_lag()
-            if isinstance(self.mcat, ShardedMcat) else 0,
+            "mcat_replication_pending": self.mcat.replication_lag(),
             "direct_io": self.direct_io,
             "direct_channels": int(metrics.total("net.direct.channels")),
             "direct_bytes": int(metrics.total("net.direct.bytes")),

@@ -12,8 +12,7 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.core.dispatch import OpContext, rpc_op
 from repro.core.planes.base import PlaneService
 from repro.errors import AccessDenied, MetadataError
-from repro.mcat.query import Condition, DisplayOnly, QueryResult, search, \
-    search_page, queryable_attributes
+from repro.mcat.query import Condition, DisplayOnly, QueryResult
 from repro.util import paths
 
 
@@ -216,11 +215,11 @@ class MetadataService(PlaneService):
         read are returned, and only those count toward ``limit``."""
         principal = ctx.principal
         self.access.require_collection(principal, scope, "read")
-        result = search(self.mcat, scope, conditions,
-                        include_annotations=include_annotations,
-                        include_system=include_system, limit=limit,
-                        strategy=strategy,
-                        visible=self._readable_by(principal))
+        result = self.mcat.search(scope, conditions,
+                                  include_annotations=include_annotations,
+                                  include_system=include_system,
+                                  limit=limit, strategy=strategy,
+                                  visible=self._readable_by(principal))
         ctx.audit(detail=f"{len(conditions)} conds, "
                          f"{len(result.rows)} hits")
         if ctx.span is not None:
@@ -250,11 +249,10 @@ class MetadataService(PlaneService):
         """
         principal = ctx.principal
         self.access.require_collection(principal, scope, "read")
-        page = search_page(self.mcat, scope, conditions,
-                           include_annotations=include_annotations,
-                           include_system=include_system,
-                           limit=limit, cursor=cursor,
-                           visible=self._readable_by(principal))
+        page = self.mcat.search_page(
+            scope, conditions, include_annotations=include_annotations,
+            include_system=include_system, limit=limit, cursor=cursor,
+            visible=self._readable_by(principal))
         ctx.audit(detail=f"{len(conditions)} conds, "
                          f"{len(page.rows)} hits (page)")
         if ctx.span is not None:
@@ -266,8 +264,7 @@ class MetadataService(PlaneService):
     def queryable_attrs(self, ctx: OpContext, scope: str,
                         include_system: bool = False) -> List[str]:
         self.access.require_collection(ctx.principal, scope, "read")
-        return queryable_attributes(self.mcat, scope,
-                                    include_system=include_system)
+        return self.mcat.queryable_attributes(scope, include_system)
 
     # ------------------------------------------------------------------
     # access control administration

@@ -209,17 +209,17 @@ class SrbServer:
         """Charge one catalog round trip when this server is not the
         MCAT-enabled one (it batches its catalog work per operation).
 
-        Against a sharded catalog the op's scope path resolves to its
-        owning shard — the hop is charged once, to that shard only, and
-        the route shows up on the span and the ``mcat.shard.route``
-        metric.
+        When the catalog has more than one shard the op's scope path
+        resolves to its owning shard — the hop is charged once, to that
+        shard only, and the route shows up on the span and the
+        ``mcat.shard.route`` metric.
         """
         self.ops_served += 1
         shard: Optional[int] = None
-        route = getattr(self.mcat, "shard_of_path", None)
-        if route is not None and scope is not None:
+        mcat = self.mcat
+        if scope is not None and len(mcat.shards) > 1:
             try:
-                shard = route(scope)
+                shard = mcat.shard_of_path(scope)
             except SrbError:
                 shard = None
             if shard is not None:

@@ -1,9 +1,12 @@
 """MCAT — the Metadata Catalog.
 
-One MCAT instance exists per federation zone (the paper's deployments ran
-it on Oracle at SDSC).  It is the authoritative record of the logical
-name space: collections, data objects of every kind, replicas, the five
+One MCAT exists per federation zone (the paper's deployments ran it on
+Oracle at SDSC).  It is the authoritative record of the logical name
+space: collections, data objects of every kind, replicas, the five
 metadata classes, ACLs, annotations, audit trail, locks/pins/versions.
+An :class:`Mcat` is one partition's store of it; the zone's catalog
+(:class:`repro.mcat.shard.ShardedMcat`) is one or more of them behind a
+routing table, and with one it *is* this class's methods.
 
 The catalog is deliberately *mechanism*: it stores and retrieves rows and
 enforces referential rules (unique paths, replica numbering, cascade
@@ -33,8 +36,10 @@ from repro.errors import (
     SrbError,
     VocabularyViolation,
 )
+from repro.mcat import query
 from repro.mcat.dublin_core import SchemaRegistry
-from repro.mcat.schema import OBJECT_KINDS, PERMISSIONS, build_schema
+from repro.mcat.schema import OBJECT_KINDS, PERMISSIONS, build_schema, \
+    subtree_path_range
 from repro.obs import Observability
 from repro.util import paths
 from repro.util.clock import SimClock
@@ -47,9 +52,16 @@ def apply_structural(reqs: Sequence[Dict[str, Any]],
     """Apply structural requirement rows to a provided attribute dict.
 
     Pure function so bulk ingest can fetch the (charged) requirement
-    rows once per collection and validate N items against them.
+    rows once per collection and validate N items against them.  Runs
+    before an ingest creates anything, so it is also where a name or a
+    value that is not text is refused (:func:`_refuse_non_text`).
     """
     effective = dict(provided)
+    for attr in effective:
+        value = effective[attr]
+        if type(attr) is not str or (type(value) is not str
+                                     and value is not None):
+            _refuse_non_text(attr, value)
     missing = []
     for req in reqs:
         attr = req["attr"]
@@ -71,14 +83,15 @@ def apply_structural(reqs: Sequence[Dict[str, Any]],
     return effective
 
 
-def subtree_path_range(coll: str,
-                       cursor: Optional[str] = None) -> Tuple[str, str]:
-    """The objects under ``coll``, at any depth, as an open range of the
-    sorted ``objects.path`` index: exactly the paths between ``coll + "/"``
-    and ``coll + "0"`` ("0" is the character after "/").  A keyset
-    ``cursor`` (the last path already delivered) replaces the lower end."""
-    prefix = coll.rstrip("/") + "/"
-    return (cursor if cursor is not None else prefix), prefix[:-1] + "0"
+def _refuse_non_text(attr: Any, value: Any) -> None:
+    """Metadata names and values are TEXT columns.  What a caller sent
+    instead (``{"RA": 12.5}``) is bad input, refused here — before any
+    row or byte exists — not by the column after the object was made.
+    Callers test the exact type inline first, which costs no call."""
+    if not isinstance(attr, str) or not (value is None
+                                         or isinstance(value, str)):
+        raise MetadataError(
+            f"metadata {attr!r}={value!r}: names and values must be text")
 
 
 def _num(value: Optional[str]) -> Optional[float]:
@@ -546,8 +559,8 @@ class Mcat:
     def oid_table(self, name: str, oid: int):
         """The table holding rows keyed to object ``oid``.
 
-        On a plain catalog every table lives here, so ``oid`` is unused;
-        the sharded router overrides this to resolve the owning shard.
+        Every table of this partition lives here, so ``oid`` is unused;
+        the catalog (:mod:`repro.mcat.shard`) resolves the owning shard.
         Lock/pin/version policy in :mod:`repro.core` reaches its rows
         through this accessor so they land next to their object.
         """
@@ -660,6 +673,9 @@ class Mcat:
             raise MetadataError(f"bad metadata class {meta_class!r}")
         if not attr:
             raise MetadataError("metadata attribute name may not be empty")
+        if type(attr) is not str or (type(value) is not str
+                                     and value is not None):
+            _refuse_non_text(attr, value)
         if meta_class == "type":
             schema = self.schemas.get(schema_name or "")
             element = schema.element(attr)
@@ -975,3 +991,11 @@ class Mcat:
                     continue
                 rows.append(row)
             return sorted(rows, key=lambda r: r["auid"])
+
+    # ------------------------------------------------------------------
+    # attribute queries: repro.mcat.query's planner, as methods
+    # ------------------------------------------------------------------
+
+    search = query.run_search
+    search_page = query.run_search_page
+    queryable_attributes = query.run_queryable_attributes

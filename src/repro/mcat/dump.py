@@ -41,30 +41,28 @@ _ID_PREFIXES = ("cid", "oid", "rid", "mid", "smid", "aid", "aclid", "auid",
                 "lid", "pid", "vid")
 
 
-def export_catalog(mcat: Mcat) -> str:
-    """Serialize the catalog to a JSON string.
+def export_catalog(*partitions: Mcat) -> str:
+    """Serialize a catalog — its partitions' stores, primaries in shard
+    order — to a JSON string.
 
-    A sharded catalog exports as one merged document: rows from every
-    shard primary, with the per-shard copies of the root collections
-    deduplicated (shard 0's copy is canonical) — so a dump taken from a
-    sharded deployment imports into a plain catalog and vice versa.
+    However many partitions, the export is one merged document: rows
+    from every one, with the per-partition copies of the root
+    collections deduplicated (the first's copy is canonical) — so a
+    dump taken from a sharded deployment imports into one store and
+    vice versa.
     """
+    first = partitions[0]       # zone and id factory are shared
     doc: Dict[str, Any] = {
         "format": DUMP_FORMAT_VERSION,
-        "zone": mcat.zone,
-        "id_counters": {p: mcat.ids.peek(p) for p in _ID_PREFIXES},
+        "zone": first.zone,
+        "id_counters": {p: first.ids.peek(p) for p in _ID_PREFIXES},
         "tables": {},
     }
-    shards = getattr(mcat, "shards", None)
-    if shards is None:
-        for name in _TABLES:
-            doc["tables"][name] = mcat.db.table(name).all_rows()
-        return json.dumps(doc, indent=1, sort_keys=True)
     for name in _TABLES:
         rows = []
         seen_paths = set()
-        for shard in shards:
-            for row in shard.primary.db.table(name).all_rows():
+        for mcat in partitions:
+            for row in mcat.db.table(name).all_rows():
                 if name == "collections":
                     if row["path"] in seen_paths:
                         continue

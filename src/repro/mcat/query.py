@@ -28,14 +28,16 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, \
-    Set, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, \
+    Optional, Sequence, Set, Tuple
 
 from repro.db.sql import like_to_regex
 from repro.errors import QueryError
-from repro.mcat.catalog import Mcat, subtree_path_range
-from repro.mcat.schema import NUM_INDEX, TEXT_INDEX
+from repro.mcat.schema import NUM_INDEX, TEXT_INDEX, subtree_path_range
 from repro.util import paths
+
+if TYPE_CHECKING:       # the catalog imports this module to run queries
+    from repro.mcat.catalog import Mcat
 
 OPERATORS = ("=", "<>", ">", "<", ">=", "<=", "like", "not like")
 
@@ -150,15 +152,18 @@ def _match(op: str, stored_value: Optional[str], stored_num: Optional[float],
     return _comparator(op, wanted)(stored_value, stored_num)
 
 
-def queryable_attributes(mcat: Mcat, scope: str,
+def queryable_attributes(mcat, scope: str,
                          include_system: bool = False) -> List[str]:
     """Attribute names for the drop-down: every metadata name attached to
     any object in ``scope`` or below, plus structural attributes defined
     for the scope's subtree."""
+    return mcat.queryable_attributes(scope, include_system)
+
+
+def run_queryable_attributes(mcat: Mcat, scope: str,
+                             include_system: bool = False) -> List[str]:
+    """:func:`queryable_attributes` over one partition's tables."""
     scope = paths.normalize(scope)
-    router = getattr(mcat, "route_queryable_attributes", None)
-    if router is not None:
-        return router(scope, include_system=include_system)
     in_scope = {("object", row["oid"]) for row in
                 mcat.objects_in_collection(scope, recursive=True)}
     colls = mcat.subtree_collections(scope)
@@ -451,20 +456,18 @@ def _count_query(mcat: Mcat, strategy: str, plan: str, rows_before: int,
                 strategy=strategy, plan=plan)
 
 
-def search(mcat: Mcat, scope: str,
+def search(mcat, scope: str,
            conditions: Sequence[Condition | DisplayOnly],
-           include_annotations: bool = False,
-           include_system: bool = False,
-           limit: Optional[int] = None,
-           strategy: str = "auto",
-           visible: Optional[Visible] = None) -> QueryResult:
+           **options: Any) -> QueryResult:
     """Run a conjunctive attribute query under collection ``scope``.
 
     Returns one row per matching object: ``path`` first, then a column per
     displayed attribute (multi-valued attributes join with '; ').
-    ``visible`` is the caller's ACL filter — object rows in, a verdict
-    per row out — applied to the matches a batch at a time; only rows it
-    passes are returned or count toward ``limit``.
+    ``options`` are ``include_annotations``, ``include_system``,
+    ``limit``, ``strategy`` and ``visible``.  ``visible`` is the caller's
+    ACL filter — object rows in, a verdict per row out — applied to the
+    matches a batch at a time; only rows it passes are returned or count
+    toward ``limit``.
 
     ``strategy`` selects the access plan:
 
@@ -476,18 +479,25 @@ def search(mcat: Mcat, scope: str,
       not applicable;
     * ``"auto"``   — index when possible, else scan.  Results are
       identical across strategies (asserted in tests and in E4).
+
+    ``mcat`` is any catalog: it answers through its own ``search``
+    method, which routes to the partitions holding ``scope`` and runs
+    :func:`run_search` on each.
     """
+    return mcat.search(scope, conditions, **options)
+
+
+def run_search(mcat: Mcat, scope: str,
+               conditions: Sequence[Condition | DisplayOnly],
+               include_annotations: bool = False,
+               include_system: bool = False,
+               limit: Optional[int] = None,
+               strategy: str = "auto",
+               visible: Optional[Visible] = None) -> QueryResult:
+    """:func:`search` over one partition's tables."""
     if strategy not in ("auto", "scan", "index"):
         raise QueryError(f"unknown strategy {strategy!r}")
     scope = paths.normalize(scope)
-    # A sharded catalog routes the query to the owning shard (or fans it
-    # out) itself; each shard's catalog re-enters this function directly.
-    router = getattr(mcat, "route_search", None)
-    if router is not None:
-        return router(scope, conditions,
-                      include_annotations=include_annotations,
-                      include_system=include_system,
-                      limit=limit, strategy=strategy, visible=visible)
     rows_before = mcat._rows_scanned()
     real_conditions, display_attrs = _condition_plan(conditions)
     probes = _probes(mcat, real_conditions) \
@@ -506,35 +516,38 @@ def search(mcat: Mcat, scope: str,
     return QueryResult(columns=["path"] + display_attrs, rows=rows)
 
 
-def search_page(mcat: Mcat, scope: str,
+def search_page(mcat, scope: str,
                 conditions: Sequence[Condition | DisplayOnly],
-                include_annotations: bool = False,
-                include_system: bool = False,
-                limit: int = 100,
-                cursor: Optional[str] = None,
-                visible: Optional[Visible] = None) -> QueryPage:
+                **options: Any) -> QueryPage:
     """One keyset page of :func:`search`, charged per page.
 
     Same conjunctive semantics, row shape and ``visible`` filter as
-    :func:`search`, but the catalog is touched O(page) at a time and the
-    page closes at ``limit`` visible matches.  Paths are the stable
-    ordering key (identical to the materializing plans' order) and the
-    cursor is the last path delivered.  Two plans, chosen per page by
+    :func:`search` (``options``: ``include_annotations``,
+    ``include_system``, ``limit``, ``cursor``, ``visible``), but the
+    catalog is touched O(page) at a time and the page closes at ``limit``
+    visible matches.  Paths are the stable ordering key (identical to
+    the materializing plans' order) and the cursor is the last path
+    delivered.  Two plans, chosen per page by
     :func:`_index_page_is_cheaper`: *walk* the sorted ``objects.path``
     index strictly after ``cursor`` in batches of ``limit`` and test each
     object (a selective filter may examine many batches to fill a page),
     or take the index plan's candidates past the cursor.  An exhausted
-    scan returns ``next_cursor=None``.  Sharded catalogs hook
-    ``route_search_page`` to fan the page out across shards and merge
-    (see :meth:`repro.mcat.shard.ShardedMcat.route_search_page`).
+    scan returns ``next_cursor=None``.  A scope that spans partitions is
+    one page from each, merged
+    (:func:`repro.mcat.shard.merge_keyset_pages`).
     """
+    return mcat.search_page(scope, conditions, **options)
+
+
+def run_search_page(mcat: Mcat, scope: str,
+                    conditions: Sequence[Condition | DisplayOnly],
+                    include_annotations: bool = False,
+                    include_system: bool = False,
+                    limit: int = 100,
+                    cursor: Optional[str] = None,
+                    visible: Optional[Visible] = None) -> QueryPage:
+    """:func:`search_page` over one partition's tables."""
     scope = paths.normalize(scope)
-    router = getattr(mcat, "route_search_page", None)
-    if router is not None:
-        return router(scope, conditions,
-                      include_annotations=include_annotations,
-                      include_system=include_system,
-                      limit=limit, cursor=cursor, visible=visible)
     rows_before = mcat._rows_scanned()
     real_conditions, display_attrs = _condition_plan(conditions)
     page_limit = max(1, int(limit))

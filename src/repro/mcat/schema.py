@@ -30,6 +30,8 @@ collection:
 
 from __future__ import annotations
 
+from typing import Optional, Tuple
+
 from repro.db import Column, Database
 
 OBJECT_KINDS = ("data", "registered", "shadow-dir", "sql", "url",
@@ -45,6 +47,16 @@ PERMISSIONS = ("read", "annotate", "write", "own")
 #: values in numeric order, and all its values in text order
 NUM_INDEX = ("attr", "value_num")
 TEXT_INDEX = ("attr", "value")
+
+
+def subtree_path_range(coll: str,
+                       cursor: Optional[str] = None) -> Tuple[str, str]:
+    """The objects under ``coll``, at any depth, as an open range of the
+    sorted ``objects.path`` index: exactly the paths between ``coll + "/"``
+    and ``coll + "0"`` ("0" is the character after "/").  A keyset
+    ``cursor`` (the last path already delivered) replaces the lower end."""
+    prefix = coll.rstrip("/") + "/"
+    return (cursor if cursor is not None else prefix), prefix[:-1] + "0"
 
 
 def build_schema(db: Database) -> None:

@@ -1,11 +1,13 @@
-"""Sharded MCAT: partition the catalog by collection subtree, replicate
-each partition for reads.
+"""The catalog: K >= 1 ``Mcat`` partitions behind one routing table,
+each replicated R >= 0 times for reads.
 
-The single-zone :class:`~repro.mcat.catalog.Mcat` is the grid's
-throughput ceiling and single point of failure — every one of the
-server's registered ops pays it a round trip, and E4 shows catalog time
-dominating end-to-end latency.  This module splits that catalog the way
-AMGA and every production metadata service does:
+One MCAT serves every SRB server (the paper), and this class is it:
+``Federation`` always builds a :class:`ShardedMcat`; an
+:class:`~repro.mcat.catalog.Mcat` is one partition's store.  A single
+catalog is the grid's throughput ceiling and single point of failure —
+every one of the server's registered ops pays it a round trip, and E4
+shows catalog time dominating end-to-end latency — so it can be split
+the way AMGA and every production metadata service does:
 
 * **Partitioning.**  K independent ``Mcat`` shards, each holding a
   disjoint set of collection subtrees.  The routing rule hashes the
@@ -16,6 +18,15 @@ AMGA and every production metadata service does:
   subtrees without cross-shard chatter.  Ops scoped at or above the
   partition level (``child_collections("/")``, a root query) fan out
   and merge; everything else touches exactly one shard.
+
+* **One table.**  How each catalog op finds its partition is a row of
+  :data:`ROUTES` — by path, by a minted id, pinned, scope-or-fan-out,
+  fan-out, grouped bulk — and the methods are generated from it once,
+  when this module is imported.  Only the ops with a rule of their own
+  are written out in the class.  With one partition and no replica
+  there is nothing to decide, so the constructor binds every op
+  straight to the partition's bound method: the default catalog costs
+  what a bare ``Mcat`` costs.
 
 * **Replication.**  Each shard keeps a write log fed by the database
   mutation observer (:meth:`repro.db.Database.watch`): raw
@@ -40,15 +51,14 @@ copy+delete: dependent rows are inserted on the destination primary
 first (flowing through its write log and the id directory), deleted
 from the source only once every insert succeeded, and rolled back in
 reverse on failure — the catalog never loses a row to a half-done move.
-
-The router preserves the full ``Mcat`` API, so ``AccessController``,
-``LockManager``, ``ContainerManager`` and the plane services work
-unchanged against ``Federation(mcat_shards=K, mcat_replicas=R)``.
 """
 
 from __future__ import annotations
 
 import zlib
+from inspect import isfunction
+from itertools import chain
+from operator import itemgetter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import (
@@ -57,13 +67,17 @@ from repro.errors import (
     NoSuchObject,
     SrbError,
 )
-from repro.mcat.catalog import Mcat, apply_structural
+from repro.mcat.catalog import Mcat
 from repro.mcat.dublin_core import SchemaRegistry
+from repro.mcat.query import SYSTEM_ATTRS
 from repro.obs import Observability
 from repro.util import paths
 from repro.util.clock import SimClock
 from repro.util.ids import IdFactory
 
+#: the catalog's ops: a partition's public methods
+MCAT_OPS = tuple(name for name, member in vars(Mcat).items()
+                 if not name.startswith("_") and isfunction(member))
 #: tables keyed by object id (cascade/move units of one object)
 _OID_TABLES = ("replicas", "locks", "pins", "versions")
 #: tables keyed by (target_kind, target_id)
@@ -97,13 +111,13 @@ class McatShard:
 
 
 class ShardedMcat:
-    """A drop-in ``Mcat`` partitioned across K shards with R replicas.
+    """The zone's catalog: the ``Mcat`` API over K shards with R replicas.
 
-    Shares the federation's clock, id factory and observability exactly
-    like a plain catalog; shard primaries are ordinary ``Mcat``
-    instances, so every charged read/write costs what it would cost
-    unsharded — the win is that the charges land on K parallel
-    catalogs (``busy_s``) instead of one.
+    Shares the federation's clock, id factory and observability with
+    its partitions; shard primaries are ordinary ``Mcat`` instances, so
+    every charged read/write costs what it costs on one — the win of
+    K > 1 is that the charges land on K parallel catalogs (``busy_s``)
+    instead of one.
     """
 
     QUERY_OVERHEAD_S = Mcat.QUERY_OVERHEAD_S
@@ -114,7 +128,7 @@ class ShardedMcat:
                  clock: Optional[SimClock] = None,
                  ids: Optional[IdFactory] = None,
                  obs: Optional[Observability] = None,
-                 shards: int = 2, replicas: int = 0,
+                 shards: int = 1, replicas: int = 0,
                  staleness: int = 0):
         if shards < 1:
             raise SrbError("mcat_shards must be >= 1")
@@ -129,7 +143,10 @@ class ShardedMcat:
         self.staleness = int(staleness)
         # id directories: where does each minted id live?  Maintained by
         # the mutation observers, so raw-row cross-shard moves keep them
-        # exact without any extra bookkeeping at the call sites.
+        # exact without any extra bookkeeping at the call sites.  They
+        # exist to route: one partition with no replica to feed keeps
+        # none, and no observer.
+        routing = shards > 1 or replicas > 0
         self._dir: Dict[str, Dict[int, int]] = {
             "oid": {}, "cid": {}, "mid": {}, "aid": {}}
         self.shards: List[McatShard] = []
@@ -138,11 +155,17 @@ class ShardedMcat:
                            obs=self.obs)
             primary.schemas = self.schemas
             shard = McatShard(k, primary)
-            primary.db.watch(self._observer_for(shard))
-            # root rows predate the observer: register their cids by hand
-            for row in primary.db.table("collections").all_rows():
-                self._dir["cid"][row["cid"]] = k
+            if routing:
+                primary.db.watch(self._observer_for(shard))
+                # root rows predate the observer: register their cids
+                for row in primary.db.table("collections").all_rows():
+                    self._dir["cid"][row["cid"]] = k
             self.shards.append(shard)
+        if not routing:
+            # nothing to decide: the partition's ops are the catalog's
+            only = self.shards[0].primary
+            for name in MCAT_OPS:
+                setattr(self, name, getattr(only, name))
         for shard in self.shards:
             for _ in range(replicas):
                 # replicas never mint ids and are overwritten by the
@@ -189,8 +212,8 @@ class ShardedMcat:
 
     def _shard_of_id(self, kind: str, ident: int) -> int:
         """Owning shard of a minted id; unknown ids fall back to shard 0,
-        whose plain catalog then raises the same not-found error an
-        unsharded ``Mcat`` would."""
+        whose ``Mcat`` then raises the not-found error of a catalog
+        that has one partition."""
         return self._dir[kind].get(ident, 0)
 
     def _shard_of_target(self, target_kind: str, target_id: int) -> int:
@@ -198,6 +221,7 @@ class ShardedMcat:
         return self._dir[key].get(target_id, 0)
 
     def _primary(self, k: int) -> Mcat:
+        """The catalog that serves a write on shard ``k``."""
         return self.shards[k].primary
 
     def _fanout(self, op: str) -> List[int]:
@@ -394,45 +418,9 @@ class ShardedMcat:
         return out
 
     # ------------------------------------------------------------------
-    # collections
+    # ops with a rule of their own (every other Mcat op is a row of
+    # ROUTES, below the class)
     # ------------------------------------------------------------------
-
-    def create_collection(self, path: str, owner: str, now: float) -> int:
-        return self._primary(self.shard_of_path(path)).create_collection(
-            path, owner, now)
-
-    def collection_exists(self, path: str) -> bool:
-        return self._read(self.shard_of_path(path)).collection_exists(path)
-
-    def get_collection(self, path: str) -> Dict[str, Any]:
-        return self._read(self.shard_of_path(path)).get_collection(path)
-
-    def child_collections(self, path: str) -> List[Dict[str, Any]]:
-        path = paths.normalize(path)
-        if not self._spans_shards(path):
-            return self._read(self.shard_of_path(path)).child_collections(path)
-        rows: List[Dict[str, Any]] = []
-        seen = set()
-        for k in self._fanout("child_collections"):
-            for row in self._read(k).child_collections(path):
-                if row["path"] not in seen:      # root rows exist per shard
-                    seen.add(row["path"])
-                    rows.append(row)
-        return sorted(rows, key=lambda r: r["path"])
-
-    def subtree_collections(self, prefix: str) -> List[Dict[str, Any]]:
-        prefix = paths.normalize(prefix)
-        if not self._spans_shards(prefix):
-            return self._read(self.shard_of_path(prefix)) \
-                .subtree_collections(prefix)
-        rows = []
-        seen = set()
-        for k in self._fanout("subtree_collections"):
-            for row in self._read(k).subtree_collections(prefix):
-                if row["path"] not in seen:
-                    seen.add(row["path"])
-                    rows.append(row)
-        return sorted(rows, key=lambda r: r["path"])
 
     def remove_collection(self, path: str) -> None:
         path = paths.normalize(path)
@@ -441,126 +429,39 @@ class ShardedMcat:
                            "sharded catalog and cannot be removed")
         self._primary(self.shard_of_path(path)).remove_collection(path)
 
-    # ------------------------------------------------------------------
-    # objects
-    # ------------------------------------------------------------------
-
-    def create_object(self, path: str, kind: str, owner: str, now: float,
-                      **kw: Any) -> int:
-        return self._primary(self.shard_of_path(path)).create_object(
-            path, kind, owner, now, **kw)
-
-    def create_objects(self, specs: Sequence[Dict[str, Any]], owner: str,
-                       now: float) -> List[Any]:
-        """Bulk create, grouped per owning shard; results keep the
-        caller's spec order (errors slot in per item, as unsharded)."""
-        results: List[Any] = [None] * len(specs)
-        groups: Dict[int, List[int]] = {}
-        for i, spec in enumerate(specs):
-            try:
-                k = self.shard_of_path(spec["path"])
-            except SrbError as exc:
-                results[i] = exc
-                continue
-            groups.setdefault(k, []).append(i)
-        for k, indexes in sorted(groups.items()):
-            batch = [specs[i] for i in indexes]
-            for i, res in zip(indexes,
-                              self._primary(k).create_objects(
-                                  batch, owner, now)):
-                results[i] = res
-        return results
-
-    def object_exists(self, path: str) -> bool:
-        return self._read(self.shard_of_path(path)).object_exists(path)
-
-    def get_object(self, path: str) -> Dict[str, Any]:
-        return self._read(self.shard_of_path(path)).get_object(path)
-
-    def find_object(self, path: str) -> Optional[Dict[str, Any]]:
-        return self._read(self.shard_of_path(path)).find_object(path)
-
-    def get_object_by_id(self, oid: int) -> Dict[str, Any]:
-        return self._read(self._shard_of_id("oid", oid)).get_object_by_id(oid)
-
-    def get_objects_by_ids(self, oids: Sequence[int]) -> List[Dict[str, Any]]:
-        groups: Dict[int, List[int]] = {}
-        for oid in oids:
-            groups.setdefault(self._shard_of_id("oid", oid), []).append(oid)
-        rows = []
-        for k, batch in sorted(groups.items()):
-            rows.extend(self._read(k).get_objects_by_ids(batch))
-        return rows
-
-    def update_object(self, oid: int, **changes: Any) -> None:
-        self._primary(self._shard_of_id("oid", oid)).update_object(
-            oid, **changes)
-
-    def delete_object(self, oid: int) -> None:
-        self._primary(self._shard_of_id("oid", oid)).delete_object(oid)
-
-    def objects_in_collection(self, coll: str,
-                              recursive: bool = False
-                              ) -> List[Dict[str, Any]]:
-        coll = paths.normalize(coll)
-        if not self._spans_shards(coll):
-            return self._read(self.shard_of_path(coll)) \
-                .objects_in_collection(coll, recursive=recursive)
-        rows = []
-        for k in self._fanout("objects_in_collection"):
-            rows.extend(self._read(k).objects_in_collection(
-                coll, recursive=recursive))
-        return sorted(rows, key=lambda r: r["path"])
-
-    def objects_in_collection_page(self, coll: str,
-                                   cursor: Optional[str] = None,
-                                   limit: int = 100,
-                                   recursive: bool = True
-                                   ) -> Tuple[List[Dict[str, Any]],
-                                              Optional[str]]:
-        """One merged keyset page of a collection's contents.
-
-        Same fan-out+merge cursor scheme as :meth:`route_search_page`:
-        each shard serves one page strictly past the global cursor, the
-        merged stream truncates to ``limit`` in path order, and the last
-        delivered path is the composite ``next_cursor``.
-        """
-        coll = paths.normalize(coll)
-        if not self._spans_shards(coll):
-            return self._read(self.shard_of_path(coll)) \
-                .objects_in_collection_page(coll, cursor=cursor,
-                                            limit=limit,
-                                            recursive=recursive)
-        page_limit = max(1, int(limit))
-        merged: List[Dict[str, Any]] = []
-        more_in_shards = False
-        for k in self._fanout("objects_in_collection_page"):
-            rows, nc = self._read(k).objects_in_collection_page(
-                coll, cursor=cursor, limit=page_limit, recursive=recursive)
-            merged.extend(rows)
-            more_in_shards = more_in_shards or nc is not None
-        merged.sort(key=lambda r: r["path"])
-        overflow = len(merged) > page_limit
-        out = merged[:page_limit]
-        next_cursor = (str(out[-1]["path"])
-                       if out and (overflow or more_in_shards) else None)
-        return out, next_cursor
-
-    def links_to(self, target_path: str) -> List[Dict[str, Any]]:
-        # links may point across partitions, so this is always a fan-out
-        rows = []
-        for k in self._fanout("links_to"):
-            rows.extend(self._read(k).links_to(target_path))
-        return rows
-
-    def count_objects(self) -> int:
-        return sum(self._read(k).count_objects()
-                   for k in self._fanout("count_objects"))
-
     def oid_table(self, name: str, oid: int):
         """Table holding ``oid``'s dependent rows, on its owning shard's
         primary (lock/pin/version writes always hit the primary)."""
         return self._primary(self._shard_of_id("oid", oid)).db.table(name)
+
+    def add_metadata_bulk(self, specs: Sequence[Dict[str, Any]], by: str,
+                          now: float) -> List[int]:
+        # validate all specs up front (uncharged: schemas are in memory)
+        # so a bad one fails the batch before any shard inserts a row —
+        # same all-or-nothing contract as one partition's bulk path
+        probe = self.shards[0].primary
+        for spec in specs:
+            probe._check_metadata_spec(
+                spec["target_kind"], spec["attr"], spec["value"],
+                spec.get("meta_class", "user"), spec.get("schema_name"))
+        return _add_metadata_grouped(self, specs, by, now)
+
+    def structural_for(self, coll_path: str,
+                       inherited: bool = True) -> List[Dict[str, Any]]:
+        coll_path = paths.normalize(coll_path)
+        k = self.shard_of_path(coll_path)
+        rows: List[Dict[str, Any]] = []
+        # partition-level requirements (on "/" or "/<zone>") live on
+        # shard 0, where their path routes; stitch them back into every
+        # other shard's inheritance chain
+        if inherited and k != 0:
+            for scope in paths.ancestors(coll_path):
+                if self._spans_shards(scope):
+                    rows.extend(self._read(0).structural_for(
+                        scope, inherited=False))
+        rows.extend(self._read(k).structural_for(coll_path,
+                                                 inherited=inherited))
+        return rows
 
     # ------------------------------------------------------------------
     # cross-shard moves
@@ -741,331 +642,261 @@ class ShardedMcat:
             for rid in list(t.lookup_eq(col, values[col])):
                 t.delete_row(rid)
 
-    # ------------------------------------------------------------------
+
+# ---------------------------------------------------------------------------
+# the route table: every other catalog op, and how it finds its partition
+# ---------------------------------------------------------------------------
+#
+# A row is ``op: (rule, side, ...)``.  ``side`` is the catalog of a
+# partition that serves the op: its primary (every write; and ACL reads
+# — a revoke takes effect at once, so grants never come off a replica)
+# or whatever ``_read`` picks.  The rules:
+#
+# ``one``    the op's leading arguments name one row — a path, an oid, a
+#            ``(target_kind, target_id)``, a mid, an aid — and the op
+#            runs on the partition holding it (``pinned``: always 0, the
+#            zone's one audit trail);
+# ``scope``  the first argument is a collection: its own partition
+#            serves it unless it sits at or above the partition level,
+#            where every partition is asked and the answers merged in
+#            path order;
+# ``all``    every partition is asked, the answers concatenated or summed;
+# ``bulk``   the first argument is a list: one call per owning
+#            partition, answers back in the caller's order.
+
+PRIMARY, READ = ShardedMcat._primary, ShardedMcat._read
+
+
+def _of_path(cat: ShardedMcat, path: str) -> int:
+    return cat.shard_of_path(path)
+
+
+def _of_oid(cat: ShardedMcat, oid: int) -> int:
+    return cat._shard_of_id("oid", oid)
+
+
+def _of_mid(cat: ShardedMcat, mid: int) -> int:
+    return cat._shard_of_id("mid", mid)
+
+
+def _of_aid(cat: ShardedMcat, aid: int) -> int:
+    return cat._shard_of_id("aid", aid)
+
+
+def _pinned(cat: ShardedMcat) -> int:
+    return 0
+
+
+_of_target = ShardedMcat._shard_of_target
+
+
+def _of_target_pair(cat: ShardedMcat, target: Tuple[str, int]) -> int:
+    return cat._shard_of_target(*target)
+
+
+def _route_one(name: str, side, key, nkeys: int = 1):
+    def routed(self, *args, **kw):
+        return getattr(side(self, key(self, *args[:nkeys])), name)(
+            *args, **kw)
+    return routed
+
+
+def _route_scope(name: str, side, merge):
+    def routed(self, scope, *args, **kw):
+        scope = paths.normalize(scope)
+        if not self._spans_shards(scope):
+            return getattr(side(self, self.shard_of_path(scope)), name)(
+                scope, *args, **kw)
+        return merge([getattr(side(self, k), name)(scope, *args, **kw)
+                      for k in self._fanout(name)], *args, **kw)
+    return routed
+
+
+def _route_all(name: str, side, merge):
+    def routed(self, *args, **kw):
+        return merge(getattr(side(self, k), name)(*args, **kw)
+                     for k in self._fanout(name))
+    return routed
+
+
+def _route_bulk(name: str, side, key, ident=None):
+    """``ident`` is for an op whose partitions skip the items they do not
+    hold (``get_objects_by_ids``): it names the item a returned row
+    answers, and the merged answer skips the unknown ones too."""
+    def routed(self, items, *args, **kw):
+        results: List[Any] = [None] * len(items)
+        groups: Dict[int, List[int]] = {}
+        for i, item in enumerate(items):
+            try:
+                k = key(self, item)
+            except SrbError as exc:     # a path that does not parse
+                results[i] = exc        # fails its own item only
+                continue
+            groups.setdefault(k, []).append(i)
+        for k, indexes in sorted(groups.items()):
+            got = getattr(side(self, k), name)(
+                [items[i] for i in indexes], *args, **kw)
+            if ident is not None:
+                held = {ident(row): row for row in got}
+                got = [held.get(items[i]) for i in indexes]
+            for i, res in zip(indexes, got):
+                results[i] = res
+        if ident is not None:
+            return [res for res in results if res is not None]
+        return results
+    return routed
+
+
+def _merge_rows(answers, *_args, **_kw) -> List[Dict[str, Any]]:
+    """Catalog rows in path order; the root collections, which every
+    partition holds, once (the lowest shard's copy)."""
+    by_path: Dict[str, Dict[str, Any]] = {}
+    for rows in answers:
+        for row in rows:
+            by_path.setdefault(row["path"], row)
+    return sorted(by_path.values(), key=itemgetter("path"))
+
+
+def _merge_search(answers, _conditions, limit=None, **_options):
+    merged = answers[0]
+    for result in answers[1:]:
+        merged.rows.extend(result.rows)
+    merged.rows.sort(key=itemgetter(0))     # column 0 is the path
+    if limit is not None:
+        merged.rows = merged.rows[:limit]
+    return merged
+
+
+def _merge_names(answers, include_system: bool = False) -> List[str]:
+    # each partition ends its answer with the system attributes
+    tail = list(SYSTEM_ATTRS) if include_system else []
+    own = -len(tail) or None
+    return sorted(set().union(*(names[:own] for names in answers))) + tail
+
+
+def merge_keyset_pages(pages: Sequence[Sequence[Any]], more: bool,
+                       limit: int, path_of) -> Tuple[List[Any],
+                                                     Optional[str]]:
+    """One global keyset page out of one page per partition.
+
+    One cursor composes across partitions because every partition
+    orders by the same key (the path): each serves its first ``limit``
+    rows strictly after the cursor, the merged stream is path-sorted,
+    and the global first ``limit`` rows are necessarily inside that
+    union (a global top-``limit`` row is a top-``limit`` row of its own
+    partition).  The next cursor is the last delivered path; the next
+    page re-seeks every partition from it, so no per-partition cursor
+    state ever crosses the wire.  ``more``: some partition had rows
+    past its page.
+    """
+    page_limit = max(1, int(limit))
+    rows = sorted(chain.from_iterable(pages), key=path_of)
+    out = rows[:page_limit]
+    return out, (str(path_of(out[-1]))
+                 if out and (more or len(rows) > page_limit) else None)
+
+
+def _merge_object_pages(answers, cursor=None, limit: int = 100,
+                        recursive: bool = True):
+    return merge_keyset_pages(
+        [rows for rows, _next in answers],
+        any(nxt is not None for _rows, nxt in answers),
+        limit, itemgetter("path"))
+
+
+def _merge_search_pages(answers, _conditions, limit: int = 100, **_options):
+    page = answers[0]
+    page.rows, page.next_cursor = merge_keyset_pages(
+        [p.rows for p in answers],
+        any(p.next_cursor is not None for p in answers),
+        limit, itemgetter(0))
+    return page
+
+
+def _concat(answers) -> List[Any]:
+    return list(chain.from_iterable(answers))
+
+
+_add_metadata_grouped = _route_bulk(
+    "add_metadata_bulk", PRIMARY,
+    lambda cat, spec: cat._shard_of_target(spec["target_kind"],
+                                           spec["target_id"]))
+
+ROUTES: Dict[str, tuple] = {
+    # collections
+    "create_collection": (_route_one, PRIMARY, _of_path),
+    "collection_exists": (_route_one, READ, _of_path),
+    "get_collection": (_route_one, READ, _of_path),
+    "child_collections": (_route_scope, READ, _merge_rows),
+    "subtree_collections": (_route_scope, READ, _merge_rows),
+    # objects
+    "create_object": (_route_one, PRIMARY, _of_path),
+    "create_objects": (_route_bulk, PRIMARY,
+                       lambda cat, spec: cat.shard_of_path(spec["path"])),
+    "object_exists": (_route_one, READ, _of_path),
+    "get_object": (_route_one, READ, _of_path),
+    "find_object": (_route_one, READ, _of_path),
+    "get_object_by_id": (_route_one, READ, _of_oid),
+    "get_objects_by_ids": (_route_bulk, READ, _of_oid, itemgetter("oid")),
+    "update_object": (_route_one, PRIMARY, _of_oid),
+    "delete_object": (_route_one, PRIMARY, _of_oid),
+    "objects_in_collection": (_route_scope, READ, _merge_rows),
+    "objects_in_collection_page": (_route_scope, READ, _merge_object_pages),
+    # links may point across partitions
+    "links_to": (_route_all, READ, _concat),
+    "count_objects": (_route_all, READ, sum),
     # replicas (of data objects)
-    # ------------------------------------------------------------------
-
-    def add_replica(self, oid: int, resource: str, physical_path: str,
-                    size: int, now: float, **kw: Any) -> int:
-        return self._primary(self._shard_of_id("oid", oid)).add_replica(
-            oid, resource, physical_path, size, now, **kw)
-
-    def add_replicas(self, specs: Sequence[Dict[str, Any]],
-                     now: float) -> List[int]:
-        results: List[int] = [0] * len(specs)
-        groups: Dict[int, List[int]] = {}
-        for i, spec in enumerate(specs):
-            groups.setdefault(self._shard_of_id("oid", spec["oid"]),
-                              []).append(i)
-        for k, indexes in sorted(groups.items()):
-            batch = [specs[i] for i in indexes]
-            for i, num in zip(indexes,
-                              self._primary(k).add_replicas(batch, now)):
-                results[i] = num
-        return results
-
-    def replicas(self, oid: int) -> List[Dict[str, Any]]:
-        return self._read(self._shard_of_id("oid", oid)).replicas(oid)
-
-    def get_replica(self, oid: int, replica_num: int) -> Dict[str, Any]:
-        return self._read(self._shard_of_id("oid", oid)).get_replica(
-            oid, replica_num)
-
-    def remove_replica(self, oid: int, replica_num: int) -> None:
-        self._primary(self._shard_of_id("oid", oid)).remove_replica(
-            oid, replica_num)
-
-    def update_replica(self, oid: int, replica_num: int,
-                       **changes: Any) -> None:
-        self._primary(self._shard_of_id("oid", oid)).update_replica(
-            oid, replica_num, **changes)
-
-    def mark_siblings_dirty(self, oid: int, fresh_replica_num: int) -> None:
-        self._primary(self._shard_of_id("oid", oid)).mark_siblings_dirty(
-            oid, fresh_replica_num)
-
-    def replicas_on_resource(self, resource: str) -> List[Dict[str, Any]]:
-        rows = []
-        for k in self._fanout("replicas_on_resource"):
-            rows.extend(self._read(k).replicas_on_resource(resource))
-        return rows
-
-    def container_members(self, container_oid: int) -> List[Dict[str, Any]]:
-        return self._read(self._shard_of_id("oid", container_oid)) \
-            .container_members(container_oid)
-
-    # ------------------------------------------------------------------
-    # metadata
-    # ------------------------------------------------------------------
-
-    def add_metadata(self, target_kind: str, target_id: int, attr: str,
-                     value: Optional[str], by: str, now: float,
-                     **kw: Any) -> int:
-        return self._primary(
-            self._shard_of_target(target_kind, target_id)).add_metadata(
-                target_kind, target_id, attr, value, by, now, **kw)
-
-    def add_metadata_bulk(self, specs: Sequence[Dict[str, Any]], by: str,
-                          now: float) -> List[int]:
-        # validate all specs up front (uncharged: schemas are in memory)
-        # so a bad one fails the batch before any shard inserts a row —
-        # same all-or-nothing contract as the unsharded bulk path
-        probe = self.shards[0].primary
-        for spec in specs:
-            probe._check_metadata_spec(
-                spec["target_kind"], spec["attr"], spec["value"],
-                spec.get("meta_class", "user"), spec.get("schema_name"))
-        results: List[int] = [0] * len(specs)
-        groups: Dict[int, List[int]] = {}
-        for i, spec in enumerate(specs):
-            groups.setdefault(self._shard_of_target(
-                spec["target_kind"], spec["target_id"]), []).append(i)
-        for k, indexes in sorted(groups.items()):
-            batch = [specs[i] for i in indexes]
-            for i, mid in zip(indexes,
-                              self._primary(k).add_metadata_bulk(
-                                  batch, by, now)):
-                results[i] = mid
-        return results
-
-    def get_metadata(self, target_kind: str, target_id: int,
-                     meta_class: Optional[str] = None
-                     ) -> List[Dict[str, Any]]:
-        return self._read(
-            self._shard_of_target(target_kind, target_id)).get_metadata(
-                target_kind, target_id, meta_class)
-
-    def _bulk_by_target(self, targets: Sequence[Any], catalog_of,
-                        method: str, *args: Any) -> List[Any]:
-        """A ``<method>(targets, *args)`` bulk read as one call per owning
-        shard (on the catalog ``catalog_of(k)`` picks); the results keep
-        the caller's target order."""
-        results: List[Any] = [None] * len(targets)
-        groups: Dict[int, List[int]] = {}
-        for i, (kind, tid) in enumerate(targets):
-            groups.setdefault(self._shard_of_target(kind, tid), []).append(i)
-        for k, indexes in sorted(groups.items()):
-            batch = [targets[i] for i in indexes]
-            for i, rows in zip(indexes,
-                               getattr(catalog_of(k), method)(batch, *args)):
-                results[i] = rows
-        return results
-
-    def get_metadata_bulk(self, targets: Sequence[Any],
-                          meta_class: Optional[str] = None
-                          ) -> List[List[Dict[str, Any]]]:
-        return self._bulk_by_target(targets, self._read,
-                                    "get_metadata_bulk", meta_class)
-
-    def metadata_values_bulk(self, targets: Sequence[Any], attrs
-                             ) -> List[Dict[str, List[Tuple[Any, Any]]]]:
-        return self._bulk_by_target(targets, self._read,
-                                    "metadata_values_bulk", attrs)
-
-    def update_metadata(self, mid: int, value: Optional[str],
-                        units: Optional[str] = None) -> None:
-        self._primary(self._shard_of_id("mid", mid)).update_metadata(
-            mid, value, units)
-
-    def delete_metadata(self, mid: int) -> None:
-        self._primary(self._shard_of_id("mid", mid)).delete_metadata(mid)
-
-    def copy_metadata(self, src_kind: str, src_id: int,
-                      dst_kind: str, dst_id: int, by: str,
-                      now: float) -> int:
-        copied = 0
-        for row in self.get_metadata(src_kind, src_id):
-            self.add_metadata(dst_kind, dst_id, row["attr"], row["value"],
-                              by=by, now=now, units=row["units"],
-                              meta_class=row["meta_class"],
-                              schema_name=row["schema_name"])
-            copied += 1
-        return copied
-
-    # ------------------------------------------------------------------
-    # structural metadata
-    # ------------------------------------------------------------------
-
-    def define_structural(self, coll_path: str, attr: str, **kw: Any) -> int:
-        coll_path = paths.normalize(coll_path)
-        # partition-level requirements (on "/" or "/<zone>") live on
-        # shard 0; structural_for stitches them back into every shard's
-        # inheritance chain
-        k = 0 if self._spans_shards(coll_path) \
-            else self.shard_of_path(coll_path)
-        return self._primary(k).define_structural(coll_path, attr, **kw)
-
-    def structural_for(self, coll_path: str,
-                       inherited: bool = True) -> List[Dict[str, Any]]:
-        coll_path = paths.normalize(coll_path)
-        k = self.shard_of_path(coll_path)
-        rows: List[Dict[str, Any]] = []
-        if inherited and k != 0:
-            for scope in paths.ancestors(coll_path):
-                if self._spans_shards(scope):
-                    rows.extend(self._read(0).structural_for(
-                        scope, inherited=False))
-        rows.extend(self._read(k).structural_for(coll_path,
-                                                 inherited=inherited))
-        return rows
-
-    def validate_ingest_metadata(self, coll_path: str,
-                                 provided: Dict[str, str]) -> Dict[str, str]:
-        return apply_structural(self.structural_for(coll_path), provided,
-                                coll_path)
-
-    # ------------------------------------------------------------------
+    "add_replica": (_route_one, PRIMARY, _of_oid),
+    "add_replicas": (_route_bulk, PRIMARY,
+                     lambda cat, spec: _of_oid(cat, spec["oid"])),
+    "replicas": (_route_one, READ, _of_oid),
+    "get_replica": (_route_one, READ, _of_oid),
+    "remove_replica": (_route_one, PRIMARY, _of_oid),
+    "update_replica": (_route_one, PRIMARY, _of_oid),
+    "mark_siblings_dirty": (_route_one, PRIMARY, _of_oid),
+    "replicas_on_resource": (_route_all, READ, _concat),
+    "container_members": (_route_one, READ, _of_oid),
+    # metadata (add_metadata_bulk validates, then groups)
+    "add_metadata": (_route_one, PRIMARY, _of_target, 2),
+    "get_metadata": (_route_one, READ, _of_target, 2),
+    "get_metadata_bulk": (_route_bulk, READ,
+                          _of_target_pair),
+    "metadata_values_bulk": (_route_bulk, READ,
+                             _of_target_pair),
+    "update_metadata": (_route_one, PRIMARY, _of_mid),
+    "delete_metadata": (_route_one, PRIMARY, _of_mid),
     # annotations
-    # ------------------------------------------------------------------
-
-    def add_annotation(self, target_kind: str, target_id: int, ann_type: str,
-                       author: str, text: str, now: float,
-                       location: Optional[str] = None) -> int:
-        return self._primary(
-            self._shard_of_target(target_kind, target_id)).add_annotation(
-                target_kind, target_id, ann_type, author, text, now,
-                location=location)
-
-    def annotations_for(self, target_kind: str,
-                        target_id: int) -> List[Dict[str, Any]]:
-        return self._read(
-            self._shard_of_target(target_kind, target_id)).annotations_for(
-                target_kind, target_id)
-
-    def annotations_for_bulk(self, targets: Sequence[Any]
-                             ) -> List[List[Dict[str, Any]]]:
-        return self._bulk_by_target(targets, self._read,
-                                    "annotations_for_bulk")
-
-    def delete_annotation(self, aid: int) -> None:
-        self._primary(self._shard_of_id("aid", aid)).delete_annotation(aid)
-
-    # ------------------------------------------------------------------
+    "add_annotation": (_route_one, PRIMARY, _of_target, 2),
+    "annotations_for": (_route_one, READ, _of_target, 2),
+    "annotations_for_bulk": (_route_bulk, READ,
+                             _of_target_pair),
+    "delete_annotation": (_route_one, PRIMARY, _of_aid),
     # ACLs
-    # ------------------------------------------------------------------
+    "grant": (_route_one, PRIMARY, _of_target, 2),
+    "revoke": (_route_one, PRIMARY, _of_target, 2),
+    "grants_for": (_route_one, PRIMARY, _of_target, 2),
+    "grants_for_bulk": (_route_bulk, PRIMARY,
+                        _of_target_pair),
+    # audit
+    "record_audit": (_route_one, PRIMARY, _pinned, 0),
+    "audit_query": (_route_one, PRIMARY, _pinned, 0),
+    # structural metadata (structural_for stitches the inheritance chain)
+    "define_structural": (_route_one, PRIMARY, _of_path),
+    # attribute queries
+    "search": (_route_scope, READ, _merge_search),
+    "search_page": (_route_scope, READ, _merge_search_pages),
+    "queryable_attributes": (_route_scope, READ, _merge_names),
+}
 
-    def grant(self, target_kind: str, target_id: int, principal: str,
-              permission: str) -> None:
-        self._primary(self._shard_of_target(target_kind, target_id)).grant(
-            target_kind, target_id, principal, permission)
+#: written in terms of the ops above, so one partition's code serves as is
+COMPOSED = ("copy_metadata", "validate_ingest_metadata")
 
-    def revoke(self, target_kind: str, target_id: int,
-               principal: str) -> None:
-        self._primary(self._shard_of_target(target_kind, target_id)).revoke(
-            target_kind, target_id, principal)
 
-    def grants_for(self, target_kind: str,
-                   target_id: int) -> List[Dict[str, Any]]:
-        # ACL checks must never read stale rows: a revoke takes effect
-        # immediately, so grants always come from the primary
-        return self._primary(
-            self._shard_of_target(target_kind, target_id)).grants_for(
-                target_kind, target_id)
-
-    def grants_for_bulk(self, targets: Sequence[Any]
-                        ) -> List[List[Dict[str, Any]]]:
-        # from the primaries, for the reason grants_for gives
-        return self._bulk_by_target(targets, self._primary,
-                                    "grants_for_bulk")
-
-    # ------------------------------------------------------------------
-    # audit (pinned to shard 0: one zone-wide trail, as unsharded)
-    # ------------------------------------------------------------------
-
-    def record_audit(self, now: float, principal: str, action: str,
-                     target: str, detail: Optional[str] = None,
-                     ok: bool = True) -> int:
-        return self._primary(0).record_audit(now, principal, action,
-                                             target, detail=detail, ok=ok)
-
-    def audit_query(self, **kw: Any) -> List[Dict[str, Any]]:
-        return self._primary(0).audit_query(**kw)
-
-    # ------------------------------------------------------------------
-    # query routing (repro.mcat.query checks for these hooks)
-    # ------------------------------------------------------------------
-
-    def route_search(self, scope: str, conditions: Sequence[Any],
-                     include_annotations: bool = False,
-                     include_system: bool = False,
-                     limit: Optional[int] = None,
-                     strategy: str = "auto", visible=None):
-        from repro.mcat import query as q
-        if not self._spans_shards(paths.normalize(scope)):
-            k = self.shard_of_path(scope)
-            return q.search(self._read(k), scope, conditions,
-                            include_annotations=include_annotations,
-                            include_system=include_system,
-                            limit=limit, strategy=strategy, visible=visible)
-        merged = None
-        for k in self._fanout("search"):
-            res = q.search(self._read(k), scope, conditions,
-                           include_annotations=include_annotations,
-                           include_system=include_system,
-                           limit=limit, strategy=strategy, visible=visible)
-            if merged is None:
-                merged = res
-            else:
-                merged.rows.extend(res.rows)
-        merged.rows.sort(key=lambda r: r[0])    # column 0 is the path
-        if limit is not None:
-            merged.rows = merged.rows[:limit]
-        return merged
-
-    def route_search_page(self, scope: str, conditions: Sequence[Any],
-                          include_annotations: bool = False,
-                          include_system: bool = False,
-                          limit: int = 100,
-                          cursor: Optional[str] = None, visible=None):
-        """Fan-out+merge keyset page across shards.
-
-        One global cursor composes across shards because every shard
-        orders by the same key (the path): each shard serves its first
-        ``limit`` visible matches strictly after ``cursor``, the merged
-        stream is path-sorted, and the global first ``limit`` rows are
-        necessarily inside that union (a global top-``limit`` row is a
-        top-``limit`` row of its own shard).  ``next_cursor`` is the
-        last delivered path; the next page re-seeks every shard from
-        it, so no per-shard cursor state ever crosses the wire.
-        """
-        from repro.mcat import query as q
-        if not self._spans_shards(paths.normalize(scope)):
-            k = self.shard_of_path(scope)
-            return q.search_page(self._read(k), scope, conditions,
-                                 include_annotations=include_annotations,
-                                 include_system=include_system,
-                                 limit=limit, cursor=cursor, visible=visible)
-        page_limit = max(1, int(limit))
-        pages = [q.search_page(self._read(k), scope, conditions,
-                               include_annotations=include_annotations,
-                               include_system=include_system,
-                               limit=page_limit, cursor=cursor,
-                               visible=visible)
-                 for k in self._fanout("search_page")]
-        merged_rows: List[tuple] = []
-        for page in pages:
-            merged_rows.extend(page.rows)
-        merged_rows.sort(key=lambda r: r[0])    # column 0 is the path
-        overflow = len(merged_rows) > page_limit
-        rows = merged_rows[:page_limit]
-        more_in_shards = any(page.next_cursor is not None for page in pages)
-        next_cursor = (str(rows[-1][0])
-                       if rows and (overflow or more_in_shards) else None)
-        return q.QueryPage(columns=pages[0].columns, rows=rows,
-                           next_cursor=next_cursor)
-
-    def route_queryable_attributes(self, scope: str,
-                                   include_system: bool = False) -> List[str]:
-        from repro.mcat import query as q
-        if not self._spans_shards(paths.normalize(scope)):
-            k = self.shard_of_path(scope)
-            return q.queryable_attributes(self._read(k), scope,
-                                          include_system=include_system)
-        names = set()
-        for k in self._fanout("queryable_attributes"):
-            names.update(q.queryable_attributes(self._read(k), scope,
-                                                include_system=False))
-        out = sorted(names)
-        if include_system:
-            out.extend(q.SYSTEM_ATTRS)
-        return out
+for _name, (_rule, *_how) in ROUTES.items():
+    _routed = _rule(_name, *_how)
+    _routed.__name__ = _name
+    _routed.__qualname__ = f"ShardedMcat.{_name}"
+    _routed.__doc__ = getattr(Mcat, _name).__doc__
+    setattr(ShardedMcat, _name, _routed)
+for _name in COMPOSED:
+    setattr(ShardedMcat, _name, vars(Mcat)[_name])

@@ -543,15 +543,16 @@ def status_page(client: SrbClient) -> str:
         for labels, h in metrics.histogram_series(name).items():
             hist_rows.append((name + labels, h.count,
                               f"{h.mean:.6f}", f"{h.max:.6f}"))
-    # per-shard catalog table when the MCAT is sharded (E16 deployments)
-    shard_stats = getattr(fed.mcat, "shard_stats", None)
+    # per-shard catalog table when the MCAT has more than one partition
+    # or any replica (E16 deployments)
+    shard_stats = fed.mcat.shard_stats()
     shard_html = ""
-    if shard_stats is not None:
+    if len(shard_stats) > 1 or shard_stats[0]["replicas"]:
         rows = [(s["shard"], s["objects"], s["collections"],
                  f"{s['busy_s']:.6f}", s["replicas"],
                  f"{s['replica_busy_s']:.6f}", s["pending"],
                  s["partitioned"])
-                for s in shard_stats()]
+                for s in shard_stats]
         shard_html = ("<h4>MCAT shards</h4>"
                       + H.table(["shard", "objects", "collections",
                                  "busy (s)", "replicas", "replica busy (s)",

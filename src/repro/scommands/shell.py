@@ -445,13 +445,13 @@ class Shell:
             return rendered or "(no matching metrics)"
         summary = "\n".join(f"{k}: {v}"
                             for k, v in sorted(fed.stats().items()))
-        shard_stats = getattr(fed.mcat, "shard_stats", None)
-        if shard_stats is not None:
+        shard_stats = fed.mcat.shard_stats()
+        if len(shard_stats) > 1 or shard_stats[0]["replicas"]:
             summary += "\n" + "\n".join(
                 f"mcat shard {s['shard']}: objects={s['objects']} "
                 f"busy_s={s['busy_s']:.6f} replicas={s['replicas']} "
                 f"pending={s['pending']} partitioned={s['partitioned']}"
-                for s in shard_stats())
+                for s in shard_stats)
         paths_seen = fed.placement.path_report()
         if paths_seen:
             def fmt(v, spec):
@@ -588,7 +588,7 @@ class Shell:
                 and fed.users.exists(user)
                 and fed.users.role_of(user) == "sysadmin"):
             raise AccessDenied(user or "public", "dump", "the catalog")
-        dump = export_catalog(fed.mcat)
+        dump = export_catalog(*(s.primary for s in fed.mcat.shards))
         with open(args[0], "w") as fh:
             fh.write(dump)
         return f"{len(dump)} bytes -> {args[0]}"

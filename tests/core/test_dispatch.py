@@ -24,7 +24,7 @@ import pytest
 from repro.core import Federation, SrbClient
 from repro.core.dispatch import Dispatcher, OpContext, rpc_op
 from repro.core.planes.base import PlaneService
-from repro.errors import AccessDenied, AuthError, DatabaseError, RpcError, \
+from repro.errors import AccessDenied, AuthError, MetadataError, RpcError, \
     SrbError, UnsupportedOperation
 from repro.net.simnet import Network
 from repro.net.wire import DeferredPayload
@@ -390,13 +390,15 @@ class TestPayloadSlot:
         path = grid.home + "/a.txt"
         grid.curator.ingest(path, b"x")
         srv = grid.fed.server("srb1")
-        rows = len(grid.fed.mcat.db.table("metadata"))
+        db = grid.fed.mcat.shards[0].primary.db
+        rows = len(db.table("metadata"))
         with pytest.raises(SrbError) as refused:
             srv.add_metadata(grid.curator.ticket, path, "color",
                              DeferredPayload(b"blue"))
-        assert isinstance(refused.value, DatabaseError)
+        # an unclaimed DeferredPayload is not text: bad input to the catalog
+        assert isinstance(refused.value, MetadataError)
         assert grid.curator.get_metadata(path) == []
-        assert len(grid.fed.mcat.db.table("metadata")) == rows
+        assert len(db.table("metadata")) == rows
         # ... while the same claim in the declared slot is the payload
         srv.put(grid.curator.ticket, path, DeferredPayload(b"announced"))
         assert grid.curator.get(path) == b"announced"

@@ -254,3 +254,64 @@ class TestAclAdministration:
         grid.curator.ingest(f"{grid.home}/shared/in.txt", b"x")
         grid.curator.grant(f"{grid.home}/shared", "guest@sdsc", "read")
         assert guest.get(f"{grid.home}/shared/in.txt") == b"x"
+
+
+class TestNonTextMetadataRefused:
+    """A metadata name or value that is not text is bad input, refused
+    before a row or a byte exists — not by the catalog's TEXT column
+    after the object, its replica and its bytes were made."""
+
+    @pytest.fixture(params=[1, 4], ids=["K=1", "K=4"])
+    def owner(self, request):
+        from repro.core import Federation
+        fed = Federation(mcat_shards=request.param)
+        fed.add_host("sdsc")
+        fed.add_server("srb1", "sdsc", mcat=True)
+        fed.add_fs_resource("unix-sdsc", "sdsc")
+        fed.default_resource = "unix-sdsc"
+        fed.add_user("sekar@sdsc", "pw")
+        fed.mcat.create_collection("/demozone/home", "sekar@sdsc", now=0.0)
+        client = SrbClient(fed, "sdsc", "srb1", "sekar@sdsc", "pw")
+        client.login()
+        return client
+
+    def stored(self, client):
+        fed = client.federation
+        driver = fed.resources.physical("unix-sdsc").driver
+        return fed.mcat.total_objects(), fed.mcat.total_replicas(), \
+            driver.bytes_written
+
+    @pytest.mark.parametrize("metadata", [{"RA": 12.5}, {7: "seven"}],
+                             ids=["value", "name"])
+    def test_ingest_leaves_nothing_behind(self, owner, metadata):
+        before = self.stored(owner)
+        with pytest.raises(MetadataError):
+            owner.ingest("/demozone/home/a.fits", b"x" * 64,
+                         metadata=metadata)
+        assert not owner.federation.mcat.object_exists(
+            "/demozone/home/a.fits")
+        assert self.stored(owner) == before
+
+    def test_bulk_ingest_fails_the_item_not_the_batch(self, owner):
+        before = self.stored(owner)
+        out = owner.bulk_ingest([
+            {"path": "/demozone/home/good.fits", "data": b"g" * 64,
+             "metadata": {"RA": "12.5"}},
+            {"path": "/demozone/home/bad.fits", "data": b"b" * 64,
+             "metadata": {"RA": 12.5}}])
+        assert "oid" in out[0]
+        assert out[1]["error_type"] == "MetadataError"
+        assert not owner.federation.mcat.object_exists(
+            "/demozone/home/bad.fits")
+        objects, replicas, _written = self.stored(owner)
+        assert (objects, replicas) == (before[0] + 1, before[1] + 1)
+        assert owner.get_metadata("/demozone/home/good.fits")[0]["value"] \
+            == "12.5"
+
+    def test_add_metadata_adds_no_row(self, owner):
+        owner.ingest("/demozone/home/a.fits", b"x")
+        before = self.stored(owner)
+        with pytest.raises(MetadataError):
+            owner.add_metadata("/demozone/home/a.fits", "RA", 12.5)
+        assert owner.get_metadata("/demozone/home/a.fits") == []
+        assert self.stored(owner) == before

@@ -103,6 +103,24 @@ class TestIndexPlanBatchFetch:
         got = m.get_objects_by_ids(oids + [987654])
         assert len(got) == len(oids)
 
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_batch_lookup_keeps_the_callers_order(self, shards):
+        """As one partition answers — not grouped by shard; unknown ids
+        are still skipped, a repeated id is still answered twice."""
+        from repro.mcat import ShardedMcat
+        m = ShardedMcat(zone="z", shards=shards)
+        oids = []
+        for name in "abcdef":
+            m.create_collection(f"/z/{name}", OWNER, now=0.0)
+            oids.append(m.create_object(f"/z/{name}/obj", "data", OWNER,
+                                        now=0.0))
+        assert len({m.shard_of_path(f"/z/{name}") for name in "abcdef"}) \
+            == shards
+        assert [r["oid"] for r in m.get_objects_by_ids(oids)] == oids
+        asked = [oids[3], 9999, oids[0], oids[5], oids[1], oids[0]]
+        assert [r["oid"] for r in m.get_objects_by_ids(asked)] \
+            == [oid for oid in asked if oid != 9999]
+
     def test_batch_lookup_single_charge(self):
         m = self.build(10)
         oids = [o["oid"] for o in m.objects_in_collection(f"/{ZONE}/c")]
@@ -126,7 +144,7 @@ class TestNoCatalogOpPerResultRow:
     ``query``, ``query_page`` or ``ls_page`` makes is the same for 10 and
     for 1,000 result rows — for the owner, whom ownership decides, and
     for a reader whose only right is a grant inherited from the parent
-    collection — on a plain and on a four-way sharded catalog.
+    collection — on a one-partition and on a four-way sharded catalog.
 
     (On the parent commit the owner paid one ``find_object`` per result
     row, and per scanned object one ``get_metadata``; the reader paid a
@@ -170,7 +188,7 @@ class TestNoCatalogOpPerResultRow:
         out = call()
         return fed.obs.metrics.total("mcat.ops") - before, out
 
-    @pytest.mark.parametrize("shards", [None, 4])
+    @pytest.mark.parametrize("shards", [1, 4])
     @pytest.mark.parametrize("who", [OWNER, "reader@sdsc"])
     def test_ops_do_not_grow_with_the_rows(self, who, shards):
         conditions = [Condition("flag", "=", "yes"),

@@ -23,7 +23,8 @@ INSERT_POOL = [f"g{i:02d}" for i in range(30)]
 
 def build(kind, names):
     m = (Mcat(zone=ZONE, clock=SimClock()) if kind == "plain"
-         else ShardedMcat(zone=ZONE, clock=SimClock(), shards=4))
+         else ShardedMcat(zone=ZONE, clock=SimClock(),
+                          shards=4 if kind == "sharded" else 1))
     m.create_collection(COLL, OWNER, now=0.0)
     oids = {}
     for name in sorted(names):
@@ -34,7 +35,7 @@ def build(kind, names):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    kind=st.sampled_from(["plain", "sharded"]),
+    kind=st.sampled_from(["plain", "sharded", "one-shard"]),
     initial=st.sets(st.sampled_from(INITIAL_POOL), min_size=4, max_size=20),
     page_size=st.integers(min_value=1, max_value=6),
     mutations=st.lists(
@@ -90,7 +91,7 @@ def hidden_every_third(objs):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    kind=st.sampled_from(["plain", "sharded"]),
+    kind=st.sampled_from(["plain", "sharded", "one-shard"]),
     initial=st.sets(st.sampled_from(INITIAL_POOL), min_size=4, max_size=20),
     page_size=st.integers(min_value=1, max_value=6),
     tagged=st.booleans(),

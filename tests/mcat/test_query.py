@@ -208,9 +208,9 @@ class TestQueryableAttributesOracle:
     @given(st.data())
     def test_index_driven_names_equal_the_full_scan(self, data):
         draw = data.draw
-        cats = [Mcat(), ShardedMcat(shards=4)]
+        cats = [Mcat(), ShardedMcat(shards=4), ShardedMcat(shards=1)]
         cids = {}
-        for coll in TREE:           # the two catalogs number collections
+        for coll in TREE:           # the catalogs number collections
             cids[coll] = [m.create_collection(coll, OWNER, now=0.0)
                           for m in cats]         # each in its own way
         oids, mids = [], []
@@ -255,8 +255,9 @@ class TestQueryableAttributesOracle:
                 for m in cats:
                     m.delete_object(oid)
             elif step == "indexes":
-                plain, sharded = cats
-                for db in [plain.db] + [s.primary.db for s in sharded.shards]:
+                plain, *fronts = cats
+                for db in [plain.db] + [s.primary.db for m in fronts
+                                        for s in m.shards]:
                     (drop_attribute_indexes if indexed
                      else restore_attribute_indexes)(db)
                 indexed = not indexed

@@ -204,11 +204,12 @@ SYS_OR_ANN = ["SYS:size", "SYS:owner", "SYS:kind", "ANN:comment",
 
 
 class Twin:
-    """The same catalog three times: a plain ``Mcat``, a four-way sharded
-    one (fed the same calls, so ids agree), and a model of dicts."""
+    """The same catalog four times: a bare ``Mcat``, the catalog over
+    four partitions and over one (fed the same calls, so ids agree), and
+    a model of dicts."""
 
     def __init__(self):
-        self.cats = [Mcat(), ShardedMcat(shards=4)]
+        self.cats = [Mcat(), ShardedMcat(shards=4), ShardedMcat(shards=1)]
         self.objects = {}        # oid -> (path, size)
         self.triples = {}        # mid -> [oid, attr, value]
         self.notes = {}          # oid -> [(ann_type, text)]
@@ -222,8 +223,8 @@ class Twin:
                                now=0.0)
 
     def dbs(self):
-        plain, sharded = self.cats
-        return [plain.db] + [s.primary.db for s in sharded.shards]
+        plain, *fronts = self.cats
+        return [plain.db] + [s.primary.db for m in fronts for s in m.shards]
 
     def add_object(self, coll, name, size):
         path = f"{coll}/{name}"

@@ -27,11 +27,12 @@ def seed(m, projects=("alpha", "beta", "gamma"), objs=9):
     return m
 
 
-@pytest.fixture(params=["plain", "sharded"])
+@pytest.fixture(params=["plain", "sharded", "one-shard"])
 def mcat(request):
     if request.param == "plain":
         return seed(Mcat(zone=ZONE, clock=SimClock()))
-    return seed(ShardedMcat(zone=ZONE, clock=SimClock(), shards=4))
+    return seed(ShardedMcat(zone=ZONE, clock=SimClock(),
+                            shards=4 if request.param == "sharded" else 1))
 
 
 def drain_search(m, conditions, limit):

@@ -103,7 +103,7 @@ def measured():
                 for i in range(100)]
 
     client.bulk_ingest(batch("warm"))
-    db = grid.fed.mcat.db
+    db = grid.fed.mcat.shards[0].primary.db
     rows_before = sum(len(db.table(t)) for t in db.tables())
     items = batch("counted")
     calls = calls_made_by(lambda: client.bulk_ingest(items))

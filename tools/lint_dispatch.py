@@ -18,13 +18,18 @@ server architecture" and "Placement policy engine"):
    ``ctx.require_local`` — are the sanctioned escape hatches and are not
    flagged.)
 
-3. **Catalog access goes through the ``self.mcat`` property.**  Reaching
-   the catalog as ``server.mcat`` or ``federation.mcat`` sidesteps the
-   one seam the sharded catalog (``Federation(mcat_shards=...)``) relies
-   on being narrow: handlers must not care whether the catalog behind
-   the property is one ``Mcat`` or a ``ShardedMcat`` router.  The sole
-   sanctioned chain is the ``mcat`` property definition itself in
-   ``planes/base.py``.
+3. **Catalog access goes through the ``self.mcat`` property, and nobody
+   asks the catalog what it is.**  Reaching the catalog as
+   ``server.mcat`` or ``federation.mcat`` sidesteps the one seam the
+   catalog (``Federation(mcat_shards=...)``) relies on being narrow:
+   handlers must not care how many partitions sit behind the property.
+   The sole sanctioned chain is the ``mcat`` property definition itself
+   in ``planes/base.py``.  And there is one catalog class, so nothing
+   under ``src/repro`` outside ``mcat/shard.py`` may test a catalog's
+   type: no ``isinstance(..., Mcat)`` / ``isinstance(..., ShardedMcat)``,
+   no ``getattr``/``hasattr`` of a ``shard*`` or ``route_*`` name.  A
+   caller that needs the shape reads a count (``len(mcat.shards)``).
+   No allowlist.
 
 4. **Query ops must not return unbounded materializations.**  A read
    handler that walks a whole-subtree enumerator
@@ -97,9 +102,11 @@ BANNED_CALLS = {
 
 
 #: Catalog/table enumerators that materialize an unbounded row set.
+#: (``queryable_attributes`` answers with distinct attribute names —
+#: as many as the vocabulary, not as the catalog — and is not one.)
 UNBOUNDED_ENUMERATORS = {
     "objects_in_collection", "subtree_collections", "audit_query",
-    "queryable_attributes", "all_rows", "scan",
+    "all_rows", "scan",
 }
 
 #: Read ops grandfathered in before the streaming query plane existed.
@@ -169,6 +176,41 @@ def check_mcat_via_property() -> List[str]:
                 f"...{node.value.attr}.mcat in a plane module — go "
                 f"through the self.mcat property so sharded catalogs "
                 f"stay transparent")
+    return errors
+
+
+def check_no_catalog_type_tests() -> List[str]:
+    """Rule 3, second half: nothing outside ``mcat/shard.py`` tests the
+    catalog's type."""
+    errors = []
+    src_repro = ROOT / "src" / "repro"
+    for path in sorted(src_repro.rglob("*.py")):
+        rel = path.relative_to(ROOT).as_posix()
+        if rel == "src/repro/mcat/shard.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and len(node.args) >= 2):
+                continue
+            what = None
+            if node.func.id == "isinstance":
+                classes = {sub.id if isinstance(sub, ast.Name) else sub.attr
+                           for sub in ast.walk(node.args[1])
+                           if isinstance(sub, (ast.Name, ast.Attribute))}
+                if classes & {"Mcat", "ShardedMcat"}:
+                    what = "isinstance(..., Mcat/ShardedMcat)"
+            elif (node.func.id in ("getattr", "hasattr")
+                  and isinstance(node.args[1], ast.Constant)
+                  and str(node.args[1].value).startswith(("shard",
+                                                          "route_"))):
+                what = f"{node.func.id}(..., {node.args[1].value!r})"
+            if what is not None:
+                errors.append(
+                    f"{rel}:{node.lineno}: {what} tests the catalog's "
+                    f"type — there is one catalog class; read a count "
+                    f"(len(mcat.shards)) if the shape matters")
     return errors
 
 
@@ -318,7 +360,8 @@ def check_raw_transfers() -> List[str]:
 
 def main() -> int:
     errors = (check_public_methods_declared() + check_no_inline_plumbing()
-              + check_mcat_via_property() + check_query_ops_paged()
+              + check_mcat_via_property() + check_no_catalog_type_tests()
+              + check_query_ops_paged()
               + check_placement_seam() + check_raw_transfers())
     if errors:
         print(f"lint_dispatch: {len(errors)} violation(s)")
