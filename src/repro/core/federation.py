@@ -172,7 +172,7 @@ class Federation:
         # The path and wire-size memos are process-wide.  A grid starts
         # with them empty, so that what it costs to run (gridbench's
         # py_calls_per_op) does not depend on what the process ran before.
-        paths.split.cache_clear()
+        paths.clear_memos()
         wire.clear_size_memo()
         # zones being federated cross-zone share one network (and so one
         # clock); standalone zones build their own

@@ -29,10 +29,13 @@ from repro.core.locking import LockManager
 from repro.errors import HostUnreachable, NoSuchObject, \
     ResourceUnavailable, SrbError
 from repro.mcat.catalog import Mcat
-from repro.net.simnet import TransferOutcome, raise_failed, repull_failed
+from repro.net.simnet import Network, TransferOutcome, raise_failed, \
+    repull_failed
 from repro.net.wire import Redirect
+from repro.obs import Observability
 from repro.storage.resource import PhysicalResource, ResourceRegistry
 from repro.util import paths
+from repro.util.clock import SimClock
 
 
 def content_checksum(data: bytes) -> str:
@@ -48,69 +51,49 @@ _SESSION_MSGS = (_OPEN_MSG,)
 _NO_SSO_SESSION_MSGS = (_AUTH_MSG,) * 4 + _SESSION_MSGS
 
 
-class PlaneService:
+class Wired:
+    """Carries its federation, and what the federation shares with each
+    of its servers and their planes, as plain attributes.
+
+    Nothing rebinds one of these after ``Federation.__init__`` (servers
+    join a finished federation), so :meth:`_wire` copies the references
+    once and no call pays a property hop for them.  Only ``now`` is
+    computed: it is the one that moves."""
+
+    mcat: Mcat
+    users: UserRegistry
+    authority: TicketAuthority
+    resources: ResourceRegistry
+    access: AccessController
+    locks: LockManager
+    containers: ContainerManager
+    network: Network
+    obs: Observability
+    clock: SimClock
+
+    def _wire(self, federation: Any) -> None:
+        self.federation = federation
+        for name in WIRING:
+            setattr(self, name, getattr(federation, name))
+
+    @property
+    def now(self) -> float:
+        return self.clock.now
+
+
+#: the names :meth:`Wired._wire` binds: the attributes declared above
+WIRING = tuple(Wired.__annotations__)
+
+
+class PlaneService(Wired):
     """One functional plane of an SRB server."""
 
     plane = "?"
 
     def __init__(self, server: Any):
         self.server = server
-
-    # ------------------------------------------------------------------
-    # shorthand accessors (same shared state the server façade exposes)
-    # ------------------------------------------------------------------
-
-    @property
-    def federation(self):
-        return self.server.federation
-
-    @property
-    def host(self) -> str:
-        return self.server.host
-
-    @property
-    def mcat(self) -> Mcat:
-        return self.federation.mcat
-
-    @property
-    def users(self) -> UserRegistry:
-        return self.federation.users
-
-    @property
-    def authority(self) -> TicketAuthority:
-        return self.federation.authority
-
-    @property
-    def resources(self) -> ResourceRegistry:
-        return self.federation.resources
-
-    @property
-    def access(self) -> AccessController:
-        return self.federation.access
-
-    @property
-    def locks(self) -> LockManager:
-        return self.federation.locks
-
-    @property
-    def containers(self) -> ContainerManager:
-        return self.federation.containers
-
-    @property
-    def network(self):
-        return self.federation.network
-
-    @property
-    def obs(self):
-        return self.federation.obs
-
-    @property
-    def clock(self):
-        return self.federation.clock
-
-    @property
-    def now(self) -> float:
-        return self.clock.now
+        self.host: str = server.host
+        self._wire(server.federation)
 
     # ------------------------------------------------------------------
     # storage data-path plumbing

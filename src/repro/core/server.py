@@ -34,12 +34,9 @@ from __future__ import annotations
 import inspect
 from typing import Any, Callable, Dict, Optional
 
-from repro.auth.tickets import Ticket, TicketAuthority
-from repro.auth.users import PUBLIC, Principal, UserRegistry
-from repro.core.access import AccessController
-from repro.core.containers import ContainerManager
+from repro.auth.tickets import Ticket
+from repro.auth.users import PUBLIC, Principal
 from repro.core.dispatch import Dispatcher, RegisteredOp
-from repro.core.locking import LockManager
 from repro.core.planes import (
     AuthService,
     DataService,
@@ -48,10 +45,8 @@ from repro.core.planes import (
     ReplicaService,
     content_checksum,
 )
-from repro.core.planes.base import _CONTROL_MSG
+from repro.core.planes.base import _CONTROL_MSG, Wired
 from repro.errors import InvalidPath, SrbError, UnsupportedOperation
-from repro.mcat.catalog import Mcat
-from repro.storage.resource import ResourceRegistry
 from repro.util import paths
 
 __all__ = ["SrbServer", "content_checksum"]
@@ -105,14 +100,14 @@ def _facade_method(server: "SrbServer", reg: RegisteredOp) -> Callable:
     return facade
 
 
-class SrbServer:
+class SrbServer(Wired):
     """One SRB server process in the federation."""
 
     def __init__(self, name: str, host: str, federation: "Federation",
                  is_mcat_server: bool = False):
         self.name = name
         self.host = host
-        self.federation = federation
+        self._wire(federation)
         self.is_mcat_server = is_mcat_server
         self.ops_served = 0
         # live server<->resource sessions: resource name -> the network
@@ -152,54 +147,6 @@ class SrbServer:
         count = len(self._session_cache)
         self._session_cache.clear()
         return count
-
-    # ------------------------------------------------------------------
-    # shorthand accessors
-    # ------------------------------------------------------------------
-
-    @property
-    def mcat(self) -> Mcat:
-        return self.federation.mcat
-
-    @property
-    def users(self) -> UserRegistry:
-        return self.federation.users
-
-    @property
-    def authority(self) -> TicketAuthority:
-        return self.federation.authority
-
-    @property
-    def resources(self) -> ResourceRegistry:
-        return self.federation.resources
-
-    @property
-    def access(self) -> AccessController:
-        return self.federation.access
-
-    @property
-    def locks(self) -> LockManager:
-        return self.federation.locks
-
-    @property
-    def containers(self) -> ContainerManager:
-        return self.federation.containers
-
-    @property
-    def network(self):
-        return self.federation.network
-
-    @property
-    def obs(self):
-        return self.federation.obs
-
-    @property
-    def clock(self):
-        return self.federation.clock
-
-    @property
-    def now(self) -> float:
-        return self.clock.now
 
     # ------------------------------------------------------------------
     # plumbing the op plans call

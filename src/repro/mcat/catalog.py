@@ -24,7 +24,7 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.db import Database
+from repro.db import Database, Table
 from repro.errors import (
     AlreadyExists,
     MandatoryMetadataMissing,
@@ -38,8 +38,8 @@ from repro.errors import (
 )
 from repro.mcat import query
 from repro.mcat.dublin_core import SchemaRegistry
-from repro.mcat.schema import OBJECT_KINDS, PERMISSIONS, build_schema, \
-    subtree_path_range
+from repro.mcat.schema import OBJECT_KINDS, PERMISSIONS, REPLICA_ORDER, \
+    build_schema, subtree_path_range
 from repro.obs import Observability
 from repro.util import paths
 from repro.util.clock import SimClock
@@ -105,21 +105,31 @@ def _num(value: Optional[str]) -> Optional[float]:
 
 
 class _Charge:
-    """One catalog op: on exit (error or not) charges the fixed overhead
-    plus the rows the block touched to the clock, ``busy_s`` and metrics."""
+    """A catalog's charge: ``with mcat._charge:`` makes the block one
+    charged catalog op.  Entering records the scan mark; leaving (error
+    or not) charges the fixed overhead plus the rows the block touched to
+    the clock, ``busy_s`` and metrics.
 
-    __slots__ = ("mcat", "before")
+    One object per catalog, re-entered by every op.  Blocks nest
+    (``move_object`` runs ``update_object`` inside its own): ``marks``
+    holds the mark of each open block, innermost last, so the inner block
+    is charged first and the outer one for everything since *its* mark —
+    the inner block's rows included, as two ops."""
+
+    __slots__ = ("mcat", "scans", "marks")
 
     def __init__(self, mcat: "Mcat"):
         self.mcat = mcat
-        self.before = mcat.db.scan_counter.total
+        self.scans = mcat.db.scan_counter
+        self.marks: Tuple[int, ...] = ()
 
     def __enter__(self) -> None:
-        return None
+        self.marks += (self.scans.total,)
 
     def __exit__(self, exc_type, exc, tb) -> None:
         mcat = self.mcat
-        touched = mcat.db.scan_counter.total - self.before
+        touched = self.scans.total - self.marks[-1]
+        self.marks = self.marks[:-1]
         cost = mcat.QUERY_OVERHEAD_S + touched * mcat.ROW_COST_S
         mcat.busy_s += cost
         mcat._ops.inc()
@@ -159,6 +169,21 @@ class Mcat:
         # regardless of how many internal table calls it makes.
         self.db = Database(name=f"mcat-{zone}")
         build_schema(self.db)
+        # the tables, bound once: a Table lives as long as its catalog
+        table = self.db.table
+        self._objects = table("objects")
+        self._replicas = table("replicas")
+        self._collections = table("collections")
+        self._metadata = table("metadata")
+        self._structural = table("structural_meta")
+        self._annotations = table("annotations")
+        self._acls = table("acls")
+        self._audit = table("audit")
+        # what goes with an object, and with an object or a collection
+        self._oid_keyed = (self._replicas, table("locks"), table("pins"),
+                           table("versions"))
+        self._target_keyed = (self._metadata, self._annotations, self._acls)
+        self._charge = _Charge(self)
         self.schemas = SchemaRegistry()
         # path -> row-id cache for collection resolution.  Row ids are
         # stable (tombstone deletes), so an entry stays valid until the
@@ -181,10 +206,6 @@ class Mcat:
     def _rows_scanned(self) -> int:
         return self.db.scan_counter.total
 
-    def _charged(self) -> "_Charge":
-        """``with self._charged():`` makes the block one charged catalog op."""
-        return _Charge(self)
-
     # ------------------------------------------------------------------
     # collections
     # ------------------------------------------------------------------
@@ -192,7 +213,7 @@ class Mcat:
     def _insert_collection(self, path: str, parent: Optional[str],
                            owner: str, now: float) -> int:
         cid = self.ids.next_int("cid")
-        rid = self.db.table("collections").insert({
+        rid = self._collections.insert({
             "cid": cid, "path": path, "parent": parent,
             "owner": owner, "created_at": now,
         })
@@ -201,7 +222,7 @@ class Mcat:
 
     def create_collection(self, path: str, owner: str, now: float) -> int:
         """Create a collection; its parent must already exist."""
-        with self._charged():
+        with self._charge:
             path = paths.normalize(path)
             parent = paths.dirname(path)
             if not self._collection_rid(parent):
@@ -217,25 +238,25 @@ class Mcat:
         if rid is not None:
             self.cid_cache_hits += 1
             return [rid]
-        rids = self.db.table("collections").lookup_eq("path", path)
+        rids = self._collections.lookup_eq("path", path)
         if rids:
             self._coll_rid_cache[path] = rids[0]
         return rids
 
     def collection_exists(self, path: str) -> bool:
-        with self._charged():
+        with self._charge:
             return bool(self._collection_rid(paths.normalize(path)))
 
     def get_collection(self, path: str) -> Dict[str, Any]:
-        with self._charged():
+        with self._charge:
             rids = self._collection_rid(paths.normalize(path))
             if not rids:
                 raise NoSuchCollection(f"no collection {path!r}")
-            return self.db.table("collections").row_dict(rids[0])
+            return self._collections.row_dict(rids[0])
 
     def child_collections(self, path: str) -> List[Dict[str, Any]]:
-        with self._charged():
-            t = self.db.table("collections")
+        with self._charge:
+            t = self._collections
             rows = [t.row_dict(r) for r in t.lookup_eq("parent",
                                                        paths.normalize(path))]
             return sorted(rows, key=lambda r: r["path"])
@@ -247,9 +268,9 @@ class Mcat:
         not a full-table scan per call (the hierarchy invariant says every
         descendant's parent chain passes through ``prefix``).
         """
-        with self._charged():
+        with self._charge:
             prefix = paths.normalize(prefix)
-            t = self.db.table("collections")
+            t = self._collections
             rids = self._collection_rid(prefix)
             if not rids:
                 return []
@@ -265,15 +286,15 @@ class Mcat:
 
     def remove_collection(self, path: str) -> None:
         """Remove an *empty* collection."""
-        with self._charged():
+        with self._charge:
             path = paths.normalize(path)
             rids = self._collection_rid(path)
             if not rids:
                 raise NoSuchCollection(f"no collection {path!r}")
-            t = self.db.table("collections")
+            t = self._collections
             if t.lookup_eq("parent", path):
                 raise NotEmpty(f"collection {path!r} has sub-collections")
-            if self.db.table("objects").lookup_eq("coll", path):
+            if self._objects.lookup_eq("coll", path):
                 raise NotEmpty(f"collection {path!r} contains objects")
             cid = t.value(rids[0], "cid")
             self._purge_metadata("collection", cid)
@@ -287,13 +308,13 @@ class Mcat:
         move changes physical placement and/or the collection hierarchy
         while logical names keep resolving.  Returns entries rewritten.
         """
-        with self._charged():
+        with self._charge:
             old_prefix = paths.normalize(old_prefix)
             new_prefix = paths.normalize(new_prefix)
             # paths under old_prefix are about to be rewritten in place
             self._coll_rid_cache.clear()
-            colls = self.db.table("collections")
-            objs = self.db.table("objects")
+            colls = self._collections
+            objs = self._objects
             count = 0
             for rid in list(colls.scan()):
                 row = colls.row_dict(rid)
@@ -330,7 +351,7 @@ class Mcat:
                       resource_hint: Optional[str] = None,
                       checksum: Optional[str] = None) -> int:
         """Register a new object row; the collection must exist."""
-        with self._charged():
+        with self._charge:
             return self._create_object_row(
                 path, kind, owner, now, data_type=data_type, size=size,
                 target=target, template=template,
@@ -353,7 +374,7 @@ class Mcat:
         if self._object_rid(path) or self._collection_rid(path):
             raise AlreadyExists(f"path {path!r} already in use")
         oid = self.ids.next_int("oid")
-        self.db.table("objects").insert({
+        self._objects.insert({
             "oid": oid, "path": path, "coll": coll,
             "name": paths.basename(path), "kind": kind,
             "data_type": data_type, "owner": owner,
@@ -375,7 +396,7 @@ class Mcat:
         one invalid item does not poison the batch (rows inserted as we
         go, so intra-batch duplicate paths are caught too).
         """
-        with self._charged():
+        with self._charge:
             results: List[Any] = []
             for spec in specs:
                 try:
@@ -386,30 +407,30 @@ class Mcat:
             return results
 
     def _object_rid(self, path: str) -> List[int]:
-        return self.db.table("objects").lookup_eq("path", path)
+        return self._objects.lookup_eq("path", path)
 
     def object_exists(self, path: str) -> bool:
-        with self._charged():
+        with self._charge:
             return bool(self._object_rid(paths.normalize(path)))
 
     def get_object(self, path: str) -> Dict[str, Any]:
-        with self._charged():
+        with self._charge:
             rids = self._object_rid(paths.normalize(path))
             if not rids:
                 raise NoSuchObject(f"no object {path!r}")
-            return self.db.table("objects").row_dict(rids[0])
+            return self._objects.row_dict(rids[0])
 
     def find_object(self, path: str) -> Optional[Dict[str, Any]]:
-        with self._charged():
+        with self._charge:
             rids = self._object_rid(paths.normalize(path))
-            return self.db.table("objects").row_dict(rids[0]) if rids else None
+            return self._objects.row_dict(rids[0]) if rids else None
 
     def get_object_by_id(self, oid: int) -> Dict[str, Any]:
-        with self._charged():
-            rids = self.db.table("objects").lookup_eq("oid", oid)
+        with self._charge:
+            rids = self._objects.lookup_eq("oid", oid)
             if not rids:
                 raise NoSuchObject(f"no object id {oid}")
-            return self.db.table("objects").row_dict(rids[0])
+            return self._objects.row_dict(rids[0])
 
     def get_objects_by_ids(self, oids: Sequence[int]) -> List[Dict[str, Any]]:
         """Object rows for N oids under one charged block.
@@ -418,8 +439,8 @@ class Mcat:
         overhead for the whole candidate list instead of one per id.
         Unknown ids are skipped (index candidates can race a delete).
         """
-        with self._charged():
-            t = self.db.table("objects")
+        with self._charge:
+            t = self._objects
             out = []
             for oid in oids:
                 rids = t.lookup_eq("oid", oid)
@@ -428,15 +449,15 @@ class Mcat:
             return out
 
     def update_object(self, oid: int, **changes: Any) -> None:
-        with self._charged():
-            rids = self.db.table("objects").lookup_eq("oid", oid)
+        with self._charge:
+            rids = self._objects.lookup_eq("oid", oid)
             if not rids:
                 raise NoSuchObject(f"no object id {oid}")
-            self.db.table("objects").update_row(rids[0], changes)
+            self._objects.update_row(rids[0], changes)
 
     def move_object(self, oid: int, new_path: str) -> None:
         """Logical move: only the path changes; metadata stays attached."""
-        with self._charged():
+        with self._charge:
             new_path = paths.normalize(new_path)
             coll = paths.dirname(new_path)
             if not self._collection_rid(coll):
@@ -448,9 +469,9 @@ class Mcat:
 
     def objects_in_collection(self, coll: str,
                               recursive: bool = False) -> List[Dict[str, Any]]:
-        with self._charged():
+        with self._charge:
             coll = paths.normalize(coll)
-            t = self.db.table("objects")
+            t = self._objects
             if not recursive:
                 rows = [t.row_dict(r) for r in t.lookup_eq("coll", coll)]
             else:
@@ -483,9 +504,9 @@ class Mcat:
         next_cursor)``; ``next_cursor`` is ``None`` once the scan is
         exhausted, else feed it back for the next page.
         """
-        with self._charged():
+        with self._charge:
             coll = paths.normalize(coll)
-            t = self.db.table("objects")
+            t = self._objects
             lo, hi = subtree_path_range(coll, cursor)
             page_limit = max(1, int(limit))
             out: List[Dict[str, Any]] = []
@@ -513,8 +534,8 @@ class Mcat:
 
     def links_to(self, target_path: str) -> List[Dict[str, Any]]:
         """Link objects whose target is ``target_path``."""
-        with self._charged():
-            t = self.db.table("objects")
+        with self._charge:
+            t = self._objects
             out = []
             for rid in t.lookup_eq("kind", "link"):
                 row = t.row_dict(rid)
@@ -524,37 +545,34 @@ class Mcat:
 
     def delete_object(self, oid: int) -> None:
         """Delete the object row and cascade all dependent rows."""
-        with self._charged():
-            t = self.db.table("objects")
+        with self._charge:
+            t = self._objects
             rids = t.lookup_eq("oid", oid)
             if not rids:
                 raise NoSuchObject(f"no object id {oid}")
-            for table, col in (("replicas", "oid"), ("locks", "oid"),
-                               ("pins", "oid"), ("versions", "oid")):
-                tab = self.db.table(table)
-                for rid in list(tab.lookup_eq(col, oid)):
+            for tab in self._oid_keyed:
+                for rid in list(tab.lookup_eq("oid", oid)):
                     tab.delete_row(rid)
             self._purge_metadata("object", oid)
             t.delete_row(rids[0])
 
     def _purge_metadata(self, target_kind: str, target_id: int) -> None:
-        for table in ("metadata", "annotations", "acls"):
-            tab = self.db.table(table)
+        for tab in self._target_keyed:
             for rid in list(tab.lookup_eq("target_id", target_id)):
                 if tab.value(rid, "target_kind") == target_kind:
                     tab.delete_row(rid)
 
     def count_objects(self) -> int:
-        with self._charged():
-            return len(self.db.table("objects"))
+        with self._charge:
+            return len(self._objects)
 
     def total_objects(self) -> int:
         """Uncharged object count, for stats displays (no clock cost)."""
-        return len(self.db.table("objects"))
+        return len(self._objects)
 
     def total_replicas(self) -> int:
         """Uncharged replica count, for stats displays (no clock cost)."""
-        return len(self.db.table("replicas"))
+        return len(self._replicas)
 
     def oid_table(self, name: str, oid: int):
         """The table holding rows keyed to object ``oid``.
@@ -574,7 +592,7 @@ class Mcat:
                     size: int, now: float,
                     container_oid: Optional[int] = None,
                     offset: Optional[int] = None) -> int:
-        with self._charged():
+        with self._charge:
             return self._add_replica_row(oid, resource, physical_path, size,
                                          now, container_oid=container_oid,
                                          offset=offset)
@@ -585,7 +603,7 @@ class Mcat:
                          offset: Optional[int] = None) -> int:
         existing = self._replica_rows(oid)
         replica_num = 1 + max((r["replica_num"] for r in existing), default=0)
-        self.db.table("replicas").insert({
+        self._replicas.insert({
             "rid": self.ids.next_int("rid"), "oid": oid,
             "replica_num": replica_num, "resource": resource,
             "physical_path": physical_path, "size": size,
@@ -602,28 +620,28 @@ class Mcat:
         ``now``).  Strict — callers pass already-validated writes, so any
         failure raises.  Numbering is per-object max+1 exactly as in the
         single-row path (a spec list may repeat an oid)."""
-        with self._charged():
+        with self._charge:
             return [self._add_replica_row(now=now, **spec) for spec in specs]
 
     def _replica_rows(self, oid: int) -> List[Dict[str, Any]]:
-        t = self.db.table("replicas")
+        t = self._replicas
         rows = [t.row_dict(r) for r in t.lookup_eq("oid", oid)]
-        return sorted(rows, key=lambda r: r["replica_num"])
+        return sorted(rows, key=REPLICA_ORDER)
 
     def replicas(self, oid: int) -> List[Dict[str, Any]]:
-        with self._charged():
+        with self._charge:
             return self._replica_rows(oid)
 
     def get_replica(self, oid: int, replica_num: int) -> Dict[str, Any]:
-        with self._charged():
+        with self._charge:
             for row in self._replica_rows(oid):
                 if row["replica_num"] == replica_num:
                     return row
             raise NoSuchReplica(f"object {oid} has no replica {replica_num}")
 
     def remove_replica(self, oid: int, replica_num: int) -> None:
-        with self._charged():
-            t = self.db.table("replicas")
+        with self._charge:
+            t = self._replicas
             for rid in list(t.lookup_eq("oid", oid)):
                 if t.value(rid, "replica_num") == replica_num:
                     t.delete_row(rid)
@@ -631,8 +649,8 @@ class Mcat:
             raise NoSuchReplica(f"object {oid} has no replica {replica_num}")
 
     def update_replica(self, oid: int, replica_num: int, **changes: Any) -> None:
-        with self._charged():
-            t = self.db.table("replicas")
+        with self._charge:
+            t = self._replicas
             for rid in t.lookup_eq("oid", oid):
                 if t.value(rid, "replica_num") == replica_num:
                     t.update_row(rid, changes)
@@ -641,21 +659,21 @@ class Mcat:
 
     def mark_siblings_dirty(self, oid: int, fresh_replica_num: int) -> None:
         """After a write lands on one replica, others are out of sync."""
-        with self._charged():
-            t = self.db.table("replicas")
+        with self._charge:
+            t = self._replicas
             for rid in t.lookup_eq("oid", oid):
                 is_fresh = t.value(rid, "replica_num") == fresh_replica_num
                 t.update_row(rid, {"is_dirty": not is_fresh})
 
     def replicas_on_resource(self, resource: str) -> List[Dict[str, Any]]:
-        with self._charged():
-            t = self.db.table("replicas")
+        with self._charge:
+            t = self._replicas
             return [t.row_dict(r) for r in t.lookup_eq("resource", resource)]
 
     def container_members(self, container_oid: int) -> List[Dict[str, Any]]:
         """Replica rows whose bytes live inside ``container_oid``."""
-        with self._charged():
-            t = self.db.table("replicas")
+        with self._charge:
+            t = self._replicas
             rows = [t.row_dict(r) for r in t.lookup_eq("container_oid",
                                                        container_oid)]
             return sorted(rows, key=lambda r: (r["offset"] or 0))
@@ -688,7 +706,7 @@ class Mcat:
                              meta_class: str,
                              schema_name: Optional[str]) -> int:
         mid = self.ids.next_int("mid")
-        self.db.table("metadata").insert({
+        self._metadata.insert({
             "mid": mid, "target_kind": target_kind, "target_id": target_id,
             "meta_class": meta_class, "schema_name": schema_name,
             "attr": attr, "value": value, "value_num": _num(value),
@@ -701,7 +719,7 @@ class Mcat:
                      units: Optional[str] = None,
                      meta_class: str = "user",
                      schema_name: Optional[str] = None) -> int:
-        with self._charged():
+        with self._charge:
             self._check_metadata_spec(target_kind, attr, value, meta_class,
                                       schema_name)
             return self._insert_metadata_row(target_kind, target_id, attr,
@@ -717,7 +735,7 @@ class Mcat:
         All specs are validated before any row is inserted, so a bad spec
         raises without leaving a partial batch behind.
         """
-        with self._charged():
+        with self._charge:
             full = []
             for spec in specs:
                 full.append({
@@ -735,11 +753,10 @@ class Mcat:
             return [self._insert_metadata_row(by=by, now=now, **spec)
                     for spec in full]
 
-    def _target_rows(self, table: str, order_by: str, target_kind: str,
+    def _target_rows(self, t: Table, order_by: str, target_kind: str,
                      target_id: int) -> List[Dict[str, Any]]:
         """Rows of a ``(target_kind, target_id)``-keyed table attached to
         one target, in minting order."""
-        t = self.db.table(table)
         rows = [row for row in map(t.row_dict,
                                    t.lookup_eq("target_id", target_id))
                 if row["target_kind"] == target_kind]
@@ -748,14 +765,15 @@ class Mcat:
 
     def _metadata_rows(self, target_kind: str, target_id: int,
                        meta_class: Optional[str]) -> List[Dict[str, Any]]:
-        rows = self._target_rows("metadata", "mid", target_kind, target_id)
+        rows = self._target_rows(self._metadata, "mid", target_kind,
+                                 target_id)
         if meta_class is not None:
             rows = [r for r in rows if r["meta_class"] == meta_class]
         return rows
 
     def get_metadata(self, target_kind: str, target_id: int,
                      meta_class: Optional[str] = None) -> List[Dict[str, Any]]:
-        with self._charged():
+        with self._charge:
             return self._metadata_rows(target_kind, target_id, meta_class)
 
     def get_metadata_bulk(self, targets: Sequence[Any],
@@ -763,7 +781,7 @@ class Mcat:
                           ) -> List[List[Dict[str, Any]]]:
         """Metadata of N ``(target_kind, target_id)`` pairs under one
         charged block — the read half of the bulk protocol."""
-        with self._charged():
+        with self._charge:
             return [self._metadata_rows(kind, tid, meta_class)
                     for kind, tid in targets]
 
@@ -774,8 +792,8 @@ class Mcat:
         attributes in ``attrs`` only, an attribute's values in minting
         order.  Reads five columns of each triple where
         :meth:`get_metadata_bulk` builds every row whole."""
-        with self._charged():
-            t = self.db.table("metadata")
+        with self._charge:
+            t = self._metadata
             out = []
             for target_kind, target_id in targets:
                 vals: Dict[str, List[Tuple[Any, Any]]] = {}
@@ -790,8 +808,8 @@ class Mcat:
 
     def update_metadata(self, mid: int, value: Optional[str],
                         units: Optional[str] = None) -> None:
-        with self._charged():
-            t = self.db.table("metadata")
+        with self._charge:
+            t = self._metadata
             rids = t.lookup_eq("mid", mid)
             if not rids:
                 raise MetadataError(f"no metadata row {mid}")
@@ -799,8 +817,8 @@ class Mcat:
                                    "units": units})
 
     def delete_metadata(self, mid: int) -> None:
-        with self._charged():
-            t = self.db.table("metadata")
+        with self._charge:
+            t = self._metadata
             rids = t.lookup_eq("mid", mid)
             if not rids:
                 raise MetadataError(f"no metadata row {mid}")
@@ -827,12 +845,12 @@ class Mcat:
                           vocabulary: Optional[Sequence[str]] = None,
                           mandatory: bool = False,
                           comment: Optional[str] = None) -> int:
-        with self._charged():
+        with self._charge:
             coll_path = paths.normalize(coll_path)
             if not self._collection_rid(coll_path):
                 raise NoSuchCollection(f"no collection {coll_path!r}")
             smid = self.ids.next_int("smid")
-            self.db.table("structural_meta").insert({
+            self._structural.insert({
                 "smid": smid, "coll_path": coll_path, "attr": attr,
                 "default_value": default_value,
                 "vocabulary": "|".join(vocabulary) if vocabulary else None,
@@ -848,12 +866,12 @@ class Mcat:
         apply too (the curator scenario: "MetaCore for Cultures" defined on
         the parent governs the new "Avian Culture" sub-collection).
         """
-        with self._charged():
+        with self._charge:
             coll_path = paths.normalize(coll_path)
             scopes = [coll_path]
             if inherited:
                 scopes = paths.ancestors(coll_path) + scopes
-            t = self.db.table("structural_meta")
+            t = self._structural
             rows = []
             for scope in scopes:
                 for rid in t.lookup_eq("coll_path", scope):
@@ -879,11 +897,11 @@ class Mcat:
     def add_annotation(self, target_kind: str, target_id: int, ann_type: str,
                        author: str, text: str, now: float,
                        location: Optional[str] = None) -> int:
-        with self._charged():
+        with self._charge:
             if ann_type not in self.ANNOTATION_TYPES:
                 raise MetadataError(f"unknown annotation type {ann_type!r}")
             aid = self.ids.next_int("aid")
-            self.db.table("annotations").insert({
+            self._annotations.insert({
                 "aid": aid, "target_kind": target_kind, "target_id": target_id,
                 "ann_type": ann_type, "location": location, "author": author,
                 "created_at": now, "text": text,
@@ -892,21 +910,21 @@ class Mcat:
 
     def annotations_for(self, target_kind: str,
                         target_id: int) -> List[Dict[str, Any]]:
-        with self._charged():
-            return self._target_rows("annotations", "aid", target_kind,
+        with self._charge:
+            return self._target_rows(self._annotations, "aid", target_kind,
                                      target_id)
 
     def annotations_for_bulk(self, targets: Sequence[Any]
                              ) -> List[List[Dict[str, Any]]]:
         """:meth:`annotations_for` of N ``(target_kind, target_id)`` pairs
         under one charged block."""
-        with self._charged():
-            return [self._target_rows("annotations", "aid", kind, tid)
+        with self._charge:
+            return [self._target_rows(self._annotations, "aid", kind, tid)
                     for kind, tid in targets]
 
     def delete_annotation(self, aid: int) -> None:
-        with self._charged():
-            t = self.db.table("annotations")
+        with self._charge:
+            t = self._annotations
             rids = t.lookup_eq("aid", aid)
             if not rids:
                 raise MetadataError(f"no annotation {aid}")
@@ -918,10 +936,10 @@ class Mcat:
 
     def grant(self, target_kind: str, target_id: int, principal: str,
               permission: str) -> None:
-        with self._charged():
+        with self._charge:
             if permission not in PERMISSIONS:
                 raise MetadataError(f"unknown permission {permission!r}")
-            t = self.db.table("acls")
+            t = self._acls
             # replace any existing grant for the same principal+target
             for rid in list(t.lookup_eq("target_id", target_id)):
                 row = t.row_dict(rid)
@@ -933,8 +951,8 @@ class Mcat:
                       "principal": principal, "permission": permission})
 
     def revoke(self, target_kind: str, target_id: int, principal: str) -> None:
-        with self._charged():
-            t = self.db.table("acls")
+        with self._charge:
+            t = self._acls
             for rid in list(t.lookup_eq("target_id", target_id)):
                 row = t.row_dict(rid)
                 if row["target_kind"] == target_kind and \
@@ -942,16 +960,16 @@ class Mcat:
                     t.delete_row(rid)
 
     def grants_for(self, target_kind: str, target_id: int) -> List[Dict[str, Any]]:
-        with self._charged():
-            return self._target_rows("acls", "aclid", target_kind,
+        with self._charge:
+            return self._target_rows(self._acls, "aclid", target_kind,
                                      target_id)
 
     def grants_for_bulk(self, targets: Sequence[Any]
                         ) -> List[List[Dict[str, Any]]]:
         """:meth:`grants_for` of N ``(target_kind, target_id)`` pairs under
         one charged block — a listing's or a query result's ACL rows."""
-        with self._charged():
-            return [self._target_rows("acls", "aclid", kind, tid)
+        with self._charge:
+            return [self._target_rows(self._acls, "aclid", kind, tid)
                     for kind, tid in targets]
 
     # ------------------------------------------------------------------
@@ -961,9 +979,9 @@ class Mcat:
     def record_audit(self, now: float, principal: str, action: str,
                      target: str, detail: Optional[str] = None,
                      ok: bool = True) -> int:
-        with self._charged():
+        with self._charge:
             auid = self.ids.next_int("auid")
-            self.db.table("audit").insert({
+            self._audit.insert({
                 "auid": auid, "at": now, "principal": principal,
                 "action": action, "target": target, "detail": detail, "ok": ok,
             })
@@ -972,8 +990,8 @@ class Mcat:
     def audit_query(self, principal: Optional[str] = None,
                     action: Optional[str] = None,
                     target: Optional[str] = None) -> List[Dict[str, Any]]:
-        with self._charged():
-            t = self.db.table("audit")
+        with self._charge:
+            t = self._audit
             if principal is not None:
                 rids = t.lookup_eq("principal", principal)
             elif action is not None:

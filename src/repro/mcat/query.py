@@ -282,7 +282,7 @@ def _candidates(mcat: Mcat, probes: List[_Probe], scope: str,
     """
     md = mcat.db.table("metadata")
     per_survivor = 1 + _rows_per_object(mcat)
-    with mcat._charged():
+    with mcat._charge:
         ids = probes[0].targets(md)
         probed = 1
         for probe in probes[1:]:

@@ -30,6 +30,7 @@ collection:
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Optional, Tuple
 
 from repro.db import Column, Database
@@ -42,6 +43,10 @@ OBJECT_KINDS = ("data", "registered", "shadow-dir", "sql", "url",
 #: any user with read permission add annotations, and MySRB's role matrix
 #: distinguishes annotators from contributors.
 PERMISSIONS = ("read", "annotate", "write", "own")
+
+#: canonical order of one object's replica rows (a row order, not a
+#: placement choice: which replica to use is ``repro.policy``'s)
+REPLICA_ORDER = itemgetter("replica_num")
 
 #: the two sorted pair indexes on ``metadata``: an attribute's numeric
 #: values in numeric order, and all its values in text order

@@ -475,7 +475,7 @@ class ShardedMcat:
             self._primary(src_k).move_object(oid, new_path)
             return
         src, dst = self._primary(src_k), self._primary(dst_k)
-        with src._charged():
+        with src._charge:
             obj_t = src.db.table("objects")
             rids = obj_t.lookup_eq("oid", oid)
             if not rids:
@@ -486,7 +486,7 @@ class ShardedMcat:
                                               "mid": {}, "aid": {}}
         for table, dep in dependents:
             self._note_restore(restore, table, dep, src_k)
-        with dst._charged():
+        with dst._charge:
             coll = paths.dirname(new_path)
             if not dst._collection_rid(coll):
                 raise NoSuchCollection(f"no collection {coll!r}")
@@ -496,7 +496,7 @@ class ShardedMcat:
                          name=paths.basename(new_path))
             self._insert_rows(dst, [("objects", moved)] + dependents,
                               restore=restore)
-        with src._charged():
+        with src._charge:
             self._delete_source_rows(src, [("objects", obj)] + dependents)
         self.obs.metrics.inc("mcat.shard.cross_moves", op="move_object")
 
@@ -519,7 +519,7 @@ class ShardedMcat:
         inserts: List[Tuple[str, Dict[str, Any]]] = []  # (table, dst values)
         restore: Dict[str, Dict[int, int]] = {"oid": {}, "cid": {},
                                               "mid": {}, "aid": {}}
-        with src._charged():
+        with src._charge:
             colls = src.db.table("collections")
             for rid in list(colls.scan()):
                 row = colls.row_dict(rid)
@@ -563,14 +563,14 @@ class ShardedMcat:
                     inserts.append((table, dep))
                     self._note_restore(restore, table, dep, src_k)
 
-        with dst._charged():
+        with dst._charge:
             parent = paths.dirname(new_prefix)
             if not dst._collection_rid(parent):
                 raise NoSuchCollection(f"no collection {parent!r}")
             if dst._collection_rid(new_prefix) or dst._object_rid(new_prefix):
                 raise AlreadyExists(f"path {new_prefix!r} already in use")
             self._insert_rows(dst, inserts, restore=restore)
-        with src._charged():
+        with src._charge:
             self._delete_source_rows(src, moves)
         src._coll_rid_cache.clear()
         dst._coll_rid_cache.clear()

@@ -10,7 +10,6 @@ naming none, and that file contents dominate control traffic.
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Any, Dict, Tuple
 
 # fixed per-value envelope overhead (type tag + length prefix)
@@ -75,13 +74,33 @@ _FIXED_SIZE = {type(None): _ENVELOPE, bool: _ENVELOPE,
                int: _ENVELOPE + 8, float: _ENVELOPE + 8}
 _LEAF_TYPES = frozenset(_FIXED_SIZE) | {str, bytes}
 
+# What repeats from message to message is remembered, process-wide,
+# capped, and emptied by clear_size_memo():
+_MEMO_CAP = 1024
+# - the envelope plus key bytes of a dict, by its tuple of keys — the
+#   request envelope, an op's kwarg names, the columns of a catalog row.
+#   Only tuples whose keys are all exactly ``str`` are stored, so 1, True
+#   and 1.0 (equal, hashed alike, sized differently) can never share an
+#   entry; a str subclass may hit its base string's, which costs the same.
+_key_shapes: Dict[Tuple[Any, ...], int] = {}
+# - sizes of frozen dataclass instances whose fields are all immutable
+#   leaves (a Ticket rides in every authenticated request).  Keyed by
+#   identity; the entry holds the instance, so its id cannot be reused.
+_frozen_sizes: Dict[int, Tuple[Any, int]] = {}
+
 
 def sizeof(value: Any) -> int:
     """Approximate serialized size of ``value`` in bytes."""
     t = type(value)
     if t is dict:
-        items = chain.from_iterable(value.items())
+        keys = tuple(value)
+        try:
+            total = _key_shapes[keys]
+        except KeyError:
+            total = _sizeof_keys(keys)
+        items = value.values()
     elif t is list or t is tuple:
+        total = _ENVELOPE
         items = value
     elif t is str:
         return _ENVELOPE + (len(value) if value.isascii()
@@ -91,8 +110,10 @@ def sizeof(value: Any) -> int:
     elif t is bytes:
         return _ENVELOPE + len(value)
     else:
-        return _sizeof_other(value)
-    total = _ENVELOPE
+        try:
+            return _frozen_sizes[id(value)][1]
+        except KeyError:
+            return _sizeof_other(value)
     for item in items:
         t = type(item)
         if t is str:
@@ -105,6 +126,17 @@ def sizeof(value: Any) -> int:
         else:
             total += sizeof(item)
     return total
+
+
+def _sizeof_keys(keys: Tuple[Any, ...]) -> int:
+    """Envelope plus key bytes of a dict with these keys, remembered when
+    every key is exactly a ``str``."""
+    size = sizeof(keys)
+    if all(type(key) is str for key in keys):
+        if len(_key_shapes) >= _MEMO_CAP:
+            _key_shapes.clear()
+        _key_shapes[keys] = size
+    return size
 
 
 def _sizeof_other(value: Any) -> int:
@@ -129,36 +161,22 @@ def _sizeof_other(value: Any) -> int:
         return _ENVELOPE + sum(sizeof(k) + sizeof(v) for k, v in value.items())
     # dataclass-ish objects serialize their __dict__
     if hasattr(value, "__dict__"):
+        fields = vars(value)
+        size = _ENVELOPE + sizeof(fields)
         params = getattr(type(value), "__dataclass_params__", None)
-        if params is not None and params.frozen:
-            return _sizeof_frozen(value)
-        return _ENVELOPE + sizeof(vars(value))
+        if params is not None and params.frozen \
+                and all(type(v) in _LEAF_TYPES for v in fields.values()):
+            if len(_frozen_sizes) >= _MEMO_CAP:
+                _frozen_sizes.clear()
+            _frozen_sizes[id(value)] = (value, size)
+        return size
     # fall back to repr length for exotic types
     return _ENVELOPE + len(repr(value))
 
 
-# Sizes of frozen dataclass instances whose fields are all immutable
-# leaves (a Ticket rides in every authenticated request).  Keyed by
-# identity; the entry holds the instance, so its id cannot be reused.
-_FROZEN_MEMO_CAP = 1024
-_frozen_sizes: Dict[int, Tuple[Any, int]] = {}
-
-
-def _sizeof_frozen(value: Any) -> int:
-    entry = _frozen_sizes.get(id(value))
-    if entry is not None:
-        return entry[1]
-    fields = vars(value)
-    size = _ENVELOPE + sizeof(fields)
-    if all(type(v) in _LEAF_TYPES for v in fields.values()):
-        if len(_frozen_sizes) >= _FROZEN_MEMO_CAP:
-            _frozen_sizes.clear()
-        _frozen_sizes[id(value)] = (value, size)
-    return size
-
-
 def clear_size_memo() -> None:
     """Forget every remembered size (a new federation starts from none)."""
+    _key_shapes.clear()
     _frozen_sizes.clear()
 
 

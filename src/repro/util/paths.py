@@ -13,15 +13,17 @@ is the inverse of joining, and ancestors are exactly the strict prefixes.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import Iterable, List, Tuple
 
 from repro.errors import InvalidPath
 
 SEP = "/"
 
-#: distinct paths whose components are remembered (one op names the same
-#: path several times; see EXPERIMENTS.md for the measured hit share)
+#: distinct paths whose components, canonical form and parent are
+#: remembered (one op names the same path several times — at the client,
+#: the dispatcher, the plane and the catalog; see EXPERIMENTS.md for the
+#: measured hit share)
 SPLIT_CACHE_SIZE = 2048
 
 
@@ -38,10 +40,42 @@ def validate_component(name: str) -> str:
     return name
 
 
-@lru_cache(maxsize=SPLIT_CACHE_SIZE)
-def _split(path: str) -> Tuple[str, ...]:
-    # str -> tuple is pure, so remembering it is safe; a path that raises
-    # is not remembered and raises again on every call
+_MEMOS: list = []        # every lru_cache below, for clear_memos()
+
+
+def _remembered(fn):
+    """``fn(path)``, remembered for the :data:`SPLIT_CACHE_SIZE` most
+    recent paths.  ``fn`` is pure, so that is safe; a path that raises is
+    not remembered and raises again on every call."""
+    cached = lru_cache(maxsize=SPLIT_CACHE_SIZE)(fn)
+
+    @wraps(fn)
+    def remembered(path):
+        try:
+            return cached(path)
+        except TypeError:
+            # unhashable, so not a str: let the uncached body say so
+            return fn(path)
+
+    remembered.cache_info = cached.cache_info
+    remembered.cache_clear = cached.cache_clear
+    _MEMOS.append(cached)
+    return remembered
+
+
+def clear_memos() -> None:
+    """Forget every remembered path (a new federation starts from none)."""
+    for cached in _MEMOS:
+        cached.cache_clear()
+
+
+@_remembered
+def split(path: str) -> Tuple[str, ...]:
+    """Split an absolute logical path into validated components.
+
+    ``split("/zone/home/x")`` -> ``("zone", "home", "x")``.
+    ``split("/")`` -> ``()``.
+    """
     if not isinstance(path, str):
         raise InvalidPath(f"path must be str, got {type(path).__name__}")
     if not path.startswith(SEP):
@@ -52,23 +86,6 @@ def _split(path: str) -> Tuple[str, ...]:
     for component in raw:
         validate_component(component)
     return tuple(raw)
-
-
-def split(path: str) -> Tuple[str, ...]:
-    """Split an absolute logical path into validated components.
-
-    ``split("/zone/home/x")`` -> ``("zone", "home", "x")``.
-    ``split("/")`` -> ``()``.
-    """
-    try:
-        return _split(path)
-    except TypeError:
-        # unhashable, so not a str: let the uncached body say so
-        return _split.__wrapped__(path)
-
-
-split.cache_info = _split.cache_info
-split.cache_clear = _split.cache_clear
 
 
 def _assemble(components: Tuple[str, ...]) -> str:
@@ -101,11 +118,13 @@ def from_components(components: Iterable[str]) -> str:
     return _assemble(comps)
 
 
+@_remembered
 def normalize(path: str) -> str:
     """Canonical form of a path (validates along the way)."""
     return _assemble(split(path))
 
 
+@_remembered
 def dirname(path: str) -> str:
     """The parent path; the root has none."""
     comps = split(path)

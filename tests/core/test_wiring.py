@@ -1,0 +1,112 @@
+"""What is bound once when a grid is built, and what a new grid forgets.
+
+A server and its planes carry the federation's shared components as plain
+attributes (``planes.base.Wired``): nothing rebinds one after
+``Federation.__init__``, so a forwarding ``@property`` per read bought
+nothing.  The process-wide memos (paths, wire sizes) are the other thing
+"remembered"; every new ``Federation`` starts them empty.
+"""
+
+import importlib.util
+import pathlib
+
+from repro.core.client import SrbClient
+from repro.core.federation import Federation
+from repro.core.planes.base import WIRING
+from repro.net import wire
+from repro.net.simnet import Network
+from repro.util import paths
+
+ROOT = pathlib.Path(__file__).resolve().parents[2]
+
+
+def two_zones():
+    net = Network()
+    a = Federation(zone="sdsc-zone", network=net)
+    b = Federation(zone="npaci-zone", network=net)
+    for fed, site in ((a, "sdsc"), (b, "npaci")):
+        for n in (1, 2):
+            fed.add_host(f"{site}-h{n}", site=site)
+            fed.add_server(f"{site}-srb{n}", f"{site}-h{n}", mcat=n == 1)
+            fed.add_fs_resource(f"{site}-disk{n}", f"{site}-h{n}")
+        fed.default_resource = f"{site}-disk1"
+    a.bootstrap_admin()
+    b.bootstrap_admin("admin-b@npaci", "pw-b")
+    a.federate_with(b)
+    return a, b
+
+
+def test_every_server_and_plane_holds_its_federations_own_objects():
+    a, b = two_zones()
+    assert set(WIRING) == {"mcat", "users", "authority", "resources",
+                           "access", "locks", "containers", "network",
+                           "obs", "clock"}
+    for fed in (a, b):
+        assert len(fed.servers) == 2
+        for server in fed.servers.values():
+            for holder in (server, *server.planes):
+                assert holder.federation is fed
+                for name in WIRING:
+                    assert getattr(holder, name) is getattr(fed, name), \
+                        (type(holder).__name__, name)
+            for plane in server.planes:
+                assert plane.server is server and plane.host == server.host
+    # the zones share a network and clock and nothing else
+    assert a.server("sdsc-srb1").clock is b.server("npaci-srb1").clock
+    assert a.server("sdsc-srb1").mcat is not b.server("npaci-srb1").mcat
+
+
+def test_now_is_still_read_off_the_clock():
+    a, _b = two_zones()
+    server = a.server("sdsc-srb2")
+    a.clock.advance(12.5)
+    assert server.now == server.data.now == a.clock.now == 12.5
+
+
+def test_a_new_federation_starts_with_every_memo_empty():
+    a, _b = two_zones()
+    admin = SrbClient(a, "sdsc-h2", "sdsc-srb2", "srbadmin@sdsc", "hunter2")
+    admin.login()
+    admin.mkcoll("/sdsc-zone/home")
+    admin.ingest("/sdsc-zone/home/x.dat", b"x" * 64)
+    assert admin.stat("/sdsc-zone/home/x.dat")["size"] == 64
+    memos = (paths.split, paths.normalize, paths.dirname)
+    assert all(memo.cache_info().currsize for memo in memos)
+    assert wire._key_shapes and wire._frozen_sizes
+    Federation()
+    assert [memo.cache_info().currsize for memo in memos] == [0, 0, 0]
+    assert not wire._key_shapes and not wire._frozen_sizes
+
+
+def load_lint():
+    spec = importlib.util.spec_from_file_location(
+        "lint_dispatch", ROOT / "tools" / "lint_dispatch.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_lint_refuses_a_property_that_only_forwards(tmp_path, monkeypatch):
+    lint = load_lint()
+    assert lint.check_no_forwarding_properties() == []
+    bad = tmp_path / "base.py"
+    bad.write_text(
+        "class PlaneService:\n"
+        "    @property\n"
+        "    def mcat(self):\n"
+        "        '''The catalog.'''\n"
+        "        return self.federation.mcat\n"
+        "    @property\n"
+        "    def host(self):\n"
+        "        return self.server.host\n"
+        "    @property\n"
+        "    def now(self):\n"
+        "        return self.clock.now\n"
+        "    @property\n"
+        "    def mcat_server(self):\n"
+        "        return next(iter(self.federation.servers.values()))\n")
+    monkeypatch.setattr(lint, "ROOT", tmp_path)
+    monkeypatch.setattr(lint, "WIRED_FILES", (bad,))
+    errors = lint.check_no_forwarding_properties()
+    assert len(errors) == 2
+    assert "'mcat'" in errors[0] and "'host'" in errors[1]

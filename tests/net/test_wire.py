@@ -140,7 +140,15 @@ leaves = st.one_of(
     st.sets(st.text(max_size=4), max_size=4),
 )
 
-keys = st.one_of(st.text(max_size=6), st.integers(0, 9))
+# str keys take the remembered-shape path; every other kind of key (and
+# any mix) must keep its own size: 1, True and 1.0 are equal and hash
+# alike, and so do a Name and the str it wraps
+keys = st.one_of(st.text(max_size=6),               # includes non-ASCII
+                 st.sampled_from(["method", "kwargs", "path", "oid"]),
+                 st.integers(0, 9), st.booleans(),
+                 st.sampled_from([0.0, 1.0, 2.5]),
+                 st.sampled_from(list(Colour)),
+                 st.text(max_size=4).map(Name))
 
 
 def containers(children):
@@ -207,8 +215,38 @@ class TestSizeofMatchesModel:
         note.flag.append(2)
         assert sizeof(note) == model_sizeof(note) == before + 12
 
+    def test_equal_keys_of_different_types_never_share_a_shape(self):
+        # one process, one memo: 1 == True == 1.0 and hash alike
+        for _ in range(2):
+            assert sizeof({1: "x"}) - sizeof({}) == 12 + 5
+            assert sizeof({True: "x"}) - sizeof({}) == 4 + 5
+            assert sizeof({1.0: "x"}) - sizeof({}) == 12 + 5
+            assert sizeof({"a": 1, 1: 1}) == model_sizeof({"a": 1, 1: 1})
+            assert sizeof({"a": 1, True: 1}) == \
+                model_sizeof({"a": 1, True: 1})
+        assert all(type(key) is str
+                   for shape in wire._key_shapes for key in shape)
+
+    def test_a_shape_is_remembered_and_a_str_subclass_may_share_it(self):
+        wire.clear_size_memo()
+        row = {"oid": 7, "päth": "/z/é", "size": None}
+        assert sizeof(row) == model_sizeof(row)
+        assert tuple(row) in wire._key_shapes
+        same = {Name("oid"): 8, Name("päth"): "/z", "size": 1}
+        assert sizeof(same) == model_sizeof(same)
+        assert len(wire._key_shapes) == 1
+        assert sizeof({}) == model_sizeof({}) == 4
+
+    def test_key_shape_memo_is_capped(self):
+        wire.clear_size_memo()
+        for i in range(wire._MEMO_CAP + 10):
+            row = {f"attr{i}": i, "value": "é" * (i % 3)}
+            for _ in range(2):
+                assert sizeof(row) == model_sizeof(row)
+            assert len(wire._key_shapes) <= wire._MEMO_CAP
+
     def test_frozen_memo_is_capped(self):
-        cap = wire._FROZEN_MEMO_CAP
+        cap = wire._MEMO_CAP
         notes = [FrozenNote(i, "n") for i in range(cap + 10)]
         for note in notes:
             assert sizeof(note) == model_sizeof(note)

@@ -7,23 +7,26 @@ gates that cost as ``py_calls_per_op``; this guard catches a per-call
 regression in tier-1, in well under a second, without running it.
 
 Each budget is about 15 % above the count measured on CPython 3.11 when
-it was pinned.  Last re-pinned when the dispatch pipeline became one
-compiled plan per op and the per-message metric sites took bound
-instruments (count before -> count now; budget before -> budget now):
+it was pinned.  Last re-pinned when the grid's wiring became plain
+attributes bound at construction, the clock's ``now`` an attribute, the
+catalog's charge one re-entered object, and a dict's key bytes, a
+ticket's size and a path's canonical form things remembered per shape
+(count before -> count now; budget before -> budget now; the pinning
+before that, at the op plans and bound instruments, in brackets):
 
-==================  ===============  =============
-op                  measured         budget
-==================  ===============  =============
-``ingest``          570 -> 449       645 -> 515
-``ingest logical``  716 -> 577       875 -> 665
-``get``             417 -> 298       480 -> 345
-``stat``            367 -> 277       420 -> 320
-``add_metadata``    356 -> 250       410 -> 290
-``bulk_ingest row`` 43.9 -> 36.1     52 -> 42
-``query selective`` 1,637 -> 1,552   1880 -> 1785
-``query broad row`` 26.8 -> 26.2     31 -> 30.5
-``query_page row``  41.7 -> 40.1     48 -> 46.5
-==================  ===============  =============
+==================  ================  ==============  ==================
+op                  measured          budget          (pinning before)
+==================  ================  ==============  ==================
+``ingest``          449 -> 329        515 -> 380      (570 -> 449)
+``ingest logical``  572 -> 432        665 -> 495      (716 -> 577)
+``get``             293 -> 214        345 -> 245      (417 -> 298)
+``stat``            277 -> 167        320 -> 190      (367 -> 277)
+``add_metadata``    250 -> 177        290 -> 205      (356 -> 250)
+``bulk_ingest row`` 36.1 -> 30.0      42 -> 34.5      (43.9 -> 36.1)
+``query selective`` 1,566 -> 1,510    1785 -> 1735    (1,637 -> 1,552)
+``query broad row`` 26.2 -> 25.8      30.5 -> 29.5    (26.8 -> 26.2)
+``query_page row``  40.4 -> 39.1      46.5 -> 45      (41.7 -> 40.1)
+==================  ================  ==============  ==================
 
 ``ingest logical`` is the same ingest onto the two-member logical
 resource ``logrsrc1`` (one local member, one remote), which pins the
@@ -42,8 +45,10 @@ calls per result row of a one-condition query returning all 200 and
 a charged catalog op or a Python-level re-parse per row shows in
 either.
 
-The counts do not depend on the hash seed.  A change that needs more
-should show in EXPERIMENTS.md what the calls buy.
+The counts do not depend on the hash seed, nor on what the process ran
+before (``standard_grid()`` builds a ``Federation``, which empties the
+process-wide memos).  A change that needs more should show in
+EXPERIMENTS.md what the calls buy.
 """
 
 import cProfile
@@ -56,10 +61,10 @@ from repro.workload import standard_grid
 PAYLOAD = b"\x5a" * 4096
 
 #: op -> most Python-level calls (functions and builtins) one call may make
-BUDGET = {"ingest": 515, "get": 345, "stat": 320, "add_metadata": 290,
-          "ingest logical": 665, "bulk_ingest row": 42,
-          "query selective": 1785, "query broad row": 30.5,
-          "query_page row": 46.5}
+BUDGET = {"ingest": 380, "get": 245, "stat": 190, "add_metadata": 205,
+          "ingest logical": 495, "bulk_ingest row": 34.5,
+          "query selective": 1735, "query broad row": 29.5,
+          "query_page row": 45}
 
 
 def calls_made_by(op) -> int:

@@ -100,3 +100,57 @@ class TestStopwatch:
         with sw:
             clock.advance(5.0)
         assert sw.elapsed == 5.0
+
+
+class TestTimersNeverTurnTheClockBack:
+    def test_callback_that_advances_past_the_outer_target(self):
+        # the outer advance used to overwrite the clock with its own
+        # target after the callback had moved it further
+        clock = SimClock()
+        seen = []
+        clock.call_at(1.0, lambda: seen.append(clock.advance(10.0)))
+        assert clock.advance(2.0) == 11.0
+        assert seen == [11.0]
+        assert clock.now == 11.0
+
+    def test_equal_deadlines_fire_in_registration_order(self):
+        clock = SimClock()
+        fired = []
+
+        class Callback:             # would raise if the heap compared it
+            def __init__(self, tag):
+                self.tag = tag
+
+            def __call__(self):
+                fired.append(self.tag)
+
+        for tag in "cab":
+            clock.call_at(3.0, Callback(tag))
+        clock.call_at(1.0, Callback("first"))
+        clock.advance(3.0)
+        assert fired == ["first", "c", "a", "b"]
+
+    def test_callback_registers_a_timer_inside_the_window(self):
+        clock = SimClock()
+        fired = []
+
+        def first():
+            fired.append(("first", clock.now))
+            clock.call_at(4.0, lambda: fired.append(("second", clock.now)))
+            clock.call_at(9.0, lambda: fired.append(("late", clock.now)))
+
+        clock.call_at(2.0, first)
+        clock.advance(5.0)
+        assert fired == [("first", 2.0), ("second", 4.0)]
+        assert clock.now == 5.0
+        clock.advance(4.0)
+        assert fired[-1] == ("late", 9.0)
+
+    def test_no_timer_walk_without_a_timer(self, monkeypatch):
+        clock = SimClock()
+        walks = []
+        monkeypatch.setattr(SimClock, "_run_timers",
+                            lambda self, upto: walks.append(upto))
+        clock.advance(1.0)
+        clock.advance_to(3.0)
+        assert walks == [] and clock.now == 3.0

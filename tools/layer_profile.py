@@ -15,7 +15,9 @@ rows delivered, Python-level calls, virtual seconds, charged catalog ops
 were charged at least once per delivered row — the N+1 pattern, a
 catalog round trip per hit.  It exits 1 if there is such a method, which
 is how CI uses it (on ``catalog_query``, whose items are result rows; on
-a workload that credits one item per page the flag means nothing).
+a workload that credits one item per page the flag means nothing) — and
+also if the methods it found do not account for every ``mcat.ops`` of a
+kind of call, because then the check above looked at only some of them.
 
 ``--callers NAME...`` answers "who calls ``inc``": calls per client call
 of every Python function with one of those names, by ``caller ->
@@ -133,12 +135,17 @@ def by_call(workload: str, seed: int, scale: float):
     call, what it delivered and what it cost the catalog.
 
     Which catalog method a charged op belongs to is read off the profile
-    itself — ``Mcat._charged`` is called once per charged op, and cProfile
-    records who called it — so the pass runs unpatched and its call
-    counts add up to the same total as ``profile``'s.
+    itself — a charged op is one ``with`` block entering the catalog's
+    charge, and cProfile records whose block it was — so the pass runs
+    unpatched and its call counts add up to the same total as
+    ``profile``'s.  ``unattributed`` is the ``mcat.ops`` of a kind of
+    call that no method was found for; anything but 0 means this reading
+    of the profile no longer matches how the catalog charges.
     """
     from gridbench import runner
     from gridbench.measure import Meter
+    from repro.mcat.catalog import _Charge
+    entered = _Charge.__enter__.__code__
     phase = warmed_phase(workload, seed, scale)
     fed = phase.workload.grid.fed
     meter = Meter()
@@ -165,7 +172,7 @@ def by_call(workload: str, seed: int, scale: float):
         for entry in meter.profiler.getstats():
             row["py_calls"] += entry.callcount
             for sub in entry.calls or ():
-                if getattr(sub.code, "co_name", "") == "_charged":
+                if sub.code is entered:
                     row["charged"][entry.code.co_name] += sub.callcount
         return result
 
@@ -183,14 +190,22 @@ def by_call(workload: str, seed: int, scale: float):
         row["per_row"] = {
             method: count for method, count in row["charged"].items()
             if row["rows_out"] >= PER_ROW_FLOOR and count >= row["rows_out"]}
+        row["unattributed"] = row["mcat_ops"] - sum(row["charged"].values())
         row["charged"] = dict(row["charged"].most_common())
     return kinds
+
+
+def by_call_failed(kinds) -> bool:
+    """What ``--by-call`` exits 1 on: a catalog method charged once per
+    delivered row, or ``mcat.ops`` that no method accounts for."""
+    return any(row["per_row"] or row["unattributed"]
+               for row in kinds.values())
 
 
 def print_by_call(workload: str, seed: int, kinds) -> None:
     sums = {key: sum(row[key] for row in kinds.values())
             for key in ("calls", "rows_out", "py_calls", "virt_s", "mcat_ops",
-                        "rows_scanned")}
+                        "rows_scanned", "unattributed")}
     print(f"{workload} seed {seed}: {sums['calls']} client calls, "
           f"{sums['py_calls'] / sums['calls']:,.1f} Python-level calls and "
           f"{sums['virt_s'] / sums['calls']:.4f} virtual s per call\n")
@@ -202,6 +217,8 @@ def print_by_call(workload: str, seed: int, kinds) -> None:
         label = kind if kind == "total" else f"{kind} x{row['calls']}"
         flagged = ", ".join(f"{count} {method}" for method, count
                             in row["per_row"].items()) or "-"
+        if row["unattributed"]:
+            flagged += f"  ({row['unattributed']} mcat.ops unattributed)"
         print(f"{label:<16}{row['rows_out']:>9,}{row['py_calls']:>14,}"
               f"{row['virt_s']:>11.4f}{row['mcat_ops']:>10,}"
               f"{row['rows_scanned']:>14,}  {flagged}")
@@ -237,7 +254,7 @@ def main(argv=None) -> int:
                               "by_call": kinds}, indent=1))
         else:
             print_by_call(args.workload, args.seed, kinds)
-        return 1 if any(row["per_row"] for row in kinds.values()) else 0
+        return 1 if by_call_failed(kinds) else 0
     stats, ops = profile(args.workload, args.seed, scale)
     if args.callers:
         edges = callers(stats, ops, args.callers)

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Lint the plane services against the dispatch pipeline contract.
 
-Six rules keep the refactored server honest (see DESIGN.md, "SRB
+Seven rules keep the refactored server honest (see DESIGN.md, "SRB
 server architecture" and "Placement policy engine"):
 
 1. **Every public plane-service method is a declared op.**  The RPC
@@ -18,13 +18,13 @@ server architecture" and "Placement policy engine"):
    ``ctx.require_local`` — are the sanctioned escape hatches and are not
    flagged.)
 
-3. **Catalog access goes through the ``self.mcat`` property, and nobody
-   asks the catalog what it is.**  Reaching the catalog as
+3. **Catalog access goes through the plane's own ``self.mcat``, and
+   nobody asks the catalog what it is.**  Reaching the catalog as
    ``server.mcat`` or ``federation.mcat`` sidesteps the one seam the
    catalog (``Federation(mcat_shards=...)``) relies on being narrow:
-   handlers must not care how many partitions sit behind the property.
-   The sole sanctioned chain is the ``mcat`` property definition itself
-   in ``planes/base.py``.  And there is one catalog class, so nothing
+   handlers must not care how many partitions sit behind the attribute
+   (``Wired._wire`` in ``planes/base.py`` binds it, by name, once).
+   And there is one catalog class, so nothing
    under ``src/repro`` outside ``mcat/shard.py`` may test a catalog's
    type: no ``isinstance(..., Mcat)`` / ``isinstance(..., ShardedMcat)``,
    no ``getattr``/``hasattr`` of a ``shard*`` or ``route_*`` name.  A
@@ -45,9 +45,9 @@ server architecture" and "Placement policy engine"):
    filtering replicas is ``repro.policy``'s job; code elsewhere in
    ``src/repro`` that hand-sorts rows by ``"replica_num"`` re-opens the
    seam the engine closed — such code would not see the observed-stats
-   policy, quarantine or auto-striping.  The one allowlisted file sorts
-   catalog rows into their canonical order, which is not a choice; the
-   allowlist is frozen and must only ever shrink.
+   policy, quarantine or auto-striping.  (The catalog's canonical row
+   order is ``mcat.schema.REPLICA_ORDER``, a sort key and not a choice.)
+   No allowlist.
 
 6. **Payload bytes in plane code move through the leg runner.**
    A handler calling ``self.network.transfer(...)`` itself decides how
@@ -63,6 +63,13 @@ server architecture" and "Placement policy engine"):
    *control* messages — never payload — straight onto the wire; it
    must only ever shrink.
 
+7. **Federation-shared state is bound, not forwarded.**  The server and
+   its planes carry ``mcat``, ``clock``, ``obs``, ... as plain attributes
+   (``Wired._wire``); a ``@property`` in ``core/planes/base.py`` or
+   ``core/server.py`` whose body only returns something reached through
+   ``self.federation`` or ``self.server`` puts a Python call back on
+   every read of it, a dozen times per request.
+
 Run from the repository root::
 
     python tools/lint_dispatch.py
@@ -70,7 +77,7 @@ Run from the repository root::
 Exits non-zero, listing violations, if either rule is broken.  Wired
 into CI next to the test suite.
 
-The three allowlists (rules 4-6) are frozen: an entry that no longer
+The two allowlists (rules 4 and 6) are frozen: an entry that no longer
 suppresses anything is itself a violation, so "may only shrink" is
 enforced here rather than promised in a comment.
 """
@@ -152,30 +159,21 @@ def check_no_inline_plumbing() -> List[str]:
     return errors
 
 
-def check_mcat_via_property() -> List[str]:
+def check_mcat_via_self() -> List[str]:
     """Rule 3: no ``server.mcat``/``federation.mcat`` attribute chains."""
     errors = []
     for path in sorted(PLANES_DIR.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        # the one sanctioned chain: the body of the mcat property itself
-        exempt_lines = set()
-        if path.name == "base.py":
-            for node in ast.walk(tree):
-                if isinstance(node, ast.FunctionDef) and node.name == "mcat":
-                    exempt_lines.update(
-                        range(node.lineno, node.end_lineno + 1))
         for node in ast.walk(tree):
             if not (isinstance(node, ast.Attribute) and node.attr == "mcat"
                     and isinstance(node.value, ast.Attribute)
                     and node.value.attr in ("server", "federation")):
                 continue
-            if node.lineno in exempt_lines:
-                continue
             errors.append(
                 f"{path.relative_to(ROOT)}:{node.lineno}: "
-                f"...{node.value.attr}.mcat in a plane module — go "
-                f"through the self.mcat property so sharded catalogs "
-                f"stay transparent")
+                f"...{node.value.attr}.mcat in a plane module — use "
+                f"the plane's own self.mcat so sharded catalogs stay "
+                f"transparent")
     return errors
 
 
@@ -276,24 +274,14 @@ def check_query_ops_paged() -> List[str]:
     return errors + _stale("UNBOUNDED_LEGACY_OPS", UNBOUNDED_LEGACY_OPS, used)
 
 
-#: Files outside ``repro.policy`` allowed to sort by replica number.
-#: Frozen: entries may be removed, never added.
-PLACEMENT_SEAM_ALLOWLIST = {
-    # canonical catalog row order, not a placement choice
-    "src/repro/mcat/catalog.py",
-}
-
-
 def check_placement_seam() -> List[str]:
     """Rule 5: replica choice outside ``repro.policy`` is banned."""
     errors = []
-    used = set()
     src_repro = ROOT / "src" / "repro"
     for path in sorted(src_repro.rglob("*.py")):
         rel = path.relative_to(ROOT).as_posix()
         if rel.startswith("src/repro/policy/"):
             continue
-        found = []
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in ast.walk(tree):
             if (isinstance(node, ast.Call)
@@ -302,16 +290,11 @@ def check_placement_seam() -> List[str]:
                     and any(isinstance(sub, ast.Constant)
                             and sub.value == "replica_num"
                             for sub in ast.walk(node))):
-                found.append(
+                errors.append(
                     f"{rel}:{node.lineno}: ad-hoc sorted(...) by "
                     f"'replica_num' — replica ordering belongs to "
                     f"repro.policy")
-        if rel not in PLACEMENT_SEAM_ALLOWLIST:
-            errors += found
-        elif found:
-            used.add(rel)
-    return errors + _stale("PLACEMENT_SEAM_ALLOWLIST",
-                           PLACEMENT_SEAM_ALLOWLIST, used)
+    return errors
 
 
 #: ``(file, enclosing function)`` pairs sanctioned to call
@@ -358,11 +341,50 @@ def check_raw_transfers() -> List[str]:
                            used)
 
 
+#: where the federation's shared state is bound once (rule 7)
+WIRED_FILES = (PLANES_DIR / "base.py", PLANES_DIR.parent / "server.py")
+
+
+def _is_forward(expr: ast.AST) -> bool:
+    """``self.federation...`` or ``self.server...``: a bare attribute
+    chain hanging off one of the two."""
+    while isinstance(expr, ast.Attribute):
+        if (isinstance(expr.value, ast.Name) and expr.value.id == "self"
+                and expr.attr in ("federation", "server")):
+            return True
+        expr = expr.value
+    return False
+
+
+def check_no_forwarding_properties() -> List[str]:
+    """Rule 7: no ``@property`` that only forwards to the federation."""
+    errors = []
+    for path in WIRED_FILES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.FunctionDef) and any(
+                    isinstance(dec, ast.Name) and dec.id == "property"
+                    for dec in node.decorator_list)):
+                continue
+            body = [stmt for stmt in node.body
+                    if not (isinstance(stmt, ast.Expr)
+                            and isinstance(stmt.value, ast.Constant))]
+            if (len(body) == 1 and isinstance(body[0], ast.Return)
+                    and body[0].value is not None
+                    and _is_forward(body[0].value)):
+                errors.append(
+                    f"{path.relative_to(ROOT)}:{node.lineno}: property "
+                    f"{node.name!r} only forwards to the federation — "
+                    f"declare it on Wired, which binds it once")
+    return errors
+
+
 def main() -> int:
     errors = (check_public_methods_declared() + check_no_inline_plumbing()
-              + check_mcat_via_property() + check_no_catalog_type_tests()
+              + check_mcat_via_self() + check_no_catalog_type_tests()
               + check_query_ops_paged()
-              + check_placement_seam() + check_raw_transfers())
+              + check_placement_seam() + check_raw_transfers()
+              + check_no_forwarding_properties())
     if errors:
         print(f"lint_dispatch: {len(errors)} violation(s)")
         for err in errors:
