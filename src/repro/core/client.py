@@ -19,13 +19,14 @@ Typical use::
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.auth.tickets import Ticket
 from repro.auth.users import UserRegistry
 from repro.core.federation import Federation
 from repro.errors import AuthError
 from repro.mcat.query import Condition, DisplayOnly, QueryResult
+from repro.net.rpc import BatchItemResult
 
 
 class SrbClient:
@@ -68,6 +69,48 @@ class SrbClient:
             return data
         from repro.net.wire import DeferredPayload
         return DeferredPayload(data)
+
+    def batch(self, *items: Tuple[str, Dict[str, Any]]
+              ) -> List[BatchItemResult]:
+        """Pipeline independent ops as one message pair.
+
+        Each item is ``(op_name, kwargs)`` — the RPC op's name and
+        keyword arguments, without the ticket.  The items share one
+        request, one admission and one reply
+        (:meth:`~repro.net.rpc.ServiceRegistry.call_batch`); on the
+        server each still runs its own dispatch plan — auth, ACL check,
+        audit row, span — in order.  A payload in the slot the op
+        declares (``payload_arg`` / ``payload_items``) is deferred under
+        ``direct_io`` exactly as the unary method defers it.
+
+        Returns one :class:`~repro.net.rpc.BatchItemResult` per item: an
+        item that fails carries its error and the others still run, so
+        only put calls together that do not depend on each other.  Only
+        a whole-message failure (server unreachable or busy) raises
+        here.  No items, no exchange.
+        """
+        if not items:
+            return []
+        dispatch = self.federation.server(self.server_name).dispatch
+        sent = []
+        for op, kwargs in items:
+            kwargs = dict(kwargs)
+            if op in dispatch:      # an unknown op is the server's to refuse
+                spec = dispatch.get(op).spec
+                if spec.auth:
+                    kwargs["ticket"] = self.ticket
+                if spec.payload_arg in kwargs:
+                    kwargs[spec.payload_arg] = \
+                        self._defer(kwargs[spec.payload_arg])
+                elif spec.payload_items in kwargs:
+                    kwargs[spec.payload_items] = [
+                        dict(item, data=self._defer(item["data"]))
+                        if "data" in item else dict(item)
+                        for item in kwargs[spec.payload_items]]
+            sent.append((op, kwargs))
+        return self.federation.rpc.call_batch(
+            self.client_host, self._server_host,
+            f"srb:{self.server_name}", sent)
 
     def connect(self, server_name: str) -> None:
         """Switch to a different SRB server; the SSO ticket stays valid

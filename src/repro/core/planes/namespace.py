@@ -141,7 +141,11 @@ class NamespaceService(PlaneService):
 
     @rpc_op("stat", scope_arg="path", forwardable=True)
     def stat(self, ctx: OpContext, path: str) -> Dict[str, Any]:
-        """System metadata + replica list for an object, or collection info."""
+        """System metadata + replica list for an object, or collection info.
+
+        A container also answers its ``members`` — ``path``, ``name``,
+        ``offset``, ``size`` of each member the caller may read, in
+        offset order."""
         principal = ctx.principal
         path = paths.normalize(path)
         obj = self.mcat.find_object(path)
@@ -149,6 +153,9 @@ class NamespaceService(PlaneService):
             self.access.require_object(principal, obj, "read")
             out = dict(obj)
             out["replicas"] = self.mcat.replicas(int(obj["oid"]))
+            if obj["kind"] == "container":
+                out["members"] = self._readable_members(principal,
+                                                        int(obj["oid"]))
             return out
         if self.mcat.collection_exists(path):
             self.access.require_collection(principal, path, "read")
@@ -156,6 +163,18 @@ class NamespaceService(PlaneService):
             out["replicas"] = []
             return out
         raise NoSuchObject(f"no object or collection {path!r}")
+
+    def _readable_members(self, principal: Principal,
+                          container_oid: int) -> List[Dict[str, Any]]:
+        """Where each member ``principal`` may read lies in the container."""
+        slices = self.containers.members(container_oid)
+        objs = self.mcat.get_objects_by_ids([int(s["oid"]) for s in slices])
+        readable = self.access.can_objects(principal, objs, "read")
+        by_oid = {obj["oid"]: obj for obj in compress(objs, readable)}
+        return [{"path": by_oid[s["oid"]]["path"],
+                 "name": by_oid[s["oid"]]["name"],
+                 "offset": s["offset"], "size": s["size"]}
+                for s in slices if s["oid"] in by_oid]
 
     @rpc_op("move", scope_arg="src", write=True, audit="move",
             detail_arg="dst")

@@ -30,6 +30,7 @@ from repro.errors import (
     SrbError,
 )
 from repro.mcat.query import Condition, DisplayOnly
+from repro.mysrb import html as H
 from repro.mysrb import views
 from repro.util import paths
 
@@ -172,17 +173,13 @@ class MySrbApp:
         if path == "/ingest" and method == "GET":
             return Response(views.ingest_form(
                 client, request.param("coll"),
-                resources=self._resource_names(),
-                containers=self._container_paths(client,
-                                                  request.param("coll"))))
+                resources=self._resource_names()))
         if path == "/ingest" and method == "POST":
             return self._do_ingest(client, request)
         if path == "/ingest-bulk" and method == "GET":
             return Response(views.bulk_ingest_form(
                 client, request.param("coll"),
-                resources=self._resource_names(),
-                containers=self._container_paths(client,
-                                                  request.param("coll"))))
+                resources=self._resource_names()))
         if path == "/ingest-bulk" and method == "POST":
             return self._do_bulk_ingest(client, request)
         if path == "/mkcoll":
@@ -190,8 +187,7 @@ class MySrbApp:
             name = request.param("name")
             if method == "POST" and name:
                 client.mkcoll(paths.join(coll, name))
-                return Response.redirect(f"/browse?path={views.H.url_quote(coll)}")
-            from repro.mysrb import html as H
+                return Response.redirect(f"/browse?path={H.url_quote(coll)}")
             body = H.form("/mkcoll", H.hidden_field("coll", coll)
                           + H.text_field("name", "New collection name"),
                           submit="Create")
@@ -209,13 +205,12 @@ class MySrbApp:
                 mandatory=bool(request.form.get("mandatory")),
                 comment=request.param("comment") or None)
             return Response.redirect(
-                f"/structural?coll={views.H.url_quote(coll)}")
+                f"/structural?coll={H.url_quote(coll)}")
         if path == "/metadata" and method == "GET":
             return Response(views.metadata_form(client, request.param("path")))
         if path == "/metadata" and method == "POST":
             return self._do_metadata(client, request)
         if path == "/annotate" and method == "GET":
-            from repro.mysrb import html as H
             p = request.param("path")
             body = H.form("/annotate", H.hidden_field("path", p)
                           + H.select_field("ann_type", "Type",
@@ -230,7 +225,7 @@ class MySrbApp:
             client.add_annotation(p, request.param("ann_type", "comment"),
                                   request.param("text"),
                                   location=request.param("location") or None)
-            return Response.redirect(f"/open?path={views.H.url_quote(p)}")
+            return Response.redirect(f"/open?path={H.url_quote(p)}")
         if path == "/query" and method == "GET":
             if request.param("run") or request.param("cursor"):
                 return self._do_query(client, request)   # next-page link
@@ -250,7 +245,7 @@ class MySrbApp:
         if path == "/edit" and method == "POST":
             p = request.param("path")
             client.put(p, request.param("content").encode())
-            return Response.redirect(f"/open?path={views.H.url_quote(p)}")
+            return Response.redirect(f"/open?path={H.url_quote(p)}")
         if path == "/op":
             return self._do_op(client, request)
         raise NoSuchObject(f"no such page {path!r}")
@@ -295,47 +290,39 @@ class MySrbApp:
         return (self.federation.resources.logical_names()
                 + self.federation.resources.physical_names())
 
-    def _container_paths(self, client: SrbClient, coll: str) -> List[str]:
-        if not coll:
-            return []
-        try:
-            listing = client.ls(coll)
-        except SrbError:
-            return []
-        return [o["path"] for o in listing["objects"]
-                if o["kind"] == "container"]
-
     def _do_ingest(self, client: SrbClient, request: Request) -> Response:
         coll = request.param("coll")
         name = request.param("name")
         target = paths.join(coll, name)
         metadata: Dict[str, str] = {}
-        user_triples: List[Tuple[str, str, Optional[str]]] = []
-        dc_triples: List[Tuple[str, str]] = []
+        triples: List[Tuple[str, Dict[str, Any]]] = []   # Dublin Core first
         for key, value in request.form.items():
             if not value:
                 continue
             if key.startswith("meta:"):
                 metadata[key[len("meta:"):]] = value
             elif key.startswith("dc:"):
-                dc_triples.append((key[len("dc:"):], value))
+                triples.append(("add_metadata", {
+                    "path": target, "attr": key[len("dc:"):], "value": value,
+                    "meta_class": "type", "schema_name": "dublin-core"}))
         for i in range(1, 10):
             uname = request.form.get(f"uname{i}")
             if uname and request.form.get(f"uvalue{i}"):
-                user_triples.append((uname, request.form[f"uvalue{i}"],
-                                     request.form.get(f"uunits{i}") or None))
+                triples.append(("add_metadata", {
+                    "path": target, "attr": uname,
+                    "value": request.form[f"uvalue{i}"],
+                    "units": request.form.get(f"uunits{i}") or None}))
         container = request.param("container")
         client.ingest(target, request.param("content").encode(),
                       resource=request.param("resource") or None,
                       container=None if container in ("", "(none)") else container,
                       data_type=request.param("data_type") or None,
                       metadata=metadata)
-        for attr, value in dc_triples:
-            client.add_metadata(target, attr, value, meta_class="type",
-                                schema_name="dublin-core")
-        for attr, value, units in user_triples:
-            client.add_metadata(target, attr, value, units=units)
-        return Response.redirect(f"/open?path={views.H.url_quote(target)}")
+        # the triples go together, but never with the ingest: a refused
+        # ingest of an existing path must not annotate what is there
+        for outcome in client.batch(*triples):
+            outcome.unwrap()        # the page reports the first failure
+        return Response.redirect(f"/open?path={H.url_quote(target)}")
 
     def _do_bulk_ingest(self, client: SrbClient,
                         request: Request) -> Response:
@@ -350,7 +337,7 @@ class MySrbApp:
                                                    "").encode()})
         if not items:
             return Response.redirect(
-                f"/ingest-bulk?coll={views.H.url_quote(coll)}")
+                f"/ingest-bulk?coll={H.url_quote(coll)}")
         container = request.param("container")
         results = client.bulk_ingest(
             items, resource=request.param("resource") or None,
@@ -368,7 +355,7 @@ class MySrbApp:
             client.add_metadata(p, request.param("attr"),
                                 request.param("value") or None,
                                 units=request.param("units") or None)
-        return Response.redirect(f"/metadata?path={views.H.url_quote(p)}")
+        return Response.redirect(f"/metadata?path={H.url_quote(p)}")
 
     def _do_query(self, client: SrbClient, request: Request) -> Response:
         """Run a query and render one page of results.
@@ -420,16 +407,16 @@ class MySrbApp:
                 proxy_function=bool(request.form.get("proxy_function")))
         else:
             raise NoSuchObject(f"unknown registration kind {kind!r}")
-        return Response.redirect(f"/browse?path={views.H.url_quote(coll)}")
+        return Response.redirect(f"/browse?path={H.url_quote(coll)}")
 
     def _edit_form(self, client: SrbClient, request: Request) -> Response:
         """"edit a file, if it is a small ASCII file"."""
-        from repro.mysrb import html as H
         p = request.param("path")
         info = client.stat(p)
-        if info.get("data_type") not in ("ascii text", None):
+        if not views.editable(info["kind"], info.get("data_type")):
             raise SrbError(f"the edit facility is allowed only for a few "
-                           f"data types, not {info.get('data_type')!r}")
+                           f"data types, not {info['kind']} "
+                           f"{info.get('data_type')!r}")
         data = client.get(p)
         body = H.form("/edit", H.hidden_field("path", p)
                       + H.textarea("content", "Contents",
@@ -440,7 +427,6 @@ class MySrbApp:
 
     def _do_op(self, client: SrbClient, request: Request) -> Response:
         """Data-movement operations dispatched from the listing links."""
-        from repro.mysrb import html as H
         action = request.param("action")
         p = request.param("path")
         if request.method == "GET" and action in ("replicate", "copy",
@@ -472,7 +458,7 @@ class MySrbApp:
             except NoSuchObject:
                 client.rmcoll(p)
             return Response.redirect(
-                f"/browse?path={views.H.url_quote(parent)}")
+                f"/browse?path={H.url_quote(parent)}")
         elif action == "lock":
             client.lock(p)
         elif action == "unlock":
@@ -483,4 +469,4 @@ class MySrbApp:
             client.checkin(p)
         else:
             raise SrbError(f"unknown operation {action!r}")
-        return Response.redirect(f"/open?path={views.H.url_quote(p)}")
+        return Response.redirect(f"/open?path={H.url_quote(p)}")

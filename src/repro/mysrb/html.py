@@ -28,7 +28,13 @@ _URL_ESCAPES = {byte: chr(byte) if byte in _UNRESERVED else f"%{byte:02X}"
 
 def e(value: object) -> str:
     """Escape any value for HTML text/attribute context."""
-    return escape("" if value is None else str(value), quote=True)
+    text = "" if value is None else str(value)
+    # most cells hold nothing to escape: five substring scans (no call)
+    # tell, where escape() is a call and five str.replace calls
+    if "&" in text or "<" in text or ">" in text or '"' in text \
+            or "'" in text:
+        return escape(text, quote=True)
+    return text
 
 
 def page(title: str, top_pane: str, bottom_pane: str,
@@ -67,20 +73,17 @@ def simple_page(title: str, body: str) -> str:
 
 def nav_bar(session_user: Optional[str], current: str) -> str:
     """The top navigation bar, with the signed-on user on the right."""
-    links = [
-        ("/browse", "Collections"),
-        ("/resources", "Resources"),
-        ("/status", "Status"),
-        ("/query?scope=" + url_quote(current), "mySRB Query"),
-        ("/ingest?coll=" + url_quote(current), "Ingest"),
-        ("/register?coll=" + url_quote(current), "Register"),
-        ("/help", "Help"),
-    ]
-    out = "".join(f'<a href="{e(href)}">{e(label)}</a>' for href, label in links)
+    q = url_quote(current)      # unreserved characters and %XX only
     who = (f'<span style="float:right">{e(session_user)} '
            f'<a href="/logout">logout</a></span>'
            if session_user else '<span style="float:right">public</span>')
-    return out + who
+    return ('<a href="/browse">Collections</a>'
+            '<a href="/resources">Resources</a>'
+            '<a href="/status">Status</a>'
+            f'<a href="/query?scope={q}">mySRB Query</a>'
+            f'<a href="/ingest?coll={q}">Ingest</a>'
+            f'<a href="/register?coll={q}">Register</a>'
+            '<a href="/help">Help</a>' + who)
 
 
 def url_quote(text: str) -> str:
@@ -95,8 +98,8 @@ def table(headers: Sequence[str], rows: Iterable[Sequence[object]],
     head = "".join(f"<th>{e(h)}</th>" for h in headers)
     body = []
     for row in rows:
-        cells = "".join(f"<td>{cell if isinstance(cell, RawHtml) else e(cell)}</td>"
-                        for cell in row)
+        cells = "".join([f"<td>{cell if type(cell) is RawHtml else e(cell)}</td>"
+                         for cell in row])
         body.append(f"<tr>{cells}</tr>")
     return (f'<table class="{e(css_class)}"><tr>{head}</tr>'
             + "".join(body) + "</table>")

@@ -14,7 +14,7 @@ The two figures of the paper map to:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core.client import SrbClient
 from repro.errors import SrbError
@@ -24,9 +24,7 @@ from repro.mysrb import html as H
 from repro.obs.metrics import format_value
 from repro.util import paths
 
-_INLINEABLE_TYPES = ("ascii text", "html", "sql query", "url", "method",
-                     "container", None)
-_EDITABLE_TYPES = ("ascii text",)          # "the edit facility is allowed
+_EDITABLE_TYPES = ("ascii text", None)     # "the edit facility is allowed
                                            # only for a few data types"
 _INLINE_LIMIT = 64 * 1024
 #: Hard bound on rows rendered per listing/results page.  A query over a
@@ -35,24 +33,46 @@ _INLINE_LIMIT = 64 * 1024
 PAGE_BOUND = 200
 
 
-def _object_operations(path: str, kind: str) -> H.RawHtml:
-    """The per-object operation links of the Figure 1 listing."""
-    q = H.url_quote(path)
-    ops = [("open", f"/open?path={q}")]
-    ops.append(("metadata", f"/metadata?path={q}"))
-    ops.append(("annotate", f"/annotate?path={q}"))
-    if kind in ("data", "registered"):
-        ops.append(("replicate", f"/op?action=replicate&path={q}"))
-    if kind == "data" and kind not in ("shadow-dir",):
-        ops.append(("edit", f"/edit?path={q}"))
-    ops.append(("copy", f"/op?action=copy&path={q}"))
-    ops.append(("move", f"/op?action=move&path={q}"))
-    ops.append(("link", f"/op?action=link&path={q}"))
-    ops.append(("lock", f"/op?action=lock&path={q}"))
-    ops.append(("delete", f"/op?action=delete&path={q}"))
-    return H.RawHtml(" ".join(
+_OWN_PAGE = ("open", "metadata", "annotate", "edit")     # the rest: /op
+
+
+def editable(kind: str, data_type: Optional[str]) -> bool:
+    """May MySRB edit this object in the browser?  The one definition:
+    the listing offers the *edit* link by it and ``/edit`` refuses by it."""
+    return kind == "data" and data_type in _EDITABLE_TYPES
+
+
+def _operations_template(replicable: bool, can_edit: bool) -> List[str]:
+    """The per-object operation links of the Figure 1 listing, split at
+    the places the object's quoted path goes."""
+    labels = (["open", "metadata", "annotate"] + ["replicate"] * replicable
+              + ["edit"] * can_edit
+              + ["copy", "move", "link", "lock", "delete"])
+    hrefs = [f"/{label}?path=\0" if label in _OWN_PAGE
+             else f"/op?action={label}&path=\0" for label in labels]
+    return " ".join(
         f'<a class="op" href="{H.e(href)}">{H.e(label)}</a>'
-        for label, href in ops))
+        for label, href in zip(labels, hrefs)).split("\0")
+
+
+# The anchors are the same for every row but for the path, so they are
+# escaped here, once, not once per row.
+_OPERATIONS = {(replicable, can_edit):
+               _operations_template(replicable, can_edit)
+               for replicable in (False, True) for can_edit in (False, True)}
+
+
+def _object_row(obj: Dict[str, Any]) -> Sequence[object]:
+    """One object's row of the Figure 1 listing.  The quoted path is
+    unreserved characters and ``%XX`` only, so nothing built from it and
+    constants needs escaping."""
+    q = H.url_quote(obj["path"])
+    kind, data_type = obj["kind"], obj["data_type"]
+    operations = _OPERATIONS[kind in ("data", "registered"),
+                             editable(kind, data_type)]
+    return (H.RawHtml(f'<a href="/open?path={q}">{H.e(obj["name"])}</a>'),
+            kind, data_type or "", obj["size"] or "",
+            H.RawHtml(q.join(operations)))
 
 
 def browse(client: SrbClient, path: str, cursor: Optional[str] = None,
@@ -64,13 +84,15 @@ def browse(client: SrbClient, path: str, cursor: Optional[str] = None,
     render per page; larger collections continue through a *next page*
     cursor link instead of one unbounded document.
     """
-    listing = client.ls_page(path, limit=page_size, cursor=cursor)
-    try:
-        md = client.get_metadata(path)
-        anns = client.annotations(path)
-    except SrbError:
-        md, anns = [], []
-    top = H.metadata_pane(f"Collection {path}", md, anns)
+    listing, md, anns = client.batch(
+        ("list_collection_page",
+         {"path": path, "limit": page_size, "cursor": cursor}),
+        ("get_metadata", {"path": path}),
+        ("annotations", {"path": path}))
+    listing = listing.unwrap()
+    shown = md.ok and anns.ok       # the top pane is best effort
+    top = H.metadata_pane(f"Collection {path}", md.value if shown else [],
+                          anns.value if shown else [])
 
     rows: List[Sequence[object]] = []
     for coll in listing["collections"]:
@@ -81,12 +103,7 @@ def browse(client: SrbClient, path: str, cursor: Optional[str] = None,
             H.RawHtml(f'<a class="op" href="/metadata?path={q}">metadata</a> '
                       f'<a class="op" href="/op?action=delete&path={q}">delete</a>'),
         ))
-    for obj in listing["objects"]:
-        rows.append((
-            H.link_to(f"/open?path={H.url_quote(obj['path'])}", obj["name"]),
-            obj["kind"], obj["data_type"] or "", obj["size"] or "",
-            _object_operations(obj["path"], obj["kind"]),
-        ))
+    rows.extend([_object_row(obj) for obj in listing["objects"]])
     bottom = "<h3>Contents</h3>" + (
         H.table(["name", "kind", "data type", "size", "operations"], rows)
         if rows else "<p><i>empty collection</i></p>")
@@ -106,7 +123,16 @@ def browse(client: SrbClient, path: str, cursor: Optional[str] = None,
     return H.page(f"Collection {path}", top, bottom, nav=nav)
 
 
-def _render_metadata_extras(client: SrbClient, md) -> str:
+def _embeds(row) -> bool:
+    """Does the metadata pane show the contents of the SRB object this
+    row's value names — a ``file-based`` metadata file, an object
+    designated ``inline``?"""
+    value = row.get("value")
+    return isinstance(value, str) and value.startswith("/") and (
+        row.get("meta_class") == "file-based" or row.get("units") == "inline")
+
+
+def _render_metadata_extras(client: SrbClient, md, fetched) -> str:
     """The paper's "creative" metadata modes, rendered below the triples.
 
     * a URL value whose units are ``inline`` is fetched and its contents
@@ -116,15 +142,17 @@ def _render_metadata_extras(client: SrbClient, md) -> str:
       designated ``inline`` its contents are embedded (thumbnails);
     * ``file-based`` metadata rows point at a metadata-carrying file in
       SRB whose triplets are shown (viewing only — not queryable).
+
+    ``fetched`` maps the value of each row that :func:`_embeds` to the
+    outcome of its ``get``.
     """
     parts = []
     for row in md:
         value = row.get("value")
         if not isinstance(value, str):
             continue
-        inline = row.get("units") == "inline"
         if value.startswith(("http://", "https://", "ftp://")):
-            if inline:
+            if row.get("units") == "inline":
                 try:
                     content = client.federation.web.fetch(
                         value, client.client_host).decode("utf-8", "replace")
@@ -138,26 +166,22 @@ def _render_metadata_extras(client: SrbClient, md) -> str:
         elif value.startswith("/"):
             link = (f"<a href='/open?path={H.url_quote(value)}'>"
                     f"{H.e(value)}</a>")
-            if row.get("meta_class") == "file-based":
-                try:
-                    triples = client.get(value).decode("utf-8", "replace")
-                except SrbError as exc:
-                    triples = f"[unavailable: {exc}]"
-                parts.append(f"<div class='filemeta'><b>metadata file</b> "
-                             f"{link}:<br><pre>{H.e(triples)}</pre></div>")
-            elif inline:
-                try:
-                    body = client.get(value)
-                    shown = body.decode("utf-8", "replace") \
-                        if len(body) <= _INLINE_LIMIT else \
-                        f"[{len(body)} bytes]"
-                except SrbError as exc:
-                    shown = f"[unavailable: {exc}]"
-                parts.append(f"<div class='inline-obj'><b>"
-                             f"{H.e(row['attr'])}</b> {link}:<br>"
-                             f"<pre>{H.e(shown)}</pre></div>")
-            else:
+            if not _embeds(row):
                 parts.append(f"<p>related: {link}</p>")
+                continue
+            file_based = row.get("meta_class") == "file-based"
+            try:
+                body = fetched[value].unwrap()
+                shown = body.decode("utf-8", "replace") \
+                    if file_based or len(body) <= _INLINE_LIMIT else \
+                    f"[{len(body)} bytes]"
+            except SrbError as exc:
+                shown = f"[unavailable: {exc}]"
+            parts.append(
+                f"<div class='filemeta'><b>metadata file</b> {link}:<br>"
+                f"<pre>{H.e(shown)}</pre></div>" if file_based else
+                f"<div class='inline-obj'><b>{H.e(row['attr'])}</b> {link}:"
+                f"<br><pre>{H.e(shown)}</pre></div>")
     return "".join(parts)
 
 
@@ -166,42 +190,50 @@ def open_object(client: SrbClient, path: str) -> str:
 
     "when a user 'opens' a file, the attributes about the file are
     displayed along with the contents of the file."
+
+    Two exchanges.  What the page shows of any object rides the first;
+    the second carries what only the answer to the first can name — the
+    contents, for a kind that has contents (never a container's bytes),
+    a container's dead space, and the objects the metadata embeds.
     """
-    info = client.stat(path)
-    md = client.get_metadata(path)
-    anns = client.annotations(path)
-    top = H.metadata_pane(f"{info['kind']} {path}", md, anns)
-    top += _render_metadata_extras(client, md)
+    info, md, anns = (item.unwrap() for item in client.batch(
+        ("stat", {"path": path}),
+        ("get_metadata", {"path": path}),
+        ("annotations", {"path": path})))
+    kind = info["kind"]
+    embedded = list(dict.fromkeys(row["value"] for row in md if _embeds(row)))
+    follow_up = [("get", {"path": p}) for p in embedded]
+    if kind == "container":
+        follow_up.append(("container_garbage", {"path": path}))
+    elif kind != "shadow-dir":
+        follow_up.append(("get", {"path": path}))
+    answers = client.batch(*follow_up)
+
+    top = H.metadata_pane(f"{kind} {path}", md, anns)
+    top += _render_metadata_extras(client, md, dict(zip(embedded, answers)))
     top += H.table(
         ["replica", "resource", "physical path", "size", "dirty"],
         [(r["replica_num"], r["resource"], r["physical_path"], r["size"],
           "yes" if r["is_dirty"] else "no") for r in info["replicas"]])
 
     data_type = info.get("data_type")
-    if info["kind"] == "container":
-        fed = client.federation
-        members = fed.containers.members(int(info["oid"]))
-        rows = []
-        for m in members:
-            mobj = fed.mcat.get_object_by_id(int(m["oid"]))
-            rows.append((H.link_to(f"/open?path={H.url_quote(mobj['path'])}",
-                                   mobj["name"]),
-                         m["offset"], m["size"]))
-        garbage = fed.containers.garbage_bytes(int(info["oid"]))
+    if kind == "container":
+        rows = [(H.link_to(f"/open?path={H.url_quote(m['path'])}", m["name"]),
+                 m["offset"], m["size"]) for m in info["members"]]
         bottom = (f"<h4>Container members ({len(rows)})</h4>"
                   + (H.table(["member", "offset", "size"], rows)
                      if rows else "<p><i>empty container</i></p>")
                   + f"<p>{info['size'] or 0} bytes total, "
-                  + f"{garbage} bytes reclaimable "
+                  + f"{answers[-1].unwrap()} bytes reclaimable "
                   + "(compact via the Scommands or the client API).</p>")
-    elif info["kind"] == "shadow-dir":
+    elif kind == "shadow-dir":
         bottom = (f"<p>registered directory over "
                   f"<code>{H.e(info['target'])}</code> on "
                   f"<code>{H.e(info['resource_hint'])}</code>; browse "
                   f"<a href='/browse?path={H.url_quote(path)}'>its cone</a>.</p>")
     else:
         try:
-            data = client.get(path)
+            data = answers[-1].unwrap()
         except SrbError as exc:
             data = f"[not retrievable: {exc}]".encode()
         if len(data) > _INLINE_LIMIT:
@@ -216,9 +248,27 @@ def open_object(client: SrbClient, path: str) -> str:
     return H.page(f"Object {path}", top, bottom, nav=nav)
 
 
+def _containers_question(coll: str):
+    """The batch item asking which containers an ingest into ``coll``
+    may choose from: a bounded query by kind, not the whole listing."""
+    return ("query_page", {
+        "scope": coll, "include_system": True, "limit": PAGE_BOUND,
+        "conditions": [Condition("SYS:kind", "=", "container",
+                                 display=False)]})
+
+
+def _containers_in(coll: str, answer) -> List[str]:
+    """The containers directly in ``coll`` (the query looks at the whole
+    hierarchy under it); none when the question was refused."""
+    if not answer.ok:
+        return []
+    coll = paths.normalize(coll)
+    return [row[0] for row in answer.value["rows"]
+            if paths.dirname(row[0]) == coll]
+
+
 def ingest_form(client: SrbClient, coll: str,
-                resources: Sequence[str],
-                containers: Sequence[str] = ()) -> str:
+                resources: Sequence[str]) -> str:
     """Figure 2: the ingestion form.
 
     Shows: file chooser (modelled as a content box), data type, resource
@@ -226,7 +276,11 @@ def ingest_form(client: SrbClient, coll: str,
     collection (with defaults and drop-down vocabularies), the Dublin
     Core entry block, and free user-defined attribute rows.
     """
-    structural = client.structural_metadata(coll)
+    containers, structural = client.batch(
+        _containers_question(coll),
+        ("structural_metadata", {"coll": coll}))
+    structural = structural.unwrap()
+    containers = _containers_in(coll, containers)
     fields = [H.hidden_field("coll", coll)]
     fields.append(H.text_field("name", "File name"))
     fields.append(H.textarea("content", "File contents (file-browse upload)"))
@@ -273,10 +327,10 @@ def ingest_form(client: SrbClient, coll: str,
 
 
 def bulk_ingest_form(client: SrbClient, coll: str,
-                     resources: Sequence[str],
-                     containers: Sequence[str] = (),
-                     rows: int = 5) -> str:
+                     resources: Sequence[str], rows: int = 5) -> str:
     """Multi-file ingestion: N name/content rows, one bulk_ingest call."""
+    (answer,) = client.batch(_containers_question(coll))
+    containers = _containers_in(coll, answer)
     fields = [H.hidden_field("coll", coll)]
     fields.append(H.select_field("resource", "Logical resource",
                                  list(resources)))

@@ -1,6 +1,7 @@
 """``url_quote``, which every MySRB link goes through, is one table
 look-up per byte; the standard library function it replaced defines what
-it must return.  (``e`` is still ``html.escape``: pinned here too.)"""
+it must return.  (``e`` is ``html.escape`` behind a check that there is
+anything to escape: pinned here too.)"""
 
 from html import escape
 from urllib.parse import quote

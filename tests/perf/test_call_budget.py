@@ -143,3 +143,115 @@ def test_one_small_op_stays_within_its_call_budget(measured, op):
     assert measured[op] <= BUDGET[op], (
         f"one client.{op} made {measured[op]:.4g} Python-level calls; "
         f"the budget is {BUDGET[op]}")
+
+
+# -- MySRB: exchanges and calls per page --------------------------------------
+# A page costs WAN round trips first (each about 0.08 virtual s from the
+# web host) and HTML assembly second.  Every page sends the calls that do
+# not depend on each other as one ``client.batch`` exchange, so the count
+# per page is exact; a page that regains a serial call fails by name.
+# What each exchange is, in order (<batch> = one call_batch pair):
+#
+# ==============  =====  ===================================================
+# page            pairs  exchanges
+# ==============  =====  ===================================================
+# ``login``       3      challenge, login, then the browse page's batch
+# ``browse``      1      [list_collection_page, get_metadata, annotations]
+# ``browse next`` 1      the same, from the cursor
+# ``open``        2      [stat, get_metadata, annotations], then [get]
+# ``query``       1      query_page
+# ``ingest form`` 1      [query_page for containers, structural_metadata]
+# ``ingest``      4      ingest, [add_metadata x 3], then the open page's 2
+# ``extract``     2      extract_metadata, then the form's get_metadata
+# ``annotate``    3      add_annotation, then the open page's 2
+# ==============  =====  ===================================================
+#
+# The two call budgets are measured + 15 % like the ones above: a page
+# of 100 listing rows (``browse next``: 3,708 calls when pinned; 24,851
+# when every row escaped its ten constant anchors again, in three
+# exchanges) and an open page (784; 1,139 in four exchanges).
+
+EXCHANGES = {
+    "login": ["auth_challenge", "auth_login", "<batch>"],
+    "browse": ["<batch>"],
+    "browse next": ["<batch>"],
+    "open": ["<batch>", "<batch>"],
+    "query": ["query_page"],
+    "ingest form": ["<batch>"],
+    "ingest": ["ingest", "<batch>", "<batch>", "<batch>"],
+    "extract": ["extract_metadata", "get_metadata"],
+    "annotate": ["add_annotation", "<batch>", "<batch>"],
+}
+PAGE_BUDGET = {"browse next": 4265, "open": 905}
+
+
+@pytest.fixture(scope="module")
+def session():
+    """One browser session over a 300-object collection (a full page of
+    200 rows, then one of 100): per page, the exchanges the web host
+    made and the Python-level calls it took."""
+    import re
+
+    from repro.mysrb import Browser, MySrbApp
+    from tests.mysrb.test_batched_pages import exchanges
+
+    grid = standard_grid()
+    client, coll = grid.curator, f"{grid.home}/Cultures"
+    client.mkcoll(coll)
+    client.add_metadata(coll, "theme", "avian cultures")
+    for i in range(300):
+        client.ingest(f"{coll}/notes-{i:03d}.txt", b"wingspan = 1.25\n",
+                      data_type="ascii text")
+    client.add_metadata(f"{coll}/notes-007.txt", "Creator", "wan",
+                        meta_class="type", schema_name="dublin-core")
+    app = MySrbApp(grid.fed)
+    pages = {}
+
+    def page(name, send, *args):
+        out, calls = [], []
+        made = exchanges(grid.fed, lambda: calls.append(calls_made_by(
+            lambda: out.append(send(*args)))), src=app.www_host)
+        assert out[0].code == 200, (name, out[0].status)
+        pages[name] = ([method for method, _request in made], calls[0])
+        return out[0].text
+
+    def visit(browser):
+        page("login", browser.login, "sekar@sdsc", "secret")
+        main = page("browse", browser.get, f"/browse?path={coll}")
+        more = re.search(r'class="next-page" href="([^"]+)"', main)
+        page("browse next", browser.get,
+             more.group(1).replace("&amp;", "&"))
+        page("open", browser.get, f"/open?path={coll}/notes-007.txt")
+        page("query", browser.post, "/query",
+             {"scope": coll, "attr1": "Creator", "op1": "=",
+              "value1": "wan", "show1": "on"})
+        page("ingest form", browser.get, f"/ingest?coll={coll}")
+        name = f"zz-upload-{len(pages)}-{browser.cookie[-4:]}.txt"
+        page("ingest", browser.post, "/ingest",
+             {"coll": coll, "name": name, "content": "wingspan = 2\n",
+              "data_type": "ascii text", "resource": "unix-sdsc",
+              "container": "(none)", "dc:Title": "Upload",
+              "dc:Creator": "bench", "uname1": "session", "uvalue1": "1"})
+        page("extract", browser.post, "/metadata",
+             {"path": f"{coll}/{name}", "extract_method": "properties"})
+        page("annotate", browser.post, "/annotate",
+             {"path": f"{coll}/{name}", "ann_type": "comment",
+              "text": "checked", "location": ""})
+
+    visit(Browser(app))     # lazy set-up, memos, op plans
+    visit(Browser(app))
+    return pages
+
+
+@pytest.mark.parametrize("name", sorted(EXCHANGES))
+def test_a_mysrb_page_makes_exactly_its_exchanges(session, name):
+    assert session[name][0] == EXCHANGES[name], (
+        f"the {name} page made {len(session[name][0])} exchanges "
+        f"{session[name][0]}; it is pinned at {len(EXCHANGES[name])}")
+
+
+@pytest.mark.parametrize("name", sorted(PAGE_BUDGET))
+def test_a_mysrb_page_stays_within_its_call_budget(session, name):
+    assert session[name][1] <= PAGE_BUDGET[name], (
+        f"the {name} page made {session[name][1]} Python-level calls; "
+        f"the budget is {PAGE_BUDGET[name]}")
