@@ -161,10 +161,12 @@ class SrbClient:
         """Iterate a collection listing with transparent page fetch.
 
         Streams ``list_collection_page`` chunks through
-        :meth:`~repro.net.rpc.ServiceRegistry.call_stream` (each page is
-        its own charged message pair) and yields entries one by one:
-        sub-collections first as ``{"path", "kind": "collection"}``,
-        then object rows as :meth:`ls` returns them.
+        :meth:`~repro.net.rpc.ServiceRegistry.call_stream` — one
+        request, then the server pushes the pages: a drain pays the
+        link latency once, each page its catalog work and its bytes —
+        and yields entries one by one: sub-collections first as
+        ``{"path", "kind": "collection"}``, then object rows as
+        :meth:`ls` returns them.
         """
         for chunk in self.federation.rpc.call_stream(
                 self.client_host, self._server_host,
@@ -417,29 +419,43 @@ class SrbClient:
                           include_system=include_system, limit=limit,
                           cursor=cursor)
 
+    def iter_query_pages(self, scope: str,
+                         conditions: Sequence[Condition | DisplayOnly],
+                         include_annotations: bool = False,
+                         include_system: bool = False,
+                         page_size: int = 100):
+        """The pages :meth:`iter_query` flattens, as :meth:`query_page`
+        returns them — for a consumer that wants the column header, or
+        to stop on a page boundary knowing whether more would follow.
+
+        Streams ``query_page`` chunks through
+        :meth:`~repro.net.rpc.ServiceRegistry.call_stream`: one request,
+        then the server pushes the pages.  The first page arrives after
+        one page of catalog work (not the whole result set); every page
+        is separately admitted, authorised and charged, but only the
+        first pays the link latency — a drain costs about what the
+        materialising :meth:`query` does.  Dropping the iterator stops
+        the stream at no further cost.
+        """
+        return self.federation.rpc.call_stream(
+            self.client_host, self._server_host,
+            f"srb:{self.server_name}", "query_page",
+            page_size=page_size, ticket=self.ticket, scope=scope,
+            conditions=list(conditions),
+            include_annotations=include_annotations,
+            include_system=include_system)
+
     def iter_query(self, scope: str,
                    conditions: Sequence[Condition | DisplayOnly],
                    include_annotations: bool = False,
                    include_system: bool = False,
                    page_size: int = 100):
-        """Iterate query result rows with transparent page fetch.
-
-        Streams ``query_page`` chunks through
-        :meth:`~repro.net.rpc.ServiceRegistry.call_stream`: the first
-        row arrives after one page of catalog work (not the whole
-        result set), each page is a separately charged and admitted
-        message pair, and reply bytes accrue as the stream flows.
-        Yields result-row tuples in path order.
-        """
-        for chunk in self.federation.rpc.call_stream(
-                self.client_host, self._server_host,
-                f"srb:{self.server_name}", "query_page",
-                page_size=page_size, ticket=self.ticket, scope=scope,
-                conditions=list(conditions),
-                include_annotations=include_annotations,
-                include_system=include_system):
-            for row in chunk["rows"]:
-                yield row
+        """Iterate query result rows with transparent page fetch: the
+        rows of :meth:`iter_query_pages`, as tuples in path order."""
+        for chunk in self.iter_query_pages(
+                scope, conditions, include_annotations, include_system,
+                page_size):
+            yield from chunk["rows"]
 
     def queryable_attrs(self, scope: str,
                         include_system: bool = False) -> List[str]:

@@ -244,6 +244,14 @@ class ServiceRegistry:
         ``marshal`` puts it on the wire, or a small error marker), then
         ``settle(src, result)`` at the caller (redirect second legs).
 
+        ``request=None`` is a *pushed* exchange (the later chunks of
+        :meth:`call_stream`): the server starts it on a request it
+        already holds, so nothing is sent — only a connection that has
+        died is found out as a request would find it, by a leg that
+        times out — and the reply is pipelined behind the previous one.
+        Admission, the handler, the reply and every record are a unary
+        call's.
+
         A reply that carries an error — a busy reply from admission
         control, or the marshalled exception of the handler — is a reply
         like any other: its bytes and the call's latency are accounted,
@@ -256,7 +264,8 @@ class ServiceRegistry:
         clock = network.clock
         calls, request_bytes, response_bytes, call_s = \
             self._meters[service, method]
-        req_bytes = message_size(request)
+        pushed = request is None
+        req_bytes = 0 if pushed else message_size(request)
         open_arrival = self._open_arrival
         self._open_arrival = None       # nested calls run closed-loop
         sp = tracer.open(span_name, {"src": src, "dst": dst,
@@ -276,7 +285,10 @@ class ServiceRegistry:
             wait = extra = 0.0
             error = error_name = retry_after = None
             try:
-                network.transfer(src, dst, req_bytes)
+                # a pushed exchange sends nothing, but a connection
+                # that died times out exactly as a request would
+                if not pushed or not network.reachable(src, dst):
+                    network.transfer(src, dst, req_bytes)
                 # worker-pool admission on the destination host; one
                 # message pair occupies one worker, however many items
                 arrival = issued + (clock.now - t0)
@@ -330,7 +342,7 @@ class ServiceRegistry:
 
             resp_bytes = message_size(reply)
             try:
-                network.transfer(dst, src, resp_bytes)
+                network.transfer(dst, src, resp_bytes, pipelined=pushed)
             except HostUnreachable:
                 # the server answered but its reply never made it back
                 # (partition opened mid-call): that is a failed call and
@@ -428,16 +440,30 @@ class ServiceRegistry:
         The remote op must accept ``cursor=``/``limit=`` keywords and
         reply with a mapping (or object) carrying ``next_cursor`` — the
         contract of the paged query ops (``query_page``,
-        ``list_collection_page``).  Each chunk is a *separate charged
-        message pair* through :meth:`call`: request and reply bytes flow
-        per chunk (``rpc.response_bytes`` accrues as the stream
-        progresses, and the first chunk lands after O(page) work instead
-        of O(result set) — first-row latency beats last-row, experiment
-        E17), the destination's admission control is applied per chunk
-        (a mid-stream :class:`~repro.errors.ServerBusy` surfaces between
-        chunks, leaving no station state behind), and a mid-stream
-        handler error is marshalled exactly like a failed call — the
-        already-delivered chunks stand.
+        ``list_collection_page``).  One request opens the stream and the
+        server *pushes* the chunks behind it: chunk 1 is exactly the
+        unary call for the first page; each later chunk is the same
+        exchange without a request leg, its reply pipelined behind the
+        previous one.  Draining n chunks costs
+
+            unary first chunk + sum over k > 1 of
+                (server work for page k + reply bytes k / bandwidth)
+
+        and n + 1 messages — the link latency is paid once, not once
+        per page.  Every chunk, pushed or first, is a charged exchange
+        of its own: ``rpc.calls`` and ``rpc.response_bytes`` accrue as
+        the stream flows, the destination's admission control applies
+        per chunk (a mid-stream :class:`~repro.errors.ServerBusy`
+        surfaces between chunks, leaving no station state behind), the
+        handler runs its whole plan per chunk (a ticket, an ACL or a row
+        that went away between chunks stops or reshapes the stream), and
+        a mid-stream handler error is marshalled exactly like a failed
+        call — the already-delivered chunks stand.
+
+        Production is lazy: a page is computed when the consumer asks
+        for it, which is the model's backpressure (a slow consumer is
+        charged as if the server had waited for it, never less), and an
+        iterator dropped mid-stream charges nothing further.
 
         Yields each chunk's reply value; the stream ends when a chunk
         carries ``next_cursor=None``.  Stream-level accounting:
@@ -451,8 +477,13 @@ class ServiceRegistry:
         t0 = clock.now
         first = True
         while True:
-            reply = self.call(src, dst, service, method,
-                              cursor=cursor, limit=page_size, **kwargs)
+            page = {"cursor": cursor, "limit": page_size, **kwargs}
+            self.last_timing = None
+            fn = _resolve_method(self.lookup(dst, service), service, method)
+            reply = self._exchange(
+                src, dst, service, method, "rpc.call", {"method": method},
+                {"method": method, "kwargs": page} if first else None,
+                fn, page, self._settle)
             if first:
                 obs.metrics.observe("rpc.stream.first_chunk_s",
                                     clock.now - t0,
@@ -464,13 +495,12 @@ class ServiceRegistry:
                                 self.last_timing.response_bytes,
                                 service=service, method=method)
             if isinstance(reply, dict):
-                next_cursor = reply.get("next_cursor")
+                cursor = reply.get("next_cursor")
             else:
-                next_cursor = getattr(reply, "next_cursor", None)
+                cursor = getattr(reply, "next_cursor", None)
             yield reply
-            if next_cursor is None:
+            if cursor is None:
                 return
-            cursor = next_cursor
 
     def call_batch(self, src: str, dst: str, service: str,
                    items: Sequence[Tuple[str, Dict[str, Any]]],

@@ -31,7 +31,12 @@ clock.  It is the primitive behind the overlapped data plane (experiment
 E14): logical-resource ingest fan-out, parallel replica refresh and
 striped multi-replica reads all ride on it.
 
-All three place the same wire leg (``Network._leg``): the one definition
+A fourth is a blocking transfer sent *pipelined* (``transfer(...,
+pipelined=True)``): the message travels behind an earlier one on an open
+connection, so its propagation overlaps that one's and the caller waits
+only for its bytes.  Pushed stream chunks ride on it.
+
+All four place the same wire leg (``Network._leg``): the one definition
 of what a message costs and of how it is counted, metered and traced.
 The modes differ only in *when* the leg happens and who moves the clock.
 """
@@ -459,23 +464,32 @@ class Network:
         ``_count_failure`` — nothing else in ``repro.net`` does either.
 
         With ``start=None`` the leg is *blocking*: the caller waits, so
-        the clock advances by the cost.  Otherwise it is bookkeeping at
-        virtual time ``start`` under ``mode`` (``"queued"`` or
-        ``"grouped"``, the span's flag): the caller owns the clock and
-        the ``busy_until`` floors.  Returns ``(cost, error)``; the error
-        is handed back, not raised, so a group can marshal it per member.
+        the clock advances.  Under ``mode="pipelined"`` (the span's
+        flag) the message follows an earlier one on an open connection:
+        its propagation overlaps that one's, so the caller waits the
+        cost less the link latency — ``nbytes / effective_bps`` — while
+        every record of the message is the unpipelined one's.  With a
+        ``start`` the leg is bookkeeping at that virtual time under
+        ``mode`` ``"queued"`` or ``"grouped"``: the caller owns the
+        clock and the ``busy_until`` floors.  Returns ``(seconds,
+        error)`` — what a blocking caller waited, else the message's
+        cost; the error is handed back, not raised, so a group can
+        marshal it per member.
         """
         spec = self.link(src, dst)
         try:
             self.check_reachable(src, dst)
         except HostUnreachable as exc:
+            # a dead pair is found out by waiting, whatever the mode
             error, cost = exc, 2 * spec.latency_s
+            waited = cost
             if mode == "queued":
                 # nothing queues behind a dead pair: the caller waits
                 # out the timeout now, exactly like a blocking transfer
                 start = mode = None
         else:
             error, cost = None, spec.cost(nbytes, streams=streams)
+            waited = cost - spec.latency_s if mode == "pipelined" else cost
         tracer = self.obs.tracer
         if tracer.stack:
             attrs = {"src": src, "dst": dst, "bytes": nbytes}
@@ -483,38 +497,41 @@ class Network:
                 attrs["streams"] = streams
             if mode is not None:
                 attrs[mode] = True
-                if error is None:
+                if error is None and start is not None:
                     attrs["start"] = start
                     attrs["done"] = start + cost
             with tracer.span("net.transfer", **attrs) as sp:
                 if error is not None:
                     sp.error = str(error)
                 if start is None:
-                    self.clock.advance(cost)
+                    self.clock.advance(waited)
         elif start is None:
-            self.clock.advance(cost)
+            self.clock.advance(waited)
         if error is None:
             self._count_success(src, dst, nbytes, cost)
         else:
             self._count_failure(src, dst)
-        return cost, error
+        return waited, error
 
     def transfer(self, src: str, dst: str, nbytes: int = 0,
-                 streams: int = 1) -> float:
+                 streams: int = 1, pipelined: bool = False) -> float:
         """Move one message of ``nbytes`` from ``src`` to ``dst``.
 
         Advances the clock by the link cost and returns the elapsed virtual
         seconds.  ``streams`` > 1 models the SRB's parallel data transfer:
         on window-limited links (``per_stream_bps`` set) k streams reach
-        ``min(capacity, k x per-stream)``.  Raises
+        ``min(capacity, k x per-stream)``.  ``pipelined`` sends the
+        message behind an earlier one on an open connection: the caller
+        waits for its bytes, not for the link latency again.  Raises
         :class:`HostUnreachable` on failure — after charging one RTT
         for the timeout, which is what makes replica failover measurably
         non-free in experiment E2.
         """
-        cost, error = self._leg(src, dst, nbytes, streams)
+        waited, error = self._leg(src, dst, nbytes, streams, None,
+                                  "pipelined" if pipelined else None)
         if error is not None:
             raise error
-        return cost
+        return waited
 
     def schedule_transfer(self, src: str, dst: str, nbytes: int,
                           not_before: Optional[float] = None,

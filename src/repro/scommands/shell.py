@@ -130,7 +130,8 @@ class Shell:
     def cmd_Scd(self, args: List[str]) -> str:
         self._need(args, 1)
         target = self._abs(args[0])
-        self.client.ls(target)          # validates existence + permission
+        # validates existence + permission; one entry, not the listing
+        self.client.ls_page(target, limit=1)
         self.cwd = target
         return target
 
@@ -143,13 +144,12 @@ class Shell:
         long_format = "-l" in args
         rest = [a for a in args if a != "-l"]
         target = self._abs(rest[0]) if rest else self.cwd
-        listing = self.client.ls(target)
         lines = []
-        for coll in listing["collections"]:
-            name = paths.basename(coll) + "/"
-            lines.append(f"  C  {name}" if long_format else name)
-        for obj in listing["objects"]:
-            if long_format:
+        for obj in self.client.iter_ls(target):
+            if obj["kind"] == "collection":
+                name = paths.basename(obj["path"]) + "/"
+                lines.append(f"  C  {name}" if long_format else name)
+            elif long_format:
                 lines.append(f"  {obj['kind'][:1]}  {obj['name']:<30} "
                              f"{obj['size'] if obj['size'] is not None else '-':>10} "
                              f"{obj['owner']}")
@@ -374,25 +374,23 @@ class Shell:
             # streaming mode: pages of -p rows flow back as separate
             # replies, stopping after -n hits (0 = unlimited)
             max_hits = int(opts.get("-n", "0"))
-            page_size = int(opts.get("-p", "100"))
             lines: List[str] = []
-            truncated, cursor = False, None
-            while True:
-                page = self.client.query_page(scope, conditions,
-                                              limit=page_size, cursor=cursor)
+            truncated = False
+            for page in self.client.iter_query_pages(
+                    scope, conditions, page_size=int(opts.get("-p", "100"))):
                 if not lines:
                     lines.append(" | ".join(page["columns"]))
-                for row in page["rows"]:
-                    if max_hits and len(lines) - 1 >= max_hits:
-                        truncated = True
-                        break
-                    lines.append(" | ".join(str(v) for v in row))
-                cursor = page["next_cursor"]
-                if truncated or cursor is None:
+                rows = page["rows"]
+                room = max_hits - (len(lines) - 1) if max_hits else len(rows)
+                lines += [" | ".join(str(v) for v in row)
+                          for row in rows[:room]]
+                if max_hits and room <= len(rows):
+                    # full: the page in hand says whether more would follow
+                    truncated = room < len(rows) \
+                        or page["next_cursor"] is not None
                     break
-            hits = len(lines) - 1
-            lines.append(f"({hits} hits" + (", more available)"
-                                            if truncated else ")"))
+            lines.append(f"({len(lines) - 1} hits"
+                         + (", more available)" if truncated else ")"))
             return "\n".join(lines)
         result = self.client.query(scope, conditions)
         header = " | ".join(result.columns)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import SrbClient
+from repro.mcat import Condition
 from repro.scommands import Shell
 
 
@@ -416,3 +417,98 @@ class TestObservability:
         assert "replicate" in out and "mkcoll" not in out
         code, out = sh.run("Sdispatch bogus")
         assert code == 1 and "no plane" in out
+
+
+class TestStreamedCommands:
+    """``Sls`` and ``Squery -n/-p`` ride the pushed stream; ``Scd`` asks
+    for one entry.  What they print is what the unbounded calls gave."""
+
+    BIG = 230
+
+    @pytest.fixture
+    def survey(self, shell):
+        grid, sh = shell
+        for coll, n in (("few", 5), ("big", self.BIG)):
+            ok(sh, f"Smkdir {coll}")
+            ok(sh, f"Smkdir {coll}/nested")
+            grid.curator.bulk_ingest([
+                {"path": f"{grid.home}/{coll}/o-{i:03d}.dat",
+                 "data": b"x" * (1 + i % 7),
+                 "metadata": {"band": "J", "n": str(i)}} for i in range(n)])
+        return grid, sh
+
+    @staticmethod
+    def spent(grid, run):
+        """messages, bytes on the wire and metric changes of ``run()``."""
+        net, metrics = grid.fed.network, grid.fed.obs.metrics
+        before = (net.messages_sent, net.bytes_sent, metrics.snapshot())
+        run()
+        return (net.messages_sent - before[0], net.bytes_sent - before[1],
+                metrics.delta(before[2]))
+
+    def test_sls_prints_the_unbounded_listing(self, survey):
+        grid, sh = survey
+        listing = grid.curator.ls(f"{grid.home}/big")
+        names = [c.rsplit("/", 1)[1] + "/" for c in listing["collections"]] \
+            + [o["name"] for o in listing["objects"]]
+        assert len(names) == self.BIG + 1
+        assert ok(sh, "Sls big") == "\n".join(names)
+        long_lines = ok(sh, "Sls -l big").split("\n")
+        assert long_lines[0] == "  C  nested/"
+        obj = listing["objects"][0]
+        assert long_lines[1] == (f"  d  {obj['name']:<30} "
+                                 f"{obj['size']:>10} {obj['owner']}")
+        assert len(long_lines) == self.BIG + 1
+
+    def test_sls_is_one_request_and_a_reply_per_page(self, survey):
+        grid, sh = survey
+        messages, _bytes, changed = self.spent(grid, lambda: ok(sh, "Sls big"))
+        assert messages == 1 + 3        # 231 entries, pages of 100
+        assert not any("op=list_collection}" in k for k in changed)
+
+    @pytest.mark.parametrize("limit,page", [(100, 100), (50, 100), (150, 100),
+                                            (7, 3), (0, 64), (230, 115),
+                                            (500, 100)])
+    def test_squery_stream_prints_the_first_n_hits(self, survey, limit, page):
+        grid, sh = survey
+        full = grid.curator.query(f"{grid.home}/big",
+                                  [Condition("band", "=", "J")])
+        shown = full.rows[:limit] if limit else full.rows
+        more = ", more available" if len(shown) < len(full.rows) else ""
+        assert ok(sh, f"Squery -s big -n {limit} -p {page} band = J") == \
+            "\n".join([" | ".join(full.columns)]
+                      + [" | ".join(str(v) for v in row) for row in shown]
+                      + [f"({len(shown)} hits{more})"])
+
+    def test_squery_stops_on_the_page_boundary(self, survey):
+        """``-n`` landing on a page boundary: the page in hand already
+        says more would follow; the next one is not asked for."""
+        grid, sh = survey
+        messages, _bytes, changed = self.spent(
+            grid, lambda: ok(sh, "Squery -s big -n 100 -p 100 band = J"))
+        ops = {k: v for k, v in changed.items()
+               if k.startswith("srb.ops{") and "op=query_page" in k}
+        assert list(ops.values()) == [1]
+        assert messages == 2
+
+    def test_scd_does_not_fetch_the_listing(self, survey):
+        grid, sh = survey
+        _m, few, _c = self.spent(grid, lambda: ok(sh, "Scd few"))
+        ok(sh, "Scd ..")
+        _m, big, changed = self.spent(grid, lambda: ok(sh, "Scd big"))
+        assert big < 2 * few
+        assert not any("op=list_collection}" in k for k in changed)
+
+    def test_scd_still_refuses_what_ls_refused(self, survey):
+        grid, sh = survey
+        code, out = sh.run("Scd big/o-001.dat")
+        assert code == 1 and "NoSuchCollection" in out
+        code, out = sh.run("Scd nowhere")
+        assert code == 1 and "NoSuchCollection" in out
+        grid.admin.mkcoll("/demozone/private")
+        grid.fed.add_user("eve@sdsc", "pw", role="reader")
+        eve = Shell(SrbClient(grid.fed, "laptop", "srb1"))
+        ok(eve, "Sinit eve@sdsc pw")
+        code, out = eve.run("Scd /demozone/private")
+        assert code == 1 and "AccessDenied" in out
+        assert ok(sh, "Spwd") == grid.home

@@ -1,10 +1,12 @@
-"""Chunked streaming replies (``ServiceRegistry.call_stream``)."""
+"""Chunked streaming replies (``ServiceRegistry.call_stream``): one
+request, then the server pushes the chunks."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.errors import NoSuchObject, ServerBusy
+from repro.errors import HostUnreachable, NoSuchObject, ServerBusy
 from repro.net.rpc import ServiceRegistry
-from repro.net.simnet import Network
+from repro.net.simnet import LinkSpec, Network
 from repro.net.wire import message_size
 
 
@@ -30,8 +32,7 @@ class PagedService:
         return {"rows": self.rows[:limit], "next_cursor": str(limit)}
 
 
-@pytest.fixture
-def setup():
+def build():
     net = Network()
     net.add_host("client")
     net.add_host("server")
@@ -39,6 +40,11 @@ def setup():
     svc = PagedService()
     rpc.register("server", "svc", svc)
     return net, rpc, svc
+
+
+@pytest.fixture
+def setup():
+    return build()
 
 
 class TestStreaming:
@@ -52,6 +58,8 @@ class TestStreaming:
         assert svc.calls == 3
 
     def test_each_chunk_is_a_charged_message_pair(self, setup):
+        """Every chunk is a charged exchange; only the first has a
+        request half, so three chunks are four messages."""
         net, rpc, svc = setup
         calls0 = rpc.stats.calls
         resp0 = rpc.stats.response_bytes
@@ -63,21 +71,33 @@ class TestStreaming:
         assert rpc.stats.calls - calls0 == 3
         assert seen == sorted(seen) and seen[0] > 0
         assert seen[-1] > seen[0]
+        assert net.messages_sent == 4
+        assert rpc.stats.request_bytes == message_size(
+            {"method": "page", "kwargs": {"cursor": None, "limit": 10}})
 
     def test_first_chunk_beats_last(self, setup):
+        """The first chunk is the unary call; each later chunk beats the
+        unary call for its page by at least the round trip."""
         net, rpc, svc = setup
+        rtt = 2 * net.default_link.latency_s
+        _twin, unary, _svc = build()
         t0 = net.clock.now
-        stream = rpc.call_stream("client", "server", "svc", "page",
-                                 page_size=5)
-        next(stream)
-        first_latency = net.clock.now - t0
-        for _ in stream:
-            pass
-        total_latency = net.clock.now - t0
-        assert first_latency < total_latency / 2
+        cursor, took = None, []
+        for chunk in rpc.call_stream("client", "server", "svc", "page",
+                                     page_size=5):
+            took.append(net.clock.now - t0)
+            t0 = net.clock.now
+            assert chunk == unary.call("client", "server", "svc", "page",
+                                       cursor=cursor, limit=5)
+            if cursor is None:
+                assert took[-1] == unary.last_timing.latency
+            else:
+                assert took[-1] < unary.last_timing.latency - rtt
+            cursor = chunk["next_cursor"]
+        assert len(took) == 5 and sum(took[1:]) < took[0]
         hists = net.obs.metrics.histogram_series("rpc.stream.first_chunk_s")
         (h,) = hists.values()
-        assert h.count == 1 and abs(h.max - first_latency) < 1e-12
+        assert h.count == 1 and abs(h.max - took[0]) < 1e-12
 
     def test_peak_chunk_bytes_bounded_by_page(self, setup):
         net, rpc, svc = setup
@@ -133,3 +153,101 @@ class TestMidStreamFailure:
         rest = rpc.call("client", "server", "svc", "page",
                         cursor="10", limit=100)
         assert rest["rows"] == svc.rows[10:]
+
+
+class TestCostLaw:
+    """drain = unary first chunk + sum over k > 1 of (work_k + reply
+    bytes_k / bandwidth); n chunks are n + 1 messages."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(link=st.builds(
+               LinkSpec,
+               latency_s=st.floats(min_value=0.0001, max_value=0.5),
+               bandwidth_bps=st.floats(min_value=1e4, max_value=1e9)),
+           page_size=st.integers(min_value=1, max_value=40),
+           n_rows=st.integers(min_value=0, max_value=120),
+           work=st.lists(st.floats(min_value=0.0, max_value=0.3),
+                         min_size=1, max_size=6))
+    def test_drain_time_messages_and_request_bytes(self, link, page_size,
+                                                   n_rows, work):
+        def build():
+            net = Network(default_link=link)
+            net.add_host("client")
+            net.add_host("server")
+            rpc = ServiceRegistry(net)
+            svc = PagedService(n_rows)
+            plain = svc.page
+
+            def page(cursor=None, limit=10):
+                # the handler's own time: catalog work for this page
+                net.clock.advance(work[svc.calls % len(work)])
+                return plain(cursor, limit)
+            svc.page = page
+            rpc.register("server", "svc", svc)
+            return net, rpc
+
+        net, rpc = build()
+        twin, unary = build()
+        t0, cursor = net.clock.now, None
+        for k, chunk in enumerate(rpc.call_stream(
+                "client", "server", "svc", "page", page_size=page_size)):
+            took, t0 = net.clock.now - t0, net.clock.now
+            assert chunk == unary.call("client", "server", "svc", "page",
+                                       cursor=cursor, limit=page_size)
+            alone = unary.last_timing.latency
+            serialise = message_size(chunk) / link.bandwidth_bps
+            if k == 0:
+                assert took == alone
+                first_request = rpc.stats.request_bytes
+                assert first_request == unary.stats.request_bytes
+            else:
+                # float order differs: the clock adds work, then bytes
+                assert took == pytest.approx(work[k % len(work)] + serialise,
+                                             rel=1e-9, abs=1e-12)
+                assert took <= alone - 2 * link.latency_s + 1e-12
+            cursor = chunk["next_cursor"]
+        chunks = k + 1
+        assert chunks == max(1, -(-n_rows // page_size))
+        assert net.messages_sent == chunks + 1
+        assert twin.messages_sent == 2 * chunks     # the pull loop's count
+        assert rpc.stats.request_bytes == first_request
+        assert rpc.stats.response_bytes == unary.stats.response_bytes
+        assert rpc.stats.calls == chunks
+
+    def test_connection_lost_between_chunks(self, setup):
+        """The client finds a dead server as a request would: one leg
+        that times out after 2 x latency, one failed attempt, one
+        ``unreachable`` failure — and the handler is not run."""
+        net, rpc, svc = setup
+        for fault in (lambda: net.set_down("server"),
+                      lambda: net.partition("client", "server")):
+            stream = rpc.call_stream("client", "server", "svc", "page",
+                                     page_size=10)
+            next(stream)
+            before = (svc.calls, net.failed_attempts, rpc.stats.failures,
+                      net.messages_sent, net.clock.now)
+            fault()
+            with pytest.raises(HostUnreachable):
+                next(stream)
+            assert (svc.calls, net.failed_attempts, rpc.stats.failures,
+                    net.messages_sent) == (
+                before[0], before[1] + 1, before[2] + 1, before[3] + 1)
+            assert net.clock.now - before[4] == pytest.approx(
+                2 * net.default_link.latency_s)
+            assert rpc.last_timing.error == "unreachable"
+            net.set_up("server")
+            net.heal("client", "server")
+        assert sum(net.obs.metrics.series("rpc.failures").values()) == 2
+
+    def test_abandoned_stream_charges_nothing_further(self, setup):
+        net, rpc, svc = setup
+        st_ = net.install_station("server", workers=2)
+        stream = rpc.call_stream("client", "server", "svc", "page",
+                                 page_size=10)
+        next(stream)
+        seen = (net.clock.now, net.messages_sent, rpc.stats.calls, svc.calls)
+        del stream
+        assert seen == (net.clock.now, net.messages_sent, rpc.stats.calls,
+                        svc.calls)
+        assert len(st_._free) == st_.workers
+        assert st_.queue_length(net.clock.now) == 0

@@ -3,10 +3,11 @@
 Two guards on ``repro.net``'s "one place a cost is charged and
 recorded" (DESIGN.md, "Cost model and per-call bookkeeping"):
 
-* a property — the three transfer modes are one wire leg seen three
+* a property — the four transfer modes are one wire leg seen four
   ways, so a blocking ``transfer``, a ``schedule_transfer`` on an idle
-  network and a ``TransferGroup`` of one must agree on what the message
-  cost and on every record of it;
+  network, a ``TransferGroup`` of one and a pipelined ``transfer`` must
+  agree on what the message cost and on every record of it; they differ
+  in what the caller waited;
 * an AST guard — the span literal, the counting funnels, station
   admission and the whole-call failure accounting each sit in one
   function, so a second copy cannot grow back unnoticed; the per-message
@@ -26,7 +27,7 @@ from repro.errors import HostUnreachable
 from repro.net.simnet import LinkSpec, Network, TransferGroup
 from repro.policy.stats import PathStats
 
-MODE_ATTRS = {"queued", "grouped", "start", "done"}
+MODE_ATTRS = {"queued", "grouped", "pipelined", "start", "done"}
 
 links = st.builds(
     LinkSpec,
@@ -52,8 +53,9 @@ def send(mode: str, link: LinkSpec, nbytes: int, streams: int, fault: str):
     error = None
     with net.obs.tracer.trace("send") as root:
         try:
-            if mode == "blocking":
-                cost = net.transfer("a", "b", nbytes, streams=streams)
+            if mode in ("blocking", "pipelined"):
+                cost = net.transfer("a", "b", nbytes, streams=streams,
+                                    pipelined=mode == "pipelined")
             elif mode == "queued":
                 cost = net.schedule_transfer("a", "b", nbytes,
                                              streams=streams) - t0
@@ -86,21 +88,22 @@ def send(mode: str, link: LinkSpec, nbytes: int, streams: int, fault: str):
        nbytes=st.integers(min_value=0, max_value=50_000_000),
        streams=st.integers(min_value=1, max_value=8),
        fault=st.sampled_from(["", "a", "b", "partition"]))
-def test_three_modes_are_one_wire_leg(link, nbytes, streams, fault):
-    blocking, queued, grouped = (
+def test_four_modes_are_one_wire_leg(link, nbytes, streams, fault):
+    blocking, queued, grouped, pipelined = (
         send(mode, link, nbytes, streams, fault)
-        for mode in ("blocking", "queued", "grouped"))
+        for mode in ("blocking", "queued", "grouped", "pipelined"))
     if fault:
         # the raising modes hand back no cost; the group marshals it
         assert blocking["error"] == queued["error"] == grouped["error"] \
-            is not None
+            == pipelined["error"] is not None
         assert grouped["cost"] == 2 * link.latency_s
         assert blocking["counters"] == (1, 0, 1)
-        # nothing queues behind a dead pair: the caller waits it out
+        # nothing queues behind a dead pair, and an open connection that
+        # died is found out the same way: the caller waits it out
         assert blocking["elapsed"] == queued["elapsed"] \
-            == grouped["elapsed"] == grouped["cost"]
-        assert (blocking["flags"], queued["flags"], grouped["flags"]) == \
-            (set(), set(), {"grouped"})
+            == grouped["elapsed"] == pipelined["elapsed"] == grouped["cost"]
+        assert [m["flags"] for m in (blocking, queued, grouped, pipelined)] \
+            == [set(), set(), {"grouped"}, {"pipelined"}]
     else:
         assert blocking["error"] is None
         assert blocking["cost"] == grouped["cost"] \
@@ -108,11 +111,18 @@ def test_three_modes_are_one_wire_leg(link, nbytes, streams, fault):
         assert blocking["counters"] == (1, nbytes, 0)
         assert blocking["elapsed"] == grouped["elapsed"] == blocking["cost"]
         assert queued["elapsed"] == 0.0     # completion is bookkeeping
-        assert (blocking["flags"], queued["flags"], grouped["flags"]) == \
-            (set(), {"queued", "start", "done"},
-             {"grouped", "start", "done"})
+        # behind an earlier message the latency is already paid: the
+        # caller waits for the bytes alone
+        assert pipelined["cost"] == pipelined["elapsed"] \
+            == link.cost(nbytes, streams) - link.latency_s
+        assert pipelined["cost"] == pytest.approx(
+            nbytes / link.effective_bps(streams), abs=1e-12)
+        assert [m["flags"] for m in (blocking, queued, grouped, pipelined)] \
+            == [set(), {"queued", "start", "done"},
+                {"grouped", "start", "done"}, {"pipelined"}]
     for key in ("error", "counters", "metrics", "paths", "span"):
-        assert blocking[key] == queued[key] == grouped[key], key
+        assert blocking[key] == queued[key] == grouped[key] \
+            == pipelined[key], key
 
 
 # -- the AST guard ---------------------------------------------------------
