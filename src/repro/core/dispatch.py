@@ -183,13 +183,13 @@ class OpContext:
     """Per-call state the op plan hands to the handler."""
 
     __slots__ = ("server", "spec", "ticket", "kwargs", "principal", "span",
-                 "caller_host", "payload_host",
+                 "caller_host", "payload_host", "relay_from",
                  "_audit_action", "_audit_target", "_audit_detail",
                  "_audit_suppressed")
 
     def __init__(self, server: Any, spec: OpSpec, ticket: Optional[Ticket],
                  kwargs: Dict[str, Any], caller_host: Optional[str],
-                 payload_host: str):
+                 payload_host: str, relay_from: Optional[str] = None):
         self.server = server
         self.spec = spec
         self.ticket = ticket
@@ -202,6 +202,15 @@ class OpContext:
         # client announced them with a DeferredPayload claim instead.
         # Unwrapped either way, so handlers see plain bytes.
         self.payload_host = payload_host
+        # the hop that brought them, for bytes that rode the request of
+        # the exchange being served: the caller's host.  The server is
+        # relaying those (ChannelBroker.run_legs).  None when there was
+        # no hop to hide behind: announced bytes never touch the server,
+        # a caller on its own host hands them over in memory, and an op
+        # invoked with no RPC caller has them already.  An op invoked
+        # in-process by the handler of that exchange (checkin calling
+        # put) passes on bytes the same request brought.
+        self.relay_from = relay_from
         self.principal: Optional[Principal] = None
         self.span = None
         # what the handler refined; the declared defaults are filled in
@@ -280,18 +289,19 @@ def _compile(server: Any, spec: OpSpec, service: Any,
     def run(ticket: Optional[Ticket], kwargs: Dict[str, Any]) -> Any:
         caller_host = rpc.caller_host
         payload_host = host
+        relay_from = caller_host if caller_host != host else None
         if payload_arg is not None:
             data = kwargs.get(payload_arg)
             if type(data) is DeferredPayload:
                 kwargs = {**kwargs, payload_arg: data.data}
-                payload_host = caller_host or host
+                payload_host, relay_from = caller_host or host, None
         elif payload_items is not None:
             items, found = _announced_items(kwargs.get(payload_items))
             if found:
                 kwargs = {**kwargs, payload_items: items}
-                payload_host = caller_host or host
+                payload_host, relay_from = caller_host or host, None
         ctx = OpContext(server, spec, ticket, kwargs, caller_host,
-                        payload_host)
+                        payload_host, relay_from)
         span = None
         try:                                            # 1. error
             ops.inc()                                   # 2. span

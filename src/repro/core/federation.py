@@ -27,6 +27,7 @@ from repro.auth.users import Principal, UserRegistry
 from repro.core.access import AccessController
 from repro.core.containers import ContainerManager
 from repro.core.locking import LockManager
+from repro.core.planes.base import RELAY_BLOCK, relay_hidden
 from repro.core.server import SrbServer
 from repro.errors import InvalidTicket, NoSuchServer, SrbError
 from repro.mcat.shard import ShardedMcat
@@ -95,7 +96,8 @@ class ChannelBroker:
             raise
 
     def run_legs(self, legs: Sequence[Tuple[str, str, int, str]],
-                 label: str) -> List[TransferOutcome]:
+                 label: str, relay_from: Optional[str] = None
+                 ) -> List[TransferOutcome]:
         """Move payload bytes: the one leg runner.
 
         ``legs`` says what must move, each ``(src_host, dst_host,
@@ -109,6 +111,14 @@ class ChannelBroker:
         dirty, fail one item, re-pull from a healthy source — what a
         failed member means is the caller's policy
         (:func:`~repro.net.simnet.raise_failed` is the plainest one).
+
+        ``relay_from`` names the host whose request, on the exchange
+        being served, brought the legs' bytes to their source: the
+        server is *relaying* them, and each raw leg hides behind that
+        inbound hop what :func:`~repro.core.planes.base.relay_hidden`
+        allows — waited less, recorded in full.  Bytes that were at
+        rest (``None``: a replica being copied) hide nothing, and
+        neither does a ticketed channel, a connection of its own.
 
         Two rules hold for every caller:
 
@@ -135,16 +145,29 @@ class ChannelBroker:
                 ran = run_channel_group(
                     net, [self.open(*leg, label=label) for leg in wire],
                     label)
-        elif len(wire) > 1:
-            group = TransferGroup(net, label=label)
-            for src, dst, nbytes, _key in wire:
-                group.add(src, dst, nbytes, streams=self.streams)
-            ran = group.run()
         else:
-            ((src, dst, nbytes, _key),) = wire
-            ran = [blocking_outcome(
-                net, src, dst, nbytes, self.streams,
-                lambda: net.transfer(src, dst, nbytes, streams=self.streams))]
+            streams = self.streams
+            hidden = [0.0] * len(wire)
+            if relay_from is not None:
+                # relayed legs leave the one host the request reached
+                bps_in = net.link(relay_from, wire[0][0]).effective_bps()
+                hidden = [relay_hidden(
+                    nbytes, nbytes / bps_in,
+                    nbytes / net.link(src, dst).effective_bps(streams))
+                    if nbytes > RELAY_BLOCK else 0.0
+                    for src, dst, nbytes, _key in wire]
+            if len(wire) > 1:
+                group = TransferGroup(net, label=label)
+                for (src, dst, nbytes, _key), hide in zip(wire, hidden):
+                    group.add(src, dst, nbytes, streams=streams,
+                              hidden=hide)
+                ran = group.run()
+            else:
+                ((src, dst, nbytes, _key),) = wire
+                ran = [blocking_outcome(
+                    net, src, dst, nbytes, streams,
+                    lambda: net.transfer(src, dst, nbytes, streams=streams,
+                                         hidden=hidden[0], label=label))]
         if len(ran) == len(legs):
             return ran
         moved, now = iter(ran), net.clock.now
@@ -266,11 +289,15 @@ class Federation:
                    mcat: bool = False) -> SrbServer:
         if name in self.servers:
             raise SrbError(f"server {name!r} already exists")
-        if mcat and any(s.is_mcat_server for s in self.servers.values()):
+        if mcat and "mcat_server" in vars(self):
             raise SrbError("federation already has an MCAT-enabled server")
         server = SrbServer(name=name, host=host, federation=self,
                            is_mcat_server=mcat)
         self.servers[name] = server
+        if mcat:
+            #: the zone's MCAT-enabled server: a plain attribute, read
+            #: on every other server's catalog hop
+            self.mcat_server = server
         self.proxy_bin.setdefault(name, {})
         self.rpc.register(host, f"srb:{name}", server)
         # servers on one host share its worker pool (one machine, one
@@ -288,12 +315,11 @@ class Federation:
         except KeyError:
             raise NoSuchServer(f"no SRB server {name!r}") from None
 
-    @property
-    def mcat_server(self) -> SrbServer:
-        for s in self.servers.values():
-            if s.is_mcat_server:
-                return s
-        raise NoSuchServer("federation has no MCAT-enabled server")
+    def __getattr__(self, name: str):
+        # reached only for an attribute that was never set
+        if name == "mcat_server":
+            raise NoSuchServer("federation has no MCAT-enabled server")
+        raise AttributeError(name)
 
     # ------------------------------------------------------------------
     # resources
@@ -471,5 +497,8 @@ class Federation:
             "direct_channels": int(metrics.total("net.direct.channels")),
             "direct_bytes": int(metrics.total("net.direct.bytes")),
             "redirects_denied": int(metrics.total("srb.redirect.denied")),
+            "relay_hidden_s": sum(
+                h.sum for h in
+                metrics.histogram_series("net.relay.hidden_s").values()),
             **self.placement.summary(),
         }

@@ -44,11 +44,29 @@ def content_checksum(data: bytes) -> str:
 
 
 _CONTROL_MSG = 256      # bytes of a control message between servers
+RELAY_BLOCK = 64 * 1024  # bytes a relaying server holds before sending on
 _OPEN_MSG = 64          # tiny "open" probe sent to a resource host
 _AUTH_MSG = 200         # challenge/response message size
 # what opening a session puts on the wire, in order, server first
 _SESSION_MSGS = (_OPEN_MSG,)
 _NO_SSO_SESSION_MSGS = (_AUTH_MSG,) * 4 + _SESSION_MSGS
+
+
+def relay_hidden(nbytes: int, inbound_s: float, outbound_s: float) -> float:
+    """The cut-through law: seconds of a relayed payload's onward hop
+    that hide behind the hop that brought it to the server.
+
+    A server standing in the data path does not buffer an object whole:
+    it sends each :data:`RELAY_BLOCK` on as it arrives, so the two hops
+    stream at once and only the pipeline's fill — one block, which must
+    have arrived before it can leave — is paid twice.  ``inbound_s`` and
+    ``outbound_s`` are the hops' streaming times (``bytes /
+    effective_bps``, no latency: propagation is not overlapped).  A
+    payload of no more than a block is stored and forwarded."""
+    if nbytes <= RELAY_BLOCK:
+        return 0.0
+    return (1 - RELAY_BLOCK / nbytes) * (
+        inbound_s if inbound_s < outbound_s else outbound_s)
 
 
 class Wired:
@@ -167,18 +185,20 @@ class PlaneService(Wired):
 
     def _run_legs(self, legs: Sequence[Tuple[str, str, int, str]],
                   resources: Sequence[PhysicalResource],
-                  label: str) -> List[TransferOutcome]:
+                  label: str, relay_from: Optional[str] = None
+                  ) -> List[TransferOutcome]:
         """Run ``legs`` (one per entry of ``resources``, the storage end
         of each) through the leg runner; a resource whose leg failed
         loses its session.  Returns the outcomes, judged by the caller."""
-        outcomes = self.federation.channels.run_legs(legs, label)
+        outcomes = self.federation.channels.run_legs(legs, label, relay_from)
         for res, outcome in zip(resources, outcomes):
             if outcome.error is not None:
                 self._invalidate_session(res)
         return outcomes
 
     def _push(self, src_host: str, res_list: Sequence[PhysicalResource],
-              nbytes: int, path_key: str, label: str) -> None:
+              nbytes: int, path_key: str, label: str,
+              relay_from: Optional[str] = None) -> None:
         """First half of the write loop: get ``nbytes`` from ``src_host``
         to every resource of ``res_list``.
 
@@ -187,16 +207,22 @@ class PlaneService(Wired):
         that will not open or a leg that fails raises here — before a
         byte is on any driver or a row in the catalog, so a write onto a
         logical resource happens on every member or on none.
+
+        ``relay_from`` is given by the ops whose bytes arrived on the
+        request being served (``OpContext.relay_from``): the host that
+        sent them, behind whose hop the legs may hide
+        (:meth:`ChannelBroker.run_legs`).  An op moving bytes that were
+        at rest on a resource leaves it out.
         """
         for res in res_list:
-            if not self.resources.available(res.name):
+            if not self.network.host(res.host).up:
                 raise ResourceUnavailable(
                     f"resource {res.name!r} is down")
         for res in res_list:
             self._resource_session(res)
         raise_failed(self._run_legs(
             [(src_host, res.host, nbytes, path_key) for res in res_list],
-            res_list, label))
+            res_list, label, relay_from))
 
     def _land(self, res_list: Sequence[PhysicalResource],
               files: Sequence[Tuple[str, bytes]], replace: bool = False,
@@ -232,20 +258,23 @@ class PlaneService(Wired):
 
     def _store(self, src_host: str, res_list: Sequence[PhysicalResource],
                phys: str, data: bytes, label: str,
-               replace: bool = False) -> None:
+               replace: bool = False,
+               relay_from: Optional[str] = None) -> None:
         """The write loop for one file: :meth:`_push` its bytes to every
         resource, then :meth:`_land` it there.  The replica rows are the
         caller's, written once this returns."""
-        self._push(src_host, res_list, len(data), phys, label)
+        self._push(src_host, res_list, len(data), phys, label, relay_from)
         self._land(res_list, [(phys, data)], replace)
 
     def _store_replicas(self, src_host: str,
                         res_list: Sequence[PhysicalResource], oid: int,
-                        phys: str, data: bytes, label: str) -> int:
+                        phys: str, data: bytes, label: str,
+                        relay_from: Optional[str] = None) -> int:
         """:meth:`_store` one file as *new* replicas of ``oid``: one row
         per resource, added only when the file is on every one of them.
         Returns the last replica number."""
-        self._store(src_host, res_list, phys, data, label)
+        self._store(src_host, res_list, phys, data, label,
+                    relay_from=relay_from)
         num = -1
         for res in res_list:
             num = self.mcat.add_replica(oid, res.name, phys, len(data),
@@ -313,6 +342,10 @@ class PlaneService(Wired):
         runner, and a part that does not arrive is re-pulled from a
         source that answered (``retry``: striped reads), handed to
         ``on_failed(index, outcome)`` (batches), or raised.
+
+        What arrived is the inbound hop of a relay when ``payload`` goes
+        on to a remote caller as the reply: :meth:`_relay_reply` tells
+        the RPC layer how much of the reply leg hid behind the pull.
         """
         if not owed:
             return payload
@@ -330,7 +363,35 @@ class PlaneService(Wired):
             repull_failed(self.network, outcomes)
         else:
             raise_failed(outcomes)
+        caller = self.federation.rpc.caller_host
+        if caller is not None and caller != self.host:
+            self._relay_reply(payload, outcomes, caller, label)
         return payload
+
+    def _relay_reply(self, payload: Any,
+                     outcomes: Sequence[TransferOutcome], caller: str,
+                     label: str) -> None:
+        """Price the reply that carries ``payload`` on to ``caller`` as
+        the outbound hop of a relay whose inbound hop ``outcomes`` are.
+
+        The parts that arrived streamed in for the set's makespan less
+        its largest member latency (a lone leg: its cost less the link
+        latency); a part that failed, or was pulled again, adds nothing.
+        The exchange hides :func:`relay_hidden` of the reply leg, if
+        this payload is what it replies with and the reply arrives
+        (:meth:`~repro.net.rpc.ServiceRegistry._exchange`).
+        """
+        arrived = [o for o in outcomes
+                   if o.error is None and o.src != o.dst]
+        nbytes = sum(o.nbytes for o in arrived)
+        if nbytes > RELAY_BLOCK:
+            link = self.network.link
+            inbound_s = max(o.done for o in arrived) \
+                - min(o.start for o in arrived) \
+                - max(link(o.src, o.dst).latency_s for o in arrived)
+            self.federation.rpc.relayed = (payload, relay_hidden(
+                nbytes, inbound_s,
+                nbytes / link(self.host, caller).effective_bps()), label)
 
     # ------------------------------------------------------------------
     # catalog resolution shared across planes

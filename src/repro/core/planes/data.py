@@ -6,15 +6,28 @@ surface — everything whose job is getting bytes on or off storage
 resources.
 
 Two routing modes exist.  **Pass-through** (the default, SRB 1.x
-style): bytes flow ``resource host -> server host`` inside the server
-and onward in the RPC response, so every byte against a non-colocated
-resource crosses the simulated WAN twice.  **Direct data channels**
+style): the server stands in the data path — bytes flow ``resource host
+-> server host`` inside the server and onward in the RPC response (and
+the mirror image for a write), so every byte against a non-colocated
+resource crosses the simulated WAN twice.  That stays true of *bytes*,
+not of *seconds*: the server is a cut-through relay, sending a payload
+on one 64 KiB block at a time as it arrives, so the second hop hides
+behind the first all but one block
+(:func:`~repro.core.planes.base.relay_hidden`).  Handlers of the ops
+whose payload rode the request say so by passing ``ctx.relay_from``
+with ``ctx.payload_host``; a read's reply relays what ``_deliver``
+pulled here for it.  A failed leg, an error reply, a caller on the
+server's own host and bytes that were at rest (``replicate``, ``copy``,
+``synchronize``, ``physical_move``, ``sync_container``) hide nothing;
+a cross-zone forward still stores and forwards, and storage time is not
+overlapped with the wire.  **Direct data channels**
 (``Federation(direct_io=True)``): the server stays the *broker* of
 storage access — it resolves the catalog, checks ACLs, opens the
 control session to the resource — but replies with a signed one-shot
 channel descriptor instead of the payload, and the bytes are charged
 once on the actual source→sink path (resource→client for reads,
-client→resource for writes, resource→resource for copies).  Handlers do
+client→resource for writes, resource→resource for copies): nothing
+passes through the server, so there is no relay to price.  Handlers do
 not choose between them: they say what must move and hand it to the
 write loop (``_store``) or the read delivery (``_deliver``) of
 :class:`~repro.core.planes.base.PlaneService`, and the federation's leg
@@ -93,7 +106,8 @@ class DataService(PlaneService):
                 self.access.require_object(principal, cont, "write")
                 self.containers.append_member(
                     cont, oid, data, now=self.now,
-                    server_host=ctx.payload_host)
+                    server_host=ctx.payload_host,
+                    relay_from=ctx.relay_from)
             else:
                 resource = resource or self.federation.default_resource
                 if resource is None:
@@ -105,7 +119,7 @@ class DataService(PlaneService):
                 phys = f"/srb/{coll.strip('/').replace('/', '_')}/" \
                        f"{oid}-{paths.basename(path)}"
                 self._store_replicas(ctx.payload_host, res_list, oid, phys,
-                                     data, "ingest-fanout")
+                                     data, "ingest-fanout", ctx.relay_from)
         except SrbError:
             # no half-ingested objects: the write loop left no file
             self.mcat.delete_object(oid)
@@ -210,7 +224,7 @@ class DataService(PlaneService):
             if prepared:
                 self._push(ctx.payload_host, res_list,
                            sum(len(p[2]) for p in prepared), "",
-                           "bulk-ingest")
+                           "bulk-ingest", ctx.relay_from)
 
         # phase 2: one bulk catalog write registers every object row
         specs = [{"path": p, "kind": "data", "data_type": dt,
@@ -234,7 +248,8 @@ class DataService(PlaneService):
                     cont = self.containers.get_container(cont_path)
                     self.containers.append_member(
                         cont, oid, data, now=self.now,
-                        server_host=ctx.payload_host)
+                        server_host=ctx.payload_host,
+                        relay_from=ctx.relay_from)
                 except SrbError as exc:
                     self.mcat.delete_object(oid)
                     fail(i, path, exc)
@@ -583,7 +598,12 @@ class DataService(PlaneService):
             sink = self._redirect_sink(ctx)
             data = None
             if stripes == "auto" and replica_num is None:
-                stripes = self._auto_stripe_count(obj, sink)
+                stripes, local = self._auto_stripe_count(obj, sink)
+                if local is not None:
+                    try:
+                        data = self._get_bytes(obj, local, sink)
+                    except ReplicaUnavailable:
+                        pass    # the local copy errored: the usual chain
             if stripes is not None and not isinstance(stripes, str) \
                     and stripes > 1 and replica_num is None:
                 data = self._get_bytes_striped(obj, stripes, sink)
@@ -694,28 +714,35 @@ class DataService(PlaneService):
                 break
         return usable
 
-    def _auto_stripe_count(self, obj: Dict[str, Any], sink: str) -> int:
-        """Pick the stripe count for a ``get(stripes="auto")`` read.
+    def _auto_stripe_count(self, obj: Dict[str, Any], sink: str
+                           ) -> Tuple[int, Optional[int]]:
+        """Plan a ``get(stripes="auto")`` read: ``(stripe count, number
+        of the replica to read instead of striping)``.
 
         A clean replica on the stripe sink's host (this server, or the
         redirect sink under direct_io) beats any wire pull, so auto
-        answers 1 (plain chain walk) when one exists; otherwise the
-        placement engine minimizes its probes + makespan model over the
-        measured path bandwidths (E18 checks the pick lands within 10%
-        of E14's hand-swept knee).
+        answers 1 stripe *of that replica* when one exists — unless it
+        is an archive copy migrated out of the disk cache, whose tape
+        stage beats nothing.  Otherwise the placement engine minimizes
+        its probes + makespan model over the measured path bandwidths
+        (E18 checks the pick lands within 10% of E14's hand-swept knee).
         """
         for rep in self.mcat.replicas(int(obj["oid"])):
             if rep["is_dirty"] or rep["container_oid"] is not None:
                 continue
             res = self.resources.physical(rep["resource"])
-            if res.host == sink and self.resources.available(res.name):
-                return 1
+            if res.host != sink or not self.resources.available(res.name):
+                continue
+            if isinstance(res.driver, ArchiveDriver) \
+                    and not res.driver.is_cached(rep["physical_path"]):
+                continue
+            return 1, int(rep["replica_num"])
         candidates = [res for _rep, res in
                       self._striped_candidates(obj, sink)]
         return self.federation.placement.choose_stripes(
             candidates, int(obj.get("size") or 0),
             owed=[self._session_owed(res) for res in candidates],
-            from_host=sink)
+            from_host=sink), None
 
     def _get_bytes_striped(self, obj: Dict[str, Any], stripes: int,
                            sink: str) -> Optional[Any]:
@@ -876,11 +903,13 @@ class DataService(PlaneService):
             # accessing and updating files": append the new bytes and
             # repoint the member (compact_container reclaims the garbage)
             self.containers.replace_member(
-                rep, data, now=self.now, server_host=ctx.payload_host)
+                rep, data, now=self.now, server_host=ctx.payload_host,
+                relay_from=ctx.relay_from)
         else:
             self._store(ctx.payload_host,
                         [self.resources.physical(rep["resource"])],
-                        rep["physical_path"], data, "put", replace=True)
+                        rep["physical_path"], data, "put", replace=True,
+                        relay_from=ctx.relay_from)
             self.mcat.update_replica(oid, rep["replica_num"], size=len(data),
                                      is_dirty=False)
             self.mcat.mark_siblings_dirty(oid, rep["replica_num"])

@@ -98,7 +98,8 @@ class ReplicaService(PlaneService):
         return self._store_replicas(
             ctx.payload_host, res_list, oid,
             f"/srb/ingested-replicas/{oid}-"
-            f"{len(self.mcat.replicas(oid)) + 1}", data, "ingest-replica")
+            f"{len(self.mcat.replicas(oid)) + 1}", data, "ingest-replica",
+            ctx.relay_from)
 
     @rpc_op("synchronize", scope_arg="path", write=True, audit="synchronize")
     def synchronize(self, ctx: OpContext, path: str) -> int:

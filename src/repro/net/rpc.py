@@ -150,6 +150,12 @@ class ServiceRegistry:
         #: direct data channel's far end lives.  Saved/restored around
         #: each invocation so nested server→server RPCs see their own src.
         self.caller_host: Optional[str] = None
+        #: what the handler being served relayed to this host for its
+        #: caller, if anything: ``(payload, hidden seconds, label)``, left
+        #: by the server's read delivery.  A reply that *is* that payload
+        #: is the relay's outbound hop and hides those seconds
+        #: (``Network._leg``); saved/restored like ``caller_host``.
+        self.relayed: Optional[Tuple[Any, float, str]] = None
         # bound instruments: what every successful call of one
         # service.method counts into, resolved on its first call
         metrics = network.obs.metrics
@@ -252,6 +258,12 @@ class ServiceRegistry:
         Admission, the handler, the reply and every record are a unary
         call's.
 
+        A handler that pulled the payload it replies with to this host
+        (``relayed``) was relaying it: the reply leg streams out while
+        the pull streams in, and waits that much less.  Nothing else
+        about the exchange changes, and nothing hides behind a reply
+        that carries an error.
+
         A reply that carries an error — a busy reply from admission
         control, or the marshalled exception of the handler — is a reply
         like any other: its bytes and the call's latency are accounted,
@@ -282,7 +294,8 @@ class ServiceRegistry:
             request_bytes.inc(req_bytes)
             if sp is not None:
                 sp.incr("request_bytes", req_bytes)
-            wait = extra = 0.0
+            wait = extra = hidden = 0.0
+            label = ""
             error = error_name = retry_after = None
             try:
                 # a pushed exchange sends nothing, but a connection
@@ -316,8 +329,8 @@ class ServiceRegistry:
                     if open_arrival is not None:
                         extra = wait
                 t_svc = clock.now
-                caller_prev = self.caller_host
-                self.caller_host = src
+                caller_prev, relayed_prev = self.caller_host, self.relayed
+                self.caller_host, self.relayed = src, None
                 try:
                     result = serve(**kwargs)
                 except SrbError as exc:
@@ -332,8 +345,11 @@ class ServiceRegistry:
                     reply = {"error": True}
                 else:
                     reply = result if marshal is None else marshal(result)
+                    relayed = self.relayed
+                    if relayed is not None and relayed[0] is result:
+                        _payload, hidden, label = relayed
                 finally:
-                    self.caller_host = caller_prev
+                    self.caller_host, self.relayed = caller_prev, relayed_prev
                     # the worker was occupied for the service time
                     # whether the handler succeeded or raised
                     if admission is not None:
@@ -342,7 +358,8 @@ class ServiceRegistry:
 
             resp_bytes = message_size(reply)
             try:
-                network.transfer(dst, src, resp_bytes, pipelined=pushed)
+                network.transfer(dst, src, resp_bytes, pipelined=pushed,
+                                 hidden=hidden, label=label)
             except HostUnreachable:
                 # the server answered but its reply never made it back
                 # (partition opened mid-call): that is a failed call and

@@ -39,6 +39,15 @@ only for its bytes.  Pushed stream chunks ride on it.
 All four place the same wire leg (``Network._leg``): the one definition
 of what a message costs and of how it is counted, metered and traced.
 The modes differ only in *when* the leg happens and who moves the clock.
+
+A leg may also have been *partly waited out already* (``hidden``): a
+server relaying a payload sends its first blocks on while the rest is
+still arriving, so part of the onward hop overlaps the hop that brought
+the bytes.  How much is the sender's to say (the relay law lives with
+the servers, :func:`repro.core.planes.base.relay_hidden`); here it is
+seconds the caller does not wait again, exactly as a pipelined message
+does not wait the link latency again.  What the leg *cost* — every
+counter, metric, observer record — is untouched by either.
 """
 
 from __future__ import annotations
@@ -265,6 +274,10 @@ class Network:
             ("counter", "net.parallel.failures"),
             ("histogram", "net.parallel.makespan_s"),
             ("histogram", "net.parallel.saved_s"))
+        #: ``net.relay.hidden_s`` by the label of whoever moved the
+        #: payload: seconds a relayed leg did not wait again
+        self.relay_meters = metrics.bind_family(
+            ("label",), ("histogram", "net.relay.hidden_s"))
         #: ``net.direct.*`` by channel label: channels, bytes, transfer_s
         self.channel_meters = metrics.bind_family(
             ("label",),
@@ -394,10 +407,14 @@ class Network:
     # -- transfer ------------------------------------------------------------
 
     def check_reachable(self, src: str, dst: str) -> None:
-        if not self.host(dst).up:
-            raise HostUnreachable(f"host {dst!r} is down")
-        if not self.host(src).up:
-            raise HostUnreachable(f"host {src!r} is down")
+        hosts = self._hosts     # twice per message: no call per lookup
+        try:
+            if not hosts[dst].up:
+                raise HostUnreachable(f"host {dst!r} is down")
+            if not hosts[src].up:
+                raise HostUnreachable(f"host {src!r} is down")
+        except KeyError as exc:
+            raise HostUnreachable(f"unknown host {exc.args[0]!r}") from None
         if frozenset((src, dst)) in self._partitions:
             raise HostUnreachable(f"hosts {src!r} and {dst!r} are partitioned")
 
@@ -451,8 +468,9 @@ class Network:
                                       self.clock.now)
 
     def _leg(self, src: str, dst: str, nbytes: int, streams: int = 1,
-             start: Optional[float] = None, mode: Optional[str] = None
-             ) -> Tuple[float, Optional[HostUnreachable]]:
+             start: Optional[float] = None, mode: Optional[str] = None,
+             hidden: float = 0.0, label: str = ""
+             ) -> Tuple[float, float, Optional[HostUnreachable]]:
         """One message on the wire: what it costs and how it is recorded.
 
         The single definition under every transfer mode.  A delivered
@@ -463,18 +481,24 @@ class Network:
         ``net.transfer`` span and passes through ``_count_success`` or
         ``_count_failure`` — nothing else in ``repro.net`` does either.
 
+        Some seconds of a delivered leg may be *already waited out*, and
+        the caller waits only the rest while every record of the message
+        stays the full cost's: under ``mode="pipelined"`` (the span's
+        flag) the message follows an earlier one on an open connection,
+        so its propagation — the link latency — overlapped that one's;
+        ``hidden`` seconds of a relayed payload streamed out while the
+        hop that brought the bytes was still streaming in (span attrs
+        ``relayed`` and ``hidden_s``, histogram ``net.relay.hidden_s``
+        under the mover's ``label``).  A dead pair hides nothing: it is
+        found out by waiting.
+
         With ``start=None`` the leg is *blocking*: the caller waits, so
-        the clock advances.  Under ``mode="pipelined"`` (the span's
-        flag) the message follows an earlier one on an open connection:
-        its propagation overlaps that one's, so the caller waits the
-        cost less the link latency — ``nbytes / effective_bps`` — while
-        every record of the message is the unpipelined one's.  With a
-        ``start`` the leg is bookkeeping at that virtual time under
-        ``mode`` ``"queued"`` or ``"grouped"``: the caller owns the
-        clock and the ``busy_until`` floors.  Returns ``(seconds,
-        error)`` — what a blocking caller waited, else the message's
-        cost; the error is handed back, not raised, so a group can
-        marshal it per member.
+        the clock advances.  With a ``start`` the leg is bookkeeping at
+        that virtual time under ``mode`` ``"queued"`` or ``"grouped"``:
+        the caller owns the clock and the ``busy_until`` floors.
+        Returns ``(cost, waited, error)`` — the message's cost, the
+        seconds of it still to wait, and the error, handed back, not
+        raised, so a group can marshal it per member.
         """
         spec = self.link(src, dst)
         try:
@@ -482,14 +506,16 @@ class Network:
         except HostUnreachable as exc:
             # a dead pair is found out by waiting, whatever the mode
             error, cost = exc, 2 * spec.latency_s
-            waited = cost
+            waited, hidden = cost, 0.0
             if mode == "queued":
                 # nothing queues behind a dead pair: the caller waits
                 # out the timeout now, exactly like a blocking transfer
                 start = mode = None
         else:
             error, cost = None, spec.cost(nbytes, streams=streams)
-            waited = cost - spec.latency_s if mode == "pipelined" else cost
+            waited = cost - hidden
+            if mode == "pipelined":
+                waited -= spec.latency_s
         tracer = self.obs.tracer
         if tracer.stack:
             attrs = {"src": src, "dst": dst, "bytes": nbytes}
@@ -499,7 +525,10 @@ class Network:
                 attrs[mode] = True
                 if error is None and start is not None:
                     attrs["start"] = start
-                    attrs["done"] = start + cost
+                    attrs["done"] = start + waited
+            if hidden:
+                attrs["relayed"] = True
+                attrs["hidden_s"] = hidden
             with tracer.span("net.transfer", **attrs) as sp:
                 if error is not None:
                     sp.error = str(error)
@@ -509,12 +538,15 @@ class Network:
             self.clock.advance(waited)
         if error is None:
             self._count_success(src, dst, nbytes, cost)
+            if hidden:
+                self.relay_meters[label][0].observe(hidden)
         else:
             self._count_failure(src, dst)
-        return waited, error
+        return cost, waited, error
 
     def transfer(self, src: str, dst: str, nbytes: int = 0,
-                 streams: int = 1, pipelined: bool = False) -> float:
+                 streams: int = 1, pipelined: bool = False,
+                 hidden: float = 0.0, label: str = "") -> float:
         """Move one message of ``nbytes`` from ``src`` to ``dst``.
 
         Advances the clock by the link cost and returns the elapsed virtual
@@ -522,13 +554,16 @@ class Network:
         on window-limited links (``per_stream_bps`` set) k streams reach
         ``min(capacity, k x per-stream)``.  ``pipelined`` sends the
         message behind an earlier one on an open connection: the caller
-        waits for its bytes, not for the link latency again.  Raises
+        waits for its bytes, not for the link latency again.  ``hidden``
+        seconds of a relayed payload's leg (metered under ``label``)
+        are likewise not waited again (:meth:`_leg`).  Raises
         :class:`HostUnreachable` on failure — after charging one RTT
         for the timeout, which is what makes replica failover measurably
         non-free in experiment E2.
         """
-        waited, error = self._leg(src, dst, nbytes, streams, None,
-                                  "pipelined" if pipelined else None)
+        _cost, waited, error = self._leg(
+            src, dst, nbytes, streams, None,
+            "pipelined" if pipelined else None, hidden, label)
         if error is not None:
             raise error
         return waited
@@ -555,7 +590,8 @@ class Network:
         s, d = self.host(src), self.host(dst)
         start = max(self.clock.now, s.busy_until, d.busy_until,
                     not_before if not_before is not None else 0.0)
-        cost, error = self._leg(src, dst, nbytes, streams, start, "queued")
+        cost, _waited, error = self._leg(src, dst, nbytes, streams, start,
+                                         "queued")
         if error is not None:
             raise error
         s.busy_until = d.busy_until = start + cost
@@ -578,7 +614,9 @@ class TransferOutcome:
     downed member must not poison its siblings, so failures are
     marshalled per member and the caller decides.  ``start``/``done``
     are virtual timestamps; for a failed member ``done - start`` is the
-    charged timeout.
+    charged timeout.  ``cost`` is what the message cost, which for a
+    relayed member is more than ``done - start``, what was waited (a
+    lone blocking move, :func:`blocking_outcome`, knows only the wait).
     """
 
     src: str
@@ -603,6 +641,7 @@ class _Member:
     nbytes: int
     streams: int = 1
     key: Any = None
+    hidden: float = 0.0
 
 
 class TransferGroup:
@@ -638,11 +677,14 @@ class TransferGroup:
         self._ran = False
 
     def add(self, src: str, dst: str, nbytes: int = 0, streams: int = 1,
-            key: Any = None) -> None:
-        """Add one member transfer (validates size, not reachability)."""
+            key: Any = None, hidden: float = 0.0) -> None:
+        """Add one member transfer (validates size, not reachability).
+        ``hidden`` seconds of it are already waited out (a relayed
+        payload, :meth:`Network._leg`): the member is done that much
+        sooner, its recorded cost is the same."""
         if nbytes < 0:
             raise NetworkError(f"negative transfer size {nbytes}")
-        self._members.append(_Member(src, dst, nbytes, streams, key))
+        self._members.append(_Member(src, dst, nbytes, streams, key, hidden))
 
     def __len__(self) -> int:
         return len(self._members)
@@ -670,14 +712,15 @@ class TransferGroup:
                             net.host(m.src).busy_until,
                             net.host(m.dst).busy_until,
                             path_busy.get(path, 0.0))
-                cost, error = net._leg(m.src, m.dst, m.nbytes, m.streams,
-                                       start, "grouped")
+                cost, waited, error = net._leg(
+                    m.src, m.dst, m.nbytes, m.streams, start, "grouped",
+                    m.hidden, self.label)
                 # a failed member's timeout overlaps its siblings' work
                 # (it extends the makespan, it does not precede them),
                 # but a real select loop holds the socket until it
                 # expires: delivered or not, the member occupies its
                 # path and endpoints until ``done``
-                done = start + cost
+                done = start + waited
                 path_busy[path] = done
                 for endpoint in path:
                     host_done[endpoint] = max(host_done.get(endpoint, 0.0),

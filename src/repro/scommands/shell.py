@@ -476,8 +476,14 @@ class Shell:
         with tracer.trace("scommand", line=line) as root:
             code, output = self.run(line)
         tree = tracer.render(root)
+        # wan is seconds waited; what relayed legs did not wait again
+        # (they streamed out while the payload streamed in) goes beside it
+        hidden = sum(s.attrs.get("hidden_s", 0.0) for s in root.walk())
+        note = {"wan": f" (+{hidden:.4f}s hidden by relaying)"} \
+            if hidden else {}
         # (+ 0.0: a remainder of -1e-17 is 0.0000, not -0.0000)
         where = "  ".join(f"{part} {round(seconds, 4) + 0.0:.4f}s"
+                          + note.get(part, "")
                           for part, seconds in root.breakdown().items())
         head = output if code == 0 else f"(exit {code}) {output}"
         return (head + "\n\n" if head else "") + tree \

@@ -359,3 +359,61 @@ class TestStripedGet:
         assert client.get("/z/w/big.dat", replica_num=1,
                           stripes=2) == PAYLOAD
         assert fed.obs.metrics.total("srb.striped_reads") == 0
+
+
+class TestAutoStripesReadTheLocalCopy:
+    """``stripes="auto"`` at a server that holds a clean local replica
+    says a local copy beats any wire pull — and must then read *that*
+    copy, not walk the chain to replica 1 across the WAN."""
+
+    def _setup(self):
+        # replica 1 on h2 (remote), replica 2 on h1 (the server's host)
+        fed, client = build_fed()
+        client.ingest("/z/w/big.dat", PAYLOAD, resource="r2")
+        client.replicate("/z/w/big.dat", "r1")
+        return fed, client
+
+    def _payload_legs(self, root):
+        return [(s.attrs["src"], s.attrs["dst"])
+                for s in root.find("net.transfer")
+                if s.attrs["bytes"] >= len(PAYLOAD) and s.attrs["dst"] == "h1"
+                and s.attrs["src"] != "h1"]
+
+    def test_no_resource_to_server_leg(self):
+        fed, client = self._setup()
+        data, root = traced(fed, lambda: client.get("/z/w/big.dat",
+                                                    stripes="auto"))
+        assert data == PAYLOAD
+        assert self._payload_legs(root) == []
+        # the default order does walk to replica 1: the bug was real
+        _, root = traced(fed, lambda: client.get("/z/w/big.dat"))
+        assert self._payload_legs(root) == [("h2", "h1")]
+
+    def test_a_local_copy_that_errors_falls_back_to_the_chain(self):
+        fed, client = self._setup()
+
+        def offline(path, *args):
+            raise ResourceUnavailable("r1: volume offline")
+        fed.resources.physical("r1").driver.read = offline
+        data, root = traced(fed, lambda: client.get("/z/w/big.dat",
+                                                    stripes="auto"))
+        assert data == PAYLOAD
+        assert self._payload_legs(root) == [("h2", "h1")]
+
+    def test_an_archive_copy_off_the_disk_cache_is_not_worth_a_stage(self):
+        fed, client = build_fed()
+        fed.add_archive_resource("tape1", "h1")
+        client.ingest("/z/w/big.dat", PAYLOAD, resource="r2")
+        client.replicate("/z/w/big.dat", "tape1")
+        archive = fed.resources.physical("tape1").driver
+        # still in the HSM's disk cache: the local copy is read
+        _, root = traced(fed, lambda: client.get("/z/w/big.dat",
+                                                 stripes="auto"))
+        assert self._payload_legs(root) == [] and archive.stages == 0
+        # migrated to tape: a pull beats the stage
+        archive.purge_cache()
+        data, root = traced(fed, lambda: client.get("/z/w/big.dat",
+                                                    stripes="auto"))
+        assert data == PAYLOAD
+        assert self._payload_legs(root) == [("h2", "h1")]
+        assert archive.stages == 0

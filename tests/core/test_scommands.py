@@ -396,6 +396,22 @@ class TestObservability:
             assert f"  {part} " in last
         assert last.endswith("s") and " of " in last
 
+    def test_strace_prints_what_a_relay_hid_beside_the_wan_time(
+            self, shell, tmp_path):
+        grid, sh = shell
+        local = tmp_path / "one-mib.bin"
+        local.write_bytes(b"\0" * (1024 * 1024))
+        # laptop -> srb1 -> unix-caltech: the server relays the payload
+        out = ok(sh, f"Strace Sput -R unix-caltech {local} "
+                     f"{grid.home}/one-mib.bin")
+        assert "relayed=True" in out and "hidden_s=" in out
+        last = out.splitlines()[-1]
+        hidden = grid.fed.stats()["relay_hidden_s"]
+        assert hidden > 0
+        assert f"s (+{hidden:.4f}s hidden by relaying)  storage " in last
+        # a small command hid nothing and says nothing
+        assert "hidden" not in ok(sh, f"Strace Sls {grid.home}")
+
     def test_strace_reports_inner_failure(self, shell):
         grid, sh = shell
         out = ok(sh, "Strace Scat /demozone/nope.dat")

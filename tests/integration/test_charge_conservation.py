@@ -10,7 +10,10 @@ leg some reader never sees.
 
 Four passes: the default pass-through grid, the same overlapped plane
 with direct data channels (``direct_io=True``), and each again with the
-``caltech`` host down so the failure funnels are walked too.
+``caltech`` host down so the failure funnels are walked too.  A fifth
+walk gives every payload 256 KiB, so that the servers relay, and states
+the one equality relaying adds: what the clock advanced is what was
+recorded less what was hidden.
 """
 
 from __future__ import annotations
@@ -165,3 +168,87 @@ def test_every_op_conserves_its_charges(knobs, caltech_down):
                       "ingest-replica", "bulk-ingest"):
             assert m.get("net.parallel.groups", label=label) == 1, label
         assert (m.total("net.direct.channels") > 0) == bool(knobs)
+
+
+# -- a relayed leg: recorded in full, waited less what it hid ---------------
+
+PAD = b"\0" * (256 * 1024)          # four relay blocks on every payload
+
+
+def padded(kwargs):
+    out = dict(kwargs)
+    if "data" in out:
+        out["data"] += PAD
+    if "items" in out:
+        out["items"] = [dict(item, data=item["data"] + PAD)
+                        for item in out["items"]]
+    return out
+
+
+def histogram_sum(delta, name):
+    return sum(v for k, v in delta.items()
+               if k.startswith(name + "{") and k.endswith(":sum"))
+
+
+def test_what_the_clock_advanced_is_what_was_recorded_less_what_was_hidden():
+    """Every op again, with 256 KiB payloads, so that the servers relay.
+    A relayed leg's records are the unrelayed leg's — ``net.transfer_s``
+    observes the whole cost — and what the caller waited is that cost
+    less the seconds the span says were hidden; summed over an op, the
+    clock moved by the recorded costs less the hidden seconds, and the
+    hidden seconds are what ``net.relay.hidden_s`` and ``fed.stats()``
+    report."""
+    fed, admin = build_fed()
+    srv, net, m = fed.server("srb1"), fed.network, fed.obs.metrics
+    calls = op_calls(admin.ticket, prepare(srv, admin.ticket, PAD), PAD)
+    calls += [(name, dict(padded(kwargs), ticket=admin.ticket), raises)
+              for name, kwargs, raises in GROUPED_CALLS]
+    srv.ingest(admin.ticket, FAR_FILE, b"f" * 300 + PAD,
+               resource="unix-caltech")
+
+    relayed_ops = set()
+    for name, kwargs, _raises in calls:
+        before, hidden_before = m.snapshot(), fed.stats()["relay_hidden_s"]
+        t0 = fed.clock.now
+        with fed.obs.tracer.trace("relay", op=name) as root:
+            try:
+                fed.rpc.call("laptop", "sdsc", "srb:srb1", name, **kwargs)
+            except SrbError:
+                pass
+        delta = m.delta(before)
+        recorded = hidden = overlapped = 0.0
+        for leg in root.find("net.transfer"):
+            attrs = leg.attrs
+            link = net.link(attrs["src"], attrs["dst"])
+            cost = link.cost(attrs["bytes"], attrs["streams"])
+            hid = attrs.get("hidden_s", 0.0)
+            assert ("relayed" in attrs) == (hid > 0), name
+            assert hid == 0 or attrs["bytes"] > 64 * 1024, name
+            waited = attrs["done"] - attrs["start"] if "grouped" in attrs \
+                else leg.duration
+            assert waited == pytest.approx(cost - hid, abs=1e-9), name
+            recorded += cost
+            hidden += hid
+        # the records are the unrelayed costs; the hidden seconds are
+        # reported once, wherever one looks
+        assert histogram_sum(delta, "net.transfer_s") \
+            == pytest.approx(recorded), name
+        assert histogram_sum(delta, "net.relay.hidden_s") \
+            == pytest.approx(hidden) \
+            == pytest.approx(fed.stats()["relay_hidden_s"] - hidden_before)
+        # the clock: the wire's share of the op is the recorded costs
+        # less the hidden seconds (less, for overlapped members, what
+        # the group saved by running them side by side)
+        for group in root.find("net.parallel.group"):
+            overlapped += sum(
+                s.attrs["done"] - s.attrs["start"]
+                for s in group.find("net.transfer")) - group.duration
+        assert root.duration == fed.clock.now - t0
+        assert root.breakdown()["wan"] == pytest.approx(
+            recorded - hidden - overlapped, abs=1e-9), name
+        if hidden:
+            relayed_ops.add(name)
+
+    # the payload-bearing ops relayed (a remote caller, a remote
+    # resource); an op that moves bytes at rest never did
+    assert relayed_ops == {"ingest", "ingest_replica", "bulk_ingest", "get"}

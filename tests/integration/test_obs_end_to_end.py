@@ -158,3 +158,53 @@ class TestBreakdown:
         known = parts["admission"] + parts["wan"] + parts["storage"] \
             + parts["catalog"]
         assert parts["other"] == root.duration - known
+
+
+class TestRelayExplained:
+    """A payload larger than one relay block that passes through the
+    server hides part of its second hop behind the first; the trace, the
+    metrics and ``fed.stats()`` say how much, and the breakdown stays
+    exact because ``wan`` is seconds waited."""
+
+    BIG = b"galaxy" * 50_000             # 300 kB
+
+    def test_write_and_read_both_say_what_they_hid(self, grid):
+        fed, curator = grid.fed, grid.curator
+        m = fed.obs.metrics
+        path = f"{grid.home}/big.dat"
+        for name, op, mover, label in (
+                ("ingest", lambda: curator.ingest(
+                    path, self.BIG, resource="unix-caltech"),
+                 ("sdsc", "caltech"), "ingest-fanout"),
+                ("get", lambda: curator.get(path),
+                 ("sdsc", "laptop"), "get")):
+            before = fed.stats()["relay_hidden_s"]
+            with fed.obs.tracer.trace(name) as root:
+                op()
+            (leg,) = [s for s in root.find("net.transfer")
+                      if s.attrs.get("relayed")]
+            assert (leg.attrs["src"], leg.attrs["dst"]) == mover
+            hidden = leg.attrs["hidden_s"]
+            link = fed.network.link(*mover)
+            # the span is what was waited; the link's record is the cost
+            cost = link.cost(leg.attrs["bytes"], leg.attrs["streams"])
+            assert leg.duration == pytest.approx(cost - hidden)
+            assert 0 < hidden < cost - link.latency_s
+            assert fed.stats()["relay_hidden_s"] - before == hidden
+            hist = m.histogram("net.relay.hidden_s", label=label)
+            assert (hist.count, hist.sum) == (1, hidden)
+            parts = root.breakdown()
+            known = parts["admission"] + parts["wan"] + parts["storage"] \
+                + parts["catalog"]
+            assert parts["other"] == root.duration - known
+            assert parts["other"] == pytest.approx(0.0, abs=1e-9)
+        assert m.histogram_names().count("net.relay.hidden_s") == 1
+
+    def test_nothing_hidden_nothing_emitted(self, grid, remote_object):
+        fed = grid.fed
+        with fed.obs.tracer.trace("small") as root:
+            grid.curator.get(remote_object)       # 49 kB: under a block
+        assert not any("relayed" in s.attrs or "hidden_s" in s.attrs
+                       for s in root.walk())
+        assert "net.relay.hidden_s" not in fed.obs.metrics.histogram_names()
+        assert fed.stats()["relay_hidden_s"] == 0

@@ -7,7 +7,8 @@ recorded" (DESIGN.md, "Cost model and per-call bookkeeping"):
   ways, so a blocking ``transfer``, a ``schedule_transfer`` on an idle
   network, a ``TransferGroup`` of one and a pipelined ``transfer`` must
   agree on what the message cost and on every record of it; they differ
-  in what the caller waited;
+  in what the caller waited — and so does a *relayed* leg, blocking or
+  grouped, part of which was waited out before it began;
 * an AST guard — the span literal, the counting funnels, station
   admission and the whole-call failure accounting each sit in one
   function, so a second copy cannot grow back unnoticed; the per-message
@@ -27,7 +28,8 @@ from repro.errors import HostUnreachable
 from repro.net.simnet import LinkSpec, Network, TransferGroup
 from repro.policy.stats import PathStats
 
-MODE_ATTRS = {"queued", "grouped", "pipelined", "start", "done"}
+MODE_ATTRS = {"queued", "grouped", "pipelined", "start", "done",
+              "relayed", "hidden_s"}
 
 links = st.builds(
     LinkSpec,
@@ -37,7 +39,8 @@ links = st.builds(
                              st.floats(min_value=1e3, max_value=1e8)))
 
 
-def send(mode: str, link: LinkSpec, nbytes: int, streams: int, fault: str):
+def send(mode: str, link: LinkSpec, nbytes: int, streams: int, fault: str,
+         hidden: float = 0.0):
     """One message a→b in ``mode`` on a fresh network; every record of it."""
     net = Network()
     net.add_host("a")
@@ -53,15 +56,16 @@ def send(mode: str, link: LinkSpec, nbytes: int, streams: int, fault: str):
     error = None
     with net.obs.tracer.trace("send") as root:
         try:
-            if mode in ("blocking", "pipelined"):
+            if mode in ("blocking", "pipelined", "relayed"):
                 cost = net.transfer("a", "b", nbytes, streams=streams,
-                                    pipelined=mode == "pipelined")
+                                    pipelined=mode == "pipelined",
+                                    hidden=hidden, label="relay")
             elif mode == "queued":
                 cost = net.schedule_transfer("a", "b", nbytes,
                                              streams=streams) - t0
             else:
-                group = TransferGroup(net)
-                group.add("a", "b", nbytes, streams=streams)
+                group = TransferGroup(net, label="relay")
+                group.add("a", "b", nbytes, streams=streams, hidden=hidden)
                 (outcome,) = group.run()
                 cost, error = outcome.cost, outcome.error
         except HostUnreachable as exc:
@@ -75,11 +79,14 @@ def send(mode: str, link: LinkSpec, nbytes: int, streams: int, fault: str):
         "counters": (net.messages_sent, net.bytes_sent, net.failed_attempts),
         "metrics": {k: v for k, v in net.obs.metrics.snapshot().items()
                     if k.startswith("net.")
-                    and not k.startswith("net.parallel.")},
+                    and not k.startswith(("net.parallel.", "net.relay."))},
+        "hidden": net.obs.metrics.histogram("net.relay.hidden_s",
+                                            label="relay"),
         "paths": record,
         "span": ({k: v for k, v in span.attrs.items()
                   if k not in MODE_ATTRS}, span.error),
         "flags": {k for k in span.attrs if k in MODE_ATTRS},
+        "hidden_s": span.attrs.get("hidden_s"),
     }
 
 
@@ -87,11 +94,17 @@ def send(mode: str, link: LinkSpec, nbytes: int, streams: int, fault: str):
 @given(link=links,
        nbytes=st.integers(min_value=0, max_value=50_000_000),
        streams=st.integers(min_value=1, max_value=8),
-       fault=st.sampled_from(["", "a", "b", "partition"]))
-def test_four_modes_are_one_wire_leg(link, nbytes, streams, fault):
+       fault=st.sampled_from(["", "a", "b", "partition"]),
+       share=st.floats(min_value=0.001, max_value=1.0))
+def test_four_modes_are_one_wire_leg(link, nbytes, streams, fault, share):
     blocking, queued, grouped, pipelined = (
         send(mode, link, nbytes, streams, fault)
         for mode in ("blocking", "queued", "grouped", "pipelined"))
+    # a relayed leg: some share of its streaming time already waited out
+    hidden = share * nbytes / link.effective_bps(streams)
+    relayed, relayed_grouped = (
+        send(mode, link, nbytes, streams, fault, hidden)
+        for mode in ("relayed", "grouped"))
     if fault:
         # the raising modes hand back no cost; the group marshals it
         assert blocking["error"] == queued["error"] == grouped["error"] \
@@ -104,6 +117,13 @@ def test_four_modes_are_one_wire_leg(link, nbytes, streams, fault):
             == grouped["elapsed"] == pipelined["elapsed"] == grouped["cost"]
         assert [m["flags"] for m in (blocking, queued, grouped, pipelined)] \
             == [set(), set(), {"grouped"}, {"pipelined"}]
+        # a dead pair hides nothing: the relayed leg costs and counts the
+        # 2 x latency timeout, and says nothing of a relay
+        assert relayed["elapsed"] == relayed_grouped["elapsed"] \
+            == 2 * link.latency_s
+        assert (relayed["flags"], relayed_grouped["flags"]) \
+            == (set(), {"grouped"})
+        assert relayed["hidden"] is relayed_grouped["hidden"] is None
     else:
         assert blocking["error"] is None
         assert blocking["cost"] == grouped["cost"] \
@@ -120,9 +140,25 @@ def test_four_modes_are_one_wire_leg(link, nbytes, streams, fault):
         assert [m["flags"] for m in (blocking, queued, grouped, pipelined)] \
             == [set(), {"queued", "start", "done"},
                 {"grouped", "start", "done"}, {"pipelined"}]
+        # relayed: the caller waits the cost less what was hidden,
+        # exactly, alone or as a group member; the message cost the same
+        assert relayed["cost"] == relayed["elapsed"] \
+            == relayed_grouped["elapsed"] == blocking["cost"] - hidden
+        assert relayed_grouped["cost"] == blocking["cost"]
+        if hidden:
+            assert relayed["flags"] == {"relayed", "hidden_s"}
+            assert relayed_grouped["flags"] == {
+                "grouped", "start", "done", "relayed", "hidden_s"}
+            for leg in (relayed, relayed_grouped):
+                assert leg["hidden_s"] == hidden
+                assert (leg["hidden"].count, leg["hidden"].sum) \
+                    == (1, hidden)
+        else:
+            assert relayed["flags"] == set()
+            assert relayed["hidden"] is None     # nothing hidden, no series
     for key in ("error", "counters", "metrics", "paths", "span"):
         assert blocking[key] == queued[key] == grouped[key] \
-            == pipelined[key], key
+            == pipelined[key] == relayed[key] == relayed_grouped[key], key
 
 
 # -- the AST guard ---------------------------------------------------------

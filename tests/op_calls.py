@@ -20,23 +20,26 @@ COLL = "/demozone/home/opscheck"
 FILE = COLL + "/f.txt"
 
 
-def prepare(srv, ticket) -> int:
+def prepare(srv, ticket, pad: bytes = b"") -> int:
     """Create the fixtures the calls operate on; returns the metadata id
-    the ``update_metadata``/``delete_metadata`` rows address."""
+    the ``update_metadata``/``delete_metadata`` rows address.  ``pad``
+    is appended to every payload (here and in :func:`op_calls`), for the
+    walks that need objects larger than a few bytes."""
     srv.mkcoll(ticket, COLL)
-    srv.ingest(ticket, FILE, b"content-1")
+    srv.ingest(ticket, FILE, b"content-1" + pad)
     srv.mkcoll(ticket, COLL + "/doomed")          # rmcoll target
     srv.mkcoll(ticket, COLL + "/mig")             # migrate_collection target
-    srv.ingest(ticket, COLL + "/mv.txt", b"m")    # move target
-    srv.ingest(ticket, COLL + "/del.txt", b"d")   # delete target
-    srv.ingest(ticket, COLL + "/lk.txt", b"l")    # lock/unlock target
-    srv.ingest(ticket, COLL + "/co.txt", b"c")    # checkout/checkin target
-    srv.ingest(ticket, COLL + "/rep.txt", b"r")   # replica-plane target
-    srv.ingest(ticket, COLL + "/pm.txt", b"p")    # physical_move target
+    srv.ingest(ticket, COLL + "/mv.txt", b"m" + pad)  # move target
+    srv.ingest(ticket, COLL + "/del.txt", b"d" + pad)  # delete target
+    srv.ingest(ticket, COLL + "/lk.txt", b"l" + pad)  # lock/unlock target
+    srv.ingest(ticket, COLL + "/co.txt", b"c" + pad)  # checkout/checkin target
+    srv.ingest(ticket, COLL + "/rep.txt", b"r" + pad)  # replica-plane target
+    srv.ingest(ticket, COLL + "/pm.txt", b"p" + pad)  # physical_move target
     return srv.add_metadata(ticket, FILE, "subject", "ops")
 
 
-def op_calls(ticket, mid: int) -> List[Tuple[str, Dict[str, Any], bool]]:
+def op_calls(ticket, mid: int, pad: bytes = b""
+             ) -> List[Tuple[str, Dict[str, Any], bool]]:
     """The call map, in an order in which each row's target exists."""
     C, F = COLL, FILE
     rows: List[Tuple[str, Dict[str, Any], bool]] = [
@@ -50,9 +53,9 @@ def op_calls(ticket, mid: int) -> List[Tuple[str, Dict[str, Any], bool]]:
         ("stat", dict(path=F), False),
         ("move", dict(src=C + "/mv.txt", dst=C + "/mv2.txt"), False),
         ("link", dict(target=F, link_path=C + "/lnk"), False),
-        ("ingest", dict(path=C + "/new.txt", data=b"n"), False),
+        ("ingest", dict(path=C + "/new.txt", data=b"n" + pad), False),
         ("bulk_ingest",
-         dict(items=[{"path": C + "/b1.txt", "data": b"b"}]), False),
+         dict(items=[{"path": C + "/b1.txt", "data": b"b" + pad}]), False),
         ("bulk_get", dict(targets=[F]), False),
         ("bulk_query_metadata", dict(targets=[F]), False),
         ("register_file", dict(path=C + "/reg.txt", resource="unix-sdsc",
@@ -67,7 +70,7 @@ def op_calls(ticket, mid: int) -> List[Tuple[str, Dict[str, Any], bool]]:
                                  command="srbps", proxy_function=True),
          False),
         ("get", dict(path=F), False),
-        ("put", dict(path=F, data=b"content-2"), False),
+        ("put", dict(path=F, data=b"content-2" + pad), False),
         ("delete", dict(path=C + "/del.txt"), False),
         ("copy", dict(src=F, dst=C + "/copy.txt"), False),
         ("lock", dict(path=C + "/lk.txt"), False),
@@ -87,7 +90,7 @@ def op_calls(ticket, mid: int) -> List[Tuple[str, Dict[str, Any], bool]]:
          dict(path=C + "/rep.txt", resource="unix-caltech"), False),
         ("register_replica",
          dict(path=C + "/reg.txt", target="/outside/reg-alt.txt"), False),
-        ("ingest_replica", dict(path=C + "/rep.txt", data=b"alt",
+        ("ingest_replica", dict(path=C + "/rep.txt", data=b"alt" + pad,
                                 resource="unix-caltech"), False),
         ("synchronize", dict(path=C + "/rep.txt"), False),
         ("physical_move",

@@ -28,6 +28,16 @@ op                  measured          budget          (pinning before)
 ``query_page row``  40.4 -> 39.1      46.5 -> 45      (41.7 -> 40.1)
 ==================  ================  ==============  ==================
 
+Two budgets pin the relay (a payload of four relay blocks passing
+through the server between the laptop and ``caltech``), measured when it
+replaced store-and-forward: ``ingest relayed`` 423 -> budget 485 is
+``ingest logical`` with 256 KiB, so the leg runner prices what the
+remote member's leg hides behind the request (11 calls over the same
+ingest of 4 KiB, which prices nothing); ``get relayed`` 261 -> budget
+300 reads that object's ``caltech`` copy back, so the read delivery
+prices the reply.  Since that pinning a wire leg looks its two hosts up
+without a call each (every op above: 4 to 20 fewer than the table says).
+
 ``ingest logical`` is the same ingest onto the two-member logical
 resource ``logrsrc1`` (one local member, one remote), which pins the
 one write loop every ingest goes through — availability, sessions, the
@@ -59,10 +69,12 @@ from repro.mcat import Condition
 from repro.workload import standard_grid
 
 PAYLOAD = b"\x5a" * 4096
+RELAYED = b"\x5a" * (256 * 1024)        # four relay blocks
 
 #: op -> most Python-level calls (functions and builtins) one call may make
 BUDGET = {"ingest": 380, "get": 245, "stat": 190, "add_metadata": 205,
-          "ingest logical": 495, "bulk_ingest row": 34.5,
+          "ingest logical": 495, "ingest relayed": 485, "get relayed": 300,
+          "bulk_ingest row": 34.5,
           "query selective": 1735, "query broad row": 29.5,
           "query_page row": 45}
 
@@ -87,6 +99,9 @@ def measured():
             "ingest logical": lambda: client.ingest(
                 path + ".2", PAYLOAD, resource="logrsrc1"),
             "get": lambda: client.get(path),
+            "ingest relayed": lambda: client.ingest(
+                path + ".3", RELAYED, resource="logrsrc1"),
+            "get relayed": lambda: client.get(path + ".3", replica_num=2),
             "stat": lambda: client.stat(path),
             "add_metadata": lambda: client.add_metadata(path, "band", "J"),
         }
