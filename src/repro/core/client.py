@@ -15,18 +15,59 @@ Typical use::
     client.ingest("/demozone/home/sekar/Cultures/notes.txt", b"...",
                   resource="unix-sdsc")
     data = client.get("/demozone/home/sekar/Cultures/notes.txt")
+
+One op table, two surfaces.  An op's signature lives in its plane
+handler only: every op a plane service declares with ``@rpc_op``
+(:func:`repro.core.dispatch.declared_ops`, the same walk the server's
+:class:`~repro.core.dispatch.Dispatcher` registers from) becomes
+``SrbClient.<op>`` at import — a real function with the handler's name,
+signature (minus ``self, ctx``) and docstring, compiled once the way
+``dataclasses`` builds methods.  Its body is one :meth:`SrbClient._call`
+that sends the ticket when the op authenticates, each parameter by
+name, the payload the op declares (``payload_arg`` / ``payload_items``)
+through :meth:`~SrbClient._defer`, and a ``Sequence`` parameter as a
+list (``None`` stays ``None``).  Adding a parameter to an op is one
+edit, in the handler.
+
+Written out are only the methods that do something else:
+
+* ``login``, ``logout``, ``connect``, ``batch`` — the session, and
+  pipelined calls (``auth_challenge`` / ``auth_login`` are ``login``'s);
+* ``get`` — sends ``stripes`` only when one is given, so a default get
+  stays byte-identical on the wire;
+* ``ls``, ``ls_page``, ``verify`` — named other than their ops
+  (``list_collection``, ``list_collection_page``, ``verify_checksums``);
+* ``grant``, ``revoke`` — take ``principal``, which travels as the
+  handler's ``principal_str``;
+* ``iter_ls``, ``iter_query_pages``, ``iter_query``,
+  ``iter_bulk_query_metadata`` — streams and pages composed of calls.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+import inspect
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, \
+    Union
 
 from repro.auth.tickets import Ticket
 from repro.auth.users import UserRegistry
+from repro.core.dispatch import OpSpec, declared_ops
 from repro.core.federation import Federation
+from repro.core.planes import AuthService, DataService, MetadataService, \
+    NamespaceService, ReplicaService
 from repro.errors import AuthError
-from repro.mcat.query import Condition, DisplayOnly, QueryResult
+from repro.mcat.query import Condition, DisplayOnly
 from repro.net.rpc import BatchItemResult
+
+#: every op the servers register, with its declaration and handler
+_DECLARED = [pair for service in (AuthService, NamespaceService, DataService,
+                                  ReplicaService, MetadataService)
+             for pair in declared_ops(service)]
+_SPECS: Dict[str, OpSpec] = {spec.name: spec for spec, _fn in _DECLARED}
+
+#: ops a written method reaches under another name
+_REACHED_OTHERWISE = {"auth_challenge", "auth_login", "list_collection",
+                      "list_collection_page", "verify_checksums"}
 
 
 class SrbClient:
@@ -42,13 +83,10 @@ class SrbClient:
         self.password = password
         self.ticket: Optional[Ticket] = None
         federation.network.host(client_host)   # must exist
-        federation.server(server_name)         # must exist
+        # must exist; bound once, since a server never changes host
+        self._server_host = federation.server(server_name).host
 
     # -- plumbing ------------------------------------------------------------
-
-    @property
-    def _server_host(self) -> str:
-        return self.federation.server(self.server_name).host
 
     def _call(self, method: str, /, **kwargs: Any) -> Any:
         return self.federation.rpc.call(
@@ -69,6 +107,13 @@ class SrbClient:
             return data
         from repro.net.wire import DeferredPayload
         return DeferredPayload(data)
+
+    def _defer_items(self, items: Sequence[Dict[str, Any]]
+                     ) -> List[Dict[str, Any]]:
+        """:meth:`_defer` for a bulk payload: each item's ``"data"``, in
+        copies of the caller's dicts."""
+        return [dict(item, data=self._defer(item["data"]))
+                if "data" in item else dict(item) for item in items]
 
     def batch(self, *items: Tuple[str, Dict[str, Any]]
               ) -> List[BatchItemResult]:
@@ -91,22 +136,19 @@ class SrbClient:
         """
         if not items:
             return []
-        dispatch = self.federation.server(self.server_name).dispatch
         sent = []
         for op, kwargs in items:
             kwargs = dict(kwargs)
-            if op in dispatch:      # an unknown op is the server's to refuse
-                spec = dispatch.get(op).spec
+            spec = _SPECS.get(op)   # an unknown op is the server's to refuse
+            if spec is not None:
                 if spec.auth:
                     kwargs["ticket"] = self.ticket
                 if spec.payload_arg in kwargs:
                     kwargs[spec.payload_arg] = \
                         self._defer(kwargs[spec.payload_arg])
                 elif spec.payload_items in kwargs:
-                    kwargs[spec.payload_items] = [
-                        dict(item, data=self._defer(item["data"]))
-                        if "data" in item else dict(item)
-                        for item in kwargs[spec.payload_items]]
+                    kwargs[spec.payload_items] = \
+                        self._defer_items(kwargs[spec.payload_items])
             sent.append((op, kwargs))
         return self.federation.rpc.call_batch(
             self.client_host, self._server_host,
@@ -115,16 +157,18 @@ class SrbClient:
     def connect(self, server_name: str) -> None:
         """Switch to a different SRB server; the SSO ticket stays valid
         ("users can connect to any SRB server")."""
-        self.federation.server(server_name)
+        self._server_host = self.federation.server(server_name).host
         self.server_name = server_name
 
     # -- authentication -----------------------------------------------------
 
     def login(self, username: Optional[str] = None,
               password: Optional[str] = None) -> Ticket:
-        """Challenge–response sign-on; keeps the zone SSO ticket."""
-        username = username or self.username
-        password = password or self.password
+        """Challenge–response sign-on; keeps the zone SSO ticket.  A
+        credential left out (``None``) is the one the client was built
+        with; one given, even empty, is the one that signs on."""
+        username = self.username if username is None else username
+        password = self.password if password is None else password
         if not username or password is None:
             raise AuthError("login needs username and password")
         first = self._call("auth_challenge", username=username)
@@ -139,13 +183,7 @@ class SrbClient:
     def logout(self) -> None:
         self.ticket = None
 
-    # -- namespace ------------------------------------------------------------
-
-    def mkcoll(self, path: str) -> int:
-        return self._call("mkcoll", ticket=self.ticket, path=path)
-
-    def rmcoll(self, path: str) -> None:
-        return self._call("rmcoll", ticket=self.ticket, path=path)
+    # -- methods other than their op ----------------------------------------
 
     def ls(self, path: str) -> Dict[str, Any]:
         return self._call("list_collection", ticket=self.ticket, path=path)
@@ -156,6 +194,36 @@ class SrbClient:
         "next_cursor"}`` — feed ``next_cursor`` back for the rest."""
         return self._call("list_collection_page", ticket=self.ticket,
                           path=path, limit=limit, cursor=cursor)
+
+    def verify(self, path: str):
+        """Per-replica checksum verification report."""
+        return self._call("verify_checksums", ticket=self.ticket, path=path)
+
+    def get(self, path: str, replica_num: Optional[int] = None,
+            args: Optional[str] = None,
+            sql_remainder: Optional[str] = None,
+            stripes: Union[int, str, None] = None) -> bytes:
+        """``stripes`` is a chunk count for SRB parallel I/O, or
+        ``"auto"`` to let the server's placement engine pick one from
+        measured path bandwidths."""
+        kwargs: Dict[str, Any] = {}
+        if stripes is not None:
+            # only serialized when used, so default gets stay
+            # byte-identical on the wire
+            kwargs["stripes"] = stripes
+        return self._call("get", ticket=self.ticket, path=path,
+                          replica_num=replica_num, args=args,
+                          sql_remainder=sql_remainder, **kwargs)
+
+    def grant(self, path: str, principal: str, permission: str) -> None:
+        return self._call("grant", ticket=self.ticket, path=path,
+                          principal_str=principal, permission=permission)
+
+    def revoke(self, path: str, principal: str) -> None:
+        return self._call("revoke", ticket=self.ticket, path=path,
+                          principal_str=principal)
+
+    # -- streams and pages ----------------------------------------------------
 
     def iter_ls(self, path: str, page_size: int = 100):
         """Iterate a collection listing with transparent page fetch.
@@ -177,79 +245,6 @@ class SrbClient:
             for obj in chunk["objects"]:
                 yield obj
 
-    def stat(self, path: str) -> Dict[str, Any]:
-        return self._call("stat", ticket=self.ticket, path=path)
-
-    # -- data ----------------------------------------------------------------
-
-    def ingest(self, path: str, data: bytes,
-               resource: Optional[str] = None,
-               container: Optional[str] = None,
-               data_type: Optional[str] = None,
-               metadata: Optional[Dict[str, str]] = None) -> int:
-        return self._call("ingest", ticket=self.ticket, path=path,
-                          data=self._defer(data),
-                          resource=resource, container=container,
-                          data_type=data_type, metadata=metadata)
-
-    def get(self, path: str, replica_num: Optional[int] = None,
-            args: Optional[str] = None,
-            sql_remainder: Optional[str] = None,
-            stripes: Union[int, str, None] = None) -> bytes:
-        """``stripes`` is a chunk count for SRB parallel I/O, or
-        ``"auto"`` to let the server's placement engine pick one from
-        measured path bandwidths."""
-        kwargs: Dict[str, Any] = {}
-        if stripes is not None:
-            # only serialized when used, so default gets stay
-            # byte-identical on the wire
-            kwargs["stripes"] = stripes
-        return self._call("get", ticket=self.ticket, path=path,
-                          replica_num=replica_num, args=args,
-                          sql_remainder=sql_remainder, **kwargs)
-
-    def put(self, path: str, data: bytes) -> None:
-        return self._call("put", ticket=self.ticket, path=path,
-                          data=self._defer(data))
-
-    def delete(self, path: str, replica_num: Optional[int] = None) -> None:
-        return self._call("delete", ticket=self.ticket, path=path,
-                          replica_num=replica_num)
-
-    # -- bulk operations -----------------------------------------------------
-
-    def bulk_ingest(self, items: Sequence[Dict[str, Any]],
-                    resource: Optional[str] = None,
-                    container: Optional[str] = None) -> List[Dict[str, Any]]:
-        """Ingest many files in one round trip (Sbload's data plane).
-
-        Each item is ``{"path", "data"}`` plus optional
-        ``data_type``/``metadata``.  Returns per-item results aligned
-        with ``items`` — failed items carry ``error``/``error_type``
-        instead of ``oid``.
-        """
-        sent = [dict(item, data=self._defer(item["data"]))
-                if "data" in item else dict(item)
-                for item in items]
-        return self._call("bulk_ingest", ticket=self.ticket,
-                          items=sent, resource=resource,
-                          container=container)
-
-    def bulk_get(self, targets: Sequence[str],
-                 via_container: Optional[str] = None
-                 ) -> List[Dict[str, Any]]:
-        """Fetch a working set of paths in one round trip."""
-        return self._call("bulk_get", ticket=self.ticket,
-                          targets=list(targets),
-                          via_container=via_container)
-
-    def bulk_query_metadata(self, targets: Sequence[str],
-                            meta_class: Optional[str] = None
-                            ) -> List[Dict[str, Any]]:
-        """Metadata for many paths in one round trip."""
-        return self._call("bulk_query_metadata", ticket=self.ticket,
-                          targets=list(targets), meta_class=meta_class)
-
     def iter_bulk_query_metadata(self, targets: Sequence[str],
                                  meta_class: Optional[str] = None,
                                  page_size: int = 100):
@@ -268,156 +263,6 @@ class SrbClient:
             for item in self.bulk_query_metadata(
                     targets[start:start + step], meta_class=meta_class):
                 yield item
-
-    # -- registration -----------------------------------------------------------
-
-    def register_file(self, path: str, resource: str, physical_path: str,
-                      data_type: Optional[str] = None,
-                      metadata: Optional[Dict[str, str]] = None) -> int:
-        return self._call("register_file", ticket=self.ticket, path=path,
-                          resource=resource, physical_path=physical_path,
-                          data_type=data_type, metadata=metadata)
-
-    def register_directory(self, path: str, resource: str,
-                           physical_dir: str) -> int:
-        return self._call("register_directory", ticket=self.ticket, path=path,
-                          resource=resource, physical_dir=physical_dir)
-
-    def register_sql(self, path: str, resource: str, sql: str,
-                     template: str = "HTMLREL", partial: bool = False) -> int:
-        return self._call("register_sql", ticket=self.ticket, path=path,
-                          resource=resource, sql=sql, template=template,
-                          partial=partial)
-
-    def register_url(self, path: str, url: str) -> int:
-        return self._call("register_url", ticket=self.ticket, path=path,
-                          url=url)
-
-    def register_method(self, path: str, server: str, command: str,
-                        proxy_function: bool = False) -> int:
-        return self._call("register_method", ticket=self.ticket, path=path,
-                          server=server, command=command,
-                          proxy_function=proxy_function)
-
-    # -- replication ------------------------------------------------------------
-
-    def replicate(self, path: str, resource: str) -> int:
-        return self._call("replicate", ticket=self.ticket, path=path,
-                          resource=resource)
-
-    def register_replica(self, path: str, target: str,
-                         resource: Optional[str] = None) -> int:
-        return self._call("register_replica", ticket=self.ticket, path=path,
-                          target=target, resource=resource)
-
-    def ingest_replica(self, path: str, data: bytes, resource: str) -> int:
-        return self._call("ingest_replica", ticket=self.ticket, path=path,
-                          data=self._defer(data), resource=resource)
-
-    def synchronize(self, path: str) -> int:
-        return self._call("synchronize", ticket=self.ticket, path=path)
-
-    # -- copy / move / link --------------------------------------------------------
-
-    def copy(self, src: str, dst: str, resource: Optional[str] = None) -> int:
-        return self._call("copy", ticket=self.ticket, src=src, dst=dst,
-                          resource=resource)
-
-    def move(self, src: str, dst: str) -> None:
-        return self._call("move", ticket=self.ticket, src=src, dst=dst)
-
-    def physical_move(self, path: str, resource: str) -> None:
-        return self._call("physical_move", ticket=self.ticket, path=path,
-                          resource=resource)
-
-    def link(self, target: str, link_path: str) -> int:
-        return self._call("link", ticket=self.ticket, target=target,
-                          link_path=link_path)
-
-    def migrate_collection(self, coll: str, resource: str) -> int:
-        return self._call("migrate_collection", ticket=self.ticket, coll=coll,
-                          resource=resource)
-
-    # -- metadata -------------------------------------------------------------
-
-    def add_metadata(self, path: str, attr: str, value: Optional[str],
-                     units: Optional[str] = None, meta_class: str = "user",
-                     schema_name: Optional[str] = None) -> int:
-        return self._call("add_metadata", ticket=self.ticket, path=path,
-                          attr=attr, value=value, units=units,
-                          meta_class=meta_class, schema_name=schema_name)
-
-    def get_metadata(self, path: str,
-                     meta_class: Optional[str] = None) -> List[Dict[str, Any]]:
-        return self._call("get_metadata", ticket=self.ticket, path=path,
-                          meta_class=meta_class)
-
-    def update_metadata(self, path: str, mid: int, value: Optional[str],
-                        units: Optional[str] = None) -> None:
-        return self._call("update_metadata", ticket=self.ticket, path=path,
-                          mid=mid, value=value, units=units)
-
-    def delete_metadata(self, path: str, mid: int) -> None:
-        return self._call("delete_metadata", ticket=self.ticket, path=path,
-                          mid=mid)
-
-    def copy_metadata(self, src: str, dst: str) -> int:
-        return self._call("copy_metadata", ticket=self.ticket, src=src,
-                          dst=dst)
-
-    def extract_metadata(self, path: str, method: str,
-                         sidecar: Optional[str] = None) -> int:
-        return self._call("extract_metadata", ticket=self.ticket, path=path,
-                          method=method, sidecar=sidecar)
-
-    def define_structural(self, coll: str, attr: str,
-                          default_value: Optional[str] = None,
-                          vocabulary: Optional[Sequence[str]] = None,
-                          mandatory: bool = False,
-                          comment: Optional[str] = None) -> int:
-        return self._call("define_structural", ticket=self.ticket, coll=coll,
-                          attr=attr, default_value=default_value,
-                          vocabulary=list(vocabulary) if vocabulary else None,
-                          mandatory=mandatory, comment=comment)
-
-    def structural_metadata(self, coll: str) -> List[Dict[str, Any]]:
-        return self._call("structural_metadata", ticket=self.ticket, coll=coll)
-
-    def add_annotation(self, path: str, ann_type: str, text: str,
-                       location: Optional[str] = None) -> int:
-        return self._call("add_annotation", ticket=self.ticket, path=path,
-                          ann_type=ann_type, text=text, location=location)
-
-    def annotations(self, path: str) -> List[Dict[str, Any]]:
-        return self._call("annotations", ticket=self.ticket, path=path)
-
-    # -- query ------------------------------------------------------------------
-
-    def query(self, scope: str,
-              conditions: Sequence[Condition | DisplayOnly],
-              include_annotations: bool = False,
-              include_system: bool = False,
-              limit: Optional[int] = None,
-              strategy: str = "auto") -> QueryResult:
-        return self._call("query", ticket=self.ticket, scope=scope,
-                          conditions=list(conditions),
-                          include_annotations=include_annotations,
-                          include_system=include_system, limit=limit,
-                          strategy=strategy)
-
-    def query_page(self, scope: str,
-                   conditions: Sequence[Condition | DisplayOnly],
-                   include_annotations: bool = False,
-                   include_system: bool = False,
-                   limit: int = 100,
-                   cursor: Optional[str] = None) -> Dict[str, Any]:
-        """One keyset page of :meth:`query`: ``{"columns", "rows",
-        "next_cursor"}`` — feed ``next_cursor`` back for the rest."""
-        return self._call("query_page", ticket=self.ticket, scope=scope,
-                          conditions=list(conditions),
-                          include_annotations=include_annotations,
-                          include_system=include_system, limit=limit,
-                          cursor=cursor)
 
     def iter_query_pages(self, scope: str,
                          conditions: Sequence[Condition | DisplayOnly],
@@ -457,75 +302,42 @@ class SrbClient:
                 page_size):
             yield from chunk["rows"]
 
-    def queryable_attrs(self, scope: str,
-                        include_system: bool = False) -> List[str]:
-        return self._call("queryable_attrs", ticket=self.ticket, scope=scope,
-                          include_system=include_system)
 
-    # -- access control -----------------------------------------------------------
+def _forward(spec: OpSpec, handler: Callable) -> Callable:
+    """``SrbClient.<op>`` for one declared op: the handler's parameters,
+    and a body that is one ``_call`` (module docstring)."""
+    params = list(inspect.signature(handler).parameters.values())[2:]
+    sent = ["ticket=self.ticket"] if spec.auth else []
+    for p in params:
+        value = p.name
+        if p.name == spec.payload_arg:
+            value = f"self._defer({value})"
+        elif p.name == spec.payload_items:
+            value = f"self._defer_items({value})"
+        elif "Sequence[" in str(p.annotation):
+            value = f"None if {value} is None else list({value})"
+        sent.append(f"{p.name}={value}")
+    head = inspect.Signature([p.replace(annotation=p.empty, default=p.empty)
+                              for p in params])
+    source = (f"def {spec.name}(self, {str(head)[1:-1]}):\n"
+              f"    return self._call({spec.name!r}, {', '.join(sent)})\n")
+    namespace: Dict[str, Callable] = {}
+    # compiled under this file's name, so profiles charge it to the
+    # client; in the handler's globals, where its annotations resolve
+    exec(compile(source, __file__, "exec"), handler.__globals__, namespace)
+    forward = namespace[spec.name]
+    forward.__defaults__ = handler.__defaults__
+    forward.__kwdefaults__ = handler.__kwdefaults__
+    forward.__annotations__ = {name: note for name, note
+                               in handler.__annotations__.items()
+                               if name != "ctx"}
+    forward.__module__ = __name__
+    forward.__qualname__ = f"SrbClient.{spec.name}"
+    forward.__doc__ = handler.__doc__
+    return forward
 
-    def grant(self, path: str, principal: str, permission: str) -> None:
-        return self._call("grant", ticket=self.ticket, path=path,
-                          principal_str=principal, permission=permission)
 
-    def revoke(self, path: str, principal: str) -> None:
-        return self._call("revoke", ticket=self.ticket, path=path,
-                          principal_str=principal)
-
-    def audit_log(self, principal_filter: Optional[str] = None,
-                  action: Optional[str] = None,
-                  target: Optional[str] = None) -> List[Dict[str, Any]]:
-        return self._call("audit_log", ticket=self.ticket,
-                          principal_filter=principal_filter, action=action,
-                          target=target)
-
-    # -- locks / versions ----------------------------------------------------------
-
-    def lock(self, path: str, lock_type: str = "shared",
-             lifetime_s: Optional[float] = None) -> int:
-        return self._call("lock", ticket=self.ticket, path=path,
-                          lock_type=lock_type, lifetime_s=lifetime_s)
-
-    def unlock(self, path: str) -> int:
-        return self._call("unlock", ticket=self.ticket, path=path)
-
-    def pin(self, path: str, resource: str,
-            lifetime_s: Optional[float] = None) -> int:
-        return self._call("pin", ticket=self.ticket, path=path,
-                          resource=resource, lifetime_s=lifetime_s)
-
-    def unpin(self, path: str, resource: str) -> int:
-        return self._call("unpin", ticket=self.ticket, path=path,
-                          resource=resource)
-
-    def checkout(self, path: str) -> None:
-        return self._call("checkout", ticket=self.ticket, path=path)
-
-    def checkin(self, path: str, data: Optional[bytes] = None) -> int:
-        return self._call("checkin", ticket=self.ticket, path=path, data=data)
-
-    def versions(self, path: str) -> List[Dict[str, Any]]:
-        return self._call("versions", ticket=self.ticket, path=path)
-
-    def get_version(self, path: str, version_num: int) -> bytes:
-        return self._call("get_version", ticket=self.ticket, path=path,
-                          version_num=version_num)
-
-    def verify(self, path: str):
-        """Per-replica checksum verification report."""
-        return self._call("verify_checksums", ticket=self.ticket, path=path)
-
-    # -- containers ------------------------------------------------------------
-
-    def create_container(self, path: str, logical_resource: str) -> int:
-        return self._call("create_container", ticket=self.ticket, path=path,
-                          logical_resource=logical_resource)
-
-    def sync_container(self, path: str) -> int:
-        return self._call("sync_container", ticket=self.ticket, path=path)
-
-    def compact_container(self, path: str) -> int:
-        return self._call("compact_container", ticket=self.ticket, path=path)
-
-    def container_garbage(self, path: str) -> int:
-        return self._call("container_garbage", ticket=self.ticket, path=path)
+for _spec, _handler in _DECLARED:
+    if _spec.name not in vars(SrbClient) \
+            and _spec.name not in _REACHED_OTHERWISE:
+        setattr(SrbClient, _spec.name, _forward(_spec, _handler))

@@ -179,6 +179,24 @@ def rpc_op(name: str, *,
     return decorate
 
 
+def declared_ops(service_class: type) -> List[Tuple[OpSpec, Callable]]:
+    """``(spec, handler)`` for every ``@rpc_op``-declared method of a
+    plane service class, in attribute order.
+
+    The one place a declaration is read: the server's
+    :class:`Dispatcher` registers these, and ``SrbClient`` generates its
+    forwards from the same pairs.
+    """
+    ops = []
+    for attr in sorted(dir(service_class)):
+        fn = getattr(service_class, attr, None)
+        decl = getattr(fn, "__rpc_op__", None)
+        if decl is not None:
+            ops.append((OpSpec(plane=service_class.plane, attr=attr, **decl),
+                        fn))
+    return ops
+
+
 class OpContext:
     """Per-call state the op plan hands to the handler."""
 
@@ -400,18 +418,12 @@ class Dispatcher:
 
     def register_service(self, service: Any) -> None:
         """Collect every ``@rpc_op``-declared method of ``service``."""
-        plane = service.plane
-        for attr in sorted(dir(type(service))):
-            fn = getattr(type(service), attr, None)
-            decl = getattr(fn, "__rpc_op__", None)
-            if decl is None:
-                continue
-            spec = OpSpec(plane=plane, attr=attr, **decl)
+        for spec, fn in declared_ops(type(service)):
             if spec.name in self._ops:
                 other = self._ops[spec.name].spec
                 raise SrbError(
                     f"duplicate rpc op {spec.name!r}: declared by both "
-                    f"{other.plane}.{other.attr} and {plane}.{attr}")
+                    f"{other.plane}.{other.attr} and {spec.plane}.{spec.attr}")
             self._ops[spec.name] = RegisteredOp(spec=spec, service=service,
                                                 impl=fn)
 

@@ -146,7 +146,8 @@ class DataService(PlaneService):
                     items: Sequence[Dict[str, Any]],
                     resource: Optional[str] = None,
                     container: Optional[str] = None) -> List[Dict[str, Any]]:
-        """Ingest N files in one brokered operation.
+        """Ingest N files in one brokered operation — one round trip
+        (Sbload's data plane).
 
         ``items`` is a sequence of dicts with ``path`` and ``data`` plus
         optional ``data_type``/``metadata``.  The batch pays one MCAT
@@ -299,7 +300,8 @@ class DataService(PlaneService):
     def bulk_get(self, ctx: OpContext, targets: Sequence[str],
                  via_container: Optional[str] = None
                  ) -> List[Dict[str, Any]]:
-        """Retrieve a working set of N objects in one brokered operation.
+        """Retrieve a working set of N objects in one brokered operation
+        — one round trip.
 
         Returns a list aligned with ``targets``: ``{"path", "data"}`` or
         ``{"path", "error", "error_type"}`` per item.  With
@@ -398,8 +400,9 @@ class DataService(PlaneService):
     def bulk_query_metadata(self, ctx: OpContext, targets: Sequence[str],
                             meta_class: Optional[str] = None
                             ) -> List[Dict[str, Any]]:
-        """Metadata of N paths in one brokered operation: per-item
-        resolution and ACL checks, then a single bulk catalog read."""
+        """Metadata of N paths in one brokered operation — one round
+        trip: per-item resolution and ACL checks, then a single bulk
+        catalog read.  Returns a list aligned with ``targets``."""
         principal = ctx.principal
         self.obs.metrics.inc("bulk.batches", op="query_metadata")
         self.obs.metrics.inc("bulk.items", len(targets),

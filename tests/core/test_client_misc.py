@@ -32,6 +32,18 @@ class TestConnectionManagement:
         assert anon.username == "sekar@sdsc"
         assert anon.ticket is not None
 
+    def test_explicit_empty_credential_is_not_replaced(self, grid):
+        """A credential given, even empty, is the one that signs on; only
+        one left out falls back to what the client was built with."""
+        client = SrbClient(grid.fed, "laptop", "srb1", "sekar@sdsc",
+                           "secret")
+        with pytest.raises(AuthError):
+            client.login("sekar@sdsc", "")
+        with pytest.raises(AuthError):
+            client.login("", "secret")
+        assert client.ticket is None
+        assert client.login(password=None) is client.ticket is not None
+
     def test_logout_drops_ticket(self, grid):
         grid.curator.logout()
         assert grid.curator.ticket is None

@@ -110,3 +110,32 @@ def test_lint_refuses_a_property_that_only_forwards(tmp_path, monkeypatch):
     errors = lint.check_no_forwarding_properties()
     assert len(errors) == 2
     assert "'mcat'" in errors[0] and "'host'" in errors[1]
+
+
+def test_lint_refuses_a_client_method_that_only_forwards(tmp_path,
+                                                         monkeypatch):
+    lint = load_lint()
+    assert lint.check_no_plain_client_forwards() == []
+    bad = tmp_path / "client.py"
+    bad.write_text(
+        "class SrbClient:\n"
+        "    def mkcoll(self, path):\n"
+        "        return self._call('mkcoll', ticket=self.ticket, path=path)\n"
+        "    def stat(self, path):\n"
+        "        '''Object or collection info.'''\n"
+        "        return self._call('stat', ticket=self.ticket, path=path)\n"
+        "    def ls(self, path):\n"
+        "        return self._call('list_collection', path=path)\n"
+        "    def revoke(self, path, principal):\n"
+        "        return self._call('revoke', path=path,\n"
+        "                          principal_str=principal)\n"
+        "    def put(self, path, data):\n"
+        "        return self._call('put', path=path, data=self._defer(data))\n"
+        "    def unlock(self, path):\n"
+        "        self.ticket = None\n"
+        "        return self._call('unlock', path=path)\n")
+    monkeypatch.setattr(lint, "ROOT", tmp_path)
+    monkeypatch.setattr(lint, "CLIENT_FILE", bad)
+    errors = lint.check_no_plain_client_forwards()
+    assert len(errors) == 2
+    assert "'mkcoll'" in errors[0] and "'stat'" in errors[1]

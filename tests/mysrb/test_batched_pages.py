@@ -240,40 +240,57 @@ class TestClientBatch:
         assert exchanges(grid.fed, lambda: grid.curator.batch()) == []
         assert grid.curator.batch() == []
 
+    #: every op with a payload slot: ``(kwargs for a path and a body, the
+    #: op writes over an object that exists)``
+    PAYLOAD_OPS = {
+        "ingest": (lambda path, body: {
+            "path": path, "data": body, "resource": None, "container": None,
+            "data_type": None, "metadata": None}, False),
+        "put": (lambda path, body: {"path": path, "data": body}, True),
+        "ingest_replica": (lambda path, body: {
+            "path": path, "data": body, "resource": "unix-other"}, True),
+        "bulk_ingest": (lambda path, body: {
+            "items": [{"path": path, "data": body}], "resource": None,
+            "container": None}, False),
+    }
+
+    @pytest.mark.parametrize("op", sorted(PAYLOAD_OPS))
     @pytest.mark.parametrize("direct_io", [False, True])
-    def test_payload_slot_is_deferred_like_the_unary_call(self, direct_io):
+    def test_payload_slot_is_deferred_like_the_unary_call(self, direct_io,
+                                                          op):
         fed = Federation(zone="demozone", direct_io=direct_io)
         fed.add_host("sdsc")
         fed.add_host("laptop")
         fed.add_server("srb1", "sdsc", mcat=True)
         fed.add_fs_resource("unix-sdsc", "sdsc")
+        fed.add_fs_resource("unix-other", "sdsc")
         fed.default_resource = "unix-sdsc"
         fed.bootstrap_admin()
         client = SrbClient(fed, "laptop", "srb1", "srbadmin@sdsc", "hunter2")
         client.login()
         client.mkcoll("/demozone/c")
         body = b"\x5a" * 4096
-        rest = {"resource": None, "container": None, "data_type": None,
-                "metadata": None}
+        kwargs_for, overwrites = self.PAYLOAD_OPS[op]
+        if overwrites:
+            for name in "ab":
+                client.ingest(f"/demozone/c/{name}", b"old")
 
         def requests(run):
             return [message_size(request["batch"][0] if method == "<batch>"
                                  else request)
                     for method, request in exchanges(fed, run)]
 
-        unary = requests(lambda: client.ingest("/demozone/c/a", body))
+        unary = requests(lambda: getattr(client, op)(
+            **kwargs_for("/demozone/c/a", body)))
         batched = requests(lambda: client.batch(
-            ("ingest", {"path": "/demozone/c/b", "data": body, **rest})
-        )[0].unwrap())
-        bulk = requests(lambda: client.bulk_ingest(
-            [{"path": "/demozone/c/c", "data": body}]))
-        bulk_batched = requests(lambda: client.batch(
-            ("bulk_ingest", {"items": [{"path": "/demozone/c/d",
-                                        "data": body}],
-                             "resource": None, "container": None})
-        )[0].unwrap())
+            (op, kwargs_for("/demozone/c/b", body)))[0].unwrap())
         # the item is, byte for byte, the unary request: the payload's
         # bytes, or (direct_io) the claim that stands for them
-        assert unary == batched and bulk == bulk_batched
-        assert (unary[0] > 4096) == (bulk[0] > 4096) == (not direct_io)
-        assert [client.get(f"/demozone/c/{n}") for n in "abcd"] == [body] * 4
+        assert unary == batched
+        assert (unary[0] > 4096) == (not direct_io)
+        resource = "unix-other" if op == "ingest_replica" else "unix-sdsc"
+        for name in "ab":
+            path = f"/demozone/c/{name}"
+            (replica,) = [rep for rep in client.stat(path)["replicas"]
+                          if rep["resource"] == resource]
+            assert client.get(path, replica["replica_num"]) == body

@@ -70,12 +70,20 @@ server architecture" and "Placement policy engine"):
    ``self.federation`` or ``self.server`` puts a Python call back on
    every read of it, a dozen times per request.
 
+8. **The client does not restate an op.**  ``SrbClient`` generates a
+   method per declared op from its handler (``core/client.py``'s module
+   docstring); a method written in ``core/client.py`` whose body is only
+   ``return self._call("<its own name>", ...)``, every parameter passed
+   through unchanged, is a hand-copied signature that drifts from the
+   handler's.  Delete it, and the generated one takes its place.  No
+   allowlist.
+
 Run from the repository root::
 
     python tools/lint_dispatch.py
 
-Exits non-zero, listing violations, if either rule is broken.  Wired
-into CI next to the test suite.
+Exits non-zero, listing violations, if any rule is broken.  Wired into
+CI next to the test suite.
 
 The two allowlists (rules 4 and 6) are frozen: an entry that no longer
 suppresses anything is itself a violation, so "may only shrink" is
@@ -379,12 +387,50 @@ def check_no_forwarding_properties() -> List[str]:
     return errors
 
 
+#: where the client's methods are written (rule 8)
+CLIENT_FILE = PLANES_DIR.parent / "client.py"
+
+
+def check_no_plain_client_forwards() -> List[str]:
+    """Rule 8: no written client method that only forwards its own op."""
+    errors = []
+    tree = ast.parse(CLIENT_FILE.read_text(), filename=str(CLIENT_FILE))
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        body = [stmt for stmt in node.body
+                if not (isinstance(stmt, ast.Expr)
+                        and isinstance(stmt.value, ast.Constant))]
+        if not (len(body) == 1 and isinstance(body[0], ast.Return)):
+            continue
+        call = body[0].value
+        if not (isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Attribute)
+                and call.func.attr == "_call"
+                and isinstance(call.func.value, ast.Name)
+                and call.func.value.id == "self"
+                and call.args and isinstance(call.args[0], ast.Constant)
+                and call.args[0].value == node.name):
+            continue
+        passed = {kw.arg for kw in call.keywords
+                  if isinstance(kw.value, ast.Name) and kw.value.id == kw.arg}
+        params = {a.arg for a in node.args.posonlyargs + node.args.args
+                  + node.args.kwonlyargs} - {"self"}
+        if params <= passed:
+            errors.append(
+                f"{CLIENT_FILE.relative_to(ROOT)}:{node.lineno}: method "
+                f"{node.name!r} only forwards its op — delete it, SrbClient "
+                f"generates it from the handler's declaration")
+    return errors
+
+
 def main() -> int:
     errors = (check_public_methods_declared() + check_no_inline_plumbing()
               + check_mcat_via_self() + check_no_catalog_type_tests()
               + check_query_ops_paged()
               + check_placement_seam() + check_raw_transfers()
-              + check_no_forwarding_properties())
+              + check_no_forwarding_properties()
+              + check_no_plain_client_forwards())
     if errors:
         print(f"lint_dispatch: {len(errors)} violation(s)")
         for err in errors:
