@@ -154,9 +154,6 @@ class UserRegistry:
             raise AuthError(f"unknown group {group!r}")
         return sorted(self._groups[group])
 
-    def group_exists(self, group: str) -> bool:
-        return group in self._groups
-
     # -- authentication ----------------------------------------------------------
 
     def password_ok(self, principal: str | Principal, password: str) -> bool:

@@ -152,6 +152,17 @@ class AccessController:
             self.denials += 1
             raise AccessDenied(principal, wanted, coll_path)
 
+    def require_entry(self, principal: Principal,
+                      obj: Optional[Dict[str, object]], path: str,
+                      wanted: str) -> None:
+        """:meth:`require_object` on ``obj``, the object row at ``path``,
+        or :meth:`require_collection` when ``path`` is a collection
+        (``obj`` is None): the metadata ops' subject may be either."""
+        if obj is not None:
+            self.require_object(principal, obj, wanted)
+        else:
+            self.require_collection(principal, path, wanted)
+
     def can_collection(self, principal: Principal, coll_path: str,
                        wanted: str) -> bool:
         held = self.permission_on_collection(principal, coll_path)

@@ -152,9 +152,6 @@ class LockManager:
         return any(resource is None or row["resource"] == resource
                    for row in self._live_pins(oid))
 
-    def pins_on(self, oid: int) -> List[Dict[str, Any]]:
-        return self._live_pins(oid)
-
     # -- checkout / checkin ------------------------------------------------------
 
     def checkout(self, oid: int, principal: Principal) -> None:

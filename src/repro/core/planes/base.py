@@ -22,7 +22,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, \
     Tuple
 
 from repro.auth.tickets import TicketAuthority
-from repro.auth.users import UserRegistry
+from repro.auth.users import Principal, UserRegistry
 from repro.core.access import AccessController
 from repro.core.containers import ContainerManager
 from repro.core.locking import LockManager
@@ -406,15 +406,17 @@ class PlaneService(Wired):
                 f"link {obj['path']!r} target {obj['target']!r} is gone")
         return target
 
-    def _target_for_metadata(self, path: str) -> Tuple[str, int,
-                                                       Dict[str, Any]]:
+    def _target_for_metadata(self, path: str) -> Tuple[
+            str, int, Optional[Dict[str, Any]]]:
+        """``(kind, id, object row)`` of the object or collection at
+        ``path``; the row is None for a collection."""
         path = paths.normalize(path)
         obj = self.mcat.find_object(path)
         if obj is not None:
             return "object", int(obj["oid"]), obj
         if self.mcat.collection_exists(path):
-            coll = self.mcat.get_collection(path)
-            return "collection", int(coll["cid"]), coll
+            return "collection", int(self.mcat.get_collection(path)["cid"]), \
+                None
         raise NoSuchObject(f"no object or collection {path!r}")
 
     # ------------------------------------------------------------------
@@ -435,3 +437,12 @@ class PlaneService(Wired):
         rel = paths.relocate(path, str(shadow["path"]), "/")
         root = str(shadow["target"]).rstrip("/")
         return root + rel
+
+    def _shadow_resource(self, principal: Principal,
+                         shadow: Dict[str, Any]) -> PhysicalResource:
+        """The resource under ``shadow``, with a session open to it, once
+        ``principal`` may read the shadow directory."""
+        self.access.require_object(principal, shadow, "read")
+        res = self.resources.physical(str(shadow["resource_hint"]))
+        self._resource_session(res)
+        return res

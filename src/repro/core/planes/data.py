@@ -412,12 +412,8 @@ class DataService(PlaneService):
         for raw in targets:
             try:
                 path = paths.normalize(str(raw))
-                kind, tid, row = self._target_for_metadata(path)
-                if kind == "object":
-                    self.access.require_object(principal, row, "read")
-                else:
-                    self.access.require_collection(principal, path,
-                                                   "read")
+                kind, tid, obj = self._target_for_metadata(path)
+                self.access.require_entry(principal, obj, path, "read")
                 lookups.append((len(results), kind, tid))
                 results.append({"path": path, "metadata": []})
             except SrbError as exc:
@@ -436,14 +432,8 @@ class DataService(PlaneService):
     # registration (the five registered-object kinds)
     # ------------------------------------------------------------------
 
-    def _register_common(self, principal: Principal, path: str) -> str:
-        path = paths.normalize(path)
-        self.access.require_collection(principal, paths.dirname(path),
-                                       "write")
-        return path
-
     @rpc_op("register_file", scope_arg="path", write=True, audit="register",
-            detail="file")
+            detail="file", need="write", target="parent")
     def register_file(self, ctx: OpContext, path: str, resource: str,
                       physical_path: str,
                       data_type: Optional[str] = None,
@@ -454,8 +444,6 @@ class DataService(PlaneService):
         and other characteristics might change without SRB being aware."
         """
         principal = ctx.principal
-        path = self._register_common(principal, path)
-        ctx.audit(target=path)
         res = self.resources.physical(resource)
         effective_md = self.mcat.validate_ingest_metadata(
             paths.dirname(path), metadata or {})
@@ -473,21 +461,19 @@ class DataService(PlaneService):
         return oid
 
     @rpc_op("register_directory", scope_arg="path", write=True,
-            audit="register", detail="directory")
+            audit="register", detail="directory", need="write",
+            target="parent")
     def register_directory(self, ctx: OpContext, path: str, resource: str,
                            physical_dir: str) -> int:
         """Register a 'shadow directory object' (kind 2): the cone of
         files under it is visible, read-only."""
-        principal = ctx.principal
-        path = self._register_common(principal, path)
-        ctx.audit(target=path)
         self.resources.physical(resource)   # must exist
         return self.mcat.create_object(
-            path, kind="shadow-dir", owner=str(principal), now=self.now,
+            path, kind="shadow-dir", owner=str(ctx.principal), now=self.now,
             resource_hint=resource, target=physical_dir)
 
     @rpc_op("register_sql", scope_arg="path", write=True, audit="register",
-            detail="sql")
+            detail="sql", need="write", target="parent")
     def register_sql(self, ctx: OpContext, path: str, resource: str,
                      sql: str, template: str = "HTMLREL",
                      partial: bool = False) -> int:
@@ -497,9 +483,6 @@ class DataService(PlaneService):
         supplies the remainder at retrieval.  Only SELECTs are accepted
         ("we recommend that one register only 'select' commands").
         """
-        principal = ctx.principal
-        path = self._register_common(principal, path)
-        ctx.audit(target=path)
         res = self.resources.physical(resource)
         if res.rtype != "database":
             raise UnsupportedOperation(
@@ -513,24 +496,22 @@ class DataService(PlaneService):
                 raise UnsupportedOperation(
                     f"registered SQL does not parse as SELECT-only: {sql!r}")
         return self.mcat.create_object(
-            path, kind="sql", owner=str(principal), now=self.now,
+            path, kind="sql", owner=str(ctx.principal), now=self.now,
             data_type="sql query", resource_hint=resource,
             target=("PARTIAL:" if partial else "") + sql, template=template)
 
     @rpc_op("register_url", scope_arg="path", write=True, audit="register",
-            detail="url")
+            detail="url", need="write", target="parent")
     def register_url(self, ctx: OpContext, path: str, url: str) -> int:
         """Register a URL object (kind 4): contents fetched at retrieval."""
-        principal = ctx.principal
-        path = self._register_common(principal, path)
-        ctx.audit(target=path)
         WebSpace._validate(url)
         return self.mcat.create_object(
-            path, kind="url", owner=str(principal), now=self.now,
+            path, kind="url", owner=str(ctx.principal), now=self.now,
             data_type="url", target=url)
 
     @rpc_op("register_method", scope_arg="path", write=True,
-            audit="register", detail="method")
+            audit="register", detail="method", need="write",
+            target="parent")
     def register_method(self, ctx: OpContext, path: str, server: str,
                         command: str, proxy_function: bool = False) -> int:
         """Register a method object / virtual data (kind 5).
@@ -540,9 +521,6 @@ class DataService(PlaneService):
         a security precaution"); ``proxy_function=True`` selects the
         compiled-in proxy-function flavour instead.
         """
-        principal = ctx.principal
-        path = self._register_common(principal, path)
-        ctx.audit(target=path)
         if proxy_function:
             if command not in self.federation.proxy_functions:
                 raise UnsupportedOperation(
@@ -556,7 +534,7 @@ class DataService(PlaneService):
         spec = (f"{'function' if proxy_function else 'command'}:"
                 f"{server}:{command}")
         return self.mcat.create_object(
-            path, kind="method", owner=str(principal), now=self.now,
+            path, kind="method", owner=str(ctx.principal), now=self.now,
             data_type="method", target=spec)
 
     # ------------------------------------------------------------------
@@ -871,9 +849,7 @@ class DataService(PlaneService):
 
     def _get_shadow_member(self, principal: Principal,
                            shadow: Dict[str, Any], path: str) -> bytes:
-        self.access.require_object(principal, shadow, "read")
-        res = self.resources.physical(str(shadow["resource_hint"]))
-        self._resource_session(res)
+        res = self._shadow_resource(principal, shadow)
         data = res.driver.read(self._shadow_physical(shadow, path))
         return self._deliver(data, [(res, len(data), path)], self.host,
                              "get-shadow")
@@ -920,19 +896,17 @@ class DataService(PlaneService):
                                 checksum=content_checksum(data))
         ctx.audit(detail=f"{len(data)}B")
 
-    @rpc_op("delete", scope_arg="path", write=True, audit="delete")
+    @rpc_op("delete", scope_arg="path", write=True, audit="delete",
+            need="own", target="object")
     def delete(self, ctx: OpContext, path: str,
                replica_num: Optional[int] = None) -> None:
         """Delete an object — "one replica at a time and when the last
         replica is deleted all the metadata and annotations are also
         deleted".  Registered kinds unlink without touching the physical
         object; deleting a link unlinks."""
-        principal = ctx.principal
-        path = paths.normalize(path)
-        obj = self.mcat.get_object(path)
-        self.access.require_object(principal, obj, "own")
+        obj = ctx.target
         oid = int(obj["oid"])
-        self.locks.check_write(oid, principal)
+        self.locks.check_write(oid, ctx.principal)
         kind = obj["kind"]
 
         if kind == "link":
@@ -1045,14 +1019,12 @@ class DataService(PlaneService):
     # ------------------------------------------------------------------
 
     @rpc_op("lock", scope_arg="path", write=True, audit="lock",
-            detail_arg="lock_type")
+            detail_arg="lock_type", need="write", target="object")
     def lock(self, ctx: OpContext, path: str, lock_type: str = "shared",
              lifetime_s: Optional[float] = None) -> int:
-        principal = ctx.principal
-        obj = self.mcat.get_object(paths.normalize(path))
-        self.access.require_object(principal, obj, "write")
         from repro.core.locking import DEFAULT_LOCK_LIFETIME_S
-        return self.locks.lock(int(obj["oid"]), principal, lock_type,
+        return self.locks.lock(int(ctx.target["oid"]), ctx.principal,
+                               lock_type,
                                lifetime_s if lifetime_s is not None
                                else DEFAULT_LOCK_LIFETIME_S)
 
@@ -1062,15 +1034,12 @@ class DataService(PlaneService):
         return self.locks.unlock(int(obj["oid"]), ctx.principal)
 
     @rpc_op("pin", scope_arg="path", write=True, audit="pin",
-            detail_arg="resource")
+            detail_arg="resource", need="write", target="object")
     def pin(self, ctx: OpContext, path: str, resource: str,
             lifetime_s: Optional[float] = None) -> int:
         """Pin a replica on a resource so cache management cannot purge
         it."""
-        principal = ctx.principal
-        obj = self.mcat.get_object(paths.normalize(path))
-        self.access.require_object(principal, obj, "write")
-        oid = int(obj["oid"])
+        oid = int(ctx.target["oid"])
         target = None
         for rep in self.mcat.replicas(oid):
             if rep["resource"] == resource:
@@ -1079,7 +1048,7 @@ class DataService(PlaneService):
         if target is None:
             raise NoSuchReplica(f"{path!r} has no replica on {resource!r}")
         from repro.core.locking import DEFAULT_PIN_LIFETIME_S
-        pid = self.locks.pin(oid, resource, principal,
+        pid = self.locks.pin(oid, resource, ctx.principal,
                              lifetime_s if lifetime_s is not None
                              else DEFAULT_PIN_LIFETIME_S)
         res = self.resources.physical(resource)
@@ -1094,29 +1063,29 @@ class DataService(PlaneService):
         oid = int(obj["oid"])
         count = self.locks.unpin(oid, resource, ctx.principal)
         res = self.resources.physical(resource)
-        if isinstance(res.driver, ArchiveDriver):
+        # the cache pin is the archive's copy of every holder's pin rows:
+        # it goes only with the last of them, not with the caller's
+        if isinstance(res.driver, ArchiveDriver) \
+                and not self.locks.is_pinned(oid, resource):
             for rep in self.mcat.replicas(oid):
                 if rep["resource"] == resource:
                     res.driver.unpin(rep["physical_path"])
         return count
 
-    @rpc_op("checkout", scope_arg="path", write=True, audit="checkout")
+    @rpc_op("checkout", scope_arg="path", write=True, audit="checkout",
+            need="write", target="object")
     def checkout(self, ctx: OpContext, path: str) -> None:
         """"A checkout by a user disallows any changes to be made to that
         object" until checkin."""
-        principal = ctx.principal
-        obj = self.mcat.get_object(paths.normalize(path))
-        self.access.require_object(principal, obj, "write")
-        self.locks.checkout(int(obj["oid"]), principal)
+        self.locks.checkout(int(ctx.target["oid"]), ctx.principal)
 
-    @rpc_op("checkin", scope_arg="path", write=True, audit="checkin")
+    @rpc_op("checkin", scope_arg="path", write=True, audit="checkin",
+            need="write", target="object")
     def checkin(self, ctx: OpContext, path: str,
                 data: Optional[bytes] = None) -> int:
         """Checkin: the older bytes become a numbered historical version;
         optional ``data`` becomes the new current content."""
-        principal = ctx.principal
-        obj = self.mcat.get_object(paths.normalize(path))
-        self.access.require_object(principal, obj, "write")
+        principal, obj = ctx.principal, ctx.target
         oid = int(obj["oid"])
         # snapshot current bytes aside on the first clean replica's resource
         replicas = self.mcat.replicas(oid)
@@ -1138,19 +1107,17 @@ class DataService(PlaneService):
         ctx.audit(detail=f"v{new_version}")
         return new_version
 
-    @rpc_op("versions", scope_arg="path", forwardable=True)
+    @rpc_op("versions", scope_arg="path", forwardable=True, need="read",
+            target="object")
     def versions(self, ctx: OpContext, path: str) -> List[Dict[str, Any]]:
-        obj = self.mcat.get_object(paths.normalize(path))
-        self.access.require_object(ctx.principal, obj, "read")
-        return self.locks.versions_of(int(obj["oid"]))
+        return self.locks.versions_of(int(ctx.target["oid"]))
 
-    @rpc_op("get_version", scope_arg="path", forwardable=True)
+    @rpc_op("get_version", scope_arg="path", forwardable=True, need="read",
+            target="object")
     def get_version(self, ctx: OpContext, path: str,
                     version_num: int) -> bytes:
         """Retrieve the bytes of a historical version."""
-        obj = self.mcat.get_object(paths.normalize(path))
-        self.access.require_object(ctx.principal, obj, "read")
-        for v in self.locks.versions_of(int(obj["oid"])):
+        for v in self.locks.versions_of(int(ctx.target["oid"])):
             if v["version_num"] == version_num:
                 res = self.resources.physical(v["resource"])
                 self._resource_session(res)
@@ -1165,41 +1132,33 @@ class DataService(PlaneService):
     # ------------------------------------------------------------------
 
     @rpc_op("create_container", scope_arg="path", write=True,
-            audit="create-container", detail_arg="logical_resource")
+            audit="create-container", detail_arg="logical_resource",
+            need="write", target="parent")
     def create_container(self, ctx: OpContext, path: str,
                          logical_resource: str) -> int:
-        principal = ctx.principal
-        self.access.require_collection(principal,
-                                       paths.dirname(paths.normalize(path)),
-                                       "write")
         return self.containers.create(path, logical_resource,
-                                      str(principal), now=self.now)
+                                      str(ctx.principal), now=self.now)
 
     @rpc_op("compact_container", scope_arg="path", write=True,
-            audit="compact-container")
+            audit="compact-container", need="write", target="container")
     def compact_container(self, ctx: OpContext, path: str) -> int:
         """Rewrite a container keeping only live member slices; returns
         bytes reclaimed.  Member updates append (log-structured), so a
         heavily-edited container accumulates garbage until compaction."""
-        cont = self.containers.get_container(paths.normalize(path))
-        self.access.require_object(ctx.principal, cont, "write")
         reclaimed = self.containers.compact(path, now=self.now,
                                             server_host=self.host)
         ctx.audit(detail=f"{reclaimed}B")
         return reclaimed
 
-    @rpc_op("container_garbage", scope_arg="path", forwardable=True)
+    @rpc_op("container_garbage", scope_arg="path", forwardable=True,
+            need="read", target="container")
     def container_garbage(self, ctx: OpContext, path: str) -> int:
         """Bytes of dead space currently in the container."""
-        cont = self.containers.get_container(paths.normalize(path))
-        self.access.require_object(ctx.principal, cont, "read")
-        return self.containers.garbage_bytes(int(cont["oid"]))
+        return self.containers.garbage_bytes(int(ctx.target["oid"]))
 
     @rpc_op("sync_container", scope_arg="path", write=True,
-            audit="sync-container")
+            audit="sync-container", need="write", target="container")
     def sync_container(self, ctx: OpContext, path: str) -> int:
-        cont = self.containers.get_container(paths.normalize(path))
-        self.access.require_object(ctx.principal, cont, "write")
         count = self.containers.sync(path, now=self.now,
                                      server_host=self.host)
         ctx.audit(detail=str(count))

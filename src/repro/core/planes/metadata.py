@@ -26,22 +26,18 @@ class MetadataService(PlaneService):
     # ------------------------------------------------------------------
 
     @rpc_op("add_metadata", scope_arg="path", write=True,
-            audit="add-metadata", detail_arg="attr")
+            audit="add-metadata", detail_arg="attr", need="own",
+            target="entry")
     def add_metadata(self, ctx: OpContext, path: str, attr: str,
                      value: Optional[str], units: Optional[str] = None,
                      meta_class: str = "user",
                      schema_name: Optional[str] = None) -> int:
         """Attach one metadata triple.  "User-defined metadata and
         type-oriented metadata can be ingested only by users who have
-        'ownership' permission" — enforced here."""
-        principal = ctx.principal
-        kind, tid, row = self._target_for_metadata(path)
-        if kind == "object":
-            self.access.require_object(principal, row, "own")
-        else:
-            self.access.require_collection(principal, path, "own")
+        'ownership' permission" — the op's declared need."""
+        kind, tid, _obj = ctx.target
         return self.mcat.add_metadata(kind, tid, attr, value,
-                                      by=str(principal), now=self.now,
+                                      by=str(ctx.principal), now=self.now,
                                       units=units, meta_class=meta_class,
                                       schema_name=schema_name)
 
@@ -51,50 +47,34 @@ class MetadataService(PlaneService):
                      ) -> List[Dict[str, Any]]:
         """All metadata for an object/collection; a link shows its own
         metadata plus a read-only view of its target's."""
-        principal = ctx.principal
         path = paths.normalize(path)
         obj = self.mcat.find_object(path)
-        rows: List[Dict[str, Any]] = []
-        if obj is not None and obj["kind"] == "link":
-            self.access.require_object(principal, obj, "read")
-            rows.extend(self.mcat.get_metadata("object", int(obj["oid"]),
-                                               meta_class))
-            target = self._resolve_link(obj)
-            for row in self.mcat.get_metadata("object", int(target["oid"]),
-                                              meta_class):
-                row = dict(row)
-                row["via_link"] = True
-                rows.append(row)
-            return rows
-        kind, tid, row = self._target_for_metadata(path)
-        if kind == "object":
-            self.access.require_object(principal, row, "read")
-        else:
-            self.access.require_collection(principal, path, "read")
-        return self.mcat.get_metadata(kind, tid, meta_class)
+        link = obj if obj is not None and obj["kind"] == "link" else None
+        if link is None:
+            kind, tid, obj = self._target_for_metadata(path)
+        self.access.require_entry(ctx.principal, obj, path, "read")
+        if link is None:
+            return self.mcat.get_metadata(kind, tid, meta_class)
+        rows = list(self.mcat.get_metadata("object", int(link["oid"]),
+                                           meta_class))
+        target = self._resolve_link(link)
+        for row in self.mcat.get_metadata("object", int(target["oid"]),
+                                          meta_class):
+            rows.append({**row, "via_link": True})
+        return rows
 
     @rpc_op("update_metadata", scope_arg="path", write=True,
-            audit="update-metadata", detail_arg="mid")
+            audit="update-metadata", detail_arg="mid", need="own",
+            target="entry")
     def update_metadata(self, ctx: OpContext, path: str, mid: int,
                         value: Optional[str],
                         units: Optional[str] = None) -> None:
-        principal = ctx.principal
-        kind, tid, row = self._target_for_metadata(path)
-        if kind == "object":
-            self.access.require_object(principal, row, "own")
-        else:
-            self.access.require_collection(principal, path, "own")
         self.mcat.update_metadata(mid, value, units)
 
     @rpc_op("delete_metadata", scope_arg="path", write=True,
-            audit="delete-metadata", detail_arg="mid")
+            audit="delete-metadata", detail_arg="mid", need="own",
+            target="entry")
     def delete_metadata(self, ctx: OpContext, path: str, mid: int) -> None:
-        principal = ctx.principal
-        kind, tid, row = self._target_for_metadata(path)
-        if kind == "object":
-            self.access.require_object(principal, row, "own")
-        else:
-            self.access.require_collection(principal, path, "own")
         self.mcat.delete_metadata(mid)
 
     @rpc_op("copy_metadata", scope_arg="src", write=True,
@@ -102,21 +82,15 @@ class MetadataService(PlaneService):
     def copy_metadata(self, ctx: OpContext, src: str, dst: str) -> int:
         """Copy metadata from another SRB object (ingestion method 3)."""
         principal = ctx.principal
-        skind, sid, srow = self._target_for_metadata(src)
-        dkind, did, drow = self._target_for_metadata(dst)
-        if skind == "object":
-            self.access.require_object(principal, srow, "read")
-        else:
-            self.access.require_collection(principal, src, "read")
-        if dkind == "object":
-            self.access.require_object(principal, drow, "own")
-        else:
-            self.access.require_collection(principal, dst, "own")
+        skind, sid, sobj = self._target_for_metadata(src)
+        dkind, did, dobj = self._target_for_metadata(dst)
+        self.access.require_entry(principal, sobj, src, "read")
+        self.access.require_entry(principal, dobj, dst, "own")
         return self.mcat.copy_metadata(skind, sid, dkind, did,
                                        by=str(principal), now=self.now)
 
     @rpc_op("extract_metadata", scope_arg="path", write=True,
-            audit="extract-metadata")
+            audit="extract-metadata", need="own", target="resolved")
     def extract_metadata(self, ctx: OpContext, path: str, method: str,
                          sidecar: Optional[str] = None) -> int:
         """Run an extraction method (ingestion method 4).
@@ -124,10 +98,7 @@ class MetadataService(PlaneService):
         Sidecar-style methods read a *second* SRB object (``sidecar``) and
         attach the triples to ``path``.  Returns triples attached.
         """
-        principal = ctx.principal
-        obj = self.mcat.get_object(paths.normalize(path))
-        obj = self._resolve_link(obj)
-        self.access.require_object(principal, obj, "own")
+        principal, obj = ctx.principal, ctx.target
         data_type = str(obj["data_type"] or "")
         m = self.federation.extractors.get(data_type, method)
         if m.from_sidecar:
@@ -149,24 +120,24 @@ class MetadataService(PlaneService):
         return len(triples)
 
     @rpc_op("define_structural", scope_arg="coll", write=True,
-            audit="define-structural", audit_arg="coll", detail_arg="attr")
+            audit="define-structural", audit_arg="coll", detail_arg="attr",
+            need="own", target="collection")
     def define_structural(self, ctx: OpContext, coll: str, attr: str,
                           default_value: Optional[str] = None,
                           vocabulary: Optional[Sequence[str]] = None,
                           mandatory: bool = False,
                           comment: Optional[str] = None) -> int:
         """Collection curator declares required/suggested ingest metadata."""
-        self.access.require_collection(ctx.principal, coll, "own")
         return self.mcat.define_structural(coll, attr,
                                            default_value=default_value,
                                            vocabulary=vocabulary,
                                            mandatory=mandatory,
                                            comment=comment)
 
-    @rpc_op("structural_metadata", scope_arg="coll", forwardable=True)
+    @rpc_op("structural_metadata", scope_arg="coll", forwardable=True,
+            need="read", target="collection")
     def structural_metadata(self, ctx: OpContext,
                             coll: str) -> List[Dict[str, Any]]:
-        self.access.require_collection(ctx.principal, coll, "read")
         return self.mcat.structural_for(coll)
 
     # ------------------------------------------------------------------
@@ -174,29 +145,21 @@ class MetadataService(PlaneService):
     # ------------------------------------------------------------------
 
     @rpc_op("add_annotation", scope_arg="path", write=True, audit="annotate",
-            detail_arg="ann_type")
+            detail_arg="ann_type", need="annotate", target="entry")
     def add_annotation(self, ctx: OpContext, path: str, ann_type: str,
                        text: str, location: Optional[str] = None) -> int:
         """"The annotations and commentary can be inserted by any user
-        with a read permission on the object."""
-        principal = ctx.principal
-        kind, tid, row = self._target_for_metadata(path)
-        if kind == "object":
-            self.access.require_object(principal, row, "annotate")
-        else:
-            self.access.require_collection(principal, path, "annotate")
-        return self.mcat.add_annotation(kind, tid, ann_type, str(principal),
-                                        text, now=self.now, location=location)
+        with a read permission on the object" (read implies annotate)."""
+        kind, tid, _obj = ctx.target
+        return self.mcat.add_annotation(kind, tid, ann_type,
+                                        str(ctx.principal), text,
+                                        now=self.now, location=location)
 
-    @rpc_op("annotations", scope_arg="path", forwardable=True)
+    @rpc_op("annotations", scope_arg="path", forwardable=True, need="read",
+            target="entry")
     def annotations(self, ctx: OpContext,
                     path: str) -> List[Dict[str, Any]]:
-        principal = ctx.principal
-        kind, tid, row = self._target_for_metadata(path)
-        if kind == "object":
-            self.access.require_object(principal, row, "read")
-        else:
-            self.access.require_collection(principal, path, "read")
+        kind, tid, _obj = ctx.target
         return self.mcat.annotations_for(kind, tid)
 
     # ------------------------------------------------------------------
@@ -204,7 +167,7 @@ class MetadataService(PlaneService):
     # ------------------------------------------------------------------
 
     @rpc_op("query", scope_arg="scope", forwardable=True, audit="query",
-            span_args=("scope",))
+            span_args=("scope",), need="read", target="collection")
     def query(self, ctx: OpContext, scope: str,
               conditions: Sequence[Condition | DisplayOnly],
               include_annotations: bool = False,
@@ -213,13 +176,11 @@ class MetadataService(PlaneService):
               strategy: str = "auto") -> QueryResult:
         """Attribute search under ``scope``; only objects the caller may
         read are returned, and only those count toward ``limit``."""
-        principal = ctx.principal
-        self.access.require_collection(principal, scope, "read")
         result = self.mcat.search(scope, conditions,
                                   include_annotations=include_annotations,
                                   include_system=include_system,
                                   limit=limit, strategy=strategy,
-                                  visible=self._readable_by(principal))
+                                  visible=self._readable_by(ctx.principal))
         ctx.audit(detail=f"{len(conditions)} conds, "
                          f"{len(result.rows)} hits")
         if ctx.span is not None:
@@ -232,7 +193,8 @@ class MetadataService(PlaneService):
         return lambda objs: self.access.can_objects(principal, objs, "read")
 
     @rpc_op("query_page", scope_arg="scope", forwardable=True,
-            audit="query", span_args=("scope",))
+            audit="query", span_args=("scope",), need="read",
+            target="collection")
     def query_page(self, ctx: OpContext, scope: str,
                    conditions: Sequence[Condition | DisplayOnly],
                    include_annotations: bool = False,
@@ -247,12 +209,10 @@ class MetadataService(PlaneService):
         a page closes at ``limit`` of them; the cursor is the last row
         delivered, so no visible row is ever skipped or duplicated.
         """
-        principal = ctx.principal
-        self.access.require_collection(principal, scope, "read")
         page = self.mcat.search_page(
             scope, conditions, include_annotations=include_annotations,
             include_system=include_system, limit=limit, cursor=cursor,
-            visible=self._readable_by(principal))
+            visible=self._readable_by(ctx.principal))
         ctx.audit(detail=f"{len(conditions)} conds, "
                          f"{len(page.rows)} hits (page)")
         if ctx.span is not None:
@@ -260,38 +220,29 @@ class MetadataService(PlaneService):
         return {"columns": page.columns, "rows": page.rows,
                 "next_cursor": page.next_cursor}
 
-    @rpc_op("queryable_attrs", scope_arg="scope", forwardable=True)
+    @rpc_op("queryable_attrs", scope_arg="scope", forwardable=True,
+            need="read", target="collection")
     def queryable_attrs(self, ctx: OpContext, scope: str,
                         include_system: bool = False) -> List[str]:
-        self.access.require_collection(ctx.principal, scope, "read")
         return self.mcat.queryable_attributes(scope, include_system)
 
     # ------------------------------------------------------------------
     # access control administration
     # ------------------------------------------------------------------
 
-    @rpc_op("grant", scope_arg="path", write=True, audit="grant")
+    @rpc_op("grant", scope_arg="path", write=True, audit="grant",
+            need="own", target="entry")
     def grant(self, ctx: OpContext, path: str, principal_str: str,
               permission: str) -> None:
         """Owner grants ``permission`` to a user, ``group:<name>`` or ``*``."""
-        principal = ctx.principal
-        kind, tid, row = self._target_for_metadata(path)
-        if kind == "object":
-            self.access.require_object(principal, row, "own")
-        else:
-            self.access.require_collection(principal, path, "own")
+        kind, tid, _obj = ctx.target
         self.mcat.grant(kind, tid, principal_str, permission)
         ctx.audit(detail=f"{principal_str}:{permission}")
 
     @rpc_op("revoke", scope_arg="path", write=True, audit="revoke",
-            detail_arg="principal_str")
+            detail_arg="principal_str", need="own", target="entry")
     def revoke(self, ctx: OpContext, path: str, principal_str: str) -> None:
-        principal = ctx.principal
-        kind, tid, row = self._target_for_metadata(path)
-        if kind == "object":
-            self.access.require_object(principal, row, "own")
-        else:
-            self.access.require_collection(principal, path, "own")
+        kind, tid, _obj = ctx.target
         self.mcat.revoke(kind, tid, principal_str)
 
     @rpc_op("audit_log")

@@ -27,16 +27,15 @@ class NamespaceService(PlaneService):
 
     plane = "namespace"
 
-    @rpc_op("mkcoll", scope_arg="path", write=True, audit="mkcoll")
+    @rpc_op("mkcoll", scope_arg="path", write=True, audit="mkcoll",
+            need="write", target="parent")
     def mkcoll(self, ctx: OpContext, path: str) -> int:
-        parent = paths.dirname(paths.normalize(path))
-        self.access.require_collection(ctx.principal, parent, "write")
         return self.mcat.create_collection(path, str(ctx.principal),
                                            now=self.now)
 
-    @rpc_op("rmcoll", scope_arg="path", write=True, audit="rmcoll")
+    @rpc_op("rmcoll", scope_arg="path", write=True, audit="rmcoll",
+            need="own", target="collection")
     def rmcoll(self, ctx: OpContext, path: str) -> None:
-        self.access.require_collection(ctx.principal, path, "own")
         self.mcat.remove_collection(path)
 
     @rpc_op("list_collection", scope_arg="path", forwardable=True)
@@ -128,9 +127,7 @@ class NamespaceService(PlaneService):
 
     def _list_shadow(self, principal: Principal, shadow: Dict[str, Any],
                      path: str) -> Dict[str, Any]:
-        self.access.require_object(principal, shadow, "read")
-        res = self.resources.physical(str(shadow["resource_hint"]))
-        self._resource_session(res)
+        res = self._shadow_resource(principal, shadow)
         entries = res.driver.list_dir(self._shadow_physical(shadow, path))
         colls = [paths.join(path, e[:-1]) for e in entries if e.endswith("/")]
         objs = [{"path": paths.join(path, e), "name": e, "kind": "shadow-file",
@@ -149,20 +146,17 @@ class NamespaceService(PlaneService):
         principal = ctx.principal
         path = paths.normalize(path)
         obj = self.mcat.find_object(path)
-        if obj is not None:
-            self.access.require_object(principal, obj, "read")
-            out = dict(obj)
-            out["replicas"] = self.mcat.replicas(int(obj["oid"]))
-            if obj["kind"] == "container":
-                out["members"] = self._readable_members(principal,
-                                                        int(obj["oid"]))
-            return out
-        if self.mcat.collection_exists(path):
-            self.access.require_collection(principal, path, "read")
-            out = dict(self.mcat.get_collection(path))
-            out["replicas"] = []
-            return out
-        raise NoSuchObject(f"no object or collection {path!r}")
+        if obj is None and not self.mcat.collection_exists(path):
+            raise NoSuchObject(f"no object or collection {path!r}")
+        self.access.require_entry(principal, obj, path, "read")
+        if obj is None:
+            return {**self.mcat.get_collection(path), "replicas": []}
+        out = dict(obj)
+        out["replicas"] = self.mcat.replicas(int(obj["oid"]))
+        if obj["kind"] == "container":
+            out["members"] = self._readable_members(principal,
+                                                    int(obj["oid"]))
+        return out
 
     def _readable_members(self, principal: Principal,
                           container_oid: int) -> List[Dict[str, Any]]:
@@ -185,23 +179,19 @@ class NamespaceService(PlaneService):
         src = paths.normalize(src)
         dst = paths.normalize(dst)
         ctx.audit(target=src, detail=dst)
-        if self.mcat.collection_exists(src):
-            self.access.require_collection(principal, src, "own")
-            self.access.require_collection(principal, paths.dirname(dst),
-                                           "write")
-            if self.mcat.collection_exists(dst) or \
-                    self.mcat.object_exists(dst):
-                raise AlreadyExists(f"destination {dst!r} already exists")
-            if src == dst or paths.is_ancestor(src, dst):
-                raise InvalidPath(f"cannot move {src!r} into itself")
-            self.mcat.rename_subtree(src, dst)
-        else:
-            obj = self.mcat.get_object(src)
-            self.access.require_object(principal, obj, "own")
-            self.access.require_collection(principal, paths.dirname(dst),
-                                           "write")
+        obj = None if self.mcat.collection_exists(src) \
+            else self.mcat.get_object(src)
+        self.access.require_entry(principal, obj, src, "own")
+        self.access.require_collection(principal, paths.dirname(dst), "write")
+        if obj is not None:
             self.locks.check_write(int(obj["oid"]), principal)
             self.mcat.move_object(int(obj["oid"]), dst)
+            return
+        if self.mcat.collection_exists(dst) or self.mcat.object_exists(dst):
+            raise AlreadyExists(f"destination {dst!r} already exists")
+        if src == dst or paths.is_ancestor(src, dst):
+            raise InvalidPath(f"cannot move {src!r} into itself")
+        self.mcat.rename_subtree(src, dst)
 
     @rpc_op("link", scope_arg="link_path", write=True, audit="link")
     def link(self, ctx: OpContext, target: str, link_path: str) -> int:
@@ -218,18 +208,15 @@ class NamespaceService(PlaneService):
         self.access.require_collection(principal, paths.dirname(link_path),
                                        "write")
         tobj = self.mcat.find_object(target)
-        if tobj is not None:
-            if tobj["kind"] == "link":
-                target = str(tobj["target"])       # collapse the chain
-                tobj = self.mcat.find_object(target)
-                if tobj is None:
-                    raise LinkChainError(
-                        f"link target {target!r} no longer exists")
-            self.access.require_object(principal, tobj, "read")
-        elif self.mcat.collection_exists(target):
-            self.access.require_collection(principal, target, "read")
-        else:
+        if tobj is not None and tobj["kind"] == "link":
+            target = str(tobj["target"])           # collapse the chain
+            tobj = self.mcat.find_object(target)
+            if tobj is None:
+                raise LinkChainError(
+                    f"link target {target!r} no longer exists")
+        if tobj is None and not self.mcat.collection_exists(target):
             raise NoSuchObject(f"link target {target!r} does not exist")
+        self.access.require_entry(principal, tobj, target, "read")
         ctx.audit(target=link_path, detail=target)
         return self.mcat.create_object(
             link_path, kind="link", owner=str(principal), now=self.now,

@@ -81,17 +81,14 @@ class ReplicaService(PlaneService):
             target, 0, now=self.now)
 
     @rpc_op("ingest_replica", scope_arg="path", write=True,
-            audit="ingest-replica", payload_arg="data")
+            audit="ingest-replica", payload_arg="data", need="write",
+            target="resolved")
     def ingest_replica(self, ctx: OpContext, path: str, data: bytes,
                        resource: str) -> int:
         """Ingest different bytes as a replica of an existing object —
         "syntactically different but semantically equal (eg. a tiff file
         and a gif file of the same image)".  No equality checks."""
-        principal = ctx.principal
-        obj = self.mcat.get_object(paths.normalize(path))
-        obj = self._resolve_link(obj)
-        self.access.require_object(principal, obj, "write")
-        oid = int(obj["oid"])
+        oid = int(ctx.target["oid"])
         res_list = self.federation.placement.order_resources(
             self.resources.resolve(resource), from_host=self.host,
             size_hint=len(data))
@@ -101,13 +98,13 @@ class ReplicaService(PlaneService):
             f"{len(self.mcat.replicas(oid)) + 1}", data, "ingest-replica",
             ctx.relay_from)
 
-    @rpc_op("synchronize", scope_arg="path", write=True, audit="synchronize")
+    @rpc_op("synchronize", scope_arg="path", write=True, audit="synchronize",
+            need="write", target="object")
     def synchronize(self, ctx: OpContext, path: str) -> int:
         """Refresh dirty replicas from a clean one."""
-        obj = self.mcat.get_object(paths.normalize(path))
-        self.access.require_object(ctx.principal, obj, "write")
         count = synchronize(self.mcat, self.resources,
-                            self.federation.channels, int(obj["oid"]),
+                            self.federation.channels,
+                            int(ctx.target["oid"]),
                             placement=self.federation.placement)
         ctx.audit(detail=str(count))
         return count
@@ -173,7 +170,7 @@ class ReplicaService(PlaneService):
         return moved
 
     @rpc_op("verify_checksums", scope_arg="path", forwardable=True,
-            audit="verify")
+            audit="verify", need="read", target="resolved")
     def verify_checksums(self, ctx: OpContext, path: str) -> Dict[int, str]:
         """Compare every reachable replica against the recorded checksum.
 
@@ -184,9 +181,7 @@ class ReplicaService(PlaneService):
         warning ("SRB does not check for syntactic or semantic equality")
         applies; this operation reports, it does not judge.
         """
-        obj = self.mcat.get_object(paths.normalize(path))
-        obj = self._resolve_link(obj)
-        self.access.require_object(ctx.principal, obj, "read")
+        obj = ctx.target
         expected = obj["checksum"]
         report: Dict[int, str] = {}
         for rep in self.mcat.replicas(int(obj["oid"])):

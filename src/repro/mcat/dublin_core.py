@@ -54,12 +54,6 @@ class MetadataSchema:
                 return el
         raise MetadataError(f"schema {self.name!r} has no element {name!r}")
 
-    def element_names(self) -> List[str]:
-        return [el.name for el in self.elements]
-
-    def has_element(self, name: str) -> bool:
-        return any(el.name == name for el in self.elements)
-
 
 def dublin_core_schema() -> MetadataSchema:
     """The Dublin Core 1.1 schema with its three element groupings."""

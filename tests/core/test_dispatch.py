@@ -50,6 +50,14 @@ class TestDeclarations:
             rpc_op("x", detail_arg="d")
         with pytest.raises(ValueError, match="one payload slot"):
             rpc_op("x", payload_arg="data", payload_items="items")
+        with pytest.raises(ValueError, match="need requires scope_arg"):
+            rpc_op("x", need="read", target="object")
+        with pytest.raises(ValueError, match="come together"):
+            rpc_op("x", scope_arg="path", need="read")
+        with pytest.raises(ValueError, match="unknown need"):
+            rpc_op("x", scope_arg="path", need="delete", target="object")
+        with pytest.raises(ValueError, match="unknown need"):
+            rpc_op("x", scope_arg="path", need="read", target="file")
 
     def test_duplicate_op_name_rejected(self):
         class Clashing:

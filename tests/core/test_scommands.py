@@ -434,6 +434,24 @@ class TestObservability:
         code, out = sh.run("Sdispatch bogus")
         assert code == 1 and "no plane" in out
 
+    def test_sdispatch_says_who_may_do_what(self, shell):
+        """Each op shows its declared permission on its target, or that
+        its handler checks for itself."""
+        from repro.core.dispatch import WRITTEN_CHECKS
+        grid, sh = shell
+        lines = {line.split()[1]: line for line in
+                 ok(sh, "Sdispatch").splitlines() if line.strip()}
+        assert "need=own@entry" in lines["grant"]
+        assert "need=read@collection" in lines["query"]
+        assert "need=write@parent" in lines["mkcoll"]
+        assert "need=" not in lines["get"]
+        for name, line in lines.items():
+            assert ("checks=written" in line) == (name in WRITTEN_CHECKS)
+        assert "need=own@resolved checks=written" in \
+            lines["extract_metadata"]
+        assert "need=" not in lines["auth_login"] \
+            and "checks=" not in lines["auth_login"]
+
 
 class TestStreamedCommands:
     """``Sls`` and ``Squery -n/-p`` ride the pushed stream; ``Scd`` asks

@@ -126,6 +126,28 @@ class TestLocksViaServer:
         grid.curator.unpin(f"{grid.home}/pin.txt", "hpss-caltech")
         assert drv.purge_cache() == 1
 
+    def test_unpin_releases_only_the_callers_pin(self, grid, other):
+        """The archive's cache pin stands while any catalog pin does: a
+        caller holding none, or one of two holders, releases nothing."""
+        path = f"{grid.home}/held.txt"
+        grid.curator.ingest(path, b"x", resource="hpss-caltech")
+        grid.curator.pin(path, "hpss-caltech")
+        (rep,) = grid.curator.stat(path)["replicas"]
+        drv = grid.fed.resources.physical("hpss-caltech").driver
+        grid.fed.add_user("nobody@sdsc", "pw")
+        nobody = SrbClient(grid.fed, "laptop", "srb1", "nobody@sdsc", "pw")
+        nobody.login()
+        assert nobody.unpin(path, "hpss-caltech") == 0
+        assert drv.is_pinned(rep["physical_path"])
+        assert drv.purge_cache() == 0
+        grid.curator.grant(path, "moore@sdsc", "write")
+        other.pin(path, "hpss-caltech")
+        assert other.unpin(path, "hpss-caltech") == 1
+        assert drv.purge_cache() == 0            # the curator's pin holds
+        assert grid.curator.unpin(path, "hpss-caltech") == 1
+        assert not drv.is_pinned(rep["physical_path"])
+        assert drv.purge_cache() == 1
+
 
 class TestCheckoutCheckin:
     def test_versions_preserved(self, curator, home):

@@ -139,3 +139,39 @@ def test_lint_refuses_a_client_method_that_only_forwards(tmp_path,
     errors = lint.check_no_plain_client_forwards()
     assert len(errors) == 2
     assert "'mkcoll'" in errors[0] and "'stat'" in errors[1]
+
+
+def test_lint_refuses_a_declared_check_made_again(tmp_path, monkeypatch):
+    lint = load_lint()
+    assert lint.check_declared_checks_not_repeated() == []
+    planes = tmp_path / "planes"
+    planes.mkdir()
+    (planes / "data.py").write_text(
+        "class DataService:\n"
+        "    @rpc_op('lock', scope_arg='path', write=True, need='write',\n"
+        "            target='object')\n"
+        "    def lock(self, ctx, path):\n"
+        "        self.access.require_object(ctx.principal, ctx.target,\n"
+        "                                   'write')\n"
+        "    @rpc_op('rmcoll', scope_arg='path', need='own',\n"
+        "            target='collection')\n"
+        "    def rmcoll(self, ctx, path):\n"
+        "        self.access.require_collection(ctx.principal, path, 'own')\n"
+        "    @rpc_op('annotations', scope_arg='path', need='read',\n"
+        "            target='entry')\n"
+        "    def annotations(self, ctx, path):\n"
+        "        self.access.require_entry(ctx.principal, ctx.target[2],\n"
+        "                                  path='x', wanted='read')\n"
+        "    @rpc_op('extract', scope_arg='path', need='own',\n"
+        "            target='resolved')\n"
+        "    def extract(self, ctx, path, sidecar):\n"
+        "        self.access.require_object(ctx.principal, sidecar, 'read')\n"
+        "    @rpc_op('move', scope_arg='src', write=True)\n"
+        "    def move(self, ctx, src, dst):\n"
+        "        self.access.require_collection(ctx.principal, src, 'own')\n")
+    monkeypatch.setattr(lint, "ROOT", tmp_path)
+    monkeypatch.setattr(lint, "PLANES_DIR", planes)
+    errors = lint.check_declared_checks_not_repeated()
+    assert len(errors) == 3
+    assert ["'lock'" in errors[0], "'rmcoll'" in errors[1],
+            "'annotations'" in errors[2]] == [True] * 3

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Lint the plane services against the dispatch pipeline contract.
 
-Seven rules keep the refactored server honest (see DESIGN.md, "SRB
+Nine rules keep the refactored server honest (see DESIGN.md, "SRB
 server architecture" and "Placement policy engine"):
 
 1. **Every public plane-service method is a declared op.**  The RPC
@@ -76,6 +76,15 @@ server architecture" and "Placement policy engine"):
    ``return self._call("<its own name>", ...)``, every parameter passed
    through unchanged, is a hand-copied signature that drifts from the
    handler's.  Delete it, and the generated one takes its place.  No
+   allowlist.
+
+9. **A declared check is not made again.**  An op declaring
+   ``@rpc_op(need=, target=)`` has its subject resolved and checked by
+   its op plan before the handler runs (``core/dispatch.py``); a
+   ``self.access.require_*`` call in that handler whose subject is
+   ``ctx.target`` or the declared ``scope_arg`` repeats the check — a
+   second ``access.checks`` count and catalog charge, and a second place
+   to disagree on the permission.  Checks on a *second* target stay.  No
    allowlist.
 
 Run from the repository root::
@@ -227,22 +236,30 @@ def _stale(name: str, allowlist: set, used: set) -> List[str]:
             for entry in sorted(allowlist - used, key=repr)]
 
 
-def _rpc_op_decoration(node: ast.FunctionDef):
-    """The ``(op_name, is_write)`` of an ``@rpc_op`` decorator, if any."""
+def _rpc_op_keywords(node: ast.FunctionDef):
+    """The constant keywords of an ``@rpc_op`` decorator, if any, with
+    the op's name under ``"name"``."""
     for dec in node.decorator_list:
         if not (isinstance(dec, ast.Call) and (
                 (isinstance(dec.func, ast.Name) and dec.func.id == "rpc_op")
                 or (isinstance(dec.func, ast.Attribute)
                     and dec.func.attr == "rpc_op"))):
             continue
-        name = node.name
+        keywords = {kw.arg: kw.value.value for kw in dec.keywords
+                    if isinstance(kw.value, ast.Constant)}
+        keywords["name"] = node.name
         if dec.args and isinstance(dec.args[0], ast.Constant):
-            name = str(dec.args[0].value)
-        is_write = any(kw.arg == "write" and
-                       isinstance(kw.value, ast.Constant) and kw.value.value
-                       for kw in dec.keywords)
-        return name, is_write
+            keywords["name"] = str(dec.args[0].value)
+        return keywords
     return None
+
+
+def _rpc_op_decoration(node: ast.FunctionDef):
+    """The ``(op_name, is_write)`` of an ``@rpc_op`` decorator, if any."""
+    keywords = _rpc_op_keywords(node)
+    if keywords is None:
+        return None
+    return keywords["name"], bool(keywords.get("write"))
 
 
 def check_query_ops_paged() -> List[str]:
@@ -424,13 +441,54 @@ def check_no_plain_client_forwards() -> List[str]:
     return errors
 
 
+def _is_subject(arg: ast.AST, scope_arg: str) -> bool:
+    """``ctx.target`` (or a part of it), or the name ``scope_arg``."""
+    while isinstance(arg, ast.Subscript):
+        arg = arg.value
+    if isinstance(arg, ast.Attribute):
+        return (arg.attr == "target" and isinstance(arg.value, ast.Name)
+                and arg.value.id == "ctx")
+    return isinstance(arg, ast.Name) and arg.id == scope_arg
+
+
+def check_declared_checks_not_repeated() -> List[str]:
+    """Rule 9: a handler declaring ``need=`` does not check its subject."""
+    errors = []
+    for path in sorted(PLANES_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            keywords = _rpc_op_keywords(node)
+            if not keywords or keywords.get("need") is None:
+                continue
+            for call in ast.walk(node):
+                if not (isinstance(call, ast.Call)
+                        and isinstance(call.func, ast.Attribute)
+                        and call.func.attr.startswith("require_")
+                        and isinstance(call.func.value, ast.Attribute)
+                        and call.func.value.attr == "access"):
+                    continue
+                subjects = call.args[1:] + [kw.value for kw in call.keywords]
+                if any(_is_subject(arg, keywords.get("scope_arg"))
+                       for arg in subjects):
+                    errors.append(
+                        f"{path.relative_to(ROOT)}:{call.lineno}: op "
+                        f"{keywords['name']!r} declares need="
+                        f"{keywords['need']!r} and checks its subject again "
+                        f"with {call.func.attr}() — the op plan already "
+                        f"made that check (ctx.target is its row)")
+    return errors
+
+
 def main() -> int:
     errors = (check_public_methods_declared() + check_no_inline_plumbing()
               + check_mcat_via_self() + check_no_catalog_type_tests()
               + check_query_ops_paged()
               + check_placement_seam() + check_raw_transfers()
               + check_no_forwarding_properties()
-              + check_no_plain_client_forwards())
+              + check_no_plain_client_forwards()
+              + check_declared_checks_not_repeated())
     if errors:
         print(f"lint_dispatch: {len(errors)} violation(s)")
         for err in errors:
