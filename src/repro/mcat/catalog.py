@@ -845,6 +845,8 @@ class Mcat:
                           vocabulary: Optional[Sequence[str]] = None,
                           mandatory: bool = False,
                           comment: Optional[str] = None) -> int:
+        if not attr:      # it would refuse every later ingest into coll_path
+            raise MetadataError("metadata attribute name may not be empty")
         with self._charge:
             coll_path = paths.normalize(coll_path)
             if not self._collection_rid(coll_path):

@@ -185,7 +185,7 @@ def _render_metadata_extras(client: SrbClient, md, fetched) -> str:
     return "".join(parts)
 
 
-def open_object(client: SrbClient, path: str) -> str:
+def open_object(client: SrbClient, path: str) -> Optional[str]:
     """The split-window object view: attributes on top, contents below.
 
     "when a user 'opens' a file, the attributes about the file are
@@ -195,11 +195,14 @@ def open_object(client: SrbClient, path: str) -> str:
     the second carries what only the answer to the first can name — the
     contents, for a kind that has contents (never a container's bytes),
     a container's dead space, and the objects the metadata embeds.
+    ``None`` when ``path`` is a collection, which has no object view.
     """
     info, md, anns = (item.unwrap() for item in client.batch(
         ("stat", {"path": path}),
         ("get_metadata", {"path": path}),
         ("annotations", {"path": path})))
+    if "kind" not in info:          # a collection's stat row has no kind
+        return None
     kind = info["kind"]
     embedded = list(dict.fromkeys(row["value"] for row in md if _embeds(row)))
     follow_up = [("get", {"path": p}) for p in embedded]

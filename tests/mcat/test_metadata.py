@@ -180,6 +180,14 @@ class TestStructural:
         with pytest.raises(NoSuchCollection):
             mcat.define_structural("/demozone/ghost", "a")
 
+    def test_empty_name_rejected_before_it_blocks_every_ingest(self, mcat):
+        with pytest.raises(MetadataError, match="may not be empty"):
+            mcat.define_structural("/demozone/cultures", "",
+                                   default_value="x")
+        assert mcat.structural_for("/demozone/cultures") == []
+        assert mcat.validate_ingest_metadata("/demozone/cultures",
+                                             {"a": "b"}) == {"a": "b"}
+
 
 class TestAnnotations:
     def test_add_and_list(self, mcat, oid):

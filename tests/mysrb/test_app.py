@@ -4,6 +4,7 @@ import pytest
 
 from repro.db import Column
 from repro.mysrb import Browser, MySrbApp
+from repro.mysrb.html import url_quote
 from repro.workload import standard_grid
 
 
@@ -386,6 +387,76 @@ class TestUserRegistration:
     def test_anonymous_cannot_register_users(self, web):
         grid, app, browser = web
         assert browser.get("/newuser").code == 403
+
+
+class TestCollectionPaths:
+    """A collection's ``stat`` row has no ``kind``: the pages that name
+    one object answer a collection without tripping on it."""
+
+    def test_open_of_a_collection_shows_its_listing(self, web):
+        grid, app, browser = web
+        grid.curator.ingest(f"{grid.home}/seen.txt", b"x")
+        login(browser)
+        r = browser.get(f"/open?path={grid.home}", follow_redirects=False)
+        assert r.code == 303
+        assert r.header("Location") == \
+            f"/browse?path={url_quote(grid.home)}"
+        r = browser.get(f"/open?path={grid.home}")
+        assert r.code == 200 and "seen.txt" in r.text
+
+    def test_edit_of_a_collection_is_refused(self, web):
+        grid, app, browser = web
+        login(browser)
+        r = browser.get(f"/edit?path={grid.home}")
+        assert r.code == 400 and "not collection" in r.text
+
+
+class TestForms:
+    """``/register/<kind>`` and ``/structural`` read their fields off the
+    op's signature."""
+
+    def test_structural_form_reaches_every_parameter(self, web):
+        grid, app, browser = web
+        login(browser)
+        browser.post("/structural", {
+            "coll": grid.home, "attr": "medium", "default_value": "image",
+            "vocabulary": "image|movie", "mandatory": "on",
+            "comment": "what it is"})
+        (row,) = grid.curator.structural_metadata(grid.home)
+        assert (row["attr"], row["default_value"], row["vocabulary"],
+                bool(row["mandatory"]), row["comment"]) == \
+            ("medium", "image", "image|movie", True, "what it is")
+
+    def test_structural_optional_fields_keep_their_defaults(self, web):
+        grid, app, browser = web
+        login(browser)
+        browser.post("/structural", {"coll": grid.home, "attr": "band"})
+        (row,) = grid.curator.structural_metadata(grid.home)
+        assert (row["default_value"], row["vocabulary"],
+                bool(row["mandatory"]), row["comment"]) == \
+            (None, None, False, None)
+
+    def test_blank_structural_name_is_refused(self, web):
+        grid, app, browser = web
+        login(browser)
+        r = browser.post("/structural", {"coll": grid.home,
+                                         "default_value": "x"})
+        assert r.code == 400 and "may not be empty" in r.text
+        assert grid.curator.structural_metadata(grid.home) == []
+        grid.curator.ingest(f"{grid.home}/after.txt", b"still ingests")
+
+    def test_register_method_and_unknown_kind(self, web):
+        grid, app, browser = web
+        login(browser)
+        browser.post("/register/method", {
+            "coll": grid.home, "name": "ps", "server": "srb1",
+            "command": "srbps", "proxy_function": "on"})
+        info = grid.curator.stat(f"{grid.home}/ps")
+        assert (info["kind"], info["target"]) == \
+            ("method", "function:srb1:srbps")
+        r = browser.post("/register/replica", {"coll": grid.home,
+                                               "name": "x"})
+        assert r.code == 404
 
 
 class TestContainerView:
