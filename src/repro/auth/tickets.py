@@ -136,9 +136,6 @@ class TicketAuthority:
     def distrust_zone(self, zone: str) -> None:
         self._trusted.pop(zone, None)
 
-    def trusts(self, zone: str) -> bool:
-        return zone in self._trusted
-
     def issue(self, principal: Principal | str, audience: str = "*",
               lifetime_s: float = DEFAULT_TICKET_LIFETIME_S) -> Ticket:
         now = self.clock.now

@@ -133,10 +133,6 @@ class ContainerManager:
             now=now, container_oid=coid, offset=offset)
         return self.mcat.get_replica(member_oid, replica_num)
 
-    def read_member(self, member_replica: Dict[str, Any]) -> bytes:
-        """A member's bytes, off any available container replica."""
-        return self.read_member_deferred(member_replica)[0]
-
     def read_member_deferred(self, member_replica: Dict[str, Any],
                              from_host: Optional[str] = None):
         """Read a member's bytes without charging the wire.

@@ -144,14 +144,6 @@ def _comparator(op: str, wanted: str) -> Callable[..., bool]:
         compare(value, wanted) if num is None else compare(num, wanted_num))
 
 
-def _match(op: str, stored_value: Optional[str], stored_num: Optional[float],
-           wanted: Optional[str]) -> bool:
-    """Evaluate one comparison against a stored metadata triple."""
-    if stored_value is None or wanted is None:
-        return False
-    return _comparator(op, wanted)(stored_value, stored_num)
-
-
 def queryable_attributes(mcat, scope: str,
                          include_system: bool = False) -> List[str]:
     """Attribute names for the drop-down: every metadata name attached to

@@ -135,10 +135,6 @@ class LoadReport:
         return self.p(50)
 
     @property
-    def p95(self) -> float:
-        return self.p(95)
-
-    @property
     def p99(self) -> float:
         return self.p(99)
 

@@ -72,7 +72,7 @@ class TestReplaceMember:
         fed.network.set_down("h0")
         member = fed.mcat.replicas(
             fed.mcat.get_object("/demozone/d/m0")["oid"])[0]
-        assert fed.containers.read_member(member) == b"v2"
+        assert fed.containers.read_member_deferred(member)[0] == b"v2"
 
 
 class TestCompact:

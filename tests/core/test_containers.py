@@ -136,7 +136,7 @@ class TestSyncAndFailover:
         # so drive the manager directly)
         member_rep = fed.mcat.replicas(
             fed.mcat.get_object("/demozone/data/m1")["oid"])[0]
-        data = fed.containers.read_member(member_rep)
+        data, _res = fed.containers.read_member_deferred(member_rep)
         assert data == b"alpha"
 
     def test_unsynced_archive_copy_not_served(self, env):
@@ -148,7 +148,7 @@ class TestSyncAndFailover:
         member_rep = fed.mcat.replicas(
             fed.mcat.get_object("/demozone/data/m1")["oid"])[0]
         with pytest.raises(ResourceUnavailable):
-            fed.containers.read_member(member_rep)
+            fed.containers.read_member_deferred(member_rep)
 
     def test_sync_with_archive_down_raises(self, env):
         fed, client = env
