@@ -141,6 +141,54 @@ def test_lint_refuses_a_client_method_that_only_forwards(tmp_path,
     assert "'mkcoll'" in errors[0] and "'stat'" in errors[1]
 
 
+def test_lint_refuses_a_scommand_that_only_forwards(tmp_path, monkeypatch):
+    lint = load_lint()
+    assert lint.check_no_forwarding_scommands() == []
+    bad = tmp_path / "shell.py"
+    bad.write_text(
+        "class Shell:\n"
+        "    def cmd_Smkdir(self, args):\n"
+        "        '''Make a collection.'''\n"
+        "        self._need(args, 1)\n"
+        "        self.client.mkcoll(self._abs(args[0]))\n"
+        "        return ''\n"
+        "    def cmd_Sreplicate(self, args):\n"
+        "        opts, rest = self._getopts(args, {'-R': True})\n"
+        "        if '-R' not in opts:\n"
+        "            raise CommandError('-R <resource> is required')\n"
+        "        num = self.client.replicate(self._abs(rest[0]), opts['-R'])\n"
+        "        return f'replica {num}'\n"
+        "    def cmd_Srm(self, args):\n"
+        "        opts, rest = self._getopts(args, {'-n': True})\n"
+        "        return self.client.delete(self._abs(rest[0]), replica_num=\n"
+        "            _int(opts['-n']) if '-n' in opts else None)\n"
+        "    def cmd_Sinit(self, args):\n"
+        "        self.client.login(args[0], args[1])\n"
+        "        return f'connected as {args[0]}'\n"
+        "    def cmd_Scat(self, args):\n"
+        "        return self.client.get(self._abs(args[0])).decode()\n"
+        "    def cmd_Slock(self, args):\n"
+        "        opts, rest = self._getopts(args, {'-e': False})\n"
+        "        self.client.lock(self._abs(rest[0]),\n"
+        "                         'exclusive' if '-e' in opts else 'shared')\n"
+        "        return ''\n"
+        "    def cmd_Sannotate(self, args):\n"
+        "        opts, rest = self._getopts(args, {'-t': True})\n"
+        "        self.client.add_annotation(self._abs(rest[0]),\n"
+        "                                   opts.get('-t', 'comment'),\n"
+        "                                   ' '.join(rest[1:]))\n"
+        "        return ''\n"
+        "    def cmd_Scheckin(self, args):\n"
+        "        data = None\n"
+        "        return f'version {self.client.checkin(args[0], data)}'\n")
+    monkeypatch.setattr(lint, "ROOT", tmp_path)
+    monkeypatch.setattr(lint, "SHELL_FILE", bad)
+    errors = lint.check_no_forwarding_scommands()
+    assert len(errors) == 3
+    assert ["cmd_Smkdir" in errors[0], "cmd_Sreplicate" in errors[1],
+            "cmd_Srm" in errors[2]] == [True] * 3
+
+
 def test_lint_refuses_a_declared_check_made_again(tmp_path, monkeypatch):
     lint = load_lint()
     assert lint.check_declared_checks_not_repeated() == []

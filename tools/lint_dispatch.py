@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Lint the plane services against the dispatch pipeline contract.
 
-Nine rules keep the refactored server honest (see DESIGN.md, "SRB
+Ten rules keep the refactored server honest (see DESIGN.md, "SRB
 server architecture" and "Placement policy engine"):
 
 1. **Every public plane-service method is a declared op.**  The RPC
@@ -86,6 +86,14 @@ server architecture" and "Placement policy engine"):
    second ``access.checks`` count and catalog charge, and a second place
    to disagree on the permission.  Checks on a *second* target stay.  No
    allowlist.
+
+10. **An Scommand does not restate an op either.**  A command that only
+    forwards to one client op is a row of ``scommands.shell.FORWARDS``,
+    whose flags, arity and usage line are read off the op's signature.
+    A written ``cmd_S*`` whose body is only option parsing, arity and
+    required-flag checks, one ``self.client.<op>(...)`` call of words
+    taken straight off the command line, and a return of a constant or
+    a formatted result is such a command written out.  No allowlist.
 
 Run from the repository root::
 
@@ -481,6 +489,87 @@ def check_declared_checks_not_repeated() -> List[str]:
     return errors
 
 
+#: where the Scommands are written (rule 10)
+SHELL_FILE = ROOT / "src" / "repro" / "scommands" / "shell.py"
+
+
+def _is_self_call(node: ast.AST, *names: str) -> bool:
+    """``self.<one of names>(...)``."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in names and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "self")
+
+
+def _is_op_call(node: ast.AST, ops: set) -> bool:
+    """``self.client.<op>(...)`` for a registered op."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ops
+            and isinstance(node.func.value, ast.Attribute)
+            and node.func.value.attr == "client")
+
+
+def _is_plain_argument(arg: ast.AST) -> bool:
+    """A word of the command line as it stands: ``args[i]``,
+    ``opts["-R"]``, ``opts.get("-R")``, through ``self._abs`` or a number
+    conversion, or ``None`` when a flag is absent."""
+    if isinstance(arg, ast.Subscript):
+        return True
+    if isinstance(arg, ast.IfExp):
+        return _is_plain_argument(arg.body) and isinstance(
+            arg.orelse, ast.Constant) and arg.orelse.value is None
+    if not isinstance(arg, ast.Call) or len(arg.args) != 1 or arg.keywords:
+        return False
+    func = arg.func
+    if isinstance(func, ast.Attribute) and func.attr == "get":
+        return True                                  # opts.get(flag)
+    return (_is_self_call(arg, "_abs") or (isinstance(func, ast.Name)
+            and func.id in ("int", "_int"))) \
+        and _is_plain_argument(arg.args[0])
+
+
+def _forwards_only(node: ast.FunctionDef, ops: set) -> bool:
+    """Option parsing, arity checks, one ``self.client.<op>(...)`` of
+    plain arguments, and a return of a constant or a formatted result."""
+    body = [stmt for stmt in node.body
+            if not (isinstance(stmt, ast.Expr)
+                    and isinstance(stmt.value, ast.Constant))]
+    calls = [call for call in ast.walk(node) if _is_op_call(call, ops)]
+    if len(calls) != 1 or not body or not isinstance(body[-1], ast.Return):
+        return False
+    for stmt in body:
+        value = getattr(stmt, "value", None)
+        if isinstance(stmt, ast.If) and not stmt.orelse and all(
+                isinstance(sub, ast.Raise) for sub in stmt.body):
+            continue                                 # a required flag
+        if not isinstance(stmt, (ast.Expr, ast.Assign, ast.Return)):
+            return False
+        if value is calls[0] or _is_self_call(value, "_getopts", "_need"):
+            continue
+        if not (isinstance(stmt, ast.Return) and isinstance(
+                value, (ast.Constant, ast.JoinedStr, ast.Name))):
+            return False
+    call = calls[0]
+    return all(_is_plain_argument(arg) for arg in
+               call.args + [kw.value for kw in call.keywords])
+
+
+def check_no_forwarding_scommands() -> List[str]:
+    """Rule 10: no written Scommand that only forwards to one op."""
+    from repro.core.client import _SPECS
+    errors = []
+    tree = ast.parse(SHELL_FILE.read_text(), filename=str(SHELL_FILE))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.FunctionDef)
+                and node.name.startswith("cmd_S")
+                and _forwards_only(node, set(_SPECS))):
+            errors.append(
+                f"{SHELL_FILE.relative_to(ROOT)}:{node.lineno}: "
+                f"{node.name} only parses its arguments and forwards them "
+                f"to one op — make it a row of FORWARDS, which reads its "
+                f"flags, arity and usage off the op's signature")
+    return errors
+
+
 def main() -> int:
     errors = (check_public_methods_declared() + check_no_inline_plumbing()
               + check_mcat_via_self() + check_no_catalog_type_tests()
@@ -488,7 +577,8 @@ def main() -> int:
               + check_placement_seam() + check_raw_transfers()
               + check_no_forwarding_properties()
               + check_no_plain_client_forwards()
-              + check_declared_checks_not_repeated())
+              + check_declared_checks_not_repeated()
+              + check_no_forwarding_scommands())
     if errors:
         print(f"lint_dispatch: {len(errors)} violation(s)")
         for err in errors:
