@@ -579,12 +579,7 @@ class DataService(PlaneService):
             sink = self._redirect_sink(ctx)
             data = None
             if stripes == "auto" and replica_num is None:
-                stripes, local = self._auto_stripe_count(obj, sink)
-                if local is not None:
-                    try:
-                        data = self._get_bytes(obj, local, sink)
-                    except ReplicaUnavailable:
-                        pass    # the local copy errored: the usual chain
+                stripes = self._auto_stripe_count(obj, sink)
             if stripes is not None and not isinstance(stripes, str) \
                     and stripes > 1 and replica_num is None:
                 data = self._get_bytes_striped(obj, stripes, sink)
@@ -627,8 +622,9 @@ class DataService(PlaneService):
         resource whose pull the *caller* still owes on the network (so
         ``bulk_get`` can deliver many pulls as one overlapped set), or
         ``None`` when the bytes are already on ``sink``, the host they
-        are read on (:meth:`_redirect_sink`), which also orders the
-        chain."""
+        are read on (:meth:`_redirect_sink`).  The chain is the source
+        chain to ``sink`` (:meth:`PlacementEngine.source_chain`): an
+        online copy on ``sink`` first, tape-resident copies last."""
         oid = int(obj["oid"])
         replicas = self.mcat.replicas(oid)
         if replica_num is not None:
@@ -637,9 +633,8 @@ class DataService(PlaneService):
                 raise NoSuchReplica(
                     f"{obj['path']} has no replica {replica_num}")
         else:
-            chain = self.federation.placement.order_replicas(
-                replicas, from_host=sink)
-            chain = [r for r in chain if not r["is_dirty"]]
+            chain = self.federation.placement.source_chain(
+                replicas, sink, probe_down=True)
             if not chain:
                 raise ReplicaUnavailable(
                     f"{obj['path']} has no clean replica")
@@ -667,27 +662,22 @@ class DataService(PlaneService):
         raise ReplicaUnavailable(
             f"all replicas of {obj['path']!r} unavailable ({last})")
 
-    def _striped_candidates(self, obj: Dict[str, Any], sink: str,
+    def _striped_candidates(self, chain: List[Dict[str, Any]], sink: str,
                             cap: Optional[int] = None
                             ) -> List[Tuple[Dict[str, Any],
                                             PhysicalResource]]:
-        """Usable striped-read sources for ``obj``: clean, non-container
-        replicas on distinct reachable hosts other than ``sink`` (where
-        the stripes are read — this server, or the redirect sink under
-        direct_io), in the placement engine's preferred order, capped
-        at ``cap`` entries."""
-        oid = int(obj["oid"])
-        chain = self.federation.placement.order_replicas(
-            self.mcat.replicas(oid), from_host=sink)
+        """Usable striped-read sources in a source ``chain`` to ``sink``
+        (where the stripes are read — this server, or the redirect sink
+        under direct_io): clean, non-container replicas on distinct
+        reachable hosts other than ``sink``, in the chain's order
+        (tape-resident copies last), capped at ``cap`` entries."""
         usable: List[Tuple[Dict[str, Any], PhysicalResource]] = []
         seen_hosts = set()
         for rep in chain:
-            if rep["is_dirty"] or rep["container_oid"] is not None:
-                continue
             res = self.resources.physical(rep["resource"])
-            if res.host == sink or res.host in seen_hosts:
-                continue
-            if not self.resources.available(res.name):
+            if rep["container_oid"] is not None or res.host == sink \
+                    or res.host in seen_hosts \
+                    or not self.resources.available(res.name):
                 continue
             seen_hosts.add(res.host)
             usable.append((rep, res))
@@ -695,35 +685,34 @@ class DataService(PlaneService):
                 break
         return usable
 
-    def _auto_stripe_count(self, obj: Dict[str, Any], sink: str
-                           ) -> Tuple[int, Optional[int]]:
-        """Plan a ``get(stripes="auto")`` read: ``(stripe count, number
-        of the replica to read instead of striping)``.
+    def _sources(self, obj: Dict[str, Any], sink: str) -> List[Dict[str, Any]]:
+        """``obj``'s source chain to ``sink``, down hosts' copies kept for
+        the probe to discover (:meth:`PlacementEngine.source_chain`)."""
+        return self.federation.placement.source_chain(
+            self.mcat.replicas(int(obj["oid"])), sink, probe_down=True)
 
-        A clean replica on the stripe sink's host (this server, or the
-        redirect sink under direct_io) beats any wire pull, so auto
-        answers 1 stripe *of that replica* when one exists — unless it
-        is an archive copy migrated out of the disk cache, whose tape
-        stage beats nothing.  Otherwise the placement engine minimizes
-        its probes + makespan model over the measured path bandwidths
-        (E18 checks the pick lands within 10% of E14's hand-swept knee).
+    def _auto_stripe_count(self, obj: Dict[str, Any], sink: str) -> int:
+        """Stripe count for a ``get(stripes="auto")`` read.
+
+        When the source chain starts with an online copy on the stripe
+        sink's host (this server, or the redirect sink under
+        direct_io), that copy beats any wire pull: 1 stripe, and the
+        plain read takes it, failing over down the same chain.
+        Otherwise the placement engine minimizes its probes + makespan
+        model over the measured path bandwidths (E18 checks the pick
+        lands within 10% of E14's hand-swept knee).
         """
-        for rep in self.mcat.replicas(int(obj["oid"])):
-            if rep["is_dirty"] or rep["container_oid"] is not None:
-                continue
+        chain = self._sources(obj, sink)
+        for rep in chain[:1]:           # the head, if there is one
             res = self.resources.physical(rep["resource"])
-            if res.host != sink or not self.resources.available(res.name):
-                continue
-            if isinstance(res.driver, ArchiveDriver) \
-                    and not res.driver.is_cached(rep["physical_path"]):
-                continue
-            return 1, int(rep["replica_num"])
+            if res.host == sink and res.driver.is_online(rep["physical_path"]):
+                return 1
         candidates = [res for _rep, res in
-                      self._striped_candidates(obj, sink)]
+                      self._striped_candidates(chain, sink)]
         return self.federation.placement.choose_stripes(
             candidates, int(obj.get("size") or 0),
             owed=[self._session_owed(res) for res in candidates],
-            from_host=sink), None
+            from_host=sink)
 
     def _get_bytes_striped(self, obj: Dict[str, Any], stripes: int,
                            sink: str) -> Optional[Any]:
@@ -745,7 +734,8 @@ class DataService(PlaneService):
         is re-pulled from the first healthy replica; if *every* replica
         fails the usual :class:`ReplicaUnavailable` is raised.
         """
-        usable = self._striped_candidates(obj, sink, cap=stripes)
+        usable = self._striped_candidates(self._sources(obj, sink), sink,
+                                          cap=stripes)
         if len(usable) < 2:
             return None
 

@@ -184,6 +184,12 @@ class StorageDriver(abc.ABC):
         if not self.exists(path):
             raise NoSuchPhysicalFile(f"{self.kind}: no file {path!r}")
 
+    def is_online(self, path: str) -> bool:
+        """Whether a read of ``path`` starts streaming at device prices
+        (online) rather than after a tape stage (nearline).  A driver
+        with no tape behind it is always online."""
+        return True
+
     def used_bytes(self) -> int:
         """Total bytes stored (for capacity accounting); drivers override
         when they can answer cheaply."""

@@ -380,13 +380,20 @@ class TestAutoStripesReadTheLocalCopy:
                 and s.attrs["src"] != "h1"]
 
     def test_no_resource_to_server_leg(self):
+        """Neither read crosses the wire for the payload: the source
+        chain puts the online local copy first for the default read as
+        well as for ``stripes="auto"``.  Asking for replica 1 by number
+        still pulls it from h2, so the leg check is not vacuous."""
         fed, client = self._setup()
         data, root = traced(fed, lambda: client.get("/z/w/big.dat",
                                                     stripes="auto"))
         assert data == PAYLOAD
         assert self._payload_legs(root) == []
-        # the default order does walk to replica 1: the bug was real
-        _, root = traced(fed, lambda: client.get("/z/w/big.dat"))
+        data, root = traced(fed, lambda: client.get("/z/w/big.dat"))
+        assert data == PAYLOAD
+        assert self._payload_legs(root) == []
+        _, root = traced(fed, lambda: client.get("/z/w/big.dat",
+                                                 replica_num=1))
         assert self._payload_legs(root) == [("h2", "h1")]
 
     def test_a_local_copy_that_errors_falls_back_to_the_chain(self):

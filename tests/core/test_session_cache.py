@@ -71,14 +71,18 @@ class TestHitMiss:
 class TestInvalidation:
     def test_set_down_invalidates_through_real_get(self):
         """E2 semantics survive the cache: after the storage host dies,
-        the next get must re-probe and pay the charged timeout."""
+        the next get must re-probe and pay the charged timeout.  The
+        failover target is remote too (r3 on h3): a copy on the server's
+        own host would be read first and h2 never probed."""
         fed, client = build_fed()
+        fed.add_host("h3")
+        fed.add_fs_resource("r3", "h3")
         client.ingest("/z/w/f.dat", b"payload")
-        client.replicate("/z/w/f.dat", "r1")
+        client.replicate("/z/w/f.dat", "r3")
         client.get("/z/w/f.dat")            # session to r2 now cached
         fed.network.set_down("h2")
         failed_before = fed.network.failed_attempts
-        data = client.get("/z/w/f.dat")     # fails over to r1
+        data = client.get("/z/w/f.dat")     # fails over to r3
         assert data == b"payload"
         assert fed.network.failed_attempts > failed_before
 

@@ -160,6 +160,38 @@ def test_one_small_op_stays_within_its_call_budget(measured, op):
         f"the budget is {BUDGET[op]}")
 
 
+# -- the source chain: read where the bytes are --------------------------------
+# A read walks ``PlacementEngine.source_chain``: the policy's order split
+# into online-on-the-sink, other online, tape-resident.  The split asks
+# each copy's driver ``is_online``, so it runs only with two candidates:
+# a single-replica ``get`` makes exactly the calls it made before the
+# chain existed (208 when pinned).
+
+SINGLE_REPLICA_GET = 208
+
+
+def test_a_single_replica_get_pays_nothing_for_the_source_chain(measured):
+    assert measured["get"] == SINGLE_REPLICA_GET
+
+
+def test_a_get_at_a_server_with_a_cached_local_copy_pulls_no_payload_in():
+    """``logrsrc1`` puts replica 1 on ``unix-sdsc`` and replica 2 in
+    ``hpss-caltech``'s disk cache.  Read at ``srb2`` (caltech), the only
+    payload leg is the reply to the laptop: nothing crosses into the
+    server from sdsc."""
+    grid = standard_grid()
+    fed, client = grid.fed, grid.curator
+    path = f"{grid.home}/near.dat"
+    client.ingest(path, RELAYED, resource="logrsrc1")
+    client.connect("srb2")
+    with fed.obs.tracer.trace("test") as root:
+        assert client.get(path) == RELAYED
+    legs = [(span.attrs["src"], span.attrs["dst"])
+            for span in root.find("net.transfer")
+            if span.attrs["bytes"] >= len(RELAYED)]
+    assert legs == [("caltech", "laptop")]
+
+
 # -- MySRB: exchanges and calls per page --------------------------------------
 # A page costs WAN round trips first (each about 0.08 virtual s from the
 # web host) and HTML assembly second.  Every page sends the calls that do
