@@ -14,7 +14,6 @@
 from repro.policy.engine import PlacementEngine
 from repro.policy.policies import (
     PLACEMENT_POLICIES,
-    QUARANTINE_SCORE,
     NearestPolicy,
     ObservedPolicy,
     PlacementContext,
@@ -24,8 +23,8 @@ from repro.policy.policies import (
     RoundRobinPolicy,
     make_policy,
 )
-from repro.policy.stats import RATE_SAMPLE_MIN_BYTES, Ewma, PathRecord, \
-    PathStats
+from repro.policy.stats import QUARANTINE_SCORE, RATE_SAMPLE_MIN_BYTES, Ewma, \
+    PathRecord, PathStats
 
 __all__ = [
     "PlacementEngine",

@@ -21,18 +21,12 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro.errors import ReplicationError
 from repro.net.simnet import Network
-from repro.policy.stats import PathStats
+from repro.policy.stats import QUARANTINE_SCORE, PathStats
 from repro.storage.resource import PhysicalResource, ResourceRegistry
 
 #: Every policy the engine accepts (``Federation(placement=...)``).
 PLACEMENT_POLICIES = ("primary", "round-robin", "random", "nearest",
                       "observed")
-
-#: A path whose decayed failure score reaches this is quarantined:
-#: ranked after every non-quarantined candidate until the score decays
-#: back under the threshold (it stays in the chain — failover still
-#: reaches it when everything healthier is gone).
-QUARANTINE_SCORE = 0.5
 
 
 @dataclass

@@ -44,6 +44,13 @@ from repro.net.simnet import LinkSpec
 #: grid bandwidths their cost is dominated by per-message overhead.
 RATE_SAMPLE_MIN_BYTES = 4096
 
+#: A path whose decayed failure score reaches this is quarantined until
+#: the score decays back under it: ``observed`` ranks it after every
+#: non-quarantined candidate, and ``PlacementEngine.source_chain``
+#: never lifts it over an earlier pick.  It stays in the chain —
+#: failover still reaches it when everything healthier is gone.
+QUARANTINE_SCORE = 0.5
+
 
 @dataclass
 class Ewma:

@@ -69,7 +69,7 @@ class TestCacheSweep:
         assert purged == {"hpss-caltech": 1}     # only the unpinned b.dat
         drv = g.fed.resources.physical("hpss-caltech").driver
         rep = g.curator.stat(f"{g.home}/a.dat")["replicas"][0]
-        assert drv.is_cached(rep["physical_path"])
+        assert drv.is_online(rep["physical_path"])
 
     def test_swept_files_still_readable_from_tape(self):
         g = standard_grid()

@@ -273,6 +273,30 @@ class TestCopyMoveLink:
         assert rep["resource"] == "unix-caltech"
         assert curator.get(f"{home}/pm.txt") == b"x"
 
+    @pytest.mark.parametrize("archive_copy", ["cached", "tape", "pinned"])
+    def test_physical_move_relocates_the_policys_replica(
+            self, grid, archive_copy):
+        """The copy a physical move reads is the copy it moves and
+        deletes, so it is the policy's pick (replica 1 here), never one
+        chosen by where the bytes are: whether the archive copy sits in
+        its disk cache, on tape or pinned must not decide which replica
+        leaves its resource (a pinned one cannot be deleted at all)."""
+        path = f"{grid.home}/two.dat"
+        grid.curator.ingest(path, b"both", resource="logrsrc1")
+        if archive_copy != "cached":
+            grid.fed.cache_sweep()
+        if archive_copy == "pinned":
+            grid.curator.pin(path, "hpss-caltech")
+        old = grid.curator.stat(path)["replicas"]
+        grid.curator.physical_move(path, "unix-caltech")
+        reps = {r["replica_num"]: r for r in grid.curator.stat(path)["replicas"]}
+        assert {n: r["resource"] for n, r in reps.items()} == \
+            {1: "unix-caltech", 2: "hpss-caltech"}
+        assert reps[2]["physical_path"] == old[1]["physical_path"]
+        sdsc = grid.fed.resources.physical("unix-sdsc").driver
+        assert not sdsc.exists(old[0]["physical_path"])
+        assert grid.curator.get(path) == b"both"
+
 
 class TestDatabaseResourceIngest:
     def test_ingest_into_database_stores_lob(self, grid):

@@ -106,16 +106,16 @@ class TestStagingCosts:
 class TestCacheManagement:
     def test_purge_flushes_unpinned(self, arc):
         arc.create("/a", b"x")
-        assert arc.is_cached("/a")
+        assert arc.is_online("/a")
         assert arc.purge_cache() == 1
-        assert not arc.is_cached("/a")
+        assert not arc.is_online("/a")
         assert arc.exists("/a")          # tape copy remains
 
     def test_pinned_survives_purge(self, arc):
         arc.create("/a", b"x")
         arc.pin("/a")
         assert arc.purge_cache() == 0
-        assert arc.is_cached("/a")
+        assert arc.is_online("/a")
 
     def test_unpin_enables_purge(self, arc):
         arc.create("/a", b"x")
@@ -135,9 +135,9 @@ class TestCacheManagement:
         arc.create("/b", b"x" * 100)
         arc.pin("/a")
         arc.create("/c", b"x" * 100)   # over capacity: evict LRU unpinned (/b)
-        assert arc.is_cached("/a")
-        assert not arc.is_cached("/b")
-        assert arc.is_cached("/c")
+        assert arc.is_online("/a")
+        assert not arc.is_online("/b")
+        assert arc.is_online("/c")
         assert arc.exists("/b")         # still on tape
 
     def test_is_pinned(self, arc):
@@ -152,8 +152,8 @@ class TestCacheManagement:
         arc.create("/b", b"x" * 100)
         arc.read("/a")                  # /a becomes most-recent
         arc.create("/c", b"x" * 100)    # evicts /b, not /a
-        assert arc.is_cached("/a")
-        assert not arc.is_cached("/b")
+        assert arc.is_online("/a")
+        assert not arc.is_online("/b")
 
     def test_used_bytes_counts_tape(self, arc):
         arc.create("/a", b"x" * 10)
