@@ -89,15 +89,15 @@ class ContainerManager:
     # -- membership ------------------------------------------------------------
 
     def _append_to_primary(self, coid: int, data: bytes, now: float,
-                           server_host: Optional[str], label: str,
-                           relay_from: Optional[str]):
+                           server_host: Optional[str], label: str):
         """Land ``data`` at the end of the container's primary copy.
 
         The bytes move ``server_host`` → primary first (when a host is
-        given), relayed if ``relay_from`` names the host whose request
-        brought them (:meth:`ChannelBroker.run_legs`); the other
-        container replicas become dirty.  Returns ``(resource, primary
-        replica row, offset of the new slice)``.
+        given) through the leg runner, which relays them when the op
+        being served brought them on a remote caller's request
+        (``ChannelBroker.inbound``); the other container replicas become
+        dirty.  Returns ``(resource, primary replica row, offset of the
+        new slice)``.
         """
         primary = self.primary_replica(coid)
         res = self.resources.physical(primary["resource"])
@@ -107,7 +107,7 @@ class ContainerManager:
         if server_host is not None:
             raise_failed(self.channels.run_legs(
                 [(server_host, res.host, len(data),
-                  primary["physical_path"])], label, relay_from))
+                  primary["physical_path"])], label))
         offset = res.driver.size(primary["physical_path"])
         res.driver.append(primary["physical_path"], data)
         self.mcat.update_replica(coid, primary["replica_num"],
@@ -118,8 +118,7 @@ class ContainerManager:
 
     def append_member(self, container: Dict[str, Any], member_oid: int,
                       data: bytes, now: float,
-                      server_host: Optional[str] = None,
-                      relay_from: Optional[str] = None) -> Dict[str, Any]:
+                      server_host: Optional[str] = None) -> Dict[str, Any]:
         """Append a member's bytes to the container's primary replica.
 
         Other container replicas become dirty (synchronized later in one
@@ -127,7 +126,7 @@ class ContainerManager:
         """
         coid = int(container["oid"])
         res, primary, offset = self._append_to_primary(
-            coid, data, now, server_host, "container-append", relay_from)
+            coid, data, now, server_host, "container-append")
         replica_num = self.mcat.add_replica(
             member_oid, res.name, primary["physical_path"], len(data),
             now=now, container_oid=coid, offset=offset)
@@ -174,8 +173,8 @@ class ContainerManager:
     # -- member update + compaction ----------------------------------------------
 
     def replace_member(self, member_replica: Dict[str, Any], data: bytes,
-                       now: float, server_host: Optional[str] = None,
-                       relay_from: Optional[str] = None) -> Dict[str, Any]:
+                       now: float, server_host: Optional[str] = None
+                       ) -> Dict[str, Any]:
         """Update a member in place — "one can view containers as tarfiles
         but with more flexibility in accessing and updating files".
 
@@ -189,8 +188,7 @@ class ContainerManager:
         if coid is None:
             raise ContainerError("replica is not container-resident")
         res, primary, offset = self._append_to_primary(
-            int(coid), data, now, server_host, "container-replace",
-            relay_from)
+            int(coid), data, now, server_host, "container-replace")
         self.mcat.update_replica(int(member_replica["oid"]),
                                  int(member_replica["replica_num"]),
                                  offset=offset, size=len(data),

@@ -314,34 +314,20 @@ class OpContext:
     """Per-call state the op plan hands to the handler."""
 
     __slots__ = ("server", "spec", "ticket", "kwargs", "principal", "span",
-                 "caller_host", "payload_host", "relay_from", "target",
-                 "_audit_action", "_audit_target", "_audit_detail",
-                 "_audit_suppressed")
+                 "payload_host", "target", "_audit_action", "_audit_target",
+                 "_audit_detail", "_audit_suppressed")
 
     def __init__(self, server: Any, spec: OpSpec, ticket: Optional[Ticket],
-                 kwargs: Dict[str, Any], caller_host: Optional[str],
-                 payload_host: str, relay_from: Optional[str] = None):
+                 kwargs: Dict[str, Any], payload_host: str):
         self.server = server
         self.spec = spec
         self.ticket = ticket
         self.kwargs = kwargs
-        # host of the RPC caller currently being served (None when the
-        # op was invoked in-process, e.g. a facade method calling back)
-        self.caller_host = caller_host
         # where a write op's payload bytes are: on this server (they
         # rode the request), or still on the caller's host when the
         # client announced them with a DeferredPayload claim instead.
         # Unwrapped either way, so handlers see plain bytes.
         self.payload_host = payload_host
-        # the hop that brought them, for bytes that rode the request of
-        # the exchange being served: the caller's host.  The server is
-        # relaying those (ChannelBroker.run_legs).  None when there was
-        # no hop to hide behind: announced bytes never touch the server,
-        # a caller on its own host hands them over in memory, and an op
-        # invoked with no RPC caller has them already.  An op invoked
-        # in-process by the handler of that exchange (checkin calling
-        # put) passes on bytes the same request brought.
-        self.relay_from = relay_from
         self.principal: Optional[Principal] = None
         self.span = None
         # the subject the plan resolved and checked (spec.need/target)
@@ -397,7 +383,7 @@ def _compile(server: Any, spec: OpSpec, service: Any,
     this op (module docstring).
     """
     fed = server.federation
-    rpc = fed.rpc
+    rpc, channels = fed.rpc, fed.channels
     tracer = server.obs.tracer
     metrics = server.obs.metrics
     op, host, server_name = spec.name, server.host, server.name
@@ -406,6 +392,7 @@ def _compile(server: Any, spec: OpSpec, service: Any,
     span_name, span_args, span_items = \
         spec.span_name, spec.span_args, spec.span_items
     payload_arg, payload_items = spec.payload_arg, spec.payload_items
+    carries = payload_arg is not None or payload_items is not None
     needs_auth, scope_arg, forwardable = \
         spec.auth, spec.scope_arg, spec.forwardable
     # the hop is a charged round trip only off the catalog's server, or
@@ -423,21 +410,22 @@ def _compile(server: Any, spec: OpSpec, service: Any,
                                  ("counter", "srb.errors"))
 
     def run(ticket: Optional[Ticket], kwargs: Dict[str, Any]) -> Any:
+        # the payload rode a remote caller's request, unless it was
+        # announced: then it waits on the caller's host (payload_host)
         caller_host = rpc.caller_host
         payload_host = host
-        relay_from = caller_host if caller_host != host else None
+        inbound = caller_host if carries and caller_host != host else None
         if payload_arg is not None:
             data = kwargs.get(payload_arg)
             if type(data) is DeferredPayload:
                 kwargs = {**kwargs, payload_arg: data.data}
-                payload_host, relay_from = caller_host or host, None
+                payload_host, inbound = caller_host or host, None
         elif payload_items is not None:
             items, found = _announced_items(kwargs.get(payload_items))
             if found:
                 kwargs = {**kwargs, payload_items: items}
-                payload_host, relay_from = caller_host or host, None
-        ctx = OpContext(server, spec, ticket, kwargs, caller_host,
-                        payload_host, relay_from)
+                payload_host, inbound = caller_host or host, None
+        ctx = OpContext(server, spec, ticket, kwargs, payload_host)
         span = None
         try:                                            # 1. error
             ops.inc()                                   # 2. span
@@ -469,6 +457,9 @@ def _compile(server: Any, spec: OpSpec, service: Any,
                     server._mcat_hop(scope)
                 else:
                     server.ops_served += 1
+                # the leg runner relays this op's payload legs (and none
+                # of an op it runs in-process, which sets its own)
+                outer, channels.inbound = channels.inbound, inbound
                 try:                                    # 6. audit
                     if resolve is not None:             #    the check
                         ctx.target = resolve(service, ctx.principal,
@@ -483,6 +474,8 @@ def _compile(server: Any, spec: OpSpec, service: Any,
                         server._audit(ctx.principal, ctx._audit_action,
                                       target or "-", ok=False)
                     raise
+                finally:
+                    channels.inbound = outer
                 if audited and not ctx._audit_suppressed:
                     target, detail = ctx._audit_target, ctx._audit_detail
                     if target is None:

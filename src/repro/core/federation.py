@@ -64,6 +64,12 @@ class ChannelBroker:
     counted under ``srb.redirect.denied`` labelled with its reason.
     """
 
+    #: the host whose request, on the exchange being served, brought the
+    #: payload the legs move: set by the op plan (``dispatch._compile``)
+    #: for the op it runs, None while no op's payload rode a remote
+    #: caller's request
+    inbound: Optional[str] = None
+
     def __init__(self, authority: Optional[TicketAuthority],
                  network: Network, enabled: bool = False, streams: int = 1):
         self.authority = authority
@@ -96,8 +102,7 @@ class ChannelBroker:
             raise
 
     def run_legs(self, legs: Sequence[Tuple[str, str, int, str]],
-                 label: str, relay_from: Optional[str] = None
-                 ) -> List[TransferOutcome]:
+                 label: str) -> List[TransferOutcome]:
         """Move payload bytes: the one leg runner.
 
         ``legs`` says what must move, each ``(src_host, dst_host,
@@ -112,13 +117,14 @@ class ChannelBroker:
         failed member means is the caller's policy
         (:func:`~repro.net.simnet.raise_failed` is the plainest one).
 
-        ``relay_from`` names the host whose request, on the exchange
-        being served, brought the legs' bytes to their source: the
+        While :attr:`inbound` names a host, the op being served brought
+        the legs' bytes to their source on that host's request: the
         server is *relaying* them, and each raw leg hides behind that
         inbound hop what :func:`~repro.core.planes.base.relay_hidden`
         allows — waited less, recorded in full.  Bytes that were at
-        rest (``None``: a replica being copied) hide nothing, and
-        neither does a ticketed channel, a connection of its own.
+        rest (``None``: a replica being copied, or no op at all) hide
+        nothing, and neither does a ticketed channel, a connection of
+        its own.  No caller passes it: the op plan says it once.
 
         Two rules hold for every caller:
 
@@ -148,9 +154,9 @@ class ChannelBroker:
         else:
             streams = self.streams
             hidden = [0.0] * len(wire)
-            if relay_from is not None:
+            if self.inbound is not None:
                 # relayed legs leave the one host the request reached
-                bps_in = net.link(relay_from, wire[0][0]).effective_bps()
+                bps_in = net.link(self.inbound, wire[0][0]).effective_bps()
                 hidden = [relay_hidden(
                     nbytes, nbytes / bps_in,
                     nbytes / net.link(src, dst).effective_bps(streams))

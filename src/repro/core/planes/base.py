@@ -185,20 +185,18 @@ class PlaneService(Wired):
 
     def _run_legs(self, legs: Sequence[Tuple[str, str, int, str]],
                   resources: Sequence[PhysicalResource],
-                  label: str, relay_from: Optional[str] = None
-                  ) -> List[TransferOutcome]:
+                  label: str) -> List[TransferOutcome]:
         """Run ``legs`` (one per entry of ``resources``, the storage end
         of each) through the leg runner; a resource whose leg failed
         loses its session.  Returns the outcomes, judged by the caller."""
-        outcomes = self.federation.channels.run_legs(legs, label, relay_from)
+        outcomes = self.federation.channels.run_legs(legs, label)
         for res, outcome in zip(resources, outcomes):
             if outcome.error is not None:
                 self._invalidate_session(res)
         return outcomes
 
     def _push(self, src_host: str, res_list: Sequence[PhysicalResource],
-              nbytes: int, path_key: str, label: str,
-              relay_from: Optional[str] = None) -> None:
+              nbytes: int, path_key: str, label: str) -> None:
         """First half of the write loop: get ``nbytes`` from ``src_host``
         to every resource of ``res_list``.
 
@@ -208,11 +206,10 @@ class PlaneService(Wired):
         byte is on any driver or a row in the catalog, so a write onto a
         logical resource happens on every member or on none.
 
-        ``relay_from`` is given by the ops whose bytes arrived on the
-        request being served (``OpContext.relay_from``): the host that
-        sent them, behind whose hop the legs may hide
-        (:meth:`ChannelBroker.run_legs`).  An op moving bytes that were
-        at rest on a resource leaves it out.
+        Whether the legs relay bytes that arrived on the request being
+        served is the op plan's to say, not the caller's
+        (``ChannelBroker.inbound``): an op moving bytes that were at
+        rest on a resource runs with it unset.
         """
         for res in res_list:
             if not self.network.host(res.host).up:
@@ -222,7 +219,7 @@ class PlaneService(Wired):
             self._resource_session(res)
         raise_failed(self._run_legs(
             [(src_host, res.host, nbytes, path_key) for res in res_list],
-            res_list, label, relay_from))
+            res_list, label))
 
     def _land(self, res_list: Sequence[PhysicalResource],
               files: Sequence[Tuple[str, bytes]], replace: bool = False,
@@ -258,23 +255,20 @@ class PlaneService(Wired):
 
     def _store(self, src_host: str, res_list: Sequence[PhysicalResource],
                phys: str, data: bytes, label: str,
-               replace: bool = False,
-               relay_from: Optional[str] = None) -> None:
+               replace: bool = False) -> None:
         """The write loop for one file: :meth:`_push` its bytes to every
         resource, then :meth:`_land` it there.  The replica rows are the
         caller's, written once this returns."""
-        self._push(src_host, res_list, len(data), phys, label, relay_from)
+        self._push(src_host, res_list, len(data), phys, label)
         self._land(res_list, [(phys, data)], replace)
 
     def _store_replicas(self, src_host: str,
                         res_list: Sequence[PhysicalResource], oid: int,
-                        phys: str, data: bytes, label: str,
-                        relay_from: Optional[str] = None) -> int:
+                        phys: str, data: bytes, label: str) -> int:
         """:meth:`_store` one file as *new* replicas of ``oid``: one row
         per resource, added only when the file is on every one of them.
         Returns the last replica number."""
-        self._store(src_host, res_list, phys, data, label,
-                    relay_from=relay_from)
+        self._store(src_host, res_list, phys, data, label)
         num = -1
         for res in res_list:
             num = self.mcat.add_replica(oid, res.name, phys, len(data),
@@ -301,7 +295,7 @@ class PlaneService(Wired):
             if res.driver.exists(phys):
                 res.driver.delete(phys)
 
-    def _redirect_sink(self, ctx) -> str:
+    def _redirect_sink(self) -> str:
         """The host a read op's bytes are bound for.
 
         The caller's host, when direct I/O is on and the caller is
@@ -312,7 +306,7 @@ class PlaneService(Wired):
         """
         if not self.federation.direct_io:
             return self.host
-        return ctx.caller_host or self.host
+        return self.federation.rpc.caller_host or self.host
 
     def _redirect_reply(self, payload, owed, sink: str, label: str,
                         retry: bool) -> Redirect:

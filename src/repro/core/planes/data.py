@@ -13,14 +13,16 @@ resource crosses the simulated WAN twice.  That stays true of *bytes*,
 not of *seconds*: the server is a cut-through relay, sending a payload
 on one 64 KiB block at a time as it arrives, so the second hop hides
 behind the first all but one block
-(:func:`~repro.core.planes.base.relay_hidden`).  Handlers of the ops
-whose payload rode the request say so by passing ``ctx.relay_from``
-with ``ctx.payload_host``; a read's reply relays what ``_deliver``
-pulled here for it.  A failed leg, an error reply, a caller on the
-server's own host and bytes that were at rest (``replicate``, ``copy``,
-``synchronize``, ``physical_move``, ``sync_container``) hide nothing;
-a cross-zone forward still stores and forwards, and storage time is not
-overlapped with the wire.  **Direct data channels**
+(:func:`~repro.core.planes.base.relay_hidden`).  Handlers say nothing
+about it: the op plan of an op declaring a payload slot sets the leg
+runner's ``inbound`` to the remote caller whose request the payload
+rode, and handlers pass only ``ctx.payload_host``; a read's reply
+relays what ``_deliver`` pulled here for it.  A failed leg, an error
+reply, a caller on the server's own host and bytes that were at rest
+(``replicate``, ``copy``, ``synchronize``, ``physical_move``,
+``sync_container``) hide nothing; a cross-zone forward still stores and
+forwards, and storage time is not overlapped with the wire.  **Direct
+data channels**
 (``Federation(direct_io=True)``): the server stays the *broker* of
 storage access — it resolves the catalog, checks ACLs, opens the
 control session to the resource — but replies with a signed one-shot
@@ -104,10 +106,8 @@ class DataService(PlaneService):
             if container is not None:
                 cont = self.containers.get_container(container)
                 self.access.require_object(principal, cont, "write")
-                self.containers.append_member(
-                    cont, oid, data, now=self.now,
-                    server_host=ctx.payload_host,
-                    relay_from=ctx.relay_from)
+                self.containers.append_member(cont, oid, data, now=self.now,
+                                              server_host=ctx.payload_host)
             else:
                 resource = resource or self.federation.default_resource
                 if resource is None:
@@ -119,7 +119,7 @@ class DataService(PlaneService):
                 phys = f"/srb/{coll.strip('/').replace('/', '_')}/" \
                        f"{oid}-{paths.basename(path)}"
                 self._store_replicas(ctx.payload_host, res_list, oid, phys,
-                                     data, "ingest-fanout", ctx.relay_from)
+                                     data, "ingest-fanout")
         except SrbError:
             # no half-ingested objects: the write loop left no file
             self.mcat.delete_object(oid)
@@ -224,8 +224,7 @@ class DataService(PlaneService):
                 self.resources.resolve(resource), from_host=self.host)
             if prepared:
                 self._push(ctx.payload_host, res_list,
-                           sum(len(p[2]) for p in prepared), "",
-                           "bulk-ingest", ctx.relay_from)
+                           sum(len(p[2]) for p in prepared), "", "bulk-ingest")
 
         # phase 2: one bulk catalog write registers every object row
         specs = [{"path": p, "kind": "data", "data_type": dt,
@@ -249,8 +248,7 @@ class DataService(PlaneService):
                     cont = self.containers.get_container(cont_path)
                     self.containers.append_member(
                         cont, oid, data, now=self.now,
-                        server_host=ctx.payload_host,
-                        relay_from=ctx.relay_from)
+                        server_host=ctx.payload_host)
                 except SrbError as exc:
                     self.mcat.delete_object(oid)
                     fail(i, path, exc)
@@ -326,7 +324,7 @@ class DataService(PlaneService):
         # charges the slowest host's share instead of the serial sum.
         # Redirected (direct_io), a pull that fails at the caller fails
         # the call rather than its item — the caller retries.
-        sink = self._redirect_sink(ctx)
+        sink = self._redirect_sink()
         owed: List[Tuple[int, PhysicalResource]] = []
         for raw in targets:
             try:
@@ -576,7 +574,7 @@ class DataService(PlaneService):
         self.locks.check_read(int(obj["oid"]), principal)
         kind = obj["kind"]
         if kind in ("data", "registered", "container"):
-            sink = self._redirect_sink(ctx)
+            sink = self._redirect_sink()
             data = None
             if stripes == "auto" and replica_num is None:
                 stripes = self._auto_stripe_count(obj, sink)
@@ -872,13 +870,11 @@ class DataService(PlaneService):
             # accessing and updating files": append the new bytes and
             # repoint the member (compact_container reclaims the garbage)
             self.containers.replace_member(
-                rep, data, now=self.now, server_host=ctx.payload_host,
-                relay_from=ctx.relay_from)
+                rep, data, now=self.now, server_host=ctx.payload_host)
         else:
             self._store(ctx.payload_host,
                         [self.resources.physical(rep["resource"])],
-                        rep["physical_path"], data, "put", replace=True,
-                        relay_from=ctx.relay_from)
+                        rep["physical_path"], data, "put", replace=True)
             self.mcat.update_replica(oid, rep["replica_num"], size=len(data),
                                      is_dirty=False)
             self.mcat.mark_siblings_dirty(oid, rep["replica_num"])
@@ -928,6 +924,13 @@ class DataService(PlaneService):
                     res.driver.delete(rep["physical_path"])
             self.mcat.remove_replica(oid, rep["replica_num"])
         if not self.mcat.replicas(oid):
+            if obj["version"] > 1:
+                # the cascade drops the rows of the versions checkin set
+                # aside: their bytes go first
+                for v in self.locks.versions_of(oid):
+                    res = self.resources.physical(v["resource"])
+                    if res.driver.exists(v["physical_path"]):
+                        res.driver.delete(v["physical_path"])
             self.mcat.delete_object(oid)     # last replica gone -> cascade
         ctx.audit(target=path,
                   detail=f"replica={replica_num}" if replica_num else "all")

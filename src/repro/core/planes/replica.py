@@ -13,7 +13,7 @@ from typing import Dict, Optional
 from repro.core.dispatch import OpContext, rpc_op
 from repro.core.planes.base import PlaneService, content_checksum
 from repro.core.replication import synchronize
-from repro.errors import SrbError, UnsupportedOperation
+from repro.errors import PinnedFile, SrbError, UnsupportedOperation
 from repro.util import paths
 
 
@@ -97,8 +97,7 @@ class ReplicaService(PlaneService):
         return self._store_replicas(
             ctx.payload_host, res_list, oid,
             f"/srb/ingested-replicas/{oid}-"
-            f"{len(self.mcat.replicas(oid)) + 1}", data, "ingest-replica",
-            ctx.relay_from)
+            f"{len(self.mcat.replicas(oid)) + 1}", data, "ingest-replica")
 
     @rpc_op("synchronize", scope_arg="path", write=True, audit="synchronize",
             need="write", target="object")
@@ -140,6 +139,10 @@ class ReplicaService(PlaneService):
         # the policy's choice, as for a write target, not the source chain
         src = self.federation.placement.failover_chain(
             replicas, from_host=self.host)[0]
+        # a pinned copy stays where it is: refused before a byte moves,
+        # as delete refuses it
+        if self.locks.is_pinned(oid, src["resource"]):
+            raise PinnedFile(f"{path!r} is pinned on {src['resource']}")
         src_res = self.resources.physical(src["resource"])
         self._resource_session(src_res)
         data = src_res.driver.read(src["physical_path"])

@@ -146,8 +146,8 @@ class ServiceRegistry:
         #: timing of the most recent completed/shed call (RequestTiming)
         self.last_timing: Optional[RequestTiming] = None
         #: source host of the request currently being served, if any;
-        #: handlers read it (via OpContext.caller_host) to know where a
-        #: direct data channel's far end lives.  Saved/restored around
+        #: the op plan and the read delivery read it to know where a
+        #: payload came from and where its reply goes.  Saved/restored around
         #: each invocation so nested server→server RPCs see their own src.
         self.caller_host: Optional[str] = None
         #: what the handler being served relayed to this host for its

@@ -375,7 +375,7 @@ class TestCompiledOrder:
         srv = fed.server("srb1")
         spec = srv.dispatch.get("stat").spec
         assert spec.audit is None
-        ctx = OpContext(srv, spec, None, {}, None, srv.host)
+        ctx = OpContext(srv, spec, None, {}, srv.host)
         with pytest.raises(SrbError, match="declares no audit"):
             ctx.audit(detail="x")
 

@@ -21,10 +21,12 @@ import pytest
 from repro.core import Federation, SrbClient
 from repro.core.federation import ChannelBroker
 from repro.core.planes.base import RELAY_BLOCK, PlaneService
+from repro.core.replication import synchronize
 from repro.errors import HostUnreachable, ResourceUnavailable, SrbError
 from repro.net.simnet import (
     TRANSCON, WAN, TransferGroup, TransferOutcome, blocking_outcome,
     run_channel_group)
+from tests.invariants import check_invariants
 
 PAYLOAD = bytes(range(256)) * 1024          # 256 KiB: four relay blocks
 SMALL = b"s" * 4096
@@ -34,7 +36,7 @@ BOX = HOME + "/box"
 
 # -- the oracle ------------------------------------------------------------
 
-def store_and_forward(self, legs, label, relay_from=None):
+def store_and_forward(self, legs, label):
     """``ChannelBroker.run_legs`` as it was before the relay: who brought
     the bytes is not asked, every leg waits its whole cost."""
     net = self.network
@@ -162,6 +164,7 @@ def observe(fed, client, op):
             "wire": (net.messages_sent, net.bytes_sent, net.failed_attempts),
             "records": records(fed),
             "paths": fed.placement.stats.report(),
+            "findings": check_invariants(fed),
         },
     }
 
@@ -382,3 +385,61 @@ def test_an_error_reply_hides_nothing(oracle):
     assert relayed["same"]["error"][0] == ResourceUnavailable.__name__
     assert relayed["hidden"] == 0
     assert relayed["elapsed"] == pytest.approx(stored["elapsed"], abs=1e-12)
+
+
+# -- one writer: the op plan says how a payload arrived ----------------------
+
+def hidden_by_label(fed):
+    return {key: h.sum for key, h in
+            fed.obs.metrics.histogram_series("net.relay.hidden_s").items()}
+
+
+def test_a_batched_replicate_hides_nothing_behind_the_ingest_before_it():
+    """Both items of one request run on the server: the ingest's payload
+    rode that request, the replicate's bytes were at rest."""
+    fed, client = build("hc")
+    results = client.batch(
+        ("ingest", {"path": F, "data": PAYLOAD, "resource": "r1"}),
+        ("replicate", {"path": F, "resource": "r2"}))
+    assert [r.error for r in results] == [None, None]
+    hidden = hidden_by_label(fed)
+    assert [key for key in hidden if "ingest" in key] != []
+    assert [key for key in hidden if "replicate" in key] == []
+
+
+def test_a_push_that_fails_leaves_no_relay_behind():
+    """The far member goes down as the payload leaves the server: the
+    ingest fails mid-push, and the next legs moved outside any op (as
+    ``synchronize`` moves them) hide nothing."""
+    fed, client = build("hc")
+    run_legs = fed.channels.run_legs
+
+    def cut_then_run(*args, **kwargs):
+        fed.network.set_down("hr2")
+        return run_legs(*args, **kwargs)
+    fed.channels.run_legs = cut_then_run
+    with pytest.raises(HostUnreachable):
+        client.ingest(F, PAYLOAD, resource="both")
+    fed.channels.run_legs = run_legs
+    assert getattr(fed.channels, "inbound", None) is None
+    (outcome,) = fed.channels.run_legs(
+        [("hs", "hr1", len(PAYLOAD), "")], "probe")
+    assert outcome.error is None
+    assert hidden_by_label(fed).keys() == {"{label=ingest-fanout}"}
+
+
+def test_direct_calls_after_a_relayed_ingest_hide_nothing():
+    """``replication.synchronize`` and ``ContainerManager.sync``, called
+    directly (from a test or a benchmark, with no op being served),
+    move bytes that were at rest."""
+    fed, client = build("hc")
+    client.ingest(F, PAYLOAD, resource="both")
+    client.put(F, PAYLOAD[::-1])                # the other member is dirty
+    client.ingest(F + ".c", PAYLOAD, container=BOX)
+    before = hidden_by_label(fed)
+    assert before != {}
+    oid = int(fed.mcat.get_object(F)["oid"])
+    assert synchronize(fed.mcat, fed.resources, fed.channels, oid) == 1
+    assert fed.containers.sync(BOX, now=fed.clock.now) == 1
+    assert hidden_by_label(fed) == before
+    assert check_invariants(fed) == []

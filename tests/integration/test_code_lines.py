@@ -1,0 +1,46 @@
+"""Code size is a ratchet.
+
+``src/repro`` and the modules changed with this test are held at or
+below the code-line counts in :data:`CEILINGS`, counted by
+``tools/codelines.py`` (lines holding a token that is neither a comment
+nor a docstring).  A change that grows one of them must raise its number
+here, in its own diff, where a reviewer sees the cost; a change that
+shrinks one may lower it.
+"""
+
+import importlib.util
+import pathlib
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[2]
+
+#: path (from the repository root) -> the most code lines it may hold
+CEILINGS = {
+    "src/repro": 11_651,
+    "src/repro/core/containers.py": 169,
+    "src/repro/core/dispatch.py": 353,
+    "src/repro/core/federation.py": 308,
+    "src/repro/core/planes/base.py": 238,
+    "src/repro/core/planes/data.py": 844,
+    "src/repro/core/planes/replica.py": 152,
+    "src/repro/net/rpc.py": 329,
+    "tools/codelines.py": 21,
+}
+
+
+def code_lines():
+    spec = importlib.util.spec_from_file_location(
+        "codelines", ROOT / "tools" / "codelines.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.code_lines
+
+
+@pytest.mark.parametrize("path", sorted(CEILINGS))
+def test_no_larger_than_its_ceiling(path):
+    count = code_lines()
+    target = ROOT / path
+    files = sorted(target.rglob("*.py")) if target.is_dir() else [target]
+    assert sum(map(count, files)) <= CEILINGS[path], \
+        f"{path} grew: raise its ceiling in this file, in the same change"

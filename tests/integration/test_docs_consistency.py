@@ -62,6 +62,36 @@ class TestExperimentIndex:
             assert f"{pkg}/" in text, f"DESIGN.md does not mention {pkg}/"
 
 
+class TestGridbenchSections:
+    """Each ``## G<n>`` section of EXPERIMENTS.md is the compact record
+    of one measured change — its claim, what changed, the medians table
+    and the verdict — and links the file that holds the rest: the bench
+    command, per-run tables and listings."""
+
+    PARTS = ("* **Claim under test**", "* **What changed**",
+             "| workload | metric |", "* **Verdict")
+
+    def sections(self):
+        text = read("EXPERIMENTS.md")
+        found = re.findall(r"^## G(\d+) (.*?)(?=^## |\Z)", text,
+                           flags=re.MULTILINE | re.DOTALL)
+        assert len(found) >= 16
+        return found
+
+    def test_every_section_keeps_its_four_parts_and_one_table(self):
+        for n, body in self.sections():
+            for part in self.PARTS:
+                assert part in body, f"G{n} lost {part!r}"
+            assert body.count("\n|---") == 1, \
+                f"G{n}: only the medians table stays in EXPERIMENTS.md"
+
+    def test_every_section_links_its_listing_file(self):
+        for n, body in self.sections():
+            rel = f"benchmarks/output/gridbench/G{n}.md"
+            assert f"]({rel})" in body, f"G{n} does not link {rel}"
+            assert os.path.isfile(os.path.join(REPO, rel)), rel
+
+
 class TestReadme:
     def test_examples_listed(self):
         text = read("README.md")

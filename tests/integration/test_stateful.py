@@ -9,7 +9,12 @@ rule the invariants assert that:
 * the namespace listing matches the model exactly,
 * replica bookkeeping stays consistent (numbers unique, exactly one
   clean copy after unsynced writes, none dirty after synchronize),
-* the virtual clock never goes backwards.
+* the virtual clock never goes backwards,
+* the grid breaks none of ``tests/invariants.py``'s invariants.
+
+A second client, on a host of its own, ingests onto a remote and a
+logical resource and into a container, with payloads that are
+sometimes larger than one relay block, so the walk crosses the relay.
 """
 
 from hypothesis import HealthCheck, settings
@@ -22,10 +27,20 @@ from hypothesis.stateful import (
 )
 
 from repro.core import Federation, SrbClient
+from repro.core.planes.base import RELAY_BLOCK
 from repro.errors import LockConflict, SrbError
+from tests.invariants import check_invariants
 
 NAMES = [f"f{i}" for i in range(6)]
 COLL = "/z/w"
+MEMBERS = [f"m{i}" for i in range(3)]
+MEMBER_COLL = "/z/c"
+BOX = "/z/box"
+#: a few bytes, or a few bytes repeated past one relay block
+PAYLOADS = st.one_of(
+    st.binary(min_size=1, max_size=40),
+    st.binary(min_size=1, max_size=4).map(
+        lambda b: b * (RELAY_BLOCK // len(b) + 1)))
 
 
 class GridMachine(RuleBasedStateMachine):
@@ -46,6 +61,14 @@ class GridMachine(RuleBasedStateMachine):
         self.model = {}           # name -> bytes
         self.locked = set()       # names currently exclusively locked
         self.last_clock = self.fed.clock.now
+        self.fed.add_host("h2")
+        self.fed.add_logical_resource("both", ["r0", "r1"])
+        self.far = SrbClient(self.fed, "h2", "s0", "srbadmin@sdsc",
+                             "hunter2")
+        self.far.login()
+        self.client.mkcoll(MEMBER_COLL)
+        self.client.create_container(BOX, "both")
+        self.members = {}         # container member name -> bytes
 
     # -- rules -----------------------------------------------------------
 
@@ -123,6 +146,48 @@ class GridMachine(RuleBasedStateMachine):
             return
         self.client.add_metadata(f"{COLL}/{name}", attr, value)
 
+    @rule(name=st.sampled_from(NAMES), data=PAYLOADS,
+          resource=st.sampled_from(["r1", "both"]))
+    def ingest_far(self, name, data, resource):
+        if name in self.model:
+            return
+        self.far.ingest(f"{COLL}/{name}", data, resource=resource)
+        self.model[name] = data
+
+    @rule(name=st.sampled_from(NAMES), data=PAYLOADS)
+    def checkin(self, name, data):
+        if name not in self.model:
+            return
+        self.client.checkout(f"{COLL}/{name}")
+        self.client.checkin(f"{COLL}/{name}", data=data)
+        self.model[name] = data
+
+    @rule(name=st.sampled_from(MEMBERS), data=PAYLOADS, far=st.booleans())
+    def ingest_member(self, name, data, far):
+        if name in self.members:
+            return
+        client = self.far if far else self.client
+        client.ingest(f"{MEMBER_COLL}/{name}", data, container=BOX)
+        self.members[name] = data
+
+    @rule(name=st.sampled_from(MEMBERS), data=PAYLOADS)
+    def put_member(self, name, data):
+        if name not in self.members:
+            return
+        self.far.put(f"{MEMBER_COLL}/{name}", data)
+        self.members[name] = data
+
+    @rule(name=st.sampled_from(MEMBERS))
+    def delete_member(self, name):
+        if name not in self.members:
+            return
+        self.client.delete(f"{MEMBER_COLL}/{name}")
+        del self.members[name]
+
+    @rule()
+    def sync_box(self):
+        self.client.sync_container(BOX)
+
     # -- invariants -----------------------------------------------------------
 
     @invariant()
@@ -157,6 +222,19 @@ class GridMachine(RuleBasedStateMachine):
             return
         assert self.fed.clock.now >= self.last_clock
         self.last_clock = self.fed.clock.now
+
+    @invariant()
+    def members_match_model(self):
+        if not hasattr(self, "members"):
+            return
+        for name, data in self.members.items():
+            assert self.far.get(f"{MEMBER_COLL}/{name}") == data
+
+    @invariant()
+    def grid_breaks_no_invariant(self):
+        if not hasattr(self, "fed"):
+            return
+        assert check_invariants(self.fed) == []
 
 
 GridMachine.TestCase.settings = settings(

@@ -304,6 +304,23 @@ class TestOneLegRunner:
             "server.py:SrbServer._mcat_hop",
             "server.py:SrbServer._mcat_hop"])
 
+    def test_the_op_plan_alone_says_how_a_payload_arrived(self):
+        """No caller passes who brought a payload: the op plan sets the
+        broker's ``inbound`` (and restores it), the runner reads it."""
+        assert [str(p.relative_to(SRC)) for p in SRC.rglob("*.py")
+                if "relay_from" in p.read_text()] == []
+
+        def inbound(context):
+            return lambda n: (isinstance(n, ast.Attribute)
+                              and n.attr == "inbound"
+                              and isinstance(n.ctx, context))
+
+        plan = "core/dispatch.py:_compile.run"
+        assert sites(inbound(ast.Store), root=SRC) == [plan, plan]
+        # the plan reads it once, to put the outer op's value back
+        assert sorted(sites(inbound(ast.Load), root=SRC)) == [
+            plan, "core/" + RUNNER, "core/" + RUNNER]
+
     def test_the_knob_is_read_in_three_functions(self):
         def reads_knob(n):
             return (isinstance(n, ast.Attribute)

@@ -32,7 +32,7 @@ sizes = st.one_of(st.integers(min_value=1, max_value=RELAY_BLOCK),
 
 
 def relay(inbound: LinkSpec, outbound: LinkSpec, nbytes: int, streams: int,
-          members: int, relay_from="caller"):
+          members: int, origin="caller"):
     """``nbytes`` caller → server → ``members`` resources, each on its own
     host behind ``outbound``; everything an observer can see of it."""
     net = Network()
@@ -43,12 +43,13 @@ def relay(inbound: LinkSpec, outbound: LinkSpec, nbytes: int, streams: int,
         net.add_host(f"r{i}")
         net.set_link("server", f"r{i}", outbound)
     broker = ChannelBroker(None, net, streams=streams)
+    broker.inbound = origin
     with net.obs.tracer.trace("relay") as root:
         net.transfer("caller", "server", nbytes)        # the request
         t_in = net.clock.now
         outcomes = broker.run_legs(
             [("server", f"r{i}", nbytes, "") for i in range(members)],
-            "relay", relay_from)
+            "relay")
     spans = root.find("net.transfer")[1:]
     return {
         "pushed_s": net.clock.now - t_in,

@@ -14,6 +14,8 @@ def code_lines(path):
         if tok.type not in SKIP:
             lines.update(set(range(tok.start[0], tok.end[0] + 1)) - doc)
     return len(lines)
-for arg in sys.argv[1:]:
-    p = Path(arg)
-    print(sum(map(code_lines, p.rglob("*.py") if p.is_dir() else [p])), arg)
+if __name__ == "__main__":
+    for arg in sys.argv[1:]:
+        p = Path(arg)
+        print(sum(map(code_lines, p.rglob("*.py") if p.is_dir() else [p])),
+              arg)
