@@ -229,8 +229,7 @@ class ContainerManager:
             new_offsets.append(cursor)
             cursor += len(data)
         old_size = res.driver.size(primary["physical_path"])
-        res.driver.delete(primary["physical_path"])
-        res.driver.create(primary["physical_path"], b"".join(pieces))
+        res.driver.replace(primary["physical_path"], b"".join(pieces))
         for m, offset in zip(members, new_offsets):
             self.mcat.update_replica(int(m["oid"]),
                                      int(m["replica_num"]), offset=offset)
@@ -269,9 +268,7 @@ class ContainerManager:
             [(src_res.host, dst_res.host, len(data), rep["physical_path"])
              for rep, dst_res in dirty], "container-sync"))
         for rep, dst_res in dirty:
-            if dst_res.driver.exists(rep["physical_path"]):
-                dst_res.driver.delete(rep["physical_path"])
-            dst_res.driver.create(rep["physical_path"], data)
+            dst_res.driver.replace(rep["physical_path"], data)
             self.mcat.update_replica(coid, rep["replica_num"],
                                      is_dirty=False, size=len(data))
         return len(dirty)

@@ -71,12 +71,10 @@ class ChannelBroker:
     inbound: Optional[str] = None
 
     def __init__(self, authority: Optional[TicketAuthority],
-                 network: Network, enabled: bool = False, streams: int = 1):
+                 network: Network, enabled: bool = False):
         self.authority = authority
         self.network = network
         self.enabled = bool(enabled)
-        #: parallel streams every data leg opens (``data_streams``)
-        self.streams = streams
         self.denied = 0
 
     def open(self, src: str, dst: str, nbytes: int, path_key: str = "",
@@ -85,9 +83,8 @@ class ChannelBroker:
         ticket = self.authority.issue_channel(
             src, dst, nbytes, path_key,
             epoch=self.network.topology_epoch)
-        return DataChannel(self.network, src, dst, nbytes,
-                           streams=self.streams, label=label, ticket=ticket,
-                           redeem=self.redeem)
+        return DataChannel(self.network, src, dst, nbytes, label=label,
+                           ticket=ticket, redeem=self.redeem)
 
     def redeem(self, ticket: ChannelTicket) -> None:
         """Validate + consume a descriptor; counts denials by reason."""
@@ -112,6 +109,10 @@ class ChannelBroker:
         or, with direct I/O on, ticketed channels (``path_key`` is
         bound into the ticket) — and the result is one
         :class:`~repro.net.simnet.TransferOutcome` per leg, in order.
+        Each leg opens as many parallel streams as its own path needs
+        to reach capacity (:meth:`~repro.net.simnet.LinkSpec.
+        payload_streams`: one where nothing caps a stream), so no
+        caller and no knob says how many.
         Nothing is raised for a leg that fails: abort, skip and stay
         dirty, fail one item, re-pull from a healthy source — what a
         failed member means is the caller's policy
@@ -152,27 +153,26 @@ class ChannelBroker:
                     net, [self.open(*leg, label=label) for leg in wire],
                     label)
         else:
-            streams = self.streams
             hidden = [0.0] * len(wire)
             if self.inbound is not None:
-                # relayed legs leave the one host the request reached
+                # relayed legs leave the one host the request reached (on
+                # its request's one stream), at their own path's capacity
                 bps_in = net.link(self.inbound, wire[0][0]).effective_bps()
                 hidden = [relay_hidden(
                     nbytes, nbytes / bps_in,
-                    nbytes / net.link(src, dst).effective_bps(streams))
+                    nbytes / net.link(src, dst).bandwidth_bps)
                     if nbytes > RELAY_BLOCK else 0.0
                     for src, dst, nbytes, _key in wire]
             if len(wire) > 1:
                 group = TransferGroup(net, label=label)
                 for (src, dst, nbytes, _key), hide in zip(wire, hidden):
-                    group.add(src, dst, nbytes, streams=streams,
-                              hidden=hide)
+                    group.add(src, dst, nbytes, hidden=hide)
                 ran = group.run()
             else:
                 ((src, dst, nbytes, _key),) = wire
                 ran = [blocking_outcome(
-                    net, src, dst, nbytes, streams,
-                    lambda: net.transfer(src, dst, nbytes, streams=streams,
+                    net, src, dst, nbytes,
+                    lambda: net.transfer(src, dst, nbytes, streams=None,
                                          hidden=hidden[0], label=label))]
         if len(ran) == len(legs):
             return ran
@@ -190,12 +190,10 @@ class Federation:
                  placement: str = "primary",
                  sso_enabled: bool = True,
                  network: Optional[Network] = None,
-                 data_streams: int = 1,
                  workers: Optional[int] = None,
                  queue_depth: Optional[int] = None,
                  mcat_shards: int = 1,
                  mcat_replicas: int = 0,
-                 mcat_staleness: int = 0,
                  direct_io: bool = False):
         self.zone = zone
         # The path and wire-size memos are process-wide.  A grid starts
@@ -223,16 +221,13 @@ class Federation:
         #   (one partition and no replica is the paper's single MCAT,
         #   at the cost of a bare Mcat);
         #   mcat_replicas: R read replicas per shard, converged by an
-        #   async write log (+ anti-entropy repair after faults);
-        #   mcat_staleness: max write-log entries a replica may lag and
-        #   still serve a read (0 = read-your-writes).
+        #   async write log (+ anti-entropy repair after faults); a
+        #   replica catches up before it serves (read-your-writes).
         self.mcat_shards = mcat_shards
         self.mcat_replicas = mcat_replicas
-        self.mcat_staleness = int(mcat_staleness)
         self.mcat = ShardedMcat(zone=zone, clock=self.clock, ids=self.ids,
                                 obs=self.obs, shards=mcat_shards,
-                                replicas=mcat_replicas,
-                                staleness=self.mcat_staleness)
+                                replicas=mcat_replicas)
         self.users = UserRegistry()
         self.authority = TicketAuthority(zone, zone_key=f"zone-key-{zone}",
                                          clock=self.clock)
@@ -253,12 +248,8 @@ class Federation:
         # channel descriptor and the bytes are charged once, on the
         # actual source→sink path.
         self.direct_io = bool(direct_io)
-        # parallel data-transfer streams every payload leg opens (SRB
-        # 2.x parallel I/O; control traffic stays single)
-        self.data_streams = max(1, int(data_streams))
         self.channels = ChannelBroker(self.authority, self.network,
-                                      enabled=direct_io,
-                                      streams=self.data_streams)
+                                      enabled=direct_io)
         self.containers = ContainerManager(self.mcat, self.resources,
                                            self.placement, self.channels)
         self.web = WebSpace(self.network)

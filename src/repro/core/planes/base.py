@@ -232,18 +232,17 @@ class PlaneService(Wired):
         already written (:meth:`_rollback_created`) and the error
         raised — or, for a batch, handed to ``on_refused(index, error)``
         while the other files proceed; returns the indices refused.
-        ``replace`` overwrites a file already there.
+        ``replace`` overwrites a file already there (a refused
+        overwrite keeps the old bytes: ``StorageDriver.replace``).
         """
         refused: Set[int] = set()
         for k, res in enumerate(res_list):
-            driver = res.driver
+            write = res.driver.replace if replace else res.driver.create
             for i, (phys, data) in enumerate(files):
                 if i in refused:
                     continue
                 try:
-                    if replace and driver.exists(phys):
-                        driver.delete(phys)
-                    driver.create(phys, data)
+                    write(phys, data)
                 except SrbError as exc:
                     self._rollback_created(
                         [(done, phys) for done in res_list[:k]])

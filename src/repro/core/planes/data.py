@@ -1089,9 +1089,7 @@ class DataService(PlaneService):
         if rep["container_oid"] is None:
             old = res.driver.read(rep["physical_path"])
             vpath = f"/srb/versions/{oid}-v{obj['version']}"
-            if res.driver.exists(vpath):
-                res.driver.delete(vpath)
-            res.driver.create(vpath, old)
+            res.driver.replace(vpath, old)
             self.locks.record_version(oid, res.name, vpath, len(old),
                                       principal)
         new_version = self.locks.checkin(oid, principal)

@@ -79,9 +79,7 @@ def synchronize(mcat: Mcat, resources: ResourceRegistry, channels: Any,
     for (rep, dst_res), outcome in zip(targets, outcomes):
         if not outcome.ok:
             continue
-        if dst_res.driver.exists(rep["physical_path"]):
-            dst_res.driver.delete(rep["physical_path"])
-        dst_res.driver.create(rep["physical_path"], data)
+        dst_res.driver.replace(rep["physical_path"], data)
         mcat.update_replica(oid, rep["replica_num"],
                             is_dirty=False, size=len(data))
         refreshed += 1

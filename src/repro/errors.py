@@ -111,7 +111,7 @@ class StorageFull(StorageError):
 
 
 class PinnedFile(StorageError):
-    """Cache purge or delete refused because the file is pinned."""
+    """Delete or move refused because the copy holds a live pin."""
 
 
 class ContainerError(StorageError):

@@ -53,6 +53,7 @@ counter, metric, observer record — is untouched by either.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, \
     Tuple
@@ -76,12 +77,22 @@ class LinkSpec:
     The per-stream cap is why the SRB grew parallel transfers: on an
     early-2000s transcontinental path one stream ran far below the
     path's capacity, and k parallel streams recovered ``min(capacity,
-    k x per-stream)``.
+    k x per-stream)``.  A payload leg opens :meth:`payload_streams` of
+    them, enough to reach capacity; a message opens one.
     """
 
     latency_s: float = 0.010
     bandwidth_bps: float = 10e6
     per_stream_bps: Optional[float] = None
+
+    def payload_streams(self) -> int:
+        """Parallel streams a payload leg opens on this path: the fewest
+        that reach its capacity, or one when a single stream does."""
+        if self.per_stream_bps is None:
+            return 1
+        k = math.ceil(self.bandwidth_bps / self.per_stream_bps)
+        # the rounded quotient may leave k streams a bit short of capacity
+        return k + (k * self.per_stream_bps < self.bandwidth_bps)
 
     def effective_bps(self, streams: int = 1) -> float:
         """Achievable throughput with ``streams`` parallel connections."""
@@ -467,14 +478,18 @@ class Network:
             observer.observe_transfer(src, dst, nbytes, cost,
                                       self.clock.now)
 
-    def _leg(self, src: str, dst: str, nbytes: int, streams: int = 1,
-             start: Optional[float] = None, mode: Optional[str] = None,
-             hidden: float = 0.0, label: str = ""
+    def _leg(self, src: str, dst: str, nbytes: int,
+             streams: Optional[int] = 1, start: Optional[float] = None,
+             mode: Optional[str] = None, hidden: float = 0.0,
+             label: str = ""
              ) -> Tuple[float, float, Optional[HostUnreachable]]:
         """One message on the wire: what it costs and how it is recorded.
 
         The single definition under every transfer mode.  A delivered
-        message costs :meth:`LinkSpec.cost`; an unreachable pair costs a
+        message costs :meth:`LinkSpec.cost` over ``streams`` parallel
+        streams; ``None`` is a payload leg, which opens as many as its
+        path needs (:meth:`LinkSpec.payload_streams`, recorded on the
+        span).  An unreachable pair costs a
         timeout of one RTT and still counts as a message the caller put
         on the wire, so E2's failover overhead is visible in the stats
         that are supposed to explain it.  Either way the leg emits one
@@ -501,6 +516,10 @@ class Network:
         raised, so a group can marshal it per member.
         """
         spec = self.link(src, dst)
+        if streams is None:
+            # a payload leg: its path says how many (one, and no call to
+            # say so, where nothing caps a stream)
+            streams = spec.payload_streams() if spec.per_stream_bps else 1
         try:
             self.check_reachable(src, dst)
         except HostUnreachable as exc:
@@ -545,14 +564,15 @@ class Network:
         return cost, waited, error
 
     def transfer(self, src: str, dst: str, nbytes: int = 0,
-                 streams: int = 1, pipelined: bool = False,
+                 streams: Optional[int] = 1, pipelined: bool = False,
                  hidden: float = 0.0, label: str = "") -> float:
         """Move one message of ``nbytes`` from ``src`` to ``dst``.
 
         Advances the clock by the link cost and returns the elapsed virtual
         seconds.  ``streams`` > 1 models the SRB's parallel data transfer:
         on window-limited links (``per_stream_bps`` set) k streams reach
-        ``min(capacity, k x per-stream)``.  ``pipelined`` sends the
+        ``min(capacity, k x per-stream)``; ``None``, a payload leg, opens
+        as many as reach capacity.  ``pipelined`` sends the
         message behind an earlier one on an open connection: the caller
         waits for its bytes, not for the link latency again.  ``hidden``
         seconds of a relayed payload's leg (metered under ``label``)
@@ -570,15 +590,14 @@ class Network:
 
     def schedule_transfer(self, src: str, dst: str, nbytes: int,
                           not_before: Optional[float] = None,
-                          streams: int = 1) -> float:
+                          streams: Optional[int] = 1) -> float:
         """Queue a transfer and return its completion timestamp.
 
         Models per-host serialization: the transfer cannot start before
         either endpoint finishes its previous queued transfer.  Does not
         advance the global clock; callers (the load-balance benchmark)
         take ``max`` over completions to compute makespan.  ``streams``
-        models parallel connections exactly as in :meth:`transfer`, so
-        queued-mode benchmarks (E12) can use parallel I/O too.
+        models parallel connections exactly as in :meth:`transfer`.
 
         An unreachable destination is not queued: it charges one timeout
         RTT on the global clock (the caller *did* wait to find out),
@@ -627,7 +646,6 @@ class TransferOutcome:
     cost: float
     key: Any = None
     error: Optional[SrbError] = None
-    streams: int = 1
 
     @property
     def ok(self) -> bool:
@@ -639,7 +657,7 @@ class _Member:
     src: str
     dst: str
     nbytes: int
-    streams: int = 1
+    streams: Optional[int] = None
     key: Any = None
     hidden: float = 0.0
 
@@ -676,12 +694,14 @@ class TransferGroup:
         self._members: List[_Member] = []
         self._ran = False
 
-    def add(self, src: str, dst: str, nbytes: int = 0, streams: int = 1,
-            key: Any = None, hidden: float = 0.0) -> None:
-        """Add one member transfer (validates size, not reachability).
-        ``hidden`` seconds of it are already waited out (a relayed
-        payload, :meth:`Network._leg`): the member is done that much
-        sooner, its recorded cost is the same."""
+    def add(self, src: str, dst: str, nbytes: int = 0,
+            streams: Optional[int] = None, key: Any = None,
+            hidden: float = 0.0) -> None:
+        """Add one member transfer (validates size, not reachability):
+        a payload, which opens as many streams as its path needs unless
+        ``streams`` says how many.  ``hidden`` seconds of it are already
+        waited out (a relayed payload, :meth:`Network._leg`): the member
+        is done that much sooner, its recorded cost is the same."""
         if nbytes < 0:
             raise NetworkError(f"negative transfer size {nbytes}")
         self._members.append(_Member(src, dst, nbytes, streams, key, hidden))
@@ -727,7 +747,7 @@ class TransferGroup:
                                               done)
                 outcomes.append(TransferOutcome(
                     m.src, m.dst, m.nbytes, start, done, cost, m.key,
-                    error, m.streams))
+                    error))
             makespan_end = max(o.done for o in outcomes)
             makespan = makespan_end - t0
             if makespan > 0:
@@ -783,15 +803,13 @@ class DataChannel:
     HANDSHAKE_BYTES = 96
 
     def __init__(self, network: Network, src: str, dst: str, nbytes: int,
-                 streams: int = 1, label: str = "direct",
-                 ticket: Any = None, redeem=None):
+                 label: str = "direct", ticket: Any = None, redeem=None):
         if nbytes < 0:
             raise NetworkError(f"negative channel size {nbytes}")
         self.network = network
         self.src = src
         self.dst = dst
         self.nbytes = int(nbytes)
-        self.streams = streams
         self.label = label
         self.ticket = ticket
         self._redeem = redeem
@@ -831,7 +849,7 @@ class DataChannel:
             raise NetworkError("DataChannel.transfer before open()")
         try:
             cost = self.network.transfer(self.src, self.dst, self.nbytes,
-                                         streams=self.streams)
+                                         streams=None)
         finally:
             self.settle()
         self._delivered(cost)
@@ -847,8 +865,7 @@ class DataChannel:
         """Enlist the (already opened) channel as a group member."""
         if not self._opened:
             raise NetworkError("DataChannel.add_to before open()")
-        group.add(self.src, self.dst, self.nbytes, streams=self.streams,
-                  key=self)
+        group.add(self.src, self.dst, self.nbytes, key=self)
 
     def finish(self, outcome: TransferOutcome) -> None:
         """Account a grouped member's outcome (settle + direct metrics)."""
@@ -858,8 +875,7 @@ class DataChannel:
 
 
 def blocking_outcome(network: Network, src: str, dst: str, nbytes: int,
-                     streams: int, send: Callable[[], Any]
-                     ) -> TransferOutcome:
+                     send: Callable[[], Any]) -> TransferOutcome:
     """Run one blocking move and hand its fate back as an outcome.
 
     ``send`` is the blocking call (``Network.transfer``, or a channel's
@@ -873,7 +889,7 @@ def blocking_outcome(network: Network, src: str, dst: str, nbytes: int,
         error = exc
     done = network.clock.now
     return TransferOutcome(src, dst, nbytes, start, done, done - start,
-                           None, error, streams)
+                           None, error)
 
 
 def run_channel_group(network: Network, channels: Sequence[DataChannel],
@@ -895,11 +911,10 @@ def run_channel_group(network: Network, channels: Sequence[DataChannel],
         def send() -> None:
             ch.open()
             ch.transfer()
-        return [blocking_outcome(network, ch.src, ch.dst, ch.nbytes,
-                                 ch.streams, send)]
+        return [blocking_outcome(network, ch.src, ch.dst, ch.nbytes, send)]
     # an opened channel's outcome is replaced by its transfer's below
-    outcomes = [blocking_outcome(network, ch.src, ch.dst, ch.nbytes,
-                                 ch.streams, ch.open) for ch in channels]
+    outcomes = [blocking_outcome(network, ch.src, ch.dst, ch.nbytes, ch.open)
+                for ch in channels]
     opened = [(i, ch) for i, ch in enumerate(channels) if outcomes[i].ok]
     group = TransferGroup(network, label=label)
     for _i, ch in opened:
@@ -932,5 +947,5 @@ def repull_failed(network: Network,
         if healthy is None:
             raise failed[0].error
         for o in failed:
-            network.transfer(healthy.src, o.dst, o.nbytes, streams=o.streams)
+            network.transfer(healthy.src, o.dst, o.nbytes, streams=None)
     return len(failed)

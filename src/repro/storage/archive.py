@@ -15,7 +15,9 @@ exactly the cost structure that drives that claim:
 * cache management: the SRB may purge unpinned cache entries; pinned
   files ("pin operation makes sure that a SRB object does not get
   deleted from a particular resource") survive purges, and pinning a
-  tape-resident file stages it first.
+  tape-resident file stages it first.  That a pinned copy is not
+  deleted is the catalog's guard (its live pins, checked by the server
+  ops), not the cache's: deleting a file drops its cache pin.
 
 A file in the disk cache is *online*, one only on tape *nearline*
 (:meth:`StorageDriver.is_online`): the placement engine reads online
@@ -29,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
-from repro.errors import PinnedFile, StorageError
+from repro.errors import AlreadyExists, StorageError
 from repro.storage.base import (
     ARCHIVE_DISK_CACHE_COST,
     DeviceCost,
@@ -174,7 +176,6 @@ class ArchiveDriver(StorageDriver):
     def create(self, path: str, data: bytes) -> None:
         path = normalize_physical(path)
         if self.exists(path):
-            from repro.errors import AlreadyExists
             raise AlreadyExists(f"archive file exists: {path!r}")
         self._charge_write(len(data), op="create")  # lands in disk cache
         self._cache_put(path, bytearray(data))
@@ -232,15 +233,26 @@ class ArchiveDriver(StorageDriver):
         self._migrate(path)
 
     def delete(self, path: str) -> None:
+        """Remove the file, and its cache pin with it: whether a pinned
+        copy may go is the catalog's to say (its live pins), not the
+        cache's."""
         path = normalize_physical(path)
         self.require(path)
-        if path in self._pinned:
-            raise PinnedFile(f"cannot delete pinned file {path!r}")
+        self._pinned.discard(path)
         self._tape.pop(path, None)
         if path in self._cache:
             self._cached_bytes -= len(self._cache.pop(path))
             self._cache_order.remove(path)
         self._charge_op("delete")
+
+    def replace(self, path: str, data: bytes) -> None:
+        """Overwrite as :meth:`StorageDriver.replace` does; the file's
+        cache pin stays."""
+        path = normalize_physical(path)
+        pinned = path in self._pinned
+        super().replace(path, data)
+        if pinned:
+            self._pinned.add(path)
 
     def exists(self, path: str) -> bool:
         path = normalize_physical(path)

@@ -176,6 +176,15 @@ class StorageDriver(abc.ABC):
     def read_all(self, path: str) -> bytes:
         return self.read(path, 0, None)
 
+    def replace(self, path: str, data: bytes) -> None:
+        """Put ``data`` at ``path``, over a file already there: charged
+        exactly as that file's delete and then a create are.  A driver
+        that can refuse the new bytes refuses them before the old ones
+        go, so a refused overwrite keeps the old file."""
+        if self.exists(path):
+            self.delete(path)
+        self.create(path, data)
+
     def copy_within(self, src: str, dst: str) -> None:
         """Copy a file inside the same resource (device-local)."""
         self.create(dst, self.read_all(src))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.errors import AlreadyExists, StorageError
+from repro.errors import AlreadyExists, StorageError, StorageFull
 from repro.storage.base import DISK_COST, DeviceCost, StorageDriver, normalize_physical
 from repro.util.clock import SimClock
 
@@ -35,7 +35,6 @@ class MemFsDriver(StorageDriver):
         if self.capacity_bytes is None or delta <= 0:
             return
         if self.used_bytes() + delta > self.capacity_bytes:
-            from repro.errors import StorageFull
             raise StorageFull(
                 f"resource full: {self.used_bytes() + delta} > {self.capacity_bytes}")
 
@@ -86,6 +85,14 @@ class MemFsDriver(StorageDriver):
         self.require(path)
         del self._files[path]
         self._charge_op("delete")
+
+    def replace(self, path: str, data: bytes) -> None:
+        old = self._files.get(normalize_physical(path))
+        if old is not None:
+            # the size change must fit before the old bytes go
+            self._check_capacity(len(data) - len(old))
+            self.delete(path)
+        self.create(path, data)
 
     def exists(self, path: str) -> bool:
         return normalize_physical(path) in self._files

@@ -24,11 +24,14 @@ from repro.core.planes.base import RELAY_BLOCK, PlaneService
 from repro.core.replication import synchronize
 from repro.errors import HostUnreachable, ResourceUnavailable, SrbError
 from repro.net.simnet import (
-    TRANSCON, WAN, TransferGroup, TransferOutcome, blocking_outcome,
-    run_channel_group)
+    TRANSCON, WAN, LinkSpec, TransferGroup, TransferOutcome,
+    blocking_outcome, run_channel_group)
 from tests.invariants import check_invariants
 
 PAYLOAD = bytes(range(256)) * 1024          # 256 KiB: four relay blocks
+#: the continent, crossed by one TCP stream at a quarter of its capacity
+WINDOWED = LinkSpec(TRANSCON.latency_s, TRANSCON.bandwidth_bps,
+                    per_stream_bps=TRANSCON.bandwidth_bps / 4)
 SMALL = b"s" * 4096
 HOME = "/z/w"
 BOX = HOME + "/box"
@@ -36,9 +39,20 @@ BOX = HOME + "/box"
 
 # -- the oracle ------------------------------------------------------------
 
+def path_streams(link):
+    """The streams a payload leg opens on ``link``: the fewest whose
+    ``min(capacity, k x per-stream)`` is the capacity, one when nothing
+    caps a stream."""
+    k = 1
+    while link.effective_bps(k) < link.bandwidth_bps:
+        k += 1
+    return k
+
+
 def store_and_forward(self, legs, label):
     """``ChannelBroker.run_legs`` as it was before the relay: who brought
-    the bytes is not asked, every leg waits its whole cost."""
+    the bytes is not asked, every leg waits its whole cost.  Each leg
+    opens the streams its own path needs."""
     net = self.network
     wire = [leg for leg in legs if leg[0] != leg[1]]
     if not wire:
@@ -52,13 +66,15 @@ def store_and_forward(self, legs, label):
     elif len(wire) > 1:
         group = TransferGroup(net, label=label)
         for src, dst, nbytes, _key in wire:
-            group.add(src, dst, nbytes, streams=self.streams)
+            group.add(src, dst, nbytes,
+                      streams=path_streams(net.link(src, dst)))
         ran = group.run()
     else:
         ((src, dst, nbytes, _key),) = wire
+        streams = path_streams(net.link(src, dst))
         ran = [blocking_outcome(
-            net, src, dst, nbytes, self.streams,
-            lambda: net.transfer(src, dst, nbytes, streams=self.streams))]
+            net, src, dst, nbytes,
+            lambda: net.transfer(src, dst, nbytes, streams=streams))]
     if len(ran) == len(legs):
         return ran
     moved, now = iter(ran), net.clock.now
@@ -84,11 +100,13 @@ def oracle(monkeypatch):
 
 def build(client_host, **knobs):
     """Server ``s1`` on ``hs`` with a local resource; two remote storage
-    hosts, the second across the continent; clients on ``hs`` and ``hc``."""
+    hosts, the second across the continent on a window-limited path (a
+    payload leg there opens four streams, a message one); clients on
+    ``hs`` and ``hc``."""
     fed = Federation(zone="z", **knobs)
     for host in ("hs", "hr1", "hr2", "hc"):
         fed.add_host(host)
-    fed.network.set_link("hs", "hr2", TRANSCON)
+    fed.network.set_link("hs", "hr2", WINDOWED)
     fed.add_server("s1", "hs", mcat=True)
     fed.add_fs_resource("r0", "hs")
     fed.add_fs_resource("r1", "hr1")
@@ -443,3 +461,17 @@ def test_direct_calls_after_a_relayed_ingest_hide_nothing():
     assert fed.containers.sync(BOX, now=fed.clock.now) == 1
     assert hidden_by_label(fed) == before
     assert check_invariants(fed) == []
+
+
+def test_each_payload_leg_opens_the_streams_its_path_needs():
+    """The fan-out's two legs: one stream on the uncapped path, four on
+    the window-limited one; the request and the session probes, messages,
+    one each."""
+    fed, client = build("hc")
+    with fed.obs.tracer.trace("ingest") as root:
+        client.ingest(F, PAYLOAD, resource="both")
+    streams = {(s.attrs["dst"], s.attrs["bytes"] == len(PAYLOAD)):
+               s.attrs["streams"] for s in root.find("net.transfer")}
+    assert streams[("hr1", True)] == 1 and streams[("hr2", True)] == 4
+    assert {n for (_dst, payload), n in streams.items() if not payload} \
+        == {1}

@@ -5,7 +5,7 @@ below the code-line counts in :data:`CEILINGS`, counted by
 ``tools/codelines.py`` (lines holding a token that is neither a comment
 nor a docstring).  A change that grows one of them must raise its number
 here, in its own diff, where a reviewer sees the cost; a change that
-shrinks one may lower it.
+shrinks one may lower it.  CI's code-lines step prints the same list.
 """
 
 import importlib.util
@@ -17,14 +17,18 @@ ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 #: path (from the repository root) -> the most code lines it may hold
 CEILINGS = {
-    "src/repro": 11_651,
-    "src/repro/core/containers.py": 169,
+    "src/repro": 11_649,
+    "src/repro/core/containers.py": 166,
     "src/repro/core/dispatch.py": 353,
-    "src/repro/core/federation.py": 308,
-    "src/repro/core/planes/base.py": 238,
-    "src/repro/core/planes/data.py": 844,
+    "src/repro/core/federation.py": 298,
+    "src/repro/core/planes/base.py": 236,
+    "src/repro/core/planes/data.py": 842,
     "src/repro/core/planes/replica.py": 152,
+    "src/repro/core/replication.py": 49,
     "src/repro/net/rpc.py": 329,
+    "src/repro/net/simnet.py": 511,
+    "src/repro/storage/archive.py": 197,
+    "src/repro/storage/base.py": 117,
     "tools/codelines.py": 21,
 }
 
@@ -44,3 +48,9 @@ def test_no_larger_than_its_ceiling(path):
     files = sorted(target.rglob("*.py")) if target.is_dir() else [target]
     assert sum(map(count, files)) <= CEILINGS[path], \
         f"{path} grew: raise its ceiling in this file, in the same change"
+
+
+def test_ci_prints_the_ceilinged_paths():
+    ci = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
+    step = ci.split("python tools/codelines.py", 1)[1].split("\n      - ")[0]
+    assert sorted(step.split()) == sorted(CEILINGS)

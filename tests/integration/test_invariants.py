@@ -1,8 +1,7 @@
 """The invariant checker (``tests/invariants.py``): a clean grid is
 clean on every kind of driver, judging it costs the grid nothing, each
 kind of finding is seen, the findings a design accepts are pinned as
-those findings, the two it found on purpose stay fixed, and the two it
-found that are still open fail as expected until they are fixed."""
+those findings, and the four it found on purpose stay fixed."""
 
 import pytest
 
@@ -126,6 +125,27 @@ class TestEachFindingIsSeen:
         assert check_invariants(fed) == [
             Finding("checksum-mismatch", "tape", path, "replica 1 of /z/w/a")]
 
+    def test_a_catalog_replica_that_is_not_its_primary(self):
+        fed, client = build(mcat_shards=2, mcat_replicas=1)
+        client.ingest(HOME + "/a", b"abc", resource="far")
+        client.stat(HOME + "/a")            # the replica serves, caught up
+        assert check_invariants(fed) == []
+        (shard,) = [s for s in fed.mcat.shards if s.log]
+        (rep,) = shard.replicas
+        objects = rep.catalog.db.table("objects")
+        row = next(r for r in objects._rows if r is not None)
+        saved = list(row)
+        row[objects.column_names().index("size")] += 1
+        where = f"shard {shard.index} replica 0"
+        assert check_invariants(fed) == [Finding(
+            "replica-diverged", where, "objects",
+            "caught up, and not its primary's")]
+        row[:] = saved
+        rep.applied += 1
+        assert check_invariants(fed) == [Finding(
+            "replica-diverged", where, "",
+            f"applied {rep.applied} of {shard.log_end()} log entries")]
+
     def test_a_station_with_work_in_flight(self):
         fed, _client = build(workers=2)
         station = fed.network.station("hs")
@@ -170,13 +190,19 @@ class TestByDesign:
             "orphan-file", "far", path, f"{len(BIG)} bytes, no row")]
 
 
-class TestOpen:
-    """Found on purpose and not fixed yet (ROADMAP item 1 lists each)."""
+class TestFoundOnPurpose:
+    def test_deleting_a_checked_in_object_deletes_its_versions(self):
+        fed, client = build()
+        client.ingest(HOME + "/a", BIG, resource="far")
+        client.checkout(HOME + "/a")
+        client.checkin(HOME + "/a", data=b"v2")
+        client.delete(HOME + "/a")
+        assert check_invariants(fed) == []
+        assert _paths(fed.resources.physical("far").driver) == []
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="a replacing write deletes the old file "
-                       "before the new one is accepted")
     def test_a_refused_overwrite_keeps_the_old_bytes(self):
+        """The resource cannot take the new bytes: the put is refused
+        before the old file goes (``StorageDriver.replace``)."""
         fed = Federation(zone="z")
         fed.add_host("h0")
         fed.add_server("s0", "h0", mcat=True)
@@ -191,29 +217,22 @@ class TestOpen:
             client.put(HOME + "/a", b"z" * 30_000)
         assert check_invariants(fed) == []
         assert client.get(HOME + "/a") == b"x" * 10
+        # a change that fits still lands
+        client.put(HOME + "/a", b"z" * 20_000)
+        assert client.get(HOME + "/a") == b"z" * 20_000
 
-    @pytest.mark.xfail(strict=True, raises=PinnedFile,
-                       reason="a pin's lease expires in the catalog only; "
-                       "the archive keeps its cache pin, so the move "
-                       "writes the copy and then cannot delete the source")
     def test_an_expired_pin_lets_the_copy_move(self):
+        """The catalog's live pins are the one guard: once the lease
+        expires, the move deletes the source, cache pin and all."""
         fed, client = build()
         client.ingest(HOME + "/a", BIG, resource="tape")
         client.pin(HOME + "/a", "tape", lifetime_s=1.0)
         fed.clock.advance(10.0)
         client.physical_move(HOME + "/a", "far")
         assert check_invariants(fed) == []
-
-
-class TestFoundOnPurpose:
-    def test_deleting_a_checked_in_object_deletes_its_versions(self):
-        fed, client = build()
-        client.ingest(HOME + "/a", BIG, resource="far")
-        client.checkout(HOME + "/a")
-        client.checkin(HOME + "/a", data=b"v2")
-        client.delete(HOME + "/a")
-        assert check_invariants(fed) == []
-        assert _paths(fed.resources.physical("far").driver) == []
+        assert _paths(fed.resources.physical("tape").driver) == []
+        assert fed.resources.physical("tape").driver._pinned == set()
+        assert client.get(HOME + "/a") == BIG
 
     def test_a_move_off_a_pinned_copy_leaves_no_copy_behind(self):
         fed, client = build()

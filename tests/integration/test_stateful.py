@@ -15,6 +15,10 @@ rule the invariants assert that:
 A second client, on a host of its own, ingests onto a remote and a
 logical resource and into a container, with payloads that are
 sometimes larger than one relay block, so the walk crosses the relay.
+
+The same machine walks a catalog of two partitions with a read replica
+each (``Federation(mcat_shards=2, mcat_replicas=1)``): replicas serve
+reads, and no replica diverges from its primary.
 """
 
 from hypothesis import HealthCheck, settings
@@ -44,9 +48,12 @@ PAYLOADS = st.one_of(
 
 
 class GridMachine(RuleBasedStateMachine):
+    #: the federation's knobs
+    KNOBS = {}
+
     @initialize()
     def build(self):
-        self.fed = Federation(zone="z")
+        self.fed = Federation(zone="z", **self.KNOBS)
         self.fed.add_host("h0")
         self.fed.add_host("h1")
         self.fed.add_server("s0", "h0", mcat=True)
@@ -237,8 +244,22 @@ class GridMachine(RuleBasedStateMachine):
         assert check_invariants(self.fed) == []
 
 
+class ReplicatedGridMachine(GridMachine):
+    KNOBS = {"mcat_shards": 2, "mcat_replicas": 1}
+
+    @invariant()
+    def replicas_serve_reads(self):
+        if not hasattr(self, "fed"):
+            return
+        assert self.fed.obs.metrics.total("mcat.shard.replica_reads") > 0
+
+
 GridMachine.TestCase.settings = settings(
     max_examples=25, stateful_step_count=20, deadline=None,
     suppress_health_check=[HealthCheck.too_slow])
+ReplicatedGridMachine.TestCase.settings = settings(
+    max_examples=10, stateful_step_count=20, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow])
 
 TestGridMachine = GridMachine.TestCase
+TestReplicatedGridMachine = ReplicatedGridMachine.TestCase

@@ -16,7 +16,10 @@ finds:
 * ``checksum-mismatch`` — a clean replica (or member slice) whose sha256
   is not the object's ``checksum``;
 * ``station-in-flight`` — a host's ``ServiceStation`` with a worker
-  still checked out.
+  still checked out;
+* ``replica-diverged`` — a catalog read replica that has applied past
+  its shard's write-log end, or one caught up to that end whose tables
+  are not its primary's.
 
 An empty list is a clean grid.  A finding that a design accepts (an
 unreachable member keeps the bytes a rolled-back write left there) is
@@ -96,7 +99,26 @@ def check_invariants(fed) -> List[Finding]:
                 "station-in-flight", host.name, "",
                 f"{station.workers - len(station._free)} of "
                 f"{station.workers} workers checked out"))
+    found.extend(_diverged_replicas(fed))
     return sorted(found)
+
+
+def _diverged_replicas(fed) -> Iterator[Finding]:
+    """Each catalog replica past its shard's log end, or caught up to it
+    with tables that differ from the primary's (compared as held)."""
+    for shard in fed.mcat.shards:
+        end = shard.log_end()
+        for r, rep in enumerate(shard.replicas):
+            where = f"shard {shard.index} replica {r}"
+            if rep.applied > end:
+                yield Finding("replica-diverged", where, "",
+                              f"applied {rep.applied} of {end} log entries")
+            elif rep.applied == end:
+                for name in shard.primary.db.tables():
+                    if rep.catalog.db.table(name)._rows \
+                            != shard.primary.db.table(name)._rows:
+                        yield Finding("replica-diverged", where, name,
+                                      "caught up, and not its primary's")
 
 
 def _rows(fed, table: str) -> Iterator[Dict[str, Any]]:

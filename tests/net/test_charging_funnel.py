@@ -9,6 +9,9 @@ recorded" (DESIGN.md, "Cost model and per-call bookkeeping"):
   agree on what the message cost and on every record of it; they differ
   in what the caller waited — and so does a *relayed* leg, blocking or
   grouped, part of which was waited out before it began;
+* a property — a payload leg the broker runs opens as many streams as
+  its path needs, so it costs ``latency + bytes / capacity`` on any
+  link, while a message, one stream, still pays the per-stream rate;
 * an AST guard — the span literal, the counting funnels, station
   admission and the whole-call failure accounting each sit in one
   function, so a second copy cannot grow back unnoticed; the per-message
@@ -24,6 +27,7 @@ import pathlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.federation import ChannelBroker
 from repro.errors import HostUnreachable
 from repro.net.simnet import LinkSpec, Network, TransferGroup
 from repro.policy.stats import PathStats
@@ -39,13 +43,19 @@ links = st.builds(
                              st.floats(min_value=1e3, max_value=1e8)))
 
 
-def send(mode: str, link: LinkSpec, nbytes: int, streams: int, fault: str,
-         hidden: float = 0.0):
-    """One message a→b in ``mode`` on a fresh network; every record of it."""
+def pair(link: LinkSpec) -> Network:
+    """A fresh network of two hosts, ``a`` and ``b``, joined by ``link``."""
     net = Network()
     net.add_host("a")
     net.add_host("b")
     net.set_link("a", "b", link)
+    return net
+
+
+def send(mode: str, link: LinkSpec, nbytes: int, streams, fault: str,
+         hidden: float = 0.0):
+    """One message a→b in ``mode`` on a fresh network; every record of it."""
+    net = pair(link)
     paths = PathStats()
     net.add_transfer_observer(paths)
     if fault == "partition":
@@ -93,13 +103,16 @@ def send(mode: str, link: LinkSpec, nbytes: int, streams: int, fault: str,
 @settings(max_examples=150, deadline=None)
 @given(link=links,
        nbytes=st.integers(min_value=0, max_value=50_000_000),
-       streams=st.integers(min_value=1, max_value=8),
+       streams=st.one_of(st.none(), st.integers(min_value=1, max_value=8)),
        fault=st.sampled_from(["", "a", "b", "partition"]),
        share=st.floats(min_value=0.001, max_value=1.0))
 def test_four_modes_are_one_wire_leg(link, nbytes, streams, fault, share):
     blocking, queued, grouped, pipelined = (
         send(mode, link, nbytes, streams, fault)
         for mode in ("blocking", "queued", "grouped", "pipelined"))
+    # ``None`` is a payload leg: as many streams as the path needs
+    if streams is None:
+        streams = link.payload_streams()
     # a relayed leg: some share of its streaming time already waited out
     hidden = share * nbytes / link.effective_bps(streams)
     relayed, relayed_grouped = (
@@ -159,6 +172,28 @@ def test_four_modes_are_one_wire_leg(link, nbytes, streams, fault, share):
     for key in ("error", "counters", "metrics", "paths", "span"):
         assert blocking[key] == queued[key] == grouped[key] \
             == pipelined[key] == relayed[key] == relayed_grouped[key], key
+
+
+@settings(max_examples=150, deadline=None)
+@given(link=links, nbytes=st.integers(min_value=1, max_value=50_000_000))
+def test_a_payload_leg_runs_at_its_paths_capacity(link, nbytes):
+    net = pair(link)
+    with net.obs.tracer.trace("put") as root:
+        (leg,) = ChannelBroker(None, net).run_legs([("a", "b", nbytes, "")],
+                                                   "put")
+    (span,) = root.find("net.transfer")
+    assert leg.cost == net.clock.now \
+        == link.latency_s + nbytes / link.bandwidth_bps
+    assert span.attrs["streams"] == link.payload_streams()
+    # the fewest streams that do it: one fewer falls short of capacity
+    if span.attrs["streams"] > 1:
+        assert link.effective_bps(span.attrs["streams"] - 1) \
+            < link.bandwidth_bps
+    message = pair(link)
+    message.transfer("a", "b", nbytes)
+    assert message.clock.now == link.latency_s + nbytes / (
+        link.bandwidth_bps if link.per_stream_bps is None
+        else min(link.bandwidth_bps, link.per_stream_bps))
 
 
 # -- the AST guard ---------------------------------------------------------

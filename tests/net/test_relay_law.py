@@ -4,9 +4,12 @@ A server standing in the data path sends a payload on as it arrives:
 when ``B`` bytes reach it on one hop and leave on the next within one
 exchange, the second hop hides ``(1 - b/B) * min(S_in, S_out)`` seconds
 behind the first, where ``S = bytes / effective_bps`` and ``b`` is one
-relay block.  This is stated here against the leg runner itself
-(``ChannelBroker.run_legs``), over both links, the payload size, the
-stream count and the number of members: the wait is the law's, exactly;
+relay block.  The inbound hop is the request, one stream; the outbound
+legs are payload legs, each opening as many streams as its path needs,
+so they stream at the path's capacity.  This is stated here against the
+leg runner itself (``ChannelBroker.run_legs``), over both links (a
+per-stream cap drawn or not), the payload size and the number of
+members: the wait is the law's, exactly;
 a payload of no more than a block is stored and forwarded to the bit;
 the whole relay is never faster than the slower hop allows nor slower
 than store-and-forward; and it does not get cheaper as the payload
@@ -31,7 +34,7 @@ sizes = st.one_of(st.integers(min_value=1, max_value=RELAY_BLOCK),
                               max_value=50_000_000))
 
 
-def relay(inbound: LinkSpec, outbound: LinkSpec, nbytes: int, streams: int,
+def relay(inbound: LinkSpec, outbound: LinkSpec, nbytes: int,
           members: int, origin="caller"):
     """``nbytes`` caller → server → ``members`` resources, each on its own
     host behind ``outbound``; everything an observer can see of it."""
@@ -42,7 +45,7 @@ def relay(inbound: LinkSpec, outbound: LinkSpec, nbytes: int, streams: int,
     for i in range(members):
         net.add_host(f"r{i}")
         net.set_link("server", f"r{i}", outbound)
-    broker = ChannelBroker(None, net, streams=streams)
+    broker = ChannelBroker(None, net)
     broker.inbound = origin
     with net.obs.tracer.trace("relay") as root:
         net.transfer("caller", "server", nbytes)        # the request
@@ -66,15 +69,14 @@ def relay(inbound: LinkSpec, outbound: LinkSpec, nbytes: int, streams: int,
 
 @settings(max_examples=200, deadline=None)
 @given(inbound=links, outbound=links, nbytes=sizes,
-       streams=st.integers(min_value=1, max_value=8),
        members=st.integers(min_value=1, max_value=4))
 def test_the_relay_waits_what_the_law_says(inbound, outbound, nbytes,
-                                           streams, members):
-    relayed = relay(inbound, outbound, nbytes, streams, members)
-    stored = relay(inbound, outbound, nbytes, streams, members, None)
+                                           members):
+    relayed = relay(inbound, outbound, nbytes, members)
+    stored = relay(inbound, outbound, nbytes, members, None)
     s_in = nbytes / inbound.effective_bps()
-    s_out = nbytes / outbound.effective_bps(streams)
-    cost = outbound.cost(nbytes, streams)
+    s_out = nbytes / outbound.bandwidth_bps
+    cost = outbound.latency_s + s_out
     if nbytes <= RELAY_BLOCK:
         # one block or less is stored and forwarded: nothing differs
         assert relayed == stored
@@ -99,16 +101,15 @@ def test_the_relay_waits_what_the_law_says(inbound, outbound, nbytes,
     # never faster than the slower hop's bytes plus both latencies, never
     # slower than store-and-forward
     floor = inbound.latency_s + outbound.latency_s + nbytes / min(
-        inbound.effective_bps(), outbound.effective_bps(streams))
+        inbound.effective_bps(), outbound.bandwidth_bps)
     assert floor * (1 - 1e-12) <= relayed["total_s"] <= stored["total_s"]
 
 
 @settings(max_examples=200, deadline=None)
-@given(inbound=links, outbound=links, small=sizes, large=sizes,
-       streams=st.integers(min_value=1, max_value=8))
+@given(inbound=links, outbound=links, small=sizes, large=sizes)
 def test_a_larger_payload_never_relays_faster(inbound, outbound, small,
-                                              large, streams):
+                                              large):
     small, large = sorted((small, large))
-    quick = relay(inbound, outbound, small, streams, 1)["total_s"]
-    slow = relay(inbound, outbound, large, streams, 1)["total_s"]
+    quick = relay(inbound, outbound, small, 1)["total_s"]
+    slow = relay(inbound, outbound, large, 1)["total_s"]
     assert quick <= slow * (1 + 1e-12)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import AlreadyExists, NoSuchPhysicalFile, PinnedFile
+from repro.errors import AlreadyExists, NoSuchPhysicalFile
 from repro.storage.archive import ArchiveDriver, TapeCost
 from repro.util.clock import SimClock
 
@@ -123,11 +123,24 @@ class TestCacheManagement:
         arc.unpin("/a")
         assert arc.purge_cache() == 1
 
-    def test_pinned_delete_refused(self, arc):
+    def test_delete_drops_the_pin(self, arc):
+        """Whether a pinned copy may go is the catalog's to say; the
+        cache's pin goes with the file."""
         arc.create("/a", b"x")
         arc.pin("/a")
-        with pytest.raises(PinnedFile):
-            arc.delete("/a")
+        arc.delete("/a")
+        assert not arc.exists("/a")
+        assert not arc.is_pinned("/a")
+        arc.create("/a", b"y")
+        assert not arc.is_pinned("/a")
+
+    def test_replace_keeps_the_pin(self, arc):
+        arc.create("/a", b"x")
+        arc.pin("/a")
+        arc.replace("/a", b"yy")
+        assert arc.read_all("/a") == b"yy"
+        assert arc.is_pinned("/a")
+        assert arc.purge_cache() == 0
 
     def test_lru_eviction_respects_capacity_and_pins(self, clock):
         arc = ArchiveDriver(clock=clock, cache_capacity_bytes=250)
