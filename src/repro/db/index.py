@@ -3,8 +3,9 @@
 Two flavours, matching what the MCAT query planner needs:
 
 :class:`HashIndex`
-    value -> set of row ids; O(1) equality lookups.  MCAT's attribute-name
-    and object-id lookups live here.
+    value -> row id, or set of row ids once two rows share the value;
+    O(1) equality lookups.  MCAT's attribute-name and object-id lookups
+    live here.
 
 :class:`SortedIndex`
     (value, rid) pairs kept sorted with ``bisect``; O(log n + k) range
@@ -26,13 +27,18 @@ one NaN entry would break the order ``bisect`` relies on.
 from __future__ import annotations
 
 import bisect
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
 from repro.errors import DatabaseError
 
 
 class HashIndex:
-    """Equality index: value -> row-id set.
+    """Equality index: value -> bucket of row ids.
+
+    A bucket is the bare rid (an ``int``) while one row has the value, and
+    becomes a set, ``{old, rid}``, when a second arrives; a set stays a set
+    until its last rid goes.  Most catalog values (ids, paths) are filed
+    once, and an ``int`` costs nothing the row id did not already.
 
     No bucket is ever empty (``remove`` deletes the last rid's bucket), so
     ``value in _map`` means "some row has it" — :class:`~repro.db.table.Table`
@@ -41,35 +47,42 @@ class HashIndex:
 
     def __init__(self, unique: bool = False):
         self.unique = unique
-        self._map: Dict[Any, Set[int]] = {}
+        self._map: Dict[Any, Union[int, Set[int]]] = {}
 
     def add(self, value: Any, rid: int) -> None:
         value = _hashable(value)
         bucket = self._map.get(value)
         if bucket is None:
-            self._map[value] = {rid}
+            self._map[value] = rid
         elif self.unique:
             raise DatabaseError(f"unique index violation for value {value!r}")
+        elif type(bucket) is int:
+            self._map[value] = {bucket, rid}
         else:
             bucket.add(rid)
 
     def remove(self, value: Any, rid: int) -> None:
         value = _hashable(value)
         bucket = self._map.get(value)
-        if bucket is not None:
+        if bucket == rid:                   # an int bucket: its one row
+            del self._map[value]
+        elif type(bucket) is set:
             bucket.discard(rid)
             if not bucket:
                 del self._map[value]
 
     def get(self, value: Any) -> Set[int]:
-        """A copy of the rid set stored under ``value`` (empty if none)."""
+        """A copy of the rids stored under ``value``, as a set (empty if
+        none; an unhashable value is stored under none)."""
         try:
-            return set(self._map[value]) if value in self._map else set()
+            bucket = self._map[value] if value in self._map else ()
         except TypeError:      # unhashable: a bytearray is stored as bytes
-            return set(self._map.get(_hashable(value), ()))
+            bucket = self._map.get(bytes(value), ()) \
+                if isinstance(value, bytearray) else ()
+        return {bucket} if type(bucket) is int else set(bucket)
 
     def __len__(self) -> int:
-        return sum(len(b) for b in self._map.values())
+        return sum(1 if type(b) is int else len(b) for b in self._map.values())
 
 
 class SortedIndex:

@@ -23,9 +23,10 @@ table byte for byte, row ids included.
 ``insert`` is the catalog's hot path, so a table keeps a *row plan* — its
 columns and indexes flattened into tuples (:meth:`Table._replan`) — and
 runs inserts off it: a value of the column's exact Python type is stored
-as is, an index entry is one ``set.add`` or one ``insort``.  Every other
-value goes through :meth:`Column.check`, which stays the one definition
-of what a column accepts.
+as is, a hash-index entry is the bare row id until a second row shares
+the value (:class:`~repro.db.index.HashIndex`), a sorted one is one
+``insort``.  Every other value goes through :meth:`Column.check`, which
+stays the one definition of what a column accepts.
 
 A sorted index may cover a *pair* of columns
 (:meth:`Table.create_sorted_index`): its key is the tuple of the two
@@ -165,7 +166,7 @@ class Table:
         key list, so upkeep through the plan and through the index's
         methods (``update_row``, ``delete_row``) see one structure.
         """
-        # (offset, value -> rid-set dict, bytearray values possible?)
+        # (offset, value -> bucket dict, bytearray values possible?)
         hashed = [(idx.unique, (self._offset[n], idx._map,
                                 self._col(n).type == "BLOB"))
                   for n, idx in self._hash_indexes.items()]
@@ -294,10 +295,12 @@ class Table:
         self._live += 1
         for off, hmap, blob in self._hash_plan:
             key = _hashable(row[off]) if blob else row[off]
-            if key in hmap:
-                hmap[key].add(rid)
+            if key not in hmap:
+                hmap[key] = rid
+            elif type(hmap[key]) is int:
+                hmap[key] = {hmap[key], rid}
             else:
-                hmap[key] = {rid}
+                hmap[key].add(rid)
         for off, keys, exact, tag in self._sorted_plan:
             value = row[off]
             # NULL and NaN never participate in range scans (index.sortable)

@@ -199,6 +199,22 @@ class TestPlannerAndCost:
         db.execute("SELECT name FROM users WHERE age > 31")
         assert t.rows_scanned - before == 1   # only carol
 
+    @pytest.mark.parametrize("param", [["ann"], {"ann": 1}, [], {}])
+    def test_unhashable_param_finds_nothing_by_either_plan(self, db, param):
+        """A list or dict parameter equals no stored value: the hash
+        index's plan answers what the scan's plan answers."""
+        query = "SELECT id FROM users WHERE name = ?"
+        t = db.table("users")
+        before = t.rows_scanned
+        scanned = db.execute(query, [param]).rows
+        assert t.rows_scanned - before == len(t)          # the scan's plan
+        t.create_index("name")
+        before = t.rows_scanned
+        assert db.execute(query, [param]).rows == scanned == []
+        assert t.rows_scanned == before                   # the index's
+        assert db.execute("SELECT name FROM users WHERE id = ?",
+                          [param]).rows == []             # the primary key
+
     def test_clock_charged_when_wired(self):
         clock = SimClock()
         db = Database(clock=clock)

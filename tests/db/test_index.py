@@ -45,9 +45,31 @@ class TestHashIndex:
         assert idx.get(bytearray(b"ab")) == {1}
         assert idx.get(bytearray(b"zz")) == set()
 
-    def test_unhashable_probe_still_raises(self):
-        with pytest.raises(TypeError):
-            HashIndex().get(["not", "hashable"])
+    def test_unhashable_probe_finds_nothing(self):
+        idx = HashIndex()
+        idx.add("x", 1)
+        assert idx.get(["x"]) == set()
+        assert idx.get({"x": 1}) == set()
+
+    def test_a_value_filed_once_is_its_bare_rid(self):
+        idx = HashIndex()
+        idx.add("x", 1)
+        assert idx._map == {"x": 1}
+        idx.add("x", 2)
+        assert idx._map == {"x": {1, 2}}
+        idx.remove("x", 2)
+        assert idx._map == {"x": {1}}          # a set stays a set
+        idx.remove("x", 7)
+        idx.remove("x", 1)
+        assert idx._map == {}
+
+    def test_removing_another_rid_keeps_an_int_bucket(self):
+        idx = HashIndex()
+        idx.add("x", 1)
+        idx.remove("x", 2)
+        assert idx.get("x") == {1} and len(idx) == 1
+        idx.remove("x", 1)
+        assert idx.get("x") == set() and len(idx) == 0
 
     def test_get_returns_a_copy(self):
         idx = HashIndex()

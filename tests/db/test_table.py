@@ -208,10 +208,24 @@ class TestIndexes:
 
 
 def index_state(t: Table):
-    """Everything the indexes hold, bucket and key order included."""
-    return ({c: [(k, list(b)) for k, b in idx._map.items()]
+    """Everything the indexes hold, bucket and key order included (a
+    bucket that is a bare row id reads as the list of it)."""
+    return ({c: [(k, [b] if type(b) is int else list(b))
+                 for k, b in idx._map.items()]
              for c, idx in t._hash_indexes.items()},
             {c: list(sidx._keys) for c, sidx in t._sorted_indexes.items()})
+
+
+def assert_bucket_shapes(t: Table, filed=()) -> None:
+    """Every hash bucket is a bare row id or a non-empty set, and each
+    ``(column, value)`` in ``filed`` — values just filed — whose bucket
+    holds one row id holds it bare: it was filed once."""
+    for idx in t._hash_indexes.values():
+        for bucket in idx._map.values():
+            assert type(bucket) is int or (type(bucket) is set and bucket)
+    for column, value in filed:
+        bucket = t._hash_indexes[column]._map[value]
+        assert type(bucket) is int or len(bucket) > 1, (column, value)
 
 
 class TestAllOrNothing:
@@ -341,6 +355,9 @@ class OracleHashIndex:
 
     def get(self, value):
         return set(self._map.get(_hashable(value), ()))
+
+    def __len__(self):
+        return sum(len(b) for b in self._map.values())
 
 
 class OracleNullFirst:
@@ -476,6 +493,53 @@ class OracleTable:
         self._live -= 1
         if self.observer is not None:
             self.observer(self.name, "delete", rid, values)
+
+    # update_row, apply_entry and distinct as they stood when every hash
+    # bucket was a set, over the oracle's own indexes (no pair indexes)
+
+    def update_row(self, rid, changes):
+        row = self._get_live(rid)
+        applied = {}
+        for cname, value in changes.items():
+            if cname not in self._offset:
+                raise DatabaseError(
+                    f"no column {cname!r} in table {self.name!r}")
+            new = self.columns[self._offset[cname]].check(value)
+            idx = self._hash_indexes.get(cname)
+            if idx is not None and idx.unique and idx.get(new) - {rid}:
+                if cname == self.primary_key:
+                    raise DatabaseError(f"duplicate primary key {new!r}")
+                raise DatabaseError(
+                    f"unique index violation for value {_hashable(new)!r}")
+            applied[cname] = new
+        for cname, new in applied.items():
+            off = self._offset[cname]
+            old, row[off] = row[off], new
+            if cname in self._hash_indexes:
+                self._hash_indexes[cname].remove(old, rid)
+                self._hash_indexes[cname].add(new, rid)
+            if cname in self._sorted_indexes:
+                self._sorted_indexes[cname].remove(old, rid)
+                self._sorted_indexes[cname].add(new, rid)
+        if self.observer is not None:
+            self.observer(self.name, "update", rid, applied)
+
+    def apply_entry(self, kind, rid, values):
+        if kind == "insert":
+            if rid != len(self._rows):
+                raise DatabaseError(
+                    f"replication divergence in {self.name!r}: "
+                    f"insert expected rid {len(self._rows)}, log says {rid}")
+            self.insert(values)
+        elif kind == "update":
+            self.update_row(rid, values)
+        elif kind == "delete":
+            self.delete_row(rid)
+        else:
+            raise DatabaseError(f"unknown mutation kind {kind!r}")
+
+    def distinct(self, column):
+        return list(self._hash_indexes[column]._map)
 
     def _get_live(self, rid):
         if not (0 <= rid < len(self._rows)) or self._rows[rid] is None:
@@ -626,11 +690,13 @@ def typed(value):
 
 
 def in_step(table, oracle):
-    """``both(method, ...)``: call it on each side, require one outcome."""
+    """``both(method, ...)``: call it on each side, require one outcome,
+    and return it."""
     def both(method, *args, **kwargs):
         got = outcome(getattr(table, method), *args, **kwargs)
         want = outcome(getattr(oracle, method), *args, **kwargs)
         assert typed(got) == typed(want), (method, args, kwargs)
+        return got
     return both
 
 
@@ -701,11 +767,82 @@ class TestRowPlanMatchesOracle:
             assert typed(table._rows) == typed(oracle._rows)
             assert len(table) == len(oracle)
             assert typed(index_state(table)) == typed(index_state(oracle))
+            assert_bucket_shapes(table)
             assert {c: i.unique for c, i in table._hash_indexes.items()} == \
                 {c: i.unique for c, i in oracle._hash_indexes.items()}
             assert (table.rows_scanned, table.scan_counter.total) == \
                 (oracle.rows_scanned, oracle.scan_counter.total)
             assert typed(logs[0]) == typed(logs[1])
+
+
+class TestHashBucketsMatchOracle:
+    """A value filed once is kept as its bare row id, not a one-element
+    set; every answer read off the buckets is the oracle's, in its order,
+    after any mix of inserts, updates, deletes and restores, and on a twin
+    fed only the source's log through ``apply_entry``."""
+
+    COLUMNS = [Column("u", "INT", nullable=False), Column("k", "TEXT"),
+               Column("n", "INT")]
+    VALUES = {"u": st.integers(0, 9), "k": st.sampled_from([None, "a", "b"]),
+              "n": st.integers(0, 2)}
+    PROBES = {"u": range(-1, 11), "k": [None, "a", "b", "c"],
+              "n": range(-1, 4)}
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_any_sequence_of_mutations(self, data):
+        draw = data.draw
+        tables = [Table("t", self.COLUMNS, "u"),
+                  OracleTable("t", self.COLUMNS, "u"),
+                  Table("t", self.COLUMNS, "u")]        # the twin
+        table, oracle, twin = tables
+        for t in tables:
+            t.create_index("k")
+            t.create_index("n", sorted_index=True)
+        log = []
+        table.observer = lambda _name, *entry: log.append(entry)
+        both = in_step(table, oracle)
+        steps = draw(st.lists(st.sampled_from(
+            ["insert"] * 5 + ["update"] * 3 + ["delete"] * 2 + ["restore"]),
+            max_size=40))
+        for step in steps:
+            rid, columns = draw(st.integers(-1, 12)), ()
+            if step == "insert":
+                values = {c: draw(self.VALUES[c]) for c in draw(
+                    st.sets(st.sampled_from("kn"))) | {"u"}}
+                rid = len(table._rows)
+                if both("insert", values)[0] == "ok":
+                    columns = "ukn"                 # a missing one is NULL
+            elif step == "update":
+                values = {c: draw(self.VALUES[c]) for c in draw(
+                    st.sets(st.sampled_from("ukn"), min_size=1))}
+                if both("update_row", rid, values)[0] == "ok":
+                    columns = values.keys()
+            elif step == "delete":
+                both("delete_row", rid)
+            else:
+                for t in tables:
+                    t.restore_rows(t.snapshot_rows())
+            while log:
+                twin.apply_entry(*log.pop(0))
+            filed = [(c, table.value(rid, c)) for c in columns]
+            if step == "restore":                   # every value refiled
+                filed = [(c, value) for c, idx in table._hash_indexes.items()
+                         for value in idx._map]
+            assert_bucket_shapes(table, filed)
+            assert index_state(twin) == index_state(table)
+            assert typed(index_state(table)) == typed(index_state(oracle))
+            for column, probes in self.PROBES.items():
+                idx, want = table._hash_indexes[column], \
+                    oracle._hash_indexes[column]
+                assert len(idx) == len(want) == len(twin._hash_indexes[column])
+                both("distinct", column)
+                for value in probes:
+                    assert list(idx.get(value)) == list(want.get(value))
+                    both("lookup_eq", column, value)
+                    assert twin.lookup_eq(column, value) == \
+                        table.lookup_eq(column, value)
+            assert twin.snapshot_rows() == table.snapshot_rows()
 
 
 # -- sorted indexes over a pair of columns -------------------------------------

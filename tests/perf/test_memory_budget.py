@@ -1,0 +1,70 @@
+"""Memory budget: how many bytes the catalog's tables hold per row.
+
+The paper sizes its catalog by 2MASS, five million files, so what one
+catalog row costs in memory is what the catalog can hold.  This guard
+measures it in tier-1 with the stdlib's ``tracemalloc``: the bytes that
+code under ``src/repro/db/`` allocated, and still holds, over one
+2,000-object ``bulk_ingest`` with five attributes per object (14,001
+catalog rows: object, replica and five metadata triples each, one audit
+row), divided by those rows.  E20 (``benchmarks/test_e20_catalog_bytes.py``)
+reports the same number at three catalog sizes, split by table.
+
+The budget is about 15 % above the count measured on CPython 3.11 when
+it was pinned: 521 bytes per row, when a hash-index bucket that holds
+one row became the bare row id (it was 799 with a one-element set per
+such bucket).  A change that needs more should show in EXPERIMENTS.md
+what the bytes buy.
+"""
+
+import os
+import tracemalloc
+
+import pytest
+
+import repro.db
+from repro.workload import standard_grid
+
+#: most bytes allocated under src/repro/db/ per catalog row inserted
+BYTES_PER_ROW = 600
+
+DB_FILES = os.path.join(os.path.dirname(repro.db.__file__), "*")
+
+
+@pytest.fixture(scope="module")
+def ingested():
+    grid = standard_grid()
+    items = [{"path": f"{grid.home}/m-{i:04d}.fits", "data": b"\x5a" * 64,
+              "metadata": {"RA": f"{i}.5", "DEC": f"-{i}.25",
+                           "JMAG": "9.75", "NIGHT": "1999-04-01",
+                           "FIELD": str(i % 7)}}
+             for i in range(2000)]
+    db = grid.fed.mcat.shards[0].primary.db
+    rows_before = sum(len(db.table(t)) for t in db.tables())
+    only_db = [tracemalloc.Filter(True, DB_FILES)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot().filter_traces(only_db)
+        grid.curator.bulk_ingest(items)
+        after = tracemalloc.take_snapshot().filter_traces(only_db)
+    finally:
+        tracemalloc.stop()
+    rows = sum(len(db.table(t)) for t in db.tables()) - rows_before
+    assert rows == 14_001
+    held = sum(d.size_diff for d in after.compare_to(before, "filename"))
+    return db, held / rows
+
+
+def test_a_catalog_row_stays_within_its_byte_budget(ingested):
+    _db, per_row = ingested
+    assert per_row <= BYTES_PER_ROW, (
+        f"the catalog's tables hold {per_row:.0f} bytes per row; "
+        f"the budget is {BYTES_PER_ROW}")
+
+
+def test_no_hash_bucket_is_a_one_element_set(ingested):
+    db, _per_row = ingested
+    ones = [(name, column) for name in db.tables()
+            for column, idx in db.table(name)._hash_indexes.items()
+            for bucket in idx._map.values()
+            if type(bucket) is set and len(bucket) == 1]
+    assert ones == []
