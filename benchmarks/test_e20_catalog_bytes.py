@@ -23,7 +23,7 @@ metadata triples.  Measured with the stdlib's ``tracemalloc``:
 
 Expected shape: bytes grow linearly with rows (bytes per row within
 ±15 % across a 16x size range), the walk accounts for the traced bytes
-(within 10 %), and no hash bucket is a one-element set.
+(within 10 %), and no hash bucket is a one-element set or list.
 """
 
 import gc
@@ -47,7 +47,7 @@ DB_FILES = os.path.join(os.path.dirname(repro.db.__file__), "*")
 
 def heap_bytes(table) -> int:
     """Bytes of the objects a table keeps its rows and indexes in: the
-    heap and each row list, each hash map and set bucket, each sorted
+    heap and each row list, each hash map and list bucket, each sorted
     index's key list and entry tuples, the row ids they hold and the
     floats a FLOAT column converted — each object once."""
     seen = set()
@@ -67,7 +67,7 @@ def heap_bytes(table) -> int:
         total += size(idx._map)
         for bucket in idx._map.values():
             total += size(bucket)
-            if type(bucket) is set:
+            if type(bucket) is not int:
                 total += sum(size(rid) for rid in bucket)
     for sidx in table._sorted_indexes.values():
         total += size(sidx._keys)
@@ -98,17 +98,17 @@ def load(n: int) -> dict:
     finally:
         tracemalloc.stop()
     rows = {t: len(db.table(t)) - rows0[t] for t in db.tables()}
-    one_element_sets = sum(
+    one_element_buckets = sum(
         1 for t in db.tables()
         for idx in db.table(t)._hash_indexes.values()
         for bucket in idx._map.values()
-        if type(bucket) is set and len(bucket) == 1)
+        if type(bucket) in (set, list) and len(bucket) == 1)
     return {"rows": rows,
             "traced": sum(d.size_diff
                           for d in after.compare_to(before, "filename")),
             "walked": {t: heap_bytes(db.table(t)) - walked0[t]
                        for t in SPLIT},
-            "one_element_sets": one_element_sets}
+            "one_element_buckets": one_element_buckets}
 
 
 def linear_fit(xs, ys):
@@ -131,7 +131,7 @@ def test_e20_catalog_bytes_per_row(benchmark):
         rows = sum(got["rows"].values())
         assert rows >= n * ROWS_PER_OBJECT
         assert got["rows"]["objects"] == got["rows"]["replicas"] == n
-        assert got["one_element_sets"] == 0
+        assert got["one_element_buckets"] == 0
         walked = sum(got["walked"].values())
         traced.append(got["traced"])
         per_row.append(got["traced"] / rows)

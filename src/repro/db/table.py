@@ -24,9 +24,11 @@ table byte for byte, row ids included.
 columns and indexes flattened into tuples (:meth:`Table._replan`) — and
 runs inserts off it: a value of the column's exact Python type is stored
 as is, a hash-index entry is the bare row id until a second row shares
-the value (:class:`~repro.db.index.HashIndex`), a sorted one is one
-``insort``.  Every other value goes through :meth:`Column.check`, which
-stays the one definition of what a column accepts.
+the value, then one ``append`` to the bucket's ascending list — the new
+rid is the largest yet (:class:`~repro.db.index.HashIndex`) — and a
+sorted one is one ``insort``.  Every other value goes through
+:meth:`Column.check`, which stays the one definition of what a column
+accepts.
 
 A sorted index may cover a *pair* of columns
 (:meth:`Table.create_sorted_index`): its key is the tuple of the two
@@ -297,10 +299,10 @@ class Table:
             key = _hashable(row[off]) if blob else row[off]
             if key not in hmap:
                 hmap[key] = rid
-            elif type(hmap[key]) is int:
-                hmap[key] = {hmap[key], rid}
+            elif type(hmap[key]) is int:     # rid is the largest yet
+                hmap[key] = [hmap[key], rid]
             else:
-                hmap[key].add(rid)
+                hmap[key].append(rid)
         for off, keys, exact, tag in self._sorted_plan:
             value = row[off]
             # NULL and NaN never participate in range scans (index.sortable)
@@ -327,7 +329,9 @@ class Table:
         for cname, value in changes.items():
             new = self._col(cname).check(value)
             idx = self._hash_indexes.get(cname)
-            if idx is not None and idx.unique and idx.get(new) - {rid}:
+            # a unique bucket holds one rid at most: no row's, or this one's
+            if idx is not None and idx.unique \
+                    and idx.get(new) not in ([], [rid]):
                 if cname == self.primary_key:
                     raise DatabaseError(f"duplicate primary key {new!r}")
                 raise DatabaseError(
@@ -401,9 +405,10 @@ class Table:
                 yield rid
 
     def lookup_eq(self, column: str, value: Any) -> List[int]:
-        """Row ids where ``column == value``, via index if available."""
+        """Row ids where ``column == value``, via index if available;
+        either way in ascending rid order, a fresh list."""
         if column in self._hash_indexes:
-            rids = list(self._hash_indexes[column].get(value))
+            rids = self._hash_indexes[column].get(value)
             n = len(rids)
             self.rows_scanned += n
             self.scan_counter.total += n

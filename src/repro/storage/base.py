@@ -208,8 +208,15 @@ class StorageDriver(abc.ABC):
 def normalize_physical(path: str) -> str:
     """Normalize a driver-local path: collapse '//' and strip trailing '/'.
 
-    Driver paths are rooted at '/', like SRB's physical path names.
+    Driver paths are rooted at '/', like SRB's physical path names.  A
+    path with nothing to change (rooted, no '//', no '/.', no trailing
+    '/') comes back as the same object, found without a call: the key a
+    driver files its bytes under is then the string of the catalog row
+    that names them, not an equal copy.
     """
+    if path[:1] == "/" and path[-1:] != "/" and "//" not in path \
+            and "/." not in path:
+        return path
     if not path.startswith("/"):
         path = "/" + path
     parts = [p for p in path.split("/") if p]

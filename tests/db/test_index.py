@@ -12,13 +12,13 @@ class TestHashIndex:
         idx = HashIndex()
         idx.add("x", 1)
         idx.add("x", 2)
-        assert idx.get("x") == {1, 2}
+        assert idx.get("x") == [1, 2]
 
     def test_remove(self):
         idx = HashIndex()
         idx.add("x", 1)
         idx.remove("x", 1)
-        assert idx.get("x") == set()
+        assert idx.get("x") == []
 
     def test_remove_missing_is_noop(self):
         HashIndex().remove("x", 1)
@@ -32,33 +32,33 @@ class TestHashIndex:
     def test_null_values_indexable(self):
         idx = HashIndex()
         idx.add(None, 5)
-        assert idx.get(None) == {5}
+        assert idx.get(None) == [5]
 
     def test_bytearray_coerced(self):
         idx = HashIndex()
         idx.add(bytearray(b"ab"), 1)
-        assert idx.get(b"ab") == {1}
+        assert idx.get(b"ab") == [1]
 
     def test_bytearray_probe_finds_bytes_key(self):
         idx = HashIndex()
         idx.add(b"ab", 1)
-        assert idx.get(bytearray(b"ab")) == {1}
-        assert idx.get(bytearray(b"zz")) == set()
+        assert idx.get(bytearray(b"ab")) == [1]
+        assert idx.get(bytearray(b"zz")) == []
 
     def test_unhashable_probe_finds_nothing(self):
         idx = HashIndex()
         idx.add("x", 1)
-        assert idx.get(["x"]) == set()
-        assert idx.get({"x": 1}) == set()
+        assert idx.get(["x"]) == []
+        assert idx.get({"x": 1}) == []
 
     def test_a_value_filed_once_is_its_bare_rid(self):
         idx = HashIndex()
         idx.add("x", 1)
         assert idx._map == {"x": 1}
         idx.add("x", 2)
-        assert idx._map == {"x": {1, 2}}
+        assert idx._map == {"x": [1, 2]}
         idx.remove("x", 2)
-        assert idx._map == {"x": {1}}          # a set stays a set
+        assert idx._map == {"x": [1]}          # a list stays a list
         idx.remove("x", 7)
         idx.remove("x", 1)
         assert idx._map == {}
@@ -67,15 +67,51 @@ class TestHashIndex:
         idx = HashIndex()
         idx.add("x", 1)
         idx.remove("x", 2)
-        assert idx.get("x") == {1} and len(idx) == 1
+        assert idx.get("x") == [1] and len(idx) == 1
         idx.remove("x", 1)
-        assert idx.get("x") == set() and len(idx) == 0
+        assert idx.get("x") == [] and len(idx) == 0
 
     def test_get_returns_a_copy(self):
         idx = HashIndex()
         idx.add("x", 1)
-        idx.get("x").add(2)
-        assert idx.get("x") == {1}
+        idx.get("x").append(2)
+        assert idx.get("x") == [1]
+        idx.add("x", 3)
+        idx.get("x").append(4)
+        assert idx.get("x") == [1, 3]
+
+    def test_rids_come_back_ascending_whatever_order_they_arrive(self):
+        idx = HashIndex()
+        for rid in (7, 3, 9, 1, 5):
+            idx.add("x", rid)
+        assert idx._map == {"x": [1, 3, 5, 7, 9]}
+        idx.remove("x", 4)                     # not there: nothing moves
+        idx.remove("x", 5)
+        idx.add("x", 4)
+        assert idx.get("x") == [1, 3, 4, 7, 9]
+
+    @given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 20),
+                              st.booleans()), max_size=60))
+    def test_buckets_are_ascending_lists_of_the_model(self, ops):
+        """Random adds and removes: each value's rids are the model's,
+        ascending, and a bucket is a bare rid or a non-empty, strictly
+        ascending list."""
+        idx, model = HashIndex(), {}
+        for value, rid, is_add in ops:
+            rids = model.setdefault(value, set())
+            if is_add and rid not in rids:
+                idx.add(value, rid)
+                rids.add(rid)
+            elif not is_add:
+                idx.remove(value, rid)
+                rids.discard(rid)
+        for value, rids in model.items():
+            assert idx.get(value) == sorted(rids)
+        for bucket in idx._map.values():
+            assert type(bucket) is int or (
+                type(bucket) is list and bucket
+                and bucket == sorted(set(bucket)))
+        assert len(idx) == sum(map(len, model.values()))
 
     def test_len(self):
         idx = HashIndex()

@@ -17,7 +17,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 #: path (from the repository root) -> the most code lines it may hold
 CEILINGS = {
-    "src/repro": 11_657,
+    "src/repro": 11_665,
     "src/repro/core/containers.py": 166,
     "src/repro/core/dispatch.py": 353,
     "src/repro/core/federation.py": 298,
@@ -25,12 +25,12 @@ CEILINGS = {
     "src/repro/core/planes/data.py": 842,
     "src/repro/core/planes/replica.py": 152,
     "src/repro/core/replication.py": 49,
-    "src/repro/db/index.py": 108,
-    "src/repro/db/table.py": 338,
+    "src/repro/db/index.py": 112,
+    "src/repro/db/table.py": 339,
     "src/repro/net/rpc.py": 329,
     "src/repro/net/simnet.py": 511,
     "src/repro/storage/archive.py": 197,
-    "src/repro/storage/base.py": 117,
+    "src/repro/storage/base.py": 120,
     "tools/codelines.py": 21,
 }
 

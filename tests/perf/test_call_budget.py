@@ -165,9 +165,10 @@ def test_one_small_op_stays_within_its_call_budget(measured, op):
 # into online-on-the-sink, other online, tape-resident.  The split asks
 # each copy's driver ``is_online``, so it runs only with two candidates:
 # a single-replica ``get`` makes exactly the calls it made before the
-# chain existed (208 when pinned).
+# chain existed (208 when pinned; 200 once ``normalize_physical`` returned
+# an already-normal driver path without a call).
 
-SINGLE_REPLICA_GET = 208
+SINGLE_REPLICA_GET = 200
 
 
 def test_a_single_replica_get_pays_nothing_for_the_source_chain(measured):
