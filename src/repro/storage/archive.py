@@ -29,7 +29,7 @@ Experiment E1 sweeps file count and container size against this model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Union
 
 from repro.errors import AlreadyExists, StorageError
 from repro.storage.base import (
@@ -37,6 +37,7 @@ from repro.storage.base import (
     DeviceCost,
     StorageDriver,
     normalize_physical,
+    writable,
 )
 from repro.util.clock import SimClock
 
@@ -64,7 +65,8 @@ class ArchiveDriver(StorageDriver):
         self.tape_cost = tape
         self.cache_capacity_bytes = cache_capacity_bytes
         self._tape: Dict[str, bytes] = {}          # migrated (authoritative) copies
-        self._cache: Dict[str, bytearray] = {}     # staged / recently written
+        # staged / recently written; the tape's own object until written
+        self._cache: Dict[str, Union[bytes, bytearray]] = {}
         self._cache_order: List[str] = []          # LRU order, oldest first
         self._cached_bytes = 0                     # sum of the cached buffers
         self._pinned: Set[str] = set()
@@ -96,9 +98,9 @@ class ArchiveDriver(StorageDriver):
         else:
             self._charge_tape(len(data))
         self.stages += 1
-        self._cache_put(path, bytearray(data))
+        self._cache_put(path, data)
 
-    def _cache_put(self, path: str, data: bytearray) -> None:
+    def _cache_put(self, path: str, data: bytes) -> None:
         if path in self._cache:
             self._cache_order.remove(path)
             self._cached_bytes -= len(self._cache[path])
@@ -131,7 +133,8 @@ class ArchiveDriver(StorageDriver):
             self._cached_bytes -= len(self._cache.pop(victim))
 
     def _migrate(self, path: str) -> None:
-        """Ensure the authoritative tape copy matches the cache copy."""
+        """Ensure the authoritative tape copy matches the cache copy: the
+        same object while the cache copy is still a ``bytes``."""
         self._tape[path] = bytes(self._cache[path])
 
     # -- cache management API (used by SRB cache management + pin ops) ------------
@@ -178,7 +181,7 @@ class ArchiveDriver(StorageDriver):
         if self.exists(path):
             raise AlreadyExists(f"archive file exists: {path!r}")
         self._charge_write(len(data), op="create")  # lands in disk cache
-        self._cache_put(path, bytearray(data))
+        self._cache_put(path, bytes(data))
         self._migrate(path)                     # HSM migrates asynchronously;
         # we record the tape copy immediately (migration bandwidth is not on
         # the caller's critical path in an HSM, so no tape cost is charged).
@@ -215,6 +218,7 @@ class ArchiveDriver(StorageDriver):
         if offset < 0 or offset > len(buf):
             raise StorageError(f"offset {offset} out of range for {path!r}")
         grow = max(0, offset + len(data) - len(buf))
+        buf = writable(self._cache, path)
         if grow:
             buf.extend(b"\x00" * grow)
             self._cached_bytes += grow
@@ -227,7 +231,7 @@ class ArchiveDriver(StorageDriver):
         self.require(path)
         if path not in self._cache:
             self._stage(path)
-        self._cache[path].extend(data)
+        writable(self._cache, path).extend(data)
         self._cached_bytes += len(data)
         self._charge_write(len(data))
         self._migrate(path)

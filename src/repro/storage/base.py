@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.errors import NoSuchPhysicalFile, StorageError
 from repro.obs import Observability
@@ -136,7 +136,14 @@ class StorageDriver(abc.ABC):
 
     @abc.abstractmethod
     def create(self, path: str, data: bytes) -> None:
-        """Create a file with ``data``; parents are created implicitly."""
+        """Create a file with ``data``; parents are created implicitly.
+
+        A driver may keep the caller's ``bytes`` object as the file
+        rather than a copy of it (a ``bytearray`` or ``memoryview`` is
+        copied, so the caller's later changes to it do not reach the
+        file).  A driver never mutates a ``bytes``: an in-place write
+        or append first takes a private ``bytearray`` (:func:`writable`).
+        """
 
     @abc.abstractmethod
     def read(self, path: str, offset: int = 0,
@@ -203,6 +210,17 @@ class StorageDriver(abc.ABC):
         """Total bytes stored (for capacity accounting); drivers override
         when they can answer cheaply."""
         raise StorageError(f"{self.kind} driver cannot report usage")
+
+
+def writable(files: Dict[str, bytes], path: str) -> bytearray:
+    """``files[path]`` as a buffer this driver alone holds, to change in
+    place: a file still kept as the ``bytes`` it was created from (maybe
+    the caller's own object, or another copy's) is replaced by a
+    ``bytearray`` copy of it first, once; later writes and appends reuse
+    that copy."""
+    if type(files[path]) is bytes:
+        files[path] = bytearray(files[path])
+    return files[path]
 
 
 def normalize_physical(path: str) -> str:

@@ -10,10 +10,11 @@ variant for the examples.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Union
 
 from repro.errors import AlreadyExists, StorageError, StorageFull
-from repro.storage.base import DISK_COST, DeviceCost, StorageDriver, normalize_physical
+from repro.storage.base import DISK_COST, DeviceCost, StorageDriver, \
+    normalize_physical, writable
 from repro.util.clock import SimClock
 
 
@@ -26,7 +27,9 @@ class MemFsDriver(StorageDriver):
                  cost: DeviceCost = DISK_COST,
                  capacity_bytes: Optional[int] = None):
         super().__init__(clock=clock, cost=cost)
-        self._files: Dict[str, bytearray] = {}
+        # a file is the bytes it was created from until written in place
+        self._files: Dict[str, Union[bytes, bytearray]] = {}
+        self._used = 0                  # sum of the files' sizes
         self.capacity_bytes = capacity_bytes
 
     # -- helpers ------------------------------------------------------------
@@ -44,9 +47,11 @@ class MemFsDriver(StorageDriver):
         path = normalize_physical(path)
         if path in self._files:
             raise AlreadyExists(f"file exists: {path!r}")
-        self._check_capacity(len(data))
-        self._files[path] = bytearray(data)
-        self._charge_write(len(data), op="create")
+        size = len(data)
+        self._check_capacity(size)
+        self._files[path] = bytes(data)
+        self._used += size
+        self._charge_write(size, op="create")
 
     def read(self, path: str, offset: int = 0,
              length: Optional[int] = None) -> bytes:
@@ -68,8 +73,10 @@ class MemFsDriver(StorageDriver):
             raise StorageError(f"offset {offset} out of range for {path!r}")
         grow = max(0, offset + len(data) - len(buf))
         self._check_capacity(grow)
+        buf = writable(self._files, path)
         if grow:
             buf.extend(b"\x00" * grow)
+            self._used += grow
         buf[offset:offset + len(data)] = data
         self._charge_write(len(data))
 
@@ -77,12 +84,14 @@ class MemFsDriver(StorageDriver):
         path = normalize_physical(path)
         self.require(path)
         self._check_capacity(len(data))
-        self._files[path].extend(data)
+        writable(self._files, path).extend(data)
+        self._used += len(data)
         self._charge_write(len(data))
 
     def delete(self, path: str) -> None:
         path = normalize_physical(path)
         self.require(path)
+        self._used -= len(self._files[path])
         del self._files[path]
         self._charge_op("delete")
 
@@ -119,7 +128,7 @@ class MemFsDriver(StorageDriver):
         return sorted(names)
 
     def used_bytes(self) -> int:
-        return sum(len(b) for b in self._files.values())
+        return self._used
 
     def file_count(self) -> int:
         return len(self._files)

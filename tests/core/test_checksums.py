@@ -47,6 +47,31 @@ class TestVerification:
         assert report[1] == "mismatch"
         assert report[2] == "ok"
 
+    def test_corrupting_the_archive_copy_leaves_the_disk_copy(self, grid):
+        """Both replicas of a ``logrsrc1`` ingest start as the caller's
+        own bytes object; a write to one copies it first."""
+        payload = b"good bytes"
+        grid.curator.ingest(f"{grid.home}/corr2.txt", payload,
+                            resource="logrsrc1")
+        rep = grid.curator.stat(f"{grid.home}/corr2.txt")["replicas"][1]
+        drv = grid.fed.resources.physical(rep["resource"]).driver
+        assert drv.kind == "archive"
+        drv.write(rep["physical_path"], b"evil", offset=0)
+        report = grid.curator.verify(f"{grid.home}/corr2.txt")
+        assert report == {1: "ok", 2: "mismatch"}
+        assert payload == b"good bytes"
+        assert grid.curator.get(f"{grid.home}/corr2.txt",
+                                replica_num=1) == b"good bytes"
+
+    def test_a_buffer_changed_after_ingest_leaves_the_object(self, grid):
+        payload = bytearray(b"as ingested")
+        grid.curator.ingest(f"{grid.home}/buf.txt", payload,
+                            resource="logrsrc1")
+        payload[:2] = b"XX"
+        assert grid.curator.get(f"{grid.home}/buf.txt") == b"as ingested"
+        assert grid.curator.verify(f"{grid.home}/buf.txt") == \
+            {1: "ok", 2: "ok"}
+
     def test_unreachable_replica_reported(self, grid):
         grid.curator.ingest(f"{grid.home}/u.txt", b"x", resource="logrsrc1")
         grid.fed.network.set_down("caltech")

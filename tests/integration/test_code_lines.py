@@ -17,7 +17,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 #: path (from the repository root) -> the most code lines it may hold
 CEILINGS = {
-    "src/repro": 11_665,
+    "src/repro": 11_679,
     "src/repro/core/containers.py": 166,
     "src/repro/core/dispatch.py": 353,
     "src/repro/core/federation.py": 298,
@@ -29,8 +29,9 @@ CEILINGS = {
     "src/repro/db/table.py": 339,
     "src/repro/net/rpc.py": 329,
     "src/repro/net/simnet.py": 511,
-    "src/repro/storage/archive.py": 197,
-    "src/repro/storage/base.py": 120,
+    "src/repro/storage/archive.py": 199,
+    "src/repro/storage/base.py": 124,
+    "src/repro/storage/memfs.py": 99,
     "tools/codelines.py": 21,
 }
 
