@@ -169,9 +169,9 @@ TARGETS: Dict[str, Callable] = {
     "object": _object, "resolved": _resolved, "entry": _entry,
     "collection": _collection, "parent": _parent, "container": _container}
 
-#: Ops whose handler checks a permission itself, and why the declaration
-#: cannot say the same thing in the same order.  Every other scoped op
-#: declares ``need=``.
+#: Ops whose handler checks a permission itself (or runs the ops that
+#: do), and why the declaration cannot say the same thing in the same
+#: order.  Every other scoped op declares ``need=``.
 WRITTEN_CHECKS = {
     "move": "second target", "copy_metadata": "second target",
     "extract_metadata": "second target",
@@ -186,6 +186,7 @@ WRITTEN_CHECKS = {
     "unlock": "own rows only", "unpin": "own rows only",
     "ingest": "own order", "link": "own order", "stat": "own order",
     "get_metadata": "own order", "migrate_collection": "own order",
+    "open_object": "nested ops",
 }
 
 

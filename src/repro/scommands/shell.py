@@ -18,7 +18,7 @@ Command summary (``help`` lists the names, ``help <cmd>`` its usage):
   access     Schmod Saudit Sdump
   observe    Sstat Strace Sdispatch
   locking    Slock Sunlock Spin Sunpin Scheckout Scheckin
-  containers Smkcont Ssyncont Scompact
+  containers Smkcont Ssyncont Scompact Sgarbage
   register   Sregister
 
 A command that only forwards to one client op is a row of
@@ -84,6 +84,7 @@ FORWARDS: Dict[str, Tuple[str, Dict[str, str], str]] = {
     "Smkcont": ("create_container", {"-R": "logical_resource"}, ""),
     "Ssyncont": ("sync_container", {}, "{} replica(s) refreshed"),
     "Scompact": ("compact_container", {}, "{} byte(s) reclaimed"),
+    "Sgarbage": ("container_garbage", {}, "{} byte(s) reclaimable"),
 }
 
 

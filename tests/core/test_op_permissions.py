@@ -87,7 +87,13 @@ REASONS = {
     "own rows only": "changes only the caller's own lock or pin rows",
     "own order": "reads the catalog or validates a path around its check "
                  "in an order no target kind repeats",
+    "nested ops": "runs other ops through their own plans, and each of "
+                  "those checks its own subject",
 }
+
+#: reasons under which a listed handler calls no ``access.require_*``
+CHECKS_NOTHING_ITSELF = {"own rows only", "nested ops"}
+
 WRITTEN_CHECKS = getattr(dispatch, "WRITTEN_CHECKS", {})
 
 
@@ -273,7 +279,7 @@ def test_every_written_check_is_listed():
         if writes:
             assert spec.name in WRITTEN_CHECKS, spec.name
         elif WRITTEN_CHECKS.get(spec.name, "own rows only") \
-                != "own rows only":
+                not in CHECKS_NOTHING_ITSELF:
             assert False, f"{spec.name} is listed but checks nothing itself"
 
 

@@ -337,8 +337,10 @@ class TestContainerCompaction:
         # overwrite via checkout/checkin to exercise the update path
         ok(sh, "Scheckout cm.txt")
         ok(sh, f"Scheckin cm.txt {v2}")
+        assert ok(sh, "Sgarbage cbox") == "10 byte(s) reclaimable"
         out = ok(sh, "Scompact cbox")
         assert "10 byte(s) reclaimed" in out
+        assert ok(sh, "Sgarbage cbox") == "0 byte(s) reclaimable"
         assert ok(sh, "Scat cm.txt") == "new"
 
 
@@ -495,6 +497,9 @@ PINNED = {
     "Scompact": (["Smkcont -R pinres box", "Sput -c box {local} m.txt",
                   "Scheckout m.txt", "Scheckin m.txt {local}"],
                  "Scompact box", "3 byte(s) reclaimed", "Scompact", None),
+    "Sgarbage": (["Smkcont -R pinres box", "Sput -c box {local} m.txt",
+                  "Scheckout m.txt", "Scheckin m.txt {local}"],
+                 "Sgarbage box", "3 byte(s) reclaimable", "Sgarbage", None),
 }
 
 
