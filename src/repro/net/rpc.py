@@ -431,9 +431,13 @@ class ServiceRegistry:
         The legs run as :func:`~repro.net.simnet.run_channel_group` runs
         any channels — one blocking, several overlapped.  With ``retry``
         (striped reads) a failed leg's bytes are re-pulled from a source
-        that answered; otherwise the first failure raises.  Returns the
-        payload.
+        that answered; otherwise the first failure raises.  A redirect of
+        ``items`` settles each item's own redirect instead
+        (:meth:`_settle_items`).  Returns the payload.
         """
+        if redirect.items:
+            self._settle_items(sink, redirect.items)
+            return redirect.payload
         channels = redirect.channels
         with self.network.obs.tracer.span(
                 "srb.redirect", sink=sink, legs=len(channels),
@@ -448,6 +452,21 @@ class ServiceRegistry:
             else:
                 raise_failed(outcomes)
         return redirect.payload
+
+    def _settle_items(self, sink: str, items: Sequence[BatchItemResult]
+                      ) -> List[BatchItemResult]:
+        """Run the second leg(s) of each item whose value is a redirect.
+        A dead channel fails only its own item, which turns ``ok=False``
+        in place; returns the items that failed so."""
+        dead = []
+        for r in items:
+            if r.ok and isinstance(r.value, Redirect):
+                try:
+                    r.value = self._run_redirect(sink, r.value)
+                except SrbError as exc:
+                    r.ok, r.value, r.error = False, None, exc
+                    dead.append(r)
+        return dead
 
     def call_stream(self, src: str, dst: str, service: str, method: str,
                     /, page_size: int = 100, cursor: Optional[Any] = None,
@@ -570,14 +589,9 @@ class ServiceRegistry:
 
         def settle(sink: str, results: List[BatchItemResult]
                    ) -> List[BatchItemResult]:
-            # second leg per item; a dead channel fails only its own
-            # item, matching the batch's per-item marshalling
-            for i, r in enumerate(results):
-                if r.ok and isinstance(r.value, Redirect):
-                    try:
-                        r.value = self._run_redirect(sink, r.value)
-                    except SrbError as exc:
-                        results[i] = failed("<batch>", exc, exc)
+            # second leg per item, matching the per-item marshalling
+            for r in self._settle_items(sink, results):
+                failed("<batch>", r.error, r.error)
             return results
 
         # one pipelined request/response pair = one call in the stats

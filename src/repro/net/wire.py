@@ -51,16 +51,22 @@ class Redirect:
     must be pulled/pushed by the caller's RPC layer as a second leg.
     On the wire a Redirect costs the payload minus the deferred bytes
     plus one signed descriptor per leg.
+
+    ``items``, when given, are :class:`~repro.net.rpc.BatchItemResult`
+    outcomes inside ``payload`` whose values are redirects of their own
+    (``channels`` is then empty): the caller settles each on its own, so
+    a dead channel fails only its own outcome, as in a batch.
     """
 
-    __slots__ = ("payload", "channels", "retry", "label")
+    __slots__ = ("payload", "channels", "retry", "label", "items")
 
     def __init__(self, payload: Any, channels, retry: bool = False,
-                 label: str = "redirect"):
+                 label: str = "redirect", items=()):
         self.payload = payload
         self.channels = list(channels)
         self.retry = retry
         self.label = label
+        self.items = items
 
     def __len__(self) -> int:
         # ops audit `len(data)`; a redirect stands in for its payload
