@@ -3,9 +3,9 @@
 Every earlier experiment drives the grid closed-loop, so offered load
 can never exceed capacity and the paper's operating regime — "heavy
 traffic", servers that must *refuse* work — is invisible.  E15 installs
-a bounded worker pool on the SRB server host
-(``Federation(workers=..., queue_depth=...)``) and sweeps a Poisson
-open-loop workload across its capacity:
+a bounded worker pool on the SRB server host (``Federation.add_host(host,
+workers=..., queue_depth=...)``) and sweeps a Poisson open-loop workload
+across its capacity:
 
   (a) without admission control the latency curve has a knee: p50/p99
       are flat below capacity, then queueing delay blows up roughly
@@ -39,10 +39,10 @@ N_REQUESTS = 200
 
 def build(workers=None, queue_depth=None):
     """Client on h0, SRB+MCAT server on h1, storage on h2 (WAN links)."""
-    fed = Federation(zone="demozone", workers=workers,
-                     queue_depth=queue_depth)
-    for h in ("h0", "h1", "h2"):
-        fed.add_host(h)
+    fed = Federation(zone="demozone")
+    fed.add_host("h0")
+    fed.add_host("h1", workers=workers, queue_depth=queue_depth)
+    fed.add_host("h2")
     fed.add_server("s0", "h1", mcat=True)
     fed.add_fs_resource("fs2", "h2")
     fed.default_resource = "fs2"
@@ -172,8 +172,8 @@ def test_e15_admission_bounds_latency(benchmark):
     assert int(m.total("srb.admission.shed")) == bounded.shed_count
     stats = fed.stats()
     assert stats["requests_shed"] == bounded.shed_count
-    assert stats["workers"] == WORKERS
-    assert stats["queue_depth"] == depth
+    station = fed.network.station("h1")
+    assert (station.workers, station.queue_depth) == (WORKERS, depth)
 
     record_json("e15", {
         "shed_fraction_at_1p8x": round(bounded.shed_fraction, 4),

@@ -36,7 +36,8 @@ Written out are only the methods that do something else:
 * ``get`` — sends ``stripes`` only when one is given, so a default get
   stays byte-identical on the wire;
 * ``ls``, ``ls_page``, ``verify`` — named other than their ops
-  (``list_collection``, ``list_collection_page``, ``verify_checksums``);
+  (``ls`` joins the pages of one ``list_collection_page`` stream,
+  ``ls_page`` is one of them, ``verify`` sends ``verify_checksums``);
 * ``grant``, ``revoke`` — take ``principal``, which travels as the
   handler's ``principal_str``;
 * ``iter_ls``, ``iter_query_pages``, ``iter_query``,
@@ -66,8 +67,8 @@ _DECLARED = [pair for service in (AuthService, NamespaceService, DataService,
 _SPECS: Dict[str, OpSpec] = {spec.name: spec for spec, _fn in _DECLARED}
 
 #: ops a written method reaches under another name
-_REACHED_OTHERWISE = {"auth_challenge", "auth_login", "list_collection",
-                      "list_collection_page", "verify_checksums"}
+_REACHED_OTHERWISE = {"auth_challenge", "auth_login", "list_collection_page",
+                      "verify_checksums"}
 
 
 class SrbClient:
@@ -186,7 +187,15 @@ class SrbClient:
     # -- methods other than their op ----------------------------------------
 
     def ls(self, path: str) -> Dict[str, Any]:
-        return self._call("list_collection", ticket=self.ticket, path=path)
+        """The whole listing, ``{"collections", "objects"}``: the pages
+        of :meth:`iter_ls`'s one stream, joined."""
+        listing: Dict[str, Any] = {"collections": [], "objects": []}
+        for entry in self.iter_ls(path):
+            if entry["kind"] == "collection":
+                listing["collections"].append(entry["path"])
+            else:
+                listing["objects"].append(entry)
+        return listing
 
     def ls_page(self, path: str, limit: int = 100,
                 cursor: Optional[str] = None) -> Dict[str, Any]:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from repro.errors import ContainerError, HostUnreachable, ResourceUnavailable
+from repro.errors import ContainerError, ResourceUnavailable
 from repro.mcat.catalog import Mcat
 from repro.net.simnet import raise_failed
 from repro.policy import PlacementEngine
@@ -37,9 +37,8 @@ class ContainerManager:
                  placement: PlacementEngine, channels):
         self.mcat = mcat
         self.resources = resources
-        # container replica ordering goes through the placement engine
-        # (cache-tier-first always; within a tier the policy may rank by
-        # measured path cost)
+        # container copies are chosen by the placement engine: reads
+        # walk its source chain, appends go to its append target
         self.placement = placement
         # the federation's ChannelBroker: container bytes move through
         # its leg runner like every other payload byte
@@ -73,18 +72,13 @@ class ContainerManager:
 
     # -- replica choice -----------------------------------------------------------
 
-    def _ordered_replicas(self, container_oid: int,
-                          from_host: Optional[str] = None
-                          ) -> List[Dict[str, Any]]:
-        """Container replicas, cache (non-archive) resources first."""
+    def primary_replica(self, container_oid: int) -> Dict[str, Any]:
+        """The copy appends go to: the placement engine's append target
+        (:meth:`~repro.policy.PlacementEngine.order_container_replicas`)."""
         replicas = self.mcat.replicas(container_oid)
         if not replicas:
             raise ContainerError(f"container {container_oid} has no replicas")
-        return self.placement.order_container_replicas(replicas,
-                                                       from_host=from_host)
-
-    def primary_replica(self, container_oid: int) -> Dict[str, Any]:
-        return self._ordered_replicas(container_oid)[0]
+        return self.placement.order_container_replicas(replicas)[0]
 
     # -- membership ------------------------------------------------------------
 
@@ -136,36 +130,27 @@ class ContainerManager:
                              from_host: Optional[str] = None):
         """Read a member's bytes without charging the wire.
 
-        Tries the cache copy first, failing over to archive copies; a
-        ranged read touches only the member's slice (tape staging of the
-        whole container happens inside the archive driver, where the cost
-        model amortizes it across subsequent members).  Returns ``(data,
-        resource)``: the caller delivers the bytes from the resource's
-        host to whoever reads them.  ``from_host`` is that reader's
-        host, used to order the container replicas.
+        The slice comes from the first copy of the container's source
+        chain to ``from_host``, the reader's host
+        (:meth:`~repro.policy.PlacementEngine.source_chain`): an online
+        copy there first, tape-resident copies last, as for any other
+        read.  A ranged read touches only the member's slice (tape
+        staging of the whole container happens inside the archive
+        driver, where the cost model amortizes it across subsequent
+        members).  Returns ``(data, resource)``: the caller delivers the
+        bytes from the resource's host to whoever reads them.  Raises
+        the chain's :class:`~repro.errors.ReplicaUnavailable` when no
+        clean copy is on an available resource.
         """
         coid = member_replica["container_oid"]
         if coid is None:
             raise ContainerError("replica is not container-resident")
-        offset = int(member_replica["offset"])
-        length = int(member_replica["size"])
-        last_error: Optional[Exception] = None
-        for crep in self._ordered_replicas(int(coid), from_host=from_host):
-            if crep["is_dirty"]:
-                continue                      # stale copy: do not serve
-            res = self.resources.physical(crep["resource"])
-            if not self.resources.available(res.name):
-                last_error = ResourceUnavailable(f"{res.name} down")
-                continue
-            try:
-                data = res.driver.read(crep["physical_path"], offset, length)
-            except HostUnreachable as exc:    # pragma: no cover - defensive
-                last_error = exc
-                continue
-            return data, res
-        raise ResourceUnavailable(
-            f"no clean, reachable replica of container {coid}"
-            + (f" ({last_error})" if last_error else ""))
+        crep = self.placement.source_chain(self.mcat.replicas(int(coid)),
+                                           from_host)[0]
+        res = self.resources.physical(crep["resource"])
+        return res.driver.read(crep["physical_path"],
+                               int(member_replica["offset"]),
+                               int(member_replica["size"])), res
 
     def members(self, container_oid: int) -> List[Dict[str, Any]]:
         return self.mcat.container_members(container_oid)

@@ -177,8 +177,7 @@ WRITTEN_CHECKS = {
     "extract_metadata": "second target",
     "bulk_ingest": "per item", "bulk_get": "per item",
     "bulk_query_metadata": "per item",
-    "get": "shadow fallback", "list_collection": "shadow fallback",
-    "list_collection_page": "shadow fallback",
+    "get": "shadow fallback", "list_collection_page": "shadow fallback",
     "copy": "kind checked first", "put": "kind checked first",
     "replicate": "kind checked first",
     "register_replica": "kind checked first",

@@ -190,8 +190,6 @@ class Federation:
                  placement: str = "primary",
                  sso_enabled: bool = True,
                  network: Optional[Network] = None,
-                 workers: Optional[int] = None,
-                 queue_depth: Optional[int] = None,
                  mcat_shards: int = 1,
                  mcat_replicas: int = 0,
                  direct_io: bool = False):
@@ -257,18 +255,6 @@ class Federation:
         self.servers: Dict[str, SrbServer] = {}
         self.sso_enabled = sso_enabled
         self.default_resource: Optional[str] = None
-        # open-loop load plane (E15).  workers=None (default) keeps the
-        # historical contention-free server: requests never queue and
-        # are never shed, so every serial-mode recording is untouched.
-        #   workers: each server host gets a ServiceStation with this
-        #   many concurrent request slots — RPCs arriving while all are
-        #   busy pay queue wait on the virtual clock;
-        #   queue_depth: bound on that queue — an arrival finding it
-        #   full is shed fast with ServerBusy + a retry-after hint
-        #   (None = unbounded queue, nothing is ever shed).
-        self.workers = workers if workers is None else max(1, int(workers))
-        self.queue_depth = queue_depth if queue_depth is None \
-            else max(0, int(queue_depth))
         # admin-installed proxy executables, per server "bin directory"
         self.proxy_bin: Dict[str, Dict[str, Callable[[str], bytes]]] = {}
         # compiled-in proxy functions (server, args) -> bytes
@@ -279,8 +265,27 @@ class Federation:
     # topology
     # ------------------------------------------------------------------
 
-    def add_host(self, name: str, site: str = "sdsc"):
-        return self.network.add_host(name, site=site)
+    def add_host(self, name: str, site: str = "sdsc",
+                 workers: Optional[int] = None,
+                 queue_depth: Optional[int] = None):
+        """Add a host; ``workers`` gives its server process a worker pool.
+
+        The open-loop load plane (E15).  Without ``workers`` (the
+        default) the host is contention-free: requests never queue and
+        are never shed, so every serial-mode recording is untouched.
+        With it, the host gets a :class:`~repro.net.simnet.
+        ServiceStation` of that many concurrent request slots — RPCs
+        (and data channels) arriving while all are busy pay queue wait
+        on the virtual clock — and ``queue_depth`` bounds that queue: an
+        arrival finding it full is shed fast with ``ServerBusy`` and a
+        retry-after hint (``None``: unbounded, nothing is ever shed).
+        Servers on one host share its pool (one machine, one server
+        process).
+        """
+        host = self.network.add_host(name, site=site)
+        if workers is not None:
+            self.network.install_station(name, workers, queue_depth)
+        return host
 
     def add_server(self, name: str, host: str,
                    mcat: bool = False) -> SrbServer:
@@ -297,13 +302,6 @@ class Federation:
             self.mcat_server = server
         self.proxy_bin.setdefault(name, {})
         self.rpc.register(host, f"srb:{name}", server)
-        # servers on one host share its worker pool (one machine, one
-        # server process model); installed lazily so only server hosts
-        # get stations
-        if self.workers is not None \
-                and self.network.station(host) is None:
-            self.network.install_station(host, self.workers,
-                                         self.queue_depth)
         return server
 
     def server(self, name: str) -> SrbServer:
@@ -477,8 +475,6 @@ class Federation:
             "catalog_replicas": self.mcat.total_replicas(),
             "acl_checks": self.access.checks,
             "acl_denials": self.access.denials,
-            "workers": self.workers,
-            "queue_depth": self.queue_depth,
             "requests_admitted": int(metrics.total("srb.admission.admitted")),
             "requests_shed": int(metrics.total("srb.admission.shed")),
             "parallel_groups": int(metrics.total("net.parallel.groups")),

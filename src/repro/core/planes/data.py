@@ -347,7 +347,7 @@ class DataService(PlaneService):
             cont = self.containers.get_container(
                 paths.normalize(via_container))
             self.access.require_object(principal, cont, "read")
-            prefetched = self._prefetch_container(int(cont["oid"]))
+            prefetched = self._prefetch_container(cont)
         results: List[Dict[str, Any]] = []
         total = 0
         # the per-item wire pulls are deferred and delivered together:
@@ -400,29 +400,22 @@ class DataService(PlaneService):
             ctx.span.incr("payload_bytes", total)
         return reply
 
-    def _prefetch_container(self, coid: int) -> Dict[int, bytes]:
-        """Fetch a container's bytes once; map member oid -> its slice."""
-        members = self.mcat.container_members(coid)
+    def _prefetch_container(self, cont: Dict[str, Any]) -> Dict[int, bytes]:
+        """Fetch a container's bytes once, as a plain read of the
+        container object (:meth:`_read_replica`) delivered here; map
+        member oid -> its slice."""
+        members = self.mcat.container_members(int(cont["oid"]))
         if not members:
             return {}
-        chain = self.federation.placement.order_replicas(
-            self.mcat.replicas(coid), from_host=self.host)
-        for rep in [r for r in chain if not r["is_dirty"]]:
-            res = self.resources.physical(rep["resource"])
-            if not self.resources.available(res.name):
-                continue
-            try:
-                self._resource_session(res)
-                blob = res.driver.read_all(rep["physical_path"])
-            except (HostUnreachable, ResourceUnavailable):
-                self._invalidate_session(res)
-                continue
-            self._deliver(blob, [(res, len(blob), rep["physical_path"])],
+        try:
+            blob, res = self._read_replica(cont, None, self.host)
+        except ReplicaUnavailable:
+            return {}        # fall back to per-item replica reads
+        if res is not None:
+            self._deliver(blob, [(res, len(blob), str(cont["path"]))],
                           self.host, "container-prefetch")
-            return {int(m["oid"]): blob[int(m["offset"]):
-                                        int(m["offset"]) + int(m["size"])]
-                    for m in members}
-        return {}            # fall back to per-item replica reads
+        return {int(m["oid"]): blob[m["offset"]:m["offset"] + m["size"]]
+                for m in members}
 
     @rpc_op("bulk_query_metadata", audit="bulk-query-metadata",
             span_items="targets")
@@ -673,7 +666,7 @@ class DataService(PlaneService):
                 try:
                     data, res = self.containers.read_member_deferred(
                         rep, from_host=sink)
-                except (ResourceUnavailable, HostUnreachable) as exc:
+                except ReplicaUnavailable as exc:
                     last = exc
                     continue
                 return data, (res if res.host != sink else None)

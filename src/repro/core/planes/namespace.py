@@ -1,6 +1,6 @@
 """Namespace plane: the logical collection hierarchy.
 
-Browse ops (``list_collection``/``stat``) are forwardable reads; the
+Browse ops (``list_collection_page``/``stat``) are forwardable reads; the
 structure mutations (``mkcoll``/``rmcoll``/``move``/``link``) are writes
 and uniformly refuse foreign-zone paths at the zone stage."""
 
@@ -38,29 +38,6 @@ class NamespaceService(PlaneService):
     def rmcoll(self, ctx: OpContext, path: str) -> None:
         self.mcat.remove_collection(path)
 
-    @rpc_op("list_collection", scope_arg="path", forwardable=True)
-    def list_collection(self, ctx: OpContext, path: str) -> Dict[str, Any]:
-        """Collections + objects directly under ``path`` (the browse view).
-
-        If ``path`` falls inside a registered shadow directory, the
-        listing comes from the underlying physical directory instead.
-        """
-        principal = ctx.principal
-        path = paths.normalize(path)
-        if not self.mcat.collection_exists(path):
-            obj = self.mcat.find_object(path)
-            if obj is not None and obj["kind"] == "shadow-dir":
-                return self._list_shadow(principal, obj, path)
-            shadow = self._find_shadow(path)
-            if shadow is not None:
-                return self._list_shadow(principal, shadow, path)
-            raise NoSuchCollection(f"no collection {path!r}")
-        self.access.require_collection(principal, path, "read")
-        colls = [c["path"] for c in self.mcat.child_collections(path)]
-        return {"collections": colls,
-                "objects": self._listed(
-                    principal, self.mcat.objects_in_collection(path))}
-
     def _listed(self, principal: Principal,
                 rows: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
         """The listing entries of the object ``rows`` that ``principal``
@@ -75,25 +52,29 @@ class NamespaceService(PlaneService):
     def list_collection_page(self, ctx: OpContext, path: str,
                              limit: int = 100,
                              cursor: Optional[str] = None) -> Dict[str, Any]:
-        """One keyset page of :meth:`list_collection`.
+        """One keyset page of the collections + objects directly under
+        ``path`` (the browse view).
 
         Returns ``{"collections", "objects", "next_cursor"}``.  The
         cursor is phase-prefixed: ``"c:<path>"`` while sub-collections
         are being delivered, ``"o:<path>"`` while objects are (``"o:"``
         alone starts the object phase) — collections always precede
         objects, each phase in path order.  Object pages seek the sorted
-        path index, so a page is charged O(page) catalog rows where
-        :meth:`list_collection` charges the whole listing.  Shadow
-        directories have no catalog cursor and are served whole as a
-        single final page.
+        path index, so a page is charged O(page) catalog rows.  If
+        ``path`` falls inside a registered shadow directory, the listing
+        comes from the underlying physical directory instead: it has no
+        catalog cursor and is served whole as a single final page.
         """
         principal = ctx.principal
         path = paths.normalize(path)
         page_limit = max(1, int(limit))
         if not self.mcat.collection_exists(path):
-            listing = self.list_collection(ctx, path)   # shadow fallbacks
-            listing["next_cursor"] = None
-            return listing
+            shadow = self.mcat.find_object(path)
+            if shadow is None or shadow["kind"] != "shadow-dir":
+                shadow = self._find_shadow(path)
+            if shadow is None:
+                raise NoSuchCollection(f"no collection {path!r}")
+            return self._list_shadow(principal, shadow, path)
         self.access.require_collection(principal, path, "read")
 
         colls: list = []
@@ -134,7 +115,7 @@ class NamespaceService(PlaneService):
                  "data_type": None, "owner": shadow["owner"], "size": None,
                  "version": 1, "modified_at": None}
                 for e in entries if not e.endswith("/")]
-        return {"collections": colls, "objects": objs}
+        return {"collections": colls, "objects": objs, "next_cursor": None}
 
     @rpc_op("stat", scope_arg="path", forwardable=True)
     def stat(self, ctx: OpContext, path: str) -> Dict[str, Any]:

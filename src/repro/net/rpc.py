@@ -14,18 +14,19 @@ stack would marshal them); anything else is wrapped in ``RpcError`` since
 a production system would not leak arbitrary remote tracebacks.
 
 **Load plane.**  When the destination host carries a
-:class:`~repro.net.simnet.ServiceStation` (``Federation(workers=...)``),
-every call and batch contends for that host's worker pool: a request
-arriving while all workers are busy queues (the wait is charged to the
-caller and recorded as ``srb.queue.*`` metrics plus a queue-wait span),
-and with a bounded queue a request arriving at a full queue is shed
-fast with :class:`~repro.errors.ServerBusy` carrying a retry-after
-hint (``srb.admission.*`` metrics).  The :meth:`ServiceRegistry.
-open_loop` context manager lets a workload generator stamp a call with
-a logical *arrival* time independent of the global clock — requests
-then overlap in station bookkeeping instead of serializing on the
-clock, which is what makes open-loop (arrivals independent of
-completions) saturation curves representable (experiment E15).
+:class:`~repro.net.simnet.ServiceStation` (``Federation.add_host(name,
+workers=...)``), every call and batch contends for that host's worker
+pool: a request arriving while all workers are busy queues (the wait is
+charged to the caller and recorded as ``srb.queue.*`` metrics plus a
+queue-wait span), and with a bounded queue a request arriving at a full
+queue is shed fast with :class:`~repro.errors.ServerBusy` carrying a
+retry-after hint (``srb.admission.*`` metrics).  The
+:meth:`ServiceRegistry.open_loop` context manager lets a workload
+generator stamp a call with a logical *arrival* time independent of the
+global clock — requests then overlap in station bookkeeping instead of
+serializing on the clock, which is what makes open-loop (arrivals
+independent of completions) saturation curves representable
+(experiment E15).
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 A :class:`PlacementEngine` lives on the federation
 (``Federation(placement=...)``) and answers every replica/resource
 choice — read ordering, the failover chain, write destinations, the
-synchronize source, the container manager's cache-first sort and the
-stripe count of ``get(stripes="auto")`` — consulting one pluggable
+synchronize source, a container's append target and the stripe count
+of ``get(stripes="auto")`` — consulting one pluggable
 :class:`~repro.policy.policies.PlacementPolicy` plus the
 federation-wide :class:`~repro.policy.stats.PathStats` history.
 
@@ -13,15 +13,15 @@ the failover chain in the policy's order, stable-partitioned into three
 tiers — online copies on the host the bytes must end up on, other
 online copies, tape-resident copies (``StorageDriver.is_online``; an
 archive copy is online while in its disk cache).  The split is
-policy-independent, like the container tiering: no measured bandwidth
-makes a wire pull beat bytes already on the sink, or a tape stage beat a
-disk read.  It never lifts a copy whose path to the sink is quarantined
-over one the policy ranked first (else each read would probe a dead
-host the policy had ranked after a tape copy), and never demotes one
-either (the walk's charged failover, E2/A1b, stays the policy's).
-``get``/``bulk_get``/striped reads use the sink they deliver to,
-``replicate`` the destination's host (the bytes move
-source→destination, never through the server).  Write targets keep the
+policy-independent: no measured bandwidth makes a wire pull beat bytes
+already on the sink, or a tape stage beat a disk read.  It never lifts
+a copy whose path to the sink is quarantined over one the policy ranked
+first (else each read would probe a dead host the policy had ranked
+after a tape copy), and never demotes one either (the walk's charged
+failover, E2/A1b, stays the policy's).  ``get``/``bulk_get``/striped
+reads — container members and a container prefetch included — use the
+sink they deliver to, ``replicate`` the destination's host (the bytes
+move source→destination, never through the server).  Write targets keep the
 policy's order — ``put``'s replica and ``checkin``'s snapshot pick which
 copy becomes the fresh one, and ``physical_move``'s source is the copy
 relocated and deleted, not only where bytes are read from — and so does
@@ -164,29 +164,17 @@ class PlacementEngine:
             ranked.append((tier, i))        # i: the policy's order
         return [chain[i] for _tier, i in sorted(ranked)]
 
-    def order_container_replicas(self, replicas: List[Dict[str, Any]],
-                                 from_host: Optional[str] = None
+    def order_container_replicas(self, replicas: List[Dict[str, Any]]
                                  ) -> List[Dict[str, Any]]:
-        """Container replicas, cache (non-archive) resources first.
+        """Container replicas, the append target first: non-archive
+        copies before archive ones, each by replica number.
 
-        The tier split is policy-independent — a tape mount never beats
-        a disk cache on measured bandwidth alone — but within a tier a
-        measurement-driven policy may re-rank by predicted path cost.
-        """
-        def tier(row: Dict[str, Any]) -> int:
-            res = self.resources.physical(row["resource"])
-            return 1 if res.rtype == "archive" else 0
-
-        base = sorted(replicas,
-                      key=lambda r: (tier(r), r["replica_num"]))
-        if not self.policy.reorders_containers or from_host is None:
-            return base
-        ctx = self._ctx(from_host)
-        out: List[Dict[str, Any]] = []
-        for t in (0, 1):
-            out.extend(self.policy.order(
-                [r for r in base if tier(r) == t], ctx))
-        return out
+        Appends, compaction and the garbage count work on that first
+        copy; a reader of container bytes walks :meth:`source_chain`
+        like any other reader."""
+        return sorted(replicas, key=lambda r: (
+            self.resources.physical(r["resource"]).rtype == "archive",
+            r["replica_num"]))
 
     # -- write path -----------------------------------------------------
 

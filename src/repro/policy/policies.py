@@ -82,9 +82,6 @@ class PlacementPolicy:
     """
 
     name = "primary"
-    #: Whether container replicas are re-ranked within their storage
-    #: tier (cache vs archive).  Static policies never were.
-    reorders_containers = False
 
     def order(self, replicas: List[Dict[str, Any]],
               ctx: PlacementContext) -> List[Dict[str, Any]]:
@@ -199,7 +196,6 @@ class ObservedPolicy(PlacementPolicy):
     """
 
     name = "observed"
-    reorders_containers = True
 
     def _read_key(self, row: Dict[str, Any], ctx: PlacementContext):
         src = ctx.host_of(row["resource"])

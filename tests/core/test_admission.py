@@ -1,7 +1,7 @@
-"""End-to-end admission control through the Federation knobs.
+"""End-to-end admission control through a host's worker pool.
 
-``Federation(workers=..., queue_depth=...)`` installs a worker-pool
-station on every host that runs an SRB server; these tests drive it
+``Federation.add_host(name, workers=..., queue_depth=...)`` installs a
+worker-pool station on that host; these tests drive it
 through the real client/server/dispatch stack — including a cross-zone
 forward landing on a saturated peer.
 """
@@ -9,17 +9,19 @@ forward landing on a saturated peer.
 import pytest
 
 from repro.core import Federation, SrbClient
-from repro.errors import ServerBusy
+from repro.errors import NetworkError, ServerBusy
 from repro.net.simnet import Network
 
 COLL = "/demozone/bench"
 OBJ = f"{COLL}/obj.dat"
 
 
-def build(**knobs):
-    fed = Federation(zone="demozone", **knobs)
+def build(**pool):
+    """Client on hc; server, catalog and resource on hs, whose worker
+    pool is ``pool`` (``workers=``, ``queue_depth=``)."""
+    fed = Federation(zone="demozone")
     fed.add_host("hc")
-    fed.add_host("hs")
+    fed.add_host("hs", **pool)
     fed.add_server("s0", "hs", mcat=True)
     fed.add_fs_resource("fs0", "hs")
     fed.default_resource = "fs0"
@@ -36,8 +38,7 @@ class TestFederationKnobs:
         fed, client = build()
         assert fed.network.station("hs") is None
         stats = fed.stats()
-        assert stats["workers"] is None
-        assert stats["queue_depth"] is None
+        assert "workers" not in stats and "queue_depth" not in stats
         assert stats["requests_admitted"] == 0
         assert stats["requests_shed"] == 0
 
@@ -46,17 +47,19 @@ class TestFederationKnobs:
         st = fed.network.station("hs")
         assert st is not None
         assert st.workers == 2 and st.queue_depth == 4
-        # the client host runs no server: no station there
+        # the client host was given no pool: no station there
         assert fed.network.station("hc") is None
         # every op so far went through admission
         stats = fed.stats()
         assert stats["requests_admitted"] > 0
         assert stats["requests_shed"] == 0
 
-    def test_knobs_normalized(self):
-        fed = Federation(zone="z", workers=0, queue_depth=-3)
-        assert fed.workers == 1
-        assert fed.queue_depth == 0
+    def test_a_bad_size_is_refused_not_clamped(self):
+        fed = Federation(zone="z")
+        with pytest.raises(NetworkError, match="at least 1 worker"):
+            fed.add_host("h0", workers=0)
+        with pytest.raises(NetworkError, match="negative queue depth"):
+            fed.add_host("h1", workers=1, queue_depth=-3)
 
 
 class TestEndToEndShedding:
@@ -111,9 +114,9 @@ class TestCrossZoneForwardShed:
         """Zone A plain; zone B with a bounded single-worker pool."""
         net = Network()
         a = Federation(zone="za", network=net)
-        b = Federation(zone="zb", network=net, workers=1, queue_depth=0)
+        b = Federation(zone="zb", network=net)
         a.add_host("a-host")
-        b.add_host("b-host")
+        b.add_host("b-host", workers=1, queue_depth=0)
         a.add_server("a-srb", "a-host", mcat=True)
         b.add_server("b-srb", "b-host", mcat=True)
         a.add_fs_resource("a-disk", "a-host")
@@ -171,10 +174,10 @@ class TestChannelAdmissionIsCounted:
     def far(self):
         # a second server's host carries the resource: a redirected get
         # opens its channel at a host that runs a station
-        fed = Federation(zone="demozone", direct_io=True, workers=1,
-                         queue_depth=0)
-        for h in ("hc", "hs", "hr"):
-            fed.add_host(h)
+        fed = Federation(zone="demozone", direct_io=True)
+        fed.add_host("hc")
+        for h in ("hs", "hr"):
+            fed.add_host(h, workers=1, queue_depth=0)
         fed.add_server("s0", "hs", mcat=True)
         fed.add_server("s1", "hr")
         fed.add_fs_resource("fs1", "hr")

@@ -17,8 +17,7 @@ from repro.net.wire import DeferredPayload
 HANDSHAKE = {"auth_challenge", "auth_login"}
 
 #: written methods named other than the op they send
-RENAMED = {"ls": "list_collection", "ls_page": "list_collection_page",
-           "verify": "verify_checksums"}
+RENAMED = {"ls_page": "list_collection_page", "verify": "verify_checksums"}
 
 #: the public surface before the forwards were generated, as
 #: ``inspect.signature`` prints it without ``self`` — the generated ones

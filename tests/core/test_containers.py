@@ -5,6 +5,7 @@ import pytest
 from repro.core import Federation, SrbClient
 from repro.errors import (
     ContainerError,
+    ReplicaUnavailable,
     ResourceUnavailable,
     UnsupportedOperation,
 )
@@ -141,14 +142,19 @@ class TestSyncAndFailover:
 
     def test_unsynced_archive_copy_not_served(self, env):
         fed, client = env
-        client.create_container("/demozone/data/c1", "contres")
+        fed.add_host("disks")
+        fed.add_fs_resource("cache-far", "disks")
+        fed.add_logical_resource("farres", ["cache-far", "hpss-caltech"])
+        client.create_container("/demozone/data/c1", "farres")
         client.ingest("/demozone/data/m1", b"alpha",
                       container="/demozone/data/c1")
-        fed.network.set_down("sdsc")   # only the dirty archive copy remains
+        fed.network.set_down("disks")  # only the dirty archive copy remains
         member_rep = fed.mcat.replicas(
             fed.mcat.get_object("/demozone/data/m1")["oid"])[0]
-        with pytest.raises(ResourceUnavailable):
+        with pytest.raises(ReplicaUnavailable):
             fed.containers.read_member_deferred(member_rep)
+        with pytest.raises(ReplicaUnavailable):
+            client.get("/demozone/data/m1")
 
     def test_sync_with_archive_down_raises(self, env):
         fed, client = env
@@ -158,6 +164,80 @@ class TestSyncAndFailover:
         fed.network.set_down("caltech")
         with pytest.raises(ResourceUnavailable):
             client.sync_container("/demozone/data/c1")
+
+
+class TestReadsWalkTheSourceChain:
+    """Container bytes are read by the rule every read follows
+    (``PlacementEngine.source_chain``): an online copy on the host the
+    bytes go to first, tape-resident copies last."""
+
+    @staticmethod
+    def grid(server, members):
+        """srb1 on sdsc, srb2 on caltech; a container on ``members``
+        (a logical resource over cache-sdsc and hpss-caltech); the
+        client on ``server``'s own host."""
+        fed = Federation(zone="demozone")
+        for host in ("sdsc", "caltech"):
+            fed.add_host(host, site=host)
+        fed.add_server("srb1", "sdsc", mcat=True)
+        fed.add_server("srb2", "caltech")
+        fed.add_fs_resource("cache-sdsc", "sdsc", is_cache=True)
+        fed.add_archive_resource("hpss-caltech", "caltech")
+        fed.add_logical_resource("contres", members)
+        fed.bootstrap_admin()
+        client = SrbClient(fed, fed.server(server).host, server,
+                           "srbadmin@sdsc", "hunter2")
+        client.login()
+        client.mkcoll("/demozone/data")
+        client.create_container("/demozone/data/c1", "contres")
+        return fed, client
+
+    @staticmethod
+    def cost(fed, run, src, dst):
+        """(virtual s, wire bytes, bytes ``src``→``dst``) of ``run()``."""
+        net, m = fed.network, fed.obs.metrics
+        t0, b0 = fed.clock.now, net.bytes_sent
+        w0 = m.get("net.bytes", src=src, dst=dst)
+        run()
+        return (fed.clock.now - t0, net.bytes_sent - b0,
+                m.get("net.bytes", src=src, dst=dst) - w0)
+
+    def test_prefetch_reads_the_disk_copy_on_the_servers_host(self):
+        """The archive is replica 1, swept to tape; the clean disk copy
+        sits on the server's host.  The prefetch used to take replica 1
+        by number: a tape stage and a WAN pull (22.28 s, 1,600,770
+        bytes)."""
+        fed, client = self.grid("srb1", ["hpss-caltech", "cache-sdsc"])
+        paths = [f"/demozone/data/m{i}" for i in range(4)]
+        for path in paths:
+            client.ingest(path, bytes(200_000),
+                          container="/demozone/data/c1")
+        client.sync_container("/demozone/data/c1")
+        fed.cache_sweep()
+        out = []
+        seconds, wire, pulled = self.cost(fed, lambda: out.extend(
+            client.bulk_get(paths, via_container="/demozone/data/c1")),
+            "caltech", "sdsc")
+        assert [r["data"] for r in out] == [bytes(200_000)] * 4
+        assert pulled == 0
+        assert wire == 800_770
+        assert seconds == pytest.approx(0.0068, abs=1e-4)
+
+    def test_member_read_at_the_archives_host_reads_its_cache(self):
+        """srb2 shares caltech with the archive, whose cache holds the
+        synced container.  A member read used to put the disk copy
+        first by type and pull it over the WAN (0.1624 s, 400,977
+        bytes)."""
+        fed, client = self.grid("srb2", ["cache-sdsc", "hpss-caltech"])
+        client.ingest("/demozone/data/m0", bytes(200_000),
+                      container="/demozone/data/c1")
+        client.sync_container("/demozone/data/c1")
+        client.get("/demozone/data/m0")
+        seconds, wire, pulled = self.cost(
+            fed, lambda: client.get("/demozone/data/m0"), "sdsc", "caltech")
+        assert wire == 200_977
+        assert seconds == pytest.approx(0.0837, abs=1e-4)
+        assert pulled < 200_000      # only catalog hops crossed, no member
 
 
 class TestRestrictions:

@@ -42,8 +42,6 @@ ADMIN_ONLY = {
                            "batch get_metadata instead",
     "get_version": "a checked-in version by number, for programs; Scheckin "
                    "prints the number it made",
-    "list_collection": "the unpaged listing; Sls and /browse page through "
-                       "list_collection_page.  To be paged or deleted",
     "ingest_replica": "a second copy written by the caller itself; "
                       "Sreplicate asks the server to make one",
     "migrate_collection": "moves a subtree to another catalog partition, "

@@ -223,3 +223,34 @@ def test_lint_refuses_a_declared_check_made_again(tmp_path, monkeypatch):
     assert len(errors) == 3
     assert ["'lock'" in errors[0], "'rmcoll'" in errors[1],
             "'annotations'" in errors[2]] == [True] * 3
+
+
+def test_lint_refuses_a_byte_read_off_the_bare_policy_order(tmp_path,
+                                                             monkeypatch):
+    lint = load_lint()
+    assert lint.check_placement_seam() == []
+    planes = tmp_path / "src" / "repro" / "core" / "planes"
+    planes.mkdir(parents=True)
+    # the container prefetch as it read before it walked the source chain
+    (planes / "data.py").write_text(
+        "class DataService:\n"
+        "    def _prefetch_container(self, coid):\n"
+        "        chain = self.federation.placement.order_replicas(\n"
+        "            self.mcat.replicas(coid), from_host=self.host)\n"
+        "        for rep in [r for r in chain if not r['is_dirty']]:\n"
+        "            res = self.resources.physical(rep['resource'])\n"
+        "            return res.driver.read_all(rep['physical_path'])\n"
+        "    def _sources(self, obj, sink):\n"
+        "        return self.federation.placement.source_chain(\n"
+        "            self.mcat.replicas(obj['oid']), sink)\n")
+    policy = tmp_path / "src" / "repro" / "policy"
+    policy.mkdir()
+    (policy / "engine.py").write_text(
+        "class PlacementEngine:\n"
+        "    def failover_chain(self, replicas, from_host=None):\n"
+        "        return self.order_replicas(replicas, from_host)\n")
+    monkeypatch.setattr(lint, "ROOT", tmp_path)
+    errors = lint.check_placement_seam()
+    assert len(errors) == 1
+    assert errors[0].startswith("src/repro/core/planes/data.py:3: "
+                                "order_replicas()")

@@ -55,12 +55,13 @@ GROUPED_CALLS = [
 ]
 
 
-def build_fed(**knobs):
+def build_fed(workers=None, **knobs):
     """The standard grid's topology (``repro.workload.standard_grid``)
-    with the federation knobs exposed."""
+    with the federation knobs exposed; ``workers`` gives each server
+    host a worker pool of that size."""
     fed = Federation(zone="demozone", **knobs)
-    fed.add_host("sdsc", site="sdsc")
-    fed.add_host("caltech", site="caltech")
+    fed.add_host("sdsc", site="sdsc", workers=workers)
+    fed.add_host("caltech", site="caltech", workers=workers)
     fed.add_host("laptop", site="home")
     fed.network.set_link("sdsc", "sdsc", LAN)
     fed.network.set_link("sdsc", "caltech", TRANSCON)

@@ -29,8 +29,7 @@ SCOPED_OPS = [
     "compact_container", "container_garbage", "copy", "copy_metadata",
     "create_container", "define_structural", "delete", "delete_metadata",
     "extract_metadata", "get", "get_metadata", "get_version", "grant",
-    "ingest", "ingest_replica", "link", "list_collection",
-    "list_collection_page", "lock",
+    "ingest", "ingest_replica", "link", "list_collection_page", "lock",
     "migrate_collection", "mkcoll", "move", "open_object", "physical_move",
     "pin", "put",
     "query", "query_page", "queryable_attrs", "register_directory",

@@ -14,12 +14,13 @@ HOME = "/z/w"
 BIG = bytes(range(256)) * 300          # 76,800 bytes: over a relay block
 
 
-def build(**knobs):
+def build(workers=None, **knobs):
     """Server ``s1`` on ``hs`` with a disk and a database resource
     beside it, a disk and a tape archive on ``hr``; the client on
-    ``hc``."""
+    ``hc``.  ``workers`` gives ``hs`` a worker pool of that size."""
     fed = Federation(zone="z", **knobs)
-    for host in ("hs", "hr", "hc"):
+    fed.add_host("hs", workers=workers)
+    for host in ("hr", "hc"):
         fed.add_host(host)
     fed.add_server("s1", "hs", mcat=True)
     fed.add_fs_resource("disk", "hs")

@@ -139,8 +139,8 @@ class TestBreakdown:
 
     def test_admission_wait_is_its_own_part(self):
         from repro.core import Federation, SrbClient
-        fed = Federation(zone="demozone", workers=1)
-        fed.add_host("sdsc")
+        fed = Federation(zone="demozone")
+        fed.add_host("sdsc", workers=1)
         fed.add_host("laptop")
         fed.add_server("srb1", "sdsc", mcat=True)
         fed.add_fs_resource("unix-sdsc", "sdsc")

@@ -61,8 +61,8 @@ MAY_FALL = ("rpc.request_bytes", "net.messages", "net.bytes")
 
 
 def build(shards, n_objects, pull):
-    fed = Federation(zone="demozone", mcat_shards=shards, workers=2)
-    fed.add_host("sdsc")
+    fed = Federation(zone="demozone", mcat_shards=shards)
+    fed.add_host("sdsc", workers=2)
     fed.add_host("laptop")
     fed.add_server("srb1", "sdsc", mcat=True)
     fed.add_fs_resource("unix-sdsc", "sdsc")

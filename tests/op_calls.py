@@ -48,7 +48,6 @@ def op_calls(ticket, mid: int, pad: bytes = b""
                             response="bad"), True),
         ("mkcoll", dict(path=C + "/sub"), False),
         ("rmcoll", dict(path=C + "/doomed"), False),
-        ("list_collection", dict(path=C), False),
         ("list_collection_page", dict(path=C, limit=5), False),
         ("stat", dict(path=F), False),
         ("move", dict(src=C + "/mv.txt", dst=C + "/mv2.txt"), False),

@@ -205,20 +205,50 @@ class TestContainerOrdering:
         net, reg, reps = self._archive_grid()
         for policy in PLACEMENT_POLICIES:
             engine = PlacementEngine(reg, net, policy=policy)
-            ordered = engine.order_container_replicas(
-                list(reversed(reps)), from_host="client")
+            ordered = engine.order_container_replicas(list(reversed(reps)))
+            assert [r["replica_num"] for r in ordered] == [1, 2, 3]
             assert ordered[-1]["resource"] == "arch"
 
-    def test_observed_reorders_within_the_cache_tier(self):
-        net, reg, reps = self._archive_grid()
-        engine = PlacementEngine(reg, net, policy="observed")
+    def test_member_reads_follow_source_chain(self):
+        """A member is read from the first copy of the container's
+        source chain: an archive copy in its cache on the reader's host
+        first, then, once swept to tape, the cache copy the measured
+        history ranks first."""
+        from repro.core import Federation, SrbClient
+        fed = Federation(zone="demozone", placement="observed")
+        for host in ("sdsc", "h1", "h2"):
+            fed.add_host(host)
+        fed.add_server("srb1", "sdsc", mcat=True)
+        fed.add_fs_resource("d1", "h1")
+        fed.add_fs_resource("d2", "h2")
+        fed.add_archive_resource("arch", "sdsc")
+        fed.add_logical_resource("lr", ["d1", "d2", "arch"])
+        fed.bootstrap_admin()
+        client = SrbClient(fed, "sdsc", "srb1", "srbadmin@sdsc", "hunter2")
+        client.login()
+        client.mkcoll("/demozone/c")
+        client.create_container("/demozone/c/cont", "lr")
+        client.ingest("/demozone/c/m", b"member", container="/demozone/c/cont")
+        client.sync_container("/demozone/c/cont")
         nbytes = 1_000_000
         for _ in range(3):
-            engine.stats.observe_transfer("h2", "client", nbytes,
-                                          nbytes / 5e7, now=0.0)
-        ordered = engine.order_container_replicas(reps,
-                                                  from_host="client")
-        assert [r["replica_num"] for r in ordered] == [2, 1, 3]
+            fed.placement.stats.observe_transfer("h2", "sdsc", nbytes,
+                                                 nbytes / 5e7, now=0.0)
+        member = fed.mcat.replicas(
+            fed.mcat.get_object("/demozone/c/m")["oid"])[0]
+        copies = fed.mcat.replicas(member["container_oid"])
+
+        def read_from():
+            data, res = fed.containers.read_member_deferred(
+                member, from_host="sdsc")
+            assert data == b"member"
+            assert res.name == fed.placement.source_chain(
+                copies, "sdsc")[0]["resource"]
+            return res.name
+
+        assert read_from() == "arch"
+        fed.cache_sweep()
+        assert read_from() == "d2"
 
 
 COLD = (64,)      # one open probe owed: what a cold SSO session costs

@@ -47,7 +47,10 @@ server architecture" and "Placement policy engine"):
    seam the engine closed — such code would not see the observed-stats
    policy, quarantine or auto-striping.  (The catalog's canonical row
    order is ``mcat.schema.REPLICA_ORDER``, a sort key and not a choice.)
-   No allowlist.
+   Nor does code there call ``order_replicas``, the policy's bare
+   order: a reader of bytes walks ``source_chain`` (online copies on
+   the sink's host first, tape-resident ones last), a write target
+   comes from ``failover_chain``.  No allowlist.
 
 6. **Payload bytes in plane code move through the leg runner.**
    A handler calling ``self.network.transfer(...)`` itself decides how
@@ -144,7 +147,7 @@ UNBOUNDED_ENUMERATORS = {
 #: Read ops grandfathered in before the streaming query plane existed.
 #: Frozen: entries may be removed as ops grow paged variants, never
 #: added — new query surface must be cursor-paged from day one.
-UNBOUNDED_LEGACY_OPS = {"list_collection", "audit_log"}
+UNBOUNDED_LEGACY_OPS = {"audit_log"}
 
 
 def check_public_methods_declared() -> List[str]:
@@ -327,6 +330,13 @@ def check_placement_seam() -> List[str]:
                     f"{rel}:{node.lineno}: ad-hoc sorted(...) by "
                     f"'replica_num' — replica ordering belongs to "
                     f"repro.policy")
+            elif (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "order_replicas"):
+                errors.append(
+                    f"{rel}:{node.lineno}: order_replicas() outside "
+                    f"repro.policy — read bytes along source_chain, "
+                    f"pick write targets from failover_chain")
     return errors
 
 
