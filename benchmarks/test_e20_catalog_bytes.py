@@ -86,6 +86,9 @@ def load(n: int) -> dict:
     only_db = [tracemalloc.Filter(True, DB_FILES)]
     tracemalloc.start()
     try:
+        # collect first, so that neither snapshot holds garbage an earlier
+        # test or size left for the collector
+        gc.collect()
         before = tracemalloc.take_snapshot().filter_traces(only_db)
         for first in range(0, n, BATCH):
             coll = f"{grid.home}/field-{first // BATCH:03d}"
@@ -94,6 +97,7 @@ def load(n: int) -> dict:
                 {"path": f"{coll}/{f.name}", "data": f.content,
                  "data_type": f.data_type, "metadata": f.attributes}
                 for f in files[first:first + BATCH]])
+        gc.collect()
         after = tracemalloc.take_snapshot().filter_traces(only_db)
     finally:
         tracemalloc.stop()
@@ -127,7 +131,6 @@ def test_e20_catalog_bytes_per_row(benchmark):
     traced, per_row, headline = [], [], {}
     for n in SIZES:
         got = load(n)
-        gc.collect()
         rows = sum(got["rows"].values())
         assert rows >= n * ROWS_PER_OBJECT
         assert got["rows"]["objects"] == got["rows"]["replicas"] == n

@@ -257,9 +257,9 @@ class Mcat:
     def child_collections(self, path: str) -> List[Dict[str, Any]]:
         with self._charge:
             t = self._collections
-            rows = [t.row_dict(r) for r in t.lookup_eq("parent",
-                                                       paths.normalize(path))]
-            return sorted(rows, key=lambda r: r["path"])
+            return sorted(t.row_dicts(t.lookup_eq("parent",
+                                                  paths.normalize(path))),
+                          key=itemgetter("path"))
 
     def subtree_collections(self, prefix: str) -> List[Dict[str, Any]]:
         """The collection at ``prefix`` and every descendant collection.
@@ -277,12 +277,10 @@ class Mcat:
             out = [t.row_dict(rids[0])]
             frontier = [prefix]
             while frontier:
-                parent = frontier.pop()
-                for rid in t.lookup_eq("parent", parent):
-                    row = t.row_dict(rid)
-                    out.append(row)
-                    frontier.append(row["path"])
-            return sorted(out, key=lambda r: r["path"])
+                rows = t.row_dicts(t.lookup_eq("parent", frontier.pop()))
+                out += rows
+                frontier += [row["path"] for row in rows]
+            return sorted(out, key=itemgetter("path"))
 
     def remove_collection(self, path: str) -> None:
         """Remove an *empty* collection."""
@@ -435,18 +433,12 @@ class Mcat:
     def get_objects_by_ids(self, oids: Sequence[int]) -> List[Dict[str, Any]]:
         """Object rows for N oids under one charged block.
 
-        The batch half of the query planner's id→row step: one query
-        overhead for the whole candidate list instead of one per id.
+        One query overhead for the whole list instead of one per id.
         Unknown ids are skipped (index candidates can race a delete).
         """
         with self._charge:
             t = self._objects
-            out = []
-            for oid in oids:
-                rids = t.lookup_eq("oid", oid)
-                if rids:
-                    out.append(t.row_dict(rids[0]))
-            return out
+            return t.row_dicts(t.lookup_eq_many("oid", oids))
 
     def update_object(self, oid: int, **changes: Any) -> None:
         with self._charge:
@@ -470,17 +462,22 @@ class Mcat:
     def objects_in_collection(self, coll: str,
                               recursive: bool = False) -> List[Dict[str, Any]]:
         with self._charge:
-            coll = paths.normalize(coll)
-            t = self._objects
-            if not recursive:
-                rows = [t.row_dict(r) for r in t.lookup_eq("coll", coll)]
-            else:
-                # stored paths are normalized: below coll is a prefix test
-                below = coll.rstrip("/") + "/"
-                rows = [row for row in map(t.row_dict, t.scan())
-                        if row["coll"] == coll
-                        or row["coll"].startswith(below)]
-            return sorted(rows, key=lambda r: r["path"])
+            return self._objects.row_dicts(
+                self._subtree(paths.normalize(coll), recursive))
+
+    def _subtree(self, coll: str, recursive: bool) -> List[int]:
+        """Row ids of the objects in normalized ``coll`` (and below it, if
+        ``recursive``: a charged scan of every object), in path order.
+        The caller charges."""
+        t = self._objects
+        rids = list(t.scan()) if recursive else t.lookup_eq("coll", coll)
+        # stored paths are normalized: below coll is a prefix test
+        below = coll.rstrip("/") + "/"
+        keyed = [(path, rid) for rid, (path, owner) in
+                 zip(rids, t.iter_values(rids, ("path", "coll")))
+                 if owner == coll or recursive and owner.startswith(below)]
+        keyed.sort()
+        return [rid for _path, rid in keyed]
 
     def objects_in_collection_page(self, coll: str,
                                    cursor: Optional[str] = None,
@@ -505,43 +502,46 @@ class Mcat:
         exhausted, else feed it back for the next page.
         """
         with self._charge:
-            coll = paths.normalize(coll)
-            t = self._objects
-            lo, hi = subtree_path_range(coll, cursor)
-            page_limit = max(1, int(limit))
-            out: List[Dict[str, Any]] = []
-            next_cursor: Optional[str] = None
-            while True:
-                # one-row lookahead so an exact-fit page ends the
-                # cursor instead of dangling an empty trailing page
-                rids = t.lookup_range("path", lo, hi, lo_incl=False,
-                                      hi_incl=False, limit=page_limit + 1)
-                exhausted = len(rids) <= page_limit
-                filled = False
-                for i, rid in enumerate(rids):
-                    row = t.row_dict(rid)
-                    lo = row["path"]
-                    if recursive or row["coll"] == coll:
-                        out.append(row)
-                        if len(out) == page_limit:
-                            remaining = not exhausted or i < len(rids) - 1
-                            next_cursor = lo if remaining else None
-                            filled = True
-                            break
-                if filled or exhausted:
-                    break
-            return out, next_cursor
+            rids, next_cursor = self._page(paths.normalize(coll), cursor,
+                                           limit, recursive)
+            return self._objects.row_dicts(rids), next_cursor
+
+    def _page(self, coll: str, cursor: Optional[str], limit: int,
+              recursive: bool) -> Tuple[List[int], Optional[str]]:
+        """:meth:`objects_in_collection_page` as row ids: the one walk of
+        the path index, which the query planner pages through too.  Of a
+        row it reads at most ``coll`` (to skip nested ones when not
+        ``recursive``) and the cursor's ``path``.  The caller charges."""
+        t = self._objects
+        lo, hi = subtree_path_range(coll, cursor)
+        page_limit = max(1, int(limit))
+        out: List[int] = []
+        while True:
+            # one-row lookahead so an exact-fit page ends the cursor
+            # instead of dangling an empty trailing page
+            rids = t.lookup_range("path", lo, hi, lo_incl=False,
+                                  hi_incl=False, limit=page_limit + 1)
+            exhausted = len(rids) <= page_limit
+            kept = rids if recursive else [
+                rid for rid, (owner, _path) in
+                zip(rids, t.iter_values(rids, ("coll", "path")))
+                if owner == coll]
+            need = page_limit - len(out)
+            out += kept[:need]
+            if len(kept) >= need:
+                last = kept[need - 1]
+                more = not exhausted or last != rids[-1]
+                return out, t.value(last, "path") if more else None
+            if exhausted:
+                return out, None
+            lo = t.value(rids[-1], "path")
 
     def links_to(self, target_path: str) -> List[Dict[str, Any]]:
         """Link objects whose target is ``target_path``."""
         with self._charge:
-            t = self._objects
-            out = []
-            for rid in t.lookup_eq("kind", "link"):
-                row = t.row_dict(rid)
-                if row["target"] == target_path:
-                    out.append(row)
-            return out
+            return [row for row in self._objects.row_dicts(
+                self._objects.lookup_eq("kind", "link"))
+                if row["target"] == target_path]
 
     def delete_object(self, oid: int) -> None:
         """Delete the object row and cascade all dependent rows."""
@@ -668,15 +668,15 @@ class Mcat:
     def replicas_on_resource(self, resource: str) -> List[Dict[str, Any]]:
         with self._charge:
             t = self._replicas
-            return [t.row_dict(r) for r in t.lookup_eq("resource", resource)]
+            return t.row_dicts(t.lookup_eq("resource", resource))
 
     def container_members(self, container_oid: int) -> List[Dict[str, Any]]:
         """Replica rows whose bytes live inside ``container_oid``."""
         with self._charge:
             t = self._replicas
-            rows = [t.row_dict(r) for r in t.lookup_eq("container_oid",
-                                                       container_oid)]
-            return sorted(rows, key=lambda r: (r["offset"] or 0))
+            return sorted(t.row_dicts(t.lookup_eq("container_oid",
+                                                  container_oid)),
+                          key=lambda r: (r["offset"] or 0))
 
     # ------------------------------------------------------------------
     # metadata (five classes; system metadata lives on the object row)
@@ -757,11 +757,9 @@ class Mcat:
                      target_id: int) -> List[Dict[str, Any]]:
         """Rows of a ``(target_kind, target_id)``-keyed table attached to
         one target, in minting order."""
-        rows = [row for row in map(t.row_dict,
-                                   t.lookup_eq("target_id", target_id))
-                if row["target_kind"] == target_kind]
-        rows.sort(key=itemgetter(order_by))
-        return rows
+        return sorted([row for row in t.row_dicts(
+            t.lookup_eq("target_id", target_id))
+            if row["target_kind"] == target_kind], key=itemgetter(order_by))
 
     def _metadata_rows(self, target_kind: str, target_id: int,
                        meta_class: Optional[str]) -> List[Dict[str, Any]]:
@@ -785,26 +783,21 @@ class Mcat:
             return [self._metadata_rows(kind, tid, meta_class)
                     for kind, tid in targets]
 
-    def metadata_values_bulk(self, targets: Sequence[Any], attrs
-                             ) -> List[Dict[str, List[Tuple[Any, Any]]]]:
-        """What a query looks at of N targets' metadata, under one charged
-        block: per target ``{attr: [(value, value_num), ...]}`` for the
-        attributes in ``attrs`` only, an attribute's values in minting
-        order.  Reads five columns of each triple where
-        :meth:`get_metadata_bulk` builds every row whole."""
+    def _object_metadata(self, oids: Sequence[int], attrs
+                         ) -> List[Tuple[int, str, Any, Any]]:
+        """What a query looks at of N objects' metadata, under one charged
+        block: ``(oid, attr, value, value_num)`` of each triple whose
+        attribute is in ``attrs``, in minting order."""
         with self._charge:
             t = self._metadata
-            out = []
-            for target_kind, target_id in targets:
-                vals: Dict[str, List[Tuple[Any, Any]]] = {}
-                for _mid, kind, attr, value, num in sorted(t.iter_values(
-                        t.lookup_eq("target_id", target_id),
-                        ("mid", "target_kind", "attr", "value",
-                         "value_num"))):
-                    if kind == target_kind and attr in attrs:
-                        vals.setdefault(attr, []).append((value, num))
-                out.append(vals)
-            return out
+            got = [(mid, tid, attr, value, num)
+                   for mid, kind, tid, attr, value, num in t.iter_values(
+                       t.lookup_eq_many("target_id", oids),
+                       ("mid", "target_kind", "target_id", "attr", "value",
+                        "value_num"))
+                   if kind == "object" and attr in attrs]
+            got.sort()
+            return [triple[1:] for triple in got]
 
     def update_metadata(self, mid: int, value: Optional[str],
                         units: Optional[str] = None) -> None:
@@ -1000,17 +993,11 @@ class Mcat:
                 rids = t.lookup_eq("action", action)
             else:
                 rids = list(t.scan())
-            rows = []
-            for rid in rids:
-                row = t.row_dict(rid)
-                if action is not None and row["action"] != action:
-                    continue
-                if principal is not None and row["principal"] != principal:
-                    continue
-                if target is not None and row["target"] != target:
-                    continue
-                rows.append(row)
-            return sorted(rows, key=lambda r: r["auid"])
+            rows = [row for row in t.row_dicts(rids)
+                    if (action is None or row["action"] == action)
+                    and (principal is None or row["principal"] == principal)
+                    and (target is None or row["target"] == target)]
+            return sorted(rows, key=itemgetter("auid"))
 
     # ------------------------------------------------------------------
     # attribute queries: repro.mcat.query's planner, as methods

@@ -13,21 +13,24 @@ row per matching object with its logical path and the requested display
 attributes.  Annotations and selected system metadata can optionally be
 queried too, as the paper allows.
 
-The query is answered a set at a time (DESIGN.md, "Query planning"):
-each condition is compiled once; where the sorted ``(attr, value_num)`` /
-``(attr, value)`` indexes can answer it, it is one range probe whose size
-is known before any row is read; the smallest condition drives, object
-rows, metadata, annotations and the caller's visibility filter are read
-per batch of candidates, and no step costs a charged catalog op per row.
-:func:`_comparator` — evaluated row by row by ``strategy="scan"`` — stays
-the one definition of what a condition means.
+The query is answered a set at a time, over sets of row ids (DESIGN.md,
+"Query planning"): where the sorted ``(attr, value_num)`` /
+``(attr, value)`` indexes can answer a condition, it is one range probe
+whose size is known before any row is read, and the smallest condition
+drives.  Candidates travel as ``(path, oid, rid)`` keys in path-ordered
+batches.  Per batch, the values the query looks at are one charged
+read, each condition is tested once over the whole batch
+(:func:`_select`, the one definition of what a condition means) and the
+passing sets are intersected; object rows, for the caller's visibility
+filter, and display values are read for the hits only.  No step costs a
+charged catalog op, or a Python call, per row it passes.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import compress, starmap
 from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, \
     Optional, Sequence, Set, Tuple
 
@@ -103,8 +106,10 @@ class QueryPage:
 _COMPARE = {"=": operator.eq, "<>": operator.ne, ">": operator.gt,
             "<": operator.lt, ">=": operator.ge, "<=": operator.le}
 
-#: a stored metadata value as the query sees it: ``(value, value_num)``
-Stored = Tuple[Optional[str], Optional[float]]
+#: a stored value as the query sees it: ``(oid, attr, value, value_num)``
+Stored = Tuple[int, str, Optional[str], Optional[float]]
+#: a candidate object as the plans pass it: ``(path, oid, row id)``
+Key = Tuple[str, int, int]
 #: the caller's ACL filter: object rows in, one verdict per row out
 Visible = Callable[[List[Dict[str, Any]]], Sequence[bool]]
 
@@ -114,34 +119,6 @@ def _number(text: str) -> Optional[float]:
         return float(text)
     except ValueError:
         return None
-
-
-def _comparator(op: str, wanted: str) -> Callable[..., bool]:
-    """One condition compiled into a test over a stored ``(value,
-    value_num)``.
-
-    Numeric comparison applies when both sides parse as numbers; otherwise
-    lexicographic on the text form, matching how MCAT-on-Oracle behaves
-    with a VARCHAR value column plus a numeric mirror.  So a numeric
-    ``wanted`` compares numerically against the rows that have a
-    ``value_num`` and textually against the rest, and a ``wanted`` that is
-    not a number compares every row textually.  A NULL value matches
-    nothing.
-    """
-    if op in ("like", "not like"):
-        match = like_to_regex(wanted).match
-        if op == "like":
-            return lambda value, num: \
-                value is not None and match(value) is not None
-        return lambda value, num: value is not None and match(value) is None
-    if op not in _COMPARE:
-        raise QueryError(f"unknown operator {op!r}")
-    compare = _COMPARE[op]
-    wanted_num = _number(wanted)
-    if wanted_num is None:
-        return lambda value, num: value is not None and compare(value, wanted)
-    return lambda value, num: value is not None and (
-        compare(value, wanted) if num is None else compare(num, wanted_num))
 
 
 def queryable_attributes(mcat, scope: str,
@@ -176,6 +153,37 @@ def run_queryable_attributes(mcat: Mcat, scope: str,
     return out
 
 
+# -- what a condition means ----------------------------------------------------
+
+
+def _select(cond: Condition, stored: Sequence[Stored]) -> Set[int]:
+    """The target ids among ``stored`` that satisfy ``cond``: the one
+    definition of what a condition means, tested once for a whole batch.
+
+    Existential: a target passes when *some* stored value of the
+    condition's attribute does.  Numeric comparison applies when both
+    sides parse as numbers; otherwise lexicographic on the text form,
+    matching how MCAT-on-Oracle behaves with a VARCHAR value column plus
+    a numeric mirror.  So a numeric value compares numerically against
+    the rows that have a ``value_num`` and textually against the rest,
+    and one that is not a number compares every row textually.  A NULL
+    value matches nothing.  Every value is tested by C-level ``map``,
+    with no Python call per value.
+    """
+    attr, op, wanted = cond.attr, cond.op, cond.value
+    run = [(tid, value, num) for tid, name, value, num in stored
+           if name == attr and value is not None]
+    tids, values, nums = zip(*run) if run else ((), (), ())
+    if op in ("like", "not like"):
+        found = map(like_to_regex(wanted).match, values)
+        return set(compress(tids, found if op == "like"
+                            else map(operator.not_, found)))
+    wanted_num = _number(wanted)
+    return set(compress(tids, starmap(_COMPARE[op], [
+        (value, wanted) if num is None or wanted_num is None
+        else (num, wanted_num) for value, num in zip(values, nums)])))
+
+
 # -- the index plan: conditions as probes of the sorted attribute indexes ------
 
 
@@ -202,7 +210,7 @@ class _Probe:
     @staticmethod
     def _span(md, cond: Condition) -> Optional[tuple]:
         """``lookup_range`` arguments selecting exactly the rows that
-        satisfy ``cond``, or None when only the row-by-row test can tell
+        satisfy ``cond``, or None when only :func:`_select` can tell
         (``<>``, the LIKEs, and a numeric comparison on an attribute that
         also holds values that are not numbers)."""
         op, attr = cond.op, cond.attr
@@ -230,11 +238,12 @@ class _Probe:
                         md.lookup_range(*self.span),
                         ("target_kind", "target_id"))
                     if kind == "object"}
-        test = _comparator(self.cond.op, self.cond.value)
-        return {tid for kind, tid, value, num in md.iter_values(
-                    md.lookup_eq("attr", self.cond.attr),
-                    ("target_kind", "target_id", "value", "value_num"))
-                if kind == "object" and test(value, num)}
+        return _select(self.cond, [
+            (tid, attr, value, num)
+            for kind, tid, attr, value, num in md.iter_values(
+                md.lookup_eq("attr", self.cond.attr),
+                ("target_kind", "target_id", "attr", "value", "value_num"))
+            if kind == "object"])
 
 
 def _probes(mcat: Mcat,
@@ -260,17 +269,24 @@ def _rows_per_object(mcat: Mcat) -> float:
         1, len(mcat.db.table("objects")))
 
 
+def _keyed(mcat: Mcat, rids: Sequence[int]) -> List[Key]:
+    """``(path, oid, rid)`` of each object row in ``rids``: the two
+    columns a plan reads of an object it passes."""
+    return [(path, oid, rid) for rid, (path, oid) in zip(
+        rids, mcat.db.table("objects").iter_values(rids, ("path", "oid")))]
+
+
 def _candidates(mcat: Mcat, probes: List[_Probe], scope: str,
                 cursor: Optional[str] = None
-                ) -> Tuple[List[Dict[str, Any]], List[Condition]]:
-    """Run the index plan: ``(object rows, conditions left to verify)``.
+                ) -> Tuple[List[Key], List[Condition]]:
+    """Run the index plan: ``(candidates, conditions left to verify)``.
 
-    The rows are the objects under ``scope`` (past ``cursor``), in path
-    order, that satisfy every probed condition.  Probing goes smallest
-    first and stops as soon as the next probe would touch more rows than
-    fetching the survivors does; the conditions not probed are returned
-    for the caller to verify from the survivors' metadata, which it
-    fetches anyway.  Two charged catalog ops, however many rows.
+    The candidates are the objects under ``scope`` (past ``cursor``), in
+    path order, that satisfy every probed condition.  Probing goes
+    smallest first and stops as soon as the next probe would touch more
+    rows than fetching the survivors does; the conditions not probed are
+    returned for the caller to verify from the survivors' metadata,
+    which it fetches anyway.  Two charged catalog ops, however many rows.
     """
     md = mcat.db.table("metadata")
     per_survivor = 1 + _rows_per_object(mcat)
@@ -282,13 +298,14 @@ def _candidates(mcat: Mcat, probes: List[_Probe], scope: str,
                 break
             ids &= probe.targets(md)
             probed += 1
+    with mcat._charge:
+        rids = mcat.db.table("objects").lookup_eq_many("oid", sorted(ids))
     # under scope and past the cursor is one range of paths, the one a
     # walk of the path index would seek
     after, before = subtree_path_range(scope, cursor)
-    rows = [obj for obj in mcat.get_objects_by_ids(sorted(ids))
-            if after < obj["path"] < before]
-    rows.sort(key=operator.itemgetter("path"))
-    return rows, [probe.cond for probe in probes[probed:]]
+    keyed = [key for key in _keyed(mcat, rids) if after < key[0] < before]
+    keyed.sort()
+    return keyed, [probe.cond for probe in probes[probed:]]
 
 
 def _index_page_is_cheaper(mcat: Mcat, probes: List[_Probe], scope: str,
@@ -312,25 +329,25 @@ def _index_page_is_cheaper(mcat: Mcat, probes: List[_Probe], scope: str,
             < walked * (1 + per_object))
 
 
-# -- gathering: batches of candidate rows in, result rows out ------------------
+# -- gathering: batches of candidates in, result rows out ----------------------
 
 
-def _chunks(rows: List[Dict[str, Any]], size: Optional[int]
-            ) -> Iterator[Tuple[List[Dict[str, Any]], bool]]:
-    """``rows`` as ``(batch, more rows follow)`` pairs of ``size`` rows."""
-    step = max(1, len(rows) if size is None else size)
-    for start in range(0, len(rows), step):
-        yield rows[start:start + step], start + step < len(rows)
+def _chunks(keys: List[Key], size: Optional[int]
+            ) -> Iterator[Tuple[List[Key], bool]]:
+    """``keys`` as ``(batch, more keys follow)`` pairs of ``size`` keys."""
+    step = max(1, len(keys) if size is None else size)
+    for start in range(0, len(keys), step):
+        yield keys[start:start + step], start + step < len(keys)
 
 
 def _walk(mcat: Mcat, scope: str, cursor: Optional[str], size: int
-          ) -> Iterator[Tuple[List[Dict[str, Any]], bool]]:
-    """The objects under ``scope`` past ``cursor`` as ``(batch, more rows
+          ) -> Iterator[Tuple[List[Key], bool]]:
+    """The objects under ``scope`` past ``cursor`` as ``(batch, more keys
     follow)`` pairs, each one charged keyset page of the path index."""
     while True:
-        batch, cursor = mcat.objects_in_collection_page(
-            scope, cursor=cursor, limit=size)
-        yield batch, cursor is not None
+        with mcat._charge:
+            rids, cursor = mcat._page(scope, cursor, size, True)
+        yield _keyed(mcat, rids), cursor is not None
         if cursor is None:
             return
 
@@ -342,84 +359,90 @@ def _gather(mcat: Mcat, batches, conditions: Sequence[Condition],
             ) -> Tuple[List[Tuple[Any, ...]], int, Optional[str]]:
     """Result rows for the first ``limit`` visible matches in ``batches``.
 
-    ``batches`` yields path-ordered object rows as ``(batch, more rows
-    follow)``.  Per batch: one bulk read of what the query needs of its
-    objects, ``conditions`` tested row by row, one call of ``visible``
-    for the rows that passed.  Returns ``(rows, matched, next_cursor)``:
-    ``matched`` counts rows that satisfied the conditions up to the last
-    one delivered, visible or not; ``next_cursor`` is that row's path if
-    ``limit`` was reached with rows still unexamined, else None.
+    ``batches`` yields path-ordered candidates as ``(batch, more keys
+    follow)``.  Per batch: one bulk read of the values the query looks
+    at, each condition tested once (:func:`_select`) and the passing
+    sets intersected, one call of ``visible`` with the object rows of
+    the hits — the only rows read whole.  Returns ``(rows, matched,
+    next_cursor)``: ``matched`` counts rows that satisfied the conditions
+    up to the last one delivered, visible or not; ``next_cursor`` is that
+    row's path if ``limit`` was reached with rows still unexamined, else
+    None.
     """
-    tests = [(c.attr, _comparator(c.op, c.value)) for c in conditions]
     attrs = set(display_attrs).union(c.attr for c in conditions)
+    objects = mcat.db.table("objects")
     rows: List[Tuple[Any, ...]] = []
     matched = 0
     for batch, more in batches:
         if not batch:
             continue
-        values = _attribute_values(mcat, batch, attrs, include_annotations,
-                                   include_system)
-        hits = [(obj, vals) for obj, vals in zip(batch, values)
-                if _satisfies(vals, tests)] if tests \
-            else list(zip(batch, values))
-        verdicts = repeat(True) if visible is None or not hits \
-            else visible([obj for obj, _vals in hits])
-        for (obj, vals), ok in zip(hits, verdicts):
-            matched += 1
-            if not ok:
-                continue
-            row: List[Any] = [obj["path"]]
-            for attr in display_attrs:
-                row.append("; ".join([v for v, _n in vals.get(attr, ())
-                                      if v is not None]) or None)
-            rows.append(tuple(row))
-            if limit is not None and len(rows) >= limit:
-                unexamined = more or obj is not batch[-1]
-                return rows, matched, obj["path"] if unexamined else None
+        stored = _stored(mcat, batch, attrs, include_annotations,
+                         include_system)
+        hits = batch
+        if conditions:
+            passed = set.intersection(
+                *[_select(cond, stored) for cond in conditions])
+            hits = [key for key in batch if key[1] in passed]
+        if not hits:
+            continue
+        shown = hits if visible is None else list(compress(hits, visible(
+            objects.row_dicts([rid for _path, _oid, rid in hits]))))
+        need = None if limit is None else max(1, limit - len(rows))
+        if need is not None and len(shown) >= need:
+            last = shown[need - 1]
+            rows += _display(stored, shown[:need], display_attrs)
+            matched += hits.index(last) + 1
+            unexamined = more or last is not batch[-1]
+            return rows, matched, last[0] if unexamined else None
+        matched += len(hits)
+        rows += _display(stored, shown, display_attrs)
     return rows, matched, None
 
 
-def _satisfies(vals: Dict[str, List[Stored]], tests) -> bool:
-    """Conjunctive, and existential per condition: each condition needs
-    *some* stored value of its attribute to pass — not the same one."""
-    for attr, test in tests:
-        for value, num in vals.get(attr, ()):
-            if test(value, num):
-                break
-        else:
-            return False
-    return True
-
-
-def _attribute_values(mcat: Mcat, batch: List[Dict[str, Any]],
-                      attrs: Set[str], include_annotations: bool,
-                      include_system: bool) -> List[Dict[str, List[Stored]]]:
-    """attr -> [(value, value_num), ...] for each object of ``batch``.
-
-    Of an object's metadata only the attributes in ``attrs`` (those the
-    query tests or displays) are kept.  Metadata and annotations are each
-    one charged bulk read for the whole batch, and not read at all when
-    the query does not look at them.
-    """
-    targets = [("object", obj["oid"]) for obj in batch]
-    out = mcat.metadata_values_bulk(targets, attrs) if attrs \
-        else [{} for _obj in batch]
+def _stored(mcat: Mcat, batch: List[Key], attrs: Set[str],
+            include_annotations: bool, include_system: bool
+            ) -> List[Stored]:
+    """Every value the query looks at of the objects in ``batch``, as
+    ``(oid, attr, value, value_num)``: the metadata of the attributes in
+    ``attrs``, then annotations, then system metadata, so one object's
+    values of one attribute are in the order they were stored.
+    Metadata and annotations are each one charged bulk read for the
+    whole batch, and not read at all when the query does not look at
+    them."""
+    oids = [oid for _path, oid, _rid in batch]
+    stored = mcat._object_metadata(oids, attrs) if attrs else []
     if include_annotations:
-        for vals, anns in zip(out, mcat.annotations_for_bulk(targets)):
-            for ann in anns:
-                vals.setdefault("ANN:" + ann["ann_type"], []).append(
-                    (ann["text"], None))
+        stored += [(oid, "ANN:" + ann["ann_type"], ann["text"], None)
+                   for oid, anns in zip(oids, mcat.annotations_for_bulk(
+                       [("object", oid) for oid in oids]))
+                   for ann in anns]
     if include_system:
-        for vals, obj in zip(out, batch):
-            vals.setdefault("SYS:owner", []).append((obj["owner"], None))
-            if obj["data_type"] is not None:
-                vals.setdefault("SYS:data_type", []).append(
-                    (obj["data_type"], None))
-            vals.setdefault("SYS:kind", []).append((obj["kind"], None))
-            if obj["size"] is not None:
-                vals.setdefault("SYS:size", []).append(
-                    (str(obj["size"]), float(obj["size"])))
-    return out
+        objects = mcat.db.table("objects")
+        rids = [rid for _path, _oid, rid in batch]
+        for attr in SYSTEM_ATTRS:       # "SYS:" + an objects column
+            stored += [(oid, attr, str(value),
+                        float(value) if attr == "SYS:size" else None)
+                       for oid, value in objects.iter_values(
+                           rids, ("oid", attr[4:])) if value is not None]
+    return stored
+
+
+def _display(stored: List[Stored], hits: List[Key],
+             display_attrs: List[str]) -> List[Tuple[Any, ...]]:
+    """Result rows of ``hits``: the path, then per displayed attribute
+    the hit's stored values joined with '; ' (None if none), read off
+    ``stored`` for the hits only."""
+    wanted = {oid for _path, oid, _rid in hits}
+    shown = set(display_attrs)
+    cells: Dict[Tuple[int, str], str] = {}
+    for key, value in [((tid, attr), value)
+                       for tid, attr, value, _num in stored
+                       if tid in wanted and attr in shown
+                       and value is not None]:
+        cells[key] = cells[key] + "; " + value if key in cells else value
+    columns = [[(oid, attr) in cells and cells[oid, attr] or None
+                for _path, oid, _rid in hits] for attr in display_attrs]
+    return list(zip([path for path, _oid, _rid in hits], *columns))
 
 
 def _condition_plan(conditions: Sequence[Condition | DisplayOnly]
@@ -499,7 +522,8 @@ def run_search(mcat: Mcat, scope: str,
         candidates, unverified = _candidates(mcat, probes, scope)
     else:
         plan = "scan"
-        candidates = mcat.objects_in_collection(scope, recursive=True)
+        with mcat._charge:
+            candidates = _keyed(mcat, mcat._subtree(scope, True))
         unverified = real_conditions
     rows, matched, _cursor = _gather(
         mcat, _chunks(candidates, limit), unverified, display_attrs,

@@ -521,8 +521,7 @@ class ShardedMcat:
                                               "mid": {}, "aid": {}}
         with src._charge:
             colls = src.db.table("collections")
-            for rid in list(colls.scan()):
-                row = colls.row_dict(rid)
+            for row in colls.row_dicts(list(colls.scan())):
                 p = row["path"]
                 if p != old_prefix and not paths.is_ancestor(old_prefix, p):
                     continue
@@ -538,8 +537,7 @@ class ShardedMcat:
                     inserts.append((table, dep))
                     self._note_restore(restore, table, dep, src_k)
             st = src.db.table("structural_meta")
-            for rid in list(st.scan()):
-                row = st.row_dict(rid)
+            for row in st.row_dicts(list(st.scan())):
                 p = row["coll_path"]
                 if p != old_prefix and not paths.is_ancestor(old_prefix, p):
                     continue
@@ -547,8 +545,7 @@ class ShardedMcat:
                 inserts.append(("structural_meta", dict(
                     row, coll_path=paths.relocate(p, old_prefix, new_prefix))))
             objs = src.db.table("objects")
-            for rid in list(objs.scan()):
-                row = objs.row_dict(rid)
+            for row in objs.row_dicts(list(objs.scan())):
                 if not paths.is_ancestor(old_prefix, row["path"]):
                     continue
                 newp = paths.relocate(row["path"], old_prefix, new_prefix)
@@ -583,8 +580,8 @@ class ShardedMcat:
         out = []
         for table in _OID_TABLES:
             t = src.db.table(table)
-            for rid in t.lookup_eq("oid", oid):
-                out.append((table, t.row_dict(rid)))
+            out += [(table, row)
+                    for row in t.row_dicts(t.lookup_eq("oid", oid))]
         out.extend(self._collect_target_rows(src, "object", oid))
         return out
 
@@ -594,10 +591,9 @@ class ShardedMcat:
         out = []
         for table in _TARGET_TABLES:
             t = src.db.table(table)
-            for rid in t.lookup_eq("target_id", target_id):
-                row = t.row_dict(rid)
-                if row["target_kind"] == target_kind:
-                    out.append((table, row))
+            out += [(table, row) for row in t.row_dicts(
+                t.lookup_eq("target_id", target_id))
+                if row["target_kind"] == target_kind]
         return out
 
     @staticmethod
@@ -861,8 +857,6 @@ ROUTES: Dict[str, tuple] = {
     "get_metadata": (_route_one, READ, _of_target, 2),
     "get_metadata_bulk": (_route_bulk, READ,
                           _of_target_pair),
-    "metadata_values_bulk": (_route_bulk, READ,
-                             _of_target_pair),
     "update_metadata": (_route_one, PRIMARY, _of_mid),
     "delete_metadata": (_route_one, PRIMARY, _of_mid),
     # annotations

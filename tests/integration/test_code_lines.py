@@ -26,7 +26,7 @@ CEILINGS = {
     "src/repro/core/planes/replica.py": 152,
     "src/repro/core/replication.py": 49,
     "src/repro/db/index.py": 112,
-    "src/repro/db/table.py": 339,
+    "src/repro/db/table.py": 354,
     "src/repro/mysrb/views.py": 531,
     "src/repro/net/rpc.py": 339,
     "src/repro/net/simnet.py": 511,

@@ -23,10 +23,15 @@ op                  measured          budget          (pinning before)
 ``stat``            277 -> 167        320 -> 190      (367 -> 277)
 ``add_metadata``    250 -> 177        290 -> 205      (356 -> 250)
 ``bulk_ingest row`` 36.1 -> 30.0      42 -> 34.5      (43.9 -> 36.1)
-``query selective`` 1,566 -> 1,510    1785 -> 1735    (1,637 -> 1,552)
-``query broad row`` 26.2 -> 25.8      30.5 -> 29.5    (26.8 -> 26.2)
-``query_page row``  40.4 -> 39.1      46.5 -> 45      (41.7 -> 40.1)
+``query selective`` 1,506 -> 749      1735 -> 860     (1,566 -> 1,510)
+``query broad row`` 25.7 -> 6.9       29.5 -> 7.9     (26.2 -> 25.8)
+``query_page row``  39.1 -> 14.7      45 -> 17        (40.4 -> 39.1)
 ==================  ================  ==============  ==================
+
+The three ``query`` rows were re-pinned on their own, when a query batch
+became set operations over row ids: each condition is tested once per
+batch by C-level ``map``, and object rows and display values are read
+only for the rows that pass.
 
 Two budgets pin the relay (a payload of four relay blocks passing
 through the server between the laptop and ``caltech``), measured when it
@@ -75,8 +80,8 @@ RELAYED = b"\x5a" * (256 * 1024)        # four relay blocks
 BUDGET = {"ingest": 380, "get": 245, "stat": 190, "add_metadata": 205,
           "ingest logical": 495, "ingest relayed": 485, "get relayed": 300,
           "bulk_ingest row": 34.5,
-          "query selective": 1735, "query broad row": 29.5,
-          "query_page row": 45}
+          "query selective": 860, "query broad row": 7.9,
+          "query_page row": 17}
 
 
 def calls_made_by(op) -> int:
