@@ -20,15 +20,19 @@ log on: because row ids are positional and tombstoned, replaying the
 observed mutations in order onto an empty table reproduces the source
 table byte for byte, row ids included.
 
-``insert`` is the catalog's hot path, so a table keeps a *row plan* — its
-columns and indexes flattened into tuples (:meth:`Table._replan`) — and
-runs inserts off it: a value of the column's exact Python type is stored
-as is, a hash-index entry is the bare row id until a second row shares
-the value, then one ``append`` to the bucket's ascending list — the new
-rid is the largest yet (:class:`~repro.db.index.HashIndex`) — and a
-sorted one is one ``insort``.  Every other value goes through
+``insert`` and ``insert_many`` are the catalog's hot path, so a table
+keeps a *row plan* — its columns and indexes flattened into tuples
+(:meth:`Table._replan`) — and runs both off it.  :meth:`Table._row` is
+the one place a row is built: a value of the column's exact Python type
+is stored as is, and every other value goes through
 :meth:`Column.check`, which stays the one definition of what a column
-accepts.
+accepts.  ``insert`` files one row: a hash-index entry is the bare row id
+until a second row shares the value, then one ``append`` to the bucket's
+ascending list (:class:`~repro.db.index.HashIndex`), and a sorted entry
+is one ``insort``.  ``insert_many`` files a batch as sets: each hash
+index takes the batch's keys in one pass, equal keys grouped into one
+bucket, and each sorted index merges the batch's sorted entries in once
+(:func:`_merge`) instead of moving the list's tail per row.
 
 A sorted index may cover a *pair* of columns
 (:meth:`Table.create_sorted_index`): its key is the tuple of the two
@@ -40,14 +44,15 @@ column has no entry in it.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_right, insort
+from collections import deque
 from dataclasses import dataclass
+from itertools import count, islice, repeat
 from operator import itemgetter
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import DatabaseError
-from repro.db.index import HashIndex, PairIndex, SortedIndex, _hashable, \
-    sortable
+from repro.db.index import HashIndex, PairIndex, SortedIndex, sortable
 
 # Supported column types and their Python representations.
 _TYPES: Dict[str, tuple] = {
@@ -96,7 +101,30 @@ class Column:
             )
         if self.type == "FLOAT":
             return float(value)
+        if self.type == "BLOB":
+            # a snapshot: a caller's bytearray may change after the insert
+            return bytes(value)
         return value
+
+
+def _merge(keys: list, new: list) -> None:
+    """Merge ``new`` entries into the sorted list ``keys``, in place.
+
+    Each new entry finds its place by ``bisect``, and the runs of old
+    entries between those places move up once, as slices, from the back:
+    the old entries are compared O(len(new) log len(keys)) times, not
+    once each as a sort of the whole list would, and none moves more than
+    once, where one ``insort`` per entry moves the list's tail each time.
+    """
+    new.sort()
+    at = list(map(bisect_right, repeat(keys), new))
+    hi = len(keys)
+    keys += new                 # room for the new entries at the end
+    for i in range(len(new) - 1, -1, -1):
+        lo = at[i]
+        keys[lo + i + 1:hi + i + 1] = keys[lo:hi]
+        keys[lo + i] = new[i]
+        hi = lo
 
 
 class ScanCounter:
@@ -168,12 +196,12 @@ class Table:
         key list, so upkeep through the plan and through the index's
         methods (``update_row``, ``delete_row``) see one structure.
         """
-        # (offset, value -> bucket dict, bytearray values possible?)
-        hashed = [(idx.unique, (self._offset[n], idx._map,
-                                self._col(n).type == "BLOB"))
-                  for n, idx in self._hash_indexes.items()]
-        self._hash_plan = tuple(entry for _unique, entry in hashed)
-        self._unique_plan = tuple(entry for unique, entry in hashed if unique)
+        # (offset, value -> bucket dict); a stored value is never a
+        # bytearray (Column.check), so it keys the dict as it is
+        self._hash_plan = tuple((self._offset[n], idx._map)
+                                for n, idx in self._hash_indexes.items())
+        self._unique_plan = tuple((self._offset[n], idx._map) for n, idx
+                                  in self._hash_indexes.items() if idx.unique)
         # (offset, sorted key list, exact type, the sort tag of that type),
         # and for an index over a pair (both offsets, sorted key list)
         ranged = []
@@ -261,16 +289,15 @@ class Table:
 
     # -- mutation -----------------------------------------------------------
 
-    def insert(self, values: Dict[str, Any]) -> int:
-        """Insert one row given a column->value mapping; returns the row id.
-
-        Nothing is touched — heap, index or observer — unless the whole
-        row is acceptable: column types, NOT NULL, the primary key and
-        every unique index are checked first.
-        """
-        if not values.keys() <= self._known:
-            unknown = set(values) - set(self._offset)
-            raise DatabaseError(f"unknown columns {sorted(unknown)} for {self.name!r}")
+    def _row(self, values: Dict[str, Any]) -> list:
+        """``values`` as the heap stores them: a list of the table's exact
+        width, every column checked — its type, NOT NULL, the primary key.
+        The uniqueness of keys is the caller's to check."""
+        for name in values:
+            if name not in self._offset:
+                unknown = sorted(set(values) - set(self._offset))
+                raise DatabaseError(
+                    f"unknown columns {unknown} for {self.name!r}")
         row = [None] * self._width
         for off, name, exact, nullable, check in self._column_plan:
             if name in values:
@@ -284,19 +311,32 @@ class Table:
         pk = self.primary_key
         if pk is not None and row[self._offset[pk]] is None:
             raise DatabaseError(f"primary key {pk!r} may not be NULL")
-        for off, hmap, blob in self._unique_plan:
-            key = _hashable(row[off]) if blob else row[off]
-            if key in hmap:
-                if self._names[off] == pk:
-                    raise DatabaseError(
-                        f"duplicate primary key {row[off]!r} in table {self.name!r}"
-                    )
-                raise DatabaseError(f"unique index violation for value {key!r}")
+        return row
+
+    def _refuse(self, off: int, key: Any) -> None:
+        """Raise the error of a row whose ``key`` clashes in the unique
+        index on the column at ``off``."""
+        if self._names[off] == self.primary_key:
+            raise DatabaseError(
+                f"duplicate primary key {key!r} in table {self.name!r}")
+        raise DatabaseError(f"unique index violation for value {key!r}")
+
+    def insert(self, values: Dict[str, Any]) -> int:
+        """Insert one row given a column->value mapping; returns the row id.
+
+        Nothing is touched — heap, index or observer — unless the whole
+        row is acceptable: column types, NOT NULL, the primary key and
+        every unique index are checked first.
+        """
+        row = self._row(values)
+        for off, hmap in self._unique_plan:
+            if row[off] in hmap:
+                self._refuse(off, row[off])
         rid = len(self._rows)
         self._rows.append(row)
         self._live += 1
-        for off, hmap, blob in self._hash_plan:
-            key = _hashable(row[off]) if blob else row[off]
+        for off, hmap in self._hash_plan:
+            key = row[off]
             if key not in hmap:
                 hmap[key] = rid
             elif type(hmap[key]) is int:     # rid is the largest yet
@@ -318,6 +358,63 @@ class Table:
             self.observer(self.name, "insert", rid, dict(zip(self._names, row)))
         return rid
 
+    def insert_many(self, rows: Sequence[Dict[str, Any]]) -> List[int]:
+        """Insert a batch of rows; returns their row ids, in order.
+
+        The heap, the indexes and the observer end as one :meth:`insert`
+        per row, in order, leaves them.  All or nothing: if any row would
+        be refused, none is inserted, and the error raised is the one
+        that row-by-row inserts would have stopped at.
+        """
+        built: List[list] = [None] * len(rows)
+        taken = [{} for _entry in self._unique_plan]   # keys of the batch
+        for i, values in enumerate(rows):
+            built[i] = row = self._row(values)
+            for (off, hmap), seen in zip(self._unique_plan, taken):
+                if row[off] in hmap or row[off] in seen:
+                    self._refuse(off, row[off])
+                seen[row[off]] = None
+        base = len(self._rows)
+        # one int per row id, shared by every index that files the row
+        # (made as len() makes them: tracemalloc counts range's ints 4 B
+        # larger, though both take one 32-byte block)
+        rids = list(islice(count(base), len(built)))
+        self._rows += built
+        self._live += len(rids)
+        for off, hmap in self._hash_plan:
+            keys = [row[off] for row in built]
+            batch = {key: [] for key in keys}
+            # each rid onto its key's list; the appends run inside map
+            deque(map(list.append, map(batch.__getitem__, keys), rids), 0)
+            for key, new in batch.items():
+                if key not in hmap:     # a list grown by appends, cut to fit
+                    hmap[key] = new[:] if new[1:] else new[0]
+                elif type(hmap[key]) is int:    # the new rids are larger
+                    hmap[key] = [hmap[key]] + new
+                else:
+                    hmap[key] += new
+        for off, keys, exact, tag in self._sorted_plan:
+            _merge(keys, [(tag, row[off], rid) if type(row[off]) is exact
+                          else SortedIndex._entry(row[off], rid)
+                          for row, rid in zip(built, rids)
+                          if row[off] is not None and row[off] == row[off]])
+        for off, off2, keys in self._pair_plan:
+            _merge(keys, [(row[off], row[off2], rid)
+                          for row, rid in zip(built, rids)
+                          if row[off] is not None and row[off2] is not None
+                          and row[off] == row[off] and row[off2] == row[off2]])
+        if self.observer is not None:
+            for rid, row in zip(rids, built):
+                self.observer(self.name, "insert", rid, dict(zip(self._names, row)))
+        return rids
+
+    def charge(self, n: int) -> None:
+        """Charge ``n`` rows to scan accounting that no lookup read: the
+        rows of a batch not yet inserted that a row-by-row write would
+        have found."""
+        self.rows_scanned += n
+        self.scan_counter.total += n
+
     def update_row(self, rid: int, changes: Dict[str, Any]) -> None:
         """Change columns of one live row: validate all, then apply all.
 
@@ -334,8 +431,7 @@ class Table:
                     and idx.get(new) not in ([], [rid]):
                 if cname == self.primary_key:
                     raise DatabaseError(f"duplicate primary key {new!r}")
-                raise DatabaseError(
-                    f"unique index violation for value {_hashable(new)!r}")
+                raise DatabaseError(f"unique index violation for value {new!r}")
             applied[cname] = new
         # an index over a pair moves the row if either column changed
         moved = [(sidx, off, off2, (row[off], row[off2]))
@@ -492,8 +588,7 @@ class Table:
         if column in self._hash_indexes:
             return list(self._hash_indexes[column]._map)
         off = self._offset[column]
-        return list({_hashable(self._rows[rid][off]): None
-                     for rid in self.scan()})
+        return list({self._rows[rid][off]: None for rid in self.scan()})
 
     def iter_values(self, rids: Sequence[int],
                     columns: Tuple[str, ...]) -> Iterator[tuple]:

@@ -27,6 +27,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.db import Database, Table
 from repro.errors import (
     AlreadyExists,
+    DatabaseError,
     MandatoryMetadataMissing,
     MetadataError,
     NoSuchCollection,
@@ -102,6 +103,14 @@ def _num(value: Optional[str]) -> Optional[float]:
         return float(value)
     except (TypeError, ValueError):
         return None
+
+
+#: the targets and classes a metadata triple may have
+_TARGET_KINDS = ("object", "collection")
+_META_CLASSES = ("user", "type", "file-based")
+#: what a metadata spec may hold
+_SPEC_KEYS = {"target_kind", "target_id", "attr", "value", "units",
+              "meta_class", "schema_name"}
 
 
 class _Charge:
@@ -350,59 +359,83 @@ class Mcat:
                       checksum: Optional[str] = None) -> int:
         """Register a new object row; the collection must exist."""
         with self._charge:
-            return self._create_object_row(
-                path, kind, owner, now, data_type=data_type, size=size,
+            values = self._object_values(
+                (), path, kind, owner, now, data_type=data_type, size=size,
                 target=target, template=template,
                 resource_hint=resource_hint, checksum=checksum)
+            oid = values["oid"] = self.ids.next_int("oid")
+            self._objects.insert(values)
+            return oid
 
-    def _create_object_row(self, path: str, kind: str, owner: str,
-                           now: float,
-                           data_type: Optional[str] = None,
-                           size: Optional[int] = None,
-                           target: Optional[str] = None,
-                           template: Optional[str] = None,
-                           resource_hint: Optional[str] = None,
-                           checksum: Optional[str] = None) -> int:
+    def _object_values(self, claimed, path: str, kind: str, owner: str,
+                       now: float,
+                       data_type: Optional[str] = None,
+                       size: Optional[int] = None,
+                       target: Optional[str] = None,
+                       template: Optional[str] = None,
+                       resource_hint: Optional[str] = None,
+                       checksum: Optional[str] = None) -> Dict[str, Any]:
+        """An object's row, all but its oid, once its kind and path pass.
+        ``claimed`` holds the paths of a batch's rows not yet inserted."""
         if kind not in OBJECT_KINDS:
             raise MetadataError(f"unknown object kind {kind!r}")
         path = paths.normalize(path)
         coll = paths.dirname(path)
         if not self._collection_rid(coll):
             raise NoSuchCollection(f"no collection {coll!r}")
+        if path in claimed:
+            # the row a row-by-row insert would have found by this lookup
+            self._objects.charge(1)
+            raise AlreadyExists(f"path {path!r} already in use")
         if self._object_rid(path) or self._collection_rid(path):
             raise AlreadyExists(f"path {path!r} already in use")
-        oid = self.ids.next_int("oid")
-        self._objects.insert({
-            "oid": oid, "path": path, "coll": coll,
-            "name": paths.basename(path), "kind": kind,
-            "data_type": data_type, "owner": owner,
-            "created_at": now, "modified_at": now, "size": size,
-            "target": target, "template": template,
-            "resource_hint": resource_hint,
-            "version": 1, "checked_out_by": None,
-            "checksum": checksum,
-        })
-        return oid
+        return {"path": path, "coll": coll,
+                "name": paths.basename(path), "kind": kind,
+                "data_type": data_type, "owner": owner,
+                "created_at": now, "modified_at": now, "size": size,
+                "target": target, "template": template,
+                "resource_hint": resource_hint,
+                "version": 1, "checked_out_by": None,
+                "checksum": checksum}
 
     def create_objects(self, specs: Sequence[Dict[str, Any]], owner: str,
                        now: float) -> List[Any]:
-        """Bulk :meth:`create_object`: N rows under one charged block.
+        """Bulk :meth:`create_object`: N rows under one charged block,
+        inserted as one batch.
 
         Each spec is the keyword dict of one ``create_object`` call
         (minus ``owner``/``now``).  Returns a list aligned with ``specs``
         holding the new oid, or the :class:`SrbError` that item raised —
-        one invalid item does not poison the batch (rows inserted as we
-        go, so intra-batch duplicate paths are caught too).
+        one invalid item does not poison the batch.  A path an earlier
+        item of the batch takes fails the later item, and a row the table
+        refuses fails alone (its oid is spent, as one by one).
         """
         with self._charge:
-            results: List[Any] = []
-            for spec in specs:
+            # an item's row values, or the error it failed with
+            results: List[Any] = [None] * len(specs)
+            claimed: Dict[str, None] = {}
+            for i, spec in enumerate(specs):
                 try:
-                    results.append(
-                        self._create_object_row(owner=owner, now=now, **spec))
+                    results[i] = values = self._object_values(
+                        claimed, owner=owner, now=now, **spec)
+                    claimed[values["path"]] = None
                 except SrbError as exc:
-                    results.append(exc)
-            return results
+                    results[i] = exc
+            rows = [row for row in results if type(row) is dict]
+            for values, oid in zip(rows, self.ids.next_ints("oid",
+                                                            len(rows))):
+                values["oid"] = oid
+            oids = [r["oid"] if type(r) is dict else r for r in results]
+            try:
+                self._objects.insert_many(rows)
+            except DatabaseError:   # a refused row fails alone: one by one
+                for i, values in enumerate(results):
+                    try:
+                        if type(values) is dict:
+                            self._objects.insert(values)
+                    except DatabaseError as exc:
+                        oids[i] = exc
+            return oids
 
     def _object_rid(self, path: str) -> List[int]:
         return self._objects.lookup_eq("path", path)
@@ -593,35 +626,48 @@ class Mcat:
                     container_oid: Optional[int] = None,
                     offset: Optional[int] = None) -> int:
         with self._charge:
-            return self._add_replica_row(oid, resource, physical_path, size,
-                                         now, container_oid=container_oid,
-                                         offset=offset)
-
-    def _add_replica_row(self, oid: int, resource: str, physical_path: str,
-                         size: int, now: float,
-                         container_oid: Optional[int] = None,
-                         offset: Optional[int] = None) -> int:
-        existing = self._replica_rows(oid)
-        replica_num = 1 + max((r["replica_num"] for r in existing), default=0)
-        self._replicas.insert({
-            "rid": self.ids.next_int("rid"), "oid": oid,
-            "replica_num": replica_num, "resource": resource,
-            "physical_path": physical_path, "size": size,
-            "created_at": now, "is_dirty": False,
-            "container_oid": container_oid, "offset": offset,
-        })
-        return replica_num
+            existing = self._replica_rows(oid)
+            replica_num = 1 + max((r["replica_num"] for r in existing),
+                                  default=0)
+            self._replicas.insert({
+                "rid": self.ids.next_int("rid"), "oid": oid,
+                "replica_num": replica_num, "resource": resource,
+                "physical_path": physical_path, "size": size,
+                "created_at": now, "is_dirty": False,
+                "container_oid": container_oid, "offset": offset,
+            })
+            return replica_num
 
     def add_replicas(self, specs: Sequence[Dict[str, Any]],
                      now: float) -> List[int]:
-        """Bulk :meth:`add_replica`: N rows under one charged block.
+        """Bulk :meth:`add_replica`: N rows under one charged block,
+        inserted as one batch; returns their replica numbers.
 
         Each spec is the keyword dict of one ``add_replica`` call (minus
         ``now``).  Strict — callers pass already-validated writes, so any
-        failure raises.  Numbering is per-object max+1 exactly as in the
-        single-row path (a spec list may repeat an oid)."""
+        failure raises, and no row of the batch is inserted.  Numbering
+        is per-object max+1 exactly as in the single-row path (a spec
+        list may repeat an oid)."""
         with self._charge:
-            return [self._add_replica_row(now=now, **spec) for spec in specs]
+            t = self._replicas
+            oids = [spec["oid"] for spec in specs]
+            # one lookup per spec, as one by one: each object's top number
+            top = dict.fromkeys(oids, 0)
+            for oid, num in t.iter_values(t.lookup_eq_many("oid", oids),
+                                          ("oid", "replica_num")):
+                top[oid] = max(top[oid], num)
+            stored, rows, found = dict(top), [], 0
+            for spec, rid in zip(specs, self.ids.next_ints("rid",
+                                                           len(specs))):
+                oid = spec["oid"]
+                found += top[oid] - stored[oid]     # this batch's rows of it
+                top[oid] += 1
+                rows.append({"container_oid": None, "offset": None, **spec,
+                             "rid": rid, "replica_num": top[oid],
+                             "created_at": now, "is_dirty": False})
+            t.charge(found)
+            t.insert_many(rows)
+            return [row["replica_num"] for row in rows]
 
     def _replica_rows(self, oid: int) -> List[Dict[str, Any]]:
         t = self._replicas
@@ -685,9 +731,9 @@ class Mcat:
     def _check_metadata_spec(self, target_kind: str, attr: str,
                              value: Optional[str], meta_class: str,
                              schema_name: Optional[str]) -> None:
-        if target_kind not in ("object", "collection"):
+        if target_kind not in _TARGET_KINDS:
             raise MetadataError(f"bad metadata target kind {target_kind!r}")
-        if meta_class not in ("user", "type", "file-based"):
+        if meta_class not in _META_CLASSES:
             raise MetadataError(f"bad metadata class {meta_class!r}")
         if not attr:
             raise MetadataError("metadata attribute name may not be empty")
@@ -700,19 +746,30 @@ class Mcat:
             if value is not None:
                 element.check(value)
 
-    def _insert_metadata_row(self, target_kind: str, target_id: int,
-                             attr: str, value: Optional[str], by: str,
-                             now: float, units: Optional[str],
-                             meta_class: str,
-                             schema_name: Optional[str]) -> int:
-        mid = self.ids.next_int("mid")
-        self._metadata.insert({
-            "mid": mid, "target_kind": target_kind, "target_id": target_id,
-            "meta_class": meta_class, "schema_name": schema_name,
-            "attr": attr, "value": value, "value_num": _num(value),
-            "units": units, "created_by": by, "created_at": now,
-        })
-        return mid
+    def _check_metadata_specs(self, specs: Sequence[Dict[str, Any]]
+                              ) -> List[Dict[str, Any]]:
+        """:meth:`_check_metadata_spec` of every spec, tested as sets;
+        returns a copy of each spec with its defaults filled in.  If a set
+        test fails, the specs are checked one by one, so the first bad
+        spec raises its own error."""
+        full = [{"units": None, "meta_class": "user", "schema_name": None,
+                 **spec} for spec in specs]
+        if not set().union(*full) <= _SPEC_KEYS:   # other keys are ignored
+            full = [{key: s[key] for key in _SPEC_KEYS} for s in full]
+        try:
+            fine = {s["target_kind"] for s in full}.issubset(_TARGET_KINDS) \
+                and {s["meta_class"] for s in full}.issubset(_META_CLASSES) \
+                and {type(s["attr"]) for s in full} <= {str} \
+                and "" not in {s["attr"] for s in full} \
+                and {type(s["value"]) for s in full} <= {str, type(None)}
+        except TypeError:           # an unhashable kind or class
+            fine = False
+        for s in full:
+            if not fine or s["meta_class"] == "type":
+                self._check_metadata_spec(s["target_kind"], s["attr"],
+                                          s["value"], s["meta_class"],
+                                          s["schema_name"])
+        return full
 
     def add_metadata(self, target_kind: str, target_id: int, attr: str,
                      value: Optional[str], by: str, now: float,
@@ -722,36 +779,35 @@ class Mcat:
         with self._charge:
             self._check_metadata_spec(target_kind, attr, value, meta_class,
                                       schema_name)
-            return self._insert_metadata_row(target_kind, target_id, attr,
-                                             value, by, now, units,
-                                             meta_class, schema_name)
+            mid = self.ids.next_int("mid")
+            self._metadata.insert({
+                "mid": mid, "target_kind": target_kind,
+                "target_id": target_id, "meta_class": meta_class,
+                "schema_name": schema_name, "attr": attr, "value": value,
+                "value_num": _num(value), "units": units,
+                "created_by": by, "created_at": now,
+            })
+            return mid
 
     def add_metadata_bulk(self, specs: Sequence[Dict[str, Any]], by: str,
                           now: float) -> List[int]:
-        """Bulk :meth:`add_metadata`: N triples under one charged block.
+        """Bulk :meth:`add_metadata`: N triples under one charged block,
+        inserted as one batch.
 
         Each spec holds ``target_kind``, ``target_id``, ``attr``,
         ``value`` and optionally ``units``/``meta_class``/``schema_name``.
         All specs are validated before any row is inserted, so a bad spec
-        raises without leaving a partial batch behind.
+        raises without leaving a partial batch behind; so does a row the
+        table refuses.
         """
         with self._charge:
-            full = []
-            for spec in specs:
-                full.append({
-                    "target_kind": spec["target_kind"],
-                    "target_id": spec["target_id"],
-                    "attr": spec["attr"], "value": spec["value"],
-                    "units": spec.get("units"),
-                    "meta_class": spec.get("meta_class", "user"),
-                    "schema_name": spec.get("schema_name"),
-                })
-            for spec in full:
-                self._check_metadata_spec(spec["target_kind"], spec["attr"],
-                                          spec["value"], spec["meta_class"],
-                                          spec["schema_name"])
-            return [self._insert_metadata_row(by=by, now=now, **spec)
-                    for spec in full]
+            full = self._check_metadata_specs(specs)
+            mids = self.ids.next_ints("mid", len(full))
+            for s, mid in zip(full, mids):      # each spec grows into its row
+                s["mid"], s["value_num"] = mid, _num(s["value"])
+                s["created_by"], s["created_at"] = by, now
+            self._metadata.insert_many(full)
+            return list(mids)
 
     def _target_rows(self, t: Table, order_by: str, target_kind: str,
                      target_id: int) -> List[Dict[str, Any]]:

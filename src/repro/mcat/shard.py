@@ -439,11 +439,7 @@ class ShardedMcat:
         # validate all specs up front (uncharged: schemas are in memory)
         # so a bad one fails the batch before any shard inserts a row —
         # same all-or-nothing contract as one partition's bulk path
-        probe = self.shards[0].primary
-        for spec in specs:
-            probe._check_metadata_spec(
-                spec["target_kind"], spec["attr"], spec["value"],
-                spec.get("meta_class", "user"), spec.get("schema_name"))
+        self.shards[0].primary._check_metadata_specs(specs)
         return _add_metadata_grouped(self, specs, by, now)
 
     def structural_for(self, coll_path: str,

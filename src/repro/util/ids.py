@@ -32,6 +32,11 @@ class IdFactory:
         self._counters[prefix] += 1
         return self._counters[prefix]
 
+    def next_ints(self, prefix: str, n: int) -> range:
+        """The next ``n`` of :meth:`next_int`'s integers, minted at once."""
+        last = self._counters[prefix] = self._counters[prefix] + n
+        return range(last - n + 1, last + 1)
+
     def peek(self, prefix: str) -> int:
         """Current counter value without incrementing (mainly for tests)."""
         return self._counters[prefix]

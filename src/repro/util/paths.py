@@ -26,6 +26,10 @@ SEP = "/"
 #: measured hit share)
 SPLIT_CACHE_SIZE = 2048
 
+#: a path at least this long is split in one pass; a shorter one reuses
+#: its parent's remembered split, which recurses once per component
+FLAT_SPLIT_CHARS = 256
+
 
 def validate_component(name: str) -> str:
     """Validate a single path component (collection or object name)."""
@@ -74,7 +78,10 @@ def split(path: str) -> Tuple[str, ...]:
     """Split an absolute logical path into validated components.
 
     ``split("/zone/home/x")`` -> ``("zone", "home", "x")``.
-    ``split("/")`` -> ``()``.
+    ``split("/")`` -> ``()``.  The parent's components come from its own
+    (remembered) split, so a new path under a known collection validates
+    its last component only; the first bad component, counted from the
+    root, is still the one an invalid path is refused for.
     """
     if not isinstance(path, str):
         raise InvalidPath(f"path must be str, got {type(path).__name__}")
@@ -82,10 +89,12 @@ def split(path: str) -> Tuple[str, ...]:
         raise InvalidPath(f"logical paths are absolute; got {path!r}")
     if path == SEP:
         return ()
-    raw = path[1:].split(SEP)
-    for component in raw:
-        validate_component(component)
-    return tuple(raw)
+    if path[FLAT_SPLIT_CHARS:]:
+        return tuple(map(validate_component, path[1:].split(SEP)))
+    head, _sep, name = path.rpartition(SEP)
+    if head == SEP:         # "//name": the first component is empty
+        validate_component("")
+    return (split(head) if head else ()) + (validate_component(name),)
 
 
 def _assemble(components: Tuple[str, ...]) -> str:

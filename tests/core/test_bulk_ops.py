@@ -6,7 +6,7 @@ bulk_query_metadata, and the ingest fixes that rode along with it
 import pytest
 
 from repro.core import Federation, SrbClient
-from repro.errors import NoSuchResource, StorageFull
+from repro.errors import NoSuchObject, NoSuchResource, StorageFull
 
 
 @pytest.fixture
@@ -160,6 +160,25 @@ class TestBulkIngest:
         assert results[1]["error_type"] == "AlreadyExists"
         assert results[2]["error_type"] == "NoSuchCollection"
         assert tiny_admin.get(f"{home}/taken.dat") == b"x"  # untouched
+
+    def test_a_row_the_catalog_refuses_fails_alone(self, tiny_admin, home):
+        """The catalog inserts a batch's object rows as one group; a row
+        its table refuses (a data type that is not text) still fails only
+        its own item, spends its oid, and a repeated path fails the
+        later item."""
+        results = tiny_admin.bulk_ingest([
+            {"path": f"{home}/r0.dat", "data": b"a"},
+            {"path": f"{home}/r1.dat", "data": b"b", "data_type": 5},
+            {"path": f"{home}/r2.dat", "data": b"c"},
+            {"path": f"{home}/r0.dat", "data": b"d"},
+        ])
+        assert results[1]["error_type"] == "DatabaseError"
+        assert results[3]["error_type"] == "AlreadyExists"
+        assert results[2]["oid"] == results[0]["oid"] + 2
+        assert tiny_admin.get(f"{home}/r0.dat") == b"a"
+        assert tiny_admin.get(f"{home}/r2.dat") == b"c"
+        with pytest.raises(NoSuchObject):
+            tiny_admin.stat(f"{home}/r1.dat")
 
     def test_bad_resource_fails_whole_batch_cleanly(self, tiny_fed,
                                                     tiny_admin, home):

@@ -57,6 +57,26 @@ class TestTypeChecking:
         assert t.value(rid, "v") == 3.0
         assert isinstance(t.value(rid, "v"), float)
 
+    @pytest.mark.parametrize("how", ["insert", "insert_many", "update_row"])
+    def test_a_blob_is_a_snapshot_of_the_callers_bytearray(self, how):
+        """The caller may change its bytearray after the write; the row
+        and the index keep the bytes as they were written."""
+        t = Table("m", [Column("k", "BLOB"), Column("n", "INT")])
+        t.create_index("k")
+        held = bytearray(b"abc")
+        if how == "insert":
+            rid = t.insert({"k": held})
+        elif how == "insert_many":
+            rid, = t.insert_many([{"k": held}])
+        else:
+            rid = t.insert({"k": b"old"})
+            t.update_row(rid, {"k": held})
+        held[:] = b"zzz"
+        assert t.row_dict(rid)["k"] == b"abc"
+        assert type(t.value(rid, "k")) is bytes
+        assert t.lookup_eq("k", b"abc") == [rid]
+        assert t.lookup_eq("k", b"zzz") == []
+
     def test_not_null_enforced(self):
         t = Table("m", [Column("v", "TEXT", nullable=False)])
         with pytest.raises(DatabaseError):

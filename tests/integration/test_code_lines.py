@@ -17,7 +17,9 @@ ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 #: path (from the repository root) -> the most code lines it may hold
 CEILINGS = {
-    "src/repro": 11_680,
+    # + a bulk catalog write as one grouped insert per table (insert_many,
+    #   its catalog callers, one batch rule for metadata specs)
+    "src/repro": 11_774,
     "src/repro/core/containers.py": 148,
     "src/repro/core/dispatch.py": 353,
     "src/repro/core/federation.py": 292,
@@ -26,7 +28,9 @@ CEILINGS = {
     "src/repro/core/planes/replica.py": 152,
     "src/repro/core/replication.py": 49,
     "src/repro/db/index.py": 112,
-    "src/repro/db/table.py": 354,
+    # + Table.insert_many, the row builder it shares with insert, and the
+    #   merge of a batch into a sorted index
+    "src/repro/db/table.py": 410,
     "src/repro/mysrb/views.py": 531,
     "src/repro/net/rpc.py": 339,
     "src/repro/net/simnet.py": 511,

@@ -22,11 +22,16 @@ op                  measured          budget          (pinning before)
 ``get``             293 -> 214        345 -> 245      (417 -> 298)
 ``stat``            277 -> 167        320 -> 190      (367 -> 277)
 ``add_metadata``    250 -> 177        290 -> 205      (356 -> 250)
-``bulk_ingest row`` 36.1 -> 30.0      42 -> 34.5      (43.9 -> 36.1)
+``bulk_ingest row`` 29.2 -> 15.5      34.5 -> 17.8    (36.1 -> 30.0)
 ``query selective`` 1,506 -> 749      1735 -> 860     (1,566 -> 1,510)
 ``query broad row`` 25.7 -> 6.9       29.5 -> 7.9     (26.2 -> 25.8)
 ``query_page row``  39.1 -> 14.7      45 -> 17        (40.4 -> 39.1)
 ==================  ================  ==============  ==================
+
+The ``bulk_ingest row`` was re-pinned on its own, when a bulk catalog
+write became one ``Table.insert_many`` per table (hash buckets filled a
+batch at a time, sorted indexes sorted once per batch, ids minted in one
+call) and a new path's split reused its parent's.
 
 The three ``query`` rows were re-pinned on their own, when a query batch
 became set operations over row ids: each condition is tested once per
@@ -79,7 +84,7 @@ RELAYED = b"\x5a" * (256 * 1024)        # four relay blocks
 #: op -> most Python-level calls (functions and builtins) one call may make
 BUDGET = {"ingest": 380, "get": 245, "stat": 190, "add_metadata": 205,
           "ingest logical": 495, "ingest relayed": 485, "get relayed": 300,
-          "bulk_ingest row": 34.5,
+          "bulk_ingest row": 17.8,
           "query selective": 860, "query broad row": 7.9,
           "query_page row": 17}
 

@@ -236,6 +236,40 @@ class TestSplitMemo:
         assert paths.is_ancestor(old, under) == \
             (len(a) < len(b) and b[:len(a)] == a)
 
+    @pytest.mark.parametrize("bad", ["", ".", "..", " x", "x\x00"])
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_a_deep_path_is_refused_for_its_first_bad_component(self, bad,
+                                                                 warm):
+        """Cold, nothing of the path is remembered; warm, its valid
+        prefix is.  Either way the error names the first bad component,
+        not the last, and the bad path is never remembered."""
+        good = ["z", "home", "a", "b", "c", "d", "e"]
+        for cut in (0, 2, len(good) - 1):
+            p = "/" + "/".join(good[:cut] + [bad] + good[cut:] + [".."])
+            paths.clear_memos()
+            if warm:
+                paths.split("/" + "/".join(good[:cut]) if cut else "/")
+            for _ in range(2):
+                assert outcome(paths.split, p) == outcome(model_split, p)
+                assert outcome(paths.normalize, p) == \
+                    outcome(model_normalize, p)
+
+    @pytest.mark.parametrize("p", ["//a", "///", "//a/b", "/a//b", "/a/"])
+    def test_an_empty_component_anywhere_is_refused(self, p):
+        paths.clear_memos()
+        assert outcome(paths.split, p) == ("InvalidPath",
+                                           "illegal path component ''")
+
+    @pytest.mark.parametrize("n", [10, 130, 2000])
+    def test_a_path_of_any_depth_splits(self, n):
+        """A long path is split in one pass, so no depth exhausts the
+        stack; a shorter one through its parents' memo entries."""
+        p = "/" + "/".join(f"c{i}" for i in range(n))
+        paths.clear_memos()
+        assert paths.split(p) == model_split(p)
+        assert outcome(paths.split, p + "/ bad") == \
+            outcome(model_split, p + "/ bad")
+
     def test_memo_never_returns_a_stale_tuple(self):
         # more distinct paths than the memo holds, each asked twice and
         # again after the others pushed it out
