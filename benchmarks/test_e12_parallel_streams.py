@@ -42,7 +42,6 @@ def build(link: LinkSpec):
     fed = Federation(zone="demozone")
     fed.add_host("near")
     fed.add_host("far")
-    fed.network.set_link("near", "far", link)
     fed.add_server("s", "near", mcat=True)
     fed.add_fs_resource("near-disk", "near")
     fed.add_fs_resource("far-disk", "far")
@@ -51,8 +50,11 @@ def build(link: LinkSpec):
     client = SrbClient(fed, "near", "s", "srbadmin@sdsc", "hunter2")
     client.login()
     client.mkcoll("/demozone/bulk")
-    # open the server's session to the far resource before any timing
+    # open the server's session to the far resource before any timing,
+    # on the default link: every build then starts its timed ingest at
+    # the same virtual time, so equal costs read as equal durations
     client.ingest("/demozone/bulk/warm.dat", b"w", resource="far-disk")
+    fed.network.set_link("near", "far", link)
     return fed, client
 
 

@@ -195,26 +195,34 @@ class PlaneService(Wired):
                 self._invalidate_session(res)
         return outcomes
 
+    def _require_up(self, res_list: Sequence[PhysicalResource]) -> None:
+        """Refuse a write onto ``res_list`` while a member's host is down:
+        the check a write makes before it moves a byte, and an ingest
+        before it writes a catalog row."""
+        for res in res_list:
+            if not self.network.host(res.host).up:
+                raise ResourceUnavailable(
+                    f"resource {res.name!r} is down")
+
     def _push(self, src_host: str, res_list: Sequence[PhysicalResource],
               nbytes: int, path_key: str, label: str) -> None:
         """First half of the write loop: get ``nbytes`` from ``src_host``
-        to every resource of ``res_list``.
+        to every resource of ``res_list``, whose members the caller has
+        found up (:meth:`_require_up`).
 
-        Availability of every member, then a session to each, then one
-        overlapped leg per member.  An unavailable member, a session
-        that will not open or a leg that fails raises here — before a
-        byte is on any driver or a row in the catalog, so a write onto a
-        logical resource happens on every member or on none.
+        A session to each member, then one overlapped leg per member.  A
+        session that will not open or a leg that fails raises here —
+        before a byte is on any driver, so a write onto a logical
+        resource happens on every member or on none.  An ingest's object
+        rows exist by then (:meth:`~repro.core.planes.data.DataService.
+        _ingest` deletes them when this raises); every other write adds
+        its rows after.
 
         Whether the legs relay bytes that arrived on the request being
         served is the op plan's to say, not the caller's
         (``ChannelBroker.inbound``): an op moving bytes that were at
         rest on a resource runs with it unset.
         """
-        for res in res_list:
-            if not self.network.host(res.host).up:
-                raise ResourceUnavailable(
-                    f"resource {res.name!r} is down")
         for res in res_list:
             self._resource_session(res)
         raise_failed(self._run_legs(
@@ -255,9 +263,10 @@ class PlaneService(Wired):
     def _store(self, src_host: str, res_list: Sequence[PhysicalResource],
                phys: str, data: bytes, label: str,
                replace: bool = False) -> None:
-        """The write loop for one file: :meth:`_push` its bytes to every
-        resource, then :meth:`_land` it there.  The replica rows are the
-        caller's, written once this returns."""
+        """The write loop for one file: every resource up, :meth:`_push`
+        its bytes to each, then :meth:`_land` it there.  The replica rows
+        are the caller's, written once this returns."""
+        self._require_up(res_list)
         self._push(src_host, res_list, len(data), phys, label)
         self._land(res_list, [(phys, data)], replace)
 

@@ -5,6 +5,11 @@ registered-object kinds, copies, containers, the lock/pin/version
 surface, and MySRB's object view (``open_object``) — everything whose
 job is getting bytes on or off storage resources.
 
+``ingest`` and ``bulk_ingest`` are one body, :meth:`DataService._ingest`:
+each item's checks, then the target, then the object rows, then the
+bytes of the rows written, then their replica and metadata rows — so an
+unusable target writes no row and a taken path moves no byte.
+
 Two routing modes exist.  **Pass-through** (the default, SRB 1.x
 style): the server stands in the data path — bytes flow ``resource host
 -> server host`` inside the server and onward in the RPC response (and
@@ -43,13 +48,13 @@ from repro.auth.users import Principal
 from repro.core.dispatch import OpContext, rpc_op
 from repro.core.planes.base import PlaneService, _CONTROL_MSG, \
     content_checksum
+from repro.mcat.catalog import apply_structural
 from repro.net.rpc import BatchItemResult
 from repro.net.simnet import TransferOutcome
 from repro.net.wire import Redirect
 from repro.errors import (
     ContainerError,
     HostUnreachable,
-    NoSuchCollection,
     NoSuchObject,
     NoSuchPhysicalFile,
     NoSuchReplica,
@@ -118,54 +123,159 @@ class DataService(PlaneService):
         container specification on ingestion overrides a resource
         specification."  Structural metadata requirements of the target
         collection are validated; the effective attributes are attached.
+
+        This is :meth:`bulk_ingest`'s body (:meth:`_ingest`) run on one
+        item, whose error is raised: an unusable target fails before
+        the object row is written, and a taken path before a byte
+        moves.
         """
-        principal = ctx.principal
-        path = paths.normalize(path)
-        coll = paths.dirname(path)
-        if not self.mcat.collection_exists(coll):
-            raise NoSuchCollection(f"no collection {coll!r}")
-        self.access.require_collection(principal, coll, "write")
-        effective_md = self.mcat.validate_ingest_metadata(coll,
-                                                          metadata or {})
-
-        oid = self.mcat.create_object(
-            path, kind="data", owner=str(principal), now=self.now,
-            data_type=data_type, size=len(data),
-            checksum=content_checksum(data))
-
-        try:
-            if container is not None:
-                cont = self.containers.get_container(container)
-                self.access.require_object(principal, cont, "write")
-                self.containers.append_member(cont, oid, data, now=self.now,
-                                              server_host=ctx.payload_host)
-            else:
-                resource = resource or self.federation.default_resource
-                if resource is None:
-                    raise NoSuchResource(
-                        "no resource given and no default")
-                res_list = self.federation.placement.order_resources(
-                    self.resources.resolve(resource), from_host=self.host,
-                    size_hint=len(data))
-                phys = f"/srb/{coll.strip('/').replace('/', '_')}/" \
-                       f"{oid}-{paths.basename(path)}"
-                self._store_replicas(ctx.payload_host, res_list, oid, phys,
-                                     data, "ingest-fanout")
-        except SrbError:
-            # no half-ingested objects: the write loop left no file
-            self.mcat.delete_object(oid)
-            raise
-
-        if effective_md:
-            self.mcat.add_metadata_bulk(
-                [{"target_kind": "object", "target_id": oid,
-                  "attr": attr, "value": value}
-                 for attr, value in effective_md.items()],
-                by=str(principal), now=self.now)
+        ((path, oid),) = self._ingest(
+            ctx, ({"path": path, "data": data, "data_type": data_type,
+                   "metadata": metadata},), resource, container,
+            "ingest-fanout")
+        if type(oid) is not int:
+            raise oid
         ctx.audit(target=path, detail=f"{len(data)}B")
         if ctx.span is not None:
             ctx.span.incr("payload_bytes", len(data))
         return oid
+
+    def _ingest(self, ctx: OpContext, items: Sequence[Dict[str, Any]],
+                resource: Optional[str], container: Optional[str],
+                label: str) -> List[Tuple[str, Union[int, SrbError]]]:
+        """The one ingest: register ``items`` (dicts with ``path`` and
+        ``data``, optionally ``data_type`` and ``metadata``) and land
+        their bytes on ``container`` or ``resource`` (the default when
+        neither is given).  Returns, aligned with ``items``, the path
+        and either the new oid or the :class:`SrbError` that item failed
+        with; an unusable target or a failed push raises for them all.
+
+        1. Each item's zone, collection write access and structural
+           metadata; the catalog is asked once per collection.  When no
+           item is left, nothing more happens.
+        2. The target, before any catalog write: the container and
+           write access on it, or the resource's members, ranked for
+           the bytes that will move and every one up.
+        3. One grouped write of the object rows: a taken path fails
+           its item here, before its bytes move.
+        4. The bytes of the rows written: appended to the container, or
+           pushed once to every member (``label`` names the legs) and
+           landed there; a push that fails deletes the rows and raises.
+           An item a storage system refuses loses its row.
+        5. One grouped write of the replica rows, and one of the
+           metadata triples.
+        """
+        principal = ctx.principal
+        results: List[Any] = [None] * len(items)
+        structural: Dict[str, Any] = {}     # collection -> rules or error
+        prepared: List[Tuple[Any, ...]] = []
+        nbytes = 0
+        for i, item in enumerate(items):
+            raw_path = str(item.get("path", ""))
+            try:
+                path = paths.normalize(raw_path)
+                ctx.require_local(path)
+                data = item["data"]
+                coll = paths.dirname(path)
+                if coll not in structural:
+                    try:
+                        self.access.require_collection(principal, coll,
+                                                       "write")
+                        structural[coll] = self.mcat.structural_for(coll)
+                    except SrbError as exc:
+                        structural[coll] = exc
+                rules = structural[coll]
+                if type(rules) is not list:
+                    raise rules
+                md = apply_structural(rules, item.get("metadata") or {},
+                                      coll)
+            except SrbError as exc:
+                results[i] = (raw_path, exc)
+                continue
+            size = len(data)
+            prepared.append((i, path, coll, data, md, size,
+                             item.get("data_type")))
+            nbytes += size
+        if not prepared:
+            return results
+
+        if container is not None:
+            cont_path = paths.normalize(container)
+            cont = self.containers.get_container(cont_path)
+            self.access.require_object(principal, cont, "write")
+        else:
+            resource = resource or self.federation.default_resource
+            if resource is None:
+                raise NoSuchResource("no resource given and no default")
+            res_list = self.federation.placement.order_resources(
+                self.resources.resolve(resource), from_host=self.host,
+                size_hint=nbytes)
+            self._require_up(res_list)
+
+        oids = self.mcat.create_objects(
+            [{"path": path, "kind": "data", "data_type": data_type,
+              "size": size, "checksum": content_checksum(data)}
+             for _i, path, _coll, data, _md, size, data_type in prepared],
+            owner=str(principal), now=self.now)
+        alive = []
+        for (i, path, coll, data, md, size, _dt), oid in zip(prepared, oids):
+            if type(oid) is int:
+                alive.append((i, path, coll, data, md, oid))
+            else:
+                nbytes -= size
+                results[i] = (path, oid)
+
+        def fail(entry: Tuple[Any, ...], exc: SrbError) -> None:
+            self.mcat.delete_object(entry[5])
+            results[entry[0]] = (entry[1], exc)
+
+        if container is not None:
+            landed = []
+            for n, entry in enumerate(alive):
+                try:
+                    if n:
+                        cont = self.containers.get_container(cont_path)
+                    self.containers.append_member(
+                        cont, entry[5], entry[3], now=self.now,
+                        server_host=ctx.payload_host)
+                    landed.append(entry)
+                except SrbError as exc:
+                    fail(entry, exc)
+            alive = landed
+        elif alive:
+            files = [(f"/srb/{coll.strip('/').replace('/', '_')}/"
+                      f"{oid}-{paths.basename(path)}", data)
+                     for _i, path, coll, data, _md, oid in alive]
+            try:
+                # a push of one file binds its channel tickets to it
+                self._push(ctx.payload_host, res_list, nbytes,
+                           files[0][0] if len(files) == 1 else "", label)
+            except SrbError:
+                for entry in alive:
+                    self.mcat.delete_object(entry[5])
+                raise
+            refused = self._land(res_list, files,
+                                 on_refused=lambda k, exc: fail(alive[k], exc))
+            replica_specs = [
+                {"oid": alive[k][5], "resource": res.name,
+                 "physical_path": phys, "size": len(data)}
+                for k, (phys, data) in enumerate(files) if k not in refused
+                for res in res_list]
+            if replica_specs:
+                self.mcat.add_replicas(replica_specs, now=self.now)
+            if refused:
+                alive = [e for k, e in enumerate(alive) if k not in refused]
+
+        md_specs = [{"target_kind": "object", "target_id": oid,
+                     "attr": attr, "value": value}
+                    for _i, _p, _c, _d, md, oid in alive
+                    for attr, value in md.items()]
+        if md_specs:
+            self.mcat.add_metadata_bulk(md_specs, by=str(principal),
+                                        now=self.now)
+        for i, path, _coll, _data, _md, oid in alive:
+            results[i] = (path, oid)
+        return results
 
     # ------------------------------------------------------------------
     # bulk operations (the Sbload-style amortized data plane)
@@ -189,137 +299,27 @@ class DataService(PlaneService):
         ``{"path", "oid"}`` on success or ``{"path", "error",
         "error_type"}`` for items that failed.
 
-        A bad *item* fails alone: one the namespace, the ACLs or the
-        catalog reject never touches storage, and one a storage system
-        refuses is removed from the members already written.  A bad
-        *target* (unknown resource/container, a member down or
-        unreachable, no write access on the container) fails the whole
-        batch before any catalog write, with nothing to undo, since no
-        item could succeed.
+        It runs :meth:`ingest`'s body (:meth:`_ingest`) on every item at
+        once.  A bad *item* fails alone: one the namespace, the ACLs or
+        the catalog reject never touches storage, and one a storage
+        system refuses is removed from the members already written.  A
+        bad *target* (unknown resource/container, a member down, no
+        write access on the container) fails the whole batch before any
+        catalog write, with nothing to undo, since no item could
+        succeed — unless no item got that far.
         """
-        from repro.mcat.catalog import apply_structural
-        principal = ctx.principal
         self.obs.metrics.inc("bulk.batches", op="ingest")
         self.obs.metrics.inc("bulk.items", len(items), op="ingest")
-        results: List[Optional[Dict[str, Any]]] = [None] * len(items)
-
-        def fail(i: int, path: str, exc: SrbError) -> None:
-            results[i] = {"path": path, "error": str(exc),
-                          "error_type": type(exc).__name__}
-
-        # phase 1: namespace + access + structural metadata, charged
-        # once per distinct collection instead of once per file
-        coll_state: Dict[str, Any] = {}
-        prepared: List[List[Any]] = []
-        for i, item in enumerate(items):
-            raw_path = str(item.get("path", ""))
-            try:
-                path = paths.normalize(raw_path)
-                ctx.require_local(path)
-                data = item["data"]
-                coll = paths.dirname(path)
-                if coll not in coll_state:
-                    try:
-                        if not self.mcat.collection_exists(coll):
-                            raise NoSuchCollection(
-                                f"no collection {coll!r}")
-                        self.access.require_collection(principal, coll,
-                                                       "write")
-                        coll_state[coll] = self.mcat.structural_for(coll)
-                    except SrbError as exc:
-                        coll_state[coll] = exc
-                state = coll_state[coll]
-                if isinstance(state, SrbError):
-                    raise state
-                effective_md = apply_structural(
-                    state, item.get("metadata") or {}, coll)
-                prepared.append(
-                    [i, path, data, item.get("data_type"), effective_md])
-            except SrbError as exc:
-                fail(i, raw_path, exc)
-
-        # the target is resolved — and, for a resource, the batch's
-        # bytes pushed to every member — before any catalog write, so an
-        # unusable target fails the batch with nothing to undo
-        res_list: List[PhysicalResource] = []
-        cont_path: Optional[str] = None
-        if container is not None:
-            cont_path = paths.normalize(container)
-            cont = self.containers.get_container(cont_path)
-            self.access.require_object(principal, cont, "write")
-        else:
-            resource = resource or self.federation.default_resource
-            if resource is None:
-                raise NoSuchResource("no resource given and no default")
-            res_list = self.federation.placement.order_resources(
-                self.resources.resolve(resource), from_host=self.host)
-            if prepared:
-                self._push(ctx.payload_host, res_list,
-                           sum(len(p[2]) for p in prepared), "", "bulk-ingest")
-
-        # phase 2: one bulk catalog write registers every object row
-        specs = [{"path": p, "kind": "data", "data_type": dt,
-                  "size": len(d), "checksum": content_checksum(d)}
-                 for (_i, p, d, dt, _md) in prepared]
-        oids = self.mcat.create_objects(specs, owner=str(principal),
-                                        now=self.now)
-        alive: List[List[Any]] = []
-        for (i, path, data, _dt, md), oid in zip(prepared, oids):
-            if isinstance(oid, SrbError):
-                fail(i, path, oid)
+        results: List[Dict[str, Any]] = []
+        total_bytes = 0
+        for item, (path, oid) in zip(items, self._ingest(
+                ctx, items, resource, container, "bulk-ingest")):
+            if type(oid) is not int:
+                results.append({"path": path, "error": str(oid),
+                                "error_type": type(oid).__name__})
             else:
-                alive.append([i, path, data, md, oid])
-
-        # phase 3: the bytes land
-        if container is not None:
-            survivors = []
-            for entry in alive:
-                i, path, data, _md, oid = entry
-                try:
-                    cont = self.containers.get_container(cont_path)
-                    self.containers.append_member(
-                        cont, oid, data, now=self.now,
-                        server_host=ctx.payload_host)
-                except SrbError as exc:
-                    self.mcat.delete_object(oid)
-                    fail(i, path, exc)
-                    continue
-                survivors.append(entry)
-            alive = survivors
-        else:
-            files = []
-            for _i, path, data, _md, oid in alive:
-                coll = paths.dirname(path)
-                files.append((f"/srb/{coll.strip('/').replace('/', '_')}/"
-                              f"{oid}-{paths.basename(path)}", data))
-
-            def refuse(k: int, exc: SrbError) -> None:
-                i, path, _data, _md, oid = alive[k]
-                self.mcat.delete_object(oid)
-                fail(i, path, exc)
-
-            refused = self._land(res_list, files, on_refused=refuse)
-            replica_specs = [
-                {"oid": alive[k][4], "resource": res.name,
-                 "physical_path": phys, "size": len(data)}
-                for k, (phys, data) in enumerate(files) if k not in refused
-                for res in res_list]
-            if replica_specs:
-                self.mcat.add_replicas(replica_specs, now=self.now)
-            alive = [e for k, e in enumerate(alive) if k not in refused]
-        total_bytes = sum(len(e[2]) for e in alive)
-
-        # phase 4: one bulk catalog write attaches every triple
-        md_specs = [{"target_kind": "object", "target_id": oid,
-                     "attr": attr, "value": value}
-                    for (_i, _p, _d, md, oid) in alive
-                    for attr, value in md.items()]
-        if md_specs:
-            self.mcat.add_metadata_bulk(md_specs, by=str(principal),
-                                        now=self.now)
-
-        for i, path, _data, _md, oid in alive:
-            results[i] = {"path": path, "oid": oid}
+                results.append({"path": path, "oid": oid})
+                total_bytes += len(item["data"])
         ctx.audit(target=f"{len(items)} items", detail=f"{total_bytes}B")
         if ctx.span is not None:
             ctx.span.incr("payload_bytes", total_bytes)

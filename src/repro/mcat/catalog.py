@@ -665,7 +665,8 @@ class Mcat:
                 rows.append({"container_oid": None, "offset": None, **spec,
                              "rid": rid, "replica_num": top[oid],
                              "created_at": now, "is_dirty": False})
-            t.charge(found)
+            if found:
+                t.charge(found)
             t.insert_many(rows)
             return [row["replica_num"] for row in rows]
 

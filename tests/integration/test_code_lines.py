@@ -17,20 +17,22 @@ ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 #: path (from the repository root) -> the most code lines it may hold
 CEILINGS = {
-    # + a bulk catalog write as one grouped insert per table (insert_many,
-    #   its catalog callers, one batch rule for metadata specs)
-    "src/repro": 11_774,
+    # - ingest and bulk_ingest as one body (DataService._ingest)
+    "src/repro": 11_760,
     "src/repro/core/containers.py": 148,
     "src/repro/core/dispatch.py": 353,
     "src/repro/core/federation.py": 292,
-    "src/repro/core/planes/base.py": 236,
-    "src/repro/core/planes/data.py": 888,
+    # + the member check as its own step (_require_up), which an ingest
+    #   makes before it writes a catalog row and a write before it pushes
+    "src/repro/core/planes/base.py": 238,
+    "src/repro/core/planes/data.py": 869,
     "src/repro/core/planes/replica.py": 152,
     "src/repro/core/replication.py": 49,
     "src/repro/db/index.py": 112,
     # + Table.insert_many, the row builder it shares with insert, and the
-    #   merge of a batch into a sorted index
-    "src/repro/db/table.py": 410,
+    #   merge of a batch into a sorted index; + a batch of one row handed
+    #   to insert (a single ingest's rows cost fewer calls that way)
+    "src/repro/db/table.py": 412,
     "src/repro/mysrb/views.py": 531,
     "src/repro/net/rpc.py": 339,
     "src/repro/net/simnet.py": 511,
