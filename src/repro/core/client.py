@@ -38,6 +38,7 @@ Written out are only the methods that do something else:
 * ``ls``, ``ls_page``, ``verify`` — named other than their ops
   (``ls`` joins the pages of one ``list_collection_page`` stream,
   ``ls_page`` is one of them, ``verify`` sends ``verify_checksums``);
+* ``audit_log`` — joins the pages of one ``audit_log`` stream;
 * ``grant``, ``revoke`` — take ``principal``, which travels as the
   handler's ``principal_str``;
 * ``iter_ls``, ``iter_query_pages``, ``iter_query``,
@@ -47,8 +48,8 @@ Written out are only the methods that do something else:
 from __future__ import annotations
 
 import inspect
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, \
-    Union
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, \
+    Tuple, Union
 
 from repro.auth.tickets import Ticket
 from repro.auth.users import UserRegistry
@@ -91,6 +92,11 @@ class SrbClient:
 
     def _call(self, method: str, /, **kwargs: Any) -> Any:
         return self.federation.rpc.call(
+            self.client_host, self._server_host,
+            f"srb:{self.server_name}", method, **kwargs)
+
+    def _stream(self, method: str, /, **kwargs: Any) -> Iterator[Any]:
+        return self.federation.rpc.call_stream(
             self.client_host, self._server_host,
             f"srb:{self.server_name}", method, **kwargs)
 
@@ -204,6 +210,15 @@ class SrbClient:
         return self._call("list_collection_page", ticket=self.ticket,
                           path=path, limit=limit, cursor=cursor)
 
+    def audit_log(self, principal_filter: Optional[str] = None,
+                  action: Optional[str] = None,
+                  target: Optional[str] = None) -> List[Dict[str, Any]]:
+        """Every audit row the filters match, in ``auid`` order
+        (sysadmin only): the pages of one ``audit_log`` stream, joined."""
+        pages = self._stream("audit_log", ticket=self.ticket, target=target,
+                             principal_filter=principal_filter, action=action)
+        return [entry for page in pages for entry in page["entries"]]
+
     def verify(self, path: str):
         """Per-replica checksum verification report."""
         return self._call("verify_checksums", ticket=self.ticket, path=path)
@@ -245,10 +260,8 @@ class SrbClient:
         ``{"path", "kind": "collection"}``, then object rows as
         :meth:`ls` returns them.
         """
-        for chunk in self.federation.rpc.call_stream(
-                self.client_host, self._server_host,
-                f"srb:{self.server_name}", "list_collection_page",
-                page_size=page_size, ticket=self.ticket, path=path):
+        for chunk in self._stream("list_collection_page", page_size=page_size,
+                                  ticket=self.ticket, path=path):
             for coll in chunk["collections"]:
                 yield {"path": coll, "kind": "collection"}
             for obj in chunk["objects"]:
@@ -291,10 +304,8 @@ class SrbClient:
         materialising :meth:`query` does.  Dropping the iterator stops
         the stream at no further cost.
         """
-        return self.federation.rpc.call_stream(
-            self.client_host, self._server_host,
-            f"srb:{self.server_name}", "query_page",
-            page_size=page_size, ticket=self.ticket, scope=scope,
+        return self._stream(
+            "query_page", page_size=page_size, ticket=self.ticket, scope=scope,
             conditions=list(conditions),
             include_annotations=include_annotations,
             include_system=include_system)

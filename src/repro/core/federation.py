@@ -98,17 +98,22 @@ class ChannelBroker:
                 reason=getattr(exc, "reason", "invalid"))
             raise
 
-    def run_legs(self, legs: Sequence[Tuple[str, str, int, str]],
+    def run_legs(self, legs: Sequence[Tuple[str, str, int, Optional[str]]],
                  label: str) -> List[TransferOutcome]:
-        """Move payload bytes: the one leg runner.
+        """Move payload bytes and control messages: the one leg runner.
 
         ``legs`` says what must move, each ``(src_host, dst_host,
         nbytes, path_key)``; the route is this method's business.  A
-        leg whose ends share a host moves nothing and is charged
-        nothing.  The rest run as one overlapped set — raw transfers,
-        or, with direct I/O on, ticketed channels (``path_key`` is
-        bound into the ticket) — and the result is one
-        :class:`~repro.net.simnet.TransferOutcome` per leg, in order.
+        leg whose ``path_key`` is ``None`` is a *control message* (a
+        session probe, a rollback delete, a method request or its
+        reply): a call of them sends each blocking, in order, on one
+        stream — charged even between two ends on one host — and none
+        rides a channel or hides.  A payload leg whose ends share a
+        host moves nothing and is charged nothing.  The rest run as one
+        overlapped set — raw transfers, or, with direct I/O on,
+        ticketed channels (``path_key`` is bound into the ticket).  The
+        result is one :class:`~repro.net.simnet.TransferOutcome` per
+        leg, in order.
         Each leg opens as many parallel streams as its own path needs
         to reach capacity (:meth:`~repro.net.simnet.LinkSpec.
         payload_streams`: one where nothing caps a stream), so no
@@ -142,6 +147,10 @@ class ChannelBroker:
             siblings still run and settle.
         """
         net = self.network
+        if legs and legs[0][3] is None:     # control messages
+            return [blocking_outcome(net, src, dst, nbytes,
+                                     lambda: net.transfer(src, dst, nbytes))
+                    for src, dst, nbytes, _key in legs]
         wire = [leg for leg in legs if leg[0] != leg[1]]
         if not wire:
             ran = []

@@ -26,8 +26,7 @@ from repro.auth.users import Principal, UserRegistry
 from repro.core.access import AccessController
 from repro.core.containers import ContainerManager
 from repro.core.locking import LockManager
-from repro.errors import HostUnreachable, NoSuchObject, \
-    ResourceUnavailable, SrbError
+from repro.errors import NoSuchObject, ResourceUnavailable, SrbError
 from repro.mcat.catalog import Mcat
 from repro.net.simnet import Network, TransferOutcome, raise_failed, \
     repull_failed
@@ -159,15 +158,12 @@ class PlaneService(Wired):
                 tracer.add("session_cache_hits", 1)
             return
         server.session_meters["miss", server.name, res.name][0].inc()
-        src, dst = self.host, res.host
-        try:
-            # server and resource take turns, the server first and last
-            for nbytes in owed:
-                self.network.transfer(src, dst, nbytes)
-                src, dst = dst, src
-        except HostUnreachable:
-            self._invalidate_session(res)
-            raise
+        # server and resource take turns, the server first and last; a
+        # message that fails ends the exchange
+        ends = (self.host, res.host)
+        for k, nbytes in enumerate(owed):
+            raise_failed(self._run_legs([(ends[k % 2], ends[1 - k % 2],
+                                          nbytes, None)], [res], "session"))
         self.server._session_cache[res.name] = self.network.topology_epoch
 
     def _invalidate_session(self, res: PhysicalResource) -> None:
@@ -180,10 +176,11 @@ class PlaneService(Wired):
     #
     # Plane code says *what* must move; how it moves is decided by the
     # federation's leg runner (ChannelBroker.run_legs) alone.  No
-    # handler charges a payload byte itself (tools/lint_dispatch.py
+    # handler puts a byte on the wire itself, payload or control
+    # message (a leg whose path_key is None; tools/lint_dispatch.py
     # rule 6).
 
-    def _run_legs(self, legs: Sequence[Tuple[str, str, int, str]],
+    def _run_legs(self, legs: Sequence[Tuple[str, str, int, Optional[str]]],
                   resources: Sequence[PhysicalResource],
                   label: str) -> List[TransferOutcome]:
         """Run ``legs`` (one per entry of ``resources``, the storage end
@@ -293,13 +290,10 @@ class PlaneService(Wired):
         failed delete attempt is charged like any timed-out message.
         """
         for res, phys in created:
-            if res.host != self.host:
-                try:
-                    self.network.transfer(self.host, res.host,
-                                          _CONTROL_MSG)
-                except HostUnreachable:
-                    self._invalidate_session(res)
-                    continue
+            if res.host != self.host and not self._run_legs(
+                    [(self.host, res.host, _CONTROL_MSG, None)], [res],
+                    "rollback")[0].ok:
+                continue
             if res.driver.exists(phys):
                 res.driver.delete(phys)
 

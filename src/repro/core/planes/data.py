@@ -50,7 +50,7 @@ from repro.core.planes.base import PlaneService, _CONTROL_MSG, \
     content_checksum
 from repro.mcat.catalog import apply_structural
 from repro.net.rpc import BatchItemResult
-from repro.net.simnet import TransferOutcome
+from repro.net.simnet import TransferOutcome, raise_failed
 from repro.net.wire import Redirect
 from repro.errors import (
     ContainerError,
@@ -852,11 +852,13 @@ class DataService(PlaneService):
             return fn(self.server, args or "")
         remote = self.federation.server(server_name)
         if remote.host != self.host:
-            self.network.transfer(self.host, remote.host, _CONTROL_MSG)
+            raise_failed(self._run_legs(
+                [(self.host, remote.host, _CONTROL_MSG, None)], (), "method"))
         fn = self.federation.proxy_bin[server_name][command]
         out = fn(args or "")
         if remote.host != self.host:
-            self.network.transfer(remote.host, self.host, len(out))
+            raise_failed(self._run_legs(
+                [(remote.host, self.host, len(out), None)], (), "method"))
         return out
 
     def _get_shadow_member(self, principal: Principal,

@@ -249,11 +249,17 @@ class MetadataService(PlaneService):
     def audit_log(self, ctx: OpContext,
                   principal_filter: Optional[str] = None,
                   action: Optional[str] = None,
-                  target: Optional[str] = None) -> List[Dict[str, Any]]:
-        """Auditing facilities (sysadmin only)."""
+                  target: Optional[str] = None, limit: int = 100,
+                  cursor: Optional[int] = None) -> Dict[str, Any]:
+        """Auditing facilities (sysadmin only): one page of the audit
+        rows the filters match, in ``auid`` order, as ``{"entries",
+        "next_cursor"}`` — feed ``next_cursor`` back for the rest."""
         principal = ctx.principal
         if not (self.users.exists(principal) and
                 self.users.role_of(principal) == "sysadmin"):
             raise AccessDenied(principal, "read", "audit log")
-        return self.mcat.audit_query(principal=principal_filter,
-                                     action=action, target=target)
+        limit = max(1, int(limit))
+        rows = self.mcat.audit_query(principal_filter, action, target,
+                                     after=cursor, limit=limit + 1)
+        return {"entries": rows[:limit], "next_cursor":
+                rows[limit - 1]["auid"] if len(rows) > limit else None}

@@ -351,21 +351,16 @@ class Mcat:
     # ------------------------------------------------------------------
 
     def create_object(self, path: str, kind: str, owner: str, now: float,
-                      data_type: Optional[str] = None,
-                      size: Optional[int] = None,
-                      target: Optional[str] = None,
-                      template: Optional[str] = None,
-                      resource_hint: Optional[str] = None,
-                      checksum: Optional[str] = None) -> int:
-        """Register a new object row; the collection must exist."""
-        with self._charge:
-            values = self._object_values(
-                (), path, kind, owner, now, data_type=data_type, size=size,
-                target=target, template=template,
-                resource_hint=resource_hint, checksum=checksum)
-            oid = values["oid"] = self.ids.next_int("oid")
-            self._objects.insert(values)
-            return oid
+                      **fields: Any) -> int:
+        """Register a new object row; the collection must exist.  The
+        one item of :meth:`create_objects` (``fields`` are its other
+        columns: ``data_type``, ``size``, ``target``, ...), whose error
+        it raises."""
+        (oid,) = self.create_objects([{"path": path, "kind": kind,
+                                       **fields}], owner, now)
+        if isinstance(oid, SrbError):
+            raise oid
+        return oid
 
     def _object_values(self, claimed, path: str, kind: str, owner: str,
                        now: float,
@@ -400,7 +395,7 @@ class Mcat:
 
     def create_objects(self, specs: Sequence[Dict[str, Any]], owner: str,
                        now: float) -> List[Any]:
-        """Bulk :meth:`create_object`: N rows under one charged block,
+        """The object table's one writer: N rows under one charged block,
         inserted as one batch.
 
         Each spec is the keyword dict of one ``create_object`` call
@@ -408,7 +403,8 @@ class Mcat:
         holding the new oid, or the :class:`SrbError` that item raised —
         one invalid item does not poison the batch.  A path an earlier
         item of the batch takes fails the later item, and a row the table
-        refuses fails alone (its oid is spent, as one by one).
+        refuses fails alone (its oid is spent, as one by one) and hands
+        its path to the next item that asked for it.
         """
         with self._charge:
             # an item's row values, or the error it failed with
@@ -429,16 +425,36 @@ class Mcat:
             try:
                 self._objects.insert_many(rows)
             except DatabaseError:   # a refused row fails alone: one by one
+                freed = set()       # paths only a refused row had claimed
                 for i, values in enumerate(results):
-                    try:
-                        if type(values) is dict:
+                    if type(values) is AlreadyExists and paths.normalize(
+                            specs[i]["path"]) in freed:
+                        values = self._object_values((), owner=owner,
+                                                     now=now, **specs[i])
+                        values["oid"] = oids[i] = self.ids.next_int("oid")
+                    if type(values) is dict:
+                        try:
                             self._objects.insert(values)
-                    except DatabaseError as exc:
-                        oids[i] = exc
+                            freed.discard(values["path"])
+                        except DatabaseError as exc:
+                            oids[i] = exc
+                            freed.add(values["path"])
             return oids
 
     def _object_rid(self, path: str) -> List[int]:
         return self._objects.lookup_eq("path", path)
+
+    def _free_path(self, path: str) -> str:
+        """The collection of normalized ``path``, once it exists and no
+        object or collection holds ``path``: where a move may put an
+        object or a subtree (:meth:`_object_values` checks a new row's
+        path the same way, inline, since it runs once per item)."""
+        coll = paths.dirname(path)
+        if not self._collection_rid(coll):
+            raise NoSuchCollection(f"no collection {coll!r}")
+        if self._object_rid(path) or self._collection_rid(path):
+            raise AlreadyExists(f"path {path!r} already in use")
+        return coll
 
     def object_exists(self, path: str) -> bool:
         with self._charge:
@@ -484,11 +500,7 @@ class Mcat:
         """Logical move: only the path changes; metadata stays attached."""
         with self._charge:
             new_path = paths.normalize(new_path)
-            coll = paths.dirname(new_path)
-            if not self._collection_rid(coll):
-                raise NoSuchCollection(f"no collection {coll!r}")
-            if self._object_rid(new_path) or self._collection_rid(new_path):
-                raise AlreadyExists(f"path {new_path!r} already in use")
+            coll = self._free_path(new_path)
             self.update_object(oid, path=new_path, coll=coll,
                                name=paths.basename(new_path))
 
@@ -625,29 +637,22 @@ class Mcat:
                     size: int, now: float,
                     container_oid: Optional[int] = None,
                     offset: Optional[int] = None) -> int:
-        with self._charge:
-            existing = self._replica_rows(oid)
-            replica_num = 1 + max((r["replica_num"] for r in existing),
-                                  default=0)
-            self._replicas.insert({
-                "rid": self.ids.next_int("rid"), "oid": oid,
-                "replica_num": replica_num, "resource": resource,
-                "physical_path": physical_path, "size": size,
-                "created_at": now, "is_dirty": False,
-                "container_oid": container_oid, "offset": offset,
-            })
-            return replica_num
+        """The one row of :meth:`add_replicas`; returns its number."""
+        return self.add_replicas([{
+            "oid": oid, "resource": resource, "physical_path": physical_path,
+            "size": size, "container_oid": container_oid, "offset": offset,
+        }], now)[0]
 
     def add_replicas(self, specs: Sequence[Dict[str, Any]],
                      now: float) -> List[int]:
-        """Bulk :meth:`add_replica`: N rows under one charged block,
-        inserted as one batch; returns their replica numbers.
+        """The replica table's one writer: N rows under one charged
+        block, inserted as one batch; returns their replica numbers.
 
         Each spec is the keyword dict of one ``add_replica`` call (minus
         ``now``).  Strict — callers pass already-validated writes, so any
         failure raises, and no row of the batch is inserted.  Numbering
-        is per-object max+1 exactly as in the single-row path (a spec
-        list may repeat an oid)."""
+        is per-object max+1, in spec order (a spec list may repeat an
+        oid)."""
         with self._charge:
             t = self._replicas
             oids = [spec["oid"] for spec in specs]
@@ -729,36 +734,20 @@ class Mcat:
     # metadata (five classes; system metadata lives on the object row)
     # ------------------------------------------------------------------
 
-    def _check_metadata_spec(self, target_kind: str, attr: str,
-                             value: Optional[str], meta_class: str,
-                             schema_name: Optional[str]) -> None:
-        if target_kind not in _TARGET_KINDS:
-            raise MetadataError(f"bad metadata target kind {target_kind!r}")
-        if meta_class not in _META_CLASSES:
-            raise MetadataError(f"bad metadata class {meta_class!r}")
-        if not attr:
-            raise MetadataError("metadata attribute name may not be empty")
-        if type(attr) is not str or (type(value) is not str
-                                     and value is not None):
-            _refuse_non_text(attr, value)
-        if meta_class == "type":
-            schema = self.schemas.get(schema_name or "")
-            element = schema.element(attr)
-            if value is not None:
-                element.check(value)
-
     def _check_metadata_specs(self, specs: Sequence[Dict[str, Any]]
                               ) -> List[Dict[str, Any]]:
-        """:meth:`_check_metadata_spec` of every spec, tested as sets;
-        returns a copy of each spec with its defaults filled in.  If a set
-        test fails, the specs are checked one by one, so the first bad
-        spec raises its own error."""
+        """Check every spec's target kind, class, attribute and value (a
+        type-class one against its schema), tested as sets; returns a
+        copy of each spec with its defaults filled in.  If a set test
+        fails (or there is one spec), the specs are checked one by one,
+        so the first bad spec raises its own error."""
         full = [{"units": None, "meta_class": "user", "schema_name": None,
                  **spec} for spec in specs]
         if not set().union(*full) <= _SPEC_KEYS:   # other keys are ignored
             full = [{key: s[key] for key in _SPEC_KEYS} for s in full]
-        try:
-            fine = {s["target_kind"] for s in full}.issubset(_TARGET_KINDS) \
+        try:    # a spec on its own is checked faster by itself
+            fine = full[1:] \
+                and {s["target_kind"] for s in full}.issubset(_TARGET_KINDS) \
                 and {s["meta_class"] for s in full}.issubset(_META_CLASSES) \
                 and {type(s["attr"]) for s in full} <= {str} \
                 and "" not in {s["attr"] for s in full} \
@@ -766,10 +755,24 @@ class Mcat:
         except TypeError:           # an unhashable kind or class
             fine = False
         for s in full:
-            if not fine or s["meta_class"] == "type":
-                self._check_metadata_spec(s["target_kind"], s["attr"],
-                                          s["value"], s["meta_class"],
-                                          s["schema_name"])
+            if fine and s["meta_class"] != "type":
+                continue
+            kind, cls = s["target_kind"], s["meta_class"]
+            attr, value = s["attr"], s["value"]
+            if kind not in _TARGET_KINDS:
+                raise MetadataError(f"bad metadata target kind {kind!r}")
+            if cls not in _META_CLASSES:
+                raise MetadataError(f"bad metadata class {cls!r}")
+            if not attr:
+                raise MetadataError("metadata attribute name may not be empty")
+            if type(attr) is not str or (type(value) is not str
+                                         and value is not None):
+                _refuse_non_text(attr, value)
+            if cls == "type":
+                schema = self.schemas.get(s["schema_name"] or "")
+                element = schema.element(attr)
+                if value is not None:
+                    element.check(value)
         return full
 
     def add_metadata(self, target_kind: str, target_id: int, attr: str,
@@ -777,23 +780,17 @@ class Mcat:
                      units: Optional[str] = None,
                      meta_class: str = "user",
                      schema_name: Optional[str] = None) -> int:
-        with self._charge:
-            self._check_metadata_spec(target_kind, attr, value, meta_class,
-                                      schema_name)
-            mid = self.ids.next_int("mid")
-            self._metadata.insert({
-                "mid": mid, "target_kind": target_kind,
-                "target_id": target_id, "meta_class": meta_class,
-                "schema_name": schema_name, "attr": attr, "value": value,
-                "value_num": _num(value), "units": units,
-                "created_by": by, "created_at": now,
-            })
-            return mid
+        """The one triple of :meth:`add_metadata_bulk`; returns its mid."""
+        return self.add_metadata_bulk([{
+            "target_kind": target_kind, "target_id": target_id,
+            "attr": attr, "value": value, "units": units,
+            "meta_class": meta_class, "schema_name": schema_name}],
+            by, now)[0]
 
     def add_metadata_bulk(self, specs: Sequence[Dict[str, Any]], by: str,
                           now: float) -> List[int]:
-        """Bulk :meth:`add_metadata`: N triples under one charged block,
-        inserted as one batch.
+        """The metadata table's one writer: N triples under one charged
+        block, inserted as one batch.
 
         Each spec holds ``target_kind``, ``target_id``, ``attr``,
         ``value`` and optionally ``units``/``meta_class``/``schema_name``.
@@ -991,25 +988,25 @@ class Mcat:
         with self._charge:
             if permission not in PERMISSIONS:
                 raise MetadataError(f"unknown permission {permission!r}")
-            t = self._acls
             # replace any existing grant for the same principal+target
-            for rid in list(t.lookup_eq("target_id", target_id)):
-                row = t.row_dict(rid)
-                if row["target_kind"] == target_kind and \
-                        row["principal"] == principal:
-                    t.delete_row(rid)
-            t.insert({"aclid": self.ids.next_int("aclid"),
-                      "target_kind": target_kind, "target_id": target_id,
-                      "principal": principal, "permission": permission})
+            self._drop_grants(target_kind, target_id, principal)
+            self._acls.insert({"aclid": self.ids.next_int("aclid"),
+                               "target_kind": target_kind,
+                               "target_id": target_id, "principal": principal,
+                               "permission": permission})
 
     def revoke(self, target_kind: str, target_id: int, principal: str) -> None:
         with self._charge:
-            t = self._acls
-            for rid in list(t.lookup_eq("target_id", target_id)):
-                row = t.row_dict(rid)
-                if row["target_kind"] == target_kind and \
-                        row["principal"] == principal:
-                    t.delete_row(rid)
+            self._drop_grants(target_kind, target_id, principal)
+
+    def _drop_grants(self, target_kind: str, target_id: int,
+                     principal: str) -> None:
+        t = self._acls
+        for rid in list(t.lookup_eq("target_id", target_id)):
+            row = t.row_dict(rid)
+            if row["target_kind"] == target_kind and \
+                    row["principal"] == principal:
+                t.delete_row(rid)
 
     def grants_for(self, target_kind: str, target_id: int) -> List[Dict[str, Any]]:
         with self._charge:
@@ -1041,7 +1038,11 @@ class Mcat:
 
     def audit_query(self, principal: Optional[str] = None,
                     action: Optional[str] = None,
-                    target: Optional[str] = None) -> List[Dict[str, Any]]:
+                    target: Optional[str] = None,
+                    after: Optional[int] = None,
+                    limit: Optional[int] = None) -> List[Dict[str, Any]]:
+        """Audit rows in ``auid`` order: the first ``limit`` of those
+        past ``after`` that match the filters given."""
         with self._charge:
             t = self._audit
             if principal is not None:
@@ -1053,8 +1054,9 @@ class Mcat:
             rows = [row for row in t.row_dicts(rids)
                     if (action is None or row["action"] == action)
                     and (principal is None or row["principal"] == principal)
-                    and (target is None or row["target"] == target)]
-            return sorted(rows, key=itemgetter("auid"))
+                    and (target is None or row["target"] == target)
+                    and (after is None or row["auid"] > after)]
+            return sorted(rows, key=itemgetter("auid"))[:limit]
 
     # ------------------------------------------------------------------
     # attribute queries: repro.mcat.query's planner, as methods

@@ -61,12 +61,7 @@ from itertools import chain
 from operator import itemgetter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import (
-    AlreadyExists,
-    NoSuchCollection,
-    NoSuchObject,
-    SrbError,
-)
+from repro.errors import NoSuchObject, SrbError
 from repro.mcat.catalog import Mcat
 from repro.mcat.dublin_core import SchemaRegistry
 from repro.mcat.query import SYSTEM_ATTRS
@@ -434,14 +429,6 @@ class ShardedMcat:
         primary (lock/pin/version writes always hit the primary)."""
         return self._primary(self._shard_of_id("oid", oid)).db.table(name)
 
-    def add_metadata_bulk(self, specs: Sequence[Dict[str, Any]], by: str,
-                          now: float) -> List[int]:
-        # validate all specs up front (uncharged: schemas are in memory)
-        # so a bad one fails the batch before any shard inserts a row —
-        # same all-or-nothing contract as one partition's bulk path
-        self.shards[0].primary._check_metadata_specs(specs)
-        return _add_metadata_grouped(self, specs, by, now)
-
     def structural_for(self, coll_path: str,
                        inherited: bool = True) -> List[Dict[str, Any]]:
         coll_path = paths.normalize(coll_path)
@@ -483,11 +470,7 @@ class ShardedMcat:
         for table, dep in dependents:
             self._note_restore(restore, table, dep, src_k)
         with dst._charge:
-            coll = paths.dirname(new_path)
-            if not dst._collection_rid(coll):
-                raise NoSuchCollection(f"no collection {coll!r}")
-            if dst._object_rid(new_path) or dst._collection_rid(new_path):
-                raise AlreadyExists(f"path {new_path!r} already in use")
+            coll = dst._free_path(new_path)
             moved = dict(obj, path=new_path, coll=coll,
                          name=paths.basename(new_path))
             self._insert_rows(dst, [("objects", moved)] + dependents,
@@ -557,11 +540,7 @@ class ShardedMcat:
                     self._note_restore(restore, table, dep, src_k)
 
         with dst._charge:
-            parent = paths.dirname(new_prefix)
-            if not dst._collection_rid(parent):
-                raise NoSuchCollection(f"no collection {parent!r}")
-            if dst._collection_rid(new_prefix) or dst._object_rid(new_prefix):
-                raise AlreadyExists(f"path {new_prefix!r} already in use")
+            dst._free_path(new_prefix)
             self._insert_rows(dst, inserts, restore=restore)
         with src._charge:
             self._delete_source_rows(src, moves)
@@ -654,7 +633,9 @@ class ShardedMcat:
 #            path order;
 # ``all``    every partition is asked, the answers concatenated or summed;
 # ``bulk``   the first argument is a list: one call per owning
-#            partition, answers back in the caller's order.
+#            partition, answers back in the caller's order (a write
+#            that must fail whole checks a batch over several
+#            partitions before any of them writes).
 
 PRIMARY, READ = ShardedMcat._primary, ShardedMcat._read
 
@@ -711,10 +692,14 @@ def _route_all(name: str, side, merge):
     return routed
 
 
-def _route_bulk(name: str, side, key, ident=None):
+def _route_bulk(name: str, side, key, ident=None, check=None):
     """``ident`` is for an op whose partitions skip the items they do not
     hold (``get_objects_by_ids``): it names the item a returned row
-    answers, and the merged answer skips the unknown ones too."""
+    answers, and the merged answer skips the unknown ones too.  ``check``
+    is for a write that fails whole (``add_metadata_bulk``): a batch over
+    several partitions is checked by it first (uncharged: schemas are in
+    memory), so a bad item fails it before any partition writes a row;
+    one partition's write is all or nothing by itself."""
     def routed(self, items, *args, **kw):
         results: List[Any] = [None] * len(items)
         groups: Dict[int, List[int]] = {}
@@ -725,6 +710,8 @@ def _route_bulk(name: str, side, key, ident=None):
                 results[i] = exc        # fails its own item only
                 continue
             groups.setdefault(k, []).append(i)
+        if check is not None and len(groups) > 1:
+            check(self.shards[0].primary, items)
         for k, indexes in sorted(groups.items()):
             got = getattr(side(self, k), name)(
                 [items[i] for i in indexes], *args, **kw)
@@ -809,11 +796,6 @@ def _concat(answers) -> List[Any]:
     return list(chain.from_iterable(answers))
 
 
-_add_metadata_grouped = _route_bulk(
-    "add_metadata_bulk", PRIMARY,
-    lambda cat, spec: cat._shard_of_target(spec["target_kind"],
-                                           spec["target_id"]))
-
 ROUTES: Dict[str, tuple] = {
     # collections
     "create_collection": (_route_one, PRIMARY, _of_path),
@@ -822,7 +804,6 @@ ROUTES: Dict[str, tuple] = {
     "child_collections": (_route_scope, READ, _merge_rows),
     "subtree_collections": (_route_scope, READ, _merge_rows),
     # objects
-    "create_object": (_route_one, PRIMARY, _of_path),
     "create_objects": (_route_bulk, PRIMARY,
                        lambda cat, spec: cat.shard_of_path(spec["path"])),
     "object_exists": (_route_one, READ, _of_path),
@@ -838,7 +819,6 @@ ROUTES: Dict[str, tuple] = {
     "links_to": (_route_all, READ, _concat),
     "count_objects": (_route_all, READ, sum),
     # replicas (of data objects)
-    "add_replica": (_route_one, PRIMARY, _of_oid),
     "add_replicas": (_route_bulk, PRIMARY,
                      lambda cat, spec: _of_oid(cat, spec["oid"])),
     "replicas": (_route_one, READ, _of_oid),
@@ -848,8 +828,11 @@ ROUTES: Dict[str, tuple] = {
     "mark_siblings_dirty": (_route_one, PRIMARY, _of_oid),
     "replicas_on_resource": (_route_all, READ, _concat),
     "container_members": (_route_one, READ, _of_oid),
-    # metadata (add_metadata_bulk validates, then groups)
-    "add_metadata": (_route_one, PRIMARY, _of_target, 2),
+    # metadata (a batch over several partitions is checked whole first)
+    "add_metadata_bulk": (_route_bulk, PRIMARY,
+                          lambda cat, spec: cat._shard_of_target(
+                              spec["target_kind"], spec["target_id"]),
+                          None, Mcat._check_metadata_specs),
     "get_metadata": (_route_one, READ, _of_target, 2),
     "get_metadata_bulk": (_route_bulk, READ,
                           _of_target_pair),
@@ -879,7 +862,9 @@ ROUTES: Dict[str, tuple] = {
 }
 
 #: written in terms of the ops above, so one partition's code serves as is
-COMPOSED = ("copy_metadata", "validate_ingest_metadata")
+#: (a row writer is its table's bulk writer run on one item)
+COMPOSED = ("create_object", "add_replica", "add_metadata", "copy_metadata",
+            "validate_ingest_metadata")
 
 
 for _name, (_rule, *_how) in ROUTES.items():

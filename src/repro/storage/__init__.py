@@ -10,7 +10,6 @@ from repro.storage.base import (
     normalize_physical,
 )
 from repro.storage.memfs import MemFsDriver
-from repro.storage.unixfs import UnixFsDriver
 from repro.storage.archive import ArchiveDriver, TapeCost
 from repro.storage.database import DatabaseResourceDriver
 from repro.storage.web import WebSpace
@@ -19,7 +18,7 @@ from repro.storage.resource import LogicalResource, PhysicalResource, ResourceRe
 __all__ = [
     "StorageDriver", "DeviceCost", "normalize_physical",
     "DISK_COST", "NT_DISK_COST", "ARCHIVE_DISK_CACHE_COST", "DATABASE_COST",
-    "MemFsDriver", "UnixFsDriver", "ArchiveDriver", "TapeCost",
+    "MemFsDriver", "ArchiveDriver", "TapeCost",
     "DatabaseResourceDriver", "WebSpace",
     "PhysicalResource", "LogicalResource", "ResourceRegistry",
 ]

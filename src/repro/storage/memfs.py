@@ -2,10 +2,9 @@
 
 Models the "Unix File System, NT File System and Mac OSX File System"
 class of resources.  Files live in a dict keyed by normalized path;
-directories are implicit.  This is the default driver for simulated
-deployments (deterministic, no real-disk noise in the virtual-clock
-accounting); :mod:`repro.storage.unixfs` provides a real-POSIX-backed
-variant for the examples.
+directories are implicit.  Every file-system resource of a simulated
+deployment uses it (deterministic, no real-disk noise in the
+virtual-clock accounting).
 """
 
 from __future__ import annotations

@@ -30,9 +30,6 @@ GENERATED = {
         "'Optional[str]' = None, meta_class: 'str' = 'user', schema_name: "
         "'Optional[str]' = None) -> 'int'",
     "annotations": "(path: 'str') -> 'List[Dict[str, Any]]'",
-    "audit_log":
-        "(principal_filter: 'Optional[str]' = None, action: 'Optional[str]'"
-        " = None, target: 'Optional[str]' = None) -> 'List[Dict[str, Any]]'",
     "bulk_get":
         "(targets: 'Sequence[str]', via_container: 'Optional[str]' = None) "
         "-> 'List[Dict[str, Any]]'",
@@ -128,6 +125,9 @@ GENERATED = {
 #: pages, and the methods that send their op differently (module
 #: docstring of repro.core.client)
 WRITTEN = {
+    "audit_log":
+        "(principal_filter: 'Optional[str]' = None, action: 'Optional[str]'"
+        " = None, target: 'Optional[str]' = None) -> 'List[Dict[str, Any]]'",
     "batch":
         "(*items: 'Tuple[str, Dict[str, Any]]') -> 'List[BatchItemResult]'",
     "connect": "(server_name: 'str') -> 'None'",
@@ -194,7 +194,7 @@ class TestCompleteness:
 
     def test_what_is_written_is_only_what_differs(self):
         assert written_in_the_class_body() == set(WRITTEN)
-        assert len(GENERATED) == 50
+        assert len(GENERATED) == 49
 
     @pytest.mark.parametrize("name", sorted({**GENERATED, **WRITTEN}))
     def test_public_signature_is_unchanged(self, name):

@@ -120,7 +120,6 @@ API_ONLY = {
     "sum_matching": "MetricsRegistry: tests total a family of series",
     "touch": "SessionManager: tests refresh a session",
     "unpublish": "WebSpace: tests take a page down",
-    "wipe": "UnixFsDriver: tests empty a driver",
 }
 
 

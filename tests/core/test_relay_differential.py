@@ -49,10 +49,18 @@ def path_streams(link):
     return k
 
 
+#: the runner as it is, for what the relay never touched
+RUN_LEGS = ChannelBroker.run_legs
+
+
 def store_and_forward(self, legs, label):
     """``ChannelBroker.run_legs`` as it was before the relay: who brought
     the bytes is not asked, every leg waits its whole cost.  Each leg
-    opens the streams its own path needs."""
+    opens the streams its own path needs.  Control messages (legs whose
+    ``path_key`` is ``None``) never relayed: they pass through to the
+    runner unchanged."""
+    if legs and legs[0][3] is None:
+        return RUN_LEGS(self, legs, label)
     net = self.network
     wire = [leg for leg in legs if leg[0] != leg[1]]
     if not wire:
@@ -432,9 +440,10 @@ def test_a_push_that_fails_leaves_no_relay_behind():
     fed, client = build("hc")
     run_legs = fed.channels.run_legs
 
-    def cut_then_run(*args, **kwargs):
-        fed.network.set_down("hr2")
-        return run_legs(*args, **kwargs)
+    def cut_then_run(legs, *args, **kwargs):
+        if legs[0][3] is not None:      # the payload, not a session probe
+            fed.network.set_down("hr2")
+        return run_legs(legs, *args, **kwargs)
     fed.channels.run_legs = cut_then_run
     with pytest.raises(HostUnreachable):
         client.ingest(F, PAYLOAD, resource="both")

@@ -254,3 +254,50 @@ def test_lint_refuses_a_byte_read_off_the_bare_policy_order(tmp_path,
     assert len(errors) == 1
     assert errors[0].startswith("src/repro/core/planes/data.py:3: "
                                 "order_replicas()")
+
+
+def test_lint_refuses_a_control_message_sent_beside_the_runner(
+        tmp_path, monkeypatch):
+    """Rule 6 has no allowlist: the rollback delete as it was sent before
+    control messages were legs of the runner is a raw transfer."""
+    lint = load_lint()
+    assert lint.check_raw_transfers() == []
+    planes = tmp_path / "planes"
+    planes.mkdir()
+    (planes / "base.py").write_text(
+        "class PlaneService:\n"
+        "    def _rollback_created(self, created):\n"
+        "        for res, phys in created:\n"
+        "            if res.host != self.host:\n"
+        "                try:\n"
+        "                    self.network.transfer(self.host, res.host,\n"
+        "                                          _CONTROL_MSG)\n"
+        "                except HostUnreachable:\n"
+        "                    self._invalidate_session(res)\n"
+        "                    continue\n"
+        "            if res.driver.exists(phys):\n"
+        "                res.driver.delete(phys)\n")
+    monkeypatch.setattr(lint, "ROOT", tmp_path)
+    monkeypatch.setattr(lint, "PLANES_DIR", planes)
+    (error,) = lint.check_raw_transfers()
+    assert error.startswith("planes/base.py:6: raw network.transfer() in "
+                            "_rollback_created()")
+
+
+def test_lint_refuses_an_unpaged_audit_log(tmp_path, monkeypatch):
+    """Rule 4 has no allowlist: ``audit_log`` as it was before it paged."""
+    lint = load_lint()
+    assert lint.check_query_ops_paged() == []
+    planes = tmp_path / "planes"
+    planes.mkdir()
+    (planes / "metadata.py").write_text(
+        "class MetadataService:\n"
+        "    @rpc_op('audit_log')\n"
+        "    def audit_log(self, ctx, principal_filter=None, action=None,\n"
+        "                  target=None):\n"
+        "        return self.mcat.audit_query(principal=principal_filter,\n"
+        "                                     action=action, target=target)\n")
+    monkeypatch.setattr(lint, "ROOT", tmp_path)
+    monkeypatch.setattr(lint, "PLANES_DIR", planes)
+    (error,) = lint.check_query_ops_paged()
+    assert "read op 'audit_log' materializes audit_query()" in error

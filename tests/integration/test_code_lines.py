@@ -17,15 +17,19 @@ ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 #: path (from the repository root) -> the most code lines it may hold
 CEILINGS = {
-    # - ingest and bulk_ingest as one body (DataService._ingest)
-    "src/repro": 11_760,
+    # - one writer per catalog table, the POSIX driver no grid built, and
+    #   control messages as legs of the runner; back under PR 30's 11,649
+    "src/repro": 11_648,
     "src/repro/core/containers.py": 148,
     "src/repro/core/dispatch.py": 353,
-    "src/repro/core/federation.py": 292,
-    # + the member check as its own step (_require_up), which an ingest
-    #   makes before it writes a catalog row and a write before it pushes
-    "src/repro/core/planes/base.py": 238,
-    "src/repro/core/planes/data.py": 869,
+    # + the runner's control leg: a leg whose path_key is None is sent
+    #   blocking, in order, on one stream (it replaced three raw sends in
+    #   the planes, so base.py and the lint allowlist shrank)
+    "src/repro/core/federation.py": 296,
+    "src/repro/core/planes/base.py": 230,
+    # + a method object's request and reply go through the leg runner
+    #   (raise_failed on each), where they were raw transfers
+    "src/repro/core/planes/data.py": 871,
     "src/repro/core/planes/replica.py": 152,
     "src/repro/core/replication.py": 49,
     "src/repro/db/index.py": 112,
@@ -33,6 +37,8 @@ CEILINGS = {
     #   merge of a batch into a sorted index; + a batch of one row handed
     #   to insert (a single ingest's rows cost fewer calls that way)
     "src/repro/db/table.py": 412,
+    "src/repro/mcat/catalog.py": 741,
+    "src/repro/mcat/shard.py": 579,
     "src/repro/mysrb/views.py": 531,
     "src/repro/net/rpc.py": 339,
     "src/repro/net/simnet.py": 511,

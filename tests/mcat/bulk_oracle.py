@@ -1,18 +1,21 @@
-"""The catalog's bulk writes as they stood one row at a time — the oracle
+"""The catalog's writes as they stood one row at a time — the oracle
 ``Mcat.create_objects``, ``add_replicas`` and ``add_metadata_bulk`` are
-compared with.
+compared with, and the row writers ``create_object``, ``add_replica`` and
+``add_metadata`` had before each became its table's bulk writer run on
+one item.
 
 Each function takes the ``Mcat`` it writes to and runs under that
 catalog's charge, as the method did: one ``Table.insert`` per row, one
 ``next_int`` per minted id, every lookup made where the row-by-row code
-made it.
+made it.  The three row writers are their method bodies verbatim.
 """
 
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.errors import AlreadyExists, MetadataError, NoSuchCollection, \
     SrbError
-from repro.mcat.catalog import Mcat, _num
+from repro.mcat.catalog import _META_CLASSES, _TARGET_KINDS, Mcat, _num, \
+    _refuse_non_text
 from repro.mcat.schema import OBJECT_KINDS
 from repro.util import paths
 
@@ -87,9 +90,9 @@ def add_metadata_bulk(mcat: Mcat, specs: Sequence[Dict[str, Any]], by: str,
                  "meta_class": spec.get("meta_class", "user"),
                  "schema_name": spec.get("schema_name")} for spec in specs]
         for spec in full:
-            mcat._check_metadata_spec(spec["target_kind"], spec["attr"],
-                                      spec["value"], spec["meta_class"],
-                                      spec["schema_name"])
+            _check_metadata_spec(mcat, spec["target_kind"], spec["attr"],
+                                 spec["value"], spec["meta_class"],
+                                 spec["schema_name"])
         mids = []
         for spec in full:
             mid = mcat.ids.next_int("mid")
@@ -103,3 +106,79 @@ def add_metadata_bulk(mcat: Mcat, specs: Sequence[Dict[str, Any]], by: str,
             })
             mids.append(mid)
         return mids
+
+
+# -- the row writers, one charged block, id and insert each -----------------
+
+def create_object(self: Mcat, path: str, kind: str, owner: str, now: float,
+                  data_type: Optional[str] = None,
+                  size: Optional[int] = None,
+                  target: Optional[str] = None,
+                  template: Optional[str] = None,
+                  resource_hint: Optional[str] = None,
+                  checksum: Optional[str] = None) -> int:
+    """Register a new object row; the collection must exist."""
+    with self._charge:
+        values = self._object_values(
+            (), path, kind, owner, now, data_type=data_type, size=size,
+            target=target, template=template,
+            resource_hint=resource_hint, checksum=checksum)
+        oid = values["oid"] = self.ids.next_int("oid")
+        self._objects.insert(values)
+        return oid
+
+
+def add_replica(self: Mcat, oid: int, resource: str, physical_path: str,
+                size: int, now: float,
+                container_oid: Optional[int] = None,
+                offset: Optional[int] = None) -> int:
+    with self._charge:
+        existing = self._replica_rows(oid)
+        replica_num = 1 + max((r["replica_num"] for r in existing),
+                              default=0)
+        self._replicas.insert({
+            "rid": self.ids.next_int("rid"), "oid": oid,
+            "replica_num": replica_num, "resource": resource,
+            "physical_path": physical_path, "size": size,
+            "created_at": now, "is_dirty": False,
+            "container_oid": container_oid, "offset": offset,
+        })
+        return replica_num
+
+
+def _check_metadata_spec(self: Mcat, target_kind: str, attr: str,
+                         value: Optional[str], meta_class: str,
+                         schema_name: Optional[str]) -> None:
+    if target_kind not in _TARGET_KINDS:
+        raise MetadataError(f"bad metadata target kind {target_kind!r}")
+    if meta_class not in _META_CLASSES:
+        raise MetadataError(f"bad metadata class {meta_class!r}")
+    if not attr:
+        raise MetadataError("metadata attribute name may not be empty")
+    if type(attr) is not str or (type(value) is not str
+                                 and value is not None):
+        _refuse_non_text(attr, value)
+    if meta_class == "type":
+        schema = self.schemas.get(schema_name or "")
+        element = schema.element(attr)
+        if value is not None:
+            element.check(value)
+
+
+def add_metadata(self: Mcat, target_kind: str, target_id: int, attr: str,
+                 value: Optional[str], by: str, now: float,
+                 units: Optional[str] = None,
+                 meta_class: str = "user",
+                 schema_name: Optional[str] = None) -> int:
+    with self._charge:
+        _check_metadata_spec(self, target_kind, attr, value, meta_class,
+                             schema_name)
+        mid = self.ids.next_int("mid")
+        self._metadata.insert({
+            "mid": mid, "target_kind": target_kind,
+            "target_id": target_id, "meta_class": meta_class,
+            "schema_name": schema_name, "attr": attr, "value": value,
+            "value_num": _num(value), "units": units,
+            "created_by": by, "created_at": now,
+        })
+        return mid

@@ -44,7 +44,7 @@ class TestCompleteness:
         assert set().union(*ways) == set(MCAT_OPS)
         assert written_out == {
             "remove_collection", "oid_table", "move_object",
-            "rename_subtree", "add_metadata_bulk", "structural_for",
+            "rename_subtree", "structural_for",
             "total_objects", "total_replicas"}
 
     def test_nothing_else_is_public_on_the_front(self):

@@ -327,15 +327,11 @@ class TestOneLegRunner:
         assert core(lambda n: method_call("open")(n) and getattr(
             n.func.value, "id", None) in ("self", "channels")) == [
             RUNNER, "planes/base.py:PlaneService._redirect_reply"]
-        # beside the runner's, the only raw legs are control messages:
-        # the catalog hop's pair, and the three plane functions
-        # tools/lint_dispatch.py rule 6 allows
+        # beside the runner's two (a payload leg, a control message),
+        # the only raw legs are the catalog hop's pair: a plane's control
+        # messages are legs too (tools/lint_dispatch.py rule 6)
         assert core(network_transfer) == sorted([
-            RUNNER,
-            "planes/base.py:PlaneService._resource_session",
-            "planes/base.py:PlaneService._rollback_created",
-            "planes/data.py:DataService._get_method",
-            "planes/data.py:DataService._get_method",
+            RUNNER, RUNNER,
             "server.py:SrbServer._mcat_hop",
             "server.py:SrbServer._mcat_hop"])
 

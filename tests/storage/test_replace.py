@@ -9,20 +9,18 @@ from repro.obs import Observability
 from repro.storage.archive import ArchiveDriver
 from repro.storage.database import DatabaseResourceDriver
 from repro.storage.memfs import MemFsDriver
-from repro.storage.unixfs import UnixFsDriver
 from repro.util.clock import SimClock
 
-KINDS = ("memfs", "archive", "database", "unixfs")
+KINDS = ("memfs", "archive", "database")
 
 
-def driver(kind, tmp_path, side):
+def driver(kind):
     """A fresh ``kind`` driver on a clock of its own, metered."""
     clock = SimClock()
     made = {
         "memfs": lambda: MemFsDriver(clock=clock),
         "archive": lambda: ArchiveDriver(clock=clock),
         "database": lambda: DatabaseResourceDriver(clock=clock),
-        "unixfs": lambda: UnixFsDriver(str(tmp_path / side), clock=clock),
     }[kind]()
     made.attach_obs(Observability(clock), "res")
     return made
@@ -35,9 +33,9 @@ def charged(drv):
 
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("there", [True, False], ids=["over", "fresh"])
-def test_replace_charges_what_delete_then_create_did(kind, there, tmp_path):
-    by_hand = driver(kind, tmp_path, "a")
-    replaced = driver(kind, tmp_path, "b")
+def test_replace_charges_what_delete_then_create_did(kind, there):
+    by_hand = driver(kind)
+    replaced = driver(kind)
     for drv in (by_hand, replaced):
         drv.create("/keep", b"k")
         if there:

@@ -38,8 +38,8 @@ server architecture" and "Placement policy engine"):
    streaming plane (DESIGN.md, "Streaming query plane") exists so new
    query surface is cursor-paged.  Any non-write ``@rpc_op`` handler
    that calls an unbounded enumerator must take ``limit``/``cursor``
-   parameters or appear in the frozen legacy allowlist (which must
-   only ever shrink).
+   parameters.  No allowlist: the last legacy op, ``audit_log``, pages
+   too.
 
 5. **Replica choice goes through the placement engine.**  Ordering or
    filtering replicas is ``repro.policy``'s job; code elsewhere in
@@ -61,10 +61,11 @@ server architecture" and "Placement policy engine"):
    and invisible to channel admission, and they would overlap with
    nothing.  Handlers describe legs and hand them to
    ``ChannelBroker.run_legs`` (through the ``planes/base.py`` write
-   loop ``_store``/``_push`` and read delivery ``_deliver``).  The
-   frozen allowlist names the ``(file, function)`` pairs that send
-   *control* messages — never payload — straight onto the wire; it
-   must only ever shrink.
+   loop ``_store``/``_push`` and read delivery ``_deliver``).  A
+   *control* message — a session handshake, a rollback delete, a
+   method request — is a leg too, one whose ``path_key`` is ``None``:
+   the runner sends it blocking, in order, never on a channel.  No
+   allowlist.
 
 7. **Federation-shared state is bound, not forwarded.**  The server and
    its planes carry ``mcat``, ``clock``, ``obs``, ... as plain attributes
@@ -103,11 +104,7 @@ Run from the repository root::
     python tools/lint_dispatch.py
 
 Exits non-zero, listing violations, if any rule is broken.  Wired into
-CI next to the test suite.
-
-The two allowlists (rules 4 and 6) are frozen: an entry that no longer
-suppresses anything is itself a violation, so "may only shrink" is
-enforced here rather than promised in a comment.
+CI next to the test suite.  No rule has an allowlist.
 """
 
 from __future__ import annotations
@@ -143,12 +140,6 @@ UNBOUNDED_ENUMERATORS = {
     "objects_in_collection", "subtree_collections", "audit_query",
     "all_rows", "scan",
 }
-
-#: Read ops grandfathered in before the streaming query plane existed.
-#: Frozen: entries may be removed as ops grow paged variants, never
-#: added — new query surface must be cursor-paged from day one.
-UNBOUNDED_LEGACY_OPS = {"audit_log"}
-
 
 def check_public_methods_declared() -> List[str]:
     """Rule 1: public plane methods must carry ``@rpc_op``."""
@@ -240,13 +231,6 @@ def check_no_catalog_type_tests() -> List[str]:
     return errors
 
 
-def _stale(name: str, allowlist: set, used: set) -> List[str]:
-    """A frozen allowlist entry that suppressed nothing must be deleted."""
-    return [f"tools/lint_dispatch.py: {name} entry {entry!r} suppresses "
-            f"nothing — delete it (the allowlist may only shrink)"
-            for entry in sorted(allowlist - used, key=repr)]
-
-
 def _rpc_op_keywords(node: ast.FunctionDef):
     """The constant keywords of an ``@rpc_op`` decorator, if any, with
     the op's name under ``"name"``."""
@@ -276,7 +260,6 @@ def _rpc_op_decoration(node: ast.FunctionDef):
 def check_query_ops_paged() -> List[str]:
     """Rule 4: read handlers over unbounded enumerators must page."""
     errors = []
-    used = set()
     for path in sorted(PLANES_DIR.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in ast.walk(tree):
@@ -296,18 +279,13 @@ def check_query_ops_paged() -> List[str]:
             if not unbounded:
                 continue
             params = {a.arg for a in node.args.args + node.args.kwonlyargs}
-            if {"limit", "cursor"} <= params:
-                continue
-            if op_name in UNBOUNDED_LEGACY_OPS:
-                used.add(op_name)
-            else:
+            if not {"limit", "cursor"} <= params:
                 errors.append(
                     f"{path.relative_to(ROOT)}:{node.lineno}: read op "
                     f"{op_name!r} materializes {', '.join(unbounded)}() "
                     f"without limit/cursor parameters — page it through "
-                    f"the streaming query plane (or shrink, never grow, "
-                    f"the legacy allowlist)")
-    return errors + _stale("UNBOUNDED_LEGACY_OPS", UNBOUNDED_LEGACY_OPS, used)
+                    f"the streaming query plane")
+    return errors
 
 
 def check_placement_seam() -> List[str]:
@@ -340,20 +318,9 @@ def check_placement_seam() -> List[str]:
     return errors
 
 
-#: ``(file, enclosing function)`` pairs sanctioned to call
-#: ``network.transfer`` directly in plane code: control legs, not
-#: payload.  Frozen: entries may be removed, never added.
-RAW_TRANSFER_ALLOWLIST = {
-    ("base.py", "_resource_session"),     # session control handshake
-    ("base.py", "_rollback_created"),     # control msgs, not data bytes
-    ("data.py", "_get_method"),           # proxy command control legs
-}
-
-
 def check_raw_transfers() -> List[str]:
     """Rule 6: ``network.transfer`` in plane code outside the runner."""
     errors = []
-    used = set()
     for path in sorted(PLANES_DIR.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         # map every line to its innermost enclosing function
@@ -372,16 +339,13 @@ def check_raw_transfers() -> List[str]:
                     and node.func.value.attr == "network"):
                 continue
             func = enclosing.get(node.lineno, (0, "<module>"))[1]
-            if (path.name, func) in RAW_TRANSFER_ALLOWLIST:
-                used.add((path.name, func))
-                continue
             errors.append(
                 f"{path.relative_to(ROOT)}:{node.lineno}: raw "
                 f"network.transfer() in {func}() — describe the leg and "
                 f"hand it to the leg runner (ChannelBroker.run_legs, via "
-                f"_store/_push/_deliver) so the broker picks its route")
-    return errors + _stale("RAW_TRANSFER_ALLOWLIST", RAW_TRANSFER_ALLOWLIST,
-                           used)
+                f"_store/_push/_deliver; a control message is a leg "
+                f"whose path_key is None) so the broker picks its route")
+    return errors
 
 
 #: where the federation's shared state is bound once (rule 7)
