@@ -24,7 +24,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import DatabaseError
 from repro.db import sql as S
-from repro.db.table import Column, ScanCounter, Table
+from repro.db.index import op_range
+from repro.db.table import _EXACT, Column, ScanCounter, Table
 from repro.util.clock import SimClock
 
 
@@ -116,11 +117,7 @@ class Database:
         query = S.parse(sql_text)
         before = self._total_scanned()
         result = self._run_query(query, list(params))
-        self.queries_executed += 1
-        if self.clock is not None:
-            touched = self._total_scanned() - before
-            self.clock.advance(self.QUERY_OVERHEAD_S +
-                               touched * self.ROW_SCAN_COST_S)
+        self._charge(before)
         return result
 
     def execute_page(self, sql_text: str, params: Sequence[Any] = (),
@@ -174,6 +171,7 @@ class Database:
 
         alias = sel.table.name
         scope: Dict[str, Table] = {alias: base}
+        _typecheck(sel.where, scope, list(params))
         page_limit = max(1, int(limit))
         before = self._total_scanned()
         envs: List[Dict[str, Dict[str, Any]]] = []
@@ -201,12 +199,17 @@ class Database:
             if filled or exhausted:
                 break
         columns, rows = self._project(sel, envs, scope)
+        self._charge(before)
+        return ResultSet(columns=columns, rows=rows), next_cursor
+
+    def _charge(self, before: int) -> None:
+        """Count one executed query and, if clocked, charge it the cost
+        model for the rows touched since the counter stood at ``before``."""
         self.queries_executed += 1
         if self.clock is not None:
             touched = self._total_scanned() - before
             self.clock.advance(self.QUERY_OVERHEAD_S +
                                touched * self.ROW_SCAN_COST_S)
-        return ResultSet(columns=columns, rows=rows), next_cursor
 
     def _total_scanned(self) -> int:
         return self.scan_counter.total
@@ -239,6 +242,7 @@ class Database:
             if join.table.name in scope:
                 raise DatabaseError(f"duplicate table alias {join.table.name!r}")
             scope[join.table.name] = self.table(join.table.table)
+        _typecheck(sel.where, scope, params)
 
         # Produce the working set of joined "environment" rows:
         # each env maps alias -> row-dict.
@@ -275,22 +279,30 @@ class Database:
     def _plan_base(self, sel: S.Select, base: Table,
                    scope: Dict[str, Table],
                    params: List[Any]) -> List[Dict[str, Dict[str, Any]]]:
-        """Choose access path for the FROM table using WHERE predicates."""
+        """Choose access path for the FROM table using WHERE predicates.
+
+        A top-level comparison with NULL matches no row, so none is read.
+        A range is read off a sorted index only with its bound in the
+        column's own type (:meth:`Column.check`: an INT bound on a FLOAT
+        column becomes a float, which its entries sort with); a bound the
+        column cannot hold goes to the scan, which answers it."""
         alias = sel.table.name
-        rids: Optional[List[int]] = None
-        for pred in _top_level_ands(sel.where):
-            pick = _indexable(pred, alias, base, params)
-            if pick is None:
-                continue
-            kind, column, value, op = pick
-            if kind == "eq" and column in base.indexed_columns():
+        picks = [pick for pick in (_indexable(pred, alias, base, params)
+                                   for pred in _top_level_ands(sel.where))
+                 if pick is not None]
+        rids: Optional[List[int]] = [] if any(
+            value is None for _column, _op, value in picks) else None
+        for column, op, value in picks if rids is None else ():
+            if op == "=" and column in base.indexed_columns():
                 rids = base.lookup_eq(column, value)
                 break
-            if kind == "range" and column in getattr(base, "_sorted_indexes", {}):
-                lo = value if op in (">", ">=") else None
-                hi = value if op in ("<", "<=") else None
-                rids = base.lookup_range(column, lo=lo, hi=hi,
-                                         lo_incl=(op == ">="), hi_incl=(op == "<="))
+            if op in ("<", ">", "<=", ">=") \
+                    and column in base._sorted_indexes:
+                try:
+                    bound = base._col(column).check(value)
+                except DatabaseError:
+                    continue
+                rids = base.lookup_range(column, *op_range(op, bound))
                 break
         if rids is None:
             rids = list(base.scan())
@@ -389,38 +401,45 @@ class Database:
 # ---------------------------------------------------------------------------
 
 def _top_level_ands(expr) -> List[Any]:
-    if expr is None:
-        return []
     if isinstance(expr, S.And):
-        out = []
-        for part in expr.parts:
-            out.extend(_top_level_ands(part))
-        return out
-    return [expr]
+        return [pred for part in expr.parts for pred in _top_level_ands(part)]
+    return [] if expr is None else [expr]
+
+
+def _predicates(expr) -> List[Any]:
+    """The comparisons, IN lists and IS NULL tests in ``expr``."""
+    if isinstance(expr, (S.And, S.Or)):
+        return [pred for part in expr.parts for pred in _predicates(part)]
+    if isinstance(expr, S.Not):
+        return _predicates(expr.part)
+    return [] if expr is None else [expr]
+
+
+def _typecheck(where, scope: Dict[str, Table], params: List[Any]) -> None:
+    """Evaluate each predicate of ``where`` once on a row of its columns'
+    types, before any row is read.  The engine is type-strict, so what
+    raises on one stored value raises on every one: a comparison the
+    types cannot make, an unknown or ambiguous column or a missing
+    parameter raises here, whichever plan runs and however many rows it
+    reads."""
+    sample = {alias: {c.name: _EXACT[c.type]() for c in table.columns}
+              for alias, table in scope.items()}
+    for pred in _predicates(where):
+        _eval(pred, sample, scope, params)
 
 
 def _indexable(pred, alias: str, table: Table, params: List[Any]):
-    """If ``pred`` is 'col OP literal' on the base table, return a plan hint."""
+    """If ``pred`` is 'col OP literal' on the base table, return
+    ``(column, op, literal)``, ``op`` written as if the column came first."""
     if not isinstance(pred, S.Comparison):
         return None
     left, right, op = pred.left, pred.right, pred.op
-    if isinstance(right, S.ColumnRef) and not isinstance(left, S.ColumnRef):
+    if isinstance(left, (S.Param, S.Literal)):
         left, right = right, left
         op = {"<": ">", ">": "<", "<=": ">=", ">=": "<="}.get(op, op)
-    if not isinstance(left, S.ColumnRef) or isinstance(right, S.ColumnRef):
-        return None
-    if left.table not in (None, alias) or not table.has_column(left.column):
-        return None
-    if isinstance(right, S.Param):
-        value = params[right.index] if right.index < len(params) else None
-    elif isinstance(right, S.Literal):
-        value = right.value
-    else:
-        return None
-    if op == "=":
-        return ("eq", left.column, value, op)
-    if op in ("<", ">", "<=", ">="):
-        return ("range", left.column, value, op)
+    if isinstance(left, S.ColumnRef) and isinstance(right, (S.Param, S.Literal)) \
+            and left.table in (None, alias) and table.has_column(left.column):
+        return left.column, op, _eval(right, {}, {}, params)
     return None
 
 
@@ -505,25 +524,11 @@ def _compare(op: str, left: Any, right: Any):
     both_numeric = isinstance(left, (int, float)) and isinstance(right, (int, float)) \
         and not isinstance(left, bool) and not isinstance(right, bool)
     if not both_numeric and type(left) is not type(right):
-        if op == "=":
-            return False
-        if op == "<>":
-            return True
+        if op in ("=", "<>"):
+            return op == "<>"
         raise DatabaseError(
             f"cannot order {type(left).__name__} against {type(right).__name__}")
-    if op == "=":
-        return left == right
-    if op == "<>":
-        return left != right
-    if op == "<":
-        return left < right
-    if op == ">":
-        return left > right
-    if op == "<=":
-        return left <= right
-    if op == ">=":
-        return left >= right
-    raise DatabaseError(f"unknown comparison operator {op!r}")
+    return S.COMPARE[op](left, right)
 
 
 def _truthy(value) -> bool:

@@ -204,6 +204,19 @@ class PairIndex(SortedIndex):
         return value + (2**62,)
 
 
+def op_range(op: str, value: Any, first: Any = None,
+             past: Any = None) -> Tuple[Any, Any, bool, bool]:
+    """``(lo, hi, lo_incl, hi_incl)``: the sorted-index range whose
+    entries satisfy ``entry op value`` for ``op`` in ``= < <= > >=``,
+    within the run from ``first`` (inclusive) to ``past`` (exclusive); a
+    ``None`` end is the index's own."""
+    if op == "=":
+        return value, value, True, True
+    if op in ("<", "<="):
+        return first, value, True, op == "<="
+    return value, past, op == ">=", False
+
+
 def sortable(value: Any) -> bool:
     """Does ``value`` get an entry in a sorted index?  Not NULL, not NaN,
     and not a tuple (a several-column key) with either among its members."""

@@ -22,6 +22,8 @@ in DESIGN.md); nothing in the paper's observable behaviour needs them.
 
 from __future__ import annotations
 
+import functools
+import operator
 import re
 from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple, Union
@@ -50,6 +52,12 @@ KEYWORDS = {
     "ASC", "DESC", "LIMIT", "UNION", "ALL", "COUNT", "SUM", "MIN", "MAX",
     "AVG", "DISTINCT",
 }
+
+
+#: what each comparison operator means, for the engine's WHERE and the
+#: catalog query alike (LIKE aside: a pattern, not an operator function)
+COMPARE = {"=": operator.eq, "<>": operator.ne, "<": operator.lt,
+           ">": operator.gt, "<=": operator.le, ">=": operator.ge}
 
 
 @dataclass(frozen=True)
@@ -382,7 +390,7 @@ class _Parser:
         tok = self.peek()
         if tok is None:
             raise DatabaseError("predicate missing operator")
-        if tok.kind == "op" and tok.text in ("=", "<>", "!=", "<", ">", "<=", ">="):
+        if tok.kind == "op" and (tok.text in COMPARE or tok.text == "!="):
             op = self.next().text
             if op == "!=":
                 op = "<>"
@@ -466,8 +474,10 @@ def is_select_only(sql: str) -> bool:
         return False
 
 
+@functools.lru_cache(maxsize=256)
 def like_to_regex(pattern: str) -> "re.Pattern[str]":
-    """Compile a SQL LIKE pattern (``%`` any run, ``_`` one char)."""
+    """Compile a SQL LIKE pattern (``%`` any run, ``_`` one char), once
+    per pattern: a query asks for it once per row it tests."""
     out = []
     for ch in pattern:
         if ch == "%":

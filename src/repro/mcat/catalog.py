@@ -40,7 +40,7 @@ from repro.errors import (
 from repro.mcat import query
 from repro.mcat.dublin_core import SchemaRegistry
 from repro.mcat.schema import OBJECT_KINDS, PERMISSIONS, REPLICA_ORDER, \
-    build_schema, subtree_path_range
+    build_schema, numeric, subtree_path_range
 from repro.obs import Observability
 from repro.util import paths
 from repro.util.clock import SimClock
@@ -93,16 +93,6 @@ def _refuse_non_text(attr: Any, value: Any) -> None:
                                          or isinstance(value, str)):
         raise MetadataError(
             f"metadata {attr!r}={value!r}: names and values must be text")
-
-
-def _num(value: Optional[str]) -> Optional[float]:
-    """Numeric mirror of a metadata value, for range comparisons."""
-    if value is None:
-        return None
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        return None
 
 
 #: the targets and classes a metadata triple may have
@@ -802,7 +792,7 @@ class Mcat:
             full = self._check_metadata_specs(specs)
             mids = self.ids.next_ints("mid", len(full))
             for s, mid in zip(full, mids):      # each spec grows into its row
-                s["mid"], s["value_num"] = mid, _num(s["value"])
+                s["mid"], s["value_num"] = mid, numeric(s["value"])
                 s["created_by"], s["created_at"] = by, now
             self._metadata.insert_many(full)
             return list(mids)
@@ -860,7 +850,7 @@ class Mcat:
             rids = t.lookup_eq("mid", mid)
             if not rids:
                 raise MetadataError(f"no metadata row {mid}")
-            t.update_row(rids[0], {"value": value, "value_num": _num(value),
+            t.update_row(rids[0], {"value": value, "value_num": numeric(value),
                                    "units": units})
 
     def delete_metadata(self, mid: int) -> None:

@@ -34,9 +34,11 @@ from itertools import compress, starmap
 from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, \
     Optional, Sequence, Set, Tuple
 
-from repro.db.sql import like_to_regex
+from repro.db.index import op_range
+from repro.db.sql import COMPARE, like_to_regex
 from repro.errors import QueryError
-from repro.mcat.schema import NUM_INDEX, TEXT_INDEX, subtree_path_range
+from repro.mcat.schema import NUM_INDEX, TEXT_INDEX, numeric, \
+    subtree_path_range
 from repro.util import paths
 
 if TYPE_CHECKING:       # the catalog imports this module to run queries
@@ -103,22 +105,12 @@ class QueryPage:
         return len(self.rows)
 
 
-_COMPARE = {"=": operator.eq, "<>": operator.ne, ">": operator.gt,
-            "<": operator.lt, ">=": operator.ge, "<=": operator.le}
-
 #: a stored value as the query sees it: ``(oid, attr, value, value_num)``
 Stored = Tuple[int, str, Optional[str], Optional[float]]
 #: a candidate object as the plans pass it: ``(path, oid, row id)``
 Key = Tuple[str, int, int]
 #: the caller's ACL filter: object rows in, one verdict per row out
 Visible = Callable[[List[Dict[str, Any]]], Sequence[bool]]
-
-
-def _number(text: str) -> Optional[float]:
-    try:
-        return float(text)
-    except ValueError:
-        return None
 
 
 def queryable_attributes(mcat, scope: str,
@@ -178,8 +170,8 @@ def _select(cond: Condition, stored: Sequence[Stored]) -> Set[int]:
         found = map(like_to_regex(wanted).match, values)
         return set(compress(tids, found if op == "like"
                             else map(operator.not_, found)))
-    wanted_num = _number(wanted)
-    return set(compress(tids, starmap(_COMPARE[op], [
+    wanted_num = numeric(wanted)
+    return set(compress(tids, starmap(COMPARE[op], [
         (value, wanted) if num is None or wanted_num is None
         else (num, wanted_num) for value, num in zip(values, nums)])))
 
@@ -217,8 +209,7 @@ class _Probe:
         if op not in ("=", "<", "<=", ">", ">="):
             return None
         run = _attr_run(attr)
-        first, past = run[:2]
-        wanted = _number(cond.value)
+        wanted = numeric(cond.value)
         if wanted is None:
             index, point = TEXT_INDEX, (attr, cond.value)
         elif wanted != wanted or (md.count_range(NUM_INDEX, *run)
@@ -226,11 +217,7 @@ class _Probe:
             return None
         else:
             index, point = NUM_INDEX, (attr, wanted)
-        if op == "=":
-            return index, point, point, True, True
-        if op in ("<", "<="):
-            return index, first, point, True, op == "<="
-        return index, point, past, op == ">=", False
+        return (index,) + op_range(op, point, *run[:2])
 
     def targets(self, md) -> Set[int]:
         if self.span is not None:

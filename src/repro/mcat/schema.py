@@ -31,7 +31,7 @@ collection:
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Optional, Tuple
+from typing import Any, Optional, Tuple
 
 from repro.db import Column, Database
 
@@ -52,6 +52,16 @@ REPLICA_ORDER = itemgetter("replica_num")
 #: values in numeric order, and all its values in text order
 NUM_INDEX = ("attr", "value_num")
 TEXT_INDEX = ("attr", "value")
+
+
+def numeric(value: Any) -> Optional[float]:
+    """The numeric mirror of a metadata value (``value_num``): the number
+    ``float`` reads in it, or None for NULL and for a value it cannot
+    read.  A query's value is read by the same rule."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return None
 
 
 def subtree_path_range(coll: str,

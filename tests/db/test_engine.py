@@ -215,6 +215,56 @@ class TestPlannerAndCost:
         assert db.execute("SELECT name FROM users WHERE id = ?",
                           [param]).rows == []             # the primary key
 
+    @pytest.mark.parametrize("where, params", [
+        ("age > NULL", []), ("age = ?", [None]), ("NULL <= age", []),
+        ("city = 'sd' AND age < ?", [None])])
+    def test_null_bound_reads_no_row(self, db, where, params):
+        """A comparison with NULL matches nothing: with or without an
+        index on the column, the plan reads no row."""
+        t = db.table("users")
+        for index in (False, True):
+            if index:
+                t.create_index("age", sorted_index=True)
+            before = t.rows_scanned
+            assert db.execute(f"SELECT id FROM users WHERE {where}",
+                              params).rows == []
+            assert t.rows_scanned == before
+
+    def test_missing_param_raises_with_an_index(self, db):
+        db.table("users").create_index("age", sorted_index=True)
+        with pytest.raises(DatabaseError, match="query needs 1 parameters"):
+            db.execute("SELECT id FROM users WHERE age = ?")
+
+    def test_int_bound_meets_float_entries(self):
+        db = Database()
+        t = db.create_table("t", [Column("id", "INT", nullable=False),
+                                  Column("score", "FLOAT")], primary_key="id")
+        t.insert({"id": 1, "score": 1.5})
+        t.insert({"id": 2, "score": 2.0})
+        t.create_index("score", sorted_index=True)
+        assert db.execute("SELECT id FROM t WHERE score > 1").rows \
+            == [(1,), (2,)]
+        assert db.execute("SELECT id FROM t WHERE score >= 2").rows == [(2,)]
+        assert db.execute("SELECT id FROM t WHERE score < 2").rows == [(1,)]
+
+    @pytest.mark.parametrize("where", [
+        "age > 'x'", "age < TRUE", "age > 100 AND name > 5",
+        "name LIKE 5 OR age = 30"])
+    def test_type_error_raises_whatever_the_plan_reads(self, db, where):
+        """The engine is type-strict, and says so before it reads a row:
+        an index that skips the rows a scan would fail on raises too."""
+        query = f"SELECT id FROM users WHERE {where}"
+        with pytest.raises(DatabaseError) as scanned:
+            db.execute(query)
+        db.table("users").create_index("age", sorted_index=True)
+        with pytest.raises(DatabaseError) as indexed:
+            db.execute(query)
+        assert str(indexed.value) == str(scanned.value)
+        empty = Database()
+        empty.create_table("users", db.table("users").columns)
+        with pytest.raises(DatabaseError):
+            empty.execute(query)
+
     def test_clock_charged_when_wired(self):
         clock = SimClock()
         db = Database(clock=clock)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.db import Column, Database
+from repro.errors import DatabaseError
 from repro.util.clock import SimClock
 
 COLUMNS = ("id", "grp", "score", "name")
@@ -40,6 +41,23 @@ clause_strategy = st.lists(
     st.tuples(predicate_strategy, st.sampled_from(["AND", "OR"])),
     min_size=1, max_size=3)
 
+# literals of every other type too: an int against the FLOAT column, a
+# float, text or bool against the INT one, and NULL against any
+ORDERS = ["=", "<>", "<", ">", "<=", ">="]
+mixed_predicate_strategy = st.one_of(
+    predicate_strategy,
+    st.tuples(st.just("score"), st.sampled_from(ORDERS), st.integers(-5, 5)),
+    st.tuples(st.just("grp"), st.sampled_from(ORDERS), st.one_of(
+        st.floats(-5, 5, allow_nan=False, width=16),
+        st.sampled_from(["x", "1"]), st.booleans())),
+    st.tuples(st.sampled_from(["grp", "score", "name"]),
+              st.sampled_from(ORDERS + ["LIKE"]), st.none()),
+)
+
+mixed_clause_strategy = st.lists(
+    st.tuples(mixed_predicate_strategy, st.sampled_from(["AND", "OR"])),
+    min_size=1, max_size=3)
+
 
 def scan_conserved(db: Database) -> bool:
     """The database's one scan counter is the sum of its tables' own."""
@@ -66,7 +84,17 @@ def build_db(rows: List[dict], index_on: Optional[str]) -> Database:
 def sql_literal(value: Any) -> str:
     if isinstance(value, str):
         return "'" + value.replace("'", "''") + "'"
+    if value is None or isinstance(value, bool):
+        return {None: "NULL", True: "TRUE", False: "FALSE"}[value]
     return repr(value)
+
+
+def outcome(db: Database, sql: str):
+    """The sorted rows a query returns, or the error it raises."""
+    try:
+        return sorted(db.execute(sql).rows)
+    except DatabaseError as exc:
+        return f"raised: {exc}"
 
 
 def naive_eval(op: str, left: Any, right: Any) -> Optional[bool]:
@@ -148,14 +176,15 @@ class TestDifferential:
 
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(rows_strategy, clause_strategy)
+    @given(rows_strategy, mixed_clause_strategy)
     def test_indexes_never_change_answers(self, rows, clause):
+        """Whatever the literal's type, an index answers what the scan
+        answers, or raises what it raises."""
         sql = f"SELECT id FROM t WHERE {clause_to_sql(clause)}"
-        plain = sorted(build_db(rows, None).execute(sql).rows)
+        plain = outcome(build_db(rows, None), sql)
         for index_on in ("grp", "score", "name"):
             db = build_db(rows, index_on)
-            indexed = sorted(db.execute(sql).rows)
-            assert indexed == plain
+            assert outcome(db, sql) == plain, f"index on {index_on}: {sql}"
             assert scan_conserved(db)
 
     @settings(max_examples=60, deadline=None,

@@ -14,9 +14,9 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro.errors import AlreadyExists, MetadataError, NoSuchCollection, \
     SrbError
-from repro.mcat.catalog import _META_CLASSES, _TARGET_KINDS, Mcat, _num, \
+from repro.mcat.catalog import _META_CLASSES, _TARGET_KINDS, Mcat, \
     _refuse_non_text
-from repro.mcat.schema import OBJECT_KINDS
+from repro.mcat.schema import OBJECT_KINDS, numeric
 from repro.util import paths
 
 
@@ -101,7 +101,7 @@ def add_metadata_bulk(mcat: Mcat, specs: Sequence[Dict[str, Any]], by: str,
                 "target_id": spec["target_id"],
                 "meta_class": spec["meta_class"],
                 "schema_name": spec["schema_name"], "attr": spec["attr"],
-                "value": spec["value"], "value_num": _num(spec["value"]),
+                "value": spec["value"], "value_num": numeric(spec["value"]),
                 "units": spec["units"], "created_by": by, "created_at": now,
             })
             mids.append(mid)
@@ -178,7 +178,7 @@ def add_metadata(self: Mcat, target_kind: str, target_id: int, attr: str,
             "mid": mid, "target_kind": target_kind,
             "target_id": target_id, "meta_class": meta_class,
             "schema_name": schema_name, "attr": attr, "value": value,
-            "value_num": _num(value), "units": units,
+            "value_num": numeric(value), "units": units,
             "created_by": by, "created_at": now,
         })
         return mid

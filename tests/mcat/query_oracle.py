@@ -18,13 +18,13 @@ from itertools import repeat
 from typing import Any, Callable, Dict, Iterator, List, Optional, \
     Sequence, Set, Tuple
 
-from repro.db.sql import like_to_regex
+from repro.db.sql import COMPARE, like_to_regex
 from repro.errors import QueryError
 from repro.mcat.catalog import Mcat
 from repro.mcat.query import Condition, DisplayOnly, QueryPage, \
-    QueryResult, Visible, _COMPARE, _Probe, _condition_plan, _count_query, \
-    _index_page_is_cheaper, _number, _probes, _rows_per_object
-from repro.mcat.schema import subtree_path_range
+    QueryResult, Visible, _Probe, _condition_plan, _count_query, \
+    _index_page_is_cheaper, _probes, _rows_per_object
+from repro.mcat.schema import numeric, subtree_path_range
 from repro.util import paths
 
 #: a stored metadata value as the query sees it: ``(value, value_num)``
@@ -49,10 +49,10 @@ def _comparator(op: str, wanted: str) -> Callable[..., bool]:
             return lambda value, num: \
                 value is not None and match(value) is not None
         return lambda value, num: value is not None and match(value) is None
-    if op not in _COMPARE:
+    if op not in COMPARE:
         raise QueryError(f"unknown operator {op!r}")
-    compare = _COMPARE[op]
-    wanted_num = _number(wanted)
+    compare = COMPARE[op]
+    wanted_num = numeric(wanted)
     if wanted_num is None:
         return lambda value, num: value is not None and compare(value, wanted)
     return lambda value, num: value is not None and (
