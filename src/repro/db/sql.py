@@ -474,10 +474,14 @@ def is_select_only(sql: str) -> bool:
         return False
 
 
-@functools.lru_cache(maxsize=256)
 def like_to_regex(pattern: str) -> "re.Pattern[str]":
     """Compile a SQL LIKE pattern (``%`` any run, ``_`` one char), once
     per pattern: a query asks for it once per row it tests."""
+    return _compile_like(pattern)
+
+
+@functools.lru_cache(maxsize=256)
+def _compile_like(pattern: str) -> "re.Pattern[str]":
     out = []
     for ch in pattern:
         if ch == "%":

@@ -18,8 +18,9 @@ ROOT = pathlib.Path(__file__).resolve().parents[2]
 #: path (from the repository root) -> the most code lines it may hold
 CEILINGS = {
     # - one comparison rule: one operator table, one numeric mirror and
-    #   one operator -> range mapping where there were two of each
-    "src/repro": 11_632,
+    #   one operator -> range mapping where there were two of each;
+    #   + like_to_regex stays a plain (documented) function over a cache
+    "src/repro": 11_634,
     "src/repro/core/containers.py": 148,
     "src/repro/core/dispatch.py": 353,
     # + the runner's control leg: a leg whose path_key is None is sent
@@ -36,7 +37,9 @@ CEILINGS = {
     # + op_range, the operator -> range mapping the engine's planner and
     #   the catalog's probes share
     "src/repro/db/index.py": 119,
-    "src/repro/db/sql.py": 362,
+    # + like_to_regex's compiled-pattern cache is a private helper, so the
+    #   public name stays a function that carries its docstring
+    "src/repro/db/sql.py": 364,
     # + Table.insert_many, the row builder it shares with insert, and the
     #   merge of a batch into a sorted index; + a batch of one row handed
     #   to insert (a single ingest's rows cost fewer calls that way)
