@@ -192,7 +192,35 @@ class ChannelBroker:
 
 
 class Federation:
-    """One SRB zone: shared state + servers."""
+    """One SRB zone: shared state + servers.
+
+    Its behaviour knobs, each a keyword of the constructor or of
+    :meth:`add_host`, with the experiments that measure them (README's
+    "Performance knobs" table is generated from these lines by
+    ``tools/gendocs.py``; the rest of each signature says what the grid
+    is, not how it behaves):
+
+    * ``placement=p`` (E3, E18): replica/resource choice: ``primary``,
+      ``round-robin``, ``random``, ``nearest``, or ``observed`` (rank by
+      measured path history)
+    * ``sso_enabled=False`` (E7): without single sign-on a server's
+      first touch of a resource runs a challenge–response against the
+      resource's own security domain (4 extra messages)
+    * ``workers=k`` (E15): the host serves at most k requests at once;
+      others queue (charged wait)
+    * ``queue_depth=d`` (E15): bound that host's request queue: overflow
+      is shed fast with ``ServerBusy`` + retry-after
+    * ``mcat_shards=K`` (E16): partition the catalog by collection
+      subtree across K shards behind its routing table (1 = the paper's
+      single MCAT, at the cost of the bare store)
+    * ``mcat_replicas=R`` (E16): R log-fed read replicas per catalog
+      shard
+    * ``direct_io=True`` (E19): data ops redirect bytes source→sink over
+      signed one-shot channels instead of passing through the server,
+      which by default relays a payload as it arrives (both hops charged
+      in bytes, the faster one hidden in seconds but for one 64 KiB
+      block)
+    """
 
     def __init__(self, zone: str = "demozone",
                  default_link: LinkSpec = WAN,

@@ -51,6 +51,13 @@ _SESSION_MSGS = (_OPEN_MSG,)
 _NO_SSO_SESSION_MSGS = (_AUTH_MSG,) * 4 + _SESSION_MSGS
 
 
+def link_view(own: Sequence[Dict[str, Any]],
+              target: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
+    """What a metadata read of a link shows, one op at a time or in a
+    batch: the link's own rows, then its target's marked ``via_link``."""
+    return [*own, *({**row, "via_link": True} for row in target)]
+
+
 def relay_hidden(nbytes: int, inbound_s: float, outbound_s: float) -> float:
     """The cut-through law: seconds of a relayed payload's onward hop
     that hide behind the hop that brought it to the server.
@@ -429,16 +436,13 @@ class PlaneService(Wired):
                 return obj if obj["kind"] == "shadow-dir" else None
         return None
 
-    def _shadow_physical(self, shadow: Dict[str, Any], path: str) -> str:
-        rel = paths.relocate(path, str(shadow["path"]), "/")
-        root = str(shadow["target"]).rstrip("/")
-        return root + rel
-
-    def _shadow_resource(self, principal: Principal,
-                         shadow: Dict[str, Any]) -> PhysicalResource:
+    def _shadow_open(self, principal: Principal, shadow: Dict[str, Any],
+                     path: str) -> Tuple[PhysicalResource, str]:
         """The resource under ``shadow``, with a session open to it, once
-        ``principal`` may read the shadow directory."""
+        ``principal`` may read the shadow directory, and the physical
+        path ``path`` names there."""
         self.access.require_object(principal, shadow, "read")
         res = self.resources.physical(str(shadow["resource_hint"]))
         self._resource_session(res)
-        return res
+        return res, str(shadow["target"]).rstrip("/") + paths.relocate(
+            path, str(shadow["path"]), "/")

@@ -47,7 +47,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 from repro.auth.users import Principal
 from repro.core.dispatch import OpContext, rpc_op
 from repro.core.planes.base import PlaneService, _CONTROL_MSG, \
-    content_checksum
+    content_checksum, link_view
 from repro.mcat.catalog import apply_structural
 from repro.net.rpc import BatchItemResult
 from repro.net.simnet import TransferOutcome, raise_failed
@@ -337,7 +337,10 @@ class DataService(PlaneService):
         ``via_container``, the container's bytes are prefetched once
         (one storage session + one bulk pull) and members of that
         container are served as local slices — the aggregation win the
-        paper claims for WAN working sets.
+        paper claims for WAN working sets.  Each item is :meth:`get`'s
+        read of one object (:meth:`_read_item`), so it answers what
+        ``get`` answers for its path; only the pulls it owes are
+        deferred and delivered together.
         """
         principal = ctx.principal
         self.obs.metrics.inc("bulk.batches", op="get")
@@ -360,22 +363,10 @@ class DataService(PlaneService):
         for raw in targets:
             try:
                 path = paths.normalize(str(raw))
-                obj = self.mcat.find_object(path)
-                if obj is None:
-                    raise NoSuchObject(f"no object {path!r}")
-                obj = self._resolve_link(obj)
-                self.access.require_object(principal, obj, "read")
-                self.locks.check_read(int(obj["oid"]), principal)
-                if obj["kind"] not in ("data", "registered", "container"):
-                    raise UnsupportedOperation(
-                        f"bulk_get cannot retrieve kind {obj['kind']!r}")
-                data = None
-                if prefetched is not None:
-                    data = prefetched.get(int(obj["oid"]))
-                if data is None:
-                    data, res = self._read_replica(obj, None, sink)
-                    if res is not None:
-                        owed.append((len(results), res))
+                _obj, data, res = self._read_item(principal, path, sink,
+                                                  prefetched=prefetched)
+                if res is not None:
+                    owed.append((len(results), res))
                 total += len(data)
                 results.append({"path": path, "data": data})
             except SrbError as exc:
@@ -430,23 +421,29 @@ class DataService(PlaneService):
         self.obs.metrics.inc("bulk.items", len(targets),
                              op="query_metadata")
         results: List[Dict[str, Any]] = []
-        lookups: List[Tuple[int, str, int]] = []
+        lookups: List[Tuple[int, List[Tuple[str, int]]]] = []
         for raw in targets:
             try:
                 path = paths.normalize(str(raw))
                 kind, tid, obj = self._target_for_metadata(path)
                 self.access.require_entry(principal, obj, path, "read")
-                lookups.append((len(results), kind, tid))
+                reads = [(kind, tid)]
+                if obj is not None and obj["kind"] == "link":
+                    reads.append(("object",
+                                  int(self._resolve_link(obj)["oid"])))
+                lookups.append((len(results), reads))
                 results.append({"path": path, "metadata": []})
             except SrbError as exc:
                 results.append({"path": str(raw), "error": str(exc),
                                 "error_type": type(exc).__name__})
         if lookups:
-            rows = self.mcat.get_metadata_bulk(
-                [(kind, tid) for _idx, kind, tid in lookups],
-                meta_class=meta_class)
-            for (idx, _kind, _tid), md in zip(lookups, rows):
-                results[idx]["metadata"] = md
+            rows = iter(self.mcat.get_metadata_bulk(
+                [pair for _idx, reads in lookups for pair in reads],
+                meta_class=meta_class))
+            for idx, reads in lookups:
+                md = next(rows)
+                results[idx]["metadata"] = md if len(reads) == 1 \
+                    else link_view(md, next(rows))
         ctx.audit(target=f"{len(targets)} items")
         return results
 
@@ -584,45 +581,72 @@ class DataService(PlaneService):
         ``k`` from measured path bandwidths
         (:meth:`repro.policy.engine.PlacementEngine.choose_stripes`).
         """
-        principal = ctx.principal
         path = paths.normalize(path)
+        sink = self._redirect_sink()
+        obj, data, res = self._read_item(ctx.principal, path, sink,
+                                         replica_num, args, sql_remainder,
+                                         stripes)
+        if obj is None:
+            ctx.audit(target=path, detail="shadow")
+            return self._deliver(data, [(res, len(data), path)], self.host,
+                                 "get-shadow")
+        if res is not None:
+            data = self._deliver(data, [(res, len(data), str(obj["path"]))],
+                                 sink, "get")
+        ctx.audit(target=path, detail=f"{len(data)}B")
+        if ctx.span is not None:
+            ctx.span.incr("payload_bytes", len(data))
+        return data
+
+    def _read_item(self, principal: Principal, path: str, sink: str,
+                   replica_num: Optional[int] = None,
+                   args: Optional[str] = None,
+                   sql_remainder: Optional[str] = None,
+                   stripes: Union[int, str, None] = None,
+                   prefetched: Optional[Dict[int, bytes]] = None) -> Tuple:
+        """The one read of one object, :meth:`get`'s and each
+        :meth:`bulk_get` item's: resolve the normalized ``path`` (a file
+        under a registered directory when it has no row), follow a
+        link, check read access and the lock, and read by kind.
+
+        Returns ``(row, data, resource)``: the row read (``None`` for a
+        file under a registered directory), its bytes, and the resource
+        whose pull to ``sink`` the caller still owes, or ``None``.  A
+        member of the ``prefetched`` container is its slice; a striped
+        read is delivered already."""
         obj = self.mcat.find_object(path)
         if obj is None:
             shadow = self._find_shadow(path)
-            if shadow is not None:
-                ctx.audit(target=path, detail="shadow")
-                return self._get_shadow_member(principal, shadow, path)
-            raise NoSuchObject(f"no object {path!r}")
+            if shadow is None:
+                raise NoSuchObject(f"no object {path!r}")
+            res, physical = self._shadow_open(principal, shadow, path)
+            return None, res.driver.read(physical), res
         obj = self._resolve_link(obj)
         self.access.require_object(principal, obj, "read")
         self.locks.check_read(int(obj["oid"]), principal)
         kind = obj["kind"]
         if kind in ("data", "registered", "container"):
-            sink = self._redirect_sink()
-            data = None
+            if prefetched is not None and int(obj["oid"]) in prefetched:
+                return obj, prefetched[int(obj["oid"])], None
             if stripes == "auto" and replica_num is None:
                 stripes = self._auto_stripe_count(obj, sink)
             if stripes is not None and not isinstance(stripes, str) \
                     and stripes > 1 and replica_num is None:
                 data = self._get_bytes_striped(obj, stripes, sink)
-            if data is None:
-                data = self._get_bytes(obj, replica_num, sink)
-        elif kind == "sql":
-            data = self._get_sql(obj, replica_num, sql_remainder)
-        elif kind == "url":
-            data = self._get_url(obj, replica_num)
-        elif kind == "method":
-            data = self._get_method(obj, args)
-        elif kind == "shadow-dir":
+                if data is not None:
+                    return obj, data, None
+            return (obj, *self._read_replica(obj, replica_num, sink))
+        if kind == "sql":
+            return obj, self._get_sql(obj, replica_num, sql_remainder), None
+        if kind == "url":
+            return obj, self._get_url(obj, replica_num), None
+        if kind == "method":
+            return obj, self._get_method(obj, args), None
+        if kind == "shadow-dir":
             raise UnsupportedOperation(
                 f"{path!r} is a registered directory; access files "
                 "beneath it")
-        else:
-            raise UnsupportedOperation(f"cannot retrieve kind {kind!r}")
-        ctx.audit(target=path, detail=f"{len(data)}B")
-        if ctx.span is not None:
-            ctx.span.incr("payload_bytes", len(data))
-        return data
+        raise UnsupportedOperation(f"cannot retrieve kind {kind!r}")
 
     def _get_bytes(self, obj: Dict[str, Any],
                    replica_num: Optional[int], sink: str) -> Any:
@@ -861,13 +885,6 @@ class DataService(PlaneService):
                 [(remote.host, self.host, len(out), None)], (), "method"))
         return out
 
-    def _get_shadow_member(self, principal: Principal,
-                           shadow: Dict[str, Any], path: str) -> bytes:
-        res = self._shadow_resource(principal, shadow)
-        data = res.driver.read(self._shadow_physical(shadow, path))
-        return self._deliver(data, [(res, len(data), path)], self.host,
-                             "get-shadow")
-
     @rpc_op("open_object", scope_arg="path", forwardable=True,
             mcat_hop=False)
     def open_object(self, ctx: OpContext, path: str) -> Dict[str, Any]:
@@ -938,8 +955,7 @@ class DataService(PlaneService):
         """Overwrite (re-ingest/edit): metadata stays linked; the written
         replica becomes fresh, siblings become dirty."""
         principal = ctx.principal
-        obj = self.mcat.get_object(paths.normalize(path))
-        obj = self._resolve_link(obj)
+        obj = self._resolve_link(self.mcat.get_object(paths.normalize(path)))
         if obj["kind"] not in ("data", "registered"):
             raise UnsupportedOperation(f"cannot write kind {obj['kind']!r}")
         self.access.require_object(principal, obj, "write")
@@ -1046,8 +1062,7 @@ class DataService(PlaneService):
             ctx.suppress_audit()
             return self._copy_collection(ctx.ticket, principal, src, dst,
                                          resource)
-        obj = self.mcat.get_object(src)
-        obj = self._resolve_link(obj)
+        obj = self._resolve_link(self.mcat.get_object(src))
         if obj["kind"] in ("sql", "url", "method"):
             raise UnsupportedOperation(
                 "currently we do not support copy of URL, SQL or method "

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core.dispatch import OpContext, rpc_op
-from repro.core.planes.base import PlaneService
+from repro.core.planes.base import PlaneService, link_view
 from repro.errors import AccessDenied, MetadataError
 from repro.mcat.query import Condition, DisplayOnly, QueryResult
 from repro.util import paths
@@ -55,13 +55,10 @@ class MetadataService(PlaneService):
         self.access.require_entry(ctx.principal, obj, path, "read")
         if link is None:
             return self.mcat.get_metadata(kind, tid, meta_class)
-        rows = list(self.mcat.get_metadata("object", int(link["oid"]),
-                                           meta_class))
-        target = self._resolve_link(link)
-        for row in self.mcat.get_metadata("object", int(target["oid"]),
-                                          meta_class):
-            rows.append({**row, "via_link": True})
-        return rows
+        return link_view(
+            self.mcat.get_metadata("object", int(link["oid"]), meta_class),
+            self.mcat.get_metadata(
+                "object", int(self._resolve_link(link)["oid"]), meta_class))
 
     @rpc_op("update_metadata", scope_arg="path", write=True,
             audit="update-metadata", detail_arg="mid", need="own",

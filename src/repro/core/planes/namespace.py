@@ -108,8 +108,8 @@ class NamespaceService(PlaneService):
 
     def _list_shadow(self, principal: Principal, shadow: Dict[str, Any],
                      path: str) -> Dict[str, Any]:
-        res = self._shadow_resource(principal, shadow)
-        entries = res.driver.list_dir(self._shadow_physical(shadow, path))
+        res, physical = self._shadow_open(principal, shadow, path)
+        entries = res.driver.list_dir(physical)
         colls = [paths.join(path, e[:-1]) for e in entries if e.endswith("/")]
         objs = [{"path": paths.join(path, e), "name": e, "kind": "shadow-file",
                  "data_type": None, "owner": shadow["owner"], "size": None,

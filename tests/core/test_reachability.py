@@ -5,7 +5,9 @@ Two checks over the source, read as text (``ast``), not run:
 1. Every op the servers register is called by an Scommand (a row of
    ``scommands.shell.FORWARDS`` or a written ``cmd_``) or by a MySRB
    route or view, through the client method that sends it.  An op no
-   user surface reaches is in :data:`ADMIN_ONLY` with its reason.
+   user surface reaches is in ``ADMIN_ONLY`` (``tools/surfaces.py``,
+   the one walk of the surfaces, which ``tools/gendocs.py`` prints in
+   DESIGN.md's op table) with its reason.
 2. Every public function or method under ``src/repro`` is referenced
    somewhere in ``src/`` other than by its own definition — by name, as
    an attribute, or as a string — or is in :data:`API_ONLY` with its
@@ -20,38 +22,23 @@ import ast
 import importlib.util
 import pathlib
 
-from repro.core.dispatch import declared_ops
-from repro.core.planes import AuthService, DataService, MetadataService, \
-    NamespaceService, ReplicaService
-from repro.mysrb.app import FORM_OPS
-from repro.scommands.shell import FORWARDS
-
 ROOT = pathlib.Path(__file__).resolve().parents[2]
 SRC = ROOT / "src" / "repro"
-SURFACES = (SRC / "scommands" / "shell.py", SRC / "mysrb" / "app.py",
-            SRC / "mysrb" / "views.py")
 
-OPS = {spec.name for service in (AuthService, NamespaceService, DataService,
-                                 ReplicaService, MetadataService)
-       for spec, _handler in declared_ops(service)}
 
-#: ops only the Python API reaches: op -> why no Scommand or page has it
-ADMIN_ONLY = {
-    "bulk_get": "batch retrieval for programs; Sget and /open fetch one",
-    "bulk_query_metadata": "batch metadata read for programs; the pages "
-                           "batch get_metadata instead",
-    "get_version": "a checked-in version by number, for programs; Scheckin "
-                   "prints the number it made",
-    "ingest_replica": "a second copy written by the caller itself; "
-                      "Sreplicate asks the server to make one",
-    "migrate_collection": "moves a subtree to another catalog partition, "
-                          "an operator's rebalancing step",
-    "register_replica": "registers bytes already on a resource as one more "
-                        "replica, an operator's repair step",
-    "update_metadata": "rewrites a triple in place; the shell and pages "
-                       "delete and add",
-    "versions": "lists checked-in versions, for programs",
-}
+def _surfaces():
+    """``tools/surfaces.py``: the one walk of the Scommands and MySRB,
+    which ``tools/gendocs.py`` prints in DESIGN.md's op table."""
+    spec = importlib.util.spec_from_file_location(
+        "surfaces", ROOT / "tools" / "surfaces.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+surfaces = _surfaces()
+OPS = surfaces.OPS
+ADMIN_ONLY = surfaces.ADMIN_ONLY
 
 #: public names only tests, benchmarks or programs call: name -> why
 API_ONLY = {
@@ -123,59 +110,9 @@ API_ONLY = {
 }
 
 
-def _parse(path):
-    return ast.parse(path.read_text(), filename=str(path))
-
-
-def _client_sends():
-    """``{SrbClient method: ops it sends}``: a generated forward sends
-    its own op; a written method the ops it names and those of the
-    methods it calls on ``self``."""
-    tree = _parse(SRC / "core" / "client.py")
-    (cls,) = [node for node in tree.body if isinstance(node, ast.ClassDef)
-              and node.name == "SrbClient"]
-    named, calls = {}, {}
-    for fn in cls.body:
-        if isinstance(fn, ast.FunctionDef):
-            nodes = list(ast.walk(fn))
-            named[fn.name] = {n.value for n in nodes
-                              if isinstance(n, ast.Constant)
-                              and n.value in OPS}
-            calls[fn.name] = {n.attr for n in nodes
-                              if isinstance(n, ast.Attribute)
-                              and isinstance(n.value, ast.Name)
-                              and n.value.id == "self"}
-    sends = {op: {op} for op in OPS}
-
-    def closure(name, seen):
-        seen.add(name)
-        out = set(named[name])
-        for callee in calls[name] & named.keys() - seen:
-            out |= closure(callee, seen)
-        return out
-    sends.update({name: closure(name, set()) for name in named})
-    return sends
-
-
 def _surface_ops():
     """The ops the Scommands and MySRB reach."""
-    sends = _client_sends()
-    reached = {op for op, _flags, _out in FORWARDS.values()}
-    reached |= {op for op, _then in FORM_OPS.values()}
-    for path in SURFACES:
-        for node in ast.walk(_parse(path)):
-            if isinstance(node, ast.Call) and isinstance(node.func,
-                                                         ast.Attribute):
-                owner = node.func.value
-                if (isinstance(owner, ast.Name) and owner.id == "client") \
-                        or (isinstance(owner, ast.Attribute)
-                            and owner.attr == "client"):
-                    reached |= sends.get(node.func.attr, set())
-            elif isinstance(node, ast.Tuple):     # batch items, getattr'd
-                reached |= {item.value for item in node.elts    # op names
-                            if isinstance(item, ast.Constant)
-                            and item.value in OPS}
-    return reached
+    return set(surfaces.surface_ops())
 
 
 def test_every_op_has_a_surface_or_a_reason():
@@ -203,7 +140,7 @@ def _unreferenced():
     Scommands themselves) that nothing in ``src/`` names."""
     defined, used = {}, set()
     for path in sorted(SRC.rglob("*.py")):
-        for node in ast.walk(_parse(path)):
+        for node in ast.walk(surfaces.parse(path)):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 op = any("rpc_op" in ast.dump(dec)
                          for dec in node.decorator_list)
