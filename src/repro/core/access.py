@@ -92,45 +92,45 @@ class AccessController:
         keys = self._principal_keys(principal)
         best = self._best_grant(
             self.mcat.grants_for("object", int(obj["oid"])), keys)
-        coll_level = self._collection_chain_level(str(obj["coll"]), keys)
-        for level in (coll_level,):
-            if level is not None and (best is None or
-                                      _LEVEL[level] > _LEVEL[best]):
-                best = level
+        level = self._collection_chain_level(str(obj["coll"]), keys)
+        if level is not None and (best is None or
+                                  _LEVEL[level] > _LEVEL[best]):
+            best = level
         return best
 
     def permission_on_collection(self, principal: Principal,
-                                 coll_path: str) -> Optional[str]:
+                                 coll: Dict[str, object]) -> Optional[str]:
+        """Highest permission ``principal`` holds on collection row
+        ``coll``."""
         self.checks += 1
         who = str(principal)
         if self.users.exists(who) and \
                 self.users.role_of(who) == "sysadmin":
             return "own"
-        try:
-            coll = self.mcat.get_collection(coll_path)
-        except NoSuchCollection:
-            return None
         if coll["owner"] == who:
             return "own"
         keys = self._principal_keys(principal)
-        return self._collection_chain_level(coll_path, keys)
+        return self._collection_chain_level(str(coll["path"]), keys, coll)
 
-    def _collection_chain_level(self, coll_path: str,
-                                keys: List[str]) -> Optional[str]:
-        """Best grant on the collection or any ancestor, checking the
-        owner of each collection on the way up too."""
+    def _collection_chain_level(self, coll_path: str, keys: List[str],
+                                coll: Optional[Dict[str, object]] = None
+                                ) -> Optional[str]:
+        """Best grant on the collection or any ancestor; ``coll`` is the
+        collection's row when the caller holds it already."""
         best: Optional[str] = None
         chain = [coll_path] + list(reversed(paths.ancestors(coll_path)))
         for path in chain:
-            try:
-                coll = self.mcat.get_collection(path)
-            except NoSuchCollection:
-                continue
+            if coll is None:
+                try:
+                    coll = self.mcat.get_collection(path)
+                except NoSuchCollection:
+                    continue
             level = self._best_grant(
                 self.mcat.grants_for("collection", int(coll["cid"])), keys)
             if level is not None and (best is None or
                                       _LEVEL[level] > _LEVEL[best]):
                 best = level
+            coll = None
         return best
 
     # -- enforcement ------------------------------------------------------------
@@ -143,29 +143,32 @@ class AccessController:
             raise AccessDenied(principal, wanted, obj["path"])
 
     def require_collection(self, principal: Principal, coll_path: str,
-                           wanted: str) -> None:
-        # a missing collection is a namespace error, not a permission one
-        if not self.mcat.collection_exists(coll_path):
-            raise NoSuchCollection(f"no collection {coll_path!r}")
-        held = self.permission_on_collection(principal, coll_path)
+                           wanted: str) -> Dict[str, object]:
+        """Read the collection once and check it; returns its row.  A
+        missing collection is a namespace error (``get_collection``'s
+        ``NoSuchCollection``), never a permission one."""
+        coll = self.mcat.get_collection(coll_path)
+        self.require_entry(principal, coll, wanted)
+        return coll
+
+    def require_entry(self, principal: Principal, row: Dict[str, object],
+                      wanted: str) -> None:
+        """The check on ``row``, an object's or a collection's (a
+        metadata op's subject may be either)."""
+        if "oid" in row:
+            return self.require_object(principal, row, wanted)
+        held = self.permission_on_collection(principal, row)
         if held is None or not satisfies(held, wanted):
             self.denials += 1
-            raise AccessDenied(principal, wanted, coll_path)
-
-    def require_entry(self, principal: Principal,
-                      obj: Optional[Dict[str, object]], path: str,
-                      wanted: str) -> None:
-        """:meth:`require_object` on ``obj``, the object row at ``path``,
-        or :meth:`require_collection` when ``path`` is a collection
-        (``obj`` is None): the metadata ops' subject may be either."""
-        if obj is not None:
-            self.require_object(principal, obj, wanted)
-        else:
-            self.require_collection(principal, path, wanted)
+            raise AccessDenied(principal, wanted, row["path"])
 
     def can_collection(self, principal: Principal, coll_path: str,
                        wanted: str) -> bool:
-        held = self.permission_on_collection(principal, coll_path)
+        try:
+            coll = self.mcat.get_collection(coll_path)
+        except NoSuchCollection:
+            return False
+        held = self.permission_on_collection(principal, coll)
         return held is not None and satisfies(held, wanted)
 
     def can_objects(self, principal: Principal,

@@ -188,16 +188,14 @@ class ContainerManager:
         live = sum(int(m["size"]) for m in self.members(container_oid))
         return int(primary["size"]) - live
 
-    def compact(self, container_path: str, now: float,
+    def compact(self, coid: int, now: float,
                 server_host: Optional[str] = None) -> int:
-        """Rewrite the container keeping only live member slices.
+        """Rewrite container ``coid`` keeping only live member slices.
 
         Returns the number of bytes reclaimed.  Member offsets are
         repointed into the fresh layout; other container replicas become
         dirty (refresh with :meth:`sync`).
         """
-        container = self.get_container(container_path)
-        coid = int(container["oid"])
         primary = self.primary_replica(coid)
         res = self.resources.physical(primary["resource"])
         if not self.resources.available(res.name):
@@ -225,17 +223,15 @@ class ContainerManager:
 
     # -- synchronization -----------------------------------------------------------
 
-    def sync(self, container_path: str, now: float,
+    def sync(self, coid: int, now: float,
              server_host: Optional[str] = None) -> int:
-        """Copy the fresh container bytes onto every dirty replica.
+        """Copy container ``coid``'s fresh bytes onto every dirty replica.
 
         One bulk transfer per dirty replica, overlapped — this is the
         "semantics associated with the logical resource specification of
         the container" the paper describes.  Nothing is written unless
         every transfer arrives.  Returns replicas refreshed.
         """
-        container = self.get_container(container_path)
-        coid = int(container["oid"])
         replicas = self.mcat.replicas(coid)
         fresh = [r for r in replicas if not r["is_dirty"]]
         if not fresh:

@@ -43,9 +43,12 @@ subject path (``scope_arg``) becomes the row it is checked on — see
 :data:`TARGETS`.  The row reaches the handler as ``ctx.target``.  It runs
 on the local branch only (a forwarded read is checked by the peer that
 serves it), after the hop and just before the handler, so it charges the
-catalog exactly what the same check in the handler would.  An op whose
-handler must check for itself — a second path, per item, or in an order
-no target kind repeats — is named in :data:`WRITTEN_CHECKS` with why.
+catalog exactly what the same check in the handler would.  The handler
+reads the row from ``ctx.target`` and never again: an op reads each
+catalog row once (``tests/integration/test_read_once.py``).  An op
+whose handler must check for itself — a second path, per item, or in an
+order no target kind repeats — is named in :data:`WRITTEN_CHECKS` with
+why; nineteen are.
 
 The pipeline is *compiled*, not interpreted.  :func:`_compile` turns a
 registered :class:`OpSpec` into one runner (its *op plan*, built once,
@@ -120,7 +123,7 @@ def _announced_items(items: Any) -> Tuple[Any, bool]:
 #
 # Each resolves ``path`` on the op's plane ``svc``, checks that
 # ``principal`` holds ``need`` on it and returns what ``ctx.target``
-# holds — the catalog calls, in order, the handlers used to make.
+# holds: the row it read, once, for the handler to use.
 
 def _object(svc, principal, path, need):
     """The object at ``path``."""
@@ -137,24 +140,22 @@ def _resolved(svc, principal, path, need):
 
 
 def _entry(svc, principal, path, need):
-    """``(kind, id, object row or None)`` of the object or collection at
-    ``path`` (``PlaneService._target_for_metadata``)."""
+    """``(kind, id, row)`` of the object or collection at ``path``
+    (``PlaneService._target_for_metadata``)."""
     entry = svc._target_for_metadata(path)
-    svc.access.require_entry(principal, entry[2], path, need)
+    svc.access.require_entry(principal, entry[2], need)
     return entry
 
 
 def _collection(svc, principal, path, need):
     """The collection ``path`` itself."""
-    svc.access.require_collection(principal, path, need)
-    return path
+    return svc.access.require_collection(principal, path, need)
 
 
 def _parent(svc, principal, path, need):
     """The collection that holds (or is to hold) ``path``."""
-    parent = paths.dirname(paths.normalize(path))
-    svc.access.require_collection(principal, parent, need)
-    return parent
+    return svc.access.require_collection(
+        principal, paths.dirname(paths.normalize(path)), need)
 
 
 def _container(svc, principal, path, need):
@@ -183,8 +184,8 @@ WRITTEN_CHECKS = {
     "register_replica": "kind checked first",
     "physical_move": "kind checked first",
     "unlock": "own rows only", "unpin": "own rows only",
-    "ingest": "own order", "link": "own order", "stat": "own order",
-    "get_metadata": "own order", "migrate_collection": "own order",
+    "ingest": "own order", "link": "own order",
+    "migrate_collection": "own order",
     "open_object": "nested ops",
 }
 

@@ -106,23 +106,25 @@ class LockManager:
     def locks_on(self, oid: int) -> List[Dict[str, Any]]:
         return self._live_locks(oid)
 
-    def check_read(self, oid: int, principal: Principal) -> None:
-        """Exclusive locks held by others forbid even reads."""
+    def check_read(self, obj: Dict[str, Any], principal: Principal) -> None:
+        """Exclusive locks held by others forbid even reads of object row
+        ``obj``."""
+        oid = obj["oid"]
         for row in self._live_locks(oid):
             if row["lock_type"] == "exclusive" and \
                     row["holder"] != str(principal):
                 raise LockConflict(
                     f"object {oid} exclusively locked by {row['holder']}")
 
-    def check_write(self, oid: int, principal: Principal) -> None:
-        """Any lock held by another user forbids writes; so does a foreign
-        checkout."""
+    def check_write(self, obj: Dict[str, Any], principal: Principal) -> None:
+        """Any lock held by another user forbids writes to object row
+        ``obj``; so does a foreign checkout."""
+        oid = obj["oid"]
         for row in self._live_locks(oid):
             if row["holder"] != str(principal):
                 raise LockConflict(
                     f"object {oid} locked ({row['lock_type']}) by "
                     f"{row['holder']}")
-        obj = self.mcat.get_object_by_id(oid)
         holder = obj["checked_out_by"]
         if holder is not None and holder != str(principal):
             raise LockConflict(f"object {oid} checked out by {holder}")
@@ -154,21 +156,24 @@ class LockManager:
 
     # -- checkout / checkin ------------------------------------------------------
 
-    def checkout(self, oid: int, principal: Principal) -> None:
-        obj = self.mcat.get_object_by_id(oid)
+    def checkout(self, obj: Dict[str, Any], principal: Principal) -> None:
+        """Check object row ``obj`` out to ``principal``."""
+        oid = obj["oid"]
         holder = obj["checked_out_by"]
         if holder is not None:
             raise AlreadyCheckedOut(f"object {oid} checked out by {holder}")
         self.mcat.update_object(oid, checked_out_by=str(principal))
 
-    def record_version(self, oid: int, resource: str, physical_path: str,
-                       size: int, author: Principal) -> int:
-        """Snapshot the *current* bytes as a numbered historical version.
+    def record_version(self, obj: Dict[str, Any], resource: str,
+                       physical_path: str, size: int,
+                       author: Principal) -> int:
+        """Snapshot the *current* bytes of object row ``obj`` as a
+        numbered historical version.
 
         The caller (the server's checkin) has already copied the old
         physical file aside; this records where it went.
         """
-        obj = self.mcat.get_object_by_id(oid)
+        oid = obj["oid"]
         version_num = int(obj["version"])
         self.mcat.oid_table("versions", oid).insert({
             "vid": self.mcat.ids.next_int("vid"), "oid": oid,
@@ -178,9 +183,10 @@ class LockManager:
         })
         return version_num
 
-    def checkin(self, oid: int, principal: Principal) -> int:
-        """Clear the checkout and bump the version number; returns it."""
-        obj = self.mcat.get_object_by_id(oid)
+    def checkin(self, obj: Dict[str, Any], principal: Principal) -> int:
+        """Clear the checkout of object row ``obj`` and bump its version
+        number; returns it."""
+        oid = obj["oid"]
         holder = obj["checked_out_by"]
         if holder is None:
             raise NotCheckedOut(f"object {oid} is not checked out")

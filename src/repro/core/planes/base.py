@@ -410,17 +410,16 @@ class PlaneService(Wired):
         return target
 
     def _target_for_metadata(self, path: str) -> Tuple[
-            str, int, Optional[Dict[str, Any]]]:
-        """``(kind, id, object row)`` of the object or collection at
-        ``path``; the row is None for a collection."""
+            str, int, Dict[str, Any]]:
+        """``(kind, id, row)`` of the object or collection at ``path``:
+        one :meth:`~repro.mcat.catalog.Mcat.lookup`."""
         path = paths.normalize(path)
-        obj = self.mcat.find_object(path)
-        if obj is not None:
-            return "object", int(obj["oid"]), obj
-        if self.mcat.collection_exists(path):
-            return "collection", int(self.mcat.get_collection(path)["cid"]), \
-                None
-        raise NoSuchObject(f"no object or collection {path!r}")
+        row = self.mcat.lookup(path)
+        if row is None:
+            raise NoSuchObject(f"no object or collection {path!r}")
+        if "oid" in row:
+            return "object", int(row["oid"]), row
+        return "collection", int(row["cid"]), row
 
     # ------------------------------------------------------------------
     # shadow directories (namespace lists them, data serves their files)

@@ -425,12 +425,12 @@ class DataService(PlaneService):
         for raw in targets:
             try:
                 path = paths.normalize(str(raw))
-                kind, tid, obj = self._target_for_metadata(path)
-                self.access.require_entry(principal, obj, path, "read")
+                kind, tid, row = self._target_for_metadata(path)
+                self.access.require_entry(principal, row, "read")
                 reads = [(kind, tid)]
-                if obj is not None and obj["kind"] == "link":
+                if row.get("kind") == "link":
                     reads.append(("object",
-                                  int(self._resolve_link(obj)["oid"])))
+                                  int(self._resolve_link(row)["oid"])))
                 lookups.append((len(results), reads))
                 results.append({"path": path, "metadata": []})
             except SrbError as exc:
@@ -588,7 +588,7 @@ class DataService(PlaneService):
                                          stripes)
         if obj is None:
             ctx.audit(target=path, detail="shadow")
-            return self._deliver(data, [(res, len(data), path)], self.host,
+            return self._deliver(data, [(res, len(data), path)], sink,
                                  "get-shadow")
         if res is not None:
             data = self._deliver(data, [(res, len(data), str(obj["path"]))],
@@ -623,7 +623,7 @@ class DataService(PlaneService):
             return None, res.driver.read(physical), res
         obj = self._resolve_link(obj)
         self.access.require_object(principal, obj, "read")
-        self.locks.check_read(int(obj["oid"]), principal)
+        self.locks.check_read(obj, principal)
         kind = obj["kind"]
         if kind in ("data", "registered", "container"):
             if prefetched is not None and int(obj["oid"]) in prefetched:
@@ -660,7 +660,8 @@ class DataService(PlaneService):
                              sink, "get")
 
     def _read_replica(self, obj: Dict[str, Any],
-                      replica_num: Optional[int], sink: str
+                      replica_num: Optional[int], sink: str,
+                      replicas: Optional[List[Dict[str, Any]]] = None
                       ) -> Tuple[bytes, Optional[PhysicalResource]]:
         """Chain-walk to the first readable replica; defer the wire pull.
 
@@ -670,9 +671,11 @@ class DataService(PlaneService):
         ``None`` when the bytes are already on ``sink``, the host they
         are read on (:meth:`_redirect_sink`).  The chain is the source
         chain to ``sink`` (:meth:`PlacementEngine.source_chain`): an
-        online copy on ``sink`` first, tape-resident copies last."""
-        oid = int(obj["oid"])
-        replicas = self.mcat.replicas(oid)
+        online copy on ``sink`` first, tape-resident copies last.
+        ``replicas`` are ``obj``'s replica rows, when the caller holds
+        them already."""
+        if replicas is None:
+            replicas = self.mcat.replicas(int(obj["oid"]))
         if replica_num is not None:
             chain = [r for r in replicas if r["replica_num"] == replica_num]
             if not chain:
@@ -960,7 +963,7 @@ class DataService(PlaneService):
             raise UnsupportedOperation(f"cannot write kind {obj['kind']!r}")
         self.access.require_object(principal, obj, "write")
         oid = int(obj["oid"])
-        self.locks.check_write(oid, principal)
+        self.locks.check_write(obj, principal)
         replicas = self.mcat.replicas(oid)
         if not replicas:
             raise ReplicaUnavailable(f"{path!r} has no replicas")
@@ -994,7 +997,7 @@ class DataService(PlaneService):
         object; deleting a link unlinks."""
         obj = ctx.target
         oid = int(obj["oid"])
-        self.locks.check_write(oid, ctx.principal)
+        self.locks.check_write(obj, ctx.principal)
         kind = obj["kind"]
 
         if kind == "link":
@@ -1009,8 +1012,7 @@ class DataService(PlaneService):
             raise ContainerError(
                 f"container {path!r} still has members")
 
-        replicas = self.mcat.replicas(oid)
-        doomed = replicas
+        doomed = replicas = self.mcat.replicas(oid)
         if replica_num is not None:
             doomed = [r for r in replicas if r["replica_num"] == replica_num]
             if not doomed:
@@ -1020,19 +1022,23 @@ class DataService(PlaneService):
                 raise PinnedFile(
                     f"replica {rep['replica_num']} of {path!r} is pinned "
                     f"on {rep['resource']}")
-            if kind == "data" and rep["container_oid"] is None:
-                res = self.resources.physical(rep["resource"])
-                if res.driver.exists(rep["physical_path"]):
-                    res.driver.delete(rep["physical_path"])
+        last = len(doomed) == len(replicas)
+        # the bytes go first, all or none: refused while a storage
+        # system holding some is down
+        files = [(self.resources.physical(r["resource"]), r["physical_path"])
+                 for r in doomed
+                 if kind == "data" and r["container_oid"] is None]
+        if last and obj["version"] > 1:
+            # the cascade drops the rows of the versions checkin set aside
+            files += [(self.resources.physical(v["resource"]),
+                       v["physical_path"]) for v in self.locks.versions_of(oid)]
+        self._require_up([res for res, _phys in files])
+        for res, phys in files:
+            if res.driver.exists(phys):
+                res.driver.delete(phys)
+        for rep in doomed:
             self.mcat.remove_replica(oid, rep["replica_num"])
-        if not self.mcat.replicas(oid):
-            if obj["version"] > 1:
-                # the cascade drops the rows of the versions checkin set
-                # aside: their bytes go first
-                for v in self.locks.versions_of(oid):
-                    res = self.resources.physical(v["resource"])
-                    if res.driver.exists(v["physical_path"]):
-                        res.driver.delete(v["physical_path"])
+        if last:
             self.mcat.delete_object(oid)     # last replica gone -> cascade
         ctx.audit(target=path,
                   detail=f"replica={replica_num}" if replica_num else "all")
@@ -1056,13 +1062,16 @@ class DataService(PlaneService):
         src = paths.normalize(src)
         dst = paths.normalize(dst)
         ctx.audit(target=src, detail=dst)
-        if self.mcat.collection_exists(src):
+        row = self.mcat.lookup(src)
+        if row is not None and "cid" in row:
             # each copied file audits through its own dispatched copy;
             # the collection-level call itself writes no "copy" row
             ctx.suppress_audit()
-            return self._copy_collection(ctx.ticket, principal, src, dst,
+            return self._copy_collection(ctx.ticket, principal, row, dst,
                                          resource)
-        obj = self._resolve_link(self.mcat.get_object(src))
+        if row is None:
+            raise NoSuchObject(f"no object {src!r}")
+        obj = self._resolve_link(row)
         if obj["kind"] in ("sql", "url", "method"):
             raise UnsupportedOperation(
                 "currently we do not support copy of URL, SQL or method "
@@ -1071,9 +1080,9 @@ class DataService(PlaneService):
         self.access.require_collection(principal, paths.dirname(dst), "write")
         # resource→resource, as a replicate: the bytes move once per
         # destination, straight from the source replica's host
-        data, src_res = self._read_replica(obj, None, self.host)
-        resource = resource or str(
-            self.mcat.replicas(int(obj["oid"]))[0]["resource"])
+        replicas = self.mcat.replicas(int(obj["oid"]))
+        data, src_res = self._read_replica(obj, None, self.host, replicas)
+        resource = resource or str(replicas[0]["resource"])
         new_oid = self.mcat.create_object(
             dst, kind="data", owner=str(principal), now=self.now,
             data_type=obj["data_type"], size=len(data),
@@ -1092,16 +1101,16 @@ class DataService(PlaneService):
         return new_oid
 
     def _copy_collection(self, ticket, principal: Principal,
-                         src: str, dst: str,
+                         coll: Dict[str, Any], dst: str,
                          resource: Optional[str]) -> int:
-        self.access.require_collection(principal, src, "read")
+        self.access.require_entry(principal, coll, "read")
         self.access.require_collection(principal, paths.dirname(dst), "write")
         cid = self.mcat.create_collection(dst, str(principal), now=self.now)
-        for sub in self.mcat.child_collections(src):
-            self._copy_collection(ticket, principal, sub["path"],
+        for sub in self.mcat.child_collections(coll["path"]):
+            self._copy_collection(ticket, principal, sub,
                                   paths.join(dst, paths.basename(sub["path"])),
                                   resource)
-        for obj in self.mcat.objects_in_collection(src):
+        for obj in self.mcat.objects_in_collection(coll["path"]):
             if obj["kind"] in ("sql", "url", "method"):
                 continue         # not copyable; skipped like MySRB does
             self.server.copy(ticket, obj["path"],
@@ -1134,11 +1143,8 @@ class DataService(PlaneService):
         """Pin a replica on a resource so cache management cannot purge
         it."""
         oid = int(ctx.target["oid"])
-        target = None
-        for rep in self.mcat.replicas(oid):
-            if rep["resource"] == resource:
-                target = rep
-                break
+        target = next((rep for rep in self.mcat.replicas(oid)
+                       if rep["resource"] == resource), None)
         if target is None:
             raise NoSuchReplica(f"{path!r} has no replica on {resource!r}")
         from repro.core.locking import DEFAULT_PIN_LIFETIME_S
@@ -1171,7 +1177,7 @@ class DataService(PlaneService):
     def checkout(self, ctx: OpContext, path: str) -> None:
         """"A checkout by a user disallows any changes to be made to that
         object" until checkin."""
-        self.locks.checkout(int(ctx.target["oid"]), ctx.principal)
+        self.locks.checkout(ctx.target, ctx.principal)
 
     @rpc_op("checkin", scope_arg="path", write=True, audit="checkin",
             need="write", target="object")
@@ -1191,9 +1197,9 @@ class DataService(PlaneService):
             old = res.driver.read(rep["physical_path"])
             vpath = f"/srb/versions/{oid}-v{obj['version']}"
             res.driver.replace(vpath, old)
-            self.locks.record_version(oid, res.name, vpath, len(old),
+            self.locks.record_version(obj, res.name, vpath, len(old),
                                       principal)
-        new_version = self.locks.checkin(oid, principal)
+        new_version = self.locks.checkin(obj, principal)
         if data is not None:
             self.server.put(ctx.ticket, path, data)
         ctx.audit(detail=f"v{new_version}")
@@ -1237,7 +1243,7 @@ class DataService(PlaneService):
         """Rewrite a container keeping only live member slices; returns
         bytes reclaimed.  Member updates append (log-structured), so a
         heavily-edited container accumulates garbage until compaction."""
-        reclaimed = self.containers.compact(path, now=self.now,
+        reclaimed = self.containers.compact(ctx.target["oid"], now=self.now,
                                             server_host=self.host)
         ctx.audit(detail=f"{reclaimed}B")
         return reclaimed
@@ -1251,7 +1257,7 @@ class DataService(PlaneService):
     @rpc_op("sync_container", scope_arg="path", write=True,
             audit="sync-container", need="write", target="container")
     def sync_container(self, ctx: OpContext, path: str) -> int:
-        count = self.containers.sync(path, now=self.now,
+        count = self.containers.sync(ctx.target["oid"], now=self.now,
                                      server_host=self.host)
         ctx.audit(detail=str(count))
         return count

@@ -41,24 +41,19 @@ class MetadataService(PlaneService):
                                       units=units, meta_class=meta_class,
                                       schema_name=schema_name)
 
-    @rpc_op("get_metadata", scope_arg="path", forwardable=True)
+    @rpc_op("get_metadata", scope_arg="path", forwardable=True,
+            need="read", target="entry")
     def get_metadata(self, ctx: OpContext, path: str,
                      meta_class: Optional[str] = None
                      ) -> List[Dict[str, Any]]:
         """All metadata for an object/collection; a link shows its own
         metadata plus a read-only view of its target's."""
-        path = paths.normalize(path)
-        obj = self.mcat.find_object(path)
-        link = obj if obj is not None and obj["kind"] == "link" else None
-        if link is None:
-            kind, tid, obj = self._target_for_metadata(path)
-        self.access.require_entry(ctx.principal, obj, path, "read")
-        if link is None:
-            return self.mcat.get_metadata(kind, tid, meta_class)
-        return link_view(
-            self.mcat.get_metadata("object", int(link["oid"]), meta_class),
-            self.mcat.get_metadata(
-                "object", int(self._resolve_link(link)["oid"]), meta_class))
+        kind, tid, row = ctx.target
+        own = self.mcat.get_metadata(kind, tid, meta_class)
+        if row.get("kind") != "link":
+            return own
+        return link_view(own, self.mcat.get_metadata(
+            "object", int(self._resolve_link(row)["oid"]), meta_class))
 
     @rpc_op("update_metadata", scope_arg="path", write=True,
             audit="update-metadata", detail_arg="mid", need="own",
@@ -79,10 +74,10 @@ class MetadataService(PlaneService):
     def copy_metadata(self, ctx: OpContext, src: str, dst: str) -> int:
         """Copy metadata from another SRB object (ingestion method 3)."""
         principal = ctx.principal
-        skind, sid, sobj = self._target_for_metadata(src)
-        dkind, did, dobj = self._target_for_metadata(dst)
-        self.access.require_entry(principal, sobj, src, "read")
-        self.access.require_entry(principal, dobj, dst, "own")
+        skind, sid, srow = self._target_for_metadata(src)
+        dkind, did, drow = self._target_for_metadata(dst)
+        self.access.require_entry(principal, srow, "read")
+        self.access.require_entry(principal, drow, "own")
         return self.mcat.copy_metadata(skind, sid, dkind, did,
                                        by=str(principal), now=self.now)
 

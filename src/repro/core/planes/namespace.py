@@ -68,14 +68,14 @@ class NamespaceService(PlaneService):
         principal = ctx.principal
         path = paths.normalize(path)
         page_limit = max(1, int(limit))
-        if not self.mcat.collection_exists(path):
-            shadow = self.mcat.find_object(path)
-            if shadow is None or shadow["kind"] != "shadow-dir":
-                shadow = self._find_shadow(path)
+        row = self.mcat.lookup(path)
+        if row is None or "oid" in row:
+            shadow = row if row is not None and \
+                row["kind"] == "shadow-dir" else self._find_shadow(path)
             if shadow is None:
                 raise NoSuchCollection(f"no collection {path!r}")
             return self._list_shadow(principal, shadow, path)
-        self.access.require_collection(principal, path, "read")
+        self.access.require_entry(principal, row, "read")
 
         colls: list = []
         next_cursor = None
@@ -117,26 +117,21 @@ class NamespaceService(PlaneService):
                 for e in entries if not e.endswith("/")]
         return {"collections": colls, "objects": objs, "next_cursor": None}
 
-    @rpc_op("stat", scope_arg="path", forwardable=True)
+    @rpc_op("stat", scope_arg="path", forwardable=True, need="read",
+            target="entry")
     def stat(self, ctx: OpContext, path: str) -> Dict[str, Any]:
         """System metadata + replica list for an object, or collection info.
 
         A container also answers its ``members`` — ``path``, ``name``,
         ``offset``, ``size`` of each member the caller may read, in
         offset order."""
-        principal = ctx.principal
-        path = paths.normalize(path)
-        obj = self.mcat.find_object(path)
-        if obj is None and not self.mcat.collection_exists(path):
-            raise NoSuchObject(f"no object or collection {path!r}")
-        self.access.require_entry(principal, obj, path, "read")
-        if obj is None:
-            return {**self.mcat.get_collection(path), "replicas": []}
-        out = dict(obj)
-        out["replicas"] = self.mcat.replicas(int(obj["oid"]))
-        if obj["kind"] == "container":
-            out["members"] = self._readable_members(principal,
-                                                    int(obj["oid"]))
+        kind, tid, row = ctx.target
+        if kind == "collection":
+            return {**row, "replicas": []}
+        out = dict(row)
+        out["replicas"] = self.mcat.replicas(tid)
+        if row["kind"] == "container":
+            out["members"] = self._readable_members(ctx.principal, tid)
         return out
 
     def _readable_members(self, principal: Principal,
@@ -160,15 +155,16 @@ class NamespaceService(PlaneService):
         src = paths.normalize(src)
         dst = paths.normalize(dst)
         ctx.audit(target=src, detail=dst)
-        obj = None if self.mcat.collection_exists(src) \
-            else self.mcat.get_object(src)
-        self.access.require_entry(principal, obj, src, "own")
+        row = self.mcat.lookup(src)
+        if row is None:
+            raise NoSuchObject(f"no object {src!r}")
+        self.access.require_entry(principal, row, "own")
         self.access.require_collection(principal, paths.dirname(dst), "write")
-        if obj is not None:
-            self.locks.check_write(int(obj["oid"]), principal)
-            self.mcat.move_object(int(obj["oid"]), dst)
+        if "oid" in row:
+            self.locks.check_write(row, principal)
+            self.mcat.move_object(int(row["oid"]), dst)
             return
-        if self.mcat.collection_exists(dst) or self.mcat.object_exists(dst):
+        if self.mcat.lookup(dst) is not None:
             raise AlreadyExists(f"destination {dst!r} already exists")
         if src == dst or paths.is_ancestor(src, dst):
             raise InvalidPath(f"cannot move {src!r} into itself")
@@ -188,16 +184,16 @@ class NamespaceService(PlaneService):
         link_path = paths.normalize(link_path)
         self.access.require_collection(principal, paths.dirname(link_path),
                                        "write")
-        tobj = self.mcat.find_object(target)
-        if tobj is not None and tobj["kind"] == "link":
-            target = str(tobj["target"])           # collapse the chain
-            tobj = self.mcat.find_object(target)
-            if tobj is None:
+        row = self.mcat.lookup(target)
+        if row is not None and row.get("kind") == "link":
+            target = str(row["target"])            # collapse the chain
+            row = self.mcat.find_object(target)
+            if row is None:
                 raise LinkChainError(
                     f"link target {target!r} no longer exists")
-        if tobj is None and not self.mcat.collection_exists(target):
+        if row is None:
             raise NoSuchObject(f"link target {target!r} does not exist")
-        self.access.require_entry(principal, tobj, target, "read")
+        self.access.require_entry(principal, row, "read")
         ctx.audit(target=link_path, detail=target)
         return self.mcat.create_object(
             link_path, kind="link", owner=str(principal), now=self.now,

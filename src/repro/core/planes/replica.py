@@ -59,7 +59,7 @@ class ReplicaService(PlaneService):
         data = src_res.driver.read(src["physical_path"])
         return self._store_replicas(
             src_res.host, dst_resources, oid,
-            f"/srb/replicas/{oid}-r{len(self.mcat.replicas(oid)) + 1}"
+            f"/srb/replicas/{oid}-r{len(replicas) + 1}"
             f"-{paths.basename(str(obj['path']))}", data, "replicate")
 
     @rpc_op("register_replica", scope_arg="path", write=True,
@@ -125,7 +125,7 @@ class ReplicaService(PlaneService):
                 "physical move applies to files ingested into SRB")
         self.access.require_object(principal, obj, "own")
         oid = int(obj["oid"])
-        self.locks.check_write(oid, principal)
+        self.locks.check_write(obj, principal)
         replicas = self.mcat.replicas(oid)
         if any(r["container_oid"] is not None for r in replicas):
             raise UnsupportedOperation(

@@ -242,10 +242,6 @@ class Mcat:
             self._coll_rid_cache[path] = rids[0]
         return rids
 
-    def collection_exists(self, path: str) -> bool:
-        with self._charge:
-            return bool(self._collection_rid(paths.normalize(path)))
-
     def get_collection(self, path: str) -> Dict[str, Any]:
         with self._charge:
             rids = self._collection_rid(paths.normalize(path))
@@ -273,8 +269,7 @@ class Mcat:
             rids = self._collection_rid(prefix)
             if not rids:
                 return []
-            out = [t.row_dict(rids[0])]
-            frontier = [prefix]
+            out, frontier = [t.row_dict(rids[0])], [prefix]
             while frontier:
                 rows = t.row_dicts(t.lookup_eq("parent", frontier.pop()))
                 out += rows
@@ -446,9 +441,15 @@ class Mcat:
             raise AlreadyExists(f"path {path!r} already in use")
         return coll
 
-    def object_exists(self, path: str) -> bool:
+    def lookup(self, path: str) -> Optional[Dict[str, Any]]:
+        """What ``path`` names, in one charged op: its object's row (it
+        has an ``oid``), else its collection's (a ``cid``), else None."""
         with self._charge:
-            return bool(self._object_rid(paths.normalize(path)))
+            path = paths.normalize(path)
+            table, rids = self._objects, self._object_rid(path)
+            if not rids:
+                table, rids = self._collections, self._collection_rid(path)
+            return table.row_dict(rids[0]) if rids else None
 
     def get_object(self, path: str) -> Dict[str, Any]:
         with self._charge:

@@ -91,6 +91,7 @@ def import_catalog(dump: str, clock: Optional[SimClock] = None) -> Mcat:
     colls = mcat.db.table("collections")
     for rid in list(colls.scan()):
         colls.delete_row(rid)
+    mcat._coll_rid_cache.clear()        # it named the rows just dropped
 
     for name in _TABLES:
         table = mcat.db.table(name)

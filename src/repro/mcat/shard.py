@@ -799,14 +799,13 @@ def _concat(answers) -> List[Any]:
 ROUTES: Dict[str, tuple] = {
     # collections
     "create_collection": (_route_one, PRIMARY, _of_path),
-    "collection_exists": (_route_one, READ, _of_path),
     "get_collection": (_route_one, READ, _of_path),
     "child_collections": (_route_scope, READ, _merge_rows),
     "subtree_collections": (_route_scope, READ, _merge_rows),
     # objects
     "create_objects": (_route_bulk, PRIMARY,
                        lambda cat, spec: cat.shard_of_path(spec["path"])),
-    "object_exists": (_route_one, READ, _of_path),
+    "lookup": (_route_one, READ, _of_path),
     "get_object": (_route_one, READ, _of_path),
     "find_object": (_route_one, READ, _of_path),
     "get_object_by_id": (_route_one, READ, _of_oid),

@@ -63,7 +63,7 @@ class OracleDataService(DataService):
                     raise NoSuchObject(f"no object {path!r}")
                 obj = self._resolve_link(obj)
                 self.access.require_object(principal, obj, "read")
-                self.locks.check_read(int(obj["oid"]), principal)
+                self.locks.check_read(obj, principal)
                 if obj["kind"] not in ("data", "registered", "container"):
                     raise UnsupportedOperation(
                         f"bulk_get cannot retrieve kind {obj['kind']!r}")

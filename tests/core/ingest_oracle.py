@@ -7,7 +7,9 @@ it refused a member whose host was down itself, where the write loop now
 asks ``PlaneService._require_up`` first.
 
 :func:`oracle_servers` makes the servers a federation adds meanwhile
-serve these handlers.
+serve these handlers.  They asked the catalog ``collection_exists``,
+which it no longer has; :func:`collection_exists` is that op, moved
+here with its charge.
 """
 
 from contextlib import contextmanager
@@ -20,6 +22,16 @@ from repro.core.planes.data import DataService
 from repro.errors import NoSuchCollection, NoSuchResource, SrbError
 from repro.storage.resource import PhysicalResource
 from repro.util import paths
+
+
+def collection_exists(mcat, path: str) -> bool:
+    """The catalog's ``collection_exists`` as it stood: one charged op on
+    the partition a read of ``path`` is routed to."""
+    routed = len(mcat.shards) > 1 or mcat.shards[0].replicas
+    cat = mcat._read(mcat.shard_of_path(path)) if routed \
+        else mcat.shards[0].primary
+    with cat._charge:
+        return bool(cat._collection_rid(paths.normalize(path)))
 
 
 class OracleDataService(DataService):
@@ -43,7 +55,7 @@ class OracleDataService(DataService):
         principal = ctx.principal
         path = paths.normalize(path)
         coll = paths.dirname(path)
-        if not self.mcat.collection_exists(coll):
+        if not collection_exists(self.mcat, coll):
             raise NoSuchCollection(f"no collection {coll!r}")
         self.access.require_collection(principal, coll, "write")
         effective_md = self.mcat.validate_ingest_metadata(coll,
@@ -137,7 +149,7 @@ class OracleDataService(DataService):
                 coll = paths.dirname(path)
                 if coll not in coll_state:
                     try:
-                        if not self.mcat.collection_exists(coll):
+                        if not collection_exists(self.mcat, coll):
                             raise NoSuchCollection(
                                 f"no collection {coll!r}")
                         self.access.require_collection(principal, coll,

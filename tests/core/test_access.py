@@ -57,7 +57,8 @@ class TestOwnership:
 
     def test_collection_owner(self, env):
         mcat, users, ac, oid = env
-        assert ac.permission_on_collection(SEKAR, "/demozone/cultures") == "own"
+        assert ac.permission_on_collection(
+            SEKAR, mcat.get_collection("/demozone/cultures")) == "own"
 
 
 class TestObjectGrants:
@@ -118,7 +119,7 @@ class TestInheritance:
         top = mcat.get_collection("/demozone/cultures")["cid"]
         mcat.grant("collection", top, str(MOORE), "write")
         assert ac.permission_on_collection(
-            MOORE, "/demozone/cultures/avian") == "write"
+            MOORE, mcat.get_collection("/demozone/cultures/avian")) == "write"
 
 
 class TestGroups:
@@ -168,7 +169,8 @@ class TestPublicAndRoles:
         obj = mcat.get_object_by_id(oid)
         root = Principal.parse("root@sdsc")
         assert ac.permission_on_object(root, obj) == "own"
-        assert ac.permission_on_collection(root, "/demozone/cultures") == "own"
+        assert ac.permission_on_collection(
+            root, mcat.get_collection("/demozone/cultures")) == "own"
 
     def test_unknown_principal_is_just_denied(self, env):
         mcat, users, ac, oid = env

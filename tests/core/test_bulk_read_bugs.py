@@ -4,14 +4,18 @@
 registered directory above a path with no row, and refused every kind
 but stored, registered and container objects.  ``bulk_query_metadata``
 showed a link's own rows only, where ``get_metadata`` shows its target's
-too.  Each test here failed before both read through the one-path op's
-rule.
+too.  ``get`` of a file under a registered directory delivered its
+bytes to the server even under direct I/O, where the same file read as
+a ``bulk_get`` item rode the batch's redirect.  Each test here failed
+before both read through the one-path op's rule.
 """
 
 import pytest
 
+from repro.core import SrbClient
 from repro.db import Column
 from repro.errors import SrbError
+from tests.integration.test_charge_conservation import build_fed
 
 
 @pytest.fixture
@@ -70,3 +74,43 @@ def test_bulk_query_metadata_of_a_link_shows_its_target_rows(grid):
     assert item["metadata"] == rows
     assert [(r["attr"], r.get("via_link", False)) for r in rows] == \
         [("note", False), ("band", True)]
+
+
+#: a shadow file below one relay block, so no leg is relayed
+SHADOW_FILE = b"s" * 50_000
+
+
+@pytest.mark.parametrize("direct_io", [True, False],
+                         ids=["direct_io", "relayed"])
+def test_get_of_a_shadow_file_delivers_where_a_bulk_get_item_does(
+        direct_io):
+    """A remote caller reads a file under a directory registered on
+    ``unix-caltech`` through ``srb1`` at sdsc.  Under direct I/O the
+    bytes move resource -> caller once, for ``get`` as for the
+    ``bulk_get`` item; without it both pull them into the server and
+    reply with them."""
+    fed, admin = build_fed(direct_io=direct_io)
+    fed.resources.physical("unix-caltech").driver.create(
+        "/archive/cone/a.txt", SHADOW_FILE)
+    far = SrbClient(fed, "laptop", "srb1", "srbadmin@sdsc", "hunter2")
+    far.login()
+    far.register_directory("/demozone/home/cone", "unix-caltech",
+                           "/archive/cone")
+    path = "/demozone/home/cone/a.txt"
+
+    def payload_legs(call):
+        with fed.obs.tracer.trace("read") as root:
+            call()
+        return [(span.attrs["src"], span.attrs["dst"], span.attrs["bytes"])
+                for span in root.find("net.transfer")
+                if span.attrs["bytes"] >= len(SHADOW_FILE)]
+
+    got = payload_legs(lambda: far.get(path))
+    item = payload_legs(lambda: far.bulk_get([path]))
+    hops = [("caltech", "laptop")] if direct_io \
+        else [("caltech", "sdsc"), ("sdsc", "laptop")]
+    assert [(src, dst) for src, dst, _n in got] == hops
+    assert [(src, dst) for src, dst, _n in item] == hops
+    if direct_io:     # the bytes alone: no reply carries them
+        assert got == item == [("caltech", "laptop", len(SHADOW_FILE))]
+    assert far.get(path) == SHADOW_FILE

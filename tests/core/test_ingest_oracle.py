@@ -19,7 +19,7 @@ These differences are allowed, and each is asserted exactly:
 
 * ``mcat.ops`` falls by one per distinct collection an item names
   that exists: ``collection_exists`` is no longer asked before
-  ``require_collection`` asks it again.
+  ``require_collection`` reads the collection.
 * A single ingest onto a logical resource of N members writes its N
   replica rows as one grouped insert, N - 1 fewer ops.
 * A bulk ingest into a container reads the container once for its

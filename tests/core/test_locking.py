@@ -17,6 +17,11 @@ SEKAR = Principal.parse("sekar@sdsc")
 MOORE = Principal.parse("moore@sdsc")
 
 
+def row(lm, oid):
+    """The object's row as it stands: what an op holds when it asks."""
+    return lm.mcat.get_object_by_id(oid)
+
+
 @pytest.fixture
 def env():
     clock = SimClock()
@@ -30,18 +35,18 @@ class TestSharedLocks:
     def test_shared_allows_reads_by_others(self, env):
         lm, oid, _ = env
         lm.lock(oid, SEKAR, "shared")
-        lm.check_read(oid, MOORE)            # no raise
+        lm.check_read(row(lm, oid), MOORE)            # no raise
 
     def test_shared_blocks_writes_by_others(self, env):
         lm, oid, _ = env
         lm.lock(oid, SEKAR, "shared")
         with pytest.raises(LockConflict):
-            lm.check_write(oid, MOORE)
+            lm.check_write(row(lm, oid), MOORE)
 
     def test_shared_allows_holder_writes(self, env):
         lm, oid, _ = env
         lm.lock(oid, SEKAR, "shared")
-        lm.check_write(oid, SEKAR)
+        lm.check_write(row(lm, oid), SEKAR)
 
     def test_two_shared_locks_coexist(self, env):
         lm, oid, _ = env
@@ -55,13 +60,13 @@ class TestExclusiveLocks:
         lm, oid, _ = env
         lm.lock(oid, SEKAR, "exclusive")
         with pytest.raises(LockConflict):
-            lm.check_read(oid, MOORE)
+            lm.check_read(row(lm, oid), MOORE)
 
     def test_exclusive_allows_holder(self, env):
         lm, oid, _ = env
         lm.lock(oid, SEKAR, "exclusive")
-        lm.check_read(oid, SEKAR)
-        lm.check_write(oid, SEKAR)
+        lm.check_read(row(lm, oid), SEKAR)
+        lm.check_write(row(lm, oid), SEKAR)
 
     def test_exclusive_over_foreign_shared_rejected(self, env):
         lm, oid, _ = env
@@ -86,14 +91,14 @@ class TestExpiryAndUnlock:
         lm, oid, clock = env
         lm.lock(oid, SEKAR, "exclusive", lifetime_s=100.0)
         clock.advance(101.0)
-        lm.check_write(oid, MOORE)           # expired -> no conflict
+        lm.check_write(row(lm, oid), MOORE)           # expired -> no conflict
         assert lm.locks_on(oid) == []
 
     def test_unlock_releases(self, env):
         lm, oid, _ = env
         lm.lock(oid, SEKAR, "exclusive")
         assert lm.unlock(oid, SEKAR) == 1
-        lm.check_write(oid, MOORE)
+        lm.check_write(row(lm, oid), MOORE)
 
     def test_unlock_only_own_locks(self, env):
         lm, oid, _ = env
@@ -132,40 +137,40 @@ class TestPins:
 class TestCheckoutCheckin:
     def test_checkout_blocks_other_writers(self, env):
         lm, oid, _ = env
-        lm.checkout(oid, SEKAR)
+        lm.checkout(row(lm, oid), SEKAR)
         with pytest.raises(LockConflict):
-            lm.check_write(oid, MOORE)
-        lm.check_write(oid, SEKAR)
+            lm.check_write(row(lm, oid), MOORE)
+        lm.check_write(row(lm, oid), SEKAR)
 
     def test_double_checkout_rejected(self, env):
         lm, oid, _ = env
-        lm.checkout(oid, SEKAR)
+        lm.checkout(row(lm, oid), SEKAR)
         with pytest.raises(AlreadyCheckedOut):
-            lm.checkout(oid, MOORE)
+            lm.checkout(row(lm, oid), MOORE)
 
     def test_checkin_requires_checkout(self, env):
         lm, oid, _ = env
         with pytest.raises(NotCheckedOut):
-            lm.checkin(oid, SEKAR)
+            lm.checkin(row(lm, oid), SEKAR)
 
     def test_checkin_by_other_user_rejected(self, env):
         lm, oid, _ = env
-        lm.checkout(oid, SEKAR)
+        lm.checkout(row(lm, oid), SEKAR)
         with pytest.raises(LockConflict):
-            lm.checkin(oid, MOORE)
+            lm.checkin(row(lm, oid), MOORE)
 
     def test_checkin_bumps_version(self, env):
         lm, oid, _ = env
-        lm.checkout(oid, SEKAR)
-        assert lm.checkin(oid, SEKAR) == 2
+        lm.checkout(row(lm, oid), SEKAR)
+        assert lm.checkin(row(lm, oid), SEKAR) == 2
         assert lm.mcat.get_object_by_id(oid)["version"] == 2
         assert lm.mcat.get_object_by_id(oid)["checked_out_by"] is None
 
     def test_version_records(self, env):
         lm, oid, _ = env
-        lm.checkout(oid, SEKAR)
-        lm.record_version(oid, "res", "/old/path", 42, SEKAR)
-        lm.checkin(oid, SEKAR)
+        lm.checkout(row(lm, oid), SEKAR)
+        lm.record_version(row(lm, oid), "res", "/old/path", 42, SEKAR)
+        lm.checkin(row(lm, oid), SEKAR)
         versions = lm.versions_of(oid)
         assert len(versions) == 1
         assert versions[0]["version_num"] == 1
@@ -174,8 +179,8 @@ class TestCheckoutCheckin:
     def test_repeated_cycles_distinct_versions(self, env):
         lm, oid, _ = env
         for expected in (2, 3, 4):
-            lm.checkout(oid, SEKAR)
-            lm.record_version(oid, "res", f"/v{expected - 1}", 1, SEKAR)
-            assert lm.checkin(oid, SEKAR) == expected
+            lm.checkout(row(lm, oid), SEKAR)
+            lm.record_version(row(lm, oid), "res", f"/v{expected - 1}", 1, SEKAR)
+            assert lm.checkin(row(lm, oid), SEKAR) == expected
         nums = [v["version_num"] for v in lm.versions_of(oid)]
         assert nums == [1, 2, 3]

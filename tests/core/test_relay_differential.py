@@ -467,7 +467,8 @@ def test_direct_calls_after_a_relayed_ingest_hide_nothing():
     assert before != {}
     oid = int(fed.mcat.get_object(F)["oid"])
     assert synchronize(fed.mcat, fed.resources, fed.channels, oid) == 1
-    assert fed.containers.sync(BOX, now=fed.clock.now) == 1
+    cont = int(fed.mcat.get_object(BOX)["oid"])
+    assert fed.containers.sync(cont, now=fed.clock.now) == 1
     assert hidden_by_label(fed) == before
     assert check_invariants(fed) == []
 

@@ -357,7 +357,7 @@ class TestDumpCommand:
         from repro.mcat.dump import import_catalog
         restored = import_catalog((tmp_path / "cat.json").read_text())
         assert restored.zone == "demozone"
-        assert restored.collection_exists(grid.home)
+        assert "cid" in restored.lookup(grid.home)
 
 
 class TestObservability:

@@ -11,6 +11,7 @@ from repro.errors import (
     NoSuchObject,
     NoSuchReplica,
     ReplicaUnavailable,
+    ResourceUnavailable,
     UnsupportedOperation,
 )
 
@@ -189,6 +190,30 @@ class TestDelete:
             curator.delete(f"{home}/pinned.txt")
         curator.unpin(f"{home}/pinned.txt", "unix-sdsc")
         curator.delete(f"{home}/pinned.txt")
+
+    def test_a_pin_on_a_later_replica_removes_no_replica(self, curator,
+                                                          home):
+        # the pin was found only when the loop reached its replica, after
+        # the first replica's bytes and row were gone
+        path = f"{home}/two.txt"
+        curator.ingest(path, b"x", resource="logrsrc1")
+        curator.pin(path, "hpss-caltech")
+        from repro.errors import PinnedFile
+        with pytest.raises(PinnedFile):
+            curator.delete(path)
+        assert [r["resource"] for r in curator.stat(path)["replicas"]] == \
+            ["unix-sdsc", "hpss-caltech"]
+        assert curator.get(path, replica_num=1) == b"x"
+
+    def test_a_replica_on_a_down_host_is_not_deleted(self, grid):
+        # its bytes were deleted from the down storage system, unasked
+        path = f"{grid.home}/far.txt"
+        grid.curator.ingest(path, b"x", resource="unix-caltech")
+        grid.fed.network.set_down("caltech")
+        with pytest.raises(ResourceUnavailable):
+            grid.curator.delete(path)
+        grid.fed.network.set_up("caltech")
+        assert grid.curator.get(path) == b"x"
 
 
 class TestReplicate:

@@ -288,8 +288,8 @@ class TestNonTextMetadataRefused:
         with pytest.raises(MetadataError):
             owner.ingest("/demozone/home/a.fits", b"x" * 64,
                          metadata=metadata)
-        assert not owner.federation.mcat.object_exists(
-            "/demozone/home/a.fits")
+        assert owner.federation.mcat.lookup(
+            "/demozone/home/a.fits") is None
         assert self.stored(owner) == before
 
     def test_bulk_ingest_fails_the_item_not_the_batch(self, owner):
@@ -301,8 +301,8 @@ class TestNonTextMetadataRefused:
              "metadata": {"RA": 12.5}}])
         assert "oid" in out[0]
         assert out[1]["error_type"] == "MetadataError"
-        assert not owner.federation.mcat.object_exists(
-            "/demozone/home/bad.fits")
+        assert owner.federation.mcat.lookup(
+            "/demozone/home/bad.fits") is None
         objects, replicas, _written = self.stored(owner)
         assert (objects, replicas) == (before[0] + 1, before[1] + 1)
         assert owner.get_metadata("/demozone/home/good.fits")[0]["value"] \

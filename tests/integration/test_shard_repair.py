@@ -83,7 +83,7 @@ class ShardRepairMachine(RuleBasedStateMachine):
         if src == dst:
             return
         old, new = f"/{ZONE}/{src}", f"/{ZONE}/{dst}/sub"
-        if self.m.collection_exists(new) \
+        if self.m.lookup(new) is not None \
                 or any(p.startswith(new + "/") or p == new
                        for p in self.model):
             return
@@ -101,7 +101,7 @@ class ShardRepairMachine(RuleBasedStateMachine):
         self.model = remap
         # the partition root must survive renames (it is recreated by
         # rename only when the whole subtree moved away)
-        if not self.m.collection_exists(old):
+        if self.m.lookup(old) is None:
             self.m.create_collection(old, OWNER, now=self.tick())
 
     @rule(k=st.integers(min_value=0, max_value=2))

@@ -12,6 +12,13 @@ rule the invariants assert that:
 * the virtual clock never goes backwards,
 * the grid breaks none of ``tests/invariants.py``'s invariants.
 
+Faults are rules too: the storage host ``h1`` goes down and comes back,
+and on the replicated catalog a read replica is cut off and healed.
+While a host is down an op may fail with a typed ``SrbError``; the
+model takes that as no change, and every invariant must still hold —
+so a failed op that changed anything is caught at that step.  A read
+may fail only when no clean copy of its bytes is on a host that is up.
+
 A second client, on a host of its own, ingests onto a remote and a
 logical resource and into a container, with payloads that are
 sometimes larger than one relay block, so the walk crosses the relay.
@@ -40,6 +47,8 @@ COLL = "/z/w"
 MEMBERS = [f"m{i}" for i in range(3)]
 MEMBER_COLL = "/z/c"
 BOX = "/z/box"
+#: the storage host the fault rules take down and bring back
+STORAGE_HOST = "h1"
 #: a few bytes, or a few bytes repeated past one relay block
 PAYLOADS = st.one_of(
     st.binary(min_size=1, max_size=40),
@@ -77,6 +86,51 @@ class GridMachine(RuleBasedStateMachine):
         self.client.create_container(BOX, "both")
         self.members = {}         # container member name -> bytes
 
+    # -- faults ------------------------------------------------------------
+
+    def _faulted(self) -> bool:
+        """Is the storage host down, so that an op may fail?"""
+        return not self.fed.network.host(STORAGE_HOST).up
+
+    def _done(self, call, *args, **kwargs) -> bool:
+        """Run one client call.  While a host is down it may fail with
+        a typed ``SrbError``: False, and the model does not change."""
+        try:
+            call(*args, **kwargs)
+        except SrbError:
+            if not self._faulted():
+                raise
+            return False
+        return True
+
+    def _reachable(self, path: str) -> bool:
+        """Is a clean copy of ``path``'s bytes (a member's: of its
+        container's) on a host that is up?"""
+        mcat, fed = self.fed.mcat, self.fed
+        reps = mcat.replicas(mcat.get_object(path)["oid"])
+        if reps and reps[0]["container_oid"] is not None:
+            reps = mcat.replicas(reps[0]["container_oid"])
+        return any(not r["is_dirty"] and fed.network.host(
+            fed.resources.physical(r["resource"]).host).up for r in reps)
+
+    def _read_matches(self, client, path: str, data: bytes) -> None:
+        """A read answers the model's bytes, or fails only when no
+        clean copy is reachable."""
+        try:
+            got = client.get(path)
+        except SrbError:
+            assert self._faulted() and not self._reachable(path), path
+            return
+        assert got == data, path
+
+    @rule()
+    def set_down(self):
+        self.fed.network.set_down(STORAGE_HOST)
+
+    @rule()
+    def set_up(self):
+        self.fed.network.set_up(STORAGE_HOST)
+
     # -- rules -----------------------------------------------------------
 
     @rule(name=st.sampled_from(NAMES), data=st.binary(min_size=1,
@@ -84,16 +138,16 @@ class GridMachine(RuleBasedStateMachine):
     def ingest(self, name, data):
         if name in self.model:
             return
-        self.client.ingest(f"{COLL}/{name}", data)
-        self.model[name] = data
+        if self._done(self.client.ingest, f"{COLL}/{name}", data):
+            self.model[name] = data
 
     @rule(name=st.sampled_from(NAMES), data=st.binary(min_size=1,
                                                       max_size=40))
     def put(self, name, data):
         if name not in self.model:
             return
-        self.client.put(f"{COLL}/{name}", data)
-        self.model[name] = data
+        if self._done(self.client.put, f"{COLL}/{name}", data):
+            self.model[name] = data
 
     @rule(name=st.sampled_from(NAMES))
     def replicate(self, name):
@@ -102,13 +156,14 @@ class GridMachine(RuleBasedStateMachine):
         oid = self.fed.mcat.get_object(f"{COLL}/{name}")["oid"]
         if len(self.fed.mcat.replicas(oid)) >= 3:
             return
-        self.client.replicate(f"{COLL}/{name}", "r1")
+        self._done(self.client.replicate, f"{COLL}/{name}", "r1")
 
     @rule(name=st.sampled_from(NAMES))
     def synchronize(self, name):
         if name not in self.model:
             return
-        self.client.synchronize(f"{COLL}/{name}")
+        if not self._done(self.client.synchronize, f"{COLL}/{name}"):
+            return
         oid = self.fed.mcat.get_object(f"{COLL}/{name}")["oid"]
         assert all(not r["is_dirty"] for r in self.fed.mcat.replicas(oid))
 
@@ -116,15 +171,17 @@ class GridMachine(RuleBasedStateMachine):
     def delete(self, name):
         if name not in self.model:
             return
-        self.client.delete(f"{COLL}/{name}")
-        del self.model[name]
-        self.locked.discard(name)
+        if self._done(self.client.delete, f"{COLL}/{name}"):
+            del self.model[name]
+            self.locked.discard(name)
 
     @rule(src=st.sampled_from(NAMES), dst=st.sampled_from(NAMES))
     def move(self, src, dst):
         if src not in self.model or dst in self.model or src == dst:
             return
-        self.client.move(f"{COLL}/{src}", f"{COLL}/{dst}")
+        if not self._done(self.client.move, f"{COLL}/{src}",
+                          f"{COLL}/{dst}"):
+            return
         self.model[dst] = self.model.pop(src)
         if src in self.locked:
             self.locked.discard(src)
@@ -134,15 +191,15 @@ class GridMachine(RuleBasedStateMachine):
     def lock_exclusive(self, name):
         if name not in self.model or name in self.locked:
             return
-        self.client.lock(f"{COLL}/{name}", "exclusive")
-        self.locked.add(name)
+        if self._done(self.client.lock, f"{COLL}/{name}", "exclusive"):
+            self.locked.add(name)
 
     @rule(name=st.sampled_from(NAMES))
     def unlock(self, name):
         if name not in self.model:
             return
-        self.client.unlock(f"{COLL}/{name}")
-        self.locked.discard(name)
+        if self._done(self.client.unlock, f"{COLL}/{name}"):
+            self.locked.discard(name)
 
     @rule(name=st.sampled_from(NAMES),
           attr=st.sampled_from(["a", "b"]),
@@ -151,49 +208,55 @@ class GridMachine(RuleBasedStateMachine):
     def add_metadata(self, name, attr, value):
         if name not in self.model:
             return
-        self.client.add_metadata(f"{COLL}/{name}", attr, value)
+        self._done(self.client.add_metadata, f"{COLL}/{name}", attr, value)
 
     @rule(name=st.sampled_from(NAMES), data=PAYLOADS,
           resource=st.sampled_from(["r1", "both"]))
     def ingest_far(self, name, data, resource):
         if name in self.model:
             return
-        self.far.ingest(f"{COLL}/{name}", data, resource=resource)
-        self.model[name] = data
+        if self._done(self.far.ingest, f"{COLL}/{name}", data,
+                      resource=resource):
+            self.model[name] = data
 
     @rule(name=st.sampled_from(NAMES), data=PAYLOADS)
     def checkin(self, name, data):
         if name not in self.model:
             return
-        self.client.checkout(f"{COLL}/{name}")
-        self.client.checkin(f"{COLL}/{name}", data=data)
-        self.model[name] = data
+        path = f"{COLL}/{name}"
+        # a checkout whose checkin failed is still held: check in again
+        if self.fed.mcat.get_object(path)["checked_out_by"] is None \
+                and not self._done(self.client.checkout, path):
+            return
+        if self._done(self.client.checkin, path, data=data):
+            self.model[name] = data
 
     @rule(name=st.sampled_from(MEMBERS), data=PAYLOADS, far=st.booleans())
     def ingest_member(self, name, data, far):
         if name in self.members:
             return
         client = self.far if far else self.client
-        client.ingest(f"{MEMBER_COLL}/{name}", data, container=BOX)
-        self.members[name] = data
+        if self._done(client.ingest, f"{MEMBER_COLL}/{name}", data,
+                      container=BOX):
+            self.members[name] = data
 
     @rule(name=st.sampled_from(MEMBERS), data=PAYLOADS)
     def put_member(self, name, data):
         if name not in self.members:
             return
-        self.far.put(f"{MEMBER_COLL}/{name}", data)
-        self.members[name] = data
+        if self._done(self.far.put, f"{MEMBER_COLL}/{name}", data):
+            self.members[name] = data
 
     @rule(name=st.sampled_from(MEMBERS))
     def delete_member(self, name):
         if name not in self.members:
             return
-        self.client.delete(f"{MEMBER_COLL}/{name}")
-        del self.members[name]
+        if self._done(self.client.delete, f"{MEMBER_COLL}/{name}"):
+            del self.members[name]
 
     @rule()
     def sync_box(self):
-        self.client.sync_container(BOX)
+        self._done(self.client.sync_container, BOX)
 
     # -- invariants -----------------------------------------------------------
 
@@ -202,8 +265,8 @@ class GridMachine(RuleBasedStateMachine):
         if not hasattr(self, "model"):
             return
         for name, data in self.model.items():
-            # the owner holds its own locks, so reads always succeed
-            assert self.client.get(f"{COLL}/{name}") == data
+            # the owner holds its own locks: only a fault fails a read
+            self._read_matches(self.client, f"{COLL}/{name}", data)
 
     @invariant()
     def listing_matches_model(self):
@@ -235,7 +298,7 @@ class GridMachine(RuleBasedStateMachine):
         if not hasattr(self, "members"):
             return
         for name, data in self.members.items():
-            assert self.far.get(f"{MEMBER_COLL}/{name}") == data
+            self._read_matches(self.far, f"{MEMBER_COLL}/{name}", data)
 
     @invariant()
     def grid_breaks_no_invariant(self):
@@ -246,6 +309,14 @@ class GridMachine(RuleBasedStateMachine):
 
 class ReplicatedGridMachine(GridMachine):
     KNOBS = {"mcat_shards": 2, "mcat_replicas": 1}
+
+    @rule(k=st.sampled_from([0, 1]))
+    def partition_replica(self, k):
+        self.fed.mcat.partition_replica(k, 0)
+
+    @rule(k=st.sampled_from([0, 1]))
+    def heal_replica(self, k):
+        self.fed.mcat.heal_replica(k, 0)
 
     @invariant()
     def replicas_serve_reads(self):

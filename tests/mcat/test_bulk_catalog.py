@@ -78,8 +78,8 @@ class TestCreateObjects:
         assert isinstance(out[1], AlreadyExists)
         assert isinstance(out[2], NoSuchCollection)
         assert isinstance(out[3], int)
-        assert mcat.object_exists(f"{COLL}/a")
-        assert mcat.object_exists(f"{COLL}/c")
+        assert "oid" in mcat.lookup(f"{COLL}/a")
+        assert "oid" in mcat.lookup(f"{COLL}/c")
 
     def test_intra_batch_duplicate_caught(self, mcat):
         out = mcat.create_objects([
@@ -175,7 +175,7 @@ class TestPathRidCache:
         mcat.create_collection(f"{COLL}/tmp", OWNER, now=0.0)
         mcat.get_collection(f"{COLL}/tmp")          # warm the cache
         mcat.remove_collection(f"{COLL}/tmp")
-        assert not mcat.collection_exists(f"{COLL}/tmp")
+        assert mcat.lookup(f"{COLL}/tmp") is None
         with pytest.raises(NoSuchCollection):
             mcat.get_collection(f"{COLL}/tmp")
 
@@ -183,8 +183,8 @@ class TestPathRidCache:
         mcat.create_collection(f"{COLL}/old", OWNER, now=0.0)
         mcat.get_collection(f"{COLL}/old")          # warm the cache
         mcat.rename_subtree(f"{COLL}/old", f"{COLL}/new")
-        assert mcat.collection_exists(f"{COLL}/new")
-        assert not mcat.collection_exists(f"{COLL}/old")
+        assert "cid" in mcat.lookup(f"{COLL}/new")
+        assert mcat.lookup(f"{COLL}/old") is None
 
     def test_recreate_after_remove_resolves_fresh(self, mcat):
         mcat.create_collection(f"{COLL}/tmp", OWNER, now=0.0)

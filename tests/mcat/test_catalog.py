@@ -24,8 +24,8 @@ def mcat():
 
 class TestCollections:
     def test_root_and_zone_preexist(self, mcat):
-        assert mcat.collection_exists("/")
-        assert mcat.collection_exists("/demozone")
+        assert "cid" in mcat.lookup("/")
+        assert "cid" in mcat.lookup("/demozone")
 
     def test_create_and_get(self, mcat):
         mcat.create_collection("/demozone/home/sekar", OWNER, now=1.0)
@@ -62,7 +62,7 @@ class TestCollections:
     def test_remove_empty(self, mcat):
         mcat.create_collection("/demozone/home/tmp", OWNER, now=0.0)
         mcat.remove_collection("/demozone/home/tmp")
-        assert not mcat.collection_exists("/demozone/home/tmp")
+        assert mcat.lookup("/demozone/home/tmp") is None
 
     def test_remove_nonempty_rejected(self, mcat):
         mcat.create_collection("/demozone/home/a", OWNER, now=0.0)
@@ -227,10 +227,10 @@ class TestRenameSubtree:
         mcat.create_object("/demozone/home/a/b/x", "data", OWNER, now=0.0)
         count = mcat.rename_subtree("/demozone/home/a", "/demozone/home/z")
         assert count == 3
-        assert mcat.collection_exists("/demozone/home/z/b")
+        assert "cid" in mcat.lookup("/demozone/home/z/b")
         obj = mcat.get_object("/demozone/home/z/b/x")
         assert obj["coll"] == "/demozone/home/z/b"
-        assert not mcat.collection_exists("/demozone/home/a")
+        assert mcat.lookup("/demozone/home/a") is None
 
     def test_parent_pointers_updated(self, mcat):
         mcat.create_collection("/demozone/home/a", OWNER, now=0.0)
@@ -243,4 +243,4 @@ class TestRenameSubtree:
         mcat.create_collection("/demozone/home/a", OWNER, now=0.0)
         mcat.create_collection("/demozone/home/ab", OWNER, now=0.0)
         mcat.rename_subtree("/demozone/home/a", "/demozone/home/z")
-        assert mcat.collection_exists("/demozone/home/ab")
+        assert "cid" in mcat.lookup("/demozone/home/ab")

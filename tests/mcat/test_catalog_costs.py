@@ -214,8 +214,9 @@ class TestNoCatalogOpPerResultRow:
             assert few == many, (
                 f"{name} as {who}: {few} catalog ops for 10 rows, "
                 f"{many} for 1,000")
-        # and few they are: the scope's ACL (2 ops), the probes, the
-        # object rows, their metadata, the audit row; the reader's grants
-        # are looked up along the four-deep collection chain (8 ops) for
-        # the scope and once more for the one collection the rows are in
-        assert counted["query"][0] == (6 if who == OWNER else 22)
+        # and few they are: the scope's row, read once for its ACL, the
+        # probes, the object rows, their metadata, the audit row; the
+        # reader's grants are looked up along the four-deep collection
+        # chain for the scope (7 ops: its own row is held) and once more
+        # for the one collection the rows are in (8 ops)
+        assert counted["query"][0] == (5 if who == OWNER else 20)

@@ -103,9 +103,9 @@ def test_two_catalogs_charge_apart():
     src, dst = Mcat(zone="z", clock=clock), Mcat(zone="z", clock=clock)
     src.create_collection("/z/a", OWNER, now=0.0)
     with src._charge:
-        src.collection_exists("/z/a")
+        src.lookup("/z/a")
         with dst._charge:
-            dst.collection_exists("/z/nope")
+            dst.lookup("/z/nope")
         assert dst._charge.marks == () and len(src._charge.marks) == 1
     assert src._charge.marks == ()
     # src: the create, the block, the check in it; dst: a block and a check

@@ -104,5 +104,13 @@ class TestFormat:
     def test_empty_catalog_roundtrip(self):
         m = Mcat(zone="fresh")
         restored = migrate_catalog(m)
-        assert restored.collection_exists("/fresh")
+        assert "cid" in restored.lookup("/fresh")
+
+    def test_a_restored_catalog_reads_the_collections_it_began_with(self):
+        # the import drops the "/" and "/<zone>" rows a new catalog starts
+        # with and inserts the dump's; its path -> row cache still named
+        # the dropped rows, so reading either collection failed
+        restored = migrate_catalog(Mcat(zone="fresh"))
+        assert restored.get_collection("/fresh")["path"] == "/fresh"
+        assert restored.get_collection("/")["path"] == "/"
         assert restored.count_objects() == 0

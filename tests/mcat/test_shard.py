@@ -84,8 +84,8 @@ class TestApiParity:
         for path in (f"/{ZONE}/alpha/raw/f0", f"/{ZONE}/delta/raw/f2"):
             p, s = plain.get_object(path), sharded.get_object(path)
             assert p["path"] == s["path"] and p["size"] == s["size"]
-        assert plain.object_exists(f"/{ZONE}/beta/raw/f1")
-        assert sharded.object_exists(f"/{ZONE}/beta/raw/f1")
+        assert "oid" in plain.lookup(f"/{ZONE}/beta/raw/f1")
+        assert "oid" in sharded.lookup(f"/{ZONE}/beta/raw/f1")
         assert sharded.find_object(f"/{ZONE}/none") is None
 
     def test_listings_agree(self, pair):
@@ -227,7 +227,7 @@ class TestCrossShardMoves:
         oid = m.get_object(f"{old}/raw/f0")["oid"]
         count = m.rename_subtree(old, new)
         assert count >= 5     # 2 collections + 3 objects
-        assert not m.collection_exists(old)
+        assert m.lookup(old) is None
         moved = m.get_object(f"{new}/raw/f0")
         assert moved["oid"] == oid
         # everything routed by the new prefix now lives on one shard
@@ -247,7 +247,7 @@ class TestCrossShardMoves:
         with pytest.raises(AlreadyExists):
             m.rename_subtree(old, f"/{ZONE}/{dst}/raw")
         # source subtree fully intact
-        assert m.collection_exists(old)
+        assert "cid" in m.lookup(old)
         assert m.get_object(f"{old}/raw/f0")
         assert m.total_objects() == 12
 
@@ -258,7 +258,7 @@ class TestCrossShardMoves:
         assert m.shard_of_path(old) == m.shard_of_path(new)
         m.rename_subtree(old, new)
         assert m.get_object(f"{new}/f0")
-        assert not m.collection_exists(old)
+        assert m.lookup(old) is None
 
 
 class TestReplicas:

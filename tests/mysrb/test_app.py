@@ -283,7 +283,7 @@ class TestOperationsAndRegistration:
         grid, app, browser = web
         login(browser)
         browser.post("/mkcoll", {"coll": grid.home, "name": "Avian Culture"})
-        assert grid.fed.mcat.collection_exists(f"{grid.home}/Avian Culture")
+        assert "cid" in grid.fed.mcat.lookup(f"{grid.home}/Avian Culture")
 
     def test_replicate_via_form(self, web):
         grid, app, browser = web

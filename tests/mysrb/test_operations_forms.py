@@ -75,7 +75,7 @@ class TestOperationForms:
         grid.curator.mkcoll(f"{grid.home}/empty")
         browser.post("/op", {"action": "delete",
                              "path": f"{grid.home}/empty"})
-        assert not grid.fed.mcat.collection_exists(f"{grid.home}/empty")
+        assert grid.fed.mcat.lookup(f"{grid.home}/empty") is None
 
     def test_unknown_action_400(self, web):
         grid, browser = web

@@ -16,19 +16,19 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 #: path (from the repository root) -> the most code lines it may hold
 CEILINGS = {
-    # - get and each bulk_get item run one read of one object (the shadow
-    #   fallback and every kind included), - one shadow-directory helper
-    #   where there were two; + bulk_query_metadata reads a link's target
-    "src/repro": 11_633,
-    "src/repro/core/containers.py": 148,
-    "src/repro/core/dispatch.py": 353,
+    # - one path lookup (Mcat.lookup) where there were five, and checks
+    #   and locks that take the rows their callers hold
+    "src/repro": 11_622,
+    "src/repro/core/containers.py": 144,
+    "src/repro/core/dispatch.py": 351,
     # + the runner's control leg: a leg whose path_key is None is sent
     #   blocking, in order, on one stream (it replaced three raw sends in
     #   the planes, so base.py and the lint allowlist shrank)
     "src/repro/core/federation.py": 296,
-    "src/repro/core/planes/base.py": 230,
-    # + bulk_query_metadata reads a link's own rows and its target's
-    "src/repro/core/planes/data.py": 873,
+    "src/repro/core/planes/base.py": 229,
+    # + delete removes bytes all or none: a pinned replica or a storage
+    #   system that is down refuses it before any replica goes
+    "src/repro/core/planes/data.py": 876,
     "src/repro/core/planes/replica.py": 152,
     "src/repro/core/replication.py": 49,
     "src/repro/db/engine.py": 430,
@@ -44,7 +44,7 @@ CEILINGS = {
     "src/repro/db/table.py": 412,
     "src/repro/mcat/catalog.py": 734,
     "src/repro/mcat/query.py": 326,
-    "src/repro/mcat/shard.py": 579,
+    "src/repro/mcat/shard.py": 578,
     "src/repro/mysrb/views.py": 531,
     "src/repro/net/rpc.py": 339,
     "src/repro/net/simnet.py": 511,
