@@ -52,14 +52,13 @@ def lcg(seed=16):
         yield state
 
 
-def build_catalog(shards=None, replicas=0, staleness=0):
+def build_catalog(shards=None, replicas=0):
     """A 10^5+-row catalog: 32 balanced project subtrees, one replica
     row and two metadata rows per object, loaded through the bulk ops."""
     if shards is None:
         m = Mcat(zone=ZONE)
     else:
-        m = ShardedMcat(zone=ZONE, shards=shards, replicas=replicas,
-                        staleness=staleness)
+        m = ShardedMcat(zone=ZONE, shards=shards, replicas=replicas)
     for proj in PROJECTS:
         coll = f"/{ZONE}/{proj}"
         m.create_collection(coll, OWNER, now=0.0)
@@ -170,7 +169,7 @@ def test_e16_read_scaling_with_shards(benchmark):
 def test_e16_replicas_offload_reads(benchmark):
     """(b) replicas absorb the whole read load; anti-entropy converges
     the write log after the mixed phase."""
-    m = build_catalog(shards=2, replicas=1, staleness=0)
+    m = build_catalog(shards=2, replicas=1)
     m.anti_entropy()                       # replicas caught up post-load
 
     # read-only phase: primaries must not gain a single second

@@ -426,13 +426,14 @@ class PlaneService(Wired):
     # ------------------------------------------------------------------
 
     def _find_shadow(self, path: str) -> Optional[Dict[str, Any]]:
-        """Nearest ancestor object of kind shadow-dir covering ``path``."""
+        """Nearest ancestor object of kind shadow-dir covering ``path``:
+        the first ancestor with a row decides (a collection has no kind,
+        and no registered directory sits above one; ``/`` always has a
+        row)."""
         for ancestor in reversed(paths.ancestors(path)):
-            if ancestor == "/":
-                break
-            obj = self.mcat.find_object(ancestor)
-            if obj is not None:
-                return obj if obj["kind"] == "shadow-dir" else None
+            row = self.mcat.lookup(ancestor)
+            if row is not None:
+                return row if row.get("kind") == "shadow-dir" else None
         return None
 
     def _shadow_open(self, principal: Principal, shadow: Dict[str, Any],

@@ -1026,8 +1026,8 @@ class DataService(PlaneService):
         # the bytes go first, all or none: refused while a storage
         # system holding some is down
         files = [(self.resources.physical(r["resource"]), r["physical_path"])
-                 for r in doomed
-                 if kind == "data" and r["container_oid"] is None]
+                 for r in doomed if kind in ("data", "container")
+                 and r["container_oid"] is None]
         if last and obj["version"] > 1:
             # the cascade drops the rows of the versions checkin set aside
             files += [(self.resources.physical(v["resource"]),

@@ -256,25 +256,22 @@ class Mcat:
                                                   paths.normalize(path))),
                           key=itemgetter("path"))
 
-    def subtree_collections(self, prefix: str) -> List[Dict[str, Any]]:
-        """The collection at ``prefix`` and every descendant collection.
-
-        BFS over the ``parent`` index, so the charge is O(subtree) rows —
-        not a full-table scan per call (the hierarchy invariant says every
-        descendant's parent chain passes through ``prefix``).
-        """
-        with self._charge:
-            prefix = paths.normalize(prefix)
-            t = self._collections
-            rids = self._collection_rid(prefix)
-            if not rids:
-                return []
-            out, frontier = [t.row_dict(rids[0])], [prefix]
-            while frontier:
-                rows = t.row_dicts(t.lookup_eq("parent", frontier.pop()))
-                out += rows
-                frontier += [row["path"] for row in rows]
-            return sorted(out, key=itemgetter("path"))
+    def _subtree_collections(self, prefix: str) -> List[Tuple[str, int]]:
+        """``(path, rid)`` of the collection at normalized ``prefix`` and of
+        every collection below it, in path order.  A walk of the
+        ``parent`` index, so the charge is the subtree's rows, not the
+        catalog's (every descendant's parent chain passes through
+        ``prefix``).  With :meth:`_subtree` (its objects) it is the one
+        reader of a subtree.  The caller charges."""
+        t = self._collections
+        keyed = [(prefix, rid) for rid in self._collection_rid(prefix)]
+        frontier = [prefix] if keyed else []
+        while frontier:
+            below = [(t.value(rid, "path"), rid)
+                     for rid in t.lookup_eq("parent", frontier.pop())]
+            keyed += below
+            frontier += [path for path, _rid in below]
+        return sorted(keyed)
 
     def remove_collection(self, path: str) -> None:
         """Remove an *empty* collection."""
@@ -294,42 +291,46 @@ class Mcat:
             self._coll_rid_cache.pop(path, None)
 
     def rename_subtree(self, old_prefix: str, new_prefix: str) -> int:
-        """Rewrite every collection and object path under ``old_prefix``.
+        """Rewrite every collection and object path under ``old_prefix``,
+        and the requirements its collections define.
 
         This is the heart of the paper's persistence claim: a recursive
         move changes physical placement and/or the collection hierarchy
-        while logical names keep resolving.  Returns entries rewritten.
+        while logical names keep resolving, and a collection's structural
+        requirements keep governing what is ingested below it.  Returns
+        entries (collections and objects) rewritten.
         """
         with self._charge:
-            old_prefix = paths.normalize(old_prefix)
-            new_prefix = paths.normalize(new_prefix)
+            moves = self._renamed(paths.normalize(old_prefix),
+                                  paths.normalize(new_prefix))
             # paths under old_prefix are about to be rewritten in place
             self._coll_rid_cache.clear()
-            colls = self._collections
-            objs = self._objects
-            count = 0
-            for rid in list(colls.scan()):
-                row = colls.row_dict(rid)
-                p = row["path"]
-                if p == old_prefix or paths.is_ancestor(old_prefix, p):
-                    newp = paths.relocate(p, old_prefix, new_prefix)
-                    changes = {"path": newp}
-                    if row["parent"] is not None:
-                        if row["parent"] == old_prefix or \
-                                paths.is_ancestor(old_prefix, row["parent"]) or \
-                                p == old_prefix:
-                            changes["parent"] = paths.dirname(newp)
-                    colls.update_row(rid, changes)
-                    count += 1
-            for rid in list(objs.scan()):
-                row = objs.row_dict(rid)
-                if paths.is_ancestor(old_prefix, row["path"]):
-                    newp = paths.relocate(row["path"], old_prefix, new_prefix)
-                    objs.update_row(rid, {"path": newp,
-                                          "coll": paths.dirname(newp),
-                                          "name": paths.basename(newp)})
-                    count += 1
-            return count
+            for t, rid, changes in moves:
+                t.update_row(rid, changes)
+            return sum(t is not self._structural for t, _rid, _c in moves)
+
+    def _renamed(self, old: str, new: str
+                 ) -> List[Tuple[Table, int, Dict[str, Any]]]:
+        """What renaming the subtree at normalized ``old`` to ``new``
+        rewrites, as ``(table, rid, changes)``: each collection's ``path``
+        and ``parent``, each object's ``path``, ``coll`` and ``name``, and
+        the ``coll_path`` of each requirement its collections define.  An
+        in-place rename applies the changes; a rename across partitions
+        copies the rows with them.  The caller charges."""
+        colls = self._subtree_collections(old)
+        moves = []
+        for was, rid in colls:
+            path = paths.relocate(was, old, new)
+            moves.append((self._collections, rid, {
+                "path": path, "parent": paths.dirname(path)}))
+        o, s = self._objects, self._structural
+        for rid in self._subtree(old, True):
+            path = paths.relocate(o.value(rid, "path"), old, new)
+            moves.append((o, rid, {"path": path, "coll": paths.dirname(path),
+                                   "name": paths.basename(path)}))
+        return moves + [(s, rid, {"coll_path": paths.relocate(
+            s.value(rid, "coll_path"), old, new)}) for rid in
+            s.lookup_eq_many("coll_path", [path for path, _rid in colls])]
 
     # ------------------------------------------------------------------
     # objects
@@ -463,13 +464,6 @@ class Mcat:
             rids = self._object_rid(paths.normalize(path))
             return self._objects.row_dict(rids[0]) if rids else None
 
-    def get_object_by_id(self, oid: int) -> Dict[str, Any]:
-        with self._charge:
-            rids = self._objects.lookup_eq("oid", oid)
-            if not rids:
-                raise NoSuchObject(f"no object id {oid}")
-            return self._objects.row_dict(rids[0])
-
     def get_objects_by_ids(self, oids: Sequence[int]) -> List[Dict[str, Any]]:
         """Object rows for N oids under one charged block.
 
@@ -503,17 +497,16 @@ class Mcat:
 
     def _subtree(self, coll: str, recursive: bool) -> List[int]:
         """Row ids of the objects in normalized ``coll`` (and below it, if
-        ``recursive``: a charged scan of every object), in path order.
-        The caller charges."""
+        ``recursive``: one range of the path index, the one :meth:`_page`
+        walks), in path order.  The caller charges."""
         t = self._objects
-        rids = list(t.scan()) if recursive else t.lookup_eq("coll", coll)
-        # stored paths are normalized: below coll is a prefix test
-        below = coll.rstrip("/") + "/"
-        keyed = [(path, rid) for rid, (path, owner) in
-                 zip(rids, t.iter_values(rids, ("path", "coll")))
-                 if owner == coll or recursive and owner.startswith(below)]
-        keyed.sort()
-        return [rid for _path, rid in keyed]
+        if recursive:
+            lo, hi = subtree_path_range(coll)
+            return t.lookup_range("path", lo, hi, lo_incl=False,
+                                  hi_incl=False)
+        rids = t.lookup_eq("coll", coll)
+        return [rid for _key, rid in sorted(zip(
+            t.iter_values(rids, ("path", "oid")), rids))]
 
     def objects_in_collection_page(self, coll: str,
                                    cursor: Optional[str] = None,
@@ -572,13 +565,6 @@ class Mcat:
                 return out, None
             lo = t.value(rids[-1], "path")
 
-    def links_to(self, target_path: str) -> List[Dict[str, Any]]:
-        """Link objects whose target is ``target_path``."""
-        with self._charge:
-            return [row for row in self._objects.row_dicts(
-                self._objects.lookup_eq("kind", "link"))
-                if row["target"] == target_path]
-
     def delete_object(self, oid: int) -> None:
         """Delete the object row and cascade all dependent rows."""
         with self._charge:
@@ -597,10 +583,6 @@ class Mcat:
             for rid in list(tab.lookup_eq("target_id", target_id)):
                 if tab.value(rid, "target_kind") == target_kind:
                     tab.delete_row(rid)
-
-    def count_objects(self) -> int:
-        with self._charge:
-            return len(self._objects)
 
     def total_objects(self) -> int:
         """Uncharged object count, for stats displays (no clock cost)."""
@@ -707,11 +689,6 @@ class Mcat:
             for rid in t.lookup_eq("oid", oid):
                 is_fresh = t.value(rid, "replica_num") == fresh_replica_num
                 t.update_row(rid, {"is_dirty": not is_fresh})
-
-    def replicas_on_resource(self, resource: str) -> List[Dict[str, Any]]:
-        with self._charge:
-            t = self._replicas
-            return t.row_dicts(t.lookup_eq("resource", resource))
 
     def container_members(self, container_oid: int) -> List[Dict[str, Any]]:
         """Replica rows whose bytes live inside ``container_oid``."""
@@ -954,21 +931,13 @@ class Mcat:
             return self._target_rows(self._annotations, "aid", target_kind,
                                      target_id)
 
-    def annotations_for_bulk(self, targets: Sequence[Any]
-                             ) -> List[List[Dict[str, Any]]]:
+    def _annotations_for_bulk(self, targets: Sequence[Any]
+                              ) -> List[List[Dict[str, Any]]]:
         """:meth:`annotations_for` of N ``(target_kind, target_id)`` pairs
         under one charged block."""
         with self._charge:
             return [self._target_rows(self._annotations, "aid", kind, tid)
                     for kind, tid in targets]
-
-    def delete_annotation(self, aid: int) -> None:
-        with self._charge:
-            t = self._annotations
-            rids = t.lookup_eq("aid", aid)
-            if not rids:
-                raise MetadataError(f"no annotation {aid}")
-            t.delete_row(rids[0])
 
     # ------------------------------------------------------------------
     # ACL rows (policy in repro.core.access)

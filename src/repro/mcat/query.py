@@ -123,26 +123,28 @@ def queryable_attributes(mcat, scope: str,
 
 def run_queryable_attributes(mcat: Mcat, scope: str,
                              include_system: bool = False) -> List[str]:
-    """:func:`queryable_attributes` over one partition's tables."""
+    """:func:`queryable_attributes` over one partition's tables: two
+    charged reads of the subtree (its objects, then its collections),
+    then the metadata and requirements hanging off them, uncharged."""
     scope = paths.normalize(scope)
-    in_scope = {("object", row["oid"]) for row in
-                mcat.objects_in_collection(scope, recursive=True)}
-    colls = mcat.subtree_collections(scope)
-    in_scope.update(("collection", row["cid"]) for row in colls)
+    with mcat._charge:
+        objs = _keyed(mcat, mcat._subtree(scope, True))
+    with mcat._charge:
+        colls = mcat._subtree_collections(scope)
+    in_scope = {("object", oid) for _path, oid, _rid in objs} | {
+        ("collection", cid) for cid, _path in mcat.db.table(
+            "collections").iter_values([rid for _p, rid in colls],
+                                       ("cid", "path"))}
     # one attribute at a time off the attr index, done with it at the
     # first triple that hangs off something in scope
     md = mcat.db.table("metadata")
     names = {attr for attr in md.distinct("attr")
              if not in_scope.isdisjoint(md.iter_values(
                  md.lookup_eq("attr", attr), ("target_kind", "target_id")))}
-    coll_paths = {row["path"] for row in colls}
     st = mcat.db.table("structural_meta")
-    names.update(attr for coll_path, attr in st.iter_values(
-        list(st.scan()), ("coll_path", "attr")) if coll_path in coll_paths)
-    out = sorted(names)
-    if include_system:
-        out.extend(SYSTEM_ATTRS)
-    return out
+    names.update(attr for attr, _path in st.iter_values(st.lookup_eq_many(
+        "coll_path", [path for path, _rid in colls]), ("attr", "coll_path")))
+    return sorted(names) + (list(SYSTEM_ATTRS) if include_system else [])
 
 
 # -- what a condition means ----------------------------------------------------
@@ -400,7 +402,7 @@ def _stored(mcat: Mcat, batch: List[Key], attrs: Set[str],
     stored = mcat._object_metadata(oids, attrs) if attrs else []
     if include_annotations:
         stored += [(oid, "ANN:" + ann["ann_type"], ann["text"], None)
-                   for oid, anns in zip(oids, mcat.annotations_for_bulk(
+                   for oid, anns in zip(oids, mcat._annotations_for_bulk(
                        [("object", oid) for oid in oids]))
                    for ann in anns]
     if include_system:

@@ -21,8 +21,8 @@ the way AMGA and every production metadata service does:
 
 * **One table.**  How each catalog op finds its partition is a row of
   :data:`ROUTES` — by path, by a minted id, pinned, scope-or-fan-out,
-  fan-out, grouped bulk — and the methods are generated from it once,
-  when this module is imported.  Only the ops with a rule of their own
+  grouped bulk — and the methods are generated from it once, when this
+  module is imported.  Only the ops with a rule of their own
   are written out in the class.  With one partition and no replica
   there is nothing to decide, so the constructor binds every op
   straight to the partition's bound method: the default catalog costs
@@ -34,11 +34,10 @@ the way AMGA and every production metadata service does:
   positional and tombstoned, replaying the log in order onto a copy
   reproduces the primary byte for byte — ids included, so a replica
   answers any read exactly as the primary would.  Replicas apply the
-  log asynchronously: a read routed to a replica first observes its
-  lag and, when the lag exceeds the configured staleness bound
-  (default 0 = read-your-writes), catches the replica up before
-  serving.  Catch-up charges the *replica's* ``busy_s``, never the
-  shared clock — propagation is background work.
+  log asynchronously: a read routed to a replica that lags catches it
+  up before serving (read-your-writes).  Catch-up charges the
+  *replica's* ``busy_s``, never the shared clock — propagation is
+  background work.
 
 * **Anti-entropy.**  A background pass applies pending log entries to
   every reachable replica and compares table digests against the
@@ -47,10 +46,12 @@ the way AMGA and every production metadata service does:
   fault the repair pass is for.
 
 Cross-shard ``move_object``/``rename_subtree`` are two-shard
-copy+delete: dependent rows are inserted on the destination primary
-first (flowing through its write log and the id directory), deleted
-from the source only once every insert succeeded, and rolled back in
-reverse on failure — the catalog never loses a row to a half-done move.
+copy+delete of the rows an in-place move rewrites (for a subtree,
+:meth:`~repro.mcat.catalog.Mcat._renamed` names them) and of the rows
+that hang off them: they are inserted on the destination primary first
+(flowing through its write log and the id directory), deleted from the
+source only once every insert succeeded, and rolled back in reverse on
+failure — the catalog never loses a row to a half-done move.
 """
 
 from __future__ import annotations
@@ -123,8 +124,7 @@ class ShardedMcat:
                  clock: Optional[SimClock] = None,
                  ids: Optional[IdFactory] = None,
                  obs: Optional[Observability] = None,
-                 shards: int = 1, replicas: int = 0,
-                 staleness: int = 0):
+                 shards: int = 1, replicas: int = 0):
         if shards < 1:
             raise SrbError("mcat_shards must be >= 1")
         if replicas < 0:
@@ -134,16 +134,14 @@ class ShardedMcat:
         self.ids = ids if ids is not None else IdFactory()
         self.obs = obs if obs is not None else Observability(clock)
         self.schemas = SchemaRegistry()
-        #: max write-log entries a replica may lag behind and still serve
-        self.staleness = int(staleness)
         # id directories: where does each minted id live?  Maintained by
         # the mutation observers, so raw-row cross-shard moves keep them
         # exact without any extra bookkeeping at the call sites.  They
         # exist to route: one partition with no replica to feed keeps
         # none, and no observer.
         routing = shards > 1 or replicas > 0
-        self._dir: Dict[str, Dict[int, int]] = {
-            "oid": {}, "cid": {}, "mid": {}, "aid": {}}
+        self._dir: Dict[str, Dict[int, int]] = {"oid": {}, "cid": {},
+                                                "mid": {}}
         self.shards: List[McatShard] = []
         for k in range(shards):
             primary = Mcat(zone=zone, clock=clock, ids=self.ids,
@@ -237,13 +235,11 @@ class ShardedMcat:
 
     def _track(self, k: int, table: str, kind: str,
                values: Dict[str, Any]) -> None:
-        id_col = {"objects": ("oid", "oid"), "collections": ("cid", "cid"),
-                  "metadata": ("mid", "mid"),
-                  "annotations": ("aid", "aid")}.get(table)
-        if id_col is None:
+        dir_key = {"objects": "oid", "collections": "cid",
+                   "metadata": "mid"}.get(table)
+        if dir_key is None:
             return
-        dir_key, col = id_col
-        ident = values.get(col)
+        ident = values.get(dir_key)
         if ident is None:
             return
         if kind == "insert":
@@ -256,8 +252,7 @@ class ShardedMcat:
 
     def _read(self, k: int) -> Mcat:
         """The catalog that serves a read on shard ``k``: a reachable
-        replica round-robin (caught up to the staleness bound), else the
-        primary."""
+        replica round-robin (caught up first), else the primary."""
         shard = self.shards[k]
         cands = [r for r in shard.replicas if not r.partitioned]
         if not cands:
@@ -268,7 +263,7 @@ class ShardedMcat:
         lag = shard.log_end() - rep.applied
         self.obs.metrics.observe("mcat.shard.replication_lag", lag,
                                  shard=str(k))
-        if lag > self.staleness:
+        if lag:
             if rep.applied < shard.log_base:
                 self._rebuild(shard, rep)
             else:
@@ -466,7 +461,7 @@ class ShardedMcat:
             obj = obj_t.row_dict(rids[0])
             dependents = self._collect_object_rows(src, oid)
         restore: Dict[str, Dict[int, int]] = {"oid": {oid: src_k},
-                                              "mid": {}, "aid": {}}
+                                              "mid": {}}
         for table, dep in dependents:
             self._note_restore(restore, table, dep, src_k)
         with dst._charge:
@@ -492,49 +487,28 @@ class ShardedMcat:
             return self._primary(src_k).rename_subtree(old_prefix, new_prefix)
         src, dst = self._primary(src_k), self._primary(dst_k)
 
-        # Collect every row under the prefix from the source shard.
+        # every row the rename rewrites, and the rows that hang off them
         count = 0
         moves: List[Tuple[str, Dict[str, Any]]] = []   # (table, src values)
         inserts: List[Tuple[str, Dict[str, Any]]] = []  # (table, dst values)
         restore: Dict[str, Dict[int, int]] = {"oid": {}, "cid": {},
-                                              "mid": {}, "aid": {}}
+                                              "mid": {}}
         with src._charge:
-            colls = src.db.table("collections")
-            for row in colls.row_dicts(list(colls.scan())):
-                p = row["path"]
-                if p != old_prefix and not paths.is_ancestor(old_prefix, p):
+            for t, rid, changes in src._renamed(old_prefix, new_prefix):
+                row = t.row_dict(rid)
+                moves.append((t.name, row))
+                inserts.append((t.name, dict(row, **changes)))
+                if t.name == "structural_meta":
                     continue
-                newp = paths.relocate(p, old_prefix, new_prefix)
-                moved = dict(row, path=newp, parent=paths.dirname(newp))
-                moves.append(("collections", row))
-                inserts.append(("collections", moved))
-                restore["cid"][row["cid"]] = src_k
                 count += 1
-                for table, dep in self._collect_target_rows(
-                        src, "collection", row["cid"]):
-                    moves.append((table, dep))
-                    inserts.append((table, dep))
-                    self._note_restore(restore, table, dep, src_k)
-            st = src.db.table("structural_meta")
-            for row in st.row_dicts(list(st.scan())):
-                p = row["coll_path"]
-                if p != old_prefix and not paths.is_ancestor(old_prefix, p):
-                    continue
-                moves.append(("structural_meta", row))
-                inserts.append(("structural_meta", dict(
-                    row, coll_path=paths.relocate(p, old_prefix, new_prefix))))
-            objs = src.db.table("objects")
-            for row in objs.row_dicts(list(objs.scan())):
-                if not paths.is_ancestor(old_prefix, row["path"]):
-                    continue
-                newp = paths.relocate(row["path"], old_prefix, new_prefix)
-                moves.append(("objects", row))
-                inserts.append(("objects", dict(
-                    row, path=newp, coll=paths.dirname(newp),
-                    name=paths.basename(newp))))
-                restore["oid"][row["oid"]] = src_k
-                count += 1
-                for table, dep in self._collect_object_rows(src, row["oid"]):
+                if t.name == "collections":
+                    restore["cid"][row["cid"]] = src_k
+                    dependents = self._collect_target_rows(
+                        src, "collection", row["cid"])
+                else:
+                    restore["oid"][row["oid"]] = src_k
+                    dependents = self._collect_object_rows(src, row["oid"])
+                for table, dep in dependents:
                     moves.append((table, dep))
                     inserts.append((table, dep))
                     self._note_restore(restore, table, dep, src_k)
@@ -576,8 +550,6 @@ class ShardedMcat:
                       row: Dict[str, Any], src_k: int) -> None:
         if table == "metadata":
             restore["mid"][row["mid"]] = src_k
-        elif table == "annotations":
-            restore["aid"][row["aid"]] = src_k
 
     def _insert_rows(self, dst: Mcat,
                      rows: Sequence[Tuple[str, Dict[str, Any]]],
@@ -624,14 +596,13 @@ class ShardedMcat:
 # or whatever ``_read`` picks.  The rules:
 #
 # ``one``    the op's leading arguments name one row — a path, an oid, a
-#            ``(target_kind, target_id)``, a mid, an aid — and the op
+#            ``(target_kind, target_id)``, a mid — and the op
 #            runs on the partition holding it (``pinned``: always 0, the
 #            zone's one audit trail);
 # ``scope``  the first argument is a collection: its own partition
 #            serves it unless it sits at or above the partition level,
 #            where every partition is asked and the answers merged in
 #            path order;
-# ``all``    every partition is asked, the answers concatenated or summed;
 # ``bulk``   the first argument is a list: one call per owning
 #            partition, answers back in the caller's order (a write
 #            that must fail whole checks a batch over several
@@ -650,10 +621,6 @@ def _of_oid(cat: ShardedMcat, oid: int) -> int:
 
 def _of_mid(cat: ShardedMcat, mid: int) -> int:
     return cat._shard_of_id("mid", mid)
-
-
-def _of_aid(cat: ShardedMcat, aid: int) -> int:
-    return cat._shard_of_id("aid", aid)
 
 
 def _pinned(cat: ShardedMcat) -> int:
@@ -682,13 +649,6 @@ def _route_scope(name: str, side, merge):
                 scope, *args, **kw)
         return merge([getattr(side(self, k), name)(scope, *args, **kw)
                       for k in self._fanout(name)], *args, **kw)
-    return routed
-
-
-def _route_all(name: str, side, merge):
-    def routed(self, *args, **kw):
-        return merge(getattr(side(self, k), name)(*args, **kw)
-                     for k in self._fanout(name))
     return routed
 
 
@@ -792,31 +752,22 @@ def _merge_search_pages(answers, _conditions, limit: int = 100, **_options):
     return page
 
 
-def _concat(answers) -> List[Any]:
-    return list(chain.from_iterable(answers))
-
-
 ROUTES: Dict[str, tuple] = {
     # collections
     "create_collection": (_route_one, PRIMARY, _of_path),
     "get_collection": (_route_one, READ, _of_path),
     "child_collections": (_route_scope, READ, _merge_rows),
-    "subtree_collections": (_route_scope, READ, _merge_rows),
     # objects
     "create_objects": (_route_bulk, PRIMARY,
                        lambda cat, spec: cat.shard_of_path(spec["path"])),
     "lookup": (_route_one, READ, _of_path),
     "get_object": (_route_one, READ, _of_path),
     "find_object": (_route_one, READ, _of_path),
-    "get_object_by_id": (_route_one, READ, _of_oid),
     "get_objects_by_ids": (_route_bulk, READ, _of_oid, itemgetter("oid")),
     "update_object": (_route_one, PRIMARY, _of_oid),
     "delete_object": (_route_one, PRIMARY, _of_oid),
     "objects_in_collection": (_route_scope, READ, _merge_rows),
     "objects_in_collection_page": (_route_scope, READ, _merge_object_pages),
-    # links may point across partitions
-    "links_to": (_route_all, READ, _concat),
-    "count_objects": (_route_all, READ, sum),
     # replicas (of data objects)
     "add_replicas": (_route_bulk, PRIMARY,
                      lambda cat, spec: _of_oid(cat, spec["oid"])),
@@ -825,7 +776,6 @@ ROUTES: Dict[str, tuple] = {
     "remove_replica": (_route_one, PRIMARY, _of_oid),
     "update_replica": (_route_one, PRIMARY, _of_oid),
     "mark_siblings_dirty": (_route_one, PRIMARY, _of_oid),
-    "replicas_on_resource": (_route_all, READ, _concat),
     "container_members": (_route_one, READ, _of_oid),
     # metadata (a batch over several partitions is checked whole first)
     "add_metadata_bulk": (_route_bulk, PRIMARY,
@@ -840,9 +790,6 @@ ROUTES: Dict[str, tuple] = {
     # annotations
     "add_annotation": (_route_one, PRIMARY, _of_target, 2),
     "annotations_for": (_route_one, READ, _of_target, 2),
-    "annotations_for_bulk": (_route_bulk, READ,
-                             _of_target_pair),
-    "delete_annotation": (_route_one, PRIMARY, _of_aid),
     # ACLs
     "grant": (_route_one, PRIMARY, _of_target, 2),
     "revoke": (_route_one, PRIMARY, _of_target, 2),

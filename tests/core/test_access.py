@@ -47,12 +47,12 @@ class TestLadder:
 class TestOwnership:
     def test_owner_has_own(self, env):
         mcat, users, ac, oid = env
-        obj = mcat.get_object_by_id(oid)
+        obj = mcat.get_objects_by_ids([oid])[0]
         assert ac.permission_on_object(SEKAR, obj) == "own"
 
     def test_stranger_has_nothing(self, env):
         mcat, users, ac, oid = env
-        obj = mcat.get_object_by_id(oid)
+        obj = mcat.get_objects_by_ids([oid])[0]
         assert ac.permission_on_object(MOORE, obj) is None
 
     def test_collection_owner(self, env):
@@ -65,25 +65,25 @@ class TestObjectGrants:
     def test_direct_grant(self, env):
         mcat, users, ac, oid = env
         mcat.grant("object", oid, str(MOORE), "read")
-        obj = mcat.get_object_by_id(oid)
+        obj = mcat.get_objects_by_ids([oid])[0]
         assert ac.permission_on_object(MOORE, obj) == "read"
 
     def test_require_raises_on_insufficient(self, env):
         mcat, users, ac, oid = env
         mcat.grant("object", oid, str(MOORE), "read")
-        obj = mcat.get_object_by_id(oid)
+        obj = mcat.get_objects_by_ids([oid])[0]
         with pytest.raises(AccessDenied):
             ac.require_object(MOORE, obj, "write")
 
     def test_require_passes_on_sufficient(self, env):
         mcat, users, ac, oid = env
         mcat.grant("object", oid, str(MOORE), "write")
-        obj = mcat.get_object_by_id(oid)
+        obj = mcat.get_objects_by_ids([oid])[0]
         ac.require_object(MOORE, obj, "read")
 
     def test_denial_counted(self, env):
         mcat, users, ac, oid = env
-        obj = mcat.get_object_by_id(oid)
+        obj = mcat.get_objects_by_ids([oid])[0]
         with pytest.raises(AccessDenied):
             ac.require_object(MOORE, obj, "read")
         assert ac.denials == 1
@@ -94,7 +94,7 @@ class TestInheritance:
         mcat, users, ac, oid = env
         cid = mcat.get_collection("/demozone/cultures")["cid"]
         mcat.grant("collection", cid, str(MOORE), "read")
-        obj = mcat.get_object_by_id(oid)          # two levels below
+        obj = mcat.get_objects_by_ids([oid])[0]          # two levels below
         assert ac.permission_on_object(MOORE, obj) == "read"
 
     def test_nearer_stronger_grant_wins(self, env):
@@ -103,7 +103,7 @@ class TestInheritance:
         sub = mcat.get_collection("/demozone/cultures/avian")["cid"]
         mcat.grant("collection", top, str(MOORE), "read")
         mcat.grant("collection", sub, str(MOORE), "write")
-        obj = mcat.get_object_by_id(oid)
+        obj = mcat.get_objects_by_ids([oid])[0]
         assert ac.permission_on_object(MOORE, obj) == "write"
 
     def test_object_grant_beats_weak_collection_grant(self, env):
@@ -111,7 +111,7 @@ class TestInheritance:
         top = mcat.get_collection("/demozone/cultures")["cid"]
         mcat.grant("collection", top, str(MOORE), "read")
         mcat.grant("object", oid, str(MOORE), "own")
-        obj = mcat.get_object_by_id(oid)
+        obj = mcat.get_objects_by_ids([oid])[0]
         assert ac.permission_on_object(MOORE, obj) == "own"
 
     def test_collection_permission_on_subcollection(self, env):
@@ -128,7 +128,7 @@ class TestGroups:
         users.create_group("curators")
         users.add_to_group("curators", str(MOORE))
         mcat.grant("object", oid, "group:curators", "write")
-        obj = mcat.get_object_by_id(oid)
+        obj = mcat.get_objects_by_ids([oid])[0]
         assert ac.permission_on_object(MOORE, obj) == "write"
         assert ac.permission_on_object(WAN, obj) is None
 
@@ -138,7 +138,7 @@ class TestGroups:
         users.add_to_group("g", str(MOORE))
         mcat.grant("object", oid, "group:g", "read")
         users.remove_from_group("g", str(MOORE))
-        obj = mcat.get_object_by_id(oid)
+        obj = mcat.get_objects_by_ids([oid])[0]
         assert ac.permission_on_object(MOORE, obj) is None
 
 
@@ -146,27 +146,27 @@ class TestPublicAndRoles:
     def test_star_grant_covers_everyone(self, env):
         mcat, users, ac, oid = env
         mcat.grant("object", oid, "*", "read")
-        obj = mcat.get_object_by_id(oid)
+        obj = mcat.get_objects_by_ids([oid])[0]
         assert ac.permission_on_object(PUBLIC, obj) == "read"
         assert ac.permission_on_object(MOORE, obj) == "read"
 
     def test_public_principal_grant(self, env):
         mcat, users, ac, oid = env
         mcat.grant("object", oid, str(PUBLIC), "read")
-        obj = mcat.get_object_by_id(oid)
+        obj = mcat.get_objects_by_ids([oid])[0]
         assert ac.permission_on_object(PUBLIC, obj) == "read"
 
     def test_public_cannot_write_with_read_grant(self, env):
         mcat, users, ac, oid = env
         mcat.grant("object", oid, "*", "read")
-        obj = mcat.get_object_by_id(oid)
+        obj = mcat.get_objects_by_ids([oid])[0]
         with pytest.raises(AccessDenied):
             ac.require_object(PUBLIC, obj, "write")
 
     def test_sysadmin_owns_everything(self, env):
         mcat, users, ac, oid = env
         users.add_user("root@sdsc", "pw", role="sysadmin")
-        obj = mcat.get_object_by_id(oid)
+        obj = mcat.get_objects_by_ids([oid])[0]
         root = Principal.parse("root@sdsc")
         assert ac.permission_on_object(root, obj) == "own"
         assert ac.permission_on_collection(
@@ -175,12 +175,12 @@ class TestPublicAndRoles:
     def test_unknown_principal_is_just_denied(self, env):
         mcat, users, ac, oid = env
         ghost = Principal.parse("ghost@nowhere")
-        obj = mcat.get_object_by_id(oid)
+        obj = mcat.get_objects_by_ids([oid])[0]
         assert ac.permission_on_object(ghost, obj) is None
 
     def test_can_helpers(self, env):
         mcat, users, ac, oid = env
-        obj = mcat.get_object_by_id(oid)
+        obj = mcat.get_objects_by_ids([oid])[0]
         assert ac.can_objects(SEKAR, [obj], "own") == [True]
         assert ac.can_objects(MOORE, [obj], "read") == [False]
         assert ac.can_collection(SEKAR, "/demozone/cultures", "write")
@@ -215,7 +215,7 @@ class TestBatchDecision:
             oid = mcat.create_object(
                 f"{draw(st.sampled_from(self.COLLS))}/o{i}", "data", owner,
                 now=0.0)
-            objs.append(mcat.get_object_by_id(oid))
+            objs.append(mcat.get_objects_by_ids([oid])[0])
         for _ in range(draw(st.integers(0, 6))):
             kind = draw(st.sampled_from(["object", "collection"]))
             target = draw(st.sampled_from(objs))["oid"] if kind == "object" \
@@ -243,9 +243,9 @@ class TestBatchDecision:
                    str(MOORE), "read")
 
         def ops_for(n):
-            rows = [mcat.get_object_by_id(mcat.create_object(
+            rows = mcat.get_objects_by_ids([mcat.create_object(
                 f"/demozone/cultures/avian/b{n}-{i}", "data", str(SEKAR),
-                now=0.0)) for i in range(n)]
+                now=0.0) for i in range(n)])
             out = {}
             for who, wanted in ((SEKAR, "own"), (MOORE, "read"),
                                 (MOORE, "write"), (WAN, "read")):

@@ -28,8 +28,8 @@ first call that names one on, the twins' costs are no longer compared:
 only the answers are.  Before that, one difference in cost is allowed,
 and asserted exactly: an item with no catalog row now looks for a
 registered directory above it, as ``get`` does — one catalog lookup per
-ancestor below the root, up to the first that has a row — before it
-fails ``NoSuchObject``.
+ancestor, up to and including the first that has a row, an object's or
+a collection's — before it fails ``NoSuchObject``.
 """
 
 from typing import Any, Dict, List
@@ -132,10 +132,11 @@ def item_answer(item: Dict[str, Any]):
 
 def shadow_lookups(fed, targets) -> int:
     """Catalog lookups ``get``'s shadow fallback makes for the targets
-    that have no row: one per ancestor below the root, up to the first
-    that has one (none of these grids' missing paths has such an
-    ancestor, so the lookups read no row)."""
+    that have no row: one per ancestor, up to and including the first
+    that has a row (in these grids a collection's: none of their missing
+    paths has an object above it)."""
     held = {row["path"] for row in _rows(fed, "objects")}
+    colls = {row["path"] for row in _rows(fed, "collections")}
     lookups = 0
     for target in targets:
         try:
@@ -145,10 +146,10 @@ def shadow_lookups(fed, targets) -> int:
         if path in held:
             continue
         for ancestor in reversed(paths.ancestors(path)):
-            if ancestor == "/":
-                break
             lookups += 1
             assert ancestor not in held
+            if ancestor in colls:
+                break
     return lookups
 
 

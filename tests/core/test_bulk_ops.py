@@ -182,11 +182,11 @@ class TestBulkIngest:
 
     def test_bad_resource_fails_whole_batch_cleanly(self, tiny_fed,
                                                     tiny_admin, home):
-        count = tiny_fed.mcat_server.mcat.count_objects()
+        count = tiny_fed.mcat_server.mcat.total_objects()
         with pytest.raises(NoSuchResource):
             tiny_admin.bulk_ingest([{"path": f"{home}/x.dat", "data": b"x"}],
                                    resource="no-such-res")
-        assert tiny_fed.mcat_server.mcat.count_objects() == count
+        assert tiny_fed.mcat_server.mcat.total_objects() == count
 
     def test_item_too_big_rolls_back_only_that_item(self, fedpair):
         fed, client = fedpair

@@ -9,6 +9,8 @@ from repro.errors import (
     ResourceUnavailable,
     UnsupportedOperation,
 )
+from repro.workload import standard_grid
+from tests.invariants import check_invariants
 
 
 @pytest.fixture
@@ -281,3 +283,19 @@ class TestRestrictions:
         from repro.errors import NoSuchObject
         with pytest.raises(NoSuchObject):
             client.stat("/demozone/data/c1")
+
+    def test_deleting_a_container_deletes_its_file(self):
+        # a container's own copies are its file on each member resource;
+        # deleting the container left them on every one
+        g = standard_grid()
+        cont = f"{g.home}/cont"
+        g.curator.create_container(cont, "logrsrc1")
+        g.curator.ingest(f"{g.home}/m1", b"member", container=cont)
+        g.curator.delete(f"{g.home}/m1")
+        files = {rep["resource"]: rep["physical_path"]
+                 for rep in g.curator.stat(cont)["replicas"]}
+        assert set(files) == {"unix-sdsc", "hpss-caltech"}
+        g.curator.delete(cont)
+        for res, phys in files.items():
+            assert not g.fed.resources.physical(res).driver.exists(phys)
+        assert check_invariants(g.fed) == []

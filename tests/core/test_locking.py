@@ -19,7 +19,7 @@ MOORE = Principal.parse("moore@sdsc")
 
 def row(lm, oid):
     """The object's row as it stands: what an op holds when it asks."""
-    return lm.mcat.get_object_by_id(oid)
+    return lm.mcat.get_objects_by_ids([oid])[0]
 
 
 @pytest.fixture
@@ -163,8 +163,8 @@ class TestCheckoutCheckin:
         lm, oid, _ = env
         lm.checkout(row(lm, oid), SEKAR)
         assert lm.checkin(row(lm, oid), SEKAR) == 2
-        assert lm.mcat.get_object_by_id(oid)["version"] == 2
-        assert lm.mcat.get_object_by_id(oid)["checked_out_by"] is None
+        assert lm.mcat.get_objects_by_ids([oid])[0]["version"] == 2
+        assert lm.mcat.get_objects_by_ids([oid])[0]["checked_out_by"] is None
 
     def test_version_records(self, env):
         lm, oid, _ = env

@@ -125,10 +125,10 @@ class TestAuditOnDenial:
         grid.fed.add_user("guest@sdsc", "pw")
         guest = SrbClient(grid.fed, "laptop", "srb1", "guest@sdsc", "pw")
         guest.login()
-        before = grid.fed.mcat.count_objects()
+        before = grid.fed.mcat.total_objects()
         with pytest.raises(AccessDenied):
             guest.ingest(f"{grid.home}/nope.txt", b"x")
-        assert grid.fed.mcat.count_objects() == before
+        assert grid.fed.mcat.total_objects() == before
 
     def test_acl_denial_counter(self, grid):
         grid.fed.add_user("guest@sdsc", "pw")

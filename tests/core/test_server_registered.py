@@ -98,6 +98,30 @@ class TestShadowDirectory:
         assert drv.exists("/archive/cone/a.txt")
 
 
+class TestAMissingPathLooksForAShadowOnce:
+    """A path with no row asks its ancestors for a shadow directory, and
+    stops at the first that has a row: a collection has none above it.
+    It walked every ancestor up to ``/`` with ``find_object``."""
+
+    @pytest.mark.parametrize("below, ops", [("nope", 2), ("a/b/c/nope", 5)])
+    def test_one_lookup_per_missing_level(self, grid, below, ops):
+        # the get's own lookup, then one per missing level and the
+        # home collection
+        metrics = grid.fed.obs.metrics
+        before = metrics.total("mcat.ops")
+        with pytest.raises(NoSuchObject):
+            grid.curator.get(f"{grid.home}/{below}")
+        assert metrics.total("mcat.ops") - before == ops
+
+    def test_a_member_below_a_shadow_still_resolves(self, grid):
+        drv = grid.fed.resources.physical("unix-caltech").driver
+        drv.create("/archive/cone/deep/er/c.txt", b"gamma")
+        grid.curator.register_directory(f"{grid.home}/cone", "unix-caltech",
+                                        "/archive/cone")
+        assert grid.curator.get(f"{grid.home}/cone/deep/er/c.txt") \
+            == b"gamma"
+
+
 class TestRegisteredSql:
     def test_executed_at_retrieval(self, grid, dbres):
         grid.curator.register_sql(f"{grid.home}/bright", "dlib1",

@@ -15,6 +15,7 @@ from repro.core import SrbClient
 from repro.errors import AccessDenied, MandatoryMetadataMissing
 from repro.mcat import Condition, DisplayOnly
 from repro.workload import standard_grid
+from tests.integration.test_charge_conservation import build_fed
 
 
 @pytest.fixture(scope="module")
@@ -189,3 +190,42 @@ class TestCuratorStory:
         g, colleague, helper, public = story
         log = g.admin.audit_log(action="get")
         assert any(e["principal"] == "public@world" for e in log)
+
+
+@pytest.fixture(params=["standard_grid", "mcat_shards=4"])
+def moved(request):
+    """A collection whose mandatory requirement governs a sub-collection,
+    moved to a new name by ``move``: ``(admin, old path, new path)``.
+    Both paths share a catalog partition, so the move is an in-place
+    rename on either catalog."""
+    if request.param == "standard_grid":
+        admin = standard_grid().admin
+    else:
+        _fed, admin = build_fed(mcat_shards=4)
+    old, new = "/demozone/home/cultures", "/demozone/home/archive"
+    admin.mkcoll(old)
+    admin.mkcoll(f"{old}/avian")
+    admin.define_structural(old, "Title", mandatory=True)
+    admin.move(old, new)
+    return admin, old, new
+
+
+class TestRequirementsFollowAMove:
+    """A recursive move changes the hierarchy while names keep resolving,
+    and the collection's requirements keep governing what is ingested
+    below it: they move with the collection."""
+
+    def test_an_ingest_below_the_new_path_needs_the_attribute(self, moved):
+        admin, _old, new = moved
+        assert [r["attr"] for r in
+                admin.structural_metadata(f"{new}/avian")] == ["Title"]
+        with pytest.raises(MandatoryMetadataMissing):
+            admin.ingest(f"{new}/avian/ibis.txt", b"x")
+        admin.ingest(f"{new}/avian/ibis.txt", b"x",
+                     metadata={"Title": "Ibis"})
+
+    def test_a_new_collection_at_the_old_path_inherits_nothing(self, moved):
+        admin, old, _new = moved
+        admin.mkcoll(old)
+        assert admin.structural_metadata(old) == []
+        admin.ingest(f"{old}/plain.txt", b"x")

@@ -42,7 +42,7 @@ from tests.integration.test_charge_conservation import build_fed
 from tests.op_calls import COLL, FILE, op_calls, prepare
 
 #: catalog reads that answer one row (or None), and ``replicas(oid)``
-READS = ("lookup", "get_object", "find_object", "get_object_by_id",
+READS = ("lookup", "get_object", "find_object",
          "get_collection", "get_replica", "replicas")
 
 #: Why an op re-reads a collection row.  Each of these checks two

@@ -36,9 +36,9 @@ NAMES = [f"f{i}" for i in range(5)]
 class ShardRepairMachine(RuleBasedStateMachine):
     @initialize()
     def build(self):
-        # staleness=0: reads always see the latest write, so the model
+        # a replica catches up before it serves a read, so the model
         # invariants can demand exact resolution after every rule
-        self.m = ShardedMcat(zone=ZONE, shards=3, replicas=1, staleness=0)
+        self.m = ShardedMcat(zone=ZONE, shards=3, replicas=1)
         for proj in PROJECTS:
             self.m.create_collection(f"/{ZONE}/{proj}", OWNER, now=0.0)
         self.model = {}      # path -> oid

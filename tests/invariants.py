@@ -11,8 +11,8 @@ finds:
   whose file is not on its resource's driver;
 * ``member-outside-container`` — a container member's replica row whose
   slice does not lie inside the container file;
-* ``orphan-file`` — a file under ``/srb/`` on a driver that no replica or
-  version row names;
+* ``orphan-file`` — a file under ``/srb/`` or ``/containers/`` on a
+  driver that no replica or version row names;
 * ``checksum-mismatch`` — a clean replica (or member slice) whose sha256
   is not the object's ``checksum``;
 * ``station-in-flight`` — a host's ``ServiceStation`` with a worker
@@ -37,8 +37,9 @@ from repro.storage.base import normalize_physical
 from repro.storage.database import DatabaseResourceDriver
 from repro.storage.memfs import MemFsDriver
 
-#: the driver prefix the servers write managed files under
-MANAGED = "/srb/"
+#: the driver prefixes the servers write managed files under: objects'
+#: bytes, and containers'
+MANAGED = ("/srb/", "/containers/")
 
 
 @dataclass(frozen=True, order=True)

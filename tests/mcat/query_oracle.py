@@ -214,7 +214,7 @@ def _attribute_values(mcat: Mcat, batch: List[Dict[str, Any]],
     out = metadata_values_bulk(mcat, targets, attrs) if attrs \
         else [{} for _obj in batch]
     if include_annotations:
-        for vals, anns in zip(out, mcat.annotations_for_bulk(targets)):
+        for vals, anns in zip(out, mcat._annotations_for_bulk(targets)):
             for ann in anns:
                 vals.setdefault("ANN:" + ann["ann_type"], []).append(
                     (ann["text"], None))

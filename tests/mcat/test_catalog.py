@@ -55,8 +55,8 @@ class TestCollections:
     def test_subtree_collections(self, mcat):
         mcat.create_collection("/demozone/home/a", OWNER, now=0.0)
         mcat.create_collection("/demozone/home/a/b", OWNER, now=0.0)
-        subtree = mcat.subtree_collections("/demozone/home")
-        assert [s["path"] for s in subtree] == [
+        subtree = mcat._subtree_collections("/demozone/home")
+        assert [path for path, _rid in subtree] == [
             "/demozone/home", "/demozone/home/a", "/demozone/home/a/b"]
 
     def test_remove_empty(self, mcat):
@@ -113,13 +113,14 @@ class TestObjects:
 
     def test_get_by_id(self, mcat):
         oid = mcat.create_object("/demozone/home/x", "data", OWNER, now=0.0)
-        assert mcat.get_object_by_id(oid)["path"] == "/demozone/home/x"
+        assert mcat.get_objects_by_ids([oid])[0]["path"] == \
+            "/demozone/home/x"
 
     def test_move_object(self, mcat):
         oid = mcat.create_object("/demozone/home/x", "data", OWNER, now=0.0)
         mcat.create_collection("/demozone/home/sub", OWNER, now=0.0)
         mcat.move_object(oid, "/demozone/home/sub/y")
-        obj = mcat.get_object_by_id(oid)
+        obj = mcat.get_objects_by_ids([oid])[0]
         assert obj["path"] == "/demozone/home/sub/y"
         assert obj["coll"] == "/demozone/home/sub"
         assert obj["name"] == "y"
@@ -157,9 +158,9 @@ class TestObjects:
         assert mcat.grants_for("object", oid) == []
 
     def test_count_objects(self, mcat):
-        before = mcat.count_objects()
+        before = mcat.total_objects()
         mcat.create_object("/demozone/home/x", "data", OWNER, now=0.0)
-        assert mcat.count_objects() == before + 1
+        assert mcat.total_objects() == before + 1
 
 
 class TestReplicas:
@@ -201,12 +202,6 @@ class TestReplicas:
         mcat.add_replica(oid, "r1", "/p1", 5, now=0.0)
         mcat.update_replica(oid, 1, size=99)
         assert mcat.get_replica(oid, 1)["size"] == 99
-
-    def test_replicas_on_resource(self, mcat, oid):
-        mcat.add_replica(oid, "r1", "/p1", 5, now=0.0)
-        oid2 = mcat.create_object("/demozone/home/y", "data", OWNER, now=0.0)
-        mcat.add_replica(oid2, "r1", "/p2", 5, now=0.0)
-        assert len(mcat.replicas_on_resource("r1")) == 2
 
     def test_container_members_ordered_by_offset(self, mcat, oid):
         coid = mcat.create_object("/demozone/home/c", "container", OWNER,

@@ -2,9 +2,10 @@
 
 Two hot paths used to pay O(catalog) where O(result) suffices:
 
-* ``subtree_collections`` scanned the whole collections table per call;
-  it now walks the ``parent`` index breadth-first, so the charge tracks
-  the subtree, not the catalog.
+* ``subtree_collections`` (now the partition helper
+  ``_subtree_collections``) scanned the whole collections table per
+  call; it walks the ``parent`` index, so the charge tracks the subtree,
+  not the catalog.
 * the index query plan fetched each candidate with its own charged
   ``get_object_by_id`` call (one QUERY_OVERHEAD per candidate); the
   batch ``get_objects_by_ids`` fetch charges the whole list as one
@@ -37,13 +38,13 @@ class TestSubtreeScanCost:
         total = len(m.db.table("collections"))
         assert total > 200
         before = m._rows_scanned()
-        rows = m.subtree_collections(f"/{ZONE}/small")
+        rows = m._subtree_collections(f"/{ZONE}/small")
         touched = m._rows_scanned() - before
         assert len(rows) == 4
         # BFS over the parent index: a handful of index probes plus the
         # subtree's own rows — nowhere near the 200-row sibling subtree
         assert touched < 40, (
-            f"subtree_collections touched {touched} rows for a 4-row "
+            f"_subtree_collections touched {touched} rows for a 4-row "
             f"subtree in a {total}-collection catalog")
 
     def test_subtree_cost_independent_of_sibling_width(self):
@@ -52,7 +53,7 @@ class TestSubtreeScanCost:
 
         def touched(m):
             before = m._rows_scanned()
-            m.subtree_collections(f"/{ZONE}/small")
+            m._subtree_collections(f"/{ZONE}/small")
             return m._rows_scanned() - before
 
         assert touched(wide) == touched(narrow)
@@ -63,7 +64,7 @@ class TestSubtreeScanCost:
         m.create_collection(f"/{ZONE}/a/b", OWNER, now=0.0)
         m.create_collection(f"/{ZONE}/a/b/c", OWNER, now=0.0)
         m.create_collection(f"/{ZONE}/a/z", OWNER, now=0.0)
-        got = [r["path"] for r in m.subtree_collections(f"/{ZONE}/a")]
+        got = [path for path, _rid in m._subtree_collections(f"/{ZONE}/a")]
         assert got == [f"/{ZONE}/a", f"/{ZONE}/a/b", f"/{ZONE}/a/b/c",
                        f"/{ZONE}/a/z"]
 

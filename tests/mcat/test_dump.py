@@ -113,4 +113,4 @@ class TestFormat:
         restored = migrate_catalog(Mcat(zone="fresh"))
         assert restored.get_collection("/fresh")["path"] == "/fresh"
         assert restored.get_collection("/")["path"] == "/"
-        assert restored.count_objects() == 0
+        assert restored.total_objects() == 0

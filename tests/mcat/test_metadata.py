@@ -208,12 +208,6 @@ class TestAnnotations:
             mcat.add_annotation("object", oid, t, OWNER, "x", now=0.0)
         assert len(mcat.annotations_for("object", oid)) == 5
 
-    def test_delete(self, mcat, oid):
-        aid = mcat.add_annotation("object", oid, "comment", OWNER, "x",
-                                  now=0.0)
-        mcat.delete_annotation(aid)
-        assert mcat.annotations_for("object", oid) == []
-
 
 class TestAclRows:
     def test_grant_and_list(self, mcat, oid):

@@ -160,9 +160,11 @@ class TestQueryableAttributes:
 # -- queryable_attributes as it stood when it read the whole zone --------------
 #
 # Verbatim from the parent commit but for the sharded router hook (a
-# sharded catalog is compared with the plain one holding the same rows):
-# one ``row_dict`` per metadata row of the zone, one list walk per
-# structural row.  Kept as the oracle for the index-driven version.
+# sharded catalog is compared with the plain one holding the same rows)
+# and the subtree, which is the whole-table scans' selection
+# (``subtree_oracle.scan_subtree``): one ``row_dict`` per metadata row
+# of the zone, one list walk per structural row.  Kept as the oracle for
+# the index-driven version.
 
 import cProfile
 
@@ -173,13 +175,17 @@ from repro.mcat.query import SYSTEM_ATTRS
 from repro.mcat.schema import drop_attribute_indexes, \
     restore_attribute_indexes
 from repro.util import paths
+from tests.mcat.subtree_oracle import scan_subtree
 
 
 def oracle_queryable_attributes(mcat, scope, include_system=False):
     scope = paths.normalize(scope)
     names = set()
-    objs = {row["oid"] for row in mcat.objects_in_collection(scope, recursive=True)}
-    colls = {row["cid"]: row["path"] for row in mcat.subtree_collections(scope)}
+    coll_rids, obj_rids, _structural = scan_subtree(mcat, scope)
+    objs = {row["oid"] for row in
+            mcat.db.table("objects").row_dicts(obj_rids)}
+    colls = {row["cid"]: row["path"] for row in
+             mcat.db.table("collections").row_dicts(coll_rids)}
     md = mcat.db.table("metadata")
     for rid in md.scan():
         row = md.row_dict(rid)

@@ -11,9 +11,10 @@ tree = st.lists(st.lists(names, min_size=1, max_size=3), min_size=1,
                 max_size=6)
 
 
-def build(paths_spec):
-    """Build a catalog holding collections/objects from component lists."""
-    mcat = Mcat(zone="z")
+def build(paths_spec, mcat=None):
+    """Fill a catalog (a new ``Mcat`` of zone ``z`` by default) with
+    collections/objects from component lists."""
+    mcat = Mcat(zone="z") if mcat is None else mcat
     collections = set()
     objects = {}
     for comps in paths_spec:
@@ -45,10 +46,10 @@ class TestRenameProperties:
     def test_rename_preserves_object_population(self, spec):
         mcat, collections, objects = build(spec)
         mcat.create_collection("/z/dst", OWNER, now=0.0)
-        count_before = mcat.count_objects()
+        count_before = mcat.total_objects()
         mcat.rename_subtree("/z", "/z2")
         # every object still exists exactly once, under the new prefix
-        assert mcat.count_objects() == count_before
+        assert mcat.total_objects() == count_before
         for opath, oid in objects.items():
             moved = "/z2" + opath[len("/z"):]
             assert mcat.get_object(moved)["oid"] == oid
@@ -76,7 +77,8 @@ class TestRenameProperties:
         mcat, collections, objects = build(spec)
         mcat.rename_subtree("/z", "/z9")
         from repro.util import paths as P
-        for row in mcat.subtree_collections("/z9"):
+        for row in mcat._collections.row_dicts(
+                [rid for _path, rid in mcat._subtree_collections("/z9")]):
             if row["path"] == "/z9":
                 continue
             assert row["parent"] == P.dirname(row["path"])

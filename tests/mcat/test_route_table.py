@@ -4,6 +4,7 @@ is bound straight through."""
 
 import ast
 import inspect
+import pathlib
 
 import pytest
 
@@ -16,6 +17,13 @@ ZONE = "demozone"
 FRONT_ONLY = {"shard_of_path", "shard_stats", "replication_lag",
               "partition_replica", "heal_replica", "anti_entropy",
               "compact_log"}
+
+SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
+
+#: catalog ops nothing in ``src/`` outside ``repro/mcat/`` calls: name ->
+#: why the op stays.  Frozen like ``test_reachability.API_ONLY``: an
+#: entry that suppresses nothing is itself a failure, so it only shrinks.
+CATALOG_ONLY: dict = {}
 
 
 def written_in_the_class_body():
@@ -57,6 +65,40 @@ class TestCompleteness:
         assert routed.__name__ == name
         assert routed.__qualname__ == f"ShardedMcat.{name}"
         assert routed.__doc__ == getattr(Mcat, name).__doc__
+
+
+def called_outside_the_catalog():
+    """Names called as an attribute (``x.name(...)``) by the code under
+    ``src/repro`` that is not ``repro/mcat/``: what the grid calls of
+    its catalog.  A string naming an op (a route row, a ``getattr``)
+    calls nothing."""
+    called = set()
+    for path in sorted(SRC.rglob("*.py")):
+        if (SRC / "mcat") in path.parents:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) \
+                    and isinstance(node.func, ast.Attribute):
+                called.add(node.func.attr)
+    return called
+
+
+class TestOnlyTheOpsTheGridCalls:
+    def test_every_catalog_op_is_called_by_the_grid_or_has_a_reason(self):
+        called = called_outside_the_catalog()
+        uncalled = sorted(set(MCAT_OPS) - called - CATALOG_ONLY.keys())
+        assert uncalled == [], \
+            "nothing outside repro/mcat/ calls these catalog ops: delete " \
+            "them, make them partition helpers, or say why in CATALOG_ONLY"
+        assert sorted(CATALOG_ONLY.keys() - (set(MCAT_OPS) - called)) == \
+            [], "CATALOG_ONLY names an op the grid now calls (or that " \
+            "is gone): delete the entry"
+
+    def test_the_rail_sees_what_it_claims_to(self):
+        called = called_outside_the_catalog()
+        # a handler's catalog call counts; a catalog-internal one does not
+        assert {"rename_subtree", "lookup", "create_objects"} <= called
+        assert "_subtree_collections" not in called
 
 
 class TestOnePartitionIsBoundThrough:

@@ -17,9 +17,9 @@ OWNER = "sekar@sdsc"
 ZONE = "demozone"
 
 
-def make_sharded(shards=4, replicas=0, staleness=0, clock=None):
+def make_sharded(shards=4, replicas=0, clock=None):
     return ShardedMcat(zone=ZONE, clock=clock, shards=shards,
-                       replicas=replicas, staleness=staleness)
+                       replicas=replicas)
 
 
 def seed(m, projects=("alpha", "beta", "gamma", "delta"), objs=3):
@@ -94,9 +94,6 @@ class TestApiParity:
             pk = [c["path"] for c in plain.child_collections(scope)]
             sk = [c["path"] for c in sharded.child_collections(scope)]
             assert pk == sk
-            ps = [c["path"] for c in plain.subtree_collections(scope)]
-            ss = [c["path"] for c in sharded.subtree_collections(scope)]
-            assert ps == ss
             po = [o["path"] for o in
                   plain.objects_in_collection(scope, recursive=True)]
             so = [o["path"] for o in
@@ -105,7 +102,6 @@ class TestApiParity:
 
     def test_counts_agree(self, pair):
         plain, sharded = pair
-        assert plain.count_objects() == sharded.count_objects()
         assert plain.total_objects() == sharded.total_objects()
         assert plain.total_replicas() == sharded.total_replicas()
 
@@ -119,7 +115,7 @@ class TestApiParity:
             with pytest.raises(AlreadyExists):
                 m.create_collection(f"/{ZONE}/alpha", OWNER, now=0.0)
             with pytest.raises(NoSuchObject):
-                m.get_object_by_id(999999)
+                m.delete_object(999999)
 
     def test_search_agrees(self, pair):
         plain, sharded = pair
@@ -215,7 +211,7 @@ class TestCrossShardMoves:
             m.move_object(obj["oid"], f"/{ZONE}/{dst}/raw/f1")
         # source untouched, id directory still routes to it
         assert m.get_object(f"/{ZONE}/{src}/raw/f0")["oid"] == obj["oid"]
-        assert m.get_object_by_id(obj["oid"])["path"] == obj["path"]
+        assert m.get_objects_by_ids([obj["oid"]])[0]["path"] == obj["path"]
         assert len(m.replicas(obj["oid"])) == 1
 
     def test_rename_subtree_across_shard_boundary(self):
@@ -231,13 +227,14 @@ class TestCrossShardMoves:
         moved = m.get_object(f"{new}/raw/f0")
         assert moved["oid"] == oid
         # everything routed by the new prefix now lives on one shard
-        assert m.get_object_by_id(oid)["path"] == f"{new}/raw/f0"
+        assert m.get_objects_by_ids([oid])[0]["path"] == f"{new}/raw/f0"
         assert len(m.replicas(oid)) == 1
         assert any(r["attr"] == "proj"
                    for r in m.get_metadata("object", oid))
         # subtree listing from the new root is complete
-        subtree = [c["path"] for c in m.subtree_collections(new)]
-        assert subtree == [new, f"{new}/raw"]
+        dst = m.shards[m.shard_of_path(new)].primary
+        assert [path for path, _rid in dst._subtree_collections(new)] == [
+            new, f"{new}/raw"]
 
     def test_rename_onto_existing_collection_rolls_back(self):
         m = seed(make_sharded(shards=4))
@@ -278,17 +275,8 @@ class TestReplicas:
                     == 100 + i
         assert m.replication_lag() == 0
 
-    def test_bounded_staleness_tolerates_lag(self):
-        m = seed(make_sharded(shards=2, replicas=1, staleness=1000))
-        m.create_object(f"/{ZONE}/alpha/raw/late", "data", OWNER, now=5.0)
-        # a lagging replica may legitimately miss the new row
-        m.find_object(f"/{ZONE}/alpha/raw/late")
-        assert m.replication_lag() > 0
-        m.anti_entropy()
-        assert m.replication_lag() == 0
-
     def test_zero_staleness_reads_its_writes(self):
-        m = seed(make_sharded(shards=2, replicas=1, staleness=0))
+        m = seed(make_sharded(shards=2, replicas=1))
         m.create_object(f"/{ZONE}/alpha/raw/new", "data", OWNER, now=5.0)
         assert m.get_object(f"/{ZONE}/alpha/raw/new")["path"] \
             == f"/{ZONE}/alpha/raw/new"
@@ -314,8 +302,8 @@ class TestReplicas:
         assert m.get_object(f"/{ZONE}/alpha/raw/while-down")
 
     def test_compaction_then_lagging_replica_rebuilds(self):
-        m = seed(make_sharded(shards=2, replicas=1, staleness=10**6))
-        # replica lags (staleness lets it), log gets compacted under it
+        m = seed(make_sharded(shards=2, replicas=1))
+        # replica lags (cut off), log gets compacted under it
         m.partition_replica(0, 0)
         m.partition_replica(1, 0)
         m.create_object(f"/{ZONE}/alpha/raw/x1", "data", OWNER, now=7.0)

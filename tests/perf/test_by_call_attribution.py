@@ -54,7 +54,7 @@ def test_ops_nobody_was_charged_for_fail_the_check():
     # mcat.ops moved, no method found: the tally looked at nothing
     blind = dict(clean, charged={}, unattributed=18)
     assert tool.by_call_failed({"query": clean, "ls_page": blind})
-    per_row = dict(clean, per_row={"get_object_by_id": 136})
+    per_row = dict(clean, per_row={"get_object": 136})
     assert tool.by_call_failed({"query": per_row})
 
 

@@ -33,7 +33,7 @@ server architecture" and "Placement policy engine"):
 
 4. **Query ops must not return unbounded materializations.**  A read
    handler that walks a whole-subtree enumerator
-   (``objects_in_collection``, ``subtree_collections``, ...) and ships
+   (``objects_in_collection``, ``_subtree_collections``, ...) and ships
    the full result in one reply makes peak reply size O(catalog); the
    streaming plane (DESIGN.md, "Streaming query plane") exists so new
    query surface is cursor-paged.  Any non-write ``@rpc_op`` handler
@@ -137,7 +137,7 @@ BANNED_CALLS = {
 #: (``queryable_attributes`` answers with distinct attribute names —
 #: as many as the vocabulary, not as the catalog — and is not one.)
 UNBOUNDED_ENUMERATORS = {
-    "objects_in_collection", "subtree_collections", "audit_query",
+    "objects_in_collection", "_subtree_collections", "audit_query",
     "all_rows", "scan",
 }
 
