@@ -17,6 +17,8 @@ from typing import Callable, Dict, Optional
 
 from repro.bench import ResultTable
 from repro.core import Federation, SrbClient
+from repro.mcat import Mcat
+from repro.mcat.schema import NUM_INDEX, TEXT_INDEX
 from repro.net.simnet import LinkSpec
 
 OUTPUT_DIR = os.path.join(os.path.dirname(__file__), "output")
@@ -83,3 +85,18 @@ def admin_client(fed: Federation, host: str = "h0",
     client.login()
     client.mkcoll(f"/{fed.zone}/bench")
     return client
+
+
+def scan_twin(mcat: Mcat) -> Mcat:
+    """The scope-scan plan's catalog: a copy of ``mcat`` (its rows, row
+    ids and collection cache, on its clock) without the three indexes
+    the index plan probes (``attr`` and the two pair indexes), so every
+    query walks its scope.  ``target_id`` stays: each object's metadata
+    is read as the walk always reads it."""
+    twin = Mcat(zone=mcat.zone, clock=mcat.clock)
+    for key in ("attr", NUM_INDEX, TEXT_INDEX):
+        twin.db.table("metadata").drop_index(key)
+    for name in mcat.db.tables():
+        twin.db.table(name).restore_rows(mcat.db.table(name).snapshot_rows())
+    twin._coll_rid_cache = dict(mcat._coll_rid_cache)
+    return twin

@@ -12,7 +12,7 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.core.dispatch import OpContext, rpc_op
 from repro.core.planes.base import PlaneService, link_view
 from repro.errors import AccessDenied, MetadataError
-from repro.mcat.query import Condition, DisplayOnly, QueryResult
+from repro.mcat.query import Condition, DisplayOnly, QueryResult, search
 from repro.util import paths
 
 
@@ -163,16 +163,13 @@ class MetadataService(PlaneService):
     def query(self, ctx: OpContext, scope: str,
               conditions: Sequence[Condition | DisplayOnly],
               include_annotations: bool = False,
-              include_system: bool = False,
-              limit: Optional[int] = None,
-              strategy: str = "auto") -> QueryResult:
-        """Attribute search under ``scope``; only objects the caller may
-        read are returned, and only those count toward ``limit``."""
-        result = self.mcat.search(scope, conditions,
-                                  include_annotations=include_annotations,
-                                  include_system=include_system,
-                                  limit=limit, strategy=strategy,
-                                  visible=self._readable_by(ctx.principal))
+              include_system: bool = False) -> QueryResult:
+        """Attribute search under ``scope``: every match the caller may
+        read, one unbounded page of :meth:`query_page`."""
+        result = search(self.mcat, scope, conditions,
+                        include_annotations=include_annotations,
+                        include_system=include_system,
+                        visible=self._readable_by(ctx.principal))
         ctx.audit(detail=f"{len(conditions)} conds, "
                          f"{len(result.rows)} hits")
         if ctx.span is not None:

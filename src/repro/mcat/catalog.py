@@ -274,7 +274,8 @@ class Mcat:
         return sorted(keyed)
 
     def remove_collection(self, path: str) -> None:
-        """Remove an *empty* collection."""
+        """Remove an *empty* collection, with its metadata and the
+        structural requirements it defines."""
         with self._charge:
             path = paths.normalize(path)
             rids = self._collection_rid(path)
@@ -285,8 +286,9 @@ class Mcat:
                 raise NotEmpty(f"collection {path!r} has sub-collections")
             if self._objects.lookup_eq("coll", path):
                 raise NotEmpty(f"collection {path!r} contains objects")
-            cid = t.value(rids[0], "cid")
-            self._purge_metadata("collection", cid)
+            self._purge_metadata("collection", t.value(rids[0], "cid"))
+            for rid in self._structural.lookup_eq("coll_path", path):
+                self._structural.delete_row(rid)
             t.delete_row(rids[0])
             self._coll_rid_cache.pop(path, None)
 
@@ -497,13 +499,11 @@ class Mcat:
 
     def _subtree(self, coll: str, recursive: bool) -> List[int]:
         """Row ids of the objects in normalized ``coll`` (and below it, if
-        ``recursive``: one range of the path index, the one :meth:`_page`
-        walks), in path order.  The caller charges."""
-        t = self._objects
+        ``recursive``: one range of the path index, :meth:`_page` with no
+        limit), in path order.  The caller charges."""
         if recursive:
-            lo, hi = subtree_path_range(coll)
-            return t.lookup_range("path", lo, hi, lo_incl=False,
-                                  hi_incl=False)
+            return self._page(coll, None, None, True)[0]
+        t = self._objects
         rids = t.lookup_eq("coll", coll)
         return [rid for _key, rid in sorted(zip(
             t.iter_values(rids, ("path", "oid")), rids))]
@@ -535,26 +535,29 @@ class Mcat:
                                            limit, recursive)
             return self._objects.row_dicts(rids), next_cursor
 
-    def _page(self, coll: str, cursor: Optional[str], limit: int,
+    def _page(self, coll: str, cursor: Optional[str], limit: Optional[int],
               recursive: bool) -> Tuple[List[int], Optional[str]]:
         """:meth:`objects_in_collection_page` as row ids: the one walk of
         the path index, which the query planner pages through too.  Of a
         row it reads at most ``coll`` (to skip nested ones when not
-        ``recursive``) and the cursor's ``path``.  The caller charges."""
+        ``recursive``) and the cursor's ``path``.  With no ``limit`` the
+        page is the whole range, one read.  The caller charges."""
         t = self._objects
         lo, hi = subtree_path_range(coll, cursor)
-        page_limit = max(1, int(limit))
+        page_limit = None if limit is None else max(1, int(limit))
         out: List[int] = []
         while True:
             # one-row lookahead so an exact-fit page ends the cursor
             # instead of dangling an empty trailing page
-            rids = t.lookup_range("path", lo, hi, lo_incl=False,
-                                  hi_incl=False, limit=page_limit + 1)
-            exhausted = len(rids) <= page_limit
+            rids = t.lookup_range("path", lo, hi, lo_incl=False, hi_incl=False,
+                                  limit=page_limit and page_limit + 1)
             kept = rids if recursive else [
                 rid for rid, (owner, _path) in
                 zip(rids, t.iter_values(rids, ("coll", "path")))
                 if owner == coll]
+            if page_limit is None:
+                return kept, None
+            exhausted = len(rids) <= page_limit
             need = page_limit - len(out)
             out += kept[:need]
             if len(kept) >= need:
@@ -1022,6 +1025,5 @@ class Mcat:
     # attribute queries: repro.mcat.query's planner, as methods
     # ------------------------------------------------------------------
 
-    search = query.run_search
     search_page = query.run_search_page
     queryable_attributes = query.run_queryable_attributes

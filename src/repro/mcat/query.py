@@ -11,7 +11,8 @@ query "is taken as a conjunctive query ... an AND of all the conditions".
 :func:`search` implements exactly that against the MCAT, returning one
 row per matching object with its logical path and the requested display
 attributes.  Annotations and selected system metadata can optionally be
-queried too, as the paper allows.
+queried too, as the paper allows.  One body answers every query,
+:func:`search_page`; :func:`search` is its page with no limit.
 
 The query is answered a set at a time, over sets of row ids (DESIGN.md,
 "Query planning"): where the sorted ``(attr, value_num)`` /
@@ -28,6 +29,7 @@ charged catalog op, or a Python call, per row it passes.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from itertools import compress, starmap
@@ -298,7 +300,8 @@ def _candidates(mcat: Mcat, probes: List[_Probe], scope: str,
 
 
 def _index_page_is_cheaper(mcat: Mcat, probes: List[_Probe], scope: str,
-                           cursor: Optional[str], limit: int) -> bool:
+                           cursor: Optional[str],
+                           limit: Optional[int]) -> bool:
     """Should a page come off the index plan or off a walk of the scope?
     Decided in catalog rows touched, from counts that cost two bisects.
 
@@ -306,8 +309,9 @@ def _index_page_is_cheaper(mcat: Mcat, probes: List[_Probe], scope: str,
     the smallest condition's rows among the objects still ahead, and
     every object passed costs its row and its metadata.  The index plan
     reads the smallest condition's rows and an object row for each, and
-    metadata only for the page.
+    metadata only for the page.  No ``limit`` means every match.
     """
+    limit = math.inf if limit is None else limit
     ahead = mcat.db.table("objects").count_range(
         "path", *subtree_path_range(scope, cursor),
         lo_incl=False, hi_incl=False)
@@ -329,10 +333,11 @@ def _chunks(keys: List[Key], size: Optional[int]
         yield keys[start:start + step], start + step < len(keys)
 
 
-def _walk(mcat: Mcat, scope: str, cursor: Optional[str], size: int
-          ) -> Iterator[Tuple[List[Key], bool]]:
+def _walk(mcat: Mcat, scope: str, cursor: Optional[str],
+          size: Optional[int]) -> Iterator[Tuple[List[Key], bool]]:
     """The objects under ``scope`` past ``cursor`` as ``(batch, more keys
-    follow)`` pairs, each one charged keyset page of the path index."""
+    follow)`` pairs, each one charged keyset page of the path index (with
+    no ``size``, one page: the whole range)."""
     while True:
         with mcat._charge:
             rids, cursor = mcat._page(scope, cursor, size, True)
@@ -450,14 +455,13 @@ def _condition_plan(conditions: Sequence[Condition | DisplayOnly]
     return real_conditions, display_attrs
 
 
-def _count_query(mcat: Mcat, strategy: str, plan: str, rows_before: int,
+def _count_query(mcat: Mcat, plan: str, rows_before: int,
                  matched: int) -> None:
     metrics = mcat.obs.metrics
-    metrics.inc("mcat.queries", strategy=strategy, plan=plan)
+    metrics.inc("mcat.queries", plan=plan)
     metrics.inc("mcat.query_rows_scanned", mcat._rows_scanned() - rows_before,
-                strategy=strategy, plan=plan)
-    metrics.inc("mcat.query_rows_matched", matched,
-                strategy=strategy, plan=plan)
+                plan=plan)
+    metrics.inc("mcat.query_rows_matched", matched, plan=plan)
 
 
 def search(mcat, scope: str,
@@ -467,79 +471,37 @@ def search(mcat, scope: str,
 
     Returns one row per matching object: ``path`` first, then a column per
     displayed attribute (multi-valued attributes join with '; ').
-    ``options`` are ``include_annotations``, ``include_system``,
-    ``limit``, ``strategy`` and ``visible``.  ``visible`` is the caller's
-    ACL filter — object rows in, a verdict per row out — applied to the
-    matches a batch at a time; only rows it passes are returned or count
-    toward ``limit``.
-
-    ``strategy`` selects the access plan:
-
-    * ``"scan"``   — enumerate every object under ``scope`` and test each
-      (always correct; cost ~ objects in scope);
-    * ``"index"``  — answer the conditions from the metadata attribute
-      indexes, smallest first, and verify scope membership per hit (cost
-      ~ rows of the most selective conditions); falls back to scan when
-      not applicable;
-    * ``"auto"``   — index when possible, else scan.  Results are
-      identical across strategies (asserted in tests and in E4).
-
-    ``mcat`` is any catalog: it answers through its own ``search``
-    method, which routes to the partitions holding ``scope`` and runs
-    :func:`run_search` on each.
+    ``options`` are ``include_annotations``, ``include_system`` and
+    ``visible``, the caller's ACL filter — object rows in, a verdict per
+    row out — applied to the matches a batch at a time; only rows it
+    passes are returned.  It is :func:`search_page` with no limit: one
+    unbounded page, its plan chosen by the same rule.
     """
-    return mcat.search(scope, conditions, **options)
-
-
-def run_search(mcat: Mcat, scope: str,
-               conditions: Sequence[Condition | DisplayOnly],
-               include_annotations: bool = False,
-               include_system: bool = False,
-               limit: Optional[int] = None,
-               strategy: str = "auto",
-               visible: Optional[Visible] = None) -> QueryResult:
-    """:func:`search` over one partition's tables."""
-    if strategy not in ("auto", "scan", "index"):
-        raise QueryError(f"unknown strategy {strategy!r}")
-    scope = paths.normalize(scope)
-    rows_before = mcat._rows_scanned()
-    real_conditions, display_attrs = _condition_plan(conditions)
-    probes = _probes(mcat, real_conditions) \
-        if strategy in ("auto", "index") else None
-    if probes is not None:
-        plan = "index"
-        candidates, unverified = _candidates(mcat, probes, scope)
-    else:
-        plan = "scan"
-        with mcat._charge:
-            candidates = _keyed(mcat, mcat._subtree(scope, True))
-        unverified = real_conditions
-    rows, matched, _cursor = _gather(
-        mcat, _chunks(candidates, limit), unverified, display_attrs,
-        include_annotations, include_system, visible, limit)
-    _count_query(mcat, strategy, plan, rows_before, matched)
-    return QueryResult(columns=["path"] + display_attrs, rows=rows)
+    page = mcat.search_page(scope, conditions, limit=None, **options)
+    return QueryResult(columns=page.columns, rows=page.rows)
 
 
 def search_page(mcat, scope: str,
                 conditions: Sequence[Condition | DisplayOnly],
                 **options: Any) -> QueryPage:
-    """One keyset page of :func:`search`, charged per page.
+    """One keyset page of a conjunctive attribute query, charged per
+    page: the one query body, of which :func:`search` is the page with
+    no limit.
 
-    Same conjunctive semantics, row shape and ``visible`` filter as
-    :func:`search` (``options``: ``include_annotations``,
-    ``include_system``, ``limit``, ``cursor``, ``visible``), but the
-    catalog is touched O(page) at a time and the page closes at ``limit``
-    visible matches.  Paths are the stable ordering key (identical to
-    the materializing plans' order) and the cursor is the last path
-    delivered.  Two plans, chosen per page by
-    :func:`_index_page_is_cheaper`: *walk* the sorted ``objects.path``
-    index strictly after ``cursor`` in batches of ``limit`` and test each
-    object (a selective filter may examine many batches to fill a page),
-    or take the index plan's candidates past the cursor.  An exhausted
-    scan returns ``next_cursor=None``.  A scope that spans partitions is
-    one page from each, merged
-    (:func:`repro.mcat.shard.merge_keyset_pages`).
+    ``options`` are ``include_annotations``, ``include_system``,
+    ``limit``, ``cursor`` and ``visible``, as for :func:`search`.  The
+    catalog is touched O(page) at a time and the page closes at
+    ``limit`` visible matches (``None``: one unbounded page).  Paths are
+    the stable ordering key and the cursor is the last path delivered.
+    Two plans, chosen per page by :func:`_index_page_is_cheaper`: *walk*
+    the sorted ``objects.path`` index strictly after ``cursor`` in
+    batches of ``limit`` (with no limit, one read of the scope's path
+    range) and test each object (a selective filter may examine many
+    batches to fill a page), or take the index plan's candidates past the
+    cursor.  A catalog without the probe indexes (``attr`` and the two
+    pair indexes) always walks.  An exhausted scan returns
+    ``next_cursor=None``.  A scope that spans partitions is one page from
+    each, merged (:func:`repro.mcat.shard.merge_keyset_pages`).
     """
     return mcat.search_page(scope, conditions, **options)
 
@@ -548,14 +510,14 @@ def run_search_page(mcat: Mcat, scope: str,
                     conditions: Sequence[Condition | DisplayOnly],
                     include_annotations: bool = False,
                     include_system: bool = False,
-                    limit: int = 100,
+                    limit: Optional[int] = 100,
                     cursor: Optional[str] = None,
                     visible: Optional[Visible] = None) -> QueryPage:
     """:func:`search_page` over one partition's tables."""
     scope = paths.normalize(scope)
     rows_before = mcat._rows_scanned()
     real_conditions, display_attrs = _condition_plan(conditions)
-    page_limit = max(1, int(limit))
+    page_limit = None if limit is None else max(1, int(limit))
     probes = _probes(mcat, real_conditions)
     if probes is not None and _index_page_is_cheaper(
             mcat, probes, scope, cursor, page_limit):
@@ -569,6 +531,6 @@ def run_search_page(mcat: Mcat, scope: str,
     rows, matched, next_cursor = _gather(
         mcat, batches, unverified, display_attrs, include_annotations,
         include_system, visible, page_limit)
-    _count_query(mcat, "page", plan, rows_before, matched)
+    _count_query(mcat, plan, rows_before, matched)
     return QueryPage(columns=["path"] + display_attrs, rows=rows,
                      next_cursor=next_cursor)

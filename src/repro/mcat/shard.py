@@ -278,8 +278,14 @@ class ShardedMcat:
         while rep.applied < shard.log_end():
             table, kind, rid, values = shard.log[rep.applied - shard.log_base]
             rep.catalog.db.table(table).apply_entry(kind, rid, values)
-            if table == "collections" and kind in ("update", "delete"):
-                rep.catalog._coll_rid_cache.clear()
+            if table == "collections":      # as the primary keeps its cache
+                cache = rep.catalog._coll_rid_cache
+                if kind == "insert":
+                    cache[values["path"]] = rid
+                elif kind == "delete":
+                    cache.pop(values["path"], None)
+                else:
+                    cache.clear()
             rep.applied += 1
             n += 1
         if n:
@@ -296,7 +302,8 @@ class ShardedMcat:
             snap = shard.primary.db.table(name).snapshot_rows()
             rep.catalog.db.table(name).restore_rows(snap)
             rows += sum(1 for r in snap if r is not None)
-        rep.catalog._coll_rid_cache.clear()
+        # row ids are positional, so the primary's path -> rid cache holds
+        rep.catalog._coll_rid_cache = dict(shard.primary._coll_rid_cache)
         rep.applied = shard.log_end()
         rep.catalog.busy_s += rows * self.ROW_COST_S
         self.obs.metrics.inc("mcat.shard.replication.rebuilt",
@@ -696,16 +703,6 @@ def _merge_rows(answers, *_args, **_kw) -> List[Dict[str, Any]]:
     return sorted(by_path.values(), key=itemgetter("path"))
 
 
-def _merge_search(answers, _conditions, limit=None, **_options):
-    merged = answers[0]
-    for result in answers[1:]:
-        merged.rows.extend(result.rows)
-    merged.rows.sort(key=itemgetter(0))     # column 0 is the path
-    if limit is not None:
-        merged.rows = merged.rows[:limit]
-    return merged
-
-
 def _merge_names(answers, include_system: bool = False) -> List[str]:
     # each partition ends its answer with the system attributes
     tail = list(SYSTEM_ATTRS) if include_system else []
@@ -714,8 +711,8 @@ def _merge_names(answers, include_system: bool = False) -> List[str]:
 
 
 def merge_keyset_pages(pages: Sequence[Sequence[Any]], more: bool,
-                       limit: int, path_of) -> Tuple[List[Any],
-                                                     Optional[str]]:
+                       limit: Optional[int], path_of
+                       ) -> Tuple[List[Any], Optional[str]]:
     """One global keyset page out of one page per partition.
 
     One cursor composes across partitions because every partition
@@ -726,13 +723,12 @@ def merge_keyset_pages(pages: Sequence[Sequence[Any]], more: bool,
     partition).  The next cursor is the last delivered path; the next
     page re-seeks every partition from it, so no per-partition cursor
     state ever crosses the wire.  ``more``: some partition had rows
-    past its page.
+    past its page.  With no ``limit`` the page is every row.
     """
-    page_limit = max(1, int(limit))
     rows = sorted(chain.from_iterable(pages), key=path_of)
-    out = rows[:page_limit]
+    out = rows if limit is None else rows[:max(1, int(limit))]
     return out, (str(path_of(out[-1]))
-                 if out and (more or len(rows) > page_limit) else None)
+                 if out and (more or len(rows) > len(out)) else None)
 
 
 def _merge_object_pages(answers, cursor=None, limit: int = 100,
@@ -743,7 +739,8 @@ def _merge_object_pages(answers, cursor=None, limit: int = 100,
         limit, itemgetter("path"))
 
 
-def _merge_search_pages(answers, _conditions, limit: int = 100, **_options):
+def _merge_search_pages(answers, _conditions, limit: Optional[int] = 100,
+                        **_options):
     page = answers[0]
     page.rows, page.next_cursor = merge_keyset_pages(
         [p.rows for p in answers],
@@ -802,7 +799,6 @@ ROUTES: Dict[str, tuple] = {
     # structural metadata (structural_for stitches the inheritance chain)
     "define_structural": (_route_one, PRIMARY, _of_path),
     # attribute queries
-    "search": (_route_scope, READ, _merge_search),
     "search_page": (_route_scope, READ, _merge_search_pages),
     "queryable_attributes": (_route_scope, READ, _merge_names),
 }

@@ -82,8 +82,7 @@ GENERATED = {
     "query":
         "(scope: 'str', conditions: 'Sequence[Condition | DisplayOnly]', "
         "include_annotations: 'bool' = False, include_system: 'bool' = "
-        "False, limit: 'Optional[int]' = None, strategy: 'str' = 'auto') ->"
-        " 'QueryResult'",
+        "False) -> 'QueryResult'",
     "query_page":
         "(scope: 'str', conditions: 'Sequence[Condition | DisplayOnly]', "
         "include_annotations: 'bool' = False, include_system: 'bool' = "

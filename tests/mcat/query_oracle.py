@@ -22,7 +22,7 @@ from repro.db.sql import COMPARE, like_to_regex
 from repro.errors import QueryError
 from repro.mcat.catalog import Mcat
 from repro.mcat.query import Condition, DisplayOnly, QueryPage, \
-    QueryResult, Visible, _Probe, _condition_plan, _count_query, \
+    Visible, _Probe, _condition_plan, _count_query, \
     _index_page_is_cheaper, _probes, _rows_per_object
 from repro.mcat.schema import numeric, subtree_path_range
 from repro.util import paths
@@ -132,10 +132,12 @@ def _chunks(rows: List[Dict[str, Any]], size: Optional[int]
         yield rows[start:start + step], start + step < len(rows)
 
 
-def _walk(mcat: Mcat, scope: str, cursor: Optional[str], size: int
+def _walk(mcat: Mcat, scope: str, cursor: Optional[str],
+          size: Optional[int]
           ) -> Iterator[Tuple[List[Dict[str, Any]], bool]]:
     """The objects under ``scope`` past ``cursor`` as ``(batch, more rows
-    follow)`` pairs, each one charged keyset page of the path index."""
+    follow)`` pairs, each one charged keyset page of the path index (with
+    no ``size``, one page: the whole range)."""
     while True:
         batch, cursor = mcat.objects_in_collection_page(
             scope, cursor=cursor, limit=size)
@@ -231,47 +233,18 @@ def _attribute_values(mcat: Mcat, batch: List[Dict[str, Any]],
     return out
 
 
-def run_search(mcat: Mcat, scope: str,
-               conditions: Sequence[Condition | DisplayOnly],
-               include_annotations: bool = False,
-               include_system: bool = False,
-               limit: Optional[int] = None,
-               strategy: str = "auto",
-               visible: Optional[Visible] = None) -> QueryResult:
-    """:func:`search` over one partition's tables."""
-    if strategy not in ("auto", "scan", "index"):
-        raise QueryError(f"unknown strategy {strategy!r}")
-    scope = paths.normalize(scope)
-    rows_before = mcat._rows_scanned()
-    real_conditions, display_attrs = _condition_plan(conditions)
-    probes = _probes(mcat, real_conditions) \
-        if strategy in ("auto", "index") else None
-    if probes is not None:
-        plan = "index"
-        candidates, unverified = _candidates(mcat, probes, scope)
-    else:
-        plan = "scan"
-        candidates = mcat.objects_in_collection(scope, recursive=True)
-        unverified = real_conditions
-    rows, matched, _cursor = _gather(
-        mcat, _chunks(candidates, limit), unverified, display_attrs,
-        include_annotations, include_system, visible, limit)
-    _count_query(mcat, strategy, plan, rows_before, matched)
-    return QueryResult(columns=["path"] + display_attrs, rows=rows)
-
-
 def run_search_page(mcat: Mcat, scope: str,
                     conditions: Sequence[Condition | DisplayOnly],
                     include_annotations: bool = False,
                     include_system: bool = False,
-                    limit: int = 100,
+                    limit: Optional[int] = 100,
                     cursor: Optional[str] = None,
                     visible: Optional[Visible] = None) -> QueryPage:
     """:func:`search_page` over one partition's tables."""
     scope = paths.normalize(scope)
     rows_before = mcat._rows_scanned()
     real_conditions, display_attrs = _condition_plan(conditions)
-    page_limit = max(1, int(limit))
+    page_limit = None if limit is None else max(1, int(limit))
     probes = _probes(mcat, real_conditions)
     if probes is not None and _index_page_is_cheaper(
             mcat, probes, scope, cursor, page_limit):
@@ -285,6 +258,6 @@ def run_search_page(mcat: Mcat, scope: str,
     rows, matched, next_cursor = _gather(
         mcat, batches, unverified, display_attrs, include_annotations,
         include_system, visible, page_limit)
-    _count_query(mcat, "page", plan, rows_before, matched)
+    _count_query(mcat, plan, rows_before, matched)
     return QueryPage(columns=["path"] + display_attrs, rows=rows,
                      next_cursor=next_cursor)

@@ -16,6 +16,7 @@ import pytest
 
 from repro.mcat import Mcat
 from repro.mcat.query import Condition, search
+from tests.mcat.plans import drop_probe_indexes, scan_twin
 
 OWNER = "sekar@sdsc"
 ZONE = "demozone"
@@ -85,8 +86,8 @@ class TestIndexPlanBatchFetch:
 
     def ops_for_search(self, m):
         before = m.obs.metrics.total("mcat.ops")
-        r = search(m, f"/{ZONE}/c", [Condition("flag", "=", "yes")],
-                   strategy="index")
+        r = search(m, f"/{ZONE}/c", [Condition("flag", "=", "yes")])
+        assert m.obs.metrics.get("mcat.queries", plan="index") == 1
         return m.obs.metrics.total("mcat.ops") - before, len(r)
 
     def test_candidate_fetch_is_one_charged_op(self):
@@ -132,10 +133,9 @@ class TestIndexPlanBatchFetch:
 
     def test_index_and_scan_plans_agree_after_batching(self):
         m = self.build(7)
-        idx = search(m, f"/{ZONE}/c", [Condition("flag", "=", "yes")],
-                     strategy="index")
-        scan = search(m, f"/{ZONE}/c", [Condition("flag", "=", "yes")],
-                      strategy="scan")
+        idx = search(m, f"/{ZONE}/c", [Condition("flag", "=", "yes")])
+        scan = search(scan_twin(m), f"/{ZONE}/c",
+                      [Condition("flag", "=", "yes")])
         assert sorted(idx.rows) == sorted(scan.rows)
 
 
@@ -200,14 +200,17 @@ class TestNoCatalogOpPerResultRow:
             client = clients[who]
             calls = {
                 "query": lambda: client.query(self.COLL, conditions).rows,
-                "query scan": lambda: client.query(
-                    self.COLL, conditions, strategy="scan").rows,
                 "query_page": lambda: client.query_page(
                     self.COLL, conditions, limit=rows)["rows"],
                 "ls_page": lambda: client.ls_page(
                     self.COLL, limit=rows)["objects"],
+                # last: the scan plan, on the catalog without its probes
+                "query scan": lambda: client.query(
+                    self.COLL, conditions).rows,
             }
             for name, call in calls.items():
+                if name == "query scan":
+                    drop_probe_indexes(fed.mcat)
                 ops, out = self.ops_of(fed, call)
                 assert len(out) == rows, name
                 counted.setdefault(name, []).append(ops)
@@ -216,8 +219,9 @@ class TestNoCatalogOpPerResultRow:
                 f"{name} as {who}: {few} catalog ops for 10 rows, "
                 f"{many} for 1,000")
         # and few they are: the scope's row, read once for its ACL, the
-        # probes, the object rows, their metadata, the audit row; the
-        # reader's grants are looked up along the four-deep collection
-        # chain for the scope (7 ops: its own row is held) and once more
-        # for the one collection the rows are in (8 ops)
-        assert counted["query"][0] == (5 if who == OWNER else 20)
+        # walk of the scope (every object matches, so the cost rule walks
+        # rather than probe and fetch the object rows), their metadata,
+        # the audit row; the reader's grants are looked up along the
+        # four-deep collection chain for the scope (7 ops: its own row is
+        # held) and once more for the one collection the rows are in (8)
+        assert counted["query"][0] == (4 if who == OWNER else 19)

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import QueryError
-from repro.mcat import Condition, DisplayOnly, Mcat, queryable_attributes, search
+from repro.mcat import Condition, DisplayOnly, Mcat, queryable_attributes, \
+    search, search_page
 
 OWNER = "sekar@sdsc"
 
@@ -110,9 +111,11 @@ class TestSearch:
         assert len(r) == 0
 
     def test_limit(self, mcat):
-        r = search(mcat, "/demozone", [Condition("SURVEY", "=", "2MASS")],
-                   limit=2)
-        assert len(r) == 2
+        # a bounded query is a page: the first two of every match
+        conds = [Condition("SURVEY", "=", "2MASS")]
+        page = search_page(mcat, "/demozone", conds, limit=2)
+        assert page.rows == search(mcat, "/demozone", conds).rows[:2]
+        assert page.next_cursor == page.rows[-1][0]
 
     def test_system_metadata(self, mcat):
         r = search(mcat, "/demozone",

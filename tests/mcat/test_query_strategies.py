@@ -1,12 +1,14 @@
-"""Tests for the index-driven query strategy (answers must be identical
-to the scan strategy in every case; the plan differs only in cost)."""
+"""The index plan against the scan plan: answers are identical in every
+case, and the plans differ only in cost.  The scan plan is a twin of the
+catalog without the probe indexes (:mod:`tests.mcat.plans`); the
+catalog itself picks its plan by the one cost rule."""
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.mcat import Condition, DisplayOnly, Mcat, search
-from repro.mcat.schema import drop_attribute_indexes
 from repro.errors import QueryError
+from tests.mcat.plans import drop_probe_indexes, scan_twin
 
 OWNER = "b@s"
 
@@ -30,11 +32,30 @@ def mcat():
     return m
 
 
+def plans(m):
+    """The plans ``m``'s queries took so far."""
+    return {plan for plan in ("index", "scan")
+            if m.obs.metrics.get("mcat.queries", plan=plan)}
+
+
+def rows_touched(m, query):
+    before = m._rows_scanned()
+    result = query(m)
+    return result, m._rows_scanned() - before
+
+
 def both(mcat, scope, conditions, **kw):
-    a = search(mcat, scope, conditions, strategy="scan", **kw)
-    b = search(mcat, scope, conditions, strategy="index", **kw)
-    assert a.columns == b.columns
-    assert sorted(a.rows) == sorted(b.rows)
+    """The query on ``mcat`` and on its scan twin: the same answer, and
+    where the cost rule walked the scope, the same rows touched."""
+    def query(m):
+        return search(m, scope, conditions, **kw)
+    twin = scan_twin(mcat)
+    a, scanned = rows_touched(twin, query)
+    b, touched = rows_touched(mcat, query)
+    assert plans(twin) == {"scan"}
+    assert (a.columns, a.rows) == (b.columns, b.rows)
+    if plans(mcat) == {"scan"}:
+        assert touched == scanned
     return a
 
 
@@ -74,25 +95,22 @@ class TestEquivalence:
 
 class TestFallbacks:
     def test_no_conditions_falls_back_to_scan(self, mcat):
-        r = search(mcat, "/demozone/c", [DisplayOnly("species")],
-                   strategy="index")
+        r = search(mcat, "/demozone/c", [DisplayOnly("species")])
         assert len(r) == 3      # every object in scope (incl. sub/) listed
+        assert plans(mcat) == {"scan"}
 
     def test_system_attrs_fall_back(self, mcat):
         r = search(mcat, "/demozone/c",
                    [Condition("SYS:owner", "=", OWNER)],
-                   include_system=True, strategy="index")
+                   include_system=True)
         assert len(r) == 3
+        assert plans(mcat) == {"scan"}
 
     def test_dropped_indexes_fall_back(self, mcat):
-        drop_attribute_indexes(mcat.db)
-        r = search(mcat, "/demozone/c", [Condition("species", "=", "ibis")],
-                   strategy="index")
+        drop_probe_indexes(mcat)
+        r = search(mcat, "/demozone/c", [Condition("species", "=", "ibis")])
         assert len(r) == 2
-
-    def test_unknown_strategy_rejected(self, mcat):
-        with pytest.raises(QueryError):
-            search(mcat, "/demozone/c", [], strategy="quantum")
+        assert plans(mcat) == {"scan"}
 
 
 class TestCost:
@@ -107,15 +125,13 @@ class TestCost:
                 m.add_metadata("object", oid, "rare", "yes", by=OWNER,
                                now=0.0)
 
-        def rows_touched(strategy):
-            before = sum(m.db.table(t).rows_scanned for t in m.db.tables())
-            search(m, "/demozone/big", [Condition("rare", "=", "yes")],
-                   strategy=strategy)
-            return sum(m.db.table(t).rows_scanned
-                       for t in m.db.tables()) - before
+        def query(catalog):
+            return search(catalog, "/demozone/big",
+                          [Condition("rare", "=", "yes")])
 
-        scan_cost = rows_touched("scan")
-        index_cost = rows_touched("index")
+        _rows, scan_cost = rows_touched(scan_twin(m), query)
+        _rows, index_cost = rows_touched(m, query)
+        assert plans(m) == {"index"}
         assert index_cost < scan_cost / 5
 
 
@@ -141,12 +157,13 @@ class TestPropertyEquivalence:
 # What a condition means is defined twice over here, both independent of
 # the planner: ``oracle_match`` is ``query._match`` as it stood before
 # conditions were compiled and probed (verbatim), evaluated over a plain
-# model of the catalog; and ``strategy="scan"`` is the catalog's own
+# model of the catalog; and the scan twin is the catalog's own
 # row-by-row plan.  Every plan has to return what they return.
 
 from repro.db.sql import like_to_regex
 from repro.mcat import ShardedMcat, search_page
-from repro.mcat.schema import restore_attribute_indexes
+from repro.mcat.schema import drop_attribute_indexes, \
+    restore_attribute_indexes
 
 
 def oracle_match(op, stored_value, stored_num, wanted):
@@ -204,12 +221,13 @@ SYS_OR_ANN = ["SYS:size", "SYS:owner", "SYS:kind", "ANN:comment",
 
 
 class Twin:
-    """The same catalog four times: a bare ``Mcat``, the catalog over
-    four partitions and over one (fed the same calls, so ids agree), and
-    a model of dicts."""
+    """The same catalog five times: a bare ``Mcat``, the catalog over
+    four partitions and over one, a bare ``Mcat`` without the probe
+    indexes (fed the same calls, so ids agree), and a model of dicts."""
 
     def __init__(self):
-        self.cats = [Mcat(), ShardedMcat(shards=4), ShardedMcat(shards=1)]
+        self.cats = [Mcat(), ShardedMcat(shards=4), ShardedMcat(shards=1),
+                     drop_probe_indexes(Mcat())]
         self.objects = {}        # oid -> (path, size)
         self.triples = {}        # mid -> [oid, attr, value]
         self.notes = {}          # oid -> [(ann_type, text)]
@@ -223,7 +241,9 @@ class Twin:
                                now=0.0)
 
     def dbs(self):
-        plain, *fronts = self.cats
+        """The tables whose attribute indexes a step drops or restores:
+        all but the scan twin's."""
+        plain, *fronts, _scan = self.cats
         return [plain.db] + [s.primary.db for m in fronts for s in m.shards]
 
     def add_object(self, coll, name, size):
@@ -393,13 +413,8 @@ class TestEveryPlanAgainstTheOracle:
         columns, want = twin.expected(scope, conditions, visible=visible,
                                       **flags)
         for m in twin.cats:
-            for strategy in ("scan", "index", "auto"):
-                got = search(m, scope, conditions, strategy=strategy,
-                             visible=visible, **flags)
-                assert (got.columns, got.rows) == (columns, want), strategy
-                cut = search(m, scope, conditions, strategy=strategy,
-                             visible=visible, limit=limit, **flags)
-                assert cut.rows == want[:limit], strategy
+            got = search(m, scope, conditions, visible=visible, **flags)
+            assert (got.columns, got.rows) == (columns, want)
             assert drain(m, scope, conditions, limit, visible=visible,
                          **flags) == (columns, want)
 
@@ -430,8 +445,8 @@ class TestProbeBoundaries:
     def test_probe_equals_scan(self, m, op, attr, wanted):
         from repro.mcat.query import _Probe
         cond = Condition(attr, op, wanted)
-        want = {row[0] for row in search(m, "/demozone/c", [cond],
-                                         strategy="scan").rows}
+        want = {row[0] for row in search(scan_twin(m), "/demozone/c",
+                                         [cond]).rows}
         probe = _Probe(m.db.table("metadata"), cond)
         # a number asked of the text-only attribute is the one pair here
         # that needs the row-by-row test: every row is a text straggler
@@ -465,34 +480,30 @@ class TestCountsPickThePlan:
                            now=0.0)
         return m
 
-    def page_plans(self, m):
-        return {plan for plan in ("index", "scan")
-                if m.obs.metrics.get("mcat.queries", strategy="page",
-                                       plan=plan)}
 
     def test_a_selective_condition_pages_off_the_index(self):
         m = self.build()
         page = search_page(m, "/demozone/big",
                            [Condition("field", "=", "7")], limit=5)
         assert len(page.rows) == 5 and page.next_cursor is not None
-        assert self.page_plans(m) == {"index"}
+        assert plans(m) == {"index"}
 
     def test_a_broad_condition_pages_off_the_walk(self):
         m = self.build()
         page = search_page(m, "/demozone/big",
                            [Condition("seq", ">=", "10")], limit=5)
         assert len(page.rows) == 5
-        assert self.page_plans(m) == {"scan"}
+        assert plans(m) == {"scan"}
 
     def test_pages_off_the_index_chain_like_any_other(self):
         m = self.build()
         conditions = [Condition("field", "=", "7")]
-        want = search(m, "/demozone/big", conditions, strategy="scan")
+        want = search(scan_twin(m), "/demozone/big", conditions)
         assert len(want) == 10
         for limit in (3, 5, 10):
             assert drain(m, "/demozone/big", conditions, limit) == \
                 (want.columns, want.rows)
-        assert self.page_plans(m) == {"index"}
+        assert plans(m) == {"index"}
 
     def test_a_page_filled_mid_batch_resumes_after_its_last_row(self):
         m = Mcat()
@@ -518,12 +529,12 @@ class TestCountsPickThePlan:
         def every_other(objs):
             return [i % 2 == 0 for i in range(len(objs))]
 
-        for strategy in ("scan", "index"):
-            got = search(m, "/demozone/big", [Condition("field", "=", "7")],
-                         strategy=strategy, visible=every_other)
+        for catalog in (scan_twin(m), m):
+            got = search(catalog, "/demozone/big",
+                         [Condition("field", "=", "7")], visible=every_other)
             assert len(got) == 5
-        series = m.obs.metrics.series("mcat.query_rows_matched")
-        assert sorted(series.values()) == [10, 10]
+            assert catalog.obs.metrics.total("mcat.query_rows_matched") == 10
+        assert plans(m) == {"index"}
 
     def test_the_smallest_condition_drives(self):
         m = self.build()
@@ -531,7 +542,7 @@ class TestCountsPickThePlan:
                       Condition("field", "=", "7")]      # 10 rows
         for order in (conditions, conditions[::-1]):
             before = m._rows_scanned()
-            got = search(m, "/demozone/big", order, strategy="index")
+            got = search(m, "/demozone/big", order)
             assert len(got) == 10
             # ten probe rows, ten object rows, two triples each: the
             # 400-row condition is verified on the survivors, not probed
@@ -542,8 +553,7 @@ class TestCountsPickThePlan:
         before = m._rows_scanned()
         got = search(m, "/demozone/big",
                      [Condition("seq", "<", "200"),      # 200 rows
-                      Condition("seq", ">=", "190")],    # 210 rows
-                     strategy="index")
+                      Condition("seq", ">=", "190")])    # 210 rows
         assert len(got) == 10
         # 200 survivors cost 600 rows to fetch; the 210-row probe first
         assert m._rows_scanned() - before == 200 + 210 + 10 + 20

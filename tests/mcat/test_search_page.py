@@ -2,6 +2,7 @@
 ``objects_in_collection_page`` and their sharded fan-out+merge variants."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.mcat import Mcat, ShardedMcat
 from repro.mcat.query import Condition, DisplayOnly, search, search_page
@@ -35,10 +36,11 @@ def mcat(request):
                             shards=4 if request.param == "sharded" else 1))
 
 
-def drain_search(m, conditions, limit):
+def drain_search(m, conditions, limit, **kw):
     rows, cursor, pages = [], None, 0
     while True:
-        page = search_page(m, SCOPE, conditions, limit=limit, cursor=cursor)
+        page = search_page(m, SCOPE, conditions, limit=limit, cursor=cursor,
+                           **kw)
         assert len(page.rows) <= limit
         rows.extend(page.rows)
         pages += 1
@@ -47,12 +49,27 @@ def drain_search(m, conditions, limit):
             return rows, pages
 
 
+QUERIES = [
+    [Condition("parity", "=", "even"), DisplayOnly("proj")],
+    [DisplayOnly("proj")],
+    [Condition("proj", "=", "beta")],
+    [Condition("proj", "like", "%a"), Condition("parity", "<>", "even")],
+]
+
+
 class TestSearchPage:
-    def test_parity_with_search(self, mcat):
-        conds = [Condition("parity", "=", "even"), DisplayOnly("proj")]
-        full = search(mcat, SCOPE, conds)
-        paged, _pages = drain_search(mcat, conds, limit=4)
-        assert sorted(paged) == sorted(full.rows)
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(conds=st.sampled_from(QUERIES), limit=st.integers(1, 30),
+           refused=st.integers(2, 5))
+    def test_parity_with_search(self, mcat, conds, limit, refused):
+        """``search`` is the drained pages, whatever their size, with a
+        filter that refuses every ``refused``-th oid."""
+        def visible(objs):
+            return [obj["oid"] % refused != 0 for obj in objs]
+        full = search(mcat, SCOPE, conds, visible=visible)
+        paged, _pages = drain_search(mcat, conds, limit, visible=visible)
+        assert paged == full.rows
 
     def test_rows_path_ordered_no_dups(self, mcat):
         rows, _pages = drain_search(mcat, [DisplayOnly("proj")], limit=5)
