@@ -88,15 +88,13 @@ def admin_client(fed: Federation, host: str = "h0",
 
 
 def scan_twin(mcat: Mcat) -> Mcat:
-    """The scope-scan plan's catalog: a copy of ``mcat`` (its rows, row
-    ids and collection cache, on its clock) without the three indexes
-    the index plan probes (``attr`` and the two pair indexes), so every
-    query walks its scope.  ``target_id`` stays: each object's metadata
-    is read as the walk always reads it."""
+    """The scope-scan plan's catalog: a copy of ``mcat`` (its rows and row
+    ids, on its clock) without the three indexes the index plan probes
+    (``attr`` and the two pair indexes), so every query walks its scope.
+    ``target_id`` stays: each object's metadata is read as the walk
+    always reads it."""
     twin = Mcat(zone=mcat.zone, clock=mcat.clock)
     for key in ("attr", NUM_INDEX, TEXT_INDEX):
         twin.db.table("metadata").drop_index(key)
-    for name in mcat.db.tables():
-        twin.db.table(name).restore_rows(mcat.db.table(name).snapshot_rows())
-    twin._coll_rid_cache = dict(mcat._coll_rid_cache)
+    twin.db.restore(mcat.db.snapshot())
     return twin

@@ -67,7 +67,6 @@ class Database:
         # rows examined across all tables: every table created here counts
         # into it beside its own rows_scanned
         self.scan_counter = ScanCounter()
-        self.queries_executed = 0
 
     # -- DDL -----------------------------------------------------------------
 
@@ -109,6 +108,25 @@ class Database:
 
     def has_table(self, name: str) -> bool:
         return name in self._tables
+
+    # -- copies ----------------------------------------------------------------
+
+    def snapshot(self) -> Dict[str, List[Optional[list]]]:
+        """Every table's heap by name (:meth:`Table.snapshot_rows`: row ids
+        and tombstones kept) — the one form in which a database is
+        copied."""
+        return {n: t.snapshot_rows() for n, t in sorted(self._tables.items())}
+
+    def restore(self, snapshot: Dict[str, List[Optional[list]]]) -> None:
+        """Make every table hold its heap in ``snapshot``
+        (:meth:`Table.restore_rows`, which refuses a row the table could
+        not hold).  ``snapshot`` must name exactly this database's
+        tables.  A refused restore leaves the database part-restored: a
+        caller that restores outside input discards it on error."""
+        if sorted(snapshot) != self.tables():
+            raise DatabaseError(f"snapshot of tables {sorted(snapshot)}")
+        for name, rows in snapshot.items():
+            self._tables[name].restore_rows(rows)
 
     # -- query execution --------------------------------------------------------
 
@@ -203,9 +221,8 @@ class Database:
         return ResultSet(columns=columns, rows=rows), next_cursor
 
     def _charge(self, before: int) -> None:
-        """Count one executed query and, if clocked, charge it the cost
-        model for the rows touched since the counter stood at ``before``."""
-        self.queries_executed += 1
+        """If clocked, charge one executed query the cost model for the
+        rows touched since the counter stood at ``before``."""
         if self.clock is not None:
             touched = self._total_scanned() - before
             self.clock.advance(self.QUERY_OVERHEAD_S +
@@ -221,13 +238,8 @@ class Database:
             if len(left.columns) != len(right.columns):
                 raise DatabaseError("UNION arms have different column counts")
             rows = list(left.rows) + list(right.rows)
-            if not query.all:
-                seen, deduped = set(), []
-                for row in rows:
-                    if row not in seen:
-                        seen.add(row)
-                        deduped.append(row)
-                rows = deduped
+            if not query.all:       # the first of each distinct row, in order
+                rows = list(dict.fromkeys(rows))
             return ResultSet(columns=left.columns, rows=rows)
         return self._run_select(query, params)
 

@@ -159,8 +159,6 @@ class Table:
         self.columns: Tuple[Column, ...] = tuple(columns)
         self._names: Tuple[str, ...] = tuple(names)
         self._offset: Dict[str, int] = {n: i for i, n in enumerate(names)}
-        # read on every insert, so kept rather than derived each time
-        self._known = self._offset.keys()
         self._width = len(names)
         # iter_values' readers, one per tuple of columns ever asked for
         self._pickers: Dict[Tuple[str, ...], itemgetter] = {}
@@ -518,11 +516,7 @@ class Table:
             self.scan_counter.total += n
             return rids
         off = self._offset[column]
-        out = []
-        for rid in self.scan():
-            if self._rows[rid][off] == value:
-                out.append(rid)
-        return out
+        return [rid for rid in self.scan() if self._rows[rid][off] == value]
 
     def lookup_eq_many(self, column: str, values: Sequence[Any]) -> List[int]:
         """What :meth:`lookup_eq` returns for each of ``values``, in one
@@ -637,11 +631,20 @@ class Table:
     def restore_rows(self, rows: List[Optional[list]]) -> None:
         """Replace the heap with a snapshot and rebuild every index.
 
-        Scan accounting is deliberately untouched: a snapshot restore is
-        replication plumbing, not a catalog query.
+        Each live row is built as :meth:`insert` builds one (its width,
+        every column's type and NOT NULL), and a unique index refuses a
+        repeated key: a snapshot this table could not hold raises
+        :class:`DatabaseError`, after which the table is not to be used
+        (a caller restoring outside input discards it).  Scan accounting
+        is deliberately untouched: a snapshot restore is replication
+        plumbing, not a catalog query.
         """
-        self._rows = [None if row is None else list(row) for row in rows]
-        self._live = sum(1 for row in self._rows if row is not None)
+        if any(len(row) != self._width for row in rows if row is not None):
+            raise DatabaseError(f"a row of {self.name!r} is not "
+                                f"{self._width} values")
+        self._rows = [row if row is None else self._row(dict(zip(
+            self._names, row))) for row in rows]
+        self._live = len(rows) - rows.count(None)
         for cname, idx in self._hash_indexes.items():
             self._hash_indexes[cname] = self._backfill(
                 HashIndex(unique=idx.unique), cname)

@@ -184,11 +184,6 @@ class Mcat:
         self._target_keyed = (self._metadata, self._annotations, self._acls)
         self._charge = _Charge(self)
         self.schemas = SchemaRegistry()
-        # path -> row-id cache for collection resolution.  Row ids are
-        # stable (tombstone deletes), so an entry stays valid until the
-        # collection is removed or a subtree rename rewrites paths.
-        self._coll_rid_cache: Dict[str, int] = {}
-        self.cid_cache_hits = 0
         # Cumulative service time this catalog instance spent answering
         # queries.  The clock serialises every charge onto one timeline;
         # busy_s is the per-instance view the sharded-catalog benchmark
@@ -212,11 +207,10 @@ class Mcat:
     def _insert_collection(self, path: str, parent: Optional[str],
                            owner: str, now: float) -> int:
         cid = self.ids.next_int("cid")
-        rid = self._collections.insert({
+        self._collections.insert({
             "cid": cid, "path": path, "parent": parent,
             "owner": owner, "created_at": now,
         })
-        self._coll_rid_cache[path] = rid
         return cid
 
     def create_collection(self, path: str, owner: str, now: float) -> int:
@@ -233,14 +227,7 @@ class Mcat:
             return self._insert_collection(path, parent, owner, now)
 
     def _collection_rid(self, path: str) -> List[int]:
-        rid = self._coll_rid_cache.get(path)
-        if rid is not None:
-            self.cid_cache_hits += 1
-            return [rid]
-        rids = self._collections.lookup_eq("path", path)
-        if rids:
-            self._coll_rid_cache[path] = rids[0]
-        return rids
+        return self._collections.lookup_eq("path", path)
 
     def get_collection(self, path: str) -> Dict[str, Any]:
         with self._charge:
@@ -290,7 +277,6 @@ class Mcat:
             for rid in self._structural.lookup_eq("coll_path", path):
                 self._structural.delete_row(rid)
             t.delete_row(rids[0])
-            self._coll_rid_cache.pop(path, None)
 
     def rename_subtree(self, old_prefix: str, new_prefix: str) -> int:
         """Rewrite every collection and object path under ``old_prefix``,
@@ -305,8 +291,6 @@ class Mcat:
         with self._charge:
             moves = self._renamed(paths.normalize(old_prefix),
                                   paths.normalize(new_prefix))
-            # paths under old_prefix are about to be rewritten in place
-            self._coll_rid_cache.clear()
             for t, rid, changes in moves:
                 t.update_row(rid, changes)
             return sum(t is not self._structural for t, _rid, _c in moves)

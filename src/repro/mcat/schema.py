@@ -102,7 +102,6 @@ def build_schema(db: Database) -> None:
     # (coll + "/", coll + "0") — O(page) per fetch, not O(subtree)
     objects.create_index("path", unique=False, sorted_index=True)
     objects.create_index("coll")
-    objects.create_index("kind")
 
     replicas = db.create_table("replicas", [
         Column("rid", "INT", nullable=False),
@@ -117,7 +116,6 @@ def build_schema(db: Database) -> None:
         Column("offset", "INT"),                       # ... at this offset
     ], primary_key="rid")
     replicas.create_index("oid")
-    replicas.create_index("resource")
     replicas.create_index("container_oid")
 
     collections = db.create_table("collections", [
@@ -176,7 +174,6 @@ def build_schema(db: Database) -> None:
         Column("permission", "TEXT", nullable=False),
     ], primary_key="aclid")
     acls.create_index("target_id")
-    acls.create_index("principal")
 
     audit = db.create_table("audit", [
         Column("auid", "INT", nullable=False),

@@ -45,6 +45,14 @@ the way AMGA and every production metadata service does:
   primary snapshot.  ``partition_replica``/``heal_replica`` inject the
   fault the repair pass is for.
 
+* **Copies.**  A snapshot (:meth:`repro.db.Database.snapshot`, every
+  table's rows by row id, tombstones included) is the one form in which
+  a catalog is copied: a replica is rebuilt from its primary's, and a
+  dump (:mod:`repro.mcat.dump`) is every partition's, serialised, which
+  restores into a catalog of as many partitions.  A read looks a
+  collection up by its path index, never by a cache earlier reads
+  warmed, so two copies in the same state charge a read alike.
+
 Cross-shard ``move_object``/``rename_subtree`` are two-shard
 copy+delete of the rows an in-place move rewrites (for a subtree,
 :meth:`~repro.mcat.catalog.Mcat._renamed` names them) and of the rows
@@ -78,6 +86,8 @@ MCAT_OPS = tuple(name for name, member in vars(Mcat).items()
 _OID_TABLES = ("replicas", "locks", "pins", "versions")
 #: tables keyed by (target_kind, target_id)
 _TARGET_TABLES = ("metadata", "annotations", "acls")
+#: the tables whose minted ids the id directories locate: table -> id
+_DIRS = {"objects": "oid", "collections": "cid", "metadata": "mid"}
 
 
 class McatReplica:
@@ -140,8 +150,8 @@ class ShardedMcat:
         # exist to route: one partition with no replica to feed keeps
         # none, and no observer.
         routing = shards > 1 or replicas > 0
-        self._dir: Dict[str, Dict[int, int]] = {"oid": {}, "cid": {},
-                                                "mid": {}}
+        self._dir: Dict[str, Dict[int, int]] = {key: {} for key
+                                                in _DIRS.values()}
         self.shards: List[McatShard] = []
         for k in range(shards):
             primary = Mcat(zone=zone, clock=clock, ids=self.ids,
@@ -150,11 +160,10 @@ class ShardedMcat:
             shard = McatShard(k, primary)
             if routing:
                 primary.db.watch(self._observer_for(shard))
-                # root rows predate the observer: register their cids
-                for row in primary.db.table("collections").all_rows():
-                    self._dir["cid"][row["cid"]] = k
             self.shards.append(shard)
-        if not routing:
+        if routing:
+            self._locate_ids()      # the root rows predate the observers
+        else:
             # nothing to decide: the partition's ops are the catalog's
             only = self.shards[0].primary
             for name in MCAT_OPS:
@@ -233,10 +242,19 @@ class ShardedMcat:
             self._track(shard.index, table, kind, values)
         return observe
 
+    def _locate_ids(self) -> None:
+        """Point the id directories at the partition that holds each oid,
+        cid and mid, read off the partitions' primary-key indexes
+        (uncharged): at construction, for the root rows the observers
+        did not see, and after a restore, which they do not see."""
+        for table, key in _DIRS.items():
+            self._dir[key] = {
+                ident: k for k, shard in enumerate(self.shards)
+                for ident in shard.primary.db.table(table).distinct(key)}
+
     def _track(self, k: int, table: str, kind: str,
                values: Dict[str, Any]) -> None:
-        dir_key = {"objects": "oid", "collections": "cid",
-                   "metadata": "mid"}.get(table)
+        dir_key = _DIRS.get(table)
         if dir_key is None:
             return
         ident = values.get(dir_key)
@@ -278,14 +296,6 @@ class ShardedMcat:
         while rep.applied < shard.log_end():
             table, kind, rid, values = shard.log[rep.applied - shard.log_base]
             rep.catalog.db.table(table).apply_entry(kind, rid, values)
-            if table == "collections":      # as the primary keeps its cache
-                cache = rep.catalog._coll_rid_cache
-                if kind == "insert":
-                    cache[values["path"]] = rid
-                elif kind == "delete":
-                    cache.pop(values["path"], None)
-                else:
-                    cache.clear()
             rep.applied += 1
             n += 1
         if n:
@@ -297,26 +307,20 @@ class ShardedMcat:
     def _rebuild(self, shard: McatShard, rep: McatReplica) -> int:
         """Restore ``rep`` from a primary snapshot (initial sync, and the
         repair path when the log was compacted past it or it diverged)."""
-        rows = 0
-        for name in shard.primary.db.tables():
-            snap = shard.primary.db.table(name).snapshot_rows()
-            rep.catalog.db.table(name).restore_rows(snap)
-            rows += sum(1 for r in snap if r is not None)
-        # row ids are positional, so the primary's path -> rid cache holds
-        rep.catalog._coll_rid_cache = dict(shard.primary._coll_rid_cache)
+        snapshot = shard.primary.db.snapshot()
+        rep.catalog.db.restore(snapshot)
+        rows = sum(len(heap) - heap.count(None)
+                   for heap in snapshot.values())
         rep.applied = shard.log_end()
         rep.catalog.busy_s += rows * self.ROW_COST_S
         self.obs.metrics.inc("mcat.shard.replication.rebuilt",
                              shard=str(shard.index))
         return rows
 
-    def _digest(self, catalog: Mcat) -> int:
+    @staticmethod
+    def _digest(catalog: Mcat) -> int:
         """Order-stable checksum of every table's live and dead rows."""
-        crc = 0
-        for name in catalog.db.tables():
-            payload = repr(catalog.db.table(name).snapshot_rows())
-            crc = zlib.crc32(payload.encode("utf-8"), crc)
-        return crc
+        return zlib.crc32(repr(catalog.db.snapshot()).encode("utf-8"))
 
     def partition_replica(self, k: int, r: int) -> None:
         """Fault injection: replica ``r`` of shard ``k`` stops receiving
@@ -379,10 +383,6 @@ class ShardedMcat:
 
     def _rows_scanned(self) -> int:
         return sum(s.primary._rows_scanned() for s in self.shards)
-
-    @property
-    def cid_cache_hits(self) -> int:
-        return sum(s.primary.cid_cache_hits for s in self.shards)
 
     @property
     def busy_s(self) -> float:
@@ -525,8 +525,6 @@ class ShardedMcat:
             self._insert_rows(dst, inserts, restore=restore)
         with src._charge:
             self._delete_source_rows(src, moves)
-        src._coll_rid_cache.clear()
-        dst._coll_rid_cache.clear()
         self.obs.metrics.inc("mcat.shard.cross_moves", op="rename_subtree")
         return count
 

@@ -29,10 +29,11 @@ only the answers are.  Before that, one difference in cost is allowed,
 and asserted exactly: an item with no catalog row now looks for a
 registered directory above it, as ``get`` does — one catalog lookup per
 ancestor, up to and including the first that has a row, an object's or
-a collection's — before it fails ``NoSuchObject``.
+a collection's, which reads that one row — before it fails
+``NoSuchObject``.
 """
 
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Tuple
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -130,14 +131,15 @@ def item_answer(item: Dict[str, Any]):
     return ("ok", item["data"])
 
 
-def shadow_lookups(fed, targets) -> int:
+def shadow_lookups(fed, targets) -> Tuple[int, int]:
     """Catalog lookups ``get``'s shadow fallback makes for the targets
-    that have no row: one per ancestor, up to and including the first
-    that has a row (in these grids a collection's: none of their missing
-    paths has an object above it)."""
+    that have no row, and the rows they read: one lookup per ancestor, up
+    to and including the first that has a row (in these grids a
+    collection's: none of their missing paths has an object above it),
+    whose row is the one the walk reads."""
     held = {row["path"] for row in _rows(fed, "objects")}
     colls = {row["path"] for row in _rows(fed, "collections")}
-    lookups = 0
+    lookups = rows = 0
     for target in targets:
         try:
             path = paths.normalize(target)
@@ -149,8 +151,9 @@ def shadow_lookups(fed, targets) -> int:
             lookups += 1
             assert ancestor not in held
             if ancestor in colls:
+                rows += 1
                 break
-    return lookups
+    return lookups, rows
 
 
 class Twin:
@@ -219,11 +222,12 @@ def test_one_read_body_matches_the_loop_it_replaced(mode, calls):
                 lambda: new.clients[principal].get(target)), target
         comparable = comparable and not any(changed)
         if comparable:
-            ops = shadow_lookups(new.fed, targets)
+            ops, rows = shadow_lookups(new.fed, targets)
             assert cost_new[0] - cost_old[0] == ops
-            assert cost_new[1] == cost_old[1]
+            assert cost_new[1] - cost_old[1] == rows
             assert cost_new[2] - cost_old[2] == pytest.approx(
-                ops * Mcat.QUERY_OVERHEAD_S, abs=1e-12)
+                ops * Mcat.QUERY_OVERHEAD_S + rows * Mcat.ROW_COST_S,
+                abs=1e-12)
             assert cost_new[3:] == cost_old[3:]
             assert legs_new == legs_old
             assert audit_new == audit_old

@@ -17,8 +17,9 @@ file the drivers hold, on the audit rows, on the legs the leg runner
 moved, on the messages and bytes on the wire and on the access checks.
 These differences are allowed, and each is asserted exactly:
 
-* ``mcat.ops`` falls by one per distinct collection an item names
-  that exists: ``collection_exists`` is no longer asked before
+* ``mcat.ops`` and ``mcat.rows_scanned`` fall by one per distinct
+  collection an item names that exists: ``collection_exists`` is no
+  longer asked, nor its collection row read, before
   ``require_collection`` reads the collection.
 * A single ingest onto a logical resource of N members writes its N
   replica rows as one grouped insert, N - 1 fewer ops.
@@ -301,7 +302,7 @@ CALLS = st.lists(st.tuples(st.booleans(), st.lists(ITEMS, min_size=1,
 @given(calls=CALLS)
 # the first call reads the container's collections on the old twin only
 # (the new one resolves no target): the second costs the same rows on
-# both, since a replica knows every collection its primary does
+# both, since no read is charged by what an earlier read looked up
 @example(calls=[(True, [{"path": "/z/nope/x", "data": b""}], "box", GUEST),
                 (False, [{"path": "/z/c/a", "data": b""}], "box", GUEST)])
 def test_one_body_matches_the_two_it_replaced(mode, calls):
@@ -319,8 +320,8 @@ def test_one_body_matches_the_two_it_replaced(mode, calls):
         container = kwargs.get("container")
         bad_target = target_error(target, principal)
         failed = [checks(item, principal) for item in items]
-        ops = existing(items)       # collection_exists asked once less
-        rows = 0
+        ops = existing(items)       # collection_exists asked once less,
+        rows = ops                  # and its collection row not read
         same_checks = same_audit = same_reply = True
         created = None              # the rows a bulk push is for, when
                                     # the old push carried more

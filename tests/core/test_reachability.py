@@ -46,6 +46,7 @@ API_ONLY = {
     "active_count": "SessionManager: tests count live sessions",
     "add_row": "ResultTable: benchmark tables are built from tests",
     "add_to_group": "UserRegistry: group membership, set up by tests",
+    "all_rows": "Table: tests read a table's live rows as dicts",
     "anti_entropy": "ShardedMcat: replica repair, driven by benchmark E16",
     "cache_sweep": "Federation: an operator's staging-cache sweep",
     "call_at": "SimClock: timers scheduled by tests",

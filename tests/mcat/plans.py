@@ -31,10 +31,8 @@ def drop_probe_indexes(catalog):
 
 
 def scan_twin(mcat: Mcat) -> Mcat:
-    """A copy of the plain catalog ``mcat`` (its rows, row ids and
-    collection cache, on its clock) without :data:`PROBE_INDEXES`."""
+    """A copy of the plain catalog ``mcat`` (its rows and row ids, on its
+    clock) without :data:`PROBE_INDEXES`."""
     twin = drop_probe_indexes(Mcat(zone=mcat.zone, clock=mcat.clock))
-    for name in mcat.db.tables():
-        twin.db.table(name).restore_rows(mcat.db.table(name).snapshot_rows())
-    twin._coll_rid_cache = dict(mcat._coll_rid_cache)
+    twin.db.restore(mcat.db.snapshot())
     return twin

@@ -42,7 +42,6 @@ def scan_rename(mcat, old_prefix: str, new_prefix: str) -> int:
     with mcat._charge:
         old_prefix = paths.normalize(old_prefix)
         new_prefix = paths.normalize(new_prefix)
-        mcat._coll_rid_cache.clear()
         colls = mcat.db.table("collections")
         objs = mcat.db.table("objects")
         count = 0

@@ -1,10 +1,9 @@
-"""Bulk catalog write APIs and the path->rid resolution cache.
+"""Bulk catalog write APIs.
 
 The bulk data plane's catalog half: ``create_objects`` /
 ``add_replicas`` / ``add_metadata_bulk`` register N rows under a single
 ``_charged()`` block (one ``QUERY_OVERHEAD_S``, one ``mcat.ops``
-increment), and collection path resolution is cached with invalidation
-on remove/rename.
+increment).
 """
 
 import pytest
@@ -150,46 +149,3 @@ class TestAddMetadataBulk:
         assert ops(mcat) - before == 1
         assert [r[0]["value"] for r in rows] == [str(o) for o in oids]
 
-
-class TestPathRidCache:
-    def test_cache_hit_counted(self, mcat):
-        mcat.get_collection(COLL)
-        before = mcat.cid_cache_hits
-        mcat.get_collection(COLL)
-        assert mcat.cid_cache_hits > before
-
-    def test_cache_reduces_rows_scanned(self):
-        m = Mcat(zone="z")
-        m.create_collection("/z/c", OWNER, now=0.0)
-        m.get_collection("/z/c")                    # warm
-        before = m._rows_scanned()
-        m.get_collection("/z/c")
-        warm = m._rows_scanned() - before
-        m._coll_rid_cache.clear()
-        before = m._rows_scanned()
-        m.get_collection("/z/c")
-        cold = m._rows_scanned() - before
-        assert warm < cold
-
-    def test_invalidated_on_remove(self, mcat):
-        mcat.create_collection(f"{COLL}/tmp", OWNER, now=0.0)
-        mcat.get_collection(f"{COLL}/tmp")          # warm the cache
-        mcat.remove_collection(f"{COLL}/tmp")
-        assert mcat.lookup(f"{COLL}/tmp") is None
-        with pytest.raises(NoSuchCollection):
-            mcat.get_collection(f"{COLL}/tmp")
-
-    def test_invalidated_on_rename(self, mcat):
-        mcat.create_collection(f"{COLL}/old", OWNER, now=0.0)
-        mcat.get_collection(f"{COLL}/old")          # warm the cache
-        mcat.rename_subtree(f"{COLL}/old", f"{COLL}/new")
-        assert "cid" in mcat.lookup(f"{COLL}/new")
-        assert mcat.lookup(f"{COLL}/old") is None
-
-    def test_recreate_after_remove_resolves_fresh(self, mcat):
-        mcat.create_collection(f"{COLL}/tmp", OWNER, now=0.0)
-        mcat.get_collection(f"{COLL}/tmp")
-        mcat.remove_collection(f"{COLL}/tmp")
-        mcat.create_collection(f"{COLL}/tmp", OWNER, now=5.0)
-        row = mcat.get_collection(f"{COLL}/tmp")
-        assert row["created_at"] == 5.0

@@ -63,6 +63,10 @@ class TestCollections:
         mcat.create_collection("/demozone/home/tmp", OWNER, now=0.0)
         mcat.remove_collection("/demozone/home/tmp")
         assert mcat.lookup("/demozone/home/tmp") is None
+        with pytest.raises(NoSuchCollection):
+            mcat.get_collection("/demozone/home/tmp")
+        mcat.create_collection("/demozone/home/tmp", OWNER, now=5.0)
+        assert mcat.get_collection("/demozone/home/tmp")["created_at"] == 5.0
 
     def test_remove_nonempty_rejected(self, mcat):
         mcat.create_collection("/demozone/home/a", OWNER, now=0.0)

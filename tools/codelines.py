@@ -16,9 +16,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 #: path (from the repository root) -> the most code lines it may hold
 CEILINGS = {
-    # - one query body: a materializing query is one unbounded page, so
-    #   run_search, Mcat.search, _merge_search and `strategy` are gone
-    "src/repro": 11_512,
+    # - the collection path cache and its upkeep, and three secondary
+    #   indexes nothing probes; a dump is a serialised snapshot that
+    #   import restores, not re-inserts
+    "src/repro": 11_470,
     "src/repro/core/containers.py": 144,
     "src/repro/core/dispatch.py": 351,
     # + the runner's control leg: a leg whose path_key is None is sent
@@ -31,6 +32,9 @@ CEILINGS = {
     "src/repro/core/planes/data.py": 876,
     "src/repro/core/planes/replica.py": 152,
     "src/repro/core/replication.py": 49,
+    # + Database.snapshot and restore, the one form of a catalog copy;
+    #   - the unread queries_executed and UNION's hand-written
+    #   de-duplication
     "src/repro/db/engine.py": 430,
     # + op_range, the operator -> range mapping the engine's planner and
     #   the catalog's probes share
@@ -40,11 +44,16 @@ CEILINGS = {
     "src/repro/db/sql.py": 364,
     # + Table.insert_many, the row builder it shares with insert, and the
     #   merge of a batch into a sorted index; + a batch of one row handed
-    #   to insert (a single ingest's rows cost fewer calls that way)
-    "src/repro/db/table.py": 412,
-    "src/repro/mcat/catalog.py": 700,
+    #   to insert (a single ingest's rows cost fewer calls that way);
+    #   + restore_rows builds each row as insert does, - the unread
+    #   _known and lookup_eq's hand-written scan loop
+    "src/repro/db/table.py": 411,
+    # the catalog's two packages, held together as well as file by file
+    "src/repro/db": 1_333,
+    "src/repro/mcat": 1_889,
+    "src/repro/mcat/catalog.py": 688,
     "src/repro/mcat/query.py": 302,
-    "src/repro/mcat/shard.py": 531,
+    "src/repro/mcat/shard.py": 518,
     "src/repro/mysrb/views.py": 531,
     "src/repro/net/rpc.py": 339,
     "src/repro/net/simnet.py": 511,
@@ -52,7 +61,7 @@ CEILINGS = {
     "src/repro/storage/base.py": 124,
     "src/repro/storage/memfs.py": 99,
     # + the ceilings themselves, which were a test's dict and a CI list
-    "tools/codelines.py": 55,
+    "tools/codelines.py": 54,
 }
 SKIP = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
         tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
@@ -71,15 +80,12 @@ def code_lines(path):
 def count(path):
     """Code lines of a file, or of a directory's ``*.py`` files."""
     p = Path(path)
-    return sum(map(code_lines,
-                   sorted(p.rglob("*.py")) if p.is_dir() else [p]))
+    return sum(map(code_lines, p.rglob("*.py") if p.is_dir() else [p]))
 if __name__ == "__main__":
     for arg in sys.argv[1:]:
         print(count(arg), arg)
-    over = []
-    for path, ceiling in CEILINGS.items() if not sys.argv[1:] else ():
-        lines = count(ROOT / path)
-        print(lines, "of", ceiling, path)
-        if lines > ceiling:
-            over.append(path)
+    counts = {} if sys.argv[1:] else {p: count(ROOT / p) for p in CEILINGS}
+    for path, lines in counts.items():
+        print(lines, "of", CEILINGS[path], path)
+    over = [path for path, lines in counts.items() if lines > CEILINGS[path]]
     sys.exit(f"over the ceiling: {', '.join(over)}" if over else 0)
