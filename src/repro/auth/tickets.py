@@ -133,9 +133,6 @@ class TicketAuthority:
             raise InvalidTicket("a zone does not 'trust' itself")
         self._trusted[zone] = zone_key
 
-    def distrust_zone(self, zone: str) -> None:
-        self._trusted.pop(zone, None)
-
     def issue(self, principal: Principal | str, audience: str = "*",
               lifetime_s: float = DEFAULT_TICKET_LIFETIME_S) -> Ticket:
         now = self.clock.now

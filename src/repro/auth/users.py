@@ -119,9 +119,6 @@ class UserRegistry:
     def exists(self, principal: str | Principal) -> bool:
         return str(principal) in self._users
 
-    def users(self) -> List[Principal]:
-        return [rec.principal for rec in self._users.values()]
-
     def _record(self, principal: str | Principal) -> UserRecord:
         try:
             return self._users[str(principal)]
@@ -149,17 +146,7 @@ class UserRegistry:
         key = str(principal)
         return sorted(g for g, members in self._groups.items() if key in members)
 
-    def group_members(self, group: str) -> List[str]:
-        if group not in self._groups:
-            raise AuthError(f"unknown group {group!r}")
-        return sorted(self._groups[group])
-
     # -- authentication ----------------------------------------------------------
-
-    def password_ok(self, principal: str | Principal, password: str) -> bool:
-        rec = self._record(principal)
-        return rec.enabled and hmac.compare_digest(
-            rec.password_digest, _digest(password, rec.salt))
 
     def make_challenge(self, serial: int) -> str:
         """Server-side nonce for challenge–response auth."""

@@ -162,15 +162,6 @@ class AccessController:
             self.denials += 1
             raise AccessDenied(principal, wanted, row["path"])
 
-    def can_collection(self, principal: Principal, coll_path: str,
-                       wanted: str) -> bool:
-        try:
-            coll = self.mcat.get_collection(coll_path)
-        except NoSuchCollection:
-            return False
-        held = self.permission_on_collection(principal, coll)
-        return held is not None and satisfies(held, wanted)
-
     def can_objects(self, principal: Principal,
                     objs: Sequence[Dict[str, object]],
                     wanted: str) -> List[bool]:

@@ -41,8 +41,8 @@ Written out are only the methods that do something else:
 * ``audit_log`` — joins the pages of one ``audit_log`` stream;
 * ``grant``, ``revoke`` — take ``principal``, which travels as the
   handler's ``principal_str``;
-* ``iter_ls``, ``iter_query_pages``, ``iter_query``,
-  ``iter_bulk_query_metadata`` — streams and pages composed of calls.
+* ``iter_ls``, ``iter_query_pages``, ``iter_query`` — streams and
+  pages composed of calls.
 """
 
 from __future__ import annotations
@@ -266,25 +266,6 @@ class SrbClient:
                 yield {"path": coll, "kind": "collection"}
             for obj in chunk["objects"]:
                 yield obj
-
-    def iter_bulk_query_metadata(self, targets: Sequence[str],
-                                 meta_class: Optional[str] = None,
-                                 page_size: int = 100):
-        """Iterate :meth:`bulk_query_metadata` results in bounded pages.
-
-        The target list is client-supplied, so paging slices it: one
-        ``bulk_query_metadata`` round trip per ``page_size`` targets,
-        yielding per-item results in target order as each reply lands —
-        peak reply size is bounded by the slice, and a failed item
-        (missing path, denied ACL) still yields its marshalled
-        ``error``/``error_type`` entry without disturbing later items.
-        """
-        targets = list(targets)
-        step = max(1, int(page_size))
-        for start in range(0, len(targets), step):
-            for item in self.bulk_query_metadata(
-                    targets[start:start + step], meta_class=meta_class):
-                yield item
 
     def iter_query_pages(self, scope: str,
                          conditions: Sequence[Condition | DisplayOnly],

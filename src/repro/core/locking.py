@@ -47,7 +47,7 @@ class LockManager:
 
     # -- internal -------------------------------------------------------------
 
-    def _live_locks(self, oid: int) -> List[Dict[str, Any]]:
+    def locks_on(self, oid: int) -> List[Dict[str, Any]]:
         """Non-expired lock rows for ``oid``; expired rows are reaped."""
         t = self.mcat.oid_table("locks", oid)
         live = []
@@ -76,7 +76,7 @@ class LockManager:
              lifetime_s: float = DEFAULT_LOCK_LIFETIME_S) -> int:
         if lock_type not in LOCK_TYPES:
             raise LockError(f"unknown lock type {lock_type!r}")
-        existing = self._live_locks(oid)
+        existing = self.locks_on(oid)
         for row in existing:
             if row["holder"] != str(holder):
                 # any existing foreign lock blocks an exclusive request;
@@ -103,14 +103,11 @@ class LockManager:
                 released += 1
         return released
 
-    def locks_on(self, oid: int) -> List[Dict[str, Any]]:
-        return self._live_locks(oid)
-
     def check_read(self, obj: Dict[str, Any], principal: Principal) -> None:
         """Exclusive locks held by others forbid even reads of object row
         ``obj``."""
         oid = obj["oid"]
-        for row in self._live_locks(oid):
+        for row in self.locks_on(oid):
             if row["lock_type"] == "exclusive" and \
                     row["holder"] != str(principal):
                 raise LockConflict(
@@ -120,7 +117,7 @@ class LockManager:
         """Any lock held by another user forbids writes to object row
         ``obj``; so does a foreign checkout."""
         oid = obj["oid"]
-        for row in self._live_locks(oid):
+        for row in self.locks_on(oid):
             if row["holder"] != str(principal):
                 raise LockConflict(
                     f"object {oid} locked ({row['lock_type']}) by "

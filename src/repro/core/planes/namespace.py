@@ -13,7 +13,6 @@ from repro.auth.users import Principal
 from repro.core.dispatch import OpContext, rpc_op
 from repro.core.planes.base import PlaneService
 from repro.errors import (
-    AlreadyExists,
     InvalidPath,
     LinkChainError,
     NoSuchCollection,
@@ -164,9 +163,8 @@ class NamespaceService(PlaneService):
             self.locks.check_write(row, principal)
             self.mcat.move_object(int(row["oid"]), dst)
             return
-        if self.mcat.lookup(dst) is not None:
-            raise AlreadyExists(f"destination {dst!r} already exists")
-        if src == dst or paths.is_ancestor(src, dst):
+        # the catalog refuses a taken destination (src itself included)
+        if paths.is_ancestor(src, dst) and self.mcat.lookup(dst) is None:
             raise InvalidPath(f"cannot move {src!r} into itself")
         self.mcat.rename_subtree(src, dst)
 

@@ -39,19 +39,6 @@ class ResultSet:
     def dicts(self) -> List[Dict[str, Any]]:
         return [dict(zip(self.columns, row)) for row in self.rows]
 
-    def scalar(self) -> Any:
-        """Single value of a single-row, single-column result."""
-        if len(self.rows) != 1 or len(self.columns) != 1:
-            raise DatabaseError(
-                f"scalar() needs 1x1 result, got {len(self.rows)}x{len(self.columns)}")
-        return self.rows[0][0]
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __iter__(self):
-        return iter(self.rows)
-
 
 class Database:
     """A named collection of tables plus the SELECT executor."""
@@ -89,14 +76,6 @@ class Database:
         for table in self._tables.values():
             table.observer = observer
 
-    def drop_table(self, name: str) -> None:
-        if name not in self._tables:
-            raise DatabaseError(f"no table {name!r}")
-        # the dropped table takes its share of the count with it
-        table = self._tables.pop(name)
-        self.scan_counter.total -= table.rows_scanned
-        table.scan_counter = ScanCounter(table.rows_scanned)
-
     def table(self, name: str) -> Table:
         try:
             return self._tables[name]
@@ -105,9 +84,6 @@ class Database:
 
     def tables(self) -> List[str]:
         return sorted(self._tables)
-
-    def has_table(self, name: str) -> bool:
-        return name in self._tables
 
     # -- copies ----------------------------------------------------------------
 

@@ -173,9 +173,6 @@ class SortedIndex:
         start, stop = self._bounds(lo, hi, lo_incl, hi_incl)
         return stop - start
 
-    def __len__(self) -> int:
-        return len(self._keys)
-
 
 class PairIndex(SortedIndex):
     """Range index over the values of two columns, as a pair.

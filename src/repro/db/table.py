@@ -599,9 +599,6 @@ class Table:
                 *[self._offset[c] for c in columns])
         return map(pick, map(self._rows.__getitem__, rids))
 
-    def all_rows(self) -> List[Dict[str, Any]]:
-        return [self.row_dict(rid) for rid in self.scan()]
-
     # -- replication support -----------------------------------------------
 
     def apply_entry(self, kind: str, rid: int, values: Dict[str, Any]) -> None:

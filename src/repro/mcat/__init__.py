@@ -8,7 +8,7 @@ from repro.mcat.dublin_core import (
     SchemaRegistry,
     dublin_core_schema,
 )
-from repro.mcat.dump import export_catalog, import_catalog, migrate_catalog
+from repro.mcat.dump import export_catalog, import_catalog
 from repro.mcat.extraction import ExtractionMethod, ExtractionRegistry
 from repro.mcat.query import (
     Condition,
@@ -29,5 +29,5 @@ __all__ = [
     "ExtractionMethod", "ExtractionRegistry",
     "Condition", "DisplayOnly", "QueryPage", "QueryResult", "search",
     "search_page", "queryable_attributes",
-    "export_catalog", "import_catalog", "migrate_catalog",
+    "export_catalog", "import_catalog",
 ]

@@ -286,11 +286,14 @@ class Mcat:
         move changes physical placement and/or the collection hierarchy
         while logical names keep resolving, and a collection's structural
         requirements keep governing what is ingested below it.  Returns
-        entries (collections and objects) rewritten.
+        entries (collections and objects) rewritten.  A destination that
+        is taken, or whose collection does not exist, is refused
+        (:meth:`_free_path`), as on a rename across partitions.
         """
         with self._charge:
-            moves = self._renamed(paths.normalize(old_prefix),
-                                  paths.normalize(new_prefix))
+            new = paths.normalize(new_prefix)
+            self._free_path(new)
+            moves = self._renamed(paths.normalize(old_prefix), new)
             for t, rid, changes in moves:
                 t.update_row(rid, changes)
             return sum(t is not self._structural for t, _rid, _c in moves)

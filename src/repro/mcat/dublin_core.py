@@ -107,6 +107,3 @@ class SchemaRegistry:
         if data_type is not None:
             names.extend(self._by_type.get(data_type, ()))
         return [self._schemas[n] for n in names]
-
-    def names(self) -> List[str]:
-        return sorted(self._schemas)

@@ -81,13 +81,3 @@ def import_catalog(dump: str, clock: Optional[SimClock] = None
     for prefix, value in doc["id_counters"].items():
         catalog.ids.next_ints(prefix, max(0, value - catalog.ids.peek(prefix)))
     return catalog
-
-
-def migrate_catalog(mcat: Mcat, clock: Optional[SimClock] = None
-                    ) -> ShardedMcat:
-    """One-call catalog technology refresh: export + import.
-
-    Returns a brand-new, independent catalog holding identical content —
-    what a site does when it moves its catalog to a new database server.
-    """
-    return import_catalog(export_catalog(mcat), clock=clock)

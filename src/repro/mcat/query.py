@@ -100,12 +100,6 @@ class QueryPage:
     rows: List[Tuple[Any, ...]]
     next_cursor: Optional[str] = None
 
-    def dicts(self) -> List[Dict[str, Any]]:
-        return [dict(zip(self.columns, r)) for r in self.rows]
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
 
 #: a stored value as the query sees it: ``(oid, attr, value, value_num)``
 Stored = Tuple[int, str, Optional[str], Optional[float]]
@@ -126,26 +120,28 @@ def queryable_attributes(mcat, scope: str,
 def run_queryable_attributes(mcat: Mcat, scope: str,
                              include_system: bool = False) -> List[str]:
     """:func:`queryable_attributes` over one partition's tables: two
-    charged reads of the subtree (its objects, then its collections),
-    then the metadata and requirements hanging off them, uncharged."""
+    charged reads, the subtree's objects, then its collections with the
+    metadata and requirements hanging off the subtree."""
     scope = paths.normalize(scope)
     with mcat._charge:
         objs = _keyed(mcat, mcat._subtree(scope, True))
     with mcat._charge:
         colls = mcat._subtree_collections(scope)
-    in_scope = {("object", oid) for _path, oid, _rid in objs} | {
-        ("collection", cid) for cid, _path in mcat.db.table(
-            "collections").iter_values([rid for _p, rid in colls],
-                                       ("cid", "path"))}
-    # one attribute at a time off the attr index, done with it at the
-    # first triple that hangs off something in scope
-    md = mcat.db.table("metadata")
-    names = {attr for attr in md.distinct("attr")
-             if not in_scope.isdisjoint(md.iter_values(
-                 md.lookup_eq("attr", attr), ("target_kind", "target_id")))}
-    st = mcat.db.table("structural_meta")
-    names.update(attr for attr, _path in st.iter_values(st.lookup_eq_many(
-        "coll_path", [path for path, _rid in colls]), ("attr", "coll_path")))
+        in_scope = {("object", oid) for _path, oid, _rid in objs} | {
+            ("collection", cid) for cid, _path in mcat.db.table(
+                "collections").iter_values([rid for _p, rid in colls],
+                                           ("cid", "path"))}
+        # one attribute at a time off the attr index, done with it at the
+        # first triple that hangs off something in scope
+        md = mcat.db.table("metadata")
+        names = {attr for attr in md.distinct("attr")
+                 if not in_scope.isdisjoint(md.iter_values(
+                     md.lookup_eq("attr", attr),
+                     ("target_kind", "target_id")))}
+        st = mcat.db.table("structural_meta")
+        names.update(attr for attr, _path in st.iter_values(
+            st.lookup_eq_many("coll_path", [path for path, _rid in colls]),
+            ("attr", "coll_path")))
     return sorted(names) + (list(SYSTEM_ATTRS) if include_system else [])
 
 

@@ -484,15 +484,17 @@ class ShardedMcat:
     def rename_subtree(self, old_prefix: str, new_prefix: str) -> int:
         old_prefix = paths.normalize(old_prefix)
         new_prefix = paths.normalize(new_prefix)
+        src_k = self.shard_of_path(old_prefix)
+        dst_k = self.shard_of_path(new_prefix)
+        src, dst = self._primary(src_k), self._primary(dst_k)
         if self._spans_shards(old_prefix) or self._spans_shards(new_prefix):
+            with dst._charge:       # a taken destination is refused first
+                dst._free_path(new_prefix)
             raise SrbError(
                 "rename at or above the partition level is not supported "
                 "on a sharded catalog (would re-key every shard)")
-        src_k = self.shard_of_path(old_prefix)
-        dst_k = self.shard_of_path(new_prefix)
         if src_k == dst_k:
-            return self._primary(src_k).rename_subtree(old_prefix, new_prefix)
-        src, dst = self._primary(src_k), self._primary(dst_k)
+            return src.rename_subtree(old_prefix, new_prefix)
 
         # every row the rename rewrites, and the rows that hang off them
         count = 0

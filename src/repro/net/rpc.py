@@ -51,14 +51,6 @@ class RpcStats:
     response_bytes: int = 0
     failures: int = 0
 
-    def snapshot(self) -> Dict[str, int]:
-        return {
-            "calls": self.calls,
-            "request_bytes": self.request_bytes,
-            "response_bytes": self.response_bytes,
-            "failures": self.failures,
-        }
-
 
 @dataclass
 class RequestTiming:
@@ -80,14 +72,6 @@ class RequestTiming:
     retry_after: Optional[float] = None  #: hint carried by ServerBusy
     error: Optional[str] = None          #: error type name, if it failed
     response_bytes: int = 0              #: reply bytes that reached the client
-
-    @property
-    def ok(self) -> bool:
-        return not self.shed and self.error is None
-
-    @property
-    def done(self) -> float:
-        return self.arrival + self.latency
 
 
 @dataclass
@@ -198,9 +182,6 @@ class ServiceRegistry:
         if key in self._services:
             raise RpcError(f"service {service!r} already registered on {host!r}")
         self._services[key] = handler
-
-    def deregister(self, host: str, service: str) -> None:
-        self._services.pop((host, service), None)
 
     def lookup(self, host: str, service: str) -> Any:
         try:

@@ -706,9 +706,6 @@ class TransferGroup:
             raise NetworkError(f"negative transfer size {nbytes}")
         self._members.append(_Member(src, dst, nbytes, streams, key, hidden))
 
-    def __len__(self) -> int:
-        return len(self._members)
-
     def run(self) -> List[TransferOutcome]:
         """Schedule every member, advance the clock by the makespan.
 

@@ -38,9 +38,6 @@ class DeferredPayload:
     def __init__(self, data: bytes):
         self.data = data
 
-    def __len__(self) -> int:
-        return len(self.data)
-
 
 class Redirect:
     """A reply that carries channel descriptors in place of bulk bytes.

@@ -193,10 +193,6 @@ class MetricsRegistry:
         name)``, plus the subset of ``labels`` it carries when not all."""
         return BoundFamily(self, labels, instruments)
 
-    def get(self, name: str, **labels: object) -> float:
-        """Value of one labeled series (0 if never incremented)."""
-        return self._counters.get(name, {}).get(self._key(labels), 0)
-
     def total(self, name: str) -> float:
         """Sum of a counter across every label combination."""
         return sum(self._counters.get(name, {}).values())
@@ -229,9 +225,6 @@ class MetricsRegistry:
         return BoundHistogram(self._histograms.setdefault(name, {}),
                               self._key(labels))
 
-    def histogram(self, name: str, **labels: object) -> Optional[Histogram]:
-        return self._histograms.get(name, {}).get(self._key(labels))
-
     def histogram_names(self) -> List[str]:
         return sorted(n for n, series in self._histograms.items() if series)
 
@@ -262,12 +255,6 @@ class MetricsRegistry:
         now = self.snapshot()
         return {k: v - before.get(k, 0) for k, v in now.items()
                 if v != before.get(k, 0)}
-
-    @staticmethod
-    def sum_matching(snap: Dict[str, float], name: str) -> float:
-        """Sum every series of counter ``name`` in a snapshot/delta."""
-        return sum(v for k, v in snap.items()
-                   if k == name or k.startswith(name + "{"))
 
     # -- rendering ----------------------------------------------------------
 

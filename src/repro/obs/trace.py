@@ -95,10 +95,6 @@ class Span:
         """All spans named ``name`` in this subtree."""
         return [s for s in self.walk() if s.name == name]
 
-    def total(self, key: str) -> float:
-        """Sum of a counter over this span and its whole subtree."""
-        return sum(s.counters.get(key, 0) for s in self.walk())
-
     def breakdown(self) -> Dict[str, float]:
         """Where this tree's virtual time went: ``admission`` (queue wait
         at a worker pool), ``wan`` (``net.*`` spans), ``storage``
@@ -126,9 +122,6 @@ class Span:
             parts["admission"] + parts["wan"] + parts["storage"]
             + parts["catalog"])
         return parts
-
-    def __repr__(self) -> str:
-        return f"<Span {self.name} {self.duration:.4f}s>"
 
 
 class _SpanContext:
@@ -233,15 +226,7 @@ class Tracer:
         if self.stack:
             Span(name, attrs, self._now(), parent=self.stack[-1])
 
-    def clear(self) -> None:
-        self.traces.clear()
-        self.dropped = 0
-
     # -- export -------------------------------------------------------------
-
-    def last(self) -> Optional[Span]:
-        """Most recently finished root span."""
-        return self.traces[-1] if self.traces else None
 
     def events(self, root: Optional[Span] = None) -> List[Dict[str, Any]]:
         """Flat event list (one dict per span, ``depth`` giving nesting)."""
@@ -264,7 +249,8 @@ class Tracer:
 
     def render(self, root: Optional[Span] = None) -> str:
         """Human-readable tree of one trace (default: the last one)."""
-        root = root if root is not None else self.last()
+        if root is None and self.traces:
+            root = self.traces[-1]
         if root is None:
             return "(no trace recorded)"
         lines: List[str] = []

@@ -139,10 +139,6 @@ class PathStats:
 
     # -- read-back (cost-free) -----------------------------------------
 
-    def seen(self, src: str, dst: str) -> bool:
-        rec = self._paths.get((src, dst))
-        return rec is not None and rec.transfers > 0
-
     def path_count(self) -> int:
         return len(self._paths)
 

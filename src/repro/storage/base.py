@@ -206,11 +206,6 @@ class StorageDriver(abc.ABC):
         with no tape behind it is always online."""
         return True
 
-    def used_bytes(self) -> int:
-        """Total bytes stored (for capacity accounting); drivers override
-        when they can answer cheaply."""
-        raise StorageError(f"{self.kind} driver cannot report usage")
-
 
 def writable(files: Dict[str, bytes], path: str) -> bytearray:
     """``files[path]`` as a buffer this driver alone holds, to change in

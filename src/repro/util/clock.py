@@ -92,31 +92,3 @@ class SimClock:
             if deadline > self.now:
                 self.now = deadline
             callback()
-
-
-class Stopwatch:
-    """Measure elapsed virtual time across a block of operations.
-
-    Usage::
-
-        sw = Stopwatch(clock)
-        with sw:
-            client.get("/zone/home/big.dat")
-        print(sw.elapsed)
-    """
-
-    def __init__(self, clock: SimClock):
-        self.clock = clock
-        self.elapsed = 0.0
-        self._t0 = 0.0
-
-    def __enter__(self) -> "Stopwatch":
-        self._t0 = self.clock.now
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.elapsed = self.clock.now - self._t0
-
-    def split(self) -> float:
-        """Elapsed virtual time since entry, without closing the watch."""
-        return self.clock.now - self._t0

@@ -15,16 +15,12 @@ from typing import Dict
 class IdFactory:
     """Per-prefix monotonically increasing id generator.
 
-    ``factory.next("obj")`` yields ``"obj-000001"``, ``"obj-000002"``, ...
-    Each prefix has an independent counter.
+    ``factory.next_int("oid")`` yields ``1``, ``2``, ...  Each prefix
+    has an independent counter.
     """
 
     def __init__(self) -> None:
         self._counters: Dict[str, int] = defaultdict(int)
-
-    def next(self, prefix: str) -> str:
-        self._counters[prefix] += 1
-        return f"{prefix}-{self._counters[prefix]:06d}"
 
     def next_int(self, prefix: str) -> int:
         """Bare integer counter for families that are numeric in the paper

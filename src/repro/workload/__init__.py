@@ -7,7 +7,7 @@ from repro.workload.synth import (
     small_files,
     survey_files,
 )
-from repro.workload.grids import StandardGrid, populate, standard_grid
+from repro.workload.grids import StandardGrid, standard_grid
 from repro.workload.openloop import (
     LoadReport,
     RequestOutcome,
@@ -18,7 +18,7 @@ from repro.workload.openloop import (
 
 __all__ = [
     "SynthFile", "survey_files", "embryo_files", "hyperspectral_files",
-    "small_files", "StandardGrid", "standard_grid", "populate",
+    "small_files", "StandardGrid", "standard_grid",
     "LoadReport", "RequestOutcome", "percentile", "poisson_arrivals",
     "run_open_loop",
 ]

@@ -9,13 +9,12 @@ logged-in curator client and an admin client.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro.core.client import SrbClient
 from repro.core.federation import Federation
 from repro.net.simnet import LAN, TRANSCON, WAN, LinkSpec
 from repro.storage.archive import TapeCost
-from repro.workload.synth import SynthFile
 
 
 @dataclass
@@ -66,23 +65,3 @@ def standard_grid(placement: str = "primary",
     home = "/demozone/home/sekar"
     curator.mkcoll(home)
     return StandardGrid(fed=fed, admin=admin, curator=curator, home=home)
-
-
-def populate(client: SrbClient, coll: str, files: Iterable[SynthFile],
-             resource: Optional[str] = None,
-             container: Optional[str] = None,
-             attach_metadata: bool = True) -> int:
-    """Ingest generated files under ``coll``; returns the count."""
-    count = 0
-    for f in files:
-        path = f"{coll}/{f.name}"
-        client.ingest(path, f.content, resource=resource,
-                      container=container, data_type=f.data_type)
-        if attach_metadata:
-            for attr, value in f.attributes.items():
-                client.add_metadata(path, attr, value)
-        if f.sidecar is not None:
-            client.ingest(path + ".hdr", f.sidecar, resource=resource,
-                          container=container, data_type="xml metadata")
-        count += 1
-    return count

@@ -68,7 +68,6 @@ class TestGroups:
         reg.create_group("curators")
         reg.add_to_group("curators", "sekar@sdsc")
         assert reg.groups_of("sekar@sdsc") == ["curators"]
-        assert reg.group_members("curators") == ["sekar@sdsc"]
 
     def test_duplicate_group_rejected(self, reg):
         reg.create_group("g")
@@ -84,20 +83,16 @@ class TestGroups:
         reg.create_group("g")
         reg.add_to_group("g", "sekar@sdsc")
         reg.remove_from_group("g", "sekar@sdsc")
-        assert reg.group_members("g") == []
+        assert reg.groups_of("sekar@sdsc") == []
 
     def test_removing_user_clears_memberships(self, reg):
         reg.create_group("g")
         reg.add_to_group("g", "moore@sdsc")
         reg.remove_user("moore@sdsc")
-        assert reg.group_members("g") == []
+        assert reg.groups_of("moore@sdsc") == []
 
 
 class TestAuthentication:
-    def test_password_ok(self, reg):
-        assert reg.password_ok("sekar@sdsc", "pw")
-        assert not reg.password_ok("sekar@sdsc", "wrong")
-
     def test_challenge_response_roundtrip(self, reg):
         challenge = reg.make_challenge(1)
         salt = reg.salt_of("sekar@sdsc")
@@ -124,7 +119,6 @@ class TestAuthentication:
                                         challenge)
         with pytest.raises(BadCredentials):
             reg.verify_response("sekar@sdsc", challenge, response)
-        assert not reg.password_ok("sekar@sdsc", "pw")
 
     def test_salts_differ_between_users(self, reg):
         assert reg.salt_of("sekar@sdsc") != reg.salt_of("moore@sdsc")

@@ -183,7 +183,6 @@ class TestPublicAndRoles:
         obj = mcat.get_objects_by_ids([oid])[0]
         assert ac.can_objects(SEKAR, [obj], "own") == [True]
         assert ac.can_objects(MOORE, [obj], "read") == [False]
-        assert ac.can_collection(SEKAR, "/demozone/cultures", "write")
 
 
 class TestBatchDecision:

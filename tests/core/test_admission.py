@@ -11,6 +11,7 @@ import pytest
 from repro.core import Federation, SrbClient
 from repro.errors import NetworkError, ServerBusy
 from repro.net.simnet import Network
+from tests.probes import counter, histogram
 
 COLL = "/demozone/bench"
 OBJ = f"{COLL}/obj.dat"
@@ -68,7 +69,8 @@ class TestEndToEndShedding:
         t = fed.clock.now
         with fed.rpc.open_loop(t):
             client.get(OBJ)
-        assert fed.rpc.last_timing.ok
+        assert not fed.rpc.last_timing.shed \
+            and fed.rpc.last_timing.error is None
         with pytest.raises(ServerBusy) as exc:
             with fed.rpc.open_loop(t):
                 client.get(OBJ)
@@ -77,9 +79,9 @@ class TestEndToEndShedding:
         stats = fed.stats()
         assert stats["requests_shed"] == 1
         m = fed.obs.metrics
-        assert m.get("srb.admission.shed", host="hs",
+        assert counter(m, "srb.admission.shed", host="hs",
                      service="srb:s0", method="get") == 1
-        hist = m.histogram("srb.admission.retry_after_s", host="hs")
+        hist = histogram(m, "srb.admission.retry_after_s", host="hs")
         assert hist is not None and hist.count == 1
 
     def test_two_workers_absorb_two_concurrent_gets(self):
@@ -88,7 +90,8 @@ class TestEndToEndShedding:
         for _ in range(2):
             with fed.rpc.open_loop(t):
                 client.get(OBJ)
-            assert fed.rpc.last_timing.ok
+            assert not fed.rpc.last_timing.shed \
+            and fed.rpc.last_timing.error is None
             assert fed.rpc.last_timing.wait == 0.0
         with pytest.raises(ServerBusy):
             with fed.rpc.open_loop(t):
@@ -155,11 +158,11 @@ class TestCrossZoneForwardShed:
         assert exc.value.retry_after == pytest.approx(100.0, rel=0.01)
         m = net.obs.metrics
         # shed accounted at the shedding host ...
-        assert m.get("srb.admission.shed", host="b-host",
+        assert counter(m, "srb.admission.shed", host="b-host",
                      service="srb:b-srb", method="get") == 1
         # ... and the forwarding server's dispatch pipeline labels the
         # failure like any other op error
-        assert m.get("srb.errors", server="a-srb", op="get",
+        assert counter(m, "srb.errors", server="a-srb", op="get",
                      error="ServerBusy") == 1
 
 
@@ -199,7 +202,7 @@ class TestChannelAdmissionIsCounted:
         fed, client = far
         assert client.get(self.PATH) == b"x" * 5000
         m = fed.obs.metrics
-        assert m.get("srb.admission.admitted", host="hr",
+        assert counter(m, "srb.admission.admitted", host="hr",
                      service="channel", method="get") == 1
         admitted, shed = self.station_totals(fed)
         assert (fed.stats()["requests_admitted"], shed) == (admitted, 0)
@@ -214,5 +217,5 @@ class TestChannelAdmissionIsCounted:
         stats = fed.stats()
         assert stats["requests_shed"] == 1
         assert stats["requests_admitted"] == self.station_totals(fed)[0] - 1
-        assert fed.obs.metrics.get("srb.admission.shed", host="hr",
+        assert counter(fed.obs.metrics, "srb.admission.shed", host="hr",
                                    service="channel", method="get") == 1

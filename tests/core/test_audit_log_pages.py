@@ -15,6 +15,7 @@ from repro.core import SrbClient
 from repro.errors import AccessDenied
 from repro.scommands import Shell
 from repro.workload import standard_grid
+from tests.probes import counter
 
 PRINCIPALS = ("sekar@sdsc", "moore@sdsc", "srbadmin@sdsc")
 ACTIONS = ("get", "ingest", "login", "delete")
@@ -94,10 +95,10 @@ def test_a_page_costs_the_catalog_no_more_than_the_unpaged_call(grid,
     metrics = grid.fed.obs.metrics
 
     def charged(fn):
-        before = (metrics.get("mcat.ops"), metrics.get("mcat.rows_scanned"))
+        before = (counter(metrics, "mcat.ops"), counter(metrics, "mcat.rows_scanned"))
         fn()
-        return (metrics.get("mcat.ops") - before[0],
-                metrics.get("mcat.rows_scanned") - before[1])
+        return (counter(metrics, "mcat.ops") - before[0],
+                counter(metrics, "mcat.rows_scanned") - before[1])
 
     whole = charged(lambda: unpaged(grid, **filters))
     for page_size in (1, 100):

@@ -45,6 +45,7 @@ from repro.mcat.catalog import Mcat
 from repro.util import paths
 from tests.core.bulk_get_oracle import oracle_servers
 from tests.invariants import _rows
+from tests.probes import counter
 
 MODES = {"default": {}, "direct_io": {"direct_io": True}}
 ADMIN, GUEST = "srbadmin@sdsc", "guest@sdsc"
@@ -172,7 +173,7 @@ class Twin:
 
     def counters(self) -> tuple:
         fed, metrics = self.fed, self.fed.obs.metrics
-        return (metrics.get("mcat.ops"), metrics.get("mcat.rows_scanned"),
+        return (counter(metrics, "mcat.ops"), counter(metrics, "mcat.rows_scanned"),
                 fed.clock.now, fed.network.messages_sent,
                 fed.network.bytes_sent, fed.access.checks,
                 fed.access.denials)

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core import Federation, SrbClient
 from repro.errors import NoSuchObject, NoSuchResource, StorageFull
+from tests.probes import counter
 
 
 @pytest.fixture
@@ -66,18 +67,18 @@ class TestIngestMetadataBatched:
         in the number of attributes, exactly one op above a bare ingest."""
         m = tiny_fed.mcat_server.mcat.obs.metrics
 
-        before = m.get("mcat.ops")
+        before = counter(m, "mcat.ops")
         tiny_admin.ingest(f"{home}/bare.dat", b"x")
-        bare_cost = m.get("mcat.ops") - before
+        bare_cost = counter(m, "mcat.ops") - before
 
-        before = m.get("mcat.ops")
+        before = counter(m, "mcat.ops")
         tiny_admin.ingest(f"{home}/one.dat", b"x", metadata={"a": "1"})
-        one_cost = m.get("mcat.ops") - before
+        one_cost = counter(m, "mcat.ops") - before
 
-        before = m.get("mcat.ops")
+        before = counter(m, "mcat.ops")
         tiny_admin.ingest(f"{home}/many.dat", b"x",
                           metadata={f"a{i}": str(i) for i in range(8)})
-        many_cost = m.get("mcat.ops") - before
+        many_cost = counter(m, "mcat.ops") - before
 
         assert one_cost == bare_cost + 1
         assert many_cost == one_cost
@@ -217,8 +218,8 @@ class TestBulkIngest:
         m = tiny_fed.network.obs.metrics
         tiny_admin.bulk_ingest([{"path": f"{home}/mm{i}.dat", "data": b"x"}
                                 for i in range(3)])
-        assert m.get("bulk.batches", op="ingest") == 1
-        assert m.get("bulk.items", op="ingest") == 3
+        assert counter(m, "bulk.batches", op="ingest") == 1
+        assert counter(m, "bulk.items", op="ingest") == 3
 
 
 class TestBulkGet:
@@ -244,6 +245,29 @@ class TestBulkGet:
         out = client.bulk_get([i["path"] for i in items],
                               via_container=f"{home}/wset")
         assert [r["data"] for r in out] == [i["data"] for i in items]
+
+    def test_a_failed_delivery_fails_its_item_only(self, grid, monkeypatch):
+        """The link to caltech is cut after the server read the far
+        file and before its bytes crossed: that item reports the failed
+        leg, the near one arrives, and the audit counts only its bytes."""
+        fed, admin = grid.fed, grid.admin
+        near, far = f"{grid.home}/near.dat", f"{grid.home}/far.dat"
+        admin.ingest(near, b"n" * 300, resource="unix-sdsc")
+        admin.ingest(far, b"f" * 1000, resource="unix-caltech")
+        driver = fed.resources.physical("unix-caltech").driver
+        read = driver.read
+
+        def read_then_cut(path, *args, **kwargs):
+            data = read(path, *args, **kwargs)
+            fed.network.partition("sdsc", "caltech")
+            return data
+        monkeypatch.setattr(driver, "read", read_then_cut)
+        out = admin.bulk_get([near, far])      # from sdsc: no redirect
+        assert out[0] == {"path": near, "data": b"n" * 300}
+        assert out[1]["path"] == far and "data" not in out[1]
+        assert out[1]["error_type"] == "HostUnreachable"
+        (audit,) = [e for e in admin.audit_log(action="bulk-get")]
+        assert audit["detail"] == "300B"
 
 
 class TestBulkQueryMetadata:
@@ -271,13 +295,13 @@ class TestBulkQueryMetadata:
         m = tiny_fed.mcat_server.mcat
         # per-item resolution + ACL checks are charged, but the metadata
         # rows themselves come back in ONE charged block, not six
-        ops_before = m.obs.metrics.get("mcat.ops")
+        ops_before = counter(m.obs.metrics, "mcat.ops")
         tiny_admin.bulk_query_metadata([f"{home}/r{i}.dat"
                                         for i in range(6)])
-        bulk_ops = m.obs.metrics.get("mcat.ops") - ops_before
+        bulk_ops = counter(m.obs.metrics, "mcat.ops") - ops_before
 
-        ops_before = m.obs.metrics.get("mcat.ops")
+        ops_before = counter(m.obs.metrics, "mcat.ops")
         for i in range(6):
             tiny_admin.get_metadata(f"{home}/r{i}.dat")
-        loop_ops = m.obs.metrics.get("mcat.ops") - ops_before
+        loop_ops = counter(m.obs.metrics, "mcat.ops") - ops_before
         assert bulk_ops < loop_ops

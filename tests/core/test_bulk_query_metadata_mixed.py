@@ -70,15 +70,3 @@ def test_owner_sees_everything(dataset):
         [f"{home}/a.dat", f"{home}/b.dat", f"{home}/c.dat"])
     assert all("error" not in r and r["metadata"] for r in results)
 
-
-def test_iter_variant_pages_and_preserves_errors(dataset):
-    grid, visitor = dataset
-    home = grid.home
-    targets = [f"{home}/a.dat", f"{home}/ghost.dat", f"{home}/b.dat",
-               f"{home}/c.dat"]
-    calls0 = grid.fed.rpc.stats.calls
-    items = list(visitor.iter_bulk_query_metadata(targets, page_size=2))
-    assert [r["path"] for r in items] == targets
-    assert [r.get("error_type") for r in items] == \
-        [None, "NoSuchObject", "AccessDenied", None]
-    assert grid.fed.rpc.stats.calls - calls0 == 2   # two slices of two

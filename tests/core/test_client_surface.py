@@ -135,9 +135,6 @@ WRITTEN = {
         "'Optional[str]' = None, sql_remainder: 'Optional[str]' = None, "
         "stripes: 'Union[int, str, None]' = None) -> 'bytes'",
     "grant": "(path: 'str', principal: 'str', permission: 'str') -> 'None'",
-    "iter_bulk_query_metadata":
-        "(targets: 'Sequence[str]', meta_class: 'Optional[str]' = None, "
-        "page_size: 'int' = 100)",
     "iter_ls": "(path: 'str', page_size: 'int' = 100)",
     "iter_query":
         "(scope: 'str', conditions: 'Sequence[Condition | DisplayOnly]', "

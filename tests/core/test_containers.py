@@ -11,6 +11,7 @@ from repro.errors import (
 )
 from repro.workload import standard_grid
 from tests.invariants import check_invariants
+from tests.probes import counter
 
 
 @pytest.fixture
@@ -199,10 +200,10 @@ class TestReadsWalkTheSourceChain:
         """(virtual s, wire bytes, bytes ``src``→``dst``) of ``run()``."""
         net, m = fed.network, fed.obs.metrics
         t0, b0 = fed.clock.now, net.bytes_sent
-        w0 = m.get("net.bytes", src=src, dst=dst)
+        w0 = counter(m, "net.bytes", src=src, dst=dst)
         run()
         return (fed.clock.now - t0, net.bytes_sent - b0,
-                m.get("net.bytes", src=src, dst=dst) - w0)
+                counter(m, "net.bytes", src=src, dst=dst) - w0)
 
     def test_prefetch_reads_the_disk_copy_on_the_servers_host(self):
         """The archive is replica 1, swept to tape; the clean disk copy

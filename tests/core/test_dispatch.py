@@ -30,6 +30,7 @@ from repro.net.simnet import Network
 from repro.net.wire import DeferredPayload
 from tests.integration.test_charge_conservation import build_fed
 from tests.op_calls import op_calls, prepare
+from tests.probes import counter, sum_matching
 
 #: The six ops that take no subject path and therefore never zone-check.
 UNSCOPED_OPS = {"auth_challenge", "auth_login", "bulk_ingest", "bulk_get",
@@ -248,7 +249,7 @@ class TestOpsCounterRegression:
                 getattr(srv, name)(**kwargs)
             delta = m.delta(before)
             spec = srv.dispatch.get(name).spec
-            assert m.sum_matching(delta, "srb.ops") == \
+            assert sum_matching(delta, "srb.ops") == \
                 1 + self.NESTED.get(name, 0), \
                 f"{name}: expected exactly one srb.ops increment"
             labeled = "srb.ops{op=%s,plane=%s,server=srb1}" % (name,
@@ -313,7 +314,7 @@ class TestCompiledOrder:
     @staticmethod
     def counts(fed, srv, op):
         m = fed.obs.metrics
-        return {"ops": m.get("srb.ops", server=srv.name, plane="data", op=op),
+        return {"ops": counter(m, "srb.ops", server=srv.name, plane="data", op=op),
                 "errors": m.total("srb.errors"),
                 "served": srv.ops_served,
                 "audited": len(fed.mcat.audit_query(action=op))}
@@ -333,7 +334,7 @@ class TestCompiledOrder:
             {"ops": 1, "errors": 1, "served": 1, "audited": 1}
         (row,) = fed.mcat.audit_query(action="delete")
         assert row["ok"] is False and row["principal"] == "sekar@sdsc"
-        assert fed.obs.metrics.get("srb.errors", server="srb1", op="delete",
+        assert counter(fed.obs.metrics, "srb.errors", server="srb1", op="delete",
                                    error="AccessDenied") == 1
         (span,) = root.find("srb.data.delete")
         assert span.error.startswith("AccessDenied")

@@ -25,6 +25,7 @@ from repro.errors import (
 from repro.mcat.catalog import _Charge
 from repro.net.simnet import LinkSpec
 from repro.workload import standard_grid
+from tests.probes import counter
 
 BIG = bytes(range(256)) * 16384             # 4 MiB
 
@@ -148,12 +149,12 @@ def test_an_unusable_target_writes_no_object_row(target, knobs,
         charge.marks += (charge.scans.total,)
     monkeypatch.setattr(_Charge, "__enter__", enter)
     oids = fed.mcat.ids.peek("oid")
-    ops = fed.obs.metrics.get("mcat.ops")
+    ops = counter(fed.obs.metrics, "mcat.ops")
     logged = [len(shard.log) for shard in fed.mcat.shards]
     with pytest.raises(error):
         guest.ingest("/z/g/new.dat", b"data", **kwargs)
     assert fed.mcat.ids.peek("oid") == oids
-    assert fed.obs.metrics.get("mcat.ops") - ops == len(charged) > 0
+    assert counter(fed.obs.metrics, "mcat.ops") - ops == len(charged) > 0
     assert not WRITES & set(charged), charged
     audited = charged.count("record_audit")
     assert audited == (error is AccessDenied)

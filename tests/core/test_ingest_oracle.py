@@ -66,6 +66,7 @@ from repro.mcat.catalog import Mcat, apply_structural
 from repro.util import paths
 from tests.core.ingest_oracle import oracle_servers
 from tests.invariants import _rows, held_files
+from tests.probes import counter
 
 MODES = {
     "default": {},
@@ -154,14 +155,14 @@ def target_ops(mode: str, principal: str, container: str) -> int:
     fed, _clients = build(False, MODES[mode])
     server = fed.server("s1")
     ops = fed.obs.metrics
-    before = ops.get("mcat.ops")
+    before = counter(ops, "mcat.ops")
     try:
         cont = server.containers.get_container(container)
         fed.access.require_object(Principal.parse(principal), cont,
                                   "write")
     except SrbError:
         pass
-    return ops.get("mcat.ops") - before
+    return counter(ops, "mcat.ops") - before
 
 
 def target_error(name: str, principal: str) -> Optional[SrbError]:
@@ -254,7 +255,7 @@ class Twin:
 
     def counters(self) -> tuple:
         fed, metrics = self.fed, self.fed.obs.metrics
-        return (metrics.get("mcat.ops"), metrics.get("mcat.rows_scanned"),
+        return (counter(metrics, "mcat.ops"), counter(metrics, "mcat.rows_scanned"),
                 fed.clock.now, fed.network.messages_sent,
                 fed.network.bytes_sent, fed.access.checks,
                 fed.access.denials,

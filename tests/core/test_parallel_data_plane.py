@@ -15,6 +15,7 @@ import pytest
 from repro.core import Federation, SrbClient
 from repro.errors import HostUnreachable, ResourceUnavailable, StorageError
 from repro.net.simnet import TRANSCON, WAN
+from tests.probes import counter
 
 PAYLOAD = bytes(range(256)) * 4096          # 1 MiB
 
@@ -92,7 +93,7 @@ class TestIngestFanout:
         assert group.duration < 0.9 * sum(costs)
         assert [t.attrs["done"] - t.attrs["start"]
                 for t in group.find("net.transfer")] == pytest.approx(costs)
-        assert fed.obs.metrics.get("net.parallel.groups",
+        assert counter(fed.obs.metrics, "net.parallel.groups",
                                    label="ingest-fanout") == 1
         # and the op as a whole paid the group once, not per member:
         # beyond a local-only ingest it owes the two cold probes, the
@@ -205,10 +206,10 @@ class TestRollbackCharged:
             raise StorageError("r3: disk full")
         fed.resources.physical("r3").driver.create = refuse
         m = fed.obs.metrics
-        before = m.get("net.messages", src="h1", dst="h2")
+        before = counter(m, "net.messages", src="h1", dst="h2")
         with pytest.raises(StorageError):
             client.ingest("/z/w/f.dat", PAYLOAD, resource="all")
-        after = m.get("net.messages", src="h1", dst="h2")
+        after = counter(m, "net.messages", src="h1", dst="h2")
         # session open + push + rollback delete = 3 messages to h2
         assert after - before == 3
         assert fed.mcat.find_object("/z/w/f.dat") is None
@@ -247,7 +248,7 @@ class TestParallelSynchronize:
             assert not rep["is_dirty"]
             driver = fed.resources.physical(rep["resource"]).driver
             assert driver.read(rep["physical_path"]) == PAYLOAD[::-1]
-        assert fed.obs.metrics.get("net.parallel.groups",
+        assert counter(fed.obs.metrics, "net.parallel.groups",
                                    label="synchronize") == 1
 
     def test_single_dirty_member_stays_serial(self):
@@ -304,7 +305,7 @@ class TestBulkGetOverlap:
         group = the_group(root, "bulk-get")
         assert group.duration == pytest.approx(max(costs))
         assert group.duration < 0.9 * sum(costs)
-        assert fed.obs.metrics.get("net.parallel.groups",
+        assert counter(fed.obs.metrics, "net.parallel.groups",
                                    label="bulk-get") == 1
 
     def test_down_host_yields_per_item_error(self):
@@ -327,7 +328,7 @@ class TestStripedGet:
     def test_striped_read_returns_same_bytes(self):
         fed, client = self._setup()
         assert client.get("/z/w/big.dat", stripes=2) == PAYLOAD
-        assert fed.obs.metrics.get("srb.striped_reads", stripes="2") == 1
+        assert counter(fed.obs.metrics, "srb.striped_reads", stripes="2") == 1
 
     def test_striped_read_is_faster(self):
         fed_a, client_a = self._setup()
@@ -340,7 +341,7 @@ class TestStripedGet:
     def test_more_stripes_than_replicas_clamps(self):
         fed, client = self._setup()
         assert client.get("/z/w/big.dat", stripes=8) == PAYLOAD
-        assert fed.obs.metrics.get("srb.striped_reads", stripes="2") == 1
+        assert counter(fed.obs.metrics, "srb.striped_reads", stripes="2") == 1
 
     def test_single_replica_falls_back_to_chain_walk(self):
         fed, client = build_fed()

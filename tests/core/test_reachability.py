@@ -1,6 +1,6 @@
 """What no surface reaches is deleted, or says why it stays.
 
-Two checks over the source, read as text (``ast``), not run:
+Three checks:
 
 1. Every op the servers register is called by an Scommand (a row of
    ``scommands.shell.FORWARDS`` or a written ``cmd_``) or by a MySRB
@@ -8,107 +8,56 @@ Two checks over the source, read as text (``ast``), not run:
    user surface reaches is in ``ADMIN_ONLY`` (``tools/surfaces.py``,
    the one walk of the surfaces, which ``tools/gendocs.py`` prints in
    DESIGN.md's op table) with its reason.
-2. Every public function or method under ``src/repro`` is referenced
-   somewhere in ``src/`` other than by its own definition — by name, as
-   an attribute, or as a string — or is in :data:`API_ONLY` with its
-   reason.  A name ``gridbench/tracing.LAYER_ENTRYPOINTS`` declares is
-   referenced: ``resolve_entrypoints`` raises if it goes.
+2. Every public function or method under ``src/repro`` is referenced,
+   other than by its own definition, by name, as an attribute or as a
+   string, in what ``tools/reach.py`` runs: ``src/``, ``examples/``,
+   ``benchmarks/``, ``gridbench/`` (its wrapper table names functions
+   as strings) and the surface walks (``tests/op_calls.py``,
+   ``tests/surface_calls.py``); or its ``path::Qualname`` is a key of
+   ``tools/reach.py``'s ``REACH_EXEMPT`` (the one list of reasons, each
+   of ``reach.KINDS`` or the wrapper table) or ``OPEN`` (what goes with
+   its own tests later).  A name match is a quick stand-in for the
+   traced rule in 3.
+3. The surface walk names every Scommand and every MySRB route, and
+   runs.  ``python tools/reach.py --check`` traces it, with the
+   workloads, examples and benchmarks, and holds every function none of
+   them enters to ``REACH_EXEMPT`` or ``OPEN``; that takes minutes, so
+   it runs in CI's benchmark job, not here.
 
-Both dicts are frozen like the lint allowlists: an entry that suppresses
-nothing is itself a failure, so they only shrink.
+``ADMIN_ONLY``, ``REACH_EXEMPT`` and ``OPEN`` are frozen like the lint
+allowlists: an entry that exempts nothing is itself a failure (here for
+an entry that names no function; ``reach.py --check`` for one a traced
+run enters), so they only shrink.
 """
 
 import ast
 import importlib.util
 import pathlib
 
+from repro.scommands.shell import FORWARDS, Shell
+from tests import surface_calls
+
 ROOT = pathlib.Path(__file__).resolve().parents[2]
 SRC = ROOT / "src" / "repro"
+#: what tools/reach.py runs, read as text
+CALLERS = [SRC, ROOT / "examples", ROOT / "benchmarks", ROOT / "gridbench",
+           ROOT / "tests" / "op_calls.py", ROOT / "tests" / "surface_calls.py"]
 
 
-def _surfaces():
-    """``tools/surfaces.py``: the one walk of the Scommands and MySRB,
-    which ``tools/gendocs.py`` prints in DESIGN.md's op table."""
+def _tool(name):
+    """A module of ``tools/``."""
     spec = importlib.util.spec_from_file_location(
-        "surfaces", ROOT / "tools" / "surfaces.py")
+        name, ROOT / "tools" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-surfaces = _surfaces()
+surfaces = _tool("surfaces")
+reach = _tool("reach")
 OPS = surfaces.OPS
 ADMIN_ONLY = surfaces.ADMIN_ONLY
-
-#: public names only tests, benchmarks or programs call: name -> why
-API_ONLY = {
-    "active": "Tracer.active: tests read the open span stack",
-    "active_count": "SessionManager: tests count live sessions",
-    "add_row": "ResultTable: benchmark tables are built from tests",
-    "add_to_group": "UserRegistry: group membership, set up by tests",
-    "all_rows": "Table: tests read a table's live rows as dicts",
-    "anti_entropy": "ShardedMcat: replica repair, driven by benchmark E16",
-    "cache_sweep": "Federation: an operator's staging-cache sweep",
-    "call_at": "SimClock: timers scheduled by tests",
-    "can_collection": "AccessController: the boolean twin of "
-                      "require_collection, for programs",
-    "compact_log": "ShardedMcat: write-log truncation, driven by tests",
-    "connect": "SrbClient: switch servers ('connect to any SRB server')",
-    "create_group": "UserRegistry: groups are created by programs",
-    "create_user_table": "DatabaseResourceDriver: the tables a registered "
-                         "SQL object reads are made by programs",
-    "deregister": "ServiceRegistry: tests take a service off the registry",
-    "dicts": "ResultSet, QueryResult, QueryPage: rows as dicts, for "
-             "programs",
-    "disable_user": "UserRegistry: an administrator's action",
-    "distrust_zone": "TicketAuthority: undo federate_with's trust",
-    "drop_attribute_indexes": "mcat.schema: the index-free baseline "
-                              "benchmark E4 measures",
-    "drop_table": "Database: schema change, for programs",
-    "events": "Tracer.events: tests read a trace as a flat list",
-    "federate_with": "Federation: zones are peered by the program that "
-                     "builds them",
-    "file_count": "MemFsDriver: tests and benchmarks count stored files",
-    "find": "Span.find: tests look a span up by name",
-    "group_members": "UserRegistry: lists a group, for programs",
-    "has_table": "Database: schema probe, for programs",
-    "heal": "Network: tests heal a partition",
-    "heal_replica": "ShardedMcat: tests reconnect a catalog replica",
-    "install_proxy_command": "Federation: an administrator fills a "
-                             "server's bin directory",
-    "is_published": "WebSpace: tests check a URL is served",
-    "iter_bulk_query_metadata": "SrbClient: paged batch metadata, for "
-                                "programs",
-    "iter_query": "SrbClient: query rows one by one, for programs and "
-                  "gridbench",
-    "locks_on": "LockManager: tests list an object's locks",
-    "methods_for": "ExtractionRegistry: lists extraction methods, for "
-                   "programs",
-    "p50": "LoadReport: the median latency benchmarks report",
-    "p99": "LoadReport: the tail latency benchmarks report",
-    "partition": "Network: tests cut a link",
-    "partition_replica": "ShardedMcat: tests cut a catalog replica off",
-    "password_ok": "UserRegistry: a plain password check, for programs",
-    "publish": "WebSpace: the web pages URL objects point at are put up "
-               "by programs",
-    "purge_expired": "SessionManager: an operator's session sweep",
-    "remove_from_group": "UserRegistry: group membership, for programs",
-    "remove_transfer_observer": "Network: benchmarks detach an observer",
-    "remove_user": "UserRegistry: an administrator's action",
-    "reset_queues": "Network: tests and benchmarks empty link queues",
-    "restore_attribute_indexes": "mcat.schema: undoes "
-                                 "drop_attribute_indexes",
-    "scalar": "ResultSet.scalar: one value of a SQL answer, for programs",
-    "schemas_for": "SchemaRegistry: the schemas for a data type",
-    "set_down": "Network: tests and benchmarks take a host down",
-    "set_role": "UserRegistry: an administrator's action",
-    "set_up": "Network: tests and benchmarks bring a host back",
-    "shed_fraction": "LoadReport: share of requests shed, for "
-                     "benchmarks",
-    "sum_matching": "MetricsRegistry: tests total a family of series",
-    "touch": "SessionManager: tests refresh a session",
-    "unpublish": "WebSpace: tests take a page down",
-}
+REACH_EXEMPT = reach.REACH_EXEMPT
 
 
 def _surface_ops():
@@ -126,49 +75,72 @@ def test_every_op_has_a_surface_or_a_reason():
     assert sorted(ADMIN_ONLY.keys() - OPS) == []
 
 
-def _entrypoint_names():
-    spec = importlib.util.spec_from_file_location(
-        "gridbench_tracing", ROOT / "gridbench" / "tracing.py")
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return {name for _layer, _module, _cls, names in tracing.LAYER_ENTRYPOINTS
-            if isinstance(names, tuple) for name in names}
-
-
 def _unreferenced():
-    """Public functions and methods under ``src/repro`` (not ``@rpc_op``
-    handlers, whose reach is the first check, nor ``cmd_`` methods, the
-    Scommands themselves) that nothing in ``src/`` names."""
-    defined, used = {}, set()
-    for path in sorted(SRC.rglob("*.py")):
-        for node in ast.walk(surfaces.parse(path)):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                op = any("rpc_op" in ast.dump(dec)
-                         for dec in node.decorator_list)
-                if not (node.name.startswith(("_", "cmd_")) or op):
-                    defined.setdefault(node.name, []).append(
-                        f"{path.relative_to(ROOT)}:{node.lineno}")
-            elif isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, ast.Constant) and isinstance(node.value,
-                                                               str):
-                used.add(node.value)
-    used |= _entrypoint_names()
-    return {name: where for name, where in defined.items()
-            if name not in used}
+    """Public functions and methods under ``src/repro``, by
+    ``path::Qualname`` (not ``@rpc_op`` handlers, whose reach is the
+    first check, nor ``cmd_`` methods, the Scommands themselves), whose
+    name nothing in :data:`CALLERS` mentions."""
+    used = set()
+    for caller in CALLERS:
+        for path in [caller] if caller.is_file() else caller.rglob("*.py"):
+            for node in ast.walk(surfaces.parse(path)):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+                elif isinstance(node, ast.Constant) \
+                        and isinstance(node.value, str):
+                    used.add(node.value)
+    return sorted(
+        key for key, node in reach.defined().items()
+        if not node.name.startswith(("_", "cmd_"))
+        and not any("rpc_op" in ast.dump(dec) for dec in node.decorator_list)
+        and node.name not in used)
 
 
 def test_every_public_function_has_a_caller_or_a_reason():
-    unreferenced = _unreferenced()
-    missing = {name: where for name, where in unreferenced.items()
-               if name not in API_ONLY}
-    assert missing == {}, \
-        "nothing in src/ calls these: delete them, or say why in API_ONLY"
-    assert sorted(API_ONLY.keys() - unreferenced.keys()) == [], \
-        "API_ONLY names something src/ now calls (or that is gone): " \
-        "delete the entry"
+    assert [key for key in _unreferenced()
+            if key not in REACH_EXEMPT and key not in reach.OPEN] == [], \
+        "nothing the grid runs calls these: delete them, or say why in " \
+        "tools/reach.py's REACH_EXEMPT"
+
+
+def test_every_reason_names_a_function_and_what_runs_it():
+    defined = reach.defined()
+    assert sorted(REACH_EXEMPT.keys() - defined.keys()) == [], \
+        "REACH_EXEMPT names a function that is gone: delete the entry"
+    assert [key for key, why in REACH_EXEMPT.items()
+            if why != reach.WRAPPER
+            and not (why.startswith(reach.KINDS) and "tests/" in why)] \
+        == [], "a reason is the wrapper table, or one of reach.KINDS " \
+               "with the test that runs the code"
+
+
+def test_the_open_list_only_shrinks():
+    """``OPEN`` holds what goes with its own tests in a later change:
+    each entry names a function that is still there and the tests that
+    pin it, and no entry is added."""
+    assert sorted(reach.OPEN.keys() - reach.defined().keys()) == [], \
+        "OPEN names a function that is gone: delete the entry"
+    assert sorted(reach.OPEN.keys() & REACH_EXEMPT.keys()) == []
+    for tests in reach.OPEN.values():
+        assert (ROOT / tests.split("::")[0]).is_file(), tests
+    assert len(reach.OPEN) <= 27, \
+        "give a new function a caller or a REACH_EXEMPT reason"
+
+
+def test_the_surface_walk_names_every_command_and_route():
+    commands = {name[len("cmd_"):] for name in dir(Shell)
+                if name.startswith("cmd_")} | FORWARDS.keys()
+    tree = surfaces.parse(SRC / "mysrb" / "app.py")
+    (route,) = [node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef)
+                and node.name == "_route"]
+    routes = {surfaces._route(node.test) for node in ast.walk(route)
+              if isinstance(node, ast.If)} - {None}
+    assert commands <= set(surface_calls.scommand_walk())
+    assert routes <= set(surface_calls.page_walk())
+    assert set(surface_calls.op_walk()) == OPS
 
 
 def test_the_rails_see_what_they_claim_to():
@@ -178,4 +150,7 @@ def test_the_rails_see_what_they_claim_to():
     assert {"mkcoll", "compact_container", "define_structural",
             "register_url", "list_collection_page", "query_page",
             "verify_checksums", "auth_login"} <= reached
-    assert "connect" in _unreferenced()
+    assert "auth/sessions.py::SessionManager.active_count" \
+        in _unreferenced()
+    assert "core/client.py::SrbClient.connect" \
+        not in _unreferenced()                     # examples/ call it

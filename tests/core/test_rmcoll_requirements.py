@@ -6,6 +6,7 @@ import pytest
 
 from repro.core import Federation, SrbClient
 from repro.workload import standard_grid
+from tests.probes import counter
 
 
 def standard():
@@ -52,10 +53,10 @@ def test_each_requirement_removed_is_one_row_in_the_same_op(build):
         client.mkcoll(coll)
         for attr in requirements:
             client.define_structural(coll, attr)
-        ops, rows = metrics.get("mcat.ops"), metrics.get("mcat.rows_scanned")
+        ops, rows = counter(metrics, "mcat.ops"), counter(metrics, "mcat.rows_scanned")
         client.rmcoll(coll)
-        return (metrics.get("mcat.ops") - ops,
-                metrics.get("mcat.rows_scanned") - rows)
+        return (counter(metrics, "mcat.ops") - ops,
+                counter(metrics, "mcat.rows_scanned") - rows)
 
     bare_ops, bare_rows = cost_of_rmcoll("bare", [])
     ops, rows = cost_of_rmcoll("ruled", ["Title", "Creator"])

@@ -1,10 +1,13 @@
 """Tests for the Scommand shell."""
 
+import io
+
 import pytest
 
 from repro.core import SrbClient
 from repro.mcat import Condition
 from repro.scommands import Shell
+from tests.probes import counter
 
 
 @pytest.fixture
@@ -21,6 +24,19 @@ def ok(shell_obj, line):
     code, out = shell_obj.run(line)
     assert code == 0, f"{line!r} failed: {out}"
     return out
+
+
+def test_the_entry_point_runs_a_script_from_stdin(monkeypatch, capsys):
+    """``python -m repro.scommands`` with its commands on stdin: sign on,
+    list, and end of input ends the session with status 0."""
+    from repro.scommands.__main__ import main
+    monkeypatch.setattr("sys.stdin", io.StringIO(
+        "Sinit sekar@sdsc secret\nSls /demozone/home\n"))
+    assert main() == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[1:] == [
+        "srb:/demozone> connected to srb1 as sekar@sdsc",
+        "srb:/demozone> sekar/", "srb:/demozone> "]
 
 
 class TestSession:
@@ -385,7 +401,7 @@ class TestObservability:
         out = ok(sh, f"Strace Sput {local} {grid.home}/four-mib.bin")
         assert "e+0" not in out
         assert "payload_bytes=4194304" in out
-        sent = grid.fed.obs.metrics.get("net.bytes", src="laptop", dst="sdsc")
+        sent = counter(grid.fed.obs.metrics, "net.bytes", src="laptop", dst="sdsc")
         assert sent > 4 * 1024 * 1024
         assert f"net.bytes{{dst=sdsc,src=laptop}} {sent}" in ok(sh, "Sstat net")
 

@@ -191,7 +191,7 @@ class TestRegisteredSql:
         grid.curator.register_sql(f"{grid.home}/q", "dlib1",
                                   "SELECT name FROM stars")
         grid.curator.delete(f"{grid.home}/q")
-        assert dbres.database.has_table("stars")
+        assert "stars" in dbres.database.tables()
 
     def test_register_replica_sql(self, grid, dbres):
         # two queries registered as semantically-equal replicas

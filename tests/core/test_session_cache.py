@@ -12,6 +12,7 @@ import pytest
 
 from repro.core import Federation, SrbClient
 from repro.errors import HostUnreachable
+from tests.probes import counter
 
 
 def build_fed(**knobs):
@@ -42,12 +43,12 @@ class TestHitMiss:
         client.ingest("/z/w/f.dat", b"payload")
         m = fed.obs.metrics
         client.get("/z/w/f.dat")
-        assert m.get("srb.session_cache", result="miss",
+        assert counter(m, "srb.session_cache", result="miss",
                      server="s1", resource="r2") >= 1
-        hits_before = m.get("srb.session_cache", result="hit",
+        hits_before = counter(m, "srb.session_cache", result="hit",
                             server="s1", resource="r2")
         client.get("/z/w/f.dat")
-        assert m.get("srb.session_cache", result="hit",
+        assert counter(m, "srb.session_cache", result="hit",
                      server="s1", resource="r2") == hits_before + 1
 
     def test_cached_session_skips_probe_messages(self):
@@ -91,12 +92,12 @@ class TestInvalidation:
         client.ingest("/z/w/f.dat", b"payload")
         client.get("/z/w/f.dat")
         m = fed.obs.metrics
-        misses = m.get("srb.session_cache", result="miss",
+        misses = counter(m, "srb.session_cache", result="miss",
                        server="s1", resource="r2")
         fed.network.partition("h1", "h2")
         fed.network.heal("h1", "h2")
         client.get("/z/w/f.dat")
-        assert m.get("srb.session_cache", result="miss",
+        assert counter(m, "srb.session_cache", result="miss",
                      server="s1", resource="r2") == misses + 1
 
     def test_reset_sessions_flushes(self):
@@ -106,10 +107,10 @@ class TestInvalidation:
         assert fed.reset_sessions() >= 1
         assert fed.reset_sessions() == 0
         m = fed.obs.metrics
-        misses = m.get("srb.session_cache", result="miss",
+        misses = counter(m, "srb.session_cache", result="miss",
                        server="s1", resource="r2")
         client.get("/z/w/f.dat")
-        assert m.get("srb.session_cache", result="miss",
+        assert counter(m, "srb.session_cache", result="miss",
                      server="s1", resource="r2") == misses + 1
 
     def test_unreachable_probe_drops_cached_entry(self):

@@ -41,7 +41,8 @@ class TestProjection:
 
 class TestWhere:
     def test_equality(self, db):
-        assert len(db.execute("SELECT id FROM users WHERE city = 'sd'")) == 2
+        assert len(db.execute(
+            "SELECT id FROM users WHERE city = 'sd'").rows) == 2
 
     def test_range(self, db):
         rs = db.execute("SELECT name FROM users WHERE age >= 30")
@@ -49,15 +50,17 @@ class TestWhere:
 
     def test_null_never_compares(self, db):
         # dan has NULL age: excluded from both sides
-        assert len(db.execute("SELECT id FROM users WHERE age > 0")) == 3
-        assert len(db.execute("SELECT id FROM users WHERE age <= 0")) == 0
+        assert len(db.execute("SELECT id FROM users WHERE age > 0").rows) \
+            == 3
+        assert db.execute("SELECT id FROM users WHERE age <= 0").rows == []
 
     def test_is_null(self, db):
         rs = db.execute("SELECT name FROM users WHERE age IS NULL")
         assert rs.rows == [("dan",)]
 
     def test_is_not_null(self, db):
-        assert len(db.execute("SELECT id FROM users WHERE age IS NOT NULL")) == 3
+        assert len(db.execute(
+            "SELECT id FROM users WHERE age IS NOT NULL").rows) == 3
 
     def test_like(self, db):
         rs = db.execute("SELECT name FROM users WHERE name LIKE 'c%'")
@@ -65,11 +68,11 @@ class TestWhere:
 
     def test_not_like(self, db):
         assert len(db.execute(
-            "SELECT id FROM users WHERE name NOT LIKE '%a%'")) == 1  # bob
+            "SELECT id FROM users WHERE name NOT LIKE '%a%'").rows) == 1  # bob
 
     def test_in_list(self, db):
         assert len(db.execute(
-            "SELECT id FROM users WHERE city IN ('sd', 'sf')")) == 3
+            "SELECT id FROM users WHERE city IN ('sd', 'sf')").rows) == 3
 
     def test_and_or_not(self, db):
         rs = db.execute("SELECT name FROM users WHERE city = 'sd' "
@@ -113,10 +116,10 @@ class TestJoin:
 
 class TestAggregates:
     def test_count_star(self, db):
-        assert db.execute("SELECT COUNT(*) FROM users").scalar() == 4
+        assert db.execute("SELECT COUNT(*) FROM users").rows == [(4,)]
 
     def test_count_skips_nulls(self, db):
-        assert db.execute("SELECT COUNT(age) FROM users").scalar() == 3
+        assert db.execute("SELECT COUNT(age) FROM users").rows == [(3,)]
 
     def test_sum_min_max_avg(self, db):
         rs = db.execute("SELECT SUM(age), MIN(age), MAX(age), AVG(age) "
@@ -137,7 +140,7 @@ class TestAggregates:
 
     def test_count_distinct(self, db):
         assert db.execute(
-            "SELECT COUNT(DISTINCT city) FROM users").scalar() == 3
+            "SELECT COUNT(DISTINCT city) FROM users").rows == [(3,)]
 
 
 class TestOrderLimit:
@@ -156,11 +159,35 @@ class TestOrderLimit:
         assert rs.rows[0] == (None,)
 
     def test_limit(self, db):
-        assert len(db.execute("SELECT id FROM users ORDER BY id LIMIT 2")) == 2
+        assert len(db.execute(
+            "SELECT id FROM users ORDER BY id LIMIT 2").rows) == 2
 
     def test_order_by_unknown_column(self, db):
         with pytest.raises(DatabaseError):
             db.execute("SELECT id FROM users ORDER BY nope")
+
+
+class TestOrderAfterGroupBy:
+    """A grouped query sorts its output rows by an output column."""
+
+    GROUPED = "SELECT city, COUNT(*) AS n FROM users GROUP BY city"
+
+    @pytest.mark.parametrize("desc", [False, True], ids=["asc", "desc"])
+    def test_by_a_group_column(self, db, desc):
+        rs = db.execute(self.GROUPED + " ORDER BY city" + " DESC" * desc)
+        want = [("la", 1), ("sd", 2), ("sf", 1)]
+        assert rs.rows == (want[::-1] if desc else want)
+
+    @pytest.mark.parametrize("desc", [False, True], ids=["asc", "desc"])
+    def test_by_an_aggregate(self, db, desc):
+        rs = db.execute(self.GROUPED + " ORDER BY n" + " DESC" * desc)
+        assert [n for _city, n in rs.rows] == ([2, 1, 1] if desc
+                                                else [1, 1, 2])
+        assert rs.rows[0 if desc else -1] == ("sd", 2)
+
+    def test_by_a_column_not_in_the_output(self, db):
+        with pytest.raises(DatabaseError, match="not in output"):
+            db.execute(self.GROUPED + " ORDER BY age")
 
 
 class TestUnion:
@@ -278,5 +305,3 @@ class TestPlannerAndCost:
     def test_resultset_helpers(self, db):
         rs = db.execute("SELECT id, name FROM users ORDER BY id LIMIT 1")
         assert rs.dicts() == [{"id": 1, "name": "ann"}]
-        with pytest.raises(DatabaseError):
-            rs.scalar()   # 1x2, not 1x1

@@ -278,7 +278,7 @@ class TestAllOrNothing:
         with pytest.raises(DatabaseError, match="unique index violation"):
             t.insert({"cid": 3, "path": "/a", "owner": "eve"})
         assert len(t) == 2
-        assert t.all_rows() == [
+        assert [t.row_dict(rid) for rid in t.scan()] == [
             {"cid": 1, "path": "/a", "owner": "ann"},
             {"cid": 2, "path": "/b", "owner": "bob"}]
         assert t.lookup_eq("cid", 3) == []
@@ -622,9 +622,6 @@ class OracleTable:
                 break
         return out
 
-    def all_rows(self):
-        return [self.row_dict(rid) for rid in self.scan()]
-
     def snapshot_rows(self):
         return [None if row is None else list(row) for row in self._rows]
 
@@ -789,7 +786,8 @@ class TestRowPlanMatchesOracle:
                      limit=data.draw(st.one_of(st.none(), st.integers(0, 3))))
                 both("value", rid, column)
                 both("row_dict", rid)
-                both("all_rows")
+                assert [table.row_dict(r) for r in table.scan()] == \
+                    [oracle.row_dict(r) for r in oracle.scan()]
             assert typed(table._rows) == typed(oracle._rows)
             assert len(table) == len(oracle)
             assert typed(index_state(table)) == typed(index_state(oracle))

@@ -25,6 +25,7 @@ from repro.errors import SrbError
 from repro.net.simnet import LAN, TRANSCON
 from repro.storage.archive import TapeCost
 from tests.op_calls import COLL, FILE, op_calls, prepare
+from tests.probes import counter, sum_matching, span_total
 
 #: Beyond the registry map: calls whose data legs run as a
 #: ``TransferGroup`` of several members — a striped read, and every
@@ -93,7 +94,7 @@ def ledger(fed):
     net = fed.network
     return {"messages": net.messages_sent, "bytes": net.bytes_sent,
             "failed": net.failed_attempts, "paths": path_stats(fed),
-            "rpc": fed.rpc.stats.snapshot(),
+            "rpc": vars(fed.rpc.stats).copy(),
             "call_s": sum(h.count for h in fed.obs.metrics
                           .histogram_series("rpc.call_s").values())}
 
@@ -129,24 +130,24 @@ def test_every_op_conserves_its_charges(knobs, caltech_down):
             return after[key] - before[key]
 
         def metric(metric_name):
-            return m.sum_matching(delta, metric_name)
+            return sum_matching(delta, metric_name)
 
         legs = root.find("net.transfer")
         delivered = [s for s in legs if s.error is None]
 
         # messages: counter == metric == span counters == span count
         assert moved("messages") == metric("net.messages") \
-            == root.total("messages") == len(legs) > 0, name
+            == span_total(root, "messages") == len(legs) > 0, name
         # bytes: ... == the delivered legs' sizes == what PathStats learnt
         assert moved("bytes") == metric("net.bytes") \
-            == root.total("bytes") \
+            == span_total(root, "bytes") \
             == sum(s.attrs["bytes"] for s in delivered) \
             == after["paths"]["bytes"] - before["paths"]["bytes"], name
         assert len(delivered) == (after["paths"]["transfers"]
                                   - before["paths"]["transfers"]), name
         # timed-out attempts
         assert moved("failed") == metric("net.failed_attempts") \
-            == root.total("failed_attempts") == len(legs) - len(delivered) \
+            == span_total(root, "failed_attempts") == len(legs) - len(delivered) \
             == after["paths"]["failures"] - before["paths"]["failures"], name
         failed_legs += moved("failed")
 
@@ -167,7 +168,7 @@ def test_every_op_conserves_its_charges(knobs, caltech_down):
         # each write-loop call above pushed to both far members at once
         for label in ("ingest-fanout", "copy", "replicate",
                       "ingest-replica", "bulk-ingest"):
-            assert m.get("net.parallel.groups", label=label) == 1, label
+            assert counter(m, "net.parallel.groups", label=label) == 1, label
         assert (m.total("net.direct.channels") > 0) == bool(knobs)
 
 

@@ -13,7 +13,6 @@ import pytest
 from repro.core import Federation, SrbClient
 from repro.errors import (
     AccessDenied,
-    InvalidTicket,
     NoSuchServer,
     SrbError,
     UnsupportedOperation,
@@ -155,13 +154,6 @@ class TestCrossZoneBoundaries:
         direct.username = user_a.username
         direct.ingest("/npaci-zone/pub/from-a.txt", b"written directly")
         assert direct.get("/npaci-zone/pub/from-a.txt") == b"written directly"
-
-    def test_distrust_revokes_access(self, zones):
-        a, b, admin_b, user_a = zones
-        admin_b.grant("/npaci-zone/pub", "*", "read")
-        b.authority.distrust_zone("sdsc-zone")
-        with pytest.raises(InvalidTicket):
-            user_a.get("/npaci-zone/pub/report.txt")
 
     def test_unfederated_zone_path_stays_local(self, zones):
         a, b, admin_b, user_a = zones

@@ -8,6 +8,7 @@ with the network's own counters.
 """
 
 import pytest
+from tests.probes import histogram, sum_matching, span_total
 
 
 @pytest.fixture
@@ -49,10 +50,10 @@ class TestTrace:
             curator.get(remote_object)
         delta = fed.obs.metrics.delta(before)
         m = fed.obs.metrics
-        assert root.total("messages") == m.sum_matching(delta, "net.messages")
-        assert root.total("bytes") == m.sum_matching(delta, "net.bytes")
-        assert m.sum_matching(delta, "rpc.calls") == 1
-        assert m.sum_matching(delta, "srb.ops") == 1
+        assert span_total(root, "messages") == sum_matching(delta, "net.messages")
+        assert span_total(root, "bytes") == sum_matching(delta, "net.bytes")
+        assert sum_matching(delta, "rpc.calls") == 1
+        assert sum_matching(delta, "srb.ops") == 1
 
 
 class TestMetricsAgreeWithNetwork:
@@ -128,8 +129,8 @@ class TestBreakdown:
             assert parts["other"] == pytest.approx(unfiled, abs=1e-9), name
             # and catalog is what the charged catalog ops cost
             assert parts["catalog"] == pytest.approx(
-                m.sum_matching(delta, "mcat.ops") * Mcat.QUERY_OVERHEAD_S
-                + m.sum_matching(delta, "mcat.rows_scanned")
+                sum_matching(delta, "mcat.ops") * Mcat.QUERY_OVERHEAD_S
+                + sum_matching(delta, "mcat.rows_scanned")
                 * Mcat.ROW_COST_S, abs=1e-12), name
             for part in seen:
                 seen[part] += parts[part] > 1e-9
@@ -191,7 +192,7 @@ class TestRelayExplained:
             assert leg.duration == pytest.approx(cost - hidden)
             assert 0 < hidden < cost - link.latency_s
             assert fed.stats()["relay_hidden_s"] - before == hidden
-            hist = m.histogram("net.relay.hidden_s", label=label)
+            hist = histogram(m, "net.relay.hidden_s", label=label)
             assert (hist.count, hist.sum) == (1, hidden)
             parts = root.breakdown()
             known = parts["admission"] + parts["wan"] + parts["storage"] \

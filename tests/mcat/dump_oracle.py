@@ -53,7 +53,8 @@ def export_catalog(*partitions: Mcat) -> str:
         rows = []
         seen_paths = set()
         for mcat in partitions:
-            for row in mcat.db.table(name).all_rows():
+            table = mcat.db.table(name)
+            for row in map(table.row_dict, table.scan()):
                 if name == "collections":
                     if row["path"] in seen_paths:
                         continue

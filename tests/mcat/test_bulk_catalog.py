@@ -15,6 +15,7 @@ from repro.errors import (
     SrbError,
 )
 from repro.mcat import Mcat
+from tests.probes import counter
 
 OWNER = "sekar@sdsc"
 COLL = "/demozone/home"
@@ -28,7 +29,7 @@ def mcat():
 
 
 def ops(m):
-    return m.obs.metrics.get("mcat.ops")
+    return counter(m.obs.metrics, "mcat.ops")
 
 
 class TestCreateObjects:

@@ -23,6 +23,7 @@ from repro.mcat.shard import ShardedMcat
 from repro.util.clock import SimClock
 from tests.db.test_table import index_state, typed
 from tests.mcat import bulk_oracle
+from tests.probes import counter
 
 OWNER = "sekar@sdsc"
 COLL = "/demozone/home"
@@ -59,8 +60,8 @@ def state(cat: ShardedMcat):
     """Everything a bulk write may change, per partition: rows, indexes,
     id counters, rows scanned, charged ops, busy time, the clock, and the
     write log with what its replica holds after replaying it."""
-    out = [dict(cat.ids._counters), cat.obs.metrics.get("mcat.ops"),
-           cat.obs.metrics.get("mcat.rows_scanned"), cat.clock.now]
+    out = [dict(cat.ids._counters), counter(cat.obs.metrics, "mcat.ops"),
+           counter(cat.obs.metrics, "mcat.rows_scanned"), cat.clock.now]
     for shard in cat.shards:
         db = shard.primary.db
         out.append([(name, db.table(name).snapshot_rows(),

@@ -17,6 +17,7 @@ import pytest
 from repro.mcat import Mcat
 from repro.mcat.query import Condition, search
 from tests.mcat.plans import drop_probe_indexes, scan_twin
+from tests.probes import counter
 
 OWNER = "sekar@sdsc"
 ZONE = "demozone"
@@ -87,7 +88,7 @@ class TestIndexPlanBatchFetch:
     def ops_for_search(self, m):
         before = m.obs.metrics.total("mcat.ops")
         r = search(m, f"/{ZONE}/c", [Condition("flag", "=", "yes")])
-        assert m.obs.metrics.get("mcat.queries", plan="index") == 1
+        assert counter(m.obs.metrics, "mcat.queries", plan="index") == 1
         return m.obs.metrics.total("mcat.ops") - before, len(r)
 
     def test_candidate_fetch_is_one_charged_op(self):

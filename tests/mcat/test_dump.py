@@ -17,7 +17,6 @@ from repro.mcat.dump import (
     _ID_PREFIXES,
     export_catalog,
     import_catalog,
-    migrate_catalog,
 )
 from repro.mcat.shard import READ, ROUTES
 from tests.mcat import dump_oracle
@@ -53,45 +52,46 @@ def partition(catalog: ShardedMcat, k: int = 0) -> Mcat:
 
 class TestRoundtrip:
     def test_all_tables_preserved(self, mcat):
-        restored = partition(migrate_catalog(mcat))
+        restored = partition(import_catalog(export_catalog(mcat)))
         snapshot = mcat.db.snapshot()
         assert None in snapshot["objects"]      # a tombstone, kept
         assert restored.db.snapshot() == snapshot
         assert ShardedMcat._digest(restored) == ShardedMcat._digest(mcat)
 
     def test_objects_resolvable_after_restore(self, mcat):
-        restored = migrate_catalog(mcat)
+        restored = import_catalog(export_catalog(mcat))
         obj = restored.get_object("/demozone/c/x.fits")
         assert obj["checksum"] == "abc123"
         assert len(restored.replicas(obj["oid"])) == 2
 
     def test_queries_identical_after_restore(self, mcat):
-        restored = migrate_catalog(mcat)
+        restored = import_catalog(export_catalog(mcat))
         q = [Condition("RA", ">", "10")]
         assert search(mcat, "/demozone", q).rows == \
             search(restored, "/demozone", q).rows
 
     def test_structural_rules_survive(self, mcat):
-        restored = migrate_catalog(mcat)
+        restored = import_catalog(export_catalog(mcat))
         from repro.errors import MandatoryMetadataMissing
         with pytest.raises(MandatoryMetadataMissing):
             restored.validate_ingest_metadata("/demozone/c", {})
 
     def test_id_counters_continue(self, mcat):
-        restored = migrate_catalog(mcat)
+        restored = import_catalog(export_catalog(mcat))
         old_oid = mcat.get_object("/demozone/c/x.fits")["oid"]
         new_oid = restored.create_object("/demozone/c/y.fits", "data",
                                          OWNER, now=5.0)
         assert new_oid > old_oid        # no id reuse after migration
 
     def test_restored_catalog_independent(self, mcat):
-        restored = migrate_catalog(mcat)
+        restored = import_catalog(export_catalog(mcat))
         restored.create_object("/demozone/c/only-new.fits", "data", OWNER,
                                now=5.0)
         assert mcat.find_object("/demozone/c/only-new.fits") is None
 
     def test_indexes_rebuilt(self, mcat):
-        md = partition(migrate_catalog(mcat)).db.table("metadata")
+        md = partition(import_catalog(export_catalog(mcat))).db.table(
+            "metadata")
         assert "attr" in md.indexed_columns()
         # index actually answers (not just declared)
         assert len(md.lookup_eq("attr", "RA")) == 1
@@ -121,14 +121,14 @@ class TestFormat:
 
     def test_empty_catalog_roundtrip(self):
         m = Mcat(zone="fresh")
-        restored = migrate_catalog(m)
+        restored = import_catalog(export_catalog(m))
         assert "cid" in restored.lookup("/fresh")
 
     def test_a_restored_catalog_reads_the_collections_it_began_with(self):
         # the re-inserting import dropped the "/" and "/<zone>" rows a new
         # catalog starts with and inserted the dump's; a path cache still
         # named the dropped rows, so reading either collection failed
-        restored = migrate_catalog(Mcat(zone="fresh"))
+        restored = import_catalog(export_catalog(Mcat(zone="fresh")))
         assert restored.get_collection("/fresh")["path"] == "/fresh"
         assert restored.get_collection("/")["path"] == "/"
         assert restored.total_objects() == 0

@@ -159,6 +159,28 @@ class TestQueryableAttributes:
         names = queryable_attributes(mcat, "/demozone", include_system=True)
         assert "SYS:owner" in names
 
+    def test_the_rows_it_reads_are_charged(self):
+        """The metadata and requirement rows the names come from are read
+        inside the op's two charged blocks: the rows charged grow with
+        the scope's triples and requirements, the ops do not."""
+        def charged(triples, requirement):
+            m = Mcat()
+            m.create_collection("/demozone/s", OWNER, now=0.0)
+            oid = m.create_object("/demozone/s/f", "data", OWNER, now=0.0)
+            for i in range(triples):
+                m.add_metadata("object", oid, f"a{i}", "v", by=OWNER,
+                               now=0.0)
+            if requirement:
+                m.define_structural("/demozone/s", "epoch")
+            metrics = m.obs.metrics
+            rows, ops = (metrics.total("mcat.rows_scanned"),
+                         metrics.total("mcat.ops"))
+            queryable_attributes(m, "/demozone/s")
+            assert metrics.total("mcat.ops") - ops == 2
+            return metrics.total("mcat.rows_scanned") - rows
+        assert charged(10, False) > charged(1, False)
+        assert charged(1, True) > charged(1, False)
+
 
 # -- queryable_attributes as it stood when it read the whole zone --------------
 #

@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.mcat import Condition, DisplayOnly, Mcat, search
 from repro.errors import QueryError
 from tests.mcat.plans import drop_probe_indexes, scan_twin
+from tests.probes import counter
 
 OWNER = "b@s"
 
@@ -35,7 +36,7 @@ def mcat():
 def plans(m):
     """The plans ``m``'s queries took so far."""
     return {plan for plan in ("index", "scan")
-            if m.obs.metrics.get("mcat.queries", plan=plan)}
+            if counter(m.obs.metrics, "mcat.queries", plan=plan)}
 
 
 def rows_touched(m, query):

@@ -21,7 +21,7 @@ FRONT_ONLY = {"shard_of_path", "shard_stats", "replication_lag",
 SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
 
 #: catalog ops nothing in ``src/`` outside ``repro/mcat/`` calls: name ->
-#: why the op stays.  Frozen like ``test_reachability.API_ONLY``: an
+#: why the op stays.  Frozen like ``tools/reach.py``'s ``REACH_EXEMPT``: an
 #: entry that suppresses nothing is itself a failure, so it only shrinks.
 CATALOG_ONLY: dict = {}
 

@@ -24,6 +24,7 @@ from repro.util.clock import SimClock
 from tests.db.test_table import index_state, typed
 from tests.mcat import bulk_oracle
 from tests.mcat.test_bulk_oracle import answer
+from tests.probes import counter
 
 OWNER = "sekar@sdsc"
 #: two partition keys, so two partitions both take writes
@@ -68,8 +69,8 @@ def state(cat):
     """Everything a row write may change, per partition: rows, indexes,
     id counters, rows scanned, charged ops, busy time, the clock, and
     the write log with what its replica holds after replaying it."""
-    out = [dict(cat.ids._counters), cat.obs.metrics.get("mcat.ops"),
-           cat.obs.metrics.get("mcat.rows_scanned"), cat.clock.now]
+    out = [dict(cat.ids._counters), counter(cat.obs.metrics, "mcat.ops"),
+           counter(cat.obs.metrics, "mcat.rows_scanned"), cat.clock.now]
     for shard in getattr(cat, "shards", ()) or [None]:
         primary = cat if shard is None else shard.primary
         db = primary.db
@@ -158,7 +159,7 @@ class TestSameAsTheRowWriters:
     def test_the_seed_rows_already_agree(self, sharded):
         cat, oracle = twins(sharded)
         assert state(cat) == state(oracle)
-        assert cat.obs.metrics.get("mcat.ops") > 0
+        assert counter(cat.obs.metrics, "mcat.ops") > 0
         if sharded:     # the two partition keys are on different shards
             assert {cat.shard_of_path(coll) for coll in COLLS} == {0, 1}
 

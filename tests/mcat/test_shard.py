@@ -260,6 +260,26 @@ class TestCrossShardMoves:
         assert m.lookup(old) is None
 
 
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_an_in_place_rename_refuses_what_a_cross_one_does(self, shards):
+        """The catalog's paths stay unique on the in-place branch too: a
+        taken destination and a missing parent are refused, nothing
+        moves."""
+        m = seed(make_sharded(shards=shards), projects=("alpha",))
+        old = f"/{ZONE}/alpha/raw"
+        m.create_object(f"/{ZONE}/alpha/taken", "data", OWNER, now=0.0)
+        for new, error in ((f"/{ZONE}/alpha/taken", AlreadyExists),
+                           (f"/{ZONE}/alpha/raw/f0", AlreadyExists),
+                           (f"/{ZONE}/alpha/nowhere/raw", NoSuchCollection)):
+            assert m.shard_of_path(new) == m.shard_of_path(old)
+            with pytest.raises(error):
+                m.rename_subtree(old, new)
+            assert "cid" in m.lookup(old)
+            assert m.get_object(f"{old}/f0")["path"] == f"{old}/f0"
+        assert m.lookup(f"/{ZONE}/alpha/nowhere/raw") is None
+        assert "oid" in m.lookup(f"/{ZONE}/alpha/taken")
+
+
 class TestReplicas:
     def test_replica_serves_reads(self):
         m = seed(make_sharded(shards=2, replicas=1))

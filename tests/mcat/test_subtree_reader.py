@@ -148,5 +148,6 @@ class TestRenameCost:
     def test_a_rename_charges_its_subtree_not_the_catalog(self):
         # the whole-table scans charged every collection and object:
         # 314 rows, then 3,014; the one reader charges the moving
-        # collection's row and its 10 objects'
-        assert self.rows_to_rename(300) == self.rows_to_rename(3000) == 11
+        # collection's row and its 10 objects', and the destination's
+        # parent, which the rename checks exists
+        assert self.rows_to_rename(300) == self.rows_to_rename(3000) == 12

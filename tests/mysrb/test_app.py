@@ -6,6 +6,7 @@ from repro.db import Column
 from repro.mysrb import Browser, MySrbApp
 from repro.mysrb.html import url_quote
 from repro.workload import standard_grid
+from tests.probes import counter
 
 
 @pytest.fixture
@@ -128,7 +129,7 @@ class TestStatusPage:
         # ``:g`` showed net.bytes 1200563 as 1.20056e+06
         grid, app, browser = web
         grid.curator.ingest(f"{grid.home}/big.dat", b"x" * 1_200_000)
-        sent = grid.fed.obs.metrics.get("net.bytes", src="laptop", dst="sdsc")
+        sent = counter(grid.fed.obs.metrics, "net.bytes", src="laptop", dst="sdsc")
         assert sent > 1_200_000
         r = browser.get("/status")
         assert f">{sent}<" in r.text
@@ -312,6 +313,24 @@ class TestOperationsAndRegistration:
                                        "url": "http://museum.org/x"})
         r = browser.get(f"/open?path={grid.home}/ext")
         assert "<html>inline</html>" in r.text      # inlineable content
+
+    @pytest.mark.parametrize("user, password, role", [
+        ("sekar@sdsc", "secret", None), ("eve@sdsc", "pw", "reader")],
+        ids=["curator", "reader"])
+    def test_register_form(self, web, user, password, role):
+        """The registration page offers the five pointer kinds, with the
+        grid's resources, to whoever is signed on; a POST is where the
+        write right is checked."""
+        grid, app, browser = web
+        if role is not None:
+            grid.fed.add_user(user, password, role=role)
+        browser.login(user, password)
+        r = browser.get(f"/register?coll={grid.home}")
+        assert r.code == 200
+        for kind in ("file", "directory", "sql", "url", "method"):
+            assert f'action="/register/{kind}"' in r.text
+        assert "hpss-caltech" in r.text and "logrsrc1" in r.text
+        assert user in r.text
 
     def test_register_sql_and_render(self, web):
         grid, app, browser = web

@@ -22,6 +22,7 @@ from repro.mysrb import html as H
 from repro.net.simnet import LAN, TRANSCON
 from repro.util import paths
 from tests.mysrb.test_batched_pages import exchanges
+from tests.probes import counter
 
 HOME = "/demozone/home/sekar"
 WWW = "mysrb-www"
@@ -388,7 +389,7 @@ def test_a_foreign_zone_object_opens_in_one_exchange():
     got = render(views.open_object, fed, client, path)
     assert got[0] == want[0] and "inter-zone bytes" in got[0][1]
     assert got[2] == ["open_object"] and want[2] == ["<batch>", "<batch>"]
-    assert peer.obs.metrics.get("srb.ops", server="b-srb", plane="data",
+    assert counter(peer.obs.metrics, "srb.ops", server="b-srb", plane="data",
                                 op="open_object") == 1
 
 

@@ -31,6 +31,7 @@ from repro.core.federation import ChannelBroker
 from repro.errors import HostUnreachable
 from repro.net.simnet import LinkSpec, Network, TransferGroup
 from repro.policy.stats import PathStats
+from tests.probes import histogram
 
 MODE_ATTRS = {"queued", "grouped", "pipelined", "start", "done",
               "relayed", "hidden_s"}
@@ -90,7 +91,7 @@ def send(mode: str, link: LinkSpec, nbytes: int, streams, fault: str,
         "metrics": {k: v for k, v in net.obs.metrics.snapshot().items()
                     if k.startswith("net.")
                     and not k.startswith(("net.parallel.", "net.relay."))},
-        "hidden": net.obs.metrics.histogram("net.relay.hidden_s",
+        "hidden": histogram(net.obs.metrics, "net.relay.hidden_s",
                                             label="relay"),
         "paths": record,
         "span": ({k: v for k, v in span.attrs.items()

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import HostUnreachable, NetworkError
 from repro.net.simnet import LAN, WAN, LinkSpec, Network
+from tests.probes import counter, histogram
 
 
 @pytest.fixture
@@ -180,7 +181,7 @@ class TestScheduledTransfers:
                 net.schedule_transfer("a", "b", 1000)
         spans = root.find("net.transfer")
         assert spans and spans[0].error
-        assert net.obs.metrics.get("net.failed_attempts",
+        assert counter(net.obs.metrics, "net.failed_attempts",
                                    src="a", dst="b") == 1
 
     def test_unreachable_leaves_queues_untouched(self, net):
@@ -237,7 +238,7 @@ class TestScheduleTransferAccounting:
 
     def test_success_observes_latency_histogram(self, net):
         net.schedule_transfer("a", "b", 1000)
-        hist = net.obs.metrics.histogram("net.transfer_s", src="a", dst="b")
+        hist = histogram(net.obs.metrics, "net.transfer_s", src="a", dst="b")
         assert hist is not None and hist.count == 1
         assert hist.sum == pytest.approx(WAN.cost(1000))
 
@@ -325,11 +326,11 @@ class TestTransferGroup:
         assert gspans[0].counters["members"] == 2
         assert len(gspans[0].find("net.transfer")) == 2
         m = fan_net.obs.metrics
-        assert m.get("net.parallel.groups", label="unit") == 1
-        assert m.get("net.parallel.members", label="unit") == 2
-        hist = m.histogram("net.parallel.makespan_s", label="unit")
+        assert counter(m, "net.parallel.groups", label="unit") == 1
+        assert counter(m, "net.parallel.members", label="unit") == 2
+        hist = histogram(m, "net.parallel.makespan_s", label="unit")
         assert hist is not None and hist.count == 1
-        saved = m.histogram("net.parallel.saved_s", label="unit")
+        saved = histogram(m, "net.parallel.saved_s", label="unit")
         assert saved.sum == pytest.approx(WAN.cost(1000))  # 2 cost - 1 max
 
     def test_group_runs_once(self, fan_net):

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import HostUnreachable, NetworkError, ServerBusy
 from repro.net.simnet import DataChannel, Network, ServiceStation, \
     TransferGroup
+from tests.probes import counter, histogram
 
 
 class TestServiceStation:
@@ -154,11 +155,11 @@ class TestChannelAdmission:
         DataChannel(net, "src", "sink", 1000, label="get").open()
         assert st.admitted == 1
         m = net.obs.metrics
-        assert m.get("srb.admission.admitted", host="src",
+        assert counter(m, "srb.admission.admitted", host="src",
                      service="channel", method="get") == 1
-        assert m.histogram("srb.queue.wait_s", host="src",
+        assert histogram(m, "srb.queue.wait_s", host="src",
                            service="channel").count == 1
-        assert m.histogram("srb.queue.depth", host="src").count == 1
+        assert histogram(m, "srb.queue.depth", host="src").count == 1
 
     def test_queued_wait_advances_clock_and_emits_span(self, net):
         st = net.install_station("src", workers=1)
@@ -181,7 +182,7 @@ class TestChannelAdmission:
         assert exc.value.retry_after > 0
         assert st.shed == 1
         m = net.obs.metrics
-        assert m.get("srb.admission.shed", host="src", service="channel",
+        assert counter(m, "srb.admission.shed", host="src", service="channel",
                      method="get") == 1
         assert m.total("srb.admission.admitted") == 0
 

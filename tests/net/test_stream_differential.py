@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core import Federation, SrbClient
 from repro.errors import SrbError
 from repro.mcat.query import Condition
+from tests.probes import sum_matching
 
 # -- call_stream as it stood when every chunk was a request/reply pair ---------
 #
@@ -114,7 +115,7 @@ def drive(fed, admin, reader, what, scope, conditions, page_size,
     seen = []
 
     def chunks():
-        return metrics.sum_matching(metrics.snapshot(), "rpc.stream.chunks")
+        return sum_matching(metrics.snapshot(), "rpc.stream.chunks")
 
     try:
         while True:
@@ -186,7 +187,7 @@ def test_push_stream_is_the_pull_loop_but_for_the_wire(
     assert push.rpc.stats.response_bytes == pull.rpc.stats.response_bytes
     assert push.rpc.stats.failures == pull.rpc.stats.failures
     # what the push is for: never more on the wire, never slower
-    chunks = push.obs.metrics.sum_matching(push_metrics, "rpc.stream.chunks")
+    chunks = sum_matching(push_metrics, "rpc.stream.chunks")
     pushed = max(0, chunks - 1)
     # one message saved per pushed chunk (and by one refused mid-stream)
     assert pushed <= pull.network.messages_sent \

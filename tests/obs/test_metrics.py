@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.obs.metrics import DEFAULT_BUCKETS, Histogram, MetricsRegistry, \
     format_value
+from tests.probes import counter, histogram, sum_matching
 
 
 @pytest.fixture
@@ -20,15 +21,15 @@ class TestCounters:
         reg.inc("net.messages", src="a", dst="b")
         reg.inc("net.messages", src="a", dst="b")
         reg.inc("net.messages", src="b", dst="a")
-        assert reg.get("net.messages", src="a", dst="b") == 2
-        assert reg.get("net.messages", src="b", dst="a") == 1
+        assert counter(reg, "net.messages", src="a", dst="b") == 2
+        assert counter(reg, "net.messages", src="b", dst="a") == 1
 
     def test_label_order_irrelevant(self, reg):
         reg.inc("m", src="a", dst="b")
-        assert reg.get("m", dst="b", src="a") == 1
+        assert counter(reg, "m", dst="b", src="a") == 1
 
     def test_unknown_series_is_zero(self, reg):
-        assert reg.get("nope", x="y") == 0
+        assert counter(reg, "nope", x="y") == 0
         assert reg.total("nope") == 0
 
     def test_total_sums_label_sets(self, reg):
@@ -50,7 +51,7 @@ class TestHistograms:
     def test_observe_statistics(self, reg):
         for v in (0.1, 0.2, 0.3):
             reg.observe("rpc.call_s", v, method="get")
-        h = reg.histogram("rpc.call_s", method="get")
+        h = histogram(reg, "rpc.call_s", method="get")
         assert h.count == 3
         assert h.mean == pytest.approx(0.2)
         assert h.min == pytest.approx(0.1)
@@ -60,7 +61,7 @@ class TestHistograms:
         reg.observe("h", 0.005)
         reg.observe("h", 0.005)
         reg.observe("h", 50.0)
-        h = reg.histogram("h")
+        h = histogram(reg, "h")
         assert sum(h.bucket_counts) == 3
 
     def test_histogram_series(self, reg):
@@ -92,7 +93,7 @@ class TestSnapshots:
         reg.inc("net.messages", 2, src="b")
         reg.inc("net.messages_other")
         snap = reg.snapshot()
-        assert MetricsRegistry.sum_matching(snap, "net.messages") == 3
+        assert sum_matching(snap, "net.messages") == 3
 
 
 class TestRender:
@@ -199,7 +200,7 @@ class TestKeyMemo:
             key = model_key(labels)
             model[key] = model.get(key, 0) + amount
         for labels, _ in calls:
-            assert reg.get("m", **labels) == model[model_key(labels)]
+            assert counter(reg, "m", **labels) == model[model_key(labels)]
         assert reg.total("m") == sum(model.values())
 
     def test_equal_but_differently_rendered_values_stay_apart(self, reg):
@@ -228,7 +229,7 @@ class TestBoundInstruments:
         assert reg.counter_names() == reg.histogram_names() == []
         assert reg.snapshot() == {} and reg.render() == ""
         assert reg.series("net.messages") == {}
-        assert reg.histogram("net.transfer_s", src="a", dst="b") is None
+        assert histogram(reg, "net.transfer_s", src="a", dst="b") is None
         assert reg.total("net.messages") == 0
         assert reg.delta({}) == {}
 
@@ -241,7 +242,7 @@ class TestBoundInstruments:
         seconds = reg.bind_histogram("net.transfer_s", dst="b", src="a")
         seconds.observe(0.25)
         reg.observe("net.transfer_s", 0.75, src="a", dst="b")
-        hist = reg.histogram("net.transfer_s", src="a", dst="b")
+        hist = histogram(reg, "net.transfer_s", src="a", dst="b")
         assert (hist.count, hist.sum) == (2, 1.0)
         assert reg.histogram_names() == ["net.transfer_s"]
 
@@ -292,7 +293,7 @@ class TestBoundInstruments:
             key = model_key(labels)
             model[key] = model.get(key, 0) + amount
         for labels, _amount, _bound in calls:
-            assert reg.get("m", **labels) == model[model_key(labels)]
+            assert counter(reg, "m", **labels) == model[model_key(labels)]
         assert reg.total("m") == sum(model.values())
 
     def test_family_binds_each_combination_once(self, reg):
@@ -312,7 +313,7 @@ class TestBoundInstruments:
             "srb.queue.depth{host=sdsc}:sum": 3.0}
         by_label = reg.bind_family(("label",), ("counter", "net.groups"))
         by_label["copy"][0].inc()
-        assert reg.get("net.groups", label="copy") == 1
+        assert counter(reg, "net.groups", label="copy") == 1
 
 
 class TestHistogramMatchesModel:

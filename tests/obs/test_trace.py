@@ -4,6 +4,7 @@ import pytest
 
 from repro.obs.trace import Tracer
 from repro.util.clock import SimClock
+from tests.probes import span_total
 
 
 @pytest.fixture
@@ -19,7 +20,7 @@ class TestNesting:
                     pass
             with tracer.span("c"):
                 pass
-        root = tracer.last()
+        root = tracer.traces[-1]
         assert [c.name for c in root.children] == ["a", "c"]
         assert [c.name for c in root.children[0].children] == ["b"]
 
@@ -30,7 +31,7 @@ class TestNesting:
             with tracer.span("child"):
                 clock.advance(2.0)
             clock.advance(0.5)
-        root = tracer.last()
+        root = tracer.traces[-1]
         assert root.duration == pytest.approx(3.5)
         assert root.children[0].duration == pytest.approx(2.0)
         assert root.self_duration == pytest.approx(1.5)
@@ -40,7 +41,7 @@ class TestNesting:
             with tracer.span("x"):
                 with tracer.span("x"):
                     pass
-        root = tracer.last()
+        root = tracer.traces[-1]
         assert len(root.find("x")) == 2
         assert len(list(root.walk())) == 3
 
@@ -68,10 +69,10 @@ class TestCounters:
             with tracer.span("child"):
                 tracer.add("messages")
                 tracer.add("bytes", 100)
-        root = tracer.last()
+        root = tracer.traces[-1]
         assert root.counters == {"messages": 1}
-        assert root.total("messages") == 2
-        assert root.total("bytes") == 100
+        assert span_total(root, "messages") == 2
+        assert span_total(root, "bytes") == 100
 
 
 class TestErrors:
@@ -80,7 +81,7 @@ class TestErrors:
             with tracer.trace("root"):
                 with tracer.span("child"):
                     raise ValueError("boom")
-        root = tracer.last()
+        root = tracer.traces[-1]
         assert "boom" in root.children[0].error
         assert "boom" in root.error
 
@@ -93,7 +94,7 @@ class TestBoundedKeep:
                 pass
         assert len(tracer.traces) == 3
         assert tracer.dropped == 2
-        assert tracer.last().name == "t4"
+        assert tracer.traces[-1].name == "t4"
 
 
 class TestExport:
@@ -101,7 +102,7 @@ class TestExport:
         with tracer.trace("root", path="/z/f"):
             with tracer.span("child"):
                 pass
-        events = tracer.events(tracer.last())
+        events = tracer.events(tracer.traces[-1])
         assert [(e["name"], e["depth"]) for e in events] == [
             ("root", 0), ("child", 1)]
         assert events[0]["attrs"] == {"path": "/z/f"}

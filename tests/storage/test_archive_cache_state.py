@@ -21,6 +21,7 @@ from repro.obs import Observability
 from repro.storage.archive import ArchiveDriver
 from repro.util.clock import SimClock
 from repro.workload import standard_grid
+from tests.probes import counter
 
 
 def observed_archive(**kwargs):
@@ -31,7 +32,7 @@ def observed_archive(**kwargs):
 
 
 def stages_counted(arc):
-    return arc.obs.metrics.get("storage.stages", driver="tape1")
+    return counter(arc.obs.metrics, "storage.stages", driver="tape1")
 
 
 class TestPinStages:

@@ -71,9 +71,9 @@ class TestUserTablesAndSql:
         query can vary with time."""
         t = drv.create_user_table("events", [Column("n", "INT")])
         sql = "SELECT COUNT(*) FROM events"
-        assert drv.execute_sql(sql).scalar() == 0
+        assert drv.execute_sql(sql).rows == [(0,)]
         t.insert({"n": 1})
-        assert drv.execute_sql(sql).scalar() == 1
+        assert drv.execute_sql(sql).rows == [(1,)]
 
     def test_non_select_rejected(self, drv):
         with pytest.raises(DatabaseError):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.util.clock import SimClock, Stopwatch
+from repro.util.clock import SimClock
 
 
 class TestAdvance:
@@ -73,33 +73,6 @@ class TestTimers:
         clock.call_at(2.0, lambda: fired.append(True))
         clock.advance(2.0)
         assert fired == [True]
-
-
-class TestStopwatch:
-    def test_measures_block(self):
-        clock = SimClock()
-        sw = Stopwatch(clock)
-        with sw:
-            clock.advance(3.25)
-        assert sw.elapsed == 3.25
-
-    def test_split_mid_block(self):
-        clock = SimClock()
-        sw = Stopwatch(clock)
-        with sw:
-            clock.advance(1.0)
-            assert sw.split() == 1.0
-            clock.advance(1.0)
-        assert sw.elapsed == 2.0
-
-    def test_reusable(self):
-        clock = SimClock()
-        sw = Stopwatch(clock)
-        with sw:
-            clock.advance(1.0)
-        with sw:
-            clock.advance(5.0)
-        assert sw.elapsed == 5.0
 
 
 class TestTimersNeverTurnTheClockBack:

@@ -6,13 +6,13 @@ from repro.util.ids import IdFactory, session_key
 class TestIdFactory:
     def test_monotone_per_prefix(self):
         f = IdFactory()
-        assert f.next("obj") == "obj-000001"
-        assert f.next("obj") == "obj-000002"
+        assert f.next_int("obj") == 1
+        assert f.next_ints("obj", 2) == range(2, 4)
 
     def test_prefixes_independent(self):
         f = IdFactory()
-        f.next("obj")
-        assert f.next("rep") == "rep-000001"
+        f.next_int("obj")
+        assert f.next_int("rep") == 1
 
     def test_next_int(self):
         f = IdFactory()
@@ -27,7 +27,8 @@ class TestIdFactory:
 
     def test_deterministic_across_instances(self):
         a, b = IdFactory(), IdFactory()
-        assert [a.next("k") for _ in range(5)] == [b.next("k") for _ in range(5)]
+        assert [a.next_int("k") for _ in range(5)] == \
+            [b.next_int("k") for _ in range(5)]
 
 
 class TestSessionKey:

@@ -1,12 +1,8 @@
 """Tests for synthetic workload generators and canned grids."""
 
-import pytest
-
-from repro.mcat import Condition
 from repro.workload import (
     embryo_files,
     hyperspectral_files,
-    populate,
     small_files,
     standard_grid,
     survey_files,
@@ -82,21 +78,6 @@ class TestStandardGrid:
         g = standard_grid()
         g.curator.ingest(f"{g.home}/x.txt", b"x")
         assert g.curator.get(f"{g.home}/x.txt") == b"x"
-
-    def test_populate_attaches_metadata(self):
-        g = standard_grid()
-        n = populate(g.curator, g.home, survey_files(3),
-                     resource="unix-sdsc")
-        assert n == 3
-        r = g.curator.query(g.home, [Condition("SURVEY", "=", "2MASS")])
-        assert len(r.rows) == 3
-
-    def test_populate_ingests_sidecars(self):
-        g = standard_grid()
-        populate(g.curator, g.home, embryo_files(2), resource="unix-sdsc")
-        listing = g.curator.ls(g.home)
-        names = [o["name"] for o in listing["objects"]]
-        assert sum(1 for n in names if n.endswith(".hdr")) == 2
 
     def test_selection_policy_plumbed(self):
         g = standard_grid(placement="round-robin")
