@@ -13,8 +13,9 @@ user's current collection so the split-window UI can navigate.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional, Tuple
 
 from repro.errors import SessionExpired, AuthError
 from repro.auth.users import Principal
@@ -34,10 +35,20 @@ class Session:
     ticket: Optional[Ticket] = None       # SSO ticket carried by the session
     current_collection: str = "/"
     requests_served: int = 0
+    #: ``(url, html)``: a page rendered for this session's next request,
+    #: served if that request is a GET of ``url`` (MySRB's page after a
+    #: write); it goes with the session
+    kept: Optional[Tuple[str, str]] = None
 
 
 class SessionManager:
-    """Mints and validates MySRB session keys."""
+    """Mints and validates MySRB session keys.
+
+    Every session lives ``lifetime_s`` from its opening on a clock that
+    only moves forward, so the order sessions were opened in is the
+    order they expire in: :meth:`open` drops the expired ones from the
+    front, and no expired session outlives the next sign-on.
+    """
 
     def __init__(self, clock: SimClock,
                  lifetime_s: float = DEFAULT_SESSION_LIFETIME_S,
@@ -45,20 +56,21 @@ class SessionManager:
         self.clock = clock
         self.lifetime_s = lifetime_s
         self.ids = ids if ids is not None else IdFactory()
-        self._sessions: Dict[str, Session] = {}
+        self._sessions: OrderedDict[str, Session] = OrderedDict()
 
     def open(self, principal: Principal, ticket: Optional[Ticket] = None) -> Session:
         key = session_key(self.ids, principal.name)
         now = self.clock.now
+        sessions = self._sessions
+        while sessions and now >= next(iter(sessions.values())).expires_at:
+            sessions.popitem(last=False)           # the oldest, expired
         sess = Session(key=key, principal=principal, created_at=now,
                        expires_at=now + self.lifetime_s, ticket=ticket)
-        self._sessions[key] = sess
+        sessions[key] = sess
         return sess
 
-    def check(self, key: str) -> Session:
-        """Security checks alone — no request accounting.  Internal
-        bookkeeping (sliding renewal, status pages) uses this so only
-        real user requests move ``requests_served``."""
+    def validate(self, key: str) -> Session:
+        """Security checks run on every MySRB request."""
         if not isinstance(key, str) or not key.startswith("sk-"):
             raise AuthError(f"malformed session key {key!r}")
         sess = self._sessions.get(key)
@@ -69,30 +81,8 @@ class SessionManager:
             raise SessionExpired(
                 f"session for {sess.principal} expired after "
                 f"{self.lifetime_s / 60:.0f} minutes")
-        return sess
-
-    def validate(self, key: str) -> Session:
-        """Security checks run on every MySRB request."""
-        sess = self.check(key)
         sess.requests_served += 1
         return sess
 
     def close(self, key: str) -> None:
         self._sessions.pop(key, None)
-
-    def touch(self, key: str) -> None:
-        """Sliding renewal (not in the paper's description; off by default
-        in MySRB, available for deployments that want it)."""
-        sess = self.check(key)
-        sess.expires_at = self.clock.now + self.lifetime_s
-
-    def active_count(self) -> int:
-        now = self.clock.now
-        return sum(1 for s in self._sessions.values() if s.expires_at > now)
-
-    def purge_expired(self) -> int:
-        now = self.clock.now
-        dead = [k for k, s in self._sessions.items() if s.expires_at <= now]
-        for k in dead:
-            del self._sessions[k]
-        return len(dead)

@@ -122,29 +122,30 @@ class SrbClient:
         return [dict(item, data=self._defer(item["data"]))
                 if "data" in item else dict(item) for item in items]
 
-    def batch(self, *items: Tuple[str, Dict[str, Any]]
-              ) -> List[BatchItemResult]:
-        """Pipeline independent ops as one message pair.
+    def batch(self, *items: Tuple[Any, ...]) -> List[BatchItemResult]:
+        """Pipeline ops as one message pair.
 
         Each item is ``(op_name, kwargs)`` — the RPC op's name and
-        keyword arguments, without the ticket.  The items share one
-        request, one admission and one reply
-        (:meth:`~repro.net.rpc.ServiceRegistry.call_batch`); on the
-        server each still runs its own dispatch plan — auth, ACL check,
-        audit row, span — in order.  A payload in the slot the op
+        keyword arguments, without the ticket — or ``(op_name, kwargs,
+        after)``, where ``after`` holds the indices of the earlier items
+        it needs.  The items share one request, one admission and one
+        reply (:meth:`~repro.net.rpc.ServiceRegistry.call_batch`); on
+        the server each still runs its own dispatch plan — auth, ACL
+        check, audit row, span — in order.  A payload in the slot the op
         declares (``payload_arg`` / ``payload_items``) is deferred under
         ``direct_io`` exactly as the unary method defers it.
 
         Returns one :class:`~repro.net.rpc.BatchItemResult` per item: an
-        item that fails carries its error and the others still run, so
-        only put calls together that do not depend on each other.  Only
-        a whole-message failure (server unreachable or busy) raises
-        here.  No items, no exchange.
+        item that fails carries its error and the others still run,
+        except those that need it, which do not run and carry
+        :class:`~repro.errors.DependencyFailed`.  Only a whole-message
+        failure (server unreachable or busy) raises here.  No items, no
+        exchange.
         """
         if not items:
             return []
         sent = []
-        for op, kwargs in items:
+        for op, kwargs, *after in items:
             kwargs = dict(kwargs)
             spec = _SPECS.get(op)   # an unknown op is the server's to refuse
             if spec is not None:
@@ -156,7 +157,7 @@ class SrbClient:
                 elif spec.payload_items in kwargs:
                     kwargs[spec.payload_items] = \
                         self._defer_items(kwargs[spec.payload_items])
-            sent.append((op, kwargs))
+            sent.append((op, kwargs, *after))
         return self.federation.rpc.call_batch(
             self.client_host, self._server_host,
             f"srb:{self.server_name}", sent)

@@ -104,10 +104,12 @@ class MetadataService(PlaneService):
         else:
             content = self.server.data._get_bytes(obj, None, self.host)
         triples = m.program.run(content)
-        for t in triples:
-            self.mcat.add_metadata("object", int(obj["oid"]), t.attr, t.value,
-                                   by=str(principal), now=self.now,
-                                   units=t.units)
+        if triples:                 # one catalog write: all or nothing
+            oid = int(obj["oid"])
+            self.mcat.add_metadata_bulk(
+                [{"target_kind": "object", "target_id": oid, "attr": t.attr,
+                  "value": t.value, "units": t.units} for t in triples],
+                by=str(principal), now=self.now)
         ctx.audit(detail=f"{method}:{len(triples)}")
         return len(triples)
 

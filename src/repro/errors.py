@@ -204,6 +204,16 @@ class NoSuchServer(NetworkError):
     """Federation has no server with the requested name."""
 
 
+class DependencyFailed(SrbError):
+    """A batch item that never ran: an earlier item it needs did not
+    succeed.  ``needed`` is the index of that item."""
+
+    def __init__(self, item: int, method: str, needed: int):
+        self.item, self.needed = item, needed
+        super().__init__(f"batch item {item} ({method}) did not run: "
+                         f"item {needed}, which it needs, did not succeed")
+
+
 class ServerBusy(SrbError):
     """Admission control shed the request: the server's worker pool is
     saturated and its request queue is full.

@@ -20,7 +20,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, \
     get_args
 from urllib.parse import parse_qs
 
-from repro.auth.sessions import SessionManager
+from repro.auth.sessions import Session, SessionManager
 from repro.auth.users import ROLES, Principal
 from repro.core.client import SrbClient
 from repro.core.federation import Federation
@@ -56,6 +56,11 @@ FORM_OPS = {
     "/structural": ("define_structural", "/structural?coll="),
 }
 
+#: The pages a write page shows after, ``route?path=...``: route -> (the
+#: op that reads what the page shows, the view that renders its answer).
+AFTER_WRITE = {"/open": ("open_object", views.render_object),
+               "/metadata": ("get_metadata", views.render_metadata_form)}
+
 
 @functools.lru_cache(maxsize=None)
 def _parameters(op: str) -> Tuple[inspect.Parameter, ...]:
@@ -71,8 +76,10 @@ class Request:
         self.method = environ.get("REQUEST_METHOD", "GET").upper()
         self.path = environ.get("PATH_INFO", "/") or "/"
         self.scheme = environ.get("wsgi.url_scheme", "http")
+        query = environ.get("QUERY_STRING", "")
+        self.url = f"{self.path}?{query}" if query else self.path
         self.query: Dict[str, str] = {
-            k: v[0] for k, v in parse_qs(environ.get("QUERY_STRING", "")).items()}
+            k: v[0] for k, v in parse_qs(query).items()}
         self.form: Dict[str, str] = {}
         if self.method == "POST":
             try:
@@ -85,6 +92,8 @@ class Request:
         cookie = SimpleCookie(environ.get("HTTP_COOKIE", ""))
         self.session_key = cookie[COOKIE_NAME].value \
             if COOKIE_NAME in cookie else None
+        self.session: Optional[Session] = None    # once validated
+        self.kept: Optional[str] = None     # the session's page for this GET
 
     def param(self, name: str, default: str = "") -> str:
         return self.form.get(name, self.query.get(name, default))
@@ -159,12 +168,21 @@ class MySrbApp:
                             status="400 Bad Request")
 
     def _client(self, request: Request) -> SrbClient:
-        """An SRB client bound to the caller's session (or public)."""
+        """An SRB client bound to the caller's session (or public).
+
+        The session's kept page (:meth:`_write_then_show`) is taken by
+        this request, and is ``request.kept`` only if this is a GET of
+        the URL it was kept for."""
         client = SrbClient(self.federation, self.www_host, self.server_name)
         if request.session_key is not None:
-            session = self.sessions.validate(request.session_key)
+            request.session = session = \
+                self.sessions.validate(request.session_key)
             client.ticket = session.ticket
             client.username = str(session.principal)
+            kept, session.kept = session.kept, None
+            if kept is not None and request.method == "GET" \
+                    and kept[0] == request.url:
+                request.kept = kept[1]
         return client
 
     def _route(self, request: Request) -> Response:
@@ -189,6 +207,8 @@ class MySrbApp:
             return self._do_newuser(request)
 
         client = self._client(request)
+        if request.kept is not None:
+            return Response(request.kept)
         if path == "/browse":
             target = request.param("path", f"/{self.federation.zone}")
             return Response(views.browse(
@@ -241,10 +261,12 @@ class MySrbApp:
             return Response(H.simple_page(f"Annotate {p}", body))
         if path == "/annotate" and method == "POST":
             p = request.param("path")
-            client.add_annotation(p, request.param("ann_type", "comment"),
-                                  request.param("text"),
-                                  location=request.param("location") or None)
-            return Response.redirect(f"/open?path={H.url_quote(p)}")
+            return self._write_then_show(client, request, [(
+                "add_annotation", {
+                    "path": p, "ann_type": request.param("ann_type", "comment"),
+                    "text": request.param("text"),
+                    "location": request.param("location") or None})],
+                "/open", p)
         if path == "/query" and method == "GET":
             if request.param("run") or request.param("cursor"):
                 return self._do_query(client, request)   # next-page link
@@ -327,16 +349,18 @@ class MySrbApp:
                     "value": request.form[f"uvalue{i}"],
                     "units": request.form.get(f"uunits{i}") or None}))
         container = request.param("container")
-        client.ingest(target, request.param("content").encode(),
-                      resource=request.param("resource") or None,
-                      container=None if container in ("", "(none)") else container,
-                      data_type=request.param("data_type") or None,
-                      metadata=metadata)
-        # the triples go together, but never with the ingest: a refused
-        # ingest of an existing path must not annotate what is there
-        for outcome in client.batch(*triples):
-            outcome.unwrap()        # the page reports the first failure
-        return Response.redirect(f"/open?path={H.url_quote(target)}")
+        ingest = ("ingest", {
+            "path": target, "data": request.param("content").encode(),
+            "resource": request.param("resource") or None,
+            "container": None if container in ("", "(none)") else container,
+            "data_type": request.param("data_type") or None,
+            "metadata": metadata})
+        # each triple needs the ingest, not the others: a refused ingest
+        # of an existing path must not annotate what is there
+        return self._write_then_show(
+            client, request,
+            [ingest] + [(op, kwargs, (0,)) for op, kwargs in triples],
+            "/open", target)
 
     def _do_bulk_ingest(self, client: SrbClient,
                         request: Request) -> Response:
@@ -360,16 +384,43 @@ class MySrbApp:
 
     def _do_metadata(self, client: SrbClient, request: Request) -> Response:
         p = request.param("path")
+        writes: List[Tuple[str, Dict[str, Any]]] = []
         if request.param("copy_from"):
-            client.copy_metadata(request.param("copy_from"), p)
+            writes.append(("copy_metadata",
+                           {"src": request.param("copy_from"), "dst": p}))
         elif request.param("extract_method"):
-            client.extract_metadata(p, request.param("extract_method"),
-                                    sidecar=request.param("sidecar") or None)
+            writes.append(("extract_metadata", {
+                "path": p, "method": request.param("extract_method"),
+                "sidecar": request.param("sidecar") or None}))
         elif request.param("attr"):
-            client.add_metadata(p, request.param("attr"),
-                                request.param("value") or None,
-                                units=request.param("units") or None)
-        return Response.redirect(f"/metadata?path={H.url_quote(p)}")
+            writes.append(("add_metadata", {
+                "path": p, "attr": request.param("attr"),
+                "value": request.param("value") or None,
+                "units": request.param("units") or None}))
+        return self._write_then_show(client, request, writes, "/metadata", p)
+
+    def _write_then_show(self, client: SrbClient, request: Request,
+                         writes: Sequence[Tuple[Any, ...]], route: str,
+                         path: str) -> Response:
+        """A write page in one exchange: the batch of ``writes``, then
+        the read the page at ``route?path=`` shows (:data:`AFTER_WRITE`),
+        which needs every write.  The first write that failed is the
+        page's error.  Otherwise the answer is a 303 to that page
+        (post/redirect/get), and the page, rendered from the read, is
+        kept on the session for its next request, to be served if that
+        is a GET of it; a read that failed or did not run keeps nothing,
+        and the GET asks the server.
+        """
+        op, render = AFTER_WRITE[route]
+        *done, shown = client.batch(
+            *writes, (op, {"path": path}, tuple(range(len(writes)))))
+        for outcome in done:
+            outcome.unwrap()
+        location = f"{route}?path={H.url_quote(path)}"
+        page = render(client, path, shown.value) if shown.ok else None
+        if page is not None and request.session is not None:
+            request.session.kept = (location, page)
+        return Response.redirect(location)
 
     def _do_query(self, client: SrbClient, request: Request) -> Response:
         """Run a query and render one page of results.

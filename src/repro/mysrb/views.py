@@ -188,7 +188,14 @@ def open_object(client: SrbClient, path: str) -> Optional[str]:
     objects the metadata embeds.  ``None`` when ``path`` is a
     collection, which has no object view.
     """
-    view = client.open_object(path)
+    return render_object(client, path, client.open_object(path))
+
+
+def render_object(client: SrbClient, path: str,
+                  view: Dict[str, Any]) -> Optional[str]:
+    """:func:`open_object`'s page from the ``open_object`` reply
+    ``view``, wherever that reply came from (a write page's batch
+    carries it)."""
     info = view["stat"]
     if "kind" not in info:          # a collection's stat row has no kind
         return None
@@ -350,7 +357,13 @@ def bulk_ingest_results(client: SrbClient, coll: str,
 def metadata_form(client: SrbClient, path: str) -> str:
     """The insert-metadata form ("this operation can be performed as many
     times as required ... no limits")."""
-    md = client.get_metadata(path)
+    return render_metadata_form(client, path, client.get_metadata(path))
+
+
+def render_metadata_form(client: SrbClient, path: str,
+                         md: Sequence[Dict[str, Any]]) -> str:
+    """:func:`metadata_form`'s page from the ``get_metadata`` answer
+    ``md``."""
     top = H.metadata_pane(f"Metadata of {path}", md)
     fields = [H.hidden_field("path", path)]
     fields.append(H.text_field("attr", "Attribute name"))

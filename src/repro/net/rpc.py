@@ -36,7 +36,8 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, List, Optional, \
     Sequence, Tuple
 
-from repro.errors import HostUnreachable, RpcError, ServerBusy, SrbError
+from repro.errors import DependencyFailed, HostUnreachable, RpcError, \
+    ServerBusy, SrbError
 from repro.net.simnet import Network, raise_failed, repull_failed, \
     run_channel_group
 from repro.net.wire import Redirect, message_size
@@ -80,8 +81,9 @@ class BatchItemResult:
 
     Either ``ok`` with a ``value``, or failed with the marshalled
     ``error`` (an :class:`SrbError` subclass, or :class:`RpcError` for
-    wrapped remote bugs).  A failed item never poisons its batch —
-    callers inspect results item by item, or :meth:`unwrap` to re-raise.
+    wrapped remote bugs).  A failed item never poisons its batch, only
+    the items that name it as one they need — callers inspect results
+    item by item, or :meth:`unwrap` to re-raise.
     """
 
     ok: bool
@@ -521,7 +523,7 @@ class ServiceRegistry:
                 return
 
     def call_batch(self, src: str, dst: str, service: str,
-                   items: Sequence[Tuple[str, Dict[str, Any]]],
+                   items: Sequence[Tuple[Any, ...]],
                    /) -> List[BatchItemResult]:
         """Invoke N methods of ``service`` as one pipelined message pair.
 
@@ -538,10 +540,29 @@ class ServiceRegistry:
         (destination unreachable — after charging the usual timeout) or
         the destination's admission control shedding the batch with
         :class:`~repro.errors.ServerBusy`.
+
+        An item ``(method, kwargs, after)`` names, by index, the earlier
+        items it needs; the request says so in the item's ``after``
+        list.  It runs only if each of them succeeded where the items
+        run.  Otherwise its result is :class:`DependencyFailed` naming
+        the first one that did not, and its method is never resolved or
+        called: no plan, no check, no audit row, no span.  A skipped
+        item counts in ``rpc.failures`` as a failed one does.  An item
+        naming itself or a later one refuses the batch before it is
+        sent.
         """
         self.last_timing = None
         handler = self.lookup(dst, service)
         metrics = self.network.obs.metrics
+        request = []
+        for k, (method, kwargs, *needs) in enumerate(items):
+            item = {"method": method, "kwargs": kwargs}
+            if needs and needs[0]:
+                item["after"] = after = list(needs[0])
+                if not all(0 <= i < k for i in after):
+                    raise RpcError(f"batch item {k} ({method}) may only "
+                                   f"need earlier items, not {after}")
+            request.append(item)
 
         def failed(method: str, error: Exception,
                    cause: Exception) -> BatchItemResult:
@@ -551,12 +572,19 @@ class ServiceRegistry:
             return BatchItemResult(ok=False, error=error)
 
         def serve() -> List[BatchItemResult]:
-            results = []
-            for method, kwargs in items:
+            results: List[BatchItemResult] = []
+            for k, item in enumerate(request):
+                method = item["method"]
+                waited = next((i for i in item.get("after", ())
+                               if not results[i].ok), None)
+                if waited is not None:
+                    skipped = DependencyFailed(k, method, waited)
+                    results.append(failed(method, skipped, skipped))
+                    continue
                 try:
                     fn = _resolve_method(handler, service, method)
                     results.append(
-                        BatchItemResult(ok=True, value=fn(**kwargs)))
+                        BatchItemResult(ok=True, value=fn(**item["kwargs"])))
                 except SrbError as exc:
                     results.append(failed(method, exc, exc))
                 except Exception as exc:  # non-SRB bug: wrap, don't leak
@@ -583,5 +611,4 @@ class ServiceRegistry:
         return self._exchange(
             src, dst, service, "<batch>",
             "rpc.call_batch", {"items": len(items)},
-            {"batch": [{"method": m, "kwargs": kw} for m, kw in items]},
-            serve, {}, settle, marshal)
+            {"batch": request}, serve, {}, settle, marshal)

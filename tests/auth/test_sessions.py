@@ -71,39 +71,26 @@ class TestExpiry:
         with pytest.raises(AuthError):
             mgr.validate(sess.key)
 
-    def test_touch_renews(self, mgr):
-        sess = mgr.open(SEKAR)
-        mgr.clock.advance(3000.0)
-        mgr.touch(sess.key)
-        mgr.clock.advance(3000.0)
-        mgr.validate(sess.key)   # still alive thanks to renewal
+    def test_a_sign_on_drops_every_expired_session(self, mgr):
+        """Expired sessions used to stay held until their key came back:
+        50 sign-ons, two hours, one more sign-on held 51 sessions, 1 of
+        them live."""
+        for _ in range(50):
+            mgr.open(SEKAR)
+        mgr.clock.advance(7200.0)
+        live = mgr.open(SEKAR)
+        assert list(mgr._sessions) == [live.key]
 
-    def test_touch_does_not_count_a_request(self, mgr):
-        """Regression: touch went through validate(), so every renewal
-        inflated ``requests_served`` without serving anything."""
-        sess = mgr.open(SEKAR)
-        mgr.validate(sess.key)
-        mgr.touch(sess.key)
-        mgr.touch(sess.key)
-        assert sess.requests_served == 1
-
-    def test_touch_still_rejects_bad_keys(self, mgr):
-        """Splitting accounting out of validation must not loosen it."""
-        with pytest.raises(AuthError):
-            mgr.touch("not-a-session-key")
-        sess = mgr.open(SEKAR)
-        mgr.clock.advance(4000.0)
-        with pytest.raises(SessionExpired):
-            mgr.touch(sess.key)
-
-    def test_active_count_and_purge(self, mgr):
-        mgr.open(SEKAR)
+    def test_only_the_expired_front_goes(self, mgr):
+        first = mgr.open(SEKAR)
         mgr.clock.advance(1800.0)
-        mgr.open(SEKAR)
-        assert mgr.active_count() == 2
-        mgr.clock.advance(2000.0)   # first is now expired
-        assert mgr.active_count() == 1
-        assert mgr.purge_expired() == 1
+        second = mgr.open(SEKAR)
+        mgr.clock.advance(1800.0)       # the first expires exactly now
+        third = mgr.open(SEKAR)
+        assert list(mgr._sessions) == [second.key, third.key]
+        with pytest.raises(AuthError):
+            mgr.validate(first.key)
+        assert mgr.validate(second.key) is second
 
     def test_custom_lifetime(self):
         mgr = SessionManager(SimClock(), lifetime_s=10.0)

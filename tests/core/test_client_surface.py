@@ -127,8 +127,8 @@ WRITTEN = {
     "audit_log":
         "(principal_filter: 'Optional[str]' = None, action: 'Optional[str]'"
         " = None, target: 'Optional[str]' = None) -> 'List[Dict[str, Any]]'",
-    "batch":
-        "(*items: 'Tuple[str, Dict[str, Any]]') -> 'List[BatchItemResult]'",
+    # an item is (op, kwargs) or (op, kwargs, the earlier items it needs)
+    "batch": "(*items: 'Tuple[Any, ...]') -> 'List[BatchItemResult]'",
     "connect": "(server_name: 'str') -> 'None'",
     "get":
         "(path: 'str', replica_num: 'Optional[int]' = None, args: "

@@ -72,6 +72,28 @@ class TestMetadataOps:
         md = curator.get_metadata(f"{home}/scan.img")
         assert md[0]["attr"] == "Stage" and md[0]["value"] == "gastrula"
 
+    def test_an_extraction_is_one_catalog_write_whatever_it_finds(
+            self, grid, curator, home):
+        """Each triple was its own charged catalog op: 1 -> 8 triples
+        cost 7 more ``mcat.ops`` and their virtual seconds."""
+        metrics, clock = grid.fed.obs.metrics, grid.fed.clock
+
+        def extract(name, n):
+            # 8 lines of "kI = I", or one line as long as those 8
+            body = "".join(f"k{i} = {i}\n" for i in range(n - 1)) \
+                + "k = " + "v" * (7 * (8 - n) + 2) + "\n"
+            assert len(body) == 56
+            curator.ingest(f"{home}/{name}", body.encode(),
+                           data_type="ascii text")
+            ops, t0 = metrics.total("mcat.ops"), clock.now
+            assert curator.extract_metadata(f"{home}/{name}",
+                                            "properties") == n
+            return metrics.total("mcat.ops") - ops, clock.now - t0
+
+        extract("x0.txt", 1)
+        assert extract("x1.txt", 1) == extract("x8.txt", 8)
+        assert len(curator.get_metadata(f"{home}/x8.txt")) == 8
+
     def test_sidecar_method_requires_sidecar(self, curator, home):
         curator.ingest(f"{home}/scan2.img", b"\x00", data_type="dicom image")
         with pytest.raises(MetadataError):

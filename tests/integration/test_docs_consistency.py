@@ -101,7 +101,7 @@ class TestDocSize:
     silently: a change that needs more lines raises the number here, in
     its own diff."""
 
-    CEILINGS = {"DESIGN.md": 897, "EXPERIMENTS.md": 1_947}
+    CEILINGS = {"DESIGN.md": 911, "EXPERIMENTS.md": 1_988}
 
     @pytest.mark.parametrize("name", sorted(CEILINGS))
     def test_no_longer_than_its_ceiling(self, name):

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.errors import NoSuchObject, RpcError, SrbError
+from repro.errors import DependencyFailed, NoSuchObject, RpcError, SrbError
 from repro.net.rpc import ServiceRegistry
 from repro.net.simnet import Network
+from repro.net.wire import message_size
 from tests.probes import counter, histogram
 
 
@@ -209,6 +210,112 @@ class TestCallBatch:
     def test_empty_batch(self, setup):
         _, rpc = setup
         assert rpc.call_batch("client", "server", "svc", []) == []
+
+
+class Recorder(EchoService):
+    """An echo service that remembers which items reached it."""
+
+    def __init__(self):
+        self.ran = []
+
+    def echo(self, text: str) -> str:
+        self.ran.append(text)
+        return text
+
+
+@pytest.fixture
+def recorded(setup):
+    net, rpc = setup
+    recorder = Recorder()
+    rpc.register("server", "rec", recorder)
+    return net, rpc, recorder
+
+
+def echo(text, *after):
+    return ("echo", {"text": text}, after) if after else \
+        ("echo", {"text": text})
+
+
+class TestDependentItems:
+    """An item may name the earlier items it needs: it runs only if they
+    all succeeded, and otherwise never reaches its handler."""
+
+    def test_a_failed_item_skips_what_needs_it_and_what_needs_that(
+            self, recorded):
+        _, rpc, recorder = recorded
+        results = rpc.call_batch("client", "server", "rec", [
+            echo("a"), ("fail_srb", {}), echo("b", 1), echo("c", 2),
+            echo("d", 0), echo("e", 0, 3)])
+        assert [r.ok for r in results] == \
+            [True, False, False, False, True, False]
+        assert recorder.ran == ["a", "d"]
+        assert isinstance(results[1].error, NoSuchObject)
+        for k, waited in ((2, 1), (3, 2), (5, 3)):
+            error = results[k].error
+            assert isinstance(error, DependencyFailed)
+            assert (error.item, error.needed) == (k, waited)
+            with pytest.raises(DependencyFailed, match=f"item {waited}"):
+                results[k].unwrap()
+
+    def test_an_item_whose_needs_succeeded_runs(self, recorded):
+        _, rpc, recorder = recorded
+        results = rpc.call_batch("client", "server", "rec", [
+            echo("a"), echo("b", 0), echo("c", 0, 1)])
+        assert [r.unwrap() for r in results] == ["a", "b", "c"]
+        assert recorder.ran == ["a", "b", "c"]
+
+    @pytest.mark.parametrize("after", [(1,), (2,), (0, 1), (-1,)])
+    def test_needing_itself_or_a_later_item_is_refused_unsent(
+            self, recorded, after):
+        net, rpc, recorder = recorded
+        sent = net.messages_sent
+        with pytest.raises(RpcError, match="earlier items"):
+            rpc.call_batch("client", "server", "rec",
+                           [echo("a"), echo("b", *after), echo("c")])
+        assert recorder.ran == [] and net.messages_sent == sent
+        assert rpc.stats.calls == 0 and rpc.stats.failures == 0
+
+    def test_each_skipped_item_counts_as_a_failure(self, recorded):
+        net, rpc, _ = recorded
+        rpc.call_batch("client", "server", "rec", [
+            ("fail_srb", {}), echo("b", 0), echo("c", 1), echo("d")])
+        assert rpc.stats.failures == 3
+        metrics = net.obs.metrics
+        assert counter(metrics, "rpc.failures", service="rec",
+                       method="echo", error="DependencyFailed") == 2
+        assert counter(metrics, "rpc.failures", service="rec",
+                       method="fail_srb", error="NoSuchObject") == 1
+
+    def test_the_request_names_what_an_item_needs(self, recorded):
+        net, rpc, _ = recorded
+        items = [echo("a"), echo("b", 0)]
+        rpc.call_batch("client", "server", "rec", items)
+        assert rpc.stats.request_bytes == message_size({"batch": [
+            {"method": "echo", "kwargs": {"text": "a"}},
+            {"method": "echo", "kwargs": {"text": "b"}, "after": [0]}]})
+
+    def test_a_batch_that_needs_nothing_is_sent_and_traced_as_before(
+            self, recorded):
+        """Byte for byte the request a batch was before items could need
+        each other, and the same spans."""
+        net, rpc, _ = recorded
+        items = [echo("a"), ("fail_srb", {}), echo("b" * 100)]
+        with net.obs.tracer.trace("t") as root:
+            rpc.call_batch("client", "server", "rec", items)
+        before = message_size({"batch": [{"method": m, "kwargs": kw}
+                                         for m, kw in items]})
+        assert rpc.stats.request_bytes == before
+        (batch,) = root.children
+        reply = batch.counters["response_bytes"]
+        assert [(s.name, s.attrs, s.counters) for s in batch.walk()] == [
+            ("rpc.call_batch", {"src": "client", "dst": "server",
+                                "service": "rec", "items": 3},
+             {"request_bytes": before, "messages": 2,
+              "bytes": before + reply, "response_bytes": reply}),
+            ("net.transfer", {"src": "client", "dst": "server",
+                              "bytes": before, "streams": 1}, {}),
+            ("net.transfer", {"src": "server", "dst": "client",
+                              "bytes": reply, "streams": 1}, {})]
 
 
 class NetAwareService:
@@ -510,3 +617,93 @@ class TestAdmission:
         assert len(spans) == 1
         assert spans[0].attrs["host"] == "server"
         assert spans[0].attrs["wait_s"] > 0
+
+
+class TestDependentItemsOnAGrid:
+    """``SrbClient.batch`` through the servers' op plans, with the bytes
+    riding the request or (``direct_io``) a channel of their own."""
+
+    #: span names of the batch below, in walk order, recorded before
+    #: items could need each other
+    SPANS = {
+        False: ["rpc.call_batch", "net.transfer", "srb.data.ingest",
+                "storage.create", "srb.data.get", "storage.read",
+                "srb.metadata.get_metadata", "srb.namespace.stat",
+                "net.transfer"],
+        True: ["rpc.call_batch", "net.transfer", "srb.data.ingest",
+               "srb.redirect", "net.transfer", "net.transfer",
+               "storage.create", "srb.data.get", "storage.read",
+               "srb.metadata.get_metadata", "srb.namespace.stat",
+               "net.transfer", "srb.redirect", "net.transfer",
+               "net.transfer"]}
+
+    @staticmethod
+    def grid(direct_io):
+        from repro.core import Federation, SrbClient
+        fed = Federation(zone="demozone", direct_io=direct_io)
+        fed.add_host("sdsc")
+        fed.add_host("laptop")
+        fed.add_server("srb1", "sdsc", mcat=True)
+        fed.add_fs_resource("unix-sdsc", "sdsc")
+        fed.default_resource = "unix-sdsc"
+        fed.bootstrap_admin()
+        client = SrbClient(fed, "laptop", "srb1", "srbadmin@sdsc", "hunter2")
+        client.login()
+        client.mkcoll("/demozone/c")
+        client.ingest("/demozone/c/a", b"\x5a" * 4096)
+        return fed, client
+
+    @staticmethod
+    def traced(fed, client, *items):
+        sent = []
+        inner = fed.rpc._exchange
+
+        def keep(*args):
+            sent.append(args[6])
+            return inner(*args)
+
+        fed.rpc._exchange = keep
+        try:
+            with fed.obs.tracer.trace("t") as root:
+                results = client.batch(*items)
+        finally:
+            del fed.rpc._exchange
+        (request,) = sent
+        (batch,) = root.children
+        return results, request, batch
+
+    @pytest.mark.parametrize("direct_io", [False, True])
+    def test_a_batch_that_needs_nothing_is_sent_and_traced_as_before(
+            self, direct_io):
+        fed, client = self.grid(direct_io)
+        results, request, batch = self.traced(
+            fed, client,
+            ("ingest", {"path": "/demozone/c/b", "data": b"\x5a" * 4096}),
+            ("get", {"path": "/demozone/c/a"}),
+            ("get_metadata", {"path": "/demozone/c/a"}),
+            ("stat", {"path": "/demozone/c/nope"}))
+        assert [r.ok for r in results] == [True, True, True, False]
+        assert [sorted(item) for item in request["batch"]] == \
+            [["kwargs", "method"]] * 4
+        assert batch.counters["request_bytes"] == message_size(request)
+        assert [s.name for s in batch.walk()] == self.SPANS[direct_io]
+
+    @pytest.mark.parametrize("direct_io", [False, True])
+    def test_a_skipped_item_has_no_plan_no_span_no_audit_row(
+            self, direct_io):
+        fed, client = self.grid(direct_io)
+        audited = len(fed.mcat.audit_query())
+        results, request, batch = self.traced(
+            fed, client,
+            ("stat", {"path": "/demozone/c/nope"}),
+            ("ingest", {"path": "/demozone/c/b", "data": b"\x5a" * 4096},
+             (0,)),
+            ("get", {"path": "/demozone/c/a"}, (1,)))
+        assert [r.ok for r in results] == [False, False, False]
+        assert [r.error.needed for r in results[1:]] == [0, 1]
+        assert request["batch"][2]["after"] == [1]
+        assert [s.name for s in batch.walk() if s.name.startswith("srb.")] \
+            == ["srb.namespace.stat"]
+        assert len(fed.mcat.audit_query()) == audited
+        with pytest.raises(NoSuchObject):
+            client.stat("/demozone/c/b")

@@ -205,10 +205,13 @@ def test_a_get_at_a_server_with_a_cached_local_copy_pulls_no_payload_in():
 
 # -- MySRB: exchanges and calls per page --------------------------------------
 # A page costs WAN round trips first (each about 0.08 virtual s from the
-# web host) and HTML assembly second.  Every page sends the calls that do
-# not depend on each other as one ``client.batch`` exchange, so the count
-# per page is exact; a page that regains a serial call fails by name.
-# What each exchange is, in order (<batch> = one call_batch pair):
+# web host) and HTML assembly second.  Every page sends its calls as one
+# ``client.batch`` exchange, a call that needs another's success as an
+# item that names it, so the count per page is exact; a page that
+# regains a serial call fails by name.  A write page's batch also reads
+# the page it redirects to, and the browser's GET of it is served that
+# page, kept on the session, with no exchange.  What each exchange is,
+# in order (<batch> = one call_batch pair):
 #
 # ==============  =====  ===================================================
 # page            pairs  exchanges
@@ -221,9 +224,10 @@ def test_a_get_at_a_server_with_a_cached_local_copy_pulls_no_payload_in():
 #                        the container's dead space, run at the server)
 # ``query``       1      query_page
 # ``ingest form`` 1      [query_page for containers, structural_metadata]
-# ``ingest``      3      ingest, [add_metadata x 3], then the open page's 1
-# ``extract``     2      extract_metadata, then the form's get_metadata
-# ``annotate``    2      add_annotation, then the open page's 1
+# ``ingest``      1      [ingest, add_metadata x 3 (each needs the ingest),
+#                        open_object (needs all four)]
+# ``extract``     1      [extract_metadata, get_metadata (needs it)]
+# ``annotate``    1      [add_annotation, open_object (needs it)]
 # ==============  =====  ===================================================
 #
 # The two call budgets are measured + 15 % like the ones above: a page
@@ -239,9 +243,9 @@ EXCHANGES = {
     "open": ["open_object"],
     "query": ["query_page"],
     "ingest form": ["<batch>"],
-    "ingest": ["ingest", "<batch>", "open_object"],
-    "extract": ["extract_metadata", "get_metadata"],
-    "annotate": ["add_annotation", "open_object"],
+    "ingest": ["<batch>"],
+    "extract": ["<batch>"],
+    "annotate": ["<batch>"],
 }
 PAGE_BUDGET = {"browse next": 4265, "open": 760}
 

@@ -10,8 +10,10 @@ cProfile's sub-call entries.  The total equals gridbench's
 ``py_calls_per_op`` for the same workload and seed.
 
 ``--by-call`` takes the same pass apart by kind of client call instead:
-rows delivered, Python-level calls, virtual seconds, charged catalog ops
-(``mcat.ops``), catalog rows those ops touched, and which catalog methods
+rows delivered, Python-level calls, virtual seconds, RPC exchanges per
+call (message pairs, ``rpc.calls``: a batch is one, a server's call to
+another server one more), charged catalog ops (``mcat.ops``), catalog
+rows those ops touched, and which catalog methods
 were charged at least once per delivered row — the N+1 pattern, a
 catalog round trip per hit.  It exits 1 if there is such a method, which
 is how CI uses it (on ``catalog_query``, whose items are result rows; on
@@ -161,12 +163,15 @@ def by_call(workload: str, seed: int, scale: float):
         nonlocal last
         last = row = kinds.setdefault(kind, {
             "calls": 0, "rows_out": 0, "py_calls": 0, "virt_s": 0.0,
-            "mcat_ops": 0, "rows_scanned": 0, "charged": Counter()})
+            "exchanges": 0, "mcat_ops": 0, "rows_scanned": 0,
+            "charged": Counter()})
         meter.profiler = cProfile.Profile()
         ops, scanned = total("mcat.ops"), total("mcat.rows_scanned")
+        exchanges = fed.rpc.stats.calls
         result = plain_call(kind, fn, *args, **kwargs)
         row["calls"] += 1
         row["virt_s"] += meter.virt[-1]
+        row["exchanges"] += fed.rpc.stats.calls - exchanges
         row["mcat_ops"] += int(total("mcat.ops") - ops)
         row["rows_scanned"] += int(total("mcat.rows_scanned") - scanned)
         for entry in meter.profiler.getstats():
@@ -204,14 +209,14 @@ def by_call_failed(kinds) -> bool:
 
 def print_by_call(workload: str, seed: int, kinds) -> None:
     sums = {key: sum(row[key] for row in kinds.values())
-            for key in ("calls", "rows_out", "py_calls", "virt_s", "mcat_ops",
-                        "rows_scanned", "unattributed")}
+            for key in ("calls", "rows_out", "py_calls", "virt_s", "exchanges",
+                        "mcat_ops", "rows_scanned", "unattributed")}
     print(f"{workload} seed {seed}: {sums['calls']} client calls, "
           f"{sums['py_calls'] / sums['calls']:,.1f} Python-level calls and "
           f"{sums['virt_s'] / sums['calls']:.4f} virtual s per call\n")
     print(f"{'client call':<16}{'rows out':>9}{'Python calls':>14}"
-          f"{'virtual s':>11}{'mcat.ops':>10}{'rows scanned':>14}"
-          "  charged once per row or more")
+          f"{'virtual s':>11}{'exch/call':>10}{'mcat.ops':>10}"
+          f"{'rows scanned':>14}  charged once per row or more")
     for kind, row in list(kinds.items()) + [("total", dict(sums,
                                                           per_row={}))]:
         label = kind if kind == "total" else f"{kind} x{row['calls']}"
@@ -220,8 +225,8 @@ def print_by_call(workload: str, seed: int, kinds) -> None:
         if row["unattributed"]:
             flagged += f"  ({row['unattributed']} mcat.ops unattributed)"
         print(f"{label:<16}{row['rows_out']:>9,}{row['py_calls']:>14,}"
-              f"{row['virt_s']:>11.4f}{row['mcat_ops']:>10,}"
-              f"{row['rows_scanned']:>14,}  {flagged}")
+              f"{row['virt_s']:>11.4f}{row['exchanges'] / row['calls']:>10.2f}"
+              f"{row['mcat_ops']:>10,}{row['rows_scanned']:>14,}  {flagged}")
 
 
 def main(argv=None) -> int:

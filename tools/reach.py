@@ -136,6 +136,10 @@ REACH_EXEMPT = {
     "db/table.py::Table._refuse":
         "a refusal: a row whose key clashes in a unique index, "
         "tests/db/test_table.py",
+    "errors.py::DependencyFailed.__init__":
+        "a fault: a batch item does not run because one it needs failed "
+        "(a refused MySRB ingest), tests/net/test_rpc.py::TestDependentItems, "
+        "tests/mysrb/test_write_pages.py",
     "errors.py::MandatoryMetadataMissing.__init__":
         "a refusal: an ingest without its collection's mandatory "
         "metadata, tests/core/test_server_data.py",
@@ -211,15 +215,6 @@ REACH_EXEMPT = {
 #: keeps.  It goes with those tests (ROADMAP item 23); until then
 #: ``--check`` lists it as open, and the list only shrinks.
 OPEN = {
-    **dict.fromkeys(
-        ["auth/sessions.py::SessionManager.touch"],
-        "tests/auth/test_sessions.py::TestExpiry::test_touch_renews, "
-        "test_touch_does_not_count_a_request, "
-        "test_touch_still_rejects_bad_keys"),
-    **dict.fromkeys(
-        ["auth/sessions.py::SessionManager.active_count",
-         "auth/sessions.py::SessionManager.purge_expired"],
-        "tests/auth/test_sessions.py::TestExpiry::test_active_count_and_purge"),
     "auth/users.py::UserRegistry.remove_user":
         "tests/auth/test_users.py::TestRegistry::test_remove_user, "
         "TestGroups::test_removing_user_clears_memberships",
