@@ -96,19 +96,8 @@ class UserRegistry:
             role=role)
         return p
 
-    def remove_user(self, principal: str | Principal) -> None:
-        key = str(principal)
-        self._users.pop(key, None)
-        for members in self._groups.values():
-            members.discard(key)
-
     def disable_user(self, principal: str | Principal) -> None:
         self._record(principal).enabled = False
-
-    def set_role(self, principal: str | Principal, role: str) -> None:
-        if role not in ROLES:
-            raise AuthError(f"unknown role {role!r}")
-        self._record(principal).role = role
 
     def role_of(self, principal: str | Principal) -> str:
         key = str(principal)

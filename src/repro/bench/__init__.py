@@ -4,9 +4,7 @@ from repro.bench.harness import (
     Measurement,
     ResultTable,
     assert_monotone,
-    geometric_speedup,
     timed,
 )
 
-__all__ = ["Measurement", "ResultTable", "timed", "geometric_speedup",
-           "assert_monotone"]
+__all__ = ["Measurement", "ResultTable", "timed", "assert_monotone"]

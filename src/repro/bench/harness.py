@@ -103,20 +103,6 @@ class ResultTable:
     def show(self, file=None) -> None:
         print("\n" + self.render() + "\n", file=file or sys.stdout)
 
-    def column(self, name: str) -> List[Any]:
-        idx = self.columns.index(name)
-        return [row[idx] for row in self.rows]
-
-
-def geometric_speedup(baseline: Sequence[float],
-                      improved: Sequence[float]) -> float:
-    """Geometric-mean speedup of ``improved`` over ``baseline``."""
-    if len(baseline) != len(improved) or not baseline:
-        raise ValueError("need equal non-empty series")
-    import math
-    logs = [math.log(b / i) for b, i in zip(baseline, improved)]
-    return math.exp(sum(logs) / len(logs))
-
 
 def assert_monotone(values: Sequence[float], increasing: bool = True,
                     tolerance: float = 0.0) -> None:

@@ -36,9 +36,6 @@ class ResultSet:
     columns: List[str]
     rows: List[Tuple[Any, ...]]
 
-    def dicts(self) -> List[Dict[str, Any]]:
-        return [dict(zip(self.columns, row)) for row in self.rows]
-
 
 class Database:
     """A named collection of tables plus the SELECT executor."""

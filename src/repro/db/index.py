@@ -91,9 +91,6 @@ class HashIndex:
                 if isinstance(value, bytearray) else ()
         return [bucket] if type(bucket) is int else list(bucket)
 
-    def __len__(self) -> int:
-        return sum(1 if type(b) is int else len(b) for b in self._map.values())
-
 
 class SortedIndex:
     """Range index over comparable values.

@@ -3,15 +3,16 @@
 "Standardized metadata might be based on lists of elements such as the
 Dublin Core" — MySRB's Figure 2 is the ingestion form with Dublin Core
 attributes.  A :class:`MetadataSchema` names a fixed element set; the
-registry binds schemas either to specific data types ("data-type
-designated metadata can be ingested for SRB objects of particular type")
-or to all objects (Dublin Core's case).
+registry holds schemas by name, and Dublin Core applies to every object.
+The paper's data-type designated schemas ("data-type designated
+metadata can be ingested for SRB objects of particular type") are not
+modelled: nothing registers one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.errors import MetadataError, NoSuchSchema
 
@@ -71,39 +72,21 @@ def dublin_core_schema() -> MetadataSchema:
 
 
 class SchemaRegistry:
-    """Registry of type-oriented schemas and their data-type bindings."""
+    """Registry of type-oriented schemas, by name."""
 
     def __init__(self) -> None:
         self._schemas: Dict[str, MetadataSchema] = {}
-        self._by_type: Dict[str, List[str]] = {}    # data_type -> schema names
-        self._global: List[str] = []                # schemas for ALL objects
         # Dublin Core ships registered for every object, as in MySRB.
-        self.register(dublin_core_schema(), data_types=None)
+        self.register(dublin_core_schema())
 
-    def register(self, schema: MetadataSchema,
-                 data_types: Optional[Sequence[str]] = None) -> None:
-        """Register ``schema``; bind to ``data_types`` or to all objects."""
+    def register(self, schema: MetadataSchema) -> None:
+        """Register ``schema`` under its name."""
         if schema.name in self._schemas:
             raise MetadataError(f"schema {schema.name!r} already registered")
         self._schemas[schema.name] = schema
-        if data_types is None:
-            self._global.append(schema.name)
-        else:
-            for dt in data_types:
-                self._by_type.setdefault(dt, []).append(schema.name)
 
     def get(self, name: str) -> MetadataSchema:
         try:
             return self._schemas[name]
         except KeyError:
             raise NoSuchSchema(f"no schema {name!r}") from None
-
-    def exists(self, name: str) -> bool:
-        return name in self._schemas
-
-    def schemas_for(self, data_type: Optional[str]) -> List[MetadataSchema]:
-        """Schemas applicable to an object of ``data_type``."""
-        names = list(self._global)
-        if data_type is not None:
-            names.extend(self._by_type.get(data_type, ()))
-        return [self._schemas[n] for n in names]

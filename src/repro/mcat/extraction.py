@@ -19,7 +19,7 @@ DICOM-style sidecar headers) plus generic ``key = value`` properties.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.errors import ExtractionError
 from repro.tlang.extract import ExtractionProgram, Triple
@@ -102,11 +102,6 @@ class ExtractionRegistry:
             from_sidecar=from_sidecar, description=description)
         self._methods.setdefault(data_type, []).append(method)
         return method
-
-    def methods_for(self, data_type: Optional[str]) -> List[ExtractionMethod]:
-        if data_type is None:
-            return []
-        return list(self._methods.get(data_type, ()))
 
     def get(self, data_type: str, name: str) -> ExtractionMethod:
         for m in self._methods.get(data_type, ()):

@@ -79,9 +79,6 @@ class QueryResult:
     columns: List[str]
     rows: List[Tuple[Any, ...]]
 
-    def dicts(self) -> List[Dict[str, Any]]:
-        return [dict(zip(self.columns, r)) for r in self.rows]
-
     def __len__(self) -> int:
         return len(self.rows)
 

@@ -267,10 +267,3 @@ class MetricsRegistry:
                 continue
             lines.append(f"{key} {format_value(value)}")
         return "\n".join(lines)
-
-    def clear(self) -> None:
-        """Forget every observation; bound handles keep counting into
-        the emptied series."""
-        for series in (*self._counters.values(),
-                       *self._histograms.values()):
-            series.clear()

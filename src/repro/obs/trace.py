@@ -170,11 +170,6 @@ class Tracer:
         return self.clock.now if self.clock is not None else 0.0
 
     @property
-    def active(self) -> bool:
-        """True while a root span is open (instrumentation records)."""
-        return bool(self.stack)
-
-    @property
     def current(self) -> Optional[Span]:
         """Innermost open span, or None outside a trace."""
         return self.stack[-1] if self.stack else None
@@ -227,25 +222,6 @@ class Tracer:
             Span(name, attrs, self._now(), parent=self.stack[-1])
 
     # -- export -------------------------------------------------------------
-
-    def events(self, root: Optional[Span] = None) -> List[Dict[str, Any]]:
-        """Flat event list (one dict per span, ``depth`` giving nesting)."""
-        roots = [root] if root is not None else list(self.traces)
-        out: List[Dict[str, Any]] = []
-
-        def emit(span: Span, depth: int) -> None:
-            out.append({
-                "name": span.name, "depth": depth,
-                "t0": span.t0, "t1": span.t1, "duration": span.duration,
-                "attrs": dict(span.attrs), "counters": dict(span.counters),
-                "error": span.error,
-            })
-            for child in span.children:
-                emit(child, depth + 1)
-
-        for r in roots:
-            emit(r, 0)
-        return out
 
     def render(self, root: Optional[Span] = None) -> str:
         """Human-readable tree of one trace (default: the last one)."""

@@ -152,9 +152,6 @@ class ArchiveDriver(StorageDriver):
     def unpin(self, path: str) -> None:
         self._pinned.discard(normalize_physical(path))
 
-    def is_pinned(self, path: str) -> bool:
-        return normalize_physical(path) in self._pinned
-
     def purge_cache(self) -> int:
         """SRB cache management: flush unpinned entries to tape.
 
@@ -284,6 +281,3 @@ class ArchiveDriver(StorageDriver):
                     names.add(rest)
         self._charge_op()
         return sorted(names)
-
-    def used_bytes(self) -> int:
-        return sum(len(b) for b in self._tape.values())

@@ -78,10 +78,6 @@ class ResourceRegistry:
         self._logical[name] = logical
         return logical
 
-    def remove(self, name: str) -> None:
-        self._physical.pop(name, None)
-        self._logical.pop(name, None)
-
     # -- lookup --------------------------------------------------------------
 
     def physical(self, name: str) -> PhysicalResource:
@@ -95,9 +91,6 @@ class ResourceRegistry:
 
     def is_logical(self, name: str) -> bool:
         return name in self._logical
-
-    def exists(self, name: str) -> bool:
-        return name in self._physical or name in self._logical
 
     def resolve(self, name: str) -> List[PhysicalResource]:
         """Expand a resource name to the physical resources it denotes.

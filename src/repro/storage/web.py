@@ -39,12 +39,6 @@ class WebSpace:
         self._validate(url)
         self._content[url] = content
 
-    def unpublish(self, url: str) -> None:
-        self._content.pop(url, None)
-
-    def is_published(self, url: str) -> bool:
-        return url in self._content
-
     @staticmethod
     def _validate(url: str) -> None:
         parsed = urlparse(url)

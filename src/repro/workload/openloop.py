@@ -153,27 +153,6 @@ class LoadReport:
         span = self.makespan_s
         return len(self.completed) / span if span > 0 else 0.0
 
-    @property
-    def mean_wait_s(self) -> float:
-        waits = [o.wait for o in self.outcomes if o.ok]
-        return sum(waits) / len(waits) if waits else 0.0
-
-    def summary(self) -> dict:
-        """Headline dict a benchmark can print or persist."""
-        lat = self.latencies()
-        return {
-            "offered_rate_hz": round(self.offered_rate_hz, 4),
-            "issued": self.issued,
-            "completed": len(self.completed),
-            "shed": self.shed_count,
-            "errors": self.error_count,
-            "goodput_hz": round(self.goodput_hz, 4),
-            "p50_s": round(percentile(lat, 50), 6) if lat else None,
-            "p95_s": round(percentile(lat, 95), 6) if lat else None,
-            "p99_s": round(percentile(lat, 99), 6) if lat else None,
-            "mean_wait_s": round(self.mean_wait_s, 6),
-        }
-
 
 def run_open_loop(registry, arrivals: Sequence[float],
                   issue: Callable[[int], object],

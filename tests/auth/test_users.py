@@ -50,14 +50,6 @@ class TestRegistry:
         assert reg.role_of("sekar@sdsc") == "curator"
         assert reg.role_of(PUBLIC) == "public"
 
-    def test_set_role(self, reg):
-        reg.set_role("moore@sdsc", "sysadmin")
-        assert reg.role_of("moore@sdsc") == "sysadmin"
-
-    def test_remove_user(self, reg):
-        reg.remove_user("moore@sdsc")
-        assert not reg.exists("moore@sdsc")
-
     def test_unknown_user_raises(self, reg):
         with pytest.raises(AuthError):
             reg.role_of("ghost@nowhere")
@@ -84,12 +76,6 @@ class TestGroups:
         reg.add_to_group("g", "sekar@sdsc")
         reg.remove_from_group("g", "sekar@sdsc")
         assert reg.groups_of("sekar@sdsc") == []
-
-    def test_removing_user_clears_memberships(self, reg):
-        reg.create_group("g")
-        reg.add_to_group("g", "moore@sdsc")
-        reg.remove_user("moore@sdsc")
-        assert reg.groups_of("moore@sdsc") == []
 
 
 class TestAuthentication:

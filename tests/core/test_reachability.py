@@ -15,16 +15,15 @@ Three checks:
    as strings) and the surface walks (``tests/op_calls.py``,
    ``tests/surface_calls.py``); or its ``path::Qualname`` is a key of
    ``tools/reach.py``'s ``REACH_EXEMPT`` (the one list of reasons, each
-   of ``reach.KINDS`` or the wrapper table) or ``OPEN`` (what goes with
-   its own tests later).  A name match is a quick stand-in for the
-   traced rule in 3.
+   of ``reach.KINDS`` or the wrapper table).  A name match is a quick
+   stand-in for the traced rule in 3.
 3. The surface walk names every Scommand and every MySRB route, and
    runs.  ``python tools/reach.py --check`` traces it, with the
    workloads, examples and benchmarks, and holds every function none of
-   them enters to ``REACH_EXEMPT`` or ``OPEN``; that takes minutes, so
-   it runs in CI's benchmark job, not here.
+   them enters to ``REACH_EXEMPT``; that takes minutes, so it runs in
+   CI's benchmark job, not here.
 
-``ADMIN_ONLY``, ``REACH_EXEMPT`` and ``OPEN`` are frozen like the lint
+``ADMIN_ONLY`` and ``REACH_EXEMPT`` are frozen like the lint
 allowlists: an entry that exempts nothing is itself a failure (here for
 an entry that names no function; ``reach.py --check`` for one a traced
 run enters), so they only shrink.
@@ -99,8 +98,8 @@ def _unreferenced():
 
 
 def test_every_public_function_has_a_caller_or_a_reason():
-    assert [key for key in _unreferenced()
-            if key not in REACH_EXEMPT and key not in reach.OPEN] == [], \
+    missing = [key for key in _unreferenced() if key not in REACH_EXEMPT]
+    assert missing == [], \
         "nothing the grid runs calls these: delete them, or say why in " \
         "tools/reach.py's REACH_EXEMPT"
 
@@ -114,19 +113,6 @@ def test_every_reason_names_a_function_and_what_runs_it():
             and not (why.startswith(reach.KINDS) and "tests/" in why)] \
         == [], "a reason is the wrapper table, or one of reach.KINDS " \
                "with the test that runs the code"
-
-
-def test_the_open_list_only_shrinks():
-    """``OPEN`` holds what goes with its own tests in a later change:
-    each entry names a function that is still there and the tests that
-    pin it, and no entry is added."""
-    assert sorted(reach.OPEN.keys() - reach.defined().keys()) == [], \
-        "OPEN names a function that is gone: delete the entry"
-    assert sorted(reach.OPEN.keys() & REACH_EXEMPT.keys()) == []
-    for tests in reach.OPEN.values():
-        assert (ROOT / tests.split("::")[0]).is_file(), tests
-    assert len(reach.OPEN) <= 24, \
-        "give a new function a caller or a REACH_EXEMPT reason"
 
 
 def test_the_surface_walk_names_every_command_and_route():
@@ -150,6 +136,6 @@ def test_the_rails_see_what_they_claim_to():
     assert {"mkcoll", "compact_container", "define_structural",
             "register_url", "list_collection_page", "query_page",
             "verify_checksums", "auth_login"} <= reached
-    assert "auth/users.py::UserRegistry.set_role" in _unreferenced()
+    assert "auth/users.py::UserRegistry.disable_user" in _unreferenced()
     assert "core/client.py::SrbClient.connect" \
         not in _unreferenced()                     # examples/ call it

@@ -138,14 +138,14 @@ class TestLocksViaServer:
         nobody = SrbClient(grid.fed, "laptop", "srb1", "nobody@sdsc", "pw")
         nobody.login()
         assert nobody.unpin(path, "hpss-caltech") == 0
-        assert drv.is_pinned(rep["physical_path"])
+        assert rep["physical_path"] in drv._pinned
         assert drv.purge_cache() == 0
         grid.curator.grant(path, "moore@sdsc", "write")
         other.pin(path, "hpss-caltech")
         assert other.unpin(path, "hpss-caltech") == 1
         assert drv.purge_cache() == 0            # the curator's pin holds
         assert grid.curator.unpin(path, "hpss-caltech") == 1
-        assert not drv.is_pinned(rep["physical_path"])
+        assert rep["physical_path"] not in drv._pinned
         assert drv.purge_cache() == 1
 
 

@@ -236,7 +236,7 @@ class TestRegisteredUrl:
         grid.curator.register_url(f"{grid.home}/safe",
                                   "http://museum.org/safe")
         grid.curator.delete(f"{grid.home}/safe")
-        assert grid.fed.web.is_published("http://museum.org/safe")
+        assert grid.fed.web._content["http://museum.org/safe"] == b"content"
 
     def test_bad_scheme_rejected(self, grid):
         from repro.errors import StorageError

@@ -301,7 +301,3 @@ class TestPlannerAndCost:
         t0 = clock.now
         db.execute("SELECT COUNT(*) FROM t")
         assert clock.now > t0
-
-    def test_resultset_helpers(self, db):
-        rs = db.execute("SELECT id, name FROM users ORDER BY id LIMIT 1")
-        assert rs.dicts() == [{"id": 1, "name": "ann"}]

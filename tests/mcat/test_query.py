@@ -137,10 +137,6 @@ class TestSearch:
                    include_annotations=True)
         assert [row[0] for row in r.rows] == ["/demozone/survey/a.fits"]
 
-    def test_result_dicts(self, mcat):
-        r = search(mcat, "/demozone/survey", [Condition("JMAG", "<", "6")])
-        assert r.dicts()[0]["path"] == "/demozone/survey/a.fits"
-
 
 class TestQueryableAttributes:
     def test_names_from_subtree(self, mcat):

@@ -17,7 +17,7 @@ grows.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.federation import ChannelBroker
 from repro.core.planes.base import RELAY_BLOCK, relay_hidden
@@ -70,6 +70,10 @@ def relay(inbound: LinkSpec, outbound: LinkSpec, nbytes: int,
 @settings(max_examples=200, deadline=None)
 @given(inbound=links, outbound=links, nbytes=sizes,
        members=st.integers(min_value=1, max_value=4))
+# a push that starts at a large clock reading: one ulp of the timestamp
+# (1.8e-12 s) is above the absolute tolerance
+@example(inbound=LinkSpec(0.5, 10000.0, per_stream_bps=1000.0),
+         outbound=LinkSpec(0.0005, 92424979.0), nbytes=16383499, members=2)
 def test_the_relay_waits_what_the_law_says(inbound, outbound, nbytes,
                                            members):
     relayed = relay(inbound, outbound, nbytes, members)
@@ -92,9 +96,10 @@ def test_the_relay_waits_what_the_law_says(inbound, outbound, nbytes,
         assert relayed["pushed_s"] == (t_in + (cost - hidden)) - t_in
         assert stored["pushed_s"] == (t_in + cost) - t_in
     else:       # a makespan is a difference of timestamps, added back on
-        assert relayed["pushed_s"] == pytest.approx(cost - hidden,
-                                                    rel=1e-9, abs=1e-12)
-        assert stored["pushed_s"] == pytest.approx(cost, rel=1e-9)
+        assert relayed["pushed_s"] == pytest.approx(
+            (t_in + (cost - hidden)) - t_in, rel=1e-9, abs=1e-12)
+        assert stored["pushed_s"] == pytest.approx((t_in + cost) - t_in,
+                                                   rel=1e-9)
     # ... while every record of the legs is the unrelayed one's
     for key in ("costs", "records", "spans"):
         assert relayed[key] == stored[key], key

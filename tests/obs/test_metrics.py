@@ -109,12 +109,6 @@ class TestRender:
         reg.inc("net.bytes")
         assert "net.bytes" not in reg.render(prefixes=["rpc"])
 
-    def test_clear(self, reg):
-        reg.inc("m")
-        reg.observe("h", 1.0)
-        reg.clear()
-        assert reg.snapshot() == {}
-
     def test_render_keeps_every_digit(self, reg):
         # ``:g`` printed these as 6.29214e+06 and 4.1943e+06
         reg.inc("net.bytes", 6_292_135, src="a", dst="b")
@@ -251,20 +245,6 @@ class TestBoundInstruments:
         ops.inc()
         reg.inc("mcat.ops")
         assert reg.snapshot() == {"mcat.ops": 2}
-
-    def test_handle_survives_clear(self, reg):
-        calls = reg.bind_counter("rpc.calls", method="get")
-        latency = reg.bind_histogram("rpc.call_s", method="get")
-        calls.inc(2)
-        latency.observe(1.0)
-        reg.clear()
-        assert reg.snapshot() == {} and reg.counter_names() == []
-        calls.inc()
-        latency.observe(0.5)
-        reg.inc("rpc.calls", method="get")
-        assert reg.snapshot() == {"rpc.calls{method=get}": 2,
-                                  "rpc.call_s{method=get}:count": 1,
-                                  "rpc.call_s{method=get}:sum": 0.5}
 
     def test_equal_but_differently_rendered_labels_stay_apart(self, reg):
         # 1 == True == 1.0 and Tier.GOLD == "gold", hash included: a

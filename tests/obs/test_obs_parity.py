@@ -5,9 +5,9 @@ test walks) is issued as a remote client would issue it, on the default
 grid and with ``direct_io=True`` (payloads announced with a
 ``DeferredPayload`` in the slot the op declares, as ``SrbClient._defer``
 does), once untraced and once under ``tracer.trace``.  What is recorded
-per op is the delta of ``metrics.snapshot()`` and, traced, the flattened
-``tracer.events()`` — name, depth, attrs, counters, error — plus the
-whole registry at the end of each pass.
+per op is the delta of ``metrics.snapshot()`` and, traced, the span tree
+flattened by ``tests.probes.span_events`` — name, depth, attrs,
+counters, error — plus the whole registry at the end of each pass.
 
 ``recordings/obs_parity.jsonl`` (one line per op and pass, then one for
 the registry the pass left) was made at the commit *before* op plans
@@ -35,6 +35,7 @@ from repro.errors import SrbError
 from repro.net.wire import DeferredPayload
 from tests.integration.test_charge_conservation import build_fed
 from tests.op_calls import op_calls, prepare
+from tests.probes import span_events
 
 RECORDING = pathlib.Path(__file__).parent / "recordings" / "obs_parity.jsonl"
 
@@ -56,12 +57,10 @@ def announced(kwargs):
     return out
 
 
-def flatten(tracer, root):
-    return [{"name": e["name"], "depth": e["depth"], "attrs": e["attrs"],
-             "counters": {k: v for k, v in e["counters"].items()
-                          if k not in ADDED_COUNTERS},
-             "error": e["error"]}
-            for e in tracer.events(root)]
+def flatten(root):
+    return [dict(e, counters={k: v for k, v in e["counters"].items()
+                              if k not in ADDED_COUNTERS})
+            for e in span_events(root)]
 
 
 def walk(mode: str, traced: bool):
@@ -89,7 +88,7 @@ def walk(mode: str, traced: bool):
             assert raises, name
         record = dict(tag, op=name, delta=metrics.delta(before))
         if traced:
-            record["events"] = flatten(tracer, root)
+            record["events"] = flatten(root)
         records.append(record)
     records.append(dict(tag, snapshot=metrics.snapshot()))
     return records

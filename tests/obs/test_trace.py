@@ -4,7 +4,7 @@ import pytest
 
 from repro.obs.trace import Tracer
 from repro.util.clock import SimClock
-from tests.probes import span_total
+from tests.probes import span_events, span_total
 
 
 @pytest.fixture
@@ -52,14 +52,13 @@ class TestDemandDriven:
             assert sp is None
         tracer.add("messages", 5)
         assert tracer.traces == []
-        assert not tracer.active
+        assert tracer.current is None
 
     def test_active_only_inside_trace(self, tracer):
-        assert not tracer.active
+        assert tracer.current is None
         with tracer.trace("root"):
-            assert tracer.active
             assert tracer.current.name == "root"
-        assert not tracer.active
+        assert tracer.current is None
 
 
 class TestCounters:
@@ -102,7 +101,7 @@ class TestExport:
         with tracer.trace("root", path="/z/f"):
             with tracer.span("child"):
                 pass
-        events = tracer.events(tracer.traces[-1])
+        events = list(span_events(tracer.traces[-1]))
         assert [(e["name"], e["depth"]) for e in events] == [
             ("root", 0), ("child", 1)]
         assert events[0]["attrs"] == {"path": "/z/f"}

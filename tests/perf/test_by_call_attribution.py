@@ -58,6 +58,21 @@ def test_ops_nobody_was_charged_for_fail_the_check():
     assert tool.by_call_failed({"query": per_row})
 
 
+def test_a_method_is_flagged_per_row_only_where_calls_deliver_rows():
+    """A kind of call that delivers one row per call (a MySRB page) is
+    never flagged for a method it is charged once per call, or more; one
+    that delivers many (a query) is flagged for a method charged once
+    per row, and only for that one."""
+    tool = load_tool()
+    page = {"calls": 16, "rows_out": 16,
+            "charged": {"lookup": 48, "get_metadata": 16}}
+    assert tool.per_row(page) == {}
+    query = {"calls": 3, "rows_out": 2694,
+             "charged": {"get_object": 2694, "_candidates": 9}}
+    assert tool.per_row(query) == {"get_object": 2694}
+    assert tool.per_row(dict(query, charged={"_candidates": 9})) == {}
+
+
 def test_callers_shows_a_stream_as_n_exchanges_and_n_plus_one_legs():
     """What CI's ``--callers _exchange _leg`` step prints, on a drain of
     more than one chunk (a smoke-size stream is a single chunk): one

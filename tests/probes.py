@@ -1,7 +1,9 @@
-"""Reads of one counter, histogram or span total, for assertions.
+"""Reads of one counter, histogram or span total, and of a span tree as
+a flat list, for assertions.
 
 The grid itself reads its metrics as a whole (``snapshot``, ``series``,
-``render``); a test asks for one value.
+``render``) and its spans as a tree (``render``, ``breakdown``); a test
+asks for one value, or compares a tree with a recording.
 """
 
 from repro.obs.metrics import MetricsRegistry, _label_str
@@ -29,3 +31,12 @@ def sum_matching(snap, name):
 def span_total(span, key):
     """Sum of counter ``key`` over a span and its whole subtree."""
     return sum(s.counters.get(key, 0) for s in span.walk())
+
+
+def span_events(span, depth=0):
+    """A span tree, depth first, one dict per span: its name, ``depth``
+    (0 at ``span``), attrs, counters and error."""
+    yield {"name": span.name, "depth": depth, "attrs": dict(span.attrs),
+           "counters": dict(span.counters), "error": span.error}
+    for child in span.children:
+        yield from span_events(child, depth + 1)

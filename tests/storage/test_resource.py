@@ -82,11 +82,6 @@ class TestLogical:
         reg.add_logical("lr", ["unix-sdsc"])
         assert reg.describe("lr")["members"] == ["unix-sdsc"]
 
-    def test_remove(self, reg):
-        reg.add_logical("lr", ["unix-sdsc"])
-        reg.remove("lr")
-        assert not reg.exists("lr")
-
 
 class TestWebSpace:
     def test_publish_fetch(self, net):
@@ -126,9 +121,3 @@ class TestWebSpace:
         t0 = net.clock.now
         web.fetch("http://example.org/big", "sdsc")
         assert net.clock.now > t0
-
-    def test_unpublish(self, net):
-        web = WebSpace(net)
-        web.publish("http://example.org/x", b"c")
-        web.unpublish("http://example.org/x")
-        assert not web.is_published("http://example.org/x")

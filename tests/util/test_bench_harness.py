@@ -5,7 +5,6 @@ import pytest
 from repro.bench import (
     ResultTable,
     assert_monotone,
-    geometric_speedup,
     timed,
 )
 from repro.util.clock import SimClock
@@ -33,12 +32,6 @@ class TestResultTable:
         assert "3.14" in out
         assert "12,346" in out          # big values get separators
 
-    def test_column_accessor(self):
-        t = ResultTable("demo", ["x", "y"])
-        t.add_row([1, 10])
-        t.add_row([2, 20])
-        assert t.column("y") == [10, 20]
-
     def test_alignment(self):
         t = ResultTable("demo", ["name", "n"])
         t.add_row(["longer-name-than-header", 1])
@@ -56,16 +49,6 @@ class TestTimed:
 
 
 class TestShapeHelpers:
-    def test_geometric_speedup(self):
-        assert geometric_speedup([4.0, 9.0], [2.0, 3.0]) == pytest.approx(
-            (2.0 * 3.0) ** 0.5)
-
-    def test_geometric_speedup_validates(self):
-        with pytest.raises(ValueError):
-            geometric_speedup([1.0], [1.0, 2.0])
-        with pytest.raises(ValueError):
-            geometric_speedup([], [])
-
     def test_assert_monotone_increasing(self):
         assert_monotone([1, 2, 3])
         with pytest.raises(AssertionError):

@@ -1,6 +1,7 @@
 """Unit tests for the virtual clock."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.util.clock import SimClock
 
@@ -41,89 +42,21 @@ class TestAdvance:
             clock.advance_to(4.0)
 
 
-class TestTimers:
-    def test_timer_fires_when_crossed(self):
-        clock = SimClock()
-        fired = []
-        clock.call_at(5.0, lambda: fired.append(clock.now))
-        clock.advance(4.0)
-        assert fired == []
-        clock.advance(2.0)
-        assert fired == [5.0]
-
-    def test_timers_fire_in_deadline_order(self):
-        clock = SimClock()
-        fired = []
-        clock.call_at(7.0, lambda: fired.append("b"))
-        clock.call_at(3.0, lambda: fired.append("a"))
-        clock.advance(10.0)
-        assert fired == ["a", "b"]
-
-    def test_past_deadline_fires_on_next_advance(self):
-        clock = SimClock()
-        clock.advance(10.0)
-        fired = []
-        clock.call_at(5.0, lambda: fired.append(True))
-        clock.advance(0.0)
-        assert fired == [True]
-
-    def test_timer_at_exact_boundary_fires(self):
-        clock = SimClock()
-        fired = []
-        clock.call_at(2.0, lambda: fired.append(True))
-        clock.advance(2.0)
-        assert fired == [True]
-
-
-class TestTimersNeverTurnTheClockBack:
-    def test_callback_that_advances_past_the_outer_target(self):
-        # the outer advance used to overwrite the clock with its own
-        # target after the callback had moved it further
-        clock = SimClock()
-        seen = []
-        clock.call_at(1.0, lambda: seen.append(clock.advance(10.0)))
-        assert clock.advance(2.0) == 11.0
-        assert seen == [11.0]
-        assert clock.now == 11.0
-
-    def test_equal_deadlines_fire_in_registration_order(self):
-        clock = SimClock()
-        fired = []
-
-        class Callback:             # would raise if the heap compared it
-            def __init__(self, tag):
-                self.tag = tag
-
-            def __call__(self):
-                fired.append(self.tag)
-
-        for tag in "cab":
-            clock.call_at(3.0, Callback(tag))
-        clock.call_at(1.0, Callback("first"))
-        clock.advance(3.0)
-        assert fired == ["first", "c", "a", "b"]
-
-    def test_callback_registers_a_timer_inside_the_window(self):
-        clock = SimClock()
-        fired = []
-
-        def first():
-            fired.append(("first", clock.now))
-            clock.call_at(4.0, lambda: fired.append(("second", clock.now)))
-            clock.call_at(9.0, lambda: fired.append(("late", clock.now)))
-
-        clock.call_at(2.0, first)
-        clock.advance(5.0)
-        assert fired == [("first", 2.0), ("second", 4.0)]
-        assert clock.now == 5.0
-        clock.advance(4.0)
-        assert fired[-1] == ("late", 9.0)
-
-    def test_no_timer_walk_without_a_timer(self, monkeypatch):
-        clock = SimClock()
-        walks = []
-        monkeypatch.setattr(SimClock, "_run_timers",
-                            lambda self, upto: walks.append(upto))
-        clock.advance(1.0)
-        clock.advance_to(3.0)
-        assert walks == [] and clock.now == 3.0
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.booleans(),
+                          st.floats(-1e6, 1e6, allow_nan=False)),
+                max_size=30))
+def test_the_clock_never_moves_backwards(steps):
+    """Neither ``advance`` nor ``advance_to`` turns the clock back, and a
+    refused step leaves it where it was."""
+    clock = SimClock()
+    for absolute, value in steps:
+        before = clock.now
+        try:
+            now = clock.advance_to(value) if absolute \
+                else clock.advance(value)
+        except ValueError:
+            assert value < (before if absolute else 0)
+            assert clock.now == before
+        else:
+            assert now == clock.now >= before

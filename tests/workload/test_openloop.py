@@ -88,17 +88,10 @@ class TestLoadReport:
         assert rep.makespan_s == pytest.approx(3.0)
         assert rep.goodput_hz == pytest.approx(2 / 3.0)
 
-    def test_summary_keys(self):
-        s = self._report().summary()
-        assert s["issued"] == 4 and s["completed"] == 2
-        assert s["shed"] == 1 and s["errors"] == 1
-        assert s["p99_s"] == 2.0
-        assert s["mean_wait_s"] == pytest.approx(0.25)
-
     def test_empty_report(self):
         rep = LoadReport(offered_rate_hz=1.0)
         assert rep.goodput_hz == 0.0
-        assert rep.summary()["p99_s"] is None
+        assert rep.latencies() == []
 
 
 class SlowEcho:
@@ -139,7 +132,8 @@ class TestRunOpenLoop:
         base = SlowEcho.SERVICE_S + 2 * net.default_link.latency_s
         zero_wait = sum(1 for o in rep.outcomes if o.wait == 0.0)
         assert zero_wait >= 0.8 * rep.issued
-        assert rep.mean_wait_s < SlowEcho.SERVICE_S / 2
+        waits = [o.wait for o in rep.completed]
+        assert sum(waits) / len(waits) < SlowEcho.SERVICE_S / 2
         assert rep.p50 == pytest.approx(base, rel=1e-3)
 
     def test_overloaded_run_accumulates_wait(self, grid):

@@ -16,17 +16,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 #: path (from the repository root) -> the most code lines it may hold
 CEILINGS = {
-    # - 36 functions no caller the grid runs enters, named in CHANGES.md
-    #   (tools/reach.py lists what is left, each with its reason);
-    #   the repository's src + tools + tests + examples + benchmarks +
-    #   gridbench hold 38,784 code lines (38,638 before, +146: the reach
-    #   tracer and its lists, the surface walk, tests/probes.py and the
-    #   new tests)
-    # + batch items that need earlier items, and a MySRB write page
-    #   whose batch also reads the page it redirects to, kept on the
-    #   session for the GET (one exchange per write page, not two or
-    #   three); - the session renewal, count and purge no caller ran
-    "src/repro": 11_388,
+    # - the 24 functions only their own tests entered, and the clock's
+    #   timers (tools/reach.py's OPEN list emptied, then deleted): 11,388
+    #   -> 11,269; the repository's src + tools + tests + examples +
+    #   benchmarks + gridbench hold 39,008 code lines (39,327 before)
+    "src/repro": 11_269,
     "src/repro/core/containers.py": 144,
     "src/repro/core/dispatch.py": 351,
     # + the runner's control leg: a leg whose path_key is None is sent
@@ -39,13 +33,10 @@ CEILINGS = {
     "src/repro/core/planes/data.py": 876,
     "src/repro/core/planes/replica.py": 152,
     "src/repro/core/replication.py": 49,
-    # + Database.snapshot and restore, the one form of a catalog copy;
-    #   - the unread queries_executed and UNION's hand-written
-    #   de-duplication
-    "src/repro/db/engine.py": 413,
-    # + op_range, the operator -> range mapping the engine's planner and
-    #   the catalog's probes share
-    "src/repro/db/index.py": 117,
+    # - ResultSet.dicts, which only its own test called
+    "src/repro/db/engine.py": 411,
+    # - HashIndex.__len__, which only its own tests called
+    "src/repro/db/index.py": 115,
     # + like_to_regex's compiled-pattern cache is a private helper, so the
     #   public name stays a function that carries its docstring
     "src/repro/db/sql.py": 364,
@@ -55,13 +46,15 @@ CEILINGS = {
     #   + restore_rows builds each row as insert does, - the unread
     #   _known and lookup_eq's hand-written scan loop
     "src/repro/db/table.py": 409,
-    # the catalog's two packages, held together as well as file by file
-    "src/repro/db": 1_312,
-    "src/repro/mcat": 1_885,
+    # the catalog's two packages, held together as well as file by file;
+    # - the dicts, __len__, schema and extraction lookups only tests called
+    "src/repro/db": 1_308,
+    "src/repro/mcat": 1_864,
     # + an in-place rename refuses a taken destination or a missing
     #   parent, as a rename across partitions does
     "src/repro/mcat/catalog.py": 689,
-    "src/repro/mcat/query.py": 300,
+    # - QueryResult.dicts, which only its own test called
+    "src/repro/mcat/query.py": 298,
     # + a rename at the partition level refuses a taken destination
     #   first, as the move op's own check did
     "src/repro/mcat/shard.py": 520,
@@ -72,7 +65,8 @@ CEILINGS = {
     #   skipped where they run when an item they need failed
     "src/repro/net/rpc.py": 340,
     "src/repro/net/simnet.py": 509,
-    "src/repro/storage/archive.py": 199,
+    # - is_pinned and used_bytes, which only tests called
+    "src/repro/storage/archive.py": 195,
     "src/repro/storage/base.py": 122,
     "src/repro/storage/memfs.py": 99,
     # + the ceilings themselves, which were a test's dict and a CI list

@@ -15,11 +15,12 @@ call (message pairs, ``rpc.calls``: a batch is one, a server's call to
 another server one more), charged catalog ops (``mcat.ops``), catalog
 rows those ops touched, and which catalog methods
 were charged at least once per delivered row — the N+1 pattern, a
-catalog round trip per hit.  It exits 1 if there is such a method, which
-is how CI uses it (on ``catalog_query``, whose items are result rows; on
-a workload that credits one item per page the flag means nothing) — and
-also if the methods it found do not account for every ``mcat.ops`` of a
-kind of call, because then the check above looked at only some of them.
+catalog round trip per hit — among the kinds of call that deliver
+``PER_ROW_FLOOR`` rows or more per call (a MySRB page delivers one, so
+its once-per-page methods are not flagged).  It exits 1 if there is such
+a method, which is how CI uses it — and also if the methods it found do
+not account for every ``mcat.ops`` of a kind of call, because then the
+check above looked at only some of them.
 
 ``--callers NAME...`` answers "who calls ``inc``": calls per client call
 of every Python function with one of those names, by ``caller ->
@@ -127,9 +128,20 @@ def callers(stats, ops: int, names):
     return edges
 
 
-#: a kind of call must deliver this many rows before "charged once per
-#: row" says anything (two ops for a one-row answer is not a pattern)
+#: a call must deliver this many rows, on average over its kind, before
+#: "charged once per row" says anything: two ops for a one-row answer is
+#: not a pattern, and a method charged once per call is charged once per
+#: row whenever each call delivers one
 PER_ROW_FLOOR = 10
+
+
+def per_row(row):
+    """The catalog methods a kind of call (a row of :func:`by_call`) was
+    charged at least once per delivered row, with their counts."""
+    if row["rows_out"] < PER_ROW_FLOOR * row["calls"]:
+        return {}
+    return {method: count for method, count in row["charged"].items()
+            if count >= row["rows_out"]}
 
 
 def by_call(workload: str, seed: int, scale: float):
@@ -192,9 +204,7 @@ def by_call(workload: str, seed: int, scale: float):
         raise SystemExit(f"layer_profile: {meter.failed} failed ops: "
                          f"{meter.errors}")
     for row in kinds.values():
-        row["per_row"] = {
-            method: count for method, count in row["charged"].items()
-            if row["rows_out"] >= PER_ROW_FLOOR and count >= row["rows_out"]}
+        row["per_row"] = per_row(row)
         row["unattributed"] = row["mcat_ops"] - sum(row["charged"].values())
         row["charged"] = dict(row["charged"].most_common())
     return kinds

@@ -13,11 +13,10 @@ entry only, no line events) loaded by a ``sitecustomize`` on
 
 It prints each function defined under ``src/repro`` (``path::Qualname``,
 abstract methods skipped) that none of them entered, with its reason
-from :data:`REACH_EXEMPT`, or as open (:data:`OPEN`, the tests it goes
-with).  With ``--check`` it exits 1 when such a function is in neither,
-or when either names a function that is entered or gone.
-``tests/core/test_reachability.py`` reads both dicts.  The traced
-``benchmarks/`` take some minutes.
+from :data:`REACH_EXEMPT`.  With ``--check`` it exits 1 when such a
+function has no reason, or when a reason names a function that is
+entered or gone.  ``tests/core/test_reachability.py`` reads the dict.
+The traced ``benchmarks/`` take some minutes.
 """
 import ast, json, os, subprocess, sys, tempfile
 from pathlib import Path
@@ -210,72 +209,6 @@ REACH_EXEMPT = {
         "test_a_refused_overwrite_keeps_the_old_file_and_charges_nothing",
 }
 
-#: ``path::Qualname`` -> the tests that pin it and nothing else, for a
-#: function nothing traced enters that no reason of :data:`KINDS`
-#: keeps.  It goes with those tests (ROADMAP item 23); until then
-#: ``--check`` lists it as open, and the list only shrinks.
-OPEN = {
-    "auth/users.py::UserRegistry.remove_user":
-        "tests/auth/test_users.py::TestRegistry::test_remove_user, "
-        "TestGroups::test_removing_user_clears_memberships",
-    "auth/users.py::UserRegistry.set_role":
-        "tests/auth/test_users.py::TestRegistry::test_set_role",
-    "bench/harness.py::ResultTable.column":
-        "tests/util/test_bench_harness.py::TestResultTable::"
-        "test_column_accessor",
-    "bench/harness.py::geometric_speedup":
-        "tests/util/test_bench_harness.py::TestShapeHelpers::"
-        "test_geometric_speedup, test_geometric_speedup_validates",
-    "db/engine.py::ResultSet.dicts":
-        "tests/db/test_engine.py::TestPlannerAndCost::test_resultset_helpers",
-    "db/index.py::HashIndex.__len__":
-        "tests/db/test_index.py::TestHashIndex::test_len",
-    "mcat/dublin_core.py::SchemaRegistry.exists":
-        "tests/mcat/test_extraction.py::TestSchemaRegistry::"
-        "test_dublin_core_preregistered_globally",
-    "mcat/dublin_core.py::SchemaRegistry.schemas_for":
-        "tests/mcat/test_extraction.py::TestSchemaRegistry::"
-        "test_dublin_core_preregistered_globally, test_type_bound_schema",
-    "mcat/extraction.py::ExtractionRegistry.methods_for":
-        "tests/mcat/test_extraction.py::TestRegistration::"
-        "test_multiple_methods_per_type, test_unknown_type_has_no_methods",
-    "mcat/query.py::QueryResult.dicts":
-        "tests/mcat/test_query.py::TestSearch::test_result_dicts",
-    "obs/metrics.py::MetricsRegistry.clear":
-        "tests/obs/test_metrics.py::TestRender::test_clear, "
-        "TestBoundInstruments::test_handle_survives_clear",
-    "obs/trace.py::Tracer.active":
-        "tests/obs/test_trace.py::TestDemandDriven::"
-        "test_active_only_inside_trace",
-    **dict.fromkeys(
-        ["obs/trace.py::Tracer.events",
-         "obs/trace.py::Tracer.events.<locals>.emit"],
-        "tests/obs/test_trace.py::TestExport::test_events_flatten_with_depth"),
-    "storage/archive.py::ArchiveDriver.is_pinned":
-        "tests/storage/test_archive.py::TestCacheManagement::test_is_pinned",
-    "storage/archive.py::ArchiveDriver.used_bytes":
-        "tests/storage/test_archive.py::TestCacheManagement::"
-        "test_used_bytes_counts_tape",
-    **dict.fromkeys(
-        ["storage/resource.py::ResourceRegistry.exists",
-         "storage/resource.py::ResourceRegistry.remove"],
-        "tests/storage/test_resource.py::TestLogical::test_remove"),
-    **dict.fromkeys(
-        ["storage/web.py::WebSpace.is_published",
-         "storage/web.py::WebSpace.unpublish"],
-        "tests/storage/test_resource.py::TestWebSpace::test_unpublish"),
-    **dict.fromkeys(
-        ["util/clock.py::SimClock._run_timers",
-         "util/clock.py::SimClock.call_at"],
-        "tests/util/test_clock.py::TestTimers (4 tests), "
-        "TestTimersNeverTurnTheClockBack (4 tests)"),
-    **dict.fromkeys(
-        ["workload/openloop.py::LoadReport.mean_wait_s",
-         "workload/openloop.py::LoadReport.summary"],
-        "tests/workload/test_openloop.py::TestLoadReport::test_summary_keys, "
-        "test_empty_report"),
-}
-
 
 def runs():
     """``(command, working directory)`` of every traced run."""
@@ -327,14 +260,11 @@ def defined():
 def main(check):
     unreached = defined().keys() - entered()
     for name in sorted(unreached):
-        print(name, "--", REACH_EXEMPT.get(name)
-              or name in OPEN and "open, goes with " + OPEN[name]
-              or "NO REASON")
-    listed = REACH_EXEMPT.keys() | OPEN.keys()
-    stale = sorted(listed - unreached)
+        print(name, "--", REACH_EXEMPT.get(name, "NO REASON"))
+    stale = sorted(REACH_EXEMPT.keys() - unreached)
     for name in stale:
         print("entered or gone, yet listed:", name)
-    return int(check and bool(stale or unreached - listed))
+    return int(check and bool(stale or unreached - REACH_EXEMPT.keys()))
 
 
 if __name__ == "__main__":
