@@ -47,9 +47,10 @@ DB_FILES = os.path.join(os.path.dirname(repro.db.__file__), "*")
 
 def heap_bytes(table) -> int:
     """Bytes of the objects a table keeps its rows and indexes in: the
-    heap and each row list, each hash map and list bucket, each sorted
-    index's key list and entry tuples, the row ids they hold and the
-    floats a FLOAT column converted — each object once."""
+    heap and each row list, each hash map (an index over a pair's inner
+    maps too) and list bucket, each sorted index's key list and entry
+    tuples, the row ids they hold and the floats a FLOAT column
+    converted — each object once."""
     seen = set()
 
     def size(obj) -> int:
@@ -65,7 +66,9 @@ def heap_bytes(table) -> int:
                                      if type(v) is float)
     for idx in table._hash_indexes.values():
         total += size(idx._map)
-        for bucket in idx._map.values():
+        # over a pair of columns: each first value's inner map
+        total += sum(size(m) for m in idx._map.values() if type(m) is dict)
+        for bucket in buckets(idx):
             total += size(bucket)
             if type(bucket) is not int:
                 total += sum(size(rid) for rid in bucket)
@@ -73,6 +76,15 @@ def heap_bytes(table) -> int:
         total += size(sidx._keys)
         total += sum(size(entry) + size(entry[-1]) for entry in sidx._keys)
     return total
+
+
+def buckets(idx):
+    """Every bucket of a hash index, those of a pair's inner maps too."""
+    for bucket in idx._map.values():
+        if type(bucket) is dict:
+            yield from bucket.values()
+        else:
+            yield bucket
 
 
 def load(n: int) -> dict:
@@ -105,7 +117,7 @@ def load(n: int) -> dict:
     one_element_buckets = sum(
         1 for t in db.tables()
         for idx in db.table(t)._hash_indexes.values()
-        for bucket in idx._map.values()
+        for bucket in buckets(idx)
         if type(bucket) in (set, list) and len(bucket) == 1)
     return {"rows": rows,
             "traced": sum(d.size_diff

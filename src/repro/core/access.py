@@ -25,7 +25,7 @@ annotation-type writes only, which the server enforces by asking for the
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.auth.users import PUBLIC_KEY, Principal, UserRegistry
 from repro.errors import AccessDenied, NoSuchCollection
@@ -53,6 +53,12 @@ class AccessController:
         self.users = users
         self.checks = 0
         self.denials = 0
+        # the level inherited at each collection, by (principal keys,
+        # path), that the op being served has read: its collection checks
+        # fill it and the rows it lists read it.  The dispatcher opens an
+        # empty one per op and drops it after, so no level outlives its op
+        self.levels: Optional[Dict[Tuple[Tuple[str, ...], str],
+                                   Optional[str]]] = None
 
     # -- raw lookup -------------------------------------------------------------
 
@@ -110,27 +116,45 @@ class AccessController:
         if coll["owner"] == who:
             return "own"
         keys = self._principal_keys(principal)
-        return self._collection_chain_level(str(coll["path"]), keys, coll)
+        return self._collection_chain_level(str(coll["path"]), keys, coll,
+                                            self.levels)
 
     def _collection_chain_level(self, coll_path: str, keys: List[str],
-                                coll: Optional[Dict[str, object]] = None
+                                coll: Optional[Dict[str, object]] = None,
+                                known: Optional[Dict] = None
                                 ) -> Optional[str]:
         """Best grant on the collection or any ancestor; ``coll`` is the
-        collection's row when the caller holds it already."""
+        collection's row when the caller holds it already.
+
+        A collection's level is its own best grant merged with its
+        parent's level.  The chain is read from the collection up, and
+        only until a collection whose level is ``known`` already; each
+        level read is added to it.  A collection check hands its op's
+        :attr:`levels` on to the rows the op lists (:meth:`can_objects`),
+        so a listing of many subcollections reads their shared ancestors
+        once, not once per subcollection."""
+        who = tuple(keys)
+        known = {} if known is None else known
+        owned = []
         best: Optional[str] = None
-        chain = [coll_path] + list(reversed(paths.ancestors(coll_path)))
-        for path in chain:
+        for path in [coll_path] + list(reversed(paths.ancestors(coll_path))):
+            if (who, path) in known:
+                best = known[who, path]
+                break
             if coll is None:
                 try:
                     coll = self.mcat.get_collection(path)
                 except NoSuchCollection:
+                    owned.append((path, None))
                     continue
-            level = self._best_grant(
-                self.mcat.grants_for("collection", int(coll["cid"])), keys)
+            owned.append((path, self._best_grant(
+                self.mcat.grants_for("collection", int(coll["cid"])), keys)))
+            coll = None
+        for path, level in reversed(owned):     # merged from the top down
             if level is not None and (best is None or
                                       _LEVEL[level] > _LEVEL[best]):
                 best = level
-            coll = None
+            known[who, path] = best
         return best
 
     # -- enforcement ------------------------------------------------------------
@@ -184,6 +208,7 @@ class AccessController:
         if all(verdicts):
             return verdicts
         keys = self._principal_keys(principal)
+        levels = self.levels if self.levels is not None else {}
         inherited: Dict[str, bool] = {}
         unsettled = []
         for i, obj in enumerate(objs):
@@ -191,7 +216,7 @@ class AccessController:
                 continue
             coll = str(obj["coll"])
             if coll not in inherited:
-                held = self._collection_chain_level(coll, keys)
+                held = self._collection_chain_level(coll, keys, None, levels)
                 inherited[coll] = held is not None and satisfies(held, wanted)
             if inherited[coll]:
                 verdicts[i] = True

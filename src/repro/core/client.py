@@ -48,6 +48,8 @@ Written out are only the methods that do something else:
 from __future__ import annotations
 
 import inspect
+from itertools import chain
+from operator import itemgetter
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, \
     Tuple, Union
 
@@ -298,11 +300,14 @@ class SrbClient:
                    include_system: bool = False,
                    page_size: int = 100):
         """Iterate query result rows with transparent page fetch: the
-        rows of :meth:`iter_query_pages`, as tuples in path order."""
-        for chunk in self.iter_query_pages(
-                scope, conditions, include_annotations, include_system,
-                page_size):
-            yield from chunk["rows"]
+        rows of :meth:`iter_query_pages`, as tuples in path order, the
+        pages chained (nothing runs per row).  Dropping the iterator
+        drops the stream, which stops it."""
+        return chain.from_iterable(map(itemgetter("rows"),
+                                       self.iter_query_pages(
+                                           scope, conditions,
+                                           include_annotations,
+                                           include_system, page_size)))
 
 
 def _forward(spec: OpSpec, handler: Callable) -> Callable:

@@ -384,7 +384,7 @@ def _compile(server: Any, spec: OpSpec, service: Any,
     this op (module docstring).
     """
     fed = server.federation
-    rpc, channels = fed.rpc, fed.channels
+    rpc, channels, access = fed.rpc, fed.channels, fed.access
     tracer = server.obs.tracer
     metrics = server.obs.metrics
     op, host, server_name = spec.name, server.host, server.name
@@ -459,8 +459,10 @@ def _compile(server: Any, spec: OpSpec, service: Any,
                 else:
                     server.ops_served += 1
                 # the leg runner relays this op's payload legs (and none
-                # of an op it runs in-process, which sets its own)
+                # of an op it runs in-process, which sets its own); the
+                # collection chain levels its checks read are its own too
                 outer, channels.inbound = channels.inbound, inbound
+                levels, access.levels = access.levels, {}
                 try:                                    # 6. audit
                     if resolve is not None:             #    the check
                         ctx.target = resolve(service, ctx.principal,
@@ -477,6 +479,7 @@ def _compile(server: Any, spec: OpSpec, service: Any,
                     raise
                 finally:
                     channels.inbound = outer
+                    access.levels = levels
                 if audited and not ctx._audit_suppressed:
                     target, detail = ctx._audit_target, ctx._audit_detail
                     if target is None:

@@ -278,7 +278,8 @@ class Database:
         rids: Optional[List[int]] = [] if any(
             value is None for _column, _op, value in picks) else None
         for column, op, value in picks if rids is None else ():
-            if op == "=" and column in base.indexed_columns():
+            if op == "=" and (column in base.indexed_columns()
+                              or column in base._leading):
                 rids = base.lookup_eq(column, value)
                 break
             if op in ("<", ">", "<=", ">=") \

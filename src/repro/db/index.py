@@ -27,7 +27,7 @@ one NaN entry would break the order ``bisect`` relies on.
 from __future__ import annotations
 
 import bisect
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import DatabaseError
 
@@ -57,29 +57,12 @@ class HashIndex:
 
     def add(self, value: Any, rid: int) -> None:
         value = _hashable(value)
-        bucket = self._map.get(value)
-        if bucket is None:
-            self._map[value] = rid
-        elif self.unique:
+        if self.unique and value in self._map:
             raise DatabaseError(f"unique index violation for value {value!r}")
-        elif type(bucket) is int:
-            self._map[value] = [bucket, rid] if bucket < rid else [rid, bucket]
-        elif bucket[-1] < rid:
-            bucket.append(rid)
-        else:                               # update_row re-files an old rid
-            bisect.insort(bucket, rid)
+        _file(self._map, value, rid)
 
     def remove(self, value: Any, rid: int) -> None:
-        value = _hashable(value)
-        bucket = self._map.get(value)
-        if bucket == rid:                   # an int bucket: its one row
-            del self._map[value]
-        elif type(bucket) is list:
-            pos = bisect.bisect_left(bucket, rid)
-            if pos < len(bucket) and bucket[pos] == rid:
-                del bucket[pos]
-                if not bucket:
-                    del self._map[value]
+        _unfile(self._map, _hashable(value), rid)
 
     def get(self, value: Any) -> List[int]:
         """A fresh list of the rids stored under ``value``, ascending
@@ -90,6 +73,84 @@ class HashIndex:
             bucket = self._map.get(bytes(value), ()) \
                 if isinstance(value, bytearray) else ()
         return [bucket] if type(bucket) is int else list(bucket)
+
+
+class NestedIndex:
+    """Equality index over a pair of columns: first value -> {second
+    value -> bucket}, each bucket as :class:`HashIndex` keeps one.
+
+    Two levels, not one map keyed by the pair: a first value is filed
+    once however many second values it has (a tuple per pair would cost
+    several times the inner map's bytes), and its inner map lists its
+    rows without a scan.  No inner map is ever empty.  Pairs come out of
+    typed columns, so there is no bytearray to coerce.
+    """
+
+    unique = False
+
+    def __init__(self):
+        self._map: Dict[Any, Dict[Any, Union[int, List[int]]]] = {}
+
+    def add(self, value: tuple, rid: int) -> None:
+        first, second = value
+        if first not in self._map:
+            self._map[first] = {}
+        _file(self._map[first], second, rid)
+
+    def remove(self, value: tuple, rid: int) -> None:
+        first, second = value
+        if first in self._map:
+            _unfile(self._map[first], second, rid)
+            if not self._map[first]:
+                del self._map[first]
+
+    def first(self, value: Any) -> List[int]:
+        """A fresh list of the rids whose first column is ``value``,
+        ascending."""
+        inner = self._map[value] if value in self._map else {}
+        rids = [rid for second in inner for rid in (
+            (inner[second],) if type(inner[second]) is int
+            else inner[second])]
+        rids.sort()
+        return rids
+
+    def pairs(self, firsts: Sequence[Any], seconds) -> List[int]:
+        """The rids of every pair ``(f, s)`` with ``f`` in ``firsts`` and
+        ``s`` in ``seconds``: by ``firsts`` in the order given, then
+        ``seconds`` in theirs, each bucket ascending.  No Python call per
+        key."""
+        found = self._map
+        return [rid for inner in [found[f] for f in firsts if f in found]
+                for s in seconds if s in inner
+                for rid in ((inner[s],) if type(inner[s]) is int
+                            else inner[s])]
+
+
+def _file(found: Dict[Any, Any], key: Any, rid: int) -> None:
+    """File ``rid`` in ``found``'s bucket of ``key``."""
+    if key not in found:
+        found[key] = rid
+    elif type(found[key]) is int:
+        old = found[key]
+        found[key] = [old, rid] if old < rid else [rid, old]
+    elif found[key][-1] < rid:
+        found[key].append(rid)
+    else:                                   # update_row re-files an old rid
+        bisect.insort(found[key], rid)
+
+
+def _unfile(found: Dict[Any, Any], key: Any, rid: int) -> None:
+    """Take ``rid`` out of ``found``'s bucket of ``key``; the bucket goes
+    with its last rid."""
+    bucket = found[key] if key in found else None
+    if bucket == rid:                       # an int bucket: its one row
+        del found[key]
+    elif type(bucket) is list:
+        pos = bisect.bisect_left(bucket, rid)
+        if pos < len(bucket) and bucket[pos] == rid:
+            del bucket[pos]
+            if not bucket:
+                del found[key]
 
 
 class SortedIndex:

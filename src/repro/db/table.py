@@ -39,7 +39,10 @@ A sorted index may cover a *pair* of columns
 values, it is named by the tuple of the two column names wherever a
 single-column index is named by its column (``lookup_range``,
 ``count_range``, ``drop_index``), and a row with a NULL or NaN in either
-column has no entry in it.
+column has no entry in it.  So may a hash index,
+``create_index((first, second))``
+(:class:`~repro.db.index.NestedIndex`): it answers ``lookup_eq`` on its
+first column, in rid order, and :meth:`Table.lookup_pairs` on both.
 """
 
 from __future__ import annotations
@@ -52,7 +55,8 @@ from operator import itemgetter
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import DatabaseError
-from repro.db.index import HashIndex, PairIndex, SortedIndex, sortable
+from repro.db.index import HashIndex, NestedIndex, PairIndex, \
+    SortedIndex, sortable
 
 # Supported column types and their Python representations.
 _TYPES: Dict[str, tuple] = {
@@ -165,7 +169,8 @@ class Table:
         self.primary_key = primary_key
         self._rows: List[Optional[list]] = []
         self._live = 0
-        self._hash_indexes: Dict[str, HashIndex] = {}
+        self._hash_indexes: Dict[IndexKey,
+                                 Union[HashIndex, NestedIndex]] = {}
         self._sorted_indexes: Dict[IndexKey, SortedIndex] = {}
         # Scan accounting for the query-cost model (rows touched): this
         # table's own count, and the counter shared with its database.
@@ -194,18 +199,26 @@ class Table:
         key list, so upkeep through the plan and through the index's
         methods (``update_row``, ``delete_row``) see one structure.
         """
-        # (offset, value -> bucket dict); a stored value is never a
-        # bytearray (Column.check), so it keys the dict as it is
-        self._hash_plan = tuple((self._offset[n], idx._map)
-                                for n, idx in self._hash_indexes.items())
+        # (offset, None, value -> bucket dict), and for an index over a
+        # pair (first offset, second offset, first -> second -> bucket);
+        # a stored value is never a bytearray (Column.check), so it keys
+        # the dict as it is
+        self._hash_plan = tuple(
+            (self._offset[n], None, idx._map) if type(n) is str
+            else (self._offset[n[0]], self._offset[n[1]], idx._map)
+            for n, idx in self._hash_indexes.items())
         self._unique_plan = tuple((self._offset[n], idx._map) for n, idx
                                   in self._hash_indexes.items() if idx.unique)
+        # a pair's hash index answers lookup_eq on its first column
+        self._leading = {n[0]: idx for n, idx in self._hash_indexes.items()
+                         if type(n) is tuple}
         # (offset, sorted key list, exact type, the sort tag of that type),
         # and for an index over a pair (both offsets, sorted key list)
         ranged = []
         self._pair_indexes = tuple(
-            (n, sidx, self._offset[n[0]], self._offset[n[1]])
-            for n, sidx in self._sorted_indexes.items() if type(n) is tuple)
+            (n, idx, self._offset[n[0]], self._offset[n[1]])
+            for indexes in (self._hash_indexes, self._sorted_indexes)
+            for n, idx in indexes.items() if type(n) is tuple)
         for n, sidx in self._sorted_indexes.items():
             if type(n) is str:
                 exact = _EXACT[self._col(n).type]
@@ -213,7 +226,8 @@ class Table:
                                (1, exact.__name__)))
         self._sorted_plan = tuple(ranged)
         self._pair_plan = tuple((off, off2, sidx._keys) for _key, sidx, off,
-                                off2 in self._pair_indexes)
+                                off2 in self._pair_indexes
+                                if type(sidx) is PairIndex)
 
     # -- schema helpers -------------------------------------------------------
 
@@ -247,13 +261,24 @@ class Table:
                 index.add(self._indexed_value(row, key), rid)
         return index
 
-    def create_index(self, column: str, unique: bool = False,
+    def create_index(self, column: IndexKey, unique: bool = False,
                      sorted_index: bool = False) -> None:
         """Create a secondary index on ``column``.
 
         A hash index accelerates equality; pass ``sorted_index=True`` to
-        additionally maintain a sorted index for range predicates.
+        additionally maintain a sorted index for range predicates.  A pair
+        of columns gets a hash index over the pair, neither unique nor
+        sorted (:meth:`create_sorted_index` makes that one).
         """
+        if type(column) is tuple:
+            if unique or sorted_index:
+                raise DatabaseError("a hash index over a pair is neither "
+                                    "unique nor sorted")
+            column = (self._col(column[0]).name, self._col(column[1]).name)
+            if column not in self._hash_indexes:
+                self._hash_indexes[column] = self._backfill(NestedIndex(),
+                                                            column)
+            return self._replan()
         self._col(column)
         if column not in self._hash_indexes:
             self._hash_indexes[column] = self._backfill(
@@ -333,8 +358,12 @@ class Table:
         rid = len(self._rows)
         self._rows.append(row)
         self._live += 1
-        for off, hmap in self._hash_plan:
+        for off, off2, hmap in self._hash_plan:
             key = row[off]
+            if off2 is not None:            # a pair: the first value's map
+                if key not in hmap:
+                    hmap[key] = {}
+                hmap, key = hmap[key], row[off2]
             if key not in hmap:
                 hmap[key] = rid
             elif type(hmap[key]) is int:     # rid is the largest yet
@@ -382,7 +411,23 @@ class Table:
         rids = list(islice(count(base), len(built)))
         self._rows += built
         self._live += len(rids)
-        for off, hmap in self._hash_plan:
+        for off, off2, hmap in self._hash_plan:
+            if off2 is not None:
+                # a pair, row by row as insert files one: a first value's
+                # pairs are mostly new and one row each, so there is
+                # little for grouping to save, and it costs a tuple a row
+                for row, rid in zip(built, rids):
+                    if row[off] not in hmap:
+                        hmap[row[off]] = {row[off2]: rid}
+                        continue
+                    inner, key = hmap[row[off]], row[off2]
+                    if key not in inner:
+                        inner[key] = rid
+                    elif type(inner[key]) is int:   # rid is the largest yet
+                        inner[key] = [inner[key], rid]
+                    else:
+                        inner[key].append(rid)
+                continue
             keys = [row[off] for row in built]
             batch = {key: [] for key in keys}
             # each rid onto its key's list; the appends run inside map
@@ -435,8 +480,8 @@ class Table:
                 raise DatabaseError(f"unique index violation for value {new!r}")
             applied[cname] = new
         # an index over a pair moves the row if either column changed
-        moved = [(sidx, off, off2, (row[off], row[off2]))
-                 for key, sidx, off, off2 in self._pair_indexes
+        moved = [(idx, off, off2, (row[off], row[off2]))
+                 for key, idx, off, off2 in self._pair_indexes
                  if not applied.keys().isdisjoint(key)] \
             if self._pair_indexes else ()
         for cname, new in applied.items():
@@ -448,21 +493,20 @@ class Table:
             if cname in self._sorted_indexes:
                 self._sorted_indexes[cname].remove(old, rid)
                 self._sorted_indexes[cname].add(new, rid)
-        for sidx, off, off2, old in moved:
-            sidx.remove(old, rid)
-            sidx.add((row[off], row[off2]), rid)
+        for idx, off, off2, old in moved:
+            idx.remove(old, rid)
+            idx.add((row[off], row[off2]), rid)
         if self.observer is not None:
             self.observer(self.name, "update", rid, applied)
 
     def delete_row(self, rid: int) -> None:
         row = self._get_live(rid)
-        for cname, idx in self._hash_indexes.items():
-            idx.remove(row[self._offset[cname]], rid)
-        for key, sidx in self._sorted_indexes.items():
-            if type(key) is str:
-                sidx.remove(row[self._offset[key]], rid)
-        for _key, sidx, off, off2 in self._pair_indexes:
-            sidx.remove((row[off], row[off2]), rid)
+        for indexes in (self._hash_indexes, self._sorted_indexes):
+            for key, idx in indexes.items():
+                if type(key) is str:
+                    idx.remove(row[self._offset[key]], rid)
+        for _key, idx, off, off2 in self._pair_indexes:
+            idx.remove((row[off], row[off2]), rid)
         self._rows[rid] = None
         self._live -= 1
         if self.observer is not None:
@@ -507,16 +551,21 @@ class Table:
                 yield rid
 
     def lookup_eq(self, column: str, value: Any) -> List[int]:
-        """Row ids where ``column == value``, via index if available;
-        either way in ascending rid order, a fresh list."""
+        """Row ids where ``column == value``, via index if available (a
+        hash index over a pair answers for its first column); either way
+        in ascending rid order, a fresh list."""
         if column in self._hash_indexes:
             rids = self._hash_indexes[column].get(value)
-            n = len(rids)
-            self.rows_scanned += n
-            self.scan_counter.total += n
-            return rids
-        off = self._offset[column]
-        return [rid for rid in self.scan() if self._rows[rid][off] == value]
+        elif column in self._leading:
+            rids = self._leading[column].first(value)
+        else:
+            off = self._offset[column]
+            return [rid for rid in self.scan()
+                    if self._rows[rid][off] == value]
+        n = len(rids)
+        self.rows_scanned += n
+        self.scan_counter.total += n
+        return rids
 
     def lookup_eq_many(self, column: str, values: Sequence[Any]) -> List[int]:
         """What :meth:`lookup_eq` returns for each of ``values``, in one
@@ -531,6 +580,24 @@ class Table:
                     for rid in self.lookup_eq(column, value)]
         rids = [rid for bucket in buckets for rid in (
             (bucket,) if type(bucket) is int else bucket)]
+        n = len(rids)
+        self.rows_scanned += n
+        self.scan_counter.total += n
+        return rids
+
+    def lookup_pairs(self, key: Tuple[str, str], firsts: Sequence[Any],
+                     seconds) -> List[int]:
+        """Row ids whose ``key`` pair of columns is ``(f, s)`` for some
+        ``f`` in ``firsts`` and ``s`` in ``seconds`` (a set, or any
+        collection ``in`` can test), charged as exactly those rows.  With
+        the pair's hash index, no Python call is made per key; without
+        it, as one :meth:`lookup_eq` per first value, filtered."""
+        if key not in self._hash_indexes:
+            off = self._offset[key[1]]
+            return [rid for first in firsts
+                    for rid in self.lookup_eq(key[0], first)
+                    if self._rows[rid][off] in seconds]
+        rids = self._hash_indexes[key].pairs(firsts, seconds)
         n = len(rids)
         self.rows_scanned += n
         self.scan_counter.total += n
@@ -578,6 +645,16 @@ class Table:
             return self._sorted_indexes[column].count(lo, hi, lo_incl,
                                                       hi_incl)
         return len(self.lookup_range(column, lo, hi, lo_incl, hi_incl))
+
+    def count_eq(self, column: str, value: Any) -> int:
+        """How many rows :meth:`lookup_eq` would return.  A hash index
+        answers from the bucket's size and charges nothing; without one
+        the rows are scanned, and charged."""
+        if column not in self._hash_indexes:
+            return len(self.lookup_eq(column, value))
+        found = self._hash_indexes[column]._map
+        bucket = found[value] if value in found else ()
+        return 1 if type(bucket) is int else len(bucket)
 
     def distinct(self, column: str) -> List[Any]:
         """The distinct values of ``column``: the keys of its hash index
@@ -642,9 +719,10 @@ class Table:
         self._rows = [row if row is None else self._row(dict(zip(
             self._names, row))) for row in rows]
         self._live = len(rows) - rows.count(None)
-        for cname, idx in self._hash_indexes.items():
-            self._hash_indexes[cname] = self._backfill(
-                HashIndex(unique=idx.unique), cname)
+        for key, idx in self._hash_indexes.items():
+            self._hash_indexes[key] = self._backfill(
+                HashIndex(unique=idx.unique) if type(key) is str
+                else NestedIndex(), key)
         for key, sidx in self._sorted_indexes.items():
             self._sorted_indexes[key] = self._backfill(type(sidx)(), key)
         self._replan()

@@ -40,7 +40,7 @@ from repro.errors import (
 from repro.mcat import query
 from repro.mcat.dublin_core import SchemaRegistry
 from repro.mcat.schema import OBJECT_KINDS, PERMISSIONS, REPLICA_ORDER, \
-    build_schema, numeric, subtree_path_range
+    TARGET_INDEX, build_schema, numeric, subtree_path_range
 from repro.obs import Observability
 from repro.util import paths
 from repro.util.clock import SimClock
@@ -799,15 +799,16 @@ class Mcat:
                          ) -> List[Tuple[int, str, Any, Any]]:
         """What a query looks at of N objects' metadata, under one charged
         block: ``(oid, attr, value, value_num)`` of each triple whose
-        attribute is in ``attrs``, in minting order."""
+        attribute is in ``attrs``, in minting order.  One lookup of the
+        named ``(target_id, attr)`` pairs: only those triples are read."""
         with self._charge:
             t = self._metadata
             got = [(mid, tid, attr, value, num)
                    for mid, kind, tid, attr, value, num in t.iter_values(
-                       t.lookup_eq_many("target_id", oids),
+                       t.lookup_pairs(TARGET_INDEX, oids, attrs),
                        ("mid", "target_kind", "target_id", "attr", "value",
                         "value_num"))
-                   if kind == "object" and attr in attrs]
+                   if kind == "object"]
             got.sort()
             return [triple[1:] for triple in got]
 

@@ -247,9 +247,13 @@ def _probes(mcat: Mcat,
                   key=operator.attrgetter("count"))
 
 
-def _rows_per_object(mcat: Mcat) -> float:
-    """Metadata rows read, on average, to fetch one object's metadata."""
-    return len(mcat.db.table("metadata")) / max(
+def _rows_per_object(mcat: Mcat, attrs: Set[str]) -> float:
+    """Metadata rows read, on average, to fetch one object's values of
+    ``attrs`` (:meth:`Mcat._object_metadata` reads those triples only):
+    the attributes' bucket sizes over the object count, uncharged, as
+    ``count_range`` is."""
+    md = mcat.db.table("metadata")
+    return sum([md.count_eq("attr", attr) for attr in attrs]) / max(
         1, len(mcat.db.table("objects")))
 
 
@@ -261,7 +265,7 @@ def _keyed(mcat: Mcat, rids: Sequence[int]) -> List[Key]:
 
 
 def _candidates(mcat: Mcat, probes: List[_Probe], scope: str,
-                cursor: Optional[str] = None
+                cursor: Optional[str], attrs: Set[str]
                 ) -> Tuple[List[Key], List[Condition]]:
     """Run the index plan: ``(candidates, conditions left to verify)``.
 
@@ -269,11 +273,12 @@ def _candidates(mcat: Mcat, probes: List[_Probe], scope: str,
     path order, that satisfy every probed condition.  Probing goes
     smallest first and stops as soon as the next probe would touch more
     rows than fetching the survivors does; the conditions not probed are
-    returned for the caller to verify from the survivors' metadata,
-    which it fetches anyway.  Two charged catalog ops, however many rows.
+    returned for the caller to verify from the survivors' values of
+    ``attrs``, which it fetches anyway.  Two charged catalog ops, however
+    many rows.
     """
     md = mcat.db.table("metadata")
-    per_survivor = 1 + _rows_per_object(mcat)
+    per_survivor = 1 + _rows_per_object(mcat, attrs)
     with mcat._charge:
         ids = probes[0].targets(md)
         probed = 1
@@ -293,23 +298,24 @@ def _candidates(mcat: Mcat, probes: List[_Probe], scope: str,
 
 
 def _index_page_is_cheaper(mcat: Mcat, probes: List[_Probe], scope: str,
-                           cursor: Optional[str],
-                           limit: Optional[int]) -> bool:
+                           cursor: Optional[str], limit: Optional[int],
+                           attrs: Set[str]) -> bool:
     """Should a page come off the index plan or off a walk of the scope?
-    Decided in catalog rows touched, from counts that cost two bisects.
+    Decided in catalog rows touched, from counts that cost two bisects
+    or a bucket's size.
 
     Walking from the cursor, ``limit`` matches are at best as dense as
     the smallest condition's rows among the objects still ahead, and
-    every object passed costs its row and its metadata.  The index plan
-    reads the smallest condition's rows and an object row for each, and
-    metadata only for the page.  No ``limit`` means every match.
+    every object passed costs its row and its values of ``attrs``.  The
+    index plan reads the smallest condition's rows and an object row for
+    each, and values only for the page.  No ``limit`` means every match.
     """
     limit = math.inf if limit is None else limit
     ahead = mcat.db.table("objects").count_range(
         "path", *subtree_path_range(scope, cursor),
         lo_incl=False, hi_incl=False)
     smallest = probes[0].count
-    per_object = _rows_per_object(mcat)
+    per_object = _rows_per_object(mcat, attrs)
     walked = min(ahead, limit * max(1.0, ahead / max(1, smallest)))
     return (2 * smallest + min(smallest, limit) * per_object
             < walked * (1 + per_object))
@@ -512,10 +518,12 @@ def run_search_page(mcat: Mcat, scope: str,
     real_conditions, display_attrs = _condition_plan(conditions)
     page_limit = None if limit is None else max(1, int(limit))
     probes = _probes(mcat, real_conditions)
+    attrs = set(display_attrs).union(c.attr for c in real_conditions)
     if probes is not None and _index_page_is_cheaper(
-            mcat, probes, scope, cursor, page_limit):
+            mcat, probes, scope, cursor, page_limit, attrs):
         plan = "index"
-        candidates, unverified = _candidates(mcat, probes, scope, cursor)
+        candidates, unverified = _candidates(mcat, probes, scope, cursor,
+                                             attrs)
         batches = _chunks(candidates, page_limit)
     else:
         plan = "scan"

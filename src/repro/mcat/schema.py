@@ -7,9 +7,11 @@ E4 benchmark's "no index" ablation drops the attribute indexes to show
 why they matter at millions of datasets.
 
 The attribute indexes on ``metadata`` are the ones the query planner
-(:mod:`repro.mcat.query`) probes: a hash index on ``target_id`` (one
-object's triples), a hash index on ``attr`` (every triple of one
-attribute, and the distinct attribute names), and two sorted indexes
+(:mod:`repro.mcat.query`) probes: a hash index over the pair
+:data:`TARGET_INDEX` ``(target_id, attr)`` (one object's triples, or
+only its triples of the attributes a query names), a hash index on
+``attr`` (every triple of one attribute, and the distinct attribute
+names), and two sorted indexes
 over a pair of columns, :data:`NUM_INDEX` ``(attr, value_num)`` and
 :data:`TEXT_INDEX` ``(attr, value)``, in which one attribute's values are
 one ordered run — so ``JMAG < 6`` is one range probe, and how many rows
@@ -52,6 +54,9 @@ REPLICA_ORDER = itemgetter("replica_num")
 #: values in numeric order, and all its values in text order
 NUM_INDEX = ("attr", "value_num")
 TEXT_INDEX = ("attr", "value")
+#: the hash index over a pair on ``metadata``: a target's triples, by
+#: attribute
+TARGET_INDEX = ("target_id", "attr")
 
 
 def numeric(value: Any) -> Optional[float]:
@@ -219,7 +224,7 @@ def build_schema(db: Database) -> None:
 
 
 def _create_attribute_indexes(metadata) -> None:
-    metadata.create_index("target_id")
+    metadata.create_index(TARGET_INDEX)
     metadata.create_index("attr")
     metadata.create_sorted_index(*NUM_INDEX)
     metadata.create_sorted_index(*TEXT_INDEX)
@@ -227,9 +232,9 @@ def _create_attribute_indexes(metadata) -> None:
 
 def drop_attribute_indexes(db: Database) -> None:
     """E4 ablation: force attribute queries onto full scans (drops
-    ``target_id``, ``attr`` and both pair indexes)."""
+    ``attr`` and the three pair indexes)."""
     md = db.table("metadata")
-    for key in ("target_id", "attr", NUM_INDEX, TEXT_INDEX):
+    for key in (TARGET_INDEX, "attr", NUM_INDEX, TEXT_INDEX):
         md.drop_index(key)
 
 

@@ -282,8 +282,10 @@ class MySrbApp:
             return self._edit_form(client, request)
         if path == "/edit" and method == "POST":
             p = request.param("path")
-            client.put(p, request.param("content").encode())
-            return Response.redirect(f"/open?path={H.url_quote(p)}")
+            return self._write_then_show(client, request, [(
+                "put", {"path": p,
+                        "data": request.param("content").encode()})],
+                "/open", p)
         if path == "/op":
             return self._do_op(client, request)
         raise NoSuchObject(f"no such page {path!r}")
@@ -490,7 +492,10 @@ class MySrbApp:
         return Response(H.simple_page(f"Edit {p}", body))
 
     def _do_op(self, client: SrbClient, request: Request) -> Response:
-        """Data-movement operations dispatched from the listing links."""
+        """Data-movement operations dispatched from the listing links.
+        Each shows the object after in one exchange
+        (:meth:`_write_then_show`), but a delete, which shows the
+        listing the object was in."""
         action = request.param("action")
         p = request.param("path")
         if request.method == "GET" and action in ("replicate", "copy",
@@ -506,16 +511,7 @@ class MySrbApp:
                           + H.hidden_field("path", p) + extra,
                           submit=action)
             return Response(H.simple_page(f"{action} {p}", body))
-        if action == "replicate":
-            client.replicate(p, request.param("resource"))
-        elif action == "copy":
-            client.copy(p, request.param("dst"))
-        elif action == "move":
-            client.move(p, request.param("dst"))
-            p = request.param("dst")
-        elif action == "link":
-            client.link(p, request.param("dst"))
-        elif action == "delete":
+        if action == "delete":
             parent = paths.dirname(p)
             try:
                 client.delete(p)
@@ -523,8 +519,17 @@ class MySrbApp:
                 client.rmcoll(p)
             return Response.redirect(
                 f"/browse?path={H.url_quote(parent)}")
-        elif action in ("lock", "unlock", "checkout", "checkin"):
-            getattr(client, action)(p)      # each an op of that name
-        else:
+        dst = request.param("dst")
+        writes = {"replicate": {"path": p,
+                                "resource": request.param("resource")},
+                  "copy": {"src": p, "dst": dst},
+                  "move": {"src": p, "dst": dst},
+                  "link": {"target": p, "link_path": dst},
+                  # each an op of that name
+                  **dict.fromkeys(("lock", "unlock", "checkout", "checkin"),
+                                  {"path": p})}
+        if action not in writes:
             raise SrbError(f"unknown operation {action!r}")
-        return Response.redirect(f"/open?path={H.url_quote(p)}")
+        return self._write_then_show(client, request,
+                                     [(action, writes[action])], "/open",
+                                     dst if action == "move" else p)

@@ -10,7 +10,9 @@ naming none, and that file contents dominate control traffic.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Tuple
+from itertools import chain, compress, repeat
+from operator import is_
+from typing import Any, Dict, List, Set, Tuple
 
 # fixed per-value envelope overhead (type tag + length prefix)
 _ENVELOPE = 4
@@ -76,6 +78,14 @@ class Redirect:
 _FIXED_SIZE = {type(None): _ENVELOPE, bool: _ENVELOPE,
                int: _ENVELOPE + 8, float: _ENVELOPE + 8}
 _LEAF_TYPES = frozenset(_FIXED_SIZE) | {str, bytes}
+_TEXT_TYPES = frozenset({str, bytes})
+_ROW_TYPES = frozenset({tuple, list})
+# A list, tuple or dict whose items are leaves, or rows of leaves (a
+# page of query results), with at least this many strings among them is
+# sized in a few passes, each one call to a profiler, rather than a len
+# and an isascii per string; fewer strings keep the loop, which costs
+# fewer calls then.
+_RUN = 3
 
 # What repeats from message to message is remembered, process-wide,
 # capped, and emptied by clear_size_memo():
@@ -102,9 +112,11 @@ def sizeof(value: Any) -> int:
         except KeyError:
             total = _sizeof_keys(keys)
         items = value.values()
+        long = keys[_RUN - 1:_RUN]
     elif t is list or t is tuple:
         total = _ENVELOPE
         items = value
+        long = value[_RUN - 1:_RUN]
     elif t is str:
         return _ENVELOPE + (len(value) if value.isascii()
                             else len(value.encode("utf-8")))
@@ -117,6 +129,20 @@ def sizeof(value: Any) -> int:
             return _frozen_sizes[id(value)][1]
         except KeyError:
             return _sizeof_other(value)
+    if long:
+        # no profiled call until the pass is known to pay: C-level
+        # map/compress, not comprehensions (3.11 profiles those)
+        leaves, kinds = items, set(map(type, items))
+        if kinds <= _ROW_TYPES:
+            leaves = list(chain.from_iterable(items))
+            kinds = set(map(type, leaves))
+        strs = list(compress(leaves, map(is_, map(type, leaves),
+                                         repeat(str)))) \
+            if kinds <= _LEAF_TYPES else ()
+        if strs[_RUN - 1:_RUN]:
+            if leaves is not items:     # rows: each one's envelope
+                total += _ENVELOPE * len(items)
+            return total + _sizeof_run(leaves, strs, kinds)
     for item in items:
         t = type(item)
         if t is str:
@@ -128,6 +154,23 @@ def sizeof(value: Any) -> int:
             total += _ENVELOPE + len(item)
         else:
             total += sizeof(item)
+    return total
+
+
+def _sizeof_run(leaves: Any, strs: List[str], kinds: Set[type]) -> int:
+    """What ``leaves``, all of :data:`_LEAF_TYPES`, cost on the wire, in
+    a few passes (one profiled call each) rather than a len and an
+    isascii per string; ``strs`` are the strings among them, encoded
+    only when one of them is not ASCII."""
+    total = _ENVELOPE * len(strs) + sum(map(len, strs if all(map(
+        str.isascii, strs)) else map(str.encode, strs)))
+    if bytes in kinds:
+        blobs = list(compress(leaves, map(is_, map(type, leaves),
+                                          repeat(bytes))))
+        total += _ENVELOPE * len(blobs) + sum(map(len, blobs))
+    if not kinds <= _TEXT_TYPES:
+        total += sum(map(_FIXED_SIZE.__getitem__, filter(
+            _FIXED_SIZE.__contains__, map(type, leaves))))
     return total
 
 

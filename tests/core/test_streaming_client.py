@@ -92,6 +92,19 @@ class TestQuery:
         assert sorted(rows) == sorted(tuple(r) for r in full.rows)
         assert fed.rpc.stats.calls - calls0 == 3    # 12 hits / 5 per page
 
+    def test_dropping_the_row_iterator_stops_the_stream(self, setup):
+        fed, client = setup
+        calls0, now0 = fed.rpc.stats.calls, fed.clock.now
+        rows = client.iter_query("/demozone/lab", self._conds(),
+                                 page_size=5)
+        assert fed.rpc.stats.calls == calls0    # nothing sent yet
+        first = [next(rows) for _ in range(5)]  # the first page's rows
+        assert len(set(first)) == 5 and fed.rpc.stats.calls - calls0 == 1
+        spent = fed.clock.now
+        del rows
+        assert fed.rpc.stats.calls - calls0 == 1
+        assert fed.clock.now == spent > now0
+
 
 class TestCursorlessParity:
     def test_streaming_leaves_materializing_costs_untouched(self):

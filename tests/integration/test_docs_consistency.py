@@ -101,7 +101,11 @@ class TestDocSize:
     silently: a change that needs more lines raises the number here, in
     its own diff."""
 
-    CEILINGS = {"DESIGN.md": 911, "EXPERIMENTS.md": 1_988}
+    # DESIGN.md + 17: the metadata table's (target_id, attr) index and the
+    # read and cost rule it serves, wire runs sized in passes, the chain
+    # levels an op hands its listing, and /edit and /op as one exchange;
+    # EXPERIMENTS.md + 47: G29, and E4 and E20 re-measured
+    CEILINGS = {"DESIGN.md": 928, "EXPERIMENTS.md": 2_035}
 
     @pytest.mark.parametrize("name", sorted(CEILINGS))
     def test_no_longer_than_its_ceiling(self, name):

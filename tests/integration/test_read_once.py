@@ -47,15 +47,13 @@ READS = ("lookup", "get_object", "find_object",
 
 #: Why an op re-reads a collection row.  Each of these checks two
 #: subjects in one collection (a source and a destination's parent, a
-#: collection and the objects listed or found in it); for a principal
-#: whose right is a grant, each check walks the collection chain from
-#: its own subject and reads its collections again.  Sharing the walk
-#: would need a per-op memo of chain levels.
+#: link's parent and its target); for a principal whose right is a
+#: grant, an object's check walks the collection chain from its own
+#: subject and reads its collections again.  An op hands the chain
+#: levels its collection checks read on to the rows it lists
+#: (``AccessController.levels``), not to a check of another subject.
 CHAIN = "two checks walk one collection chain"
-EXCEPTIONS: Dict[str, str] = {
-    "copy": CHAIN, "link": CHAIN, "move": CHAIN,
-    "list_collection_page": CHAIN, "query": CHAIN, "query_page": CHAIN,
-}
+EXCEPTIONS: Dict[str, str] = {"copy": CHAIN, "link": CHAIN, "move": CHAIN}
 
 GUEST = "guest@sdsc"
 

@@ -24,7 +24,7 @@ from repro.mcat.catalog import Mcat
 from repro.mcat.query import Condition, DisplayOnly, QueryPage, \
     Visible, _Probe, _condition_plan, _count_query, \
     _index_page_is_cheaper, _probes, _rows_per_object
-from repro.mcat.schema import numeric, subtree_path_range
+from repro.mcat.schema import TARGET_INDEX, numeric, subtree_path_range
 from repro.util import paths
 
 #: a stored metadata value as the query sees it: ``(value, value_num)``
@@ -64,15 +64,15 @@ def metadata_values_bulk(self: Mcat, targets: Sequence[Any], attrs
     """What a query looks at of N targets' metadata, under one charged
     block: per target ``{attr: [(value, value_num), ...]}`` for the
     attributes in ``attrs`` only, an attribute's values in minting
-    order.  Reads five columns of each triple where
-    :meth:`get_metadata_bulk` builds every row whole."""
+    order.  Reads the target's triples of ``attrs`` off the
+    ``(target_id, attr)`` index, one target at a time."""
     with self._charge:
         t = self._metadata
         out = []
         for target_kind, target_id in targets:
             vals: Dict[str, List[Tuple[Any, Any]]] = {}
             for _mid, kind, attr, value, num in sorted(t.iter_values(
-                    t.lookup_eq("target_id", target_id),
+                    t.lookup_pairs(TARGET_INDEX, [target_id], attrs),
                     ("mid", "target_kind", "attr", "value",
                      "value_num"))):
                 if kind == target_kind and attr in attrs:
@@ -94,7 +94,7 @@ def _targets(probe: _Probe, md) -> Set[int]:
 
 
 def _candidates(mcat: Mcat, probes: List[_Probe], scope: str,
-                cursor: Optional[str] = None
+                cursor: Optional[str], attrs: Set[str]
                 ) -> Tuple[List[Dict[str, Any]], List[Condition]]:
     """Run the index plan: ``(object rows, conditions left to verify)``.
 
@@ -106,7 +106,7 @@ def _candidates(mcat: Mcat, probes: List[_Probe], scope: str,
     fetches anyway.  Two charged catalog ops, however many rows.
     """
     md = mcat.db.table("metadata")
-    per_survivor = 1 + _rows_per_object(mcat)
+    per_survivor = 1 + _rows_per_object(mcat, attrs)
     with mcat._charge:
         ids = _targets(probes[0], md)
         probed = 1
@@ -246,10 +246,12 @@ def run_search_page(mcat: Mcat, scope: str,
     real_conditions, display_attrs = _condition_plan(conditions)
     page_limit = None if limit is None else max(1, int(limit))
     probes = _probes(mcat, real_conditions)
+    attrs = set(display_attrs).union(c.attr for c in real_conditions)
     if probes is not None and _index_page_is_cheaper(
-            mcat, probes, scope, cursor, page_limit):
+            mcat, probes, scope, cursor, page_limit, attrs):
         plan = "index"
-        candidates, unverified = _candidates(mcat, probes, scope, cursor)
+        candidates, unverified = _candidates(mcat, probes, scope, cursor,
+                                             attrs)
         batches = _chunks(candidates, page_limit)
     else:
         plan = "scan"

@@ -224,5 +224,6 @@ class TestNoCatalogOpPerResultRow:
         # rather than probe and fetch the object rows), their metadata,
         # the audit row; the reader's grants are looked up along the
         # four-deep collection chain for the scope (7 ops: its own row is
-        # held) and once more for the one collection the rows are in (8)
-        assert counted["query"][0] == (4 if who == OWNER else 19)
+        # held), and the one collection the rows are in is the scope,
+        # whose level the op already holds
+        assert counted["query"][0] == (4 if who == OWNER else 11)

@@ -556,8 +556,9 @@ class TestCountsPickThePlan:
                      [Condition("seq", "<", "200"),      # 200 rows
                       Condition("seq", ">=", "190")])    # 210 rows
         assert len(got) == 10
-        # 200 survivors cost 600 rows to fetch; the 210-row probe first
-        assert m._rows_scanned() - before == 200 + 210 + 10 + 20
+        # 200 survivors cost 400 rows to fetch (an object row and a seq
+        # triple each); the 210-row probe first
+        assert m._rows_scanned() - before == 200 + 210 + 10 + 10
 
     def test_scope_is_a_subtree_not_a_spelling(self):
         m = Mcat()

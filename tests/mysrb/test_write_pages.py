@@ -70,8 +70,30 @@ def model_annotate(client, form):
     return f"/open?path={H.url_quote(p)}"
 
 
+def model_edit(client, form):
+    p = form["path"]
+    client.put(p, form["content"].encode())
+    return f"/open?path={H.url_quote(p)}"
+
+
+def model_op(client, form):
+    action, p = form["action"], form["path"]
+    if action == "replicate":
+        client.replicate(p, form.get("resource", ""))
+    elif action == "copy":
+        client.copy(p, form["dst"])
+    elif action == "move":
+        client.move(p, form["dst"])
+        p = form["dst"]
+    elif action == "link":
+        client.link(p, form["dst"])
+    else:
+        getattr(client, action)(p)
+    return f"/open?path={H.url_quote(p)}"
+
+
 MODELS = {"/ingest": model_ingest, "/metadata": model_metadata,
-          "/annotate": model_annotate}
+          "/annotate": model_annotate, "/edit": model_edit, "/op": model_op}
 
 
 def session_client(app, browser):
@@ -163,6 +185,27 @@ WRITES = [
      "annotate by a reader"),
     ("eve", "/annotate", {"path": f"{HOME}/notes.txt", "ann_type": "rating",
                           "text": "1", "location": ""}, "annotate, denied"),
+    ("sekar", "/edit", {"path": f"{HOME}/up.txt",
+                        "content": "wingspan = 3\n"}, "edit"),
+    ("eve", "/edit", {"path": f"{HOME}/notes.txt", "content": "x"},
+     "edit, denied"),
+    ("sekar", "/op", {"action": "lock", "path": f"{HOME}/up.txt"}, "lock"),
+    ("sekar", "/op", {"action": "unlock", "path": f"{HOME}/up.txt"},
+     "unlock"),
+    ("sekar", "/op", {"action": "checkout", "path": f"{HOME}/up.txt"},
+     "checkout"),
+    ("sekar", "/op", {"action": "checkin", "path": f"{HOME}/up.txt"},
+     "checkin"),
+    ("sekar", "/op", {"action": "replicate", "path": f"{HOME}/bare.txt",
+                      "resource": "unix-caltech"}, "replicate"),
+    ("sekar", "/op", {"action": "copy", "path": f"{HOME}/bare.txt",
+                      "dst": f"{HOME}/bare-copy.txt"}, "copy"),
+    ("sekar", "/op", {"action": "move", "path": f"{HOME}/bare-copy.txt",
+                      "dst": f"{HOME}/moved.txt"}, "move"),
+    ("sekar", "/op", {"action": "link", "path": f"{HOME}/moved.txt",
+                      "dst": f"{HOME}/moved.lnk"}, "link"),
+    ("sekar", "/op", {"action": "lock", "path": f"{HOME}/absent.txt"},
+     "lock nothing"),
 ]
 
 PASSWORDS = {"sekar": ("sekar@sdsc", "secret"), "eve": ("eve@sdsc", "pw")}
@@ -246,10 +289,14 @@ def test_the_oracle_sees_each_outcome(twins):
     assert "wingspan" in outcomes["extract"][2]
     assert "Collection " in outcomes[
         "annotate a collection, which has no object view"][2]
+    assert "wingspan = 3" in outcomes["edit"][2]
+    assert "moved.txt" in outcomes["move"][2]
     for what, error in (("a refused triple", "MetadataError"),
                         ("a refused ingest", "AlreadyExists"),
                         ("metadata of nothing", "NoSuchObject"),
-                        ("annotate, denied", "AccessDenied")):
+                        ("annotate, denied", "AccessDenied"),
+                        ("edit, denied", "AccessDenied"),
+                        ("lock nothing", "NoSuchObject")):
         assert outcomes[what][:2] == ("error", error), what
 
 

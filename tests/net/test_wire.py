@@ -251,3 +251,53 @@ class TestSizeofMatchesModel:
         for note in notes:
             assert sizeof(note) == model_sizeof(note)
         assert len(wire._frozen_sizes) <= cap
+
+
+# -- a run of leaves is sized in passes, not per leaf ------------------------
+
+plain = st.one_of(st.none(), st.booleans(), st.integers(),
+                  st.floats(allow_nan=False), st.binary(max_size=8),
+                  st.text(max_size=8),                  # includes non-ASCII
+                  st.text("abc/", max_size=8), st.text("abc/", max_size=8))
+runs = st.one_of(st.lists(plain, max_size=12),
+                 st.lists(plain, max_size=12).map(tuple),
+                 st.dictionaries(keys, plain, max_size=8))
+# a page of rows: tuples (and lists) of leaves, or rows that hide a
+# non-leaf, which sends the whole page back to the loop
+rows = st.one_of(st.lists(plain, max_size=4).map(tuple),
+                 st.lists(plain, max_size=3),
+                 st.tuples(st.text(max_size=3), st.sampled_from(
+                     [Name("n"), Colour.RED, bytearray(b"b"), [1], {}])))
+
+
+def profiled_calls(fn, *args):
+    import cProfile
+    profiler = cProfile.Profile()
+    profiler.runcall(fn, *args)
+    return sum(entry.callcount for entry in profiler.getstats())
+
+
+class TestRuns:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(runs, st.lists(rows, max_size=8),
+                     st.lists(rows, max_size=8).map(tuple),
+                     st.dictionaries(keys, rows, max_size=5)))
+    def test_a_run_costs_what_the_model_says(self, value):
+        assert sizeof(value) == model_sizeof(value)
+        assert sizeof({"rows": value}) == model_sizeof({"rows": value})
+
+    def test_a_page_costs_the_same_calls_whatever_its_rows(self):
+        def page(n):
+            return [(f"/demozone/q/f{i:04d}", str(i), None, 2.5)
+                    for i in range(n)]
+        few, many = page(10), page(500)
+        assert profiled_calls(sizeof, few) == profiled_calls(sizeof, many)
+        assert sizeof(many) == model_sizeof(many)
+        wide = page(50) + [("é", b"\x00", True, 1)]   # encoded, not counted
+        assert sizeof(wide) == model_sizeof(wide)
+
+    def test_a_short_run_keeps_the_loop(self):
+        one_call = profiled_calls(sizeof, None)
+        # two strings: a len and an isascii each beat a pass
+        assert profiled_calls(sizeof, ("a", "b", None, 1)) == one_call + 4
+        assert profiled_calls(sizeof, [1, 2.0, None, True]) == one_call

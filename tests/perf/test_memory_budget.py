@@ -79,14 +79,26 @@ def test_a_catalog_row_stays_within_its_byte_budget(ingested):
         f"the budget is {BYTES_PER_ROW}")
 
 
+def buckets(idx):
+    """Every bucket of a hash index, those of a pair's inner maps too."""
+    for bucket in idx._map.values():
+        if type(bucket) is dict:
+            yield from bucket.values()
+        else:
+            yield bucket
+
+
 def test_no_hash_bucket_is_a_one_element_set(ingested):
     """Nor a one-element list: a value filed once is its bare row id."""
     db, _per_row = ingested
     ones = [(name, column) for name in db.tables()
             for column, idx in db.table(name)._hash_indexes.items()
-            for bucket in idx._map.values()
+            for bucket in buckets(idx)
             if type(bucket) in (set, list) and len(bucket) == 1]
     assert ones == []
+    assert ("metadata", ("target_id", "attr")) in [
+        (name, column) for name in db.tables()
+        for column in db.table(name)._hash_indexes]
 
 
 def test_storage_keeps_the_payload_not_copies_of_it():
