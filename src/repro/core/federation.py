@@ -286,7 +286,7 @@ class Federation:
         self.channels = ChannelBroker(self.authority, self.network,
                                       enabled=direct_io)
         self.containers = ContainerManager(self.mcat, self.resources,
-                                           self.placement, self.channels)
+                                           self.placement)
         self.web = WebSpace(self.network)
         self.extractors = ExtractionRegistry()
         self.servers: Dict[str, SrbServer] = {}

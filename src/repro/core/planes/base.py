@@ -26,7 +26,9 @@ from repro.auth.users import Principal, UserRegistry
 from repro.core.access import AccessController
 from repro.core.containers import ContainerManager
 from repro.core.locking import LockManager
-from repro.errors import NoSuchObject, ResourceUnavailable, SrbError
+from repro.core.replication import synchronize
+from repro.errors import NoSuchObject, ReplicaUnavailable, \
+    ResourceUnavailable, SrbError
 from repro.mcat.catalog import Mcat
 from repro.net.simnet import Network, TransferOutcome, raise_failed, \
     repull_failed
@@ -201,78 +203,126 @@ class PlaneService(Wired):
 
     def _require_up(self, res_list: Sequence[PhysicalResource]) -> None:
         """Refuse a write onto ``res_list`` while a member's host is down:
-        the check a write makes before it moves a byte, and an ingest
-        before it writes a catalog row."""
+        the check an aborting act makes before it sends a leg, and an
+        ingest before it writes a catalog row."""
         for res in res_list:
             if not self.network.host(res.host).up:
                 raise ResourceUnavailable(
                     f"resource {res.name!r} is down")
 
-    def _push(self, src_host: str, res_list: Sequence[PhysicalResource],
-              nbytes: int, path_key: str, label: str) -> None:
-        """First half of the write loop: get ``nbytes`` from ``src_host``
-        to every resource of ``res_list``, whose members the caller has
-        found up (:meth:`_require_up`).
+    def _reach(self, targets: Sequence[Tuple[PhysicalResource, Any]],
+               label: str, on_failure: str = "abort",
+               src_host: Optional[str] = None, nbytes: int = 0
+               ) -> List[bool]:
+        """Carry an act on each ``(resource, path_key)`` of ``targets`` to
+        the resource's host, in this call, before its driver is touched:
+        the one rule by which a server acts on storage.  Returns, aligned
+        with ``targets``, whether the act reached each.
 
-        A session to each member, then one overlapped leg per member.  A
-        session that will not open or a leg that fails raises here —
-        before a byte is on any driver, so a write onto a logical
-        resource happens on every member or on none.  An ingest's object
-        rows exist by then (:meth:`~repro.core.planes.data.DataService.
-        _ingest` deletes them when this raises); every other write adds
-        its rows after.
-
-        Whether the legs relay bytes that arrived on the request being
-        served is the op plan's to say, not the caller's
-        (``ChannelBroker.inbound``): an op moving bytes that were at
-        rest on a resource runs with it unset.
+        A write (``src_host`` given) opens a session to each member and
+        moves ``nbytes`` from ``src_host`` to it: a payload leg that
+        crosses the wire carries the act to its member (one whose ends
+        share a host moves nothing, and is not sent).  Every other
+        member on another host than this server's is sent one control
+        message first — a delete, a pin, a copy within one remote host.
+        Under ``on_failure="abort"`` a member whose host is down refuses
+        the act before any leg (:class:`ResourceUnavailable`) and a
+        failed session or leg raises; under ``"skip"`` it drops its
+        member only (a refresh, a rollback).  Whether payload legs relay
+        bytes that arrived on the request being served is the op plan's
+        to say, not the caller's (``ChannelBroker.inbound``).
         """
-        for res in res_list:
-            self._resource_session(res)
-        raise_failed(self._run_legs(
-            [(src_host, res.host, nbytes, path_key) for res in res_list],
-            res_list, label))
+        if on_failure == "abort":
+            for res, _key in targets:
+                if not self.network.host(res.host).up:
+                    self._require_up([res])
+        ok = [True] * len(targets)
+        if src_host is not None:
+            for k, (res, _key) in enumerate(targets):
+                try:
+                    self._resource_session(res)
+                except SrbError:
+                    if on_failure == "abort":
+                        raise
+                    ok[k] = False
+        control: List[Tuple[int, Tuple[str, str, int, Any]]] = []
+        payload: List[Tuple[int, Tuple[str, str, int, Any]]] = []
+        for k, (res, key) in enumerate(targets):
+            if not ok[k]:
+                continue
+            if src_host is not None and res.host != src_host:
+                payload.append((k, (src_host, res.host, nbytes, key)))
+            elif res.host != self.host:
+                control.append((k, (self.host, res.host, _CONTROL_MSG, None)))
+        for sends in (control, payload):        # control messages first
+            if not sends:
+                continue
+            outcomes = self._run_legs([leg for _k, leg in sends],
+                                      [targets[k][0] for k, _leg in sends],
+                                      label)
+            if on_failure == "abort":
+                raise_failed(outcomes)
+            for (k, _leg), outcome in zip(sends, outcomes):
+                ok[k] = outcome.error is None
+        return ok
 
     def _land(self, res_list: Sequence[PhysicalResource],
-              files: Sequence[Tuple[str, bytes]], replace: bool = False,
-              on_refused: Optional[Callable[[int, SrbError], None]] = None
-              ) -> Set[int]:
-        """Second half of the write loop: create every ``(physical path,
-        data)`` of ``files`` on every resource of ``res_list``.
-
-        A file a storage system refuses is removed from the members
-        already written (:meth:`_rollback_created`) and the error
-        raised — or, for a batch, handed to ``on_refused(index, error)``
-        while the other files proceed; returns the indices refused.
-        ``replace`` overwrites a file already there (a refused
-        overwrite keeps the old bytes: ``StorageDriver.replace``).
-        """
+              files: Sequence[Tuple[str, bytes]],
+              on_refused: Callable[[int, SrbError], None]) -> Set[int]:
+        """Create every ``(physical path, data)`` of ``files`` on every
+        resource of ``res_list``, once :meth:`_reach` has pushed them
+        there: an ingest's landing.  A file a storage system refuses is
+        removed from the members already written and handed to
+        ``on_refused(index, error)`` while the other files proceed;
+        returns the indices refused."""
         refused: Set[int] = set()
         for k, res in enumerate(res_list):
-            write = res.driver.replace if replace else res.driver.create
             for i, (phys, data) in enumerate(files):
                 if i in refused:
                     continue
                 try:
-                    write(phys, data)
+                    res.driver.create(phys, data)
                 except SrbError as exc:
-                    self._rollback_created(
-                        [(done, phys) for done in res_list[:k]])
-                    if on_refused is None:
-                        raise
+                    self._remove([(done, phys) for done in res_list[:k]],
+                                 "rollback", "skip")
                     refused.add(i)
                     on_refused(i, exc)
         return refused
 
-    def _store(self, src_host: str, res_list: Sequence[PhysicalResource],
-               phys: str, data: bytes, label: str,
-               replace: bool = False) -> None:
-        """The write loop for one file: every resource up, :meth:`_push`
-        its bytes to each, then :meth:`_land` it there.  The replica rows
-        are the caller's, written once this returns."""
-        self._require_up(res_list)
-        self._push(src_host, res_list, len(data), phys, label)
-        self._land(res_list, [(phys, data)], replace)
+    def _store(self, src_host: Optional[str],
+               targets: Sequence[Tuple[PhysicalResource, str]],
+               data: bytes, label: str, write: str = "create",
+               on_failure: str = "abort") -> List[Optional[int]]:
+        """The write loop: ``data`` from ``src_host`` onto every
+        ``(resource, physical path)`` of ``targets``, once :meth:`_reach`
+        has carried it to each (``src_host`` None: nothing moves, as for
+        an empty file, and a control message carries the act).
+        ``write`` names the driver call that lands it: ``"create"``,
+        ``"replace"`` (a refused overwrite keeps the old bytes:
+        ``StorageDriver.replace``) or ``"append"``.  A file a storage
+        system refuses raises, and a create is first removed from the
+        members already written.  Returns, aligned with ``targets``, the
+        offset at which ``data`` starts in each file written (its old
+        size for an append, else 0), or None for a member skipped.  The
+        rows are the caller's, written once this returns."""
+        at: List[Optional[int]] = []
+        for (res, phys), ok in zip(targets, self._reach(
+                targets, label, on_failure, src_host=src_host,
+                nbytes=len(data))):
+            if not ok:
+                at.append(None)
+                continue
+            offset = res.driver.size(phys) if write == "append" else 0
+            try:
+                getattr(res.driver, write)(phys, data)
+            except SrbError:
+                if write == "create":
+                    self._remove([target for target, done
+                                  in zip(targets, at) if done is not None],
+                                 "rollback", "skip")
+                raise
+            at.append(offset)
+        return at
 
     def _store_replicas(self, src_host: str,
                         res_list: Sequence[PhysicalResource], oid: int,
@@ -280,29 +330,66 @@ class PlaneService(Wired):
         """:meth:`_store` one file as *new* replicas of ``oid``: one row
         per resource, added only when the file is on every one of them.
         Returns the last replica number."""
-        self._store(src_host, res_list, phys, data, label)
+        self._store(src_host, [(res, phys) for res in res_list], data,
+                    label)
         num = -1
         for res in res_list:
             num = self.mcat.add_replica(oid, res.name, phys, len(data),
                                         now=self.now)
         return num
 
-    def _rollback_created(self, created: Sequence[
-            Tuple[PhysicalResource, str]]) -> None:
-        """Remove half-written files after a failed write.
-
-        Cleanup is not free on the wire: deleting a file on a *remote*
-        member costs one control message (counted in ``net.messages``).
-        A member that became unreachable keeps its orphaned bytes — the
-        failed delete attempt is charged like any timed-out message.
-        """
-        for res, phys in created:
-            if res.host != self.host and not self._run_legs(
-                    [(self.host, res.host, _CONTROL_MSG, None)], [res],
-                    "rollback")[0].ok:
-                continue
-            if res.driver.exists(phys):
+    def _remove(self, files: Sequence[Tuple[PhysicalResource, str]],
+                label: str, on_failure: str = "abort") -> None:
+        """Delete each ``(resource, physical path)`` of ``files`` that
+        exists, once :meth:`_reach` has carried the act to its host:
+        all or none, or (``"skip"``: a rollback after a failed write)
+        each whose host answers — an unreachable member keeps its
+        orphaned bytes, the failed attempt charged like any timed-out
+        message."""
+        for (res, phys), ok in zip(files,
+                                   self._reach(files, label, on_failure)):
+            if ok and res.driver.exists(phys):
                 res.driver.delete(phys)
+
+    def _pin(self, res: PhysicalResource, phys_paths: Sequence[str],
+             pinned: bool = True) -> None:
+        """Pin (or unpin) ``phys_paths`` in archive ``res``'s cache, once
+        :meth:`_reach` has carried the act to its host."""
+        self._reach([(res, None)], "pin" if pinned else "unpin")
+        for phys in phys_paths:
+            (res.driver.pin if pinned else res.driver.unpin)(phys)
+
+    def _refresh(self, oid: int, label: str, on_failure: str) -> int:
+        """Rewrite every dirty replica of ``oid`` (an object's, a
+        container's) from a clean one through :meth:`_store`; returns
+        the number refreshed.  ``"skip"`` leaves a member that cannot be
+        reached dirty (``synchronize``); ``"abort"`` refreshes all or
+        none (a container's sync).
+
+        The placement engine ranks the clean replicas for the dirty
+        hosts that are up (:meth:`~repro.policy.PlacementEngine.
+        sync_source_order`); the first on a host that is up is read."""
+        clean, dirty = synchronize(self.mcat, oid)
+        if not dirty:
+            return 0
+        physical, up = self.resources.physical, self.resources.available
+        clean = self.federation.placement.sync_source_order(
+            clean, sorted({physical(r["resource"]).host for r in dirty
+                           if up(r["resource"])}))
+        source = next((r for r in clean if up(r["resource"])), None)
+        if source is None:
+            raise ReplicaUnavailable(f"no clean replica of {oid} reachable")
+        src_res = physical(source["resource"])
+        data = src_res.driver.read_all(source["physical_path"])
+        written = self._store(
+            src_res.host, [(physical(r["resource"]), r["physical_path"])
+                           for r in dirty], data, label, "replace",
+            on_failure)
+        for rep, at in zip(dirty, written):
+            if at is not None:
+                self.mcat.update_replica(oid, rep["replica_num"],
+                                         is_dirty=False, size=len(data))
+        return sum(at is not None for at in written)
 
     def _redirect_sink(self) -> str:
         """The host a read op's bytes are bound for.

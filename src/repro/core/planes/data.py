@@ -230,26 +230,29 @@ class DataService(PlaneService):
             results[entry[0]] = (entry[1], exc)
 
         if container is not None:
-            landed = []
-            for n, entry in enumerate(alive):
+            coid, landed = int(cont["oid"]), []
+            for entry in alive:
                 try:
-                    if n:
-                        cont = self.containers.get_container(cont_path)
-                    self.containers.append_member(
-                        cont, entry[5], entry[3], now=self.now,
-                        server_host=ctx.payload_host)
-                    landed.append(entry)
+                    res, primary, offset = self._append(
+                        coid, entry[3], ctx.payload_host, "container-append")
                 except SrbError as exc:
                     fail(entry, exc)
+                    continue
+                self.mcat.add_replica(
+                    entry[5], res.name, primary["physical_path"],
+                    len(entry[3]), now=self.now, container_oid=coid,
+                    offset=offset)
+                landed.append(entry)
             alive = landed
         elif alive:
             files = [(f"/srb/{coll.strip('/').replace('/', '_')}/"
                       f"{oid}-{paths.basename(path)}", data)
                      for _i, path, coll, data, _md, oid in alive]
+            # a push of one file binds its channel tickets to it
+            key = files[0][0] if len(files) == 1 else ""
             try:
-                # a push of one file binds its channel tickets to it
-                self._push(ctx.payload_host, res_list, nbytes,
-                           files[0][0] if len(files) == 1 else "", label)
+                self._reach([(res, key) for res in res_list], label,
+                            src_host=ctx.payload_host, nbytes=nbytes)
             except SrbError:
                 for entry in alive:
                     self.mcat.delete_object(entry[5])
@@ -466,6 +469,7 @@ class DataService(PlaneService):
         res = self.resources.physical(resource)
         effective_md = self.mcat.validate_ingest_metadata(
             paths.dirname(path), metadata or {})
+        self._reach([(res, None)], "register")
         size = res.driver.size(physical_path) if res.driver.exists(
             physical_path) else None
         oid = self.mcat.create_object(
@@ -974,12 +978,16 @@ class DataService(PlaneService):
             # containers are "tarfiles but with more flexibility in
             # accessing and updating files": append the new bytes and
             # repoint the member (compact_container reclaims the garbage)
-            self.containers.replace_member(
-                rep, data, now=self.now, server_host=ctx.payload_host)
+            res, primary, offset = self._append(
+                int(rep["container_oid"]), data, ctx.payload_host,
+                "container-replace")
+            self.mcat.update_replica(oid, rep["replica_num"], offset=offset,
+                                     size=len(data), resource=res.name,
+                                     physical_path=primary["physical_path"])
         else:
             self._store(ctx.payload_host,
-                        [self.resources.physical(rep["resource"])],
-                        rep["physical_path"], data, "put", replace=True)
+                        [(self.resources.physical(rep["resource"]),
+                          rep["physical_path"])], data, "put", "replace")
             self.mcat.update_replica(oid, rep["replica_num"], size=len(data),
                                      is_dirty=False)
             self.mcat.mark_siblings_dirty(oid, rep["replica_num"])
@@ -1024,7 +1032,7 @@ class DataService(PlaneService):
                     f"on {rep['resource']}")
         last = len(doomed) == len(replicas)
         # the bytes go first, all or none: refused while a storage
-        # system holding some is down
+        # system holding some is down or cannot be reached
         files = [(self.resources.physical(r["resource"]), r["physical_path"])
                  for r in doomed if kind in ("data", "container")
                  and r["container_oid"] is None]
@@ -1032,10 +1040,7 @@ class DataService(PlaneService):
             # the cascade drops the rows of the versions checkin set aside
             files += [(self.resources.physical(v["resource"]),
                        v["physical_path"]) for v in self.locks.versions_of(oid)]
-        self._require_up([res for res, _phys in files])
-        for res, phys in files:
-            if res.driver.exists(phys):
-                res.driver.delete(phys)
+        self._remove(files, "delete")
         for rep in doomed:
             self.mcat.remove_replica(oid, rep["replica_num"])
         if last:
@@ -1148,13 +1153,12 @@ class DataService(PlaneService):
         if target is None:
             raise NoSuchReplica(f"{path!r} has no replica on {resource!r}")
         from repro.core.locking import DEFAULT_PIN_LIFETIME_S
-        pid = self.locks.pin(oid, resource, ctx.principal,
-                             lifetime_s if lifetime_s is not None
-                             else DEFAULT_PIN_LIFETIME_S)
         res = self.resources.physical(resource)
         if isinstance(res.driver, ArchiveDriver):
-            res.driver.pin(target["physical_path"])
-        return pid
+            self._pin(res, [target["physical_path"]])
+        return self.locks.pin(oid, resource, ctx.principal,
+                              lifetime_s if lifetime_s is not None
+                              else DEFAULT_PIN_LIFETIME_S)
 
     @rpc_op("unpin", scope_arg="path", write=True, audit="unpin",
             detail_arg="resource")
@@ -1167,9 +1171,9 @@ class DataService(PlaneService):
         # it goes only with the last of them, not with the caller's
         if isinstance(res.driver, ArchiveDriver) \
                 and not self.locks.is_pinned(oid, resource):
-            for rep in self.mcat.replicas(oid):
-                if rep["resource"] == resource:
-                    res.driver.unpin(rep["physical_path"])
+            self._pin(res, [rep["physical_path"]
+                            for rep in self.mcat.replicas(oid)
+                            if rep["resource"] == resource], pinned=False)
         return count
 
     @rpc_op("checkout", scope_arg="path", write=True, audit="checkout",
@@ -1196,7 +1200,7 @@ class DataService(PlaneService):
         if rep["container_oid"] is None:
             old = res.driver.read(rep["physical_path"])
             vpath = f"/srb/versions/{oid}-v{obj['version']}"
-            res.driver.replace(vpath, old)
+            self._store(res.host, [(res, vpath)], old, "checkin", "replace")
             self.locks.record_version(obj, res.name, vpath, len(old),
                                       principal)
         new_version = self.locks.checkin(obj, principal)
@@ -1229,13 +1233,34 @@ class DataService(PlaneService):
     # containers
     # ------------------------------------------------------------------
 
+    def _append(self, coid: int, data: bytes, src_host: str, label: str
+                ) -> Tuple[PhysicalResource, Dict[str, Any], int]:
+        """Land ``data`` at the end of container ``coid``'s primary copy
+        through the write loop, from ``src_host``; the other copies
+        become dirty.  Returns ``(resource, primary replica row, offset
+        of the new slice)``: an ingest adds the member's row there, a
+        ``put`` repoints it (the old slice is garbage that
+        ``compact_container`` reclaims)."""
+        primary = self.containers.primary_replica(coid)
+        res = self.resources.physical(primary["resource"])
+        (offset,) = self._store(src_host, [(res, primary["physical_path"])],
+                                data, label, "append")
+        self.containers.resized(coid, primary, offset + len(data), self.now)
+        return res, primary, offset
+
     @rpc_op("create_container", scope_arg="path", write=True,
             audit="create-container", detail_arg="logical_resource",
             need="write", target="parent")
     def create_container(self, ctx: OpContext, path: str,
                          logical_resource: str) -> int:
-        return self.containers.create(path, logical_resource,
-                                      str(ctx.principal), now=self.now)
+        oid, files = self.containers.create(path, logical_resource,
+                                            str(ctx.principal), now=self.now)
+        try:
+            self._store(None, files, b"", "container-create")
+        except SrbError:
+            self.mcat.delete_object(oid)
+            raise
+        return oid
 
     @rpc_op("compact_container", scope_arg="path", write=True,
             audit="compact-container", need="write", target="container")
@@ -1243,8 +1268,16 @@ class DataService(PlaneService):
         """Rewrite a container keeping only live member slices; returns
         bytes reclaimed.  Member updates append (log-structured), so a
         heavily-edited container accumulates garbage until compaction."""
-        reclaimed = self.containers.compact(ctx.target["oid"], now=self.now,
-                                            server_host=self.host)
+        coid = int(ctx.target["oid"])
+        primary = self.containers.primary_replica(coid)
+        res, phys = self.resources.physical(primary["resource"]), \
+            primary["physical_path"]
+        members = self.containers.members(coid)
+        data = b"".join(res.driver.read(m["physical_path"], int(m["offset"]),
+                                        int(m["size"])) for m in members)
+        reclaimed = res.driver.size(phys) - len(data)
+        self._store(res.host, [(res, phys)], data, "compact", "replace")
+        self.containers.repacked(coid, primary, members, self.now)
         ctx.audit(detail=f"{reclaimed}B")
         return reclaimed
 
@@ -1257,7 +1290,7 @@ class DataService(PlaneService):
     @rpc_op("sync_container", scope_arg="path", write=True,
             audit="sync-container", need="write", target="container")
     def sync_container(self, ctx: OpContext, path: str) -> int:
-        count = self.containers.sync(ctx.target["oid"], now=self.now,
-                                     server_host=self.host)
+        count = self._refresh(int(ctx.target["oid"]), "container-sync",
+                              "abort")
         ctx.audit(detail=str(count))
         return count

@@ -12,7 +12,6 @@ from typing import Dict, Optional
 
 from repro.core.dispatch import OpContext, rpc_op
 from repro.core.planes.base import PlaneService, content_checksum
-from repro.core.replication import synchronize
 from repro.errors import PinnedFile, SrbError, UnsupportedOperation
 from repro.util import paths
 
@@ -103,10 +102,7 @@ class ReplicaService(PlaneService):
             need="write", target="object")
     def synchronize(self, ctx: OpContext, path: str) -> int:
         """Refresh dirty replicas from a clean one."""
-        count = synchronize(self.mcat, self.resources,
-                            self.federation.channels,
-                            int(ctx.target["oid"]),
-                            placement=self.federation.placement)
+        count = self._refresh(int(ctx.target["oid"]), "synchronize", "skip")
         ctx.audit(detail=str(count))
         return count
 
@@ -147,8 +143,13 @@ class ReplicaService(PlaneService):
         self._resource_session(src_res)
         data = src_res.driver.read(src["physical_path"])
         phys = f"/srb/moved/{oid}-{paths.basename(str(obj['path']))}"
-        self._store(src_res.host, dst_list, phys, data, "move")
-        src_res.driver.delete(src["physical_path"])
+        moved = [(dst_res, phys)]
+        self._store(src_res.host, moved, data, "move")
+        try:
+            self._remove([(src_res, src["physical_path"])], "move")
+        except SrbError:
+            self._remove(moved, "rollback", "skip")     # no second copy
+            raise
         self.mcat.update_replica(oid, src["replica_num"], resource=dst_res.name,
                                  physical_path=phys, size=len(data))
 

@@ -3,8 +3,9 @@
 The paper's replication claim this module carries: "the consistency of
 the replicas should be maintained with very little effort on the part
 of the users" (write-one/mark-dirty plus :func:`synchronize`, the
-replica-refresh algorithm).  Which replica to read, fail over to or
-refresh from is decided in :mod:`repro.policy` — one pluggable
+catalog half of the replica refresh; a server moves the bytes).  Which
+replica to read, fail over to or refresh from is decided in
+:mod:`repro.policy` — one pluggable
 :class:`~repro.policy.engine.PlacementEngine` per federation carries the
 load-balancing (E3) and fault-tolerance (E2) claims; see DESIGN.md,
 "Placement policy engine".
@@ -12,12 +13,12 @@ load-balancing (E3) and fault-tolerance (E2) claims; see DESIGN.md,
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Tuple
 
-from repro.errors import ReplicaUnavailable, ReplicationError
+from repro.errors import ReplicationError
 from repro.mcat.catalog import Mcat
 from repro.policy import PlacementEngine
-from repro.storage.resource import ResourceRegistry
+
 
 def pick_clean_available(placement: PlacementEngine,
                          replicas: List[Dict[str, Any]],
@@ -29,58 +30,23 @@ def pick_clean_available(placement: PlacementEngine,
     return placement.failover_chain(replicas, **kwargs)
 
 
-def synchronize(mcat: Mcat, resources: ResourceRegistry, channels: Any,
-                oid: int, placement: Optional[PlacementEngine] = None) -> int:
-    """Refresh every dirty replica of ``oid`` from a clean one.
+def synchronize(mcat: Mcat, oid: int) -> Tuple[List[Dict[str, Any]],
+                                               List[Dict[str, Any]]]:
+    """The catalog half of refreshing ``oid``'s dirty replicas: its
+    clean and its dirty copies outside containers, in catalog order.
+    Raises :class:`ReplicationError` when a dirty copy has no clean one
+    to come from.
 
-    Bytes move clean-resource-host -> dirty-resource-host through
-    ``channels`` (the federation's
-    :class:`~repro.core.federation.ChannelBroker`, whose leg runner
-    overlaps the pushes and decides whether they are raw transfers or
-    ticketed channels); returns the number of replicas refreshed.  A
-    member that cannot be reached — one dirty copy or one of many — is
-    skipped: it stays dirty and does not poison its siblings' refresh.
-
-    ``placement`` (the federation's engine) chooses which clean replica
-    sources the refresh: under a static policy the preference is the
-    historical catalog order, under ``observed`` it is the replica with
-    the smallest predicted total push time to the dirty hosts.
-    """
+    The bytes are the server's to move: a plane's
+    :meth:`~repro.core.planes.base.PlaneService._refresh` picks the
+    source (through the placement engine), reads it and rewrites every
+    dirty copy through its write loop, then marks each rewritten copy
+    clean."""
     replicas = mcat.replicas(oid)
     clean = [r for r in replicas if not r["is_dirty"]
              and r["container_oid"] is None]
     dirty = [r for r in replicas if r["is_dirty"]
              and r["container_oid"] is None]
-    if not dirty:
-        return 0
-    if not clean:
+    if dirty and not clean:
         raise ReplicationError(f"object {oid} has no clean replica to sync from")
-    if placement is not None:
-        dirty_hosts = sorted({resources.physical(r["resource"]).host
-                              for r in dirty
-                              if resources.available(r["resource"])})
-        clean = placement.sync_source_order(clean, dirty_hosts)
-    source = None
-    for rep in clean:
-        if resources.available(rep["resource"]):
-            source = rep
-            break
-    if source is None:
-        raise ReplicaUnavailable(f"no clean replica of {oid} reachable")
-    src_res = resources.physical(source["resource"])
-    data = src_res.driver.read_all(source["physical_path"])
-
-    targets = [(rep, resources.physical(rep["resource"])) for rep in dirty
-               if resources.available(rep["resource"])]
-    outcomes = channels.run_legs(
-        [(src_res.host, dst_res.host, len(data), rep["physical_path"])
-         for rep, dst_res in targets], "synchronize")
-    refreshed = 0
-    for (rep, dst_res), outcome in zip(targets, outcomes):
-        if not outcome.ok:
-            continue
-        dst_res.driver.replace(rep["physical_path"], data)
-        mcat.update_replica(oid, rep["replica_num"],
-                            is_dirty=False, size=len(data))
-        refreshed += 1
-    return refreshed
+    return clean, dirty

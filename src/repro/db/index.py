@@ -108,11 +108,9 @@ class NestedIndex:
         """A fresh list of the rids whose first column is ``value``,
         ascending."""
         inner = self._map[value] if value in self._map else {}
-        rids = [rid for second in inner for rid in (
+        return sorted([rid for second in inner for rid in (
             (inner[second],) if type(inner[second]) is int
-            else inner[second])]
-        rids.sort()
-        return rids
+            else inner[second])])
 
     def pairs(self, firsts: Sequence[Any], seconds) -> List[int]:
         """The rids of every pair ``(f, s)`` with ``f`` in ``firsts`` and

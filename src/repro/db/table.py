@@ -550,10 +550,13 @@ class Table:
                 self.scan_counter.total += 1
                 yield rid
 
-    def lookup_eq(self, column: str, value: Any) -> List[int]:
+    def lookup_eq(self, column: IndexKey, value: Any) -> List[int]:
         """Row ids where ``column == value``, via index if available (a
         hash index over a pair answers for its first column); either way
-        in ascending rid order, a fresh list."""
+        in ascending rid order, a fresh list.  A pair of columns is
+        looked up as the one key ``value`` of :meth:`lookup_pairs`."""
+        if type(column) is tuple:
+            return self.lookup_pairs(column, value[:1], value[1:])
         if column in self._hash_indexes:
             rids = self._hash_indexes[column].get(value)
         elif column in self._leading:

@@ -2,9 +2,10 @@
 became one body (``DataService._ingest``) — the oracle
 ``tests/core/test_ingest_oracle.py`` compares that body with.
 
-The two handlers are kept verbatim.  So is what ``_push`` did for them:
-it refused a member whose host was down itself, where the write loop now
-asks ``PlaneService._require_up`` first.
+The two handlers are kept verbatim, but for what the write loop has
+since become: a container append is ``DataService._append`` and the row
+it leaves, and a push is ``PlaneService._reach`` with a payload (which
+refuses a member whose host is down itself).
 
 :func:`oracle_servers` makes the servers a federation adds meanwhile
 serve these handlers.  They asked the catalog ``collection_exists``,
@@ -70,8 +71,13 @@ class OracleDataService(DataService):
             if container is not None:
                 cont = self.containers.get_container(container)
                 self.access.require_object(principal, cont, "write")
-                self.containers.append_member(cont, oid, data, now=self.now,
-                                              server_host=ctx.payload_host)
+                res, primary, offset = self._append(
+                    int(cont["oid"]), data, ctx.payload_host,
+                    "container-append")
+                self.mcat.add_replica(
+                    oid, res.name, primary["physical_path"], len(data),
+                    now=self.now, container_oid=int(cont["oid"]),
+                    offset=offset)
             else:
                 resource = resource or self.federation.default_resource
                 if resource is None:
@@ -183,8 +189,9 @@ class OracleDataService(DataService):
             res_list = self.federation.placement.order_resources(
                 self.resources.resolve(resource), from_host=self.host)
             if prepared:
-                self._push(ctx.payload_host, res_list,
-                           sum(len(p[2]) for p in prepared), "", "bulk-ingest")
+                self._reach([(res, "") for res in res_list], "bulk-ingest",
+                            src_host=ctx.payload_host,
+                            nbytes=sum(len(p[2]) for p in prepared))
 
         # phase 2: one bulk catalog write registers every object row
         specs = [{"path": p, "kind": "data", "data_type": dt,
@@ -206,9 +213,13 @@ class OracleDataService(DataService):
                 i, path, data, _md, oid = entry
                 try:
                     cont = self.containers.get_container(cont_path)
-                    self.containers.append_member(
-                        cont, oid, data, now=self.now,
-                        server_host=ctx.payload_host)
+                    res, primary, offset = self._append(
+                        int(cont["oid"]), data, ctx.payload_host,
+                        "container-append")
+                    self.mcat.add_replica(
+                        oid, res.name, primary["physical_path"], len(data),
+                        now=self.now, container_oid=int(cont["oid"]),
+                        offset=offset)
                 except SrbError as exc:
                     self.mcat.delete_object(oid)
                     fail(i, path, exc)
@@ -253,12 +264,6 @@ class OracleDataService(DataService):
         if ctx.span is not None:
             ctx.span.incr("payload_bytes", total_bytes)
         return results
-
-    def _push(self, src_host: str, res_list: Sequence[PhysicalResource],
-              nbytes: int, path_key: str, label: str) -> None:
-        self._require_up(res_list)
-        super()._push(src_host, res_list, nbytes, path_key, label)
-
 
 @contextmanager
 def oracle_servers():

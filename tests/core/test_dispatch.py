@@ -204,6 +204,33 @@ def test_lint_dispatch_is_clean():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
+def test_lint_refuses_a_driver_mutation_outside_the_write_loop(
+        tmp_path, monkeypatch):
+    """Rule 11 has no allowlist: ``delete`` as it removed bytes before
+    its act rode a leg fails, on a tree where ``core/planes/base.py``
+    makes the same call and a read sits beside it."""
+    from tests.core.test_wiring import load_lint
+    lint = load_lint()
+    assert lint.check_driver_mutations() == []
+    planes = tmp_path / "src" / "repro" / "core" / "planes"
+    planes.mkdir(parents=True)
+    (planes / "data.py").write_text(
+        "class DataService:\n"
+        "    def delete(self, ctx, path):\n"
+        "        for res, phys in files:\n"
+        "            if res.driver.exists(phys):\n"
+        "                res.driver.delete(phys)\n")
+    (planes / "base.py").write_text(
+        "class PlaneService:\n"
+        "    def _remove(self, files, label):\n"
+        "        for res, phys in files:\n"
+        "            res.driver.delete(phys)\n")
+    monkeypatch.setattr(lint, "ROOT", tmp_path)
+    (error,) = lint.check_driver_mutations()
+    assert error.startswith("src/repro/core/planes/data.py:5: "
+                            "driver.delete() outside core/planes/base.py")
+
+
 class TestRpcSurface:
     def test_internal_helpers_not_remotely_callable(self, fed):
         for method in ("_auth", "_audit", "_mcat_hop", "dispatch", "mcat",
@@ -438,13 +465,14 @@ class TestPayloadSlot:
         client = SrbClient(fed, "laptop", "srb1", "srbadmin@sdsc", "hunter2")
         client.login()
         pushed_from = []
-        push = PlaneService._push
+        reach = PlaneService._reach
 
-        def spy(self, src_host, *args, **kwargs):
-            pushed_from.append(src_host)
-            return push(self, src_host, *args, **kwargs)
+        def spy(self, *args, src_host=None, **kwargs):
+            if src_host is not None:
+                pushed_from.append(src_host)
+            return reach(self, *args, src_host=src_host, **kwargs)
 
-        monkeypatch.setattr(PlaneService, "_push", spy)
+        monkeypatch.setattr(PlaneService, "_reach", spy)
         home = "/demozone/home"
         calls = {
             "ingest": lambda: client.ingest(home + "/p.dat", b"one"),

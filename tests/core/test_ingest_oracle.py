@@ -390,9 +390,9 @@ def test_one_body_matches_the_two_it_replaced(mode, calls):
         else:
             assert got_new == got_old
             results = got_new[1] if got_new[0] == "ok" else []
-            if container and any("oid" in r for r in results):
-                ops += 1            # the first member's re-read
-                rows += 1
+            if container:           # each member's re-read
+                ops += sum("oid" in r for r in results)
+                rows += sum("oid" in r for r in results)
             if members and any(r.get("error_type") == "AlreadyExists"
                                for r in results):
                 event("bug: bulk push of a taken path")

@@ -189,8 +189,8 @@ class TestRollbackCharged:
         for res in (r1, r2, r3):
             res.driver.create("/half", b"partial")
         before = fed.network.messages_sent
-        srv.data._rollback_created([(r1, "/half"), (r2, "/half"),
-                                    (r3, "/half")])
+        srv.data._remove([(r1, "/half"), (r2, "/half"), (r3, "/half")],
+                         "rollback", "skip")
         assert fed.network.messages_sent == before + 2   # r2, r3 only
         for res in (r1, r2, r3):
             assert not res.driver.exists("/half")
@@ -224,7 +224,7 @@ class TestRollbackCharged:
         r2.driver.create("/half", b"partial")
         fed.network.set_down("h2")
         before = fed.network.failed_attempts
-        srv.data._rollback_created([(r2, "/half")])
+        srv.data._remove([(r2, "/half")], "rollback", "skip")
         assert fed.network.failed_attempts == before + 1
         assert r2.driver.exists("/half")     # orphan, documented
 

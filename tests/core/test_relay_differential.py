@@ -21,7 +21,6 @@ import pytest
 from repro.core import Federation, SrbClient
 from repro.core.federation import ChannelBroker
 from repro.core.planes.base import RELAY_BLOCK, PlaneService
-from repro.core.replication import synchronize
 from repro.errors import HostUnreachable, ResourceUnavailable, SrbError
 from repro.net.simnet import (
     TRANSCON, WAN, LinkSpec, TransferGroup, TransferOutcome,
@@ -456,9 +455,9 @@ def test_a_push_that_fails_leaves_no_relay_behind():
 
 
 def test_direct_calls_after_a_relayed_ingest_hide_nothing():
-    """``replication.synchronize`` and ``ContainerManager.sync``, called
-    directly (from a test or a benchmark, with no op being served),
-    move bytes that were at rest."""
+    """A replica refresh and a container's sync, run on a plane directly
+    (from a test or a benchmark, with no op being served), move bytes
+    that were at rest."""
     fed, client = build("hc")
     client.ingest(F, PAYLOAD, resource="both")
     client.put(F, PAYLOAD[::-1])                # the other member is dirty
@@ -466,9 +465,10 @@ def test_direct_calls_after_a_relayed_ingest_hide_nothing():
     before = hidden_by_label(fed)
     assert before != {}
     oid = int(fed.mcat.get_object(F)["oid"])
-    assert synchronize(fed.mcat, fed.resources, fed.channels, oid) == 1
+    server = fed.server("s1")
+    assert server.replica._refresh(oid, "synchronize", "skip") == 1
     cont = int(fed.mcat.get_object(BOX)["oid"])
-    assert fed.containers.sync(cont, now=fed.clock.now) == 1
+    assert server.data._refresh(cont, "container-sync", "abort") == 1
     assert hidden_by_label(fed) == before
     assert check_invariants(fed) == []
 

@@ -2,20 +2,19 @@
 
 import pytest
 
-from repro.core import replication
-from repro.core.federation import ChannelBroker
+from repro.core import Federation
 from repro.errors import ReplicaUnavailable, ReplicationError
-from repro.mcat import Mcat
 from repro.net.simnet import LAN, WAN, Network
 from repro.policy import PlacementEngine
 from repro.storage.memfs import MemFsDriver
 from repro.storage.resource import PhysicalResource, ResourceRegistry
 
 
-def synchronize(mcat, reg, net, oid):
-    """``replication.synchronize`` over a bare network: it moves bytes
-    through a leg runner, here a broker with direct I/O off."""
-    return replication.synchronize(mcat, reg, ChannelBroker(None, net), oid)
+def synchronize(plane, oid):
+    """The replica refresh of the ``synchronize`` op, run on ``plane``:
+    ``replication.synchronize`` names the copies, the plane's write loop
+    moves the bytes."""
+    return plane._refresh(oid, "synchronize", "skip")
 
 
 @pytest.fixture
@@ -140,8 +139,14 @@ class TestFailoverChain:
 class TestSynchronize:
     @pytest.fixture
     def sync_env(self, env):
-        net, reg = env
-        mcat = Mcat()
+        """The two resources of ``env`` under a federation on its
+        network, whose server sits on the client's host."""
+        net, _reg = env
+        fed = Federation(zone="demozone", network=net)
+        fed.add_server("s", "client", mcat=True)
+        fed.add_fs_resource("res-near", "near")
+        fed.add_fs_resource("res-far", "far")
+        reg, mcat = fed.resources, fed.mcat
         mcat.create_collection("/demozone/c", "u@d", now=0.0)
         oid = mcat.create_object("/demozone/c/x", "data", "u@d", now=0.0)
         near = reg.physical("res-near")
@@ -151,38 +156,38 @@ class TestSynchronize:
         mcat.add_replica(oid, "res-near", "/p1", 10, now=0.0)
         mcat.add_replica(oid, "res-far", "/p2", 5, now=0.0)
         mcat.mark_siblings_dirty(oid, 1)    # replica 2 becomes dirty
-        return net, reg, mcat, oid
+        return net, reg, mcat, oid, fed.server("s").replica
 
     def test_refreshes_dirty_copies(self, sync_env):
-        net, reg, mcat, oid = sync_env
-        assert synchronize(mcat, reg, net, oid) == 1
+        net, reg, mcat, oid, plane = sync_env
+        assert synchronize(plane, oid) == 1
         assert reg.physical("res-far").driver.read("/p2") == b"fresh data"
         assert all(not r["is_dirty"] for r in mcat.replicas(oid))
 
     def test_noop_when_all_clean(self, sync_env):
-        net, reg, mcat, oid = sync_env
-        synchronize(mcat, reg, net, oid)
-        assert synchronize(mcat, reg, net, oid) == 0
+        net, reg, mcat, oid, plane = sync_env
+        synchronize(plane, oid)
+        assert synchronize(plane, oid) == 0
 
     def test_charges_network_for_cross_host_copy(self, sync_env):
-        net, reg, mcat, oid = sync_env
+        net, reg, mcat, oid, plane = sync_env
         t0 = net.clock.now
-        synchronize(mcat, reg, net, oid)
+        synchronize(plane, oid)
         assert net.clock.now > t0
 
     def test_no_clean_replica_raises(self, sync_env):
-        net, reg, mcat, oid = sync_env
+        net, reg, mcat, oid, plane = sync_env
         # dirty both replicas via direct table surgery
-        t = mcat.db.table("replicas")
+        t = mcat.shards[0].primary.db.table("replicas")
         for rid in t.lookup_eq("oid", oid):
             t.update_row(rid, {"is_dirty": True})
         with pytest.raises(ReplicationError):
-            synchronize(mcat, reg, net, oid)
+            synchronize(plane, oid)
 
     def test_unreachable_dirty_target_skipped(self, sync_env):
-        net, reg, mcat, oid = sync_env
+        net, reg, mcat, oid, plane = sync_env
         net.set_down("far")
-        assert synchronize(mcat, reg, net, oid) == 0
+        assert synchronize(plane, oid) == 0
 
     @pytest.mark.parametrize("n_dirty", [1, 2])
     def test_partitioned_target_skipped_whatever_the_dirty_count(
@@ -194,7 +199,7 @@ class TestSynchronize:
         aborted the refresh of its reachable siblings.  One rule: the
         member that cannot be reached is skipped and stays dirty, the
         others refresh, the return value is the number refreshed."""
-        net, reg, mcat, oid = sync_env
+        net, reg, mcat, oid, plane = sync_env
         if n_dirty == 2:
             # a second dirty copy, numbered after the unreachable one
             reg.add_physical(PhysicalResource("res-client", "client",
@@ -204,7 +209,7 @@ class TestSynchronize:
             mcat.mark_siblings_dirty(oid, 1)
         net.partition("near", "far")
         failed = net.failed_attempts
-        assert synchronize(mcat, reg, net, oid) == n_dirty - 1
+        assert synchronize(plane, oid) == n_dirty - 1
         assert net.failed_attempts == failed + 1     # the timeout is paid
         by_num = {r["replica_num"]: r for r in mcat.replicas(oid)}
         assert by_num[2]["is_dirty"]
@@ -215,5 +220,5 @@ class TestSynchronize:
                 == b"fresh data"
         # healed, the skipped copy refreshes on the next call
         net.heal("near", "far")
-        assert synchronize(mcat, reg, net, oid) == 1
+        assert synchronize(plane, oid) == 1
         assert reg.physical("res-far").driver.read("/p2") == b"fresh data"

@@ -130,3 +130,19 @@ def test_a_first_value_is_filed_once():
         idx.remove(pair, rid)
     idx.remove((5, "a"), 9)                      # nothing filed: a no-op
     assert idx._map == {2: {"a": 3}}
+
+
+def test_lookup_eq_of_a_pair_answers_its_one_key_with_or_without_the_index():
+    """``lookup_eq`` accepts a pair of columns as ``lookup_range``,
+    ``count_range``, ``create_index`` and ``drop_index`` do: the rows
+    whose pair is ``value``, ascending, charged as those rows through the
+    index and as a scan of the first value's rows without it."""
+    t = Table("t", COLUMNS)
+    t.insert_many([{"tid": tid, "attr": attr} for tid in TIDS
+                   for attr in ATTRS] + [{"tid": 2, "attr": "b"}])
+    unindexed = charged(t, lambda: t.lookup_eq(KEY, (2, "b")))
+    assert unindexed == ([7, 12], len(t))
+    t.create_index(KEY)
+    assert charged(t, lambda: t.lookup_eq(KEY, (2, "b"))) == ([7, 12], 2)
+    assert charged(t, lambda: t.lookup_eq(KEY, (9, "b"))) == ([], 0)
+    assert t.lookup_eq(KEY, (2, "b")) == scanned(t, {2}, {"b"})

@@ -174,7 +174,7 @@ class TestByDesign:
     def test_an_unreachable_member_keeps_what_a_rollback_left(self):
         """The second member refuses the file, and the first became
         unreachable before the rollback could delete its copy: the bytes
-        stay, charged as a timed-out message (``_rollback_created``).
+        stay, charged as a timed-out message (``_remove``, ``"skip"``).
         Nothing reaps them when the host returns."""
         fed, client = build()
         disk = fed.resources.physical("disk").driver

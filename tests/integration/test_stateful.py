@@ -13,11 +13,15 @@ rule the invariants assert that:
 * the grid breaks none of ``tests/invariants.py``'s invariants.
 
 Faults are rules too: the storage host ``h1`` goes down and comes back,
-and on the replicated catalog a read replica is cut off and healed.
-While a host is down an op may fail with a typed ``SrbError``; the
+a partition cuts it off from the server's host ``h0`` and heals, and on
+the replicated catalog a read replica is cut off and healed.  While the
+server cannot reach ``h1`` an op may fail with a typed ``SrbError``; the
 model takes that as no change, and every invariant must still hold —
 so a failed op that changed anything is caught at that step.  A read
-may fail only when no clean copy of its bytes is on a host that is up.
+may fail only when no clean copy of its bytes is on a host the server
+reaches.  Two replays of what the partition rule guards — a ``delete``
+and a ``checkin`` refused across a partition, leaving bytes and rows as
+they were — are the tests after the machines.
 
 A second client, on a host of its own, ingests onto a remote and a
 logical resource and into a container, with payloads that are
@@ -37,9 +41,12 @@ from hypothesis.stateful import (
     rule,
 )
 
+import pytest
+
 from repro.core import Federation, SrbClient
 from repro.core.planes.base import RELAY_BLOCK
-from repro.errors import LockConflict, SrbError
+from repro.errors import HostUnreachable, LockConflict, SrbError
+from repro.workload import standard_grid
 from tests.invariants import check_invariants
 
 NAMES = [f"f{i}" for i in range(6)]
@@ -47,8 +54,10 @@ COLL = "/z/w"
 MEMBERS = [f"m{i}" for i in range(3)]
 MEMBER_COLL = "/z/c"
 BOX = "/z/box"
-#: the storage host the fault rules take down and bring back
+#: the storage host the fault rules take down, cut off, and bring back
 STORAGE_HOST = "h1"
+#: the host of the server every client calls
+SERVER_HOST = "h0"
 #: a few bytes, or a few bytes repeated past one relay block
 PAYLOADS = st.one_of(
     st.binary(min_size=1, max_size=40),
@@ -89,8 +98,9 @@ class GridMachine(RuleBasedStateMachine):
     # -- faults ------------------------------------------------------------
 
     def _faulted(self) -> bool:
-        """Is the storage host down, so that an op may fail?"""
-        return not self.fed.network.host(STORAGE_HOST).up
+        """Can the server not reach the storage host (down, or cut off
+        by a partition), so that an op may fail?"""
+        return not self.fed.network.reachable(SERVER_HOST, STORAGE_HOST)
 
     def _done(self, call, *args, **kwargs) -> bool:
         """Run one client call.  While a host is down it may fail with
@@ -105,13 +115,14 @@ class GridMachine(RuleBasedStateMachine):
 
     def _reachable(self, path: str) -> bool:
         """Is a clean copy of ``path``'s bytes (a member's: of its
-        container's) on a host that is up?"""
+        container's) on a host the server reaches?"""
         mcat, fed = self.fed.mcat, self.fed
         reps = mcat.replicas(mcat.get_object(path)["oid"])
         if reps and reps[0]["container_oid"] is not None:
             reps = mcat.replicas(reps[0]["container_oid"])
-        return any(not r["is_dirty"] and fed.network.host(
-            fed.resources.physical(r["resource"]).host).up for r in reps)
+        return any(not r["is_dirty"] and fed.network.reachable(
+            SERVER_HOST, fed.resources.physical(r["resource"]).host)
+            for r in reps)
 
     def _read_matches(self, client, path: str, data: bytes) -> None:
         """A read answers the model's bytes, or fails only when no
@@ -130,6 +141,14 @@ class GridMachine(RuleBasedStateMachine):
     @rule()
     def set_up(self):
         self.fed.network.set_up(STORAGE_HOST)
+
+    @rule()
+    def partition(self):
+        self.fed.network.partition(SERVER_HOST, STORAGE_HOST)
+
+    @rule()
+    def heal(self):
+        self.fed.network.heal(SERVER_HOST, STORAGE_HOST)
 
     # -- rules -----------------------------------------------------------
 
@@ -334,3 +353,46 @@ ReplicatedGridMachine.TestCase.settings = settings(
 
 TestGridMachine = GridMachine.TestCase
 TestReplicatedGridMachine = ReplicatedGridMachine.TestCase
+
+
+# -- replays: a server does not act on a host it cannot reach -------------------
+
+def partitioned_grid():
+    """``standard_grid()`` with the curator's ``f`` on ``unix-caltech``
+    (ingested through ``srb1`` at sdsc), then sdsc cut off from
+    caltech: ``(grid, path, its bytes, its oid)``."""
+    grid = standard_grid()
+    path, data = f"{grid.home}/f", b"x" * 1000
+    oid = grid.curator.ingest(path, data, resource="unix-caltech")
+    return grid, path, data, oid
+
+
+def test_a_delete_across_a_partition_keeps_bytes_and_rows():
+    grid, path, data, oid = partitioned_grid()
+    fed = grid.fed
+    (rep,) = fed.mcat.replicas(oid)
+    fed.network.partition("sdsc", "caltech")
+    with pytest.raises(HostUnreachable):
+        grid.curator.delete(path)
+    driver = fed.resources.physical("unix-caltech").driver
+    assert driver.read(rep["physical_path"]) == data
+    assert fed.mcat.replicas(oid) == [rep]
+    fed.network.heal("sdsc", "caltech")
+    grid.curator.delete(path)
+    assert not driver.exists(rep["physical_path"])
+
+
+def test_a_checkin_across_a_partition_writes_no_version():
+    grid, path, data, oid = partitioned_grid()
+    fed = grid.fed
+    grid.curator.checkout(path)
+    fed.network.partition("sdsc", "caltech")
+    with pytest.raises(HostUnreachable):
+        grid.curator.checkin(path)
+    driver = fed.resources.physical("unix-caltech").driver
+    assert not driver.exists(f"/srb/versions/{oid}-v1")
+    assert fed.locks.versions_of(oid) == []
+    assert fed.mcat.get_object(path)["checked_out_by"] is not None
+    fed.network.heal("sdsc", "caltech")
+    assert grid.curator.checkin(path) == 2
+    assert driver.read(f"/srb/versions/{oid}-v1") == data

@@ -72,7 +72,7 @@ class TestUnderDirectIo:
         r2.driver.create("/half", b"partial")
         before = direct(fed)
         legs = wire_legs(fed, lambda: fed.server("s1").data
-                         ._rollback_created([(r2, "/half")]))
+                         ._remove([(r2, "/half")], "rollback", "skip"))
         assert legs == [("h1", "h2", 256, 1)]
         assert not r2.driver.exists("/half")
         assert direct(fed) == before
@@ -137,3 +137,43 @@ class TestSentAsBefore:
             fed.channels.inbound = None
         assert legs == [("h1", "h2", 10**6, 1)]
         assert fed.obs.metrics.total("net.relay.hidden_s") == 0
+
+
+def setup_act(fed, client, act, where):
+    """Before ``act``: ``HOME/f`` stored on the resource of ``where``
+    (``r1`` beside ``s1``, ``r2`` on another host; for a pin, an archive
+    there; for a compaction, as a member of a container there that an
+    update left garbage in).  Returns the act, a call of ``client``."""
+    host = "h1" if where == "local" else "h2"
+    path, box = f"{HOME}/f", f"{HOME}/box"
+    if act == "pin":
+        fed.add_archive_resource("a-" + host, host)
+        client.ingest(path, b"bytes", resource="a-" + host)
+        return lambda: client.pin(path, "a-" + host)
+    resource = "r1" if where == "local" else "r2"
+    if act == "compact_container":
+        client.create_container(box, resource)
+        client.ingest(path, b"first", container=box)
+        client.put(path, b"second")
+        return lambda: client.compact_container(box)
+    client.ingest(path, b"bytes", resource=resource)
+    if act == "checkin":
+        client.checkout(path)
+        return lambda: client.checkin(path)
+    return lambda: client.delete(path)
+
+
+@pytest.mark.parametrize("where", ["remote", "local"])
+@pytest.mark.parametrize("act", ["delete", "checkin", "compact_container",
+                                 "pin"])
+def test_an_act_on_a_resource_charges_one_control_leg_to_its_host(act, where):
+    """An act whose bytes ride no payload leg to the resource's host —
+    a delete, a version copied aside within the host, a container
+    rewritten in place, a cache pin — is carried there by one control
+    message from the server, sent first; on the server's own host it
+    needs none."""
+    fed, client = build()
+    run = setup_act(fed, client, act, where)
+    control = [leg for leg in wire_legs(fed, run)
+               if leg[0] == "h1" and leg[1] != "hc" and leg[2] == 256]
+    assert control == ([("h1", "h2", 256, 1)] if where == "remote" else [])

@@ -20,27 +20,39 @@ CEILINGS = {
     #   only the triples it names through (db 1,308 -> 1,396, mcat 1,864
     #   -> 1,868); + a run of leaves sized in passes on the wire; + the
     #   chain levels an op's collection checks hand to the rows it lists;
-    #   11,269 -> 11,410
-    "src/repro": 11_410,
-    "src/repro/core/containers.py": 144,
+    #   11,269 -> 11,410; - the byte movement of ContainerManager and
+    #   replication.synchronize, now the planes' one write loop, 11,394
+    "src/repro": 11_394,
+    # the catalog side of containers only: rows, primary copy, members
+    "src/repro/core/containers.py": 62,
     # + the per-op chain levels opened and dropped with the op
     "src/repro/core/dispatch.py": 353,
     # + the runner's control leg: a leg whose path_key is None is sent
     #   blocking, in order, on one stream (it replaced three raw sends in
     #   the planes, so base.py and the lint allowlist shrank)
     "src/repro/core/federation.py": 296,
-    "src/repro/core/planes/base.py": 227,
+    # + every driver mutation of the grid and the one rule that carries
+    #   an act to a resource's host first (_reach: sessions, control
+    #   messages, payload legs, abort or skip), the write loop _store
+    #   with create/replace/append, _remove, _pin and _refresh (the
+    #   replica refresh of synchronize and of a container's sync, moved
+    #   here from replication.py and containers.py)
+    "src/repro/core/planes/base.py": 296,
     # + delete removes bytes all or none: a pinned replica or a storage
-    #   system that is down refuses it before any replica goes
-    "src/repro/core/planes/data.py": 876,
-    "src/repro/core/planes/replica.py": 152,
-    "src/repro/core/replication.py": 49,
+    #   system that is down refuses it before any replica goes; + the
+    #   container acts moved in from ContainerManager (append, create,
+    #   compaction), each through the write loop
+    "src/repro/core/planes/data.py": 902,
+    # + a physical move whose source delete is refused takes back the
+    #   copy it made
+    "src/repro/core/planes/replica.py": 153,
+    "src/repro/core/replication.py": 19,
     # + an equality predicate on the first column of a pair's hash index
     #   is answered by that index
     "src/repro/db/engine.py": 412,
     # + NestedIndex, the hash index over a pair, and the bucket upkeep
     #   it shares with HashIndex
-    "src/repro/db/index.py": 146,
+    "src/repro/db/index.py": 144,
     # + like_to_regex's compiled-pattern cache is a private helper, so the
     #   public name stays a function that carries its docstring
     "src/repro/db/sql.py": 364,
@@ -50,8 +62,9 @@ CEILINGS = {
     #   + restore_rows builds each row as insert does, - the unread
     #   _known and lookup_eq's hand-written scan loop; + the hash index
     #   over a pair: its upkeep in the row plan, lookup_eq on its first
-    #   column, lookup_pairs, and count_eq for the cost rule
-    "src/repro/db/table.py": 465,
+    #   column, lookup_pairs, and count_eq for the cost rule; + lookup_eq
+    #   of a pair of columns answered as lookup_pairs
+    "src/repro/db/table.py": 467,
     # the catalog's two packages, held together as well as file by file;
     # - the dicts, __len__, schema and extraction lookups only tests called
     "src/repro/db": 1_396,

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Lint the plane services against the dispatch pipeline contract.
 
-Ten rules keep the refactored server honest (see DESIGN.md, "SRB
+Eleven rules keep the refactored server honest (see DESIGN.md, "SRB
 server architecture" and "Placement policy engine"):
 
 1. **Every public plane-service method is a declared op.**  The RPC
@@ -61,7 +61,7 @@ server architecture" and "Placement policy engine"):
    and invisible to channel admission, and they would overlap with
    nothing.  Handlers describe legs and hand them to
    ``ChannelBroker.run_legs`` (through the ``planes/base.py`` write
-   loop ``_store``/``_push`` and read delivery ``_deliver``).  A
+   loop ``_store``/``_reach`` and read delivery ``_deliver``).  A
    *control* message — a session handshake, a rollback delete, a
    method request — is a leg too, one whose ``path_key`` is ``None``:
    the runner sends it blocking, in order, never on a channel.  No
@@ -98,6 +98,20 @@ server architecture" and "Placement policy engine"):
     required-flag checks, one ``self.client.<op>(...)`` call of words
     taken straight off the command line, and a return of a constant or
     a formatted result is such a command written out.  No allowlist.
+
+11. **Only the write loop changes what a storage system holds.**  A
+    call of ``.driver.create``, ``replace``, ``append``, ``delete``,
+    ``pin`` or ``unpin`` anywhere under ``src/repro`` outside
+    ``core/planes/base.py`` fails.  There, every act on a resource is
+    carried to its host by a leg in the same call
+    (``PlaneService._reach``: the payload leg, or one control message
+    first), so a server cannot change bytes on a host it cannot reach.
+    What stays outside the rule, and why: reads (``read``, ``size``,
+    ``exists``, ``is_online``), each guarded by its epoch-keyed session
+    and its delivery leg; the placement engine's ``is_online`` ranking
+    read; and ``Federation.cache_sweep``'s ``purge_cache``, an
+    operator's sweep of the archive caches, not a server's act.  No
+    allowlist.
 
 Run from the repository root::
 
@@ -343,7 +357,7 @@ def check_raw_transfers() -> List[str]:
                 f"{path.relative_to(ROOT)}:{node.lineno}: raw "
                 f"network.transfer() in {func}() — describe the leg and "
                 f"hand it to the leg runner (ChannelBroker.run_legs, via "
-                f"_store/_push/_deliver; a control message is a leg "
+                f"_store/_reach/_deliver; a control message is a leg "
                 f"whose path_key is None) so the broker picks its route")
     return errors
 
@@ -544,6 +558,33 @@ def check_no_forwarding_scommands() -> List[str]:
     return errors
 
 
+#: the driver calls that change what a storage system holds (rule 11)
+DRIVER_MUTATIONS = {"create", "replace", "append", "delete", "pin", "unpin"}
+
+
+def check_driver_mutations() -> List[str]:
+    """Rule 11: driver mutations only in ``core/planes/base.py``."""
+    errors = []
+    src_repro = ROOT / "src" / "repro"
+    for path in sorted(src_repro.rglob("*.py")):
+        rel = path.relative_to(ROOT).as_posix()
+        if rel == "src/repro/core/planes/base.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in DRIVER_MUTATIONS
+                    and isinstance(node.func.value, ast.Attribute)
+                    and node.func.value.attr == "driver"):
+                errors.append(
+                    f"{rel}:{node.lineno}: driver.{node.func.attr}() "
+                    f"outside core/planes/base.py — hand the act to the "
+                    f"write loop (_store/_remove/_pin), which carries it "
+                    f"to the resource's host on a leg first")
+    return errors
+
+
 def main() -> int:
     errors = (check_public_methods_declared() + check_no_inline_plumbing()
               + check_mcat_via_self() + check_no_catalog_type_tests()
@@ -552,7 +593,8 @@ def main() -> int:
               + check_no_forwarding_properties()
               + check_no_plain_client_forwards()
               + check_declared_checks_not_repeated()
-              + check_no_forwarding_scommands())
+              + check_no_forwarding_scommands()
+              + check_driver_mutations())
     if errors:
         print(f"lint_dispatch: {len(errors)} violation(s)")
         for err in errors:

@@ -89,12 +89,13 @@ REACH_EXEMPT = {
                                           "column's name)",
     "db/sql.py::ColumnRef.__str__": SQL + "TestOrderAfterGroupBy",
     # surfaces no traced run drives
-    "core/containers.py::ContainerManager.replace_member":
-        "a surface: Sput over a container member (an update in place), "
-        "tests/core/test_container_updates.py",
     "core/planes/data.py::DataService._prefetch_container":
         "a paper capability no workload loads yet: a working set read "
         "through its container, tests/core/test_bulk_ops.py::TestBulkGet",
+    "mcat/catalog.py::Mcat.get_replica":
+        "a surface: a get of a registered SQL or URL object's numbered "
+        "replica, tests/core/test_server_registered.py::TestRegisteredSql"
+        "::test_register_replica_sql",
     "mcat/catalog.py::Mcat.grants_for_bulk":
         "a surface: a listing by a principal whose right is an object "
         "grant, tests/core/test_access.py",
@@ -123,9 +124,6 @@ REACH_EXEMPT = {
     "core/federation.py::Federation.__getattr__":
         "a refusal: a federation with no MCAT server, tests/core/"
         "test_federation_admin.py::test_mcat_server_required",
-    "core/planes/base.py::PlaneService._rollback_created":
-        "a fault: a write that fails part way removes what it wrote, "
-        "tests/core/test_bulk_ops.py::TestIngestRollback",
     "core/planes/data.py::DataService._ingest.<locals>.fail":
         "a fault: one item of a bulk ingest fails, "
         "tests/core/test_bulk_ops.py::TestBulkIngest",
