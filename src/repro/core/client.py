@@ -62,12 +62,20 @@ from repro.core.planes import AuthService, DataService, MetadataService, \
 from repro.errors import AuthError
 from repro.mcat.query import Condition, DisplayOnly
 from repro.net.rpc import BatchItemResult
+from repro.net.wire import DeferredPayload
 
 #: every op the servers register, with its declaration and handler
 _DECLARED = [pair for service in (AuthService, NamespaceService, DataService,
                                   ReplicaService, MetadataService)
              for pair in declared_ops(service)]
 _SPECS: Dict[str, OpSpec] = {spec.name: spec for spec, _fn in _DECLARED}
+
+def _ls_entries(chunk: Dict[str, Any]) -> List[Dict[str, Any]]:
+    """The entries of one ``list_collection_page`` chunk, as
+    :meth:`SrbClient.iter_ls` yields them."""
+    return [{"path": coll, "kind": "collection"}
+            for coll in chunk["collections"]] + chunk["objects"]
+
 
 #: ops a written method reaches under another name
 _REACHED_OTHERWISE = {"auth_challenge", "auth_login", "list_collection_page",
@@ -114,13 +122,15 @@ class SrbClient:
         """
         if data is None or not self.federation.direct_io:
             return data
-        from repro.net.wire import DeferredPayload
         return DeferredPayload(data)
 
     def _defer_items(self, items: Sequence[Dict[str, Any]]
                      ) -> List[Dict[str, Any]]:
         """:meth:`_defer` for a bulk payload: each item's ``"data"``, in
-        copies of the caller's dicts."""
+        copies of the caller's dicts (with direct I/O off, plain copies,
+        made by one C-level pass; ``_defer`` alone reads the knob)."""
+        if type(self._defer(items)) is not DeferredPayload:
+            return list(map(dict, items))
         return [dict(item, data=self._defer(item["data"]))
                 if "data" in item else dict(item) for item in items]
 
@@ -259,16 +269,14 @@ class SrbClient:
         :meth:`~repro.net.rpc.ServiceRegistry.call_stream` — one
         request, then the server pushes the pages: a drain pays the
         link latency once, each page its catalog work and its bytes —
-        and yields entries one by one: sub-collections first as
-        ``{"path", "kind": "collection"}``, then object rows as
-        :meth:`ls` returns them.
+        and yields entries one by one: of each page, sub-collections
+        first as ``{"path", "kind": "collection"}``, then object rows as
+        :meth:`ls` returns them.  The pages are chained, as
+        :meth:`iter_query` chains its pages: nothing runs per entry.
         """
-        for chunk in self._stream("list_collection_page", page_size=page_size,
-                                  ticket=self.ticket, path=path):
-            for coll in chunk["collections"]:
-                yield {"path": coll, "kind": "collection"}
-            for obj in chunk["objects"]:
-                yield obj
+        return chain.from_iterable(map(_ls_entries, self._stream(
+            "list_collection_page", page_size=page_size, ticket=self.ticket,
+            path=path)))
 
     def iter_query_pages(self, scope: str,
                          conditions: Sequence[Condition | DisplayOnly],

@@ -91,7 +91,7 @@ Everything else is declaration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.auth.tickets import Ticket
 from repro.auth.users import PUBLIC, Principal
@@ -360,12 +360,20 @@ class OpContext:
         wholesale to other audited ops, e.g. collection copy)."""
         self._audit_suppressed = True
 
-    def require_local(self, path: str) -> None:
-        """Per-item zone check for bulk ops (the batch itself is unscoped).
-        Like the plan's zone stage, nil while there is no peer zone."""
+    def require_local(self, paths: Sequence[str]) -> Dict[int, SrbError]:
+        """Per-item zone check for bulk ops (the batch itself is
+        unscoped): ``{index in paths: error}`` of the paths in a peer's
+        zone.  Like the plan's zone stage, nil — one call for the batch
+        — while there is no peer zone."""
         server = self.server
+        refused: Dict[int, SrbError] = {}
         if server.federation.peers:
-            server._require_local(path, self.spec.name)
+            for i, path in enumerate(paths):
+                try:
+                    server._require_local(path, self.spec.name)
+                except SrbError as exc:
+                    refused[i] = exc
+        return refused
 
 
 # ---------------------------------------------------------------------------

@@ -42,13 +42,15 @@ runner picks the route (lint rule 6)."""
 
 from __future__ import annotations
 
+from itertools import compress
+from operator import itemgetter, methodcaller
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.auth.users import Principal
 from repro.core.dispatch import OpContext, rpc_op
 from repro.core.planes.base import PlaneService, _CONTROL_MSG, \
-    content_checksum, link_view
-from repro.mcat.catalog import apply_structural
+    content_checksum, content_checksums, link_view
+from repro.mcat.catalog import apply_structural_many
 from repro.net.rpc import BatchItemResult
 from repro.net.simnet import TransferOutcome, raise_failed
 from repro.net.wire import Redirect
@@ -72,6 +74,12 @@ from repro.storage.web import WebSpace
 from repro.tlang.template import StyleSheet, builtin
 from repro.util import paths
 
+
+#: an ingest item's optional fields, read off a batch of items by map
+_PATH = methodcaller("get", "path", "")
+_METADATA = methodcaller("get", "metadata")
+_DATA_TYPE = methodcaller("get", "data_type")
+_DATA = itemgetter("data")
 
 #: The most of an object's contents MySRB's object view shows inline;
 #: ``open_object`` ships one byte more, so the page can tell "larger".
@@ -150,9 +158,10 @@ class DataService(PlaneService):
         and either the new oid or the :class:`SrbError` that item failed
         with; an unusable target or a failed push raises for them all.
 
-        1. Each item's zone, collection write access and structural
-           metadata; the catalog is asked once per collection.  When no
-           item is left, nothing more happens.
+        1. Each item's path (located once, :func:`paths.locate`), zone,
+           collection write access and structural metadata; the catalog
+           is asked once per collection.  When no item is left, nothing
+           more happens.
         2. The target, before any catalog write: the container and
            write access on it, or the resource's members, ranked for
            the bytes that will move and every one up.
@@ -160,45 +169,49 @@ class DataService(PlaneService):
            its item here, before its bytes move.
         4. The bytes of the rows written: appended to the container, or
            pushed once to every member (``label`` names the legs) and
-           landed there; a push that fails deletes the rows and raises.
-           An item a storage system refuses loses its row.
+           landed there, one ``create_many`` per member; a push that
+           fails deletes the rows and raises.  An item a storage system
+           refuses loses its row.
         5. One grouped write of the replica rows, and one of the
            metadata triples.
+
+        Each step is a batch: the Python calls it makes do not grow with
+        the items (``tools/layer_profile.py --per-item``), only C-level
+        passes over them do.
         """
         principal = ctx.principal
-        results: List[Any] = [None] * len(items)
-        structural: Dict[str, Any] = {}     # collection -> rules or error
-        prepared: List[Tuple[Any, ...]] = []
-        nbytes = 0
-        for i, item in enumerate(items):
-            raw_path = str(item.get("path", ""))
+        raws = list(map(str, map(_PATH, items)))
+        located = paths.locate(raws)
+        # item -> the error it met: its path's, else its zone's
+        failed: Dict[int, SrbError] = {**ctx.require_local(raws), **{
+            i: at for i, at in enumerate(located) if type(at) is not tuple}}
+        live = [i for i in range(len(raws)) if i not in failed]
+        datas = {i: items[i]["data"] for i in live}
+        groups: Dict[str, List[int]] = {located[i][1]: [] for i in live}
+        for i in live:
+            groups[located[i][1]] += (i,)
+        effective: Dict[int, Dict[str, str]] = {}
+        for coll, group in groups.items():
             try:
-                path = paths.normalize(raw_path)
-                ctx.require_local(path)
-                data = item["data"]
-                coll = paths.dirname(path)
-                if coll not in structural:
-                    try:
-                        self.access.require_collection(principal, coll,
-                                                       "write")
-                        structural[coll] = self.mcat.structural_for(coll)
-                    except SrbError as exc:
-                        structural[coll] = exc
-                rules = structural[coll]
-                if type(rules) is not list:
-                    raise rules
-                md = apply_structural(rules, item.get("metadata") or {},
-                                      coll)
+                self.access.require_collection(principal, coll, "write")
+                rules = self.mcat.structural_for(coll)
             except SrbError as exc:
-                results[i] = (raw_path, exc)
+                failed.update(dict.fromkeys(group, exc))
                 continue
-            size = len(data)
-            prepared.append((i, path, coll, data, md, size,
-                             item.get("data_type")))
-            nbytes += size
-        if not prepared:
-            return results
+            for i, md in zip(group, apply_structural_many(
+                    rules, list(map(_METADATA, map(items.__getitem__,
+                                                   group))), coll)):
+                if type(md) is dict:
+                    effective[i] = md
+                else:
+                    failed[i] = md
+        keep = [i for i in live if i not in failed]
+        if not keep:
+            return [(raw, failed[i]) for i, raw in enumerate(raws)]
 
+        kept = list(map(datas.__getitem__, keep))
+        sizes = list(map(len, kept))
+        nbytes = sum(sizes)
         if container is not None:
             cont_path = paths.normalize(container)
             cont = self.containers.get_container(cont_path)
@@ -213,41 +226,45 @@ class DataService(PlaneService):
             self._require_up(res_list)
 
         oids = self.mcat.create_objects(
-            [{"path": path, "kind": "data", "data_type": data_type,
-              "size": size, "checksum": content_checksum(data)}
-             for _i, path, _coll, data, _md, size, data_type in prepared],
+            [{"path": located[i][0], "coll": located[i][1],
+              "name": located[i][2], "kind": "data", "data_type": data_type,
+              "size": size, "checksum": checksum}
+             for i, data_type, size, checksum in zip(
+                 keep, map(_DATA_TYPE, map(items.__getitem__, keep)),
+                 sizes, content_checksums(kept))],
             owner=str(principal), now=self.now)
-        alive = []
-        for (i, path, coll, data, md, size, _dt), oid in zip(prepared, oids):
-            if type(oid) is int:
-                alive.append((i, path, coll, data, md, oid))
-            else:
+        for i, size, oid in zip(keep, sizes, oids):
+            if type(oid) is not int:
+                failed[i] = oid
                 nbytes -= size
-                results[i] = (path, oid)
+        # (item, oid, size) of each object row written
+        alive = [(i, oid, size) for i, oid, size in zip(keep, oids, sizes)
+                 if type(oid) is int]
 
-        def fail(entry: Tuple[Any, ...], exc: SrbError) -> None:
-            self.mcat.delete_object(entry[5])
-            results[entry[0]] = (entry[1], exc)
+        def fail(entry: Tuple[int, int, int], exc: SrbError) -> None:
+            self.mcat.delete_object(entry[1])
+            failed[entry[0]] = exc
 
         if container is not None:
             coid, landed = int(cont["oid"]), []
             for entry in alive:
                 try:
                     res, primary, offset = self._append(
-                        coid, entry[3], ctx.payload_host, "container-append")
+                        coid, datas[entry[0]], ctx.payload_host,
+                        "container-append")
                 except SrbError as exc:
                     fail(entry, exc)
                     continue
                 self.mcat.add_replica(
-                    entry[5], res.name, primary["physical_path"],
-                    len(entry[3]), now=self.now, container_oid=coid,
-                    offset=offset)
+                    entry[1], res.name, primary["physical_path"], entry[2],
+                    now=self.now, container_oid=coid, offset=offset)
                 landed.append(entry)
             alive = landed
         elif alive:
-            files = [(f"/srb/{coll.strip('/').replace('/', '_')}/"
-                      f"{oid}-{paths.basename(path)}", data)
-                     for _i, path, coll, data, _md, oid in alive]
+            prefix = {coll: f"/srb/{coll.strip('/').replace('/', '_')}/"
+                      for coll in groups}
+            files = [(f"{prefix[located[i][1]]}{oid}-{located[i][2]}",
+                      datas[i]) for i, oid, _size in alive]
             # a push of one file binds its channel tickets to it
             key = files[0][0] if len(files) == 1 else ""
             try:
@@ -255,14 +272,15 @@ class DataService(PlaneService):
                             src_host=ctx.payload_host, nbytes=nbytes)
             except SrbError:
                 for entry in alive:
-                    self.mcat.delete_object(entry[5])
+                    self.mcat.delete_object(entry[1])
                 raise
             refused = self._land(res_list, files,
                                  on_refused=lambda k, exc: fail(alive[k], exc))
             replica_specs = [
-                {"oid": alive[k][5], "resource": res.name,
-                 "physical_path": phys, "size": len(data)}
-                for k, (phys, data) in enumerate(files) if k not in refused
+                {"oid": oid, "resource": res.name, "physical_path": phys,
+                 "size": size}
+                for k, ((_i, oid, size), (phys, _data))
+                in enumerate(zip(alive, files)) if k not in refused
                 for res in res_list]
             if replica_specs:
                 self.mcat.add_replicas(replica_specs, now=self.now)
@@ -270,15 +288,14 @@ class DataService(PlaneService):
                 alive = [e for k, e in enumerate(alive) if k not in refused]
 
         md_specs = [{"target_kind": "object", "target_id": oid,
-                     "attr": attr, "value": value}
-                    for _i, _p, _c, _d, md, oid in alive
-                    for attr, value in md.items()]
+                     "attr": attr, "value": effective[i][attr]}
+                    for i, oid, _size in alive for attr in effective[i]]
         if md_specs:
             self.mcat.add_metadata_bulk(md_specs, by=str(principal),
                                         now=self.now)
-        for i, path, _coll, _data, _md, oid in alive:
-            results[i] = (path, oid)
-        return results
+        written = {i: oid for i, oid, _size in alive}
+        return [(raw, written[i] if i in written else failed[i])
+                for i, raw in enumerate(raws)]
 
     # ------------------------------------------------------------------
     # bulk operations (the Sbload-style amortized data plane)
@@ -313,20 +330,16 @@ class DataService(PlaneService):
         """
         self.obs.metrics.inc("bulk.batches", op="ingest")
         self.obs.metrics.inc("bulk.items", len(items), op="ingest")
-        results: List[Dict[str, Any]] = []
-        total_bytes = 0
-        for item, (path, oid) in zip(items, self._ingest(
-                ctx, items, resource, container, "bulk-ingest")):
-            if type(oid) is not int:
-                results.append({"path": path, "error": str(oid),
-                                "error_type": type(oid).__name__})
-            else:
-                results.append({"path": path, "oid": oid})
-                total_bytes += len(item["data"])
+        done = self._ingest(ctx, items, resource, container, "bulk-ingest")
+        total_bytes = sum(map(len, map(_DATA, compress(
+            items, [type(oid) is int for _path, oid in done]))))
         ctx.audit(target=f"{len(items)} items", detail=f"{total_bytes}B")
         if ctx.span is not None:
             ctx.span.incr("payload_bytes", total_bytes)
-        return results
+        return [{"path": path, "oid": oid} if type(oid) is int
+                else {"path": path, "error": str(oid),
+                      "error_type": type(oid).__name__}
+                for path, oid in done]
 
     @rpc_op("bulk_get", audit="bulk-get", span_items="targets")
     def bulk_get(self, ctx: OpContext, targets: Sequence[str],
@@ -1165,16 +1178,18 @@ class DataService(PlaneService):
     def unpin(self, ctx: OpContext, path: str, resource: str) -> int:
         obj = self.mcat.get_object(paths.normalize(path))
         oid = int(obj["oid"])
-        count = self.locks.unpin(oid, resource, ctx.principal)
         res = self.resources.physical(resource)
         # the cache pin is the archive's copy of every holder's pin rows:
-        # it goes only with the last of them, not with the caller's
+        # it goes only with the last of them, not with the caller's.  So
+        # whether the caller is the last is read first, and the unpin
+        # reaches the archive's host before a row is released, as a pin
         if isinstance(res.driver, ArchiveDriver) \
-                and not self.locks.is_pinned(oid, resource):
+                and not self.locks.pinned_besides(oid, resource,
+                                                  ctx.principal):
             self._pin(res, [rep["physical_path"]
                             for rep in self.mcat.replicas(oid)
                             if rep["resource"] == resource], pinned=False)
-        return count
+        return self.locks.unpin(oid, resource, ctx.principal)
 
     @rpc_op("checkout", scope_arg="path", write=True, audit="checkout",
             need="write", target="object")
@@ -1198,6 +1213,8 @@ class DataService(PlaneService):
         rep = chain[0]
         res = self.resources.physical(rep["resource"])
         if rep["container_oid"] is None:
+            # the session refuses an unreachable host before a byte is read
+            self._resource_session(res)
             old = res.driver.read(rep["physical_path"])
             vpath = f"/srb/versions/{oid}-v{obj['version']}"
             self._store(res.host, [(res, vpath)], old, "checkin", "replace")
@@ -1273,6 +1290,8 @@ class DataService(PlaneService):
         res, phys = self.resources.physical(primary["resource"]), \
             primary["physical_path"]
         members = self.containers.members(coid)
+        # the session refuses an unreachable host before a byte is read
+        self._resource_session(res)
         data = b"".join(res.driver.read(m["physical_path"], int(m["offset"]),
                                         int(m["size"])) for m in members)
         reclaimed = res.driver.size(phys) - len(data)

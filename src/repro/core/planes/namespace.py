@@ -7,6 +7,7 @@ and uniformly refuse foreign-zone paths at the zone stage."""
 from __future__ import annotations
 
 from itertools import compress
+from operator import itemgetter
 from typing import Any, Dict, List, Optional
 
 from repro.auth.users import Principal
@@ -19,6 +20,11 @@ from repro.errors import (
     NoSuchObject,
 )
 from repro.util import paths
+
+#: an object row's columns a listing entry shows, picked with no call
+_LISTED = ("path", "name", "kind", "data_type", "owner", "size", "version",
+           "modified_at")
+_pick_listed = itemgetter(*_LISTED)
 
 
 class NamespaceService(PlaneService):
@@ -42,9 +48,7 @@ class NamespaceService(PlaneService):
         """The listing entries of the object ``rows`` that ``principal``
         may read."""
         readable = self.access.can_objects(principal, rows, "read")
-        return [{k: obj[k] for k in
-                 ("path", "name", "kind", "data_type", "owner", "size",
-                  "version", "modified_at")}
+        return [dict(zip(_LISTED, _pick_listed(obj)))
                 for obj in compress(rows, readable)]
 
     @rpc_op("list_collection_page", scope_arg="path", forwardable=True)

@@ -50,7 +50,7 @@ from __future__ import annotations
 from bisect import bisect_right, insort
 from collections import deque
 from dataclasses import dataclass
-from itertools import count, islice, repeat
+from itertools import chain, count, islice, repeat
 from operator import itemgetter
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -396,14 +396,16 @@ class Table:
         """
         if len(rows) == 1:
             return [self.insert(rows[0])]
-        built: List[list] = [None] * len(rows)
-        taken = [{} for _entry in self._unique_plan]   # keys of the batch
-        for i, values in enumerate(rows):
-            built[i] = row = self._row(values)
-            for (off, hmap), seen in zip(self._unique_plan, taken):
-                if row[off] in hmap or row[off] in seen:
-                    self._refuse(off, row[off])
-                seen[row[off]] = None
+        built = self._columns_of(rows)
+        if built is None:       # row by row, refused where insert would be
+            built = [None] * len(rows)
+            taken = [{} for _entry in self._unique_plan]   # keys of the batch
+            for i, values in enumerate(rows):
+                built[i] = row = self._row(values)
+                for (off, hmap), seen in zip(self._unique_plan, taken):
+                    if row[off] in hmap or row[off] in seen:
+                        self._refuse(off, row[off])
+                    seen[row[off]] = None
         base = len(self._rows)
         # one int per row id, shared by every index that files the row
         # (made as len() makes them: tracemalloc counts range's ints 4 B
@@ -453,6 +455,35 @@ class Table:
             for rid, row in zip(rids, built):
                 self.observer(self.name, "insert", rid, dict(zip(self._names, row)))
         return rids
+
+    def _columns_of(self, rows: Sequence[Dict[str, Any]]
+                    ) -> Optional[List[list]]:
+        """``rows`` (dicts) as the heap stores them, built a column at a
+        time by C-level passes (no Python call per row): when every key
+        names a column, every value is of its column's exact type or a
+        NULL it allows, and no unique key is held or repeated.  Otherwise
+        None, and :meth:`insert_many` builds them with :meth:`_row`,
+        which converts a value or raises where one insert per row
+        would."""
+        if not self._offset.keys() >= set(chain.from_iterable(rows)):
+            return None
+        columns = [list(map(dict.get, rows, repeat(name)))
+                   for name in self._names]
+        for column, (_off, _name, exact, nullable, _check) in zip(
+                columns, self._column_plan):
+            if not set(map(type, column)) <= (
+                    {exact, type(None)} if nullable else {exact}):
+                return None
+        pk = self.primary_key
+        if pk is not None and None in columns[self._offset[pk]]:
+            return None
+        for off, hmap in self._unique_plan:
+            if not hmap.keys().isdisjoint(columns[off]) \
+                    or len(set(columns[off])) < len(rows):
+                return None
+        # list() of a tuple may keep a spare slot; its copy is exact, as
+        # the [None] * width a row built one at a time starts from
+        return list(map(list.copy, map(list, zip(*columns))))
 
     def charge(self, n: int) -> None:
         """Charge ``n`` rows to scan accounting that no lookup read: the
@@ -575,14 +606,19 @@ class Table:
         call and one list — each value's rids ascending, the values in
         the order given — charged exactly as one ``lookup_eq`` per value.
         With an index, no Python call is made per value."""
-        found = getattr(self._hash_indexes.get(column), "_map", None)
+        index = self._hash_indexes[column] \
+            if column in self._hash_indexes else None
+        rids: List[int] = []
         try:
-            buckets = [found[value] for value in values if value in found]
-        except TypeError:   # no index, or an unhashable value: one by one
+            found = index._map
+            for value in values:
+                if value in found:
+                    bucket = found[value]
+                    rids += (bucket,) if type(bucket) is int else bucket
+        except (AttributeError, TypeError):
+            # no index, or an unhashable value: one by one
             return [rid for value in values
                     for rid in self.lookup_eq(column, value)]
-        rids = [rid for bucket in buckets for rid in (
-            (bucket,) if type(bucket) is int else bucket)]
         n = len(rids)
         self.rows_scanned += n
         self.scan_counter.total += n
@@ -669,12 +705,13 @@ class Table:
 
     def iter_values(self, rids: Sequence[int],
                     columns: Tuple[str, ...]) -> Iterator[tuple]:
-        """``columns`` (two or more) of each live row in ``rids``, as
-        tuples, read lazily — a whole probe's rows in one call, and a
-        caller that stops early reads no further.  Charges nothing: the
-        lookup that produced ``rids`` already did."""
-        pick = self._pickers.get(columns)
-        if pick is None:
+        """``columns`` of each live row in ``rids``, as tuples (of one
+        column, its values), read lazily — a whole probe's rows in one
+        call, and a caller that stops early reads no further.  Charges
+        nothing: the lookup that produced ``rids`` already did."""
+        try:
+            pick = self._pickers[columns]
+        except KeyError:
             pick = self._pickers[columns] = itemgetter(
                 *[self._offset[c] for c in columns])
         return map(pick, map(self._rows.__getitem__, rids))

@@ -50,38 +50,59 @@ from repro.util.ids import IdFactory
 def apply_structural(reqs: Sequence[Dict[str, Any]],
                      provided: Dict[str, str],
                      coll_path: str) -> Dict[str, str]:
-    """Apply structural requirement rows to a provided attribute dict.
-
-    Pure function so bulk ingest can fetch the (charged) requirement
-    rows once per collection and validate N items against them.  Runs
-    before an ingest creates anything, so it is also where a name or a
-    value that is not text is refused (:func:`_refuse_non_text`).
-    """
-    effective = dict(provided)
-    for attr in effective:
-        value = effective[attr]
-        if type(attr) is not str or (type(value) is not str
-                                     and value is not None):
-            _refuse_non_text(attr, value)
-    missing = []
-    for req in reqs:
-        attr = req["attr"]
-        vocab = req["vocabulary"].split("|") if req["vocabulary"] else None
-        if attr not in effective:
-            if req["default_value"] is not None:
-                effective[attr] = req["default_value"]
-            elif req["mandatory"]:
-                missing.append(attr)
-                continue
-            else:
-                continue
-        if vocab is not None and effective[attr] not in vocab:
-            raise VocabularyViolation(
-                f"{attr}={effective[attr]!r} not in vocabulary {vocab} "
-                f"for collection {coll_path!r}")
-    if missing:
-        raise MandatoryMetadataMissing(missing)
+    """Apply structural requirement rows to a provided attribute dict:
+    the one item of :func:`apply_structural_many`, whose error it
+    raises."""
+    (effective,) = apply_structural_many(reqs, (provided,), coll_path)
+    if type(effective) is not dict:
+        raise effective
     return effective
+
+
+def apply_structural_many(reqs: Sequence[Dict[str, Any]],
+                          provided: Sequence[Optional[Dict[str, str]]],
+                          coll_path: str) -> List[Any]:
+    """Apply structural requirement rows to each attribute dict of
+    ``provided`` (None is no attributes): the effective attributes, or
+    the :class:`SrbError` that item is refused for, aligned.
+
+    Pure function so an ingest can fetch the (charged) requirement
+    rows once per collection and validate its N items against them,
+    with no Python call per item.  Runs before an ingest creates
+    anything, so it is also where a name or a value that is not text
+    is refused (:func:`_refuse_non_text`).
+    """
+    vocabs = [req["vocabulary"].split("|") if req["vocabulary"] else None
+              for req in reqs]
+    out: List[Any] = [None] * len(provided)
+    for i, given in enumerate(provided):
+        out[i] = effective = dict(given) if given else {}
+        try:
+            for attr in effective:
+                value = effective[attr]
+                if type(attr) is not str or (type(value) is not str
+                                             and value is not None):
+                    _refuse_non_text(attr, value)
+            missing = []
+            for req, vocab in zip(reqs, vocabs):
+                attr = req["attr"]
+                if attr not in effective:
+                    if req["default_value"] is not None:
+                        effective[attr] = req["default_value"]
+                    elif req["mandatory"]:
+                        missing.append(attr)
+                        continue
+                    else:
+                        continue
+                if vocab is not None and effective[attr] not in vocab:
+                    raise VocabularyViolation(
+                        f"{attr}={effective[attr]!r} not in vocabulary "
+                        f"{vocab} for collection {coll_path!r}")
+            if missing:
+                raise MandatoryMetadataMissing(missing)
+        except SrbError as exc:
+            out[i] = exc
+    return out
 
 
 def _refuse_non_text(attr: Any, value: Any) -> None:
@@ -95,6 +116,11 @@ def _refuse_non_text(attr: Any, value: Any) -> None:
             f"metadata {attr!r}={value!r}: names and values must be text")
 
 
+#: an object row's columns a ``create_objects`` spec need not set, and
+#: those no new row sets otherwise
+_OBJECT_DEFAULTS = {"data_type": None, "size": None, "target": None,
+                    "template": None, "resource_hint": None,
+                    "checksum": None, "version": 1, "checked_out_by": None}
 #: the targets and classes a metadata triple may have
 _TARGET_KINDS = ("object", "collection")
 _META_CLASSES = ("user", "type", "file-based")
@@ -337,36 +363,57 @@ class Mcat:
             raise oid
         return oid
 
-    def _object_values(self, claimed, path: str, kind: str, owner: str,
-                       now: float,
-                       data_type: Optional[str] = None,
-                       size: Optional[int] = None,
-                       target: Optional[str] = None,
-                       template: Optional[str] = None,
-                       resource_hint: Optional[str] = None,
-                       checksum: Optional[str] = None) -> Dict[str, Any]:
-        """An object's row, all but its oid, once its kind and path pass.
-        ``claimed`` holds the paths of a batch's rows not yet inserted."""
-        if kind not in OBJECT_KINDS:
-            raise MetadataError(f"unknown object kind {kind!r}")
-        path = paths.normalize(path)
-        coll = paths.dirname(path)
-        if not self._collection_rid(coll):
-            raise NoSuchCollection(f"no collection {coll!r}")
-        if path in claimed:
-            # the row a row-by-row insert would have found by this lookup
-            self._objects.charge(1)
-            raise AlreadyExists(f"path {path!r} already in use")
-        if self._object_rid(path) or self._collection_rid(path):
-            raise AlreadyExists(f"path {path!r} already in use")
-        return {"path": path, "coll": coll,
-                "name": paths.basename(path), "kind": kind,
-                "data_type": data_type, "owner": owner,
-                "created_at": now, "modified_at": now, "size": size,
-                "target": target, "template": template,
-                "resource_hint": resource_hint,
-                "version": 1, "checked_out_by": None,
-                "checksum": checksum}
+    def _new_rows(self, specs: Sequence[Dict[str, Any]], owner: str,
+                  now: float) -> List[Any]:
+        """Each spec's object row, all but its oid, or the
+        :class:`SrbError` it fails — its kind, its path, its collection
+        (which must exist), then its path again (which no earlier spec
+        of the batch, no object and no collection may hold) — in one
+        pass: each distinct collection is read once and each path once,
+        and the rows a read per spec would have touched are charged
+        (:meth:`~repro.db.table.Table.charge`).  The caller charges the
+        block."""
+        where = [(spec["path"], spec["coll"], spec["name"])
+                 if "coll" in spec else None for spec in specs]
+        if None in where:
+            where = paths.locate([spec["path"] for spec in specs])
+        out = [MetadataError(f"unknown object kind {spec['kind']!r}")
+               if spec["kind"] not in OBJECT_KINDS else
+               None if type(at) is tuple else at
+               for spec, at in zip(specs, where)]
+        t, o = self._collections, self._objects
+        rids = t.lookup_eq_many("path", list({
+            at[1]: None for at, bad in zip(where, out) if bad is None}))
+        held = set(t.iter_values(rids, ("path",)))
+        out = [bad if bad is not None or at[1] in held
+               else NoSuchCollection(f"no collection {at[1]!r}")
+               for at, bad in zip(where, out)]
+        wanted = [at[0] for at, bad in zip(where, out) if bad is None]
+        taken = set(o.iter_values(o.lookup_eq_many("path", wanted),
+                                  ("path",)))
+        taken.update(t.iter_values(t.lookup_eq_many("path", [
+            path for path in wanted if path not in taken]), ("path",)))
+        claimed: Dict[str, None] = {}
+        again = 0                           # paths an earlier spec claimed
+        for i, at in enumerate(where):
+            if out[i] is not None:
+                continue
+            if at[0] in claimed:
+                again += 1
+            elif at[0] not in taken:
+                claimed[at[0]] = None
+                out[i] = {**_OBJECT_DEFAULTS, **specs[i], "path": at[0],
+                          "coll": at[1], "name": at[2], "owner": owner,
+                          "created_at": now, "modified_at": now}
+                continue
+            out[i] = AlreadyExists(f"path {at[0]!r} already in use")
+        # a collection read per spec; and a path an earlier spec claimed
+        # is the row a row-by-row write's object lookup would have found
+        if len(wanted) > len(rids):
+            t.charge(len(wanted) - len(rids))
+        if again:
+            o.charge(again)
+        return out
 
     def create_objects(self, specs: Sequence[Dict[str, Any]], owner: str,
                        now: float) -> List[Any]:
@@ -374,7 +421,11 @@ class Mcat:
         inserted as one batch.
 
         Each spec is the keyword dict of one ``create_object`` call
-        (minus ``owner``/``now``).  Returns a list aligned with ``specs``
+        (minus ``owner``/``now``): ``path``, ``kind`` and any other
+        column it sets (``data_type``, ``size``, ``target``, ...).  A
+        spec that holds ``coll`` and ``name`` too was located by
+        :func:`~repro.util.paths.locate` (its path is canonical), and is
+        not located again.  Returns a list aligned with ``specs``
         holding the new oid, or the :class:`SrbError` that item raised —
         one invalid item does not poison the batch.  A path an earlier
         item of the batch takes fails the later item, and a row the table
@@ -383,15 +434,7 @@ class Mcat:
         """
         with self._charge:
             # an item's row values, or the error it failed with
-            results: List[Any] = [None] * len(specs)
-            claimed: Dict[str, None] = {}
-            for i, spec in enumerate(specs):
-                try:
-                    results[i] = values = self._object_values(
-                        claimed, owner=owner, now=now, **spec)
-                    claimed[values["path"]] = None
-                except SrbError as exc:
-                    results[i] = exc
+            results = self._new_rows(specs, owner, now)
             rows = [row for row in results if type(row) is dict]
             for values, oid in zip(rows, self.ids.next_ints("oid",
                                                             len(rows))):
@@ -404,8 +447,9 @@ class Mcat:
                 for i, values in enumerate(results):
                     if type(values) is AlreadyExists and paths.normalize(
                             specs[i]["path"]) in freed:
-                        values = self._object_values((), owner=owner,
-                                                     now=now, **specs[i])
+                        (values,) = self._new_rows([specs[i]], owner, now)
+                        if type(values) is not dict:
+                            raise values
                         values["oid"] = oids[i] = self.ids.next_int("oid")
                     if type(values) is dict:
                         try:
@@ -422,8 +466,8 @@ class Mcat:
     def _free_path(self, path: str) -> str:
         """The collection of normalized ``path``, once it exists and no
         object or collection holds ``path``: where a move may put an
-        object or a subtree (:meth:`_object_values` checks a new row's
-        path the same way, inline, since it runs once per item)."""
+        object or a subtree (:meth:`_new_rows` checks a batch of new
+        rows' paths the same way, a batch at a time)."""
         coll = paths.dirname(path)
         if not self._collection_rid(coll):
             raise NoSuchCollection(f"no collection {coll!r}")
@@ -624,15 +668,15 @@ class Mcat:
             for oid, num in t.iter_values(t.lookup_eq_many("oid", oids),
                                           ("oid", "replica_num")):
                 top[oid] = max(top[oid], num)
-            stored, rows, found = dict(top), [], 0
-            for spec, rid in zip(specs, self.ids.next_ints("rid",
-                                                           len(specs))):
+            stored, rows, found = dict(top), [None] * len(specs), 0
+            for k, (spec, rid) in enumerate(zip(
+                    specs, self.ids.next_ints("rid", len(specs)))):
                 oid = spec["oid"]
                 found += top[oid] - stored[oid]     # this batch's rows of it
                 top[oid] += 1
-                rows.append({"container_oid": None, "offset": None, **spec,
-                             "rid": rid, "replica_num": top[oid],
-                             "created_at": now, "is_dirty": False})
+                rows[k] = {"container_oid": None, "offset": None, **spec,
+                           "rid": rid, "replica_num": top[oid],
+                           "created_at": now, "is_dirty": False}
             if found:
                 t.charge(found)
             t.insert_many(rows)
@@ -760,8 +804,11 @@ class Mcat:
             full = self._check_metadata_specs(specs)
             mids = self.ids.next_ints("mid", len(full))
             for s, mid in zip(full, mids):      # each spec grows into its row
-                s["mid"], s["value_num"] = mid, numeric(s["value"])
-                s["created_by"], s["created_at"] = by, now
+                s["mid"], s["created_by"], s["created_at"] = mid, by, now
+                try:        # numeric(value), inline: no call per triple
+                    s["value_num"] = float(s["value"])
+                except (TypeError, ValueError):
+                    s["value_num"] = None
             self._metadata.insert_many(full)
             return list(mids)
 

@@ -2,6 +2,9 @@
 ``query_page``/``iter_query`` and the zero-overhead parity of the
 materializing calls they page."""
 
+import cProfile
+import gc
+
 import pytest
 
 from repro.core import Federation, SrbClient
@@ -129,3 +132,34 @@ class TestCursorlessParity:
         cost_a = workload_cost(fed_a, client_a)
         cost_b = workload_cost(fed_b, client_b)
         assert cost_a == cost_b
+
+
+def drain_calls(entries: int) -> int:
+    """Python-level calls (functions and built-ins) of one drain of
+    ``iter_ls`` over a collection of one sub-collection and ``entries``
+    - 1 objects, in pages of 100, on a warm grid."""
+    fed, client = build_fed()
+    coll = "/demozone/drained"
+    client.mkcoll(coll)
+    client.mkcoll(f"{coll}/sub")
+    client.bulk_ingest([{"path": f"{coll}/f{i:04d}", "data": b"x"}
+                        for i in range(entries - 1)])
+    list(client.iter_ls(coll))                      # memos, sessions
+    profiler = cProfile.Profile()
+    gc.disable()        # a collection's callbacks are calls too
+    try:
+        profiler.enable()
+        got = list(client.iter_ls(coll))
+        profiler.disable()
+    finally:
+        gc.enable()
+    assert len(got) == entries
+    return sum(e.callcount for e in profiler.getstats())
+
+
+@pytest.mark.parametrize("fewer, more", [(30, 90), (130, 190)])
+def test_a_drain_makes_no_call_per_entry(fewer, more):
+    """The pages are chained (nothing resumes per entry), and a page's
+    entries are built and sized with no call per entry: a drain of the
+    same number of pages costs the same calls however full they are."""
+    assert drain_calls(fewer) == drain_calls(more)

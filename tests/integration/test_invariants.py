@@ -179,10 +179,10 @@ class TestByDesign:
         fed, client = build()
         disk = fed.resources.physical("disk").driver
 
-        def refuse(path, data):
+        def refuse(files):
             fed.network.set_down("hr")
-            raise StorageFull("full")
-        disk.create = refuse
+            return {i: StorageFull("full") for i in range(len(files))}
+        disk.create_many = refuse
         with pytest.raises(StorageFull):
             client.ingest(HOME + "/a", BIG, resource="pair")
         fed.network.set_up("hr")

@@ -19,9 +19,10 @@ server cannot reach ``h1`` an op may fail with a typed ``SrbError``; the
 model takes that as no change, and every invariant must still hold —
 so a failed op that changed anything is caught at that step.  A read
 may fail only when no clean copy of its bytes is on a host the server
-reaches.  Two replays of what the partition rule guards — a ``delete``
-and a ``checkin`` refused across a partition, leaving bytes and rows as
-they were — are the tests after the machines.
+reaches.  Replays of what the partition rule guards — a ``delete``, a
+``checkin``, a ``compact_container`` and an ``unpin`` refused across a
+partition, leaving bytes, rows and pins as they were and reading no
+byte there — are the tests after the machines.
 
 A second client, on a host of its own, ingests onto a remote and a
 logical resource and into a container, with payloads that are
@@ -396,3 +397,52 @@ def test_a_checkin_across_a_partition_writes_no_version():
     fed.network.heal("sdsc", "caltech")
     assert grid.curator.checkin(path) == 2
     assert driver.read(f"/srb/versions/{oid}-v1") == data
+
+
+def test_a_refused_checkin_reads_no_byte_there():
+    """The session to the resource refuses the checkin before the bytes
+    it would copy aside are read from the host it cannot reach."""
+    grid, path, _data, _oid = partitioned_grid()
+    driver = grid.fed.resources.physical("unix-caltech").driver
+    grid.curator.checkout(path)
+    grid.fed.network.partition("sdsc", "caltech")
+    read = driver.bytes_read
+    with pytest.raises(HostUnreachable):
+        grid.curator.checkin(path)
+    assert driver.bytes_read == read
+
+
+def test_a_refused_compaction_reads_no_byte_there():
+    grid = standard_grid()
+    box = f"{grid.home}/box"
+    grid.curator.create_container(box, "unix-caltech")
+    for name in ("a", "b"):
+        grid.curator.ingest(f"{grid.home}/{name}", b"m" * 3000,
+                            container=box)
+    grid.curator.put(f"{grid.home}/a", b"n" * 3000)     # leaves garbage
+    driver = grid.fed.resources.physical("unix-caltech").driver
+    grid.fed.network.partition("sdsc", "caltech")
+    read = driver.bytes_read
+    with pytest.raises(HostUnreachable):
+        grid.curator.compact_container(box)
+    assert driver.bytes_read == read
+    grid.fed.network.heal("sdsc", "caltech")
+    assert grid.curator.compact_container(box) == 3000
+
+
+def test_an_unpin_across_a_partition_keeps_the_rows_and_the_cache_pin():
+    grid = standard_grid()
+    fed, path = grid.fed, f"{grid.home}/p"
+    oid = grid.curator.ingest(path, b"p" * 100, resource="hpss-caltech")
+    grid.curator.pin(path, "hpss-caltech")
+    (rep,) = fed.mcat.replicas(oid)
+    archive = fed.resources.physical("hpss-caltech").driver
+    fed.network.partition("sdsc", "caltech")
+    with pytest.raises(HostUnreachable):
+        grid.curator.unpin(path, "hpss-caltech")
+    assert fed.locks.is_pinned(oid, "hpss-caltech")
+    assert rep["physical_path"] in archive._pinned
+    fed.network.heal("sdsc", "caltech")
+    assert grid.curator.unpin(path, "hpss-caltech") == 1
+    assert not fed.locks.is_pinned(oid, "hpss-caltech")
+    assert rep["physical_path"] not in archive._pinned

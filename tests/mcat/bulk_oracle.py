@@ -8,12 +8,16 @@ Each function takes the ``Mcat`` it writes to and runs under that
 catalog's charge, as the method did: one ``Table.insert`` per row, one
 ``next_int`` per minted id, every lookup made where the row-by-row code
 made it.  The three row writers are their method bodies verbatim.
+
+``create_objects_per_item`` is the batch writer as it stood before its
+checks became one pass (``Mcat._new_rows``): one ``_object_values`` per
+spec, kept verbatim here.
 """
 
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.errors import AlreadyExists, MetadataError, NoSuchCollection, \
-    SrbError
+from repro.errors import AlreadyExists, DatabaseError, MetadataError, \
+    NoSuchCollection, SrbError
 from repro.mcat.catalog import _META_CLASSES, _TARGET_KINDS, Mcat, \
     _refuse_non_text
 from repro.mcat.schema import OBJECT_KINDS, numeric
@@ -119,13 +123,86 @@ def create_object(self: Mcat, path: str, kind: str, owner: str, now: float,
                   checksum: Optional[str] = None) -> int:
     """Register a new object row; the collection must exist."""
     with self._charge:
-        values = self._object_values(
-            (), path, kind, owner, now, data_type=data_type, size=size,
+        values = _object_values(
+            self, (), path, kind, owner, now, data_type=data_type, size=size,
             target=target, template=template,
             resource_hint=resource_hint, checksum=checksum)
         oid = values["oid"] = self.ids.next_int("oid")
         self._objects.insert(values)
         return oid
+
+
+def _object_values(self: Mcat, claimed, path: str, kind: str, owner: str,
+                   now: float,
+                   data_type: Optional[str] = None,
+                   size: Optional[int] = None,
+                   target: Optional[str] = None,
+                   template: Optional[str] = None,
+                   resource_hint: Optional[str] = None,
+                   checksum: Optional[str] = None) -> Dict[str, Any]:
+    """An object's row, all but its oid, once its kind and path pass.
+    ``claimed`` holds the paths of a batch's rows not yet inserted.
+    (``Mcat._object_values`` as it stood, one item at a time, before
+    ``Mcat._new_rows`` checked a batch at once.)"""
+    if kind not in OBJECT_KINDS:
+        raise MetadataError(f"unknown object kind {kind!r}")
+    path = paths.normalize(path)
+    coll = paths.dirname(path)
+    if not self._collection_rid(coll):
+        raise NoSuchCollection(f"no collection {coll!r}")
+    if path in claimed:
+        # the row a row-by-row insert would have found by this lookup
+        self._objects.charge(1)
+        raise AlreadyExists(f"path {path!r} already in use")
+    if self._object_rid(path) or self._collection_rid(path):
+        raise AlreadyExists(f"path {path!r} already in use")
+    return {"path": path, "coll": coll,
+            "name": paths.basename(path), "kind": kind,
+            "data_type": data_type, "owner": owner,
+            "created_at": now, "modified_at": now, "size": size,
+            "target": target, "template": template,
+            "resource_hint": resource_hint,
+            "version": 1, "checked_out_by": None,
+            "checksum": checksum}
+
+
+def create_objects_per_item(self: Mcat, specs: Sequence[Dict[str, Any]],
+                            owner: str, now: float) -> List[Any]:
+    """``Mcat.create_objects`` as it stood with one ``_object_values``
+    per spec: its items checked one at a time against ``claimed``, then
+    inserted as one batch (one by one if the table refuses a row)."""
+    with self._charge:
+        results: List[Any] = [None] * len(specs)
+        claimed: Dict[str, None] = {}
+        for i, spec in enumerate(specs):
+            try:
+                results[i] = values = _object_values(
+                    self, claimed, owner=owner, now=now, **spec)
+                claimed[values["path"]] = None
+            except SrbError as exc:
+                results[i] = exc
+        rows = [row for row in results if type(row) is dict]
+        for values, oid in zip(rows, self.ids.next_ints("oid", len(rows))):
+            values["oid"] = oid
+        oids = [r["oid"] if type(r) is dict else r for r in results]
+        try:
+            self._objects.insert_many(rows)
+        except DatabaseError:   # a refused row fails alone: one by one
+            freed = set()       # paths only a refused row had claimed
+            for i, values in enumerate(results):
+                if type(values) is AlreadyExists and paths.normalize(
+                        specs[i]["path"]) in freed:
+                    values = _object_values(self, (), owner=owner, now=now,
+                                            **specs[i])
+                    values["oid"] = oids[i] = self.ids.next_int("oid")
+                if type(values) is dict:
+                    try:
+                        self._objects.insert(values)
+                        freed.discard(values["path"])
+                    except DatabaseError as exc:
+                        oids[i] = exc
+                        freed.add(values["path"])
+        return oids
 
 
 def add_replica(self: Mcat, oid: int, resource: str, physical_path: str,

@@ -1,5 +1,6 @@
 """Unit tests for wire-size accounting."""
 
+import gc
 from collections import namedtuple
 from dataclasses import dataclass
 from enum import IntEnum
@@ -301,3 +302,49 @@ class TestRuns:
         # two strings: a len and an isascii each beat a pass
         assert profiled_calls(sizeof, ("a", "b", None, 1)) == one_call + 4
         assert profiled_calls(sizeof, [1, 2.0, None, True]) == one_call
+
+
+# -- a list of same-shaped dicts is sized a column at a time -----------------
+
+# dicts that share one key tuple: a bulk request's items, a page of rows;
+# a value may be a leaf, bytes, a payload claim or a nested same-shaped
+# dict (an item's metadata), and one odd row in a list keeps the loop
+SHAPES = [("path", "data", "data_type", "metadata"), ("path", "oid"),
+          ("é", 1, True)]
+cells = st.one_of(plain, st.binary(max_size=12).map(DeferredPayload),
+                  st.fixed_dictionaries({"RA": st.text(max_size=6),
+                                         "DEC": plain}))
+
+
+def same_shaped(shape):
+    return st.lists(st.fixed_dictionaries({key: cells for key in shape}),
+                    max_size=7)
+
+
+class TestColumns:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(SHAPES).flatmap(same_shaped),
+           st.booleans(), st.one_of(st.none(), st.just({"odd": 1})))
+    def test_same_shaped_dicts_cost_what_the_model_says(self, items,
+                                                        as_tuple, odd):
+        value = items + [odd] if odd is not None else items
+        value = tuple(value) if as_tuple else value
+        assert sizeof(value) == model_sizeof(value)
+        assert sizeof({"items": value}) == model_sizeof({"items": value})
+
+    def test_a_bulk_request_costs_the_same_calls_whatever_its_items(self):
+        def request(n):
+            return {"items": [{"path": f"/demozone/c/f{i:04d}.fits",
+                               "data": bytes(64), "data_type": "fits",
+                               "metadata": {"RA": f"{i}.5", "DEC": "-1"}}
+                              for i in range(n)]}
+        few, many = request(10), request(500)
+        wire.clear_size_memo()
+        for value in (few, many):       # the key shapes remembered
+            assert sizeof(value) == model_sizeof(value)
+        gc.disable()        # a collection's callbacks are calls too
+        try:
+            assert profiled_calls(sizeof, few) == \
+                profiled_calls(sizeof, many)
+        finally:
+            gc.enable()

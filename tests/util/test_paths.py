@@ -284,3 +284,58 @@ class TestSplitMemo:
         for bad in (["a", ".."], ["a/b"], [" a"], [""], ["a", 5]):
             with pytest.raises(InvalidPath):
                 paths.from_components(bad)
+
+
+def model_locate(raw):
+    """What ``locate`` gives for one path: ``normalize``, then
+    ``dirname`` and ``basename`` of that, as the per-path calls did."""
+    path = model_normalize(raw)
+    comps = model_split(path)
+    if not comps:
+        raise InvalidPath("root path has no parent")
+    return path, paths.from_components(comps[:-1]), comps[-1]
+
+
+def memo_state(raws):
+    """How each memo answers ``raws`` now: a hit leaves the misses as
+    they were."""
+    out = []
+    for raw in raws:
+        for memo in (paths.split, paths.normalize, paths.dirname):
+            misses = memo.cache_info().misses
+            outcome(memo, raw)
+            out.append(memo.cache_info().misses == misses)
+    return out
+
+
+class TestLocate:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(loose_path, not_a_path), max_size=6),
+           st.booleans())
+    def test_locate_is_normalize_dirname_basename_of_each(self, raws, warm):
+        """One path that fails its batch's checks sends the batch path by
+        path; either way each item is the model's answer or its error."""
+        paths.clear_memos()
+        if warm:
+            paths.locate([r for r in raws if isinstance(r, str)][:1])
+        for _ in range(2):
+            assert [outcome(lambda r: r, at) if not isinstance(
+                at, InvalidPath) else ("InvalidPath", str(at))
+                for at in paths.locate(raws)] == \
+                [outcome(model_locate, r) for r in raws]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(logical_path, min_size=1, max_size=6))
+    def test_a_batch_leaves_the_memos_as_one_call_per_path(self, raws):
+        """After ``locate`` the memos hold what one ``normalize`` and one
+        ``dirname`` per path leave them holding, in the same order."""
+        raws = [r for r in raws if paths.split(r)[1:]]
+        paths.clear_memos()
+        paths.locate(raws)
+        batch = memo_state(raws)
+        paths.clear_memos()
+        for raw in raws:
+            paths.basename(paths.dirname(paths.normalize(raw)) and raw)
+        assert batch == memo_state(raws)
+        assert not any(memo.seeds for memo in (paths.split, paths.normalize,
+                                               paths.dirname))

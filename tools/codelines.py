@@ -21,12 +21,17 @@ CEILINGS = {
     #   -> 1,868); + a run of leaves sized in passes on the wire; + the
     #   chain levels an op's collection checks hand to the rows it lists;
     #   11,269 -> 11,410; - the byte movement of ContainerManager and
-    #   replication.synchronize, now the planes' one write loop, 11,394
-    "src/repro": 11_394,
+    #   replication.synchronize, now the planes' one write loop, 11,394;
+    #   + a bulk ingest is one batch in every layer (paths.locate and its
+    #   memo seeding, Mcat._new_rows, Table._columns_of, create_many and
+    #   _charge_writes, wire's columns, the batch require_local and
+    #   apply_structural_many) and the unpin that reaches first, 11,576
+    "src/repro": 11_576,
     # the catalog side of containers only: rows, primary copy, members
     "src/repro/core/containers.py": 62,
-    # + the per-op chain levels opened and dropped with the op
-    "src/repro/core/dispatch.py": 353,
+    # + the per-op chain levels opened and dropped with the op; + the
+    #   zone check of a bulk op's items as one call per batch
+    "src/repro/core/dispatch.py": 359,
     # + the runner's control leg: a leg whose path_key is None is sent
     #   blocking, in order, on one stream (it replaced three raw sends in
     #   the planes, so base.py and the lint allowlist shrank)
@@ -36,13 +41,16 @@ CEILINGS = {
     #   messages, payload legs, abort or skip), the write loop _store
     #   with create/replace/append, _remove, _pin and _refresh (the
     #   replica refresh of synchronize and of a container's sync, moved
-    #   here from replication.py and containers.py)
-    "src/repro/core/planes/base.py": 296,
+    #   here from replication.py and containers.py); + content_checksums,
+    #   and _land's one create_many per member
+    "src/repro/core/planes/base.py": 299,
     # + delete removes bytes all or none: a pinned replica or a storage
     #   system that is down refuses it before any replica goes; + the
     #   container acts moved in from ContainerManager (append, create,
-    #   compaction), each through the write loop
-    "src/repro/core/planes/data.py": 902,
+    #   compaction), each through the write loop; + _ingest's steps as
+    #   batches (items grouped per collection, a batch's optional fields
+    #   read by map)
+    "src/repro/core/planes/data.py": 907,
     # + a physical move whose source delete is refused takes back the
     #   copy it made
     "src/repro/core/planes/replica.py": 153,
@@ -63,15 +71,19 @@ CEILINGS = {
     #   _known and lookup_eq's hand-written scan loop; + the hash index
     #   over a pair: its upkeep in the row plan, lookup_eq on its first
     #   column, lookup_pairs, and count_eq for the cost rule; + lookup_eq
-    #   of a pair of columns answered as lookup_pairs
-    "src/repro/db/table.py": 467,
+    #   of a pair of columns answered as lookup_pairs; + _columns_of, a
+    #   clean batch built a column at a time, and lookup_eq_many with no
+    #   comprehension
+    "src/repro/db/table.py": 493,
     # the catalog's two packages, held together as well as file by file;
     # - the dicts, __len__, schema and extraction lookups only tests called
-    "src/repro/db": 1_396,
-    "src/repro/mcat": 1_868,
+    "src/repro/db": 1_422,
+    "src/repro/mcat": 1_894,
     # + an in-place rename refuses a taken destination or a missing
-    #   parent, as a rename across partitions does
-    "src/repro/mcat/catalog.py": 689,
+    #   parent, as a rename across partitions does; + _new_rows, a batch
+    #   of object rows checked in one pass (it replaced _object_values),
+    #   and apply_structural_many
+    "src/repro/mcat/catalog.py": 715,
     # + the cost rule prices the named attributes' triples, so it is
     #   handed them
     "src/repro/mcat/query.py": 301,
@@ -87,8 +99,11 @@ CEILINGS = {
     "src/repro/net/simnet.py": 509,
     # - is_pinned and used_bytes, which only tests called
     "src/repro/storage/archive.py": 195,
-    "src/repro/storage/base.py": 122,
-    "src/repro/storage/memfs.py": 99,
+    # + create_many (a loop for the archive and database drivers) and
+    #   _charge_writes, a batch of writes charged in one call
+    "src/repro/storage/base.py": 139,
+    # + create_many, the one create body, in one pass
+    "src/repro/storage/memfs.py": 119,
     # + the ceilings themselves, which were a test's dict and a CI list
     "tools/codelines.py": 54,
 }

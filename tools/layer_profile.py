@@ -27,9 +27,18 @@ of every Python function with one of those names, by ``caller ->
 callee``, from the same profile (the rows of one callee add up to its
 line in the function table).
 
+``--per-item`` names every function (a built-in too: each is a call
+``py_calls_per_op`` counts) called once or more per item a bulk call
+delivered (the ``bulk.items`` counter).  It profiles the pass at the
+size asked and at twice that: the client calls are the same, only
+their items double, so a function's extra calls over the extra items
+is what each item costs it, and work done once per call cancels out.
+It exits 1 if a function costs one call per item or more and is not in
+:data:`PER_ITEM_ALLOWED`, which is how CI uses it.
+
 Usage: python3 tools/layer_profile.py --workload catalog_load
            [--seed N] [--smoke] [--top N] [--json] [--by-call]
-           [--callers NAME...]
+           [--callers NAME...] [--per-item]
 """
 
 from __future__ import annotations
@@ -126,6 +135,38 @@ def callers(stats, ops: int, names):
                 edges[label_of(entry.code), label_of(sub.code)] += \
                     sub.callcount / ops
     return edges
+
+
+#: function label -> why it may run once per item of a bulk call (the
+#: target is an empty dict: a bulk call is one batch in every layer)
+PER_ITEM_ALLOWED: dict = {}
+
+
+def per_item(workload: str, seed: int, scale: float):
+    """``(items, {function: calls per item})`` of every function the
+    profiled pass calls once or more per bulk item, found from the pass
+    at ``scale`` and at ``2 * scale`` (module docstring)."""
+    from gridbench import runner
+    counts, items = [], []
+    for size in (scale, 2 * scale):
+        phase = warmed_phase(workload, seed, size)
+        metrics = phase.workload.grid.fed.obs.metrics
+        before = metrics.total("bulk.items")
+        profiler = cProfile.Profile()
+        phase.untimed_pass(runner.PROFILED_PASS, phase.sampled_rounds,
+                           profiler)
+        items.append(metrics.total("bulk.items") - before)
+        counts.append(Counter())
+        for entry in profiler.getstats():
+            counts[-1][label_of(entry.code)] += entry.callcount
+    extra = items[1] - items[0]
+    if extra <= 0:
+        raise SystemExit(f"layer_profile: {workload} delivers no more bulk "
+                         "items at twice the size")
+    slopes = {name: (counts[1][name] - counts[0][name]) / extra
+              for name in counts[1]}
+    return items[0], {name: slope for name, slope in sorted(
+        slopes.items(), key=lambda kv: -kv[1]) if slope >= 1}
 
 
 #: a call must deliver this many rows, on average over its kind, before
@@ -254,6 +295,9 @@ def main(argv=None) -> int:
     parser.add_argument("--callers", nargs="+", metavar="NAME",
                         help="calls per op by caller -> callee for the "
                         "functions with these names (e.g. inc observe)")
+    parser.add_argument("--per-item", action="store_true",
+                        help="functions called once or more per item of "
+                        "a bulk call; exit 1 on one not allowed")
     args = parser.parse_args(argv)
     if os.environ.get("PYTHONHASHSEED") != "0":    # as gridbench pins it
         os.environ["PYTHONHASHSEED"] = "0"
@@ -262,6 +306,20 @@ def main(argv=None) -> int:
     import gridbench
     gridbench.use_repo_sources()
     scale = 0.05 if args.smoke else 1.0
+    if args.per_item:
+        items, found = per_item(args.workload, args.seed, scale)
+        if args.json:
+            print(json.dumps({"workload": args.workload, "seed": args.seed,
+                              "items": items, "per_item": found}, indent=1))
+        else:
+            print(f"{args.workload} seed {args.seed}: {items} bulk items; "
+                  "functions called once or more per item")
+            for name, slope in found.items():
+                why = PER_ITEM_ALLOWED.get(name, "NOT ALLOWED")
+                print(f"{slope:12,.2f}  {name}  -- {why}")
+            if not found:
+                print("        none")
+        return 1 if set(found) - set(PER_ITEM_ALLOWED) else 0
     if args.by_call:
         kinds = by_call(args.workload, args.seed, scale)
         if args.json:
