@@ -62,13 +62,13 @@ from repro.core.planes import AuthService, DataService, MetadataService, \
 from repro.errors import AuthError
 from repro.mcat.query import Condition, DisplayOnly
 from repro.net.rpc import BatchItemResult
-from repro.net.wire import DeferredPayload
 
 #: every op the servers register, with its declaration and handler
 _DECLARED = [pair for service in (AuthService, NamespaceService, DataService,
                                   ReplicaService, MetadataService)
              for pair in declared_ops(service)]
 _SPECS: Dict[str, OpSpec] = {spec.name: spec for spec, _fn in _DECLARED}
+
 
 def _ls_entries(chunk: Dict[str, Any]) -> List[Dict[str, Any]]:
     """The entries of one ``list_collection_page`` chunk, as
@@ -110,7 +110,7 @@ class SrbClient:
             self.client_host, self._server_host,
             f"srb:{self.server_name}", method, **kwargs)
 
-    def _defer(self, data: Any) -> Any:
+    def _defer(self, data: Any, items: bool = False) -> Any:
         """Wrap a write payload for direct I/O.
 
         With ``Federation(direct_io=True)`` the payload bytes stay on
@@ -119,20 +119,18 @@ class SrbClient:
         the bytes, and the server moves them once, client→resource,
         over a brokered channel.  Off (the default), the bytes ride the
         request exactly as they always did.
-        """
-        if data is None or not self.federation.direct_io:
-            return data
-        return DeferredPayload(data)
 
-    def _defer_items(self, items: Sequence[Dict[str, Any]]
-                     ) -> List[Dict[str, Any]]:
-        """:meth:`_defer` for a bulk payload: each item's ``"data"``, in
-        copies of the caller's dicts (with direct I/O off, plain copies,
-        made by one C-level pass; ``_defer`` alone reads the knob)."""
-        if type(self._defer(items)) is not DeferredPayload:
-            return list(map(dict, items))
-        return [dict(item, data=self._defer(item["data"]))
-                if "data" in item else dict(item) for item in items]
+        With ``items``, ``data`` is a bulk payload: each item's
+        ``"data"`` is wrapped, in copies of the caller's dicts — with
+        direct I/O off, plain copies made in one C-level pass.
+        """
+        if not self.federation.direct_io:
+            return list(map(dict, data)) if items else data
+        if items:
+            return [dict(item, data=self._defer(item["data"]))
+                    if "data" in item else dict(item) for item in data]
+        from repro.net.wire import DeferredPayload
+        return data if data is None else DeferredPayload(data)
 
     def batch(self, *items: Tuple[Any, ...]) -> List[BatchItemResult]:
         """Pipeline ops as one message pair.
@@ -168,7 +166,7 @@ class SrbClient:
                         self._defer(kwargs[spec.payload_arg])
                 elif spec.payload_items in kwargs:
                     kwargs[spec.payload_items] = \
-                        self._defer_items(kwargs[spec.payload_items])
+                        self._defer(kwargs[spec.payload_items], items=True)
             sent.append((op, kwargs, *after))
         return self.federation.rpc.call_batch(
             self.client_host, self._server_host,
@@ -328,7 +326,7 @@ def _forward(spec: OpSpec, handler: Callable) -> Callable:
         if p.name == spec.payload_arg:
             value = f"self._defer({value})"
         elif p.name == spec.payload_items:
-            value = f"self._defer_items({value})"
+            value = f"self._defer({value}, items=True)"
         elif "Sequence[" in str(p.annotation):
             value = f"None if {value} is None else list({value})"
         sent.append(f"{p.name}={value}")

@@ -365,14 +365,12 @@ class OpContext:
         unscoped): ``{index in paths: error}`` of the paths in a peer's
         zone.  Like the plan's zone stage, nil — one call for the batch
         — while there is no peer zone."""
-        server = self.server
-        refused: Dict[int, SrbError] = {}
-        if server.federation.peers:
-            for i, path in enumerate(paths):
-                try:
-                    server._require_local(path, self.spec.name)
-                except SrbError as exc:
-                    refused[i] = exc
+        server, refused = self.server, {}
+        for i, path in enumerate(paths if server.federation.peers else ()):
+            try:
+                server._require_local(path, self.spec.name)
+            except SrbError as exc:
+                refused[i] = exc
         return refused
 
 

@@ -147,20 +147,12 @@ class LockManager:
                 released += 1
         return released
 
-    def pinned_besides(self, oid: int, resource: str,
-                       holder: Principal) -> bool:
-        """Whether a live pin of a holder other than ``holder`` holds
-        ``oid`` on ``resource``: what an unpin asks before it releases
-        ``holder``'s rows.  Reads only; it purges no expired row, so the
-        unpin counts the rows it always counted."""
-        t = self.mcat.oid_table("pins", oid)
-        now, name = self.clock.now, str(holder)
-        return any(row["resource"] == resource and row["holder"] != name
-                   and row["expires_at"] > now
-                   for row in t.row_dicts(t.lookup_eq("oid", oid)))
-
-    def is_pinned(self, oid: int, resource: Optional[str] = None) -> bool:
-        return any(resource is None or row["resource"] == resource
+    def is_pinned(self, oid: int, resource: Optional[str] = None,
+                  besides: Optional[str] = None) -> bool:
+        """Whether a live pin holds ``oid`` (on ``resource``), counting
+        no pin of the holder named ``besides``."""
+        return any((resource is None or row["resource"] == resource)
+                   and row["holder"] != besides
                    for row in self._live_pins(oid))
 
     # -- checkout / checkin ------------------------------------------------------

@@ -45,12 +45,9 @@ def content_checksum(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-_HEXDIGEST = methodcaller("hexdigest")
-
-
 def content_checksums(datas: Sequence[bytes]) -> List[str]:
     """:func:`content_checksum` of each of ``datas``, in one call."""
-    return list(map(_HEXDIGEST, map(hashlib.sha256, datas)))
+    return list(map(methodcaller("hexdigest"), map(hashlib.sha256, datas)))
 
 
 _CONTROL_MSG = 256      # bytes of a control message between servers
@@ -280,23 +277,23 @@ class PlaneService(Wired):
               on_refused: Callable[[int, SrbError], None]) -> Set[int]:
         """Create every ``(physical path, data)`` of ``files`` on every
         resource of ``res_list``, once :meth:`_reach` has pushed them
-        there: an ingest's landing, one ``create_many`` per resource.  A
-        file a storage system refuses is removed from the members
-        already written and handed to ``on_refused(index, error)``,
-        after that member's batch, while the other files proceed;
+        there: an ingest's landing.  A file a storage system refuses is
+        removed from the members already written and handed to
+        ``on_refused(index, error)`` while the other files proceed;
         returns the indices refused."""
-        refused: Dict[int, SrbError] = {}
+        refused: Set[int] = set()
         for k, res in enumerate(res_list):
-            left = [i for i in range(len(files)) if i not in refused] \
-                if refused else None
-            batch = files if left is None else [files[i] for i in left]
-            for j, exc in res.driver.create_many(batch).items():
-                i = j if left is None else left[j]
-                self._remove([(done, files[i][0]) for done in res_list[:k]],
-                             "rollback", "skip")
-                refused[i] = exc
-                on_refused(i, exc)
-        return set(refused)
+            for i, (phys, data) in enumerate(files):
+                if i in refused:
+                    continue
+                try:
+                    res.driver.create(phys, data)
+                except SrbError as exc:
+                    self._remove([(done, phys) for done in res_list[:k]],
+                                 "rollback", "skip")
+                    refused.add(i)
+                    on_refused(i, exc)
+        return refused
 
     def _store(self, src_host: Optional[str],
                targets: Sequence[Tuple[PhysicalResource, str]],

@@ -42,6 +42,7 @@ runner picks the route (lint rule 6)."""
 
 from __future__ import annotations
 
+from collections import defaultdict
 from itertools import compress
 from operator import itemgetter, methodcaller
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
@@ -50,7 +51,7 @@ from repro.auth.users import Principal
 from repro.core.dispatch import OpContext, rpc_op
 from repro.core.planes.base import PlaneService, _CONTROL_MSG, \
     content_checksum, content_checksums, link_view
-from repro.mcat.catalog import apply_structural_many
+from repro.mcat.catalog import apply_structural
 from repro.net.rpc import BatchItemResult
 from repro.net.simnet import TransferOutcome, raise_failed
 from repro.net.wire import Redirect
@@ -76,10 +77,14 @@ from repro.util import paths
 
 
 #: an ingest item's optional fields, read off a batch of items by map
-_PATH = methodcaller("get", "path", "")
-_METADATA = methodcaller("get", "metadata")
 _DATA_TYPE = methodcaller("get", "data_type")
 _DATA = itemgetter("data")
+
+
+def _item_error(path: str, exc: BaseException) -> Dict[str, str]:
+    """A bulk item's failure, as a bulk op's reply reports it."""
+    return {"path": path, "error": str(exc), "error_type": type(exc).__name__}
+
 
 #: The most of an object's contents MySRB's object view shows inline;
 #: ``open_object`` ships one byte more, so the page can tell "larger".
@@ -158,10 +163,10 @@ class DataService(PlaneService):
         and either the new oid or the :class:`SrbError` that item failed
         with; an unusable target or a failed push raises for them all.
 
-        1. Each item's path (located once, :func:`paths.locate`), zone,
-           collection write access and structural metadata; the catalog
-           is asked once per collection.  When no item is left, nothing
-           more happens.
+        1. Each item's path (the batch located at once,
+           :func:`paths.locate`), zone, collection write access and
+           structural metadata; the catalog is asked once per
+           collection.  When no item is left, nothing more happens.
         2. The target, before any catalog write: the container and
            write access on it, or the resource's members, ranked for
            the bytes that will move and every one up.
@@ -169,27 +174,27 @@ class DataService(PlaneService):
            its item here, before its bytes move.
         4. The bytes of the rows written: appended to the container, or
            pushed once to every member (``label`` names the legs) and
-           landed there, one ``create_many`` per member; a push that
-           fails deletes the rows and raises.  An item a storage system
-           refuses loses its row.
+           landed there; a push that fails deletes the rows and raises.
+           An item a storage system refuses loses its row.
         5. One grouped write of the replica rows, and one of the
            metadata triples.
 
-        Each step is a batch: the Python calls it makes do not grow with
-        the items (``tools/layer_profile.py --per-item``), only C-level
-        passes over them do.
+        Each step takes the items as a batch, with C-level passes over
+        them; what still makes a call per item (a member's one driver
+        ``create`` per file, the structural rules) is named in
+        ``tools/layer_profile.py``'s ``PER_ITEM_ALLOWED``.
         """
         principal = ctx.principal
-        raws = list(map(str, map(_PATH, items)))
+        raws = list(map(str, map(methodcaller("get", "path", ""), items)))
         located = paths.locate(raws)
         # item -> the error it met: its path's, else its zone's
-        failed: Dict[int, SrbError] = {**ctx.require_local(raws), **{
-            i: at for i, at in enumerate(located) if type(at) is not tuple}}
-        live = [i for i in range(len(raws)) if i not in failed]
-        datas = {i: items[i]["data"] for i in live}
-        groups: Dict[str, List[int]] = {located[i][1]: [] for i in live}
-        for i in live:
-            groups[located[i][1]] += (i,)
+        failed = ctx.require_local(raws)
+        groups: Dict[str, List[int]] = defaultdict(list)    # by collection
+        for i, at in enumerate(located):
+            if type(at) is not tuple:
+                failed[i] = at
+            elif i not in failed:
+                groups[at[1]] += (i,)
         effective: Dict[int, Dict[str, str]] = {}
         for coll, group in groups.items():
             try:
@@ -198,23 +203,20 @@ class DataService(PlaneService):
             except SrbError as exc:
                 failed.update(dict.fromkeys(group, exc))
                 continue
-            for i, md in zip(group, apply_structural_many(
-                    rules, list(map(_METADATA, map(items.__getitem__,
-                                                   group))), coll)):
-                if type(md) is dict:
-                    effective[i] = md
-                else:
-                    failed[i] = md
-        keep = [i for i in live if i not in failed]
+            for i, md in zip(group, map(methodcaller("get", "metadata"),
+                                        map(items.__getitem__, group))):
+                try:
+                    effective[i] = apply_structural(rules, md or {}, coll)
+                except SrbError as exc:
+                    failed[i] = exc
+        keep = [i for i in range(len(raws)) if i not in failed]
         if not keep:
             return [(raw, failed[i]) for i, raw in enumerate(raws)]
 
-        kept = list(map(datas.__getitem__, keep))
+        kept = list(map(_DATA, map(items.__getitem__, keep)))
         sizes = list(map(len, kept))
-        nbytes = sum(sizes)
         if container is not None:
-            cont_path = paths.normalize(container)
-            cont = self.containers.get_container(cont_path)
+            cont = self.containers.get_container(paths.normalize(container))
             self.access.require_object(principal, cont, "write")
         else:
             resource = resource or self.federation.default_resource
@@ -222,24 +224,22 @@ class DataService(PlaneService):
                 raise NoSuchResource("no resource given and no default")
             res_list = self.federation.placement.order_resources(
                 self.resources.resolve(resource), from_host=self.host,
-                size_hint=nbytes)
+                size_hint=sum(sizes))
             self._require_up(res_list)
 
         oids = self.mcat.create_objects(
-            [{"path": located[i][0], "coll": located[i][1],
-              "name": located[i][2], "kind": "data", "data_type": data_type,
+            [{"path": located[i][0], "kind": "data", "data_type": data_type,
               "size": size, "checksum": checksum}
              for i, data_type, size, checksum in zip(
                  keep, map(_DATA_TYPE, map(items.__getitem__, keep)),
                  sizes, content_checksums(kept))],
             owner=str(principal), now=self.now)
-        for i, size, oid in zip(keep, sizes, oids):
-            if type(oid) is not int:
-                failed[i] = oid
-                nbytes -= size
+        failed.update({i: oid for i, oid in zip(keep, oids)
+                       if type(oid) is not int})
         # (item, oid, size) of each object row written
         alive = [(i, oid, size) for i, oid, size in zip(keep, oids, sizes)
                  if type(oid) is int]
+        nbytes = sum(map(itemgetter(2), alive))
 
         def fail(entry: Tuple[int, int, int], exc: SrbError) -> None:
             self.mcat.delete_object(entry[1])
@@ -250,7 +250,7 @@ class DataService(PlaneService):
             for entry in alive:
                 try:
                     res, primary, offset = self._append(
-                        coid, datas[entry[0]], ctx.payload_host,
+                        coid, items[entry[0]]["data"], ctx.payload_host,
                         "container-append")
                 except SrbError as exc:
                     fail(entry, exc)
@@ -264,7 +264,7 @@ class DataService(PlaneService):
             prefix = {coll: f"/srb/{coll.strip('/').replace('/', '_')}/"
                       for coll in groups}
             files = [(f"{prefix[located[i][1]]}{oid}-{located[i][2]}",
-                      datas[i]) for i, oid, _size in alive]
+                      items[i]["data"]) for i, oid, _size in alive]
             # a push of one file binds its channel tickets to it
             key = files[0][0] if len(files) == 1 else ""
             try:
@@ -337,9 +337,7 @@ class DataService(PlaneService):
         if ctx.span is not None:
             ctx.span.incr("payload_bytes", total_bytes)
         return [{"path": path, "oid": oid} if type(oid) is int
-                else {"path": path, "error": str(oid),
-                      "error_type": type(oid).__name__}
-                for path, oid in done]
+                else _item_error(path, oid) for path, oid in done]
 
     @rpc_op("bulk_get", audit="bulk-get", span_items="targets")
     def bulk_get(self, ctx: OpContext, targets: Sequence[str],
@@ -386,16 +384,13 @@ class DataService(PlaneService):
                 total += len(data)
                 results.append({"path": path, "data": data})
             except SrbError as exc:
-                results.append({"path": str(raw), "error": str(exc),
-                                "error_type": type(exc).__name__})
+                results.append(_item_error(str(raw), exc))
 
         def failed(k: int, outcome: TransferOutcome) -> None:
             nonlocal total
             idx = owed[k][0]
             total -= len(results[idx]["data"])
-            results[idx] = {
-                "path": results[idx]["path"], "error": str(outcome.error),
-                "error_type": type(outcome.error).__name__}
+            results[idx] = _item_error(results[idx]["path"], outcome.error)
 
         reply = self._deliver(
             results,
@@ -450,8 +445,7 @@ class DataService(PlaneService):
                 lookups.append((len(results), reads))
                 results.append({"path": path, "metadata": []})
             except SrbError as exc:
-                results.append({"path": str(raw), "error": str(exc),
-                                "error_type": type(exc).__name__})
+                results.append(_item_error(str(raw), exc))
         if lookups:
             rows = iter(self.mcat.get_metadata_bulk(
                 [pair for _idx, reads in lookups for pair in reads],
@@ -1184,8 +1178,7 @@ class DataService(PlaneService):
         # whether the caller is the last is read first, and the unpin
         # reaches the archive's host before a row is released, as a pin
         if isinstance(res.driver, ArchiveDriver) \
-                and not self.locks.pinned_besides(oid, resource,
-                                                  ctx.principal):
+                and not self.locks.is_pinned(oid, resource, str(ctx.principal)):
             self._pin(res, [rep["physical_path"]
                             for rep in self.mcat.replicas(oid)
                             if rep["resource"] == resource], pinned=False)

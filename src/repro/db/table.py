@@ -50,7 +50,7 @@ from __future__ import annotations
 from bisect import bisect_right, insort
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain, count, islice, repeat
+from itertools import count, islice, repeat
 from operator import itemgetter
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -312,29 +312,40 @@ class Table:
 
     # -- mutation -----------------------------------------------------------
 
-    def _row(self, values: Dict[str, Any]) -> list:
-        """``values`` as the heap stores them: a list of the table's exact
-        width, every column checked — its type, NOT NULL, the primary key.
-        The uniqueness of keys is the caller's to check."""
-        for name in values:
-            if name not in self._offset:
-                unknown = sorted(set(values) - set(self._offset))
-                raise DatabaseError(
-                    f"unknown columns {unknown} for {self.name!r}")
-        row = [None] * self._width
-        for off, name, exact, nullable, check in self._column_plan:
-            if name in values:
-                value = values[name]
-                if type(value) is exact:
-                    row[off] = value
-                elif value is not None or not nullable:
-                    row[off] = check(value)
-            elif not nullable:
-                check(None)
+    def _rows_of(self, batch: Sequence[Dict[str, Any]],
+                 unique: Tuple[Tuple[int, dict], ...] = ()) -> List[list]:
+        """Each of ``batch``'s values as the heap stores them, in one loop
+        with no call per row: a list of the table's exact width, every
+        column checked — its type, NOT NULL, the primary key — and each
+        key of ``unique`` (the unique plan's ``(offset, map)`` entries)
+        new to its map and to the rows before it.  The first row that
+        fails raises its error, as one insert per row would."""
+        built: List[Any] = list(batch)
         pk = self.primary_key
-        if pk is not None and row[self._offset[pk]] is None:
-            raise DatabaseError(f"primary key {pk!r} may not be NULL")
-        return row
+        seen: Dict[Tuple[int, Any], None] = {}     # the batch's keys
+        for i, values in enumerate(batch):
+            for name in values:
+                if name not in self._offset:
+                    unknown = sorted(set(values) - set(self._offset))
+                    raise DatabaseError(
+                        f"unknown columns {unknown} for {self.name!r}")
+            built[i] = row = [None] * self._width
+            for off, name, exact, nullable, check in self._column_plan:
+                if name in values:
+                    value = values[name]
+                    if type(value) is exact:
+                        row[off] = value
+                    elif value is not None or not nullable:
+                        row[off] = check(value)
+                elif not nullable:
+                    check(None)
+            if pk is not None and row[self._offset[pk]] is None:
+                raise DatabaseError(f"primary key {pk!r} may not be NULL")
+            for off, hmap in unique:
+                if row[off] in hmap or (off, row[off]) in seen:
+                    self._refuse(off, row[off])
+                seen[off, row[off]] = None
+        return built
 
     def _refuse(self, off: int, key: Any) -> None:
         """Raise the error of a row whose ``key`` clashes in the unique
@@ -351,10 +362,7 @@ class Table:
         row is acceptable: column types, NOT NULL, the primary key and
         every unique index are checked first.
         """
-        row = self._row(values)
-        for off, hmap in self._unique_plan:
-            if row[off] in hmap:
-                self._refuse(off, row[off])
+        (row,) = self._rows_of((values,), self._unique_plan)
         rid = len(self._rows)
         self._rows.append(row)
         self._live += 1
@@ -396,16 +404,7 @@ class Table:
         """
         if len(rows) == 1:
             return [self.insert(rows[0])]
-        built = self._columns_of(rows)
-        if built is None:       # row by row, refused where insert would be
-            built = [None] * len(rows)
-            taken = [{} for _entry in self._unique_plan]   # keys of the batch
-            for i, values in enumerate(rows):
-                built[i] = row = self._row(values)
-                for (off, hmap), seen in zip(self._unique_plan, taken):
-                    if row[off] in hmap or row[off] in seen:
-                        self._refuse(off, row[off])
-                    seen[row[off]] = None
+        built = self._rows_of(rows, self._unique_plan)
         base = len(self._rows)
         # one int per row id, shared by every index that files the row
         # (made as len() makes them: tracemalloc counts range's ints 4 B
@@ -455,35 +454,6 @@ class Table:
             for rid, row in zip(rids, built):
                 self.observer(self.name, "insert", rid, dict(zip(self._names, row)))
         return rids
-
-    def _columns_of(self, rows: Sequence[Dict[str, Any]]
-                    ) -> Optional[List[list]]:
-        """``rows`` (dicts) as the heap stores them, built a column at a
-        time by C-level passes (no Python call per row): when every key
-        names a column, every value is of its column's exact type or a
-        NULL it allows, and no unique key is held or repeated.  Otherwise
-        None, and :meth:`insert_many` builds them with :meth:`_row`,
-        which converts a value or raises where one insert per row
-        would."""
-        if not self._offset.keys() >= set(chain.from_iterable(rows)):
-            return None
-        columns = [list(map(dict.get, rows, repeat(name)))
-                   for name in self._names]
-        for column, (_off, _name, exact, nullable, _check) in zip(
-                columns, self._column_plan):
-            if not set(map(type, column)) <= (
-                    {exact, type(None)} if nullable else {exact}):
-                return None
-        pk = self.primary_key
-        if pk is not None and None in columns[self._offset[pk]]:
-            return None
-        for off, hmap in self._unique_plan:
-            if not hmap.keys().isdisjoint(columns[off]) \
-                    or len(set(columns[off])) < len(rows):
-                return None
-        # list() of a tuple may keep a spare slot; its copy is exact, as
-        # the [None] * width a row built one at a time starts from
-        return list(map(list.copy, map(list, zip(*columns))))
 
     def charge(self, n: int) -> None:
         """Charge ``n`` rows to scan accounting that no lookup read: the
@@ -606,17 +576,15 @@ class Table:
         call and one list — each value's rids ascending, the values in
         the order given — charged exactly as one ``lookup_eq`` per value.
         With an index, no Python call is made per value."""
-        index = self._hash_indexes[column] \
+        found = self._hash_indexes[column]._map \
             if column in self._hash_indexes else None
         rids: List[int] = []
         try:
-            found = index._map
             for value in values:
                 if value in found:
-                    bucket = found[value]
-                    rids += (bucket,) if type(bucket) is int else bucket
-        except (AttributeError, TypeError):
-            # no index, or an unhashable value: one by one
+                    rids += (found[value],) if type(found[value]) is int \
+                        else found[value]
+        except TypeError:   # no index, or an unhashable value: one by one
             return [rid for value in values
                     for rid in self.lookup_eq(column, value)]
         n = len(rids)
@@ -756,8 +724,8 @@ class Table:
         if any(len(row) != self._width for row in rows if row is not None):
             raise DatabaseError(f"a row of {self.name!r} is not "
                                 f"{self._width} values")
-        self._rows = [row if row is None else self._row(dict(zip(
-            self._names, row))) for row in rows]
+        self._rows = [row if row is None else self._rows_of((dict(zip(
+            self._names, row)),))[0] for row in rows]
         self._live = len(rows) - rows.count(None)
         for key, idx in self._hash_indexes.items():
             self._hash_indexes[key] = self._backfill(

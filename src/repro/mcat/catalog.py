@@ -50,59 +50,38 @@ from repro.util.ids import IdFactory
 def apply_structural(reqs: Sequence[Dict[str, Any]],
                      provided: Dict[str, str],
                      coll_path: str) -> Dict[str, str]:
-    """Apply structural requirement rows to a provided attribute dict:
-    the one item of :func:`apply_structural_many`, whose error it
-    raises."""
-    (effective,) = apply_structural_many(reqs, (provided,), coll_path)
-    if type(effective) is not dict:
-        raise effective
-    return effective
+    """Apply structural requirement rows to a provided attribute dict.
 
-
-def apply_structural_many(reqs: Sequence[Dict[str, Any]],
-                          provided: Sequence[Optional[Dict[str, str]]],
-                          coll_path: str) -> List[Any]:
-    """Apply structural requirement rows to each attribute dict of
-    ``provided`` (None is no attributes): the effective attributes, or
-    the :class:`SrbError` that item is refused for, aligned.
-
-    Pure function so an ingest can fetch the (charged) requirement
-    rows once per collection and validate its N items against them,
-    with no Python call per item.  Runs before an ingest creates
-    anything, so it is also where a name or a value that is not text
-    is refused (:func:`_refuse_non_text`).
+    Pure function so bulk ingest can fetch the (charged) requirement
+    rows once per collection and validate N items against them.  Runs
+    before an ingest creates anything, so it is also where a name or a
+    value that is not text is refused (:func:`_refuse_non_text`).
     """
-    vocabs = [req["vocabulary"].split("|") if req["vocabulary"] else None
-              for req in reqs]
-    out: List[Any] = [None] * len(provided)
-    for i, given in enumerate(provided):
-        out[i] = effective = dict(given) if given else {}
-        try:
-            for attr in effective:
-                value = effective[attr]
-                if type(attr) is not str or (type(value) is not str
-                                             and value is not None):
-                    _refuse_non_text(attr, value)
-            missing = []
-            for req, vocab in zip(reqs, vocabs):
-                attr = req["attr"]
-                if attr not in effective:
-                    if req["default_value"] is not None:
-                        effective[attr] = req["default_value"]
-                    elif req["mandatory"]:
-                        missing.append(attr)
-                        continue
-                    else:
-                        continue
-                if vocab is not None and effective[attr] not in vocab:
-                    raise VocabularyViolation(
-                        f"{attr}={effective[attr]!r} not in vocabulary "
-                        f"{vocab} for collection {coll_path!r}")
-            if missing:
-                raise MandatoryMetadataMissing(missing)
-        except SrbError as exc:
-            out[i] = exc
-    return out
+    effective = dict(provided)
+    for attr in effective:
+        value = effective[attr]
+        if type(attr) is not str or (type(value) is not str
+                                     and value is not None):
+            _refuse_non_text(attr, value)
+    missing = []
+    for req in reqs:
+        attr = req["attr"]
+        vocab = req["vocabulary"].split("|") if req["vocabulary"] else None
+        if attr not in effective:
+            if req["default_value"] is not None:
+                effective[attr] = req["default_value"]
+            elif req["mandatory"]:
+                missing.append(attr)
+                continue
+            else:
+                continue
+        if vocab is not None and effective[attr] not in vocab:
+            raise VocabularyViolation(
+                f"{attr}={effective[attr]!r} not in vocabulary {vocab} "
+                f"for collection {coll_path!r}")
+    if missing:
+        raise MandatoryMetadataMissing(missing)
+    return effective
 
 
 def _refuse_non_text(attr: Any, value: Any) -> None:
@@ -116,11 +95,11 @@ def _refuse_non_text(attr: Any, value: Any) -> None:
             f"metadata {attr!r}={value!r}: names and values must be text")
 
 
-#: an object row's columns a ``create_objects`` spec need not set, and
-#: those no new row sets otherwise
-_OBJECT_DEFAULTS = {"data_type": None, "size": None, "target": None,
-                    "template": None, "resource_hint": None,
-                    "checksum": None, "version": 1, "checked_out_by": None}
+#: an object row's columns a ``create_objects`` spec may set, and the
+#: fields a spec may hold
+_OPTIONAL = dict.fromkeys(("data_type", "size", "target", "template",
+                           "resource_hint", "checksum"))
+_SPEC_FIELDS = frozenset(("path", "kind", *_OPTIONAL))
 #: the targets and classes a metadata triple may have
 _TARGET_KINDS = ("object", "collection")
 _META_CLASSES = ("user", "type", "file-based")
@@ -373,10 +352,9 @@ class Mcat:
         and the rows a read per spec would have touched are charged
         (:meth:`~repro.db.table.Table.charge`).  The caller charges the
         block."""
-        where = [(spec["path"], spec["coll"], spec["name"])
-                 if "coll" in spec else None for spec in specs]
-        if None in where:
-            where = paths.locate([spec["path"] for spec in specs])
+        if set().union(*specs) - _SPEC_FIELDS:
+            raise TypeError("an object spec sets a field it may not set")
+        where = paths.locate(list(map(itemgetter("path"), specs)))
         out = [MetadataError(f"unknown object kind {spec['kind']!r}")
                if spec["kind"] not in OBJECT_KINDS else
                None if type(at) is tuple else at
@@ -402,17 +380,16 @@ class Mcat:
                 again += 1
             elif at[0] not in taken:
                 claimed[at[0]] = None
-                out[i] = {**_OBJECT_DEFAULTS, **specs[i], "path": at[0],
+                out[i] = {**_OPTIONAL, **specs[i], "path": at[0],
                           "coll": at[1], "name": at[2], "owner": owner,
-                          "created_at": now, "modified_at": now}
+                          "created_at": now, "modified_at": now,
+                          "version": 1, "checked_out_by": None}
                 continue
             out[i] = AlreadyExists(f"path {at[0]!r} already in use")
         # a collection read per spec; and a path an earlier spec claimed
         # is the row a row-by-row write's object lookup would have found
-        if len(wanted) > len(rids):
-            t.charge(len(wanted) - len(rids))
-        if again:
-            o.charge(again)
+        t.charge(len(wanted) - len(rids))
+        o.charge(again)
         return out
 
     def create_objects(self, specs: Sequence[Dict[str, Any]], owner: str,
@@ -421,11 +398,9 @@ class Mcat:
         inserted as one batch.
 
         Each spec is the keyword dict of one ``create_object`` call
-        (minus ``owner``/``now``): ``path``, ``kind`` and any other
-        column it sets (``data_type``, ``size``, ``target``, ...).  A
-        spec that holds ``coll`` and ``name`` too was located by
-        :func:`~repro.util.paths.locate` (its path is canonical), and is
-        not located again.  Returns a list aligned with ``specs``
+        (minus ``owner``/``now``): ``path``, ``kind`` and any of
+        :data:`_OPTIONAL`'s columns; another field raises
+        :class:`TypeError`.  Returns a list aligned with ``specs``
         holding the new oid, or the :class:`SrbError` that item raised —
         one invalid item does not poison the batch.  A path an earlier
         item of the batch takes fails the later item, and a row the table
@@ -447,9 +422,8 @@ class Mcat:
                 for i, values in enumerate(results):
                     if type(values) is AlreadyExists and paths.normalize(
                             specs[i]["path"]) in freed:
+                        # the path is free now, so this is a row
                         (values,) = self._new_rows([specs[i]], owner, now)
-                        if type(values) is not dict:
-                            raise values
                         values["oid"] = oids[i] = self.ids.next_int("oid")
                     if type(values) is dict:
                         try:
@@ -804,11 +778,8 @@ class Mcat:
             full = self._check_metadata_specs(specs)
             mids = self.ids.next_ints("mid", len(full))
             for s, mid in zip(full, mids):      # each spec grows into its row
-                s["mid"], s["created_by"], s["created_at"] = mid, by, now
-                try:        # numeric(value), inline: no call per triple
-                    s["value_num"] = float(s["value"])
-                except (TypeError, ValueError):
-                    s["value_num"] = None
+                s["mid"], s["value_num"] = mid, numeric(s["value"])
+                s["created_by"], s["created_at"] = by, now
             self._metadata.insert_many(full)
             return list(mids)
 

@@ -80,7 +80,6 @@ _FIXED_SIZE = {type(None): _ENVELOPE, bool: _ENVELOPE,
 _LEAF_TYPES = frozenset(_FIXED_SIZE) | {str, bytes}
 _TEXT_TYPES = frozenset({str, bytes})
 _ROW_TYPES = frozenset({tuple, list})
-_DICT_KIND = {dict}
 # A list, tuple or dict whose items are leaves, or rows of leaves (a
 # page of query results), with at least this many strings (or bytes)
 # among them is sized in a few passes, each one call to a profiler,
@@ -139,21 +138,16 @@ def sizeof(value: Any) -> int:
         if kinds <= _ROW_TYPES:
             leaves = list(chain.from_iterable(items))
             kinds = set(map(type, leaves))
-        elif kinds == _DICT_KIND and t is not dict:
-            shapes = set(map(tuple, items))
-            if len(shapes) == 1:
-                return total + _sizeof_columns(items, shapes.pop())
-        strs = blobs = ()
-        if kinds <= _LEAF_TYPES:
-            strs = list(compress(leaves, map(is_, map(type, leaves),
-                                             repeat(str))))
-            if bytes in kinds:
-                blobs = list(compress(leaves, map(is_, map(type, leaves),
-                                                  repeat(bytes))))
-        if strs[_RUN - 1:_RUN] or blobs[_RUN - 1:_RUN]:
+        elif kinds == {dict} and t is not dict \
+                and len(shapes := set(map(tuple, items))) == 1:
+            return total + _sizeof_columns(items, shapes.pop())
+        strs = list(compress(leaves, map(is_, map(type, leaves),
+                                         repeat(str)))) \
+            if kinds <= _LEAF_TYPES else ()
+        if strs[_RUN - 1:_RUN] or kinds == {bytes}:
             if leaves is not items:     # rows: each one's envelope
                 total += _ENVELOPE * len(items)
-            return total + _sizeof_run(leaves, strs, blobs, kinds)
+            return total + _sizeof_run(leaves, strs, kinds)
     for item in items:
         t = type(item)
         if t is str:
@@ -168,15 +162,16 @@ def sizeof(value: Any) -> int:
     return total
 
 
-def _sizeof_run(leaves: Any, strs: List[str], blobs: List[bytes],
-                kinds: Set[type]) -> int:
+def _sizeof_run(leaves: Any, strs: List[str], kinds: Set[type]) -> int:
     """What ``leaves``, all of :data:`_LEAF_TYPES`, cost on the wire, in
     a few passes (one profiled call each) rather than a len and an
-    isascii per string; ``strs`` and ``blobs`` are the strings and the
-    bytes among them, the strings encoded only when one is not ASCII."""
+    isascii per string; ``strs`` are the strings among them, encoded
+    only when one of them is not ASCII."""
     total = _ENVELOPE * len(strs) + sum(map(len, strs if all(map(
         str.isascii, strs)) else map(str.encode, strs)))
-    if blobs:
+    if bytes in kinds:
+        blobs = list(compress(leaves, map(is_, map(type, leaves),
+                                          repeat(bytes))))
         total += _ENVELOPE * len(blobs) + sum(map(len, blobs))
     if not kinds <= _TEXT_TYPES:
         total += sum(map(_FIXED_SIZE.__getitem__, filter(
@@ -190,13 +185,8 @@ def _sizeof_columns(rows: Any, keys: Tuple[Any, ...]) -> int:
     and each column of values sized as one sequence (so a column of
     strings, bytes or same-shaped dicts is one run) — the bytes one
     :func:`sizeof` per row adds up to, with no call per row."""
-    try:
-        total = _key_shapes[keys] * len(rows)
-    except KeyError:
-        total = _sizeof_keys(keys) * len(rows)
-    for column in zip(*map(dict.values, rows)):
-        total += sizeof(column) - _ENVELOPE
-    return total
+    return (_key_shapes.get(keys) or _sizeof_keys(keys)) * len(rows) + sum(
+        map(sizeof, zip(*map(dict.values, rows)))) - _ENVELOPE * len(keys)
 
 
 def _sizeof_keys(keys: Tuple[Any, ...]) -> int:

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional
 
-from repro.errors import NoSuchPhysicalFile, SrbError, StorageError
+from repro.errors import NoSuchPhysicalFile, StorageError
 from repro.obs import Observability
 from repro.util.clock import SimClock
 
@@ -39,6 +39,9 @@ class DeviceCost:
 
     def read_cost(self, nbytes: int) -> float:
         return self.op_latency_s + nbytes / self.read_bps
+
+    def write_cost(self, nbytes: int) -> float:
+        return self.op_latency_s + nbytes / self.write_bps
 
 
 # Profiles for the device families the paper names.
@@ -112,34 +115,17 @@ class StorageDriver(abc.ABC):
         self._charge(self.cost.read_cost(nbytes))
 
     def _charge_write(self, nbytes: int, op: str = "write") -> None:
-        self._charge_writes((nbytes,), op)
-
-    def _charge_writes(self, sizes: Sequence[int], op: str = "write"
-                       ) -> None:
-        """Count and charge one write of each of ``sizes`` bytes, in
-        order, in one call: the clock adds each write's cost (the op
-        latency plus its bytes at ``write_bps``) in turn, so it ends on
-        the float one charge per write would leave, where their sum may
-        round otherwise.  While a tracer records, each write is its own
-        ``storage.<op>`` span."""
-        if not sizes:
-            return
-        count, nbytes = len(sizes), sum(sizes)
-        latency, bps = self.cost.op_latency_s, self.cost.write_bps
-        costs = [latency + size / bps for size in sizes]
-        self.ops += count
+        self.ops += 1
         self.bytes_written += nbytes
+        self._count_op(op)
         if self.obs is not None:
-            self._op_meters[self.label, op][0].inc(count)
             self._bytes_written.inc(nbytes)
             if self.obs.tracer.stack:
-                for size, cost in zip(sizes, costs):
-                    with self.obs.tracer.span(f"storage.{op}",
-                                              driver=self.label, bytes=size):
-                        self._charge(cost)
+                with self.obs.tracer.span(f"storage.{op}",
+                                          driver=self.label, bytes=nbytes):
+                    self._charge(self.cost.write_cost(nbytes))
                 return
-        if self.clock is not None:
-            self.clock.advance_each(costs)
+        self._charge(self.cost.write_cost(nbytes))
 
     def _charge_op(self, op: str = "meta") -> None:
         self.ops += 1
@@ -158,20 +144,6 @@ class StorageDriver(abc.ABC):
         file).  A driver never mutates a ``bytes``: an in-place write
         or append first takes a private ``bytearray`` (:func:`writable`).
         """
-
-    def create_many(self, files: Sequence[Tuple[str, bytes]]
-                    ) -> Dict[int, SrbError]:
-        """:meth:`create` each ``(path, data)`` of ``files``, in order:
-        the files, counters and clock end as one ``create`` per file
-        leaves them.  A file the driver refuses does not stop the
-        others; returns the refusals, ``{index in files: error}``."""
-        refused: Dict[int, SrbError] = {}
-        for i, (path, data) in enumerate(files):
-            try:
-                self.create(path, data)
-            except SrbError as exc:
-                refused[i] = exc
-        return refused
 
     @abc.abstractmethod
     def read(self, path: str, offset: int = 0,

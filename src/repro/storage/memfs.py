@@ -9,12 +9,9 @@ virtual-clock accounting).
 
 from __future__ import annotations
 
-from itertools import compress
-from operator import itemgetter
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Union
 
-from repro.errors import AlreadyExists, SrbError, StorageError, \
-    StorageFull
+from repro.errors import AlreadyExists, StorageError, StorageFull
 from repro.storage.base import DISK_COST, DeviceCost, StorageDriver, \
     normalize_physical, writable
 from repro.util.clock import SimClock
@@ -46,40 +43,14 @@ class MemFsDriver(StorageDriver):
     # -- StorageDriver ------------------------------------------------------
 
     def create(self, path: str, data: bytes) -> None:
-        """:meth:`create_many` of one file, raising its refusal."""
-        for exc in self.create_many(((path, data),)).values():
-            raise exc
-
-    def create_many(self, files: Sequence[Tuple[str, bytes]]
-                    ) -> Dict[int, SrbError]:
-        """Create each ``(path, data)`` of ``files``, in order, in one
-        pass: a path already held (:class:`AlreadyExists`) or a file that
-        does not fit beside the files before it (:class:`StorageFull`)
-        is refused by its index, and the others land, charged as one
-        write each (:meth:`_charge_writes`: the clock ends on the float
-        one ``create`` per file would leave)."""
-        refused: Dict[int, SrbError] = {}
-        landed = [True] * len(files)
-        sizes = list(map(len, map(itemgetter(1), files)))
-        for i, (path, data) in enumerate(files):
-            # normalize_physical's own test of a path it returns as is
-            if path[:1] != "/" or path[-1:] == "/" or "//" in path \
-                    or "/." in path:
-                path = normalize_physical(path)
-            grown = self._used + sizes[i]
-            if path in self._files:
-                refused[i] = AlreadyExists(f"file exists: {path!r}")
-            elif self.capacity_bytes is not None and sizes[i] > 0 \
-                    and grown > self.capacity_bytes:
-                refused[i] = StorageFull(
-                    f"resource full: {grown} > {self.capacity_bytes}")
-            else:
-                self._files[path] = bytes(data)
-                self._used = grown
-                continue
-            landed[i] = False
-        self._charge_writes(list(compress(sizes, landed)), "create")
-        return refused
+        path = normalize_physical(path)
+        if path in self._files:
+            raise AlreadyExists(f"file exists: {path!r}")
+        size = len(data)
+        self._check_capacity(size)
+        self._files[path] = bytes(data)
+        self._used += size
+        self._charge_write(size, op="create")
 
     def read(self, path: str, offset: int = 0,
              length: Optional[int] = None) -> bytes:

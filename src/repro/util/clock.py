@@ -16,7 +16,6 @@ next looked at; the clock itself only moves forward and calls nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 
 @dataclass
@@ -34,7 +33,7 @@ class SimClock:
 
     def __post_init__(self) -> None:
         #: current virtual time in seconds — a plain attribute, read on
-        #: every hot path; only the ``advance`` methods set it
+        #: every hot path; only :meth:`advance` sets it
         self.now = float(self.start)
 
     # -- advancing --------------------------------------------------------
@@ -48,18 +47,6 @@ class SimClock:
             raise ValueError(f"cannot advance clock by negative {seconds!r}")
         self.now += seconds
         return self.now
-
-    def advance_each(self, seconds: Sequence[float]) -> float:
-        """:meth:`advance` by each of ``seconds``, in order, in one call:
-        the same float as one ``advance`` per entry, where advancing by
-        their sum may round otherwise.  Returns the new time."""
-        now = self.now
-        for step in seconds:
-            if step < 0:
-                raise ValueError(f"cannot advance clock by negative {step!r}")
-            now += step
-        self.now = now
-        return now
 
     def advance_to(self, timestamp: float) -> float:
         """Advance the clock to an absolute ``timestamp`` (>= now)."""

@@ -13,7 +13,6 @@ is the inverse of joining, and ancestors are exactly the strict prefixes.
 
 from __future__ import annotations
 
-from collections import deque
 from functools import lru_cache, wraps
 from operator import methodcaller
 from typing import Iterable, List, Sequence, Tuple, Union
@@ -46,54 +45,33 @@ def validate_component(name: str) -> str:
     return name
 
 
-_MEMOS: list = []        # every memo below, for clear_memos()
+_MEMOS: list = []        # every lru_cache below, for clear_memos()
 
 
 def _remembered(fn):
     """``fn(path)``, remembered for the :data:`SPLIT_CACHE_SIZE` most
     recent paths.  ``fn`` is pure, so that is safe; a path that raises is
-    not remembered and raises again on every call.
-
-    The memo is an ``lru_cache`` over ``seeds.pop``: a path it does not
-    hold is looked up among the answers worked out but not yet
-    remembered, where a miss puts ``fn(path)`` — so the C-level cache
-    can also be handed answers a batch worked out for itself
-    (:func:`_remember`), with no Python call per path."""
-    seeds: dict = {}
-    cached = lru_cache(maxsize=SPLIT_CACHE_SIZE)(seeds.pop)
+    not remembered and raises again on every call."""
+    cached = lru_cache(maxsize=SPLIT_CACHE_SIZE)(fn)
 
     @wraps(fn)
     def remembered(path):
         try:
             return cached(path)
-        except KeyError:
-            seeds[path] = fn(path)
-            return cached(path)
         except TypeError:
             # unhashable, so not a str: let the uncached body say so
             return fn(path)
 
-    remembered.cached, remembered.seeds = cached, seeds
     remembered.cache_info = cached.cache_info
     remembered.cache_clear = cached.cache_clear
-    _MEMOS.append(remembered)
+    _MEMOS.append(cached)
     return remembered
-
-
-def _remember(memo, keys: Sequence[str], values: Sequence) -> None:
-    """Leave ``memo`` as calling it on each of ``keys``, in order, would,
-    when ``values`` are its answers: one C-level pass, no call per key."""
-    memo.seeds.update(zip(keys, values))
-    deque(map(memo.cached, keys), 0)
-    if memo.seeds:          # the answers of keys it held already
-        memo.seeds.clear()
 
 
 def clear_memos() -> None:
     """Forget every remembered path (a new federation starts from none)."""
-    for memo in _MEMOS:
-        memo.cache_clear()
-        memo.seeds.clear()
+    for cached in _MEMOS:
+        cached.cache_clear()
 
 
 @_remembered
@@ -173,50 +151,42 @@ def basename(path: str) -> str:
     return comps[-1]
 
 
-_RPARTITION = methodcaller("rpartition", SEP)
-#: what no component may be (validate_component's first test)
-_NOT_NAMES = frozenset(("", ".", ".."))
 
 
 def locate(raws: Sequence[str]
            ) -> List[Union[Tuple[str, str, str], InvalidPath]]:
     """``(path, collection, name)`` of each of ``raws`` —
     :func:`normalize`, then :func:`dirname` and :func:`basename` of that
-    — or the :class:`InvalidPath` it is refused for, in one pass.
+    — or the :class:`InvalidPath` it is refused for.
 
-    A valid path is its own canonical form, so the pass only validates:
-    each distinct parent is split once (remembered, as :func:`split`
-    splits it), and the last components are tested together.  A batch
-    in which some path fails that — or names an object at the root, or
-    is not absolute — is located path by path, so each refusal is the
-    one :func:`normalize` (or :func:`dirname`) raises.
+    A batch of canonical paths is located in one pass: each distinct
+    parent is split once (remembered, as :func:`split` splits it), and
+    the last components are tested together.  One path, or a batch in
+    which some path fails that (it is not canonical, or not valid, or
+    names an object at the root), is located path by path, so each
+    refusal is the one :func:`normalize` (or :func:`dirname`) raises and
+    the memos remember each path.
     """
-    try:
-        heads, _seps, names = zip(*map(_RPARTITION, raws))
-        parents = dict.fromkeys(heads)
-        for head in parents:
-            if head[:1] != SEP or head == SEP:     # "x", "/x", "//x"
-                raise InvalidPath(head)
-            parents[head] = split(head)
-        clean = _NOT_NAMES.isdisjoint(names) \
-            and "\x00" not in "".join(names) \
-            and tuple(map(str.strip, names)) == names
-    except (InvalidPath, AttributeError, TypeError, ValueError):
-        clean = False               # or not a str, or no path at all
-    if clean:
-        # the memos as one normalize and dirname per path leave them
-        _remember(split, raws, [parents[head] + (name,)
-                                for head, name in zip(heads, names)])
-        _remember(normalize, raws, raws)
-        _remember(dirname, raws, heads)
-        return list(zip(raws, heads, names))
-    located: List[Union[Tuple[str, str, str], InvalidPath]] = []
-    for raw in raws:
+    if raws[1:]:
+        try:
+            heads, _seps, names = zip(*map(methodcaller("rpartition", SEP),
+                                           raws))
+            # a parent that is the root, or not absolute, splits to no
+            # component or raises
+            if all(map(split, dict.fromkeys(heads))) \
+                    and {"", ".", ".."}.isdisjoint(names) \
+                    and "\x00" not in "".join(names) \
+                    and tuple(map(str.strip, names)) == names:
+                return list(zip(raws, heads, names))
+        except (InvalidPath, AttributeError, TypeError):
+            pass                        # or not a str
+    located: List[Union[Tuple[str, str, str], InvalidPath]] = list(raws)
+    for i, raw in enumerate(raws):
         try:
             path = normalize(raw)
-            located.append((path, dirname(path), basename(path)))
+            located[i] = path, dirname(path), basename(path)
         except InvalidPath as exc:
-            located.append(exc)
+            located[i] = exc
     return located
 
 

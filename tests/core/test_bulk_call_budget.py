@@ -6,10 +6,13 @@ drivers — so the Python-level calls it makes grow with its items only
 by the C-level passes over them, not by a call per item.  Measured on
 ``standard_grid()`` from a warm grid, the calls of a 500-item call less
 those of a 50-item call, over the 450 items between them, are what one
-item costs: at most 40 (the bar it was set to).  It measured 96.7 per
+item costs: at most 40 (the bar it was set to).  It measured 96.0 per
 item when every layer but the catalog's inserts still ran per object,
-and 0.0 once none did (``tools/layer_profile.py --per-item`` names any
-function that comes back).
+and 17.0 once the paths, the catalog, the tables, the wire and the
+planes took a batch at a time: what is left is one driver create per
+file, one numeric mirror per metadata triple and the structural rules
+per item (``tools/layer_profile.py --per-item`` names each function,
+and holds the list to the ones it allows).
 """
 
 import cProfile

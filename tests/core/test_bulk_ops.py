@@ -162,6 +162,22 @@ class TestBulkIngest:
         assert results[2]["error_type"] == "NoSuchCollection"
         assert tiny_admin.get(f"{home}/taken.dat") == b"x"  # untouched
 
+    def test_a_path_repeated_past_the_path_memos_fails_only_its_item(
+            self, tiny_admin, home):
+        """A batch longer than the path memos hold (``SPLIT_CACHE_SIZE``)
+        that names a path again after that many other paths: the later
+        item fails alone as taken, and the rest land."""
+        from repro.util.paths import SPLIT_CACHE_SIZE
+        again = f"{home}/again.dat"
+        items = [{"path": again, "data": b"a"}] + [
+            {"path": f"{home}/f{i:05d}.dat", "data": b"b"}
+            for i in range(SPLIT_CACHE_SIZE + 1)] + [
+            {"path": again, "data": b"c"}]
+        results = tiny_admin.bulk_ingest(items)
+        assert results[-1]["error_type"] == "AlreadyExists"
+        assert all("oid" in r for r in results[:-1])
+        assert tiny_admin.get(again) == b"a"
+
     def test_a_row_the_catalog_refuses_fails_alone(self, tiny_admin, home):
         """The catalog inserts a batch's object rows as one group; a row
         its table refuses (a data type that is not text) still fails only

@@ -202,10 +202,9 @@ class TestRollbackCharged:
         appears in net.messages."""
         fed, client = build_fed()
 
-        def refuse(files):
-            return {i: StorageError("r3: disk full")
-                    for i in range(len(files))}
-        fed.resources.physical("r3").driver.create_many = refuse
+        def refuse(path, data):
+            raise StorageError("r3: disk full")
+        fed.resources.physical("r3").driver.create = refuse
         m = fed.obs.metrics
         before = counter(m, "net.messages", src="h1", dst="h2")
         with pytest.raises(StorageError):

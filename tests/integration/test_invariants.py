@@ -179,10 +179,10 @@ class TestByDesign:
         fed, client = build()
         disk = fed.resources.physical("disk").driver
 
-        def refuse(files):
+        def refuse(path, data):
             fed.network.set_down("hr")
-            return {i: StorageFull("full") for i in range(len(files))}
-        disk.create_many = refuse
+            raise StorageFull("full")
+        disk.create = refuse
         with pytest.raises(StorageFull):
             client.ingest(HOME + "/a", BIG, resource="pair")
         fed.network.set_up("hr")

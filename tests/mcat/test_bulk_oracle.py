@@ -20,7 +20,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from repro.errors import DatabaseError, MetadataError
 from repro.mcat.shard import ShardedMcat
-from repro.util import paths
 from repro.util.clock import SimClock
 from tests.db.test_table import index_state, typed
 from tests.mcat import bulk_oracle
@@ -222,37 +221,42 @@ class TestPerItemContract:
                                   by=OWNER, now=1.0)
 
 
-def located(specs):
-    """``specs`` as an ingest hands them over: each valid path located
-    once (:func:`paths.locate`), its ``coll`` and ``name`` beside it."""
-    out = []
-    for spec, at in zip(specs, paths.locate([s["path"] for s in specs])):
-        out.append(spec if isinstance(at, Exception) else
-                   {**spec, "path": at[0], "coll": at[1], "name": at[2]})
-    return out
-
-
 @pytest.mark.parametrize("shards", [1, 2])
 class TestSameAsPerItemChecks:
     """``create_objects`` checks a batch in one pass (``Mcat._new_rows``);
     ``bulk_oracle.create_objects_per_item`` is the body it replaced, one
     ``_object_values`` per spec.  Both write one batch, so nothing is
     left out: the same answers, rows, ids, scan accounting, ops and
-    clock, with the specs as given or already located."""
+    clock."""
 
     @settings(max_examples=60, deadline=None)
-    @given(specs=st.lists(ITEM, max_size=8), pre_located=st.booleans())
-    def test_create_objects(self, shards, specs, pre_located):
+    @given(specs=st.lists(ITEM, max_size=8))
+    def test_create_objects(self, shards, specs):
         pair = twins(shards)
         for shard in pair[1].shards:
             shard.primary.create_objects = partial(
                 bulk_oracle.create_objects_per_item, shard.primary)
         if shards == 1:
             pair[1].create_objects = pair[1].shards[0].primary.create_objects
-        new = located(specs) if pre_located and all(
-            s["kind"] == "data" for s in specs) else specs
-        got = [answer(_outcome(pair[0].create_objects, new, OWNER, now=2.0)),
+        got = [answer(_outcome(pair[0].create_objects, specs, OWNER,
+                               now=2.0)),
                answer(_outcome(pair[1].create_objects, specs, OWNER,
                                now=2.0))]
         assert got[0] == got[1]
         assert state(pair[0]) == state(pair[1])
+
+    def test_a_field_that_is_not_a_column_a_spec_sets_is_refused(
+            self, shards):
+        """As the per-item body's keyword signature refused it: the
+        call raises, and no row is written."""
+        pair = twins(shards)
+        for field in ("version", "checked_out_by", "coll", "colour"):
+            with pytest.raises(TypeError):
+                pair[0].create_objects(
+                    [{"path": "/demozone/home/a", "kind": "data"},
+                     {"path": "/demozone/home/b", "kind": "data",
+                      field: 2}], OWNER, now=2.0)
+            with pytest.raises(TypeError):
+                pair[0].create_object("/demozone/home/c", "data", OWNER,
+                                      2.0, **{field: 2})
+        assert pair[0].lookup("/demozone/home/a") is None

@@ -325,17 +325,26 @@ class TestLocate:
                 [outcome(model_locate, r) for r in raws]
 
     @settings(max_examples=100, deadline=None)
-    @given(st.lists(logical_path, min_size=1, max_size=6))
-    def test_a_batch_leaves_the_memos_as_one_call_per_path(self, raws):
-        """After ``locate`` the memos hold what one ``normalize`` and one
-        ``dirname`` per path leave them holding, in the same order."""
-        raws = [r for r in raws if paths.split(r)[1:]]
+    @given(logical_path)
+    def test_one_path_is_remembered_as_one_call_per_path_remembers_it(
+            self, raw):
+        """One path is located by ``normalize``, ``dirname`` and
+        ``basename``, so the memos hold it as those calls leave them."""
         paths.clear_memos()
-        paths.locate(raws)
-        batch = memo_state(raws)
+        outcome(paths.locate, [raw])
+        located = memo_state([raw])
         paths.clear_memos()
-        for raw in raws:
-            paths.basename(paths.dirname(paths.normalize(raw)) and raw)
-        assert batch == memo_state(raws)
-        assert not any(memo.seeds for memo in (paths.split, paths.normalize,
-                                               paths.dirname))
+        outcome(lambda r: paths.basename(paths.dirname(paths.normalize(r))
+                                         and r), raw)
+        assert located == memo_state([raw])
+
+    def test_a_batch_longer_than_the_memos_may_repeat_a_path(self):
+        """A path repeated after more distinct paths than a memo holds
+        is located again, as the first time."""
+        repeated = "/z/c/again.fits"
+        raws = [repeated] + [f"/z/c/f{i:05d}" for i in range(
+            paths.SPLIT_CACHE_SIZE + 1)] + [repeated]
+        paths.clear_memos()
+        located = paths.locate(raws)
+        assert located[0] == located[-1] == (repeated, "/z/c", "again.fits")
+        assert located == [model_locate(raw) for raw in raws]

@@ -22,16 +22,17 @@ CEILINGS = {
     #   chain levels an op's collection checks hand to the rows it lists;
     #   11,269 -> 11,410; - the byte movement of ContainerManager and
     #   replication.synchronize, now the planes' one write loop, 11,394;
-    #   + a bulk ingest is one batch in every layer (paths.locate and its
-    #   memo seeding, Mcat._new_rows, Table._columns_of, create_many and
-    #   _charge_writes, wire's columns, the batch require_local and
-    #   apply_structural_many) and the unpin that reaches first, 11,576
-    "src/repro": 11_576,
+    #   + a bulk ingest is one batch in the paths (paths.locate), the
+    #   catalog (Mcat._new_rows), the tables (Table._rows_of, one body for
+    #   insert and insert_many), the wire (same-shaped dicts sized by
+    #   column) and the planes, and the unpin that reaches first, 11,434
+    #   (the 40 lines ROADMAP item 25 allows)
+    "src/repro": 11_434,
     # the catalog side of containers only: rows, primary copy, members
     "src/repro/core/containers.py": 62,
     # + the per-op chain levels opened and dropped with the op; + the
-    #   zone check of a bulk op's items as one call per batch
-    "src/repro/core/dispatch.py": 359,
+    #   zone check of a bulk op's items, one call per batch
+    "src/repro/core/dispatch.py": 357,
     # + the runner's control leg: a leg whose path_key is None is sent
     #   blocking, in order, on one stream (it replaced three raw sends in
     #   the planes, so base.py and the lint allowlist shrank)
@@ -41,16 +42,14 @@ CEILINGS = {
     #   messages, payload legs, abort or skip), the write loop _store
     #   with create/replace/append, _remove, _pin and _refresh (the
     #   replica refresh of synchronize and of a container's sync, moved
-    #   here from replication.py and containers.py); + content_checksums,
-    #   and _land's one create_many per member
+    #   here from replication.py and containers.py); + content_checksums
     "src/repro/core/planes/base.py": 299,
     # + delete removes bytes all or none: a pinned replica or a storage
     #   system that is down refuses it before any replica goes; + the
     #   container acts moved in from ContainerManager (append, create,
-    #   compaction), each through the write loop; + _ingest's steps as
-    #   batches (items grouped per collection, a batch's optional fields
-    #   read by map)
-    "src/repro/core/planes/data.py": 907,
+    #   compaction), each through the write loop; - _ingest's steps as
+    #   batches and the bulk ops' one error reply (_item_error)
+    "src/repro/core/planes/data.py": 896,
     # + a physical move whose source delete is refused takes back the
     #   copy it made
     "src/repro/core/planes/replica.py": 153,
@@ -71,19 +70,18 @@ CEILINGS = {
     #   _known and lookup_eq's hand-written scan loop; + the hash index
     #   over a pair: its upkeep in the row plan, lookup_eq on its first
     #   column, lookup_pairs, and count_eq for the cost rule; + lookup_eq
-    #   of a pair of columns answered as lookup_pairs; + _columns_of, a
-    #   clean batch built a column at a time, and lookup_eq_many with no
-    #   comprehension
-    "src/repro/db/table.py": 493,
+    #   of a pair of columns answered as lookup_pairs; + _rows_of, the
+    #   one row builder of insert and insert_many, and lookup_eq_many
+    #   and iter_values with no call per call beyond their own
+    "src/repro/db/table.py": 469,
     # the catalog's two packages, held together as well as file by file;
     # - the dicts, __len__, schema and extraction lookups only tests called
-    "src/repro/db": 1_422,
-    "src/repro/mcat": 1_894,
+    "src/repro/db": 1_398,
+    "src/repro/mcat": 1_874,
     # + an in-place rename refuses a taken destination or a missing
     #   parent, as a rename across partitions does; + _new_rows, a batch
-    #   of object rows checked in one pass (it replaced _object_values),
-    #   and apply_structural_many
-    "src/repro/mcat/catalog.py": 715,
+    #   of object rows checked in one pass (it replaced _object_values)
+    "src/repro/mcat/catalog.py": 695,
     # + the cost rule prices the named attributes' triples, so it is
     #   handed them
     "src/repro/mcat/query.py": 301,
@@ -99,11 +97,8 @@ CEILINGS = {
     "src/repro/net/simnet.py": 509,
     # - is_pinned and used_bytes, which only tests called
     "src/repro/storage/archive.py": 195,
-    # + create_many (a loop for the archive and database drivers) and
-    #   _charge_writes, a batch of writes charged in one call
-    "src/repro/storage/base.py": 139,
-    # + create_many, the one create body, in one pass
-    "src/repro/storage/memfs.py": 119,
+    "src/repro/storage/base.py": 122,
+    "src/repro/storage/memfs.py": 99,
     # + the ceilings themselves, which were a test's dict and a CI list
     "tools/codelines.py": 54,
 }

@@ -127,6 +127,9 @@ REACH_EXEMPT = {
     "core/planes/data.py::DataService._ingest.<locals>.fail":
         "a fault: one item of a bulk ingest fails, "
         "tests/core/test_bulk_ops.py::TestBulkIngest",
+    "core/planes/data.py::_item_error":
+        "a refusal: a bulk item that fails alone, tests/core/test_bulk_ops"
+        ".py::TestBulkIngest::test_per_item_failures_isolated",
     "core/planes/data.py::DataService.bulk_get.<locals>.failed":
         "a fault: one item's delivery leg fails, tests/core/test_bulk_ops"
         ".py::TestBulkGet::test_a_failed_delivery_fails_its_item_only",
