@@ -54,7 +54,7 @@ The pipeline is *compiled*, not interpreted.  :func:`_compile` turns a
 registered :class:`OpSpec` into one runner (its *op plan*, built once,
 by the op's first call on that server) that walks the six stages in
 that order in a single function, with everything the declaration fixes
-decided once: the span name, the bound ``srb.ops`` series and the audit
+decided once: the span name, the ``srb.ops`` count and the audit
 fields are prebuilt, and a stage that can do nothing for this op is not
 in its plan —
 
@@ -394,8 +394,6 @@ def _compile(server: Any, spec: OpSpec, service: Any,
     tracer = server.obs.tracer
     metrics = server.obs.metrics
     op, host, server_name = spec.name, server.host, server.name
-    ops = metrics.bind_counter("srb.ops", server=server_name,
-                               plane=spec.plane, op=op)
     span_name, span_args, span_items = \
         spec.span_name, spec.span_args, spec.span_items
     payload_arg, payload_items = spec.payload_arg, spec.payload_items
@@ -412,9 +410,6 @@ def _compile(server: Any, spec: OpSpec, service: Any,
     audits_denied = audited and spec.audits_denied
     audit_arg = spec.audit_arg or spec.scope_arg
     detail_arg, static_detail = spec.detail_arg, spec.detail
-
-    errors = metrics.bind_family(("server", "op", "error"),
-                                 ("counter", "srb.errors"))
 
     def run(ticket: Optional[Ticket], kwargs: Dict[str, Any]) -> Any:
         # the payload rode a remote caller's request, unless it was
@@ -435,7 +430,7 @@ def _compile(server: Any, spec: OpSpec, service: Any,
         ctx = OpContext(server, spec, ticket, kwargs, payload_host)
         span = None
         try:                                            # 1. error
-            ops.inc()                                   # 2. span
+            server.op_counts[op] += 1                   # 2. span
             if tracer.stack:
                 attrs = {"server": server_name}
                 for arg in span_args:
@@ -501,7 +496,8 @@ def _compile(server: Any, spec: OpSpec, service: Any,
             if span is not None:
                 tracer.close(span, exc)
             if isinstance(exc, Exception):
-                errors[server_name, op, type(exc).__name__][0].inc()
+                metrics.inc("srb.errors", server=server_name, op=op,
+                            error=type(exc).__name__)
             raise
         if span is not None:
             tracer.close(span)

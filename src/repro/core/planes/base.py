@@ -167,12 +167,12 @@ class PlaneService(Wired):
         owed = self._session_owed(res)
         server = self.server
         if not owed:
-            server.session_meters["hit", server.name, res.name][0].inc()
+            server.session_counts["hit", res.name] += 1
             tracer = self.obs.tracer
             if tracer.stack:
                 tracer.add("session_cache_hits", 1)
             return
-        server.session_meters["miss", server.name, res.name][0].inc()
+        server.session_counts["miss", res.name] += 1
         # server and resource take turns, the server first and last; a
         # message that fails ends the exchange
         ends = (self.host, res.host)

@@ -67,6 +67,7 @@ from repro.errors import (
     ResourceUnavailable,
     RpcError,
     SrbError,
+    StorageError,
     UnsupportedOperation,
 )
 from repro.storage.archive import ArchiveDriver
@@ -79,6 +80,9 @@ from repro.util import paths
 #: an ingest item's optional fields, read off a batch of items by map
 _DATA_TYPE = methodcaller("get", "data_type")
 _DATA = itemgetter("data")
+_GET_DATA = methodcaller("get", "data")
+#: what an ingest item's ``data`` may be
+_PAYLOADS = frozenset((bytes, bytearray, memoryview))
 
 
 def _item_error(path: str, exc: BaseException) -> Dict[str, str]:
@@ -153,6 +157,12 @@ class DataService(PlaneService):
             ctx.span.incr("payload_bytes", len(data))
         return oid
 
+    def _count_bulk(self, op: str, items: int) -> None:
+        """One bulk call of ``op`` over ``items`` items (``bulk.*``)."""
+        counts = self.server.bulk_counts
+        counts["batches", op] += 1
+        counts["items", op] += items
+
     def _ingest(self, ctx: OpContext, items: Sequence[Dict[str, Any]],
                 resource: Optional[str], container: Optional[str],
                 label: str) -> List[Tuple[str, Union[int, SrbError]]]:
@@ -164,8 +174,8 @@ class DataService(PlaneService):
         with; an unusable target or a failed push raises for them all.
 
         1. Each item's path (the batch located at once,
-           :func:`paths.locate`), zone, collection write access and
-           structural metadata; the catalog is asked once per
+           :func:`paths.locate`), zone, bytes, collection write access
+           and structural metadata; the catalog is asked once per
            collection.  When no item is left, nothing more happens.
         2. The target, before any catalog write: the container and
            write access on it, or the resource's members, ranked for
@@ -187,8 +197,13 @@ class DataService(PlaneService):
         principal = ctx.principal
         raws = list(map(str, map(methodcaller("get", "path", ""), items)))
         located = paths.locate(raws)
-        # item -> the error it met: its path's, else its zone's
+        # item -> the error it met: its path's, else its zone's, else
+        # its payload's (no bytes to store)
         failed = ctx.require_local(raws)
+        for i in [i for i, data in enumerate(map(_GET_DATA, items))
+                  if type(data) not in _PAYLOADS]:
+            failed.setdefault(i, StorageError(
+                f"{raws[i]!r}: data must be bytes"))
         groups: Dict[str, List[int]] = defaultdict(list)    # by collection
         for i, at in enumerate(located):
             if type(at) is not tuple:
@@ -328,8 +343,7 @@ class DataService(PlaneService):
         catalog write, with nothing to undo, since no item could
         succeed — unless no item got that far.
         """
-        self.obs.metrics.inc("bulk.batches", op="ingest")
-        self.obs.metrics.inc("bulk.items", len(items), op="ingest")
+        self._count_bulk("ingest", len(items))
         done = self._ingest(ctx, items, resource, container, "bulk-ingest")
         total_bytes = sum(map(len, map(_DATA, compress(
             items, [type(oid) is int for _path, oid in done]))))
@@ -357,8 +371,7 @@ class DataService(PlaneService):
         deferred and delivered together.
         """
         principal = ctx.principal
-        self.obs.metrics.inc("bulk.batches", op="get")
-        self.obs.metrics.inc("bulk.items", len(targets), op="get")
+        self._count_bulk("get", len(targets))
         prefetched: Optional[Dict[int, bytes]] = None
         if via_container is not None:
             cont = self.containers.get_container(
@@ -428,9 +441,7 @@ class DataService(PlaneService):
         trip: per-item resolution and ACL checks, then a single bulk
         catalog read.  Returns a list aligned with ``targets``."""
         principal = ctx.principal
-        self.obs.metrics.inc("bulk.batches", op="query_metadata")
-        self.obs.metrics.inc("bulk.items", len(targets),
-                             op="query_metadata")
+        self._count_bulk("query_metadata", len(targets))
         results: List[Dict[str, Any]] = []
         lookups: List[Tuple[int, List[Tuple[str, int]]]] = []
         for raw in targets:

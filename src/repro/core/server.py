@@ -32,6 +32,7 @@ durable state lives in MCAT and on the storage drivers.
 from __future__ import annotations
 
 import inspect
+from collections import Counter
 from typing import Any, Callable, Dict, Optional
 
 from repro.auth.tickets import Ticket
@@ -110,14 +111,19 @@ class SrbServer(Wired):
         self._wire(federation)
         self.is_mcat_server = is_mcat_server
         self.ops_served = 0
+        #: ops run, by name (``srb.ops``): counted by each op's plan
+        self.op_counts: Counter = Counter()
+        #: resource sessions reused or opened, by (``"hit"`` or
+        #: ``"miss"``, resource name): ``srb.session_cache``
+        self.session_counts: Counter = Counter()
+        #: bulk calls and their items, by (``"batches"`` or ``"items"``,
+        #: op): ``bulk.*``
+        self.bulk_counts: Counter = Counter()
         # live server<->resource sessions: resource name -> the network
         # topology epoch the session was opened under (read and written
         # by planes/base.py)
         self._session_cache: Dict[str, int] = {}
-        #: bound ``srb.session_cache`` series, by (result, server, resource)
-        self.session_meters = federation.obs.metrics.bind_family(
-            ("result", "server", "resource"),
-            ("counter", "srb.session_cache"))
+        self.obs.metrics.add_collector(self._samples)
 
         self.auth = AuthService(self)
         self.namespace = NamespaceService(self)
@@ -139,6 +145,18 @@ class SrbServer(Wired):
         if method in self.dispatch:
             return getattr(self, method)
         return None
+
+    def _samples(self):
+        """The counters this server keeps, as the metrics registry reads
+        them."""
+        for op, n in self.op_counts.items():
+            yield "srb.ops", {"server": self.name, "op": op,
+                              "plane": self.dispatch.get(op).spec.plane}, n
+        for (result, resource), n in self.session_counts.items():
+            yield "srb.session_cache", {"result": result, "server": self.name,
+                                        "resource": resource}, n
+        for (what, op), n in self.bulk_counts.items():
+            yield f"bulk.{what}", {"op": op}, n
 
     def reset_sessions(self) -> int:
         """Drop every kept-alive resource session; returns how many were

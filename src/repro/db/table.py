@@ -22,8 +22,8 @@ table byte for byte, row ids included.
 
 ``insert`` and ``insert_many`` are the catalog's hot path, so a table
 keeps a *row plan* — its columns and indexes flattened into tuples
-(:meth:`Table._replan`) — and runs both off it.  :meth:`Table._row` is
-the one place a row is built: a value of the column's exact Python type
+(:meth:`Table._replan`) — and runs both off it.  :meth:`Table._rows_of`
+is the one place rows are built: a value of the column's exact Python type
 is stored as is, and every other value goes through
 :meth:`Column.check`, which stays the one definition of what a column
 accepts.  ``insert`` files one row: a hash-index entry is the bare row id

@@ -112,7 +112,7 @@ class _Charge:
     """A catalog's charge: ``with mcat._charge:`` makes the block one
     charged catalog op.  Entering records the scan mark; leaving (error
     or not) charges the fixed overhead plus the rows the block touched to
-    the clock, ``busy_s`` and metrics.
+    the clock, ``busy_s`` and the counts ``mcat.ops`` reads.
 
     One object per catalog, re-entered by every op.  Blocks nest
     (``move_object`` runs ``update_object`` inside its own): ``marks``
@@ -136,9 +136,8 @@ class _Charge:
         self.marks = self.marks[:-1]
         cost = mcat.QUERY_OVERHEAD_S + touched * mcat.ROW_COST_S
         mcat.busy_s += cost
-        mcat._ops.inc()
-        if touched:
-            mcat._rows.inc(touched)
+        mcat.charged_ops += 1
+        mcat.charged_rows += touched
         tracer = mcat.obs.tracer
         if tracer.stack:
             # what Span.breakdown files under "catalog"
@@ -165,9 +164,12 @@ class Mcat:
         # standalone catalogs (catalog-scale benchmarks) get their own
         # pipeline; federations pass the shared one in
         self.obs = obs if obs is not None else Observability(clock)
-        # the two series every charged op counts into (see _Charge)
-        self._ops = self.obs.metrics.bind_counter("mcat.ops")
-        self._rows = self.obs.metrics.bind_counter("mcat.rows_scanned")
+        # what the charged ops count (see _Charge): ``mcat.ops`` and
+        # ``mcat.rows_scanned``, read by the metrics registry when asked
+        self.charged_ops = self.charged_rows = 0
+        self.obs.metrics.add_collector(lambda: [(name, {}, n) for name, n in (
+            ("mcat.ops", self.charged_ops),
+            ("mcat.rows_scanned", self.charged_rows)) if n])
         # The backing database is *not* clock-wired: MCAT charges its own
         # per-operation cost so that one logical catalog op = one charge,
         # regardless of how many internal table calls it makes.

@@ -41,11 +41,13 @@ from repro.errors import DependencyFailed, HostUnreachable, RpcError, \
 from repro.net.simnet import Network, raise_failed, repull_failed, \
     run_channel_group
 from repro.net.wire import Redirect, message_size
+from repro.obs.metrics import Tally
 
 
 @dataclass
 class RpcStats:
-    """Counters a benchmark can read to explain a result."""
+    """A registry's totals, which a benchmark reads to explain a result
+    (:attr:`ServiceRegistry.stats`)."""
 
     calls: int = 0
     request_bytes: int = 0
@@ -126,7 +128,6 @@ class ServiceRegistry:
     def __init__(self, network: Network):
         self.network = network
         self._services: Dict[tuple, Any] = {}
-        self.stats = RpcStats()
         # open-loop arrival stamp for the *next* top-level call (consumed
         # by it; nested calls it makes run closed-loop as usual)
         self._open_arrival: Optional[float] = None
@@ -143,16 +144,46 @@ class ServiceRegistry:
         #: is the relay's outbound hop and hides those seconds
         #: (``Network._leg``); saved/restored like ``caller_host``.
         self.relayed: Optional[Tuple[Any, float, str]] = None
-        # bound instruments: what every successful call of one
-        # service.method counts into, resolved on its first call
+        # what the calls count, kept here and read by the metrics
+        # registry when asked (repro.obs.metrics)
         metrics = network.obs.metrics
-        self._meters = metrics.bind_family(
-            ("service", "method"),
-            ("counter", "rpc.calls"), ("counter", "rpc.request_bytes"),
-            ("counter", "rpc.response_bytes"), ("histogram", "rpc.call_s"))
-        self._batch_meters = metrics.bind_family(
-            ("service",),
-            ("counter", "rpc.batch_calls"), ("counter", "rpc.batch_items"))
+        #: per (service, method): [calls, request bytes, reply bytes of
+        #: the calls that succeeded, ``rpc.call_s``]
+        self._methods = Tally(lambda key: [0, 0, 0, metrics.histogram(
+            "rpc.call_s", service=key[0], method=key[1])])
+        #: per (service, method, error): [failures, error reply bytes]
+        self._failures = Tally(lambda key: [0, 0])
+        #: per service: [batch calls, batch items]
+        self._batches = Tally(lambda key: [0, 0])
+        metrics.add_collector(self._samples)
+
+    @property
+    def stats(self) -> RpcStats:
+        """Every call's totals, summed from the per-method counts."""
+        calls, sent, replied = [sum(m[k] for m in self._methods.values())
+                                for k in range(3)]
+        failures, failed_replies = [sum(f[k] for f in self._failures.values())
+                                    for k in range(2)]
+        return RpcStats(calls, sent, replied + failed_replies, failures)
+
+    def _samples(self):
+        """The counters this registry keeps, as the metrics read them."""
+        for (service, method), (calls, sent, replied, _s) \
+                in self._methods.items():
+            labels = {"service": service, "method": method}
+            yield "rpc.calls", labels, calls
+            yield "rpc.request_bytes", labels, sent
+            if replied:
+                yield "rpc.response_bytes", labels, replied
+        for (service, method, error), (failures, replied) \
+                in self._failures.items():
+            labels = {"service": service, "method": method, "error": error}
+            yield "rpc.failures", labels, failures
+            if replied:
+                yield "rpc.response_bytes", labels, replied
+        for service, (calls, items) in self._batches.items():
+            yield "rpc.batch_calls", {"service": service}, calls
+            yield "rpc.batch_items", {"service": service}, items
 
     # -- open-loop load ------------------------------------------------------
 
@@ -204,18 +235,16 @@ class ServiceRegistry:
         success, with an ``error=`` label, and in :attr:`last_timing`.
         A ``retry_after`` hint marks the call as shed by admission;
         ``reply_bytes`` is the error reply that did reach the caller.
-        Failures are the cold path: their ``error=``-labelled series
-        are resolved per call.
+        Failures are the cold path: their ``error=``-labelled histogram
+        is resolved per call.
         """
-        metrics = self.network.obs.metrics
+        counts = self._failures[service, method, error]
+        counts[0] += 1
         if reply_bytes is not None:
-            metrics.inc("rpc.response_bytes", reply_bytes, service=service,
-                        method=method, error=error)
-        self.stats.failures += 1
-        metrics.inc("rpc.failures", service=service, method=method,
-                    error=error)
-        metrics.observe("rpc.call_s", latency, service=service,
-                        method=method, error=error)
+            counts[1] += reply_bytes
+        self.network.obs.metrics.observe("rpc.call_s", latency,
+                                         service=service, method=method,
+                                         error=error)
         self.last_timing = RequestTiming(
             arrival=issued, wait=wait, latency=latency,
             shed=retry_after is not None, retry_after=retry_after,
@@ -258,8 +287,7 @@ class ServiceRegistry:
         network = self.network
         tracer = network.obs.tracer
         clock = network.clock
-        calls, request_bytes, response_bytes, call_s = \
-            self._meters[service, method]
+        counts = self._methods[service, method]
         pushed = request is None
         req_bytes = 0 if pushed else message_size(request)
         open_arrival = self._open_arrival
@@ -272,10 +300,8 @@ class ServiceRegistry:
             issued = open_arrival if open_arrival is not None else t0
             # the attempt counts even if the request never arrives: an
             # unreachable-host RPC must be visible in the stats
-            self.stats.calls += 1
-            self.stats.request_bytes += req_bytes
-            calls.inc()
-            request_bytes.inc(req_bytes)
+            counts[0] += 1
+            counts[1] += req_bytes
             if sp is not None:
                 sp.incr("request_bytes", req_bytes)
             wait = extra = hidden = 0.0
@@ -351,12 +377,11 @@ class ServiceRegistry:
                 self._fail(service, method, "unreachable", issued, wait,
                            clock.now - t0 + extra)
                 raise
-            self.stats.response_bytes += resp_bytes
             if error is not None:
                 self._fail(service, method, error_name, issued, wait,
                            clock.now - t0 + extra, retry_after, resp_bytes)
                 raise error
-            response_bytes.inc(resp_bytes)
+            counts[2] += resp_bytes
             try:
                 # a reply may carry signed descriptors, not the bytes:
                 # the second leg(s) run on the real src→sink paths
@@ -370,7 +395,7 @@ class ServiceRegistry:
                            wait, clock.now - t0 + extra)
                 raise
             latency = clock.now - t0 + extra
-            call_s.observe(latency)
+            counts[3].observe(latency)
             if sp is not None:
                 sp.incr("response_bytes", resp_bytes)
             self.last_timing = RequestTiming(
@@ -553,7 +578,6 @@ class ServiceRegistry:
         """
         self.last_timing = None
         handler = self.lookup(dst, service)
-        metrics = self.network.obs.metrics
         request = []
         for k, (method, kwargs, *needs) in enumerate(items):
             item = {"method": method, "kwargs": kwargs}
@@ -566,9 +590,7 @@ class ServiceRegistry:
 
         def failed(method: str, error: Exception,
                    cause: Exception) -> BatchItemResult:
-            self.stats.failures += 1
-            metrics.inc("rpc.failures", service=service, method=method,
-                        error=type(cause).__name__)
+            self._failures[service, method, type(cause).__name__][0] += 1
             return BatchItemResult(ok=False, error=error)
 
         def serve() -> List[BatchItemResult]:
@@ -605,9 +627,9 @@ class ServiceRegistry:
             return results
 
         # one pipelined request/response pair = one call in the stats
-        batch_calls, batch_items = self._batch_meters[service]
-        batch_calls.inc()
-        batch_items.inc(len(items))
+        counts = self._batches[service]
+        counts[0] += 1
+        counts[1] += len(items)
         return self._exchange(
             src, dst, service, "<batch>",
             "rpc.call_batch", {"items": len(items)},

@@ -61,6 +61,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, \
 from repro.errors import HostUnreachable, NetworkError, ServerBusy, \
     SrbError
 from repro.obs import Observability
+from repro.obs.metrics import Tally
 from repro.util.clock import SimClock
 
 
@@ -246,9 +247,6 @@ class Network:
         self._hosts: Dict[str, Host] = {}
         self._links: Dict[Tuple[str, str], LinkSpec] = {}
         self._partitions: Set[frozenset] = set()
-        self.messages_sent = 0
-        self.bytes_sent = 0
-        self.failed_attempts = 0
         # Bumped on every topology mutation (set_down/set_up/partition/
         # heal).  Anything caching reachability-derived state — the SRB
         # servers' resource-session cache — keys its entries on this and
@@ -260,41 +258,57 @@ class Network:
         # emission — so that watching the wire never changes what the
         # simulation charges.
         self._transfer_observers: List["TransferObserver"] = []
-        # Bound instruments (repro.obs.metrics): the series each label
-        # combination counts into are resolved on its first message and
-        # held, so a per-message site pays one call per increment.
+        # What the network counts, kept here and read by the metrics
+        # registry when asked (repro.obs.metrics); a record is made on its
+        # key's first event, so a hot site's count is one list update.
         metrics = self.obs.metrics
-        self._link_meters = metrics.bind_family(
-            ("src", "dst"),
-            ("counter", "net.messages"), ("counter", "net.bytes"),
-            ("histogram", "net.transfer_s"),
-            ("counter", "net.failed_attempts"))
-        self._station_meters = metrics.bind_family(
-            ("host", "service", "method"),
-            ("counter", "srb.admission.shed"),
-            ("histogram", "srb.admission.retry_after_s", ("host",)),
-            ("counter", "srb.admission.admitted"),
-            ("histogram", "srb.queue.wait_s", ("host", "service")),
-            ("histogram", "srb.queue.depth", ("host",)))
-        #: ``net.parallel.*`` by group label: groups, members, failures,
-        #: makespan_s, saved_s
-        self.group_meters = metrics.bind_family(
-            ("label",),
-            ("counter", "net.parallel.groups"),
-            ("counter", "net.parallel.members"),
-            ("counter", "net.parallel.failures"),
-            ("histogram", "net.parallel.makespan_s"),
-            ("histogram", "net.parallel.saved_s"))
+        #: per (src, dst): [messages delivered, bytes, failed attempts,
+        #: ``net.transfer_s``]
+        self._link_counts = Tally(lambda key: [0, 0, 0, metrics.histogram(
+            "net.transfer_s", src=key[0], dst=key[1])])
+        #: ``net.parallel.*`` per group label: [groups, members, failures,
+        #: ``makespan_s``, ``saved_s``]
+        self._groups = Tally(lambda label: [
+            0, 0, 0, metrics.histogram("net.parallel.makespan_s", label=label),
+            metrics.histogram("net.parallel.saved_s", label=label)])
         #: ``net.relay.hidden_s`` by the label of whoever moved the
         #: payload: seconds a relayed leg did not wait again
-        self.relay_meters = metrics.bind_family(
-            ("label",), ("histogram", "net.relay.hidden_s"))
-        #: ``net.direct.*`` by channel label: channels, bytes, transfer_s
-        self.channel_meters = metrics.bind_family(
-            ("label",),
-            ("counter", "net.direct.channels"),
-            ("counter", "net.direct.bytes"),
-            ("histogram", "net.direct.transfer_s"))
+        self._relay_hidden = Tally(lambda label: metrics.histogram(
+            "net.relay.hidden_s", label=label))
+        #: ``net.direct.*`` per channel label: [channels opened, payloads
+        #: delivered, bytes, ``transfer_s``]
+        self._channels = Tally(lambda label: [0, 0, 0, metrics.histogram(
+            "net.direct.transfer_s", label=label)])
+        metrics.add_collector(self._samples)
+
+    # the totals, derived from the per-link counts
+    messages_sent = property(lambda self: sum(
+        sent + failed for sent, _b, failed, _s in self._link_counts.values()))
+    bytes_sent = property(lambda self: sum(
+        link[1] for link in self._link_counts.values()))
+    failed_attempts = property(lambda self: sum(
+        link[2] for link in self._link_counts.values()))
+
+    def _samples(self):
+        """The counters this network keeps, as the registry reads them."""
+        for (src, dst), (sent, nbytes, failed, _s) \
+                in self._link_counts.items():
+            labels = {"src": src, "dst": dst}
+            yield "net.messages", labels, sent + failed
+            if sent:
+                yield "net.bytes", labels, nbytes
+            if failed:
+                yield "net.failed_attempts", labels, failed
+        for label, (groups, members, failures, *_h) in self._groups.items():
+            yield "net.parallel.groups", {"label": label}, groups
+            yield "net.parallel.members", {"label": label}, members
+            if failures:
+                yield "net.parallel.failures", {"label": label}, failures
+        for label, (opened, delivered, nbytes, _s) in self._channels.items():
+            if opened:
+                yield "net.direct.channels", {"label": label}, opened
+            if delivered:
+                yield "net.direct.bytes", {"label": label}, nbytes
 
     # -- topology ----------------------------------------------------------
 
@@ -362,17 +376,19 @@ class Network:
         station = self.host(host).station
         if station is None:
             return None, None
-        shed, retry_after_s, admitted, wait_s, depth = \
-            self._station_meters[host, service, method]
+        metrics, labels = self.obs.metrics, {
+            "host": host, "service": service, "method": method}
         try:
             admission = station.admit(arrival)
         except ServerBusy as exc:
-            shed.inc()
-            retry_after_s.observe(exc.retry_after)
+            metrics.inc("srb.admission.shed", **labels)
+            metrics.observe("srb.admission.retry_after_s", exc.retry_after,
+                            host=host)
             raise
-        admitted.inc()
-        wait_s.observe(admission.wait)
-        depth.observe(admission.depth)
+        metrics.inc("srb.admission.admitted", **labels)
+        metrics.observe("srb.queue.wait_s", admission.wait, host=host,
+                        service=service)
+        metrics.observe("srb.queue.depth", admission.depth, host=host)
         if admission.wait > 0:
             with self.obs.tracer.span("srb.queue.wait", host=host,
                                       service=service, method=method,
@@ -449,31 +465,25 @@ class Network:
 
     def _count_failure(self, src: str, dst: str) -> None:
         """Counter/metric bookkeeping for one timed-out attempt."""
-        self.messages_sent += 1
-        self.failed_attempts += 1
+        self._link_counts[src, dst][2] += 1
         tracer = self.obs.tracer
         if tracer.stack:
             tracer.add("messages", 1)
             tracer.add("failed_attempts", 1)
-        messages, _bytes, _seconds, failed = self._link_meters[src, dst]
-        messages.inc()
-        failed.inc()
         for observer in self._transfer_observers:
             observer.observe_failure(src, dst, self.clock.now)
 
     def _count_success(self, src: str, dst: str, nbytes: int,
                        cost: float) -> None:
         """Counter/metric bookkeeping for one delivered message."""
-        self.messages_sent += 1
-        self.bytes_sent += nbytes
+        link = self._link_counts[src, dst]
+        link[0] += 1
+        link[1] += nbytes
+        link[3].observe(cost)
         tracer = self.obs.tracer
         if tracer.stack:
             tracer.add("messages", 1)
             tracer.add("bytes", nbytes)
-        messages, sent, seconds, _failed = self._link_meters[src, dst]
-        messages.inc()
-        sent.inc(nbytes)
-        seconds.observe(cost)
         for observer in self._transfer_observers:
             observer.observe_transfer(src, dst, nbytes, cost,
                                       self.clock.now)
@@ -558,7 +568,7 @@ class Network:
         if error is None:
             self._count_success(src, dst, nbytes, cost)
             if hidden:
-                self.relay_meters[label][0].observe(hidden)
+                self._relay_hidden[label].observe(hidden)
         else:
             self._count_failure(src, dst)
         return cost, waited, error
@@ -757,15 +767,12 @@ class TransferGroup:
                 gsp.incr("failures",
                          sum(1 for o in outcomes if not o.ok))
         serial_s = sum(o.cost for o in outcomes)
-        groups, members, failures, makespan_s, saved_s = \
-            net.group_meters[self.label]
-        groups.inc()
-        members.inc(len(outcomes))
-        failed = sum(1 for o in outcomes if not o.ok)
-        if failed:
-            failures.inc(failed)
-        makespan_s.observe(makespan)
-        saved_s.observe(max(0.0, serial_s - makespan))
+        counts = net._groups[self.label]
+        counts[0] += 1
+        counts[1] += len(outcomes)
+        counts[2] += sum(1 for o in outcomes if not o.ok)
+        counts[3].observe(makespan)
+        counts[4].observe(max(0.0, serial_s - makespan))
         return outcomes
 
 
@@ -821,7 +828,7 @@ class DataChannel:
         if self._redeem is not None:
             self._redeem(self.ticket)     # InvalidTicket propagates
         net = self.network
-        net.channel_meters[self.label][0].inc()
+        net._channels[self.label][0] += 1
         if self.src != self.dst:
             # the sink presents the descriptor to the source endpoint:
             # one control message on the channel's own path
@@ -854,9 +861,10 @@ class DataChannel:
 
     def _delivered(self, cost: float) -> None:
         """``net.direct.*`` accounting for the payload having arrived."""
-        _channels, moved, seconds = self.network.channel_meters[self.label]
-        moved.inc(self.nbytes)
-        seconds.observe(cost)
+        counts = self.network._channels[self.label]
+        counts[1] += 1
+        counts[2] += self.nbytes
+        counts[3].observe(cost)
 
     def add_to(self, group: TransferGroup) -> None:
         """Enlist the (already opened) channel as a group member."""

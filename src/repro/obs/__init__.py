@@ -14,7 +14,7 @@ the same activity:
 
 Instrumented layers: ``net.simnet`` (every transfer, including failed
 attempts), ``net.rpc`` (every call with request/response bytes),
-``core.server`` (top-level operation spans), ``storage`` drivers
+``core.dispatch`` (top-level operation spans), ``storage`` drivers
 (per-op counters, archive cache hits/misses/stages) and ``mcat``
 (catalog ops, query rows scanned vs matched).
 """

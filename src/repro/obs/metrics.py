@@ -2,33 +2,43 @@
 
 Where a trace explains *one* operation, the metrics registry aggregates
 *all* of them: named counters and histograms, each carrying labeled
-dimensions (per-host, per-resource, per-operation), always on and cheap
-(a dict increment per observation).  Benchmarks diff two snapshots to
-print explanatory columns next to virtual seconds; MySRB renders the
-whole registry on its ``/status`` page; ``Sstat`` prints it.
+dimensions (per-host, per-resource, per-operation), always on and cheap.
+Benchmarks diff two snapshots to print explanatory columns next to
+virtual seconds; MySRB renders the whole registry on its ``/status``
+page; ``Sstat`` prints it.
 
 Naming convention: dotted metric names by layer (``net.messages``,
 ``rpc.calls``, ``storage.ops``, ``mcat.query_rows_scanned``); label sets
 are small and bounded by topology (hosts, resources, services, methods).
 
-Two ways in, one store.  ``inc(name, **labels)`` / ``observe`` resolve the
-series on every call — the cold-path API, for sites that emit once in a
-while.  A site that emits on every op resolves its series *once*:
-``bind_counter(name, **labels)`` / ``bind_histogram`` hand back a
-:class:`BoundCounter` / :class:`BoundHistogram` holding the series' dict
-and its label key, so an increment is one call and one dict update.
-Binding is not an observation (a series exists once something was
-counted into it), a handle outlives :meth:`MetricsRegistry.clear`, and a
-handle and ``inc`` with the same labels are the same series.
+A counter is read when asked, not pushed per event.  The object that
+sees an event keeps the count of it as its own int (a link its messages
+and bytes, a method its calls, a driver its ops) and registers a
+*collector* once (:meth:`MetricsRegistry.add_collector`): a callable
+yielding ``(name, labels, value)`` per series it keeps.  Every read —
+``snapshot``, ``delta``, ``total``, ``series``, ``counter_names``,
+``render`` — asks every collector, and samples of one series from
+several collectors add up (the catalogs of a sharded MCAT, the zones
+sharing a network).  ``inc(name, **labels)`` pushes a count into the
+registry itself, for an event no object keeps a count of (a failure, a
+rare path).
+
+Histograms are pushed.  ``observe(name, value, **labels)`` resolves the
+series per call; a site that observes on every op holds the
+:class:`Histogram` itself (:meth:`MetricsRegistry.histogram`), so an
+observation is one call.  A histogram nothing was observed into is not
+read: holding one is not an observation.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 LabelKey = Tuple[Tuple[str, str], ...]
+#: what a collector yields per series: name, labels, value
+Sample = Tuple[str, Dict[str, object], float]
 
 #: histogram bucket upper bounds, virtual seconds (log-spaced; +inf last)
 DEFAULT_BUCKETS = (0.0001, 0.001, 0.01, 0.1, 1.0, 10.0, 100.0, float("inf"))
@@ -83,79 +93,29 @@ class Histogram:
         return self.sum / self.count if self.count else 0.0
 
 
-class BoundCounter:
-    """One counter series, resolved once (see
-    :meth:`MetricsRegistry.bind_counter`)."""
+class Tally(dict):
+    """An owner's counts by label values: ``tally[key]`` is the key's
+    record, made by ``make(key)`` the first time the key is used and a
+    plain ``dict`` lookup after that."""
 
-    __slots__ = ("_series", "_key")
-
-    def __init__(self, series: Dict[LabelKey, float], key: LabelKey):
-        self._series = series
-        self._key = key
-
-    def inc(self, value: float = 1) -> None:
-        try:
-            self._series[self._key] += value
-        except KeyError:
-            self._series[self._key] = 0 + value   # numbers: True is 1
-
-
-class BoundHistogram:
-    """One histogram series, resolved once (see
-    :meth:`MetricsRegistry.bind_histogram`)."""
-
-    __slots__ = ("_series", "_key")
-
-    def __init__(self, series: Dict[LabelKey, Histogram], key: LabelKey):
-        self._series = series
-        self._key = key
-
-    def observe(self, value: float) -> None:
-        try:
-            hist = self._series[self._key]
-        except KeyError:
-            hist = self._series[self._key] = Histogram()
-        hist.observe(value)
-
-
-class BoundFamily(dict):
-    """The handles a site needs, per label values, bound on first use
-    (see :meth:`MetricsRegistry.bind_family`).  A plain ``dict`` to its
-    reader: ``family[src, dst]`` is a subscript, and only a label
-    combination never seen before reaches :meth:`__missing__`."""
-
-    def __init__(self, registry: "MetricsRegistry", labels: Tuple[str, ...],
-                 instruments: Tuple[tuple, ...]):
+    def __init__(self, make: Callable[[tuple], object]):
         super().__init__()
-        self._registry = registry
-        self._labels = labels
-        self._instruments = instruments
+        self.make = make
 
     def __missing__(self, key):
-        values = key if len(self._labels) > 1 else (key,)
-        given = dict(zip(self._labels, values))
-        registry, handles = self._registry, []
-        for kind, name, *subset in self._instruments:
-            bind = registry.bind_counter if kind == "counter" \
-                else registry.bind_histogram
-            handles.append(bind(name, **{
-                k: given[k] for k in (subset[0] if subset else self._labels)}))
-        self[key] = bound = tuple(handles)
-        return bound
+        record = self[key] = self.make(key)
+        return record
 
 
 class MetricsRegistry:
-    """Registry of named counters and histograms with labeled dimensions.
-
-    A name's series dict is created by the first ``inc``/``observe`` *or*
-    bind and then lives as long as the registry (handles hold it), so
-    "has this been counted" is "is the dict non-empty", never "is the
-    name present".
-    """
+    """Registry of named counters and histograms with labeled dimensions:
+    pushed counters and histograms, and the collectors of the counters
+    their owners keep."""
 
     def __init__(self):
         self._counters: Dict[str, Dict[LabelKey, float]] = {}
         self._histograms: Dict[str, Dict[LabelKey, Histogram]] = {}
+        self._collectors: List[Callable[[], Iterable[Sample]]] = []
 
     @staticmethod
     def _key(labels: Dict[str, object]) -> LabelKey:
@@ -167,7 +127,7 @@ class MetricsRegistry:
     # -- counters -----------------------------------------------------------
 
     def inc(self, name: str, value: float = 1, **labels: object) -> None:
-        """Increment counter ``name`` for one label combination."""
+        """Push an increment of counter ``name`` for one label set."""
         try:
             series = self._counters[name]
         except KeyError:
@@ -178,60 +138,62 @@ class MetricsRegistry:
         except KeyError:
             series[key] = 0 + value     # counters are numbers: True is 1
 
-    def bind_counter(self, name: str, **labels: object) -> BoundCounter:
-        """The handle of one labeled series of counter ``name``, for a
-        site that increments it on every op."""
-        return BoundCounter(self._counters.setdefault(name, {}),
-                            self._key(labels))
+    def add_collector(self, collector: Callable[[], Iterable[Sample]]
+                      ) -> None:
+        """Read ``collector()``'s ``(name, labels, value)`` samples at
+        every read of the registry, from now on.  A series an owner has
+        not counted into yet is one it does not yield."""
+        self._collectors.append(collector)
 
-    def bind_family(self, labels: Tuple[str, ...],
-                    *instruments: tuple) -> BoundFamily:
-        """Handles for a site whose series differ only in label values
-        (a network link, an RPC method): ``family[values]`` is the tuple
-        of handles, in the order given, for that combination of
-        ``labels``.  Each instrument is ``("counter" | "histogram",
-        name)``, plus the subset of ``labels`` it carries when not all."""
-        return BoundFamily(self, labels, instruments)
+    def _read(self) -> Dict[str, Dict[LabelKey, float]]:
+        """Every counter series: the pushed ones plus every collector's
+        samples, summed per series."""
+        out = {name: dict(series) for name, series in self._counters.items()}
+        for collect in self._collectors:
+            for name, labels, value in collect():
+                series = out.setdefault(name, {})
+                key = self._key(labels) if labels else ()
+                series[key] = series.get(key, 0) + value
+        return out
 
     def total(self, name: str) -> float:
         """Sum of a counter across every label combination."""
-        return sum(self._counters.get(name, {}).values())
+        return sum(self._read().get(name, {}).values())
 
     def series(self, name: str) -> Dict[str, float]:
         """All labeled series of one counter, keyed by rendered labels."""
         return {_label_str(k): v
-                for k, v in sorted(self._counters.get(name, {}).items())}
+                for k, v in sorted(self._read().get(name, {}).items())}
 
     def counter_names(self) -> List[str]:
-        return sorted(n for n, series in self._counters.items() if series)
+        return sorted(self._read())
 
     # -- histograms ---------------------------------------------------------
 
-    def observe(self, name: str, value: float, **labels: object) -> None:
-        """Record one virtual-time observation into histogram ``name``."""
-        try:
-            series = self._histograms[name]
-        except KeyError:
-            series = self._histograms[name] = {}
+    def histogram(self, name: str, **labels: object) -> Histogram:
+        """The histogram of one label set of ``name``, made on first use,
+        for a site that observes into it on every op."""
+        series = self._histograms.setdefault(name, {})
         key = self._key(labels) if labels else ()
         try:
-            hist = series[key]
+            return series[key]
         except KeyError:
             hist = series[key] = Histogram()
-        hist.observe(value)
+            return hist
 
-    def bind_histogram(self, name: str, **labels: object) -> BoundHistogram:
-        """The handle of one labeled series of histogram ``name``."""
-        return BoundHistogram(self._histograms.setdefault(name, {}),
-                              self._key(labels))
+    def observe(self, name: str, value: float, **labels: object) -> None:
+        """Record one virtual-time observation into histogram ``name``."""
+        self.histogram(name, **labels).observe(value)
 
     def histogram_names(self) -> List[str]:
-        return sorted(n for n, series in self._histograms.items() if series)
+        return sorted(n for n, series in self._histograms.items()
+                      if any(h.count for h in series.values()))
 
     def histogram_series(self, name: str) -> Dict[str, Histogram]:
         """All labeled histograms of one name, keyed by rendered labels."""
         return {_label_str(k): h
-                for k, h in sorted(self._histograms.get(name, {}).items())}
+                for k, h in sorted(self._histograms.get(name, {}).items())
+                if h.count}
 
     # -- snapshots ----------------------------------------------------------
 
@@ -240,13 +202,14 @@ class MetricsRegistry:
         plus ``name{labels}:count``/``:sum`` for histograms.  Snapshots
         are plain dicts: diff two with :meth:`delta`."""
         out: Dict[str, float] = {}
-        for name, series in self._counters.items():
+        for name, series in self._read().items():
             for key, value in series.items():
                 out[name + _label_str(key)] = value
         for name, series in self._histograms.items():
             for key, hist in series.items():
-                out[name + _label_str(key) + ":count"] = hist.count
-                out[name + _label_str(key) + ":sum"] = hist.sum
+                if hist.count:
+                    out[name + _label_str(key) + ":count"] = hist.count
+                    out[name + _label_str(key) + ":sum"] = hist.sum
         return out
 
     def delta(self, before: Dict[str, float]) -> Dict[str, float]:

@@ -50,6 +50,7 @@ it in, the engine only prices it.
 
 from __future__ import annotations
 
+from collections import Counter
 from operator import itemgetter
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -75,9 +76,9 @@ class PlacementEngine:
         self.clock = network.clock
         self.stats = stats if stats is not None else PathStats()
         network.add_transfer_observer(self.stats)
-        # every read and every placement decides once: a bound series
-        self._decisions = self.obs.metrics.bind_family(
-            ("policy", "kind"), ("counter", "policy.decisions"))
+        #: decisions made, by (policy name, kind): ``policy.decisions``
+        self.decisions: Counter = Counter()
+        self.obs.metrics.add_collector(self._samples)
 
     @property
     def policy_name(self) -> str:
@@ -90,8 +91,9 @@ class PlacementEngine:
                                 from_host=from_host, size_hint=size_hint,
                                 now=self.clock.now)
 
-    def _count(self, kind: str) -> None:
-        self._decisions[self.policy.name, kind][0].inc()
+    def _samples(self):
+        for (policy, kind), n in self.decisions.items():
+            yield "policy.decisions", {"policy": policy, "kind": kind}, n
 
     # -- read path ------------------------------------------------------
 
@@ -104,7 +106,7 @@ class PlacementEngine:
         reps = sorted(replicas, key=_BY_NUMBER)
         if not reps:
             return []
-        self._count("read-order")
+        self.decisions[self.policy.name, "read-order"] += 1
         return self.policy.order(reps, self._ctx(from_host, size_hint))
 
     def failover_chain(self, replicas: List[Dict[str, Any]],
@@ -185,7 +187,7 @@ class PlacementEngine:
         """Destination order for ingest/replicate fan-out; the first
         destination becomes the primary (lowest-numbered) replica."""
         if len(res_list) > 1:
-            self._count("write-order")
+            self.decisions[self.policy.name, "write-order"] += 1
         return self.policy.order_resources(
             res_list, self._ctx(from_host, size_hint))
 
@@ -228,7 +230,7 @@ class PlacementEngine:
             est = sum(probes[:k]) + max(p(chunk) for p in pulls[:k])
             if best_est is None or est < best_est - 1e-12:
                 best_k, best_est = k, est
-        self._count("auto-stripe")
+        self.decisions[self.policy.name, "auto-stripe"] += 1
         self.obs.metrics.inc("policy.auto_stripes", k=str(best_k))
         return best_k
 

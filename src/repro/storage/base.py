@@ -17,6 +17,7 @@ end-to-end latency into device and network components.
 from __future__ import annotations
 
 import abc
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -67,9 +68,13 @@ class StorageDriver(abc.ABC):
         self.cost = cost
         self.obs: Optional[Observability] = None
         self.label = self.kind
-        self.ops = 0
+        #: charged accesses by op (``read``, ``write``, ``create``,
+        #: ``delete``, ``meta``)
+        self.op_counts: Counter = Counter()
         self.bytes_read = 0
         self.bytes_written = 0
+
+    ops = property(lambda self: self.op_counts.total())
 
     def attach_obs(self, obs: Observability,
                    label: Optional[str] = None) -> None:
@@ -77,19 +82,24 @@ class StorageDriver(abc.ABC):
 
         ``label`` is the resource name the driver sits behind (the
         federation attaches it when registering the resource), so metrics
-        distinguish drivers of the same kind on different resources.
+        distinguish drivers of the same kind on different resources.  The
+        registry reads the driver's counts from then on.
         """
         self.obs = obs
         if label is not None:
             self.label = label
-        # the series this driver counts into on every access
-        metrics = obs.metrics
-        self._op_meters = metrics.bind_family(("driver", "op"),
-                                              ("counter", "storage.ops"))
-        self._bytes_read = metrics.bind_counter("storage.bytes_read",
-                                                driver=self.label)
-        self._bytes_written = metrics.bind_counter("storage.bytes_written",
-                                                   driver=self.label)
+        obs.metrics.add_collector(self._samples)
+
+    def _samples(self):
+        """The counters this driver keeps, as the metrics registry reads
+        them."""
+        counts, driver = self.op_counts, {"driver": self.label}
+        for op, n in counts.items():
+            yield "storage.ops", {**driver, "op": op}, n
+        if "read" in counts:
+            yield "storage.bytes_read", driver, self.bytes_read
+        if "create" in counts or "write" in counts:    # _charge_write's
+            yield "storage.bytes_written", driver, self.bytes_written
 
     # -- accounting helpers -------------------------------------------------
 
@@ -97,39 +107,28 @@ class StorageDriver(abc.ABC):
         if self.clock is not None and seconds > 0:
             self.clock.advance(seconds)
 
-    def _count_op(self, op: str) -> None:
-        if self.obs is not None:
-            self._op_meters[self.label, op][0].inc()
-
     def _charge_read(self, nbytes: int) -> None:
-        self.ops += 1
+        self.op_counts["read"] += 1
         self.bytes_read += nbytes
-        self._count_op("read")
-        if self.obs is not None:
-            self._bytes_read.inc(nbytes)
-            if self.obs.tracer.stack:
-                with self.obs.tracer.span("storage.read", driver=self.label,
-                                          bytes=nbytes):
-                    self._charge(self.cost.read_cost(nbytes))
-                return
+        if self.obs is not None and self.obs.tracer.stack:
+            with self.obs.tracer.span("storage.read", driver=self.label,
+                                      bytes=nbytes):
+                self._charge(self.cost.read_cost(nbytes))
+            return
         self._charge(self.cost.read_cost(nbytes))
 
     def _charge_write(self, nbytes: int, op: str = "write") -> None:
-        self.ops += 1
+        self.op_counts[op] += 1
         self.bytes_written += nbytes
-        self._count_op(op)
-        if self.obs is not None:
-            self._bytes_written.inc(nbytes)
-            if self.obs.tracer.stack:
-                with self.obs.tracer.span(f"storage.{op}",
-                                          driver=self.label, bytes=nbytes):
-                    self._charge(self.cost.write_cost(nbytes))
-                return
+        if self.obs is not None and self.obs.tracer.stack:
+            with self.obs.tracer.span(f"storage.{op}",
+                                      driver=self.label, bytes=nbytes):
+                self._charge(self.cost.write_cost(nbytes))
+            return
         self._charge(self.cost.write_cost(nbytes))
 
     def _charge_op(self, op: str = "meta") -> None:
-        self.ops += 1
-        self._count_op(op)
+        self.op_counts[op] += 1
         self._charge(self.cost.op_latency_s)
 
     # -- required interface ----------------------------------------------------

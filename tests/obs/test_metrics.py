@@ -212,88 +212,55 @@ class TestKeyMemo:
         assert reg.series("m") == {"{dst=b,src=a}": 4}
 
 
-class TestBoundInstruments:
-    """What a handle must do that a naive one would not."""
+class TestCollectors:
+    """Counters an owner keeps, read when the registry is read."""
 
-    def test_binding_is_not_an_observation(self, reg):
-        reg.bind_counter("net.messages", src="a", dst="b")
-        reg.bind_histogram("net.transfer_s", src="a", dst="b")
-        family = reg.bind_family(("op",), ("counter", "storage.ops"))
-        family["read"]
+    def test_holding_a_histogram_is_not_an_observation(self, reg):
+        reg.histogram("net.transfer_s", src="a", dst="b")
+        reg.add_collector(lambda: ())
         assert reg.counter_names() == reg.histogram_names() == []
         assert reg.snapshot() == {} and reg.render() == ""
-        assert reg.series("net.messages") == {}
         assert histogram(reg, "net.transfer_s", src="a", dst="b") is None
         assert reg.total("net.messages") == 0
         assert reg.delta({}) == {}
 
-    def test_handle_counts_into_the_series_inc_counts_into(self, reg):
-        messages = reg.bind_counter("net.messages", src="a", dst="b")
-        messages.inc()
-        reg.inc("net.messages", dst="b", src="a")     # other kwarg order
-        messages.inc(3)
-        assert reg.series("net.messages") == {"{dst=b,src=a}": 5}
-        seconds = reg.bind_histogram("net.transfer_s", dst="b", src="a")
+    def test_samples_of_one_series_add_up(self, reg):
+        counts = {"a": 2, "b": 3}
+        reg.add_collector(lambda: [("net.messages", {"src": "a", "dst": "b"},
+                                    counts["a"])])
+        reg.add_collector(lambda: [("net.messages", {"dst": "b", "src": "a"},
+                                    counts["b"])])
+        reg.inc("net.messages", dst="b", src="a")
+        assert reg.series("net.messages") == {"{dst=b,src=a}": 6}
+        counts["a"] += 4                   # read when asked, not pushed
+        assert reg.snapshot() == {"net.messages{dst=b,src=a}": 10}
+        assert isinstance(reg.total("net.messages"), int)
+
+    def test_a_held_histogram_is_the_series_observe_fills(self, reg):
+        seconds = reg.histogram("net.transfer_s", dst="b", src="a")
         seconds.observe(0.25)
         reg.observe("net.transfer_s", 0.75, src="a", dst="b")
         hist = histogram(reg, "net.transfer_s", src="a", dst="b")
-        assert (hist.count, hist.sum) == (2, 1.0)
+        assert hist is seconds and (hist.count, hist.sum) == (2, 1.0)
         assert reg.histogram_names() == ["net.transfer_s"]
-
-    def test_unlabelled_handle(self, reg):
-        ops = reg.bind_counter("mcat.ops")
-        ops.inc()
-        reg.inc("mcat.ops")
-        assert reg.snapshot() == {"mcat.ops": 2}
-
-    def test_equal_but_differently_rendered_labels_stay_apart(self, reg):
-        # 1 == True == 1.0 and Tier.GOLD == "gold", hash included: a
-        # handle table keyed on the raw values would fold them together
-        values = (1, True, 1.0, "1", Tier.GOLD, "gold")
-        handles = [reg.bind_counter("m", n=value) for value in values]
-        for handle in handles:
-            handle.inc()
-        for value in values:
-            reg.inc("m", n=value)
-        assert reg.series("m") == {
-            "{n=1}": 4, "{n=1.0}": 2, "{n=True}": 2,
-            "{n=Tier.GOLD}": 2, "{n=gold}": 2}
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(label_sets, st.integers(1, 5), st.booleans()),
                     max_size=12))
-    def test_handles_and_inc_match_a_model_registry(self, calls):
-        reg, model = MetricsRegistry(), {}
-        for labels, amount, bound in calls:
-            if bound:
-                backwards = dict(reversed(list(labels.items())))
-                reg.bind_counter("m", **backwards).inc(amount)
+    def test_collectors_and_inc_match_a_model_registry(self, calls):
+        reg, model, kept = MetricsRegistry(), {}, []
+        reg.add_collector(lambda: kept)
+        for labels, amount, collected in calls:
+            if collected:
+                kept.append(("m", dict(reversed(list(labels.items()))),
+                             amount))
             else:
                 reg.inc("m", amount, **labels)
             key = model_key(labels)
             model[key] = model.get(key, 0) + amount
-        for labels, _amount, _bound in calls:
+        for labels, _amount, _collected in calls:
             assert counter(reg, "m", **labels) == model[model_key(labels)]
         assert reg.total("m") == sum(model.values())
-
-    def test_family_binds_each_combination_once(self, reg):
-        family = reg.bind_family(
-            ("host", "service"),
-            ("counter", "srb.admission.admitted"),
-            ("histogram", "srb.queue.depth", ("host",)))
-        admitted, depth = family["sdsc", "srb"]
-        assert family["sdsc", "srb"] == (admitted, depth)   # the same handles
-        admitted.inc()
-        depth.observe(3)
-        family["caltech", "srb"][0].inc(2)
-        assert reg.snapshot() == {
-            "srb.admission.admitted{host=sdsc,service=srb}": 1,
-            "srb.admission.admitted{host=caltech,service=srb}": 2,
-            "srb.queue.depth{host=sdsc}:count": 1,
-            "srb.queue.depth{host=sdsc}:sum": 3.0}
-        by_label = reg.bind_family(("label",), ("counter", "net.groups"))
-        by_label["copy"][0].inc()
-        assert counter(reg, "net.groups", label="copy") == 1
 
 
 class TestHistogramMatchesModel:

@@ -37,7 +37,7 @@ def oracle_order_replicas(engine, replicas, from_host=None, size_hint=None):
     reps = sorted(replicas, key=lambda r: r["replica_num"])
     if not reps:
         return []
-    engine._count("read-order")
+    engine.decisions[engine.policy.name, "read-order"] += 1
     return engine.policy.order(reps, engine._ctx(from_host, size_hint))
 
 
