@@ -279,6 +279,13 @@ class Network:
         #: delivered, bytes, ``transfer_s``]
         self._channels = Tally(lambda label: [0, 0, 0, metrics.histogram(
             "net.direct.transfer_s", label=label)])
+        #: per (host, service, method) a station admits for: [admitted,
+        #: shed, ``srb.admission.retry_after_s``, ``srb.queue.wait_s``,
+        #: ``srb.queue.depth``]
+        self._admissions = Tally(lambda key: [0, 0, metrics.histogram(
+            "srb.admission.retry_after_s", host=key[0]), metrics.histogram(
+            "srb.queue.wait_s", host=key[0], service=key[1]),
+            metrics.histogram("srb.queue.depth", host=key[0])])
         metrics.add_collector(self._samples)
 
     # the totals, derived from the per-link counts
@@ -309,6 +316,11 @@ class Network:
                 yield "net.direct.channels", {"label": label}, opened
             if delivered:
                 yield "net.direct.bytes", {"label": label}, nbytes
+        for (host, service, method), counts in self._admissions.items():
+            labels = {"host": host, "service": service, "method": method}
+            for name, count in zip(("admitted", "shed"), counts):
+                if count:
+                    yield "srb.admission." + name, labels, count
 
     # -- topology ----------------------------------------------------------
 
@@ -376,19 +388,16 @@ class Network:
         station = self.host(host).station
         if station is None:
             return None, None
-        metrics, labels = self.obs.metrics, {
-            "host": host, "service": service, "method": method}
+        counts = self._admissions[host, service, method]
         try:
             admission = station.admit(arrival)
         except ServerBusy as exc:
-            metrics.inc("srb.admission.shed", **labels)
-            metrics.observe("srb.admission.retry_after_s", exc.retry_after,
-                            host=host)
+            counts[1] += 1
+            counts[2].observe(exc.retry_after)
             raise
-        metrics.inc("srb.admission.admitted", **labels)
-        metrics.observe("srb.queue.wait_s", admission.wait, host=host,
-                        service=service)
-        metrics.observe("srb.queue.depth", admission.depth, host=host)
+        counts[0] += 1
+        counts[3].observe(admission.wait)
+        counts[4].observe(admission.depth)
         if admission.wait > 0:
             with self.obs.tracer.span("srb.queue.wait", host=host,
                                       service=service, method=method,

@@ -277,6 +277,30 @@ class TestOneFunnel:
             "simnet.py:DataChannel.open", "simnet.py:DataChannel.transfer",
             "simnet.py:repull_failed"]
 
+    def test_hot_sites_count_through_bound_instruments(self):
+        """Where a message, a call, an admission, a catalog op or an op
+        is counted, the owner keeps the count and holds the histogram
+        (a :class:`~repro.obs.metrics.Tally` record made once per label
+        set): no ``metrics.inc("name", ...)`` / ``observe`` by literal
+        name is left outside the failure and stream paths, which are
+        cold."""
+        def by_name(n):
+            return (method_call("inc", "observe")(n) and n.args
+                    and isinstance(n.args[0], ast.Constant)
+                    and isinstance(n.args[0].value, str)
+                    and "." in n.args[0].value)
+
+        cold = {"rpc.py:ServiceRegistry._fail",
+                "rpc.py:ServiceRegistry.call_stream"}
+        assert set(sites(by_name)) == cold
+        # an op that raised counts its srb.errors series by name
+        def errors_by_name(n):
+            return by_name(n) and n.args[0].value == "srb.errors"
+        core = ("mcat/catalog.py", "core/dispatch.py")
+        assert sites(by_name, files=core, root=SRC) \
+            == sites(errors_by_name, files=core, root=SRC) \
+            == ["core/dispatch.py:_compile.run"]
+
 
 def network_transfer(n):
     """A ``<network>.transfer(...)`` call, however the network is held."""
