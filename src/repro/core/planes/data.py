@@ -200,10 +200,10 @@ class DataService(PlaneService):
         # item -> the error it met: its path's, else its zone's, else
         # its payload's (no bytes to store)
         failed = ctx.require_local(raws)
-        for i in [i for i, data in enumerate(map(_GET_DATA, items))
-                  if type(data) not in _PAYLOADS]:
-            failed.setdefault(i, StorageError(
-                f"{raws[i]!r}: data must be bytes"))
+        for i, data in enumerate(map(_GET_DATA, items)):
+            if type(data) not in _PAYLOADS:
+                failed.setdefault(i, StorageError(
+                    f"{raws[i]!r}: data must be bytes"))
         groups: Dict[str, List[int]] = defaultdict(list)    # by collection
         for i, at in enumerate(located):
             if type(at) is not tuple:

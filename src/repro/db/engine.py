@@ -49,7 +49,7 @@ class Database:
         self._tables: Dict[str, Table] = {}
         self._observer = None
         # rows examined across all tables: every table created here counts
-        # into it beside its own rows_scanned
+        # into it, and into nothing else
         self.scan_counter = ScanCounter()
 
     # -- DDL -----------------------------------------------------------------

@@ -137,6 +137,7 @@ class ScanCounter:
     A :class:`Table` on its own counts into a private one; a
     :class:`~repro.db.engine.Database` hands all its tables the same one,
     so the cost model reads one number instead of summing the tables.
+    It is the only count of a table's scans: a table keeps no second one.
     """
 
     __slots__ = ("total",)
@@ -172,9 +173,8 @@ class Table:
         self._hash_indexes: Dict[IndexKey,
                                  Union[HashIndex, NestedIndex]] = {}
         self._sorted_indexes: Dict[IndexKey, SortedIndex] = {}
-        # Scan accounting for the query-cost model (rows touched): this
-        # table's own count, and the counter shared with its database.
-        self.rows_scanned = 0
+        # Scan accounting for the query-cost model (rows touched): the
+        # counter this table counts into, shared with its database.
         self.scan_counter = ScanCounter()
         # Mutation observer: callable(table_name, kind, rid, values) fired
         # after each successful insert/update/delete.  See module docstring.
@@ -459,7 +459,6 @@ class Table:
         """Charge ``n`` rows to scan accounting that no lookup read: the
         rows of a batch not yet inserted that a row-by-row write would
         have found."""
-        self.rows_scanned += n
         self.scan_counter.total += n
 
     def update_row(self, rid: int, changes: Dict[str, Any]) -> None:
@@ -547,7 +546,6 @@ class Table:
         """Iterate row ids of all live rows (charges scan accounting)."""
         for rid, row in enumerate(self._rows):
             if row is not None:
-                self.rows_scanned += 1
                 self.scan_counter.total += 1
                 yield rid
 
@@ -567,7 +565,6 @@ class Table:
             return [rid for rid in self.scan()
                     if self._rows[rid][off] == value]
         n = len(rids)
-        self.rows_scanned += n
         self.scan_counter.total += n
         return rids
 
@@ -588,7 +585,6 @@ class Table:
             return [rid for value in values
                     for rid in self.lookup_eq(column, value)]
         n = len(rids)
-        self.rows_scanned += n
         self.scan_counter.total += n
         return rids
 
@@ -606,7 +602,6 @@ class Table:
                     if self._rows[rid][off] in seconds]
         rids = self._hash_indexes[key].pairs(firsts, seconds)
         n = len(rids)
-        self.rows_scanned += n
         self.scan_counter.total += n
         return rids
 
@@ -626,7 +621,6 @@ class Table:
             rids = self._sorted_indexes[column].range(lo, hi, lo_incl,
                                                       hi_incl, limit=limit)
             n = len(rids)
-            self.rows_scanned += n
             self.scan_counter.total += n
             return rids
         out = []

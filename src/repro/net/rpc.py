@@ -31,6 +31,7 @@ independent of completions) saturation curves representable
 
 from __future__ import annotations
 
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, List, Optional, \
@@ -151,10 +152,11 @@ class ServiceRegistry:
         #: the calls that succeeded, ``rpc.call_s``]
         self._methods = Tally(lambda key: [0, 0, 0, metrics.histogram(
             "rpc.call_s", service=key[0], method=key[1])])
-        #: per (service, method, error): [failures, error reply bytes]
-        self._failures = Tally(lambda key: [0, 0])
-        #: per service: [batch calls, batch items]
-        self._batches = Tally(lambda key: [0, 0])
+        #: per (service, method, error): failures, and the bytes of the
+        #: error replies that reached the caller
+        self._failures, self._failed_replies = Counter(), Counter()
+        #: per ("batch_calls" or "batch_items", service)
+        self._batches: Counter = Counter()
         metrics.add_collector(self._samples)
 
     @property
@@ -162,9 +164,8 @@ class ServiceRegistry:
         """Every call's totals, summed from the per-method counts."""
         calls, sent, replied = [sum(m[k] for m in self._methods.values())
                                 for k in range(3)]
-        failures, failed_replies = [sum(f[k] for f in self._failures.values())
-                                    for k in range(2)]
-        return RpcStats(calls, sent, replied + failed_replies, failures)
+        return RpcStats(calls, sent, replied + self._failed_replies.total(),
+                        self._failures.total())
 
     def _samples(self):
         """The counters this registry keeps, as the metrics read them."""
@@ -175,15 +176,13 @@ class ServiceRegistry:
             yield "rpc.request_bytes", labels, sent
             if replied:
                 yield "rpc.response_bytes", labels, replied
-        for (service, method, error), (failures, replied) \
-                in self._failures.items():
-            labels = {"service": service, "method": method, "error": error}
-            yield "rpc.failures", labels, failures
-            if replied:
-                yield "rpc.response_bytes", labels, replied
-        for service, (calls, items) in self._batches.items():
-            yield "rpc.batch_calls", {"service": service}, calls
-            yield "rpc.batch_items", {"service": service}, items
+        for name, counts in (("rpc.failures", self._failures),
+                             ("rpc.response_bytes", self._failed_replies)):
+            for (service, method, error), n in counts.items():
+                yield name, {"service": service, "method": method,
+                             "error": error}, n
+        for (name, service), n in self._batches.items():
+            yield "rpc." + name, {"service": service}, n
 
     # -- open-loop load ------------------------------------------------------
 
@@ -238,10 +237,9 @@ class ServiceRegistry:
         Failures are the cold path: their ``error=``-labelled histogram
         is resolved per call.
         """
-        counts = self._failures[service, method, error]
-        counts[0] += 1
+        self._failures[service, method, error] += 1
         if reply_bytes is not None:
-            counts[1] += reply_bytes
+            self._failed_replies[service, method, error] += reply_bytes
         self.network.obs.metrics.observe("rpc.call_s", latency,
                                          service=service, method=method,
                                          error=error)
@@ -590,7 +588,7 @@ class ServiceRegistry:
 
         def failed(method: str, error: Exception,
                    cause: Exception) -> BatchItemResult:
-            self._failures[service, method, type(cause).__name__][0] += 1
+            self._failures[service, method, type(cause).__name__] += 1
             return BatchItemResult(ok=False, error=error)
 
         def serve() -> List[BatchItemResult]:
@@ -627,9 +625,8 @@ class ServiceRegistry:
             return results
 
         # one pipelined request/response pair = one call in the stats
-        counts = self._batches[service]
-        counts[0] += 1
-        counts[1] += len(items)
+        self._batches["batch_calls", service] += 1
+        self._batches["batch_items", service] += len(items)
         return self._exchange(
             src, dst, service, "<batch>",
             "rpc.call_batch", {"items": len(items)},

@@ -174,16 +174,24 @@ class ServiceStation:
         self._free: List[float] = [0.0] * self.workers
         # start timestamps of admitted-but-not-yet-started requests
         self._waiting: List[float] = []
-        self.admitted = 0
-        self.shed = 0
+        #: ``[admitted, shed]`` per what the requests were admitted for:
+        #: the network's ``(service, method)``, or ``None`` for a bare
+        #: :meth:`admit`; the network's metrics read it when asked
+        self.counts = Tally(lambda key: [0, 0])
+
+    # the totals, derived from the per-key counts
+    admitted = property(lambda self: sum(c[0] for c in self.counts.values()))
+    shed = property(lambda self: sum(c[1] for c in self.counts.values()))
 
     def queue_length(self, at: float) -> int:
         """Requests admitted but still waiting for a worker at ``at``."""
         self._waiting = [s for s in self._waiting if s > at]
         return len(self._waiting)
 
-    def admit(self, arrival: float) -> Admission:
-        """Admit (or shed) a request arriving at virtual ``arrival``."""
+    def admit(self, arrival: float, key: Optional[tuple] = None
+              ) -> Admission:
+        """Admit (or shed) a request arriving at virtual ``arrival``,
+        counted under ``key`` (:attr:`counts`)."""
         depth = self.queue_length(arrival)
         if not self._free:
             # re-entrant request while every slot is checked out (a
@@ -195,14 +203,14 @@ class ServiceStation:
         # is free at arrival), not "shed everything"
         if self.queue_depth is not None and min(self._free) > arrival \
                 and depth >= self.queue_depth:
-            self.shed += 1
+            self.counts[key][1] += 1
             retry_after = min(self._free) - arrival
             raise ServerBusy(self.host, retry_after)
         start = max(arrival, heapq.heappop(self._free))
         wait = start - arrival
         if wait > 0:
             self._waiting.append(start)
-        self.admitted += 1
+        self.counts[key][0] += 1
         return Admission(start=start, wait=wait, depth=depth)
 
     def complete(self, admission: Admission, done: float) -> None:
@@ -275,17 +283,17 @@ class Network:
         #: payload: seconds a relayed leg did not wait again
         self._relay_hidden = Tally(lambda label: metrics.histogram(
             "net.relay.hidden_s", label=label))
-        #: ``net.direct.*`` per channel label: [channels opened, payloads
-        #: delivered, bytes, ``transfer_s``]
-        self._channels = Tally(lambda label: [0, 0, 0, metrics.histogram(
+        #: ``net.direct.*`` per channel label: [channels opened, bytes
+        #: delivered, ``transfer_s`` (one observation per delivery)]
+        self._channels = Tally(lambda label: [0, 0, metrics.histogram(
             "net.direct.transfer_s", label=label)])
-        #: per (host, service, method) a station admits for: [admitted,
-        #: shed, ``srb.admission.retry_after_s``, ``srb.queue.wait_s``,
-        #: ``srb.queue.depth``]
-        self._admissions = Tally(lambda key: [0, 0, metrics.histogram(
+        #: per (host, service, method) a station admits for:
+        #: ``srb.admission.retry_after_s``, ``srb.queue.wait_s`` and
+        #: ``srb.queue.depth`` (the station counts the requests)
+        self._admissions = Tally(lambda key: (metrics.histogram(
             "srb.admission.retry_after_s", host=key[0]), metrics.histogram(
             "srb.queue.wait_s", host=key[0], service=key[1]),
-            metrics.histogram("srb.queue.depth", host=key[0])])
+            metrics.histogram("srb.queue.depth", host=key[0])))
         metrics.add_collector(self._samples)
 
     # the totals, derived from the per-link counts
@@ -311,16 +319,18 @@ class Network:
             yield "net.parallel.members", {"label": label}, members
             if failures:
                 yield "net.parallel.failures", {"label": label}, failures
-        for label, (opened, delivered, nbytes, _s) in self._channels.items():
+        for label, (opened, nbytes, seconds) in self._channels.items():
             if opened:
                 yield "net.direct.channels", {"label": label}, opened
-            if delivered:
+            if seconds.count:
                 yield "net.direct.bytes", {"label": label}, nbytes
-        for (host, service, method), counts in self._admissions.items():
-            labels = {"host": host, "service": service, "method": method}
-            for name, count in zip(("admitted", "shed"), counts):
-                if count:
-                    yield "srb.admission." + name, labels, count
+        for host in self._hosts.values():
+            # a station's bare admits (key None) are not the network's
+            for key, counts in getattr(host.station, "counts", {}).items():
+                for name, count in zip(("admitted", "shed"), counts):
+                    if key and count:
+                        yield "srb.admission." + name, {"host": host.name,
+                            "service": key[0], "method": key[1]}, count
 
     # -- topology ----------------------------------------------------------
 
@@ -388,16 +398,14 @@ class Network:
         station = self.host(host).station
         if station is None:
             return None, None
-        counts = self._admissions[host, service, method]
+        retry_after_s, wait_s, depth = self._admissions[host, service, method]
         try:
-            admission = station.admit(arrival)
+            admission = station.admit(arrival, (service, method))
         except ServerBusy as exc:
-            counts[1] += 1
-            counts[2].observe(exc.retry_after)
+            retry_after_s.observe(exc.retry_after)
             raise
-        counts[0] += 1
-        counts[3].observe(admission.wait)
-        counts[4].observe(admission.depth)
+        wait_s.observe(admission.wait)
+        depth.observe(admission.depth)
         if admission.wait > 0:
             with self.obs.tracer.span("srb.queue.wait", host=host,
                                       service=service, method=method,
@@ -871,9 +879,8 @@ class DataChannel:
     def _delivered(self, cost: float) -> None:
         """``net.direct.*`` accounting for the payload having arrived."""
         counts = self.network._channels[self.label]
-        counts[1] += 1
-        counts[2] += self.nbytes
-        counts[3].observe(cost)
+        counts[1] += self.nbytes
+        counts[2].observe(cost)
 
     def add_to(self, group: TransferGroup) -> None:
         """Enlist the (already opened) channel as a group member."""

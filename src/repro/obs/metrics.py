@@ -81,12 +81,14 @@ class Histogram:
             self.min = value
         if value > self.max:
             self.max = value
-        buckets = self.buckets
-        i = bisect_left(buckets, value)
+        i = bisect_left(self.buckets, value)
         # first bound with value <= bound; NaN and anything past a finite
-        # last bound fall in no bucket
-        if i < len(buckets) and value <= buckets[i]:
-            self.bucket_counts[i] += 1
+        # last bound (no bound left to index) fall in no bucket
+        try:
+            if value <= self.buckets[i]:
+                self.bucket_counts[i] += 1
+        except IndexError:
+            pass
 
     @property
     def mean(self) -> float:

@@ -209,22 +209,22 @@ class TestUnion:
 class TestPlannerAndCost:
     def test_pk_lookup_touches_one_row(self, db):
         t = db.table("users")
-        before = t.rows_scanned
+        before = t.scan_counter.total
         db.execute("SELECT name FROM users WHERE id = 3")
-        assert t.rows_scanned - before == 1
+        assert t.scan_counter.total - before == 1
 
     def test_unindexed_predicate_scans_all(self, db):
         t = db.table("users")
-        before = t.rows_scanned
+        before = t.scan_counter.total
         db.execute("SELECT id FROM users WHERE city = 'sd'")
-        assert t.rows_scanned - before == len(t)
+        assert t.scan_counter.total - before == len(t)
 
     def test_sorted_index_used_for_range(self, db):
         t = db.table("users")
         t.create_index("age", sorted_index=True)
-        before = t.rows_scanned
+        before = t.scan_counter.total
         db.execute("SELECT name FROM users WHERE age > 31")
-        assert t.rows_scanned - before == 1   # only carol
+        assert t.scan_counter.total - before == 1   # only carol
 
     @pytest.mark.parametrize("param", [["ann"], {"ann": 1}, [], {}])
     def test_unhashable_param_finds_nothing_by_either_plan(self, db, param):
@@ -232,13 +232,13 @@ class TestPlannerAndCost:
         index's plan answers what the scan's plan answers."""
         query = "SELECT id FROM users WHERE name = ?"
         t = db.table("users")
-        before = t.rows_scanned
+        before = t.scan_counter.total
         scanned = db.execute(query, [param]).rows
-        assert t.rows_scanned - before == len(t)          # the scan's plan
+        assert t.scan_counter.total - before == len(t)          # the scan's plan
         t.create_index("name")
-        before = t.rows_scanned
+        before = t.scan_counter.total
         assert db.execute(query, [param]).rows == scanned == []
-        assert t.rows_scanned == before                   # the index's
+        assert t.scan_counter.total == before                   # the index's
         assert db.execute("SELECT name FROM users WHERE id = ?",
                           [param]).rows == []             # the primary key
 
@@ -252,10 +252,10 @@ class TestPlannerAndCost:
         for index in (False, True):
             if index:
                 t.create_index("age", sorted_index=True)
-            before = t.rows_scanned
+            before = t.scan_counter.total
             assert db.execute(f"SELECT id FROM users WHERE {where}",
                               params).rows == []
-            assert t.rows_scanned == before
+            assert t.scan_counter.total == before
 
     def test_missing_param_raises_with_an_index(self, db):
         db.table("users").create_index("age", sorted_index=True)

@@ -67,7 +67,7 @@ def build(columns, pk, indexes, pairs, existing):
 def state(t: Table):
     """The heap, the row count, scan accounting, and every index with its
     keys in order and each bucket as it is stored."""
-    return typed((t._rows, len(t), t.rows_scanned,
+    return typed((t._rows, len(t), t.scan_counter.total,
                   [(c, list(idx._map.items()))
                    for c, idx in t._hash_indexes.items()],
                   [(str(k), list(s._keys))

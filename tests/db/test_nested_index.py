@@ -31,9 +31,9 @@ def scanned(t: Table, tids, attrs):
 
 
 def charged(t: Table, read):
-    before = t.rows_scanned
+    before = t.scan_counter.total
     got = read()
-    return got, t.rows_scanned - before
+    return got, t.scan_counter.total - before
 
 
 def check(t: Table, draw) -> None:

@@ -248,16 +248,19 @@ class TestOneFunnel:
 
     def test_one_function_counts_a_whole_call_failure(self):
         def failure_count(n):
-            return (isinstance(n, ast.Subscript)
-                    and isinstance(n.value, ast.Attribute)
-                    and n.value.attr == "_failures")
+            # an increment of a failure count, not a read of one
+            return (isinstance(n, ast.AugAssign)
+                    and isinstance(n.target, ast.Subscript)
+                    and isinstance(n.target.value, ast.Attribute)
+                    and n.target.value.attr == "_failures")
 
         # the second site of each is the per-item / the success twin
         assert sorted(sites(failure_count)) == [
             "rpc.py:ServiceRegistry._fail",
             "rpc.py:ServiceRegistry.call_batch.failed"]
-        # a success observes through the handle bound in __init__; a
-        # failure resolves its error= series by name
+        # a success observes into the histogram its method's record
+        # holds from __init__; a failure resolves its error= series by
+        # name
         assert sorted(sites(literal("rpc.call_s"))) == [
             "rpc.py:ServiceRegistry.__init__",
             "rpc.py:ServiceRegistry._fail"]

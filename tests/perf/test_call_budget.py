@@ -7,46 +7,37 @@ gates that cost as ``py_calls_per_op``; this guard catches a per-call
 regression in tier-1, in well under a second, without running it.
 
 Each budget is about 15 % above the count measured on CPython 3.11 when
-it was pinned.  Last re-pinned when the grid's wiring became plain
-attributes bound at construction, the clock's ``now`` an attribute, the
-catalog's charge one re-entered object, and a dict's key bytes, a
-ticket's size and a path's canonical form things remembered per shape
-(count before -> count now; budget before -> budget now; the pinning
-before that, at the op plans and bound instruments, in brackets):
+it was pinned.  Last re-pinned, every budget in this file, when each
+counter became an int its owner keeps (a link, a method, a driver, a
+catalog), read by the metrics registry only when asked, and a histogram
+observation stopped calling ``len`` (count on the commit before -> count
+now; budget before -> budget now; the pinning before that, when the
+grid's wiring became plain attributes, in brackets).  The budgets before
+had drifted far above their counts — a bulk catalog write and the query
+batches had since been re-built — so they are re-pinned at the counts:
 
-==================  ================  ==============  ==================
-op                  measured          budget          (pinning before)
-==================  ================  ==============  ==================
-``ingest``          449 -> 329        515 -> 380      (570 -> 449)
-``ingest logical``  572 -> 432        665 -> 495      (716 -> 577)
-``get``             293 -> 214        345 -> 245      (417 -> 298)
-``stat``            277 -> 167        320 -> 190      (367 -> 277)
-``add_metadata``    250 -> 177        290 -> 205      (356 -> 250)
-``bulk_ingest row`` 29.2 -> 15.5      34.5 -> 17.8    (36.1 -> 30.0)
-``query selective`` 1,506 -> 749      1735 -> 860     (1,566 -> 1,510)
-``query broad row`` 25.7 -> 6.9       29.5 -> 7.9     (26.2 -> 25.8)
-``query_page row``  39.1 -> 14.7      45 -> 17        (40.4 -> 39.1)
-==================  ================  ==============  ==================
-
-The ``bulk_ingest row`` was re-pinned on its own, when a bulk catalog
-write became one ``Table.insert_many`` per table (hash buckets filled a
-batch at a time, sorted indexes sorted once per batch, ids minted in one
-call) and a new path's split reused its parent's.
-
-The three ``query`` rows were re-pinned on their own, when a query batch
-became set operations over row ids: each condition is tested once per
-batch by C-level ``map``, and object rows and display values are read
-only for the rows that pass.
+====================  ============  ============  ==================
+op                    measured      budget        (pinning before)
+====================  ============  ============  ==================
+``ingest``            315 -> 290    380 -> 335    (449 -> 329)
+``ingest logical``    393 -> 357    495 -> 410    (572 -> 432)
+``ingest relayed``    400 -> 362    485 -> 415    (423 when pinned)
+``get``               200 -> 175    245 -> 200    (293 -> 214)
+``get relayed``       263 -> 234    300 -> 270    (261 when pinned)
+``stat``              164 -> 146    190 -> 170    (277 -> 167)
+``add_metadata``      176 -> 158    205 -> 182    (250 -> 177)
+``bulk_ingest row``   3.03 -> 2.56  17.8 -> 2.95  (29.2 -> 15.5)
+``query selective``   581 -> 520    860 -> 600    (1,506 -> 749)
+``query broad row``   1.92 -> 1.81  7.9 -> 2.1    (25.7 -> 6.9)
+``query_page row``    10.4 -> 9.14  17 -> 10.5    (39.1 -> 14.7)
+====================  ============  ============  ==================
 
 Two budgets pin the relay (a payload of four relay blocks passing
-through the server between the laptop and ``caltech``), measured when it
-replaced store-and-forward: ``ingest relayed`` 423 -> budget 485 is
-``ingest logical`` with 256 KiB, so the leg runner prices what the
-remote member's leg hides behind the request (11 calls over the same
-ingest of 4 KiB, which prices nothing); ``get relayed`` 261 -> budget
-300 reads that object's ``caltech`` copy back, so the read delivery
-prices the reply.  Since that pinning a wire leg looks its two hosts up
-without a call each (every op above: 4 to 20 fewer than the table says).
+through the server between the laptop and ``caltech``): ``ingest
+relayed`` is ``ingest logical`` with 256 KiB, so the leg runner prices
+what the remote member's leg hides behind the request; ``get relayed``
+reads that object's ``caltech`` copy back, so the read delivery prices
+the reply.
 
 ``ingest logical`` is the same ingest onto the two-member logical
 resource ``logrsrc1`` (one local member, one remote), which pins the
@@ -82,11 +73,11 @@ PAYLOAD = b"\x5a" * 4096
 RELAYED = b"\x5a" * (256 * 1024)        # four relay blocks
 
 #: op -> most Python-level calls (functions and builtins) one call may make
-BUDGET = {"ingest": 380, "get": 245, "stat": 190, "add_metadata": 205,
-          "ingest logical": 495, "ingest relayed": 485, "get relayed": 300,
-          "bulk_ingest row": 17.8,
-          "query selective": 860, "query broad row": 7.9,
-          "query_page row": 17}
+BUDGET = {"ingest": 335, "get": 200, "stat": 170, "add_metadata": 182,
+          "ingest logical": 410, "ingest relayed": 415, "get relayed": 270,
+          "bulk_ingest row": 2.95,
+          "query selective": 600, "query broad row": 2.1,
+          "query_page row": 10.5}
 
 
 def calls_made_by(op) -> int:
@@ -176,10 +167,11 @@ def test_one_small_op_stays_within_its_call_budget(measured, op):
 # each copy's driver ``is_online``, so it runs only with two candidates:
 # a single-replica ``get`` makes exactly the calls it made before the
 # chain existed (208 when pinned; 200 once ``normalize_physical`` returned
-# an already-normal driver path without a call; 178 once counters were
-# the owners' own ints, read by the metrics registry when asked).
+# an already-normal driver path without a call; 175 once counters were
+# the owners' own ints, read by the metrics registry when asked, and a
+# histogram observation called nothing but ``bisect_left``).
 
-SINGLE_REPLICA_GET = 178
+SINGLE_REPLICA_GET = 175
 
 
 def test_a_single_replica_get_pays_nothing_for_the_source_chain(measured):
@@ -232,10 +224,11 @@ def test_a_get_at_a_server_with_a_cached_local_copy_pulls_no_payload_in():
 # ==============  =====  ===================================================
 #
 # The two call budgets are measured + 15 % like the ones above: a page
-# of 100 listing rows (``browse next``: 3,708 calls when pinned; 24,851
-# when every row escaped its ten constant anchors again, in three
-# exchanges) and an open page (661 in one exchange; 784 and then 762
-# in two, 1,139 in four).
+# of 100 listing rows (``browse next``: 2,035 calls when re-pinned with
+# the budgets above, 2,064 on the commit before, 3,708 when first pinned;
+# 24,851 when every row escaped its ten constant anchors again, in three
+# exchanges) and an open page (609 when re-pinned, 649 before, 661 when
+# first pinned in one exchange; 784 and then 762 in two, 1,139 in four).
 
 EXCHANGES = {
     "login": ["auth_challenge", "auth_login", "<batch>"],
@@ -248,7 +241,7 @@ EXCHANGES = {
     "extract": ["<batch>"],
     "annotate": ["<batch>"],
 }
-PAGE_BUDGET = {"browse next": 4265, "open": 760}
+PAGE_BUDGET = {"browse next": 2340, "open": 700}
 
 
 @pytest.fixture(scope="module")
@@ -328,10 +321,11 @@ def test_a_mysrb_page_stays_within_its_call_budget(session, name):
 # exchanges — each admitted, authorised and audited on its own — but the
 # request travels once and the server pushes the chunks behind it: six
 # messages where a page-by-page pull makes ten.  The call budget is
-# measured + 15 % (8,524 when pinned, 34.1 per row).
+# measured + 15 % (1,627 when re-pinned with the budgets above, 1,710 on
+# the commit before; 8,524 when first pinned, 34.1 per row).
 
 STREAM_CHUNKS = 5
-STREAM_BUDGET = 9800
+STREAM_BUDGET = 1870
 
 
 @pytest.fixture(scope="module")

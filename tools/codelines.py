@@ -26,14 +26,13 @@ CEILINGS = {
     #   catalog (Mcat._new_rows), the tables (Table._rows_of, one body for
     #   insert and insert_many), the wire (same-shaped dicts sized by
     #   column) and the planes, and the unpin that reaches first, 11,434
-    #   (the 40 lines ROADMAP item 25 allows); each counter an int its
-    #   owner keeps, read by a collector (the owners' modules below
-    #   gained what obs/ and the bound handles lost), and an ingest item
-    #   with no bytes refused alone (+5 in data.py): held at 11,434;
-    #   + a station's admissions counted by the network they pass
-    #   through (a Tally per host, service and method and its collector
-    #   samples), not pushed by name per request, 11,440
-    "src/repro": 11_440,
+    #   (the 40 lines ROADMAP item 25 allows); - each event counted once,
+    #   by its owner, and read by the registry's collectors (obs/ lost
+    #   the bound handles, the owners' modules below gained their
+    #   samples), a table's scans counted only into its database's
+    #   counter, + an ingest item with no bytes refused alone, + a
+    #   histogram observation that calls nothing but bisect, 11,431
+    "src/repro": 11_431,
     # the catalog side of containers only: rows, primary copy, members
     "src/repro/core/containers.py": 62,
     # + the per-op chain levels opened and dropped with the op; + the
@@ -55,6 +54,7 @@ CEILINGS = {
     #   container acts moved in from ContainerManager (append, create,
     #   compaction), each through the write loop; - _ingest's steps as
     #   batches and the bulk ops' one error reply (_item_error)
+    #   + an ingest item with no bytes refused alone
     "src/repro/core/planes/data.py": 903,
     # + a physical move whose source delete is refused takes back the
     #   copy it made
@@ -78,11 +78,12 @@ CEILINGS = {
     #   column, lookup_pairs, and count_eq for the cost rule; + lookup_eq
     #   of a pair of columns answered as lookup_pairs; + _rows_of, the
     #   one row builder of insert and insert_many, and lookup_eq_many
-    #   and iter_values with no call per call beyond their own
-    "src/repro/db/table.py": 469,
+    #   and iter_values with no call per call beyond their own; - the
+    #   per-table rows_scanned, which shadowed the shared scan counter
+    "src/repro/db/table.py": 462,
     # the catalog's two packages, held together as well as file by file;
     # - the dicts, __len__, schema and extraction lookups only tests called
-    "src/repro/db": 1_398,
+    "src/repro/db": 1_391,
     "src/repro/mcat": 1_875,
     # + an in-place rename refuses a taken destination or a missing
     #   parent, as a rename across partitions does; + _new_rows, a batch
@@ -98,9 +99,13 @@ CEILINGS = {
     #   and a render, so a write page renders from its own batch
     "src/repro/mysrb/views.py": 535,
     # + call_batch's dependent items: checked before the batch is sent,
-    #   skipped where they run when an item they need failed
-    "src/repro/net/rpc.py": 353,
-    # + admissions kept per (host, service, method), read when asked
+    #   skipped where they run when an item they need failed; + the
+    #   per-method calls and bytes, failures and batches the registry
+    #   keeps, the totals derived from them, and their collector samples
+    "src/repro/net/rpc.py": 349,
+    # + the per-link, per-group and per-channel counts the network keeps
+    #   (the totals derived from them) and a station's admissions per
+    #   (service, method), read by the collector when asked
     "src/repro/net/simnet.py": 516,
     # - is_pinned and used_bytes, which only tests called
     "src/repro/storage/archive.py": 195,
