@@ -369,7 +369,8 @@ class Network:
                         queue_depth: Optional[int] = None) -> ServiceStation:
         """Give ``name``'s server process a worker pool and request queue.
 
-        Replaces any existing station (fresh bookkeeping).  Hosts without
+        Replaces any existing station (fresh bookkeeping: the old
+        station's ``srb.admission.*`` counts go with it).  Hosts without
         a station keep the historical contention-free behaviour.
         """
         host = self.host(name)
